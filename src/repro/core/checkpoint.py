@@ -18,16 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.recurrence import Recurrence, check_moments, to_storage
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend, get_backend
+from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _col_dots
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import CheckpointError, FormatError
-from repro.util.precision import FP64, Precision, get_precision
+from repro.util.precision import Precision, get_precision
 
 _FORMAT_VERSION = 1
 
@@ -42,6 +42,27 @@ def _npz_path(path: str | Path) -> Path:
     """
     path = Path(path)
     return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
+
+
+def _hash_into(h, arr: np.ndarray) -> None:
+    """Feed an array's bytes to ``h`` through the buffer protocol.
+
+    A contiguous array is hashed in place (no ``tobytes()`` copy of a
+    block that is as large as the recurrence state itself).
+    """
+    h.update(np.ascontiguousarray(arr).reshape(-1).view(np.uint8).data)
+
+
+def run_digest(*blocks: np.ndarray) -> str:
+    """Identity of a run: the digest of its ``nu_0`` block in storage form.
+
+    Row slices passed in rank order hash to the digest of the global
+    block, so every engine tags the same run identically.
+    """
+    h = hashlib.sha256()
+    for block in blocks:
+        _hash_into(h, block)
+    return h.hexdigest()
 
 
 @dataclass
@@ -71,6 +92,11 @@ class KpmCheckpoint:
     #: bitwise-composable with a run using the *same* reduction order,
     #: so a cross-grid resume is refused like a cross-precision one.
     eta_grid: int = 0
+    #: :func:`run_digest` of the run's nu_0 block ("" on files written
+    #: before runs were tagged).  Two solves sharing a checkpoint path
+    #: agree on everything else above, so this is the only field that
+    #: tells a same-run retry from a foreign file.
+    run_id: str = ""
 
     def _digest(self) -> str:
         """Integrity digest over the state that resuming actually reads.
@@ -78,9 +104,9 @@ class KpmCheckpoint:
         Only the filled eta prefix is hashed — the tail of the array is
         scratch whose bytes legitimately differ between a serial run
         (``np.empty``) and the distributed engines (zero-filled shared
-        memory).  The precision and eta-grid tags enter the digest only
-        when not the baseline (fp64 / per-rank reduction), so digests of
-        older checkpoints keep verifying unchanged.
+        memory).  The precision, eta-grid and run tags enter the digest
+        only when not the baseline (fp64 / per-rank reduction / untagged),
+        so digests of older checkpoints keep verifying unchanged.
         """
         h = hashlib.sha256()
         h.update(f"{self.next_m}:{self.n_moments}:{self.a!r}:{self.b!r}:".encode())
@@ -88,9 +114,26 @@ class KpmCheckpoint:
             h.update(f"{self.precision}:".encode())
         if self.eta_grid:
             h.update(f"grid{self.eta_grid}:".encode())
+        if self.run_id:
+            h.update(f"run{self.run_id}:".encode())
         for arr in (self.v, self.w, self.eta[:, : 2 * self.next_m]):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            _hash_into(h, arr)
         return h.hexdigest()
+
+    def check_run(self, start_block: np.ndarray, precision) -> None:
+        """Raise unless this state belongs to the run ``start_block`` starts.
+
+        Resuming another solve's state would silently return that
+        solve's numbers.  Untagged (older) files cannot be told apart
+        and pass.
+        """
+        if self.run_id and self.run_id != run_digest(
+            to_storage(start_block, get_precision(precision))
+        ):
+            raise CheckpointError(
+                "checkpoint belongs to a different run: its nu_0 digest "
+                "does not match start_block"
+            )
 
     def save(self, path: str | Path) -> Path:
         """Atomically write the state; returns the suffix-normalized path.
@@ -111,6 +154,7 @@ class KpmCheckpoint:
                 a=self.a, b=self.b,
                 precision=self.precision,
                 eta_grid=self.eta_grid,
+                run_id=self.run_id,
                 digest=self._digest(),
             )
             os.replace(tmp, path)
@@ -152,6 +196,9 @@ class KpmCheckpoint:
                         int(data["eta_grid"])
                         if "eta_grid" in data.files else 0
                     ),
+                    run_id=(
+                        str(data["run_id"]) if "run_id" in data.files else ""
+                    ),
                 )
                 stored = str(data["digest"]) if "digest" in data.files else None
         except FormatError:
@@ -177,6 +224,7 @@ def resolve_resume(
     metrics: MetricsRegistry = NULL_METRICS,
     precision: Precision | str | None = None,
     eta_grid: int = 0,
+    start_block: np.ndarray | None = None,
 ) -> KpmCheckpoint:
     """Load (if needed) and validate a resume checkpoint against the run.
 
@@ -186,7 +234,9 @@ def resolve_resume(
     matching eta reduction grid — a cross-precision resume would
     silently re-round (or worse, re-expand) the recurrence state, and a
     cross-grid resume would splice an eta prefix reduced in a different
-    order, so both are refused outright.
+    order, so both are refused outright.  When the caller also hands in
+    a ``start_block``, the checkpoint must belong to the run that block
+    starts (:meth:`KpmCheckpoint.check_run`).
     """
     if isinstance(resume_from, KpmCheckpoint):
         ck = resume_from
@@ -215,6 +265,8 @@ def resolve_resume(
             f"run uses eta_grid={int(eta_grid)}; the spliced eta prefix "
             "is only bitwise-composable under the same reduction order"
         )
+    if start_block is not None:
+        ck.check_run(start_block, prec)
     return ck
 
 
@@ -239,8 +291,9 @@ def checkpointed_eta(
 ) -> np.ndarray:
     """Stage-2 eta computation with optional checkpoint/restart.
 
-    Identical results to :func:`repro.core.moments.compute_eta` with the
-    ``aug_spmmv`` engine (asserted by the tests). With
+    The serial driver of :class:`~repro.core.recurrence.Recurrence`:
+    :func:`repro.core.moments.compute_eta` with the ``aug_spmmv`` engine
+    *is* this function with checkpoints off. With
     ``checkpoint_every = k > 0`` the state is saved to
     ``checkpoint_path`` after every k inner iterations; pass
     ``resume_from`` (a checkpoint object or path) to continue an
@@ -263,74 +316,47 @@ def checkpointed_eta(
     partial-spectrum stream.  The callback runs on the compute path:
     keep it cheap and never let it raise.
     """
-    if n_moments % 2 or n_moments < 2:
-        raise ValueError(f"n_moments must be even >= 2, got {n_moments}")
+    check_moments(n_moments)
     if checkpoint_every and checkpoint_path is None:
         raise ValueError("checkpoint_every requires checkpoint_path")
     a, b = scale.a, scale.b
     prec = get_precision(precision)
-    bk = get_backend(backend)
 
+    ck = None
     if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec)
-        # storage-dtype copies: the resumed state streams exactly the
-        # bytes the interrupted run held, so the resume is bit-exact
-        v = ck.v.astype(prec.vector_dtype, copy=True)
-        w = ck.w.astype(prec.vector_dtype, copy=True)
+        ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec,
+                            start_block=start_block)
+        start_block = ck.v
+    rec = Recurrence(
+        H, a, b, start_block.shape[1], backend=backend, precision=prec,
+        threads=threads, simd=simd, counters=counters, metrics=metrics,
+    )
+    if ck is not None:
+        rec.load(ck.v, ck.w)
         eta = ck.eta.astype(DTYPE, copy=True)
-        first_m = ck.next_m
-        r = int(prec.logical_shape(v)[1])
-        plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-    elif prec.half_vectors:
-        # mirror compute_eta's half bootstrap: SpMMV in f16 storage, one
-        # fp32 recombination through the plan's decode scratch
-        if start_block.dtype == np.float16:
-            v = np.ascontiguousarray(start_block)
-        else:
-            v = prec.encode(start_block)
-        r = v.shape[1]
-        plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-        w = bk.spmmv(H, v, counters=counters, metrics=metrics)
-        vc, wc = plan.vc[: H.n_rows], plan.wc
-        prec.decode(v, out=vc)
-        prec.decode(w, out=wc)
-        wc -= b * vc
-        wc *= a
-        prec.encode(wc, out=w)
-        eta = np.empty((r, n_moments), dtype=DTYPE)
-        eta[:, 0], eta[:, 1] = _col_dots(vc, wc)
-        first_m = 1
+        first_m, run_id = ck.next_m, ck.run_id
     else:
-        v = start_block.astype(prec.vector_dtype, copy=True)
-        w = bk.spmmv(H, v, counters=counters, metrics=metrics)
-        w -= b * v
-        w *= a
-        r = v.shape[1]
-        eta = np.empty((r, n_moments), dtype=DTYPE)
-        # same dot kernel as compute_eta's bootstrap: bitwise-identical
-        # moments whichever entry point ran the computation
-        eta[:, 0], eta[:, 1] = _col_dots(v, w)
+        rec.load(start_block)
+        eta = np.empty((start_block.shape[1], n_moments), dtype=DTYPE)
+        eta[:, 0], eta[:, 1] = rec.bootstrap()
         first_m = 1
-        plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
+        run_id = run_digest(rec.v) if checkpoint_every else ""
 
     for m in range(first_m, n_moments // 2):
         if fault is not None:
             fault.at_iteration(m)
-        v, w = w, v
-        ee, eo = bk.aug_spmmv_step(H, v, w, a, b, plan=plan,
-                                   counters=counters, metrics=metrics)
-        eta[:, 2 * m] = ee
-        eta[:, 2 * m + 1] = eo
+        eta[:, 2 * m], eta[:, 2 * m + 1] = rec.step()
         if progress is not None and progress_every > 0 \
                 and (m - first_m + 1) % progress_every == 0:
             progress(2 * (m + 1), eta[:, : 2 * (m + 1)])
         if checkpoint_every and (m - first_m + 1) % checkpoint_every == 0:
-            # after the step: w holds nu_{m+1}, v holds nu_m; the next
-            # iteration's swap expects exactly (v, w) in these roles
+            # (v, w) = (nu_m, nu_{m+1}): exactly what the resumed run's
+            # first swap expects
             with metrics.span("checkpoint_save", phase="ckpt") as sp:
                 saved = KpmCheckpoint(
-                    v=v, w=w, eta=eta, next_m=m + 1,
+                    v=rec.v, w=rec.w, eta=eta, next_m=m + 1,
                     n_moments=n_moments, a=a, b=b, precision=prec.name,
+                    run_id=run_id,
                 ).save(checkpoint_path)
                 sp.note(file_bytes=saved.stat().st_size)
     return eta

@@ -19,10 +19,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import jv
 
+from repro.core.recurrence import chebyshev_series
 from repro.core.scaling import SpectralScale
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmmv
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.validation import check_positive
@@ -66,10 +66,9 @@ def evolve(
     psi = np.ascontiguousarray(
         psi0[:, None] if single else psi0, dtype=DTYPE
     )
-    n, r = psi.shape
-    if n != H.n_rows:
+    if psi.shape[0] != H.n_rows:
         raise ValueError(
-            f"psi0 has {n} rows but the operator has {H.n_rows}"
+            f"psi0 has {psi.shape[0]} rows but the operator has {H.n_rows}"
         )
     # H = H~ / a + b  =>  exp(-iHt) = exp(-ibt) exp(-i H~ tau), tau = t/a
     tau = abs(t) / scale.a
@@ -78,30 +77,14 @@ def evolve(
         order = chebyshev_expansion_order(tau)
     check_positive("order", order)
 
-    coeff = jv(np.arange(order), tau)
-    a, b = scale.a, scale.b
-    two_a = 2.0 * a
+    # weights c_0, 2 c_m (-i sgn)^m; the phase cycles exactly through
+    # {1, -i, -1, i} (a complex power would round it)
+    m = np.arange(order)
+    weights = 2.0 * jv(m, tau) * np.array([1.0, -1j * sgn, -1.0, 1j * sgn])[m % 4]
+    weights[0] /= 2.0
 
-    v_prev = psi.copy()  # T_0 |psi>
-    out = coeff[0] * v_prev
-    if order > 1:
-        # T_1 |psi> = H~ |psi>
-        v_cur = spmmv(H, v_prev, counters=counters)
-        v_cur -= b * v_prev
-        v_cur *= a
-        out = out + 2.0 * coeff[1] * (-1j * sgn) * v_cur
-        phase = -1j * sgn
-        scratch = np.empty_like(psi)
-        for m in range(2, order):
-            # v_next = 2 a (H - b) v_cur - v_prev, into v_prev's storage
-            spmmv(H, v_cur, out=scratch, counters=counters)
-            v_prev *= -1.0
-            v_prev += two_a * scratch
-            v_prev -= (two_a * b) * v_cur
-            v_prev, v_cur = v_cur, v_prev
-            phase = phase * (-1j * sgn)
-            out += 2.0 * coeff[m] * phase * v_cur
-    out *= np.exp(-1j * b * t)
+    out = chebyshev_series(H, scale.a, scale.b, psi, weights, counters)
+    out *= np.exp(-1j * scale.b * t)
     return out[:, 0] if single else out
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.damping import get_kernel
+from repro.core.recurrence import chebyshev_series
 from repro.core.scaling import SpectralScale
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmmv
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.validation import check_positive
@@ -94,25 +94,10 @@ def apply_filter(
         raise ValueError(
             f"window [{e_lo}, {e_hi}] collapses under the spectral map"
         )
-    coeffs = window_coefficients(x1, x2, order, kernel)
+    weights = 2.0 * window_coefficients(x1, x2, order, kernel)
+    weights[0] /= 2.0
 
-    a, b = scale.a, scale.b
-    two_a = 2.0 * a
-    v_prev = v.copy()  # T_0 block
-    out = coeffs[0] * v_prev
-    if order > 1:
-        v_cur = spmmv(H, v_prev, counters=counters)
-        v_cur -= b * v_prev
-        v_cur *= a
-        out += 2.0 * coeffs[1] * v_cur
-        scratch = np.empty_like(v)
-        for m in range(2, order):
-            spmmv(H, v_cur, out=scratch, counters=counters)
-            v_prev *= -1.0
-            v_prev += two_a * scratch
-            v_prev -= (two_a * b) * v_cur
-            v_prev, v_cur = v_cur, v_prev
-            out += 2.0 * coeffs[m] * v_cur
+    out = chebyshev_series(H, scale.a, scale.b, v, weights, counters)
     return out[:, 0] if single else out
 
 

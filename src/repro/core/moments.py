@@ -20,10 +20,11 @@ The engines differ only in *implementation* — exactly the paper's point:
 
 Orthogonally, ``backend`` selects *who executes* the kernels — the
 NumPy reference or the compiled native kernels — through
-:mod:`repro.sparse.backend`. All workspaces are hoisted into a
-per-(matrix, R) plan before the M/2-iteration loop, which then runs
-allocation-free: the nu_m / nu_{m+1} buffers swap by reference and every
-kernel writes into preallocated storage.
+:mod:`repro.sparse.backend`.  The loop itself is written once, in
+:class:`repro.core.recurrence.Recurrence`: its workspaces are hoisted
+into a per-(matrix, R) plan, so the M/2 iterations run allocation-free —
+the nu_m / nu_{m+1} buffers swap by reference and every kernel writes
+into preallocated storage.
 """
 
 from __future__ import annotations
@@ -32,16 +33,17 @@ from enum import Enum
 
 import numpy as np
 
+from repro.core.checkpoint import checkpointed_eta
+from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, get_backend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _col_dots, vec_dots
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.precision import FP64, Precision, get_precision
-from repro.util.validation import check_block_vector, check_positive
+from repro.util.precision import Precision, get_precision
+from repro.util.validation import check_block_vector
 
 
 class MomentEngine(str, Enum):
@@ -50,71 +52,6 @@ class MomentEngine(str, Enum):
     NAIVE = "naive"
     AUG_SPMV = "aug_spmv"
     AUG_SPMMV = "aug_spmmv"
-
-
-def _check_moments(n_moments: int) -> None:
-    check_positive("n_moments", n_moments)
-    if n_moments % 2 != 0 or n_moments < 2:
-        raise ValueError(
-            f"n_moments must be an even integer >= 2 (the recurrence yields "
-            f"two moments per iteration), got {n_moments}"
-        )
-
-
-def _eta_single(
-    H: CSRMatrix | SellMatrix,
-    scale: SpectralScale,
-    n_moments: int,
-    start: np.ndarray,
-    bk: KernelBackend,
-    step_fn,
-    plan,
-    counters: PerfCounters,
-    metrics: MetricsRegistry = NULL_METRICS,
-    prec: Precision = FP64,
-) -> np.ndarray:
-    """Shared single-vector driver for the NAIVE and AUG_SPMV engines.
-
-    ``step_fn`` is a bound backend step (naive/aug_spmv); ``plan`` holds
-    its workspaces, so the loop allocates nothing per iteration.
-    """
-    a, b = scale.a, scale.b
-    eta = np.empty(n_moments, dtype=DTYPE)
-    if prec.half_vectors:
-        # nu_0/nu_1 live in half pair storage; the bootstrap recombination
-        # runs once in fp32 through the plan's decode scratch, then the
-        # result is rounded back — exactly the per-step kernel contract.
-        if start.dtype == np.float16:
-            v = np.ascontiguousarray(start)
-        else:
-            v = prec.encode(start)
-        w = bk.spmv(H, v, counters=counters, metrics=metrics)
-        vc, wc = plan.vc[:, 0], plan.wc[:, 0]
-        prec.decode(v, out=vc)
-        prec.decode(w, out=wc)
-        np.multiply(vc, b, out=plan.work)
-        wc -= plan.work
-        wc *= a
-        prec.encode(wc, out=w)
-        eta[0], eta[1] = vec_dots(vc, wc)
-    else:
-        v = start.astype(prec.vector_dtype, copy=True)  # nu_0
-        # nu_1 = a (H nu_0 - b nu_0)
-        w = np.empty_like(v)
-        bk.spmv(H, v, out=w, counters=counters, metrics=metrics)
-        np.multiply(v, b, out=plan.work)
-        w -= plan.work
-        w *= a
-        # fp64-accumulated dots; bitwise np.vdot for the fp64 profile
-        eta[0], eta[1] = vec_dots(v, w)
-    for m in range(1, n_moments // 2):
-        v, w = w, v  # v = nu_m, w = nu_{m-1}
-        eta_even, eta_odd = step_fn(
-            H, v, w, a, b, plan=plan, counters=counters, metrics=metrics
-        )
-        eta[2 * m] = eta_even
-        eta[2 * m + 1] = eta_odd
-    return eta
 
 
 def compute_eta(
@@ -175,68 +112,35 @@ def compute_eta(
     eta:
         Complex array (R, M); ``eta[r, 2m]`` is real (stored complex).
     """
-    _check_moments(n_moments)
+    check_moments(n_moments)
     engine = MomentEngine(engine)
     prec = get_precision(precision)
     bk = get_backend(backend)
-    n = H.n_rows
-    start_block = check_block_vector("start_block", start_block, n)
+    start_block = check_block_vector("start_block", start_block, H.n_rows)
     if start_block.dtype == np.float16 and not prec.half_vectors:
         raise TypeError(
             "start_block uses float16 pair storage but precision is "
             f"{prec.name!r}; pass precision='fp16v'"
         )
+    if engine is MomentEngine.AUG_SPMMV:
+        # stage 2 is the checkpointable serial driver with checkpoints off
+        return checkpointed_eta(
+            H, scale, n_moments, start_block, counters=counters, backend=bk,
+            metrics=metrics, precision=prec, threads=threads, simd=simd,
+        )
+    # stages 0/1: one single-vector recurrence, re-loaded per column
+    rec = Recurrence(
+        H, scale.a, scale.b, 1, kernel=engine.value, backend=bk,
+        precision=prec, threads=threads, simd=simd, counters=counters,
+        metrics=metrics,
+    )
     # (n, r) complex or (n, r, 2) f16 pair storage: r is axis 1 either way
-    r = start_block.shape[1]
-    eta = np.empty((r, n_moments), dtype=DTYPE)
-
-    if engine in (MomentEngine.NAIVE, MomentEngine.AUG_SPMV):
-        step_fn = (
-            bk.naive_step if engine is MomentEngine.NAIVE else bk.aug_spmv_step
-        )
-        plan = bk.plan(H, 1, precision=prec, threads=threads, simd=simd)
-        for i in range(r):
-            eta[i] = _eta_single(
-                H, scale, n_moments, start_block[:, i], bk, step_fn, plan,
-                counters, metrics, prec,
-            )
-        return eta
-
-    # --- stage 2: blocked ---------------------------------------------
-    a, b = scale.a, scale.b
-    plan = bk.plan(H, r, precision=prec, threads=threads, simd=simd)
-    if prec.half_vectors:
-        # Block bootstrap in half storage: the SpMMV streams the f16
-        # layout, then the one-off recombination runs in fp32 through the
-        # plan's decode scratch and is rounded back to storage.
-        if start_block.dtype == np.float16:
-            V = np.ascontiguousarray(start_block)
-        else:
-            V = prec.encode(start_block)
-        W = bk.spmmv(H, V, counters=counters, metrics=metrics)
-        Vc, Wc = plan.vc[: H.n_rows], plan.wc
-        prec.decode(V, out=Vc)
-        prec.decode(W, out=Wc)
-        np.multiply(Vc, b, out=plan.work_block)
-        Wc -= plan.work_block
-        Wc *= a
-        prec.encode(Wc, out=W)
-        eta[:, 0], eta[:, 1] = _col_dots(Vc, Wc)
-    else:
-        # nu_0 block (private copy; complex128 fp64 / complex64 fp32)
-        V = start_block.astype(prec.vector_dtype, copy=True)
-        W = bk.spmmv(H, V, counters=counters, metrics=metrics)  # nu_1 block
-        np.multiply(V, b, out=plan.work_block)
-        W -= plan.work_block
-        W *= a
-        eta[:, 0], eta[:, 1] = _col_dots(V, W)
-    for m in range(1, n_moments // 2):
-        V, W = W, V
-        eta_even, eta_odd = bk.aug_spmmv_step(
-            H, V, W, a, b, plan=plan, counters=counters, metrics=metrics
-        )
-        eta[:, 2 * m] = eta_even
-        eta[:, 2 * m + 1] = eta_odd
+    eta = np.empty((start_block.shape[1], n_moments), dtype=DTYPE)
+    for i, row in enumerate(eta):
+        rec.load(start_block[:, i])
+        row[0], row[1] = rec.bootstrap()
+        for m in range(1, n_moments // 2):
+            row[2 * m], row[2 * m + 1] = rec.step()
     return eta
 
 

@@ -154,7 +154,9 @@ class KPMSolver:
         simulator) or ``'mp'`` (real worker processes over shared
         memory).  Both run the paper's data-parallel scheme: weighted
         row partition, halo exchange, one deferred global reduction —
-        and produce the serial moments to reduction-order tolerance.
+        and produce the serial moments to reduction-order tolerance
+        (bitwise at fp64 with ``workers=1`` and ``overlap='off'``: one
+        rank drives the serial engine's own recurrence).
     workers:
         Rank count for the distributed engines (ignored when
         ``dist_engine`` is None).

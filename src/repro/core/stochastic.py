@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
-from repro.sparse.backend import KernelBackend, get_backend
+from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _recombine
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -141,102 +141,22 @@ def ldos_moments(
         raise ValueError(f"n_moments must be >= 2, got {n_moments}")
     prec = get_precision(precision)
     rows = np.asarray(rows, dtype=np.int64)
-    r = start_block.shape[1]
-    a, b = scale.a, scale.b
-    bk = get_backend(backend)
-    plan = bk.plan(H, r, precision=prec, simd=simd)
-
+    rec = Recurrence(
+        H, scale.a, scale.b, start_block.shape[1], backend=backend,
+        precision=prec, simd=simd, counters=counters,
+    )
+    rec.load(start_block)
     exact = _is_unit_block(start_block, rows)
+    diag = np.arange(rows.size)
     out = np.zeros((rows.size, n_moments))
-
-    if prec.half_vectors:
-        return _ldos_moments_half(
-            H, n_moments, start_block, rows, a, b, bk, plan, prec,
-            counters, exact, out,
-        )
-
-    v_prev = start_block.astype(prec.vector_dtype, copy=True)  # nu_0
-    v_cur = bk.spmmv(H, v_prev, counters=counters)  # nu_1
-    np.multiply(v_prev, b, out=plan.work_block)
-    v_cur -= plan.work_block
-    v_cur *= a
-
-    g0 = v_prev[rows, :]
-    conj0 = np.conj(g0 if g0.dtype == DTYPE else g0.astype(DTYPE))
-
-    def accumulate(m: int, v_m: np.ndarray) -> None:
-        # gather-then-widen: the dot accumulation is fp64 per profile
-        gm = v_m[rows, :]
-        prod = conj0 * (gm if gm.dtype == DTYPE else gm.astype(DTYPE))
-        if exact:
-            out[:, m] = prod[np.arange(rows.size), np.arange(rows.size)].real
-        else:
-            out[:, m] = prod.mean(axis=1).real
-
-    accumulate(0, v_prev)
-    accumulate(1, v_cur)
-    for m in range(2, n_moments):
-        # nu_{m} = 2 a (H - b) nu_{m-1} - nu_{m-2}, in v_prev's storage
-        bk.spmmv(H, v_cur, out=plan.u_block, counters=counters)
-        _recombine(v_prev, plan.u_block, v_cur, a, b)
-        v_prev, v_cur = v_cur, v_prev
-        accumulate(m, v_cur)
-    return out
-
-
-def _ldos_moments_half(
-    H, n_moments, start_block, rows, a, b, bk, plan, prec, counters,
-    exact, out,
-) -> np.ndarray:
-    """fp16v body of :func:`ldos_moments` — the decode-pass recurrence.
-
-    nu_{m-1}/nu_m live in float16 (re, im) pair storage and the SpMMV
-    streams that layout directly; each recombination decodes the three
-    live blocks into the plan's complex64 scratch, runs the fp32
-    arithmetic there, and rounds the new block back into half storage —
-    the same per-step contract as the fused half kernels.
-    """
-    n = H.n_rows
-    r = plan.r
-    if start_block.dtype == np.float16:
-        v_prev = np.ascontiguousarray(start_block)
-    else:
-        v_prev = prec.encode(start_block)
-    v_cur = bk.spmmv(H, v_prev, counters=counters)  # nu_1, half storage
-    vc, wc = plan.vc[:n], plan.wc
-    prec.decode(v_prev, out=vc)
-    prec.decode(v_cur, out=wc)
-    np.multiply(vc, b, out=plan.work_block)
-    wc -= plan.work_block
-    wc *= a
-    prec.encode(wc, out=v_cur)
-
-    conj0 = np.conj(vc[rows, :].astype(DTYPE))
-    gbuf = np.empty((rows.size, r), dtype=prec.compute_dtype)
-
-    def accumulate(m: int, v_m: np.ndarray) -> None:
-        # decode the gathered rows only; fp64 product accumulation
-        prec.decode(v_m[rows, :], out=gbuf)
-        prod = conj0 * gbuf.astype(DTYPE)
-        if exact:
-            out[:, m] = prod[np.arange(rows.size), np.arange(rows.size)].real
-        else:
-            out[:, m] = prod.mean(axis=1).real
-
-    accumulate(0, v_prev)
-    accumulate(1, v_cur)
-    for m in range(2, n_moments):
-        # nu_m = 2 a (H - b) nu_{m-1} - nu_{m-2}: half SpMMV into the
-        # plan's half scratch, fp32 recombination, round back into
-        # v_prev's storage (which then becomes nu_m)
-        bk.spmmv(H, v_cur, out=plan.uh_block, counters=counters)
-        prec.decode(plan.uh_block, out=plan.u_block)
-        prec.decode(v_cur, out=vc)
-        prec.decode(v_prev, out=wc)
-        _recombine(wc, plan.u_block, vc, a, b)
-        prec.encode(wc, out=v_prev)
-        v_prev, v_cur = v_cur, v_prev
-        accumulate(m, v_cur)
+    for m, nu in enumerate(rec.iterates(n_moments)):
+        # gather-then-widen: only the queried rows are decoded, and the
+        # product accumulation is fp64 in every profile
+        g = prec.decode(nu[rows]).astype(DTYPE, copy=False)
+        if m == 0:
+            conj0 = np.conj(g)
+        prod = conj0 * g
+        out[:, m] = prod[diag, diag].real if exact else prod.mean(axis=1).real
     return out
 
 

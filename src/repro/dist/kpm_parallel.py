@@ -14,9 +14,12 @@ matrix exactly as the paper's heterogeneous production code does:
    implementation reduces the amount of global reductions in the dot
    products to a single one at the end of the inner loop" (Section II).
 
-The returned moments are identical (up to floating-point reduction
-order) to the serial solver for any rank count and any weighting — the
-test suite asserts this.
+Each rank is one :class:`repro.core.recurrence.Recurrence` — the same
+loop body the serial engines drive — so with one rank (empty halo,
+overlap off) the moments equal the serial solver's **bitwise** at fp64;
+with more ranks they agree to floating-point reduction order (the
+per-rank partial dots are summed across ranks) for any rank count and
+any weighting.  The test suite asserts both.
 """
 
 from __future__ import annotations
@@ -25,17 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, resolve_resume
-from repro.core.moments import _check_moments
+from repro.core.checkpoint import KpmCheckpoint, resolve_resume, run_digest
+from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import SimWorld, log_allreduce
 from repro.dist.halo import DistributedMatrix, partition_matrix
-from repro.dist.partition import RowPartition, grid_blocks
+from repro.dist.partition import RowPartition, eta_slots
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import FaultInjector, FaultPlan
-from repro.sparse.backend import KernelBackend, get_backend
+from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _col_dots, charge_col_dots
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError
@@ -43,30 +45,27 @@ from repro.util.precision import Precision, get_precision
 from repro.util.validation import check_block_vector
 
 
-def _halo_exchange_into(
+def _halo_exchange(
     world: SimWorld,
     dist: DistributedMatrix,
-    local_vs: list[np.ndarray],
-    xbufs: list[np.ndarray],
+    recs: list[Recurrence],
     phase: str,
 ) -> None:
-    """Halo-exchange into each rank's preallocated ``x = [v_loc; halo]``.
+    """Fill the halo tail of every rank's kernel input ``x = [v | halo]``.
 
-    The first ``n_local`` rows of ``xbufs[rank]`` receive that rank's own
-    block, the tail the halo rows from its neighbours, logging every
-    message — no per-iteration buffer allocation.
+    Each rank's own block is already staged by its :class:`Recurrence`;
+    the tail receives the halo rows from its neighbours' current ``v``,
+    logging every message — no per-iteration buffer allocation.
     """
     for block in dist.blocks:
-        xbuf = xbufs[block.rank]
-        n_local = local_vs[block.rank].shape[0]
-        xbuf[:n_local] = local_vs[block.rank]
-        pos = n_local
+        x = recs[block.rank].x
+        pos = block.n_local
         for src, cnt in zip(block.halo_sources.tolist(), block.halo_counts.tolist()):
             send_rows = dist.pattern.send_rows[(src, block.rank)]
             if send_rows.size != cnt:
                 raise SimulationError("inconsistent halo pattern")
-            buf = local_vs[src][send_rows, :]  # buffer assembly at the source
-            xbuf[pos : pos + cnt] = world.send(src, block.rank, buf, phase)
+            buf = recs[src].v[send_rows, :]  # buffer assembly at the source
+            x[pos : pos + cnt] = world.send(src, block.rank, buf, phase)
             pos += cnt
 
 
@@ -110,8 +109,8 @@ def distributed_eta(
     world:
         The communicator: a :class:`SimWorld` executes the rank loop
         sequentially in-process, a :class:`~repro.dist.mp.MpWorld` runs
-        it in real worker processes over shared memory (same results to
-        reduction-order tolerance, same message accounting).  Must match
+        it in real worker processes over shared memory (same results —
+        bitwise per schedule — and same message accounting).  Must match
         the partition's rank count.
     reduction:
         ``'end'`` — one global reduction after the loop (the optimal
@@ -203,7 +202,9 @@ def distributed_eta(
     Returns
     -------
     eta:
-        (R, M) complex, matching the serial engines.
+        (R, M) complex, matching the serial engines: bitwise at fp64 on
+        a one-rank world with overlap off, to reduction-order tolerance
+        otherwise.
     """
     from repro.dist.mp import MpWorld, mp_eta
 
@@ -218,7 +219,7 @@ def distributed_eta(
             progress=progress, progress_every=progress_every,
             threads=threads, simd=simd, eta_grid=eta_grid, stop_m=stop_m,
         )
-    _check_moments(n_moments)
+    check_moments(n_moments)
     from repro.dist.overlap import resolve_overlap, task_split
 
     if threads == "auto":
@@ -246,7 +247,6 @@ def distributed_eta(
     n = dist.n_global
     a, b = scale.a, scale.b
     prec = get_precision(precision)
-    bk = get_backend(backend)
 
     grid = int(eta_grid or 0)
     half = n_moments // 2 if stop_m is None else int(stop_m)
@@ -274,7 +274,7 @@ def distributed_eta(
     ck = None
     if resume_from is not None:
         ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec,
-                            eta_grid=grid)
+                            eta_grid=grid, start_block=start_block)
         if ck.v.shape[0] != n:
             raise SimulationError(
                 f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
@@ -305,77 +305,56 @@ def distributed_eta(
             for inj in injectors:
                 inj.at_iteration(m)
 
-    # Per-rank persistent state, sized once: the local block of the
-    # current vector, the rectangular x = [v_loc; halo] kernel input, and
-    # each rank's workspace plan for the fused kernel.
-    def _to_storage(sl: np.ndarray) -> np.ndarray:
-        """Private storage-dtype copy of a global-array row slice."""
-        if sl.dtype == np.float16 or prec.is_fp64:
-            return np.array(sl, copy=True, order="C")
-        if prec.half_vectors:
-            return prec.encode(sl)
-        return sl.astype(prec.vector_dtype)
-
-    if ck is not None:
-        v_loc = [
-            ck.v[blk.row_start : blk.row_stop, :].astype(
-                prec.vector_dtype, copy=True)
-            for blk in dist.blocks
-        ]
-        w_loc = [
-            ck.w[blk.row_start : blk.row_stop, :].astype(
-                prec.vector_dtype, copy=True)
-            for blk in dist.blocks
-        ]
-    else:
-        v_loc = [
-            _to_storage(start_block[blk.row_start : blk.row_stop, :])
-            for blk in dist.blocks
-        ]
-    xbufs = [
-        np.empty(prec.vec_shape(blk.matrix.n_cols, r),
-                 dtype=prec.vector_dtype)
-        for blk in dist.blocks
-    ]
-    plans = [
-        bk.plan(blk.matrix, r, precision=prec, threads=threads,
-                simd=simd)
-        for blk in dist.blocks
-    ]
-    splans = None
-    if overlap:
-        splans = [
-            bk.split_plan(blk.matrix, task_split(blk), r, precision=prec,
-                          threads=threads, simd=simd)
-            for blk in dist.blocks
-        ]
-    # Grid mode accumulates one eta partial per global row block instead
-    # of one per rank — ceil(N / B) slots whose axis-0 sum is the fixed
-    # partition-independent reduction order.
+    # Per-rank persistent state, sized once: one Recurrence each (the
+    # local (v, w) blocks, the rectangular x = [v | halo] kernel input,
+    # the workspace plans).  Grid mode accumulates one eta partial per
+    # global row block instead of one per rank — ceil(N / B) slots whose
+    # axis-0 sum is the fixed partition-independent reduction order.
+    slots, recs = [], []  # per rank: its eta_acc slot(s), its Recurrence
+    for blk in dist.blocks:
+        slot, dot_blocks = eta_slots(blk.rank, blk.row_start, blk.row_stop,
+                                     grid)
+        rec = Recurrence(
+            blk.matrix, a, b, r, backend=backend, precision=prec,
+            threads=threads, simd=simd, counters=counters, metrics=metrics,
+            split=task_split(blk) if overlap else None,
+            dot_blocks=dot_blocks,
+        )
+        rows = slice(blk.row_start, blk.row_stop)
+        if ck is not None:
+            rec.load(ck.v[rows], ck.w[rows])
+        else:
+            rec.load(start_block[rows])
+        slots.append(slot)
+        recs.append(rec)
     n_slots = -(-n // grid) if grid else world.n_ranks
-    gblocks = (
-        [grid_blocks(blk.row_start, blk.row_stop, grid)
-         for blk in dist.blocks]
-        if grid else None
-    )
     eta_acc = np.zeros((n_slots, n_moments, r), dtype=DTYPE)
+    run_id = "" if ck is None else ck.run_id
+    if ck is None and checkpoint_every:
+        run_id = run_digest(*(rec.v for rec in recs))
+
+    def reduced_prefix(m: int, width: int) -> np.ndarray:
+        # Globally-reduced eta prefix [0 : 2(m+1)) in an (R, width) array:
+        # the checkpointed base spliced in verbatim, the rest a slot sum.
+        out = np.zeros((r, width), dtype=DTYPE)
+        col0 = 2 * first_m if base_eta is not None else 0
+        if base_eta is not None:
+            out[:, :col0] = base_eta
+        out[:, col0 : 2 * (m + 1)] = (
+            eta_acc[:, col0 : 2 * (m + 1)].sum(axis=0).T
+        )
+        return out
 
     def save_checkpoint(m: int) -> None:
         # State after iteration m, exactly as the serial engine saves it:
         # (v, w) post-step, eta prefix [0 : 2(m+1)) globally reduced.
-        eta_full = np.zeros((r, n_moments), dtype=DTYPE)
-        col0 = 2 * first_m if base_eta is not None else 0
-        if base_eta is not None:
-            eta_full[:, :col0] = base_eta
-        eta_full[:, col0 : 2 * (m + 1)] = (
-            eta_acc[:, col0 : 2 * (m + 1)].sum(axis=0).T
-        )
+        eta_full = reduced_prefix(m, n_moments)
         with metrics.span("checkpoint_save", phase="ckpt") as sp:
             saved = KpmCheckpoint(
-                v=np.concatenate(v_loc, axis=0),
-                w=np.concatenate(w_loc, axis=0),
+                v=np.concatenate([rec.v for rec in recs], axis=0),
+                w=np.concatenate([rec.w for rec in recs], axis=0),
                 eta=eta_full, next_m=m + 1, n_moments=n_moments, a=a, b=b,
-                precision=prec.name, eta_grid=grid,
+                precision=prec.name, eta_grid=grid, run_id=run_id,
             ).save(checkpoint_path)
             sp.note(file_bytes=saved.stat().st_size, next_m=m + 1)
 
@@ -383,44 +362,9 @@ def distributed_eta(
         # nu_1 = a (H nu_0 - b nu_0), distributed
         probe_faults(0)
         with metrics.span("halo_exchange", phase="dist"):
-            _halo_exchange_into(world, dist, v_loc, xbufs, phase="halo_init")
-        w_loc = []
-        for rank, (blk, v, xbuf, plan) in enumerate(
-            zip(dist.blocks, v_loc, xbufs, plans)
-        ):
-            u = bk.spmmv(blk.matrix, xbuf, counters=counters, metrics=metrics)
-            if prec.half_vectors:
-                # one-off fp32 recombination through the plan's decode
-                # scratch, rounded back to half storage; the bootstrap
-                # dots read the pre-rounding fp32 values, exactly as the
-                # per-step kernels accumulate theirs in registers
-                nr = blk.matrix.n_rows
-                vn = plan.vc[:nr]
-                prec.decode(v, out=vn)
-                un = plan.wc
-                prec.decode(u, out=un)
-                np.multiply(vn, b, out=plan.work_block)
-                un -= plan.work_block
-                un *= a
-                eta_acc[rank, 0], eta_acc[rank, 1] = _col_dots(vn, un)
-                prec.encode(un, out=u)
-            else:
-                np.multiply(v, b, out=plan.work_block)
-                u -= plan.work_block
-                u *= a
-                if grid:
-                    # per-block bootstrap dots: same _col_dots kernel on
-                    # each contiguous block slice, so the values depend
-                    # only on the global rows of the block
-                    for k, sl in gblocks[rank]:
-                        eta_acc[k, 0], eta_acc[k, 1] = _col_dots(v[sl], u[sl])
-                elif prec.is_fp64:
-                    eta_acc[rank, 0] = np.einsum("nr,nr->r", np.conj(v), v)
-                    eta_acc[rank, 1] = np.einsum("nr,nr->r", np.conj(u), v)
-                else:
-                    # fp64-accumulated dots on the compute-dtype blocks
-                    eta_acc[rank, 0], eta_acc[rank, 1] = _col_dots(v, u)
-            w_loc.append(u)
+            _halo_exchange(world, dist, recs, phase="halo_init")
+        for rec, slot in zip(recs, slots):
+            eta_acc[slot, 0], eta_acc[slot, 1] = rec.bootstrap()
         if reduction == "every":
             with metrics.span("allreduce", phase="dist"):
                 for m_i in (0, 1):
@@ -430,42 +374,16 @@ def distributed_eta(
 
     for m in range(first_m, half):
         probe_faults(m)
-        v_loc, w_loc = w_loc, v_loc
+        for rec in recs:
+            rec.swap()
         with metrics.span("halo_exchange", phase="dist"):
-            _halo_exchange_into(world, dist, v_loc, xbufs, phase="halo")
-        for rank, blk in enumerate(dist.blocks):
-            # The rectangular fused kernel runs the update and the dots
-            # over the first n_local rows of x — the rank's partial etas.
-            # Task mode runs the same update as interior + boundary split
-            # phases: the interior rows reference local columns only, so
-            # the values are independent of when the halo tail of x
-            # landed — bitwise what the mp engine's genuinely overlapped
-            # schedule computes.
-            if overlap:
-                ee, eo = bk.aug_spmmv_split_step(
-                    blk.matrix, xbufs[rank], w_loc[rank], a, b,
-                    plan=splans[rank], counters=counters, metrics=metrics,
-                )
-            else:
-                ee, eo = bk.aug_spmmv_step(
-                    blk.matrix, xbufs[rank], w_loc[rank], a, b,
-                    plan=plans[rank], counters=counters, metrics=metrics,
-                )
-            if grid:
-                # Discard the kernel's fused per-rank dots and recompute
-                # per global block: the extra pass is charged explicitly
-                # (linear in rows, so the total is partition independent)
-                # and the block partials make eta order-invariant under
-                # repartitioning.
-                vv, ww = v_loc[rank], w_loc[rank]
-                for k, sl in gblocks[rank]:
-                    eta_acc[k, 2 * m], eta_acc[k, 2 * m + 1] = _col_dots(
-                        vv[sl], ww[sl]
-                    )
-                charge_col_dots(vv.shape[0], r, counters, prec=prec)
-            else:
-                eta_acc[rank, 2 * m] = ee
-                eta_acc[rank, 2 * m + 1] = eo
+            _halo_exchange(world, dist, recs, phase="halo")
+        # Task mode runs each update as interior + boundary split phases:
+        # the interior rows reference local columns only, so the values
+        # are independent of when the halo tail of x landed — bitwise
+        # what the mp engine's genuinely overlapped schedule computes.
+        for rec, slot in zip(recs, slots):
+            eta_acc[slot, 2 * m], eta_acc[slot, 2 * m + 1] = rec.update()
         if reduction == "every":
             with metrics.span("allreduce", phase="dist"):
                 world.allreduce_sum(
@@ -476,14 +394,7 @@ def distributed_eta(
                 )
         if progress is not None and progress_every > 0 \
                 and (m - first_m + 1) % progress_every == 0:
-            # Stream the globally-reduced eta prefix, composed exactly as
-            # save_checkpoint composes it (base splice + rank sum).
-            prefix = np.zeros((r, 2 * (m + 1)), dtype=DTYPE)
-            col0 = 2 * first_m if base_eta is not None else 0
-            if base_eta is not None:
-                prefix[:, :col0] = base_eta
-            prefix[:, col0:] = eta_acc[:, col0 : 2 * (m + 1)].sum(axis=0).T
-            progress(2 * (m + 1), prefix)
+            progress(2 * (m + 1), reduced_prefix(m, 2 * (m + 1)))
         if checkpoint_every and (m - first_m + 1) % checkpoint_every == 0:
             save_checkpoint(m)
 

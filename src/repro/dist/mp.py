@@ -5,8 +5,8 @@ data-parallel scheme sequentially in one process, this module runs the
 identical rank loop of :mod:`repro.dist.kpm_parallel` in real OS
 processes: every rank is a worker (``multiprocessing.Process``) that
 owns a contiguous weighted row block (:mod:`repro.dist.partition`),
-iterates the fused ``aug_spmmv`` kernel on it with its own kernel
-backend, and meets its neighbours at per-iteration barriers.
+drives one :class:`repro.core.recurrence.Recurrence` on it with its own
+kernel backend, and meets its neighbours at per-iteration barriers.
 
 Communication structure (paper Section VI-A, mapped onto one node):
 
@@ -79,18 +79,17 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, resolve_resume
-from repro.core.moments import _check_moments
+from repro.core.checkpoint import KpmCheckpoint, resolve_resume, run_digest
+from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import MessageLog, log_allreduce
 from repro.dist.halo import DistributedMatrix, RankBlock, partition_matrix
-from repro.dist.partition import RowPartition, grid_blocks
+from repro.dist.partition import RowPartition, eta_slots
 from repro.dist.shm import ShmArena, ShmAttachment
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.resil.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.resil.faults import FaultInjector, FaultPlan
 from repro.sparse.backend import KernelBackend, resolve_simd
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import _col_dots, charge_col_dots
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
@@ -143,12 +142,6 @@ class MpTimeouts:
         if self.run is not None and self.run <= 0:
             raise ValueError("MpTimeouts.run must be positive (or None)")
 
-    @classmethod
-    def from_legacy(cls, timeout: float) -> "MpTimeouts":
-        """The semantics of the old single ``timeout=X`` knob."""
-        return cls(barrier=float(timeout), stall=float(timeout),
-                   run=float(timeout))
-
 
 def _default_start_method() -> str:
     methods = multiprocessing.get_all_start_methods()
@@ -198,11 +191,6 @@ class MpWorld:
         numpy on others.
     timeouts:
         An :class:`MpTimeouts`; None uses the defaults.
-    timeout:
-        Legacy single knob: ``timeout=X`` is ``MpTimeouts(barrier=X,
-        stall=X, run=X)`` — the old behaviour of one number governing
-        both the barriers and the whole run.  Mutually exclusive with
-        ``timeouts``.
     start_method:
         ``'fork'``/``'spawn'``/``'forkserver'``; default prefers fork
         (zero-copy matrix inheritance) where the platform offers it.
@@ -214,7 +202,6 @@ class MpWorld:
         devices: list[str] | None = None,
         *,
         backend=None,
-        timeout: float | None = None,
         timeouts: MpTimeouts | None = None,
         start_method: str | None = None,
     ) -> None:
@@ -232,14 +219,7 @@ class MpWorld:
                 raise SimulationError(f"unknown device label {d!r}")
         self.devices = list(devices)
         self.backend = backend
-        if timeouts is not None and timeout is not None:
-            raise ValueError("pass either timeouts= or the legacy timeout=")
-        if timeouts is not None:
-            self.timeouts = timeouts
-        elif timeout is not None:
-            self.timeouts = MpTimeouts.from_legacy(timeout)
-        else:
-            self.timeouts = MpTimeouts()
+        self.timeouts = timeouts if timeouts is not None else MpTimeouts()
         self.start_method = start_method or _default_start_method()
         self.log = MessageLog()
         #: OS segment names of the most recent run (leak checks in tests).
@@ -255,11 +235,6 @@ class MpWorld:
         #: in the most recent run (autosaved or salvaged); None when the
         #: run did not checkpoint.
         self.last_checkpoint: KpmCheckpoint | None = None
-
-    @property
-    def timeout(self) -> float:
-        """Back-compat view of the barrier timeout (the old single knob)."""
-        return self.timeouts.barrier
 
     def __repr__(self) -> str:
         return (
@@ -341,17 +316,12 @@ def _worker(
     abort = None
     code = 0
     try:
-        from repro.sparse.backend import get_backend
-
-        bk = get_backend(backend_name)
         att = ShmAttachment(specs)
         start, eta, acct = att["start"], att["eta"], att["acct"]
         hb = att["hb"]
         abort = att["abort"]
         lo, hi = blk.row_start, blk.row_stop
         n_local = hi - lo
-        a, b, r = cfg.a, cfg.b, cfg.r
-        prec = get_precision(cfg.precision)
         bt = cfg.timeouts.barrier
         inj = None
         if cfg.fault_plan is not None:
@@ -368,22 +338,20 @@ def _worker(
             w_counters = NULL_COUNTERS
             w_metrics = NULL_METRICS
 
-        xbuf = np.empty(prec.vec_shape(blk.matrix.n_cols, r),
-                        dtype=prec.vector_dtype)
-        plan = bk.plan(blk.matrix, r, precision=prec, threads=cfg.threads,
-                       simd=cfg.simd)
-        splan = None
+        # Grid mode: this rank's fixed global eta blocks (each block has
+        # exactly one writer, so the shared (K, M, R) array needs no
+        # locking either); otherwise the rank's own slot.
+        eslot, dot_blocks = eta_slots(rank, lo, hi, cfg.eta_grid)
+        split = None
         if cfg.overlap:
             from repro.dist.overlap import task_split
 
-            splan = bk.split_plan(blk.matrix, task_split(blk), r,
-                                  precision=prec, threads=cfg.threads,
-                                  simd=cfg.simd)
-        # Grid mode: this rank's fixed global eta blocks (each block has
-        # exactly one writer, so the shared (K, M, R) array needs no
-        # locking either).
-        gblocks = (
-            grid_blocks(lo, hi, cfg.eta_grid) if cfg.eta_grid else None
+            split = task_split(blk)
+        rec = Recurrence(
+            blk.matrix, cfg.a, cfg.b, cfg.r, backend=backend_name,
+            precision=cfg.precision, threads=cfg.threads, simd=cfg.simd,
+            split=split, dot_blocks=dot_blocks, counters=w_counters,
+            metrics=w_metrics,
         )
         half = cfg.stop_m if cfg.stop_m else cfg.n_moments // 2
         wins_out = [(q, rows, att[f"w{rank}_{q}"]) for q, rows in send_edges]
@@ -418,8 +386,7 @@ def _worker(
                     acct[rank, 0] += 1
                     acct[rank, 1] += nbytes
                 barrier.wait(bt)  # all windows packed
-                xbuf[:n_local] = vec
-                pos = n_local
+                xbuf, pos = rec.x, n_local
                 for _src, cnt, win in wins_in:
                     xbuf[pos : pos + cnt] = win
                     pos += cnt
@@ -441,7 +408,6 @@ def _worker(
                     acct[rank, 0] += 1
                     acct[rank, 1] += nbytes
                     ready.set()
-                xbuf[:n_local] = vec
 
         def complete_exchange(m: int) -> None:
             # Task mode, receive side: runs *after* the interior phase;
@@ -449,7 +415,7 @@ def _worker(
             # communication — the ``halo_wait`` span measures exactly it.
             slot = m % 2
             with w_metrics.span("halo_wait", phase="dist"):
-                pos = n_local
+                xbuf, pos = rec.x, n_local
                 for src, cnt, win in wins_in:
                     ready, free = events[(src, rank)][slot]
                     ev_wait(ready)
@@ -469,81 +435,53 @@ def _worker(
                 eta[:, 2 * m].sum(axis=0)
                 eta[:, 2 * m + 1].sum(axis=0)
 
-        def publish_checkpoint(m: int, v: np.ndarray, w: np.ndarray) -> None:
+        def publish_checkpoint(m: int) -> None:
             # Double-buffered: the k-th checkpoint of this run writes
             # slot k % 2, so the previously *published* slot stays
             # intact while this one is being filled — a crash mid-write
             # can never damage a state the parent might be saving.
             slot = ((m - cfg.first_m + 1) // cfg.checkpoint_every) % 2
-            ckv[slot, lo:hi] = v
-            ckw[slot, lo:hi] = w
+            ckv[slot, lo:hi] = rec.v
+            ckw[slot, lo:hi] = rec.w
             barrier.wait(bt)  # every rank's slice is in the slot
             if rank == 0:
                 # One aligned int64 store publishes (next_m, slot).
                 ckst[0] = (m + 1) * 2 + slot
 
-        if cfg.first_m == 1:
-            v = np.ascontiguousarray(start[lo:hi], dtype=prec.vector_dtype)
-            # ``rank_busy`` spans time this rank's own work — the fault
-            # probe (so an injected straggler's sleeps are measured) and
-            # the kernel compute, but *not* the exchange barriers where
-            # fast ranks absorb a slow peer's skew.  Their per-rank
-            # totals are the elastic rebalancer's skew signal.
+        # ``rank_busy`` spans time this rank's own work — the fault probe
+        # (so an injected straggler's sleeps are measured) and the kernel
+        # compute, but *not* the exchange barriers where fast ranks absorb
+        # a slow peer's skew.  Their per-rank totals are the elastic
+        # rebalancer's skew signal.
+        def probe(m: int) -> None:
             with w_metrics.span("rank_busy"):
                 if inj is not None:
-                    inj.at_iteration(0)
+                    inj.at_iteration(m)
             hb[rank] += 1
+
+        if cfg.first_m == 1:
+            rec.load(start[lo:hi])
+            probe(0)
             if cfg.overlap:
                 # Bootstrap has no prior compute to hide the exchange
                 # behind: post and complete back to back.
-                post_exchange(0, v)
+                post_exchange(0, rec.v)
                 complete_exchange(0)
             else:
-                exchange(0, v)
+                exchange(0, rec.v)
             # nu_1 = a (H nu_0 - b nu_0) on the local rows
             with w_metrics.span("rank_busy"):
-                w = bk.spmmv(
-                    blk.matrix, xbuf, counters=w_counters, metrics=w_metrics
-                )
-                if prec.half_vectors:
-                    # one-off fp32 recombination through the plan's decode
-                    # scratch (dots read the pre-rounding values, like the
-                    # kernels' in-register accumulation), rounded back
-                    vn = plan.vc[:n_local]
-                    prec.decode(v, out=vn)
-                    wn = plan.wc
-                    prec.decode(w, out=wn)
-                    np.multiply(vn, b, out=plan.work_block)
-                    wn -= plan.work_block
-                    wn *= a
-                    eta[rank, 0], eta[rank, 1] = _col_dots(vn, wn)
-                    prec.encode(wn, out=w)
-                else:
-                    np.multiply(v, b, out=plan.work_block)
-                    w -= plan.work_block
-                    w *= a
-                    if gblocks is not None:
-                        for k, sl in gblocks:
-                            eta[k, 0], eta[k, 1] = _col_dots(v[sl], w[sl])
-                    elif prec.is_fp64:
-                        eta[rank, 0] = np.einsum("nr,nr->r", np.conj(v), v)
-                        eta[rank, 1] = np.einsum("nr,nr->r", np.conj(w), v)
-                    else:
-                        eta[rank, 0], eta[rank, 1] = _col_dots(v, w)
+                eta[eslot, 0], eta[eslot, 1] = rec.bootstrap()
             if cfg.reduction == "every":
                 reduce_now(0)
         else:
             # Resume: the parent seeded the checkpointed (v, w) blocks
             # into the ``start`` / ``rw`` segments; no bootstrap.
-            v = np.ascontiguousarray(start[lo:hi], dtype=prec.vector_dtype)
-            w = np.ascontiguousarray(att["rw"][lo:hi], dtype=prec.vector_dtype)
+            rec.load(start[lo:hi], att["rw"][lo:hi])
 
         for m in range(cfg.first_m, half):
-            with w_metrics.span("rank_busy"):
-                if inj is not None:
-                    inj.at_iteration(m)
-            hb[rank] += 1
-            v, w = w, v
+            probe(m)
+            v = rec.swap()
             if cfg.overlap:
                 # Task mode: publish the outgoing halo, update the
                 # interior rows while the exchange is in flight (they
@@ -553,43 +491,16 @@ def _worker(
                 # schedule-independent.
                 post_exchange(m, v)
                 with w_metrics.span("rank_busy"):
-                    ee_i, eo_i = bk.aug_spmmv_interior(
-                        blk.matrix, xbuf, w, a, b, plan=splan,
-                        counters=w_counters, metrics=w_metrics,
-                    )
+                    rec.interior()
                 complete_exchange(m)
-                with w_metrics.span("rank_busy"):
-                    ee_b, eo_b = bk.aug_spmmv_boundary(
-                        blk.matrix, xbuf, w, a, b, plan=splan,
-                        counters=w_counters, metrics=w_metrics,
-                    )
-                ee, eo = ee_i + ee_b, eo_i + eo_b
             else:
                 exchange(m, v)
-                with w_metrics.span("rank_busy"):
-                    ee, eo = bk.aug_spmmv_step(
-                        blk.matrix, xbuf, w, a, b, plan=plan,
-                        counters=w_counters, metrics=w_metrics,
-                    )
-            if gblocks is not None:
-                # Grid mode: the kernel's fused per-rank dots are
-                # discarded; recompute per fixed global block so the eta
-                # reduction order never depends on this partition.  The
-                # extra pass is charged explicitly (linear in rows —
-                # the total stays partition independent).
-                with w_metrics.span("rank_busy"):
-                    for k, sl in gblocks:
-                        eta[k, 2 * m], eta[k, 2 * m + 1] = _col_dots(
-                            v[sl], w[sl]
-                        )
-                    charge_col_dots(n_local, r, w_counters, prec=prec)
-            else:
-                eta[rank, 2 * m] = ee
-                eta[rank, 2 * m + 1] = eo
+            with w_metrics.span("rank_busy"):
+                eta[eslot, 2 * m], eta[eslot, 2 * m + 1] = rec.update()
             if cfg.reduction == "every":
                 reduce_now(m)
             if ck_on and (m - cfg.first_m + 1) % cfg.checkpoint_every == 0:
-                publish_checkpoint(m, v, w)
+                publish_checkpoint(m)
 
         if cfg.want_obs:
             _pack_obs_blob(
@@ -699,15 +610,6 @@ def _expected_halo_acct(
     return msgs * n_exchanges, nbytes * n_exchanges
 
 
-def _legacy_fault_plan(_fault: tuple | None) -> FaultPlan | None:
-    """The old test-only ``(rank, m, 'raise'|'exit')`` tuple as a plan."""
-    if _fault is None:
-        return None
-    rank, m, mode = _fault
-    kind = "crash" if mode == "exit" else "raise"
-    return FaultPlan((FaultSpec(kind, rank=int(rank), m=int(m)),))
-
-
 class _CheckpointChannel:
     """Parent-side reader of the shared double-buffered checkpoint slots.
 
@@ -723,7 +625,7 @@ class _CheckpointChannel:
     def __init__(
         self, eta_shared, ckv, ckw, ckst, base_eta, first_m: int,
         n_moments: int, r: int, a: float, b: float,
-        precision: str = "fp64", eta_grid: int = 0,
+        precision: str = "fp64", eta_grid: int = 0, run_id: str = "",
     ) -> None:
         self._eta = eta_shared
         self._ckv, self._ckw, self._ckst = ckv, ckw, ckst
@@ -734,6 +636,7 @@ class _CheckpointChannel:
         self._a, self._b = a, b
         self._precision = precision
         self._grid = int(eta_grid)
+        self._run_id = run_id
         self.saved_state = 0
 
     def capture(self) -> KpmCheckpoint | None:
@@ -759,6 +662,7 @@ class _CheckpointChannel:
             v=v, w=w, eta=eta, next_m=next_m,
             n_moments=self._m_tot, a=self._a, b=self._b,
             precision=self._precision, eta_grid=self._grid,
+            run_id=self._run_id,
         )
 
 
@@ -780,7 +684,6 @@ def mp_eta(
     resume_from: KpmCheckpoint | str | Path | None = None,
     fault_plan: FaultPlan | None = None,
     attempt: int = 1,
-    _fault: tuple | None = None,
     precision: Precision | str | None = None,
     progress=None,
     progress_every: int = 0,
@@ -791,14 +694,15 @@ def mp_eta(
 ) -> np.ndarray:
     """Multiprocess equivalent of :func:`repro.dist.kpm_parallel.distributed_eta`.
 
-    Same signature and same result (to reduction-order tolerance) with a
-    :class:`MpWorld` in place of the :class:`SimWorld`, plus the
+    Same signature and same result with a :class:`MpWorld` in place of
+    the :class:`SimWorld` (bitwise per schedule; against the serial
+    engines bitwise at fp64 with one worker and overlap off, to
+    reduction-order tolerance otherwise), plus the
     fault-tolerance surface: ``checkpoint_every``/``checkpoint_path``
     enable the parent-side autosave described in the module docstring,
     ``resume_from`` continues an interrupted run (``start_block`` is then
     ignored and may be None), and ``fault_plan``/``attempt`` inject
-    planned faults into the workers (``_fault`` is the legacy test-only
-    ``(rank, iteration, mode)`` form of the same thing).
+    planned faults into the workers.
 
     ``overlap`` selects the task-mode pipelined schedule (see the module
     docstring): ``True``/``'on'``, ``False``/``'off'``, or
@@ -839,7 +743,7 @@ def mp_eta(
     the recurrence at that iteration, returning a segment whose
     uncomputed columns are zero — the elastic driver's pause point.
     """
-    _check_moments(n_moments)
+    check_moments(n_moments)
     from repro.dist.overlap import resolve_overlap
 
     overlap = resolve_overlap(overlap, world.n_ranks)
@@ -847,8 +751,6 @@ def mp_eta(
         raise ValueError(f"reduction must be 'end' or 'every', got {reduction!r}")
     if checkpoint_every and checkpoint_path is None:
         raise ValueError("checkpoint_every requires checkpoint_path")
-    if fault_plan is None:
-        fault_plan = _legacy_fault_plan(_fault)
     if isinstance(A, DistributedMatrix):
         dist = A
     else:
@@ -893,7 +795,7 @@ def mp_eta(
     ck = None
     if resume_from is not None:
         ck = resolve_resume(resume_from, n_moments, scale.a, scale.b, metrics,
-                            prec, eta_grid=grid)
+                            prec, eta_grid=grid, start_block=start_block)
         if ck.v.shape[0] != n:
             raise SimulationError(
                 f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
@@ -973,6 +875,7 @@ def mp_eta(
             channel = _CheckpointChannel(
                 eta_shared, ckv, ckw, ckst, base_eta, first_m,
                 n_moments, r, scale.a, scale.b, prec.name, grid,
+                run_id=ck.run_id if ck is not None else run_digest(start),
             )
         # Halo windows: task mode double-buffers each directed edge (slot
         # m % 2) and pairs every (edge, slot) with ready/free events —

@@ -144,6 +144,23 @@ def grid_blocks(
     return out
 
 
+def eta_slots(
+    rank: int, row_start: int, row_stop: int, grid: int
+) -> tuple[int | slice, list[slice] | None]:
+    """Where a rank's scalar products land on the eta slot axis.
+
+    Per-rank reduction (``grid == 0``): slot ``rank``, dots over all the
+    rank's rows (``None``).  Grid mode: the contiguous slice of global
+    block indices the rank owns — empty for a rank without rows — and
+    the local row slice of each of those blocks.
+    """
+    if not grid:
+        return rank, None
+    blocks = grid_blocks(row_start, row_stop, grid)
+    k0 = row_start // grid
+    return slice(k0, k0 + len(blocks)), [sl for _k, sl in blocks]
+
+
 def weights_from_performance(gflops: list[float]) -> list[float]:
     """Normalize device performances into partition weights.
 

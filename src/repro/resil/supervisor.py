@@ -319,7 +319,9 @@ class Supervisor:
                         delay = self.policy.backoff(attempt - 1, seed=self.seed)
                         if delay > 0:
                             self._sleep(delay)
-                    resume = self._prepare_resume(ckpt_path, attempt)
+                    resume = self._prepare_resume(
+                        ckpt_path, attempt, start_block, precision
+                    )
                     try:
                         with self.metrics.span(
                             "resil.attempt", phase="resil", engine=eng,
@@ -387,12 +389,16 @@ class Supervisor:
         return "numpy"
 
     def _prepare_resume(
-        self, ckpt_path: str | Path | None, attempt: int
+        self, ckpt_path: str | Path | None, attempt: int,
+        start_block: np.ndarray, precision,
     ) -> KpmCheckpoint | None:
         """Load the latest checkpoint (after any planned corruption drill).
 
-        A corrupt checkpoint is counted, discarded, and the attempt falls
-        back to a fresh start — never a crash of the supervisor itself.
+        A corrupt checkpoint — or a foreign one: a file some *other*
+        solve left at this path, recognised by its nu_0 digest, whose
+        resumption would silently return that solve's numbers — is
+        counted, discarded, and the attempt falls back to a fresh start;
+        never a crash of the supervisor itself.
         """
         if ckpt_path is None:
             return None
@@ -404,6 +410,7 @@ class Supervisor:
             return None
         try:
             ck = KpmCheckpoint.load(on_disk)
+            ck.check_run(start_block, precision)
         except CheckpointError as exc:
             self.report.checkpoint_discards += 1
             self.metrics.count("resil.checkpoint_discarded")

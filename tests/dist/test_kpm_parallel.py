@@ -10,7 +10,12 @@ from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
 from repro.dist.kpm_parallel import distributed_dos_moments, distributed_eta
 from repro.dist.partition import RowPartition
+from repro.sparse.backend.native import native_available
 from repro.util.errors import SimulationError
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="no C compiler for the native kernels"
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +30,26 @@ def system():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 5])
-    def test_matches_serial_equal_partition(self, system, n_ranks):
+    @pytest.mark.parametrize("n_ranks, backend", [
+        pytest.param(1, "auto", id="1"),
+        pytest.param(2, "auto", id="2"),
+        pytest.param(3, "auto", id="3"),
+        pytest.param(5, "auto", id="5"),
+        pytest.param(1, "numpy", id="1-numpy"),
+        pytest.param(1, "native", id="1-native", marks=needs_native),
+    ])
+    def test_matches_serial_equal_partition(self, system, n_ranks, backend):
         h, scale, blk, ref = system
+        if backend != "auto":
+            ref = compute_eta(h, scale, 24, blk, "aug_spmmv", backend=backend)
         part = RowPartition.equal(h.n_rows, n_ranks, align=4)
         world = SimWorld(n_ranks)
-        eta = distributed_eta(h, part, scale, 24, blk, world)
+        eta = distributed_eta(h, part, scale, 24, blk, world, backend=backend)
         assert np.allclose(eta, ref, atol=1e-9)
+        if n_ranks == 1:
+            # one rank, empty halo: the very Recurrence the serial engine
+            # drives, so the moments agree bit for bit, not to tolerance
+            assert np.array_equal(eta, ref)
 
     def test_matches_serial_weighted(self, system):
         h, scale, blk, ref = system

@@ -21,9 +21,10 @@ from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
 from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.mp import MpWorld, mp_eta
+from repro.dist.mp import MpTimeouts, MpWorld, mp_eta
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
+from repro.resil import FaultPlan
 from repro.sparse.backend.native import native_available
 from repro.util.errors import SimulationError
 
@@ -55,12 +56,26 @@ def run_pair(h, scale, blk, part, m=M, **kw):
 
 
 class TestParity:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_matches_serial_and_sim(self, system, n_workers):
+    @pytest.mark.parametrize("n_workers, backend", [
+        pytest.param(1, "auto", id="1"),
+        pytest.param(2, "auto", id="2"),
+        pytest.param(4, "auto", id="4"),
+        pytest.param(1, "numpy", id="1-numpy"),
+        pytest.param(1, "native", id="1-native", marks=needs_native),
+    ])
+    def test_matches_serial_and_sim(self, system, n_workers, backend):
         h, scale, blk, ref = system
+        if backend != "auto":
+            ref = compute_eta(h, scale, M, blk, "aug_spmmv", backend=backend)
         part = RowPartition.equal(h.n_rows, n_workers, align=4)
-        eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part)
+        eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part,
+                                           backend=backend)
         assert np.allclose(eta_mp, ref, atol=1e-9)
+        if n_workers == 1:
+            # one worker, empty halo, overlap off: the serial engine's own
+            # Recurrence in another process — bitwise, not to tolerance
+            assert np.array_equal(eta_mp, ref)
+            assert np.array_equal(eta_sim, ref)
         # mp and sim run the identical per-rank arithmetic and the same
         # reduction order, so they agree far tighter than either vs serial
         assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
@@ -135,7 +150,8 @@ class TestParity:
         h, scale, _, _ = system
         blk = make_block_vector(h.n_rows, 2, seed=3)
         part = RowPartition.equal(h.n_rows, 2, align=4)
-        mw = MpWorld(2, start_method="spawn", timeout=300.0)
+        mw = MpWorld(2, start_method="spawn",
+                     timeouts=MpTimeouts(barrier=300.0, stall=300.0, run=300.0))
         eta = distributed_eta(h, part, scale, 8, blk, mw)
         ref = compute_eta(h, scale, 8, blk, "aug_spmmv")
         assert np.allclose(eta, ref, atol=1e-9)
@@ -236,9 +252,10 @@ class TestFailure:
         mw = MpWorld(3)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
-            mp_eta(h, part, scale, M, blk, mw, _fault=(1, 3, "raise"))
+            mp_eta(h, part, scale, M, blk, mw,
+                   fault_plan=FaultPlan.parse("raise:rank=1,m=3"))
         # the aborted barrier unblocks peers immediately — no timeout wait
-        assert time.monotonic() - t0 < mw.timeout / 2
+        assert time.monotonic() - t0 < mw.timeouts.barrier / 2
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
 
     def test_worker_hard_death_raises_cleanly(self, system):
@@ -247,46 +264,28 @@ class TestFailure:
         mw = MpWorld(2)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="exit code"):
-            mp_eta(h, part, scale, M, blk, mw, _fault=(0, 2, "exit"))
-        assert time.monotonic() - t0 < mw.timeout / 2
+            mp_eta(h, part, scale, M, blk, mw,
+                   fault_plan=FaultPlan.parse("crash:rank=0,m=2"))
+        assert time.monotonic() - t0 < mw.timeouts.barrier / 2
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
 
 
 class TestTimeouts:
-    """The MpTimeouts knob and its legacy single-number mapping."""
+    """The MpTimeouts knob."""
 
     def test_defaults(self):
-        from repro.dist.mp import MpTimeouts
-
         t = MpTimeouts()
         assert t.barrier == 120.0 and t.stall == 120.0
         assert t.join == 5.0 and t.run is None
-
-    def test_legacy_timeout_maps_onto_all_knobs(self):
-        from repro.dist.mp import MpTimeouts
-
-        mw = MpWorld(2, timeout=33.0)
-        assert mw.timeouts == MpTimeouts(barrier=33.0, stall=33.0, run=33.0)
-        assert mw.timeout == 33.0  # the back-compat property
-
-    def test_timeout_and_timeouts_are_mutually_exclusive(self):
-        from repro.dist.mp import MpTimeouts
-
-        with pytest.raises(ValueError, match="either timeouts"):
-            MpWorld(2, timeout=10.0, timeouts=MpTimeouts())
 
     @pytest.mark.parametrize("kw", [
         {"barrier": 0.0}, {"join": -1.0}, {"stall": 0.0}, {"run": 0.0},
     ])
     def test_rejects_non_positive(self, kw):
-        from repro.dist.mp import MpTimeouts
-
         with pytest.raises(ValueError):
             MpTimeouts(**kw)
 
     def test_stall_detected_by_heartbeat(self, system):
-        from repro.dist.mp import MpTimeouts
-        from repro.resil import FaultPlan
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
@@ -359,13 +358,16 @@ class TestCheckpointing:
         assert mw.last_checkpoint is not None
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
 
-    def test_legacy_fault_tuple_still_works(self, system):
-        """The old test-only ``_fault`` hook maps onto the fault plan."""
+    def test_fault_plan_spec_objects_inject(self, system):
+        """A plan built from ``FaultSpec`` objects (not parsed) injects too."""
+        from repro.resil import FaultSpec
+
         h, scale, blk, _ = system
         part = RowPartition.equal(h.n_rows, 2, align=4)
         mw = MpWorld(2)
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
-            mp_eta(h, part, scale, M, blk, mw, _fault=(1, 3, "raise"))
+            mp_eta(h, part, scale, M, blk, mw,
+                   fault_plan=FaultPlan((FaultSpec("raise", rank=1, m=3),)))
 
 
 class TestValidation:

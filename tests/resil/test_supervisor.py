@@ -225,6 +225,62 @@ class TestCheckpointDrill:
         assert sup.report.resumes == 1
 
 
+class TestForeignCheckpoint:
+    """Two solves sharing a checkpoint path must not share numbers."""
+
+    @pytest.mark.parametrize("engine", ["serial", "sim", "mp"])
+    def test_other_runs_file_is_discarded(self, system, tmp_path, engine):
+        h, scale, blk, ref = system
+        other = make_block_vector(h.n_rows, 2, seed=99)
+        path = tmp_path / "shared.npz"
+        kw = dict(engine=engine, workers=2, backend="numpy")
+
+        def solve(block):
+            metrics = MetricsRegistry()
+            sup = make_supervisor(checkpoint_every=2, checkpoint_path=path,
+                                  metrics=metrics)
+            return sup.run_eta(h, scale, 16, block, **kw), sup, metrics
+
+        solve(other)  # leaves its last checkpoint (next_m = 7) behind
+        eta, sup, metrics = solve(blk)
+        clean = Supervisor().run_eta(h, scale, 16, blk, **kw)
+        assert np.array_equal(eta, clean)  # not the other solve's prefix
+        assert np.allclose(eta, ref, atol=1e-9)
+        assert sup.report.checkpoint_discards == 1
+        assert sup.report.resumes == 0
+        assert metrics.counters["resil.checkpoint_discarded"] == 1
+        # the same run coming back (a retry in a new process, say) still
+        # resumes its own file, bitwise
+        eta_again, sup_again, _ = solve(blk)
+        assert sup_again.report.resumes == 1
+        assert sup_again.report.checkpoint_discards == 0
+        assert np.array_equal(eta_again, clean)
+
+    def test_explicit_resume_of_another_run_is_refused(self, system, tmp_path):
+        from repro.core.checkpoint import KpmCheckpoint, checkpointed_eta
+
+        h, scale, blk, ref = system
+        other = make_block_vector(h.n_rows, 2, seed=99)
+        path = tmp_path / "ck.npz"
+        checkpointed_eta(h, scale, 16, other, checkpoint_every=2,
+                         checkpoint_path=path, backend="numpy")
+        with pytest.raises(CheckpointError, match="different run"):
+            checkpointed_eta(h, scale, 16, blk, resume_from=path,
+                             backend="numpy")
+        # the tag is covered by the integrity digest ...
+        ck = KpmCheckpoint.load(path)
+        ck.run_id = "0" * 64
+        assert ck._digest() != KpmCheckpoint.load(path)._digest()
+        # ... and files written before runs were tagged still resume
+        ck.run_id = ""
+        ck.save(path)
+        eta = checkpointed_eta(h, scale, 16, other, resume_from=path,
+                               backend="numpy")
+        assert np.array_equal(
+            eta, compute_eta(h, scale, 16, other, backend="numpy")
+        )
+
+
 class TestConfig:
     def test_from_config_roundtrip(self):
         cfg = Resilience(policy=RetryPolicy(max_attempts=4),
