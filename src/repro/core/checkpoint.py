@@ -3,9 +3,20 @@
 The paper's production runs burn hundreds of node-hours (Table III);
 any real deployment checkpoints the Chebyshev recurrence. The state is
 tiny relative to the computation: the two current block vectors, the eta
-scalars accumulated so far, and the loop position — saved as a
-compressed ``.npz``. Restarting is bit-exact: the recurrence is
+scalars accumulated so far, and the loop position — saved as a *stored*
+(uncompressed) ``.npz``. Restarting is bit-exact: the recurrence is
 deterministic given (v, w).
+
+Cost model.  A checkpoint's payload is ``2·N·R·S_vec + 16·R·M`` bytes
+(:attr:`KpmCheckpoint.payload_bytes`: two blocks in the profile's vector
+storage plus the fp64 eta array) and the file is that plus under 4 KiB
+of zip and ``.npy`` headers, whatever the data.  The archive is not
+deflated because there is nothing to squeeze: random-phase start vectors
+and their Chebyshev iterates have full-entropy mantissas (a real TI
+32x32x8, R = 8 state deflates to 95 % / 92 % / 91 % of its payload under
+fp64 / fp32 / fp16v) and zlib manages ~25 MB/s on them, 30x or more the
+cost of writing the bytes.  ``np.load`` reads stored and deflated
+members alike, so files written by older versions keep loading.
 """
 
 from __future__ import annotations
@@ -35,10 +46,10 @@ _FORMAT_VERSION = 1
 def _npz_path(path: str | Path) -> Path:
     """The on-disk path of a checkpoint: always carries the .npz suffix.
 
-    ``np.savez_compressed`` silently appends ``.npz`` to any other
-    suffix, so both :meth:`KpmCheckpoint.save` and
-    :meth:`KpmCheckpoint.load` must normalize the same way or a
-    ``save("state.ckpt")`` / ``load("state.ckpt")`` round trip fails.
+    ``np.savez`` silently appends ``.npz`` to any other suffix, so both
+    :meth:`KpmCheckpoint.save` and :meth:`KpmCheckpoint.load` must
+    normalize the same way or a ``save("state.ckpt")`` /
+    ``load("state.ckpt")`` round trip fails.
     """
     path = Path(path)
     return path if path.suffix == ".npz" else path.with_name(path.name + ".npz")
@@ -73,9 +84,9 @@ class KpmCheckpoint:
     *storage* dtype (complex128 / complex64 / float16 pairs), so a
     checkpoint ships exactly the bytes the kernels would stream — a
     resume under the same profile is bit-exact, and a narrow-profile
-    checkpoint is 2x (fp32) or 4x (fp16v) smaller on disk before
-    compression.  ``eta`` is always complex128 (the accumulation is fp64
-    in every profile).
+    checkpoint's vectors are exactly 2x (fp32) or 4x (fp16v) smaller on
+    disk.  ``eta`` is always complex128 (the accumulation is fp64 in
+    every profile).
     """
 
     v: np.ndarray  # nu_m block
@@ -101,12 +112,12 @@ class KpmCheckpoint:
     def _digest(self) -> str:
         """Integrity digest over the state that resuming actually reads.
 
-        Only the filled eta prefix is hashed — the tail of the array is
-        scratch whose bytes legitimately differ between a serial run
-        (``np.empty``) and the distributed engines (zero-filled shared
-        memory).  The precision, eta-grid and run tags enter the digest
-        only when not the baseline (fp64 / per-rank reduction / untagged),
-        so digests of older checkpoints keep verifying unchanged.
+        Only the filled eta prefix is hashed: the tail is zero in every
+        file written today, but older serial-engine files carry heap
+        bytes there and must keep verifying.  The precision, eta-grid
+        and run tags enter the digest only when not the baseline (fp64 /
+        per-rank reduction / untagged), so digests of older checkpoints
+        keep verifying unchanged.
         """
         h = hashlib.sha256()
         h.update(f"{self.next_m}:{self.n_moments}:{self.a!r}:{self.b!r}:".encode())
@@ -135,18 +146,28 @@ class KpmCheckpoint:
                 "does not match start_block"
             )
 
+    @property
+    def payload_bytes(self) -> int:
+        """Array bytes a save writes: ``2·N·R·S_vec + 16·R·M``.
+
+        The stored file is this plus headers:
+        ``payload_bytes <= file size < payload_bytes + 4096``.
+        """
+        return self.v.nbytes + self.w.nbytes + self.eta.nbytes
+
     def save(self, path: str | Path) -> Path:
         """Atomically write the state; returns the suffix-normalized path.
 
-        The archive is written to a ``*.tmp.npz`` sibling and moved into
-        place with ``os.replace``, so a crash mid-write (or a concurrent
-        reader) never observes a truncated checkpoint — the previous one
-        stays intact until the new one is durable.
+        The archive is written to a ``*.tmp.<pid>.npz`` sibling and moved
+        into place with ``os.replace``: a process that crashes mid-write,
+        or a concurrent reader, sees the previous checkpoint or the new
+        one, never a truncated file.  Nothing is ``fsync``'d, so that
+        guarantee does not extend to power loss or a kernel crash.
         """
         path = _npz_path(path)
         tmp = path.with_name(path.stem + f".tmp.{os.getpid()}.npz")
         try:
-            np.savez_compressed(
+            np.savez(
                 tmp,
                 version=_FORMAT_VERSION,
                 v=self.v, w=self.w, eta=self.eta,
@@ -337,7 +358,10 @@ def checkpointed_eta(
         first_m, run_id = ck.next_m, ck.run_id
     else:
         rec.load(start_block)
-        eta = np.empty((start_block.shape[1], n_moments), dtype=DTYPE)
+        # a checkpoint writes the whole array, so its unfilled tail must
+        # be zeros: the file is a function of the state, not of the heap
+        alloc = np.zeros if checkpoint_every else np.empty
+        eta = alloc((start_block.shape[1], n_moments), dtype=DTYPE)
         eta[:, 0], eta[:, 1] = rec.bootstrap()
         first_m = 1
         run_id = run_digest(rec.v) if checkpoint_every else ""
@@ -353,10 +377,12 @@ def checkpointed_eta(
             # (v, w) = (nu_m, nu_{m+1}): exactly what the resumed run's
             # first swap expects
             with metrics.span("checkpoint_save", phase="ckpt") as sp:
-                saved = KpmCheckpoint(
+                state = KpmCheckpoint(
                     v=rec.v, w=rec.w, eta=eta, next_m=m + 1,
                     n_moments=n_moments, a=a, b=b, precision=prec.name,
                     run_id=run_id,
-                ).save(checkpoint_path)
-                sp.note(file_bytes=saved.stat().st_size)
+                )
+                saved = state.save(checkpoint_path)
+                sp.note(file_bytes=saved.stat().st_size,
+                        payload_bytes=state.payload_bytes)
     return eta

@@ -350,13 +350,15 @@ def distributed_eta(
         # (v, w) post-step, eta prefix [0 : 2(m+1)) globally reduced.
         eta_full = reduced_prefix(m, n_moments)
         with metrics.span("checkpoint_save", phase="ckpt") as sp:
-            saved = KpmCheckpoint(
+            state = KpmCheckpoint(
                 v=np.concatenate([rec.v for rec in recs], axis=0),
                 w=np.concatenate([rec.w for rec in recs], axis=0),
                 eta=eta_full, next_m=m + 1, n_moments=n_moments, a=a, b=b,
                 precision=prec.name, eta_grid=grid, run_id=run_id,
-            ).save(checkpoint_path)
-            sp.note(file_bytes=saved.stat().st_size, next_m=m + 1)
+            )
+            saved = state.save(checkpoint_path)
+            sp.note(file_bytes=saved.stat().st_size,
+                    payload_bytes=state.payload_bytes, next_m=m + 1)
 
     if ck is None:
         # nu_1 = a (H nu_0 - b nu_0), distributed

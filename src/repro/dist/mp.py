@@ -925,7 +925,9 @@ def mp_eta(
                 world.last_checkpoint = saved
                 with metrics.span("checkpoint_save", phase="ckpt") as sp:
                     out = saved.save(checkpoint_path)
-                    sp.note(file_bytes=out.stat().st_size, next_m=saved.next_m)
+                    sp.note(file_bytes=out.stat().st_size,
+                            payload_bytes=saved.payload_bytes,
+                            next_m=saved.next_m)
                 if progress is not None and progress_every > 0:
                     # capture() dedupes repeats, so every firing carries a
                     # strictly longer globally-reduced prefix

@@ -1,11 +1,18 @@
 """Checkpoint/restart of the stage-2 moment computation."""
 
+import os
+import struct
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core.checkpoint import KpmCheckpoint, checkpointed_eta
 from repro.core.moments import compute_eta
-from repro.core.scaling import lanczos_scale
+from repro.core.scaling import SpectralScale, lanczos_scale
 from repro.core.stochastic import make_block_vector
 from repro.sparse.backend.native import native_available
 from repro.util.errors import CheckpointError, FormatError
@@ -53,8 +60,8 @@ class TestEquivalence:
     def test_ckpt_suffix_round_trip(self, system, tmp_path):
         """Regression: save('state.ckpt') must be loadable by the same name.
 
-        ``np.savez_compressed`` silently appends ``.npz`` to any other
-        suffix; save/load used to normalize differently, so a non-.npz
+        ``np.savez`` silently appends ``.npz`` to any other suffix;
+        save/load used to normalize differently, so a non-.npz
         checkpoint path saved fine but could never be loaded back.
         """
         h, scale, blk, _ = system
@@ -260,3 +267,141 @@ class TestIntegrity:
         again = KpmCheckpoint.load(p)
         assert np.array_equal(again.v, ck.v)
         assert again.next_m == ck.next_m
+
+    # -- the stored container: detection rests on CRC-32 + sha256 alone ---
+
+    @staticmethod
+    def _member_span(path, name):
+        """(offset, length) of a member's bytes inside the archive."""
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo(name + ".npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        with open(path, "rb") as f:
+            f.seek(info.header_offset + 26)
+            n_name, n_extra = struct.unpack("<HH", f.read(4))
+        return info.header_offset + 30 + n_name + n_extra, info.file_size
+
+    @pytest.mark.parametrize("member", ["v", "eta"])
+    def test_single_flipped_byte_is_detected(self, system, tmp_path, member):
+        p = self._save_one(system, tmp_path / "s.npz")
+        start, length = self._member_span(p, member)
+        data = bytearray(p.read_bytes())
+        data[start + length // 2] ^= 0x01
+        p.write_bytes(data)
+        with pytest.raises(CheckpointError):
+            KpmCheckpoint.load(p)
+
+    @pytest.mark.parametrize(
+        "cut", ["empty", "magic", "first_member", "last_member",
+                "central_directory", "end_record"])
+    def test_truncation_anywhere_is_detected(self, system, tmp_path, cut):
+        p = self._save_one(system, tmp_path / "s.npz")
+        data = p.read_bytes()
+        with zipfile.ZipFile(p) as zf:
+            start_dir = zf.start_dir
+            last = zf.infolist()[-1].header_offset
+        keep = {
+            "empty": 0, "magic": 3, "first_member": 200, "last_member": last + 40,
+            "central_directory": start_dir + 60, "end_record": len(data) - 1,
+        }[cut]
+        assert keep < len(data)
+        p.write_bytes(data[:keep])
+        with pytest.raises(CheckpointError):
+            KpmCheckpoint.load(p)
+
+    @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+    def test_size_model(self, system, tmp_path, precision):
+        """payload = 2·N·R·S_vec + 16·R·M; the file adds < 4 KiB, always."""
+        h, scale, blk, _ = system
+        p = tmp_path / "s.npz"
+        checkpointed_eta(h, scale, 16, blk, checkpoint_every=3,
+                         checkpoint_path=p, precision=precision)
+        ck = KpmCheckpoint.load(p)
+        n, r = blk.shape
+        s_vec = {"fp64": 16, "fp32": 8, "fp16v": 4}[precision]
+        assert ck.v.nbytes == ck.w.nbytes == n * r * s_vec  # 2x / 4x, exactly
+        assert ck.payload_bytes == 2 * n * r * s_vec + 16 * r * 16
+        assert ck.payload_bytes <= p.stat().st_size <= ck.payload_bytes + 4096
+
+
+def _deflated_copy(src, dst):
+    """Rewrite ``src`` member for member as every earlier version wrote it."""
+    with np.load(src) as data:
+        np.savez_compressed(dst, **{k: data[k] for k in data.files})
+    with zipfile.ZipFile(dst) as zf:
+        assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist())
+    return dst
+
+
+class TestDeflatedFilesStillLoad:
+    """Checkpoints written before the container became stored."""
+
+    def test_serial_resume_bitwise(self, system, tmp_path):
+        h, scale, blk, _ = system
+        p = tmp_path / "new.npz"
+        full = checkpointed_eta(h, scale, 32, blk, checkpoint_every=4,
+                                checkpoint_path=p)
+        old = _deflated_copy(p, tmp_path / "old.npz")
+        ck = KpmCheckpoint.load(old)  # verifies the digest it carries
+        assert ck._digest() == KpmCheckpoint.load(p)._digest()
+        assert 1 < ck.next_m < 16
+        resumed = checkpointed_eta(h, scale, 32, blk, resume_from=old)
+        assert np.array_equal(resumed, full)
+
+    def test_mp_resume_bitwise(self, system, tmp_path):
+        from repro.dist.kpm_parallel import distributed_eta
+        from repro.dist.mp import MpWorld
+        from repro.dist.partition import RowPartition
+
+        h, scale, blk, _ = system
+        part = RowPartition.equal(h.n_rows, 2, align=4)
+        p = tmp_path / "new.npz"
+        full = distributed_eta(h, part, scale, 32, blk, MpWorld(2),
+                               checkpoint_every=4, checkpoint_path=p)
+        old = _deflated_copy(p, tmp_path / "old.npz")
+        assert 1 < KpmCheckpoint.load(old).next_m < 16
+        resumed = distributed_eta(h, part, scale, 32, blk, MpWorld(2),
+                                  resume_from=old)
+        assert np.array_equal(resumed, full)
+
+
+def _fixed_run(path):
+    """A checkpointed run built from constants, so any process can repeat it."""
+    from repro.physics import build_topological_insulator
+
+    h, _ = build_topological_insulator(5, 5, 3)
+    scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
+    blk = make_block_vector(h.n_rows, 3, seed=1)
+    # leave bytes that differ from call to call where an uninitialised
+    # eta would be allocated
+    poison = np.full((3, 16), complex(np.random.default_rng().random()))
+    del poison
+    checkpointed_eta(h, scale, 16, blk, checkpoint_every=3,
+                     checkpoint_path=path, backend="numpy")
+    return Path(path).read_bytes()
+
+
+class TestFileIsAFunctionOfTheState:
+    """No heap bytes on disk: the same state always writes the same file."""
+
+    def test_same_state_twice(self, tmp_path):
+        assert _fixed_run(tmp_path / "a.npz") == _fixed_run(tmp_path / "b.npz")
+
+    def test_same_state_from_another_process(self, tmp_path):
+        here = _fixed_run(tmp_path / "here.npz")
+        there = tmp_path / "there.npz"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from test_checkpoint import _fixed_run; "
+             "_fixed_run(sys.argv[1])", str(there)],
+            check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(Path(__file__).parent), *sys.path])},
+        )
+        assert there.read_bytes() == here
+
+    def test_unfilled_eta_tail_is_zero(self, tmp_path):
+        _fixed_run(tmp_path / "s.npz")
+        ck = KpmCheckpoint.load(tmp_path / "s.npz")
+        assert 0 < 2 * ck.next_m < ck.n_moments
+        assert not ck.eta[:, 2 * ck.next_m:].any()

@@ -206,6 +206,26 @@ class TestCheckpointDrill:
         assert sup.report.resumes == 0  # the corrupted state was never used
         assert metrics.counters["resil.checkpoint_discarded"] == 1
 
+    def test_one_flipped_byte_discards_and_restarts(self, system, tmp_path):
+        """The stored container has no deflate stream to break: one bad
+        byte in the vectors is the CRC's to catch, and the supervisor
+        must discard the file, not resume from it."""
+        from repro.core.checkpoint import checkpointed_eta
+
+        h, scale, blk, ref = system
+        path = tmp_path / "ck.npz"
+        # this run's own state at next_m = 7: resumable, were it intact
+        checkpointed_eta(h, scale, 16, blk, checkpoint_every=2,
+                         checkpoint_path=path, backend="numpy")
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0x01  # lands inside the w member
+        path.write_bytes(data)
+        sup = make_supervisor(checkpoint_every=2, checkpoint_path=path)
+        eta = sup.run_eta(h, scale, 16, blk, engine="serial", backend="numpy")
+        assert np.array_equal(eta, ref)
+        assert sup.report.checkpoint_discards == 1
+        assert sup.report.resumes == 0
+
     def test_sim_engine_checkpoint_resume_bitwise(self, system, tmp_path):
         from repro.dist.comm import SimWorld
         from repro.dist.kpm_parallel import distributed_eta
