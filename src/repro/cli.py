@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "fp64 results are bitwise identical at every "
                         "thread count")
     p.add_argument("--simd", default=None, choices=["auto", "on", "off"],
-                   help="native AVX2/FMA vectorized kernels: 'auto' (use "
+                   help="native AVX2 vectorized kernels: 'auto' (use "
                         "when compiled in), 'on' (request; scalar fallback "
                         "when unavailable), 'off' (scalar); fp64 results "
                         "are bitwise identical either way")

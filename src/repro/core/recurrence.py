@@ -184,7 +184,7 @@ class Recurrence:
         exactly as the per-step kernels accumulate theirs in registers.
         """
         a, b, prec = self.a, self.b, self.prec
-        w = self._apply(self.A, self.x, **self._obs)
+        w = self._apply(self.A, self.x, plan=self._plan, **self._obs)
         if prec.half_vectors:
             vc, wc = self._vc[: self.A.n_rows], self._wc
             prec.decode(self.v, out=vc)
@@ -260,14 +260,16 @@ class Recurrence:
             # the SpMMV streams the half layout; the recombination runs
             # in fp32 on decodes and is rounded back into w's storage
             vc, wc = self._vc[: self.A.n_rows], self._wc
-            self._apply(self.A, self.x, out=self._uh, **self._obs)
+            self._apply(self.A, self.x, out=self._uh, plan=self._plan,
+                        **self._obs)
             prec.decode(self._uh, out=self._u)
             prec.decode(self.v, out=vc)
             prec.decode(self.w, out=wc)
             _recombine(wc, self._u, vc, self.a, self.b)
             prec.encode(wc, out=self.w)
         else:
-            self._apply(self.A, self.x, out=self._u, **self._obs)
+            self._apply(self.A, self.x, out=self._u, plan=self._plan,
+                        **self._obs)
             _recombine(self.w, self._u, self.v, self.a, self.b)
         return self.w
 

@@ -197,7 +197,7 @@ class KPMSolver:
         bitwise identical at every setting.
     simd:
         Native backend vectorized-kernel selector: ``None``/``'auto'``
-        (use the AVX2/FMA kernels when the compiled library has them),
+        (use the AVX2 kernels when the compiled library has them),
         ``'on'`` (request them; falls back to scalar with a metrics
         counter when unavailable), or ``'off'`` (scalar kernels).  fp64
         moments are bitwise identical either way — a pure performance

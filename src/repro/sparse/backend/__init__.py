@@ -272,14 +272,23 @@ class KernelBackend(ABC):
         return KernelPlan(A, r, precision, threads, simd)
 
     @abstractmethod
-    def spmv(self, A, x, out=None, counters: PerfCounters = NULL_COUNTERS,
+    def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
+             counters: PerfCounters = NULL_COUNTERS,
              metrics: MetricsRegistry = NULL_METRICS):
-        """``out = A @ x`` for a single vector."""
+        """``out = A @ x`` for a single vector.
+
+        Of ``plan`` only the ``simd`` knob is read (the kernel family to
+        run); the result goes to ``out``, never to plan scratch.
+        """
 
     @abstractmethod
-    def spmmv(self, A, X, out=None, counters: PerfCounters = NULL_COUNTERS,
+    def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
+              counters: PerfCounters = NULL_COUNTERS,
               metrics: MetricsRegistry = NULL_METRICS):
-        """``out = A @ X`` for a row-major (N, R) block vector."""
+        """``out = A @ X`` for a row-major (N, R) block vector.
+
+        ``plan`` as for :meth:`spmv`.
+        """
 
     @abstractmethod
     def naive_step(
@@ -319,7 +328,7 @@ class KernelBackend(ABC):
             uc = np.empty(n, dtype=np.complex64)
             work = np.empty(n, dtype=np.complex64)
         with metrics.span("naive_step", counters=counters):
-            self.spmv(A, v, out=u16, counters=counters)
+            self.spmv(A, v, out=u16, plan=plan, counters=counters)
             FP16V.decode(v, out=vc)
             FP16V.decode(w, out=wc)
             FP16V.decode(u16, out=uc)

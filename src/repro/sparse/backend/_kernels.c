@@ -121,6 +121,35 @@ static inline void repro_pf_row(const void *restrict p, size_t nbytes)
 #define REPRO_NOVEC_STMT ((void)0)
 #endif
 
+/* Register-tile code shape.  REPRO_UNROLL: full unroll of the short
+ * literal-trip loops over a tile's accumulators, so the accumulator
+ * array becomes registers.  REPRO_NOUNROLL: keep -funroll-loops (which
+ * the scalar family's runtime-bound r loops need, see native.py) off
+ * the tile's non-zero loop — its body is already a whole tile wide, so
+ * replicating it buys no speed and costs 0.8 s of compile time.
+ * REPRO_OUTLINE: one out-of-line copy of a row body, not one per call
+ * site or per constant argument (GCC clones it for stride == 1: same
+ * speed, 0.3 s).  The cold compile is an end-to-end metric.           */
+#if defined(__clang__)
+#define REPRO_UNROLL _Pragma("unroll")
+#define REPRO_NOUNROLL _Pragma("nounroll")
+#define REPRO_OUTLINE __attribute__((noinline))
+#elif defined(__GNUC__) && __GNUC__ >= 8
+#define REPRO_UNROLL _Pragma("GCC unroll 8")
+#define REPRO_NOUNROLL _Pragma("GCC unroll 1")
+#define REPRO_OUTLINE __attribute__((noinline, noclone))
+#else
+#define REPRO_UNROLL
+#define REPRO_NOUNROLL
+#define REPRO_OUTLINE
+#endif
+
+/* How a finished tile leaves the registers: stored (spmmv), or
+ * recombined into w with a plain / compensated eta update.            */
+#define REPRO_FIN_STORE 0
+#define REPRO_FIN_PLAIN 1
+#define REPRO_FIN_KAHAN 2
+
 /* Row-block granularity of the threaded (_mt) kernels.  The block grid
  * is a function of the PROBLEM (row count / chunk height), never of the
  * thread count: every eta partial is accumulated per block with Kahan
@@ -218,10 +247,12 @@ static inline uint16_t repro_float_to_half(float f)
 /* loops are hand-written AVX2 intrinsics.  The vectorization is       */
 /* DETERMINISTIC by construction:                                      */
 /*                                                                     */
-/*   * Blocked kernels vectorize VERTICALLY — one fp64 lane per block  */
-/*     column (re, im interleaved), so each column's rounding DAG is   */
-/*     exactly the scalar kernel's at every block width R.  Tails run  */
-/*     the scalar per-column code, which is the same DAG.              */
+/*   * Blocked kernels vectorize VERTICALLY — one lane per block      */
+/*     column (re, im interleaved), a row's accumulators held in ymm   */
+/*     register tiles ("Register tiles" in the template) — so each     */
+/*     column's rounding DAG is exactly the scalar kernel's at every   */
+/*     block width R.  Tail columns run the same DAG in scalar         */
+/*     registers.                                                      */
 /*   * The single-vector CSR row dot uses a fixed 8-lane (4 complex)   */
 /*     LANE-BLOCKED accumulator: entry p of a row lands in complex     */
 /*     lane (p - p0) mod 4, reduced in one hard-coded order.  The      */
@@ -273,11 +304,6 @@ static inline __m256d repro_aiv_pd(double ai)
                          _mm256_set_pd(0.0, -0.0, 0.0, -0.0));
 }
 
-static inline __m128d repro_aiv_pd128(double ai)
-{
-    return _mm_xor_pd(_mm_set1_pd(ai), _mm_set_pd(0.0, -0.0));
-}
-
 static inline __m256 repro_aiv_ps(float ai)
 {
     return _mm256_xor_ps(
@@ -294,14 +320,6 @@ static inline __m256d repro_cmadd_pd(__m256d acc, __m256d arv, __m256d aiv,
     const __m256d t1 = _mm256_mul_pd(arv, x);
     const __m256d t2 = _mm256_mul_pd(aiv, _mm256_permute_pd(x, 0x5));
     return _mm256_add_pd(acc, _mm256_add_pd(t1, t2));
-}
-
-static inline __m128d repro_cmadd_pd128(__m128d acc, __m128d arv,
-                                        __m128d aiv, __m128d x)
-{
-    const __m128d t1 = _mm_mul_pd(arv, x);
-    const __m128d t2 = _mm_mul_pd(aiv, _mm_shuffle_pd(x, x, 0x1));
-    return _mm_add_pd(acc, _mm_add_pd(t1, t2));
 }
 
 static inline __m256 repro_cmadd_ps(__m256 acc, __m256 arv, __m256 aiv,
@@ -424,17 +442,6 @@ static inline void repro_store8h(uint16_t *restrict p, __m256 x)
 {
     _mm_storeu_si128((__m128i *)p,
                      _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
-}
-
-static inline __m128 repro_load4h(const uint16_t *restrict p)
-{
-    return _mm_cvtph_ps(_mm_loadl_epi64((const __m128i *)p));
-}
-
-static inline void repro_store4h(uint16_t *restrict p, __m128 x)
-{
-    _mm_storel_epi64((__m128i *)p,
-                     _mm_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
 }
 
 /* Four gathered (re, im) half pairs converted to one ps ymm.          */
@@ -720,30 +727,23 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
 #define REPRO_HALF 0
 #endif
 
-/* The SIMD build drops the software row prefetch: its unrolled gather
- * loops give the hardware prefetcher enough lookahead, and at large R
- * the per-entry prefetch call chain (one builtin per cache line of the
- * gathered row) is pure instruction overhead.  Architecturally inert
- * either way — prefetch never changes bits.                           */
-#if REPRO_SIMD
-#define REPRO_PFROW(p, nb) ((void)0)
-#else
+/* Software row prefetch: scalar blocked kernels only.  The register-
+ * tile family issues none — prefetching the next row's gathers there
+ * measured -3...+10 % by shape, nothing resolvable (DESIGN section 12).
+ * Architecturally inert either way — prefetch never changes bits.     */
 #define REPRO_PFROW(p, nb) repro_pf_row((p), (nb))
-#endif
 
 /* Narrow-profile vector load/store of the XT storage: identity for
  * fp32, F16C conversion (bitwise the software converters) for fp16v.  */
 #if REPRO_SIMD && REPRO_ETA_KAHAN
 #if REPRO_HALF
 #define REPRO_SIMD_LOAD8(p) repro_load8h(p)
-#define REPRO_SIMD_LOAD4(p) repro_load4h(p)
-#define REPRO_SIMD_STORE4(p, v4) repro_store4h((p), (v4))
+#define REPRO_SIMD_STORE8(p, v8) repro_store8h((p), (v8))
 #define REPRO_SIMD_GATHER4C(x, j0, j1, j2, j3)                             \
     repro_gather4c_ph((x), (j0), (j1), (j2), (j3))
 #else
 #define REPRO_SIMD_LOAD8(p) _mm256_loadu_ps(p)
-#define REPRO_SIMD_LOAD4(p) _mm_loadu_ps(p)
-#define REPRO_SIMD_STORE4(p, v4) _mm_storeu_ps((p), (v4))
+#define REPRO_SIMD_STORE8(p, v8) _mm256_storeu_ps((p), (v8))
 #define REPRO_SIMD_GATHER4C(x, j0, j1, j2, j3)                             \
     repro_gather4c_ps((x), (j0), (j1), (j2), (j3))
 #endif
@@ -819,10 +819,11 @@ static inline void KN(repro_rowdot)(
     *si_out = (L[1] + L[3]) + (L[5] + L[7]);
 }
 
+#if !REPRO_SIMD
 /* Blocked gather update acc += (ar + i ai) * xj over the r columns of
- * one gathered row.  Vertical vectorization: a block column is a
- * dedicated vector lane, so each column's accumulation DAG is the
- * scalar loop's for every r (tail columns run the scalar body).       */
+ * one gathered row — the scalar reference family's inner loop (the
+ * _simd family keeps the row in registers instead: see "Register
+ * tiles" below).                                                      */
 static inline void KN(repro_rowaxpy)(
     REPRO_AT *restrict acc,
     const REPRO_XT *restrict xj,
@@ -831,43 +832,14 @@ static inline void KN(repro_rowaxpy)(
     int64_t r)
 {
     const int64_t m = 2 * r;
-    int64_t q = 0;
-#if REPRO_SIMD && !REPRO_ETA_KAHAN
-    {
-        const __m256d arv = _mm256_set1_pd(ar);
-        const __m256d aiv = repro_aiv_pd(ai);
-        for (; q + 4 <= m; q += 4) {
-            __m256d av = _mm256_loadu_pd(acc + q);
-            av = repro_cmadd_pd(av, arv, aiv, _mm256_loadu_pd(xj + q));
-            _mm256_storeu_pd(acc + q, av);
-        }
-        if (q < m) { /* one trailing column */
-            const __m128d ar2 = _mm_set1_pd(ar);
-            const __m128d ai2 = repro_aiv_pd128(ai);
-            __m128d av = _mm_loadu_pd(acc + q);
-            av = repro_cmadd_pd128(av, ar2, ai2, _mm_loadu_pd(xj + q));
-            _mm_storeu_pd(acc + q, av);
-            q = m;
-        }
-    }
-#elif REPRO_SIMD
-    {
-        const __m256 arv = _mm256_set1_ps(ar);
-        const __m256 aiv = repro_aiv_ps(ai);
-        for (; q + 8 <= m; q += 8) {
-            __m256 av = _mm256_loadu_ps(acc + q);
-            av = repro_cmadd_ps(av, arv, aiv, REPRO_SIMD_LOAD8(xj + q));
-            _mm256_storeu_ps(acc + q, av);
-        }
-    }
-#endif
-    for (; q < m; q += 2) {
+    for (int64_t q = 0; q < m; q += 2) {
         const REPRO_AT xr = REPRO_LOADX(xj, q);
         const REPRO_AT xi = REPRO_LOADX(xj, q + 1);
         acc[q] += ar * xr - ai * xi;
         acc[q + 1] += ar * xi + ai * xr;
     }
 }
+#endif /* !REPRO_SIMD */
 
 /* SELL gather update for one slot column j: lane <-> vector lane, so
  * the per-row (per-lane) accumulation order over j is untouched.      */
@@ -914,31 +886,23 @@ static inline void KN(repro_lanecmadd)(
     }
 }
 
-/* Store m accumulator values into XT storage.  Only the fp16v SIMD
- * build deviates from the plain loop: 8 conversions per vcvtps2ph
- * (round-to-nearest-even, bitwise the software converter).            */
+#if !REPRO_SIMD
+
+/* Store m accumulator values into XT storage.                         */
 static inline void KN(repro_storerow)(
     REPRO_XT *restrict y,
     const REPRO_AT *restrict acc,
     int64_t m)
 {
-    int64_t q = 0;
-#if REPRO_SIMD && REPRO_HALF
-    for (; q + 8 <= m; q += 8)
-        repro_store8h(y + q, _mm256_loadu_ps(acc + q));
-#endif
-    for (; q < m; ++q)
+    for (int64_t q = 0; q < m; ++q)
         REPRO_STOREX(y, q, acc[q]);
 }
 
 #if !REPRO_ETA_KAHAN
 /* Recombination + eta update over the r columns of one row, plain
  * (uncompensated) eta accumulation — the fp64 non-threaded kernels.
- * Scalar build: the historical loop, kept off the autovectorizer so a
- * column's bits never depend on r (the coalescing contract).  SIMD
- * build: one fp64 lane per column, the SAME per-column DAG at every
- * width — which is exactly why the vectorized path needs no such
- * crutch.                                                             */
+ * The historical loop, kept off the autovectorizer so a column's bits
+ * never depend on r (the coalescing contract).                        */
 static inline void KN(repro_loopb_plain)(
     const REPRO_XT *restrict vrow,
     REPRO_XT *restrict wrow,
@@ -950,37 +914,6 @@ static inline void KN(repro_loopb_plain)(
     double *restrict eo)
 {
     int64_t k = 0;
-#if REPRO_SIMD
-    {
-        const __m256d tav = _mm256_set1_pd(ta);
-        const __m256d tabv = _mm256_set1_pd(tab);
-        for (; k + 2 <= r; k += 2) {
-            const __m256d vv = _mm256_loadu_pd(vrow + 2 * k);
-            const __m256d av = _mm256_loadu_pd(acc + 2 * k);
-            const __m256d wold = _mm256_loadu_pd(wrow + 2 * k);
-            const __m256d wv = _mm256_sub_pd(
-                _mm256_sub_pd(_mm256_mul_pd(tav, av),
-                              _mm256_mul_pd(tabv, vv)),
-                wold);
-            _mm256_storeu_pd(wrow + 2 * k, wv);
-            repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
-            repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
-        }
-    }
-    for (; k < r; ++k) {
-        const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
-        const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
-        const REPRO_AT wr = ta * acc[2 * k] - tab * vr
-            - REPRO_LOADX(wrow, 2 * k);
-        const REPRO_AT wi = ta * acc[2 * k + 1] - tab * vi
-            - REPRO_LOADX(wrow, 2 * k + 1);
-        REPRO_STOREX(wrow, 2 * k, wr);
-        REPRO_STOREX(wrow, 2 * k + 1, wi);
-        ee[k] += (double)vr * (double)vr + (double)vi * (double)vi;
-        eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
-        eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
-    }
-#else
     REPRO_NOVEC
     for (; k < r; ++k) {
         REPRO_NOVEC_STMT;
@@ -996,7 +929,6 @@ static inline void KN(repro_loopb_plain)(
         eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
         eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
     }
-#endif
 }
 #endif /* !REPRO_ETA_KAHAN */
 
@@ -1016,45 +948,6 @@ static inline void KN(repro_loopb_kahan)(
     double *restrict cc)
 {
     int64_t k = 0;
-#if REPRO_SIMD && !REPRO_ETA_KAHAN
-    {
-        const __m256d tav = _mm256_set1_pd(ta);
-        const __m256d tabv = _mm256_set1_pd(tab);
-        for (; k + 2 <= r; k += 2) {
-            const __m256d vv = _mm256_loadu_pd(vrow + 2 * k);
-            const __m256d av = _mm256_loadu_pd(acc + 2 * k);
-            const __m256d wold = _mm256_loadu_pd(wrow + 2 * k);
-            const __m256d wv = _mm256_sub_pd(
-                _mm256_sub_pd(_mm256_mul_pd(tav, av),
-                              _mm256_mul_pd(tabv, vv)),
-                wold);
-            _mm256_storeu_pd(wrow + 2 * k, wv);
-            repro_kadd_pd2(ee + k, cc + k, repro_ee_pair_pd(vv));
-            repro_kadd_pd4(eo + 2 * k, cc + r + 2 * k,
-                           repro_eo_quad_pd(vv, wv));
-        }
-    }
-#elif REPRO_SIMD
-    {
-        const __m128 ta4 = _mm_set1_ps(ta);
-        const __m128 tab4 = _mm_set1_ps(tab);
-        for (; k + 2 <= r; k += 2) {
-            const __m128 v4 = REPRO_SIMD_LOAD4(vrow + 2 * k);
-            const __m128 a4 = _mm_loadu_ps(acc + 2 * k);
-            const __m128 w4old = REPRO_SIMD_LOAD4(wrow + 2 * k);
-            const __m128 w4 = _mm_sub_ps(
-                _mm_sub_ps(_mm_mul_ps(ta4, a4), _mm_mul_ps(tab4, v4)),
-                w4old);
-            REPRO_SIMD_STORE4(wrow + 2 * k, w4);
-            /* exact float->double promotion, then the fp64 eta DAG */
-            const __m256d vv = _mm256_cvtps_pd(v4);
-            const __m256d wv = _mm256_cvtps_pd(w4);
-            repro_kadd_pd2(ee + k, cc + k, repro_ee_pair_pd(vv));
-            repro_kadd_pd4(eo + 2 * k, cc + r + 2 * k,
-                           repro_eo_quad_pd(vv, wv));
-        }
-    }
-#endif
     REPRO_KNOVEC
     for (; k < r; ++k) {
         REPRO_KNOVEC_STMT;
@@ -1087,6 +980,323 @@ static inline void KN(repro_loopb_kahan)(
     KN(repro_loopb_plain)((vrow), (wrow), (accp), r, ta, tab, eta_even,    \
                           eta_odd)
 #endif
+
+#else /* REPRO_SIMD */
+
+/* ------------------------------------------------------------------ */
+/* Register tiles: the _simd family's blocked row body                 */
+/*                                                                     */
+/* One matrix row times one TILE of block columns: the tile's          */
+/* accumulators live in ymm registers across the row's non-zeros       */
+/* (entries p0, p0 + stride, ... — stride 1 for a CSR row, the chunk   */
+/* height for a SELL lane, padding slots included) and the row is      */
+/* finished straight from the registers.  Per non-zero and ymm that    */
+/* is permute / 2 mul / 2 add with x read from L1, where a memory      */
+/* accumulator costs a load and a store of acc on top (DESIGN section  */
+/* 12, "Register tiles").  R stays a runtime argument: a row is cut    */
+/* into tiles of 16, 8 and 4 block columns (fp64: 8 / 4 / 2 ymm, the   */
+/* narrow profiles: 4 / 2 / 1), fp64 adds the 2-column single ymm, and */
+/* the columns that do not fill a ymm run one by one in scalar         */
+/* registers.  Every column is still a dedicated lane visited in row   */
+/* order with the scalar kernels' mul, mul, add, add — the tiling      */
+/* changes where the partial sums wait, never what is added to what —  */
+/* so each output bit is the scalar family's at every r.               */
+/* ------------------------------------------------------------------ */
+
+#if REPRO_ETA_KAHAN /* narrow: float lanes, 4 block columns per ymm    */
+#define REPRO_YMM __m256
+#define REPRO_YCOLS 4
+#define REPRO_Y_ZERO() _mm256_setzero_ps()
+#define REPRO_Y_SET1(s) _mm256_set1_ps(s)
+#define REPRO_Y_AIV(ai) repro_aiv_ps(ai)
+#define REPRO_Y_CMADD repro_cmadd_ps
+#define REPRO_Y_LOADX(p) REPRO_SIMD_LOAD8(p)
+#define REPRO_Y_STOREX(p, y) REPRO_SIMD_STORE8((p), (y))
+#else               /* fp64: double lanes, 2 block columns per ymm     */
+#define REPRO_YMM __m256d
+#define REPRO_YCOLS 2
+#define REPRO_Y_ZERO() _mm256_setzero_pd()
+#define REPRO_Y_SET1(s) _mm256_set1_pd(s)
+#define REPRO_Y_AIV(ai) repro_aiv_pd(ai)
+#define REPRO_Y_CMADD repro_cmadd_pd
+#define REPRO_Y_LOADX(p) _mm256_loadu_pd(p)
+#define REPRO_Y_STOREX(p, y) _mm256_storeu_pd((p), (y))
+#endif
+
+/* Recombination + eta update of the REPRO_YCOLS columns from block
+ * column k that one accumulator register holds: the arithmetic of
+ * repro_loopb_plain / _kahan, one lane per column.                    */
+static inline void KN(repro_ymm_aug)(
+    const int fin,
+    REPRO_YMM av,
+    int64_t k,
+    int64_t r,
+    const REPRO_XT *restrict vrow,
+    REPRO_XT *restrict wrow,
+    REPRO_YMM tav,
+    REPRO_YMM tabv,
+    double *restrict ee,
+    double *restrict eo,
+    double *restrict cc)
+{
+#if REPRO_ETA_KAHAN
+    const __m256 v8 = REPRO_Y_LOADX(vrow + 2 * k);
+    const __m256 w8 = _mm256_sub_ps(
+        _mm256_sub_ps(_mm256_mul_ps(tav, av), _mm256_mul_ps(tabv, v8)),
+        REPRO_Y_LOADX(wrow + 2 * k));
+    REPRO_Y_STOREX(wrow + 2 * k, w8);
+    (void)fin; /* narrow eta is always compensated */
+    /* exact float->double promotion, then the fp64 eta DAG, one column
+     * pair (xmm half) at a time                                       */
+    __m256d vv = _mm256_cvtps_pd(_mm256_castps256_ps128(v8));
+    __m256d wv = _mm256_cvtps_pd(_mm256_castps256_ps128(w8));
+    repro_kadd_pd2(ee + k, cc + k, repro_ee_pair_pd(vv));
+    repro_kadd_pd4(eo + 2 * k, cc + r + 2 * k, repro_eo_quad_pd(vv, wv));
+    vv = _mm256_cvtps_pd(_mm256_extractf128_ps(v8, 1));
+    wv = _mm256_cvtps_pd(_mm256_extractf128_ps(w8, 1));
+    repro_kadd_pd2(ee + k + 2, cc + k + 2, repro_ee_pair_pd(vv));
+    repro_kadd_pd4(eo + 2 * k + 4, cc + r + 2 * k + 4,
+                   repro_eo_quad_pd(vv, wv));
+#else
+    const __m256d vv = _mm256_loadu_pd(vrow + 2 * k);
+    const __m256d wv = _mm256_sub_pd(
+        _mm256_sub_pd(_mm256_mul_pd(tav, av), _mm256_mul_pd(tabv, vv)),
+        _mm256_loadu_pd(wrow + 2 * k));
+    _mm256_storeu_pd(wrow + 2 * k, wv);
+    if (fin == REPRO_FIN_KAHAN) {
+        repro_kadd_pd2(ee + k, cc + k, repro_ee_pair_pd(vv));
+        repro_kadd_pd4(eo + 2 * k, cc + r + 2 * k,
+                       repro_eo_quad_pd(vv, wv));
+    } else {
+        repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
+        repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
+    }
+#endif
+}
+
+/* One row x one tile of nv ymm starting at block column k.  nv and fin
+ * are literal at every call site, so after inlining the u loops unroll
+ * and acc[] is nv registers.                                          */
+static inline __attribute__((always_inline)) void KN(repro_tile)(
+    const int nv,
+    const int fin,
+    int64_t k,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict X,
+    int64_t r,
+    const REPRO_XT *restrict vrow,
+    REPRO_XT *restrict orow,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict ee,
+    double *restrict eo,
+    double *restrict cc)
+{
+    REPRO_YMM acc[16 / REPRO_YCOLS];
+    REPRO_UNROLL
+    for (int u = 0; u < nv; ++u)
+        acc[u] = REPRO_Y_ZERO();
+    const REPRO_XT *restrict xk = X + 2 * k;
+    REPRO_NOUNROLL
+    for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride) {
+        const REPRO_YMM arv = REPRO_Y_SET1((REPRO_AT)data[2 * p]);
+        const REPRO_YMM aiv = REPRO_Y_AIV((REPRO_AT)data[2 * p + 1]);
+        const REPRO_XT *restrict xj = xk + 2 * (int64_t)indices[p] * r;
+        REPRO_UNROLL
+        for (int u = 0; u < nv; ++u)
+            acc[u] = REPRO_Y_CMADD(acc[u], arv, aiv,
+                                   REPRO_Y_LOADX(xj + 2 * REPRO_YCOLS * u));
+    }
+    if (fin == REPRO_FIN_STORE) {
+        REPRO_UNROLL
+        for (int u = 0; u < nv; ++u)
+            REPRO_Y_STOREX(orow + 2 * (k + REPRO_YCOLS * u), acc[u]);
+        return;
+    }
+    const REPRO_YMM tav = REPRO_Y_SET1(ta), tabv = REPRO_Y_SET1(tab);
+    REPRO_UNROLL
+    for (int u = 0; u < nv; ++u)
+        KN(repro_ymm_aug)(fin, acc[u], k + REPRO_YCOLS * u, r, vrow, orow,
+                          tav, tabv, ee, eo, cc);
+}
+
+/* The same row body for one column in scalar registers (the columns
+ * that do not fill a ymm): literally the scalar family's DAG.         */
+static inline void KN(repro_tile1)(
+    const int fin,
+    int64_t k,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict X,
+    int64_t r,
+    const REPRO_XT *restrict vrow,
+    REPRO_XT *restrict orow,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict ee,
+    double *restrict eo,
+    double *restrict cc)
+{
+    REPRO_AT sr = 0, si = 0;
+    REPRO_NOUNROLL
+    for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride) {
+        const REPRO_AT ar = (REPRO_AT)data[2 * p];
+        const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
+        const REPRO_XT *restrict xj = X + 2 * ((int64_t)indices[p] * r + k);
+        const REPRO_AT xr = REPRO_LOADX(xj, 0);
+        const REPRO_AT xi = REPRO_LOADX(xj, 1);
+        sr += ar * xr - ai * xi;
+        si += ar * xi + ai * xr;
+    }
+    if (fin == REPRO_FIN_STORE) {
+        REPRO_STOREX(orow, 2 * k, sr);
+        REPRO_STOREX(orow, 2 * k + 1, si);
+        return;
+    }
+    const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
+    const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
+    const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(orow, 2 * k);
+    const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(orow, 2 * k + 1);
+    REPRO_STOREX(orow, 2 * k, wr);
+    REPRO_STOREX(orow, 2 * k + 1, wi);
+    const double de = (double)vr * (double)vr + (double)vi * (double)vi;
+    const double dor = (double)wr * (double)vr + (double)wi * (double)vi;
+    const double doi = (double)wr * (double)vi - (double)wi * (double)vr;
+    if (fin == REPRO_FIN_KAHAN) {
+        repro_kadd(&ee[k], &cc[k], de);
+        repro_kadd(&eo[2 * k], &cc[r + 2 * k], dor);
+        repro_kadd(&eo[2 * k + 1], &cc[r + 2 * k + 1], doi);
+    } else {
+        ee[k] += de;
+        eo[2 * k] += dor;
+        eo[2 * k + 1] += doi;
+    }
+}
+
+/* One whole row: 16-column tiles while they fit, then at most one
+ * each of 8, 4 and (fp64) 2 columns, then single columns.  Measured at
+ * R = 32 fp64, 8 against 4 ymm as the widest tile: CSR 10.0 / 11.3 ms,
+ * SELL 9.5 / 10.1; a 32-column narrow tile bought nothing.  Always
+ * inlined into the out-of-line per-finisher instances below, which is
+ * where fin becomes a literal.                                        */
+static inline __attribute__((always_inline)) void KN(repro_row)(
+    const int fin,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict X,      /* gathered block, (n_cols, r)   */
+    int64_t r,
+    const REPRO_XT *restrict vrow,   /* aug: this row of V            */
+    REPRO_XT *restrict orow,         /* this row of W (aug) / Y       */
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict ee,
+    double *restrict eo,
+    double *restrict cc)             /* kahan: carries [ee r | eo 2r] */
+{
+#define REPRO_TILE_ARGS                                                    \
+    indices, data, p0, cnt, stride, X, r, vrow, orow, ta, tab, ee, eo, cc
+    int64_t k = 0;
+    for (; k + 16 <= r; k += 16)
+        KN(repro_tile)(16 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
+    if (k + 8 <= r) {
+        KN(repro_tile)(8 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
+        k += 8;
+    }
+    if (k + 4 <= r) {
+        KN(repro_tile)(4 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
+        k += 4;
+    }
+#if REPRO_YCOLS == 2
+    if (k + 2 <= r) {
+        KN(repro_tile)(1, fin, k, REPRO_TILE_ARGS);
+        k += 2;
+    }
+#endif
+    for (; k < r; ++k)
+        KN(repro_tile1)(fin, k, REPRO_TILE_ARGS);
+#undef REPRO_TILE_ARGS
+}
+
+/* Out of line on purpose: one instance per (profile, finisher) that
+ * every blocked kernel calls.  With the tile widths inlined into each
+ * kernel instead the kernels time the same and the cold compile takes
+ * 9.1-10.2 s, not 6.4-6.8 (it is most of cli_cold/setup_s).           */
+static REPRO_OUTLINE void KN(repro_row_store)(
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict X,
+    REPRO_XT *restrict Y,
+    int64_t r,
+    int64_t row)
+{
+    KN(repro_row)(REPRO_FIN_STORE, indices, data, p0, cnt, stride, X, r,
+                  NULL, Y + 2 * row * r, 0, 0, NULL, NULL, NULL);
+}
+
+static REPRO_OUTLINE void KN(repro_row_kahan)(
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    int64_t r,
+    int64_t row,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict ee,
+    double *restrict eo,
+    double *restrict cc)
+{
+    KN(repro_row)(REPRO_FIN_KAHAN, indices, data, p0, cnt, stride, V, r,
+                  V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo, cc);
+}
+
+/* The non-threaded kernels' finisher: compensated (repro_ecomp) for
+ * the narrow profiles, plain for the fp64 baseline.                   */
+#if REPRO_ETA_KAHAN
+#define REPRO_ROW_AUG(p0, cnt, stride, row)                                \
+    KN(repro_row_kahan)(indices, data, (p0), (cnt), (stride), V, W, r,     \
+                        (row), ta, tab, eta_even, eta_odd, repro_ecomp)
+#else
+static REPRO_OUTLINE void KN(repro_row_plain)(
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    int64_t r,
+    int64_t row,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict ee,
+    double *restrict eo)
+{
+    KN(repro_row)(REPRO_FIN_PLAIN, indices, data, p0, cnt, stride, V, r,
+                  V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo, NULL);
+}
+#define REPRO_ROW_AUG(p0, cnt, stride, row)                                \
+    KN(repro_row_plain)(indices, data, (p0), (cnt), (stride), V, W, r,     \
+                        (row), ta, tab, eta_even, eta_odd)
+#endif
+
+#endif /* REPRO_SIMD */
 
 /* ------------------------------------------------------------------ */
 /* CSR                                                                 */
@@ -1126,6 +1336,11 @@ EXPORT void KN(repro_csr_spmmv)(
     const REPRO_XT *restrict X,      /* 2*n_cols*r, row-major */
     REPRO_XT *restrict Y)            /* 2*n_rows*r, row-major */
 {
+#if REPRO_SIMD
+    for (int64_t i = 0; i < n_rows; ++i)
+        KN(repro_row_store)(indices, data, indptr[i],
+                            indptr[i + 1] - indptr[i], 1, X, Y, r, i);
+#else
     REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
     if (!acc)
         return;
@@ -1144,6 +1359,7 @@ EXPORT void KN(repro_csr_spmmv)(
         KN(repro_storerow)(Y + 2 * i * r, acc, 2 * r);
     }
     free(acc);
+#endif
 }
 
 /* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>.
@@ -1200,6 +1416,15 @@ EXPORT void KN(repro_csr_aug_spmmv)(
     double *restrict eta_odd)      /* 2*r doubles */
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
+#if REPRO_SIMD
+    memset(eta_even, 0, (size_t)r * sizeof(double));
+    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
+    REPRO_EARR_DECL(r, (void)0)
+    for (int64_t i = 0; i < n_rows; ++i) {
+        REPRO_ROW_AUG(indptr[i], indptr[i + 1] - indptr[i], 1, i);
+    }
+    REPRO_EARR_FREE();
+#else
     REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
     if (!acc)
         return;
@@ -1222,6 +1447,7 @@ EXPORT void KN(repro_csr_aug_spmmv)(
     }
     REPRO_EARR_FREE();
     free(acc);
+#endif
 }
 
 /* ------------------------------------------------------------------ */
@@ -1327,6 +1553,15 @@ EXPORT void KN(repro_csr_aug_spmmv_range)(
     double *restrict eta_odd)      /* 2*r doubles                      */
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
+#if REPRO_SIMD
+    memset(eta_even, 0, (size_t)r * sizeof(double));
+    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
+    REPRO_EARR_DECL(r, (void)0)
+    for (int64_t i = row0; i < row1; ++i) {
+        REPRO_ROW_AUG(indptr[i], indptr[i + 1] - indptr[i], 1, i);
+    }
+    REPRO_EARR_FREE();
+#else
     REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
     if (!acc)
         return;
@@ -1349,6 +1584,7 @@ EXPORT void KN(repro_csr_aug_spmmv_range)(
     }
     REPRO_EARR_FREE();
     free(acc);
+#endif
 }
 
 EXPORT void KN(repro_csr_aug_spmmv_rows)(
@@ -1366,6 +1602,16 @@ EXPORT void KN(repro_csr_aug_spmmv_rows)(
     double *restrict eta_odd)
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
+#if REPRO_SIMD
+    memset(eta_even, 0, (size_t)r * sizeof(double));
+    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
+    REPRO_EARR_DECL(r, (void)0)
+    for (int64_t t = 0; t < n_sub; ++t) {
+        const int64_t i = rows[t];
+        REPRO_ROW_AUG(indptr[i], indptr[i + 1] - indptr[i], 1, i);
+    }
+    REPRO_EARR_FREE();
+#else
     REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
     if (!acc)
         return;
@@ -1389,6 +1635,7 @@ EXPORT void KN(repro_csr_aug_spmmv_rows)(
     }
     REPRO_EARR_FREE();
     free(acc);
+#endif
 }
 
 /* ------------------------------------------------------------------ */
@@ -1446,6 +1693,17 @@ EXPORT void KN(repro_sell_spmmv)(
     const REPRO_XT *restrict X,
     REPRO_XT *restrict Y)
 {
+#if REPRO_SIMD
+    for (int64_t ci = 0; ci < n_chunks; ++ci) {
+        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
+        for (int64_t lane = 0; lane < c; ++lane) {
+            const int64_t row = perm[ci * c + lane];
+            if (row < n_rows)
+                KN(repro_row_store)(indices, data, base + lane, len, c, X,
+                                    Y, r, row);
+        }
+    }
+#else
     REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * c * r, 0);
     if (!acc)
         return;
@@ -1475,6 +1733,7 @@ EXPORT void KN(repro_sell_spmmv)(
         }
     }
     free(acc);
+#endif
 }
 
 EXPORT void KN(repro_sell_aug_spmv)(
@@ -1549,6 +1808,20 @@ EXPORT void KN(repro_sell_aug_spmmv)(
     double *restrict eta_odd)
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
+#if REPRO_SIMD
+    memset(eta_even, 0, (size_t)r * sizeof(double));
+    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
+    REPRO_EARR_DECL(r, (void)0)
+    for (int64_t ci = 0; ci < n_chunks; ++ci) {
+        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
+        for (int64_t lane = 0; lane < c; ++lane) {
+            const int64_t row = perm[ci * c + lane];
+            if (row < n_rows)
+                REPRO_ROW_AUG(base + lane, len, c, row);
+        }
+    }
+    REPRO_EARR_FREE();
+#else
     REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * c * r, 0);
     if (!acc)
         return;
@@ -1583,6 +1856,7 @@ EXPORT void KN(repro_sell_aug_spmmv)(
     }
     REPRO_EARR_FREE();
     free(acc);
+#endif
 }
 
 /* ------------------------------------------------------------------ */
@@ -1631,10 +1905,29 @@ static void KN(repro_csr_aug_spmmv_mt_body)(
     if (nb == 0)
         return;
     (void)nt;
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nb * 2 * r, 0);
     /* per-block eta partials [ee r | eo 2r | kahan carries 3r], plus a
      * trailing 3r carry slice for the block-order combine             */
     double *epart = REPRO_ALLOC(double, nb * 6 * r + 3 * r, 1);
+#if REPRO_SIMD
+    if (!epart)
+        return;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) num_threads(nt)
+#endif
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict bee = epart + (size_t)(bi * 6 * r);
+        const int64_t tb0 = t0 + bi * REPRO_MT_BLOCK;
+        const int64_t tb1 =
+            tb0 + REPRO_MT_BLOCK < t1 ? tb0 + REPRO_MT_BLOCK : t1;
+        for (int64_t t = tb0; t < tb1; ++t) {
+            const int64_t i = rows ? rows[t] : t;
+            KN(repro_row_kahan)(indices, data, indptr[i],
+                                indptr[i + 1] - indptr[i], 1, V, W, r, i,
+                                ta, tab, bee, bee + r, bee + 3 * r);
+        }
+    }
+#else
+    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nb * 2 * r, 0);
     if (!accs || !epart) {
         free(accs);
         free(epart);
@@ -1669,6 +1962,8 @@ static void KN(repro_csr_aug_spmmv_mt_body)(
                                   tab, bee, beo, bcc);
         }
     }
+    free(accs);
+#endif
     /* sequential block-order combine: the only cross-block reduction  */
     double *restrict ccomb = epart + (size_t)(nb * 6 * r);
     for (int64_t bi = 0; bi < nb; ++bi) {
@@ -1680,7 +1975,6 @@ static void KN(repro_csr_aug_spmmv_mt_body)(
             repro_kadd(&eta_odd[k], &ccomb[r + k], beo[k]);
     }
     free(epart);
-    free(accs);
 }
 
 EXPORT void KN(repro_csr_aug_spmmv_mt)(
@@ -1772,8 +2066,30 @@ EXPORT void KN(repro_sell_aug_spmmv_mt)(
     if (nb == 0)
         return;
     (void)nt;
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nb * 2 * c * r, 0);
     double *epart = REPRO_ALLOC(double, nb * 6 * r + 3 * r, 1);
+#if REPRO_SIMD
+    if (!epart)
+        return;
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static) num_threads(nt)
+#endif
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict bee = epart + (size_t)(bi * 6 * r);
+        const int64_t cb1 =
+            (bi + 1) * cpb < n_chunks ? (bi + 1) * cpb : n_chunks;
+        for (int64_t ci = bi * cpb; ci < cb1; ++ci) {
+            const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
+            for (int64_t lane = 0; lane < c; ++lane) {
+                const int64_t row = perm[ci * c + lane];
+                if (row < n_rows)
+                    KN(repro_row_kahan)(indices, data, base + lane, len, c,
+                                        V, W, r, row, ta, tab, bee,
+                                        bee + r, bee + 3 * r);
+            }
+        }
+    }
+#else
+    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nb * 2 * c * r, 0);
     if (!accs || !epart) {
         free(accs);
         free(epart);
@@ -1818,6 +2134,8 @@ EXPORT void KN(repro_sell_aug_spmmv_mt)(
             }
         }
     }
+    free(accs);
+#endif
     double *restrict ccomb = epart + (size_t)(nb * 6 * r);
     for (int64_t bi = 0; bi < nb; ++bi) {
         const double *restrict bee = epart + (size_t)(bi * 6 * r);
@@ -1828,7 +2146,6 @@ EXPORT void KN(repro_sell_aug_spmmv_mt)(
             repro_kadd(&eta_odd[k], &ccomb[r + k], beo[k]);
     }
     free(epart);
-    free(accs);
 }
 
 #undef KN
@@ -1840,14 +2157,25 @@ EXPORT void KN(repro_sell_aug_spmmv_mt)(
 #undef REPRO_EARR_FREE
 #undef REPRO_KNOVEC
 #undef REPRO_KNOVEC_STMT
-#undef REPRO_LOOPB
 #undef REPRO_PFROW
+#if REPRO_SIMD
+#undef REPRO_YMM
+#undef REPRO_YCOLS
+#undef REPRO_Y_ZERO
+#undef REPRO_Y_SET1
+#undef REPRO_Y_AIV
+#undef REPRO_Y_CMADD
+#undef REPRO_Y_LOADX
+#undef REPRO_Y_STOREX
+#undef REPRO_ROW_AUG
+#else
+#undef REPRO_LOOPB
+#endif
 #undef REPRO_SIMD
 #undef REPRO_HALF
 #ifdef REPRO_SIMD_LOAD8
 #undef REPRO_SIMD_LOAD8
-#undef REPRO_SIMD_LOAD4
-#undef REPRO_SIMD_STORE4
+#undef REPRO_SIMD_STORE8
 #undef REPRO_SIMD_GATHER4C
 #endif
 

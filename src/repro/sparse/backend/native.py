@@ -26,9 +26,15 @@ import numpy as np
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
 #: Compiler flags: -march=native lets the preprocessor see AVX2/F16C so
-#: the explicitly vectorized ``_simd`` kernels are compiled in;
-#: -funroll-loops measurably helps the short fixed-trip k loops over the
-#: block width.  No -ffast-math — fp semantics must match NumPy's.
+#: the explicitly vectorized ``_simd`` kernels are compiled in.
+#: -funroll-loops is kept for the *scalar* reference family, whose loops
+#: over the block width have a run-time bound: without it scalar
+#: ``aug_spmmv`` R = 32 takes 24.5 instead of 20.7 ms (fp32 22.3 / 18.6)
+#: and scalar ``aug_spmv`` 1.03 instead of 0.88 ms.  The ``_simd`` family
+#: times the same either way: its register tiles unroll by pragma and
+#: keep the flag off their non-zero loop (``REPRO_NOUNROLL``).  The flag
+#: costs 1.2 s of the 6.9 s cold compile (DESIGN section 12).
+#: No -ffast-math — fp semantics must match NumPy's.
 #:
 #: ``-ffp-contract=off -fno-tree-vectorize`` pin the *scalar* kernels to
 #: the literal source DAG.  This is what makes ``simd=on|off`` bitwise
@@ -187,7 +193,7 @@ def _feature_fingerprint(cc: str | None) -> str:
 def simd_compiled_mask() -> int:
     """SIMD kernel families present in the loaded library.
 
-    Bit 0: AVX2/FMA-lane kernels; bit 1: F16C half-precision kernels.
+    Bit 0: AVX2 kernels; bit 1: F16C half-precision kernels.
     0 when the native library is unavailable or was built scalar-only.
     """
     lib = load_library()

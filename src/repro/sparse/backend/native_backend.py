@@ -205,7 +205,8 @@ class NativeBackend(KernelBackend):
         return suffix, args
 
     # -- kernels -------------------------------------------------------
-    def spmv(self, A, x, out=None, counters: PerfCounters = NULL_COUNTERS,
+    def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
+             counters: PerfCounters = NULL_COUNTERS,
              metrics: MetricsRegistry = NULL_METRICS):
         lib = self._lib()
         x = _as_kernel_vector("x", x, A.n_cols)
@@ -218,7 +219,7 @@ class NativeBackend(KernelBackend):
                 f"out must have shape {shape} and dtype {x.dtype}, got "
                 f"{out.shape} / {out.dtype}"
             )
-        vs = _simd_suffix(None, prec)
+        vs = _simd_suffix(plan.simd if plan is not None else None, prec)
         with metrics.span("spmv", counters=counters):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
@@ -235,7 +236,8 @@ class NativeBackend(KernelBackend):
             _charge_spmv(A, 1, counters, "spmv", prec)
         return out
 
-    def spmmv(self, A, X, out=None, counters: PerfCounters = NULL_COUNTERS,
+    def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
+              counters: PerfCounters = NULL_COUNTERS,
               metrics: MetricsRegistry = NULL_METRICS):
         lib = self._lib()
         X = _as_kernel_block("X", X, A.n_cols)
@@ -249,7 +251,7 @@ class NativeBackend(KernelBackend):
                 f"out must have shape {shape} and dtype {X.dtype}, got "
                 f"{out.shape} / {out.dtype}"
             )
-        vs = _simd_suffix(None, prec)
+        vs = _simd_suffix(plan.simd if plan is not None else None, prec)
         with metrics.span("spmmv", counters=counters):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
@@ -293,7 +295,7 @@ class NativeBackend(KernelBackend):
         # one span for the whole library-call chain (same shape as the
         # NumPy fused.naive_kpm_step span); the inner spmv stays unspanned
         with metrics.span("naive_step", counters=counters):
-            self.spmv(A, v, out=u, counters=counters)
+            self.spmv(A, v, out=u, plan=plan, counters=counters)
             axpy(u, -b, v, counters=counters, work=work)
             scal(-1.0, w, counters=counters)
             axpy(w, 2.0 * a, u, counters=counters, work=work)

@@ -56,11 +56,13 @@ class NumpyBackend(KernelBackend):
     def available(self) -> bool:
         return True
 
-    def spmv(self, A, x, out=None, counters: PerfCounters = NULL_COUNTERS,
+    def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
+             counters: PerfCounters = NULL_COUNTERS,
              metrics: MetricsRegistry = NULL_METRICS):
         return _spmv(A, x, out=out, counters=counters, metrics=metrics)
 
-    def spmmv(self, A, X, out=None, counters: PerfCounters = NULL_COUNTERS,
+    def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
+              counters: PerfCounters = NULL_COUNTERS,
               metrics: MetricsRegistry = NULL_METRICS):
         return _spmmv(A, X, out=out, counters=counters, metrics=metrics)
 

@@ -2,7 +2,7 @@
 
 The SIMD kernels vectorize the augmented/split kernels with a *fixed
 lane-blocked reduction*: every fp64 dot accumulates in the same 8-lane
-blocks whether the scalar or the AVX2/FMA build executes it, so fp64
+blocks whether the scalar or the AVX2 build executes it, so fp64
 moments are bitwise identical across ``simd='on'`` and ``simd='off'``
 — at every block width R, every thread count, every format, and
 composed with every subsystem that relies on kernel determinism
@@ -134,6 +134,106 @@ def test_invalid_simd_rejected(ti):
     with pytest.raises(BackendError, match="simd"):
         compute_eta(h, scale, M, blocks[1], "aug_spmmv", backend="native",
                     simd="fast")
+
+
+# ---------------------------------------------------------------------
+# register tiles: the _simd code path is a function of r
+# ---------------------------------------------------------------------
+
+def _ragged_operator(n_rows, n_cols, seed=3):
+    """Row lengths 0..11 with row 5 empty: SELL chunks get padding slots."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 12, size=n_rows)
+    lengths[5] = 0
+    rows = np.repeat(np.arange(n_rows), lengths)
+    cols = np.concatenate(
+        [rng.choice(n_cols, size=k, replace=False) for k in lengths])
+    vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
+    return CSRMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))
+
+
+def _blocked_outputs(bk, A, V, W, prec, simd):
+    """Every blocked kernel's outputs on (A, V, W), as (n, r, ...) /
+    (r,) arrays keyed by kernel variant: plain, threads=2, spmmv and —
+    CSR only — the range + rows split pair at threads None and 2."""
+    from repro.dist.overlap import TaskSplit
+
+    a, b = 0.3, 0.1
+    n, r = A.n_rows, prec.logical_shape(V)[1]
+    plan = bk.plan(A, r, precision=prec, simd=simd)
+    out = {"spmmv": (bk.spmmv(A, V, plan=plan),)}
+    for threads in (None, 2):
+        plan = bk.plan(A, r, precision=prec, threads=threads, simd=simd)
+        w = W.copy()
+        out["aug", threads] = (w, *bk.aug_spmmv_step(A, V, w, a, b, plan=plan))
+        if isinstance(A, CSRMatrix) and n == A.n_cols:
+            split = TaskSplit(9, 50, np.r_[0:9, 50:n], n, 0, 0)
+            sp = bk.split_plan(A, split, r, precision=prec, threads=threads,
+                               simd=simd)
+            w = W.copy()
+            eta = (*bk.aug_spmmv_interior(A, V, w, a, b, plan=sp),
+                   *bk.aug_spmmv_boundary(A, V, w, a, b, plan=sp))
+            out["split", threads] = (w, *eta)
+    return out
+
+
+@needs_native
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+def test_tiles_bytes_on_off_and_column_independence(precision):
+    """W and eta, byte for byte, at every width the tiles cut differently.
+
+    r = 1..40 and 64 walks every combination of the 16 / 8 / 4 / 2 / 1
+    column tiles.  77 rows are no multiple of any chunk height (phantom
+    lanes), row lengths are ragged (padding slots) and one row is empty.
+    Per operator, width and kernel variant: simd='on' == simd='off' on
+    the bytes of W and eta, and column k of the r-wide call == the r = 1
+    call on that column alone (the coalescing contract at kernel level).
+    """
+    from repro.sparse.backend import get_backend
+    from repro.util.precision import get_precision
+
+    bk = get_backend("native")
+    prec = get_precision(precision)
+    h = _ragged_operator(77, 77)
+    operators = [h] + [SellMatrix(h, chunk_height=c, sigma=s)
+                       for c in (1, 4, 8, 32) for s in (1, 32)]
+    widths = (*range(1, 41), 64)
+    if not prec.is_fp64:
+        # past 65,536 columns the narrow profiles stream int32 indices:
+        # their own template expansion, hence their own tiles
+        operators.append(_ragged_operator(23, 65_600))
+    rng = np.random.default_rng(8)
+
+    def storage(n):
+        x = rng.normal(size=(n, 64)) + 1j * rng.normal(size=(n, 64))
+        return prec.encode(x)
+
+    def cut(X, k0, k1):
+        return np.ascontiguousarray(X[:, k0:k1])
+
+    for A in operators:
+        wide = A.n_cols != A.n_rows
+        V64, W64 = storage(A.n_cols), storage(A.n_rows)
+        solo = [] if wide else [
+            _blocked_outputs(bk, A, cut(V64, k, k + 1), cut(W64, k, k + 1),
+                             prec, "on")
+            for k in range(64)
+        ]
+        for r in ((3, 21) if wide else widths):
+            V, W = cut(V64, 0, r), cut(W64, 0, r)
+            on = _blocked_outputs(bk, A, V, W, prec, "on")
+            off = _blocked_outputs(bk, A, V, W, prec, "off")
+            assert on.keys() == off.keys()
+            for key, arrays in on.items():
+                label = f"{type(A).__name__} r={r} {key}"
+                for got, want in zip(arrays, off[key]):
+                    assert got.tobytes() == want.tobytes(), label
+                for k in range(0 if wide else r):
+                    for got, alone in zip(arrays, solo[k][key]):
+                        # W / Y: column k of the block; eta: entry k
+                        col = got[:, k] if got.ndim > 1 else got[k]
+                        one = alone[:, 0] if alone.ndim > 1 else alone[0]
+                        assert col.tobytes() == one.tobytes(), (label, k)
 
 
 # ---------------------------------------------------------------------

@@ -48,12 +48,14 @@ def main(argv: list[str] | None = None) -> int:
     from repro.sparse import SellMatrix
     from repro.sparse.backend import get_backend
     from repro.sparse.backend.native import (
-        compile_library,
+        _lib_path,
         native_available,
         native_error,
     )
 
     # 1. compilation ----------------------------------------------------
+    so = _lib_path()
+    cold = not so.exists()
     t0 = time.perf_counter()
     if not native_available():
         reason = native_error()
@@ -62,8 +64,11 @@ def main(argv: list[str] | None = None) -> int:
                   "is in effect — OK (--allow-missing)")
             return 0
         return _fail(f"native backend unavailable: {reason}")
-    compile_library()  # cached .so: near-instant when already built
-    print(f"compile/load: ok ({time.perf_counter() - t0:.1f}s)")
+    # the cold build is an end-to-end cost (cli_cold/setup_s): say which
+    # of the two this was, next to the speedup the build buys below
+    print(f"compile/load: ok ({time.perf_counter() - t0:.1f}s, "
+          f"{'cold build' if cold else 'cache hit'}, "
+          f".so {so.stat().st_size / 1024:.0f} KiB)")
 
     numpy_bk = get_backend("numpy")
     native_bk = get_backend("native")
