@@ -18,21 +18,25 @@
  * Block vectors are row-major (N, R): the R values of one row are
  * contiguous, the locality argument of paper Section IV-A.
  *
- * MACRO EXPANSION (the precision profiles of repro.util.precision):
- * the sixteen kernels below are written ONCE as a template (the #else
- * branch of this file) and expanded via `#include "_kernels.c"` for each
- * (value type, vector storage, index type) combination — no hand-copied
- * variants:
+ * ONE TEMPLATE, ONE UNIT PER BUILD (the precision profiles of
+ * repro.util.precision): the sixteen kernels below are written ONCE
+ * against the REPRO_VT / XT / AT / IT types, and each build of this
+ * file holds exactly one (profile, scalar | simd) unit, picked with
+ * `-DREPRO_UNIT_PROFILE=<name> -DREPRO_UNIT_SIMD=<0|1>`.  The loader
+ * (native.py) builds a unit the first time a kernel of it is asked for,
+ * so a run compiles what it calls and nothing else:
  *
- *   suffix      values   vectors          indices   exported example
- *   (none)      double   double           int32     repro_csr_aug_spmmv
- *   _f32        float    float            int32     repro_csr_aug_spmmv_f32
- *   _f32u16     float    float            uint16    repro_csr_aug_spmmv_f32u16
- *   _f16v       float    half (fp16)      int32     repro_csr_aug_spmmv_f16v
- *   _f16vu16    float    half (fp16)      uint16    repro_csr_aug_spmmv_f16vu16
+ *   profile     values   vectors          indices   exported example
+ *   fp64        double   double           int32     repro_csr_aug_spmmv
+ *   f32         float    float            int32     repro_csr_aug_spmmv_f32
+ *   f32u16      float    float            uint16    repro_csr_aug_spmmv_f32u16
+ *   f16v        float    half (fp16)      int32     repro_csr_aug_spmmv_f16v
+ *   f16vu16     float    half (fp16)      uint16    repro_csr_aug_spmmv_f16vu16
  *
- * The unsuffixed f64/int32 expansion is operation-for-operation the
- * historical baseline.  The narrow expansions compute in fp32 (half
+ * (REPRO_UNIT_SIMD=1 appends `_simd` to every exported name.)
+ *
+ * The unsuffixed fp64 unit is operation-for-operation the historical
+ * baseline.  The narrow profiles compute in fp32 (half
  * storage is converted at load/store with round-to-nearest-even) while
  * BOTH eta scalar products are accumulated in fp64 with compensated
  * (Kahan) summation — each partial product is formed exactly in double
@@ -43,8 +47,6 @@
  * chunk_len, perm are int64; in-kernel column indices are int32 (the
  * paper's S_i = 4) or uint16 (compressed, S_i = 2) per the table above.
  */
-
-#ifndef REPRO_KERNELS_TEMPLATE
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -102,7 +104,7 @@ static inline void repro_pf_row(const void *restrict p, size_t nbytes)
  * stays fully vectorized.  Only the fp64 baseline carries the bitwise
  * contract — the narrow profiles promise tolerance, so their (heavier,
  * Kahan-compensated) eta loops keep the vectorizer; see the
- * REPRO_KNOVEC variant gate in the template header.                   */
+ * REPRO_KNOVEC variant gate below the unit selection.                */
 #if defined(__clang__)
 #define REPRO_NOVEC _Pragma("clang loop vectorize(disable)")
 #define REPRO_NOVEC_STMT ((void)0)
@@ -240,16 +242,111 @@ static inline uint16_t repro_float_to_half(float f)
 #define REPRO_CAT(a, b) REPRO_CAT_(a, b)
 
 /* ------------------------------------------------------------------ */
+/* Unit selection: the one profile and kernel family this build holds. */
+/* ------------------------------------------------------------------ */
+
+#define REPRO_PROFILE_fp64 1
+#define REPRO_PROFILE_f32 2
+#define REPRO_PROFILE_f32u16 3
+#define REPRO_PROFILE_f16v 4
+#define REPRO_PROFILE_f16vu16 5
+#define REPRO_PROFILE REPRO_CAT(REPRO_PROFILE_, REPRO_UNIT_PROFILE)
+
+#if REPRO_PROFILE == 1
+/* fp64 baseline: complex128 values & vectors, int32 indices, plain
+ * double eta accumulation — the paper's original kernels.             */
+#define REPRO_SUF
+#define REPRO_VT double
+#define REPRO_XT double
+#define REPRO_AT double
+#define REPRO_IT int32_t
+#define REPRO_ETA_KAHAN 0
+#define REPRO_HALF 0
+#elif REPRO_PROFILE == 2
+/* fp32: complex64 values & vectors, int32 indices.                    */
+#define REPRO_SUF _f32
+#define REPRO_VT float
+#define REPRO_XT float
+#define REPRO_AT float
+#define REPRO_IT int32_t
+#define REPRO_ETA_KAHAN 1
+#define REPRO_HALF 0
+#elif REPRO_PROFILE == 3
+/* fp32 with compressed uint16 column indices.                         */
+#define REPRO_SUF _f32u16
+#define REPRO_VT float
+#define REPRO_XT float
+#define REPRO_AT float
+#define REPRO_IT uint16_t
+#define REPRO_ETA_KAHAN 1
+#define REPRO_HALF 0
+#elif REPRO_PROFILE == 4
+/* fp16v: complex64 values, float16 (re, im) pair vectors promoted to
+ * fp32 in registers, int32 indices.                                   */
+#define REPRO_SUF _f16v
+#define REPRO_VT float
+#define REPRO_XT uint16_t
+#define REPRO_AT float
+#define REPRO_IT int32_t
+#define REPRO_ETA_KAHAN 1
+#define REPRO_HALF 1
+#elif REPRO_PROFILE == 5
+/* fp16v with compressed uint16 column indices.                        */
+#define REPRO_SUF _f16vu16
+#define REPRO_VT float
+#define REPRO_XT uint16_t
+#define REPRO_AT float
+#define REPRO_IT uint16_t
+#define REPRO_ETA_KAHAN 1
+#define REPRO_HALF 1
+#else
+#error "build with -DREPRO_UNIT_PROFILE=<fp64|f32|f32u16|f16v|f16vu16>"
+#endif
+
+/* REPRO_SIMD selects the hand-vectorized inner loops, exported under
+ * a `_simd` suffix and bitwise-identical to the scalar family in every
+ * profile.  The Python loader asks for that family only where its
+ * preprocessor probe saw AVX2 (and F16C for the fp16v profiles).      */
+#if !defined(REPRO_UNIT_SIMD) || (REPRO_UNIT_SIMD != 0 && REPRO_UNIT_SIMD != 1)
+#error "build with -DREPRO_UNIT_SIMD=<0|1>"
+#endif
+#define REPRO_SIMD REPRO_UNIT_SIMD
+
+#if REPRO_SIMD
+#define KN(base) REPRO_CAT(REPRO_CAT(base, REPRO_SUF), _simd)
+#else
+#define KN(base) REPRO_CAT(base, REPRO_SUF)
+#endif
+
+#if REPRO_HALF
+#define REPRO_LOADX(p, i) repro_half_to_float((p)[(i)])
+#define REPRO_STOREX(p, i, val) ((p)[(i)] = repro_float_to_half(val))
+#else
+#define REPRO_LOADX(p, i) ((p)[(i)])
+#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
+#endif
+
+/* What the loader checks after dlopen, before it binds anything: which
+ * unit this file is, and the ABI (bump with _ABI in native.py whenever
+ * a signature changes).  A truncated, foreign or renamed library fails
+ * here and is rebuilt instead of being called.                        */
+#define REPRO_ABI 1
+EXPORT int32_t repro_unit(void)
+{
+    return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
+}
+
+/* ------------------------------------------------------------------ */
 /* Explicit SIMD (AVX2 / F16C) support                                 */
 /*                                                                     */
-/* Every aug/split kernel below is expanded a SECOND time per profile  */
-/* with REPRO_SIMD=1, exporting a `_simd`-suffixed variant whose inner */
+/* Every profile has a second unit, built with REPRO_UNIT_SIMD=1,      */
+/* that exports `_simd`-suffixed variants of every kernel whose inner  */
 /* loops are hand-written AVX2 intrinsics.  The vectorization is       */
 /* DETERMINISTIC by construction:                                      */
 /*                                                                     */
 /*   * Blocked kernels vectorize VERTICALLY — one lane per block      */
 /*     column (re, im interleaved), a row's accumulators held in ymm   */
-/*     register tiles ("Register tiles" in the template) — so each     */
+/*     register tiles ("Register tiles" below) — so each               */
 /*     column's rounding DAG is exactly the scalar kernel's at every   */
 /*     block width R.  Tail columns run the same DAG in scalar         */
 /*     registers.                                                      */
@@ -274,27 +371,12 @@ static inline uint16_t repro_float_to_half(float f)
 /* vector body.                                                        */
 /* ------------------------------------------------------------------ */
 
-#if defined(__AVX2__)
-#define REPRO_HAVE_AVX2 1
+#if REPRO_SIMD
+
+#if !defined(__AVX2__) || (REPRO_HALF && !defined(__F16C__))
+#error "the _simd family needs AVX2 (and F16C for the fp16v profiles)"
+#endif
 #include <immintrin.h>
-#else
-#define REPRO_HAVE_AVX2 0
-#endif
-
-#if REPRO_HAVE_AVX2 && defined(__F16C__)
-#define REPRO_HAVE_F16C 1
-#else
-#define REPRO_HAVE_F16C 0
-#endif
-
-/* Introspection for the Python loader: bit 0 = AVX2 `_simd` kernels
- * compiled in, bit 1 = the fp16v variants use F16C conversions.       */
-EXPORT int32_t repro_simd_compiled(void)
-{
-    return (REPRO_HAVE_AVX2 ? 1 : 0) | (REPRO_HAVE_F16C ? 2 : 0);
-}
-
-#if REPRO_HAVE_AVX2
 
 /* [-ai, +ai, -ai, +ai]: the sign-flipped imaginary broadcast used by
  * the complex product (the - lands on the real component's ai*xi).   */
@@ -427,9 +509,7 @@ static inline __m256 repro_gather4c_ps(const float *restrict x, int64_t j0,
     return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
 }
 
-#endif /* REPRO_HAVE_AVX2 */
-
-#if REPRO_HAVE_F16C
+#if REPRO_HALF
 
 /* F16C conversions: half->float is exact, float->half rounds to
  * nearest even — both bit-identical to the software converters.       */
@@ -458,227 +538,9 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
         _mm_set_epi32((int32_t)c3, (int32_t)c2, (int32_t)c1, (int32_t)c0));
 }
 
-#endif /* REPRO_HAVE_F16C */
+#endif /* REPRO_HALF */
 
-/* ------------------------------------------------------------------ */
-/* Template expansions: one block per precision profile.               */
-/* ------------------------------------------------------------------ */
-
-#define REPRO_KERNELS_TEMPLATE 1
-
-/* fp64 baseline: complex128 values & vectors, int32 indices, plain
- * double eta accumulation — the paper's original kernels.             */
-#define REPRO_SUF
-#define REPRO_VT double
-#define REPRO_XT double
-#define REPRO_AT double
-#define REPRO_IT int32_t
-#define REPRO_LOADX(p, i) ((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
-#define REPRO_ETA_KAHAN 0
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-/* fp32: complex64 values & vectors, int32 indices.                    */
-#define REPRO_SUF _f32
-#define REPRO_VT float
-#define REPRO_XT float
-#define REPRO_AT float
-#define REPRO_IT int32_t
-#define REPRO_LOADX(p, i) ((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
-#define REPRO_ETA_KAHAN 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-/* fp32 with compressed uint16 column indices.                         */
-#define REPRO_SUF _f32u16
-#define REPRO_VT float
-#define REPRO_XT float
-#define REPRO_AT float
-#define REPRO_IT uint16_t
-#define REPRO_LOADX(p, i) ((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
-#define REPRO_ETA_KAHAN 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-/* fp16v: complex64 values, float16 (re, im) pair vectors promoted to
- * fp32 in registers, int32 indices.                                   */
-#define REPRO_SUF _f16v
-#define REPRO_VT float
-#define REPRO_XT uint16_t
-#define REPRO_AT float
-#define REPRO_IT int32_t
-#define REPRO_LOADX(p, i) repro_half_to_float((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = repro_float_to_half(val))
-#define REPRO_ETA_KAHAN 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-/* fp16v with compressed uint16 column indices.                        */
-#define REPRO_SUF _f16vu16
-#define REPRO_VT float
-#define REPRO_XT uint16_t
-#define REPRO_AT float
-#define REPRO_IT uint16_t
-#define REPRO_LOADX(p, i) repro_half_to_float((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = repro_float_to_half(val))
-#define REPRO_ETA_KAHAN 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-/* ------------------------------------------------------------------ */
-/* SIMD re-expansions (REPRO_SIMD=1): the same template with the hand- */
-/* vectorized inner-loop bodies, exported under a `_simd` suffix.      */
-/* Bitwise-identical to the scalar expansions above in every profile;  */
-/* only compiled when the build targets AVX2 (and F16C for fp16v) —    */
-/* the Python loader probes repro_simd_compiled() before dispatching.  */
-/* ------------------------------------------------------------------ */
-
-#if REPRO_HAVE_AVX2
-
-#define REPRO_SUF _simd
-#define REPRO_VT double
-#define REPRO_XT double
-#define REPRO_AT double
-#define REPRO_IT int32_t
-#define REPRO_LOADX(p, i) ((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
-#define REPRO_ETA_KAHAN 0
-#define REPRO_SIMD 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-#define REPRO_SUF _f32_simd
-#define REPRO_VT float
-#define REPRO_XT float
-#define REPRO_AT float
-#define REPRO_IT int32_t
-#define REPRO_LOADX(p, i) ((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
-#define REPRO_ETA_KAHAN 1
-#define REPRO_SIMD 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-#define REPRO_SUF _f32u16_simd
-#define REPRO_VT float
-#define REPRO_XT float
-#define REPRO_AT float
-#define REPRO_IT uint16_t
-#define REPRO_LOADX(p, i) ((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = (val))
-#define REPRO_ETA_KAHAN 1
-#define REPRO_SIMD 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-#if REPRO_HAVE_F16C
-
-#define REPRO_SUF _f16v_simd
-#define REPRO_VT float
-#define REPRO_XT uint16_t
-#define REPRO_AT float
-#define REPRO_IT int32_t
-#define REPRO_LOADX(p, i) repro_half_to_float((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = repro_float_to_half(val))
-#define REPRO_ETA_KAHAN 1
-#define REPRO_SIMD 1
-#define REPRO_HALF 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-#define REPRO_SUF _f16vu16_simd
-#define REPRO_VT float
-#define REPRO_XT uint16_t
-#define REPRO_AT float
-#define REPRO_IT uint16_t
-#define REPRO_LOADX(p, i) repro_half_to_float((p)[(i)])
-#define REPRO_STOREX(p, i, val) ((p)[(i)] = repro_float_to_half(val))
-#define REPRO_ETA_KAHAN 1
-#define REPRO_SIMD 1
-#define REPRO_HALF 1
-#include "_kernels.c"
-#undef REPRO_SUF
-#undef REPRO_VT
-#undef REPRO_XT
-#undef REPRO_AT
-#undef REPRO_IT
-#undef REPRO_LOADX
-#undef REPRO_STOREX
-#undef REPRO_ETA_KAHAN
-
-#endif /* REPRO_HAVE_F16C */
-
-#endif /* REPRO_HAVE_AVX2 */
-
-#else  /* REPRO_KERNELS_TEMPLATE: the kernel template, expanded above  */
-
-#define KN(base) REPRO_CAT(base, REPRO_SUF)
+#endif /* REPRO_SIMD */
 
 /* Per-variant width-stability gate: only the fp64 baseline (the one
  * variant without compensated eta accumulation) must keep its per-row
@@ -705,26 +567,12 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
         cleanup;                                                           \
         return;                                                            \
     }
-#define REPRO_EE_ADD(k, x) repro_kadd(&eta_even[k], &repro_ecomp[k], (x))
-#define REPRO_EO_ADD(k2, x) repro_kadd(&eta_odd[k2], &repro_ecomp[r + (k2)], (x))
 #define REPRO_EARR_FREE() free(repro_ecomp)
 #else
 #define REPRO_ESUM_DECL(name) double name = 0.0
 #define REPRO_ESUM_ADD(name, x) name += (x)
 #define REPRO_EARR_DECL(r, cleanup)
-#define REPRO_EE_ADD(k, x) eta_even[k] += (x)
-#define REPRO_EO_ADD(k2, x) eta_odd[k2] += (x)
 #define REPRO_EARR_FREE() ((void)0)
-#endif
-
-/* REPRO_SIMD selects the hand-vectorized inner loops; the SIMD
- * re-expansions at the bottom of the file set it to 1.  REPRO_HALF
- * marks the fp16v storage profiles (F16C conversions).                */
-#ifndef REPRO_SIMD
-#define REPRO_SIMD 0
-#endif
-#ifndef REPRO_HALF
-#define REPRO_HALF 0
 #endif
 
 /* Software row prefetch: scalar blocked kernels only.  The register-
@@ -2147,36 +1995,3 @@ EXPORT void KN(repro_sell_aug_spmmv_mt)(
     }
     free(epart);
 }
-
-#undef KN
-#undef REPRO_ESUM_DECL
-#undef REPRO_ESUM_ADD
-#undef REPRO_EARR_DECL
-#undef REPRO_EE_ADD
-#undef REPRO_EO_ADD
-#undef REPRO_EARR_FREE
-#undef REPRO_KNOVEC
-#undef REPRO_KNOVEC_STMT
-#undef REPRO_PFROW
-#if REPRO_SIMD
-#undef REPRO_YMM
-#undef REPRO_YCOLS
-#undef REPRO_Y_ZERO
-#undef REPRO_Y_SET1
-#undef REPRO_Y_AIV
-#undef REPRO_Y_CMADD
-#undef REPRO_Y_LOADX
-#undef REPRO_Y_STOREX
-#undef REPRO_ROW_AUG
-#else
-#undef REPRO_LOOPB
-#endif
-#undef REPRO_SIMD
-#undef REPRO_HALF
-#ifdef REPRO_SIMD_LOAD8
-#undef REPRO_SIMD_LOAD8
-#undef REPRO_SIMD_STORE8
-#undef REPRO_SIMD_GATHER4C
-#endif
-
-#endif /* REPRO_KERNELS_TEMPLATE */

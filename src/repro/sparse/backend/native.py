@@ -1,21 +1,31 @@
 """Compile-on-first-use loader for the native C kernels.
 
-The shared library is built from ``_kernels.c`` with whatever C compiler
-the host offers (``$CC``, else ``gcc``, else ``cc``) at ``-O3``; the
-resulting ``.so`` is cached under a per-user directory keyed by a hash of
-the source text, so recompilation only happens when the kernels change.
-Everything degrades gracefully: if no compiler is present, compilation
-fails, or ``REPRO_NATIVE_DISABLE`` is set in the environment, the loader
-reports the native backend as unavailable and callers fall back to the
-NumPy backend (see :mod:`repro.sparse.backend`).
+``_kernels.c`` is one template; each build of it holds one *unit* — one
+storage profile's sixteen kernels in the scalar or the ``_simd`` family,
+picked with ``-DREPRO_UNIT_PROFILE=... -DREPRO_UNIT_SIMD=...`` — and a
+unit is built the first time one of its kernels is asked for
+(:func:`kernel`), never ahead of need: a run compiles what it calls.
+The compiler is whatever the host offers (``$CC``, else ``gcc``, else
+``cc``) at ``-O3``; every ``repro_kernels-<unit>-<tag>.so`` is cached
+under a per-user directory, the tag hashing the source text, the flags
+and the host ISA, so recompilation only happens when one of them
+changes.  Everything degrades gracefully: if no compiler is present,
+the default unit fails to build, or ``REPRO_NATIVE_DISABLE`` is set in
+the environment, the loader reports the native backend as unavailable
+and callers fall back to the NumPy backend (see
+:mod:`repro.sparse.backend`).
 """
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
+import fcntl
+import functools
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sysconfig
 import tempfile
@@ -23,17 +33,20 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.util.errors import BackendError
+
 _SOURCE = Path(__file__).with_name("_kernels.c")
 
-#: Compiler flags: -march=native lets the preprocessor see AVX2/F16C so
-#: the explicitly vectorized ``_simd`` kernels are compiled in.
+#: Compiler flags, the same for every unit (a unit's two ``-D``s are
+#: appended per build): -march=native lets the preprocessor see
+#: AVX2/F16C, which the ``_simd`` units require.
 #: -funroll-loops is kept for the *scalar* reference family, whose loops
 #: over the block width have a run-time bound: without it scalar
 #: ``aug_spmmv`` R = 32 takes 24.5 instead of 20.7 ms (fp32 22.3 / 18.6)
 #: and scalar ``aug_spmv`` 1.03 instead of 0.88 ms.  The ``_simd`` family
 #: times the same either way: its register tiles unroll by pragma and
 #: keep the flag off their non-zero loop (``REPRO_NOUNROLL``).  The flag
-#: costs 1.2 s of the 6.9 s cold compile (DESIGN section 12).
+#: costs 0.1-0.15 s of a unit's 0.6-0.9 s build (DESIGN section 12).
 #: No -ffast-math — fp semantics must match NumPy's.
 #:
 #: ``-ffp-contract=off -fno-tree-vectorize`` pin the *scalar* kernels to
@@ -122,7 +135,6 @@ def _cflags(cc: str | None = None) -> list[str]:
 _SIMD_FEATURES = ("avx2", "f16c", "fma")
 
 _HW_FEATURES: frozenset[str] | None = None
-_SIMD_PROBE: dict[str, int] = {}
 
 
 def cpu_features() -> frozenset[str]:
@@ -147,16 +159,15 @@ def cpu_features() -> frozenset[str]:
     return _HW_FEATURES
 
 
+@functools.lru_cache(maxsize=None)
 def _probe_simd_mask(cc: str) -> int:
     """What ``cc -march=native`` will vectorize: bit0 AVX2, bit1 F16C.
 
     A preprocessor-only probe (``-dM -E``) — fast, no binary, and it
-    answers the exact question the ``#if`` gates in ``_kernels.c`` ask,
-    so its verdict always matches what :func:`compile_library` builds.
+    answers the exact question the ``#if`` gate of a ``_simd`` unit in
+    ``_kernels.c`` asks, so a unit is only ever requested where it
+    builds.  Memoised: the kernels consult it on every call.
     """
-    cached = _SIMD_PROBE.get(cc)
-    if cached is not None:
-        return cached
     mask = 0
     try:
         proc = subprocess.run(
@@ -171,7 +182,6 @@ def _probe_simd_mask(cc: str) -> int:
                     mask |= 2
     except (OSError, subprocess.TimeoutExpired):
         mask = 0
-    _SIMD_PROBE[cc] = mask
     return mask
 
 
@@ -191,22 +201,22 @@ def _feature_fingerprint(cc: str | None) -> str:
 
 
 def simd_compiled_mask() -> int:
-    """SIMD kernel families present in the loaded library.
+    """SIMD kernel families this host's compiler builds.
 
-    Bit 0: AVX2 kernels; bit 1: F16C half-precision kernels.
-    0 when the native library is unavailable or was built scalar-only.
+    Bit 0: AVX2 kernels; bit 1: F16C half-precision kernels.  0 without
+    a compiler or under ``REPRO_NATIVE_DISABLE``.  This is the memoised
+    preprocessor probe, not a question to a loaded library: the kernels
+    consult it on every call, and asking must not build anything.
     """
-    lib = load_library()
-    if lib is None:
-        return 0
-    return int(lib.repro_simd_compiled())
+    cc = None if os.environ.get("REPRO_NATIVE_DISABLE") else _find_compiler()
+    return _probe_simd_mask(cc) if cc is not None else 0
 
 
 def simd_available() -> bool:
     """True when the ``_simd`` kernels exist and are not disabled.
 
     ``REPRO_SIMD_DISABLE`` is consulted per call so the forced-scalar
-    drill can flip it without reloading the library.
+    drill can flip it without reloading anything.
     """
     if os.environ.get("REPRO_SIMD_DISABLE"):
         return False
@@ -244,9 +254,18 @@ def _compile_timeout() -> float:
 #: :envvar:`REPRO_NATIVE_COMPILE_TIMEOUT`.
 COMPILE_TIMEOUT = 120.0
 
+#: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
+#: a unit to answer before any of its kernels is bound.
+_ABI = 1
+
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
 _load_error: str | None = None
+
+#: Units this process opened, or why one cannot be: (suffix, simd) ->
+#: CDLL | message.  ``_bound`` holds their declared entry points.
+_units: dict[tuple[str, bool], ctypes.CDLL | str] = {}
+_bound: dict[tuple[str, str, bool], ctypes._CFuncPtr] = {}
 
 _P_F64 = ctypes.POINTER(ctypes.c_double)
 _P_F32 = ctypes.POINTER(ctypes.c_float)
@@ -256,8 +275,10 @@ _P_U16 = ctypes.POINTER(ctypes.c_uint16)
 
 #: Exported kernel-name suffix per precision profile, mapped to the
 #: (matrix values, vector storage, column indices) pointer types that
-#: profile streams.  Mirrors the macro expansions in ``_kernels.c``:
-#: float16 vectors travel as their raw uint16 bit patterns.
+#: profile streams.  Mirrors the profile blocks of ``_kernels.c`` in
+#: name (suffix without the underscore; ``fp64`` for the empty one) and
+#: in order (``REPRO_PROFILE`` = position + 1): float16 vectors travel
+#: as their raw uint16 bit patterns.
 KERNEL_SUFFIXES = {
     "": (_P_F64, _P_F64, _P_I32),
     "_f32": (_P_F32, _P_F32, _P_I32),
@@ -305,14 +326,48 @@ def _cache_dir() -> Path:
     return Path(tempfile.gettempdir()) / "repro-native"
 
 
-def _find_compiler() -> str | None:
-    for cand in (os.environ.get("CC"), "gcc", "cc"):
+@functools.lru_cache(maxsize=None)
+def _which_compiler(cc_env: str | None) -> str | None:
+    for cand in (cc_env, "gcc", "cc"):
         if cand and shutil.which(cand):
             return cand
     return None
 
 
-def _lib_path() -> Path:
+def _find_compiler() -> str | None:
+    return _which_compiler(os.environ.get("CC"))
+
+
+def buildable_units() -> list[tuple[str, bool]]:
+    """Every (suffix, simd) unit this host's compiler can build."""
+    mask = simd_compiled_mask()
+    return [
+        (suffix, simd)
+        for suffix in KERNEL_SUFFIXES
+        for simd in (False, True)
+        if not simd or mask & (2 if "f16v" in suffix else 1)
+    ]
+
+
+def unit_name(suffix: str, simd: bool) -> str:
+    """``<profile>-<scalar|simd>``, as in the library's file name."""
+    return f"{suffix.lstrip('_') or 'fp64'}-{'simd' if simd else 'scalar'}"
+
+
+def _unit_defines(suffix: str, simd: bool) -> list[str]:
+    return [
+        f"-DREPRO_UNIT_PROFILE={unit_name(suffix, simd).split('-')[0]}",
+        f"-DREPRO_UNIT_SIMD={int(simd)}",
+    ]
+
+
+def _unit_path(suffix: str = "", simd: bool | None = None) -> Path:
+    """Where one unit's library lives in the cache (built or not).
+
+    ``simd=None`` means the default family: ``_simd`` where it exists.
+    """
+    if simd is None:
+        simd = simd_available()
     # Key on the flags too: a flag change alters codegen (and can alter
     # rounding), so it must miss the cache just like a source change.
     # The feature fingerprint keys the host ISA in as well — see
@@ -320,84 +375,192 @@ def _lib_path() -> Path:
     cc = _find_compiler()
     recipe = (
         _SOURCE.read_bytes()
-        + "\0".join(_cflags(cc)).encode()
+        + "\0".join(_cflags(cc) + _unit_defines(suffix, simd)).encode()
         + b"\0" + _feature_fingerprint(cc).encode()
     )
     tag = hashlib.sha256(recipe).hexdigest()[:16]
-    suffix = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
-    return _cache_dir() / f"repro_kernels-{tag}{suffix}"
+    ext = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
+    return _cache_dir() / f"repro_kernels-{unit_name(suffix, simd)}-{tag}{ext}"
 
 
-def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    for suffix, (vp, xp, ip) in KERNEL_SUFFIXES.items():
-        codes = {
-            "n": ctypes.c_int64,
-            "s": ctypes.c_double,
-            "L": _P_I64,
-            "I": ip,
-            "V": vp,
-            "X": xp,
-            "E": _P_F64,
-        }
-        for base, sig in _SIGNATURES.items():
-            fn = getattr(lib, base + suffix)
-            fn.argtypes = [codes[ch] for ch in sig]
-            fn.restype = None
-            # The vectorized twins share the scalar signature; they only
-            # exist when the build host's compiler saw AVX2 (F16C for the
-            # half-precision profiles), so probe instead of assuming.
-            try:
-                simd_fn = getattr(lib, base + suffix + "_simd")
-            except AttributeError:
-                continue
-            simd_fn.argtypes = [codes[ch] for ch in sig]
-            simd_fn.restype = None
-    lib.repro_simd_compiled.argtypes = []
-    lib.repro_simd_compiled.restype = ctypes.c_int32
-    return lib
+def _sweep_dead_builds(cache: Path) -> None:
+    """Remove ``.<name>.<pid>.tmp`` files whose builder no longer runs."""
+    for tmp in cache.glob(".repro_kernels-*.tmp"):
+        try:
+            os.kill(int(tmp.name.split(".")[-2]), 0)
+        except ProcessLookupError:
+            tmp.unlink(missing_ok=True)
+        except (ValueError, PermissionError):
+            pass  # not ours to judge / alive under another user
 
 
-def compile_library(verbose: bool = False) -> Path:
-    """Compile ``_kernels.c`` into the cache and return the .so path.
+def compile_unit(suffix: str = "", simd: bool | None = None) -> Path:
+    """Build one unit into the cache unless it is there; return its path.
 
-    Raises ``RuntimeError`` when no compiler is available or the compile
-    fails; callers wanting the graceful path use :func:`load_library`.
+    Raises :class:`BackendError` when no compiler is available or the
+    compile fails; callers wanting the graceful path use
+    :func:`load_library`.
     """
-    path = _lib_path()
+    if simd is None:
+        simd = simd_available()
+    path = _unit_path(suffix, simd)
     if path.exists():
         return path
     cc = _find_compiler()
     if cc is None:
-        raise RuntimeError("no C compiler found ($CC, gcc, cc)")
+        raise BackendError("no C compiler found ($CC, gcc, cc)")
     path.parent.mkdir(parents=True, exist_ok=True)
-    # build into a temp name, then atomic-rename: concurrent processes
-    # compiling the same hash never observe a half-written library
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    cmd = [cc, *_cflags(cc), "-o", str(tmp), str(_SOURCE), "-lm"]
-    if verbose:
-        print("$ " + " ".join(cmd))
-    timeout = _compile_timeout()
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        tmp.unlink(missing_ok=True)
-        raise RuntimeError(
-            f"native kernel compilation timed out after {timeout:.0f}s ({cc})"
-        ) from None
-    if proc.returncode != 0:
-        tmp.unlink(missing_ok=True)
-        raise RuntimeError(
-            f"native kernel compilation failed ({cc}):\n{proc.stderr.strip()}"
-        )
-    os.replace(tmp, path)
+    # One builder per unit: N cold processes (mp workers, a CI matrix)
+    # otherwise each pay the whole compile.  The lock dies with its
+    # holder's descriptor, so a killed builder blocks nobody.
+    with open(f"{path}.lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        if path.exists():
+            return path
+        _sweep_dead_builds(path.parent)
+        # build into a temp name, then atomic-rename: a reader never
+        # observes a half-written library
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        cmd = [cc, *_cflags(cc), *_unit_defines(suffix, simd),
+               "-o", str(tmp), str(_SOURCE), "-lm"]
+        timeout = _compile_timeout()
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  timeout=timeout)
+        except subprocess.TimeoutExpired:
+            tmp.unlink(missing_ok=True)
+            raise BackendError(
+                f"native kernel compilation timed out after {timeout:.0f}s "
+                f"({cc})"
+            ) from None
+        if proc.returncode != 0:
+            tmp.unlink(missing_ok=True)
+            raise BackendError(
+                f"native kernel compilation failed ({cc}):\n"
+                f"{proc.stderr.strip()}"
+            )
+        os.replace(tmp, path)
     return path
 
 
+def _elf_truncated(path: Path) -> bool:
+    """Whether an ELF file ends before its own section-header table.
+
+    ``dlopen`` maps segments without looking at the file size, and the
+    first touch of a page past the end is SIGBUS, not an exception — so
+    an interrupted copy must be caught before it is opened.  Anything
+    that is not ELF64 is left for ``dlopen`` to refuse.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(64)
+    if head[:5] != b"\x7fELF\x02":
+        return False
+    if len(head) < 64:
+        return True
+    order = ">" if head[5] == 2 else "<"
+    (shoff,) = struct.unpack_from(order + "Q", head, 0x28)
+    shentsize, shnum = struct.unpack_from(order + "HH", head, 0x3A)
+    return path.stat().st_size < shoff + shentsize * shnum
+
+
+def _declare(lib: ctypes.CDLL, suffix: str, simd: bool) -> None:
+    """Check that ``lib`` is this unit, then bind its sixteen kernels."""
+    lib.repro_unit.argtypes = []
+    lib.repro_unit.restype = ctypes.c_int32
+    profile = list(KERNEL_SUFFIXES).index(suffix) + 1
+    want = (_ABI << 8) | (profile << 1) | simd
+    got = lib.repro_unit()
+    if got != want:
+        raise ValueError(f"unit id {got:#x}, expected {want:#x}")
+    vp, xp, ip = KERNEL_SUFFIXES[suffix]
+    codes = {
+        "n": ctypes.c_int64,
+        "s": ctypes.c_double,
+        "L": _P_I64,
+        "I": ip,
+        "V": vp,
+        "X": xp,
+        "E": _P_F64,
+    }
+    bound = {}
+    for base, sig in _SIGNATURES.items():
+        fn = getattr(lib, base + suffix + ("_simd" if simd else ""))
+        fn.argtypes = [codes[ch] for ch in sig]
+        fn.restype = None
+        bound[base, suffix, simd] = fn
+    _bound.update(bound)
+
+
+def _open_unit(suffix: str, simd: bool) -> ctypes.CDLL:
+    """Build if absent, then dlopen, verify and declare one unit.
+
+    A cached file that is truncated, foreign or another unit's under
+    this name is deleted and rebuilt once; never called as found.
+    """
+    for _attempt in range(2):
+        path = compile_unit(suffix, simd)
+        lib = None
+        try:
+            if _elf_truncated(path):
+                raise OSError("file ends before its section headers")
+            lib = ctypes.CDLL(str(path))
+            _declare(lib, suffix, simd)
+            return lib
+        except (OSError, AttributeError, ValueError) as exc:
+            problem = exc
+            if lib is not None:  # or the rebuilt file maps to this handle
+                _ctypes.dlclose(lib._handle)
+            path.unlink(missing_ok=True)
+    raise BackendError(
+        f"native kernel compilation left an unusable {path.name}: {problem}"
+    )
+
+
+def _unit(suffix: str, simd: bool) -> ctypes.CDLL:
+    """The opened unit, memoised — failures too: a unit that cannot be
+    built is not retried (one compile per process, not one per call)."""
+    got = _units.get((suffix, simd))
+    if got is None:
+        try:
+            got = _open_unit(suffix, simd)
+        except BackendError as exc:
+            got = str(exc)
+        except OSError as exc:  # unwritable cache directory and the like
+            got = f"native kernel cache unusable: {exc}"
+        _units[suffix, simd] = got
+    if isinstance(got, str):
+        raise BackendError(got)
+    return got
+
+
+def kernel(base: str, suffix: str, simd: bool) -> ctypes._CFuncPtr:
+    """The bound C entry point ``base + suffix [+ "_simd"]``.
+
+    The one place a unit comes into being: a miss builds (first use on
+    this host), loads and declares the unit that holds the kernel.
+    Raises :class:`BackendError` — with the compiler's diagnostics —
+    when that fails; there is no mid-run fallback for a unit the caller
+    asked for by precision or ``simd=``.
+    """
+    fn = _bound.get((base, suffix, simd))
+    if fn is None:
+        if load_library() is None:
+            raise BackendError(
+                f"native kernel backend unavailable: {_load_error}"
+            )
+        _unit(suffix, simd)
+        fn = _bound[base, suffix, simd]
+    return fn
+
+
 def load_library(force_reload: bool = False) -> ctypes.CDLL | None:
-    """Return the compiled kernel library, or None when unavailable."""
+    """The default unit (fp64; ``_simd`` where the host has it), built
+    and loaded — or None when the native backend is unavailable."""
     global _lib, _load_attempted, _load_error
     if force_reload:
         _lib, _load_attempted, _load_error = None, False, None
+        _units.clear()
+        _bound.clear()
     if _lib is not None:
         return _lib
     if _load_attempted:
@@ -407,8 +570,8 @@ def load_library(force_reload: bool = False) -> ctypes.CDLL | None:
         _load_error = "disabled via REPRO_NATIVE_DISABLE"
         return None
     try:
-        _lib = _declare(ctypes.CDLL(str(compile_library())))
-    except (RuntimeError, OSError) as exc:
+        _lib = _unit("", simd_available())
+    except BackendError as exc:
         _load_error = str(exc)
         if _load_error.startswith("native kernel compilation"):
             # A compiler exists but failed (or timed out): this is worth

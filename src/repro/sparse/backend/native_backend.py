@@ -7,8 +7,9 @@ the matrix stream per iteration with the recurrence update and both
 scalar products computed inside the row loop — the kernel structure of
 paper Figs. 4 and 5.
 
-Precision dispatch: every kernel exists in the typed expansions of
-``_kernels.c`` (see :data:`repro.sparse.backend.native.KERNEL_SUFFIXES`)
+Precision dispatch: every kernel exists in each typed unit of
+``_kernels.c`` (see :data:`repro.sparse.backend.native.KERNEL_SUFFIXES`;
+:func:`repro.sparse.backend.native.kernel` builds a unit on first use)
 and the profile is inferred from the vector operands — complex128,
 complex64 and float16 pair storage map one-to-one onto the fp64 / fp32 /
 fp16v profiles of :mod:`repro.util.precision`.  The matrix side streams
@@ -33,6 +34,7 @@ from repro.sparse.backend.native import (
     _pi64,
     _pidx,
     _pvec,
+    kernel,
     load_library,
     simd_available,
     simd_f16c_available,
@@ -70,27 +72,27 @@ def _kernel_suffix(prec: Precision, indices: np.ndarray) -> str:
     return base
 
 
-def _simd_suffix(simd: str | None, prec: Precision) -> str:
-    """``"_simd"`` when the vectorized kernel family should run.
+def _use_simd(simd: str | None, prec: Precision) -> bool:
+    """Whether the vectorized (``_simd``) kernel family should run.
 
     ``simd`` is the plan's normalized knob (``None`` for plan-less calls
-    ≡ ``"auto"``).  The scalar and ``_simd`` expansions are bitwise
+    ≡ ``"auto"``).  The scalar and ``_simd`` units are bitwise
     identical in fp64 results, so ``"auto"`` simply takes the fast family
-    whenever the build has it; the half-storage profiles additionally
-    need the F16C converters compiled in.  An explicit ``"on"`` on a host
-    without the vectorized build falls back to scalar *cleanly* — same
+    wherever the host builds it; the half-storage profiles additionally
+    need the F16C converters.  An explicit ``"on"`` on a host that
+    cannot build the vectorized units falls back to scalar *cleanly* — same
     numbers, plus a ``backend.native.simd_fallbacks`` health counter so
     the degradation is observable instead of silent.
     """
     if simd == "off":
-        return ""
+        return False
     if simd_f16c_available() if prec.half_vectors else simd_available():
-        return "_simd"
+        return True
     if simd == "on":
         from repro.obs import GLOBAL_METRICS
 
         GLOBAL_METRICS.count("backend.native.simd_fallbacks")
-    return ""
+    return False
 
 
 def _as_kernel_block(name: str, X: np.ndarray, n: int) -> np.ndarray:
@@ -129,16 +131,6 @@ class NativeBackend(KernelBackend):
 
     def available(self) -> bool:
         return load_library() is not None
-
-    def _lib(self):
-        lib = load_library()
-        if lib is None:
-            from repro.sparse.backend.native import native_error
-
-            raise BackendError(
-                f"native kernel backend unavailable: {native_error()}"
-            )
-        return lib
 
     # -- marshalling ---------------------------------------------------
     # The matrix-side pointers are cached on the matrix object (the
@@ -208,7 +200,6 @@ class NativeBackend(KernelBackend):
     def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
              counters: PerfCounters = NULL_COUNTERS,
              metrics: MetricsRegistry = NULL_METRICS):
-        lib = self._lib()
         x = _as_kernel_vector("x", x, A.n_cols)
         prec = precision_of(x)
         shape = prec.vec_shape(A.n_rows)
@@ -219,16 +210,16 @@ class NativeBackend(KernelBackend):
                 f"out must have shape {shape} and dtype {x.dtype}, got "
                 f"{out.shape} / {out.dtype}"
             )
-        vs = _simd_suffix(plan.simd if plan is not None else None, prec)
+        vs = _use_simd(plan.simd if plan is not None else None, prec)
         with metrics.span("spmv", counters=counters):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
-                getattr(lib, "repro_csr_spmv" + suf + vs)(
+                kernel("repro_csr_spmv", suf, vs)(
                     A.n_rows, *args, _pvec(x), _pvec(out)
                 )
             elif isinstance(A, SellMatrix):
                 suf, args = self._sell_args(A, prec)
-                getattr(lib, "repro_sell_spmv" + suf + vs)(
+                kernel("repro_sell_spmv", suf, vs)(
                     A.n_rows, *args, _pvec(x), _pvec(out)
                 )
             else:
@@ -239,7 +230,6 @@ class NativeBackend(KernelBackend):
     def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
               counters: PerfCounters = NULL_COUNTERS,
               metrics: MetricsRegistry = NULL_METRICS):
-        lib = self._lib()
         X = _as_kernel_block("X", X, A.n_cols)
         prec = precision_of(X)
         r = X.shape[1]
@@ -251,16 +241,16 @@ class NativeBackend(KernelBackend):
                 f"out must have shape {shape} and dtype {X.dtype}, got "
                 f"{out.shape} / {out.dtype}"
             )
-        vs = _simd_suffix(plan.simd if plan is not None else None, prec)
+        vs = _use_simd(plan.simd if plan is not None else None, prec)
         with metrics.span("spmmv", counters=counters):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
-                getattr(lib, "repro_csr_spmmv" + suf + vs)(
+                kernel("repro_csr_spmmv", suf, vs)(
                     A.n_rows, r, *args, _pvec(X), _pvec(out)
                 )
             elif isinstance(A, SellMatrix):
                 suf, (nc, c, *rest) = self._sell_args(A, prec)
-                getattr(lib, "repro_sell_spmmv" + suf + vs)(
+                kernel("repro_sell_spmmv", suf, vs)(
                     A.n_rows, nc, c, r, *rest, _pvec(X), _pvec(out)
                 )
             else:
@@ -308,7 +298,6 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        lib = self._lib()
         v = _as_kernel_vector("v", v, A.n_cols)
         w = _as_kernel_vector("w", w, A.n_rows)
         _check_same_storage(v, w)
@@ -319,7 +308,7 @@ class NativeBackend(KernelBackend):
             ee = np.empty(1, dtype=np.float64)
             eo = np.empty(1, dtype=DTYPE)
         threads = plan.threads if plan is not None else None
-        vs = _simd_suffix(plan.simd if plan is not None else None, prec)
+        vs = _use_simd(plan.simd if plan is not None else None, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmv", counters=counters, **meta):
             if isinstance(A, CSRMatrix):
@@ -328,25 +317,25 @@ class NativeBackend(KernelBackend):
                     # an (n,) interleaved complex vector is memory-
                     # identical to an (n, 1) row-major block, so the
                     # threaded path reuses the blocked mt kernel at r=1
-                    getattr(lib, "repro_csr_aug_spmmv_mt" + suf + vs)(
+                    kernel("repro_csr_aug_spmmv_mt", suf, vs)(
                         A.n_rows, 1, threads, *args, _pvec(v), _pvec(w),
                         a, b, _pc(ee), _pc(eo),
                     )
                 else:
-                    getattr(lib, "repro_csr_aug_spmv" + suf + vs)(
+                    kernel("repro_csr_aug_spmv", suf, vs)(
                         A.n_rows, *args, _pvec(v), _pvec(w), a, b,
                         _pc(ee), _pc(eo),
                     )
             elif isinstance(A, SellMatrix):
                 if threads is not None:
                     suf, (nc, c, *rest) = self._sell_args(A, prec)
-                    getattr(lib, "repro_sell_aug_spmmv_mt" + suf + vs)(
+                    kernel("repro_sell_aug_spmmv_mt", suf, vs)(
                         A.n_rows, nc, c, 1, threads, *rest,
                         _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
                     )
                 else:
                     suf, args = self._sell_args(A, prec)
-                    getattr(lib, "repro_sell_aug_spmv" + suf + vs)(
+                    kernel("repro_sell_aug_spmv", suf, vs)(
                         A.n_rows, *args, _pvec(v), _pvec(w), a, b,
                         _pc(ee), _pc(eo),
                     )
@@ -360,7 +349,6 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        lib = self._lib()
         V = _as_kernel_block("V", V, A.n_cols)
         W = _as_kernel_block("W", W, A.n_rows)
         _check_same_storage(V, W)
@@ -376,30 +364,30 @@ class NativeBackend(KernelBackend):
             ee = np.empty(r, dtype=np.float64)
             eo = np.empty(r, dtype=DTYPE)
         threads = plan.threads if plan is not None else None
-        vs = _simd_suffix(plan.simd if plan is not None else None, prec)
+        vs = _use_simd(plan.simd if plan is not None else None, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmmv", counters=counters, **meta):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
                 if threads is not None:
-                    getattr(lib, "repro_csr_aug_spmmv_mt" + suf + vs)(
+                    kernel("repro_csr_aug_spmmv_mt", suf, vs)(
                         A.n_rows, r, threads, *args, _pvec(V), _pvec(W),
                         a, b, _pc(ee), _pc(eo),
                     )
                 else:
-                    getattr(lib, "repro_csr_aug_spmmv" + suf + vs)(
+                    kernel("repro_csr_aug_spmmv", suf, vs)(
                         A.n_rows, r, *args, _pvec(V), _pvec(W), a, b,
                         _pc(ee), _pc(eo),
                     )
             elif isinstance(A, SellMatrix):
                 suf, (nc, c, *rest) = self._sell_args(A, prec)
                 if threads is not None:
-                    getattr(lib, "repro_sell_aug_spmmv_mt" + suf + vs)(
+                    kernel("repro_sell_aug_spmmv_mt", suf, vs)(
                         A.n_rows, nc, c, r, threads, *rest,
                         _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
                     )
                 else:
-                    getattr(lib, "repro_sell_aug_spmmv" + suf + vs)(
+                    kernel("repro_sell_aug_spmmv", suf, vs)(
                         A.n_rows, nc, c, r, *rest, _pvec(V), _pvec(W), a, b,
                         _pc(ee), _pc(eo),
                     )
@@ -429,7 +417,6 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        lib = self._lib()
         self._require_csr(A)
         v = _as_kernel_vector("v", v, A.n_cols)
         w = _as_kernel_vector("w", w, A.n_rows)
@@ -437,17 +424,17 @@ class NativeBackend(KernelBackend):
         prec = precision_of(v)
         ee, eo = plan.ee_interior[:1], plan.eo_interior[:1]
         threads = plan.threads
-        vs = _simd_suffix(plan.simd, prec)
+        vs = _use_simd(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmv_int", counters=counters, **meta):
             suf, args = self._csr_args(A, prec)
             if threads is not None:
-                getattr(lib, "repro_csr_aug_spmmv_range_mt" + suf + vs)(
+                kernel("repro_csr_aug_spmmv_range_mt", suf, vs)(
                     plan.row0, plan.row1, 1, threads, *args,
                     _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
                 )
             else:
-                getattr(lib, "repro_csr_aug_spmv_range" + suf + vs)(
+                kernel("repro_csr_aug_spmv_range", suf, vs)(
                     plan.row0, plan.row1, *args, _pvec(v), _pvec(w),
                     a, b, _pc(ee), _pc(eo),
                 )
@@ -462,7 +449,6 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        lib = self._lib()
         self._require_csr(A)
         v = _as_kernel_vector("v", v, A.n_cols)
         w = _as_kernel_vector("w", w, A.n_rows)
@@ -470,17 +456,17 @@ class NativeBackend(KernelBackend):
         prec = precision_of(v)
         ee, eo = plan.ee_boundary[:1], plan.eo_boundary[:1]
         threads = plan.threads
-        vs = _simd_suffix(plan.simd, prec)
+        vs = _use_simd(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmv_bnd", counters=counters, **meta):
             suf, args = self._csr_args(A, prec)
             if threads is not None:
-                getattr(lib, "repro_csr_aug_spmmv_rows_mt" + suf + vs)(
+                kernel("repro_csr_aug_spmmv_rows_mt", suf, vs)(
                     plan.n_boundary, _pi64(plan.rows), 1, threads, *args,
                     _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
                 )
             else:
-                getattr(lib, "repro_csr_aug_spmv_rows" + suf + vs)(
+                kernel("repro_csr_aug_spmv_rows", suf, vs)(
                     plan.n_boundary, _pi64(plan.rows), *args,
                     _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
                 )
@@ -495,7 +481,6 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        lib = self._lib()
         self._require_csr(A)
         V = _as_kernel_block("V", V, A.n_cols)
         W = _as_kernel_block("W", W, A.n_rows)
@@ -504,17 +489,17 @@ class NativeBackend(KernelBackend):
         r = V.shape[1]
         ee, eo = plan.ee_interior, plan.eo_interior
         threads = plan.threads
-        vs = _simd_suffix(plan.simd, prec)
+        vs = _use_simd(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmmv_int", counters=counters, **meta):
             suf, args = self._csr_args(A, prec)
             if threads is not None:
-                getattr(lib, "repro_csr_aug_spmmv_range_mt" + suf + vs)(
+                kernel("repro_csr_aug_spmmv_range_mt", suf, vs)(
                     plan.row0, plan.row1, r, threads, *args,
                     _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
                 )
             else:
-                getattr(lib, "repro_csr_aug_spmmv_range" + suf + vs)(
+                kernel("repro_csr_aug_spmmv_range", suf, vs)(
                     plan.row0, plan.row1, r, *args, _pvec(V), _pvec(W),
                     a, b, _pc(ee), _pc(eo),
                 )
@@ -529,7 +514,6 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        lib = self._lib()
         self._require_csr(A)
         V = _as_kernel_block("V", V, A.n_cols)
         W = _as_kernel_block("W", W, A.n_rows)
@@ -538,17 +522,17 @@ class NativeBackend(KernelBackend):
         r = V.shape[1]
         ee, eo = plan.ee_boundary, plan.eo_boundary
         threads = plan.threads
-        vs = _simd_suffix(plan.simd, prec)
+        vs = _use_simd(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
         with metrics.span("aug_spmmv_bnd", counters=counters, **meta):
             suf, args = self._csr_args(A, prec)
             if threads is not None:
-                getattr(lib, "repro_csr_aug_spmmv_rows_mt" + suf + vs)(
+                kernel("repro_csr_aug_spmmv_rows_mt", suf, vs)(
                     plan.n_boundary, _pi64(plan.rows), r, threads, *args,
                     _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
                 )
             else:
-                getattr(lib, "repro_csr_aug_spmmv_rows" + suf + vs)(
+                kernel("repro_csr_aug_spmmv_rows", suf, vs)(
                     plan.n_boundary, _pi64(plan.rows), r, *args,
                     _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
                 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -37,6 +38,46 @@ def pinned_backend_selection():
         else:
             os.environ[key] = val
     load_library(force_reload=True)
+
+
+@pytest.fixture(scope="session")
+def session_kernel_cache(pinned_backend_selection):
+    """The kernel cache this session builds its units into."""
+    from repro.sparse.backend.native import _cache_dir
+
+    return _cache_dir()
+
+
+@pytest.fixture
+def cc_wrapper(tmp_path, session_kernel_cache):
+    """A ``$CC`` that runs a shell snippet before every *unit* build.
+
+    Probe compiles pass straight through to the real compiler; ``$out``
+    is the build's ``-o`` target.  ``cached=True`` then serves the unit
+    from the session's cache when it is there (same source, flags and
+    host: same tag) — for tests of the machinery around a build that
+    have no use for another real gcc run.
+    """
+    from repro.sparse.backend import native
+
+    real = shutil.which(native._find_compiler())
+    serve = ('n=$(basename "$out"); n=${n#.}; '
+             f'cp {session_kernel_cache}/${{n%.*.tmp}} "$out" 2>/dev/null && exit')
+
+    def make(snippet: str = ":", cached: bool = False) -> str:
+        script = tmp_path / "cc-wrapper"
+        script.write_text(
+            "#!/bin/sh\n"
+            'case "$*" in *REPRO_UNIT_PROFILE*)\n'
+            '  prev=; for a; do [ "$prev" = -o ] && out=$a; prev=$a; done\n'
+            f"  {snippet}\n"
+            f"  {serve if cached else ':'}\n"
+            ";; esac\n"
+            f'exec {real} "$@"\n')
+        script.chmod(0o755)
+        return str(script)
+
+    return make
 
 
 @pytest.fixture

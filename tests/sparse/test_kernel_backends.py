@@ -279,6 +279,74 @@ class TestFallback:
         assert after == before + 1
 
 
+@needs_native
+class TestDamagedCache:
+    """A cached library is verified before it is called, never trusted.
+
+    Each case plants a bad file under the default unit's name in an
+    otherwise empty cache: the loader must replace it by a good build
+    and return the bits it always returns.  (The "compiler" here serves
+    the session's good build: what is under test is the detection and
+    the rebuild, not gcc.)
+    """
+
+    @pytest.mark.parametrize("damage", ["zero-byte", "truncated", "wrong-unit"])
+    def test_bad_file_is_rebuilt(self, monkeypatch, tmp_path, cc_wrapper,
+                                 ti_small, damage):
+        from repro.core.moments import compute_eta
+        from repro.core.stochastic import make_block_vector
+        from repro.sparse.backend import native
+
+        m, _ = ti_small
+        scale = SpectralScale.from_bounds(*m.gershgorin_bounds())
+        block = make_block_vector(m.n_rows, 3, seed=5)
+        want = compute_eta(m, scale, 8, block, backend="native")
+        good = native._unit_path()
+        other = native.compile_unit("", not native.simd_available())
+        assert good.exists() and other != good
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+        monkeypatch.setenv("CC", cc_wrapper(cached=True))
+        planted = native._unit_path()
+        assert planted.name == good.name and planted.parent == cache
+        planted.write_bytes({
+            "zero-byte": b"",
+            # a half file still has a valid ELF header: dlopen would map
+            # it and die of SIGBUS on the first page past its end
+            "truncated": good.read_bytes()[: good.stat().st_size // 2],
+            "wrong-unit": other.read_bytes(),
+        }[damage])
+        try:
+            assert load_library(force_reload=True) is not None
+            got = compute_eta(m, scale, 8, block, backend="native")
+            assert planted.read_bytes() == good.read_bytes()
+            assert len(list(cache.glob("repro_kernels-*.so"))) == 1
+        finally:
+            monkeypatch.undo()
+            load_library(force_reload=True)
+        np.testing.assert_array_equal(got, want)
+
+    def test_unfixable_file_is_a_typed_error(self, monkeypatch, tmp_path,
+                                             cc_wrapper):
+        """Still bad after one rebuild: BackendError, not a crash or a call."""
+        log = tmp_path / "cc.log"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
+        monkeypatch.setenv("CC", cc_wrapper(
+            f'echo junk > "$out"; echo x >> {log}; exit'))
+        try:
+            with pytest.warns(RuntimeWarning, match="unusable"):
+                assert load_library(force_reload=True) is None
+            with pytest.raises(BackendError, match="unusable"):
+                get_backend("native")
+            assert log.read_text().split() == ["x", "x"]  # one rebuild
+            assert not list((tmp_path / "cache").glob("repro_kernels-*.so"))
+        finally:
+            monkeypatch.undo()
+            load_library(force_reload=True)
+
+
 @pytest.mark.parametrize("backend", ["numpy", "auto"])
 class TestNoPerIterationAllocation:
     """The workspace plans make the steady-state iteration allocation-free.

@@ -1,15 +1,17 @@
 #!/usr/bin/env python
 """Smoke-check the native kernel backend on this host.
 
-Compiles the C kernels if needed, verifies numpy/native parity on a
-small topological-insulator matrix in both sparse formats, and times
-the blocked SELL kernel against the NumPy path.  Intended as the
-first thing to run on a new machine (or in CI with a ``slow`` pytest
-marker) before trusting ``backend='auto'`` for production runs.
+Builds the default kernel unit if needed (``--all``: every unit this
+host can build — an image pre-build, or a CI leg warming its cache
+before pytest), verifies numpy/native parity on a small
+topological-insulator matrix in both sparse formats, and times the
+blocked SELL kernel against the NumPy path.  Intended as the first
+thing to run on a new machine (or in CI with a ``slow`` pytest marker)
+before trusting ``backend='auto'`` for production runs.
 
 Usage::
 
-    PYTHONPATH=src python tools/check_native.py
+    PYTHONPATH=src python tools/check_native.py [--all]
 
 Exit status 0 means the native backend is healthy (or cleanly absent
 with ``--allow-missing``); 1 means compilation or parity failed.
@@ -24,9 +26,20 @@ import time
 import numpy as np
 
 
+#: A first run pays the default unit's build before its first number;
+#: cli_cold/setup_s is that budget end to end (DESIGN section 12).
+DEFAULT_UNIT_BUDGET_S = 3.0
+
+
 def _fail(msg: str) -> int:
     print(f"FAIL: {msg}")
     return 1
+
+
+def _report(unit: str, so, seconds: float, cold: bool) -> None:
+    print(f"unit {unit:>15}: {seconds:5.2f}s "
+          f"{'cold build' if cold else 'cache hit '} "
+          f"{so.stat().st_size / 1024:4.0f} KiB")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,6 +48,10 @@ def main(argv: list[str] | None = None) -> int:
         "--allow-missing", action="store_true",
         help="exit 0 when no C compiler is available (auto falls back "
              "to numpy; useful for optional CI jobs)",
+    )
+    parser.add_argument(
+        "--all", action="store_true",
+        help="build every unit this host can build, not only the default",
     )
     parser.add_argument("--nx", type=int, default=24,
                         help="timing-matrix extent (nx = ny)")
@@ -48,13 +65,21 @@ def main(argv: list[str] | None = None) -> int:
     from repro.sparse import SellMatrix
     from repro.sparse.backend import get_backend
     from repro.sparse.backend.native import (
-        _lib_path,
+        _unit_path,
+        buildable_units,
+        compile_unit,
         native_available,
         native_error,
+        simd_available,
+        unit_name,
     )
 
     # 1. compilation ----------------------------------------------------
-    so = _lib_path()
+    # the default unit's cold build is an end-to-end cost (what a first
+    # run waits for: cli_cold/setup_s), so it has a budget; the other
+    # units are built on first use of their profile, or here with --all
+    default = ("", simd_available())
+    so = _unit_path(*default)
     cold = not so.exists()
     t0 = time.perf_counter()
     if not native_available():
@@ -64,11 +89,18 @@ def main(argv: list[str] | None = None) -> int:
                   "is in effect — OK (--allow-missing)")
             return 0
         return _fail(f"native backend unavailable: {reason}")
-    # the cold build is an end-to-end cost (cli_cold/setup_s): say which
-    # of the two this was, next to the speedup the build buys below
-    print(f"compile/load: ok ({time.perf_counter() - t0:.1f}s, "
-          f"{'cold build' if cold else 'cache hit'}, "
-          f".so {so.stat().st_size / 1024:.0f} KiB)")
+    dt = time.perf_counter() - t0
+    _report(unit_name(*default), so, dt, cold)
+    if cold and dt > DEFAULT_UNIT_BUDGET_S:
+        return _fail(f"the default unit took {dt:.1f}s to build and load "
+                     f"(budget {DEFAULT_UNIT_BUDGET_S:.0f}s)")
+    for unit in buildable_units() if args.all else ():
+        if unit != default:
+            so = _unit_path(*unit)
+            cold = not so.exists()
+            t0 = time.perf_counter()
+            compile_unit(*unit)
+            _report(unit_name(*unit), so, time.perf_counter() - t0, cold)
 
     numpy_bk = get_backend("numpy")
     native_bk = get_backend("native")
