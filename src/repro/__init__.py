@@ -27,32 +27,32 @@ Subpackages
                    cache simulator (Omega, Eq. (8)).
 ``repro.hw``       functional Kepler-GPU simulator executing the Fig. 6
                    kernel with transaction counting.
-``repro.dist``     simulated-MPI distributed KPM, weighted heterogeneous
-                   partitioning, halo exchange, network model, and the
-                   cluster scaling model (Fig. 12, Table III).
+``repro.dist``     simulated-MPI and multiprocess distributed KPM, weighted
+                   heterogeneous partitioning, halo exchange, network
+                   model, and the cluster scaling model (Fig. 12,
+                   Table III).
+``repro.resil``    fault-tolerant execution: retry policy, fault injection,
+                   the supervisor (checkpoint-resume, engine degradation).
+``repro.serve``    the coalescing multi-tenant KPM server: content-addressed
+                   requests, moment/spectra caches, batched block solves.
+``repro.obs``      runtime observability: metrics registry, spans, JSONL
+                   traces.
+
+Every name here and in the subpackages resolves on first use
+(:mod:`repro._lazy`): ``import repro`` loads nothing, and a run imports
+the modules it calls.
 """
 
-from repro.core.solver import KPMSolver, DOSResult, LDOSResult
-from repro.core.moments import MomentEngine
-from repro.physics.hamiltonian import (
-    TopologicalInsulatorModel,
-    build_topological_insulator,
-)
-from repro.physics.lattice import Lattice3D
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.sell import SellMatrix
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "KPMSolver",
-    "DOSResult",
-    "LDOSResult",
-    "MomentEngine",
-    "TopologicalInsulatorModel",
-    "build_topological_insulator",
-    "Lattice3D",
-    "CSRMatrix",
-    "SellMatrix",
-    "__version__",
-]
+__all__ = [*lazy_exports(__name__, {
+    "core.solver": ("KPMSolver", "DOSResult", "LDOSResult"),
+    "core.moments": ("MomentEngine",),
+    "physics.hamiltonian": ("TopologicalInsulatorModel",
+                            "build_topological_insulator"),
+    "physics.lattice": ("Lattice3D",),
+    "sparse.csr": ("CSRMatrix",),
+    "sparse.sell": ("SellMatrix",),
+}), "__version__"]

@@ -26,11 +26,12 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_matrix(args):
-    from repro.physics import build_topological_insulator
-    from repro.sparse.io import read_matrix_market
-
     if args.mtx:
+        from repro.sparse.io import read_matrix_market
+
         return read_matrix_market(args.mtx)
+    from repro.physics import build_topological_insulator
+
     ny = args.ny or args.nx
     h, _ = build_topological_insulator(args.nx, ny, args.nz)
     return h
@@ -56,7 +57,7 @@ def cmd_dos(args) -> int:
 
     from repro.core.reconstruct import integrate_density
     from repro.core.solver import KPMSolver
-    from repro.obs import NULL_METRICS, MetricsRegistry, Trace
+    from repro.obs import NULL_METRICS, MetricsRegistry
     from repro.sparse.backend import get_backend
     from repro.util.counters import NULL_COUNTERS, PerfCounters
     from repro.util.errors import BackendError
@@ -124,7 +125,11 @@ def cmd_dos(args) -> int:
     # the Table-I traffic accounting, a registry for per-kernel spans,
     # and (with --trace) one JSONL record per span.
     observe = args.metrics or args.trace
-    trace = Trace(args.trace) if args.trace else None
+    trace = None
+    if args.trace:
+        from repro.obs import Trace
+
+        trace = Trace(args.trace)
     counters = PerfCounters() if observe else NULL_COUNTERS
     metrics = MetricsRegistry(trace=trace) if observe else NULL_METRICS
     # --retries / --fault-plan / --checkpoint-every turn on the
@@ -197,7 +202,7 @@ def cmd_dos(args) -> int:
               f"vectors {np.dtype(prec.vector_dtype).name}"
               f"{' pairs' if prec.half_vectors else ''}, fp64 dot accumulation)")
     if distributed:
-        from repro.dist.overlap import resolve_overlap
+        from repro.util.knobs import resolve_overlap
 
         mode = "on" if resolve_overlap(args.overlap, args.workers) else "off"
         print(f"distributed engine: {args.engine} ({args.workers} workers, "
@@ -521,9 +526,11 @@ def cmd_scaling(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.dist.overlap import OVERLAP_CHOICES
-    from repro.sparse.backend import BACKEND_CHOICES
-    from repro.util.precision import PRECISION_CHOICES
+    from repro.util.knobs import (
+        BACKEND_CHOICES,
+        OVERLAP_CHOICES,
+        PRECISION_CHOICES,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",

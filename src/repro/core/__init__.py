@@ -15,65 +15,24 @@ Layers (bottom-up):
 * :mod:`repro.core.solver` — the user-facing :class:`KPMSolver`.
 """
 
-from repro.core.scaling import SpectralScale, gershgorin_scale, lanczos_bounds, lanczos_scale
-from repro.core.damping import jackson_kernel, lorentz_kernel, dirichlet_kernel, get_kernel
-from repro.core.moments import (
-    MomentEngine,
-    compute_eta,
-    eta_to_moments,
-    compute_dos_moments,
-)
-from repro.core.stochastic import make_block_vector, trace_from_moments
-from repro.core.reconstruct import (
-    reconstruct_chebyshev,
-    reconstruct_dos,
-    chebyshev_grid,
-)
-from repro.core.solver import KPMSolver, DOSResult, LDOSResult, SpectralFunctionResult
-from repro.core.adaptive import (
-    adaptive_trace_moments,
-    moments_for_resolution,
-    resolution_for_moments,
-)
-from repro.core.greens import greens_function, greens_function_energy, dos_from_greens
-from repro.core.evolution import evolve, autocorrelation, chebyshev_expansion_order
-from repro.core.filters import apply_filter, filtered_subspace, window_coefficients
-from repro.core.checkpoint import KpmCheckpoint, checkpointed_eta
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpectralScale",
-    "gershgorin_scale",
-    "lanczos_bounds",
-    "lanczos_scale",
-    "jackson_kernel",
-    "lorentz_kernel",
-    "dirichlet_kernel",
-    "get_kernel",
-    "MomentEngine",
-    "compute_eta",
-    "eta_to_moments",
-    "compute_dos_moments",
-    "make_block_vector",
-    "trace_from_moments",
-    "reconstruct_chebyshev",
-    "reconstruct_dos",
-    "chebyshev_grid",
-    "KPMSolver",
-    "DOSResult",
-    "LDOSResult",
-    "SpectralFunctionResult",
-    "adaptive_trace_moments",
-    "moments_for_resolution",
-    "resolution_for_moments",
-    "greens_function",
-    "greens_function_energy",
-    "dos_from_greens",
-    "evolve",
-    "autocorrelation",
-    "chebyshev_expansion_order",
-    "apply_filter",
-    "filtered_subspace",
-    "window_coefficients",
-    "KpmCheckpoint",
-    "checkpointed_eta",
-]
+__all__ = lazy_exports(__name__, {
+    "scaling": ("SpectralScale", "gershgorin_scale", "lanczos_bounds",
+                "lanczos_scale"),
+    "damping": ("jackson_kernel", "lorentz_kernel", "dirichlet_kernel",
+                "get_kernel"),
+    "moments": ("MomentEngine", "compute_eta", "eta_to_moments",
+                "compute_dos_moments"),
+    "stochastic": ("make_block_vector", "trace_from_moments"),
+    "reconstruct": ("reconstruct_chebyshev", "reconstruct_dos",
+                    "chebyshev_grid"),
+    "solver": ("KPMSolver", "DOSResult", "LDOSResult",
+               "SpectralFunctionResult"),
+    "adaptive": ("adaptive_trace_moments", "moments_for_resolution",
+                 "resolution_for_moments"),
+    "greens": ("greens_function", "greens_function_energy", "dos_from_greens"),
+    "evolution": ("evolve", "autocorrelation", "chebyshev_expansion_order"),
+    "filters": ("apply_filter", "filtered_subspace", "window_coefficients"),
+    "checkpoint": ("KpmCheckpoint", "checkpointed_eta"),
+})

@@ -17,7 +17,6 @@ tau: |J_m(tau)| collapses super-exponentially once m > tau, so
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import jv
 
 from repro.core.recurrence import chebyshev_series
 from repro.core.scaling import SpectralScale
@@ -76,6 +75,8 @@ def evolve(
     if order is None:
         order = chebyshev_expansion_order(tau)
     check_positive("order", order)
+
+    from scipy.special import jv  # the one Bessel call: not a CLI start-up cost
 
     # weights c_0, 2 c_m (-i sgn)^m; the phase cycles exactly through
     # {1, -i, -1, i} (a complex power would round it)

@@ -13,8 +13,9 @@ inexpensive step, independent of the KPM iteration" of paper Section II.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.fft import dct
 
 from repro.core.damping import get_kernel
 from repro.core.scaling import SpectralScale
@@ -70,6 +71,28 @@ def reconstruct_chebyshev(
     return series / (np.pi * np.sqrt(1.0 - x**2))
 
 
+@functools.lru_cache(maxsize=16)
+def _dct3_twiddle(n: int) -> np.ndarray:
+    """``2n exp(i pi m / 2n)``, m < n: turns a DCT-III into an inverse FFT."""
+    twiddle = 2 * n * np.exp(0.5j * np.pi * np.arange(n) / n)
+    twiddle.setflags(write=False)  # one array is handed to every caller
+    return twiddle
+
+
+def dct3(coeff: np.ndarray) -> np.ndarray:
+    """Type-III DCT of the last axis (SciPy's unnormalised convention).
+
+    ``y_k = c_0 + 2 sum_{m>=1} c_m cos(pi m (k + 1/2) / n)``.  With
+    ``z_m = c_m exp(i pi m / 2n)`` this is ``c_0 + 2 Re sum_{m>=1} z_m
+    exp(2 pi i m k / 2n)``: the first n outputs of a length-2n inverse
+    real FFT of ``2n z`` (the half-spectrum padded with a zero Nyquist
+    term; the imaginary part of ``z_0`` is none).  NumPy only — a native
+    ``dos`` run imports no SciPy.
+    """
+    n = coeff.shape[-1]
+    return np.fft.irfft(coeff * _dct3_twiddle(n), n=2 * n)[..., :n]
+
+
 def reconstruct_chebyshev_dct(
     moments: np.ndarray,
     n_points: int,
@@ -93,9 +116,9 @@ def reconstruct_chebyshev_dct(
     damped = moments * g
     coeff = np.zeros(moments.shape[:-1] + (n_points,))
     coeff[..., :m_count] = damped.real
-    # scipy dct type 3 computes y_k = x_0 + 2 sum_{m>=1} x_m cos(m theta_k)
-    # with theta_k = pi (k + 1/2) / K — exactly g_0 mu_0 + 2 sum g_m mu_m T_m.
-    series = dct(coeff, type=3, axis=-1)
+    # DCT-III computes y_k = x_0 + 2 sum_{m>=1} x_m cos(m theta_k) with
+    # theta_k = pi (k + 1/2) / K — exactly g_0 mu_0 + 2 sum g_m mu_m T_m.
+    series = dct3(coeff)
     x_desc = np.cos(np.pi * (np.arange(n_points) + 0.5) / n_points)
     density_desc = series / (np.pi * np.sqrt(1.0 - x_desc**2))
     return x_desc[::-1].copy(), density_desc[..., ::-1].copy()

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.sparse.backend import KernelBackend, get_backend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmv
 from repro.util.constants import DTYPE
 from repro.util.errors import ConvergenceError
 from repro.util.rng import make_rng
@@ -88,6 +88,7 @@ def lanczos_bounds(
     seed: int | None | np.random.Generator = None,
     *,
     margin: float = 0.05,
+    backend: KernelBackend | str = "auto",
 ) -> tuple[float, float]:
     """Extremal-eigenvalue estimates from a plain Lanczos sweep.
 
@@ -95,8 +96,14 @@ def lanczos_bounds(
     the extreme Ritz values, stretched outward by ``margin`` times the
     spectral width (Ritz values approach the true extremes from inside, so
     an outward safety factor is required before use in KPM).
+
+    ``backend`` supplies the sweep's ``spmv`` (``KPMSolver`` passes its
+    own, so the scale and the solve share one).  The choice never
+    changes the bounds: every backend's fp64 ``spmv`` sums a row's
+    products in storage order, bitwise alike (tested).
     """
     check_positive("n_iter", n_iter)
+    spmv = get_backend(backend).spmv
     n = H.n_rows
     rng = make_rng(seed)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -137,7 +144,9 @@ def lanczos_scale(
     n_iter: int = 50,
     epsilon: float = 0.01,
     seed: int | None | np.random.Generator = None,
+    *,
+    backend: KernelBackend | str = "auto",
 ) -> SpectralScale:
     """Spectral map from Lanczos bounds (tighter window than Gershgorin)."""
-    emin, emax = lanczos_bounds(H, n_iter=n_iter, seed=seed)
+    emin, emax = lanczos_bounds(H, n_iter=n_iter, seed=seed, backend=backend)
     return SpectralScale.from_bounds(emin, emax, epsilon)

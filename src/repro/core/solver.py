@@ -28,10 +28,11 @@ from repro.core.stochastic import ldos_moments, make_block_vector, unit_block_ve
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.physics.hamiltonian import plane_wave_vector
 from repro.physics.lattice import Lattice3D
-from repro.sparse.backend import KernelBackend
+from repro.sparse.backend import KernelBackend, resolve_simd
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
+from repro.util.knobs import resolve_overlap
 from repro.util.precision import Precision, get_precision
 from repro.util.validation import check_positive
 
@@ -274,8 +275,6 @@ class KPMSolver:
         self.weights = list(weights) if weights is not None else None
         # validate eagerly: a typo'd overlap= fails at construction, not
         # deep inside a worker process
-        from repro.dist.overlap import resolve_overlap
-
         resolve_overlap(overlap, self.workers)
         self.overlap = overlap
         if threads is not None and threads != "auto":
@@ -284,14 +283,15 @@ class KPMSolver:
         self.threads = threads
         # validate eagerly, like overlap/rebalance: a typo'd simd= fails
         # at construction, not deep inside an engine or worker process
-        from repro.sparse.backend import resolve_simd
-
         self.simd = None if simd is None else resolve_simd(simd)
         self.resilience = resilience
         # validate eagerly, like overlap: a typo'd rebalance= fails here
-        from repro.dist.elastic import resolve_rebalance
+        # (the elastic layer is imported only for a solve that names it)
+        self.rebalance = None
+        if rebalance is not None:
+            from repro.dist.elastic import resolve_rebalance
 
-        self.rebalance = resolve_rebalance(rebalance)
+            self.rebalance = resolve_rebalance(rebalance)
         self.membership = membership
         if self.rebalance is not None and dist_engine is None \
                 and resilience is None:
@@ -315,7 +315,7 @@ class KPMSolver:
                 raise ValueError("gershgorin bounds require a CSRMatrix")
             self.scale = gershgorin_scale(H)
         elif bounds == "lanczos":
-            self.scale = lanczos_scale(H, seed=seed)
+            self.scale = lanczos_scale(H, seed=seed, backend=backend)
         else:
             raise ValueError(
                 f"bounds must be 'lanczos' or 'gershgorin', got {bounds!r}"

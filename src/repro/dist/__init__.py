@@ -15,71 +15,22 @@ cluster scaling model (:mod:`repro.dist.scaling_model`) that regenerate
 paper Fig. 12 and Table III.
 """
 
-from repro.dist.comm import SimWorld, MessageLog, MessageRecord
-from repro.dist.partition import RowPartition, weights_from_performance
-from repro.dist.halo import CommPattern, DistributedMatrix, partition_matrix
-from repro.dist.kpm_parallel import distributed_eta, distributed_dos_moments
-from repro.dist.network import NetworkModel, CRAY_ARIES
-from repro.dist.autotune import autotune_weights, throughput_timer, AutotuneResult
-from repro.dist.elastic import (
-    RebalancePolicy,
-    RebalanceMonitor,
-    MembershipPlan,
-    MembershipEvent,
-    ElasticReport,
-    elastic_eta,
-    resolve_rebalance,
-)
-from repro.dist.tune import (
-    TuneConfig,
-    TuneSpace,
-    TuneResult,
-    tune,
-    lookup,
-    save_profile,
-)
-from repro.dist.overlap import split_for_overlap, two_phase_spmmv, OverlapSplit
-from repro.dist.scaling_model import (
-    ClusterModel,
-    WeakScalingCase,
-    square_weak_scaling_domains,
-    bar_weak_scaling_domains,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimWorld",
-    "MessageLog",
-    "MessageRecord",
-    "RowPartition",
-    "weights_from_performance",
-    "CommPattern",
-    "DistributedMatrix",
-    "partition_matrix",
-    "distributed_eta",
-    "distributed_dos_moments",
-    "NetworkModel",
-    "CRAY_ARIES",
-    "ClusterModel",
-    "WeakScalingCase",
-    "square_weak_scaling_domains",
-    "bar_weak_scaling_domains",
-    "autotune_weights",
-    "throughput_timer",
-    "AutotuneResult",
-    "RebalancePolicy",
-    "RebalanceMonitor",
-    "MembershipPlan",
-    "MembershipEvent",
-    "ElasticReport",
-    "elastic_eta",
-    "resolve_rebalance",
-    "TuneConfig",
-    "TuneSpace",
-    "TuneResult",
-    "tune",
-    "lookup",
-    "save_profile",
-    "split_for_overlap",
-    "two_phase_spmmv",
-    "OverlapSplit",
-]
+__all__ = lazy_exports(__name__, {
+    "comm": ("SimWorld", "MessageLog", "MessageRecord"),
+    "partition": ("RowPartition", "weights_from_performance"),
+    "halo": ("CommPattern", "DistributedMatrix", "partition_matrix"),
+    "kpm_parallel": ("distributed_eta", "distributed_dos_moments"),
+    "network": ("NetworkModel", "CRAY_ARIES"),
+    "autotune": ("autotune_weights", "throughput_timer", "AutotuneResult"),
+    "elastic": ("RebalancePolicy", "RebalanceMonitor", "MembershipPlan",
+                "MembershipEvent", "ElasticReport", "elastic_eta",
+                "resolve_rebalance"),
+    "tune": ("TuneConfig", "TuneSpace", "TuneResult", "tune", "lookup",
+             "save_profile"),
+    "overlap": ("split_for_overlap", "two_phase_spmmv", "OverlapSplit"),
+    "scaling_model": ("ClusterModel", "WeakScalingCase",
+                      "square_weak_scaling_domains",
+                      "bar_weak_scaling_domains"),
+})

@@ -36,6 +36,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.spmv import spmmv
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
+from repro.util.knobs import OVERLAP_CHOICES, resolve_overlap  # noqa: F401  (re-exported)
 
 
 @dataclass
@@ -191,29 +192,6 @@ def task_split(block: RankBlock) -> TaskSplit:
         nnz_boundary=int(mat.nnz - nnz_interior),
         n_cols=mat.n_cols,
     )
-
-
-#: Valid values of the user-facing ``overlap=`` knob.
-OVERLAP_CHOICES = ("off", "on", "auto")
-
-
-def resolve_overlap(overlap: str | bool | None, n_ranks: int) -> bool:
-    """Turn the user-facing ``overlap`` knob into an execution decision.
-
-    ``'auto'`` (or None) enables task mode whenever there is more than
-    one rank — a single rank has no halo to hide.  Booleans pass
-    through so programmatic callers can skip the string vocabulary.
-    """
-    if isinstance(overlap, bool):
-        return overlap
-    choice = "auto" if overlap is None else str(overlap).lower()
-    if choice not in OVERLAP_CHOICES:
-        raise ValueError(
-            f"overlap must be one of {OVERLAP_CHOICES}, got {overlap!r}"
-        )
-    if choice == "auto":
-        return n_ranks > 1
-    return choice == "on"
 
 
 def two_phase_spmmv(

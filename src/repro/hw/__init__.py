@@ -13,15 +13,10 @@ predication, shuffle semantics, and per-memory-level transaction counting
 against counted transactions at small scale.
 """
 
-from repro.hw.warp import shfl_down, warp_reduce_sum
-from repro.hw.gpu import KeplerGpu, GpuRunStats, GpuLaunchConfig
-from repro.hw.timing import GpuTimingModel
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "shfl_down",
-    "warp_reduce_sum",
-    "KeplerGpu",
-    "GpuRunStats",
-    "GpuLaunchConfig",
-    "GpuTimingModel",
-]
+__all__ = lazy_exports(__name__, {
+    "warp": ("shfl_down", "warp_reduce_sum"),
+    "gpu": ("KeplerGpu", "GpuRunStats", "GpuLaunchConfig"),
+    "timing": ("GpuTimingModel",),
+})

@@ -9,15 +9,10 @@ side (measured vs. analytic model) lives in :mod:`repro.perf.report`
 and ``tools/check_metrics.py``.
 """
 
-from repro.obs.metrics import GLOBAL_METRICS, NULL_METRICS, MetricsRegistry, TimerStat
-from repro.obs.trace import Trace, aggregate_spans, read_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GLOBAL_METRICS",
-    "NULL_METRICS",
-    "MetricsRegistry",
-    "TimerStat",
-    "Trace",
-    "aggregate_spans",
-    "read_trace",
-]
+__all__ = lazy_exports(__name__, {
+    "metrics": ("GLOBAL_METRICS", "NULL_METRICS", "MetricsRegistry",
+                "TimerStat"),
+    "trace": ("Trace", "aggregate_spans", "read_trace"),
+})

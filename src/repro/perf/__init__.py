@@ -14,72 +14,19 @@ Implements the paper's entire modelling apparatus:
   actual transfer volume V_meas, hence Omega = V_meas / V_KPM (Eq. (8)).
 """
 
-from repro.perf.arch import (
-    Architecture,
-    IVB,
-    SNB,
-    K20M,
-    K20X,
-    NodeConfig,
-    EMMY_NODE,
-    PIZ_DAINT_NODE,
-    ARCHITECTURES,
-)
-from repro.perf.balance import (
-    TrafficFlops,
-    table1_min_bytes,
-    table1_flops,
-    kpm_min_traffic,
-    kpm_flops,
-    bmin,
-    bmin_limit,
-    KPM_FLOPS_PER_ROW,
-)
-from repro.perf.roofline import (
-    roofline,
-    memory_bound_performance,
-    llc_code_balance,
-    custom_roofline,
-    cpu_kernel_performance,
-    gpu_kernel_performance,
-    node_performance,
-)
-from repro.perf.traffic import gpu_level_traffic, omega_parametric
-from repro.perf.cachesim import LRUCache, simulate_kpm_omega, kpm_access_stream
-from repro.perf.energy import EnergyModel, variant_energy_table
-from repro.perf.report import full_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Architecture",
-    "IVB",
-    "SNB",
-    "K20M",
-    "K20X",
-    "NodeConfig",
-    "EMMY_NODE",
-    "PIZ_DAINT_NODE",
-    "ARCHITECTURES",
-    "TrafficFlops",
-    "table1_min_bytes",
-    "table1_flops",
-    "kpm_min_traffic",
-    "kpm_flops",
-    "bmin",
-    "bmin_limit",
-    "KPM_FLOPS_PER_ROW",
-    "roofline",
-    "memory_bound_performance",
-    "llc_code_balance",
-    "custom_roofline",
-    "cpu_kernel_performance",
-    "gpu_kernel_performance",
-    "node_performance",
-    "gpu_level_traffic",
-    "omega_parametric",
-    "LRUCache",
-    "simulate_kpm_omega",
-    "kpm_access_stream",
-    "EnergyModel",
-    "variant_energy_table",
-    "full_report",
-]
+__all__ = lazy_exports(__name__, {
+    "arch": ("Architecture", "IVB", "SNB", "K20M", "K20X", "NodeConfig",
+             "EMMY_NODE", "PIZ_DAINT_NODE", "ARCHITECTURES"),
+    "balance": ("TrafficFlops", "table1_min_bytes", "table1_flops",
+                "kpm_min_traffic", "kpm_flops", "bmin", "bmin_limit",
+                "KPM_FLOPS_PER_ROW"),
+    "roofline": ("roofline", "memory_bound_performance", "llc_code_balance",
+                 "custom_roofline", "cpu_kernel_performance",
+                 "gpu_kernel_performance", "node_performance"),
+    "traffic": ("gpu_level_traffic", "omega_parametric"),
+    "cachesim": ("LRUCache", "simulate_kpm_omega", "kpm_access_stream"),
+    "energy": ("EnergyModel", "variant_energy_table"),
+    "report": ("full_report",),
+})

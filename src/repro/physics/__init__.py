@@ -8,31 +8,14 @@ This subpackage builds that matrix from scratch, plus a graphene
 quantum-dot model (the paper's Refs. [20], [21]) as a second workload.
 """
 
-from repro.physics.dirac import GAMMA, gamma_matrices, check_clifford
-from repro.physics.lattice import Lattice3D
-from repro.physics.potentials import (
-    zero_potential,
-    dot_superlattice_potential,
-    disorder_potential,
-    single_dot_potential,
-)
-from repro.physics.hamiltonian import (
-    TopologicalInsulatorModel,
-    build_topological_insulator,
-)
-from repro.physics.graphene import GrapheneModel, build_graphene_dot_lattice
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GAMMA",
-    "gamma_matrices",
-    "check_clifford",
-    "Lattice3D",
-    "zero_potential",
-    "dot_superlattice_potential",
-    "disorder_potential",
-    "single_dot_potential",
-    "TopologicalInsulatorModel",
-    "build_topological_insulator",
-    "GrapheneModel",
-    "build_graphene_dot_lattice",
-]
+__all__ = lazy_exports(__name__, {
+    "dirac": ("GAMMA", "gamma_matrices", "check_clifford"),
+    "lattice": ("Lattice3D",),
+    "potentials": ("zero_potential", "dot_superlattice_potential",
+                   "disorder_potential", "single_dot_potential"),
+    "hamiltonian": ("TopologicalInsulatorModel",
+                    "build_topological_insulator"),
+    "graphene": ("GrapheneModel", "build_graphene_dot_lattice"),
+})

@@ -14,36 +14,12 @@ Public surface of the resilience layer:
   ``KPMSolver(resilience=...)``.
 """
 
-from repro.resil.faults import (
-    FAULT_KINDS,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    as_fault_plan,
-    corrupt_checkpoint_file,
-)
-from repro.resil.policy import RetryPolicy
-from repro.resil.supervisor import (
-    ENGINE_LADDERS,
-    AttemptRecord,
-    Resilience,
-    ResilienceReport,
-    Supervisor,
-    classify_error,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ENGINE_LADDERS",
-    "FAULT_KINDS",
-    "AttemptRecord",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultSpec",
-    "Resilience",
-    "ResilienceReport",
-    "RetryPolicy",
-    "Supervisor",
-    "as_fault_plan",
-    "classify_error",
-    "corrupt_checkpoint_file",
-]
+__all__ = lazy_exports(__name__, {
+    "faults": ("FAULT_KINDS", "FaultInjector", "FaultPlan", "FaultSpec",
+               "as_fault_plan", "corrupt_checkpoint_file"),
+    "policy": ("RetryPolicy",),
+    "supervisor": ("ENGINE_LADDERS", "AttemptRecord", "Resilience",
+                   "ResilienceReport", "Supervisor", "classify_error"),
+})

@@ -19,47 +19,13 @@ re-solve.
   background worker thread).
 """
 
-from repro.serve.cache import (
-    CacheEntry,
-    MomentCache,
-    SpectraCache,
-    SpectrumEntry,
-)
-from repro.serve.coalescer import (
-    Batch,
-    BatchItem,
-    execute_batch,
-    plan_batches,
-)
-from repro.serve.queue import RequestQueue, Ticket
-from repro.serve.server import KPMServer
-from repro.serve.spec import (
-    FAMILIES,
-    HamiltonianSpec,
-    Request,
-    canonical_json,
-    canonical_kernel,
-    canonical_precision,
-    register_family,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Batch",
-    "BatchItem",
-    "CacheEntry",
-    "FAMILIES",
-    "HamiltonianSpec",
-    "KPMServer",
-    "MomentCache",
-    "Request",
-    "RequestQueue",
-    "SpectraCache",
-    "SpectrumEntry",
-    "Ticket",
-    "canonical_json",
-    "canonical_kernel",
-    "canonical_precision",
-    "execute_batch",
-    "plan_batches",
-    "register_family",
-]
+__all__ = lazy_exports(__name__, {
+    "cache": ("CacheEntry", "MomentCache", "SpectraCache", "SpectrumEntry"),
+    "coalescer": ("Batch", "BatchItem", "execute_batch", "plan_batches"),
+    "queue": ("RequestQueue", "Ticket"),
+    "server": ("KPMServer",),
+    "spec": ("FAMILIES", "HamiltonianSpec", "Request", "canonical_json",
+             "canonical_kernel", "canonical_precision", "register_family"),
+})

@@ -18,47 +18,17 @@ needs from a sparse linear-algebra library:
   reference and the compiled native C kernels behind one interface.
 """
 
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.sell import SellMatrix
-from repro.sparse.blas1 import axpy, scal, dot, nrm2_sq
-from repro.sparse.spmv import spmv, spmmv
-from repro.sparse.io import read_matrix_market, write_matrix_market
-from repro.sparse.stats import analyze, stencil_reuse_rows, row_length_histogram
-from repro.sparse.fused import (
-    naive_kpm_step,
-    aug_spmv_step,
-    aug_spmmv_step,
-    aug_spmmv_nodot_step,
-)
-from repro.sparse.backend import (
-    BACKEND_CHOICES,
-    KernelBackend,
-    KernelPlan,
-    available_backends,
-    get_backend,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "KernelBackend",
-    "KernelPlan",
-    "available_backends",
-    "get_backend",
-    "CSRMatrix",
-    "SellMatrix",
-    "axpy",
-    "scal",
-    "dot",
-    "nrm2_sq",
-    "spmv",
-    "spmmv",
-    "naive_kpm_step",
-    "aug_spmv_step",
-    "aug_spmmv_step",
-    "aug_spmmv_nodot_step",
-    "read_matrix_market",
-    "write_matrix_market",
-    "analyze",
-    "stencil_reuse_rows",
-    "row_length_histogram",
-]
+__all__ = lazy_exports(__name__, {
+    "csr": ("CSRMatrix",),
+    "sell": ("SellMatrix",),
+    "blas1": ("axpy", "scal", "dot", "nrm2_sq"),
+    "spmv": ("spmv", "spmmv"),
+    "io": ("read_matrix_market", "write_matrix_market"),
+    "stats": ("analyze", "stencil_reuse_rows", "row_length_histogram"),
+    "fused": ("naive_kpm_step", "aug_spmv_step", "aug_spmmv_step",
+              "aug_spmmv_nodot_step"),
+    "backend": ("BACKEND_CHOICES", "KernelBackend", "KernelPlan",
+                "available_backends", "get_backend"),
+})

@@ -40,9 +40,7 @@ from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError
-
-#: Valid values of the user-facing ``backend=`` knob.
-BACKEND_CHOICES = ("auto", "numpy", "native")
+from repro.util.knobs import BACKEND_CHOICES
 
 #: Valid values of the user-facing ``simd=`` knob (``None`` ≡ ``auto``).
 SIMD_CHOICES = ("auto", "on", "off")

@@ -27,7 +27,6 @@ import os
 import shutil
 import struct
 import subprocess
-import sysconfig
 import tempfile
 from pathlib import Path
 
@@ -159,29 +158,62 @@ def cpu_features() -> frozenset[str]:
     return _HW_FEATURES
 
 
+def _probe_key(cc: str, march: list[str]) -> str:
+    """What a persisted probe verdict holds for: this compiler binary
+    (resolved path, size, mtime), these flags, this CPU's feature flags."""
+    exe = os.path.realpath(shutil.which(cc) or cc)
+    st = os.stat(exe)
+    recipe = [exe, str(st.st_size), str(st.st_mtime_ns), *march,
+              *sorted(cpu_features())]
+    return hashlib.sha256("\0".join(recipe).encode()).hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def _probe_simd_mask(cc: str) -> int:
     """What ``cc -march=native`` will vectorize: bit0 AVX2, bit1 F16C.
 
-    A preprocessor-only probe (``-dM -E``) — fast, no binary, and it
-    answers the exact question the ``#if`` gate of a ``_simd`` unit in
+    A preprocessor-only probe (``-dM -E``) — no binary, and it answers
+    the exact question the ``#if`` gate of a ``_simd`` unit in
     ``_kernels.c`` asks, so a unit is only ever requested where it
-    builds.  Memoised: the kernels consult it on every call.
+    builds.  Memoised twice: in the process (the kernels consult it on
+    every call) and as ``simd.probe`` in the cache directory, beside
+    ``omp.flag``, so that only the first process on a host spawns the
+    compiler for it.  The file is ``<key> <mask>``; a key that is not
+    :func:`_probe_key`'s, or anything unreadable, means probe again and
+    replace it.
     """
-    mask = 0
+    march = [f for f in _CFLAGS if f.startswith("-march")]
+    marker = _cache_dir() / "simd.probe"
+    try:
+        key = _probe_key(cc, march)
+    except OSError:
+        key = None  # no such compiler: the probe below says so too
+    try:
+        saved_key, saved = marker.read_text().split()
+        if saved_key == key and saved in ("0", "1", "3"):
+            return int(saved)
+    except (OSError, ValueError):
+        pass
     try:
         proc = subprocess.run(
-            [cc, *(f for f in _CFLAGS if f.startswith("-march")), "-dM", "-E", "-"],
+            [cc, *march, "-dM", "-E", "-"],
             input="", capture_output=True, text=True, timeout=30,
         )
-        if proc.returncode == 0:
-            macros = proc.stdout
-            if "__AVX2__" in macros:
-                mask |= 1
-                if "__F16C__" in macros:
-                    mask |= 2
     except (OSError, subprocess.TimeoutExpired):
-        mask = 0
+        return 0
+    if proc.returncode != 0:
+        return 0
+    mask = 0
+    if "__AVX2__" in proc.stdout:
+        mask = 3 if "__F16C__" in proc.stdout else 1
+    if key is not None:
+        tmp = marker.with_name(f".{marker.name}.{os.getpid()}.tmp")
+        try:
+            marker.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(f"{key} {mask}\n")
+            os.replace(tmp, marker)
+        except OSError:
+            tmp.unlink(missing_ok=True)
     return mask
 
 
@@ -379,8 +411,9 @@ def _unit_path(suffix: str = "", simd: bool | None = None) -> Path:
         + b"\0" + _feature_fingerprint(cc).encode()
     )
     tag = hashlib.sha256(recipe).hexdigest()[:16]
-    ext = sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"
-    return _cache_dir() / f"repro_kernels-{unit_name(suffix, simd)}-{tag}{ext}"
+    # ".so" whatever the platform calls its libraries: dlopen takes the
+    # full path, and asking sysconfig costs 2 ms of every process
+    return _cache_dir() / f"repro_kernels-{unit_name(suffix, simd)}-{tag}.so"
 
 
 def _sweep_dead_builds(cache: Path) -> None:

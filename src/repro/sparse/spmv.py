@@ -21,12 +21,6 @@ temporaries where cheap, respect memory layout):
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as _sp
-
-try:  # allocation-free compiled CSR products (y += A x into caller storage)
-    from scipy.sparse import _sparsetools
-except ImportError:  # pragma: no cover - very old scipy
-    _sparsetools = None
 
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix, segment_sum
@@ -67,6 +61,10 @@ def _scipy_handle(A: CSRMatrix | SellMatrix, dtype=DTYPE) -> "_sp.csr_matrix":
     and fp16v profiles) is cached separately and built by downcasting the
     fp64 handle's value array once.
     """
+    # SciPy is this engine's alone: imported where it is called, so a
+    # run on the native kernels never loads it
+    import scipy.sparse as _sp
+
     handle = getattr(A, "_scipy_cache", None)
     if handle is None:
         if isinstance(A, CSRMatrix):
@@ -101,6 +99,10 @@ def _fast_product(A, X: np.ndarray, out: np.ndarray) -> None:
     operator otherwise.  The matrix-value dtype follows ``out``: fp32
     products run entirely in complex64.
     """
+    try:  # allocation-free compiled CSR products (y += A x into caller storage)
+        from scipy.sparse import _sparsetools
+    except ImportError:  # pragma: no cover - very old scipy
+        _sparsetools = None
     handle = _scipy_handle(A, dtype=out.dtype)
     X = X.astype(out.dtype, copy=False)
     if (

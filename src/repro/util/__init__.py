@@ -5,56 +5,16 @@ subpackage (``repro.sparse``, ``repro.core``, ``repro.perf``, ...) depends on
 them and nothing here depends on the rest of the package.
 """
 
-from repro.util.errors import (
-    ReproError,
-    ShapeError,
-    FormatError,
-    ConvergenceError,
-    PartitionError,
-    SimulationError,
-)
-from repro.util.constants import (
-    S_D,
-    S_I,
-    F_ADD,
-    F_MUL,
-    DTYPE,
-    IDTYPE,
-    BYTES_PER_GB,
-)
-from repro.util.counters import PerfCounters, NULL_COUNTERS
-from repro.util.rng import make_rng, spawn_rngs
-from repro.util.timing import Timer
-from repro.util.validation import (
-    check_positive,
-    check_nonnegative,
-    check_in_range,
-    check_vector,
-    check_block_vector,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "ShapeError",
-    "FormatError",
-    "ConvergenceError",
-    "PartitionError",
-    "SimulationError",
-    "S_D",
-    "S_I",
-    "F_ADD",
-    "F_MUL",
-    "DTYPE",
-    "IDTYPE",
-    "BYTES_PER_GB",
-    "PerfCounters",
-    "NULL_COUNTERS",
-    "make_rng",
-    "spawn_rngs",
-    "Timer",
-    "check_positive",
-    "check_nonnegative",
-    "check_in_range",
-    "check_vector",
-    "check_block_vector",
-]
+__all__ = lazy_exports(__name__, {
+    "errors": ("ReproError", "ShapeError", "FormatError", "ConvergenceError",
+               "PartitionError", "SimulationError"),
+    "constants": ("S_D", "S_I", "F_ADD", "F_MUL", "DTYPE", "IDTYPE",
+                  "BYTES_PER_GB"),
+    "counters": ("PerfCounters", "NULL_COUNTERS"),
+    "rng": ("make_rng", "spawn_rngs"),
+    "timing": ("Timer",),
+    "validation": ("check_positive", "check_nonnegative", "check_in_range",
+                   "check_vector", "check_block_vector"),
+})

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.constants import S_D, S_I
+from repro.util.knobs import PRECISION_CHOICES  # noqa: F401  (re-exported)
 
 #: Largest column count addressable by uint16 indices (index values are
 #: 0 .. n_cols-1, so exactly 65,536 columns still fit).
@@ -183,9 +184,6 @@ FP32 = Precision("fp32", np.complex64, np.complex64, 8, 8, True)
 FP16V = Precision("fp16v", np.complex64, np.float16, 8, 4, True)
 
 PRECISIONS: dict[str, Precision] = {p.name: p for p in (FP64, FP32, FP16V)}
-
-#: Valid values of the user-facing ``precision=`` knob.
-PRECISION_CHOICES = tuple(PRECISIONS)
 
 
 def get_precision(precision: "Precision | str | None") -> Precision:

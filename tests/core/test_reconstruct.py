@@ -6,7 +6,9 @@ import pytest
 from repro.core.damping import jackson_kernel
 from repro.core.moments import compute_dos_moments
 from repro.core.reconstruct import (
+    _dct3_twiddle,
     chebyshev_grid,
+    dct3,
     integrate_density,
     reconstruct_chebyshev,
     reconstruct_chebyshev_dct,
@@ -66,6 +68,50 @@ class TestSeriesEvaluation:
         x = chebyshev_grid(100)
         assert np.all(np.diff(x) > 0)
         assert -1 < x[0] < x[-1] < 1
+
+
+class TestDct3:
+    """The NumPy DCT-III that replaced ``scipy.fft.dct`` (one K-row per
+    served request): 1e-13 of the row maximum, whatever the shape."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 255, 256, 1024])
+    @pytest.mark.parametrize("lead", [(), (1,), (8,), (2, 3)])
+    def test_matches_scipy_and_the_cosine_sum(self, k, lead):
+        from scipy.fft import dct
+
+        coeff = np.random.default_rng(k).normal(size=(*lead, k))
+        got = dct3(coeff)
+        assert got.shape == coeff.shape and got.dtype == np.float64
+        top = np.abs(got).max(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - dct(coeff, type=3, axis=-1)) <= 1e-13 * top)
+        # the explicit sum c_0 + 2 sum_m c_m cos(pi m (2j + 1) / 2k), its
+        # angles reduced mod 2 pi in integers (reconstruct_chebyshev's
+        # arccos round trip is good to 1e-10 only: test_dct_equals_direct)
+        steps = np.outer(np.arange(k), 2 * np.arange(k) + 1) % (4 * k)
+        table = np.cos(np.pi * steps / (2 * k))
+        series = 2.0 * coeff @ table - coeff[..., :1]
+        assert np.all(np.abs(got - series) <= 1e-13 * top)
+
+    def test_float32_and_zero_input(self):
+        from scipy.fft import dct
+
+        coeff = np.random.default_rng(0).normal(size=(4, 256))
+        got = dct3(coeff.astype(np.float32))
+        want = dct(coeff.astype(np.float32).astype(float), type=3, axis=-1)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert not dct3(np.zeros((3, 64))).any()
+
+    def test_twiddles_are_shared_read_only_and_bounded(self):
+        _dct3_twiddle.cache_clear()
+        tw = _dct3_twiddle(256)
+        assert _dct3_twiddle(256) is tw and not tw.flags.writeable
+        with pytest.raises(ValueError):
+            tw[0] = 0.0
+        for k in range(1, 100):
+            _dct3_twiddle(k)
+        info = _dct3_twiddle.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 class TestDosReconstruction:

@@ -9,7 +9,10 @@ from repro.core.scaling import (
     lanczos_bounds,
     lanczos_scale,
 )
+from repro.sparse.backend import get_backend
+from repro.sparse.backend.native import native_available
 from repro.sparse.sell import SellMatrix
+from repro.util.errors import BackendError
 
 
 class TestSpectralScale:
@@ -94,3 +97,55 @@ class TestLanczos:
         m = CSRMatrix.from_dense(np.diag([1.0, 2.0]))
         lo, hi = lanczos_bounds(m, n_iter=50, seed=0)
         assert lo <= 1.0 and hi >= 2.0
+
+
+class TestLanczosBackend:
+    """Lanczos runs on the solve's backend, and the bounds cannot tell:
+    fp64 ``spmv`` sums a row in storage order on every backend."""
+
+    @pytest.fixture(params=["ti", "graphene", "random", "sell"])
+    def matrix(self, request, ti_small, small_hermitian):
+        from repro.physics.graphene import build_graphene_dot_lattice
+
+        return {
+            "ti": lambda: ti_small[0],
+            "graphene": lambda: build_graphene_dot_lattice(6, 6, v_dot=0.3)[0],
+            "random": lambda: small_hermitian[0],
+            "sell": lambda: SellMatrix(ti_small[0], 32, 1),
+        }[request.param]()
+
+    @pytest.mark.skipif(not native_available(), reason="no native kernels")
+    @pytest.mark.parametrize("simd", ["simd", "scalar"])
+    def test_bounds_are_identical_across_backends(self, matrix, simd,
+                                                  monkeypatch):
+        if simd == "scalar":
+            monkeypatch.setenv("REPRO_SIMD_DISABLE", "1")
+        for seed in (0, 7):
+            ref = lanczos_scale(matrix, seed=seed, backend="numpy")
+            got = lanczos_scale(matrix, seed=seed, backend="native")
+            assert (got.a, got.b, got.emin, got.emax) == \
+                (ref.a, ref.b, ref.emin, ref.emax)
+            assert lanczos_scale(matrix, seed=seed) == ref  # "auto"
+
+    def test_positional_and_seed_only_calls_still_work(self, ti_small):
+        h, _ = ti_small
+        assert lanczos_scale(h, 50, 0.01, 4) == lanczos_scale(h, seed=4)
+        assert lanczos_bounds(h, 50, 4) == lanczos_bounds(h, seed=4)
+        with pytest.raises(TypeError):
+            lanczos_scale(h, 50, 0.01, 4, "numpy")  # backend is keyword-only
+
+    def test_unavailable_native_falls_back_like_get_backend(
+            self, ti_small, monkeypatch):
+        from repro.sparse.backend import NativeBackend, NumpyBackend
+
+        h, _ = ti_small
+        ref = lanczos_scale(h, seed=2, backend="numpy")
+        calls = []
+        real = NumpyBackend.spmv
+        monkeypatch.setattr(NumpyBackend, "spmv", lambda self, *a, **k: (
+            calls.append(1), real(self, *a, **k))[1])
+        monkeypatch.setattr(NativeBackend, "available", lambda self: False)
+        assert get_backend("auto").name == "numpy"
+        assert lanczos_scale(h, seed=2) == ref and len(calls) == 50
+        with pytest.raises(BackendError, match="unavailable"):
+            lanczos_scale(h, seed=2, backend="native")

@@ -244,6 +244,57 @@ class TestObservability:
         distributed_eta(h, part, scale, M, blk, mw)
         assert mw.last_obs is None
 
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    def test_workers_import_nothing_after_fork(self, tmp_path, overlap):
+        """Package namespaces resolve lazily, so a module first touched
+        *inside* a rank loop would be imported — compiled, without a
+        ``.pyc`` — once per worker per solve.  In a fresh interpreter
+        (this one has imported everything already) each worker ships
+        what it imported since its fork in the obs blob: nothing.  If
+        this fails, import the rank loop's needs in ``mp_eta`` before
+        the fork, not in ``_worker``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        if MpWorld(2).start_method != "fork":
+            pytest.skip("spawned workers import everything anyway")
+        code = (
+            "import json, sys\n"
+            "from repro import KPMSolver, build_topological_insulator\n"
+            "from repro.dist import mp\n"
+            "from repro.obs import MetricsRegistry\n"
+            "from repro.resil import Resilience\n"
+            "at_fork = set()\n"
+            "real_worker, real_pack = mp._worker, mp._pack_obs_blob\n"
+            "def worker(*args):  # the child's first statement\n"
+            "    at_fork.update(sys.modules)\n"
+            "    real_worker(*args)\n"
+            "def pack(row, payload):\n"
+            "    new = sorted(set(sys.modules) - at_fork)\n"
+            "    real_pack(row, {**payload, 'imported': new})\n"
+            "mp._worker, mp._pack_obs_blob = worker, pack\n"
+            "H, _ = build_topological_insulator(8, 6, 4)\n"
+            "solver = KPMSolver(\n"
+            "    H, 24, 4, seed=0, dist_engine='mp', workers=2,\n"
+            "    overlap=sys.argv[1], metrics=MetricsRegistry(),\n"
+            "    resilience=Resilience(checkpoint_every=4,\n"
+            "                          checkpoint_path=sys.argv[2]))\n"
+            "solver.dos()\n"
+            "print(json.dumps([s['imported'] for s in solver.world.last_obs]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]),
+             *filter(None, [env.get("PYTHONPATH")])])
+        out = subprocess.run(
+            [sys.executable, "-c", code, overlap, str(tmp_path / "ck.npz")],
+            env=env, capture_output=True, text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[[], []]"
+
 
 class TestFailure:
     def test_worker_exception_raises_cleanly(self, system):

@@ -77,6 +77,59 @@ class TestDos:
         assert "exact match: yes" in out
         assert "rank0.aug_spmmv" in out and "rank1.aug_spmmv" in out
 
+    @pytest.mark.parametrize("quarantined", ["before the run", "mid-run"])
+    def test_one_backend_prints_scales_and_solves(self, capsys, monkeypatch,
+                                                  quarantined):
+        """``--backend auto`` is resolved once: the health registry
+        quarantining ``native`` before the run, or between the Lanczos
+        scale and the solve, cannot split them across two backends."""
+        from repro.core import solver
+        from repro.sparse.backend import (
+            NativeBackend,
+            NumpyBackend,
+            get_backend,
+            report_backend_failure,
+            reset_backend_health,
+        )
+
+        ran = {"numpy": set(), "native": set()}
+
+        def spy(cls, kernel):
+            real = getattr(cls, kernel)
+
+            def method(self, *args, **kwargs):
+                ran[self.name].add(kernel)
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, kernel, method)
+
+        for cls in (NumpyBackend, NativeBackend):
+            for kernel in ("spmv", "spmmv", "aug_spmmv_step"):
+                spy(cls, kernel)
+        expected = get_backend("auto").name
+        if quarantined == "before the run":
+            report_backend_failure("native", "drill")
+            expected = "numpy"
+        else:
+            real_scale = solver.lanczos_scale
+
+            def scale_then_quarantine(*args, **kwargs):
+                scale = real_scale(*args, **kwargs)
+                report_backend_failure("native", "drill")
+                return scale
+
+            monkeypatch.setattr(solver, "lanczos_scale", scale_then_quarantine)
+        try:
+            assert main(["dos", "--nx", "4", "--nz", "2", "--moments", "16",
+                         "--vectors", "2", "--backend", "auto"]) == 0
+            assert get_backend("auto").name == "numpy"
+        finally:
+            reset_backend_health()
+        assert f"kernel backend: {expected}" in capsys.readouterr().out
+        other = "numpy" if expected == "native" else "native"
+        assert ran == {expected: {"spmv", "spmmv", "aug_spmmv_step"},
+                       other: set()}
+
     def test_bad_weights_rejected(self, capsys):
         rc = main(["dos", "--nx", "4", "--nz", "2", "--moments", "32",
                    "--vectors", "1", "--engine", "sim", "--weights", "a,b"])

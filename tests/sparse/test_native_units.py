@@ -4,7 +4,8 @@
 (storage profile, scalar | simd), each the first time a kernel of it is
 asked for.  Covered here: which units a run leaves in an empty cache,
 what the tags key on, one build for N cold processes, a builder killed
-mid-compile, and where a unit that cannot be built surfaces.
+mid-compile, where a unit that cannot be built surfaces, and the ISA
+probe's verdict persisting from one process to the next.
 """
 
 import itertools
@@ -154,6 +155,52 @@ def test_simd_queries_build_nothing(monkeypatch):
     assert native.simd_f16c_available() == bool(mask & 2)
     monkeypatch.setenv("REPRO_SIMD_DISABLE", "1")
     assert not native.simd_available() and native.simd_compiled_mask() == mask
+
+
+def test_the_isa_probe_is_paid_once_per_host(tmp_path, session_kernel_cache):
+    """``simd.probe`` answers for later processes, for as long as the
+    compiler binary and the CPU flags it was taken for are the ones seen;
+    anything else in the file is probed over and replaced."""
+    cache = tmp_path / "c"
+    cache.mkdir()
+    shutil.copy(native._unit_path(), cache)  # nothing to build: probes only
+    shutil.copy(session_kernel_cache / "omp.flag", cache)
+    log = tmp_path / "cc.log"
+    log.touch()
+    cc = tmp_path / "cc-logged"
+    cc.write_text(f'#!/bin/sh\necho "$*" >> {log}\n'
+                  f'exec {shutil.which(native._find_compiler())} "$@"\n')
+    cc.chmod(0o755)
+    marker = cache / "simd.probe"
+    ask = ("from repro.sparse.backend import native\n{}"
+           "print(native.simd_compiled_mask(), native.native_available())")
+
+    def spawned(setup: str = "") -> int:
+        """Compiler runs of one fresh process that loads the backend."""
+        before = len(log.read_text().splitlines())
+        out = subprocess.run(
+            [sys.executable, "-c", ask.format(setup)], env=_env(cache, CC=str(cc)),
+            capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.split() == [str(native.simd_compiled_mask()), "True"]
+        return len(log.read_text().splitlines()) - before
+
+    assert spawned() == 1 and log.read_text().split()[-3:] == ["-dM", "-E", "-"]
+    verdict = marker.read_text()
+    key, mask = verdict.split()
+    assert len(key) == 64 and int(mask) == native.simd_compiled_mask()
+    assert spawned() == 0 and spawned() == 0
+
+    os.utime(cc, ns=(1, 1))  # the compiler was replaced
+    assert spawned() == 1 and marker.read_text() != verdict
+    assert spawned() == 0
+    # another CPU (its AVX2/F16C/FMA flags, which key the unit, are ours)
+    assert spawned("native._HW_FEATURES = native.cpu_features() | {'new'}\n") == 1
+    assert spawned() == 1 and spawned() == 0
+
+    for junk in (b"", b"\xff\xfe\x00 3\n", b"3\n", f"{key} 7\n".encode()):
+        marker.write_bytes(junk)
+        assert spawned() == 1 and marker.read_text().split()[1] == mask
+    assert not list(cache.glob(".simd.probe*"))
 
 
 def test_unbuildable_unit_raises_where_it_is_needed(cache, cc_wrapper,

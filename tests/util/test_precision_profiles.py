@@ -34,6 +34,9 @@ class TestProfiles:
     def test_registry(self):
         assert PRECISION_CHOICES == ("fp64", "fp32", "fp16v")
         assert PRECISIONS["fp64"] is FP64
+        # the vocabulary lives import-free in util.knobs, the profiles here
+        assert PRECISION_CHOICES == tuple(PRECISIONS)
+        assert all(PRECISIONS[name].name == name for name in PRECISIONS)
 
     def test_widths(self):
         # the paper's S_d = 16 baseline, then the halved/quartered tiers
