@@ -136,6 +136,25 @@ class Recurrence:
         self._partial = None  # interior-phase dots awaiting the boundary
         self.v = self.w = None
 
+    def rebind(
+        self, a: float, b: float, counters: PerfCounters = NULL_COUNTERS,
+        metrics: MetricsRegistry = NULL_METRICS,
+    ) -> None:
+        """Reuse the plans for another run: a new spectral map and sinks.
+
+        A parked mp worker keeps its rank's recurrence between solves;
+        :meth:`load` then installs the new run's vectors.
+        """
+        self.a, self.b = a, b
+        self._obs = {"counters": counters, "metrics": metrics}
+        self._partial = None
+
+    @property
+    def kernel_family(self) -> str:
+        """The kernels this recurrence runs (``numpy``, ``native_simd``,
+        ``native_scalar``): resolved now, from the process's state."""
+        return self._bk.kernel_family(self._plan)
+
     # -- state ---------------------------------------------------------
     @property
     def x(self) -> np.ndarray:

@@ -396,8 +396,8 @@ class ElasticReport:
     final_weights: list[float] = field(default_factory=list)
     final_n_workers: int = 0
     log: MessageLog | None = None
-    #: OS names of every shm segment any mp world of the run created —
-    #: all must be dead once the run returns (leak-check hook)
+    #: OS names of the arena segment(s) the final segment's mp world
+    #: mapped — all must be dead once the run returns (leak-check hook)
     segment_names: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
@@ -569,10 +569,9 @@ def elastic_eta(
                 part = RowPartition.from_weights(
                     n, cur_weights, align=policy.grid
                 )
-                if engine == "mp":
-                    world = MpWorld(n_workers)
-                else:
-                    world = SimWorld(n_workers)
+                # an mp handle leases the same parked workers every
+                # segment of a given world size
+                world = (MpWorld if engine == "mp" else SimWorld)(n_workers)
                 world.log = shared_log
                 # Busy times ride the obs snapshots, which only ship
                 # when *some* sink is live — force one if the caller's
@@ -594,16 +593,8 @@ def elastic_eta(
                         threads=threads, simd=simd,
                         eta_grid=policy.grid, stop_m=stop,
                     )
-                    if engine == "mp":
-                        report.segment_names.extend(
-                            world.last_segment_names or ()
-                        )
                     break
                 except WorkerFailure as wf:
-                    if engine == "mp":
-                        report.segment_names.extend(
-                            getattr(world, "last_segment_names", None) or ()
-                        )
                     dead = sorted({f.rank for f in wf.failures})
                     deaths += len(dead)
                     if (
@@ -735,6 +726,7 @@ def elastic_eta(
 
         report.final_weights = list(cur_weights)
         report.final_n_workers = n_workers
+        report.segment_names = list(getattr(world, "last_segment_names", ()))
         return eta, report
     finally:
         if tmp is not None:

@@ -91,14 +91,45 @@ class DistributedMatrix:
         return self.partition.n_ranks
 
 
+#: Partitions memoised per matrix: the elastic driver's rebalances move
+#: one operator through a few partitions, a server keeps one.
+_MEMO_SIZE = 4
+
+
 def partition_matrix(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix:
-    """Split ``A`` row-wise and derive the halo communication pattern."""
+    """Split ``A`` row-wise and derive the halo communication pattern.
+
+    Memoised on ``A`` per partition (matrices are immutable by
+    convention, as for ``_kernel_pack_cache``): every solve on the same
+    operator and partition shares one :class:`DistributedMatrix`, so an
+    mp world ships each rank block to its worker once.  The shared
+    arrays are read-only.  A hit whose rank blocks were swapped since —
+    :mod:`repro.dist.tune` formats them as per-rank SELL in place — is
+    rebuilt.
+    """
     if A.n_rows != A.n_cols:
         raise PartitionError("distributed KPM requires a square matrix")
     if partition.n_rows != A.n_rows:
         raise PartitionError(
             f"partition covers {partition.n_rows} rows, matrix has {A.n_rows}"
         )
+    memo = getattr(A, "_partition_cache", None)
+    if memo is None:
+        memo = A._partition_cache = {}
+    key = tuple(partition.offsets)
+    hit = memo.pop(key, None)
+    if hit is None or any(
+        blk.matrix is not m for blk, m in zip(hit[0].blocks, hit[1])
+    ):
+        dist = _split(A, partition)
+        hit = (dist, [blk.matrix for blk in dist.blocks])
+    memo[key] = hit  # most recently used last
+    while len(memo) > _MEMO_SIZE:
+        memo.pop(next(iter(memo)))
+    return hit[0]
+
+
+def _split(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix:
     n_ranks = partition.n_ranks
     offsets = np.asarray(partition.offsets, dtype=np.int64)
 
@@ -138,6 +169,13 @@ def partition_matrix(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix
             pattern.send_rows[(p, rank)] = (
                 globals_from_p - offsets[p]
             ).astype(np.int64)
+    for blk in blocks:
+        m = blk.matrix
+        for arr in (m.indptr, m.indices, m.data, blk.halo_global,
+                    blk.halo_sources, blk.halo_counts):
+            arr.flags.writeable = False
+    for rows in pattern.send_rows.values():
+        rows.flags.writeable = False
     return DistributedMatrix(
         partition=partition, blocks=blocks, pattern=pattern, n_global=A.n_rows
     )

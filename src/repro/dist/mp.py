@@ -8,10 +8,24 @@ owns a contiguous weighted row block (:mod:`repro.dist.partition`),
 drives one :class:`repro.core.recurrence.Recurrence` on it with its own
 kernel backend, and meets its neighbours at per-iteration barriers.
 
+One persistent world (paper Section VI-A: the ranks live for the whole
+run).  :class:`MpWorld` is a cheap handle; its runs lease a *parked*
+world from a process-wide pool keyed by (worker count, start method,
+``REPRO_*`` environment, native-backend quarantine set) and return it
+after a clean run.  A worker loops: receive a run, run the rank loop,
+reply.  Between runs it keeps its rank block (shipped once per operator
+partition, see :func:`~repro.dist.halo.partition_matrix`'s memo) and its
+recurrence with the kernel plans.  The barrier and the task-mode event
+slots are created once per world, at fork — the only way such objects
+reach a live process.  Workers exit when their control pipe reaches EOF:
+:meth:`MpWorld.close`, interpreter exit, or the parent's death.
+
 Communication structure (paper Section VI-A, mapped onto one node):
 
-* the start block is published once in a POSIX shared-memory segment —
-  workers slice their rows zero-copy instead of receiving pickles;
+* each world owns one shared-memory arena (:mod:`repro.dist.shm`),
+  mapped by every rank and ``shm_unlink``\\ ed as soon as they all have
+  it; the start block is published there once per run — workers slice
+  their rows zero-copy instead of receiving pickles;
 * each directed halo edge (p → q) owns a shared *window* sized to its
   transfer list; one halo exchange is: every rank packs its send
   windows, a barrier, every rank gathers its ``[local | halo]`` kernel
@@ -30,9 +44,9 @@ Communication structure (paper Section VI-A, mapped onto one node):
   boundary, so the overlapped moments are bitwise equal to the
   simulator running the same task-mode schedule;
 * per-rank eta contributions accumulate in a shared ``(P, M, R)`` array
-  and are reduced **once** after the workers join — the single deferred
-  global reduction of Section II.  ``reduction='every'`` instead
-  synchronizes and sums after every iteration (the Table III
+  and are reduced **once** after the workers report — the single
+  deferred global reduction of Section II.  ``reduction='every'``
+  instead synchronizes and sums after every iteration (the Table III
   ``aug_spmmv()*`` ablation).
 
 Accounting: the engine charges :class:`~repro.dist.comm.MessageLog`
@@ -44,22 +58,24 @@ while actually copying the windows — so the network cost model keeps
 working on real runs, and a worker that skipped communication is caught.
 
 Failure model: any worker exception (or hard death) aborts the shared
-barrier, which unblocks every peer; the parent terminates the world,
-unlinks all shared memory, and raises a structured
+barrier, which unblocks every peer; the parent tears the whole world
+down (the next lease forks a fresh one) and raises a structured
 :class:`~repro.util.errors.WorkerFailure` (a ``SimulationError``) — no
-hang, no leaked ``/dev/shm`` segments (asserted by the test suite).
+hang, no leaked ``/dev/shm`` entry (asserted by the test suite).
 Liveness is supervised by a shared *heartbeat* array each worker bumps
-every iteration: the parent declares the world wedged when no heartbeat
-advances within :attr:`MpTimeouts.stall`, instead of capping the whole
-run with one fixed deadline.
+every iteration: the parent, asleep on the workers' pipes and process
+sentinels, wakes to check it and declares the world wedged when no
+heartbeat advances within :attr:`MpTimeouts.stall`.  A worker whose
+parent died abandons its run at the next iteration.
 
 Checkpoint/restart: with ``checkpoint_every > 0`` the workers
 double-buffer their recurrence state into shared *checkpoint slots*
 after every k-th iteration; rank 0 publishes the slot with a single
-atomic state word after a barrier, and the **parent** — which survives
-worker crashes — autosaves the published state to ``checkpoint_path``
-via the atomic :class:`~repro.core.checkpoint.KpmCheckpoint` writer, and
-salvages the latest published state even when the run fails.  Passing
+atomic state word after a barrier and announces it on its pipe, and the
+**parent** — which survives worker crashes — autosaves the published
+state to ``checkpoint_path`` via the atomic
+:class:`~repro.core.checkpoint.KpmCheckpoint` writer, and salvages the
+latest published state even when the run fails.  Passing
 ``resume_from`` re-enters the loop at the checkpointed iteration;
 resumed runs are bitwise equal to uninterrupted ones on the same
 partition (asserted by ``tests/resil/``).
@@ -67,13 +83,18 @@ partition (asserted by ``tests/resil/``).
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import json
 import multiprocessing
 import os
+import signal
 import struct
-import sys
+import threading
 import time
 from dataclasses import dataclass
+from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.connection import wait
 from pathlib import Path
 from threading import BrokenBarrierError
 
@@ -85,10 +106,10 @@ from repro.core.scaling import SpectralScale
 from repro.dist.comm import MessageLog, log_allreduce
 from repro.dist.halo import DistributedMatrix, RankBlock, partition_matrix
 from repro.dist.partition import RowPartition, eta_slots
-from repro.dist.shm import ShmArena, ShmAttachment
+from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import FaultInjector, FaultPlan
-from repro.sparse.backend import KernelBackend, resolve_simd
+from repro.sparse.backend import KernelBackend, backend_health, resolve_simd
 from repro.sparse.csr import CSRMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -101,10 +122,19 @@ from repro.util.validation import check_block_vector, check_positive
 _ACCT_COLS = 4
 
 #: Per-rank capacity of the observability return channel: one row of the
-#: ``obs`` shared segment holds an 8-byte length prefix plus a JSON blob
+#: ``obs`` shared array holds an 8-byte length prefix plus a JSON blob
 #: of the worker's PerfCounters dump and MetricsRegistry snapshot (a few
 #: KB in practice — the metric namespace is the fixed kernel vocabulary).
 _OBS_BLOB_SIZE = 1 << 16
+
+#: Parked worker processes per interpreter; beyond it the least recently
+#: used worlds are closed.
+_MAX_PARKED = 8
+
+#: Rank blocks a parked worker keeps (the operator partitions it served
+#: most recently), and recurrences (kernel plans) per block.
+_MAX_BLOCKS = 4
+_MAX_RECS = 4
 
 
 @dataclass(frozen=True)
@@ -115,10 +145,10 @@ class MpTimeouts:
     ----------
     barrier:
         Seconds any worker may wait at a barrier before declaring its
-        peers gone (``BrokenBarrierError`` → clean exit code 2).
+        peers gone (``BrokenBarrierError``).
     join:
-        Seconds the parent waits for each worker to join after the run
-        (or an abort) before escalating to ``terminate()``.
+        Seconds the parent gives the workers to report (and then to
+        exit) after an abort before escalating to ``terminate()``.
     stall:
         Heartbeat window: the parent tears the world down when *no*
         worker's per-iteration heartbeat advances for this long.  This
@@ -177,6 +207,10 @@ class MpWorld:
     ``distributed_dos(..., world=MpWorld(4))`` runs the rank loop in
     parallel while ``SimWorld(4)`` simulates it sequentially.
 
+    The object is a handle: each run leases parked workers from the
+    process-wide pool (forking only when none fit) and parks them again
+    after a clean run, so constructing one per solve costs nothing.
+
     Parameters
     ----------
     n_workers:
@@ -193,7 +227,7 @@ class MpWorld:
         An :class:`MpTimeouts`; None uses the defaults.
     start_method:
         ``'fork'``/``'spawn'``/``'forkserver'``; default prefers fork
-        (zero-copy matrix inheritance) where the platform offers it.
+        where the platform offers it.
     """
 
     def __init__(
@@ -222,8 +256,11 @@ class MpWorld:
         self.timeouts = timeouts if timeouts is not None else MpTimeouts()
         self.start_method = start_method or _default_start_method()
         self.log = MessageLog()
-        #: OS segment names of the most recent run (leak checks in tests).
+        #: OS names of the arena segment(s) of the most recent run (leak
+        #: checks in tests: every one is unlinked before the run starts).
         self.last_segment_names: list[str] = []
+        #: pids of the workers that ran the most recent run.
+        self.last_pids: list[int] = []
         #: per-rank (halo_msgs, halo_bytes, reduce_events, reduce_bytes)
         #: actually performed by the workers in the most recent run.
         self.last_acct: np.ndarray | None = None
@@ -241,6 +278,11 @@ class MpWorld:
             f"MpWorld(n_workers={self.n_ranks}, devices={self.devices}, "
             f"start_method={self.start_method!r})"
         )
+
+    def close(self) -> None:
+        """Stop every parked worker of this process (the pool all handles
+        share); the next run forks afresh."""
+        _POOL.close()
 
 
 def _backend_names(world: MpWorld, backend) -> list[str]:
@@ -300,26 +342,66 @@ def _pack_halo(vec: np.ndarray, rows: np.ndarray, win: np.ndarray) -> int:
     return win.nbytes
 
 
-def _worker(
+def _worker(rank: int, conn, barrier, events) -> None:
+    """One parked rank (module-level: spawn-picklable).
+
+    Serves the parent until its control pipe reaches EOF: ``map``
+    attaches the world's (grown) arena, ``run`` runs the rank loop once
+    and replies.  Rank blocks arrive once per operator partition and
+    stay, with their recurrences, until the parent says to drop them.
+    SIGINT is the parent's to handle: a worker lives as long as its pipe.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    ppid = os.getppid()
+    seg = None
+    # token -> (rank block, its send lists, its recurrences)
+    blocks: dict[int, tuple[RankBlock, list, dict]] = {}
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            break
+        if msg[0] == "map":
+            if seg is not None:
+                seg.close()
+            seg = shared_memory.SharedMemory(name=msg[1])
+            conn.send(("mapped",))
+            continue
+        _, cfg, specs, backend_name, token, shipped, drop = msg
+        for old in drop:
+            blocks.pop(old, None)
+        if shipped is not None:
+            blocks[token] = (*shipped, {})
+        reply = _run_rank(
+            rank, conn, ppid, *blocks[token], carve(seg.buf, specs),
+            barrier, events, backend_name, cfg,
+        )
+        try:
+            conn.send(reply)
+        except OSError:  # the parent is gone
+            break
+    if seg is not None:
+        seg.close()
+
+
+def _run_rank(
     rank: int,
+    conn,
+    ppid: int,
     blk: RankBlock,
     send_edges: list[tuple[int, np.ndarray]],
-    specs: dict,
+    recs: dict[tuple, Recurrence],
+    att: dict[str, np.ndarray],
     barrier,
     events,
-    errq,
     backend_name: str,
     cfg: _RunConfig,
-) -> None:
-    """One rank's full KPM loop (module-level: spawn-picklable)."""
-    att = None
-    abort = None
-    code = 0
+) -> tuple:
+    """One rank's full KPM loop for one run; returns the parent's reply."""
+    abort = att["abort"]
     try:
-        att = ShmAttachment(specs)
         start, eta, acct = att["start"], att["eta"], att["acct"]
         hb = att["hb"]
-        abort = att["abort"]
         lo, hi = blk.row_start, blk.row_stop
         n_local = hi - lo
         bt = cfg.timeouts.barrier
@@ -330,7 +412,7 @@ def _worker(
         # Local observability state: the parent cannot share its own
         # counters/metrics across the process boundary, so each worker
         # accumulates privately and ships a snapshot back through the
-        # ``obs`` shared segment after its loop completes.
+        # ``obs`` shared array after its loop completes.
         if cfg.want_obs:
             w_counters: PerfCounters = PerfCounters()
             w_metrics: MetricsRegistry = MetricsRegistry()
@@ -342,17 +424,29 @@ def _worker(
         # exactly one writer, so the shared (K, M, R) array needs no
         # locking either); otherwise the rank's own slot.
         eslot, dot_blocks = eta_slots(rank, lo, hi, cfg.eta_grid)
-        split = None
-        if cfg.overlap:
-            from repro.dist.overlap import task_split
+        # The block's recurrences and kernel plans outlive the run: a
+        # parked worker rebinds one to the next run's scale and sinks.
+        key = (backend_name, cfg.r, cfg.precision, cfg.threads, cfg.simd,
+               cfg.overlap, cfg.eta_grid)
+        rec = recs.pop(key, None)
+        if rec is None:
+            split = None
+            if cfg.overlap:
+                from repro.dist.overlap import task_split
 
-            split = task_split(blk)
-        rec = Recurrence(
-            blk.matrix, cfg.a, cfg.b, cfg.r, backend=backend_name,
-            precision=cfg.precision, threads=cfg.threads, simd=cfg.simd,
-            split=split, dot_blocks=dot_blocks, counters=w_counters,
-            metrics=w_metrics,
-        )
+                split = task_split(blk)
+            rec = Recurrence(
+                blk.matrix, cfg.a, cfg.b, cfg.r, backend=backend_name,
+                precision=cfg.precision, threads=cfg.threads, simd=cfg.simd,
+                split=split, dot_blocks=dot_blocks, counters=w_counters,
+                metrics=w_metrics,
+            )
+        else:
+            rec.rebind(cfg.a, cfg.b, w_counters, w_metrics)
+        recs[key] = rec  # most recently used last
+        while len(recs) > _MAX_RECS:
+            recs.pop(next(iter(recs)))
+        w_metrics.count(f"kernels.{rec.kernel_family}")
         half = cfg.stop_m if cfg.stop_m else cfg.n_moments // 2
         wins_out = [(q, rows, att[f"w{rank}_{q}"]) for q, rows in send_edges]
         wins_in = [
@@ -445,8 +539,10 @@ def _worker(
             ckw[slot, lo:hi] = rec.w
             barrier.wait(bt)  # every rank's slice is in the slot
             if rank == 0:
-                # One aligned int64 store publishes (next_m, slot).
+                # One aligned int64 store publishes (next_m, slot); the
+                # note wakes the parent's autosave.
                 ckst[0] = (m + 1) * 2 + slot
+                conn.send(("ckpt",))
 
         # ``rank_busy`` spans time this rank's own work — the fault probe
         # (so an injected straggler's sleeps are measured) and the kernel
@@ -454,6 +550,8 @@ def _worker(
         # a slow peer's skew.  Their per-rank totals are the elastic
         # rebalancer's skew signal.
         def probe(m: int) -> None:
+            if os.getppid() != ppid:
+                raise SimulationError("the parent process is gone")
             with w_metrics.span("rank_busy"):
                 if inj is not None:
                     inj.at_iteration(m)
@@ -476,7 +574,7 @@ def _worker(
                 reduce_now(0)
         else:
             # Resume: the parent seeded the checkpointed (v, w) blocks
-            # into the ``start`` / ``rw`` segments; no bootstrap.
+            # into the ``start`` / ``rw`` arrays; no bootstrap.
             rec.load(start[lo:hi], att["rw"][lo:hi])
 
         for m in range(cfg.first_m, half):
@@ -510,25 +608,284 @@ def _worker(
                     "metrics": w_metrics.snapshot(),
                 },
             )
+        return ("done",)
     except BrokenBarrierError:
-        code = 2  # a peer died; the parent reports the root cause
+        return ("broken",)  # a peer failed; the parent reports the cause
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        kind = getattr(exc, "kind", None) or "exception"
-        try:
-            errq.put((rank, kind, f"{type(exc).__name__}: {exc}"))
-        except Exception:  # pragma: no cover - queue already torn down
-            pass
-        if abort is not None:
-            abort[0] = 1  # unblock peers parked on halo events
+        abort[0] = 1  # unblock peers parked on halo events
         try:
             barrier.abort()  # unblock every waiting peer immediately
         except Exception:  # pragma: no cover
             pass
-        code = 1
-    finally:
-        if att is not None:
-            att.close()
-    sys.exit(code)
+        kind = getattr(exc, "kind", None) or "exception"
+        return ("fail", kind, f"{type(exc).__name__}: {exc}")
+
+
+# ---------------------------------------------------------------------
+# the pool of parked worlds
+# ---------------------------------------------------------------------
+
+#: Every live world's parent-side pipe ends.  A forked child closes them
+#: all (``_after_fork_in_child``): if it kept one, that worker would not
+#: see EOF when this process dies.
+_PARENT_ENDS: set = set()
+_FORK_LOCK = threading.Lock()
+_TOKENS = itertools.count(1)
+
+
+class _World:
+    """``n`` parked workers, the synchronisation objects they inherited
+    at fork, the arena they mapped, and the rank blocks they hold."""
+
+    def __init__(self, key: tuple, n: int, start_method: str) -> None:
+        ctx = multiprocessing.get_context(start_method)
+        self.key, self.n = key, n
+        self.barrier = ctx.Barrier(n)
+        # Task-mode halo signalling: a ready/free event pair per ordered
+        # rank pair and window slot; free starts set (both slots drained)
+        # and a clean run leaves every pair that way again.
+        self.events: dict[tuple[int, int], list] = {}
+        for p, q in itertools.permutations(range(n), 2):
+            slots = [(ctx.Event(), ctx.Event()) for _slot in range(2)]
+            for _ready, free in slots:
+                free.set()
+            self.events[(p, q)] = slots
+        self.arena = ShmArena()
+        self.abort_flag: np.ndarray | None = None  # of the run in flight
+        self.shipped: list[dict[int, None]] = [{} for _ in range(n)]
+        self.procs: list = []
+        self.conns: list = []
+        errors: list[BaseException] = []
+
+        def fork_all() -> None:
+            try:
+                with _FORK_LOCK:
+                    for rank in range(n):
+                        ours, theirs = ctx.Pipe()
+                        _PARENT_ENDS.add(ours)
+                        self.conns.append(ours)
+                        proc = ctx.Process(
+                            target=_worker,
+                            args=(rank, theirs, self.barrier, self.events),
+                            daemon=True,
+                        )
+                        proc.start()
+                        theirs.close()
+                        self.procs.append(proc)
+            except BaseException as exc:  # re-raised by the caller
+                errors.append(exc)
+
+        # Workers must share this process's resource tracker (each would
+        # start its own on first attach, which would then "clean up" the
+        # long-unlinked arena at exit): start it before forking.
+        resource_tracker.ensure_running()
+        # Fork from a fresh thread: OpenMP keeps its thread pool per
+        # thread, and a child inheriting a used one (this thread may have
+        # run the threaded kernels) deadlocks in its first parallel region.
+        forker = threading.Thread(target=fork_all, name="repro-mp-fork")
+        forker.start()
+        forker.join()
+        if errors:
+            self.close()
+            raise errors[0]
+
+    def alive(self) -> bool:
+        return all(p.is_alive() for p in self.procs)
+
+    def map_arena(self, name: str, timeout: float) -> None:
+        """Every worker attaches segment ``name``; then it loses its name."""
+        for conn in self.conns:
+            conn.send(("map", name))
+        for rank, conn in enumerate(self.conns):
+            try:
+                ok = conn.poll(timeout) and conn.recv() == ("mapped",)
+            except (EOFError, OSError):
+                ok = False
+            if not ok:
+                raise WorkerFailure(
+                    f"multiprocess KPM run failed: worker {rank} did not "
+                    "map the shared arena",
+                    failures=[WorkerFault(rank=rank, kind="death",
+                                          detail="no attach acknowledgement")],
+                )
+        self.arena.unlink()
+
+    def send_run(self, cfg: _RunConfig, specs: dict, names: list[str],
+                 dist: DistributedMatrix, send_edges: list) -> None:
+        """Start one run; ship each rank's block unless it holds it."""
+        for rank, conn in enumerate(self.conns):
+            blk = dist.blocks[rank]
+            token = getattr(blk.matrix, "_mp_token", None)
+            if token is None:
+                token = blk.matrix._mp_token = next(_TOKENS)
+            held = self.shipped[rank]
+            shipped, drop = None, []
+            if token in held:
+                del held[token]
+            else:
+                shipped = (blk, send_edges[rank])
+            held[token] = None  # most recently used last
+            while len(held) > _MAX_BLOCKS:
+                drop.append(next(iter(held)))
+                del held[drop[-1]]
+            conn.send(("run", cfg, specs, names[rank], token, shipped, drop))
+
+    def collect(self, hb: np.ndarray, timeouts: MpTimeouts, autosave):
+        """Wait for every rank's reply to the run just sent.
+
+        Sleeps on the control pipes and process sentinels; rank 0's
+        ``ckpt`` notes trigger ``autosave``.  Every wake-up — at the
+        latest four times per stall window — samples the heartbeats and
+        the whole-run deadline.  The first failure, death, stall or
+        timeout aborts the run; peers then get ``timeouts.join`` seconds
+        to report before the silent ones are terminated.  Returns
+        ``(replies, heartbeats, stalled, timed_out)``; a rank without a
+        reply died or was terminated.
+        """
+        replies: dict[int, tuple] = {}
+        waiting = {}
+        for rank, (conn, proc) in enumerate(zip(self.conns, self.procs)):
+            waiting[conn] = waiting[proc.sentinel] = rank
+        now = time.monotonic()
+        deadline = None if timeouts.run is None else now + timeouts.run
+        hb_last, hb_t = hb.copy(), now
+        stalled = timed_out = False
+        abort_at = None
+        while waiting:
+            if abort_at is not None:
+                until = abort_at + timeouts.join
+            else:
+                until = min(hb_t + timeouts.stall, now + timeouts.stall / 4,
+                            deadline if deadline is not None else np.inf)
+            ready = wait(list(waiting), max(0.0, until - time.monotonic()))
+            now = time.monotonic()
+            for obj in ready:
+                rank = waiting.get(obj)
+                if rank is None:
+                    continue  # settled earlier in this wake-up
+                msg = ("dead",)
+                if obj is self.conns[rank]:
+                    try:
+                        msg = obj.recv()
+                    except (EOFError, OSError):
+                        pass
+                    if msg == ("ckpt",):
+                        autosave()
+                        continue
+                replies[rank] = msg
+                del waiting[self.conns[rank]], waiting[self.procs[rank].sentinel]
+                if msg[0] != "done" and abort_at is None:
+                    self.abort()
+                    abort_at = now
+            if abort_at is not None:
+                if now >= abort_at + timeouts.join:
+                    for rank in set(waiting.values()):
+                        self.procs[rank].terminate()  # wedged past the abort
+                    break
+                continue
+            if not np.array_equal(hb, hb_last):
+                hb_last, hb_t = hb.copy(), now
+            elif now - hb_t >= timeouts.stall:
+                stalled = True
+            if not stalled and deadline is not None and now >= deadline:
+                timed_out = True
+            if stalled or timed_out:
+                self.abort()
+                abort_at = now
+        return replies, hb_last, stalled, timed_out
+
+    def abort(self) -> None:
+        # Both wake-up channels: the shared flag unblocks event waits
+        # (task mode), barrier.abort() unblocks barrier waits.
+        if self.abort_flag is not None:
+            self.abort_flag[0] = 1
+        self.barrier.abort()
+
+    def close(self, join: float = 5.0) -> None:
+        """Tear down: abort any run in flight, close the control pipes
+        (workers exit on EOF), reap them, release the arena."""
+        self.abort()
+        self.abort_flag = None
+        with _FORK_LOCK:
+            for conn in self.conns:
+                _PARENT_ENDS.discard(conn)
+                conn.close()
+        for proc in self.procs:
+            proc.join(join)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(join)
+        self.arena.close()
+
+
+def _lease_key(n: int, start_method: str) -> tuple:
+    """What a parked world must match: workers inherit the environment
+    (``native.py`` reads ``REPRO_*`` on every call) and the native
+    quarantine at fork, so both select the world."""
+    env = tuple(sorted(
+        (k, v) for k, v in os.environ.items() if k.startswith("REPRO_")
+    ))
+    quarantined = frozenset(
+        name for name, entry in backend_health().items()
+        if entry["quarantined"]
+    )
+    return (n, start_method, env, quarantined)
+
+
+class _Pool:
+    """This process's parked worlds, leased one run at a time."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._parked: list[_World] = []
+
+    def lease(self, n: int, start_method: str) -> _World:
+        key = _lease_key(n, start_method)
+        with self._lock:
+            world = next(
+                (w for w in reversed(self._parked) if w.key == key), None
+            )
+            if world is not None:
+                self._parked.remove(world)
+        if world is not None:
+            if world.alive():
+                return world
+            world.close()  # a worker died while parked
+        return _World(key, n, start_method)
+
+    def release(self, world: _World) -> None:
+        with self._lock:
+            self._parked.append(world)
+            evicted = []
+            while (len(self._parked) > 1
+                   and sum(w.n for w in self._parked) > _MAX_PARKED):
+                evicted.append(self._parked.pop(0))
+        for w in evicted:
+            w.close()
+
+    def close(self) -> None:
+        with self._lock:
+            worlds, self._parked = self._parked, []
+        for w in worlds:
+            w.close()
+
+
+_POOL = _Pool()
+atexit.register(_POOL.close)
+
+
+def _after_fork_in_child() -> None:
+    # Any fork — our workers or a caller's — must neither hold our
+    # workers' pipes open nor lease them.
+    global _FORK_LOCK
+    for conn in list(_PARENT_ENDS):
+        conn.close()
+    _PARENT_ENDS.clear()
+    _FORK_LOCK = threading.Lock()
+    _POOL.__init__()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 # ---------------------------------------------------------------------
@@ -616,10 +973,10 @@ class _CheckpointChannel:
     ``capture()`` performs a stable read: the state word is sampled
     before and after copying the slot, and the copy is discarded when it
     changed in between (the workers published a newer checkpoint while
-    we were reading — the next poll picks it up).  The eta prefix
-    ``[:, :2·next_m]`` is final once the state is published (every rank
-    passed the checkpoint barrier after writing it), so summing it while
-    workers fill later columns is safe.
+    we were reading — its own note triggers the next capture).  The eta
+    prefix ``[:, :2·next_m]`` is final once the state is published
+    (every rank passed the checkpoint barrier after writing it), so
+    summing it while workers fill later columns is safe.
     """
 
     def __init__(
@@ -714,11 +1071,12 @@ def mp_eta(
 
     With a live ``counters`` or ``metrics``, every worker accumulates its
     own :class:`PerfCounters` / :class:`MetricsRegistry` and ships a JSON
-    snapshot back through the ``obs`` shared segment; the parent merges
+    snapshot back through the ``obs`` shared array; the parent merges
     worker counters into ``counters`` (numeric totals then equal a serial
     run of the same problem) and worker metrics into ``metrics`` under a
-    ``rank<p>.`` prefix.  The raw per-rank snapshots stay available as
-    ``world.last_obs``.
+    ``rank<p>.`` prefix — including one ``kernels.<family>`` count per
+    run naming the kernels the rank ran.  The raw per-rank snapshots
+    stay available as ``world.last_obs``.
 
     ``progress``/``progress_every`` stream partial eta prefixes from the
     parent's checkpoint autosave: the callback fires with
@@ -814,7 +1172,6 @@ def mp_eta(
         base_eta = None
 
     names = _backend_names(world, backend)
-    ctx = multiprocessing.get_context(world.start_method)
 
     send_edges: list[list[tuple[int, np.ndarray]]] = [
         [] for _ in range(dist.n_ranks)
@@ -842,80 +1199,66 @@ def mp_eta(
         simd=resolve_simd(simd),
         eta_grid=grid, stop_m=int(stop_m or 0),
     )
-    errors: list[tuple[int, str, str]] = []
-    procs: list = []
+
+    # The run's shared arrays, carved from the world's resident arena.
+    # Halo windows: task mode double-buffers each directed edge (slot
+    # m % 2), signalled by the world's per-pair event slots.
+    vec_dt = np.dtype(prec.vector_dtype).str
+    vshape = prec.vec_shape(n, r)
+    n_slots = -(-n // grid) if grid else world.n_ranks
+    arrays = {"start": (vshape, vec_dt)}
+    if ck is not None:
+        arrays["rw"] = (vshape, vec_dt)
+    arrays.update(
+        eta=((n_slots, n_moments, r), DTYPE),
+        acct=((world.n_ranks, _ACCT_COLS), "int64"),
+        hb=((world.n_ranks,), "int64"),
+        abort=((1,), "int64"),
+    )
+    if want_obs:
+        arrays["obs"] = ((world.n_ranks, _OBS_BLOB_SIZE), "uint8")
+    if checkpoint_every > 0:
+        arrays.update(ckv=((2, *vshape), vec_dt), ckw=((2, *vshape), vec_dt),
+                      ckst=((1,), "int64"))
+    for p, edges in enumerate(send_edges):
+        for q, rows in edges:
+            wshape = prec.vec_shape(rows.size, r)
+            arrays[f"w{p}_{q}"] = ((2, *wshape) if overlap else wshape, vec_dt)
+    specs, nbytes = layout(arrays)
+
+    live = _POOL.lease(world.n_ranks, world.start_method)
+    world.last_pids = [proc.pid for proc in live.procs]
     world.last_checkpoint = None
-    with ShmArena() as arena:
-        vec_dt = np.dtype(prec.vector_dtype).str
-        start = arena.create("start", prec.vec_shape(n, r), dtype=vec_dt)
+    try:
+        grown = live.arena.reserve(nbytes)
+        world.last_segment_names = [live.arena.name]
+        if grown is not None:
+            live.map_arena(grown, timeouts.stall)
+        sh = carve(live.arena.buf, specs)
+        for key in ("eta", "acct", "hb", "abort", "ckst"):
+            if key in sh:
+                sh[key][...] = 0
+        if want_obs:
+            sh["obs"][:, :8] = 0  # no blob shipped yet
+        live.abort_flag = sh["abort"]
+        start = sh["start"]
         if ck is not None:
             start[...] = ck.v
-            arena.create("rw", prec.vec_shape(n, r), dtype=vec_dt)[...] = ck.w
+            sh["rw"][...] = ck.w
         elif start_block.dtype == np.float16 or prec.is_fp64:
             start[...] = start_block
         elif prec.half_vectors:
             prec.encode(start_block, out=start)
         else:
             start[...] = start_block.astype(prec.vector_dtype)
-        n_slots = -(-n // grid) if grid else world.n_ranks
-        eta_shared = arena.create("eta", (n_slots, n_moments, r))
-        acct = arena.create("acct", (world.n_ranks, _ACCT_COLS), dtype="int64")
-        hb = arena.create("hb", (world.n_ranks,), dtype="int64")
-        abort_flag = arena.create("abort", (1,), dtype="int64")
-        obs = None
-        if want_obs:
-            obs = arena.create(
-                "obs", (world.n_ranks, _OBS_BLOB_SIZE), dtype="uint8"
-            )
+        eta_shared = sh["eta"]
         channel = None
         if checkpoint_every > 0:
-            ckv = arena.create("ckv", (2, *prec.vec_shape(n, r)), dtype=vec_dt)
-            ckw = arena.create("ckw", (2, *prec.vec_shape(n, r)), dtype=vec_dt)
-            ckst = arena.create("ckst", (1,), dtype="int64")
             channel = _CheckpointChannel(
-                eta_shared, ckv, ckw, ckst, base_eta, first_m,
-                n_moments, r, scale.a, scale.b, prec.name, grid,
+                eta_shared, sh["ckv"], sh["ckw"], sh["ckst"], base_eta,
+                first_m, n_moments, r, scale.a, scale.b, prec.name, grid,
                 run_id=ck.run_id if ck is not None else run_digest(start),
             )
-        # Halo windows: task mode double-buffers each directed edge (slot
-        # m % 2) and pairs every (edge, slot) with ready/free events —
-        # free initially set (both slots start drained).
-        events: dict[tuple[int, int], list] = {}
-        for p, edges in enumerate(send_edges):
-            for q, rows in edges:
-                wshape = prec.vec_shape(rows.size, r)
-                shape = (2, *wshape) if overlap else wshape
-                arena.create(f"w{p}_{q}", shape, dtype=vec_dt)
-                if overlap:
-                    slots = []
-                    for _slot in range(2):
-                        ready, free = ctx.Event(), ctx.Event()
-                        free.set()
-                        slots.append((ready, free))
-                    events[(p, q)] = slots
-        world.last_segment_names = list(arena.names)
-
-        barrier = ctx.Barrier(world.n_ranks)
-        errq = ctx.SimpleQueue()
-        for rank in range(world.n_ranks):
-            procs.append(
-                ctx.Process(
-                    target=_worker,
-                    args=(
-                        rank, dist.blocks[rank], send_edges[rank],
-                        arena.specs, barrier, events, errq, names[rank], cfg,
-                    ),
-                    daemon=True,
-                )
-            )
-        for p in procs:
-            p.start()
-
-        def abort_world() -> None:
-            # Both wake-up channels: the shared flag unblocks event
-            # waits (task mode), barrier.abort() unblocks barrier waits.
-            abort_flag[0] = 1
-            barrier.abort()
 
         def autosave() -> None:
             if channel is None:
@@ -933,64 +1276,32 @@ def mp_eta(
                     # strictly longer globally-reduced prefix
                     progress(2 * saved.next_m, saved.eta[:, : 2 * saved.next_m])
 
-        # Monitor: a worker death aborts the barrier so peers unblock
-        # instead of waiting out their timeout; liveness is judged by the
-        # heartbeat array (stall window), optionally capped by a whole-run
-        # deadline; published checkpoints are autosaved as they appear.
-        t0 = time.monotonic()
-        deadline = None if timeouts.run is None else t0 + timeouts.run
-        hb_last = hb.copy()
-        hb_t = t0
-        stalled = timed_out = False
-        while any(p.is_alive() for p in procs):
-            if any(p.exitcode not in (None, 0) for p in procs):
-                abort_world()
-                break
-            now = time.monotonic()
-            hb_now = hb.copy()
-            if not np.array_equal(hb_now, hb_last):
-                hb_last = hb_now
-                hb_t = now
-            elif now - hb_t >= timeouts.stall:
-                stalled = True
-                abort_world()
-                break
-            if deadline is not None and now >= deadline:
-                timed_out = True
-                abort_world()
-                break
-            autosave()
-            time.sleep(0.005)
-        for p in procs:
-            p.join(timeout=timeouts.join)
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=timeouts.join)
-        while not errq.empty():
-            errors.append(errq.get())
-
-        # Workers are gone: one last capture salvages any checkpoint
-        # published after the monitor's final poll (or, on failure, the
-        # state the supervisor will resume from).
+        live.send_run(cfg, specs, names, dist, send_edges)
+        replies, hb_last, stalled, timed_out = live.collect(
+            sh["hb"], timeouts, autosave
+        )
+        # One last capture salvages any checkpoint published after the
+        # final note (or, on failure, the state the supervisor will
+        # resume from).
         autosave()
 
-        exit_codes = [p.exitcode for p in procs]
-        failed = (
-            stalled or timed_out or errors
-            or any(c != 0 for c in exit_codes)
-        )
-        if failed:
+        kinds = [replies.get(p, ("dead",))[0] for p in range(world.n_ranks)]
+        if stalled or timed_out or kinds != ["done"] * world.n_ranks:
+            live.close(timeouts.join)  # reaped: exit codes are final
+            codes = {"done": 0, "fail": 1, "broken": 2}
             raise _worker_failure(
-                errors, exit_codes, stalled, timed_out, hb_last,
-                timeouts, world.last_checkpoint,
+                [(p, *replies[p][1:]) for p, k in enumerate(kinds)
+                 if k == "fail"],
+                [codes.get(k, proc.exitcode)
+                 for k, proc in zip(kinds, live.procs)],
+                stalled, timed_out, hb_last, timeouts, world.last_checkpoint,
             )
 
-        # Pull results out of shared memory before the arena unlinks.
-        world.last_acct = acct.copy()
+        world.last_acct = sh["acct"].copy()
         obs_snaps: list[dict | None] = []
         if want_obs:
             obs_snaps = [
-                _unpack_obs_blob(obs[p]) for p in range(world.n_ranks)
+                _unpack_obs_blob(sh["obs"][p]) for p in range(world.n_ranks)
             ]
         if first_m > 1:
             # Splice: checkpointed prefix verbatim (never re-reduced, so
@@ -1013,6 +1324,12 @@ def mp_eta(
                 f"{world.last_acct[:, 1].tolist()} bytes, pattern predicts "
                 f"{exp_bytes.tolist()}"
             )
+    except BaseException:
+        live.close(timeouts.join)
+        raise
+    live.abort_flag = None
+    live.arena.evict()
+    _POOL.release(live)
 
     if want_obs:
         world.last_obs = obs_snaps
@@ -1039,7 +1356,12 @@ def _worker_failure(
     timeouts: MpTimeouts,
     salvaged: KpmCheckpoint | None,
 ) -> WorkerFailure:
-    """Assemble the structured failure for a dead/wedged world."""
+    """Assemble the structured failure for a dead/wedged world.
+
+    ``exit_codes`` per rank: 0 finished, 1 raised (its message is in
+    ``errors``), 2 broke off when a peer failed; anything else is the
+    exit status of a process that died or had to be terminated.
+    """
     faults: list[WorkerFault] = []
     details: list[str] = []
     errored = set()

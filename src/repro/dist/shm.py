@@ -1,157 +1,126 @@
-"""POSIX shared-memory arenas for the multiprocess KPM engine.
+"""POSIX shared memory for the multiprocess KPM engine: one resident,
+nameless arena per world.
 
 The :mod:`repro.dist.mp` engine moves block vectors between real OS
-processes through ``multiprocessing.shared_memory`` segments instead of
-pickled pipe messages: the parent creates every segment up front (an
-:class:`ShmArena`), workers attach by name and map NumPy views directly
-onto the shared pages — the halo "transfer" is then a plain array copy
-into a window both sides have mapped, with no serialization.
+processes through a ``multiprocessing.shared_memory`` segment instead of
+pickled pipe messages.  Each world owns one segment (an
+:class:`ShmArena`) for its whole life; every run carves its named arrays
+out of it at fixed offsets (:func:`layout` on the parent, :func:`carve`
+on both sides), so a halo "transfer" is a plain array copy into a window
+every rank has mapped, with no serialization and no per-run allocation.
 
-Ownership is strictly parent-side: the arena that created a segment is
-the only one that ever unlinks it.  Workers attaching a segment
-immediately deregister it from their ``resource_tracker`` (otherwise
-every child registers the name again and the interpreter prints bogus
-"leaked shared_memory" warnings at shutdown — the tracker cannot know
-the parent owns the lifetime).
+The segment's *name* is the only thing that can leak: the parent
+``shm_unlink``\\ s it as soon as every worker has mapped it, so
+``/dev/shm`` holds no entry during or between runs and a killed parent
+leaves nothing behind — the memory itself lives exactly as long as the
+last process mapping it.  The arena grows (a new, larger segment, mapped
+and unlinked the same way) only when a run needs larger shapes, and
+between runs the parent drops its own page mappings (:meth:`ShmArena.evict`).
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
+
+#: Byte alignment of every carved array (one cache line, as the kernels'
+#: own allocations).
+_ALIGN = 64
 
 
 @dataclass(frozen=True)
 class ShmSpec:
-    """Picklable description of one shared array (sent to workers)."""
+    """Picklable placement of one shared array inside the arena."""
 
-    name: str  # OS-level segment name
+    offset: int
     shape: tuple[int, ...]
-    dtype: str  # numpy dtype string, e.g. 'complex128'
+    dtype: str  # numpy dtype string, e.g. '<c16'
 
     @property
     def nbytes(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
 
 
-class ShmArena:
-    """Parent-side owner of a set of named shared-memory arrays.
+def layout(arrays: dict) -> tuple[dict[str, ShmSpec], int]:
+    """Place ``{key: (shape, dtype)}`` back to back; returns (specs, bytes)."""
+    specs, offset = {}, 0
+    for key, (shape, dtype) in arrays.items():
+        spec = ShmSpec(offset, tuple(int(s) for s in shape), np.dtype(dtype).str)
+        specs[key] = spec
+        offset += -(-spec.nbytes // _ALIGN) * _ALIGN
+    return specs, offset
 
-    ``create()`` allocates a zero-initialized segment and returns a NumPy
-    view; ``specs`` is the picklable map workers use to re-attach.  The
-    arena is a context manager — on exit (success *or* failure) every
-    segment is closed and unlinked, so a crashed run never leaks
-    ``/dev/shm`` entries.
+
+def carve(buf, specs: dict[str, ShmSpec]) -> dict[str, np.ndarray]:
+    """NumPy views of ``specs`` onto a mapped segment's buffer."""
+    return {
+        key: np.ndarray(s.shape, dtype=s.dtype, buffer=buf, offset=s.offset)
+        for key, s in specs.items()
+    }
+
+
+class ShmArena:
+    """Parent-side owner of one world's resident segment.
+
+    :meth:`reserve` makes the segment at least ``nbytes`` long — a no-op
+    when it already is, else a new segment whose name it returns for the
+    workers to map; :meth:`unlink` then removes the name (the mapping
+    stays valid in every process that holds it).
     """
 
     def __init__(self) -> None:
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self._specs: dict[str, ShmSpec] = {}
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def create(self, key: str, shape: tuple[int, ...], dtype="complex128") -> np.ndarray:
-        if key in self._segments:
-            raise ValueError(f"shared array {key!r} already exists")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        seg = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
-        arr = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        arr[...] = 0
-        self._segments[key] = seg
-        self._specs[key] = ShmSpec(seg.name, tuple(int(s) for s in shape), np.dtype(dtype).str)
-        self._arrays[key] = arr
-        return arr
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self._arrays[key]
+        self._seg: shared_memory.SharedMemory | None = None
+        self._linked = False
 
     @property
-    def specs(self) -> dict[str, ShmSpec]:
-        return dict(self._specs)
+    def buf(self):
+        return self._seg.buf
 
     @property
-    def names(self) -> list[str]:
-        """OS segment names (for leak checks in tests)."""
-        return [seg.name for seg in self._segments.values()]
+    def name(self) -> str:
+        return self._seg.name
 
-    def close(self) -> None:
-        """Drop the NumPy views and unmap; segments stay alive for workers."""
-        # The views hold references into seg.buf: they must die before
-        # SharedMemory.close() or the mmap cannot be released.
-        self._arrays.clear()
-        for seg in self._segments.values():
-            try:
-                seg.close()
-            except OSError:  # pragma: no cover - platform quirk
-                pass
+    def reserve(self, nbytes: int) -> str | None:
+        if self._seg is not None and self._seg.size >= nbytes:
+            return None
+        self.close()
+        self._seg = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+        self._linked = True
+        return self._seg.name
+
+    def evict(self) -> None:
+        """Drop this process's page mappings of the segment.
+
+        On a shared mapping ``MADV_DONTNEED`` frees nothing — the pages
+        live on in the segment and the workers' mappings, and the next
+        touch here faults them back — it only stops a parked world's
+        arena from counting in this process's resident set.
+        """
+        mm = getattr(self._seg, "_mmap", None)
+        if mm is not None and hasattr(mmap, "MADV_DONTNEED"):
+            mm.madvise(mmap.MADV_DONTNEED)
 
     def unlink(self) -> None:
-        self.close()
-        for seg in self._segments.values():
+        if self._linked:
+            self._linked = False
             try:
-                seg.unlink()
+                self._seg.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        self._segments.clear()
-        self._specs.clear()
-
-    def __enter__(self) -> "ShmArena":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.unlink()
-
-
-class ShmAttachment:
-    """Worker-side view onto a parent-created arena.
-
-    Maps every spec to a NumPy array and keeps the SharedMemory handles
-    alive while the views are in use.  Never unlinks — the parent owns
-    the segments.
-
-    ``unregister`` balances the resource-tracker registration that
-    attaching performs on this Python.  Children started by
-    ``multiprocessing`` — fork *and* spawn — inherit the parent's
-    tracker process (the tracker fd is forwarded), whose per-name set
-    entry the parent's ``unlink`` removes exactly once; an extra
-    unregister from a child makes the tracker print KeyError noise, so
-    the default is False.  Pass True only when attaching from a process
-    with its own tracker (an unrelated interpreter), where the
-    registration would otherwise trigger bogus leak warnings — and a
-    spurious unlink — at shutdown.
-    """
-
-    def __init__(self, specs: dict[str, ShmSpec], *, unregister: bool = False) -> None:
-        self._segments: dict[str, shared_memory.SharedMemory] = {}
-        self.arrays: dict[str, np.ndarray] = {}
-        for key, spec in specs.items():
-            seg = shared_memory.SharedMemory(name=spec.name)
-            if unregister:
-                try:
-                    resource_tracker.unregister(seg._name, "shared_memory")
-                except Exception:  # pragma: no cover - tracker internals moved
-                    pass
-            self._segments[key] = seg
-            self.arrays[key] = np.ndarray(spec.shape, dtype=spec.dtype, buffer=seg.buf)
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.arrays[key]
 
     def close(self) -> None:
-        self.arrays.clear()
-        for seg in self._segments.values():
-            try:
-                seg.close()
-            except OSError:  # pragma: no cover - platform quirk
-                pass
-        self._segments.clear()
-
-    def __enter__(self) -> "ShmAttachment":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Unlink (if still named) and unmap; views must be dead by now."""
+        if self._seg is None:
+            return
+        self.unlink()
+        try:
+            self._seg.close()
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+        self._seg = None
 
 
 def segment_exists(name: str) -> bool:

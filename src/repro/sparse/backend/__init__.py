@@ -269,6 +269,10 @@ class KernelBackend(ABC):
         """
         return KernelPlan(A, r, precision, threads, simd)
 
+    def kernel_family(self, plan: KernelPlan) -> str:
+        """Which kernel family ``plan``'s steps dispatch to right now."""
+        return self.name
+
     @abstractmethod
     def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
              counters: PerfCounters = NULL_COUNTERS,

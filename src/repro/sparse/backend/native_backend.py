@@ -132,6 +132,10 @@ class NativeBackend(KernelBackend):
     def available(self) -> bool:
         return load_library() is not None
 
+    def kernel_family(self, plan) -> str:
+        simd = _use_simd(plan.simd, plan.precision)
+        return "native_simd" if simd else "native_scalar"
+
     # -- marshalling ---------------------------------------------------
     # The matrix-side pointers are cached on the matrix object (the
     # containers are immutable, same pattern as the ``_scipy_cache``

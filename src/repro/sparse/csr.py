@@ -85,6 +85,11 @@ class CSRMatrix:
         if validate:
             self._validate()
 
+    def __getstate__(self) -> dict:
+        """Pickle the matrix, not its per-process caches (kernel packs,
+        ctypes argument pointers, memoised partitions)."""
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

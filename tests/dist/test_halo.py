@@ -81,6 +81,50 @@ class TestPartitioning:
         assert dist.pattern.bytes_per_exchange(r=4) == total_rows * 4 * 16
 
 
+class TestMemo:
+    """partition_matrix is memoised on the matrix, per partition."""
+
+    def test_equal_partitions_share_one_result(self, ti_small):
+        h, _ = ti_small
+        a = partition_matrix(h, RowPartition.equal(h.n_rows, 2, align=4))
+        b = partition_matrix(h, RowPartition.equal(h.n_rows, 2, align=4))
+        assert a is b
+
+    def test_other_weights_or_matrix_build_anew(self, ti_small):
+        h, _ = ti_small
+        part = RowPartition.equal(h.n_rows, 2, align=4)
+        base = partition_matrix(h, part)
+        other = RowPartition.from_weights(h.n_rows, [3, 1], align=4)
+        assert partition_matrix(h, other) is not base
+        twin = CSRMatrix(h.indptr, h.indices, h.data, h.shape)
+        assert partition_matrix(twin, part) is not base
+        assert partition_matrix(h, part) is base
+
+    def test_shared_arrays_are_read_only(self, ti_small):
+        h, _ = ti_small
+        dist = partition_matrix(h, RowPartition.equal(h.n_rows, 3, align=4))
+        blk = dist.blocks[1]
+        for arr in (blk.matrix.indptr, blk.matrix.indices, blk.matrix.data,
+                    blk.halo_global, blk.halo_sources, blk.halo_counts,
+                    *dist.pattern.send_rows.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
+
+    def test_swapped_block_is_rebuilt(self, ti_small):
+        """A caller that reformats a block in place (the tuner's per-rank
+        SELL) keeps its copy; the next caller gets pristine CSR blocks."""
+        from repro.sparse.sell import SellMatrix
+
+        h, _ = ti_small
+        part = RowPartition.equal(h.n_rows, 2, align=4)
+        mine = partition_matrix(h, part)
+        mine.blocks[0].matrix = SellMatrix(mine.blocks[0].matrix,
+                                           chunk_height=4, sigma=4)
+        fresh = partition_matrix(h, part)
+        assert fresh is not mine
+        assert all(isinstance(b.matrix, CSRMatrix) for b in fresh.blocks)
+
+
 class TestValidation:
     def test_nonsquare_rejected(self):
         m = CSRMatrix.from_coo([0], [0], [1.0], (2, 3))
