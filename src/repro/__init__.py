@@ -55,4 +55,5 @@ __all__ = [*lazy_exports(__name__, {
     "physics.lattice": ("Lattice3D",),
     "sparse.csr": ("CSRMatrix",),
     "sparse.sell": ("SellMatrix",),
+    "util.knobs": ("ExecConfig",),
 }), "__version__"]

@@ -32,12 +32,12 @@ import numpy as np
 from repro.core.recurrence import Recurrence, check_moments, to_storage
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import CheckpointError, FormatError
+from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
 
 _FORMAT_VERSION = 1
@@ -301,20 +301,19 @@ def checkpointed_eta(
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
     counters: PerfCounters = NULL_COUNTERS,
-    backend: KernelBackend | str = "auto",
     metrics: MetricsRegistry = NULL_METRICS,
     fault=None,
-    precision: Precision | str | None = None,
     progress=None,
     progress_every: int = 0,
-    threads: int | None = None,
-    simd: str | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> np.ndarray:
     """Stage-2 eta computation with optional checkpoint/restart.
 
     The serial driver of :class:`~repro.core.recurrence.Recurrence`:
     :func:`repro.core.moments.compute_eta` with the ``aug_spmmv`` engine
-    *is* this function with checkpoints off. With
+    *is* this function with checkpoints off; ``config``/knobs are the
+    kernel knobs of :class:`~repro.util.knobs.ExecConfig`. With
     ``checkpoint_every = k > 0`` the state is saved to
     ``checkpoint_path`` after every k inner iterations; pass
     ``resume_from`` (a checkpoint object or path) to continue an
@@ -326,9 +325,9 @@ def checkpointed_eta(
     plus ``checkpoint_save`` / ``checkpoint_load`` I/O spans.
     ``fault`` is an optional :class:`~repro.resil.FaultInjector` probed
     at the top of every inner iteration (the in-process equivalent of
-    the multiprocess engine's injected crashes).  ``precision`` selects
-    the storage profile; checkpoints record it and a resume under a
-    different profile raises :class:`CheckpointError`.
+    the multiprocess engine's injected crashes).  Checkpoints record the
+    storage profile and a resume under a different one raises
+    :class:`CheckpointError`.
 
     ``progress`` is an optional streaming callback fired as
     ``progress(n_eta, eta_prefix)`` after every ``progress_every`` inner
@@ -338,20 +337,19 @@ def checkpointed_eta(
     keep it cheap and never let it raise.
     """
     check_moments(n_moments)
+    cfg = ExecConfig.of(config, knobs)
     if checkpoint_every and checkpoint_path is None:
         raise ValueError("checkpoint_every requires checkpoint_path")
     a, b = scale.a, scale.b
-    prec = get_precision(precision)
+    prec = get_precision(cfg.precision)
 
     ck = None
     if resume_from is not None:
         ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec,
                             start_block=start_block)
         start_block = ck.v
-    rec = Recurrence(
-        H, a, b, start_block.shape[1], backend=backend, precision=prec,
-        threads=threads, simd=simd, counters=counters, metrics=metrics,
-    )
+    rec = Recurrence(H, a, b, start_block.shape[1], config=cfg,
+                     counters=counters, metrics=metrics)
     if ck is not None:
         rec.load(ck.v, ck.w)
         eta = ck.eta.astype(DTYPE, copy=True)

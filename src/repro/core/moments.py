@@ -37,12 +37,12 @@ from repro.core.checkpoint import checkpointed_eta
 from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend, get_backend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.precision import Precision, get_precision
+from repro.util.knobs import ExecConfig
+from repro.util.precision import get_precision
 from repro.util.validation import check_block_vector
 
 
@@ -61,11 +61,10 @@ def compute_eta(
     start_block: np.ndarray,
     engine: MomentEngine | str = MomentEngine.AUG_SPMMV,
     counters: PerfCounters = NULL_COUNTERS,
-    backend: KernelBackend | str = "auto",
+    *,
     metrics: MetricsRegistry = NULL_METRICS,
-    precision: Precision | str | None = None,
-    threads: int | None = None,
-    simd: str | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> np.ndarray:
     """Compute the raw scalar products eta for every start vector.
 
@@ -82,30 +81,16 @@ def compute_eta(
         (N, R) C-contiguous block of start vectors.
     engine:
         Which optimization stage to execute.
-    backend:
-        Kernel backend: ``'auto'`` (native when compilable, else numpy),
-        ``'numpy'``, ``'native'``, or a :class:`KernelBackend` instance.
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; when live, every
         kernel invocation records a wall-time span with the counters'
         traffic/flop delta attached (free with the null default).
-    precision:
-        Storage profile (:mod:`repro.util.precision`): ``'fp64'``
-        (default, bitwise the historical path), ``'fp32'``, or
-        ``'fp16v'``.  The eta accumulation is fp64 in every profile;
-        the naive engine runs fp16v through the backends' decode pass
-        (half-storage SpMV + fp32 BLAS-1).
-    threads:
-        Intra-rank thread count for the native threaded kernels.
-        ``None`` (default) keeps the sequential kernels; any explicit
-        count routes the augmented steps through the block-grid threaded
-        variants, whose fp64 results are bitwise identical at every
-        thread count.  The NumPy backend accepts and ignores the knob.
-    simd:
-        Vectorized-kernel selector for the native backend
-        (``None``/``'auto'``/``'on'``/``'off'``); fp64 results are
-        bitwise identical either way, so this is purely a performance
-        knob.  The NumPy backend accepts and ignores it.
+    config / knobs:
+        The kernel knobs of :class:`~repro.util.knobs.ExecConfig`
+        (``backend``, ``precision``, ``threads``, ``simd``).  The eta
+        accumulation is fp64 in every storage profile; the naive engine
+        runs fp16v through the backends' decode pass (half-storage SpMV
+        + fp32 BLAS-1).
 
     Returns
     -------
@@ -114,8 +99,8 @@ def compute_eta(
     """
     check_moments(n_moments)
     engine = MomentEngine(engine)
-    prec = get_precision(precision)
-    bk = get_backend(backend)
+    cfg = ExecConfig.of(config, knobs)
+    prec = get_precision(cfg.precision)
     start_block = check_block_vector("start_block", start_block, H.n_rows)
     if start_block.dtype == np.float16 and not prec.half_vectors:
         raise TypeError(
@@ -124,16 +109,12 @@ def compute_eta(
         )
     if engine is MomentEngine.AUG_SPMMV:
         # stage 2 is the checkpointable serial driver with checkpoints off
-        return checkpointed_eta(
-            H, scale, n_moments, start_block, counters=counters, backend=bk,
-            metrics=metrics, precision=prec, threads=threads, simd=simd,
-        )
+        return checkpointed_eta(H, scale, n_moments, start_block,
+                                counters=counters, metrics=metrics,
+                                config=cfg)
     # stages 0/1: one single-vector recurrence, re-loaded per column
-    rec = Recurrence(
-        H, scale.a, scale.b, 1, kernel=engine.value, backend=bk,
-        precision=prec, threads=threads, simd=simd, counters=counters,
-        metrics=metrics,
-    )
+    rec = Recurrence(H, scale.a, scale.b, 1, kernel=engine.value, config=cfg,
+                     counters=counters, metrics=metrics)
     # (n, r) complex or (n, r, 2) f16 pair storage: r is axis 1 either way
     eta = np.empty((start_block.shape[1], n_moments), dtype=DTYPE)
     for i, row in enumerate(eta):
@@ -169,11 +150,10 @@ def compute_dos_moments(
     start_block: np.ndarray,
     engine: MomentEngine | str = MomentEngine.AUG_SPMMV,
     counters: PerfCounters = NULL_COUNTERS,
-    backend: KernelBackend | str = "auto",
+    *,
     metrics: MetricsRegistry = NULL_METRICS,
-    precision: Precision | str | None = None,
-    threads: int | None = None,
-    simd: str | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> np.ndarray:
     """Stochastic-trace DOS moments mu_m ~= tr[T_m(H~)].
 
@@ -181,9 +161,7 @@ def compute_dos_moments(
     tr[A] ~= (1/R) sum_r <v_r|A|v_r> for iid random vectors with
     E[v v^H] = Identity (paper Section II). Returns a real (M,) array.
     """
-    eta = compute_eta(
-        H, scale, n_moments, start_block, engine, counters, backend=backend,
-        metrics=metrics, precision=precision, threads=threads, simd=simd,
-    )
+    eta = compute_eta(H, scale, n_moments, start_block, engine, counters,
+                      metrics=metrics, config=ExecConfig.of(config, knobs))
     mu = eta_to_moments(eta)
     return mu.mean(axis=0).real

@@ -26,9 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend, get_backend
+from repro.sparse.backend import get_backend
 from repro.sparse.fused import _col_dots, _recombine, charge_col_dots, vec_dots
 from repro.util.counters import NULL_COUNTERS, PerfCounters
+from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
 from repro.util.validation import check_positive
 
@@ -81,6 +82,10 @@ class Recurrence:
         products are then taken per slice — ``(len(dot_blocks), R)``
         arrays instead of ``(R,)`` — so their reduction order depends
         only on the global block grid, never on the partition.
+    config / knobs:
+        The :class:`~repro.util.knobs.ExecConfig` whose ``backend``,
+        ``precision``, ``threads`` and ``simd`` select the kernels; this
+        is where the execution knobs meet the kernel plan.
     """
 
     def __init__(
@@ -91,24 +96,23 @@ class Recurrence:
         r: int,
         *,
         kernel: str = "aug_spmmv",
-        backend: KernelBackend | str = "auto",
-        precision: Precision | str | None = None,
-        threads: int | None = None,
-        simd: str | None = None,
         split=None,
         dot_blocks: list[slice] | None = None,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
+        config: ExecConfig | None = None,
+        **knobs,
     ) -> None:
+        cfg = ExecConfig.of(config, knobs)
         self.A = A
         self.a, self.b = a, b
-        self.prec = prec = get_precision(precision)
-        self._bk = bk = get_backend(backend)
+        self.prec = prec = get_precision(cfg.precision)
+        self._bk = bk = get_backend(cfg.backend)
         self._obs = {"counters": counters, "metrics": metrics}
-        self._plan = plan = bk.plan(A, r, precision=prec, threads=threads,
-                                    simd=simd)
-        self._split = None if split is None else bk.split_plan(
-            A, split, r, precision=prec, threads=threads, simd=simd)
+        kw = dict(precision=prec, threads=cfg.kernel_threads(), simd=cfg.simd)
+        self._plan = plan = bk.plan(A, r, **kw)
+        self._split = None if split is None else bk.split_plan(A, split, r,
+                                                               **kw)
         single = kernel != "aug_spmmv"
         dims = (A.n_cols,) if single else (A.n_cols, r)
         self._apply = bk.spmv if single else bk.spmmv

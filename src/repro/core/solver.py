@@ -16,7 +16,6 @@ the paper's Refs. [8], [22].
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +27,11 @@ from repro.core.stochastic import ldos_moments, make_block_vector, unit_block_ve
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.physics.hamiltonian import plane_wave_vector
 from repro.physics.lattice import Lattice3D
-from repro.sparse.backend import KernelBackend, resolve_simd
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.knobs import resolve_overlap
-from repro.util.precision import Precision, get_precision
+from repro.util.knobs import ExecConfig, check_rebalance, run_engine
+from repro.util.precision import get_precision
 from repro.util.validation import check_positive
 
 
@@ -146,31 +144,11 @@ class KPMSolver:
         wall-time spans (with the counters' traffic attributed span by
         span) and, when built with a :class:`~repro.obs.Trace`, a JSONL
         trace of every span.  Free with the null default.
-    backend:
-        Kernel backend executing the inner iterations — ``'auto'``
-        (native C kernels when compilable, else numpy), ``'numpy'``,
-        ``'native'``, or a :class:`~repro.sparse.backend.KernelBackend`.
     dist_engine:
-        ``None`` (serial, default), ``'sim'`` (sequential SPMD
-        simulator) or ``'mp'`` (real worker processes over shared
-        memory).  Both run the paper's data-parallel scheme: weighted
-        row partition, halo exchange, one deferred global reduction —
-        and produce the serial moments to reduction-order tolerance
-        (bitwise at fp64 with ``workers=1`` and ``overlap='off'``: one
-        rank drives the serial engine's own recurrence).
-    workers:
-        Rank count for the distributed engines (ignored when
-        ``dist_engine`` is None).
-    weights:
-        Optional per-rank partition weights (heterogeneous nodes,
-        paper Section VI-B); equal split by default.
-    overlap:
-        Communication/computation overlap for the distributed engines
-        (task-mode pipelining): ``'on'``/``True``, ``'off'``/``False``,
-        or ``'auto'`` (the default — on whenever more than one rank
-        runs).  Ignored in serial solves.  Overlapped and synchronous
-        schedules agree to reduction-order tolerance; the two engines
-        agree *bitwise* with each other per schedule.
+        ``None`` (serial, default), ``'sim'`` or ``'mp'``: the
+        ``engine`` field of the execution config.  The distributed
+        engines run the paper's data-parallel scheme — weighted row
+        partition, halo exchange, one deferred global reduction.
     resilience:
         Optional :class:`~repro.resil.Resilience` configuration.  When
         set, every moment computation runs under a
@@ -180,44 +158,16 @@ class KPMSolver:
         of failing the solve.  The last run's
         :class:`~repro.resil.ResilienceReport` is exposed as
         ``solver.resilience_report``.
-    precision:
-        Storage profile (:mod:`repro.util.precision`): ``'fp64'``
-        (default — bitwise the historical path), ``'fp32'`` (complex64
-        values and vectors, fp64 dot accumulation, compressed column
-        indices), or ``'fp16v'`` (float16 pair vectors, fp32 compute).
-        Threaded through every engine — serial, distributed, supervised
-        — and recorded in checkpoints.  LDOS and the naive engine run
-        ``fp16v`` through the backends' decode pass (half-storage
-        SpM(M)V, fp32 BLAS-1).
-    threads:
-        Intra-rank kernel thread count for the native backend: ``None``
-        (default) keeps the sequential kernels, an int routes the
-        augmented steps through the block-grid threaded variants, and
-        ``'auto'`` budgets the host's cores (whole machine serially,
-        ``cores // workers`` per rank distributed).  fp64 moments are
-        bitwise identical at every setting.
-    simd:
-        Native backend vectorized-kernel selector: ``None``/``'auto'``
-        (use the AVX2 kernels when the compiled library has them),
-        ``'on'`` (request them; falls back to scalar with a metrics
-        counter when unavailable), or ``'off'`` (scalar kernels).  fp64
-        moments are bitwise identical either way — a pure performance
-        knob, threaded through every engine like ``threads``.
-    rebalance:
-        Elastic execution (:mod:`repro.dist.elastic`): ``'off'``/None
-        (default), ``'auto'``/True (default policy), a skew threshold,
-        or a :class:`~repro.dist.elastic.RebalancePolicy`.  With
-        ``dist_engine='mp'`` the moments run segmented under the elastic
-        driver — live skew rebalancing, worker-death recovery onto the
-        survivors — and with ``dist_engine='sim'`` (or a degraded rung)
-        the same grid-eta reduction runs on a fixed world, so fp64
-        moments are bitwise identical across all of it.  The last run's
+    config / knobs:
+        How the solve executes: an :class:`~repro.util.knobs.ExecConfig`
+        and/or its fields as keywords — ``workers``, ``weights``,
+        ``backend``, ``precision``, ``threads``, ``simd``, ``overlap``
+        (``'auto'`` here), ``reduction``, ``rebalance``, ``membership``.
+        ``ExecConfig`` says what each does and which may move bits.  A
+        ``rebalance`` policy needs a distributed engine or
+        ``resilience``; the last elastic run's
         :class:`~repro.dist.elastic.ElasticReport` is exposed as
         ``solver.elastic_report``.
-    membership:
-        Planned membership events for elastic runs
-        (:class:`~repro.dist.elastic.MembershipPlan` or its string form,
-        e.g. ``'join:m=8;leave:m=16,rank=0'``).
     """
 
     def __init__(
@@ -234,71 +184,33 @@ class KPMSolver:
         seed: int | None = None,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
-        backend: KernelBackend | str = "auto",
         dist_engine: str | None = None,
-        workers: int = 2,
-        weights: list[float] | None = None,
-        overlap: bool | str | None = "auto",
         resilience=None,
-        precision: Precision | str | None = None,
-        threads: int | str | None = None,
-        simd: str | None = None,
-        rebalance=None,
-        membership=None,
+        config: ExecConfig | None = None,
+        **knobs,
     ) -> None:
         check_positive("n_moments", n_moments)
         check_positive("n_vectors", n_vectors)
-        self.precision = get_precision(precision)
+        self.config = cfg = ExecConfig.of(
+            config, knobs if dist_engine is None
+            else {**knobs, "engine": dist_engine})
+        if cfg.engine != "serial" and not isinstance(H, CSRMatrix):
+            raise ValueError(
+                "distributed engines partition CSR operators; convert "
+                "SELL-C-sigma back with to_csr() first"
+            )
+        check_rebalance(cfg, resilience is not None)
+        self.precision = get_precision(cfg.precision)
         self.H = H
         self.n_moments = int(n_moments)
         self.n_vectors = int(n_vectors)
         self.engine = MomentEngine(engine)
         self.kernel = kernel
-        self.backend = backend
         self.vector_kind = vector_kind
         self.seed = seed
         self.counters = counters
         self.metrics = metrics
-        if dist_engine not in (None, "sim", "mp"):
-            raise ValueError(
-                f"dist_engine must be None, 'sim' or 'mp', got {dist_engine!r}"
-            )
-        if dist_engine is not None:
-            check_positive("workers", workers)
-            if not isinstance(H, CSRMatrix):
-                raise ValueError(
-                    "distributed engines partition CSR operators; convert "
-                    "SELL-C-sigma back with to_csr() first"
-                )
-        self.dist_engine = dist_engine
-        self.workers = int(workers)
-        self.weights = list(weights) if weights is not None else None
-        # validate eagerly: a typo'd overlap= fails at construction, not
-        # deep inside a worker process
-        resolve_overlap(overlap, self.workers)
-        self.overlap = overlap
-        if threads is not None and threads != "auto":
-            check_positive("threads", int(threads))
-            threads = int(threads)
-        self.threads = threads
-        # validate eagerly, like overlap/rebalance: a typo'd simd= fails
-        # at construction, not deep inside an engine or worker process
-        self.simd = None if simd is None else resolve_simd(simd)
         self.resilience = resilience
-        # validate eagerly, like overlap: a typo'd rebalance= fails here
-        # (the elastic layer is imported only for a solve that names it)
-        self.rebalance = None
-        if rebalance is not None:
-            from repro.dist.elastic import resolve_rebalance
-
-            self.rebalance = resolve_rebalance(rebalance)
-        self.membership = membership
-        if self.rebalance is not None and dist_engine is None \
-                and resilience is None:
-            raise ValueError(
-                "rebalance requires a distributed engine "
-                "(dist_engine='mp'/'sim') or a resilience config"
-            )
         #: the ElasticReport of the most recent elastic solve; None
         #: until one runs (or when rebalance is off).
         self.elastic_report = None
@@ -315,7 +227,7 @@ class KPMSolver:
                 raise ValueError("gershgorin bounds require a CSRMatrix")
             self.scale = gershgorin_scale(H)
         elif bounds == "lanczos":
-            self.scale = lanczos_scale(H, seed=seed, backend=backend)
+            self.scale = lanczos_scale(H, seed=seed, backend=cfg.backend)
         else:
             raise ValueError(
                 f"bounds must be 'lanczos' or 'gershgorin', got {bounds!r}"
@@ -364,102 +276,36 @@ class KPMSolver:
             self.dimension, self.n_vectors, self.vector_kind, self.seed
         )
 
-    def _serial_threads(self) -> int | None:
-        """Resolve ``'auto'`` for the serial engines: the whole machine."""
-        if self.threads == "auto":
-            return max(1, os.cpu_count() or 1)
-        return self.threads
-
-    def _make_world(self):
-        from repro.dist.comm import SimWorld
-        from repro.dist.mp import MpWorld
-
-        if self.dist_engine == "mp":
-            return MpWorld(self.workers)
-        return SimWorld(self.workers)
-
-    def _distributed_eta(self) -> np.ndarray:
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.partition import RowPartition
-
-        if self.rebalance is not None and self.dist_engine == "mp":
-            from repro.dist.elastic import elastic_eta
-
-            eta, report = elastic_eta(
-                self.H, self.scale, self.n_moments, self._start_block(),
-                n_workers=self.workers, weights=self.weights,
-                policy=self.rebalance, membership=self.membership,
-                engine="mp", backend=self.backend, counters=self.counters,
-                metrics=self.metrics, overlap=self.overlap,
-                precision=self.precision, threads=self.threads,
-                simd=self.simd,
-            )
-            self.elastic_report = report
-            self.world = None  # segments each ran their own world
-            return eta
-        align = 4 if self.rebalance is None else self.rebalance.grid
-        if self.weights is not None:
-            part = RowPartition.from_weights(
-                self.dimension, self.weights, align=align
-            )
-        else:
-            part = RowPartition.equal(self.dimension, self.workers,
-                                      align=align)
-        self.world = self._make_world()
-        return distributed_eta(
-            self.H, part, self.scale, self.n_moments, self._start_block(),
-            self.world, backend=self.backend, counters=self.counters,
-            metrics=self.metrics, overlap=self.overlap,
-            precision=self.precision, threads=self.threads, simd=self.simd,
-            eta_grid=0 if self.rebalance is None else self.rebalance.grid,
-        )
-
-    def _supervised_eta(self) -> np.ndarray:
-        from repro.resil import Supervisor
-
-        sup = Supervisor.from_config(
-            self.resilience, metrics=self.metrics, counters=self.counters,
-            seed=self.seed,
-        )
-        if self.rebalance is not None:
-            # solver-level elastic knobs override the Resilience config
-            sup.rebalance = self.rebalance
-            sup.membership = self.membership or sup.membership
-        eta = sup.run_eta(
-            self.H, self.scale, self.n_moments, self._start_block(),
-            engine=self.dist_engine or "serial", workers=self.workers,
-            weights=self.weights, backend=self.backend,
-            overlap=self.overlap, precision=self.precision,
-            threads=self.threads, simd=self.simd,
-        )
-        self.world = sup.last_world
-        self.resilience_report = sup.report
-        if sup.last_elastic_report is not None:
-            self.elastic_report = sup.last_elastic_report
-        return eta
-
     # ------------------------------------------------------------------
     def moments(self) -> np.ndarray:
         """Raw stochastic-trace Chebyshev moments mu_m ~= tr[T_m(H~)].
 
-        With ``dist_engine`` set, the moments come from the distributed
-        stage-2 driver (simulated or real processes); otherwise from the
-        serial engine selected at construction.  Identical values either
-        way, up to floating-point reduction order.  With ``resilience``
-        configured the computation runs under the fault-tolerance
-        supervisor (retries, checkpoint recovery, engine degradation).
+        Executed as ``config`` says (:func:`~repro.util.knobs.run_engine`)
+        — under the fault-tolerance supervisor (retries, checkpoint
+        recovery, engine degradation) when ``resilience`` is set.
+        Identical values on every engine up to floating-point reduction
+        order.
         """
+        block = self._start_block()
         if self.resilience is not None:
-            eta = self._supervised_eta()
-        elif self.dist_engine is not None:
-            eta = self._distributed_eta()
-        else:
-            eta = compute_eta(
-                self.H, self.scale, self.n_moments, self._start_block(),
-                self.engine, self.counters, backend=self.backend,
-                metrics=self.metrics, precision=self.precision,
-                threads=self._serial_threads(), simd=self.simd,
+            from repro.resil import Supervisor
+
+            sup = Supervisor.from_config(
+                self.resilience, metrics=self.metrics, counters=self.counters,
+                seed=self.seed,
             )
+            eta = sup.run_eta(self.H, self.scale, self.n_moments, block,
+                              config=self.config)
+            self.world, report = sup.last_world, sup.last_elastic_report
+            self.resilience_report = sup.report
+        else:
+            eta, self.world, report = run_engine(
+                self.config, self.H, self.scale, self.n_moments, block,
+                kernel=self.engine, counters=self.counters,
+                metrics=self.metrics,
+            )
+        if report is not None:
+            self.elastic_report = report
         return eta_to_moments(eta).mean(axis=0).real
 
     def dos(
@@ -502,10 +348,8 @@ class KPMSolver:
             block = unit_block_vector(self.dimension, rows)
         else:
             block = self._start_block()
-        mu = ldos_moments(
-            self.H, self.scale, self.n_moments, block, rows, self.counters,
-            backend=self.backend, precision=self.precision, simd=self.simd,
-        )
+        mu = ldos_moments(self.H, self.scale, self.n_moments, block, rows,
+                          self.counters, config=self.config)
         pts = n_points if n_points is not None else max(2 * self.n_moments, 256)
         e_grid, rho = reconstruct_dos(
             mu, self.scale, energies=energies, n_points=pts, kernel=self.kernel
@@ -536,12 +380,8 @@ class KPMSolver:
                     [plane_wave_vector(lattice, k, o) for o in orbitals], axis=1
                 )
             )
-            eta = compute_eta(
-                self.H, self.scale, self.n_moments, block,
-                self.engine, self.counters, backend=self.backend,
-                precision=self.precision, threads=self._serial_threads(),
-                simd=self.simd,
-            )
+            eta = compute_eta(self.H, self.scale, self.n_moments, block,
+                              self.engine, self.counters, config=self.config)
             mu = eta_to_moments(eta).sum(axis=0).real  # sum over orbitals
             e_grid, rho = reconstruct_dos(
                 mu, self.scale, energies=energies, n_points=pts,

@@ -13,13 +13,13 @@ import numpy as np
 
 from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
-from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import ShapeError
-from repro.util.precision import Precision, get_precision
+from repro.util.knobs import ExecConfig
+from repro.util.precision import get_precision
 from repro.util.rng import (
     gaussian_vector,
     make_rng,
@@ -110,9 +110,9 @@ def ldos_moments(
     start_block: np.ndarray,
     rows: np.ndarray,
     counters: PerfCounters = NULL_COUNTERS,
-    backend: KernelBackend | str = "auto",
-    precision: Precision | str | None = None,
-    simd: str | None = None,
+    *,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> np.ndarray:
     """Stochastic diagonal (LDOS) moments for selected matrix rows.
 
@@ -126,25 +126,22 @@ def ldos_moments(
     With ``start_block`` = unit vectors on ``rows`` (R == len(rows)), the
     same loop returns the *exact* LDOS instead (used in tests).
 
-    ``precision`` narrows the block-vector storage to complex64
-    (``'fp32'``) or float16 pair storage (``'fp16v'``, via a per-step
-    decode pass: the SpMMV streams the half layout, the recurrence
+    ``config``/knobs are :class:`~repro.util.knobs.ExecConfig`'s kernel
+    knobs.  A narrow ``precision`` stores the block vectors as complex64
+    (``'fp32'``) or float16 pairs (``'fp16v'``, via a per-step decode
+    pass: the SpMMV streams the half layout, the recurrence
     recombination runs in fp32 and is rounded back to storage); the
     per-site products are accumulated in fp64 in every profile.
-
-    ``simd`` selects the native backend's vectorized SpMMV kernels
-    (``None``/``'auto'``/``'on'``/``'off'``) — a pure performance knob.
 
     Returns real (len(rows), M).
     """
     if n_moments < 2:
         raise ValueError(f"n_moments must be >= 2, got {n_moments}")
-    prec = get_precision(precision)
+    cfg = ExecConfig.of(config, knobs)
+    prec = get_precision(cfg.precision)
     rows = np.asarray(rows, dtype=np.int64)
-    rec = Recurrence(
-        H, scale.a, scale.b, start_block.shape[1], backend=backend,
-        precision=prec, simd=simd, counters=counters,
-    )
+    rec = Recurrence(H, scale.a, scale.b, start_block.shape[1], config=cfg,
+                     counters=counters)
     rec.load(start_block)
     exact = _is_unit_block(start_block, rows)
     diag = np.arange(rows.size)

@@ -75,6 +75,7 @@ from repro.resil.faults import FaultPlan, as_fault_plan
 from repro.sparse.csr import CSRMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure
+from repro.util.knobs import ExecConfig
 
 __all__ = [
     "RebalancePolicy",
@@ -458,23 +459,20 @@ def elastic_eta(
     n_moments: int,
     start_block: np.ndarray,
     *,
-    n_workers: int,
+    n_workers: int | None = None,
     weights=None,
     policy: RebalancePolicy | None = None,
     membership: MembershipPlan | str | None = None,
-    engine: str = "mp",
-    backend="auto",
+    engine: str | None = None,
     counters: PerfCounters = NULL_COUNTERS,
     metrics: MetricsRegistry = NULL_METRICS,
-    overlap: bool | str | None = False,
     fault_plan: FaultPlan | str | None = None,
     attempt: int = 1,
-    precision=None,
-    threads: int | str | None = None,
-    simd: str | None = None,
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
     timer: TimerFn | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> tuple[np.ndarray, ElasticReport]:
     """Run the KPM eta recurrence elastically, bitwise-stable throughout.
 
@@ -492,11 +490,15 @@ def elastic_eta(
     an uninterrupted run of the same problem on any fixed grid-aligned
     partition.
 
-    ``engine`` is ``'mp'`` (real worker processes; busy times are
-    measured) or ``'sim'`` (in-process simulator; no real time exists,
-    so skew detection and rebalancing only engage through the explicit
-    ``timer`` prediction callback — the deterministic test path).
-    ``checkpoint_path`` is where boundary checkpoints are written
+    ``n_workers``/``weights``/``policy``/``membership``/``engine`` are
+    this entry's names for the :class:`~repro.util.knobs.ExecConfig`
+    fields ``workers``/``weights``/``rebalance``/``membership``/
+    ``engine``; ``config``/knobs carry the rest (``overlap`` off unless
+    given).  ``engine`` is ``'mp'`` (the default: real worker processes;
+    busy times are measured) or ``'sim'`` (in-process simulator; no real
+    time exists, so skew detection and rebalancing only engage through
+    the explicit ``timer`` prediction callback — the deterministic test
+    path).  ``checkpoint_path`` is where boundary checkpoints are written
     (a temporary directory when omitted); ``counters``/``metrics``/the
     shared :class:`MessageLog` accumulate across segments to the same
     totals as one uninterrupted run (failed attempts charge nothing).
@@ -508,26 +510,25 @@ def elastic_eta(
     engines and a :class:`ElasticReport` describing every segment and
     event.
     """
-    policy = policy or RebalancePolicy()
-    plan = as_membership_plan(membership)
+    named = {"workers": n_workers, "weights": weights, "rebalance": policy,
+             "membership": membership, "engine": engine}
+    cfg = ExecConfig.of(
+        config, {**{k: v for k, v in named.items() if v is not None}, **knobs},
+        engine="mp", overlap=False,
+    )
+    policy = cfg.rebalance or RebalancePolicy()
+    plan = cfg.membership
     fault_plan = as_fault_plan(fault_plan)
-    if engine not in ("mp", "sim"):
-        raise ValueError(f"engine must be 'mp' or 'sim', got {engine!r}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    if cfg.engine not in ("mp", "sim"):
+        raise ValueError(f"engine must be 'mp' or 'sim', got {cfg.engine!r}")
     from repro.dist.mp import MpWorld  # local import: mp pulls this module
 
-    n = A.n_rows
+    n, n_workers, engine = A.n_rows, cfg.workers, cfg.engine
     half = n_moments // 2
-    if weights is None:
+    if cfg.weights is None:
         cur_weights = [1.0 / n_workers] * n_workers
     else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n_workers,):
-            raise ValueError(
-                f"weights must have one entry per worker ({n_workers}), "
-                f"got shape {w.shape}"
-            )
+        w = np.asarray(cfg.weights)
         cur_weights = (w / w.sum()).tolist()
 
     shared_log = MessageLog()
@@ -583,15 +584,13 @@ def elastic_eta(
                     eta = distributed_eta(
                         A, part, scale, n_moments,
                         start_block if ck is None else None,
-                        world,
-                        backend=backend, counters=counters,
-                        metrics=seg_metrics, overlap=overlap,
+                        world, config=cfg, counters=counters,
+                        metrics=seg_metrics,
                         checkpoint_every=0 if is_final else stop - first_m,
                         checkpoint_path=checkpoint_path,
                         resume_from=ck, fault_plan=fault_plan,
-                        attempt=attempt_no, precision=precision,
-                        threads=threads, simd=simd,
-                        eta_grid=policy.grid, stop_m=stop,
+                        attempt=attempt_no, eta_grid=policy.grid,
+                        stop_m=stop,
                     )
                     break
                 except WorkerFailure as wf:

@@ -20,10 +20,15 @@ overlap off) the moments equal the serial solver's **bitwise** at fp64;
 with more ranks they agree to floating-point reduction order (the
 per-rank partial dots are summed across ranks) for any rank count and
 any weighting.  The test suite asserts both.
+
+:func:`prepare_run` is the prologue this simulated world and the
+multiprocess one (:mod:`repro.dist.mp`) share: one validation, one
+exception per bad input, whichever world runs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +38,15 @@ from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import SimWorld, log_allreduce
 from repro.dist.halo import DistributedMatrix, partition_matrix
+from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition, eta_slots
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import FaultInjector, FaultPlan
-from repro.sparse.backend import KernelBackend
 from repro.sparse.csr import CSRMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError
+from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
 from repro.util.validation import check_block_vector
 
@@ -69,6 +75,126 @@ def _halo_exchange(
             pos += cnt
 
 
+@dataclass
+class RunSetup:
+    """One validated distributed run, as either world executes it.
+
+    ``cfg`` has ``threads`` and ``overlap`` decided for the world's rank
+    count; ``half`` is the exclusive bound of the inner iterations run
+    (``stop_m``, or M/2) and ``first_m`` the first one (1 fresh, the
+    checkpoint's ``next_m`` resumed, whose reduced prefix is ``base_eta``).
+    """
+
+    dist: DistributedMatrix
+    cfg: ExecConfig
+    prec: Precision
+    a: float
+    b: float
+    n_moments: int
+    r: int
+    first_m: int
+    half: int
+    grid: int
+    stop_m: int | None
+    ck: KpmCheckpoint | None
+    base_eta: np.ndarray | None
+    start_block: np.ndarray | None
+    counters: PerfCounters
+    metrics: MetricsRegistry
+    checkpoint_every: int
+    checkpoint_path: str | Path | None
+    fault_plan: FaultPlan | None
+    attempt: int
+    progress: object
+    progress_every: int
+
+    @property
+    def final_cols(self) -> int:
+        """Eta columns the final allreduce moves: all M, or those this
+        segment computed (``2·stop_m`` fresh, ``2·(stop_m − first_m)``
+        resumed), so the charges of a segmented run sum to one run's."""
+        if self.stop_m is None:
+            return self.n_moments
+        return 2 * self.half if self.first_m == 1 \
+            else 2 * (self.half - self.first_m)
+
+
+def prepare_run(
+    A, partition, scale: SpectralScale, n_moments: int, start_block, world,
+    cfg: ExecConfig, *, counters, metrics, checkpoint_every, checkpoint_path,
+    resume_from, fault_plan, attempt, progress, progress_every, eta_grid,
+    stop_m,
+) -> RunSetup:
+    """The sim/mp prologue: validate every input, partition, load any
+    checkpoint.  A bad argument is a :class:`ValueError`; an operator,
+    partition, checkpoint or world that do not fit together is a
+    :class:`~repro.util.errors.SimulationError` — on either world."""
+    check_moments(n_moments)
+    if checkpoint_every and checkpoint_path is None:
+        raise ValueError("checkpoint_every requires checkpoint_path")
+    half = n_moments // 2 if stop_m is None else int(stop_m)
+    if not 1 <= half <= n_moments // 2:
+        raise ValueError(
+            f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
+        )
+    grid = int(eta_grid or 0)
+    prec = get_precision(cfg.precision)
+    if grid < 0:
+        raise ValueError(f"eta_grid must be non-negative, got {eta_grid}")
+    if grid and cfg.reduction != "end":
+        raise ValueError("eta_grid requires reduction='end'")
+    if grid and prec.half_vectors:
+        raise ValueError(
+            "eta_grid requires full-width vector storage (fp64/fp32); "
+            f"got precision {prec.name!r}"
+        )
+    if isinstance(A, DistributedMatrix):
+        dist = A
+    elif partition is None:
+        raise ValueError("partition is required with a global matrix")
+    else:
+        dist = partition_matrix(A, partition)
+    if world.n_ranks != dist.n_ranks:
+        raise SimulationError(
+            f"world has {world.n_ranks} ranks, partition has {dist.n_ranks}"
+        )
+    for blk in dist.blocks if grid else ():
+        if blk.row_start % grid:
+            raise SimulationError(
+                f"rank {blk.rank} starts at row {blk.row_start}, not "
+                f"aligned to the eta grid of {grid} rows — build the "
+                f"partition with align={grid}"
+            )
+    n = dist.n_global
+    ck = base_eta = None
+    if resume_from is not None:
+        ck = resolve_resume(resume_from, n_moments, scale.a, scale.b, metrics,
+                            prec, eta_grid=grid, start_block=start_block)
+        if ck.v.shape[0] != n:
+            raise SimulationError(
+                f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
+            )
+        if ck.next_m > half:
+            raise SimulationError(
+                f"checkpoint resumes at m={ck.next_m}, beyond stop_m={half}"
+            )
+        r, first_m = ck.v.shape[1], ck.next_m
+        base_eta = ck.eta[:, : 2 * first_m].astype(DTYPE, copy=True)
+    else:
+        start_block = check_block_vector("start_block", start_block, n)
+        r, first_m = start_block.shape[1], 1
+    return RunSetup(
+        dist=dist, cfg=cfg.for_ranks(world.n_ranks), prec=prec, a=scale.a,
+        b=scale.b, n_moments=n_moments, r=r, first_m=first_m, half=half,
+        grid=grid, stop_m=stop_m, ck=ck, base_eta=base_eta,
+        start_block=start_block, counters=counters, metrics=metrics,
+        checkpoint_every=int(checkpoint_every),
+        checkpoint_path=checkpoint_path, fault_plan=fault_plan,
+        attempt=int(attempt), progress=progress,
+        progress_every=progress_every,
+    )
+
+
 def distributed_eta(
     A: CSRMatrix | DistributedMatrix,
     partition: RowPartition | None,
@@ -77,23 +203,19 @@ def distributed_eta(
     start_block: np.ndarray,
     world,
     *,
-    reduction: str = "end",
-    backend: KernelBackend | str = "auto",
     counters: PerfCounters = NULL_COUNTERS,
     metrics: MetricsRegistry = NULL_METRICS,
-    overlap: bool | str | None = False,
     checkpoint_every: int = 0,
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
     fault_plan: FaultPlan | None = None,
     attempt: int = 1,
-    precision: Precision | str | None = None,
     progress=None,
     progress_every: int = 0,
-    threads: int | str | None = None,
-    simd: str | None = None,
     eta_grid: int = 0,
     stop_m: int | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> np.ndarray:
     """Distributed equivalent of :func:`repro.core.moments.compute_eta`.
 
@@ -112,14 +234,6 @@ def distributed_eta(
         it in real worker processes over shared memory (same results —
         bitwise per schedule — and same message accounting).  Must match
         the partition's rank count.
-    reduction:
-        ``'end'`` — one global reduction after the loop (the optimal
-        scheme); ``'every'`` — reduce each iteration's dots immediately
-        (the Table III ``aug_spmmv()*`` ablation).
-    backend:
-        Kernel backend for each rank's local augmented SpMMV (the fused
-        block kernels accept the rectangular local+halo column layout,
-        so native and numpy run the identical distributed algorithm).
     counters:
         Traffic/flop sink.  Every rank's kernel charges accumulate here
         (the mp engine merges per-worker counters in), so the numeric
@@ -129,17 +243,6 @@ def distributed_eta(
         Span registry.  The sim world records kernel spans inline plus
         ``halo_exchange``/``allreduce`` phase spans; the mp engine ships
         per-worker snapshots back and merges them ``rank<p>.``-prefixed.
-    overlap:
-        Task-mode pipelined schedule: ``True``/``'on'``, ``False``/
-        ``'off'``, or ``'auto'``/None (on when the world has more than
-        one rank).  Each rank updates its interior (halo-free) rows with
-        the split kernels while the halo exchange is in flight, then
-        finishes the boundary rows — in the mp engine the exchange is
-        genuinely asynchronous (per-edge events, double-buffered
-        windows); the sim world executes the same task-mode schedule
-        sequentially, with *bitwise identical* moments (the per-phase
-        eta partials are combined in the fixed order interior +
-        boundary, making the result schedule-independent).
     checkpoint_every / checkpoint_path:
         With ``checkpoint_every = k > 0`` the global recurrence state is
         saved atomically to ``checkpoint_path`` after every k inner
@@ -156,12 +259,6 @@ def distributed_eta(
         process-level faults as
         :class:`~repro.util.errors.FaultInjected`); ``attempt`` selects
         which of the plan's faults are armed.
-    precision:
-        Storage profile (:mod:`repro.util.precision`).  The halo
-        exchange ships the profile's narrow vector storage — the wire
-        bytes per exchanged row drop with ``s_vector`` exactly as the
-        kernels' memory traffic does — and checkpoints record the
-        profile (cross-precision resume is refused).
     progress / progress_every:
         Optional streaming callback ``progress(n_eta, eta_prefix)``
         fired after every ``progress_every`` iterations with the
@@ -169,17 +266,6 @@ def distributed_eta(
         partial-spectrum stream).  The sim world fires it inline; the
         mp engine fires it from the parent's checkpoint autosave, so it
         needs ``checkpoint_every > 0`` there.
-    threads:
-        Intra-rank thread count for the native threaded kernels (None =
-        sequential kernels).  ``'auto'`` budgets the host's cores across
-        the ranks (``max(1, cores // n_ranks)``).  fp64 results stay
-        bitwise identical at every thread count, so mp == sim holds
-        threaded or not.
-    simd:
-        Vectorized-kernel selector for the native backend
-        (``None``/``'auto'``/``'on'``/``'off'``), applied uniformly on
-        every rank.  fp64 results are bitwise identical either way, so
-        the knob is invisible to the distributed contracts.
     eta_grid:
         ``B > 0`` switches the eta reduction to *grid mode*
         (:mod:`repro.dist.elastic`): the per-iteration dot products are
@@ -198,6 +284,12 @@ def distributed_eta(
         meaningful.  The elastic driver runs a sequence of such segments
         — chained through boundary checkpoints — whose concatenation is
         bitwise equal to one uninterrupted run under grid mode.
+    config / knobs:
+        The :class:`~repro.util.knobs.ExecConfig` (``overlap`` off unless
+        given).  Here ``overlap`` runs each rank's interior rows while
+        the halo is in flight and the boundary rows after, combining the
+        eta partials in the fixed order interior + boundary; ``reduction``
+        picks one deferred allreduce or one per iteration.
 
     Returns
     -------
@@ -206,96 +298,25 @@ def distributed_eta(
         a one-rank world with overlap off, to reduction-order tolerance
         otherwise.
     """
-    from repro.dist.mp import MpWorld, mp_eta
+    from repro.dist.mp import MpWorld, run_mp
 
+    run = prepare_run(
+        A, partition, scale, n_moments, start_block, world,
+        ExecConfig.of(config, knobs, overlap=False), counters=counters,
+        metrics=metrics, checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path, resume_from=resume_from,
+        fault_plan=fault_plan, attempt=attempt, progress=progress,
+        progress_every=progress_every, eta_grid=eta_grid, stop_m=stop_m,
+    )
     if isinstance(world, MpWorld):
-        return mp_eta(
-            A, partition, scale, n_moments, start_block, world,
-            reduction=reduction, backend=backend, counters=counters,
-            metrics=metrics, overlap=overlap,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path, resume_from=resume_from,
-            fault_plan=fault_plan, attempt=attempt, precision=precision,
-            progress=progress, progress_every=progress_every,
-            threads=threads, simd=simd, eta_grid=eta_grid, stop_m=stop_m,
-        )
-    check_moments(n_moments)
-    from repro.dist.overlap import resolve_overlap, task_split
-
-    if threads == "auto":
-        import os
-
-        threads = max(1, (os.cpu_count() or 1) // world.n_ranks)
-    elif threads is not None:
-        threads = max(1, int(threads))
-
-    overlap = resolve_overlap(overlap, world.n_ranks)
-    if reduction not in ("end", "every"):
-        raise ValueError(f"reduction must be 'end' or 'every', got {reduction!r}")
-    if checkpoint_every and checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
-    if isinstance(A, DistributedMatrix):
-        dist = A
-    else:
-        if partition is None:
-            raise ValueError("partition is required with a global matrix")
-        dist = partition_matrix(A, partition)
-    if world.n_ranks != dist.n_ranks:
-        raise SimulationError(
-            f"world has {world.n_ranks} ranks, partition has {dist.n_ranks}"
-        )
-    n = dist.n_global
-    a, b = scale.a, scale.b
-    prec = get_precision(precision)
-
-    grid = int(eta_grid or 0)
-    half = n_moments // 2 if stop_m is None else int(stop_m)
-    if stop_m is not None and not 1 <= half <= n_moments // 2:
-        raise ValueError(
-            f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
-        )
-    if grid:
-        if grid < 1:
-            raise ValueError(f"eta_grid must be positive, got {eta_grid}")
-        if reduction != "end":
-            raise ValueError("eta_grid requires reduction='end'")
-        if prec.half_vectors:
-            raise ValueError(
-                "eta_grid requires full-width vector storage (fp64/fp32); "
-                f"got precision {prec.name!r}"
-            )
-        for blk in dist.blocks:
-            if blk.row_start % grid:
-                raise SimulationError(
-                    f"rank {blk.rank} starts at row {blk.row_start}, not "
-                    f"aligned to the eta grid of {grid} rows"
-                )
-
-    ck = None
-    if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec,
-                            eta_grid=grid, start_block=start_block)
-        if ck.v.shape[0] != n:
-            raise SimulationError(
-                f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
-            )
-        r = ck.v.shape[1]
-        first_m = ck.next_m
-        base_eta = ck.eta[:, : 2 * first_m].astype(DTYPE, copy=True)
-        if first_m > half:
-            raise SimulationError(
-                f"checkpoint resumes at m={first_m}, beyond stop_m={half}"
-            )
-    else:
-        start_block = check_block_vector("start_block", start_block, n)
-        r = start_block.shape[1]
-        first_m = 1
-        base_eta = None
-
+        return run_mp(run, world)
+    dist, ck, first_m, half, grid = (run.dist, run.ck, run.first_m, run.half,
+                                     run.grid)
+    r, base_eta, every = run.r, run.base_eta, run.checkpoint_every
     injectors = None
-    if fault_plan is not None and fault_plan:
+    if fault_plan:
         injectors = [
-            FaultInjector(fault_plan, rank=rank, attempt=attempt,
+            FaultInjector(fault_plan, rank=rank, attempt=run.attempt,
                           in_process=True)
             for rank in range(world.n_ranks)
         ]
@@ -315,22 +336,21 @@ def distributed_eta(
         slot, dot_blocks = eta_slots(blk.rank, blk.row_start, blk.row_stop,
                                      grid)
         rec = Recurrence(
-            blk.matrix, a, b, r, backend=backend, precision=prec,
-            threads=threads, simd=simd, counters=counters, metrics=metrics,
-            split=task_split(blk) if overlap else None,
-            dot_blocks=dot_blocks,
+            blk.matrix, run.a, run.b, r, config=run.cfg, counters=counters,
+            metrics=metrics, dot_blocks=dot_blocks,
+            split=task_split(blk) if run.cfg.overlap else None,
         )
         rows = slice(blk.row_start, blk.row_stop)
         if ck is not None:
             rec.load(ck.v[rows], ck.w[rows])
         else:
-            rec.load(start_block[rows])
+            rec.load(run.start_block[rows])
         slots.append(slot)
         recs.append(rec)
-    n_slots = -(-n // grid) if grid else world.n_ranks
+    n_slots = -(-dist.n_global // grid) if grid else world.n_ranks
     eta_acc = np.zeros((n_slots, n_moments, r), dtype=DTYPE)
     run_id = "" if ck is None else ck.run_id
-    if ck is None and checkpoint_every:
+    if ck is None and every:
         run_id = run_digest(*(rec.v for rec in recs))
 
     def reduced_prefix(m: int, width: int) -> np.ndarray:
@@ -353,13 +373,15 @@ def distributed_eta(
             state = KpmCheckpoint(
                 v=np.concatenate([rec.v for rec in recs], axis=0),
                 w=np.concatenate([rec.w for rec in recs], axis=0),
-                eta=eta_full, next_m=m + 1, n_moments=n_moments, a=a, b=b,
-                precision=prec.name, eta_grid=grid, run_id=run_id,
+                eta=eta_full, next_m=m + 1, n_moments=n_moments, a=run.a,
+                b=run.b, precision=run.prec.name, eta_grid=grid,
+                run_id=run_id,
             )
             saved = state.save(checkpoint_path)
             sp.note(file_bytes=saved.stat().st_size,
                     payload_bytes=state.payload_bytes, next_m=m + 1)
 
+    every_iter = run.cfg.reduction == "every"
     if ck is None:
         # nu_1 = a (H nu_0 - b nu_0), distributed
         probe_faults(0)
@@ -367,7 +389,7 @@ def distributed_eta(
             _halo_exchange(world, dist, recs, phase="halo_init")
         for rec, slot in zip(recs, slots):
             eta_acc[slot, 0], eta_acc[slot, 1] = rec.bootstrap()
-        if reduction == "every":
+        if every_iter:
             with metrics.span("allreduce", phase="dist"):
                 for m_i in (0, 1):
                     world.allreduce_sum(
@@ -386,7 +408,7 @@ def distributed_eta(
         # what the mp engine's genuinely overlapped schedule computes.
         for rec, slot in zip(recs, slots):
             eta_acc[slot, 2 * m], eta_acc[slot, 2 * m + 1] = rec.update()
-        if reduction == "every":
+        if every_iter:
             with metrics.span("allreduce", phase="dist"):
                 world.allreduce_sum(
                     list(eta_acc[:, 2 * m]), phase="allreduce_iter"
@@ -397,7 +419,7 @@ def distributed_eta(
         if progress is not None and progress_every > 0 \
                 and (m - first_m + 1) % progress_every == 0:
             progress(2 * (m + 1), reduced_prefix(m, 2 * (m + 1)))
-        if checkpoint_every and (m - first_m + 1) % checkpoint_every == 0:
+        if every and (m - first_m + 1) % every == 0:
             save_checkpoint(m)
 
     # final reduction over ranks: one collective for the whole eta array
@@ -410,13 +432,9 @@ def distributed_eta(
             # this run computed, logged explicitly because the slot axis
             # no longer matches the rank count.
             eta_global = eta_acc.sum(axis=0)
-            itemsize = np.dtype(DTYPE).itemsize
-            cols = (
-                n_moments if stop_m is None
-                else (2 * half if first_m == 1 else 2 * (half - first_m))
-            )
-            if cols:
-                log_allreduce(world.log, world.n_ranks, cols * r * itemsize,
+            if run.final_cols:
+                log_allreduce(world.log, world.n_ranks,
+                              run.final_cols * r * np.dtype(DTYPE).itemsize,
                               "allreduce_final")
         else:
             eta_global = world.allreduce_sum(
@@ -441,14 +459,10 @@ def distributed_dos(
     seed: int | None = None,
     kernel: str = "jackson",
     n_points: int | None = None,
-    reduction: str = "end",
-    backend: KernelBackend | str = "auto",
     counters: PerfCounters = NULL_COUNTERS,
     metrics: MetricsRegistry = NULL_METRICS,
-    overlap: bool | str | None = False,
-    precision: Precision | str | None = None,
-    threads: int | str | None = None,
-    simd: str | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ):
     """Full distributed KPM-DOS application: the paper's production code.
 
@@ -457,7 +471,7 @@ def distributed_dos(
     simulated ranks, and reconstructs rho(E). Returns a
     :class:`repro.core.solver.DOSResult` identical (bit-for-bit moments)
     to the serial :class:`~repro.core.solver.KPMSolver` with the same
-    seed and scale.
+    seed and scale.  ``config``/knobs as for :func:`distributed_eta`.
     """
     from repro.core.moments import eta_to_moments
     from repro.core.reconstruct import reconstruct_dos
@@ -481,9 +495,8 @@ def distributed_dos(
     n = (dist.n_global if dist is not None else A.n_rows)
     block = make_block_vector(n, n_vectors, seed=seed)
     eta = distributed_eta(
-        A, partition, scale, n_moments, block, world, reduction=reduction,
-        backend=backend, counters=counters, metrics=metrics, overlap=overlap,
-        precision=precision, threads=threads, simd=simd,
+        A, partition, scale, n_moments, block, world, counters=counters,
+        metrics=metrics, config=config, **knobs,
     )
     mu = eta_to_moments(eta).mean(axis=0).real
     pts = n_points if n_points is not None else max(2 * n_moments, 256)
@@ -501,21 +514,16 @@ def distributed_dos_moments(
     start_block: np.ndarray,
     world,
     *,
-    reduction: str = "end",
-    backend: KernelBackend | str = "auto",
     counters: PerfCounters = NULL_COUNTERS,
     metrics: MetricsRegistry = NULL_METRICS,
-    overlap: bool | str | None = False,
-    precision: Precision | str | None = None,
-    threads: int | str | None = None,
-    simd: str | None = None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> np.ndarray:
     """Distributed stochastic-trace moments (mean over the R vectors)."""
     from repro.core.moments import eta_to_moments
 
     eta = distributed_eta(
-        A, partition, scale, n_moments, start_block, world, reduction=reduction,
-        backend=backend, counters=counters, metrics=metrics, overlap=overlap,
-        precision=precision, threads=threads, simd=simd,
+        A, partition, scale, n_moments, start_block, world, counters=counters,
+        metrics=metrics, config=config, **knobs,
     )
     return eta_to_moments(eta).mean(axis=0).real

@@ -92,30 +92,29 @@ import signal
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import wait
-from pathlib import Path
 from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, resolve_resume, run_digest
-from repro.core.recurrence import Recurrence, check_moments
-from repro.core.scaling import SpectralScale
+from repro.core.checkpoint import KpmCheckpoint, run_digest
+from repro.core.recurrence import Recurrence
 from repro.dist.comm import MessageLog, log_allreduce
-from repro.dist.halo import DistributedMatrix, RankBlock, partition_matrix
-from repro.dist.partition import RowPartition, eta_slots
+from repro.dist.halo import DistributedMatrix, RankBlock
+from repro.dist.kpm_parallel import RunSetup, distributed_eta
+from repro.dist.overlap import task_split
+from repro.dist.partition import eta_slots
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import FaultInjector, FaultPlan
-from repro.sparse.backend import KernelBackend, backend_health, resolve_simd
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.backend import KernelBackend, backend_health
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
-from repro.util.precision import Precision, get_precision
-from repro.util.validation import check_block_vector, check_positive
+from repro.util.knobs import ExecConfig
+from repro.util.validation import check_positive
 
 #: acct columns maintained by each worker (its row; no locking needed):
 #: actual halo messages/bytes it packed, actual reduction events/bytes.
@@ -308,17 +307,15 @@ class _RunConfig:
     b: float
     n_moments: int
     r: int
-    reduction: str
     timeouts: MpTimeouts
     fault_plan: FaultPlan | None
     attempt: int
     want_obs: bool
     first_m: int  # 1 for a fresh run, checkpoint.next_m when resuming
     checkpoint_every: int
-    overlap: bool = False
-    precision: str = "fp64"  # storage profile name (picklable)
-    threads: int | None = None  # intra-rank kernel threads (None = serial)
-    simd: str | None = None  # native vectorized-kernel selector
+    #: threads/overlap resolved for the world; the backend is per rank
+    #: and the elastic knobs are the parent's business
+    exec: ExecConfig
     eta_grid: int = 0  # B > 0: per-global-block eta partials (elastic)
     stop_m: int = 0  # 0 = run to M/2; else exclusive segment bound
 
@@ -426,20 +423,14 @@ def _run_rank(
         eslot, dot_blocks = eta_slots(rank, lo, hi, cfg.eta_grid)
         # The block's recurrences and kernel plans outlive the run: a
         # parked worker rebinds one to the next run's scale and sinks.
-        key = (backend_name, cfg.r, cfg.precision, cfg.threads, cfg.simd,
-               cfg.overlap, cfg.eta_grid)
+        key = (backend_name, cfg.r, cfg.exec, cfg.eta_grid)
         rec = recs.pop(key, None)
         if rec is None:
-            split = None
-            if cfg.overlap:
-                from repro.dist.overlap import task_split
-
-                split = task_split(blk)
             rec = Recurrence(
-                blk.matrix, cfg.a, cfg.b, cfg.r, backend=backend_name,
-                precision=cfg.precision, threads=cfg.threads, simd=cfg.simd,
-                split=split, dot_blocks=dot_blocks, counters=w_counters,
-                metrics=w_metrics,
+                blk.matrix, cfg.a, cfg.b, cfg.r,
+                split=task_split(blk) if cfg.exec.overlap else None,
+                config=replace(cfg.exec, backend=backend_name),
+                dot_blocks=dot_blocks, counters=w_counters, metrics=w_metrics,
             )
         else:
             rec.rebind(cfg.a, cfg.b, w_counters, w_metrics)
@@ -560,7 +551,7 @@ def _run_rank(
         if cfg.first_m == 1:
             rec.load(start[lo:hi])
             probe(0)
-            if cfg.overlap:
+            if cfg.exec.overlap:
                 # Bootstrap has no prior compute to hide the exchange
                 # behind: post and complete back to back.
                 post_exchange(0, rec.v)
@@ -570,7 +561,7 @@ def _run_rank(
             # nu_1 = a (H nu_0 - b nu_0) on the local rows
             with w_metrics.span("rank_busy"):
                 eta[eslot, 0], eta[eslot, 1] = rec.bootstrap()
-            if cfg.reduction == "every":
+            if cfg.exec.reduction == "every":
                 reduce_now(0)
         else:
             # Resume: the parent seeded the checkpointed (v, w) blocks
@@ -580,7 +571,7 @@ def _run_rank(
         for m in range(cfg.first_m, half):
             probe(m)
             v = rec.swap()
-            if cfg.overlap:
+            if cfg.exec.overlap:
                 # Task mode: publish the outgoing halo, update the
                 # interior rows while the exchange is in flight (they
                 # reference local columns only), then finish the
@@ -595,7 +586,7 @@ def _run_rank(
                 exchange(m, v)
             with w_metrics.span("rank_busy"):
                 eta[eslot, 2 * m], eta[eslot, 2 * m + 1] = rec.update()
-            if cfg.reduction == "every":
+            if cfg.exec.reduction == "every":
                 reduce_now(m)
             if ck_on and (m - cfg.first_m + 1) % cfg.checkpoint_every == 0:
                 publish_checkpoint(m)
@@ -892,78 +883,56 @@ os.register_at_fork(after_in_child=_after_fork_in_child)
 # parent driver
 # ---------------------------------------------------------------------
 
-def _charge_log(
-    log: MessageLog, dist: DistributedMatrix, r: int, n_moments: int,
-    reduction: str, first_m: int = 1, s_vector: int | None = None,
-    stop_m: int | None = None,
-) -> None:
+def _charge_log(log: MessageLog, run: RunSetup) -> None:
     """Charge the run to ``log`` exactly as :class:`SimWorld` would.
 
     Record-for-record equivalent to the simulator executing the same
     partition/reduction (and, with ``first_m > 1``, the same *resumed*
     iteration range) — asserted by the differential tests, and the
-    contract that keeps :mod:`repro.dist.network` pricing mp runs.
-    ``s_vector`` is the bytes per exchanged vector element (the
-    precision profile's storage width; default fp64).  Reductions always
-    move fp64 eta scalars regardless of profile.
-
-    With ``stop_m`` set (an elastic segment) the final allreduce is
-    charged for the columns this segment computed — ``2·stop_m`` fresh,
-    ``2·(stop_m − first_m)`` resumed — so the per-segment charges of a
-    segmented run sum exactly to the single uninterrupted-run charge.
+    contract that keeps :mod:`repro.dist.network` pricing mp runs.  Halo
+    messages move the profile's vector storage; reductions always move
+    fp64 eta scalars, the final one :attr:`RunSetup.final_cols` columns.
     """
     itemsize = np.dtype(DTYPE).itemsize
-    s_vec = itemsize if s_vector is None else int(s_vector)
-    half = n_moments // 2 if stop_m is None else int(stop_m)
+    dist, r, every = run.dist, run.r, run.cfg.reduction == "every"
 
     def halo(phase: str) -> None:
         for block in dist.blocks:
             for src, cnt in zip(
                 block.halo_sources.tolist(), block.halo_counts.tolist()
             ):
-                log.add(src, block.rank, cnt * r * s_vec, phase)
+                log.add(src, block.rank, cnt * r * run.prec.s_vector, phase)
 
-    if first_m == 1:
+    if run.first_m == 1:
         halo("halo_init")
-        if reduction == "every":
+        if every:
             for _ in range(2):
                 log_allreduce(log, dist.n_ranks, r * itemsize, "allreduce_iter")
-    for _m in range(first_m, half):
+    for _m in range(run.first_m, run.half):
         halo("halo")
-        if reduction == "every":
+        if every:
             for _ in range(2):
                 log_allreduce(log, dist.n_ranks, r * itemsize, "allreduce_iter")
-    final_cols = (
-        n_moments if stop_m is None
-        else (2 * half if first_m == 1 else 2 * (half - first_m))
-    )
-    if final_cols:
-        log_allreduce(
-            log, dist.n_ranks, final_cols * r * itemsize, "allreduce_final"
-        )
+    if run.final_cols:
+        log_allreduce(log, dist.n_ranks, run.final_cols * r * itemsize,
+                      "allreduce_final")
 
 
-def _expected_halo_acct(
-    dist: DistributedMatrix, r: int, n_moments: int, first_m: int = 1,
-    s_vector: int | None = None, stop_m: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _expected_halo_acct(run: RunSetup) -> tuple[np.ndarray, np.ndarray]:
     """(messages, bytes) per source rank over the run's halo exchanges.
 
     A fresh run exchanges M/2 times (one bootstrap + M/2 − 1 loop
     iterations); a run resumed at ``first_m`` skips the bootstrap and
     the first ``first_m − 1`` loop exchanges; a segment bounded by
-    ``stop_m`` stops its loop exchanges there.  ``s_vector`` is the
-    profile's bytes per exchanged vector element (default fp64).
+    ``stop_m`` stops its loop exchanges there.
     """
-    s_vec = np.dtype(DTYPE).itemsize if s_vector is None else int(s_vector)
-    msgs = np.zeros(dist.n_ranks, dtype=np.int64)
-    nbytes = np.zeros(dist.n_ranks, dtype=np.int64)
-    for (p, _q), rows in dist.pattern.send_rows.items():
+    msgs = np.zeros(run.dist.n_ranks, dtype=np.int64)
+    nbytes = np.zeros(run.dist.n_ranks, dtype=np.int64)
+    for (p, _q), rows in run.dist.pattern.send_rows.items():
         if rows.size:
             msgs[p] += 1
-            nbytes[p] += rows.size * r * s_vec
-    half = n_moments // 2 if stop_m is None else int(stop_m)
-    n_exchanges = half - first_m + (1 if first_m == 1 else 0)
+            nbytes[p] += rows.size * run.r * run.prec.s_vector
+    n_exchanges = run.half - run.first_m + (1 if run.first_m == 1 else 0)
     return msgs * n_exchanges, nbytes * n_exchanges
 
 
@@ -979,20 +948,11 @@ class _CheckpointChannel:
     summing it while workers fill later columns is safe.
     """
 
-    def __init__(
-        self, eta_shared, ckv, ckw, ckst, base_eta, first_m: int,
-        n_moments: int, r: int, a: float, b: float,
-        precision: str = "fp64", eta_grid: int = 0, run_id: str = "",
-    ) -> None:
+    def __init__(self, run: RunSetup, eta_shared, ckv, ckw, ckst,
+                 run_id: str) -> None:
+        self._run = run
         self._eta = eta_shared
         self._ckv, self._ckw, self._ckst = ckv, ckw, ckst
-        self._base = base_eta  # (R, 2·first_m) resumed prefix, or None
-        self._first_m = first_m
-        self._m_tot = n_moments
-        self._r = r
-        self._a, self._b = a, b
-        self._precision = precision
-        self._grid = int(eta_grid)
         self._run_id = run_id
         self.saved_state = 0
 
@@ -1000,74 +960,39 @@ class _CheckpointChannel:
         s1 = int(self._ckst[0])
         if s1 <= self.saved_state:
             return None
+        run = self._run
         next_m, slot = s1 // 2, s1 % 2
         # Fresh runs reduce every filled column; resumed runs only the
         # columns computed this run — the inherited prefix is spliced in
         # verbatim (never re-reduced, preserving bitwise equality).
-        col0 = 2 * self._first_m if self._base is not None else 0
+        col0 = 2 * run.first_m if run.base_eta is not None else 0
         v = self._ckv[slot].copy()
         w = self._ckw[slot].copy()
         prefix = self._eta[:, col0 : 2 * next_m].sum(axis=0)
         if int(self._ckst[0]) != s1:
             return None  # torn read: a newer state landed mid-copy
-        eta = np.zeros((self._r, self._m_tot), dtype=DTYPE)
-        if self._base is not None:
-            eta[:, :col0] = self._base
+        eta = np.zeros((run.r, run.n_moments), dtype=DTYPE)
+        if run.base_eta is not None:
+            eta[:, :col0] = run.base_eta
         eta[:, col0 : 2 * next_m] = prefix.T
         self.saved_state = s1
         return KpmCheckpoint(
-            v=v, w=w, eta=eta, next_m=next_m,
-            n_moments=self._m_tot, a=self._a, b=self._b,
-            precision=self._precision, eta_grid=self._grid,
+            v=v, w=w, eta=eta, next_m=next_m, n_moments=run.n_moments,
+            a=run.a, b=run.b, precision=run.prec.name, eta_grid=run.grid,
             run_id=self._run_id,
         )
 
 
-def mp_eta(
-    A: CSRMatrix | DistributedMatrix,
-    partition: RowPartition | None,
-    scale: SpectralScale,
-    n_moments: int,
-    start_block: np.ndarray | None,
-    world: MpWorld,
-    *,
-    reduction: str = "end",
-    backend: KernelBackend | str = "auto",
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
-    overlap: bool | str | None = False,
-    checkpoint_every: int = 0,
-    checkpoint_path: str | Path | None = None,
-    resume_from: KpmCheckpoint | str | Path | None = None,
-    fault_plan: FaultPlan | None = None,
-    attempt: int = 1,
-    precision: Precision | str | None = None,
-    progress=None,
-    progress_every: int = 0,
-    threads: int | str | None = None,
-    simd: str | None = None,
-    eta_grid: int = 0,
-    stop_m: int | None = None,
-) -> np.ndarray:
+def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
     """Multiprocess equivalent of :func:`repro.dist.kpm_parallel.distributed_eta`.
 
     Same signature and same result with a :class:`MpWorld` in place of
     the :class:`SimWorld` (bitwise per schedule; against the serial
     engines bitwise at fp64 with one worker and overlap off, to
-    reduction-order tolerance otherwise), plus the
-    fault-tolerance surface: ``checkpoint_every``/``checkpoint_path``
-    enable the parent-side autosave described in the module docstring,
-    ``resume_from`` continues an interrupted run (``start_block`` is then
-    ignored and may be None), and ``fault_plan``/``attempt`` inject
-    planned faults into the workers.
-
-    ``overlap`` selects the task-mode pipelined schedule (see the module
-    docstring): ``True``/``'on'``, ``False``/``'off'``, or
-    ``'auto'``/None (on when the world has more than one rank).  The
-    overlapped moments are bitwise equal to the simulator's task-mode
-    schedule; against ``overlap=False`` they agree to reduction-order
-    tolerance (the per-iteration dots are summed as interior + boundary
-    partials instead of one pass).
+    reduction-order tolerance otherwise); both worlds share one
+    prologue.  Here ``checkpoint_every``/``checkpoint_path`` enable the
+    parent-side autosave described in the module docstring and
+    ``fault_plan``/``attempt`` inject real faults into the workers.
 
     With a live ``counters`` or ``metrics``, every worker accumulates its
     own :class:`PerfCounters` / :class:`MetricsRegistry` and ships a JSON
@@ -1084,94 +1009,20 @@ def mp_eta(
     requires ``checkpoint_every > 0`` (``progress_every`` only gates
     whether the hook is armed here — the cadence is the workers'
     checkpoint cadence).
-
-    ``threads`` is the per-rank intra-rank kernel thread count: ``None``
-    keeps the sequential kernels, an int is used verbatim on every rank,
-    and ``'auto'`` budgets the host's cores across the ranks
-    (``max(1, cores // n_ranks)`` — the paper's one-process-per-socket
-    hybrid, scaled to this machine).  fp64 moments are bitwise identical
-    for every setting.  ``simd`` selects the native backend's vectorized
-    kernels on every rank (``None``/``'auto'``/``'on'``/``'off'``) —
-    also bitwise invisible in fp64.
-
-    ``eta_grid``/``stop_m`` mirror :func:`distributed_eta`: a positive
-    ``eta_grid`` accumulates eta partials per fixed global block of that
-    many rows (grid-aligned partitions required; moments then bitwise
-    independent of the partition and world size), and ``stop_m`` halts
-    the recurrence at that iteration, returning a segment whose
-    uncomputed columns are zero — the elastic driver's pause point.
     """
-    check_moments(n_moments)
-    from repro.dist.overlap import resolve_overlap
+    if not isinstance(world, MpWorld):
+        raise SimulationError(f"mp_eta needs an MpWorld, got {world!r}")
+    return distributed_eta(A, partition, scale, n_moments, start_block, world,
+                           **kwargs)
 
-    overlap = resolve_overlap(overlap, world.n_ranks)
-    if reduction not in ("end", "every"):
-        raise ValueError(f"reduction must be 'end' or 'every', got {reduction!r}")
-    if checkpoint_every and checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
-    if isinstance(A, DistributedMatrix):
-        dist = A
-    else:
-        if partition is None:
-            raise ValueError("partition is required with a global matrix")
-        dist = partition_matrix(A, partition)
-    if world.n_ranks != dist.n_ranks:
-        raise SimulationError(
-            f"world has {world.n_ranks} ranks, partition has {dist.n_ranks}"
-        )
-    n = dist.n_global
+
+def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
+    """Execute a prepared run (:func:`~repro.dist.kpm_parallel.prepare_run`)
+    on the parked workers of ``world``; returns eta (R, M)."""
+    dist, prec, r, n_moments = run.dist, run.prec, run.r, run.n_moments
+    counters, metrics, every = run.counters, run.metrics, run.checkpoint_every
     timeouts = world.timeouts
-    prec = get_precision(precision)
-
-    grid = int(eta_grid or 0)
-    half = n_moments // 2 if stop_m is None else int(stop_m)
-    if stop_m is not None and not 1 <= half <= n_moments // 2:
-        raise SimulationError(
-            f"stop_m must lie in [1, {n_moments // 2}], got {stop_m}"
-        )
-    if grid:
-        if grid < 0:
-            raise SimulationError(f"eta_grid must be non-negative, got {grid}")
-        if reduction != "end":
-            raise SimulationError(
-                "eta_grid requires reduction='end' (grid partials are "
-                "reduced once, after the loop)"
-            )
-        if prec.half_vectors:
-            raise SimulationError(
-                f"eta_grid is not supported by the {prec.name} profile "
-                "(half-precision vectors)"
-            )
-        for blk in dist.blocks:
-            if blk.row_start % grid:
-                raise SimulationError(
-                    f"rank {blk.rank} starts at row {blk.row_start}, not "
-                    f"aligned to the eta grid of {grid} rows — build the "
-                    f"partition with align={grid}"
-                )
-
-    ck = None
-    if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, scale.a, scale.b, metrics,
-                            prec, eta_grid=grid, start_block=start_block)
-        if ck.v.shape[0] != n:
-            raise SimulationError(
-                f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
-            )
-        r = ck.v.shape[1]
-        first_m = ck.next_m
-        if first_m > half:
-            raise SimulationError(
-                f"checkpoint resumes at m={first_m}, beyond stop_m={half}"
-            )
-        base_eta = ck.eta[:, : 2 * first_m].astype(DTYPE, copy=True)
-    else:
-        start_block = check_block_vector("start_block", start_block, n)
-        r = start_block.shape[1]
-        first_m = 1
-        base_eta = None
-
-    names = _backend_names(world, backend)
+    names = _backend_names(world, run.cfg.backend)
 
     send_edges: list[list[tuple[int, np.ndarray]]] = [
         [] for _ in range(dist.n_ranks)
@@ -1180,34 +1031,24 @@ def mp_eta(
         if rows.size:
             send_edges[p].append((q, rows))
 
-    if threads == "auto":
-        # Budget the host's cores across the ranks: the paper's hybrid
-        # MPI+OpenMP shape (one process per socket, threads inside).
-        resolved_threads = max(1, (os.cpu_count() or 1) // world.n_ranks)
-    elif threads is None:
-        resolved_threads = None
-    else:
-        resolved_threads = max(1, int(threads))
-
     want_obs = bool(counters.enabled or metrics.enabled)
     cfg = _RunConfig(
-        a=scale.a, b=scale.b, n_moments=n_moments, r=r, reduction=reduction,
-        timeouts=timeouts, fault_plan=fault_plan, attempt=int(attempt),
-        want_obs=want_obs, first_m=first_m,
-        checkpoint_every=int(checkpoint_every), overlap=overlap,
-        precision=prec.name, threads=resolved_threads,
-        simd=resolve_simd(simd),
-        eta_grid=grid, stop_m=int(stop_m or 0),
+        a=run.a, b=run.b, n_moments=n_moments, r=r, timeouts=timeouts,
+        fault_plan=run.fault_plan, attempt=run.attempt, want_obs=want_obs,
+        first_m=run.first_m, checkpoint_every=every,
+        exec=replace(run.cfg, backend="auto", rebalance=None,
+                     membership=None), eta_grid=run.grid,
+        stop_m=int(run.stop_m or 0),
     )
 
     # The run's shared arrays, carved from the world's resident arena.
     # Halo windows: task mode double-buffers each directed edge (slot
     # m % 2), signalled by the world's per-pair event slots.
     vec_dt = np.dtype(prec.vector_dtype).str
-    vshape = prec.vec_shape(n, r)
-    n_slots = -(-n // grid) if grid else world.n_ranks
+    vshape = prec.vec_shape(dist.n_global, r)
+    n_slots = -(-dist.n_global // run.grid) if run.grid else world.n_ranks
     arrays = {"start": (vshape, vec_dt)}
-    if ck is not None:
+    if run.ck is not None:
         arrays["rw"] = (vshape, vec_dt)
     arrays.update(
         eta=((n_slots, n_moments, r), DTYPE),
@@ -1217,13 +1058,14 @@ def mp_eta(
     )
     if want_obs:
         arrays["obs"] = ((world.n_ranks, _OBS_BLOB_SIZE), "uint8")
-    if checkpoint_every > 0:
+    if every > 0:
         arrays.update(ckv=((2, *vshape), vec_dt), ckw=((2, *vshape), vec_dt),
                       ckst=((1,), "int64"))
     for p, edges in enumerate(send_edges):
         for q, rows in edges:
             wshape = prec.vec_shape(rows.size, r)
-            arrays[f"w{p}_{q}"] = ((2, *wshape) if overlap else wshape, vec_dt)
+            arrays[f"w{p}_{q}"] = ((2, *wshape) if run.cfg.overlap else wshape,
+                                   vec_dt)
     specs, nbytes = layout(arrays)
 
     live = _POOL.lease(world.n_ranks, world.start_method)
@@ -1241,10 +1083,10 @@ def mp_eta(
         if want_obs:
             sh["obs"][:, :8] = 0  # no blob shipped yet
         live.abort_flag = sh["abort"]
-        start = sh["start"]
-        if ck is not None:
-            start[...] = ck.v
-            sh["rw"][...] = ck.w
+        start, start_block = sh["start"], run.start_block
+        if run.ck is not None:
+            start[...] = run.ck.v
+            sh["rw"][...] = run.ck.w
         elif start_block.dtype == np.float16 or prec.is_fp64:
             start[...] = start_block
         elif prec.half_vectors:
@@ -1253,11 +1095,11 @@ def mp_eta(
             start[...] = start_block.astype(prec.vector_dtype)
         eta_shared = sh["eta"]
         channel = None
-        if checkpoint_every > 0:
+        if every > 0:
             channel = _CheckpointChannel(
-                eta_shared, sh["ckv"], sh["ckw"], sh["ckst"], base_eta,
-                first_m, n_moments, r, scale.a, scale.b, prec.name, grid,
-                run_id=ck.run_id if ck is not None else run_digest(start),
+                run, eta_shared, sh["ckv"], sh["ckw"], sh["ckst"],
+                run_id=run.ck.run_id if run.ck is not None
+                else run_digest(start),
             )
 
         def autosave() -> None:
@@ -1267,14 +1109,15 @@ def mp_eta(
             if saved is not None:
                 world.last_checkpoint = saved
                 with metrics.span("checkpoint_save", phase="ckpt") as sp:
-                    out = saved.save(checkpoint_path)
+                    out = saved.save(run.checkpoint_path)
                     sp.note(file_bytes=out.stat().st_size,
                             payload_bytes=saved.payload_bytes,
                             next_m=saved.next_m)
-                if progress is not None and progress_every > 0:
+                if run.progress is not None and run.progress_every > 0:
                     # capture() dedupes repeats, so every firing carries a
                     # strictly longer globally-reduced prefix
-                    progress(2 * saved.next_m, saved.eta[:, : 2 * saved.next_m])
+                    run.progress(2 * saved.next_m,
+                                 saved.eta[:, : 2 * saved.next_m])
 
         live.send_run(cfg, specs, names, dist, send_edges)
         replies, hb_last, stalled, timed_out = live.collect(
@@ -1303,18 +1146,17 @@ def mp_eta(
             obs_snaps = [
                 _unpack_obs_blob(sh["obs"][p]) for p in range(world.n_ranks)
             ]
+        first_m = run.first_m
         if first_m > 1:
             # Splice: checkpointed prefix verbatim (never re-reduced, so
             # resumed == uninterrupted bitwise), freshly computed suffix.
             eta_global = np.empty((n_moments, r), dtype=DTYPE)
-            eta_global[: 2 * first_m] = base_eta.T
+            eta_global[: 2 * first_m] = run.base_eta.T
             eta_global[2 * first_m :] = eta_shared[:, 2 * first_m :].sum(axis=0)
         else:
             eta_global = eta_shared.sum(axis=0)  # the single deferred reduction
 
-        exp_msgs, exp_bytes = _expected_halo_acct(
-            dist, r, n_moments, first_m, prec.s_vector, stop_m
-        )
+        exp_msgs, exp_bytes = _expected_halo_acct(run)
         if not (
             np.array_equal(world.last_acct[:, 0], exp_msgs)
             and np.array_equal(world.last_acct[:, 1], exp_bytes)
@@ -1342,8 +1184,7 @@ def mp_eta(
             counters.merge(PerfCounters.from_dict(snap["counters"]))
             metrics.merge_snapshot(snap["metrics"], prefix=f"rank{p}.")
 
-    _charge_log(world.log, dist, r, n_moments, reduction, first_m,
-                prec.s_vector, stop_m)
+    _charge_log(world.log, run)
     return eta_global.T.copy()  # (R, M), as the serial/sim engines
 
 

@@ -18,9 +18,9 @@ the untuned default, so the tuner can never regress below it) is
 pre-ranked by an analytic cost model (Eq. 5-7 traffic over the
 effective parallel bandwidth), the most promising candidates are
 measured for real, and the best measured point is refined by greedy
-single-knob mutation until no neighbor improves.  Measurements use the
-same engines production runs use — serial ``compute_eta`` or the mp
-engine — so the score *is* the quantity being optimized.
+single-knob mutation until no neighbor improves.  Measurements run the
+engine dispatch production runs use, so the score *is* the quantity
+being optimized.
 
 The profile store is a small JSON document; its default location is
 ``$REPRO_TUNE_PROFILE`` or ``~/.cache/repro/tuned.json``.
@@ -32,11 +32,12 @@ import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.util.knobs import ExecConfig, run_engine
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -61,75 +62,71 @@ PROFILE_VERSION = 1
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TuneConfig:
-    """One point of the search space — everything a run needs to know.
+#: The execution half of the untuned baseline: serial (one worker; 'mp'
+#: names the engine a multi-worker point uses), sequential kernels.
+_EXEC_DEFAULTS = dict(engine="mp", workers=1, overlap="off", simd="auto",
+                      precision="fp64")
+_EXEC_FIELDS = frozenset(f.name for f in fields(ExecConfig))
 
-    ``workers == 1`` means the serial stage-2 engine; ``workers > 1``
-    selects the distributed engine named by ``engine`` ('mp' for real
-    processes, 'sim' for the sequential simulator).  ``threads`` is the
-    intra-rank thread count (None = sequential kernels).  ``simd``
-    selects the native backend's vectorized kernels ('auto'/'on'/'off';
-    bitwise-invisible in fp64, so purely a speed knob).  ``weights``
-    is an optional per-rank partition weighting (None = equal split).
+#: The profile store's flat keys, in their on-disk order.
+_PROFILE_KEYS = ("backend", "fmt", "chunk", "sigma", "r", "engine", "workers",
+                 "weights", "overlap", "threads", "simd", "precision")
+
+
+@dataclass(frozen=True, init=False)
+class TuneConfig:
+    """One point of the search space: the shape knobs next to an
+    :class:`~repro.util.knobs.ExecConfig`.
+
+    ``fmt`` (``'csr'``/``'sell'``), ``chunk``/``sigma`` (SELL C and
+    sigma, 1 = no sorting) and the block width ``r`` shape the operator;
+    ``exec`` says how the probe runs, where ``engine`` is the
+    distributed engine used once ``workers > 1`` (:attr:`execution` is
+    the config actually run).  The execution knobs are also accepted as
+    flat keywords and read as attributes — ``TuneConfig(workers=2,
+    threads=4).threads`` — the profile store's flat keys.
     """
 
-    backend: str = "auto"          # kernel backend
-    fmt: str = "csr"               # 'csr' | 'sell'
-    chunk: int = 32                # SELL C (ignored for CSR)
-    sigma: int = 1                 # SELL sigma (1 = no sorting)
-    r: int = 8                     # block width R
-    engine: str = "mp"             # distributed engine when workers > 1
-    workers: int = 1               # rank count (1 = serial)
-    weights: tuple | None = None   # per-rank weights (None = equal)
-    overlap: str = "off"           # 'off' | 'on' task-mode overlap
-    threads: int | None = None     # intra-rank kernel threads
-    simd: str = "auto"             # native vectorized-kernel selector
-    precision: str = "fp64"        # storage profile
+    fmt: str = "csr"
+    chunk: int = 32
+    sigma: int = 1
+    r: int = 8
+    exec: ExecConfig | None = None
 
-    def __post_init__(self) -> None:
-        if self.fmt not in ("csr", "sell"):
-            raise ValueError(f"fmt must be 'csr' or 'sell', got {self.fmt!r}")
-        if self.engine not in ("sim", "mp"):
-            raise ValueError(
-                f"engine must be 'sim' or 'mp', got {self.engine!r}"
-            )
-        if self.overlap not in ("off", "on"):
-            raise ValueError(
-                f"overlap must be 'off' or 'on', got {self.overlap!r}"
-            )
-        if self.simd not in ("auto", "on", "off"):
-            raise ValueError(
-                f"simd must be 'auto', 'on' or 'off', got {self.simd!r}"
-            )
-        check_positive("workers", self.workers)
-        check_positive("r", self.r)
-        if self.threads is not None:
-            check_positive("threads", self.threads)
-        if self.sigma != 1 and self.sigma % self.chunk:
+    def __init__(self, fmt: str = "csr", chunk: int = 32, sigma: int = 1,
+                 r: int = 8, exec: ExecConfig | None = None, **knobs) -> None:
+        for name, value in (("fmt", fmt), ("chunk", chunk), ("sigma", sigma),
+                            ("r", r)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "exec",
+                           ExecConfig.of(exec, knobs, **_EXEC_DEFAULTS))
+        if fmt not in ("csr", "sell"):
+            raise ValueError(f"fmt must be 'csr' or 'sell', got {fmt!r}")
+        check_positive("r", r)
+        if sigma != 1 and sigma % chunk:
             raise ValueError(
                 f"sigma must be 1 or a multiple of chunk, got "
-                f"C={self.chunk} sigma={self.sigma}"
+                f"C={chunk} sigma={sigma}"
             )
-        if self.weights is not None:
-            object.__setattr__(
-                self, "weights", tuple(float(w) for w in self.weights)
-            )
-            if len(self.weights) != self.workers:
-                raise ValueError(
-                    f"{len(self.weights)} weights for {self.workers} workers"
-                )
+
+    def __getattr__(self, name: str):
+        if name in _EXEC_FIELDS:
+            return getattr(self.exec, name)
+        raise AttributeError(name)
+
+    @property
+    def execution(self) -> ExecConfig:
+        """The config a probe or a tuned run executes."""
+        return self.exec if self.exec.workers > 1 \
+            else replace(self.exec, engine="serial")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = {key: getattr(self, key) for key in _PROFILE_KEYS}
         d["weights"] = list(self.weights) if self.weights is not None else None
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TuneConfig":
-        d = dict(d)
-        if d.get("weights") is not None:
-            d["weights"] = tuple(d["weights"])
         return cls(**d)
 
 
@@ -336,7 +333,7 @@ def model_cost(H, cfg: TuneConfig, n_moments: int = 32) -> float:
         H, n_moments, cfg.r, "aug_spmmv", precision=cfg.precision
     )
     cores = os.cpu_count() or 1
-    par = min(cores, cfg.workers * (cfg.threads or 1))
+    par = min(cores, cfg.workers * (cfg.exec.kernel_threads(cfg.workers) or 1))
     # mp ranks pay a spawn/halo overhead a core count doesn't capture;
     # charge a small constant per extra rank so the model prefers
     # threads over ranks at equal parallelism (matches measurement).
@@ -362,31 +359,33 @@ def measure(
 ) -> float:
     """Wall-time of one probe run of ``cfg`` (best of ``repeats``).
 
-    Uses the engines production uses: serial :func:`compute_eta` for
-    ``workers == 1``, :func:`distributed_eta` on the configured world
-    otherwise.  SELL configs pay their format conversion outside the
-    timed region, exactly as a long production run amortizes it.
+    Runs the engine dispatch production uses
+    (:func:`~repro.util.knobs.run_engine`) on ``cfg.execution``.  SELL
+    conversion and (for distributed configs) partitioning happen outside
+    the timed region — one-time costs a long production run amortizes.
     """
     from repro.core.scaling import lanczos_scale
     from repro.core.stochastic import make_block_vector
+    from repro.obs import NULL_METRICS
+    from repro.util.counters import NULL_COUNTERS
 
     scale = lanczos_scale(H, seed=seed)
     block = make_block_vector(H.n_rows, cfg.r, "phase", seed)
-    A, part = _prepare_probe(H, cfg)
+    A = _prepare_probe(H, cfg)
     best = float("inf")
     for _ in range(max(1, int(repeats))):
         t0 = time.perf_counter()
-        _run_probe(A, part, cfg, scale, n_moments, block)
+        run_engine(cfg.execution, A, scale, n_moments, block,
+                   counters=NULL_COUNTERS, metrics=NULL_METRICS)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
 def _prepare_probe(H, cfg):
-    """Probe setup outside the timed region: format conversion and
-    (for distributed configs) partitioning — one-time costs that a long
-    production run amortizes."""
+    """The probe's operator: ``H`` converted to ``cfg.fmt`` — for a
+    distributed config partitioned first, each rank's block converted."""
     if cfg.workers == 1:
-        return _build_operator(H, cfg), None
+        return _build_operator(H, cfg)
     from repro.dist.halo import partition_matrix
     from repro.dist.partition import RowPartition
 
@@ -410,30 +409,7 @@ def _prepare_probe(H, cfg):
             blk.matrix = SellMatrix(
                 blk.matrix, chunk_height=cfg.chunk, sigma=cfg.sigma
             )
-    return A, part
-
-
-def _run_probe(A, part, cfg, scale, n_moments, block) -> None:
-    if cfg.workers == 1:
-        from repro.core.moments import compute_eta
-
-        compute_eta(
-            A, scale, n_moments, block, "aug_spmmv",
-            backend=cfg.backend, precision=cfg.precision,
-            threads=cfg.threads, simd=cfg.simd,
-        )
-        return
-    from repro.dist.comm import SimWorld
-    from repro.dist.kpm_parallel import distributed_eta
-    from repro.dist.mp import MpWorld
-
-    world = (MpWorld(part.n_ranks) if cfg.engine == "mp"
-             else SimWorld(part.n_ranks))
-    distributed_eta(
-        A, part, scale, n_moments, block, world,
-        backend=cfg.backend, overlap=(cfg.overlap == "on"),
-        precision=cfg.precision, threads=cfg.threads, simd=cfg.simd,
-    )
+    return A
 
 
 # -- the search driver -------------------------------------------------

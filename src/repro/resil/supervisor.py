@@ -25,23 +25,17 @@ recurrence state and the moment prefix.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, _npz_path, checkpointed_eta
+from repro.core.checkpoint import KpmCheckpoint, _npz_path
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.resil.faults import (
-    FaultInjector,
-    FaultPlan,
-    as_fault_plan,
-    corrupt_checkpoint_file,
-)
+from repro.resil.faults import FaultPlan, as_fault_plan, corrupt_checkpoint_file
 from repro.resil.policy import RetryPolicy
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import (
@@ -52,6 +46,7 @@ from repro.util.errors import (
     RetryExhaustedError,
     WorkerFailure,
 )
+from repro.util.knobs import ExecConfig, run_engine
 
 #: Degradation ladders: the engines tried, in order, starting from the
 #: one the caller asked for.  ``sim`` replays the identical data-parallel
@@ -257,29 +252,22 @@ class Supervisor:
         n_moments: int,
         start_block: np.ndarray,
         *,
-        engine: str | None = "serial",
-        workers: int = 2,
-        weights: list[float] | None = None,
-        backend="auto",
-        reduction: str = "end",
-        overlap: bool | str | None = False,
-        precision=None,
-        threads: int | str | None = None,
-        simd: str | None = None,
         progress=None,
         progress_every: int = 0,
+        config: ExecConfig | None = None,
+        **knobs,
     ) -> np.ndarray:
         """Compute eta under supervision; the engine's usual return value.
 
-        ``precision`` selects the storage profile and is threaded through
-        every rung of the degradation ladder unchanged — a retry or an
-        engine fallback never silently widens (or narrows) the run.
-        ``threads`` rides the same rail: the intra-rank kernel thread
-        count survives retries and engine fallbacks, and fp64 results are
-        bitwise identical at every setting, so a mid-run degradation
-        never perturbs the moments.  ``simd`` (the native backend's
-        vectorized-kernel selector) rides the very same rail with the
-        very same bitwise guarantee.
+        ``config``/knobs are the :class:`~repro.util.knobs.ExecConfig` of
+        the first attempt (``overlap`` off unless given), validated
+        before any attempt runs; this supervisor's ``rebalance`` and
+        ``membership`` fill in where the config has none.  Every attempt
+        runs it through :func:`~repro.util.knobs.run_engine`; degrading
+        replaces only ``engine`` (down :data:`ENGINE_LADDERS`) or
+        ``backend`` (to ``'numpy'`` after a backend fault), so retries
+        and fallbacks never change the precision, the threads or any
+        other knob of the run.
 
         ``progress``/``progress_every`` stream partial eta prefixes as
         each engine exposes them (see :func:`checkpointed_eta` and
@@ -289,25 +277,29 @@ class Supervisor:
         Raises :class:`~repro.util.errors.RetryExhaustedError` only after
         every attempt on every remaining ladder rung has failed.
         """
-        engine = engine or "serial"
-        if engine not in ENGINE_LADDERS:
-            raise ValueError(
-                f"engine must be one of {sorted(ENGINE_LADDERS)}, got {engine!r}"
-            )
-        ladder = ENGINE_LADDERS[engine] if self.degrade else (engine,)
+        cfg = ExecConfig.of(config, knobs, overlap=False)
+        cfg = replace(cfg, rebalance=cfg.rebalance or self.rebalance,
+                      membership=cfg.membership or self.membership)
+        ladder = ENGINE_LADDERS[cfg.engine] if self.degrade else (cfg.engine,)
+        timeouts = self.mp_timeouts
+        if timeouts is None and self.policy.attempt_deadline is not None:
+            from repro.dist.mp import MpTimeouts
+
+            timeouts = MpTimeouts(run=self.policy.attempt_deadline)
 
         ckpt_path = self.checkpoint_path
         own_dir: Path | None = None
         if self.checkpoint_every > 0 and ckpt_path is None:
             own_dir = Path(tempfile.mkdtemp(prefix="repro-resil-"))
             ckpt_path = own_dir / "attempt.npz"
+        every = self.checkpoint_every
 
-        backend_cur = backend
         history: list[tuple] = []
         attempt = 0
         last_exc: Exception | None = None
         try:
             for rung, eng in enumerate(ladder):
+                cfg = replace(cfg, engine=eng)
                 if rung > 0:
                     self.report.engine_degradations += 1
                     self.metrics.count("resil.engine_degraded")
@@ -320,7 +312,7 @@ class Supervisor:
                         if delay > 0:
                             self._sleep(delay)
                     resume = self._prepare_resume(
-                        ckpt_path, attempt, start_block, precision
+                        ckpt_path, attempt, start_block, cfg.precision
                     )
                     try:
                         with self.metrics.span(
@@ -328,12 +320,16 @@ class Supervisor:
                             attempt=attempt,
                             resumed_from=(resume.next_m if resume else None),
                         ):
-                            eta = self._run_once(
-                                eng, backend_cur, resume, attempt, ckpt_path,
-                                H, scale, n_moments, start_block,
-                                workers, weights, reduction, overlap,
-                                precision, threads, simd, progress,
-                                progress_every,
+                            eta, world, erep = run_engine(
+                                cfg, H, scale, n_moments, start_block,
+                                counters=self.counters, metrics=self.metrics,
+                                checkpoint_every=every,
+                                checkpoint_path=ckpt_path if every > 0
+                                else None,
+                                resume_from=resume, fault_plan=self.fault_plan,
+                                attempt=attempt, progress=progress,
+                                progress_every=progress_every,
+                                timeouts=timeouts,
                             )
                     except Exception as exc:  # noqa: BLE001 - classified below
                         last_exc = exc
@@ -341,7 +337,7 @@ class Supervisor:
                         detail = f"{type(exc).__name__}: {exc}"
                         self.report.faults += 1
                         self.report.attempts.append(AttemptRecord(
-                            attempt, eng, self._backend_name(backend_cur),
+                            attempt, eng, self._backend_name(cfg.backend),
                             cls_name, detail[:300],
                             resume.next_m if resume else None,
                         ))
@@ -353,12 +349,18 @@ class Supervisor:
                             attempt=attempt, error_class=cls_name,
                         ):
                             pass  # zero-length span: one trace record per fault
-                        backend_cur = self._maybe_degrade_backend(
-                            cls_name, backend_cur, detail
-                        )
+                        cfg = self._maybe_degrade_backend(cls_name, cfg, detail)
                         continue
+                    if world is not None:
+                        self.last_world = world
+                    if erep is not None:
+                        self.last_elastic_report = erep
+                        self.report.elastic_segments += len(erep.segments)
+                        self.report.rebalances += erep.rebalances
+                        self.report.membership_joins += erep.joins
+                        self.report.membership_leaves += erep.leaves
                     self.report.final_engine = eng
-                    self.report.final_backend = self._backend_name(backend_cur)
+                    self.report.final_backend = self._backend_name(cfg.backend)
                     return eta
         finally:
             if own_dir is not None:
@@ -376,17 +378,18 @@ class Supervisor:
             backend, "name", str(backend)
         )
 
-    def _maybe_degrade_backend(self, cls_name: str, backend_cur, detail: str):
+    def _maybe_degrade_backend(self, cls_name: str, cfg: ExecConfig,
+                               detail: str) -> ExecConfig:
         """``native → numpy`` when the failure is backend-classified."""
-        name = self._backend_name(backend_cur)
+        name = self._backend_name(cfg.backend)
         if cls_name != "backend" or name not in ("auto", "native"):
-            return backend_cur
+            return cfg
         from repro.sparse.backend import report_backend_failure
 
         report_backend_failure("native", detail)
         self.report.backend_degradations += 1
         self.metrics.count("resil.backend_degraded")
-        return "numpy"
+        return replace(cfg, backend="numpy")
 
     def _prepare_resume(
         self, ckpt_path: str | Path | None, attempt: int,
@@ -426,116 +429,3 @@ class Supervisor:
         self.metrics.count("resil.resumes")
         self.metrics.gauge("resil.resume_m", ck.next_m)
         return ck
-
-    def _run_once(
-        self, eng: str, backend, resume, attempt: int, ckpt_path,
-        H, scale, n_moments, start_block, workers, weights, reduction,
-        overlap=False, precision=None, threads=None, simd=None,
-        progress=None, progress_every=0,
-    ) -> np.ndarray:
-        every = self.checkpoint_every
-        path = ckpt_path if every > 0 else None
-        if self.rebalance is not None:
-            return self._run_elastic(
-                eng, backend, resume, attempt, path, H, scale, n_moments,
-                start_block, workers, weights, reduction, overlap,
-                precision, threads, simd,
-            )
-        if eng == "serial":
-            inj = None
-            if self.fault_plan:
-                inj = FaultInjector(
-                    self.fault_plan, rank=0, attempt=attempt, in_process=True
-                )
-            if threads == "auto":
-                # A degraded serial rung inherits the whole machine.
-                threads = max(1, os.cpu_count() or 1)
-            return checkpointed_eta(
-                H, scale, n_moments, start_block,
-                checkpoint_every=every, checkpoint_path=path,
-                resume_from=resume, counters=self.counters,
-                backend=backend, metrics=self.metrics, fault=inj,
-                precision=precision, threads=threads, simd=simd,
-                progress=progress, progress_every=progress_every,
-            )
-
-        from repro.dist.comm import SimWorld
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.mp import MpTimeouts, MpWorld
-        from repro.dist.partition import RowPartition
-
-        if weights is not None:
-            part = RowPartition.from_weights(H.n_rows, weights, align=4)
-        else:
-            part = RowPartition.equal(H.n_rows, workers, align=4)
-        if eng == "mp":
-            timeouts = self.mp_timeouts
-            if timeouts is None and self.policy.attempt_deadline is not None:
-                timeouts = MpTimeouts(run=self.policy.attempt_deadline)
-            world = MpWorld(part.n_ranks, timeouts=timeouts)
-        else:
-            world = SimWorld(part.n_ranks)
-        self.last_world = world
-        return distributed_eta(
-            H, part, scale, n_moments, start_block, world,
-            reduction=reduction, backend=backend, counters=self.counters,
-            metrics=self.metrics, overlap=overlap, checkpoint_every=every,
-            checkpoint_path=path, resume_from=resume,
-            fault_plan=self.fault_plan, attempt=attempt,
-            precision=precision, threads=threads, simd=simd,
-            progress=progress, progress_every=progress_every,
-        )
-
-    def _run_elastic(
-        self, eng: str, backend, resume, attempt: int, path,
-        H, scale, n_moments, start_block, workers, weights, reduction,
-        overlap, precision, threads, simd,
-    ) -> np.ndarray:
-        """One attempt under a live :class:`RebalancePolicy`.
-
-        The mp rung runs the full elastic driver — worker deaths
-        re-partition onto the survivors *inside* the attempt, so the
-        engine ladder only engages when elasticity itself gives up.  The
-        sim and serial rungs replay the identical grid-eta reduction
-        (serial as a one-rank sim world), so a degradation mid-ladder
-        still returns bitwise-identical fp64 moments.
-        """
-        from repro.dist.comm import SimWorld
-        from repro.dist.elastic import elastic_eta
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.partition import RowPartition
-
-        pol = self.rebalance
-        if eng == "mp":
-            eta, rep = elastic_eta(
-                H, scale, n_moments, start_block,
-                n_workers=workers, weights=weights, policy=pol,
-                membership=self.membership, engine="mp", backend=backend,
-                counters=self.counters, metrics=self.metrics,
-                overlap=overlap, fault_plan=self.fault_plan,
-                attempt=attempt, precision=precision, threads=threads,
-                simd=simd, checkpoint_path=path, resume_from=resume,
-            )
-            self.last_elastic_report = rep
-            self.report.elastic_segments += len(rep.segments)
-            self.report.rebalances += rep.rebalances
-            self.report.membership_joins += rep.joins
-            self.report.membership_leaves += rep.leaves
-            return eta
-        n_ranks = 1 if eng == "serial" else workers
-        if weights is not None and eng != "serial":
-            part = RowPartition.from_weights(H.n_rows, weights, align=pol.grid)
-        else:
-            part = RowPartition.equal(H.n_rows, n_ranks, align=pol.grid)
-        world = SimWorld(part.n_ranks)
-        self.last_world = world
-        every = self.checkpoint_every
-        return distributed_eta(
-            H, part, scale, n_moments, start_block, world,
-            reduction=reduction, backend=backend, counters=self.counters,
-            metrics=self.metrics, overlap=overlap, checkpoint_every=every,
-            checkpoint_path=path, resume_from=resume,
-            fault_plan=self.fault_plan, attempt=attempt,
-            precision=precision, threads=threads, simd=simd,
-            eta_grid=pol.grid,
-        )

@@ -20,9 +20,9 @@ moments are *bitwise* the solo moments; the narrow profiles agree to
 accumulation tolerance.
 
 Batches are planned over the compatibility ``group_key`` (operator +
-M + precision + spectral map) up to ``max_width`` columns, executed on
-the configured engine (serial / sim / mp, optionally under a fresh
-batch-scoped :class:`~repro.resil.Supervisor`), accounted with a
+M + precision + spectral map) up to ``max_width`` columns, executed as
+the server's :class:`~repro.util.knobs.ExecConfig` says (optionally
+under a fresh batch-scoped :class:`~repro.resil.Supervisor`), accounted with a
 per-batch :class:`~repro.util.counters.PerfCounters` (whose totals
 match :func:`~repro.perf.report.expected_counters` exactly), and
 streamed: each progress firing publishes every member request's moment
@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.checkpoint import checkpointed_eta
 from repro.core.moments import eta_to_moments
 from repro.core.stochastic import make_block_vector, unit_block_vector
 from repro.obs import NULL_METRICS
 from repro.serve.queue import Ticket
 from repro.util.counters import PerfCounters
+from repro.util.knobs import ExecConfig, run_engine
 
 __all__ = ["Batch", "BatchItem", "execute_batch", "plan_batches"]
 
@@ -144,102 +144,18 @@ def slice_moments(batch: Batch, eta_prefix: np.ndarray):
             yield item, rows.real
 
 
-def _run_eta(H, scale, n_moments, block, *, engine, backend, workers,
-             weights, overlap, precision, threads, simd, resilience,
-             counters, metrics, seed, progress, progress_every,
-             rebalance=None, membership=None):
-    """One batch eta solve on the configured engine.
-
-    Returns ``(eta, resilience_report, world, elastic_report)`` — the
-    last two are None on paths that do not produce them.
-    """
-    if resilience is not None:
-        from repro.resil import Supervisor
-
-        # A fresh Supervisor per batch scopes retries, checkpoints and
-        # degradation to this batch alone: a crash mid-batch replays or
-        # degrades *these* columns and never touches other batches'
-        # already-delivered results.
-        sup = Supervisor.from_config(
-            resilience, metrics=metrics, counters=counters, seed=seed
-        )
-        if rebalance is not None:
-            sup.rebalance = rebalance
-            sup.membership = membership or sup.membership
-        eta = sup.run_eta(
-            H, scale, n_moments, block, engine=engine or "serial",
-            workers=workers, weights=weights, backend=backend,
-            overlap=overlap, precision=precision, threads=threads,
-            simd=simd, progress=progress, progress_every=progress_every,
-        )
-        return eta, sup.report, sup.last_world, sup.last_elastic_report
-    if engine == "mp" and rebalance is not None:
-        from repro.dist.elastic import elastic_eta
-
-        eta, erep = elastic_eta(
-            H, scale, n_moments, block, n_workers=workers, weights=weights,
-            policy=rebalance, membership=membership, engine="mp",
-            backend=backend, counters=counters, metrics=metrics,
-            overlap=overlap, precision=precision, threads=threads,
-            simd=simd,
-        )
-        return eta, None, None, erep
-    if engine in ("sim", "mp"):
-        from repro.dist.comm import SimWorld
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.mp import MpWorld
-        from repro.dist.partition import RowPartition
-
-        # An elastic server runs its sim batches in grid-eta mode so a
-        # later switch to mp (or an elastic mp batch of the same
-        # problem) returns byte-identical moments.
-        align = 4 if rebalance is None else rebalance.grid
-        if weights is not None:
-            part = RowPartition.from_weights(H.n_rows, weights, align=align)
-        else:
-            part = RowPartition.equal(H.n_rows, workers, align=align)
-        world = MpWorld(part.n_ranks) if engine == "mp" \
-            else SimWorld(part.n_ranks)
-        eta = distributed_eta(
-            H, part, scale, n_moments, block, world, backend=backend,
-            counters=counters, metrics=metrics, overlap=overlap,
-            precision=precision, threads=threads, simd=simd,
-            progress=progress, progress_every=progress_every,
-            eta_grid=0 if rebalance is None else rebalance.grid,
-        )
-        return eta, None, world, None
-    if threads == "auto":
-        import os
-
-        threads = max(1, os.cpu_count() or 1)
-    eta = checkpointed_eta(
-        H, scale, n_moments, block, counters=counters, backend=backend,
-        metrics=metrics, precision=precision, threads=threads, simd=simd,
-        progress=progress, progress_every=progress_every,
-    )
-    return eta, None, None, None
-
-
 def execute_batch(
     batch: Batch,
     H,
     scale,
     *,
-    engine: str | None = None,
-    backend="auto",
-    workers: int = 2,
-    weights=None,
-    overlap: bool | str | None = "auto",
-    precision=None,
-    threads: int | str | None = None,
-    simd: str | None = None,
     resilience=None,
     metrics=NULL_METRICS,
     seed: int | None = None,
     stream_every: int = 0,
     on_partial=None,
-    rebalance=None,
-    membership=None,
+    config: ExecConfig | None = None,
+    **knobs,
 ) -> tuple[np.ndarray, PerfCounters]:
     """Run one coalesced batch; return ``(eta, batch_counters)``.
 
@@ -252,24 +168,21 @@ def execute_batch(
     ``serve.batch.width`` (columns), ``serve.batch.requests``,
     ``serve.bytes_per_request`` and ``serve.bytes_per_column``.
 
+    ``config``/knobs are the batch's
+    :class:`~repro.util.knobs.ExecConfig`, run through the engine
+    dispatch (:func:`~repro.util.knobs.run_engine`) — under a fresh
+    batch-scoped :class:`~repro.resil.Supervisor` when ``resilience`` is
+    set, so a crash mid-batch replays or degrades *these* columns and
+    never touches other batches' delivered results.  A rebalance policy
+    makes mp batches elastic; the :class:`ElasticReport` lands on
+    ``batch.elastic_report`` so the server can carry learned weights
+    into the next batch.
+
     ``on_partial(item, n_done, mu_prefix)`` fires for every member at
     every streamed prefix (requires ``stream_every > 0``; the mp engine
     additionally needs checkpointing in ``resilience`` to stream).
-
-    ``threads`` is forwarded to every execution path unchanged; because
-    the threaded fp64 kernels are bitwise invariant across thread
-    counts, a threaded batch returns the exact bytes a sequential one
-    would — coalescing stays invisible at any thread count.  ``simd``
-    rides the same rail with the same guarantee: the vectorized fp64
-    kernels are bitwise equal to the scalar ones.
-
-    ``rebalance`` (a resolved :class:`~repro.dist.elastic.RebalancePolicy`
-    or None) turns mp batches into elastic solves and sim batches into
-    grid-eta solves; the resulting :class:`ElasticReport` lands on
-    ``batch.elastic_report`` so the server can carry learned weights
-    into the next batch.  ``membership`` is a
-    :class:`~repro.dist.elastic.MembershipPlan` applied per batch.
     """
+    cfg = ExecConfig.of(config, knobs)
     n_moments = batch.items[0].ticket.request.n_moments
     block = stack_start_block(batch, H.n_rows)
     counters = PerfCounters()
@@ -282,15 +195,23 @@ def execute_batch(
 
     with metrics.span("serve.batch", phase="serve", counters=counters,
                       width=batch.width, requests=batch.n_requests):
-        eta, report, batch.world, batch.elastic_report = _run_eta(
-            H, scale, n_moments, block, engine=engine, backend=backend,
-            workers=workers, weights=weights, overlap=overlap,
-            precision=precision, threads=threads, simd=simd,
-            resilience=resilience,
-            counters=counters, metrics=metrics, seed=seed,
-            progress=progress, progress_every=stream_every,
-            rebalance=rebalance, membership=membership,
-        )
+        report = None
+        if resilience is not None:
+            from repro.resil import Supervisor
+
+            sup = Supervisor.from_config(
+                resilience, metrics=metrics, counters=counters, seed=seed
+            )
+            eta = sup.run_eta(H, scale, n_moments, block, config=cfg,
+                              progress=progress, progress_every=stream_every)
+            report, batch.world = sup.report, sup.last_world
+            batch.elastic_report = sup.last_elastic_report
+        else:
+            eta, batch.world, batch.elastic_report = run_engine(
+                cfg, H, scale, n_moments, block, counters=counters,
+                metrics=metrics, progress=progress,
+                progress_every=stream_every,
+            )
     metrics.observe("serve.batch.width", batch.width)
     metrics.observe("serve.batch.requests", batch.n_requests)
     if counters.enabled and counters.bytes_total:

@@ -34,19 +34,20 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.core.reconstruct import reconstruct_dos
 from repro.core.scaling import lanczos_scale
 from repro.core.solver import DOSResult, LDOSResult, dos_result_from_moments
-from repro.dist.elastic import resolve_rebalance
 from repro.obs import MetricsRegistry
 from repro.serve.cache import MomentCache, SpectraCache
 from repro.serve.coalescer import execute_batch, plan_batches, slice_moments
 from repro.serve.queue import RequestQueue, Ticket
 from repro.serve.spec import Request
 from repro.util.counters import NULL_COUNTERS, PerfCounters
+from repro.util.knobs import ExecConfig, check_rebalance
 
 __all__ = ["KPMServer"]
 
@@ -58,24 +59,6 @@ class KPMServer:
     ----------
     max_width:
         Maximum columns per coalesced batch (the block width cap).
-    engine:
-        ``None``/'serial', 'sim', or 'mp' — the execution engine for
-        every batch (same engines, same semantics as
-        :class:`~repro.core.solver.KPMSolver`).
-    backend / workers / weights / overlap / precision-per-request:
-        Threaded through to the engines unchanged.
-    threads:
-        Intra-rank kernel thread count for every batch (``None``,
-        int, or ``'auto'`` — same semantics as
-        :class:`~repro.core.solver.KPMSolver`).  Because the threaded
-        fp64 kernels are bitwise invariant across thread counts, a
-        threaded server returns byte-identical moments to a sequential
-        one — determinism and cache keys are unaffected.
-    simd:
-        Native vectorized-kernel selector for every batch (``None``/
-        ``'auto'``/``'on'``/``'off'``).  The vectorized fp64 kernels
-        are bitwise equal to the scalar ones, so — like ``threads`` —
-        the knob never shows up in results or cache keys.
     resilience:
         Optional :class:`~repro.resil.Resilience`; each batch then runs
         under its own fresh Supervisor (batch-scoped retries,
@@ -90,16 +73,6 @@ class KPMServer:
     linger:
         Worker-thread batching window in seconds: after the first
         pending request, wait this long for more before solving.
-    rebalance / membership:
-        Elastic execution knobs (same values as
-        :class:`~repro.core.solver.KPMSolver`): ``rebalance`` is
-        ``None``/'off', 'auto', a threshold float, or a
-        :class:`~repro.dist.elastic.RebalancePolicy`; ``membership`` a
-        :class:`~repro.dist.elastic.MembershipPlan` (or its string
-        form) applied to every batch.  With rebalancing on, mp batches
-        run elastically and the learned weights (and surviving worker
-        count) carry over to the *next* batch — the server rebalances
-        between batches.
     cache:
         The :class:`MomentCache` (a default-sized one when omitted).
     spectra_cache:
@@ -110,50 +83,42 @@ class KPMServer:
         Server-wide observability sinks.  Every batch additionally gets
         a fresh per-batch :class:`PerfCounters` (merged into
         ``counters`` afterwards) so per-request traffic is measurable.
+    config / knobs:
+        Every batch's :class:`~repro.util.knobs.ExecConfig` (``engine``,
+        ``workers``, ``backend``, ``threads``, ...; the precision is
+        each request's own), validated here.  A knob that may move fp64
+        bits (see ``ExecConfig``) is part of neither the cache keys nor
+        the determinism contract above, which hold per configuration.
+        With a ``rebalance`` policy — which needs a distributed engine
+        or ``resilience`` — mp batches run elastically and the learned
+        weights (and surviving worker count) carry over to the *next*
+        batch: the server rebalances between batches.
     """
 
     def __init__(
         self,
         *,
         max_width: int = 8,
-        engine: str | None = None,
-        backend="auto",
-        workers: int = 2,
-        weights=None,
-        overlap: bool | str | None = "auto",
-        threads: int | str | None = None,
-        simd: str | None = None,
         resilience=None,
         scale_seed: int = 0,
         stream_every: int = 0,
         linger: float = 0.005,
-        rebalance=None,
-        membership=None,
         cache: MomentCache | None = None,
         spectra_cache: SpectraCache | None = None,
         metrics: MetricsRegistry | None = None,
         counters: PerfCounters = NULL_COUNTERS,
+        config: ExecConfig | None = None,
+        **knobs,
     ) -> None:
-        if engine not in (None, "serial", "sim", "mp"):
-            raise ValueError(
-                f"engine must be None, 'serial', 'sim' or 'mp', got {engine!r}"
-            )
+        self.config = ExecConfig.of(config, knobs)
+        check_rebalance(self.config, resilience is not None)
         if max_width < 1:
             raise ValueError(f"max_width must be >= 1, got {max_width}")
         self.max_width = int(max_width)
-        self.engine = None if engine == "serial" else engine
-        self.backend = backend
-        self.workers = int(workers)
-        self.weights = list(weights) if weights is not None else None
-        self.overlap = overlap
-        self.threads = threads
-        self.simd = simd
         self.resilience = resilience
         self.scale_seed = int(scale_seed)
         self.stream_every = int(stream_every)
         self.linger = float(linger)
-        self.rebalance = resolve_rebalance(rebalance)
-        self.membership = membership
         self.cache = cache if cache is not None else MomentCache()
         self.spectra = spectra_cache if spectra_cache is not None \
             else SpectraCache()
@@ -167,6 +132,16 @@ class KPMServer:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+
+    @property
+    def backend(self):
+        """The kernel backend every batch runs on."""
+        return self.config.backend
+
+    @property
+    def workers(self) -> int:
+        """The next batch's rank count (an elastic batch may shrink it)."""
+        return self.config.workers
 
     # -- operator cache ------------------------------------------------
     def operator(self, spec) -> tuple:
@@ -254,15 +229,10 @@ class KPMServer:
 
         try:
             eta, counters = execute_batch(
-                batch, H, scale,
-                engine=self.engine, backend=self.backend,
-                workers=self.workers, weights=self.weights,
-                overlap=self.overlap, precision=req0.precision,
-                threads=self.threads, simd=self.simd,
-                resilience=self.resilience, metrics=self.metrics,
-                seed=self.scale_seed, stream_every=self.stream_every,
-                on_partial=on_partial,
-                rebalance=self.rebalance, membership=self.membership,
+                batch, H, scale, resilience=self.resilience,
+                metrics=self.metrics, seed=self.scale_seed,
+                stream_every=self.stream_every, on_partial=on_partial,
+                config=replace(self.config, precision=req0.precision),
             )
         except Exception as exc:  # noqa: BLE001 - isolate to this batch
             self.metrics.count("serve.batch.failures")
@@ -279,8 +249,9 @@ class KPMServer:
             # worker count) the elastic solve converged on become the
             # next batch's starting point.  Numerics are unaffected —
             # grid-eta mode makes moments partition-independent.
-            self.weights = list(erep.final_weights)
-            self.workers = int(erep.final_n_workers)
+            self.config = replace(self.config,
+                                  weights=erep.final_weights,
+                                  workers=erep.final_n_workers)
         if batch.n_requests > 1:
             self.metrics.count(
                 "serve.requests_coalesced", batch.n_requests

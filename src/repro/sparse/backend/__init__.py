@@ -40,30 +40,7 @@ from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError
-from repro.util.knobs import BACKEND_CHOICES
-
-#: Valid values of the user-facing ``simd=`` knob (``None`` ≡ ``auto``).
-SIMD_CHOICES = ("auto", "on", "off")
-
-
-def resolve_simd(simd: str | None) -> str:
-    """Normalize and validate the ``simd`` knob value.
-
-    ``None`` means ``"auto"`` (use the vectorized kernels whenever the
-    host has them).  The tri-state mirrors how ``threads`` rides the
-    plans: the knob is resolved here once, carried on the plan, and the
-    backends consult it at dispatch.  The choice never changes results —
-    fp64 moments are bitwise identical either way — only which of the
-    two bitwise-equal kernel families runs.
-    """
-    if simd is None:
-        return "auto"
-    if isinstance(simd, str) and simd.lower() in SIMD_CHOICES:
-        return simd.lower()
-    raise BackendError(
-        f"invalid simd selector {simd!r}; choose from "
-        f"{[None, *SIMD_CHOICES]}"
-    )
+from repro.util.knobs import BACKEND_CHOICES, SIMD_CHOICES, resolve_simd
 
 
 class KernelPlan:

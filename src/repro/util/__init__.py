@@ -13,6 +13,7 @@ __all__ = lazy_exports(__name__, {
     "constants": ("S_D", "S_I", "F_ADD", "F_MUL", "DTYPE", "IDTYPE",
                   "BYTES_PER_GB"),
     "counters": ("PerfCounters", "NULL_COUNTERS"),
+    "knobs": ("ExecConfig",),
     "rng": ("make_rng", "spawn_rngs"),
     "timing": ("Timer",),
     "validation": ("check_positive", "check_nonnegative", "check_in_range",
