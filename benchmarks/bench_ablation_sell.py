@@ -6,8 +6,9 @@ but inflates zero fill-in when row lengths vary inside a chunk; sorting
 nearly uniform rows (11-13 nnz), so beta stays high; a synthetic
 power-law matrix shows the full effect.
 
-Kernel timings use the pure-NumPy SELL path (the layout-faithful
-implementation) — the fast compiled backend is format-agnostic.
+Kernel runs use the layout-faithful pure-NumPy SELL reference
+(:mod:`repro.sparse.sell_kernels`) — the backends' compiled products are
+format-agnostic.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from _support import emit, format_table
 from repro.physics import build_topological_insulator
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import set_fast_backend, spmmv
+from repro.sparse.sell_kernels import sell_spmmv_chunked
 
 
 def powerlaw_matrix(n=4096, seed=0):
@@ -76,20 +77,17 @@ def test_sell_padding_costs_flops(benchmark):
     x = np.ascontiguousarray(
         np.ones((2048, 4), dtype=complex)
     )
-    old = set_fast_backend(False)
-    try:
-        def run():
-            out = {}
-            for c, sigma in ((1, 1), (32, 1), (32, 2048)):
-                s = SellMatrix(mat, chunk_height=c, sigma=sigma)
-                counters = PerfCounters()
-                spmmv(s, x, counters=counters)
-                out[(c, sigma)] = (s.beta, counters.flops)
-            return out
 
-        data = benchmark.pedantic(run, rounds=1, iterations=1)
-    finally:
-        set_fast_backend(old)
+    def run():
+        out = {}
+        for c, sigma in ((1, 1), (32, 1), (32, 2048)):
+            s = SellMatrix(mat, chunk_height=c, sigma=sigma)
+            counters = PerfCounters()
+            sell_spmmv_chunked(s, x, counters=counters)
+            out[(c, sigma)] = (s.beta, counters.flops)
+        return out
+
+    data = benchmark.pedantic(run, rounds=1, iterations=1)
     rows = [
         [f"C={c}, sigma={s}", beta, flops]
         for (c, s), (beta, flops) in data.items()

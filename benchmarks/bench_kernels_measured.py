@@ -18,11 +18,11 @@ from repro.core.scaling import SpectralScale
 from repro.physics import build_topological_insulator
 from repro.sparse import SellMatrix
 from repro.sparse.backend import get_backend
-from repro.sparse.fused import aug_spmmv_step, aug_spmv_step, naive_kpm_step
 from repro.util.constants import DTYPE
 from repro.util.counters import PerfCounters
 
 NX, NZ = 40, 10  # N = 64,000 rows — larger than any host cache
+NUMPY = get_backend("numpy")
 
 
 @pytest.fixture(scope="module")
@@ -48,32 +48,32 @@ def test_naive_step(benchmark, system):
     h, _, scale = system
     v, w = _vectors(h.n_rows, 1)
     v, w = v[:, 0].copy(), w[:, 0].copy()
-    scratch = np.empty(h.n_rows, dtype=DTYPE)
-    benchmark(naive_kpm_step, h, v, w, scale.a, scale.b, scratch)
+    benchmark(NUMPY.naive_step, h, v, w, scale.a, scale.b,
+              plan=NUMPY.plan(h, 1))
 
 
 def test_aug_spmv_step(benchmark, system):
     h, _, scale = system
     v, w = _vectors(h.n_rows, 1)
     v, w = v[:, 0].copy(), w[:, 0].copy()
-    scratch = np.empty(h.n_rows, dtype=DTYPE)
-    benchmark(aug_spmv_step, h, v, w, scale.a, scale.b, scratch)
+    benchmark(NUMPY.aug_spmv_step, h, v, w, scale.a, scale.b,
+              plan=NUMPY.plan(h, 1))
 
 
 @pytest.mark.parametrize("r", [8, 32])
 def test_aug_spmmv_step(benchmark, system, r):
     h, _, scale = system
     v, w = _vectors(h.n_rows, r)
-    scratch = np.empty((h.n_rows, r), dtype=DTYPE)
-    benchmark(aug_spmmv_step, h, v, w, scale.a, scale.b, scratch)
+    benchmark(NUMPY.aug_spmmv_step, h, v, w, scale.a, scale.b,
+              plan=NUMPY.plan(h, r))
 
 
 @pytest.mark.parametrize("r", [32])
 def test_aug_spmmv_sell(benchmark, system, r):
     _, s, scale = system
     v, w = _vectors(s.n_rows, r)
-    scratch = np.empty((s.n_rows, r), dtype=DTYPE)
-    benchmark(aug_spmmv_step, s, v, w, scale.a, scale.b, scratch)
+    benchmark(NUMPY.aug_spmmv_step, s, v, w, scale.a, scale.b,
+              plan=NUMPY.plan(s, r))
 
 
 def test_stage_speedups_summary(benchmark, system):
@@ -87,22 +87,19 @@ def test_stage_speedups_summary(benchmark, system):
 
     def time_step(fn, r, reps=3):
         best = float("inf")
+        plan = NUMPY.plan(h, r)
         for _ in range(reps):
+            v, w = _vectors(n, r, seed=1)
             if r == 1:
-                v, w = _vectors(n, 1, seed=1)
                 v, w = v[:, 0].copy(), w[:, 0].copy()
-                scratch = np.empty(n, dtype=DTYPE)
-            else:
-                v, w = _vectors(n, r, seed=1)
-                scratch = np.empty((n, r), dtype=DTYPE)
             t0 = time.perf_counter()
-            fn(h, v, w, scale.a, scale.b, scratch)
+            fn(h, v, w, scale.a, scale.b, plan=plan)
             best = min(best, time.perf_counter() - t0)
         return best
 
-    t_naive = time_step(naive_kpm_step, 1)
-    t_s1 = time_step(aug_spmv_step, 1)
-    t_s2_32 = time_step(aug_spmmv_step, 32)
+    t_naive = time_step(NUMPY.naive_step, 1)
+    t_s1 = time_step(NUMPY.aug_spmv_step, 1)
+    t_s2_32 = time_step(NUMPY.aug_spmmv_step, 32)
 
     def traffic(fn, r):
         c = PerfCounters()
@@ -115,9 +112,9 @@ def test_stage_speedups_summary(benchmark, system):
             fn(h, v, w, scale.a, scale.b, counters=c)
         return c.bytes_total / r / 1e6  # MB per vector
 
-    b_naive = traffic(naive_kpm_step, 1)
-    b_s1 = traffic(aug_spmv_step, 1)
-    b_s2 = traffic(aug_spmmv_step, 32)
+    b_naive = traffic(NUMPY.naive_step, 1)
+    b_s1 = traffic(NUMPY.aug_spmv_step, 1)
+    b_s2 = traffic(NUMPY.aug_spmmv_step, 32)
     rows = [
         ["naive (Fig. 3)", 1, t_naive * 1e3, t_naive * 1e3, b_naive],
         ["aug_spmv (Fig. 4)", 1, t_s1 * 1e3, t_s1 * 1e3, b_s1],

@@ -37,9 +37,9 @@ class _LazyPackage(types.ModuleType):
 
     def __setattr__(self, name: str, value) -> None:
         # The import system binds every loaded submodule on its package.
-        # Where an export is named like its submodule (repro.sparse.spmv,
-        # repro.dist.tune, repro.perf.roofline) the export keeps the
-        # name, as it did when __init__ ran ``from .spmv import spmv``.
+        # Where an export is named like its submodule (repro.dist.tune,
+        # repro.perf.roofline) the export keeps the name, as it did when
+        # __init__ ran ``from .tune import tune``.
         if (isinstance(value, types.ModuleType)
                 and self._lazy_exports.get(name) == name
                 and value.__name__ == f"{self.__name__}.{name}"):

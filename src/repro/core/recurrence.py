@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import get_backend
-from repro.sparse.fused import _col_dots, _recombine, charge_col_dots, vec_dots
+from repro.sparse.fused import _recombine, charge_col_dots, col_dots, vec_dots
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
@@ -121,7 +121,7 @@ class Recurrence:
             "aug_spmv": bk.aug_spmv_step,
             "aug_spmmv": bk.aug_spmmv_step,
         }[kernel]
-        self._pair_dots = vec_dots if single else _col_dots
+        self._pair_dots = vec_dots if single else col_dots
         # the plan's scratch in this mode's shape (1-D vector / 2-D block)
         self._u, self._work = (
             (plan.u, plan.work) if single else (plan.u_block, plan.work_block)
@@ -195,7 +195,7 @@ class Recurrence:
         if self._blocks is None:
             return self._pair_dots(v, w)
         for i, sl in enumerate(self._blocks):
-            self._ee[i], self._eo[i] = _col_dots(v[sl], w[sl])
+            self._ee[i], self._eo[i] = col_dots(v[sl], w[sl])
         return self._ee, self._eo
 
     # -- the recurrence ------------------------------------------------

@@ -23,13 +23,13 @@ __all__ = lazy_exports(__name__, {
     "halo": ("CommPattern", "DistributedMatrix", "partition_matrix"),
     "kpm_parallel": ("distributed_eta", "distributed_dos_moments"),
     "network": ("NetworkModel", "CRAY_ARIES"),
-    "autotune": ("autotune_weights", "throughput_timer", "AutotuneResult"),
     "elastic": ("RebalancePolicy", "RebalanceMonitor", "MembershipPlan",
                 "MembershipEvent", "ElasticReport", "elastic_eta",
-                "resolve_rebalance"),
+                "resolve_rebalance", "autotune_weights", "throughput_timer",
+                "AutotuneResult"),
     "tune": ("TuneConfig", "TuneSpace", "TuneResult", "tune", "lookup",
              "save_profile"),
-    "overlap": ("split_for_overlap", "two_phase_spmmv", "OverlapSplit"),
+    "overlap": ("TaskSplit", "task_split", "exposed_communication_time"),
     "scaling_model": ("ClusterModel", "WeakScalingCase",
                       "square_weak_scaling_domains",
                       "bar_weak_scaling_domains"),

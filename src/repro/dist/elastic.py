@@ -36,11 +36,15 @@ On top of the invariant sit the two elastic behaviours:
   (compute + injected-fault time, *excluding* barrier waits, where fast
   ranks absorb their peers' skew) and computes the
   ``(max − min) / mean`` spread — the same statistic as
-  :meth:`~repro.dist.autotune.AutotuneResult.imbalance`.  After
-  ``windows`` consecutive segments above ``threshold`` the driver
-  re-runs the throughput fixed point
-  (:func:`~repro.dist.autotune.autotune_weights`) on the measured
-  rows/second and repartitions at the next boundary.
+  :meth:`AutotuneResult.imbalance`.  After ``windows`` consecutive
+  segments above ``threshold`` the driver re-runs the throughput fixed
+  point (:func:`autotune_weights`) on the measured rows/second and
+  repartitions at the next boundary.  That fixed point is the paper's
+  outlook realized — "a future step could be to determine the process
+  weights for heterogeneous execution automatically" (Section VII): from
+  any weights, short measurement rounds give each rank's time per row,
+  and the update ``w_p <- (rows_p / t_p) / sum_q (rows_q / t_q)``
+  converges to throughput-proportional weights in typically 2-3 rounds.
 
 * **Elastic membership**: a worker death inside a segment surfaces as a
   :class:`~repro.util.errors.WorkerFailure`; the driver drops the dead
@@ -61,12 +65,12 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from repro.core.checkpoint import KpmCheckpoint
 from repro.core.scaling import SpectralScale
-from repro.dist.autotune import AutotuneResult, TimerFn, autotune_weights
 from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.kpm_parallel import distributed_eta
 from repro.dist.partition import RowPartition
@@ -74,8 +78,9 @@ from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.resil.faults import FaultPlan, as_fault_plan
 from repro.sparse.csr import CSRMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.errors import SimulationError, WorkerFailure
+from repro.util.errors import PartitionError, SimulationError, WorkerFailure
 from repro.util.knobs import ExecConfig
+from repro.util.validation import check_positive
 
 __all__ = [
     "RebalancePolicy",
@@ -87,6 +92,9 @@ __all__ = [
     "SegmentRecord",
     "ElasticReport",
     "elastic_eta",
+    "AutotuneResult",
+    "autotune_weights",
+    "throughput_timer",
 ]
 
 
@@ -291,13 +299,113 @@ class MembershipEvent:
 
 
 # ----------------------------------------------------------------------
-# skew monitor
+# weight tuning: the throughput fixed point
 # ----------------------------------------------------------------------
 
+#: Timing callback signature: (rank, n_local_rows) -> seconds.
+TimerFn = Callable[[int, int], float]
+
+
 def _spread(times) -> float:
-    """``(max − min) / mean`` — AutotuneResult.imbalance's statistic."""
+    """Relative spread ``(max − min) / mean`` of per-rank times.
+
+    0.0 is perfectly balanced; guarded against a zero mean (all ranks
+    measured 0 s are balanced by definition).
+    """
     t = np.asarray(times, dtype=float)
     return float((t.max() - t.min()) / max(t.mean(), 1e-300))
+
+
+@dataclass
+class AutotuneResult:
+    """Outcome of the weight auto-tuner."""
+
+    weights: list[float]
+    partition: RowPartition
+    rounds: int
+    converged: bool
+    history: list[list[float]] = field(default_factory=list)
+
+    def imbalance(self, times: list[float]) -> float:
+        """The tuning loop's own convergence statistic, :func:`_spread`:
+        a converged result reports ``imbalance(times) <= tolerance`` for
+        its final round."""
+        return _spread(times)
+
+
+def throughput_timer(gflops_per_rank: list[float], flops_per_row: float) -> TimerFn:
+    """Timing callback backed by per-rank Gflop/s (model or measured)."""
+    rates = np.asarray(gflops_per_rank, dtype=float)
+    if np.any(rates <= 0):
+        raise PartitionError("rank performance must be positive")
+
+    def timer(rank: int, n_rows: int) -> float:
+        return n_rows * flops_per_row / (rates[rank] * 1e9)
+
+    return timer
+
+
+def autotune_weights(
+    n_rows: int,
+    n_ranks: int,
+    timer: TimerFn,
+    *,
+    align: int = 4,
+    initial_weights: list[float] | None = None,
+    max_rounds: int = 8,
+    tolerance: float = 0.02,
+    damping: float = 1.0,
+) -> AutotuneResult:
+    """Iteratively balance rank weights until times agree within
+    ``tolerance`` (relative spread of per-rank round times).
+
+    The rank times come from ``timer``: the device performance model in
+    the simulated environment, measured rows/second in a live run.
+    ``damping`` < 1 underrelaxes the update, useful when the timing
+    callback is noisy (real measurements).
+    """
+    check_positive("n_rows", n_rows)
+    check_positive("n_ranks", n_ranks)
+    check_positive("max_rounds", max_rounds)
+    if not 0 < damping <= 1:
+        raise ValueError(f"damping must be in (0, 1], got {damping}")
+    weights = (
+        np.full(n_ranks, 1.0 / n_ranks)
+        if initial_weights is None
+        else np.asarray(initial_weights, dtype=float)
+    )
+    if weights.shape != (n_ranks,) or np.any(weights < 0) or weights.sum() <= 0:
+        raise PartitionError(f"invalid initial weights {initial_weights!r}")
+    weights = weights / weights.sum()
+
+    history: list[list[float]] = []
+    part = RowPartition.from_weights(n_rows, weights.tolist(), align=align)
+    for rounds in range(1, max_rounds + 1):
+        counts = part.counts().astype(float)
+        times = [timer(p, int(counts[p])) for p in range(n_ranks)]
+        history.append(weights.tolist())
+        if _spread(times) <= tolerance:
+            return AutotuneResult(
+                weights.tolist(), part, rounds, True, history
+            )
+        # observed throughput of each rank (rows per second); ranks that
+        # got zero rows are probed with one alignment block so they can
+        # re-enter the distribution
+        probe = np.maximum(counts, align)
+        probe_times = np.array(
+            [max(timer(p, int(probe[p])), 1e-300) for p in range(n_ranks)]
+        )
+        thru = probe / probe_times
+        target = thru / thru.sum()
+        weights = (1.0 - damping) * weights + damping * target
+        weights /= weights.sum()
+        part = RowPartition.from_weights(n_rows, weights.tolist(), align=align)
+    return AutotuneResult(weights.tolist(), part, max_rounds, False, history)
+
+
+# ----------------------------------------------------------------------
+# skew monitor
+# ----------------------------------------------------------------------
 
 
 class RebalanceMonitor:

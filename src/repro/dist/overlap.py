@@ -4,25 +4,16 @@ The classic halo-hiding technique (and the natural companion of the
 paper's pipelining outlook): rows whose matrix entries reference only
 local columns — the *interior* — can be multiplied while the halo
 exchange is in flight; only the *boundary* rows must wait for remote
-data. This module computes the split for a partitioned matrix, provides
-a two-phase local SpMMV that exploits it, and models the hidden time.
+data.  :func:`task_split` computes the split the task-mode engines run:
+the interior is the largest **contiguous** run of halo-free rows (so the
+split kernels index the original local matrix in place, no extraction),
+everything else is a gathered boundary row list.  Both kernel backends
+consume it through their ``aug_spm(m)v_interior`` / ``..._boundary``
+split kernels, whose result is bitwise the plain fused step's.
 
-Two split representations serve two purposes:
-
-* :class:`OverlapSplit` (:func:`split_for_overlap`) — the *analysis*
-  split: scattered interior/boundary index sets with extracted
-  sub-matrices, feeding the time model and the two-phase reference
-  product.
-* :class:`TaskSplit` (:func:`task_split`) — the *execution* split the
-  task-mode engines run: the interior is the largest **contiguous** run
-  of halo-free rows (so the split kernels index the original local
-  matrix in place, no extraction), everything else is a gathered
-  boundary row list.  Both kernel backends consume it through their
-  ``aug_spm(m)v_interior`` / ``..._boundary`` split kernels.
-
-The functional result is identical to the plain local product (tested);
-the benefit appears in the time model: per iteration, the exposed
-communication shrinks from ``t_halo`` to ``max(0, t_halo - t_interior)``.
+The benefit appears in the time model: per iteration, the exposed
+communication shrinks from ``t_halo`` to ``max(0, t_halo - t_interior)``
+(:func:`exposed_communication_time`).
 """
 
 from __future__ import annotations
@@ -32,87 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dist.halo import RankBlock
-from repro.sparse.csr import CSRMatrix
-from repro.sparse.spmv import spmmv
-from repro.util.constants import DTYPE
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.knobs import OVERLAP_CHOICES, resolve_overlap  # noqa: F401  (re-exported)
-
-
-@dataclass
-class OverlapSplit:
-    """Interior/boundary row split of one rank's local matrix.
-
-    ``interior`` and ``boundary`` are local row indices; ``interior_matrix``
-    contains only the interior rows (all columns < n_local), while
-    ``boundary_matrix`` has the boundary rows with the full local+halo
-    column range.
-    """
-
-    interior: np.ndarray
-    boundary: np.ndarray
-    interior_matrix: CSRMatrix
-    boundary_matrix: CSRMatrix
-    n_local: int
-
-    @property
-    def interior_fraction(self) -> float:
-        total = self.interior.size + self.boundary.size
-        return self.interior.size / total if total else 1.0
-
-
-def split_for_overlap(block: RankBlock) -> OverlapSplit:
-    """Split a rank's rows into halo-independent and halo-dependent."""
-    mat = block.matrix
-    n_local = block.n_local
-    rows = np.repeat(np.arange(mat.n_rows), mat.nnz_per_row)
-    touches_halo = np.zeros(mat.n_rows, dtype=bool)
-    np.logical_or.at(
-        touches_halo, rows, mat.indices.astype(np.int64) >= n_local
-    )
-    interior = np.nonzero(~touches_halo)[0]
-    boundary = np.nonzero(touches_halo)[0]
-
-    def extract(row_set: np.ndarray, n_cols: int) -> CSRMatrix:
-        if row_set.size == 0:
-            return CSRMatrix(
-                np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=DTYPE), (0, n_cols),
-            )
-        parts_idx = []
-        parts_val = []
-        indptr = np.zeros(row_set.size + 1, dtype=np.int64)
-        for k, r in enumerate(row_set.tolist()):
-            lo, hi = mat.indptr[r], mat.indptr[r + 1]
-            parts_idx.append(mat.indices[lo:hi])
-            parts_val.append(mat.data[lo:hi])
-            indptr[k + 1] = indptr[k] + (hi - lo)
-        return CSRMatrix(
-            indptr,
-            np.concatenate(parts_idx) if parts_idx else np.empty(0, np.int32),
-            np.concatenate(parts_val) if parts_val else np.empty(0, DTYPE),
-            (row_set.size, n_cols),
-        )
-
-    return OverlapSplit(
-        interior=interior,
-        boundary=boundary,
-        interior_matrix=extract(interior, n_local),
-        boundary_matrix=extract(boundary, mat.n_cols),
-        n_local=n_local,
-    )
 
 
 @dataclass(frozen=True)
 class TaskSplit:
     """Execution-level interior/boundary split of one rank's local matrix.
 
-    Unlike :class:`OverlapSplit` (scattered index sets plus extracted
-    sub-matrices, for analysis), this is the shape the task-mode engines
-    actually run: ``[row0, row1)`` is the largest *contiguous* run of
-    halo-free rows — the split kernels traverse it on the original local
-    matrix with absolute indexing — and ``boundary`` gathers every other
-    local row (sorted ascending).  Halo-free rows that fall outside the
+    ``[row0, row1)`` is the largest *contiguous* run of halo-free rows —
+    the split kernels traverse it on the original local matrix with
+    absolute indexing — and ``boundary`` gathers every other local row
+    (sorted ascending).  Halo-free rows that fall outside the
     contiguous run are deliberately classified as boundary: they could
     run early, but a contiguous interior keeps the hot phase a single
     streaming pass (and the loss is small on banded partitions, where
@@ -192,37 +113,6 @@ def task_split(block: RankBlock) -> TaskSplit:
         nnz_boundary=int(mat.nnz - nnz_interior),
         n_cols=mat.n_cols,
     )
-
-
-def two_phase_spmmv(
-    split: OverlapSplit,
-    v_local: np.ndarray,
-    halo: np.ndarray,
-    out: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-) -> np.ndarray:
-    """Local SpMMV in two phases: interior (pre-halo) then boundary.
-
-    In a real asynchronous implementation phase 1 runs while the halo
-    exchange progresses; here the phases run back to back but the result
-    is identical to the single-phase product (tested), and the split
-    sizes feed :func:`exposed_communication_time`.
-    """
-    # storage-dtype generic: (n, r) complex or (n, r, 2) f16 pair layout
-    if out is None:
-        out = np.empty((split.n_local, *v_local.shape[1:]),
-                       dtype=v_local.dtype)
-    if split.interior.size:
-        out[split.interior] = spmmv(
-            split.interior_matrix, np.ascontiguousarray(v_local),
-            counters=counters,
-        )
-    if split.boundary.size:
-        x = np.ascontiguousarray(np.vstack([v_local, halo]))
-        out[split.boundary] = spmmv(
-            split.boundary_matrix, x, counters=counters
-        )
-    return out
 
 
 def exposed_communication_time(

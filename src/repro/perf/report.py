@@ -39,13 +39,11 @@ from repro.perf.roofline import (
     node_performance,
 )
 from repro.sparse.fused import (
-    _slots,
-    charge_aug_spmmv,
-    charge_aug_spmmv_part,
-    charge_aug_spmv,
+    charge_aug,
     charge_col_dots,
+    charge_spmv,
+    matrix_stream,
 )
-from repro.sparse.spmv import _charge_spmv
 from repro.util.constants import F_ADD, F_MUL
 from repro.util.counters import PerfCounters
 from repro.util.precision import FP64, PRECISIONS, Precision, get_precision
@@ -182,7 +180,7 @@ def _charge_naive_iteration(
         np.dtype(prec.compute_dtype).itemsize
         if prec.half_vectors else prec.s_vector
     )
-    _charge_spmv(A, 1, c, "spmv", prec)
+    charge_spmv(c, "spmv", *matrix_stream(A, prec), 1, prec)
     for _ in range(2):  # two axpy calls
         c.charge("axpy", loads=2 * n * s_x, stores=n * s_x,
                  flops=n * (F_ADD + F_MUL))
@@ -211,7 +209,7 @@ def expected_counters(
     ``nnz_boundary``).  Each rank then charges its bootstrap ``spmmv``
     on its local block and every inner iteration as an
     ``aug_spmmv_int`` + ``aug_spmmv_bnd`` pair.  By the exact-sum
-    property of :func:`repro.sparse.fused.charge_aug_spmmv_part` the
+    property of :func:`repro.sparse.fused.charge_aug` the
     byte/flop totals are identical to the serial charge — only the
     per-kernel call attribution differs — so measured == analytic
     stays exact under overlap.  Only valid with ``engine='aug_spmmv'``.
@@ -234,44 +232,33 @@ def expected_counters(
     c = PerfCounters()
     half = n_moments // 2
     if splits is not None:
-        for sp in splits:
-            n_loc = sp.n_interior + sp.n_boundary
-            slots_loc = sp.nnz_interior + sp.nnz_boundary
-            # per-rank index width: locality decides uint16 eligibility
-            s_i = prec.index_bytes(getattr(sp, "n_cols", 0) or A.n_cols)
-            s_x = prec.s_vector
-            # Bootstrap nu_1 block on the rank's local rows — identical
-            # per-row charge to _charge_spmv of the local matrix.
-            c.charge(
-                "spmmv",
-                loads=slots_loc * (prec.s_value + s_i)
-                + n_vectors * n_loc * s_x,
-                stores=n_vectors * n_loc * s_x,
-                flops=n_vectors * slots_loc * (F_ADD + F_MUL),
-            )
+        # per-rank index width: locality decides uint16 eligibility
+        widths = [prec.index_bytes(getattr(sp, "n_cols", 0) or A.n_cols)
+                  for sp in splits]
+        for sp, s_i in zip(splits, widths):  # bootstrap nu_1 block, local
+            charge_spmv(c, "spmmv", sp.n_interior + sp.n_boundary,
+                        sp.nnz_interior + sp.nnz_boundary, s_i, n_vectors,
+                        prec)
         for _ in range(half - 1):
-            for sp in splits:
-                s_i = prec.index_bytes(getattr(sp, "n_cols", 0) or A.n_cols)
-                charge_aug_spmmv_part(
-                    sp.n_interior, sp.nnz_interior, n_vectors, c,
-                    "aug_spmmv_int", prec, s_index=s_i,
-                )
-                charge_aug_spmmv_part(
-                    sp.n_boundary, sp.nnz_boundary, n_vectors, c,
-                    "aug_spmmv_bnd", prec, s_index=s_i,
-                )
+            for sp, s_i in zip(splits, widths):
+                charge_aug(c, "aug_spmmv_int", sp.n_interior,
+                           sp.nnz_interior, s_i, n_vectors, prec)
+                charge_aug(c, "aug_spmmv_bnd", sp.n_boundary,
+                           sp.nnz_boundary, s_i, n_vectors, prec)
     elif engine == "aug_spmmv":
-        _charge_spmv(A, n_vectors, c, "spmmv", prec)  # bootstrap nu_1 block
+        stream = matrix_stream(A, prec)
+        charge_spmv(c, "spmmv", *stream, n_vectors, prec)  # bootstrap nu_1
         for _ in range(half - 1):
-            charge_aug_spmmv(A, n_vectors, c, prec)
+            charge_aug(c, "aug_spmmv", *stream, n_vectors, prec)
     elif engine == "aug_spmv":
+        stream = matrix_stream(A, prec)
         for _ in range(n_vectors):
-            _charge_spmv(A, 1, c, "spmv", prec)  # bootstrap nu_1
+            charge_spmv(c, "spmv", *stream, 1, prec)  # bootstrap nu_1
             for _ in range(half - 1):
-                charge_aug_spmv(A, c, prec)
+                charge_aug(c, "aug_spmv", *stream, 1, prec)
     elif engine == "naive":
         for _ in range(n_vectors):
-            _charge_spmv(A, 1, c, "spmv", prec)  # bootstrap nu_1
+            charge_spmv(c, "spmv", *matrix_stream(A, prec), 1, prec)
             for _ in range(half - 1):
                 _charge_naive_iteration(A, c, prec)
     else:
@@ -317,10 +304,11 @@ def expected_segment_counters(
         )
     prec = get_precision(precision)
     c = PerfCounters()
+    stream = matrix_stream(A, prec)
     if first_m == 1:
-        _charge_spmv(A, n_vectors, c, "spmmv", prec)  # bootstrap nu_1 block
+        charge_spmv(c, "spmmv", *stream, n_vectors, prec)  # bootstrap nu_1
     for _ in range(first_m, half):
-        charge_aug_spmmv(A, n_vectors, c, prec)
+        charge_aug(c, "aug_spmmv", *stream, n_vectors, prec)
         if eta_grid:
             charge_col_dots(A.n_rows, n_vectors, c, prec=prec)
     return c
@@ -331,14 +319,11 @@ def _kernel_model_balance(
 ) -> float | None:
     """Model bytes/flop of one kernel invocation (None when unmodeled)."""
     c = PerfCounters()
-    if name == "aug_spmmv":
-        charge_aug_spmmv(A, r, c, prec)
-    elif name == "aug_spmv":
-        charge_aug_spmv(A, c, prec)
-    elif name == "spmv":
-        _charge_spmv(A, 1, c, name, prec)
-    elif name == "spmmv":
-        _charge_spmv(A, r, c, name, prec)
+    stream = matrix_stream(A, prec)
+    if name in ("aug_spmv", "aug_spmmv"):
+        charge_aug(c, name, *stream, 1 if name == "aug_spmv" else r, prec)
+    elif name in ("spmv", "spmmv"):
+        charge_spmv(c, name, *stream, 1 if name == "spmv" else r, prec)
     elif name == "naive_step":
         _charge_naive_iteration(A, c, prec)
     else:
@@ -366,9 +351,9 @@ def measured_vs_model_section(
     """
     prec = get_precision(precision)
     exp = expected_counters(A, n_moments, n_vectors, engine, precision=prec)
-    slots = _slots(A)
+    _, slots, s_i = matrix_stream(A, prec)
     nnzr = slots / A.n_rows
-    s_d, s_x, s_i = prec.s_value, prec.s_vector, prec.index_bytes(A.n_cols)
+    s_d, s_x = prec.s_value, prec.s_vector
     out = StringIO()
     out.write(
         f"engine {engine}, M = {n_moments}, R = {n_vectors}, "

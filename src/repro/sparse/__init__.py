@@ -10,12 +10,16 @@ needs from a sparse linear-algebra library:
   sorting scope σ, and padding efficiency β.
 * :mod:`repro.sparse.blas1` — the BLAS level-1 calls of the naive
   algorithm (paper Fig. 3) with byte/flop accounting per paper Table I.
-* :mod:`repro.sparse.spmv` — sparse matrix–(multiple-)vector products.
-* :mod:`repro.sparse.fused` — the paper's contribution at kernel level:
-  the augmented SpMV (optimization stage 1, Fig. 4) and augmented SpMMV
-  (optimization stage 2, Fig. 5) with on-the-fly shift/scale/dot fusion.
-* :mod:`repro.sparse.backend` — pluggable kernel backends: the NumPy
-  reference and the compiled native C kernels behind one interface.
+* :mod:`repro.sparse.backend` — the kernels: Sp(M)MV, the naive chain
+  (Fig. 3) and the paper's contribution at kernel level, the augmented
+  SpMV (optimization stage 1, Fig. 4) and augmented SpMMV (stage 2,
+  Fig. 5), in two backends behind one interface — the NumPy reference
+  and the compiled native C kernels.  Reach them through
+  :func:`~repro.sparse.backend.get_backend`.
+* :mod:`repro.sparse.fused` — what the backends share: the Table-I
+  charges, the recombination pass and the fp64-accumulated dots.
+* :mod:`repro.sparse.sell_kernels` — the layout-faithful pure-NumPy
+  SELL-C-σ traversal the backends are tested against.
 """
 
 from repro._lazy import lazy_exports
@@ -24,11 +28,8 @@ __all__ = lazy_exports(__name__, {
     "csr": ("CSRMatrix",),
     "sell": ("SellMatrix",),
     "blas1": ("axpy", "scal", "dot", "nrm2_sq"),
-    "spmv": ("spmv", "spmmv"),
     "io": ("read_matrix_market", "write_matrix_market"),
     "stats": ("analyze", "stencil_reuse_rows", "row_length_histogram"),
-    "fused": ("naive_kpm_step", "aug_spmv_step", "aug_spmmv_step",
-              "aug_spmmv_nodot_step"),
     "backend": ("BACKEND_CHOICES", "KernelBackend", "KernelPlan",
                 "available_backends", "get_backend"),
 })

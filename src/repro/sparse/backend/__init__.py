@@ -6,9 +6,10 @@ four performance-critical kernels (``spmv``, ``spmmv``, ``aug_spmv``,
 here.  Two implementations are registered:
 
 ``numpy``
-    The vectorized NumPy/SciPy kernels of :mod:`repro.sparse.spmv` and
-    :mod:`repro.sparse.fused`, driven through preallocated workspace
-    plans so the steady-state iteration allocates nothing.
+    The reference kernels, all in
+    :mod:`repro.sparse.backend.numpy_backend`: SciPy's compiled CSR
+    product plus vectorized NumPy passes, driven through preallocated
+    workspace plans so the steady-state iteration allocates nothing.
 ``native``
     Truly single-pass C kernels (CSR and SELL-C-sigma) compiled from
     ``_kernels.c`` on first use — see
@@ -16,10 +17,12 @@ here.  Two implementations are registered:
     compiler, or ``REPRO_NATIVE_DISABLE`` set) fall back to ``numpy``
     automatically under the ``auto`` selector.
 
-Both backends charge identical Table-I traffic/flop accounting to
-:class:`~repro.util.counters.PerfCounters`, so every performance model
-in :mod:`repro.perf` works unchanged whichever backend computed the
-numbers.
+The naive chain of paper Fig. 3 is written once, on
+:class:`KernelBackend` over the backend's own ``spmv``.  Both backends
+charge identical Table-I traffic/flop accounting
+(:mod:`repro.sparse.fused`) to :class:`~repro.util.counters.PerfCounters`,
+so every performance model in :mod:`repro.perf` works unchanged whichever
+backend computed the numbers.
 
 Usage::
 
@@ -37,10 +40,14 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.sparse.csr import CSRMatrix
+from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.errors import BackendError
+from repro.util.errors import BackendError, ShapeError
 from repro.util.knobs import BACKEND_CHOICES, SIMD_CHOICES, resolve_simd
+from repro.util.precision import FP16V, get_precision, precision_of
+from repro.util.validation import check_block_vector, check_vector
 
 
 class KernelPlan:
@@ -80,8 +87,6 @@ class KernelPlan:
 
     def __init__(self, A, r: int = 1, precision=None, threads=None,
                  simd=None) -> None:
-        from repro.util.precision import get_precision
-
         self.matrix = A
         self.precision = prec = get_precision(precision)
         self.r = int(r)
@@ -123,20 +128,18 @@ class SplitKernelPlan:
     a dependency on the distributed package): a contiguous interior row
     range plus a sorted gathered boundary row list.
 
-    The plan holds everything either backend needs allocation-free in
-    the steady state: the extracted interior/boundary sub-matrices (full
-    local+halo column range, for the NumPy phase kernels), gather/scatter
-    scratch for the boundary rows, the contiguous int64 row list (for
-    the native gathered kernel), and per-phase eta partial buffers.
-    Split kernels are CSR-only: the distributed engines partition CSR
-    operators, so a SELL split has no consumer.
+    The plan holds the split's geometry — the interior range, the
+    sorted int64 boundary row list the gathered kernels index, the
+    per-phase row and nonzero counts the charges use — and per-phase eta
+    partial buffers.  A backend adds whatever else its phase kernels
+    need in :meth:`KernelBackend.split_plan` (the NumPy backend: the
+    phase sub-matrices and gather scratch).  Split kernels are CSR-only:
+    the distributed engines partition CSR operators, so a SELL split has
+    no consumer.
     """
 
     def __init__(self, A, split, r: int = 1, precision=None,
                  threads=None, simd=None) -> None:
-        from repro.sparse.csr import CSRMatrix
-        from repro.util.precision import get_precision
-
         if not isinstance(A, CSRMatrix):
             raise BackendError(
                 "split (task-mode) kernels support CSR matrices only — the "
@@ -145,7 +148,7 @@ class SplitKernelPlan:
             )
         self.matrix = A
         self.split = split
-        self.precision = prec = get_precision(precision)
+        self.precision = get_precision(precision)
         self.r = int(r)
         self.threads = None if threads is None else max(1, int(threads))
         self.simd = resolve_simd(simd)
@@ -173,45 +176,11 @@ class SplitKernelPlan:
             )
         self.nnz_interior = int(A.indptr[self.row1] - A.indptr[self.row0])
         self.nnz_boundary = int(A.nnz - self.nnz_interior)
-        # phase sub-matrices (full column range — the NumPy kernels run
-        # them against the whole [local | halo] input block)
-        self.interior_matrix = A.extract_rows(self.row0, self.row1)
-        self.boundary_matrix = self._gather_rows(A, self.rows)
-        # steady-state scratch: SpMMV outputs per phase plus boundary
-        # gather/scatter buffers (the boundary rows are non-contiguous).
-        # Compute-dtype: these hold intermediates, not narrow storage.
-        cdt = prec.compute_dtype
-        shape_i = (self.n_interior, self.r)
-        shape_b = (self.n_boundary, self.r)
-        self.u_interior = np.empty(shape_i, dtype=cdt)
-        self.u_boundary = np.empty(shape_b, dtype=cdt)
-        self.v_boundary = np.empty(shape_b, dtype=cdt)
-        self.w_boundary = np.empty(shape_b, dtype=cdt)
         # per-phase eta partials (native kernels write these in place)
         self.ee_interior = np.empty(self.r, dtype=np.float64)
         self.eo_interior = np.empty(self.r, dtype=DTYPE)
         self.ee_boundary = np.empty(self.r, dtype=np.float64)
         self.eo_boundary = np.empty(self.r, dtype=DTYPE)
-        if prec.half_vectors:
-            # complex64 decode scratch for the NumPy half-storage paths
-            self.vc = np.empty((A.n_cols, self.r), dtype=cdt)
-            self.wc = np.empty((A.n_rows, self.r), dtype=cdt)
-
-    @staticmethod
-    def _gather_rows(A, rows: np.ndarray):
-        """Extract a gathered-row CSR sub-matrix (full column range)."""
-        from repro.sparse.csr import CSRMatrix
-
-        counts = A.nnz_per_row[rows] if rows.size else np.empty(0, np.int64)
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=A.indices.dtype)
-        data = np.empty(int(indptr[-1]), dtype=DTYPE)
-        for k, i in enumerate(rows.tolist()):
-            lo, hi = A.indptr[i], A.indptr[i + 1]
-            indices[indptr[k] : indptr[k + 1]] = A.indices[lo:hi]
-            data[indptr[k] : indptr[k + 1]] = A.data[lo:hi]
-        return CSRMatrix(indptr, indices, data, (rows.size, A.n_cols))
 
 
 class KernelBackend(ABC):
@@ -269,54 +238,85 @@ class KernelBackend(ABC):
         ``plan`` as for :meth:`spmv`.
         """
 
-    @abstractmethod
+    @staticmethod
+    def _product_args(A, x, out, block: bool = False) -> tuple:
+        """``(x, profile, out)`` of one Sp(M)MV, validated.
+
+        The one argument check of every backend's ``spmv``/``spmmv``:
+        ``x`` must span ``A``'s columns, and ``out`` must have ``x``'s
+        storage dtype and ``A``'s rows, so no backend narrows a result
+        silently.
+        """
+        if not isinstance(A, (CSRMatrix, SellMatrix)):
+            raise TypeError(f"unsupported matrix type {type(A).__name__}")
+        x = (check_block_vector("X", x, A.n_cols) if block
+             else check_vector("x", x, A.n_cols))
+        prec = precision_of(x)
+        shape = prec.vec_shape(A.n_rows, *prec.logical_shape(x)[1:])
+        if out is None:
+            return x, prec, np.empty(shape, dtype=x.dtype)
+        if out.shape != shape or out.dtype != x.dtype:
+            raise ShapeError(
+                f"out must have shape {shape} and dtype {x.dtype}, got "
+                f"{out.shape} / {out.dtype}"
+            )
+        return x, prec, out
+
     def naive_step(
         self, A, v, w, a, b, plan: KernelPlan | None = None,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        """Paper Fig. 3: SpMV + separate BLAS-1 calls."""
+        """Paper Fig. 3: this backend's SpMV plus separate BLAS-1 calls.
 
-    def _naive_step_half(
-        self, A, v, w, a, b, plan: KernelPlan | None,
-        counters: PerfCounters, metrics: MetricsRegistry,
-    ):
-        """Decode-pass naive iteration for fp16v half storage.
-
-        Shared by both backends (each supplies its own ``spmv``): the
-        matrix apply streams the half layout — charged half-width, like
-        every fp16v kernel — then the BLAS-1 chain of paper Fig. 3 runs
-        on fp32 decodes (charged at their complex64 element size) and
-        the new w is rounded back to storage.  Identical call structure
-        and charges on either backend, and the same one-rounding-per-
-        iteration accuracy contract as the fused fp16v kernels.
+        Every operation is its own library call with its own pass over
+        the vectors — ``u <- H v`` (spmv), ``u <- u - b v`` (axpy),
+        ``w <- -w`` (scal), ``w <- w + 2a u`` (axpy), ``<v|v>`` (nrm2),
+        ``<w|v>`` (dot) — on every backend; fusing more would make it
+        stage 1.  Half storage (fp16v) streams the half layout through
+        the SpMV (charged half-width), runs the BLAS-1 chain on fp32
+        decodes (charged at their complex64 size) and rounds the new w
+        back to storage once.
         """
         from repro.sparse.blas1 import axpy, dot, nrm2_sq, scal
-        from repro.util.precision import FP16V
 
         n = A.n_rows
-        if plan is not None and getattr(plan, "uh", None) is not None \
+        v = check_vector("v", v, n)
+        w = check_vector("w", w, n)
+        if v.dtype != w.dtype:
+            raise ShapeError(
+                "v and w must share one precision profile's storage dtype, "
+                f"got {v.dtype} and {w.dtype}"
+            )
+        half = v.dtype == np.float16
+        if half and plan is not None and getattr(plan, "uh", None) is not None \
                 and plan.r == 1:
-            u16 = plan.uh
-            vc, wc = plan.vc[:n, 0], plan.wc[:, 0]
-            uc, work = plan.u, plan.work
+            uh, vc, wc = plan.uh, plan.vc[:n, 0], plan.wc[:, 0]
+            u, work = plan.u, plan.work
+        elif half:
+            uh = FP16V.vec_empty(n)
+            vc, wc, u, work = (np.empty(n, dtype=np.complex64)
+                               for _ in range(4))
+        elif plan is not None and plan.u.dtype == v.dtype:
+            u, work = plan.u, plan.work
         else:
-            u16 = FP16V.vec_empty(n)
-            vc = np.empty(n, dtype=np.complex64)
-            wc = np.empty(n, dtype=np.complex64)
-            uc = np.empty(n, dtype=np.complex64)
-            work = np.empty(n, dtype=np.complex64)
+            u, work = np.empty(n, dtype=v.dtype), None
         with metrics.span("naive_step", counters=counters):
-            self.spmv(A, v, out=u16, plan=plan, counters=counters)
-            FP16V.decode(v, out=vc)
-            FP16V.decode(w, out=wc)
-            FP16V.decode(u16, out=uc)
-            axpy(uc, -b, vc, counters=counters, work=work)
-            scal(-1.0, wc, counters=counters)
-            axpy(wc, 2.0 * a, uc, counters=counters, work=work)
-            eta_even = nrm2_sq(vc, counters=counters)
-            eta_odd = dot(wc, vc, counters=counters)
-            FP16V.encode(wc, out=w)
+            if half:
+                self.spmv(A, v, out=uh, plan=plan, counters=counters)
+                FP16V.decode(uh, out=u)
+                # the BLAS-1 chain runs on the fp32 decodes of v and w
+                v, w16 = FP16V.decode(v, out=vc), w
+                w = FP16V.decode(w16, out=wc)
+            else:
+                self.spmv(A, v, out=u, plan=plan, counters=counters)
+            axpy(u, -b, v, counters=counters, work=work)
+            scal(-1.0, w, counters=counters)
+            axpy(w, 2.0 * a, u, counters=counters, work=work)
+            eta_even = nrm2_sq(v, counters=counters)
+            eta_odd = dot(w, v, counters=counters)
+            if half:
+                FP16V.encode(w, out=w16)
         return eta_even, eta_odd
 
     @abstractmethod

@@ -17,8 +17,10 @@ the profile's typed kernel pack (:func:`repro.sparse.compress.kernel_pack`):
 narrowed values plus uint16-compressed column indices when the operator
 is narrow enough, int32 fallback otherwise.
 
-Accounting is charged through the exact same helpers as the NumPy
-backend, so :class:`~repro.util.counters.PerfCounters` totals and every
+Accounting is charged through the exact same Table-I functions
+(:mod:`repro.sparse.fused`) as the NumPy backend, and the naive chain
+of paper Fig. 3 is the base class's over this backend's ``spmv``, so
+:class:`~repro.util.counters.PerfCounters` totals and every
 Table-I-derived model are backend-independent.
 """
 
@@ -41,14 +43,8 @@ from repro.sparse.backend.native import (
 )
 from repro.sparse.compress import kernel_pack
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import (
-    charge_aug_spmmv,
-    charge_aug_spmmv_part,
-    charge_aug_spmv,
-    charge_aug_spmv_part,
-)
+from repro.sparse.fused import charge_aug, charge_spmv, matrix_stream
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import _charge_spmv
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError, ShapeError
@@ -204,16 +200,8 @@ class NativeBackend(KernelBackend):
     def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
              counters: PerfCounters = NULL_COUNTERS,
              metrics: MetricsRegistry = NULL_METRICS):
+        x, prec, out = self._product_args(A, x, out)
         x = _as_kernel_vector("x", x, A.n_cols)
-        prec = precision_of(x)
-        shape = prec.vec_shape(A.n_rows)
-        if out is None:
-            out = np.empty(shape, dtype=x.dtype)
-        elif out.shape != shape or out.dtype != x.dtype:
-            raise ShapeError(
-                f"out must have shape {shape} and dtype {x.dtype}, got "
-                f"{out.shape} / {out.dtype}"
-            )
         vs = _use_simd(plan.simd if plan is not None else None, prec)
         with metrics.span("spmv", counters=counters):
             if isinstance(A, CSRMatrix):
@@ -221,30 +209,20 @@ class NativeBackend(KernelBackend):
                 kernel("repro_csr_spmv", suf, vs)(
                     A.n_rows, *args, _pvec(x), _pvec(out)
                 )
-            elif isinstance(A, SellMatrix):
+            else:
                 suf, args = self._sell_args(A, prec)
                 kernel("repro_sell_spmv", suf, vs)(
                     A.n_rows, *args, _pvec(x), _pvec(out)
                 )
-            else:
-                raise TypeError(f"unsupported matrix type {type(A).__name__}")
-            _charge_spmv(A, 1, counters, "spmv", prec)
+            charge_spmv(counters, "spmv", *matrix_stream(A, prec), 1, prec)
         return out
 
     def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
               counters: PerfCounters = NULL_COUNTERS,
               metrics: MetricsRegistry = NULL_METRICS):
+        X, prec, out = self._product_args(A, X, out, block=True)
         X = _as_kernel_block("X", X, A.n_cols)
-        prec = precision_of(X)
         r = X.shape[1]
-        shape = prec.vec_shape(A.n_rows, r)
-        if out is None:
-            out = np.empty(shape, dtype=X.dtype)
-        elif out.shape != shape or out.dtype != X.dtype:
-            raise ShapeError(
-                f"out must have shape {shape} and dtype {X.dtype}, got "
-                f"{out.shape} / {out.dtype}"
-            )
         vs = _use_simd(plan.simd if plan is not None else None, prec)
         with metrics.span("spmmv", counters=counters):
             if isinstance(A, CSRMatrix):
@@ -252,50 +230,13 @@ class NativeBackend(KernelBackend):
                 kernel("repro_csr_spmmv", suf, vs)(
                     A.n_rows, r, *args, _pvec(X), _pvec(out)
                 )
-            elif isinstance(A, SellMatrix):
+            else:
                 suf, (nc, c, *rest) = self._sell_args(A, prec)
                 kernel("repro_sell_spmmv", suf, vs)(
                     A.n_rows, nc, c, r, *rest, _pvec(X), _pvec(out)
                 )
-            else:
-                raise TypeError(f"unsupported matrix type {type(A).__name__}")
-            _charge_spmv(A, r, counters, "spmmv", prec)
+            charge_spmv(counters, "spmmv", *matrix_stream(A, prec), r, prec)
         return out
-
-    def naive_step(
-        self, A, v, w, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        # The naive algorithm *is* the library-call structure of paper
-        # Fig. 3 — an optimized SpMV plus separate BLAS-1 passes. Only
-        # the SpMV is native; fusing more would make it stage 1.
-        from repro.sparse.blas1 import axpy, dot, nrm2_sq, scal
-
-        n = A.n_rows
-        v = _as_kernel_vector("v", v, n)
-        w = _as_kernel_vector("w", w, n)
-        _check_same_storage(v, w)
-        if v.dtype == np.float16:
-            # decode pass: half-storage SpMV + fp32 BLAS-1 (shared base
-            # implementation; the spmv below streams the native kernels)
-            return self._naive_step_half(
-                A, v, w, a, b, plan, counters, metrics
-            )
-        if plan is not None and plan.u.dtype == v.dtype:
-            u, work = plan.u, plan.work
-        else:
-            u, work = np.empty(n, dtype=v.dtype), None
-        # one span for the whole library-call chain (same shape as the
-        # NumPy fused.naive_kpm_step span); the inner spmv stays unspanned
-        with metrics.span("naive_step", counters=counters):
-            self.spmv(A, v, out=u, plan=plan, counters=counters)
-            axpy(u, -b, v, counters=counters, work=work)
-            scal(-1.0, w, counters=counters)
-            axpy(w, 2.0 * a, u, counters=counters, work=work)
-            eta_even = nrm2_sq(v, counters=counters)
-            eta_odd = dot(w, v, counters=counters)
-        return eta_even, eta_odd
 
     def aug_spmv_step(
         self, A, v, w, a, b, plan: KernelPlan | None = None,
@@ -345,7 +286,7 @@ class NativeBackend(KernelBackend):
                     )
             else:
                 raise TypeError(f"unsupported matrix type {type(A).__name__}")
-            charge_aug_spmv(A, counters, prec)
+            charge_aug(counters, "aug_spmv", *matrix_stream(A, prec), 1, prec)
         return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
@@ -397,7 +338,8 @@ class NativeBackend(KernelBackend):
                     )
             else:
                 raise TypeError(f"unsupported matrix type {type(A).__name__}")
-            charge_aug_spmmv(A, r, counters, prec)
+            charge_aug(counters, "aug_spmmv", *matrix_stream(A, prec), r,
+                       prec)
         return ee.copy(), eo.copy()
 
     # -- split (task-mode) kernels -------------------------------------
@@ -409,139 +351,74 @@ class NativeBackend(KernelBackend):
     # width charge uses the WHOLE local operator's width so interior +
     # boundary partial charges still sum exactly to the unsplit charge.
 
-    def _require_csr(self, A) -> None:
+    def aug_spmv_interior(self, A, v, w, a, b, plan: SplitKernelPlan,
+                          counters: PerfCounters = NULL_COUNTERS,
+                          metrics: MetricsRegistry = NULL_METRICS):
+        return self._phase("aug_spmv_int", A, v, w, a, b, plan, counters,
+                           metrics)
+
+    def aug_spmv_boundary(self, A, v, w, a, b, plan: SplitKernelPlan,
+                          counters: PerfCounters = NULL_COUNTERS,
+                          metrics: MetricsRegistry = NULL_METRICS):
+        return self._phase("aug_spmv_bnd", A, v, w, a, b, plan, counters,
+                           metrics)
+
+    def aug_spmmv_interior(self, A, V, W, a, b, plan: SplitKernelPlan,
+                           counters: PerfCounters = NULL_COUNTERS,
+                           metrics: MetricsRegistry = NULL_METRICS):
+        return self._phase("aug_spmmv_int", A, V, W, a, b, plan, counters,
+                           metrics)
+
+    def aug_spmmv_boundary(self, A, V, W, a, b, plan: SplitKernelPlan,
+                           counters: PerfCounters = NULL_COUNTERS,
+                           metrics: MetricsRegistry = NULL_METRICS):
+        return self._phase("aug_spmmv_bnd", A, V, W, a, b, plan, counters,
+                           metrics)
+
+    def _phase(self, name, A, V, W, a, b, plan, counters, metrics):
+        """One phase (``*_int``: the row range, ``*_bnd``: the gathered
+        rows) of a split augmented step; ``aug_spmv_*`` on 1-D vectors."""
         if not isinstance(A, CSRMatrix):
             raise BackendError(
                 "split (task-mode) kernels support CSR matrices only, got "
                 f"{type(A).__name__}"
             )
-
-    def aug_spmv_interior(
-        self, A, v, w, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        self._require_csr(A)
-        v = _as_kernel_vector("v", v, A.n_cols)
-        w = _as_kernel_vector("w", w, A.n_rows)
-        _check_same_storage(v, w)
-        prec = precision_of(v)
-        ee, eo = plan.ee_interior[:1], plan.eo_interior[:1]
-        threads = plan.threads
-        vs = _use_simd(plan.simd, prec)
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span("aug_spmv_int", counters=counters, **meta):
-            suf, args = self._csr_args(A, prec)
-            if threads is not None:
-                kernel("repro_csr_aug_spmmv_range_mt", suf, vs)(
-                    plan.row0, plan.row1, 1, threads, *args,
-                    _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
-                )
-            else:
-                kernel("repro_csr_aug_spmv_range", suf, vs)(
-                    plan.row0, plan.row1, *args, _pvec(v), _pvec(w),
-                    a, b, _pc(ee), _pc(eo),
-                )
-            charge_aug_spmv_part(
-                plan.n_interior, plan.nnz_interior, counters, "aug_spmv_int",
-                prec, s_index=prec.index_bytes(A.n_cols),
-            )
-        return float(ee[0]), complex(eo[0])
-
-    def aug_spmv_boundary(
-        self, A, v, w, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        self._require_csr(A)
-        v = _as_kernel_vector("v", v, A.n_cols)
-        w = _as_kernel_vector("w", w, A.n_rows)
-        _check_same_storage(v, w)
-        prec = precision_of(v)
-        ee, eo = plan.ee_boundary[:1], plan.eo_boundary[:1]
-        threads = plan.threads
-        vs = _use_simd(plan.simd, prec)
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span("aug_spmv_bnd", counters=counters, **meta):
-            suf, args = self._csr_args(A, prec)
-            if threads is not None:
-                kernel("repro_csr_aug_spmmv_rows_mt", suf, vs)(
-                    plan.n_boundary, _pi64(plan.rows), 1, threads, *args,
-                    _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
-                )
-            else:
-                kernel("repro_csr_aug_spmv_rows", suf, vs)(
-                    plan.n_boundary, _pi64(plan.rows), *args,
-                    _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
-                )
-            charge_aug_spmv_part(
-                plan.n_boundary, plan.nnz_boundary, counters, "aug_spmv_bnd",
-                prec, s_index=prec.index_bytes(A.n_cols),
-            )
-        return float(ee[0]), complex(eo[0])
-
-    def aug_spmmv_interior(
-        self, A, V, W, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        self._require_csr(A)
-        V = _as_kernel_block("V", V, A.n_cols)
-        W = _as_kernel_block("W", W, A.n_rows)
+        single = name.startswith("aug_spmv_")
+        if single:
+            V = _as_kernel_vector("v", V, A.n_cols)
+            W = _as_kernel_vector("w", W, A.n_rows)
+        else:
+            V = _as_kernel_block("V", V, A.n_cols)
+            W = _as_kernel_block("W", W, A.n_rows)
         _check_same_storage(V, W)
         prec = precision_of(V)
-        r = V.shape[1]
-        ee, eo = plan.ee_interior, plan.eo_interior
+        r = 1 if single else V.shape[1]
+        if name.endswith("_int"):
+            walk, rows = "range", (plan.row0, plan.row1)
+            n_phase, nnz = plan.n_interior, plan.nnz_interior
+            ee, eo = plan.ee_interior, plan.eo_interior
+        else:
+            walk, rows = "rows", (plan.n_boundary, _pi64(plan.rows))
+            n_phase, nnz = plan.n_boundary, plan.nnz_boundary
+            ee, eo = plan.ee_boundary, plan.eo_boundary
+        if single:
+            ee, eo = ee[:1], eo[:1]
         threads = plan.threads
         vs = _use_simd(plan.simd, prec)
         meta = {} if threads is None else {"threads": threads}
-        with metrics.span("aug_spmmv_int", counters=counters, **meta):
+        with metrics.span(name, counters=counters, **meta):
             suf, args = self._csr_args(A, prec)
+            tail = (*args, _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo))
             if threads is not None:
-                kernel("repro_csr_aug_spmmv_range_mt", suf, vs)(
-                    plan.row0, plan.row1, r, threads, *args,
-                    _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
-                )
+                kernel(f"repro_csr_aug_spmmv_{walk}_mt", suf, vs)(
+                    *rows, r, threads, *tail)
+            elif single:
+                kernel(f"repro_csr_aug_spmv_{walk}", suf, vs)(*rows, *tail)
             else:
-                kernel("repro_csr_aug_spmmv_range", suf, vs)(
-                    plan.row0, plan.row1, r, *args, _pvec(V), _pvec(W),
-                    a, b, _pc(ee), _pc(eo),
-                )
-            charge_aug_spmmv_part(
-                plan.n_interior, plan.nnz_interior, r, counters,
-                "aug_spmmv_int", prec, s_index=prec.index_bytes(A.n_cols),
-            )
-        return ee.copy(), eo.copy()
-
-    def aug_spmmv_boundary(
-        self, A, V, W, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        self._require_csr(A)
-        V = _as_kernel_block("V", V, A.n_cols)
-        W = _as_kernel_block("W", W, A.n_rows)
-        _check_same_storage(V, W)
-        prec = precision_of(V)
-        r = V.shape[1]
-        ee, eo = plan.ee_boundary, plan.eo_boundary
-        threads = plan.threads
-        vs = _use_simd(plan.simd, prec)
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span("aug_spmmv_bnd", counters=counters, **meta):
-            suf, args = self._csr_args(A, prec)
-            if threads is not None:
-                kernel("repro_csr_aug_spmmv_rows_mt", suf, vs)(
-                    plan.n_boundary, _pi64(plan.rows), r, threads, *args,
-                    _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
-                )
-            else:
-                kernel("repro_csr_aug_spmmv_rows", suf, vs)(
-                    plan.n_boundary, _pi64(plan.rows), r, *args,
-                    _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
-                )
-            charge_aug_spmmv_part(
-                plan.n_boundary, plan.nnz_boundary, r, counters,
-                "aug_spmmv_bnd", prec, s_index=prec.index_bytes(A.n_cols),
-            )
+                kernel(f"repro_csr_aug_spmmv_{walk}", suf, vs)(
+                    *rows, r, *tail)
+            charge_aug(counters, name, n_phase, nnz,
+                       prec.index_bytes(A.n_cols), r, prec)
+        if single:
+            return float(ee[0]), complex(eo[0])
         return ee.copy(), eo.copy()

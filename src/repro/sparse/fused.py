@@ -1,17 +1,10 @@
-"""The paper's kernel-level contribution: augmented (fused) SpMV/SpMMV.
+"""What every kernel backend and the recurrence share: the Table-I charges,
+the recombination pass and the fp64-accumulated scalar products.
 
-Three inner-iteration kernels, one per optimization stage:
-
-* :func:`naive_kpm_step` — paper Fig. 3: one SpMV plus five BLAS-1 calls,
-  13 N S_d of vector traffic per iteration (Table I).
-* :func:`aug_spmv_step` — paper Fig. 4, optimization stage 1: shift,
-  scale, recombination, and both scalar products fused into one kernel;
-  vector traffic down to 3 N S_d.
-* :func:`aug_spmmv_step` — paper Fig. 5, optimization stage 2: the
-  augmented SpMMV over a row-major block vector of width R; the matrix is
-  streamed once per iteration instead of once per (iteration, vector).
-
-All kernels compute, in the storage of ``w``/``W``,
+The kernels themselves live in the backends (:mod:`repro.sparse.backend`):
+the naive chain of paper Fig. 3 once on the base class, the augmented
+SpMV/SpMMV of Figs. 4 and 5 once per backend.  They all compute, in the
+storage of ``w``/``W``,
 
     w_new = 2 a (H - b 1) v - w                                (Eq. (3))
 
@@ -19,134 +12,97 @@ and return the two KPM scalar products of the iteration,
 
     eta_even = <v|v>,     eta_odd = <w_new|v>.
 
-The caller swaps the roles of ``v`` and ``w`` afterwards (the paper's
-"swap" is likewise just a pointer exchange).
-
-These are the *NumPy* implementations: every array pass is in-place into
-caller-provided scratch (zero per-iteration allocation — see the
-workspace plans in :mod:`repro.sparse.backend`), but true single-pass
-fusion needs compiled code; the native backend
-(:mod:`repro.sparse.backend.native_backend`) provides exactly that with
-identical accounting.
-
-For the distributed driver the block kernels accept a *rectangular*
-input: ``V`` may have ``A.n_cols`` rows (local + halo columns) while
-``W`` has ``A.n_rows`` rows; the update and both dot products then run
-over the first ``n_rows`` rows of ``V`` — each rank's partial dots.
-
-Mixed precision: the kernels accept complex64 operands as-is (the fp32
-profile) — the elementwise recurrence update runs in the storage dtype
-while every scalar product accumulates in fp64 (:func:`col_dots`,
-:func:`vec_dots`).  Byte charges follow the active profile: pass
-``precision=`` explicitly, or let it be inferred from the vector dtype
-(:func:`repro.util.precision.precision_of`).  Half-storage (fp16v)
-vectors are decoded/encoded by the kernel *backends*, which then call
-these kernels on complex64 views with ``precision=FP16V`` so the
-charges reflect the half-width stream.
+Charges (paper Table I) come in three formulas, one function each —
+:func:`charge_spmv`, :func:`charge_aug` and :func:`charge_col_dots`.
+Every charge is linear in (rows, streamed slots), so the interior and
+boundary phases of a split kernel, charged with their own rows and
+slots, sum exactly to the whole-matrix charge; :func:`matrix_stream`
+gives the whole-matrix arguments.  Byte widths follow the storage
+profile (:mod:`repro.util.precision`); the fp16v profile charges its
+half-width vector stream even where a backend computes on fp32 decodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.blas1 import axpy, dot, nrm2_sq, scal
-from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmv, spmmv
-from repro.util.constants import F_ADD, F_MUL, S_I
-from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.precision import FP64, Precision, precision_of
-from repro.util.validation import check_block_vector, check_vector
+from repro.util.constants import F_ADD, F_MUL
+from repro.util.counters import PerfCounters
+from repro.util.precision import FP64, Precision
 
 #: Per-row flops of one full KPM inner iteration beyond the SpMV part:
 #: the paper's 7 F_a/2 + 9 F_m/2 (Table I, "KPM" row).
 _ROW_FLOPS = 7 * F_ADD // 2 + 9 * F_MUL // 2
 
 
-def _slots(A) -> int:
-    """Streamed matrix slots: nnz for CSR, padded slots for SELL."""
-    return A.stored_slots if isinstance(A, SellMatrix) else A.nnz
+def matrix_stream(A, prec: Precision = FP64) -> tuple[int, int, int]:
+    """``(rows, streamed slots, index bytes)`` of one traversal of ``A``.
 
-
-def charge_aug_spmv(
-    A, counters: PerfCounters, prec: Precision = FP64
-) -> None:
-    """Table-I accounting of one augmented SpMV call (any backend)."""
-    n = A.n_rows
-    slots = _slots(A)
-    s_v, s_x = prec.s_value, prec.s_vector
-    s_i = prec.index_bytes(A.n_cols)
-    counters.charge(
-        "aug_spmv",
-        loads=slots * (s_v + s_i) + 2 * n * s_x,
-        stores=n * s_x,
-        flops=slots * (F_ADD + F_MUL) + n * _ROW_FLOPS,
-    )
-
-
-def charge_aug_spmmv(
-    A, r: int, counters: PerfCounters, prec: Precision = FP64
-) -> None:
-    """Table-I accounting of one augmented SpMMV call (any backend)."""
-    n = A.n_rows
-    slots = _slots(A)
-    s_v, s_x = prec.s_value, prec.s_vector
-    s_i = prec.index_bytes(A.n_cols)
-    counters.charge(
-        "aug_spmmv",
-        loads=slots * (s_v + s_i) + 2 * r * n * s_x,
-        stores=r * n * s_x,
-        flops=r * (slots * (F_ADD + F_MUL) + n * _ROW_FLOPS),
-    )
-
-
-def charge_aug_spmv_part(
-    n_rows: int,
-    slots: int,
-    counters: PerfCounters,
-    name: str,
-    prec: Precision = FP64,
-    s_index: int | None = None,
-) -> None:
-    """Table-I charge of one *phase* of a split augmented SpMV.
-
-    Linear in (rows, slots): charging the interior phase with
-    ``(n_int, nnz_int)`` and the boundary phase with ``(n_bnd, nnz_bnd)``
-    sums to exactly :func:`charge_aug_spmv` of the whole matrix, so the
-    split kernels keep the measured == analytic invariant while the
-    per-kernel attribution reflects the two phases.
-
-    ``s_index`` is the realized index width; split callers pass
-    ``prec.index_bytes(A.n_cols)`` of the *whole* rank-local operator so
-    both phases charge the same width the unsplit kernel would.
+    Slots are nnz for CSR and the padded slot count for SELL (the zero
+    fill-in executes real loads and flops); the index width is the one
+    the profile realizes for ``A``'s column count.
     """
-    s_i = S_I if s_index is None else s_index
+    slots = A.stored_slots if isinstance(A, SellMatrix) else A.nnz
+    return A.n_rows, slots, prec.index_bytes(A.n_cols)
+
+
+def charge_spmv(
+    counters: PerfCounters, name: str, rows: int, slots: int, s_index: int,
+    r: int = 1, prec: Precision = FP64,
+) -> None:
+    """Table I, Sp(M)MV: ``slots (S_d + S_i) + 2 R N S_v`` bytes.
+
+    The matrix is streamed once whatever the block width R.
+    """
+    s_x = prec.s_vector
     counters.charge(
         name,
-        loads=slots * (prec.s_value + s_i) + 2 * n_rows * prec.s_vector,
-        stores=n_rows * prec.s_vector,
-        flops=slots * (F_ADD + F_MUL) + n_rows * _ROW_FLOPS,
+        loads=slots * (prec.s_value + s_index) + r * rows * s_x,
+        stores=r * rows * s_x,
+        flops=r * slots * (F_ADD + F_MUL),
     )
 
 
-def charge_aug_spmmv_part(
+def charge_aug(
+    counters: PerfCounters, name: str, rows: int, slots: int, s_index: int,
+    r: int = 1, prec: Precision = FP64,
+) -> None:
+    """Table I, augmented Sp(M)MV: ``slots (S_d + S_i) + 3 R N S_v`` bytes.
+
+    One call is one fused inner iteration (paper Figs. 4 and 5): v and w
+    read once, w written once, the shift, scale and both dots in flight.
+    """
+    s_x = prec.s_vector
+    counters.charge(
+        name,
+        loads=slots * (prec.s_value + s_index) + 2 * r * rows * s_x,
+        stores=r * rows * s_x,
+        flops=r * (slots * (F_ADD + F_MUL) + rows * _ROW_FLOPS),
+    )
+
+
+def charge_col_dots(
     n_rows: int,
-    slots: int,
     r: int,
     counters: PerfCounters,
-    name: str,
+    name: str = "grid_dots",
     prec: Precision = FP64,
-    s_index: int | None = None,
 ) -> None:
-    """Table-I charge of one phase of a split augmented SpMMV (see
-    :func:`charge_aug_spmv_part` for the exact-sum property)."""
-    s_i = S_I if s_index is None else s_index
+    """Charge of a column-dot post-pass over ``n_rows`` rows.
+
+    The grid-eta path (:mod:`repro.dist.elastic`) recomputes the two KPM
+    scalar products per fixed global row block instead of per rank, so
+    the reduction order never depends on the partition.  The charge is
+    linear in ``n_rows``, so the per-block charges of any partition of N
+    rows sum to exactly the whole-matrix pass, keeping measured ==
+    analytic accounting partition independent.
+    """
+    s_x = prec.s_vector
     counters.charge(
         name,
-        loads=slots * (prec.s_value + s_i) + 2 * r * n_rows * prec.s_vector,
-        stores=r * n_rows * prec.s_vector,
-        flops=r * (slots * (F_ADD + F_MUL) + n_rows * _ROW_FLOPS),
+        loads=3 * n_rows * r * s_x,
+        flops=r * n_rows * (F_ADD + F_MUL + F_ADD // 2 + F_MUL // 2),
     )
 
 
@@ -173,7 +129,7 @@ def _components(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[..., 0], X[..., 1]
 
 
-def _col_dots(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def col_dots(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column-wise ``<V|V>`` (real) and ``<W|V>`` without (N, R) temporaries.
 
     Works on the real/imaginary views so no conjugated copy of the block
@@ -204,10 +160,6 @@ def _col_dots(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eta_even, re + 1j * im
 
 
-#: Public alias: fp64-accumulating column dots for any vector storage.
-col_dots = _col_dots
-
-
 def vec_dots(v: np.ndarray, w: np.ndarray) -> tuple[float, complex]:
     """Single-vector ``(<v|v>, <w|v>)`` with fp64 accumulation.
 
@@ -225,210 +177,3 @@ def vec_dots(v: np.ndarray, w: np.ndarray) -> tuple[float, complex]:
     im = (np.einsum("n,n->", wr, vi, dtype=f64)
           - np.einsum("n,n->", wi, vr, dtype=f64))
     return float(ee), complex(re + 1j * im)
-
-
-def _check_block_pair(A, V: np.ndarray, W: np.ndarray):
-    """Validate the (possibly rectangular) V/W pair; returns (V, W, r)."""
-    V = check_block_vector("V", V, A.n_cols)
-    W = check_block_vector("W", W, A.n_rows, V.shape[1])
-    return V, W, V.shape[1]
-
-
-def _resolve_precision(x: np.ndarray, precision) -> Precision:
-    prec = precision_of(x) if precision is None else precision
-    if prec.half_vectors and x.dtype != np.float16:
-        # backend decoded f16 storage to complex64 for us; charges keep
-        # the half-width layout — nothing to do
-        return prec
-    if x.dtype == np.float16:
-        raise TypeError(
-            "half-storage (fp16v) vectors are decoded by the kernel "
-            "backends; call through repro.sparse.backend instead"
-        )
-    return prec
-
-
-def naive_kpm_step(
-    A: CSRMatrix | SellMatrix,
-    v: np.ndarray,
-    w: np.ndarray,
-    a: float,
-    b: float,
-    scratch: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    scratch2: np.ndarray | None = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-) -> tuple[float, complex]:
-    """One inner iteration of the *naive* algorithm (paper Fig. 3).
-
-    Every operation is a separate library call with its own pass over the
-    vectors::
-
-        u <- H v            (spmv)
-        u <- u - b v        (axpy)
-        w <- -w             (scal)
-        w <- w + 2a u       (axpy)
-        eta_even <- <v|v>   (nrm2)
-        eta_odd  <- <w|v>   (dot)
-
-    Works for complex128 and complex64 storage (the BLAS-1 charges track
-    the element size automatically); half storage is handled by the
-    kernel backends' decode pass (half SpMV + fp32 BLAS-1), not here.
-    """
-    if v.dtype == np.float16:
-        raise TypeError(
-            "half-storage (fp16v) vectors are decoded by the kernel "
-            "backends; call through repro.sparse.backend instead"
-        )
-    n = A.n_rows
-    v = check_vector("v", v, n)
-    w = check_vector("w", w, n)
-    u = scratch if scratch is not None else np.empty(n, dtype=v.dtype)
-    with metrics.span("naive_step", counters=counters):
-        spmv(A, v, out=u, counters=counters)
-        axpy(u, -b, v, counters=counters, work=scratch2)
-        scal(-1.0, w, counters=counters)
-        axpy(w, 2.0 * a, u, counters=counters, work=scratch2)
-        eta_even = nrm2_sq(v, counters=counters)
-        eta_odd = dot(w, v, counters=counters)
-    return eta_even, eta_odd
-
-
-def aug_spmv_step(
-    A: CSRMatrix | SellMatrix,
-    v: np.ndarray,
-    w: np.ndarray,
-    a: float,
-    b: float,
-    scratch: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
-    precision: Precision | None = None,
-) -> tuple[float, complex]:
-    """Optimization stage 1 (paper Fig. 4): the augmented SpMV.
-
-    Shift, scale, recombination and both dot products are charged as a
-    single kernel touching each of v and w once:
-    ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call.
-    """
-    prec = _resolve_precision(v, precision)
-    n = A.n_rows
-    v = check_vector("v", v, n)
-    w = check_vector("w", w, n)
-    u = scratch if scratch is not None else np.empty(n, dtype=v.dtype)
-    with metrics.span("aug_spmv", counters=counters):
-        spmv(A, v, out=u, counters=NULL_COUNTERS)
-        _recombine(w, u, v, a, b)
-        eta_even, eta_odd = vec_dots(v, w)
-        charge_aug_spmv(A, counters, prec)
-    return eta_even, eta_odd
-
-
-def aug_spmmv_step(
-    A: CSRMatrix | SellMatrix,
-    V: np.ndarray,
-    W: np.ndarray,
-    a: float,
-    b: float,
-    scratch: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
-    precision: Precision | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimization stage 2 (paper Fig. 5): the augmented SpMMV.
-
-    ``V`` and ``W`` are row-major (interleaved) block vectors of shape
-    (N, R). Returns the per-column scalar products
-    ``eta_even[R] = colwise <V|V>`` and ``eta_odd[R] = colwise <W_new|V>``.
-
-    Charged traffic: ``N_nz (S_d+S_i) + 3 R N S_d`` bytes per call —
-    Eq. (4)'s final line divided by the M/2 iterations.
-    """
-    prec = _resolve_precision(V, precision)
-    n = A.n_rows
-    V, W, r = _check_block_pair(A, V, W)
-    U = scratch if scratch is not None else np.empty((n, r), dtype=V.dtype)
-    with metrics.span("aug_spmmv", counters=counters):
-        spmmv(A, V, out=U, counters=NULL_COUNTERS)
-        Vn = V[:n]
-        _recombine(W, U, Vn, a, b)
-        eta_even, eta_odd = _col_dots(Vn, W)
-        charge_aug_spmmv(A, r, counters, prec)
-    return eta_even, eta_odd
-
-
-def aug_spmmv_nodot_step(
-    A: CSRMatrix | SellMatrix,
-    V: np.ndarray,
-    W: np.ndarray,
-    a: float,
-    b: float,
-    scratch: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    precision: Precision | None = None,
-) -> None:
-    """Augmented SpMMV *without* on-the-fly dot products.
-
-    This is kernel (b) of the paper's GPU bottleneck study (Fig. 10): the
-    recurrence update is fused but the scalar products are left to separate
-    (and separately charged) reduction kernels. Used by the performance
-    benches to isolate the cost of the in-kernel reductions.
-    """
-    prec = _resolve_precision(V, precision)
-    n = A.n_rows
-    V, W, r = _check_block_pair(A, V, W)
-    U = scratch if scratch is not None else np.empty((n, r), dtype=V.dtype)
-    spmmv(A, V, out=U, counters=NULL_COUNTERS)
-    _recombine(W, U, V[:n], a, b)
-    slots = _slots(A)
-    s_x = prec.s_vector
-    counters.charge(
-        "aug_spmmv_nodot",
-        loads=slots * (prec.s_value + prec.index_bytes(A.n_cols))
-        + 2 * r * n * s_x,
-        stores=r * n * s_x,
-        flops=r
-        * (
-            slots * (F_ADD + F_MUL)
-            + n * (3 * F_ADD + 3 * F_MUL + F_MUL)  # update only, no dots
-        ),
-    )
-
-
-def charge_col_dots(
-    n_rows: int,
-    r: int,
-    counters: PerfCounters,
-    name: str = "grid_dots",
-    prec: Precision = FP64,
-) -> None:
-    """Charge of a column-dot post-pass over ``n_rows`` rows.
-
-    The grid-eta path (:mod:`repro.dist.elastic`) recomputes the two KPM
-    scalar products per fixed global row block instead of per rank, so
-    the reduction order never depends on the partition.  The charge is
-    linear in ``n_rows``: summing the per-block charges of any partition
-    of N rows gives exactly one whole-matrix :func:`block_dots` charge,
-    keeping measured == analytic accounting partition independent.
-    """
-    s_x = prec.s_vector
-    counters.charge(
-        name,
-        loads=3 * n_rows * r * s_x,
-        flops=r * n_rows * (F_ADD + F_MUL + F_ADD // 2 + F_MUL // 2),
-    )
-
-
-def block_dots(
-    V: np.ndarray, W: np.ndarray, counters: PerfCounters = NULL_COUNTERS
-) -> tuple[np.ndarray, np.ndarray]:
-    """Separate column-wise <V|V> and <W|V> for the no-dot kernel variant."""
-    n, r = V.shape[:2]
-    s_x = V.dtype.itemsize if V.dtype.kind == "c" else 2 * V.dtype.itemsize
-    eta_even, eta_odd = _col_dots(V, W)
-    counters.charge(
-        "block_dots",
-        loads=3 * n * r * s_x,
-        flops=r * n * (F_ADD + F_MUL + F_ADD // 2 + F_MUL // 2),
-    )
-    return eta_even, eta_odd

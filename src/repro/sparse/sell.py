@@ -123,25 +123,6 @@ class SellMatrix:
 
         self.data = data
         self.indices = indices
-        self._n_padded = n_padded
-
-        # ELLPACK compute view (global max width, zero/self padding) used by
-        # the vectorized NumPy kernels. The *accounting* (stored_slots, beta,
-        # flops) always refers to the true SELL layout above.
-        lmax = int(self.chunk_len.max()) if n_chunks else 0
-        self._ell_data = np.zeros((n_padded, lmax), dtype=DTYPE)
-        self._ell_idx = np.repeat(pad_col_per_sorted[:, None], max(lmax, 1), axis=1)[
-            :, :lmax
-        ]
-        for ci in range(n_chunks):
-            L = int(self.chunk_len[ci])
-            if L == 0:
-                continue
-            base = int(self.chunk_ptr[ci])
-            vals = self.data[base : base + L * c].reshape(L, c).T
-            idx = self.indices[base : base + L * c].reshape(L, c).T
-            self._ell_data[ci * c : (ci + 1) * c, :L] = vals
-            self._ell_idx[ci * c : (ci + 1) * c, :L] = idx
 
         # inverse permutation restricted to real rows
         self.inv_perm = np.empty(n_padded, dtype=np.int64)
@@ -178,16 +159,19 @@ class SellMatrix:
 
     # ------------------------------------------------------------------
     def to_csr(self) -> CSRMatrix:
-        """Convert back to CSR, dropping the zero fill-in."""
-        n = self.n_rows
-        rows_sorted = np.repeat(np.arange(self._n_padded), self._ell_data.shape[1])
-        vals = self._ell_data.reshape(-1)
-        cols = self._ell_idx.reshape(-1).astype(np.int64)
-        orig_rows = self.perm[rows_sorted]
-        keep = (vals != 0) & (orig_rows < n)
+        """Convert back to CSR, dropping the zero fill-in.
+
+        Reads the flat arrays only: slot ``chunk_ptr[k] + j*C + lane``
+        holds an entry of sorted row ``k*C + lane``.
+        """
+        c = self.chunk_height
+        chunk = np.repeat(np.arange(self.n_chunks), self.chunk_len * c)
+        lane = (np.arange(self.stored_slots) - self.chunk_ptr[chunk]) % c
+        orig_rows = self.perm[chunk * c + lane]
+        keep = (self.data != 0) & (orig_rows < self.n_rows)
         return CSRMatrix.from_coo(
-            orig_rows[keep], cols[keep], vals[keep], self.shape,
-            sum_duplicates=True,
+            orig_rows[keep], self.indices[keep].astype(np.int64),
+            self.data[keep], self.shape, sum_duplicates=True,
         )
 
     def to_dense(self) -> np.ndarray:

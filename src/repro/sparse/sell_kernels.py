@@ -1,25 +1,37 @@
-"""Layout-faithful SELL-C-sigma kernels.
+"""Layout-faithful SELL-C-sigma kernels: the pure-NumPy SELL reference.
 
-The fast paths in :mod:`repro.sparse.spmv` compute through an ELLPACK
-view or a compiled CSR backend; those are *numerically* equivalent but do
-not traverse the actual SELL-C-sigma memory layout. The kernels here do:
-chunk by chunk, slot-column major within the chunk, C rows per SIMD
-"instruction" — a direct transcription of the SELL kernel of the paper's
-Ref. [13] with the flat ``data``/``indices``/``chunk_ptr`` arrays as the
-only matrix inputs. They exist to validate the storage layout itself
-(every byte of the flat arrays is consumed exactly once per traversal)
-and to serve as the reference for the SELL ablation bench.
+The NumPy backend multiplies through a compiled CSR product and the
+native backend through C; both are *numerically* equivalent but neither
+is NumPy code walking the actual SELL-C-sigma memory layout. The kernels
+here do: chunk by chunk, slot-column major within the chunk, C rows per
+SIMD "instruction" — a direct transcription of the SELL kernel of the
+paper's Ref. [13] with the flat ``data``/``indices``/``chunk_ptr`` arrays
+as the only matrix inputs. They validate the storage layout itself
+(every byte of the flat arrays is consumed exactly once per traversal),
+are the reference the backends are tested against, and run the SELL
+ablation bench.  Like the backends they compute in the input's storage
+dtype (complex128 or complex64) and charge the profile's Table-I bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.sparse.fused import charge_spmv, matrix_stream
 from repro.sparse.sell import SellMatrix
-from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import ShapeError
+from repro.util.precision import precision_of
 from repro.util.validation import check_block_vector, check_vector
+
+
+def _complex_profile(x: np.ndarray):
+    """The storage profile of complex input (half storage is refused)."""
+    prec = precision_of(x)
+    if prec.half_vectors:
+        raise TypeError("the SELL reference kernels take complex input; "
+                        "decode fp16v pair storage first")
+    return prec
 
 
 def sell_spmv_chunked(
@@ -36,26 +48,24 @@ def sell_spmv_chunked(
     vectorized over the C lanes — the SIMD axis of the format.
     """
     x = check_vector("x", x, A.n_cols)
+    prec = _complex_profile(x)
     if out is None:
-        out = np.empty(A.n_rows, dtype=DTYPE)
+        out = np.empty(A.n_rows, dtype=x.dtype)
     elif out.shape != (A.n_rows,):
         raise ShapeError(f"out must have shape ({A.n_rows},)")
     c = A.chunk_height
-    acc_sorted = np.zeros(A.n_chunks * c, dtype=DTYPE)
+    data = A.data.astype(x.dtype, copy=False)
+    acc_sorted = np.zeros(A.n_chunks * c, dtype=x.dtype)
     for ci in range(A.n_chunks):
         base = int(A.chunk_ptr[ci])
         length = int(A.chunk_len[ci])
         acc = acc_sorted[ci * c : (ci + 1) * c]
         for j in range(length):
             slot = slice(base + j * c, base + (j + 1) * c)
-            acc += A.data[slot] * x[A.indices[slot].astype(np.int64)]
+            acc += data[slot] * x[A.indices[slot].astype(np.int64)]
     out[:] = acc_sorted[A.inv_perm[: A.n_rows]]
-    counters.charge(
-        "sell_spmv_chunked",
-        loads=A.stored_slots * 20 + A.n_rows * 16,
-        stores=A.n_rows * 16,
-        flops=A.stored_slots * 8,
-    )
+    charge_spmv(counters, "sell_spmv_chunked", *matrix_stream(A, prec), 1,
+                prec)
     return out
 
 
@@ -73,30 +83,25 @@ def sell_spmmv_chunked(
     paper's stage-2 kernel exploits.
     """
     X = check_block_vector("X", X, A.n_cols)
+    prec = _complex_profile(X)
     r = X.shape[1]
     if out is None:
-        out = np.empty((A.n_rows, r), dtype=DTYPE)
+        out = np.empty((A.n_rows, r), dtype=X.dtype)
     elif out.shape != (A.n_rows, r):
         raise ShapeError(f"out must have shape ({A.n_rows}, {r})")
     c = A.chunk_height
-    acc_sorted = np.zeros((A.n_chunks * c, r), dtype=DTYPE)
+    data = A.data.astype(X.dtype, copy=False)
+    acc_sorted = np.zeros((A.n_chunks * c, r), dtype=X.dtype)
     for ci in range(A.n_chunks):
         base = int(A.chunk_ptr[ci])
         length = int(A.chunk_len[ci])
         acc = acc_sorted[ci * c : (ci + 1) * c]
         for j in range(length):
             slot = slice(base + j * c, base + (j + 1) * c)
-            acc += (
-                A.data[slot, None]
-                * X[A.indices[slot].astype(np.int64), :]
-            )
+            acc += data[slot, None] * X[A.indices[slot].astype(np.int64), :]
     out[:] = acc_sorted[A.inv_perm[: A.n_rows], :]
-    counters.charge(
-        "sell_spmmv_chunked",
-        loads=A.stored_slots * 20 + r * A.n_rows * 16,
-        stores=r * A.n_rows * 16,
-        flops=r * A.stored_slots * 8,
-    )
+    charge_spmv(counters, "sell_spmmv_chunked", *matrix_stream(A, prec), r,
+                prec)
     return out
 
 

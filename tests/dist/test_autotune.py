@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dist.autotune import AutotuneResult, autotune_weights, throughput_timer
+from repro.dist.elastic import AutotuneResult, autotune_weights, throughput_timer
 from repro.dist.partition import RowPartition
 from repro.util.errors import PartitionError
 

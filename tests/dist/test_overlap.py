@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from repro.dist.halo import partition_matrix
-from repro.dist.overlap import (
-    exposed_communication_time,
-    split_for_overlap,
-    two_phase_spmmv,
-)
+from repro.dist.overlap import exposed_communication_time, task_split
 from repro.dist.partition import RowPartition
+from repro.sparse.backend import get_backend
 
 
 @pytest.fixture(scope="module")
@@ -21,29 +18,40 @@ def dist():
     return h, partition_matrix(h, part)
 
 
+def _touches_halo(blk) -> np.ndarray:
+    """Per local row: does it reference a halo column?"""
+    m = blk.matrix
+    rows = np.repeat(np.arange(m.n_rows), m.nnz_per_row)
+    out = np.zeros(m.n_rows, dtype=bool)
+    np.logical_or.at(out, rows, m.indices.astype(np.int64) >= blk.n_local)
+    return out
+
+
 class TestSplit:
     def test_rows_partitioned(self, dist):
         _, d = dist
         for blk in d.blocks:
-            s = split_for_overlap(blk)
-            combined = np.sort(np.concatenate([s.interior, s.boundary]))
+            s = task_split(blk)
+            combined = np.sort(
+                np.concatenate([np.arange(s.row0, s.row1), s.boundary]))
             assert np.array_equal(combined, np.arange(blk.n_local))
 
     def test_interior_has_no_halo_columns(self, dist):
         _, d = dist
         for blk in d.blocks:
-            s = split_for_overlap(blk)
-            if s.interior_matrix.nnz:
-                assert int(s.interior_matrix.indices.max()) < blk.n_local
+            s = task_split(blk)
+            interior = blk.matrix.extract_rows(s.row0, s.row1)
+            if interior.nnz:
+                assert int(interior.indices.max()) < blk.n_local
 
     def test_boundary_rows_touch_halo(self, dist):
+        """Every halo-touching row is a boundary row."""
         _, d = dist
         for blk in d.blocks:
-            s = split_for_overlap(blk)
-            m = s.boundary_matrix
-            for k in range(m.n_rows):
-                cols = m.indices[m.indptr[k]:m.indptr[k + 1]]
-                assert np.any(cols >= blk.n_local)
+            s = task_split(blk)
+            halo_rows = np.nonzero(_touches_halo(blk))[0]
+            assert np.isin(halo_rows, s.boundary).all()
+            assert s.nnz_interior + s.nnz_boundary == blk.matrix.nnz
 
     def test_interior_fraction_grows_with_slab_thickness(self):
         """Thick stencil slabs are mostly interior: only the two site
@@ -52,9 +60,7 @@ class TestSplit:
 
         h, _ = build_topological_insulator(4, 4, 12)
         d = partition_matrix(h, RowPartition.equal(h.n_rows, 3, align=4))
-        fractions = [
-            split_for_overlap(blk).interior_fraction for blk in d.blocks
-        ]
+        fractions = [task_split(blk).interior_fraction for blk in d.blocks]
         # each rank owns 4 z-planes; the middle ~2 are interior
         assert all(f >= 0.4 for f in fractions)
 
@@ -63,13 +69,15 @@ class TestSplit:
 
         h, _ = build_topological_insulator(4, 4, 2)
         d = partition_matrix(h, RowPartition((0, h.n_rows)))
-        s = split_for_overlap(d.blocks[0])
+        s = task_split(d.blocks[0])
         assert s.boundary.size == 0
         assert s.interior_fraction == 1.0
 
 
 class TestTwoPhaseProduct:
     def test_equals_single_phase(self, dist):
+        """Interior then boundary phase (a = 1/2, b = 0, w = 0 makes the
+        augmented step a plain product) equals the global product."""
         h, d = dist
         rng = np.random.default_rng(0)
         r = 3
@@ -77,26 +85,16 @@ class TestTwoPhaseProduct:
             rng.normal(size=(h.n_rows, r)) + 1j * rng.normal(size=(h.n_rows, r))
         )
         y_ref = h.to_dense() @ x_global
+        bk = get_backend("numpy")
         for blk in d.blocks:
-            s = split_for_overlap(blk)
-            v_local = x_global[blk.row_start:blk.row_stop]
-            halo = x_global[blk.halo_global]
-            out = two_phase_spmmv(s, np.ascontiguousarray(v_local),
-                                  np.ascontiguousarray(halo))
+            x = np.ascontiguousarray(np.vstack(
+                [x_global[blk.row_start:blk.row_stop],
+                 x_global[blk.halo_global]]))
+            out = np.zeros((blk.n_local, r), dtype=complex)
+            plan = bk.split_plan(blk.matrix, task_split(blk), r)
+            bk.aug_spmmv_split_step(blk.matrix, x, out, 0.5, 0.0, plan)
             assert np.allclose(out, y_ref[blk.row_start:blk.row_stop],
                                atol=1e-10)
-
-    def test_out_parameter(self, dist):
-        h, d = dist
-        blk = d.blocks[0]
-        s = split_for_overlap(blk)
-        r = 2
-        v = np.zeros((blk.n_local, r), dtype=complex)
-        halo = np.zeros((blk.n_halo, r), dtype=complex)
-        out = np.empty((blk.n_local, r), dtype=complex)
-        res = two_phase_spmmv(s, v, halo, out=out)
-        assert res is out
-        assert np.allclose(out, 0)
 
 
 class TestExposedTime:

@@ -6,7 +6,7 @@ import pytest
 from repro.hw.gpu import GpuLaunchConfig, KeplerGpu
 from repro.physics import build_topological_insulator
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import aug_spmmv_step
+from repro.sparse.backend import get_backend
 from repro.util.constants import S_D, S_I
 from repro.util.errors import SimulationError
 
@@ -22,6 +22,9 @@ def random_blocks(n, r, seed=0):
     V = np.ascontiguousarray(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
     W = np.ascontiguousarray(rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r)))
     return V, W
+
+
+aug_spmmv_step = get_backend("numpy").aug_spmmv_step
 
 
 class TestNumericalFidelity:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from repro.sparse.csr import CSRMatrix, segment_sum
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmmv, spmv
+from repro.sparse.backend import get_backend
+
+spmv, spmmv = get_backend("numpy").spmv, get_backend("numpy").spmmv
 
 
 @st.composite

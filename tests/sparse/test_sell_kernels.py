@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse.backend import get_backend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.sparse.sell_kernels import (
@@ -50,13 +51,12 @@ class TestChunkedKernels:
         assert c.flops == s.stored_slots * 8
 
     def test_matches_fast_path(self, sell, rng):
-        from repro.sparse.spmv import spmmv
-
         s, _ = sell
         x = np.ascontiguousarray(
             rng.normal(size=(40, 4)) + 1j * rng.normal(size=(40, 4))
         )
-        assert np.allclose(sell_spmmv_chunked(s, x), spmmv(s, x), atol=1e-10)
+        ref = get_backend("numpy").spmmv(s, x)
+        assert np.allclose(sell_spmmv_chunked(s, x), ref, atol=1e-10)
 
     def test_out_shape_checked(self, sell):
         s, _ = sell
@@ -66,6 +66,29 @@ class TestChunkedKernels:
         with pytest.raises(ShapeError):
             sell_spmmv_chunked(s, np.zeros((40, 2), dtype=complex),
                                out=np.empty((40, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_reference_follows_the_storage_profile(dtype):
+    """The SELL reference computes and charges in the input's profile,
+    exactly as the NumPy backend does."""
+    from repro.physics import build_topological_insulator
+
+    h, _ = build_topological_insulator(4, 4, 2)
+    s = SellMatrix(h, chunk_height=8, sigma=16)
+    rng = np.random.default_rng(3)
+    X = (rng.normal(size=(h.n_rows, 3))
+         + 1j * rng.normal(size=(h.n_rows, 3))).astype(dtype)
+    x = X[:, 0].copy()
+    bk = get_backend("numpy")
+    for ref_fn, bk_fn, arg in ((sell_spmv_chunked, bk.spmv, x),
+                               (sell_spmmv_chunked, bk.spmmv, X)):
+        c_ref, c_bk = PerfCounters(), PerfCounters()
+        ref, got = ref_fn(s, arg, counters=c_ref), bk_fn(s, arg, counters=c_bk)
+        assert ref.dtype == got.dtype == dtype
+        assert c_ref.bytes_total == c_bk.bytes_total
+        assert c_ref.flops == c_bk.flops
+        assert np.allclose(ref, got, atol=1e-4)
 
 
 class TestLayoutValidation:

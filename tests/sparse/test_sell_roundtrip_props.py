@@ -8,8 +8,8 @@ sorting scopes sigma, empty-row patterns, and value edge cases
   CSR matrix bit-exactly (padding introduces no arithmetic),
 * the layout invariants hold (perm is a permutation, chunk lengths
   dominate their member rows, beta accounting is consistent),
-* ``spmv``/``aug_spmmv_step`` on the SELL operator match the CSR
-  operator on the same data.
+* the NumPy backend's ``spmv``/``aug_spmmv_step`` on the SELL operator
+  match the CSR operator on the same data.
 
 ``derandomize=True`` pins the example stream to the test id — CI runs
 are reproducible, no flaky shrink sessions.
@@ -19,10 +19,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sparse.backend import get_backend
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import aug_spmmv_step
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmv, spmmv
+
+NUMPY = get_backend("numpy")
+spmv, spmmv, aug_spmmv_step = NUMPY.spmv, NUMPY.spmmv, NUMPY.aug_spmmv_step
 
 SETTINGS = dict(max_examples=50, deadline=None, derandomize=True)
 

@@ -27,12 +27,7 @@ from repro.sparse.backend import (
     get_backend,
 )
 from repro.sparse.backend.native import native_available
-from repro.sparse.fused import (
-    charge_aug_spmmv,
-    charge_aug_spmmv_part,
-    charge_aug_spmv,
-    charge_aug_spmv_part,
-)
+from repro.sparse.fused import charge_aug, matrix_stream
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import PerfCounters
@@ -188,22 +183,23 @@ class TestAccounting:
         h, d = dist
         for blk in d.blocks:
             s = task_split(blk)
+            _, _, s_i = stream = matrix_stream(blk.matrix)
             for r in (1, 8):
                 plain, split = PerfCounters(), PerfCounters()
-                charge_aug_spmmv(blk.matrix, r, plain)
-                charge_aug_spmmv_part(
-                    s.n_interior, s.nnz_interior, r, split, "aug_spmmv_int")
-                charge_aug_spmmv_part(
-                    s.n_boundary, s.nnz_boundary, r, split, "aug_spmmv_bnd")
+                charge_aug(plain, "aug_spmmv", *stream, r)
+                charge_aug(split, "aug_spmmv_int", s.n_interior,
+                           s.nnz_interior, s_i, r)
+                charge_aug(split, "aug_spmmv_bnd", s.n_boundary,
+                           s.nnz_boundary, s_i, r)
                 assert split.bytes_loaded == plain.bytes_loaded
                 assert split.bytes_stored == plain.bytes_stored
                 assert split.flops == plain.flops
             plain, split = PerfCounters(), PerfCounters()
-            charge_aug_spmv(blk.matrix, plain)
-            charge_aug_spmv_part(
-                s.n_interior, s.nnz_interior, split, "aug_spmv_int")
-            charge_aug_spmv_part(
-                s.n_boundary, s.nnz_boundary, split, "aug_spmv_bnd")
+            charge_aug(plain, "aug_spmv", *stream)
+            charge_aug(split, "aug_spmv_int", s.n_interior, s.nnz_interior,
+                       s_i)
+            charge_aug(split, "aug_spmv_bnd", s.n_boundary, s.nnz_boundary,
+                       s_i)
             assert split.bytes_total == plain.bytes_total
             assert split.flops == plain.flops
 
@@ -285,9 +281,10 @@ class TestNoAllocation:
                 blk.matrix, xbuf, w, 0.37, 0.05, plan)
         )
         # the two phases cost a constant few KB of ctypes/view wrappers;
-        # materializing even the smallest phase buffer (the boundary
-        # scratch) would at least double that, which is what we forbid
-        assert grew < plan.u_boundary.nbytes, \
+        # materializing even the smallest phase buffer (one boundary
+        # block) would at least double that, which is what we forbid
+        boundary_block = plan.n_boundary * r * np.dtype(DTYPE).itemsize
+        assert grew < boundary_block, \
             f"{grew} bytes allocated in the loop"
 
     def test_halo_pack(self, dist):

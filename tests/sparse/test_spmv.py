@@ -1,14 +1,17 @@
-"""SpMV / SpMMV kernels against dense references, plus traffic accounting."""
+"""The NumPy backend's SpMV / SpMMV against dense references, plus
+traffic accounting."""
 
 import numpy as np
 import pytest
 
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.sparse.spmv import spmmv, spmv
+from repro.sparse.backend import get_backend
 from repro.util.constants import F_ADD, F_MUL, S_D, S_I
 from repro.util.counters import PerfCounters
 from repro.util.errors import ShapeError
+
+spmv, spmmv = get_backend("numpy").spmv, get_backend("numpy").spmmv
 
 
 @pytest.fixture
