@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import os
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import CheckpointError, FormatError
 from repro.util.knobs import ExecConfig
-from repro.util.precision import Precision, get_precision
+from repro.util.precision import get_precision
 
 _FORMAT_VERSION = 1
 
@@ -64,15 +64,12 @@ def _hash_into(h, arr: np.ndarray) -> None:
     h.update(np.ascontiguousarray(arr).reshape(-1).view(np.uint8).data)
 
 
-def run_digest(*blocks: np.ndarray) -> str:
-    """Identity of a run: the digest of its ``nu_0`` block in storage form.
-
-    Row slices passed in rank order hash to the digest of the global
-    block, so every engine tags the same run identically.
-    """
+def run_digest(start_block: np.ndarray, precision) -> str:
+    """Identity of a run: the digest of its ``nu_0`` block in the profile's
+    storage form — the bytes every engine streams, so all tag one run
+    alike."""
     h = hashlib.sha256()
-    for block in blocks:
-        _hash_into(h, block)
+    _hash_into(h, to_storage(start_block, get_precision(precision)))
     return h.hexdigest()
 
 
@@ -130,21 +127,6 @@ class KpmCheckpoint:
         for arr in (self.v, self.w, self.eta[:, : 2 * self.next_m]):
             _hash_into(h, arr)
         return h.hexdigest()
-
-    def check_run(self, start_block: np.ndarray, precision) -> None:
-        """Raise unless this state belongs to the run ``start_block`` starts.
-
-        Resuming another solve's state would silently return that
-        solve's numbers.  Untagged (older) files cannot be told apart
-        and pass.
-        """
-        if self.run_id and self.run_id != run_digest(
-            to_storage(start_block, get_precision(precision))
-        ):
-            raise CheckpointError(
-                "checkpoint belongs to a different run: its nu_0 digest "
-                "does not match start_block"
-            )
 
     @property
     def payload_bytes(self) -> int:
@@ -237,58 +219,149 @@ class KpmCheckpoint:
         return ck
 
 
-def resolve_resume(
-    resume_from: "KpmCheckpoint | str | Path",
-    n_moments: int,
-    a: float,
-    b: float,
-    metrics: MetricsRegistry = NULL_METRICS,
-    precision: Precision | str | None = None,
-    eta_grid: int = 0,
-    start_block: np.ndarray | None = None,
-) -> KpmCheckpoint:
-    """Load (if needed) and validate a resume checkpoint against the run.
+@dataclass(frozen=True)
+class RunContext:
+    """The run controls of one solve, carried whole from entry to loop.
 
-    Shared by the serial, simulated, and multiprocess engines so every
-    entry point enforces the same compatibility rules: matching moment
-    count, matching spectral map, matching precision profile, and
-    matching eta reduction grid — a cross-precision resume would
-    silently re-round (or worse, re-expand) the recurrence state, and a
-    cross-grid resume would splice an eta prefix reduced in a different
-    order, so both are refused outright.  When the caller also hands in
-    a ``start_block``, the checkpoint must belong to the run that block
-    starts (:meth:`KpmCheckpoint.check_run`).
+    :class:`~repro.util.knobs.ExecConfig` says how a solve executes; the
+    context says what runs beside it — sinks, checkpoints, resume,
+    faults, progress, mp timeouts (DESIGN §17 lists every field) — and
+    holds the one copy of each mechanic the engines share, so an engine
+    only says *when* its state is ready.  Entry points build it in one
+    statement (:meth:`of`); a supervisor attempt or an elastic segment
+    is a :func:`dataclasses.replace`.
     """
-    if isinstance(resume_from, KpmCheckpoint):
-        ck = resume_from
-    else:
-        with metrics.span("checkpoint_load", phase="ckpt"):
-            ck = KpmCheckpoint.load(resume_from)
-    if ck.n_moments != n_moments:
-        raise FormatError(
-            f"checkpoint was taken for M={ck.n_moments}, "
-            f"requested M={n_moments}"
-        )
-    if not (np.isclose(ck.a, a) and np.isclose(ck.b, b)):
-        raise FormatError("checkpoint spectral map mismatch")
-    prec = get_precision(precision)
-    if ck.precision != prec.name:
-        raise CheckpointError(
-            f"checkpoint was taken under precision {ck.precision!r} but "
-            f"this run uses {prec.name!r}; resume with "
-            f"precision={ck.precision!r} (the recurrence state cannot be "
-            "converted across storage profiles without silently changing "
-            "the results)"
-        )
-    if ck.eta_grid != int(eta_grid):
-        raise CheckpointError(
-            f"checkpoint was taken with eta_grid={ck.eta_grid} but this "
-            f"run uses eta_grid={int(eta_grid)}; the spliced eta prefix "
-            "is only bitwise-composable under the same reduction order"
-        )
-    if start_block is not None:
-        ck.check_run(start_block, prec)
-    return ck
+
+    counters: PerfCounters = field(default_factory=lambda: NULL_COUNTERS)
+    metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
+    checkpoint_every: int = 0
+    checkpoint_path: str | Path | None = None
+    resume_from: KpmCheckpoint | str | Path | None = None
+    fault_plan: object = None
+    attempt: int = 1
+    progress: object = None
+    progress_every: int = 0
+    timeouts: object = None
+
+    @classmethod
+    def of(cls, seed: int = 0, **fields) -> RunContext:
+        """The context of an entry point's keywords.  A cadence without a
+        file is refused (only the elastic driver runs one, in memory) and
+        a fault-plan string is parsed under ``seed``."""
+        if fields.get("checkpoint_every") and \
+                fields.get("checkpoint_path") is None:
+            raise ValueError("checkpoint_every requires checkpoint_path")
+        if fields.get("fault_plan") is not None:
+            from repro.resil.faults import as_fault_plan
+
+            fields["fault_plan"] = as_fault_plan(fields["fault_plan"], seed)
+        return cls(**fields)
+
+    def for_workers(self) -> RunContext:
+        """The picklable slice mp workers run by: plan, attempt, cadence."""
+        return RunContext(checkpoint_every=self.checkpoint_every,
+                          fault_plan=self.fault_plan, attempt=self.attempt)
+
+    def injector(self, rank: int, in_process: bool = True):
+        """Rank ``rank``'s :class:`~repro.resil.FaultInjector` for this
+        attempt; None without a plan."""
+        if not self.fault_plan:
+            return None
+        from repro.resil.faults import FaultInjector
+
+        return FaultInjector(self.fault_plan, rank=rank, attempt=self.attempt,
+                             in_process=in_process)
+
+    @staticmethod
+    def _cadence(done: int, every: int) -> int:
+        """``done`` iterations into a run, which firing of an
+        every-``every`` cadence this is (1, 2, ...); 0 when none."""
+        n, rest = divmod(done, every) if every > 0 else (0, 1)
+        return 0 if rest else n
+
+    def checkpoint_due(self, m: int, first_m: int) -> int:
+        """After iteration ``m`` of a run entered at ``first_m``: the
+        ordinal of the checkpoint due now (its parity is mp's slot), or 0."""
+        return self._cadence(m - first_m + 1, self.checkpoint_every)
+
+    def progress_due(self, m: int, first_m: int) -> bool:
+        return self.progress is not None and \
+            self._cadence(m - first_m + 1, self.progress_every) > 0
+
+    def stream(self, n_eta: int, eta: np.ndarray) -> None:
+        """Fire ``progress`` with the reduced eta prefix ``[:, :n_eta]``.
+        It runs on the compute path: keep it cheap, never let it raise."""
+        if self.progress is not None and self.progress_every > 0:
+            self.progress(n_eta, eta[:, :n_eta])
+
+    def save(self, state: KpmCheckpoint) -> None:
+        """Write ``state`` atomically to ``checkpoint_path`` under a
+        ``checkpoint_save`` span; without a path nothing is written."""
+        if self.checkpoint_path is None:
+            return
+        with self.metrics.span("checkpoint_save", phase="ckpt") as sp:
+            saved = state.save(self.checkpoint_path)
+            sp.note(file_bytes=saved.stat().st_size,
+                    payload_bytes=state.payload_bytes, next_m=state.next_m)
+
+    def run_id(self, resumed: KpmCheckpoint | None, start_block,
+               precision) -> str:
+        """The tag this run's checkpoints carry (DESIGN §17)."""
+        if resumed is not None:
+            return resumed.run_id
+        return run_digest(start_block, precision) if self.checkpoint_every \
+            else ""
+
+    def resume(self, n_moments: int, scale: SpectralScale, precision,
+               start_block: np.ndarray | None = None,
+               eta_grid: int = 0) -> KpmCheckpoint | None:
+        """``resume_from``, loaded (a path, under a ``checkpoint_load``
+        span) and checked against the run; None for a fresh run.
+
+        Every engine and the supervisor resume through here, so each
+        enforces the same rules: the same moment count, spectral map,
+        precision profile and eta reduction grid — a cross-precision
+        resume would silently re-round the recurrence state, a cross-grid
+        one splice an eta prefix reduced in another order — and, given
+        the run's ``start_block``, the same run: another solve's state
+        would silently return that solve's numbers (untagged, older files
+        cannot be told apart and pass).
+        """
+        ck = self.resume_from
+        if ck is None:
+            return None
+        if not isinstance(ck, KpmCheckpoint):
+            with self.metrics.span("checkpoint_load", phase="ckpt"):
+                ck = KpmCheckpoint.load(ck)
+        if ck.n_moments != n_moments:
+            raise FormatError(
+                f"checkpoint was taken for M={ck.n_moments}, "
+                f"requested M={n_moments}"
+            )
+        if not (np.isclose(ck.a, scale.a) and np.isclose(ck.b, scale.b)):
+            raise FormatError("checkpoint spectral map mismatch")
+        prec = get_precision(precision)
+        if ck.precision != prec.name:
+            raise CheckpointError(
+                f"checkpoint was taken under precision {ck.precision!r} but "
+                f"this run uses {prec.name!r}; resume with "
+                f"precision={ck.precision!r} (the recurrence state cannot be "
+                "converted across storage profiles without silently "
+                "changing the results)"
+            )
+        if ck.eta_grid != int(eta_grid):
+            raise CheckpointError(
+                f"checkpoint was taken with eta_grid={ck.eta_grid} but this "
+                f"run uses eta_grid={int(eta_grid)}; the spliced eta prefix "
+                "is only bitwise-composable under the same reduction order"
+            )
+        if start_block is not None and ck.run_id and \
+                ck.run_id != run_digest(start_block, prec):
+            raise CheckpointError(
+                "checkpoint belongs to a different run: its nu_0 digest "
+                "does not match start_block"
+            )
+        return ck
 
 
 def checkpointed_eta(
@@ -302,7 +375,8 @@ def checkpointed_eta(
     resume_from: KpmCheckpoint | str | Path | None = None,
     counters: PerfCounters = NULL_COUNTERS,
     metrics: MetricsRegistry = NULL_METRICS,
-    fault=None,
+    fault_plan=None,
+    attempt: int = 1,
     progress=None,
     progress_every: int = 0,
     config: ExecConfig | None = None,
@@ -313,74 +387,59 @@ def checkpointed_eta(
     The serial driver of :class:`~repro.core.recurrence.Recurrence`:
     :func:`repro.core.moments.compute_eta` with the ``aug_spmmv`` engine
     *is* this function with checkpoints off; ``config``/knobs are the
-    kernel knobs of :class:`~repro.util.knobs.ExecConfig`. With
-    ``checkpoint_every = k > 0`` the state is saved to
-    ``checkpoint_path`` after every k inner iterations; pass
-    ``resume_from`` (a checkpoint object or path) to continue an
-    interrupted run — ``start_block`` is then ignored.  The resume is
-    bit-exact under any one ``backend``; checkpoints themselves are
-    backend-agnostic (plain recurrence state), so a run interrupted on
-    one backend can resume on another, matching to floating-point
-    reduction-order tolerance.  ``metrics`` records per-kernel spans
-    plus ``checkpoint_save`` / ``checkpoint_load`` I/O spans.
-    ``fault`` is an optional :class:`~repro.resil.FaultInjector` probed
-    at the top of every inner iteration (the in-process equivalent of
-    the multiprocess engine's injected crashes).  Checkpoints record the
-    storage profile and a resume under a different one raises
-    :class:`CheckpointError`.
-
-    ``progress`` is an optional streaming callback fired as
-    ``progress(n_eta, eta_prefix)`` after every ``progress_every`` inner
-    iterations, where ``eta_prefix`` is a read-only view of the first
-    ``n_eta`` scalar products of every column — the serve layer's
-    partial-spectrum stream.  The callback runs on the compute path:
-    keep it cheap and never let it raise.
+    kernel knobs of :class:`~repro.util.knobs.ExecConfig`, the other
+    keywords the run controls of :class:`RunContext` (DESIGN §17).  A
+    resume is bit-exact under any one ``backend``; checkpoints are plain
+    recurrence state, so a run interrupted on one backend can resume on
+    another, matching to reduction-order tolerance.
     """
-    check_moments(n_moments)
-    cfg = ExecConfig.of(config, knobs)
-    if checkpoint_every and checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
-    a, b = scale.a, scale.b
-    prec = get_precision(cfg.precision)
+    return run_serial(
+        ExecConfig.of(config, knobs),
+        RunContext.of(counters=counters, metrics=metrics,
+                      checkpoint_every=checkpoint_every,
+                      checkpoint_path=checkpoint_path, resume_from=resume_from,
+                      fault_plan=fault_plan, attempt=attempt,
+                      progress=progress, progress_every=progress_every),
+        H, scale, n_moments, start_block,
+    )
 
-    ck = None
-    if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, a, b, metrics, prec,
-                            start_block=start_block)
-        start_block = ck.v
-    rec = Recurrence(H, a, b, start_block.shape[1], config=cfg,
-                     counters=counters, metrics=metrics)
+
+def run_serial(cfg: ExecConfig, ctx: RunContext, H, scale: SpectralScale,
+               n_moments: int, start_block: np.ndarray) -> np.ndarray:
+    """:func:`checkpointed_eta` on a built config and context."""
+    check_moments(n_moments)
+    prec = get_precision(cfg.precision)
+    ck = ctx.resume(n_moments, scale, prec, start_block)
+    first = start_block if ck is None else ck.v
+    rec = Recurrence(H, scale.a, scale.b, first.shape[1], config=cfg,
+                     counters=ctx.counters, metrics=ctx.metrics)
     if ck is not None:
         rec.load(ck.v, ck.w)
         eta = ck.eta.astype(DTYPE, copy=True)
-        first_m, run_id = ck.next_m, ck.run_id
+        first_m = ck.next_m
     else:
         rec.load(start_block)
         # a checkpoint writes the whole array, so its unfilled tail must
         # be zeros: the file is a function of the state, not of the heap
-        alloc = np.zeros if checkpoint_every else np.empty
+        alloc = np.zeros if ctx.checkpoint_every else np.empty
         eta = alloc((start_block.shape[1], n_moments), dtype=DTYPE)
         eta[:, 0], eta[:, 1] = rec.bootstrap()
         first_m = 1
-        run_id = run_digest(rec.v) if checkpoint_every else ""
+    run_id = ctx.run_id(ck, start_block, prec)
+    fault = ctx.injector(0)
 
     for m in range(first_m, n_moments // 2):
-        if fault is not None:
+        if fault:
             fault.at_iteration(m)
         eta[:, 2 * m], eta[:, 2 * m + 1] = rec.step()
-        if progress is not None and progress_every > 0 \
-                and (m - first_m + 1) % progress_every == 0:
-            progress(2 * (m + 1), eta[:, : 2 * (m + 1)])
-        if checkpoint_every and (m - first_m + 1) % checkpoint_every == 0:
+        if ctx.progress_due(m, first_m):
+            ctx.stream(2 * (m + 1), eta)
+        if ctx.checkpoint_due(m, first_m):
             # (v, w) = (nu_m, nu_{m+1}): exactly what the resumed run's
             # first swap expects
-            with metrics.span("checkpoint_save", phase="ckpt") as sp:
-                state = KpmCheckpoint(
-                    v=rec.v, w=rec.w, eta=eta, next_m=m + 1,
-                    n_moments=n_moments, a=a, b=b, precision=prec.name,
-                    run_id=run_id,
-                )
-                saved = state.save(checkpoint_path)
-                sp.note(file_bytes=saved.stat().st_size,
-                        payload_bytes=state.payload_bytes)
+            ctx.save(KpmCheckpoint(
+                v=rec.v, w=rec.w, eta=eta, next_m=m + 1,
+                n_moments=n_moments, a=scale.a, b=scale.b,
+                precision=prec.name, run_id=run_id,
+            ))
     return eta

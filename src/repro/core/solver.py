@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checkpoint import RunContext
 from repro.core.moments import MomentEngine, compute_eta, eta_to_moments
 from repro.core.reconstruct import integrate_density, reconstruct_dos
 from repro.core.scaling import SpectralScale, gershgorin_scale, lanczos_scale
@@ -30,7 +31,7 @@ from repro.physics.lattice import Lattice3D
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.knobs import ExecConfig, check_rebalance, run_engine
+from repro.util.knobs import ExecConfig, check_rebalance, run_supervised
 from repro.util.precision import get_precision
 from repro.util.validation import check_positive
 
@@ -286,24 +287,12 @@ class KPMSolver:
         Identical values on every engine up to floating-point reduction
         order.
         """
-        block = self._start_block()
-        if self.resilience is not None:
-            from repro.resil import Supervisor
-
-            sup = Supervisor.from_config(
-                self.resilience, metrics=self.metrics, counters=self.counters,
-                seed=self.seed,
-            )
-            eta = sup.run_eta(self.H, self.scale, self.n_moments, block,
-                              config=self.config)
-            self.world, report = sup.last_world, sup.last_elastic_report
-            self.resilience_report = sup.report
-        else:
-            eta, self.world, report = run_engine(
-                self.config, self.H, self.scale, self.n_moments, block,
-                kernel=self.engine, counters=self.counters,
-                metrics=self.metrics,
-            )
+        eta, self.world, report, self.resilience_report = run_supervised(
+            self.config,
+            RunContext(counters=self.counters, metrics=self.metrics),
+            self.resilience, self.seed, self.H, self.scale, self.n_moments,
+            self._start_block(), kernel=self.engine,
+        )
         if report is not None:
             self.elastic_report = report
         return eta_to_moments(eta).mean(axis=0).real

@@ -120,6 +120,9 @@ class SimWorld:
                 raise SimulationError(f"unknown device label {d!r}")
         self.devices = list(devices)
         self.log = MessageLog()
+        #: the state of the most recent run's latest checkpoint (a
+        #: ``KpmCheckpoint``; None when it did not checkpoint)
+        self.last_checkpoint = None
 
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, data: np.ndarray, phase: str) -> np.ndarray:

@@ -23,8 +23,8 @@ Two mechanisms compose into that guarantee:
 
 * **Segmented execution** (``stop_m`` on the engines): the driver runs
   the recurrence in segments ``[first_m, stop_m)``, pausing at an
-  iteration boundary by publishing the global recurrence state through
-  the engines' existing checkpoint path, then resuming the next segment
+  iteration boundary whose global recurrence state the engine captures
+  in memory (``world.last_checkpoint``), then resuming the next segment
   under a *new* partition / world size via the existing ``resume_from``
   splice.  Checkpoint resume was already bitwise on a fixed partition;
   grid eta removes the partition from the equation.
@@ -62,20 +62,18 @@ on the returned :class:`ElasticReport`.
 
 from __future__ import annotations
 
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint
+from repro.core.checkpoint import KpmCheckpoint, RunContext
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import MessageLog, SimWorld
-from repro.dist.kpm_parallel import distributed_eta
+from repro.dist.kpm_parallel import run_distributed
 from repro.dist.partition import RowPartition
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.resil.faults import FaultPlan, as_fault_plan
 from repro.sparse.csr import CSRMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import PartitionError, SimulationError, WorkerFailure
@@ -574,7 +572,7 @@ def elastic_eta(
     engine: str | None = None,
     counters: PerfCounters = NULL_COUNTERS,
     metrics: MetricsRegistry = NULL_METRICS,
-    fault_plan: FaultPlan | str | None = None,
+    fault_plan=None,
     attempt: int = 1,
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
@@ -592,10 +590,10 @@ def elastic_eta(
     seen ``policy.windows`` consecutive skewed segments — recomputes the
     row weights from the measured throughput and repartitions.  A worker
     death inside a segment shrinks the world to the survivors and
-    retries the segment from its entry checkpoint.  None of this
-    changes the fp64 moments: grid mode fixes the eta reduction order to
-    the global block grid, so the returned eta is bitwise identical to
-    an uninterrupted run of the same problem on any fixed grid-aligned
+    retries the segment from its entry state.  None of this changes the
+    fp64 moments: grid mode fixes the eta reduction order to the global
+    block grid, so the returned eta is bitwise identical to an
+    uninterrupted run of the same problem on any fixed grid-aligned
     partition.
 
     ``n_workers``/``weights``/``policy``/``membership``/``engine`` are
@@ -606,13 +604,10 @@ def elastic_eta(
     busy times are measured) or ``'sim'`` (in-process simulator; no real
     time exists, so skew detection and rebalancing only engage through
     the explicit ``timer`` prediction callback — the deterministic test
-    path).  ``checkpoint_path`` is where boundary checkpoints are written
-    (a temporary directory when omitted); ``counters``/``metrics``/the
-    shared :class:`MessageLog` accumulate across segments to the same
-    totals as one uninterrupted run (failed attempts charge nothing).
-    ``resume_from`` continues an interrupted elastic run from a boundary
-    checkpoint (it must carry the same ``eta_grid`` — the engines refuse
-    a cross-grid resume).
+    path).  The run controls are DESIGN §17's: segments chain in memory,
+    writing each boundary to ``checkpoint_path`` only when one is given,
+    and ``counters``/``metrics``/the shared :class:`MessageLog` sum to
+    one uninterrupted run's totals (failed attempts charge nothing).
 
     Returns ``(eta, report)`` with eta shaped (R, M) like the other
     engines and a :class:`ElasticReport` describing every segment and
@@ -624,9 +619,21 @@ def elastic_eta(
         config, {**{k: v for k, v in named.items() if v is not None}, **knobs},
         engine="mp", overlap=False,
     )
+    ctx = RunContext.of(counters=counters, metrics=metrics,
+                        fault_plan=fault_plan, attempt=attempt,
+                        checkpoint_path=checkpoint_path,
+                        resume_from=resume_from)
+    return run_elastic(cfg, ctx, A, scale, n_moments, start_block,
+                       timer=timer)
+
+
+def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
+                scale: SpectralScale, n_moments: int, start_block,
+                *, timer: TimerFn | None = None):
+    """:func:`elastic_eta` on a built config and context, which every
+    segment runs with its own cadence, entry state and attempt."""
     policy = cfg.rebalance or RebalancePolicy()
     plan = cfg.membership
-    fault_plan = as_fault_plan(fault_plan)
     if cfg.engine not in ("mp", "sim"):
         raise ValueError(f"engine must be 'mp' or 'sim', got {cfg.engine!r}")
     from repro.dist.mp import MpWorld  # local import: mp pulls this module
@@ -639,202 +646,159 @@ def elastic_eta(
         w = np.asarray(cfg.weights)
         cur_weights = (w / w.sum()).tolist()
 
+    metrics = ctx.metrics
+    if engine == "mp" and not metrics.enabled:
+        # busy times ride the mp obs snapshots, which only ship when
+        # *some* sink is live
+        ctx = replace(ctx, metrics=MetricsRegistry())
     shared_log = MessageLog()
     monitor = RebalanceMonitor(policy)
     report = ElasticReport(
         grid=policy.grid, n_moments=n_moments, engine=engine, log=shared_log
     )
-    attempt_no = int(attempt)
     deaths = 0
 
-    tmp = None
-    if checkpoint_path is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-elastic-")
-        checkpoint_path = Path(tmp.name) / "boundary.npz"
-    checkpoint_path = Path(checkpoint_path)
-
-    try:
-        eta = None
-        ck: KpmCheckpoint | None = None
-        first_m = 1
-        if resume_from is not None:
-            ck = (
-                resume_from
-                if isinstance(resume_from, KpmCheckpoint)
-                else KpmCheckpoint.load(resume_from)
-            )
-            first_m = ck.next_m
-        while True:
-            stop = min(half, first_m + policy.interval)
-            if plan is not None:
-                for b in plan.boundaries():
-                    if first_m < b < stop:
-                        stop = b
-                        break
-            is_final = stop >= half
-
-            # -- run one segment (retrying on worker death) ------------
-            while True:
-                part = RowPartition.from_weights(
-                    n, cur_weights, align=policy.grid
-                )
-                # an mp handle leases the same parked workers every
-                # segment of a given world size
-                world = (MpWorld if engine == "mp" else SimWorld)(n_workers)
-                world.log = shared_log
-                # Busy times ride the obs snapshots, which only ship
-                # when *some* sink is live — force one if the caller's
-                # are both null.
-                seg_metrics = metrics
-                if engine == "mp" and not metrics.enabled:
-                    seg_metrics = MetricsRegistry()
-                try:
-                    eta = distributed_eta(
-                        A, part, scale, n_moments,
-                        start_block if ck is None else None,
-                        world, config=cfg, counters=counters,
-                        metrics=seg_metrics,
-                        checkpoint_every=0 if is_final else stop - first_m,
-                        checkpoint_path=checkpoint_path,
-                        resume_from=ck, fault_plan=fault_plan,
-                        attempt=attempt_no, eta_grid=policy.grid,
-                        stop_m=stop,
-                    )
+    eta = None
+    ck = ctx.resume(n_moments, scale, cfg.precision, start_block, policy.grid)
+    first_m = 1 if ck is None else ck.next_m
+    while True:
+        stop = min(half, first_m + policy.interval)
+        if plan is not None:
+            for b in plan.boundaries():
+                if first_m < b < stop:
+                    stop = b
                     break
-                except WorkerFailure as wf:
-                    dead = sorted({f.rank for f in wf.failures})
-                    deaths += len(dead)
-                    if (
-                        not policy.membership
-                        or not dead
-                        or len(dead) >= n_workers
-                        or deaths > policy.max_leaves
-                    ):
-                        raise
-                    survivors = [
-                        p for p in range(n_workers) if p not in dead
-                    ]
-                    total = sum(cur_weights[p] for p in survivors)
-                    cur_weights = [cur_weights[p] / total for p in survivors]
-                    n_workers = len(survivors)
-                    attempt_no += 1  # armed one-shot faults stay fired
-                    monitor.reset()  # old ranks' history is meaningless
-                    event = MembershipEvent(
-                        "leave", m=first_m, ranks=tuple(dead), planned=False,
-                        detail="; ".join(f.describe() for f in wf.failures),
-                    )
-                    report.events.append(event)
-                    report.leaves += len(dead)
-                    metrics.count("elastic.leaves", len(dead))
-                    metrics.count("elastic.retries")
+        is_final = stop >= half
 
-            metrics.count("elastic.segments")
-            seg_events: list[str] = []
-
-            # -- read the segment's skew signal ------------------------
-            busy = None
-            if engine == "mp" and world.last_obs:
-                busy = tuple(
-                    float(
-                        snap["metrics"]["timers"]
-                        .get("rank_busy", {})
-                        .get("total", 0.0)
-                    )
-                    for snap in world.last_obs
+        # -- run one segment (retrying on worker death) ----------------
+        while True:
+            part = RowPartition.from_weights(n, cur_weights, align=policy.grid)
+            # an mp handle leases the same parked workers every segment
+            # of a given world size
+            world = (MpWorld(n_workers, timeouts=ctx.timeouts)
+                     if engine == "mp" else SimWorld(n_workers))
+            world.log = shared_log
+            seg = replace(ctx, resume_from=ck,
+                          checkpoint_every=0 if is_final else stop - first_m)
+            try:
+                eta = run_distributed(
+                    cfg, seg, A, part, scale, n_moments,
+                    start_block if ck is None else None, world,
+                    eta_grid=policy.grid, stop_m=stop,
                 )
-            elif timer is not None:
-                counts = part.counts()
-                busy = tuple(
-                    float(timer(p, int(counts[p]))) for p in range(n_workers)
-                )
-            imb = None
-            if busy is not None and n_workers > 1:
-                imb = monitor.observe(part.counts(), busy)
-                metrics.gauge("elastic.imbalance", imb)
-
-            # -- boundary decisions (not after the final segment) ------
-            if not is_final:
-                if (
-                    monitor.should_rebalance
-                    and n_workers > 1
-                    and report.rebalances < policy.max_rebalances
-                    and half - stop >= policy.min_iters_left
-                ):
-                    result = monitor.retune(n, cur_weights, timer)
-                    cur_weights = result.weights
-                    report.rebalances += 1
-                    metrics.count("elastic.rebalances")
-                    event = MembershipEvent(
-                        "rebalance", m=stop,
-                        ranks=tuple(range(n_workers)),
-                        detail=f"weights -> "
-                        f"{[round(x, 3) for x in cur_weights]}",
-                    )
-                    report.events.append(event)
-                    seg_events.append(event.describe())
-                for spec in plan.at(stop) if plan is not None else ():
-                    if spec.kind == "join":
-                        mean = sum(cur_weights) / len(cur_weights)
-                        cur_weights = cur_weights + [mean] * spec.ranks
-                        total = sum(cur_weights)
-                        cur_weights = [x / total for x in cur_weights]
-                        new = tuple(
-                            range(n_workers, n_workers + spec.ranks)
-                        )
-                        n_workers += spec.ranks
-                        report.joins += spec.ranks
-                        metrics.count("elastic.joins", spec.ranks)
-                        event = MembershipEvent("join", m=stop, ranks=new)
-                    else:  # planned leave
-                        if not 0 <= spec.rank < n_workers or n_workers == 1:
-                            raise SimulationError(
-                                f"membership plan retires rank {spec.rank} "
-                                f"of a {n_workers}-worker world at m={stop}"
-                            )
-                        cur_weights = [
-                            x for p, x in enumerate(cur_weights)
-                            if p != spec.rank
-                        ]
-                        total = sum(cur_weights)
-                        cur_weights = [x / total for x in cur_weights]
-                        n_workers -= 1
-                        report.leaves += 1
-                        metrics.count("elastic.leaves")
-                        event = MembershipEvent(
-                            "leave", m=stop, ranks=(spec.rank,)
-                        )
-                    monitor.reset()  # rank identities changed
-                    report.events.append(event)
-                    seg_events.append(event.describe())
-
-            report.segments.append(
-                SegmentRecord(
-                    first_m=first_m, stop_m=stop, n_workers=part.n_ranks,
-                    offsets=tuple(part.offsets), attempt=attempt_no,
-                    busy=busy, imbalance=imb, events=tuple(seg_events),
-                )
-            )
-
-            if is_final:
                 break
-
-            # -- chain the boundary checkpoint into the next segment ---
-            if engine == "mp":
-                ck = world.last_checkpoint
-            else:
-                ck = KpmCheckpoint.load(checkpoint_path)
-            if ck is None or ck.next_m != stop:
-                got = None if ck is None else ck.next_m
-                raise SimulationError(
-                    f"segment [{first_m},{stop}) finished without its "
-                    f"boundary checkpoint (got next_m={got})"
+            except WorkerFailure as wf:
+                dead = sorted({f.rank for f in wf.failures})
+                deaths += len(dead)
+                if not policy.membership or not dead or \
+                        len(dead) >= n_workers or deaths > policy.max_leaves:
+                    raise
+                survivors = [p for p in range(n_workers) if p not in dead]
+                total = sum(cur_weights[p] for p in survivors)
+                cur_weights = [cur_weights[p] / total for p in survivors]
+                n_workers = len(survivors)
+                # armed one-shot faults stay fired
+                ctx = replace(ctx, attempt=ctx.attempt + 1)
+                monitor.reset()  # old ranks' history is meaningless
+                event = MembershipEvent(
+                    "leave", m=first_m, ranks=tuple(dead), planned=False,
+                    detail="; ".join(f.describe() for f in wf.failures),
                 )
-            first_m = stop
+                report.events.append(event)
+                report.leaves += len(dead)
+                metrics.count("elastic.leaves", len(dead))
+                metrics.count("elastic.retries")
 
-        report.final_weights = list(cur_weights)
-        report.final_n_workers = n_workers
-        report.segment_names = list(getattr(world, "last_segment_names", ()))
-        return eta, report
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        metrics.count("elastic.segments")
+        seg_events: list[str] = []
+
+        # -- read the segment's skew signal ----------------------------
+        busy = None
+        if engine == "mp" and world.last_obs:
+            busy = tuple(float(snap["metrics"]["timers"].get(
+                "rank_busy", {}).get("total", 0.0)) for snap in world.last_obs)
+        elif timer is not None:
+            counts = part.counts()
+            busy = tuple(float(timer(p, int(counts[p])))
+                         for p in range(n_workers))
+        imb = None
+        if busy is not None and n_workers > 1:
+            imb = monitor.observe(part.counts(), busy)
+            metrics.gauge("elastic.imbalance", imb)
+
+        # -- boundary decisions (not after the final segment) ----------
+        if not is_final:
+            if (
+                monitor.should_rebalance
+                and n_workers > 1
+                and report.rebalances < policy.max_rebalances
+                and half - stop >= policy.min_iters_left
+            ):
+                result = monitor.retune(n, cur_weights, timer)
+                cur_weights = result.weights
+                report.rebalances += 1
+                metrics.count("elastic.rebalances")
+                event = MembershipEvent(
+                    "rebalance", m=stop, ranks=tuple(range(n_workers)),
+                    detail=f"weights -> "
+                    f"{[round(x, 3) for x in cur_weights]}",
+                )
+                report.events.append(event)
+                seg_events.append(event.describe())
+            for spec in plan.at(stop) if plan is not None else ():
+                if spec.kind == "join":
+                    mean = sum(cur_weights) / len(cur_weights)
+                    cur_weights = cur_weights + [mean] * spec.ranks
+                    total = sum(cur_weights)
+                    cur_weights = [x / total for x in cur_weights]
+                    new = tuple(range(n_workers, n_workers + spec.ranks))
+                    n_workers += spec.ranks
+                    report.joins += spec.ranks
+                    metrics.count("elastic.joins", spec.ranks)
+                    event = MembershipEvent("join", m=stop, ranks=new)
+                else:  # planned leave
+                    if not 0 <= spec.rank < n_workers or n_workers == 1:
+                        raise SimulationError(
+                            f"membership plan retires rank {spec.rank} "
+                            f"of a {n_workers}-worker world at m={stop}"
+                        )
+                    cur_weights = [
+                        x for p, x in enumerate(cur_weights)
+                        if p != spec.rank
+                    ]
+                    total = sum(cur_weights)
+                    cur_weights = [x / total for x in cur_weights]
+                    n_workers -= 1
+                    report.leaves += 1
+                    metrics.count("elastic.leaves")
+                    event = MembershipEvent("leave", m=stop,
+                                            ranks=(spec.rank,))
+                monitor.reset()  # rank identities changed
+                report.events.append(event)
+                seg_events.append(event.describe())
+
+        report.segments.append(
+            SegmentRecord(
+                first_m=first_m, stop_m=stop, n_workers=part.n_ranks,
+                offsets=tuple(part.offsets), attempt=ctx.attempt,
+                busy=busy, imbalance=imb, events=tuple(seg_events),
+            )
+        )
+
+        if is_final:
+            break
+
+        # -- chain the boundary state into the next segment ------------
+        ck = world.last_checkpoint
+        if ck is None or ck.next_m != stop:
+            got = None if ck is None else ck.next_m
+            raise SimulationError(
+                f"segment [{first_m},{stop}) finished without its "
+                f"boundary checkpoint (got next_m={got})"
+            )
+        first_m = stop
+
+    report.final_weights = list(cur_weights)
+    report.final_n_workers = n_workers
+    report.segment_names = list(getattr(world, "last_segment_names", ()))
+    return eta, report

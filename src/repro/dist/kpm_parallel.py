@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, resolve_resume, run_digest
+from repro.core.checkpoint import KpmCheckpoint, RunContext
 from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import SimWorld, log_allreduce
@@ -41,7 +41,6 @@ from repro.dist.halo import DistributedMatrix, partition_matrix
 from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition, eta_slots
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.resil.faults import FaultInjector, FaultPlan
 from repro.sparse.csr import CSRMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -80,13 +79,14 @@ class RunSetup:
     """One validated distributed run, as either world executes it.
 
     ``cfg`` has ``threads`` and ``overlap`` decided for the world's rank
-    count; ``half`` is the exclusive bound of the inner iterations run
-    (``stop_m``, or M/2) and ``first_m`` the first one (1 fresh, the
-    checkpoint's ``next_m`` resumed, whose reduced prefix is ``base_eta``).
+    count and ``ctx`` holds the run controls; ``half`` is the exclusive
+    bound of the inner iterations run (``stop_m``, or M/2) and ``first_m``
+    the first one (1 fresh, the resumed checkpoint ``ck``'s ``next_m``).
     """
 
     dist: DistributedMatrix
     cfg: ExecConfig
+    ctx: RunContext
     prec: Precision
     a: float
     b: float
@@ -97,16 +97,8 @@ class RunSetup:
     grid: int
     stop_m: int | None
     ck: KpmCheckpoint | None
-    base_eta: np.ndarray | None
     start_block: np.ndarray | None
-    counters: PerfCounters
-    metrics: MetricsRegistry
-    checkpoint_every: int
-    checkpoint_path: str | Path | None
-    fault_plan: FaultPlan | None
-    attempt: int
-    progress: object
-    progress_every: int
+    run_id: str
 
     @property
     def final_cols(self) -> int:
@@ -118,20 +110,41 @@ class RunSetup:
         return 2 * self.half if self.first_m == 1 \
             else 2 * (self.half - self.first_m)
 
+    def splice(self, eta_acc: np.ndarray, stop: int, width: int) -> np.ndarray:
+        """The globally reduced eta ``[0, stop)`` in a zeroed (R, width)
+        array: a resumed run's checkpointed prefix ``[0, 2·first_m)``
+        copied verbatim (never re-reduced, so resumed == uninterrupted
+        bitwise), the rest ``eta_acc`` (slots, M, R) summed over its slot
+        axis in slot order."""
+        out = np.zeros((self.r, width), dtype=DTYPE)
+        col0 = 0
+        if self.ck is not None:
+            col0 = 2 * self.first_m
+            out[:, :col0] = self.ck.eta[:, :col0]
+        out[:, col0:stop] = eta_acc[:, col0:stop].sum(axis=0).T
+        return out
+
+    def state(self, v: np.ndarray, w: np.ndarray, eta: np.ndarray,
+              next_m: int) -> KpmCheckpoint:
+        """The checkpoint of global ``(v, w)`` and reduced ``eta`` after
+        iteration ``next_m − 1`` — exactly what the serial engine saves."""
+        return KpmCheckpoint(
+            v=v, w=w, eta=eta, next_m=next_m, n_moments=self.n_moments,
+            a=self.a, b=self.b, precision=self.prec.name, eta_grid=self.grid,
+            run_id=self.run_id,
+        )
+
 
 def prepare_run(
-    A, partition, scale: SpectralScale, n_moments: int, start_block, world,
-    cfg: ExecConfig, *, counters, metrics, checkpoint_every, checkpoint_path,
-    resume_from, fault_plan, attempt, progress, progress_every, eta_grid,
-    stop_m,
+    cfg: ExecConfig, ctx: RunContext, A, partition, scale: SpectralScale,
+    n_moments: int, start_block, world, *, eta_grid: int = 0,
+    stop_m: int | None = None,
 ) -> RunSetup:
     """The sim/mp prologue: validate every input, partition, load any
     checkpoint.  A bad argument is a :class:`ValueError`; an operator,
     partition, checkpoint or world that do not fit together is a
     :class:`~repro.util.errors.SimulationError` — on either world."""
     check_moments(n_moments)
-    if checkpoint_every and checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
     half = n_moments // 2 if stop_m is None else int(stop_m)
     if not 1 <= half <= n_moments // 2:
         raise ValueError(
@@ -166,10 +179,8 @@ def prepare_run(
                 f"partition with align={grid}"
             )
     n = dist.n_global
-    ck = base_eta = None
-    if resume_from is not None:
-        ck = resolve_resume(resume_from, n_moments, scale.a, scale.b, metrics,
-                            prec, eta_grid=grid, start_block=start_block)
+    ck = ctx.resume(n_moments, scale, prec, start_block, grid)
+    if ck is not None:
         if ck.v.shape[0] != n:
             raise SimulationError(
                 f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
@@ -179,19 +190,14 @@ def prepare_run(
                 f"checkpoint resumes at m={ck.next_m}, beyond stop_m={half}"
             )
         r, first_m = ck.v.shape[1], ck.next_m
-        base_eta = ck.eta[:, : 2 * first_m].astype(DTYPE, copy=True)
     else:
         start_block = check_block_vector("start_block", start_block, n)
         r, first_m = start_block.shape[1], 1
     return RunSetup(
-        dist=dist, cfg=cfg.for_ranks(world.n_ranks), prec=prec, a=scale.a,
-        b=scale.b, n_moments=n_moments, r=r, first_m=first_m, half=half,
-        grid=grid, stop_m=stop_m, ck=ck, base_eta=base_eta,
-        start_block=start_block, counters=counters, metrics=metrics,
-        checkpoint_every=int(checkpoint_every),
-        checkpoint_path=checkpoint_path, fault_plan=fault_plan,
-        attempt=int(attempt), progress=progress,
-        progress_every=progress_every,
+        dist=dist, cfg=cfg.for_ranks(world.n_ranks), ctx=ctx, prec=prec,
+        a=scale.a, b=scale.b, n_moments=n_moments, r=r, first_m=first_m,
+        half=half, grid=grid, stop_m=stop_m, ck=ck, start_block=start_block,
+        run_id=ctx.run_id(ck, start_block, prec),
     )
 
 
@@ -208,7 +214,7 @@ def distributed_eta(
     checkpoint_every: int = 0,
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
-    fault_plan: FaultPlan | None = None,
+    fault_plan=None,
     attempt: int = 1,
     progress=None,
     progress_every: int = 0,
@@ -234,38 +240,13 @@ def distributed_eta(
         it in real worker processes over shared memory (same results —
         bitwise per schedule — and same message accounting).  Must match
         the partition's rank count.
-    counters:
-        Traffic/flop sink.  Every rank's kernel charges accumulate here
-        (the mp engine merges per-worker counters in), so the numeric
-        totals equal the serial run on the same problem — only the
-        per-kernel ``calls`` tallies are rank-multiplied.
-    metrics:
-        Span registry.  The sim world records kernel spans inline plus
-        ``halo_exchange``/``allreduce`` phase spans; the mp engine ships
-        per-worker snapshots back and merges them ``rank<p>.``-prefixed.
-    checkpoint_every / checkpoint_path:
-        With ``checkpoint_every = k > 0`` the global recurrence state is
-        saved atomically to ``checkpoint_path`` after every k inner
-        iterations (in the mp engine by the *parent*, which survives
-        worker crashes).
-    resume_from:
-        A :class:`KpmCheckpoint` (or path) to continue from;
-        ``start_block`` is then ignored (and may be None).  A resumed
-        run is bitwise equal to an uninterrupted one on the same world
-        type and partition.
-    fault_plan / attempt:
-        Optional :class:`~repro.resil.FaultPlan` injected at the same
-        probe points in both engines (the sim world surfaces
-        process-level faults as
-        :class:`~repro.util.errors.FaultInjected`); ``attempt`` selects
-        which of the plan's faults are armed.
-    progress / progress_every:
-        Optional streaming callback ``progress(n_eta, eta_prefix)``
-        fired after every ``progress_every`` iterations with the
-        globally-reduced eta prefix of every column (the serve layer's
-        partial-spectrum stream).  The sim world fires it inline; the
-        mp engine fires it from the parent's checkpoint autosave, so it
-        needs ``checkpoint_every > 0`` there.
+    counters / metrics / checkpoint_every / checkpoint_path / resume_from /
+    fault_plan / attempt / progress / progress_every:
+        The run controls (:class:`~repro.core.checkpoint.RunContext`,
+        DESIGN §17) over the global state.  Counter totals equal a serial
+        run's (only ``calls`` is rank-multiplied); a resumed run
+        (``start_block`` may then be None) is bitwise equal to an
+        uninterrupted one on the same world type and partition.
     eta_grid:
         ``B > 0`` switches the eta reduction to *grid mode*
         (:mod:`repro.dist.elastic`): the per-iteration dot products are
@@ -282,7 +263,7 @@ def distributed_eta(
         run executes ``[first_m, stop_m)`` instead of ``[first_m, M/2)``
         and returns eta with only the columns ``[0, 2·stop_m)``
         meaningful.  The elastic driver runs a sequence of such segments
-        — chained through boundary checkpoints — whose concatenation is
+        — chained through their boundary states — whose concatenation is
         bitwise equal to one uninterrupted run under grid mode.
     config / knobs:
         The :class:`~repro.util.knobs.ExecConfig` (``overlap`` off unless
@@ -298,33 +279,37 @@ def distributed_eta(
         a one-rank world with overlap off, to reduction-order tolerance
         otherwise.
     """
+    return run_distributed(
+        ExecConfig.of(config, knobs, overlap=False),
+        RunContext.of(counters=counters, metrics=metrics,
+                      checkpoint_every=checkpoint_every,
+                      checkpoint_path=checkpoint_path, resume_from=resume_from,
+                      fault_plan=fault_plan, attempt=attempt,
+                      progress=progress, progress_every=progress_every),
+        A, partition, scale, n_moments, start_block, world,
+        eta_grid=eta_grid, stop_m=stop_m,
+    )
+
+
+def run_distributed(cfg: ExecConfig, ctx: RunContext, A, partition,
+                    scale: SpectralScale, n_moments: int, start_block, world,
+                    *, eta_grid: int = 0, stop_m: int | None = None):
+    """:func:`distributed_eta` on a built config and context."""
     from repro.dist.mp import MpWorld, run_mp
 
-    run = prepare_run(
-        A, partition, scale, n_moments, start_block, world,
-        ExecConfig.of(config, knobs, overlap=False), counters=counters,
-        metrics=metrics, checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path, resume_from=resume_from,
-        fault_plan=fault_plan, attempt=attempt, progress=progress,
-        progress_every=progress_every, eta_grid=eta_grid, stop_m=stop_m,
-    )
-    if isinstance(world, MpWorld):
-        return run_mp(run, world)
-    dist, ck, first_m, half, grid = (run.dist, run.ck, run.first_m, run.half,
-                                     run.grid)
-    r, base_eta, every = run.r, run.base_eta, run.checkpoint_every
-    injectors = None
-    if fault_plan:
-        injectors = [
-            FaultInjector(fault_plan, rank=rank, attempt=run.attempt,
-                          in_process=True)
-            for rank in range(world.n_ranks)
-        ]
+    run = prepare_run(cfg, ctx, A, partition, scale, n_moments, start_block,
+                      world, eta_grid=eta_grid, stop_m=stop_m)
+    return (run_mp if isinstance(world, MpWorld) else run_sim)(run, world)
 
-    def probe_faults(m: int) -> None:
-        if injectors is not None:
-            for inj in injectors:
-                inj.at_iteration(m)
+
+def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
+    """Execute a prepared run on the simulated world; returns eta (R, M).
+    The last checkpoint state it reached stays on
+    ``world.last_checkpoint``."""
+    dist, ctx, ck, first_m, r = run.dist, run.ctx, run.ck, run.first_m, run.r
+    metrics = ctx.metrics
+    world.last_checkpoint = None
+    injectors = [inj for inj in map(ctx.injector, range(world.n_ranks)) if inj]
 
     # Per-rank persistent state, sized once: one Recurrence each (the
     # local (v, w) blocks, the rectangular x = [v | halo] kernel input,
@@ -334,10 +319,10 @@ def distributed_eta(
     slots, recs = [], []  # per rank: its eta_acc slot(s), its Recurrence
     for blk in dist.blocks:
         slot, dot_blocks = eta_slots(blk.rank, blk.row_start, blk.row_stop,
-                                     grid)
+                                     run.grid)
         rec = Recurrence(
-            blk.matrix, run.a, run.b, r, config=run.cfg, counters=counters,
-            metrics=metrics, dot_blocks=dot_blocks,
+            blk.matrix, run.a, run.b, r, config=run.cfg,
+            counters=ctx.counters, metrics=metrics, dot_blocks=dot_blocks,
             split=task_split(blk) if run.cfg.overlap else None,
         )
         rows = slice(blk.row_start, blk.row_stop)
@@ -347,44 +332,14 @@ def distributed_eta(
             rec.load(run.start_block[rows])
         slots.append(slot)
         recs.append(rec)
-    n_slots = -(-dist.n_global // grid) if grid else world.n_ranks
-    eta_acc = np.zeros((n_slots, n_moments, r), dtype=DTYPE)
-    run_id = "" if ck is None else ck.run_id
-    if ck is None and every:
-        run_id = run_digest(*(rec.v for rec in recs))
-
-    def reduced_prefix(m: int, width: int) -> np.ndarray:
-        # Globally-reduced eta prefix [0 : 2(m+1)) in an (R, width) array:
-        # the checkpointed base spliced in verbatim, the rest a slot sum.
-        out = np.zeros((r, width), dtype=DTYPE)
-        col0 = 2 * first_m if base_eta is not None else 0
-        if base_eta is not None:
-            out[:, :col0] = base_eta
-        out[:, col0 : 2 * (m + 1)] = (
-            eta_acc[:, col0 : 2 * (m + 1)].sum(axis=0).T
-        )
-        return out
-
-    def save_checkpoint(m: int) -> None:
-        # State after iteration m, exactly as the serial engine saves it:
-        # (v, w) post-step, eta prefix [0 : 2(m+1)) globally reduced.
-        eta_full = reduced_prefix(m, n_moments)
-        with metrics.span("checkpoint_save", phase="ckpt") as sp:
-            state = KpmCheckpoint(
-                v=np.concatenate([rec.v for rec in recs], axis=0),
-                w=np.concatenate([rec.w for rec in recs], axis=0),
-                eta=eta_full, next_m=m + 1, n_moments=n_moments, a=run.a,
-                b=run.b, precision=run.prec.name, eta_grid=grid,
-                run_id=run_id,
-            )
-            saved = state.save(checkpoint_path)
-            sp.note(file_bytes=saved.stat().st_size,
-                    payload_bytes=state.payload_bytes, next_m=m + 1)
+    n_slots = -(-dist.n_global // run.grid) if run.grid else world.n_ranks
+    eta_acc = np.zeros((n_slots, run.n_moments, r), dtype=DTYPE)
 
     every_iter = run.cfg.reduction == "every"
     if ck is None:
         # nu_1 = a (H nu_0 - b nu_0), distributed
-        probe_faults(0)
+        for inj in injectors:
+            inj.at_iteration(0)
         with metrics.span("halo_exchange", phase="dist"):
             _halo_exchange(world, dist, recs, phase="halo_init")
         for rec, slot in zip(recs, slots):
@@ -396,8 +351,9 @@ def distributed_eta(
                         list(eta_acc[:, m_i]), phase="allreduce_iter"
                     )
 
-    for m in range(first_m, half):
-        probe_faults(m)
+    for m in range(first_m, run.half):
+        for inj in injectors:
+            inj.at_iteration(m)
         for rec in recs:
             rec.swap()
         with metrics.span("halo_exchange", phase="dist"):
@@ -416,36 +372,26 @@ def distributed_eta(
                 world.allreduce_sum(
                     list(eta_acc[:, 2 * m + 1]), phase="allreduce_iter"
                 )
-        if progress is not None and progress_every > 0 \
-                and (m - first_m + 1) % progress_every == 0:
-            progress(2 * (m + 1), reduced_prefix(m, 2 * (m + 1)))
-        if every and (m - first_m + 1) % every == 0:
-            save_checkpoint(m)
-
-    # final reduction over ranks: one collective for the whole eta array
-    with metrics.span("allreduce", phase="dist"):
-        if grid or stop_m is not None:
-            # Grid mode: the K block partials are summed in block order
-            # (NumPy's axis-0 reduce is sequential in k per element) —
-            # the canonical reduction whose order depends only on (N, B).
-            # The wire cost is still one P-rank allreduce of the columns
-            # this run computed, logged explicitly because the slot axis
-            # no longer matches the rank count.
-            eta_global = eta_acc.sum(axis=0)
-            if run.final_cols:
-                log_allreduce(world.log, world.n_ranks,
-                              run.final_cols * r * np.dtype(DTYPE).itemsize,
-                              "allreduce_final")
-        else:
-            eta_global = world.allreduce_sum(
-                [eta_acc[rank] for rank in range(world.n_ranks)],
-                phase="allreduce_final",
+        n_eta = 2 * (m + 1)
+        if ctx.progress_due(m, first_m):
+            ctx.stream(n_eta, run.splice(eta_acc, n_eta, n_eta))
+        if ctx.checkpoint_due(m, first_m):
+            world.last_checkpoint = state = run.state(
+                np.concatenate([rec.v for rec in recs], axis=0),
+                np.concatenate([rec.w for rec in recs], axis=0),
+                run.splice(eta_acc, n_eta, run.n_moments), m + 1,
             )
-    if first_m > 1:
-        # Splice the checkpointed prefix in verbatim (never re-reduced),
-        # matching the mp engine's resumed composition bitwise.
-        eta_global[: 2 * first_m] = base_eta.T
-    return eta_global.T.copy()  # (R, M)
+            ctx.save(state)
+
+    # The one deferred reduction of the columns this run computed, summed
+    # in slot order: rank order, or in grid mode block order — the
+    # canonical reduction whose order depends only on (N, B).
+    with metrics.span("allreduce", phase="dist"):
+        if run.final_cols:
+            log_allreduce(world.log, world.n_ranks,
+                          run.final_cols * r * np.dtype(DTYPE).itemsize,
+                          "allreduce_final")
+        return run.splice(eta_acc, run.n_moments, run.n_moments)
 
 
 def distributed_dos(

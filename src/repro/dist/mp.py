@@ -68,17 +68,12 @@ sentinels, wakes to check it and declares the world wedged when no
 heartbeat advances within :attr:`MpTimeouts.stall`.  A worker whose
 parent died abandons its run at the next iteration.
 
-Checkpoint/restart: with ``checkpoint_every > 0`` the workers
-double-buffer their recurrence state into shared *checkpoint slots*
-after every k-th iteration; rank 0 publishes the slot with a single
-atomic state word after a barrier and announces it on its pipe, and the
-**parent** — which survives worker crashes — autosaves the published
-state to ``checkpoint_path`` via the atomic
-:class:`~repro.core.checkpoint.KpmCheckpoint` writer, and salvages the
-latest published state even when the run fails.  Passing
-``resume_from`` re-enters the loop at the checkpointed iteration;
-resumed runs are bitwise equal to uninterrupted ones on the same
-partition (asserted by ``tests/resil/``).
+Checkpoints (the run controls of DESIGN §17): the workers
+double-buffer their state into shared *checkpoint slots*; rank 0
+publishes a slot with one atomic state word after a barrier, and the
+**parent** — which survives worker crashes — captures it
+(``MpWorld.last_checkpoint``) for the run's context to save and stream,
+salvaging the latest one even when the run fails.
 """
 
 from __future__ import annotations
@@ -99,7 +94,7 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, run_digest
+from repro.core.checkpoint import KpmCheckpoint, RunContext
 from repro.core.recurrence import Recurrence
 from repro.dist.comm import MessageLog, log_allreduce
 from repro.dist.halo import DistributedMatrix, RankBlock
@@ -108,7 +103,6 @@ from repro.dist.overlap import task_split
 from repro.dist.partition import eta_slots
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.resil.faults import FaultInjector, FaultPlan
 from repro.sparse.backend import KernelBackend, backend_health
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -308,14 +302,13 @@ class _RunConfig:
     n_moments: int
     r: int
     timeouts: MpTimeouts
-    fault_plan: FaultPlan | None
-    attempt: int
     want_obs: bool
     first_m: int  # 1 for a fresh run, checkpoint.next_m when resuming
-    checkpoint_every: int
     #: threads/overlap resolved for the world; the backend is per rank
     #: and the elastic knobs are the parent's business
     exec: ExecConfig
+    #: the run controls a worker runs by (RunContext.for_workers)
+    run: RunContext
     eta_grid: int = 0  # B > 0: per-global-block eta partials (elastic)
     stop_m: int = 0  # 0 = run to M/2; else exclusive segment bound
 
@@ -402,9 +395,7 @@ def _run_rank(
         lo, hi = blk.row_start, blk.row_stop
         n_local = hi - lo
         bt = cfg.timeouts.barrier
-        inj = None
-        if cfg.fault_plan is not None:
-            inj = FaultInjector(cfg.fault_plan, rank=rank, attempt=cfg.attempt)
+        inj = cfg.run.injector(rank, in_process=False)
 
         # Local observability state: the parent cannot share its own
         # counters/metrics across the process boundary, so each worker
@@ -446,9 +437,7 @@ def _run_rank(
                 blk.halo_sources.tolist(), blk.halo_counts.tolist()
             )
         ]
-        ck_on = cfg.checkpoint_every > 0
-        if ck_on:
-            ckv, ckw, ckst = att["ckv"], att["ckw"], att["ckst"]
+        ckv, ckw, ckst = att.get("ckv"), att.get("ckw"), att.get("ckst")
 
         def ev_wait(ev) -> None:
             # Poll so a dead peer (parent sets the shared abort flag and
@@ -520,12 +509,12 @@ def _run_rank(
                 eta[:, 2 * m].sum(axis=0)
                 eta[:, 2 * m + 1].sum(axis=0)
 
-        def publish_checkpoint(m: int) -> None:
+        def publish_checkpoint(m: int, k: int) -> None:
             # Double-buffered: the k-th checkpoint of this run writes
             # slot k % 2, so the previously *published* slot stays
             # intact while this one is being filled — a crash mid-write
             # can never damage a state the parent might be saving.
-            slot = ((m - cfg.first_m + 1) // cfg.checkpoint_every) % 2
+            slot = k % 2
             ckv[slot, lo:hi] = rec.v
             ckw[slot, lo:hi] = rec.w
             barrier.wait(bt)  # every rank's slice is in the slot
@@ -588,8 +577,9 @@ def _run_rank(
                 eta[eslot, 2 * m], eta[eslot, 2 * m + 1] = rec.update()
             if cfg.exec.reduction == "every":
                 reduce_now(m)
-            if ck_on and (m - cfg.first_m + 1) % cfg.checkpoint_every == 0:
-                publish_checkpoint(m)
+            k = cfg.run.checkpoint_due(m, cfg.first_m)
+            if k:
+                publish_checkpoint(m, k)
 
         if cfg.want_obs:
             _pack_obs_blob(
@@ -936,53 +926,6 @@ def _expected_halo_acct(run: RunSetup) -> tuple[np.ndarray, np.ndarray]:
     return msgs * n_exchanges, nbytes * n_exchanges
 
 
-class _CheckpointChannel:
-    """Parent-side reader of the shared double-buffered checkpoint slots.
-
-    ``capture()`` performs a stable read: the state word is sampled
-    before and after copying the slot, and the copy is discarded when it
-    changed in between (the workers published a newer checkpoint while
-    we were reading — its own note triggers the next capture).  The eta
-    prefix ``[:, :2·next_m]`` is final once the state is published
-    (every rank passed the checkpoint barrier after writing it), so
-    summing it while workers fill later columns is safe.
-    """
-
-    def __init__(self, run: RunSetup, eta_shared, ckv, ckw, ckst,
-                 run_id: str) -> None:
-        self._run = run
-        self._eta = eta_shared
-        self._ckv, self._ckw, self._ckst = ckv, ckw, ckst
-        self._run_id = run_id
-        self.saved_state = 0
-
-    def capture(self) -> KpmCheckpoint | None:
-        s1 = int(self._ckst[0])
-        if s1 <= self.saved_state:
-            return None
-        run = self._run
-        next_m, slot = s1 // 2, s1 % 2
-        # Fresh runs reduce every filled column; resumed runs only the
-        # columns computed this run — the inherited prefix is spliced in
-        # verbatim (never re-reduced, preserving bitwise equality).
-        col0 = 2 * run.first_m if run.base_eta is not None else 0
-        v = self._ckv[slot].copy()
-        w = self._ckw[slot].copy()
-        prefix = self._eta[:, col0 : 2 * next_m].sum(axis=0)
-        if int(self._ckst[0]) != s1:
-            return None  # torn read: a newer state landed mid-copy
-        eta = np.zeros((run.r, run.n_moments), dtype=DTYPE)
-        if run.base_eta is not None:
-            eta[:, :col0] = run.base_eta
-        eta[:, col0 : 2 * next_m] = prefix.T
-        self.saved_state = s1
-        return KpmCheckpoint(
-            v=v, w=w, eta=eta, next_m=next_m, n_moments=run.n_moments,
-            a=run.a, b=run.b, precision=run.prec.name, eta_grid=run.grid,
-            run_id=self._run_id,
-        )
-
-
 def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
     """Multiprocess equivalent of :func:`repro.dist.kpm_parallel.distributed_eta`.
 
@@ -990,9 +933,9 @@ def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
     the :class:`SimWorld` (bitwise per schedule; against the serial
     engines bitwise at fp64 with one worker and overlap off, to
     reduction-order tolerance otherwise); both worlds share one
-    prologue.  Here ``checkpoint_every``/``checkpoint_path`` enable the
-    parent-side autosave described in the module docstring and
-    ``fault_plan``/``attempt`` inject real faults into the workers.
+    prologue.  The run controls are DESIGN §17's; here faults are real
+    (a ``crash`` kills the worker) and ``progress`` fires with every
+    checkpoint the parent captures, so it needs ``checkpoint_every > 0``.
 
     With a live ``counters`` or ``metrics``, every worker accumulates its
     own :class:`PerfCounters` / :class:`MetricsRegistry` and ships a JSON
@@ -1002,13 +945,6 @@ def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
     ``rank<p>.`` prefix — including one ``kernels.<family>`` count per
     run naming the kernels the rank ran.  The raw per-rank snapshots
     stay available as ``world.last_obs``.
-
-    ``progress``/``progress_every`` stream partial eta prefixes from the
-    parent's checkpoint autosave: the callback fires with
-    ``(n_eta, eta_prefix)`` whenever a capture publishes new state, so it
-    requires ``checkpoint_every > 0`` (``progress_every`` only gates
-    whether the hook is armed here — the cadence is the workers'
-    checkpoint cadence).
     """
     if not isinstance(world, MpWorld):
         raise SimulationError(f"mp_eta needs an MpWorld, got {world!r}")
@@ -1019,8 +955,9 @@ def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
 def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     """Execute a prepared run (:func:`~repro.dist.kpm_parallel.prepare_run`)
     on the parked workers of ``world``; returns eta (R, M)."""
-    dist, prec, r, n_moments = run.dist, run.prec, run.r, run.n_moments
-    counters, metrics, every = run.counters, run.metrics, run.checkpoint_every
+    dist, prec, r, n_moments, ctx = (run.dist, run.prec, run.r,
+                                     run.n_moments, run.ctx)
+    counters, metrics = ctx.counters, ctx.metrics
     timeouts = world.timeouts
     names = _backend_names(world, run.cfg.backend)
 
@@ -1034,11 +971,10 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     want_obs = bool(counters.enabled or metrics.enabled)
     cfg = _RunConfig(
         a=run.a, b=run.b, n_moments=n_moments, r=r, timeouts=timeouts,
-        fault_plan=run.fault_plan, attempt=run.attempt, want_obs=want_obs,
-        first_m=run.first_m, checkpoint_every=every,
+        want_obs=want_obs, first_m=run.first_m,
         exec=replace(run.cfg, backend="auto", rebalance=None,
-                     membership=None), eta_grid=run.grid,
-        stop_m=int(run.stop_m or 0),
+                     membership=None), run=ctx.for_workers(),
+        eta_grid=run.grid, stop_m=int(run.stop_m or 0),
     )
 
     # The run's shared arrays, carved from the world's resident arena.
@@ -1058,7 +994,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     )
     if want_obs:
         arrays["obs"] = ((world.n_ranks, _OBS_BLOB_SIZE), "uint8")
-    if every > 0:
+    if ctx.checkpoint_every > 0:
         arrays.update(ckv=((2, *vshape), vec_dt), ckw=((2, *vshape), vec_dt),
                       ckst=((1,), "int64"))
     for p, edges in enumerate(send_edges):
@@ -1094,30 +1030,29 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         else:
             start[...] = start_block.astype(prec.vector_dtype)
         eta_shared = sh["eta"]
-        channel = None
-        if every > 0:
-            channel = _CheckpointChannel(
-                run, eta_shared, sh["ckv"], sh["ckw"], sh["ckst"],
-                run_id=run.ck.run_id if run.ck is not None
-                else run_digest(start),
-            )
+        captured = 0  # the last state word captured
 
         def autosave() -> None:
-            if channel is None:
+            # A stable read of the published checkpoint slot: the state
+            # word is sampled before and after the copy, which is dropped
+            # when a newer state landed meanwhile (its own note triggers
+            # the next capture).  The eta prefix [:, :2·next_m] is final
+            # once published, so summing it while the workers fill later
+            # columns is safe.  Repeats are skipped, so every save and
+            # stream carries a strictly longer prefix.
+            nonlocal captured
+            state = int(sh["ckst"][0]) if ctx.checkpoint_every else 0
+            if state <= captured:
                 return
-            saved = channel.capture()
-            if saved is not None:
-                world.last_checkpoint = saved
-                with metrics.span("checkpoint_save", phase="ckpt") as sp:
-                    out = saved.save(run.checkpoint_path)
-                    sp.note(file_bytes=out.stat().st_size,
-                            payload_bytes=saved.payload_bytes,
-                            next_m=saved.next_m)
-                if run.progress is not None and run.progress_every > 0:
-                    # capture() dedupes repeats, so every firing carries a
-                    # strictly longer globally-reduced prefix
-                    run.progress(2 * saved.next_m,
-                                 saved.eta[:, : 2 * saved.next_m])
+            next_m, slot = divmod(state, 2)
+            v, w = sh["ckv"][slot].copy(), sh["ckw"][slot].copy()
+            eta = run.splice(eta_shared, 2 * next_m, n_moments)
+            if int(sh["ckst"][0]) != state:
+                return
+            captured = state
+            world.last_checkpoint = saved = run.state(v, w, eta, next_m)
+            ctx.save(saved)
+            ctx.stream(2 * next_m, eta)
 
         live.send_run(cfg, specs, names, dist, send_edges)
         replies, hb_last, stalled, timed_out = live.collect(
@@ -1146,15 +1081,8 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             obs_snaps = [
                 _unpack_obs_blob(sh["obs"][p]) for p in range(world.n_ranks)
             ]
-        first_m = run.first_m
-        if first_m > 1:
-            # Splice: checkpointed prefix verbatim (never re-reduced, so
-            # resumed == uninterrupted bitwise), freshly computed suffix.
-            eta_global = np.empty((n_moments, r), dtype=DTYPE)
-            eta_global[: 2 * first_m] = run.base_eta.T
-            eta_global[2 * first_m :] = eta_shared[:, 2 * first_m :].sum(axis=0)
-        else:
-            eta_global = eta_shared.sum(axis=0)  # the single deferred reduction
+        # the single deferred reduction (a resumed prefix spliced in)
+        eta = run.splice(eta_shared, n_moments, n_moments)
 
         exp_msgs, exp_bytes = _expected_halo_acct(run)
         if not (
@@ -1185,7 +1113,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             metrics.merge_snapshot(snap["metrics"], prefix=f"rank{p}.")
 
     _charge_log(world.log, run)
-    return eta_global.T.copy()  # (R, M), as the serial/sim engines
+    return eta
 
 
 def _worker_failure(

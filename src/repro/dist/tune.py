@@ -364,10 +364,9 @@ def measure(
     conversion and (for distributed configs) partitioning happen outside
     the timed region — one-time costs a long production run amortizes.
     """
+    from repro.core.checkpoint import RunContext
     from repro.core.scaling import lanczos_scale
     from repro.core.stochastic import make_block_vector
-    from repro.obs import NULL_METRICS
-    from repro.util.counters import NULL_COUNTERS
 
     scale = lanczos_scale(H, seed=seed)
     block = make_block_vector(H.n_rows, cfg.r, "phase", seed)
@@ -375,8 +374,7 @@ def measure(
     best = float("inf")
     for _ in range(max(1, int(repeats))):
         t0 = time.perf_counter()
-        run_engine(cfg.execution, A, scale, n_moments, block,
-                   counters=NULL_COUNTERS, metrics=NULL_METRICS)
+        run_engine(cfg.execution, RunContext(), A, scale, n_moments, block)
         best = min(best, time.perf_counter() - t0)
     return best
 

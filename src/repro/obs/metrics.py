@@ -337,6 +337,9 @@ class _NullMetrics(MetricsRegistry):
     def merge_snapshot(self, snap, prefix="") -> "MetricsRegistry":
         return self
 
+    def __reduce__(self) -> str:
+        return "NULL_METRICS"  # unpickles as the receiving process's own
+
 
 #: Shared no-op registry used as the default everywhere.
 NULL_METRICS = _NullMetrics()

@@ -193,9 +193,6 @@ class FaultInjector:
     def __bool__(self) -> bool:
         return bool(self._at or self._halo)
 
-    def spec_at(self, m: int) -> FaultSpec | None:
-        return self._at.get(m)
-
     def at_iteration(self, m: int) -> None:
         """Fire any fault planned for iteration ``m`` on this rank."""
         spec = self._at.get(m)

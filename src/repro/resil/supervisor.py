@@ -33,15 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, _npz_path
+from repro.core.checkpoint import KpmCheckpoint, RunContext, _npz_path
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.resil.faults import FaultPlan, as_fault_plan, corrupt_checkpoint_file
+from repro.resil.faults import FaultPlan, corrupt_checkpoint_file
 from repro.resil.policy import RetryPolicy
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import (
     BackendError,
     CheckpointError,
     FaultInjected,
+    FormatError,
     ReproError,
     RetryExhaustedError,
     WorkerFailure,
@@ -160,7 +161,7 @@ class Resilience:
 
     Handed to ``KPMSolver(resilience=...)`` (or built by the CLI from
     ``--retries/--fault-plan/--checkpoint-every/--degrade``); the solver
-    constructs a :class:`Supervisor` from it per run.
+    runs every solve under a :class:`Supervisor` of it.
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -169,48 +170,32 @@ class Resilience:
     degrade: bool = True
     fault_plan: FaultPlan | str | None = None
     mp_timeouts: object | None = None  # repro.dist.mp.MpTimeouts
-    #: elastic execution: 'off'/None, 'auto'/True, a threshold, or a
-    #: repro.dist.elastic.RebalancePolicy (see resolve_rebalance)
-    rebalance: object = None
-    #: planned membership events, e.g. 'join:m=8;leave:m=16,rank=0'
-    membership: object = None
 
 
 class Supervisor:
     """Runs one eta computation to completion despite faults.
 
-    Parameters mirror :class:`Resilience`; ``metrics``/``counters`` are
-    the run's observability sinks (every fault, retry, resume, and
-    degradation lands there), ``seed`` keys the deterministic backoff
-    jitter, and ``sleep`` is injectable for tests.
+    ``policy`` is a :class:`~repro.resil.policy.RetryPolicy` and the
+    other :class:`Resilience` fields keywords — or a whole
+    :class:`Resilience`, the keywords replacing its fields.  Every fault,
+    retry, resume and degradation lands in ``metrics``/``counters``;
+    ``seed`` keys the backoff jitter and a fault-plan string.
     """
 
     def __init__(
         self,
-        policy: RetryPolicy | None = None,
+        policy: RetryPolicy | Resilience | None = None,
         *,
-        degrade: bool = True,
-        checkpoint_every: int = 0,
-        checkpoint_path: str | Path | None = None,
-        fault_plan: FaultPlan | str | None = None,
-        mp_timeouts=None,
-        rebalance=None,
-        membership=None,
         metrics: MetricsRegistry = NULL_METRICS,
         counters: PerfCounters = NULL_COUNTERS,
         seed: int | None = None,
         sleep=time.sleep,
+        **resilience,
     ) -> None:
-        from repro.dist.elastic import resolve_rebalance
-
-        self.policy = policy or RetryPolicy()
-        self.degrade = bool(degrade)
-        self.checkpoint_every = int(checkpoint_every)
-        self.checkpoint_path = checkpoint_path
-        self.fault_plan = as_fault_plan(fault_plan, seed=seed or 0)
-        self.mp_timeouts = mp_timeouts
-        self.rebalance = resolve_rebalance(rebalance)
-        self.membership = membership
+        self.resilience = (
+            replace(policy, **resilience) if isinstance(policy, Resilience)
+            else Resilience(policy or RetryPolicy(), **resilience)
+        )
         #: ElasticReport of the most recent elastic mp attempt (or None)
         self.last_elastic_report = None
         self.metrics = metrics
@@ -222,27 +207,9 @@ class Supervisor:
         self.last_world = None
 
     @classmethod
-    def from_config(
-        cls,
-        config: Resilience,
-        *,
-        metrics: MetricsRegistry = NULL_METRICS,
-        counters: PerfCounters = NULL_COUNTERS,
-        seed: int | None = None,
-    ) -> "Supervisor":
-        return cls(
-            config.policy,
-            degrade=config.degrade,
-            checkpoint_every=config.checkpoint_every,
-            checkpoint_path=config.checkpoint_path,
-            fault_plan=config.fault_plan,
-            mp_timeouts=config.mp_timeouts,
-            rebalance=config.rebalance,
-            membership=config.membership,
-            metrics=metrics,
-            counters=counters,
-            seed=seed,
-        )
+    def from_config(cls, config: Resilience, **kw) -> "Supervisor":
+        """``Supervisor(config, **kw)``."""
+        return cls(config, **kw)
 
     # ------------------------------------------------------------------
     def run_eta(
@@ -261,38 +228,41 @@ class Supervisor:
 
         ``config``/knobs are the :class:`~repro.util.knobs.ExecConfig` of
         the first attempt (``overlap`` off unless given), validated
-        before any attempt runs; this supervisor's ``rebalance`` and
-        ``membership`` fill in where the config has none.  Every attempt
-        runs it through :func:`~repro.util.knobs.run_engine`; degrading
-        replaces only ``engine`` (down :data:`ENGINE_LADDERS`) or
-        ``backend`` (to ``'numpy'`` after a backend fault), so retries
-        and fallbacks never change the precision, the threads or any
-        other knob of the run.
+        before any attempt runs.  Every attempt runs it through
+        :func:`~repro.util.knobs.run_engine`; degrading replaces only
+        ``engine`` (down :data:`ENGINE_LADDERS`) or ``backend`` (to
+        ``'numpy'`` after a backend fault), so retries and fallbacks
+        never change the precision, the threads or any other knob of the
+        run.
 
-        ``progress``/``progress_every`` stream partial eta prefixes as
-        each engine exposes them (see :func:`checkpointed_eta` and
-        :func:`distributed_eta`); a retry simply re-streams from wherever
-        the resumed attempt picks up.
+        The run controls (DESIGN §17) are the :class:`Resilience` plus
+        ``progress``/``progress_every``; each attempt runs the context
+        with its number and the checkpoint it resumes from (a retry
+        re-streams from there).
 
         Raises :class:`~repro.util.errors.RetryExhaustedError` only after
         every attempt on every remaining ladder rung has failed.
         """
         cfg = ExecConfig.of(config, knobs, overlap=False)
-        cfg = replace(cfg, rebalance=cfg.rebalance or self.rebalance,
-                      membership=cfg.membership or self.membership)
-        ladder = ENGINE_LADDERS[cfg.engine] if self.degrade else (cfg.engine,)
-        timeouts = self.mp_timeouts
-        if timeouts is None and self.policy.attempt_deadline is not None:
+        res = self.resilience
+        ladder = ENGINE_LADDERS[cfg.engine] if res.degrade else (cfg.engine,)
+        timeouts = res.mp_timeouts
+        if timeouts is None and res.policy.attempt_deadline is not None:
             from repro.dist.mp import MpTimeouts
 
-            timeouts = MpTimeouts(run=self.policy.attempt_deadline)
-
-        ckpt_path = self.checkpoint_path
-        own_dir: Path | None = None
-        if self.checkpoint_every > 0 and ckpt_path is None:
-            own_dir = Path(tempfile.mkdtemp(prefix="repro-resil-"))
-            ckpt_path = own_dir / "attempt.npz"
-        every = self.checkpoint_every
+            timeouts = MpTimeouts(run=res.policy.attempt_deadline)
+        ctx = RunContext.of(
+            seed=self.seed, counters=self.counters, metrics=self.metrics,
+            fault_plan=res.fault_plan, progress=progress,
+            progress_every=progress_every, timeouts=timeouts,
+        )
+        ckpt_path, own_dir = res.checkpoint_path, None
+        if res.checkpoint_every > 0:
+            if ckpt_path is None:
+                own_dir = Path(tempfile.mkdtemp(prefix="repro-resil-"))
+                ckpt_path = own_dir / "attempt.npz"
+            ctx = replace(ctx, checkpoint_every=res.checkpoint_every,
+                          checkpoint_path=ckpt_path)
 
         history: list[tuple] = []
         attempt = 0
@@ -303,17 +273,18 @@ class Supervisor:
                 if rung > 0:
                     self.report.engine_degradations += 1
                     self.metrics.count("resil.engine_degraded")
-                for _ in range(self.policy.max_attempts):
+                for _ in range(res.policy.max_attempts):
                     attempt += 1
                     if attempt > 1:
                         self.report.retries += 1
                         self.metrics.count("resil.retries")
-                        delay = self.policy.backoff(attempt - 1, seed=self.seed)
+                        delay = res.policy.backoff(attempt - 1, seed=self.seed)
                         if delay > 0:
                             self._sleep(delay)
-                    resume = self._prepare_resume(
-                        ckpt_path, attempt, start_block, cfg.precision
-                    )
+                    run = replace(ctx, attempt=attempt)
+                    resume = self._prepare_resume(run, ckpt_path, cfg,
+                                                  n_moments, scale,
+                                                  start_block)
                     try:
                         with self.metrics.span(
                             "resil.attempt", phase="resil", engine=eng,
@@ -321,15 +292,8 @@ class Supervisor:
                             resumed_from=(resume.next_m if resume else None),
                         ):
                             eta, world, erep = run_engine(
-                                cfg, H, scale, n_moments, start_block,
-                                counters=self.counters, metrics=self.metrics,
-                                checkpoint_every=every,
-                                checkpoint_path=ckpt_path if every > 0
-                                else None,
-                                resume_from=resume, fault_plan=self.fault_plan,
-                                attempt=attempt, progress=progress,
-                                progress_every=progress_every,
-                                timeouts=timeouts,
+                                cfg, replace(run, resume_from=resume),
+                                H, scale, n_moments, start_block,
                             )
                     except Exception as exc:  # noqa: BLE001 - classified below
                         last_exc = exc
@@ -392,33 +356,31 @@ class Supervisor:
         return replace(cfg, backend="numpy")
 
     def _prepare_resume(
-        self, ckpt_path: str | Path | None, attempt: int,
-        start_block: np.ndarray, precision,
+        self, ctx: RunContext, path: str | Path | None, cfg: ExecConfig,
+        n_moments: int, scale, start_block: np.ndarray,
     ) -> KpmCheckpoint | None:
-        """Load the latest checkpoint (after any planned corruption drill).
-
-        A corrupt checkpoint — or a foreign one: a file some *other*
-        solve left at this path, recognised by its nu_0 digest, whose
-        resumption would silently return that solve's numbers — is
-        counted, discarded, and the attempt falls back to a fresh start;
-        never a crash of the supervisor itself.
+        """The checkpoint at ``path`` attempt ``ctx.attempt`` resumes, if
+        any (after any planned corruption drill).  A corrupt or foreign
+        file — another solve's (its nu_0 digest), or one for another M,
+        map, profile or grid — is counted, discarded, and the attempt
+        starts fresh; never a crash of the supervisor itself.
         """
-        if ckpt_path is None:
+        if path is None:
             return None
-        if self.fault_plan:
-            for spec in self.fault_plan.checkpoint_faults(attempt):
-                corrupt_checkpoint_file(ckpt_path, seed=self.fault_plan.seed)
-        on_disk = _npz_path(ckpt_path)
+        for _spec in ctx.fault_plan.checkpoint_faults(ctx.attempt) \
+                if ctx.fault_plan else ():
+            corrupt_checkpoint_file(path, seed=ctx.fault_plan.seed)
+        on_disk = _npz_path(path)
         if not on_disk.exists():
             return None
         try:
-            ck = KpmCheckpoint.load(on_disk)
-            ck.check_run(start_block, precision)
-        except CheckpointError as exc:
+            ck = replace(ctx, resume_from=on_disk).resume(
+                n_moments, scale, cfg.precision, start_block, cfg.eta_grid)
+        except (CheckpointError, FormatError) as exc:
             self.report.checkpoint_discards += 1
             self.metrics.count("resil.checkpoint_discarded")
             with self.metrics.span(
-                "resil.fault", phase="resil", attempt=attempt,
+                "resil.fault", phase="resil", attempt=ctx.attempt,
                 error_class="checkpoint", detail=str(exc)[:200],
             ):
                 pass

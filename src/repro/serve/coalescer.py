@@ -35,12 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.checkpoint import RunContext
 from repro.core.moments import eta_to_moments
 from repro.core.stochastic import make_block_vector, unit_block_vector
 from repro.obs import NULL_METRICS
 from repro.serve.queue import Ticket
 from repro.util.counters import PerfCounters
-from repro.util.knobs import ExecConfig, run_engine
+from repro.util.knobs import ExecConfig, run_supervised
 
 __all__ = ["Batch", "BatchItem", "execute_batch", "plan_batches"]
 
@@ -180,7 +181,8 @@ def execute_batch(
 
     ``on_partial(item, n_done, mu_prefix)`` fires for every member at
     every streamed prefix (requires ``stream_every > 0``; the mp engine
-    additionally needs checkpointing in ``resilience`` to stream).
+    streams the states it checkpoints: an elastic batch at its segment
+    boundaries, any other only under checkpointing ``resilience``).
     """
     cfg = ExecConfig.of(config, knobs)
     n_moments = batch.items[0].ticket.request.n_moments
@@ -195,23 +197,11 @@ def execute_batch(
 
     with metrics.span("serve.batch", phase="serve", counters=counters,
                       width=batch.width, requests=batch.n_requests):
-        report = None
-        if resilience is not None:
-            from repro.resil import Supervisor
-
-            sup = Supervisor.from_config(
-                resilience, metrics=metrics, counters=counters, seed=seed
-            )
-            eta = sup.run_eta(H, scale, n_moments, block, config=cfg,
-                              progress=progress, progress_every=stream_every)
-            report, batch.world = sup.report, sup.last_world
-            batch.elastic_report = sup.last_elastic_report
-        else:
-            eta, batch.world, batch.elastic_report = run_engine(
-                cfg, H, scale, n_moments, block, counters=counters,
-                metrics=metrics, progress=progress,
-                progress_every=stream_every,
-            )
+        eta, batch.world, batch.elastic_report, report = run_supervised(
+            cfg, RunContext(counters=counters, metrics=metrics,
+                            progress=progress, progress_every=stream_every),
+            resilience, seed, H, scale, n_moments, block,
+        )
     metrics.observe("serve.batch.width", batch.width)
     metrics.observe("serve.batch.requests", batch.n_requests)
     if counters.enabled and counters.bytes_total:

@@ -68,8 +68,9 @@ class KPMServer:
         Seed of the pinned per-operator Lanczos spectral map.
     stream_every:
         Streaming cadence in inner iterations; 0 disables partial
-        results.  (The mp engine streams at its checkpoint cadence and
-        therefore needs checkpointing configured in ``resilience``.)
+        results.  (The mp engine streams the states it checkpoints: an
+        elastic batch its segment boundaries, any other batch only with
+        checkpointing configured in ``resilience``.)
     linger:
         Worker-thread batching window in seconds: after the first
         pending request, wait this long for more before solving.

@@ -147,6 +147,9 @@ class _NullCounters(PerfCounters):
     def reset(self) -> None:
         return
 
+    def __reduce__(self) -> str:
+        return "NULL_COUNTERS"  # unpickles as the receiving process's own
+
 
 #: Shared no-op counters used as the default for all kernels.
 NULL_COUNTERS = _NullCounters()

@@ -208,6 +208,12 @@ class ExecConfig:
             return max(1, (os.cpu_count() or 1) // n_ranks)
         return self.threads
 
+    @property
+    def eta_grid(self) -> int:
+        """Rows per eta-grid block of the rebalance policy (0: none, the
+        per-rank reduction)."""
+        return 0 if self.rebalance is None else self.rebalance.grid
+
     def for_ranks(self, n_ranks: int) -> ExecConfig:
         """This config with ``threads`` and ``overlap`` decided for a
         world of ``n_ranks`` ranks."""
@@ -226,64 +232,47 @@ def check_rebalance(config: ExecConfig, supervised: bool) -> None:
         )
 
 
-def run_engine(
-    config: ExecConfig, H, scale, n_moments: int, start_block, *,
-    counters, metrics, kernel: str = "aug_spmmv", checkpoint_every: int = 0,
-    checkpoint_path=None, resume_from=None, fault_plan=None,
-    attempt: int = 1, progress=None, progress_every: int = 0, timeouts=None,
-):
+def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
+               start_block, *, kernel: str = "aug_spmmv"):
     """Run one eta solve as ``config`` says: ``(eta, world, elastic_report)``.
 
-    ``'serial'`` drives the recurrence in-process (``checkpointed_eta``;
-    ``compute_eta`` for the stage-0/1 ``kernel``s).  ``'sim'`` and
-    ``'mp'`` partition ``H`` by ``config.weights`` — aligned to the
-    rebalance grid, or 4 rows — and run ``distributed_eta`` on a fresh
-    world (``timeouts`` for an mp one); ``H`` may also arrive already
-    partitioned.  ``'mp'`` under a rebalance policy runs the elastic
-    driver.  Any other config with a policy replays the same grid-eta
-    reduction on a fixed world (``'serial'``: one rank), so every rung a
-    supervisor degrades to returns the same fp64 bits.  ``world`` and
-    ``elastic_report`` are None where the path has none.
+    ``ctx``, the solve's :class:`~repro.core.checkpoint.RunContext`,
+    travels whole into whichever engine runs.  ``'serial'`` drives the
+    recurrence in-process (``checkpointed_eta``; ``compute_eta`` for the
+    stage-0/1 ``kernel``s).  ``'sim'`` and ``'mp'`` partition ``H`` by
+    ``config.weights`` — aligned to the rebalance grid, or 4 rows — and
+    run ``distributed_eta`` on a fresh world; ``H`` may also arrive
+    already partitioned.  ``'mp'`` under a rebalance policy runs the
+    elastic driver.  Any other config with a policy replays the same
+    grid-eta reduction on a fixed world (``'serial'``: one rank), so every
+    rung a supervisor degrades to returns the same fp64 bits.  ``world``
+    and ``elastic_report`` are None where the path has none.
     """
     if config.rebalance is not None and config.engine == "mp":
-        from repro.dist.elastic import elastic_eta
+        from repro.dist.elastic import run_elastic
 
-        eta, report = elastic_eta(
-            H, scale, n_moments, start_block, config=config,
-            counters=counters, metrics=metrics, fault_plan=fault_plan,
-            attempt=attempt, checkpoint_path=checkpoint_path,
-            resume_from=resume_from,
-        )
+        eta, report = run_elastic(config, ctx, H, scale, n_moments,
+                                  start_block)
         return eta, None, report
-    run = dict(counters=counters, metrics=metrics, config=config,
-               checkpoint_every=checkpoint_every,
-               checkpoint_path=checkpoint_path, resume_from=resume_from,
-               progress=progress, progress_every=progress_every)
     if config.engine == "serial" and config.rebalance is None:
         if kernel != "aug_spmmv":
             from repro.core.moments import compute_eta
 
             return compute_eta(H, scale, n_moments, start_block, kernel,
-                               counters, metrics=metrics,
+                               ctx.counters, metrics=ctx.metrics,
                                config=config), None, None
-        from repro.core.checkpoint import checkpointed_eta
+        from repro.core.checkpoint import run_serial
 
-        fault = None
-        if fault_plan:
-            from repro.resil.faults import FaultInjector
-
-            fault = FaultInjector(fault_plan, rank=0, attempt=attempt,
-                                  in_process=True)
-        return checkpointed_eta(H, scale, n_moments, start_block,
-                                fault=fault, **run), None, None
+        return run_serial(config, ctx, H, scale, n_moments,
+                          start_block), None, None
 
     from repro.dist.comm import SimWorld
     from repro.dist.halo import DistributedMatrix
-    from repro.dist.kpm_parallel import distributed_eta
+    from repro.dist.kpm_parallel import run_distributed
     from repro.dist.mp import MpWorld
     from repro.dist.partition import RowPartition
 
-    grid = 0 if config.rebalance is None else config.rebalance.grid
+    grid = config.eta_grid
     n_ranks = 1 if config.engine == "serial" else config.workers
     part = None
     if not isinstance(H, DistributedMatrix):
@@ -293,9 +282,25 @@ def run_engine(
             if config.weights is not None and n_ranks > 1
             else RowPartition.equal(H.n_rows, n_ranks, align=grid or 4)
         )
-    world = (MpWorld(n_ranks, timeouts=timeouts) if config.engine == "mp"
+    world = (MpWorld(n_ranks, timeouts=ctx.timeouts) if config.engine == "mp"
              else SimWorld(n_ranks))
-    eta = distributed_eta(H, part, scale, n_moments, start_block, world,
-                          fault_plan=fault_plan, attempt=attempt,
-                          eta_grid=grid, **run)
+    eta = run_distributed(config, ctx, H, part, scale, n_moments, start_block,
+                          world, eta_grid=grid)
     return eta, world, None
+
+
+def run_supervised(config: ExecConfig, ctx, resilience, seed, H, scale,
+                   n_moments: int, start_block, *, kernel: str = "aug_spmmv"):
+    """:func:`run_engine` — under a fresh :class:`~repro.resil.Supervisor`
+    of ``resilience`` (``seed`` keys its jitter) when one is given:
+    ``(eta, world, elastic_report, resilience_report)``."""
+    if resilience is None:
+        return (*run_engine(config, ctx, H, scale, n_moments, start_block,
+                            kernel=kernel), None)
+    from repro.resil import Supervisor
+
+    sup = Supervisor(resilience, metrics=ctx.metrics, counters=ctx.counters,
+                     seed=seed)
+    eta = sup.run_eta(H, scale, n_moments, start_block, config=config,
+                      progress=ctx.progress, progress_every=ctx.progress_every)
+    return eta, sup.last_world, sup.last_elastic_report, sup.report

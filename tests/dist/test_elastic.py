@@ -260,6 +260,24 @@ class TestElasticDriver:
         assert np.array_equal(eta, ref)
         assert rep.segments[0].first_m == 6
 
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_resume_of_another_runs_file_is_refused(self, system, tmp_path,
+                                                   engine):
+        """An elastic resume runs the run check every engine runs: a
+        boundary file another solve left is refused, not resumed."""
+        h, scale, blk, _ = system
+        other = make_block_vector(h.n_rows, R, seed=99)
+        path = tmp_path / "boundary.npz"
+        distributed_eta(
+            h, RowPartition.equal(h.n_rows, 2, align=G), scale, M, other,
+            SimWorld(2), eta_grid=G, stop_m=6, checkpoint_every=5,
+            checkpoint_path=path,
+        )
+        with pytest.raises(CheckpointError, match="different run"):
+            elastic_eta(h, scale, M, blk, n_workers=2, engine=engine,
+                        policy=RebalancePolicy(grid=G, interval=5),
+                        resume_from=path)
+
     def test_bad_inputs(self, system):
         h, scale, blk, _ = system
         with pytest.raises(ValueError, match="engine"):

@@ -148,7 +148,15 @@ def test_elastic_segments_on_one_lease(system):
         eta, rep = elastic_eta(h, scale, M, blk, n_workers=2, policy=pol,
                                engine=engine, counters=counters)
         got.setdefault(engine, []).append((eta, counters, rep.log.records))
+        assert not any(segment_exists(nm) for nm in rep.segment_names)
     ref = got["sim"][0]
+    # one uninterrupted grid run on the same world size: the same bits
+    # and, the worker count never changing, the same traffic
+    whole = SimWorld(2)
+    assert np.array_equal(ref[0], distributed_eta(
+        h, RowPartition.equal(h.n_rows, 2, align=32), scale, M, blk, whole,
+        eta_grid=32))
+    assert sum(r.nbytes for r in ref[2]) == whole.log.total_bytes
     for eta, counters, records in got["mp"]:
         assert np.array_equal(eta, ref[0])
         assert (counters.bytes_total, counters.flops) == (

@@ -4,8 +4,9 @@ A worker death under an active :class:`RebalancePolicy` is absorbed
 *inside* the mp attempt — survivors take over the dead rank's rows at
 the next iteration boundary, the engine ladder never engages, and the
 fp64 moments stay bitwise identical to an uninterrupted run.  The same
-``rebalance=`` / ``membership=`` knobs ride through ``Resilience``,
-:class:`KPMSolver`, and :class:`KPMServer` unchanged.
+``rebalance=`` / ``membership=`` execution knobs ride through
+``Supervisor.run_eta``, :class:`KPMSolver`, and :class:`KPMServer`
+unchanged, as do the run controls (progress, mp timeouts).
 """
 
 import numpy as np
@@ -47,10 +48,11 @@ class TestSupervisedMembership:
     def test_worker_death_absorbed_without_degradation(self, system):
         h, scale, blk, ref = system
         sup = Supervisor(
-            RetryPolicy(max_attempts=2), rebalance=POL,
+            RetryPolicy(max_attempts=2),
             fault_plan=FaultPlan(specs=(FaultSpec("crash", rank=1, m=4),)),
         )
-        eta = sup.run_eta(h, scale, M, blk, engine="mp", workers=3)
+        eta = sup.run_eta(h, scale, M, blk, engine="mp", workers=3,
+                          rebalance=POL)
         assert np.array_equal(eta, ref)
         # elasticity absorbed the death inside the attempt: the ladder
         # never engaged and no supervisor-level retry was spent
@@ -60,13 +62,14 @@ class TestSupervisedMembership:
         rep = sup.last_elastic_report
         assert rep.final_n_workers == 2
         assert rep.leaves == 1
+        assert [e.planned for e in rep.events if e.kind == "leave"] == [False]
         assert not any(segment_exists(nm) for nm in rep.segment_names)
 
     def test_planned_join_grows_world(self, system):
         h, scale, blk, ref = system
-        sup = Supervisor(RetryPolicy(max_attempts=1), rebalance=POL,
-                         membership="join:m=6,ranks=1")
-        eta = sup.run_eta(h, scale, M, blk, engine="mp", workers=2)
+        sup = Supervisor(RetryPolicy(max_attempts=1))
+        eta = sup.run_eta(h, scale, M, blk, engine="mp", workers=2,
+                          rebalance=POL, membership="join:m=6,ranks=1")
         assert np.array_equal(eta, ref)
         assert sup.report.membership_joins == 1
         assert sup.last_elastic_report.final_n_workers == 3
@@ -77,16 +80,32 @@ class TestSupervisedMembership:
         """A degradation mid-ladder lands on sim/serial rungs that run
         the identical grid-eta reduction — still bitwise."""
         h, scale, blk, ref = system
-        sup = Supervisor(RetryPolicy(max_attempts=1), rebalance=POL)
-        eta = sup.run_eta(h, scale, M, blk, engine=engine, workers=workers)
+        sup = Supervisor(RetryPolicy(max_attempts=1))
+        eta = sup.run_eta(h, scale, M, blk, engine=engine, workers=workers,
+                          rebalance=POL)
         assert np.array_equal(eta, ref)
 
-    def test_resilience_config_carries_elastic_knobs(self):
-        cfg = Resilience(policy=RetryPolicy(max_attempts=2),
-                         rebalance="auto", membership="leave:m=8,rank=1")
-        sup = Supervisor.from_config(cfg)
-        assert sup.rebalance == RebalancePolicy()
-        assert sup.membership == "leave:m=8,rank=1"
+    def test_elastic_world_carries_the_callers_timeouts(self, system,
+                                                        monkeypatch):
+        """``Resilience(mp_timeouts=...)`` reaches every elastic segment's
+        world, not the default 120 s stall window."""
+        from repro.dist import mp
+
+        seen = []
+
+        class Recording(mp.MpWorld):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                seen.append(self.timeouts)
+
+        monkeypatch.setattr(mp, "MpWorld", Recording)
+        h, scale, blk, ref = system
+        timeouts = mp.MpTimeouts(stall=33.0)
+        sup = Supervisor(RetryPolicy(max_attempts=1), mp_timeouts=timeouts)
+        eta = sup.run_eta(h, scale, M, blk, engine="mp", workers=2,
+                          rebalance=POL)
+        assert np.array_equal(eta, ref)
+        assert seen and all(t == timeouts for t in seen)
 
 
 class TestSolverKnob:
@@ -143,6 +162,18 @@ class TestServerKnob:
         clean.step()
         assert np.array_equal(t.result().moments, t_ref.result().moments)
         assert srv.workers == 2  # the dead rank stays retired
+
+    def test_elastic_mp_batch_streams_its_boundaries(self):
+        """Every segment boundary of an elastic batch streams a partial,
+        each a bitwise prefix of the final moments."""
+        srv = KPMServer(max_width=4, engine="mp", workers=2,
+                        rebalance=POL, stream_every=1)
+        t = srv.submit(Request(SPEC, n_moments=M, n_vectors=2, seed=7))
+        assert srv.step() == 1
+        final = t.result().moments
+        assert [n for n, _mu in t.partials] == [12, 22]
+        for n_done, mu in t.partials:
+            assert np.array_equal(mu, final[:n_done])
 
     def test_mp_batch_exposes_elastic_report(self):
         srv = KPMServer(max_width=4, engine="mp", workers=2,

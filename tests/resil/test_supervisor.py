@@ -307,11 +307,14 @@ class TestConfig:
                          checkpoint_every=3, degrade=False,
                          fault_plan="crash:m=2")
         sup = Supervisor.from_config(cfg, seed=11)
-        assert sup.policy.max_attempts == 4
-        assert sup.checkpoint_every == 3
-        assert sup.degrade is False
-        assert sup.fault_plan.specs[0].kind == "crash"
-        assert sup.seed == 11
+        assert sup.resilience == cfg and sup.seed == 11
+        # the supervisor holds one Resilience: keywords replace its fields
+        assert Supervisor(cfg, degrade=True).resilience == Resilience(
+            policy=RetryPolicy(max_attempts=4), checkpoint_every=3,
+            fault_plan="crash:m=2")
+        assert Supervisor(RetryPolicy(max_attempts=4), checkpoint_every=3,
+                          degrade=False,
+                          fault_plan="crash:m=2").resilience == cfg
 
     def test_backoff_sleeps_are_injected(self, system):
         h, scale, blk, _ = system

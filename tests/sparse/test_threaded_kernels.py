@@ -80,7 +80,7 @@ def test_threaded_recurrence_matches_sequential_kernels(ti, fmt):
 def test_checkpoint_resume_across_thread_counts(ti, tmp_path):
     """Interrupt at threads=2, resume at threads=4: bitwise equal to an
     uninterrupted threads=1 run (composition with checkpointing)."""
-    from repro.resil.faults import FaultInjector, FaultPlan, FaultSpec
+    from repro.resil.faults import FaultPlan, FaultSpec
     from repro.util.errors import FaultInjected
 
     h, scale, block = ti
@@ -88,11 +88,10 @@ def test_checkpoint_resume_across_thread_counts(ti, tmp_path):
 
     path = tmp_path / "ck.npz"
     plan = FaultPlan(specs=(FaultSpec("raise", rank=0, m=9),))
-    inj = FaultInjector(plan, rank=0, attempt=1, in_process=True)
     with pytest.raises(FaultInjected):
         checkpointed_eta(
             h, scale, M, block, backend="native", threads=2,
-            checkpoint_every=4, checkpoint_path=path, fault=inj,
+            checkpoint_every=4, checkpoint_path=path, fault_plan=plan,
         )
     resumed = checkpointed_eta(
         h, scale, M, block, backend="native", threads=4,

@@ -127,6 +127,50 @@ def test_no_layer_declares_a_loose_knob():
     assert not offenders, offenders
 
 
+#: Run controls: they travel inside a RunContext, never as loose names.
+RUN_CONTROLS = {"checkpoint_every", "checkpoint_path", "resume_from",
+                "fault_plan", "attempt", "progress_every"}
+#: Where a run control may be declared: the context itself, the
+#: resilience config and its supervisor, a rank's injector, the public
+#: entries — and the plan vocabulary and reports, whose ``attempt`` says
+#: which attempt a fault fires on or ran, rather than carrying one.
+RUN_CONTROL_SCOPES = {
+    "RunContext", "Resilience", "Supervisor", "FaultInjector",
+    "checkpointed_eta", "distributed_eta", "mp_eta", "elastic_eta",
+    "FaultSpec", "FaultPlan", "AttemptRecord", "SegmentRecord",
+}
+
+
+def test_no_layer_declares_a_loose_run_control():
+    """Below the public entries the run controls ride one RunContext:
+    no other ``def`` or dataclass field declares them."""
+    src = Path(repro.__file__).parent
+    offenders = []
+
+    def visit(node, scope, rel):
+        for child in ast.iter_child_nodes(node):
+            inside = scope | {getattr(child, "name", None)}
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                names = [arg.arg for arg in (*a.posonlyargs, *a.args,
+                                             *a.kwonlyargs)]
+            elif isinstance(child, ast.ClassDef):
+                names = [st.target.id for st in child.body
+                         if isinstance(st, ast.AnnAssign)
+                         and isinstance(st.target, ast.Name)]
+            else:
+                continue
+            if not inside & RUN_CONTROL_SCOPES:
+                offenders.extend(f"{rel}:{child.lineno} {child.name}.{n}"
+                                 for n in names if n in RUN_CONTROLS)
+            visit(child, inside, rel)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), set(),
+              path.relative_to(src).as_posix())
+    assert not offenders, offenders
+
+
 class TestExecConfig:
     def test_normalizes_once(self):
         cfg = ExecConfig(engine=None, precision=FP32, simd=None, threads="3",
