@@ -13,16 +13,15 @@ Two halves, matching the two things elasticity changes:
    moving rows would not move the measured clock at all.
 2. **Measured cost** — on a *balanced* run, elasticity is pure
    overhead: segmentation, boundary checkpoints, busy-span collection,
-   monitor bookkeeping.  We clock a plain uninterrupted grid-mode mp
-   run against the same run under ``elastic_eta`` and record the ratio.
+   monitor bookkeeping.  We clock a plain uninterrupted run against
+   the same run under ``elastic_eta`` and record the ratio.
    The segments replay the identical kernels, so the gap is pure
    harness cost — boundary checkpoint copies of the (N, R) state plus
    busy-span collection — and shrinks as the per-iteration compute
    grows; at this deliberately small bench size it is visible.
 
 Both halves assert the invariant that makes any of this deployable:
-every eta is bitwise identical to the uninterrupted single-partition
-reference.  Writes ``results/BENCH_elastic.json``.
+every eta is bitwise identical to the uninterrupted serial reference.  Writes ``results/BENCH_elastic.json``.
 """
 
 import json
@@ -32,6 +31,7 @@ import numpy as np
 import pytest
 
 from _support import RESULTS_DIR, emit, format_table, warn_if_single_core
+from repro.core.moments import compute_eta
 from repro.core.scaling import SpectralScale
 from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
@@ -43,7 +43,7 @@ from repro.physics import build_topological_insulator
 NX, NZ = 24, 8        # N = 18,432 rows
 R_BLOCK = 4
 M = 64                # 32 inner iterations: room for several segments
-GRID = 64
+ALIGN = 64            # ranks start on eta blocks
 WORKERS = 3
 SKEW = 4.0            # rank 0 runs this many times slower per row
 REPS = 3
@@ -54,9 +54,7 @@ def system():
     h, _ = build_topological_insulator(NX, NX, NZ)
     scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
     block = make_block_vector(h.n_rows, R_BLOCK, seed=2)
-    part1 = RowPartition.equal(h.n_rows, 1, align=GRID)
-    ref = distributed_eta(h, part1, scale, M, block, SimWorld(1),
-                          eta_grid=GRID)
+    ref = compute_eta(h, scale, M, block)
     return h, scale, block, ref
 
 
@@ -73,10 +71,10 @@ def modeled_seconds(segments) -> float:
 def test_elastic_bench_json(benchmark, system):
     h, scale, block, ref = system
     cores = warn_if_single_core("bench_elastic")
-    pol = RebalancePolicy(grid=GRID, interval=8)
+    pol = RebalancePolicy(interval=8)
 
     # -- half 1: modeled win under a 4x-skewed rank (sim timer) --------
-    static_pol = RebalancePolicy(grid=GRID, interval=8,
+    static_pol = RebalancePolicy(interval=8,
                                  threshold=float("inf"))  # never trips
     eta_static, rep_static = elastic_eta(
         h, scale, M, block, n_workers=WORKERS, policy=static_pol,
@@ -98,12 +96,12 @@ def test_elastic_bench_json(benchmark, system):
     rows0 = [s.offsets[1] - s.offsets[0] for s in rep_reb.segments]
 
     # -- half 2: measured overhead on a balanced run (mp engine) -------
-    partw = RowPartition.equal(h.n_rows, WORKERS, align=GRID)
+    partw = RowPartition.equal(h.n_rows, WORKERS, align=ALIGN)
     plain_best = elastic_best = float("inf")
     for _ in range(REPS):
         t0 = time.perf_counter()
         eta_plain = distributed_eta(h, partw, scale, M, block,
-                                    SimWorld(WORKERS), eta_grid=GRID)
+                                    SimWorld(WORKERS))
         plain_best = min(plain_best, time.perf_counter() - t0)
         t0 = time.perf_counter()
         eta_elastic, rep = elastic_eta(
@@ -121,7 +119,7 @@ def test_elastic_bench_json(benchmark, system):
         "nnz": h.nnz,
         "r_block": R_BLOCK,
         "n_moments": M,
-        "grid": GRID,
+        "align": ALIGN,
         "workers": WORKERS,
         "skew": SKEW,
         "cpu_count": cores,
@@ -137,7 +135,7 @@ def test_elastic_bench_json(benchmark, system):
             "imbalance_last": rep_reb.segments[-1].imbalance,
         },
         "measured_balanced_overhead": {
-            "plain_grid_seconds": plain_best,
+            "plain_seconds": plain_best,
             "elastic_seconds": elastic_best,
             "ratio": overhead,
             "segments": len(rep.segments),

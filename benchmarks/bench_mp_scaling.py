@@ -46,13 +46,13 @@ def test_mp_scaling_vs_sim():
         return time.perf_counter() - t0, eta
 
     # warm up the kernel backend (possible first-use C compilation)
-    warm = RowPartition.equal(h.n_rows, 1, align=4)
+    warm = RowPartition.equal(h.n_rows, 1, align=64)
     run(SimWorld(1), warm)
 
     t_sim, eta_ref = run(SimWorld(1), warm)
     runs = []
     for workers in WORKER_COUNTS:
-        part = RowPartition.equal(h.n_rows, workers, align=4)
+        part = RowPartition.equal(h.n_rows, workers, align=64)
         t_mp, eta = run(MpWorld(workers), part)
         assert abs(eta - eta_ref).max() < 1e-9  # same physics, always
         runs.append(

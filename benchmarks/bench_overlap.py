@@ -20,8 +20,7 @@ core — so the wall-clock delta can go either way; ``cpu_count`` is in
 the payload.  What must hold everywhere is the *accounting*: the wait
 that remains after the interior phase (measured exposed) is no larger
 than the synchronous exchange, and the moments are bitwise identical
-between the engines for each schedule (on-vs-off differ only in dot
-reduction order, to 1e-12).
+between the engines and the schedules.
 """
 
 import json
@@ -80,7 +79,7 @@ def _run(h, part, scale, blk, world, backend, overlap):
 def test_overlap_hidden_vs_exposed():
     h, _ = build_topological_insulator(NX, NX, NZ)
     scale = lanczos_scale(h, seed=1)
-    part = RowPartition.equal(h.n_rows, WORKERS, align=4)
+    part = RowPartition.equal(h.n_rows, WORKERS, align=64)
     dist = partition_matrix(h, part)
     splits = [task_split(b) for b in dist.blocks]
     f_int = sum(s.nnz_interior for s in splits) / sum(
@@ -145,13 +144,11 @@ def test_overlap_hidden_vs_exposed():
                 series.append(row)
 
             # real async execution == sequential simulation, bitwise,
-            # for each schedule; across schedules the dot reduction
-            # order differs, so tolerance applies
+            # for each schedule, and across schedules (DESIGN §19)
             for mode in ("off", "on"):
                 assert np.array_equal(
                     etas[("mp", mode)], etas[("sim", mode)]), mode
-            assert np.allclose(etas[("sim", "on")], etas[("sim", "off")],
-                               atol=1e-12, rtol=1e-12)
+            assert np.array_equal(etas[("sim", "on")], etas[("sim", "off")])
 
     cores = _cores()
     payload = {
@@ -163,8 +160,8 @@ def test_overlap_hidden_vs_exposed():
         "interior_fraction_nnz": round(f_int, 4),
         "series": series,
         "note": (
-            "mp == sim bitwise for each schedule; on-vs-off agree to "
-            "reduction-order tolerance; wall-clock hiding requires "
+            "mp == sim bitwise, on == off bitwise; wall-clock hiding "
+            "requires "
             ">= workers cores (cpu_count above)"
         ),
     }

@@ -1,9 +1,8 @@
 """Intra-rank thread scaling of the native blocked kernels.
 
-The threaded (``_mt``) kernels partition rows into a fixed block grid,
-keep one Kahan eta partial per block, and combine the partials in block
-order — so the fp64 moments are *bitwise identical* at every thread
-count.  This bench records both halves of that contract on the 64,000-row
+The aug kernels hand whole 64-row eta blocks to the threads, each into
+its own bins, and bins add exactly (DESIGN §19) — so the moments are
+*bitwise identical* at every thread count.  This bench records both halves of that contract on the 64,000-row
 TI operator:
 
 1. **speed** — best-of-reps wall clock for one blocked ``aug_spmmv``

@@ -95,9 +95,9 @@ def cmd_dos(args) -> int:
             return 1
     # sim/mp select a *distributed* engine, whose rank-local kernels are
     # always the stage-2 blocked ones (the paper's production scheme);
-    # --rebalance / --elastic turn on elastic execution: grid-eta mode
-    # (partition-independent moments), live skew rebalancing, planned
-    # membership changes at boundaries.
+    # --rebalance / --elastic turn on elastic execution: live skew
+    # rebalancing and planned membership changes at boundaries (the
+    # moments never depend on the partition).
     kernel = "aug_spmmv" if args.engine == "auto" else args.engine
     simd = args.simd
     try:
@@ -179,8 +179,7 @@ def cmd_dos(args) -> int:
               f"overlap {mode})")
     if cfg.rebalance is not None:
         pol = cfg.rebalance
-        bits = [f"grid={pol.grid}", f"threshold={pol.threshold:g}",
-                f"interval={pol.interval}"]
+        bits = [f"threshold={pol.threshold:g}", f"interval={pol.interval}"]
         if cfg.membership is not None:
             bits.append(f"plan '{cfg.membership}'")
         print("elastic: rebalancing on (" + ", ".join(bits) + ")")
@@ -525,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=str, default=None, metavar="N",
                    help="intra-rank kernel threads for the native backend "
                         "(an integer, or 'auto' = cores/workers per rank); "
-                        "fp64 results are bitwise identical across integer "
-                        "counts but differ in the last bits from the "
-                        "default sequential kernels")
+                        "results are bitwise identical at every count")
     p.add_argument("--simd", default=None, choices=["auto", "on", "off"],
                    help="native AVX2 vectorized kernels: 'auto' (use "
                         "when compiled in), 'on' (request; scalar fallback "
@@ -547,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="live skew rebalancing for --engine sim|mp: 'off', "
                         "'auto', or an imbalance threshold such as 0.4 "
                         "(the (max-min)/mean busy-time spread that "
-                        "triggers a repartition); runs in grid-eta mode, "
-                        "so repartitioning never changes the fp64 moments")
+                        "triggers a repartition); repartitioning never "
+                        "changes the moments")
     p.add_argument("--elastic", type=str, default=None, metavar="PLAN",
                    help="planned worker membership changes at iteration "
                         "boundaries, e.g. 'join:m=8;leave:m=16,rank=0' "
@@ -610,9 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank count for --engine sim|mp")
     p.add_argument("--threads", type=str, default=None, metavar="N",
                    help="intra-rank kernel threads per batch (integer or "
-                        "'auto'); fp64 results are bitwise identical "
-                        "across integer counts but differ in the last "
-                        "bits from the default sequential kernels")
+                        "'auto'); results are bitwise identical at every "
+                        "count")
     p.add_argument("--simd", default=None, choices=["auto", "on", "off"],
                    help="native vectorized kernels per batch "
                         "(bitwise-invariant under fp64)")

@@ -7,16 +7,17 @@ scalars accumulated so far, and the loop position — saved as a *stored*
 (uncompressed) ``.npz``. Restarting is bit-exact: the recurrence is
 deterministic given (v, w).
 
-Cost model.  A checkpoint's payload is ``2·N·R·S_vec + 16·R·M`` bytes
-(:attr:`KpmCheckpoint.payload_bytes`: two blocks in the profile's vector
-storage plus the fp64 eta array) and the file is that plus under 4 KiB
-of zip and ``.npy`` headers, whatever the data.  The archive is not
+Cost model.  A checkpoint's payload is ``2·N·R·S_vec + 16·R·M + 8·R``
+bytes (:attr:`KpmCheckpoint.payload_bytes`: two blocks in the profile's
+vector storage, the fp64 eta array and the eta anchors) and the file is
+that plus under 4 KiB of zip and ``.npy`` headers, whatever the data.  The archive is not
 deflated because there is nothing to squeeze: random-phase start vectors
 and their Chebyshev iterates have full-entropy mantissas (a real TI
 32x32x8, R = 8 state deflates to 95 % / 92 % / 91 % of its payload under
 fp64 / fp32 / fp16v) and zlib manages ~25 MB/s on them, 30x or more the
-cost of writing the bytes.  ``np.load`` reads stored and deflated
-members alike, so files written by older versions keep loading.
+cost of writing the bytes.  Format 2 carries the eta anchors (DESIGN
+§19); a format-1 file, whose eta was reduced in another order, is
+refused rather than spliced.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.recurrence import Recurrence, check_moments, to_storage
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.fused import eta_anchors, fold
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -40,7 +42,7 @@ from repro.util.errors import CheckpointError, FormatError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import get_precision
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 def _npz_path(path: str | Path) -> Path:
@@ -83,7 +85,8 @@ class KpmCheckpoint:
     resume under the same profile is bit-exact, and a narrow-profile
     checkpoint's vectors are exactly 2x (fp32) or 4x (fp16v) smaller on
     disk.  ``eta`` is always complex128 (the accumulation is fp64 in
-    every profile).
+    every profile); ``anchors`` are the run's eta anchors (DESIGN §19),
+    which a resumed run reduces by, since ``nu_0`` is gone.
     """
 
     v: np.ndarray  # nu_m block
@@ -93,49 +96,34 @@ class KpmCheckpoint:
     n_moments: int
     a: float
     b: float
+    anchors: np.ndarray  # (R,) float64
     precision: str = "fp64"
-    #: eta reduction grid of the run that saved this state: 0 = classic
-    #: per-rank partials, B > 0 = fixed global row blocks of B rows
-    #: (:mod:`repro.dist.elastic`).  The spliced eta prefix is only
-    #: bitwise-composable with a run using the *same* reduction order,
-    #: so a cross-grid resume is refused like a cross-precision one.
-    eta_grid: int = 0
-    #: :func:`run_digest` of the run's nu_0 block ("" on files written
-    #: before runs were tagged).  Two solves sharing a checkpoint path
-    #: agree on everything else above, so this is the only field that
-    #: tells a same-run retry from a foreign file.
+    #: :func:`run_digest` of the run's nu_0 block ("" when the run saved
+    #: no file of its own).  Two solves sharing a checkpoint path agree
+    #: on everything else above, so this is the only field that tells a
+    #: same-run retry from a foreign file.
     run_id: str = ""
 
     def _digest(self) -> str:
-        """Integrity digest over the state that resuming actually reads.
-
-        Only the filled eta prefix is hashed: the tail is zero in every
-        file written today, but older serial-engine files carry heap
-        bytes there and must keep verifying.  The precision, eta-grid
-        and run tags enter the digest only when not the baseline (fp64 /
-        per-rank reduction / untagged), so digests of older checkpoints
-        keep verifying unchanged.
-        """
+        """Integrity digest over the state that resuming actually reads
+        (of eta, the filled prefix)."""
         h = hashlib.sha256()
-        h.update(f"{self.next_m}:{self.n_moments}:{self.a!r}:{self.b!r}:".encode())
-        if self.precision != "fp64":
-            h.update(f"{self.precision}:".encode())
-        if self.eta_grid:
-            h.update(f"grid{self.eta_grid}:".encode())
-        if self.run_id:
-            h.update(f"run{self.run_id}:".encode())
-        for arr in (self.v, self.w, self.eta[:, : 2 * self.next_m]):
+        h.update(f"{self.next_m}:{self.n_moments}:{self.a!r}:{self.b!r}:"
+                 f"{self.precision}:{self.run_id}:".encode())
+        for arr in (self.v, self.w, self.eta[:, : 2 * self.next_m],
+                    self.anchors):
             _hash_into(h, arr)
         return h.hexdigest()
 
     @property
     def payload_bytes(self) -> int:
-        """Array bytes a save writes: ``2·N·R·S_vec + 16·R·M``.
+        """Array bytes a save writes: ``2·N·R·S_vec + 16·R·M + 8·R``.
 
         The stored file is this plus headers:
         ``payload_bytes <= file size < payload_bytes + 4096``.
         """
-        return self.v.nbytes + self.w.nbytes + self.eta.nbytes
+        return (self.v.nbytes + self.w.nbytes + self.eta.nbytes
+                + self.anchors.nbytes)
 
     def save(self, path: str | Path) -> Path:
         """Atomically write the state; returns the suffix-normalized path.
@@ -152,11 +140,10 @@ class KpmCheckpoint:
             np.savez(
                 tmp,
                 version=_FORMAT_VERSION,
-                v=self.v, w=self.w, eta=self.eta,
+                v=self.v, w=self.w, eta=self.eta, anchors=self.anchors,
                 next_m=self.next_m, n_moments=self.n_moments,
                 a=self.a, b=self.b,
                 precision=self.precision,
-                eta_grid=self.eta_grid,
                 run_id=self.run_id,
                 digest=self._digest(),
             )
@@ -171,8 +158,8 @@ class KpmCheckpoint:
 
         Raises :class:`~repro.util.errors.CheckpointError` on a missing,
         truncated, or corrupt file (never the raw ``zipfile`` /
-        ``KeyError`` NumPy produces) and :class:`FormatError` on a valid
-        file of an unsupported version.
+        ``KeyError`` NumPy produces) or a format-1 file, and
+        :class:`FormatError` on a valid file of an unknown version.
         """
         orig = Path(path)
         path = orig if orig.exists() else _npz_path(orig)
@@ -180,38 +167,34 @@ class KpmCheckpoint:
             raise CheckpointError(f"checkpoint file not found: {orig}")
         try:
             with np.load(path) as data:
-                if int(data["version"]) != _FORMAT_VERSION:
+                version = int(data["version"])
+                if version == 1:
+                    raise CheckpointError(
+                        f"checkpoint {path} is format 1: its eta was reduced "
+                        "in another order, so it cannot be resumed bitwise"
+                    )
+                if version != _FORMAT_VERSION:
                     raise FormatError(
-                        f"checkpoint version {int(data['version'])} not supported"
+                        f"checkpoint version {version} not supported"
                     )
                 ck = cls(
                     v=data["v"], w=data["w"], eta=data["eta"],
                     next_m=int(data["next_m"]),
                     n_moments=int(data["n_moments"]),
                     a=float(data["a"]), b=float(data["b"]),
-                    # pre-precision checkpoints carry no tag: fp64
-                    precision=(
-                        str(data["precision"])
-                        if "precision" in data.files else "fp64"
-                    ),
-                    # pre-elastic checkpoints carry no tag: per-rank
-                    eta_grid=(
-                        int(data["eta_grid"])
-                        if "eta_grid" in data.files else 0
-                    ),
-                    run_id=(
-                        str(data["run_id"]) if "run_id" in data.files else ""
-                    ),
+                    anchors=data["anchors"],
+                    precision=str(data["precision"]),
+                    run_id=str(data["run_id"]),
                 )
-                stored = str(data["digest"]) if "digest" in data.files else None
-        except FormatError:
+                stored = str(data["digest"])
+        except (FormatError, CheckpointError):
             raise
         except (zipfile.BadZipFile, KeyError, OSError, ValueError, EOFError) as exc:
             raise CheckpointError(
                 f"checkpoint {path} is truncated or corrupt: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
-        if stored is not None and stored != ck._digest():
+        if stored != ck._digest():
             raise CheckpointError(
                 f"checkpoint {path} failed its integrity check "
                 "(stored digest does not match the state)"
@@ -313,19 +296,17 @@ class RunContext:
             else ""
 
     def resume(self, n_moments: int, scale: SpectralScale, precision,
-               start_block: np.ndarray | None = None,
-               eta_grid: int = 0) -> KpmCheckpoint | None:
+               start_block: np.ndarray | None = None) -> KpmCheckpoint | None:
         """``resume_from``, loaded (a path, under a ``checkpoint_load``
         span) and checked against the run; None for a fresh run.
 
         Every engine and the supervisor resume through here, so each
-        enforces the same rules: the same moment count, spectral map,
-        precision profile and eta reduction grid — a cross-precision
-        resume would silently re-round the recurrence state, a cross-grid
-        one splice an eta prefix reduced in another order — and, given
-        the run's ``start_block``, the same run: another solve's state
-        would silently return that solve's numbers (untagged, older files
-        cannot be told apart and pass).
+        enforces the same rules: the same moment count, spectral map and
+        precision profile — a cross-precision resume would silently
+        re-round the recurrence state — and, given the run's
+        ``start_block``, the same run: another solve's state would
+        silently return that solve's numbers (an untagged state cannot
+        be told apart and passes).
         """
         ck = self.resume_from
         if ck is None:
@@ -348,12 +329,6 @@ class RunContext:
                 f"precision={ck.precision!r} (the recurrence state cannot be "
                 "converted across storage profiles without silently "
                 "changing the results)"
-            )
-        if ck.eta_grid != int(eta_grid):
-            raise CheckpointError(
-                f"checkpoint was taken with eta_grid={ck.eta_grid} but this "
-                f"run uses eta_grid={int(eta_grid)}; the spliced eta prefix "
-                "is only bitwise-composable under the same reduction order"
             )
         if start_block is not None and ck.run_id and \
                 ck.run_id != run_digest(start_block, prec):
@@ -391,7 +366,7 @@ def checkpointed_eta(
     keywords the run controls of :class:`RunContext` (DESIGN §17).  A
     resume is bit-exact under any one ``backend``; checkpoints are plain
     recurrence state, so a run interrupted on one backend can resume on
-    another, matching to reduction-order tolerance.
+    another, matching to that backend's arithmetic.
     """
     return run_serial(
         ExecConfig.of(config, knobs),
@@ -404,6 +379,22 @@ def checkpointed_eta(
     )
 
 
+def splice_eta(bins: np.ndarray, stop: int, width: int,
+               resumed: KpmCheckpoint | None = None) -> np.ndarray:
+    """Eta ``[0, stop)`` in a zeroed (R, width) array — a checkpoint
+    writes the whole array, so the file is a function of the state: a
+    resumed run's prefix ``[0, 2·next_m)`` copied verbatim, the rest the
+    fold of ``bins`` (M/2, 2, 3R), one iteration's eta bins per row."""
+    out = np.zeros((bins.shape[-1] // 3, width), dtype=DTYPE)
+    col0 = 0
+    if resumed is not None:
+        col0 = 2 * resumed.next_m
+        out[:, :col0] = resumed.eta[:, :col0]
+    ee, eo = fold(bins[col0 // 2:stop // 2])
+    out[:, col0:stop:2], out[:, col0 + 1:stop:2] = ee.T, eo.T
+    return out
+
+
 def run_serial(cfg: ExecConfig, ctx: RunContext, H, scale: SpectralScale,
                n_moments: int, start_block: np.ndarray) -> np.ndarray:
     """:func:`checkpointed_eta` on a built config and context."""
@@ -413,33 +404,31 @@ def run_serial(cfg: ExecConfig, ctx: RunContext, H, scale: SpectralScale,
     first = start_block if ck is None else ck.v
     rec = Recurrence(H, scale.a, scale.b, first.shape[1], config=cfg,
                      counters=ctx.counters, metrics=ctx.metrics)
+    bins = np.zeros((n_moments // 2, 2, 3 * first.shape[1]))
     if ck is not None:
-        rec.load(ck.v, ck.w)
-        eta = ck.eta.astype(DTYPE, copy=True)
-        first_m = ck.next_m
+        anchors, first_m = ck.anchors, ck.next_m
+        rec.load(ck.v, ck.w, anchors=anchors, m=first_m)
     else:
-        rec.load(start_block)
-        # a checkpoint writes the whole array, so its unfilled tail must
-        # be zeros: the file is a function of the state, not of the heap
-        alloc = np.zeros if ctx.checkpoint_every else np.empty
-        eta = alloc((start_block.shape[1], n_moments), dtype=DTYPE)
-        eta[:, 0], eta[:, 1] = rec.bootstrap()
-        first_m = 1
+        anchors, first_m = eta_anchors(start_block), 1
+        rec.load(start_block, anchors=anchors)
+        bins[0] = rec.bootstrap()
     run_id = ctx.run_id(ck, start_block, prec)
     fault = ctx.injector(0)
 
     for m in range(first_m, n_moments // 2):
         if fault:
             fault.at_iteration(m)
-        eta[:, 2 * m], eta[:, 2 * m + 1] = rec.step()
+        bins[m] = rec.step()
         if ctx.progress_due(m, first_m):
-            ctx.stream(2 * (m + 1), eta)
+            ctx.stream(2 * (m + 1), splice_eta(bins, 2 * (m + 1),
+                                               2 * (m + 1), ck))
         if ctx.checkpoint_due(m, first_m):
             # (v, w) = (nu_m, nu_{m+1}): exactly what the resumed run's
             # first swap expects
             ctx.save(KpmCheckpoint(
-                v=rec.v, w=rec.w, eta=eta, next_m=m + 1,
-                n_moments=n_moments, a=scale.a, b=scale.b,
-                precision=prec.name, run_id=run_id,
+                v=rec.v, w=rec.w, eta=splice_eta(bins, 2 * (m + 1),
+                                                 n_moments, ck),
+                next_m=m + 1, n_moments=n_moments, a=scale.a, b=scale.b,
+                anchors=anchors, precision=prec.name, run_id=run_id,
             ))
-    return eta
+    return splice_eta(bins, n_moments, n_moments, ck)

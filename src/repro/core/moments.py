@@ -38,6 +38,7 @@ from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.fused import fold
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
@@ -116,11 +117,14 @@ def compute_eta(
                      counters=counters, metrics=metrics)
     # (n, r) complex or (n, r, 2) f16 pair storage: r is axis 1 either way
     eta = np.empty((start_block.shape[1], n_moments), dtype=DTYPE)
+    bins = np.empty((n_moments // 2, 2, 3))
     for i, row in enumerate(eta):
         rec.load(start_block[:, i])
-        row[0], row[1] = rec.bootstrap()
+        bins[0] = rec.bootstrap()
         for m in range(1, n_moments // 2):
-            row[2 * m], row[2 * m + 1] = rec.step()
+            bins[m] = rec.step()
+        ee, eo = fold(bins)
+        row[0::2], row[1::2] = ee[:, 0], eo[:, 0]
     return eta
 
 

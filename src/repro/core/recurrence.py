@@ -14,7 +14,11 @@ no extra (N, R) buffer exists.
 
 What an engine adds around it stays in the engine: communication (it
 fills the halo tail of :attr:`Recurrence.x`), reductions, fault probes,
-heartbeats, checkpoints, progress streaming.
+heartbeats, checkpoints, progress streaming.  The scalar products come
+out as the one eta reduction's bins (DESIGN §19), which the engine sums
+over its ranks (exactly) and folds; a spectrum escaping the scale
+raises :class:`~repro.util.errors.SpectralScaleError` here, in every
+engine.
 
 State convention between calls: ``v = nu_m`` and ``w = nu_{m+1}`` (the
 newest iterate), exactly the pair a :class:`~repro.core.checkpoint.
@@ -27,8 +31,9 @@ import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import get_backend
-from repro.sparse.fused import _recombine, charge_col_dots, col_dots, vec_dots
+from repro.sparse.fused import _recombine, eta_anchors, eta_bins
 from repro.util.counters import NULL_COUNTERS, PerfCounters
+from repro.util.errors import SpectralScaleError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
 from repro.util.validation import check_positive
@@ -76,12 +81,7 @@ class Recurrence:
         :class:`repro.dist.overlap.TaskSplit`).  The fused step then runs
         as two phases — :meth:`interior` needs only the local part of
         :attr:`x`, so an engine can overlap it with its halo exchange —
-        combined in the fixed order interior + boundary.
-    dot_blocks:
-        Optional list of local row slices (grid-eta mode): the scalar
-        products are then taken per slice — ``(len(dot_blocks), R)``
-        arrays instead of ``(R,)`` — so their reduction order depends
-        only on the global block grid, never on the partition.
+        whose bins add exactly.
     config / knobs:
         The :class:`~repro.util.knobs.ExecConfig` whose ``backend``,
         ``precision``, ``threads`` and ``simd`` select the kernels; this
@@ -97,7 +97,6 @@ class Recurrence:
         *,
         kernel: str = "aug_spmmv",
         split=None,
-        dot_blocks: list[slice] | None = None,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
         config: ExecConfig | None = None,
@@ -113,6 +112,8 @@ class Recurrence:
         self._plan = plan = bk.plan(A, r, **kw)
         self._split = None if split is None else bk.split_plan(A, split, r,
                                                                **kw)
+        if self._split is not None:  # one escape flag for both plans
+            self._split.escape = plan.escape
         single = kernel != "aug_spmmv"
         dims = (A.n_cols,) if single else (A.n_cols, r)
         self._apply = bk.spmv if single else bk.spmmv
@@ -121,7 +122,6 @@ class Recurrence:
             "aug_spmv": bk.aug_spmv_step,
             "aug_spmmv": bk.aug_spmmv_step,
         }[kernel]
-        self._pair_dots = vec_dots if single else col_dots
         # the plan's scratch in this mode's shape (1-D vector / 2-D block)
         self._u, self._work = (
             (plan.u, plan.work) if single else (plan.u_block, plan.work_block)
@@ -131,13 +131,11 @@ class Recurrence:
                 (plan.vc[:, 0], plan.wc[:, 0], plan.uh) if single
                 else (plan.vc, plan.wc, plan.uh_block)
             )
-        self._blocks = dot_blocks
-        if dot_blocks is not None:
-            self._ee = np.empty((len(dot_blocks), r), dtype=np.float64)
-            self._eo = np.empty((len(dot_blocks), r), dtype=np.complex128)
+        self._bins = np.empty((2, 3 * r))
+        self.m = 0  # the inner iteration whose moments come next
         # [local | halo] kernel input; without a halo the input is v itself
         self._xbuf = None if A.n_cols == A.n_rows else prec.vec_empty(*dims)
-        self._partial = None  # interior-phase dots awaiting the boundary
+        self._partial = False  # the interior phase ran, boundary pending
         self.v = self.w = None
 
     def rebind(
@@ -151,7 +149,7 @@ class Recurrence:
         """
         self.a, self.b = a, b
         self._obs = {"counters": counters, "metrics": metrics}
-        self._partial = None
+        self._partial = False
 
     @property
     def kernel_family(self) -> str:
@@ -165,15 +163,26 @@ class Recurrence:
         """The kernel input ``[v | halo]``; engines fill ``x[n_rows:]``."""
         return self.v if self._xbuf is None else self._xbuf
 
-    def load(self, v: np.ndarray, w: np.ndarray | None = None) -> None:
-        """Install ``nu_0`` — or a checkpointed ``(nu_m, nu_{m+1})`` pair.
+    def load(self, v: np.ndarray, w: np.ndarray | None = None, *,
+             anchors: np.ndarray | None = None, m: int = 0) -> None:
+        """Install ``nu_0`` — or a checkpointed ``(nu_m, nu_{m+1})`` pair
+        whose next inner iteration is ``m``.
 
         Both are copied into private storage-dtype arrays, so the caller's
         blocks are never written and a resumed run streams exactly the
-        bytes the interrupted one held.
+        bytes the interrupted one held.  ``anchors`` are the run's eta
+        anchors, put on the kernel plans; the default, :func:`~repro.
+        sparse.fused.eta_anchors` of ``v``, is right only for a whole
+        ``nu_0`` (a rank slice or a resumed pair needs the run's).
         """
         self.v = to_storage(v, self.prec)
         self.w = None if w is None else to_storage(w, self.prec)
+        self._plan.anchors = eta_anchors(v) if anchors is None else \
+            np.ascontiguousarray(anchors, dtype=np.float64)
+        if self._split is not None:
+            self._split.anchors = self._plan.anchors
+        self._plan.escape[0] = 0
+        self.m = m
         self._stage()
 
     def _stage(self) -> None:
@@ -190,17 +199,27 @@ class Recurrence:
         return self.v
 
     # -- scalar products -----------------------------------------------
-    def _dots(self, v: np.ndarray, w: np.ndarray):
-        """``(<v|v>, <w|v>)`` per rank, or per grid block in grid mode."""
-        if self._blocks is None:
-            return self._pair_dots(v, w)
-        for i, sl in enumerate(self._blocks):
-            self._ee[i], self._eo[i] = col_dots(v[sl], w[sl])
-        return self._ee, self._eo
+    def _checked(self, bins: np.ndarray) -> np.ndarray:
+        """This iteration's bins (2, 3R), once its escape flag is clear."""
+        flag = int(self._plan.escape[0])
+        if flag:
+            r, j = self._plan.r, flag - 1
+            column, moment = (j, 2 * self.m) if j < r else \
+                ((j - r) // 2, 2 * self.m + 1)
+            raise SpectralScaleError(
+                f"the spectrum escapes the scale a={float(self.a)!r}, "
+                f"b={float(self.b)!r}: "
+                f"an eta block of column {column} exceeds its anchor at "
+                f"moment {moment}; widen the spectral bounds",
+                a=self.a, b=self.b, column=column, moment=moment,
+            )
+        self.m += 1
+        return bins
 
     # -- the recurrence ------------------------------------------------
     def bootstrap(self, dots: bool = True):
-        """``w <- nu_1 = a (H - b) nu_0``; returns ``(eta_0, eta_1)``.
+        """``w <- nu_1 = a (H - b) nu_0``; returns the bins of
+        ``(eta_0, eta_1)`` (valid until the next call).
 
         Half storage recombines once in fp32 through the plan's decode
         scratch and rounds back; the dots read the pre-rounding values,
@@ -220,7 +239,11 @@ class Recurrence:
         if prec.half_vectors:
             prec.encode(wc, out=w)
         self.w = w
-        return self._dots(vc, wc) if dots else None
+        if not dots:
+            return None
+        plan = self._plan
+        return self._checked(eta_bins(vc, wc, plan.anchors, plan.escape,
+                                      out=self._bins))
 
     def interior(self) -> None:
         """Split mode, phase 1: update the halo-free rows.
@@ -228,41 +251,29 @@ class Recurrence:
         Reads only the local part of :attr:`x`, so it may run while the
         halo tail is still in flight; :meth:`update` finishes the step.
         """
-        self._partial = self._bk.aug_spmmv_interior(
-            self.A, self.x, self.w, self.a, self.b, plan=self._split,
-            **self._obs,
-        )
+        self._bk.aug_spmmv_interior(self.A, self.x, self.w, self.a, self.b,
+                                    plan=self._split, **self._obs)
+        self._partial = True
 
     def update(self):
         """Finish the fused step once :attr:`x` is complete.
 
-        ``w <- 2a (H - b) v - w`` and ``(eta_2m, eta_2m+1) = (<v|v>,
-        <w|v>)``.  In split mode this is the boundary phase (preceded by
-        the interior phase unless :meth:`interior` already ran).  In grid
-        mode the kernel's fused per-rank dots are discarded and retaken
-        per global block: the extra pass is charged explicitly (linear in
-        rows, so the total stays partition independent).  Grid-mode
-        results are views of internal buffers, valid until the next call.
+        ``w <- 2a (H - b) v - w``; returns the bins of ``(eta_2m,
+        eta_2m+1) = (<v|v>, <w|v>)`` (valid until the next call).  In
+        split mode this is the boundary phase (preceded by the interior
+        phase unless :meth:`interior` already ran), and the bins are the
+        two phases' sum.
         """
         if self._split is None:
-            eta = self._kernel(
-                self.A, self.x, self.w, self.a, self.b, plan=self._plan,
-                **self._obs,
-            )
-        else:
-            if self._partial is None:
-                self.interior()
-            (ee_i, eo_i), self._partial = self._partial, None
-            ee_b, eo_b = self._bk.aug_spmmv_boundary(
-                self.A, self.x, self.w, self.a, self.b, plan=self._split,
-                **self._obs,
-            )
-            eta = ee_i + ee_b, eo_i + eo_b
-        if self._blocks is None:
-            return eta
-        charge_col_dots(self.A.n_rows, self._plan.r, self._obs["counters"],
-                        prec=self.prec)
-        return self._dots(self.v, self.w)
+            self._kernel(self.A, self.x, self.w, self.a, self.b,
+                         plan=self._plan, **self._obs)
+            return self._checked(self._plan.bins)
+        if not self._partial:
+            self.interior()
+        self._partial = False
+        self._bk.aug_spmmv_boundary(self.A, self.x, self.w, self.a, self.b,
+                                    plan=self._split, **self._obs)
+        return self._checked(np.add(*self._split.bins, out=self._bins))
 
     def step(self):
         """One whole fused iteration: :meth:`swap`, then :meth:`update`."""

@@ -10,24 +10,20 @@ while keeping the one property that makes elasticity trustworthy — the
 fp64 moments of an elastically executed run are **bitwise identical** to
 an uninterrupted run on any fixed partition.
 
-Two mechanisms compose into that guarantee:
+Two properties compose into that guarantee:
 
-* **Grid eta** (``eta_grid=B`` on the engines): the per-iteration dot
-  products are accumulated per fixed global block of ``B`` rows instead
-  of per rank, and the final reduction sums the ``ceil(N/B)`` block
-  partials in block order.  The reduction order then depends only on
-  ``(N, B)`` — never on the partition, the number of ranks, the engine,
-  or the schedule — so *repartitioning never changes the eta reduction
-  order* (DESIGN §11).  Partitions are built with ``align=B`` so every
-  block has exactly one owner.
+* **The one eta reduction** (DESIGN §19): per 64-row block, deposited
+  exactly into bins that add in any order, so no partition, rank count,
+  engine or schedule moves a bit of eta — *repartitioning never changes
+  the numbers*.  Partitions are 64-row aligned, so every block has
+  exactly one owner.
 
 * **Segmented execution** (``stop_m`` on the engines): the driver runs
   the recurrence in segments ``[first_m, stop_m)``, pausing at an
   iteration boundary whose global recurrence state the engine captures
   in memory (``world.last_checkpoint``), then resuming the next segment
   under a *new* partition / world size via the existing ``resume_from``
-  splice.  Checkpoint resume was already bitwise on a fixed partition;
-  grid eta removes the partition from the equation.
+  splice, which is bitwise on any partition.
 
 On top of the invariant sit the two elastic behaviours:
 
@@ -75,6 +71,7 @@ from repro.dist.kpm_parallel import run_distributed
 from repro.dist.partition import RowPartition
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.fused import ETA_BLOCK
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import PartitionError, SimulationError, WorkerFailure
 from repro.util.knobs import ExecConfig
@@ -104,10 +101,6 @@ __all__ = [
 class RebalancePolicy:
     """Knobs of the elastic driver.
 
-    grid:
-        Eta-grid block height ``B`` (rows).  Partitions are aligned to
-        it; the bitwise invariant is "reduction order depends only on
-        (N, B)".
     threshold:
         Relative busy-time spread ``(max − min) / mean`` above which a
         segment counts as skewed.
@@ -134,7 +127,6 @@ class RebalancePolicy:
         against a fault that kills every retry).
     """
 
-    grid: int = 64
     threshold: float = 0.25
     windows: int = 2
     interval: int = 8
@@ -145,8 +137,6 @@ class RebalancePolicy:
     max_leaves: int = 8
 
     def __post_init__(self) -> None:
-        if self.grid < 1:
-            raise ValueError(f"grid must be >= 1, got {self.grid}")
         if self.threshold < 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.windows < 1 or self.interval < 1:
@@ -463,7 +453,7 @@ class RebalanceMonitor:
             timer = lambda p, nn: nn / rates[p]  # noqa: E731
         result = autotune_weights(
             n_rows, len(weights), timer,
-            align=self.policy.grid, initial_weights=weights,
+            align=ETA_BLOCK, initial_weights=weights,
             damping=self.policy.damping,
         )
         self.reset()
@@ -492,7 +482,6 @@ class SegmentRecord:
 class ElasticReport:
     """What an elastic run did: segments, membership, rebalances."""
 
-    grid: int
     n_moments: int
     engine: str
     segments: list[SegmentRecord] = field(default_factory=list)
@@ -509,7 +498,7 @@ class ElasticReport:
 
     def summary(self) -> str:
         lines = [
-            f"elastic run: {len(self.segments)} segment(s), grid={self.grid}, "
+            f"elastic run: {len(self.segments)} segment(s), "
             f"engine={self.engine}, finished on {self.final_n_workers} "
             f"worker(s)",
             f"  rebalances={self.rebalances} joins={self.joins} "
@@ -530,7 +519,6 @@ class ElasticReport:
 
     def to_dict(self) -> dict:
         return {
-            "grid": self.grid,
             "n_moments": self.n_moments,
             "engine": self.engine,
             "rebalances": self.rebalances,
@@ -583,7 +571,7 @@ def elastic_eta(
     """Run the KPM eta recurrence elastically, bitwise-stable throughout.
 
     The recurrence is executed in segments of ``policy.interval`` inner
-    iterations under grid-eta mode.  At every boundary the driver reads
+    iterations.  At every boundary the driver reads
     the segment's per-rank ``rank_busy`` totals, feeds them to a
     :class:`RebalanceMonitor`, applies any planned
     :class:`MembershipPlan` joins/leaves, and — when the monitor has
@@ -591,10 +579,9 @@ def elastic_eta(
     row weights from the measured throughput and repartitions.  A worker
     death inside a segment shrinks the world to the survivors and
     retries the segment from its entry state.  None of this changes the
-    fp64 moments: grid mode fixes the eta reduction order to the global
-    block grid, so the returned eta is bitwise identical to an
-    uninterrupted run of the same problem on any fixed grid-aligned
-    partition.
+    moments: the one eta reduction makes the returned eta bitwise
+    identical to an uninterrupted run of the same problem on any engine
+    and partition.
 
     ``n_workers``/``weights``/``policy``/``membership``/``engine`` are
     this entry's names for the :class:`~repro.util.knobs.ExecConfig`
@@ -653,13 +640,11 @@ def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
         ctx = replace(ctx, metrics=MetricsRegistry())
     shared_log = MessageLog()
     monitor = RebalanceMonitor(policy)
-    report = ElasticReport(
-        grid=policy.grid, n_moments=n_moments, engine=engine, log=shared_log
-    )
+    report = ElasticReport(n_moments=n_moments, engine=engine, log=shared_log)
     deaths = 0
 
     eta = None
-    ck = ctx.resume(n_moments, scale, cfg.precision, start_block, policy.grid)
+    ck = ctx.resume(n_moments, scale, cfg.precision, start_block)
     first_m = 1 if ck is None else ck.next_m
     while True:
         stop = min(half, first_m + policy.interval)
@@ -672,7 +657,7 @@ def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
 
         # -- run one segment (retrying on worker death) ----------------
         while True:
-            part = RowPartition.from_weights(n, cur_weights, align=policy.grid)
+            part = RowPartition.from_weights(n, cur_weights, align=ETA_BLOCK)
             # an mp handle leases the same parked workers every segment
             # of a given world size
             world = (MpWorld(n_workers, timeouts=ctx.timeouts)
@@ -683,8 +668,7 @@ def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
             try:
                 eta = run_distributed(
                     cfg, seg, A, part, scale, n_moments,
-                    start_block if ck is None else None, world,
-                    eta_grid=policy.grid, stop_m=stop,
+                    start_block if ck is None else None, world, stop_m=stop,
                 )
                 break
             except WorkerFailure as wf:

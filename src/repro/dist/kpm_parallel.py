@@ -15,11 +15,11 @@ matrix exactly as the paper's heterogeneous production code does:
    products to a single one at the end of the inner loop" (Section II).
 
 Each rank is one :class:`repro.core.recurrence.Recurrence` — the same
-loop body the serial engines drive — so with one rank (empty halo,
-overlap off) the moments equal the serial solver's **bitwise** at fp64;
-with more ranks they agree to floating-point reduction order (the
-per-rank partial dots are summed across ranks) for any rank count and
-any weighting.  The test suite asserts both.
+loop body the serial engines drive — and hands back the bins of the one
+eta reduction (DESIGN §19), which add exactly across ranks: the moments
+equal the serial solver's **bitwise**, for any rank count, weighting,
+overlap schedule or reduction frequency, on any 64-row aligned
+partition.
 
 :func:`prepare_run` is the prologue this simulated world and the
 multiprocess one (:mod:`repro.dist.mp`) share: one validation, one
@@ -33,16 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, RunContext
+from repro.core.checkpoint import KpmCheckpoint, RunContext, splice_eta
 from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import SimWorld, log_allreduce
 from repro.dist.halo import DistributedMatrix, partition_matrix
 from repro.dist.overlap import task_split
-from repro.dist.partition import RowPartition, eta_slots
+from repro.dist.partition import RowPartition
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
-from repro.util.constants import DTYPE
+from repro.sparse.fused import ETA_BLOCK, eta_anchors
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError
 from repro.util.knobs import ExecConfig
@@ -82,6 +82,8 @@ class RunSetup:
     count and ``ctx`` holds the run controls; ``half`` is the exclusive
     bound of the inner iterations run (``stop_m``, or M/2) and ``first_m``
     the first one (1 fresh, the resumed checkpoint ``ck``'s ``next_m``).
+    ``anchors`` are the run's eta anchors: the global start block's, or
+    the checkpoint's.
     """
 
     dist: DistributedMatrix
@@ -94,7 +96,7 @@ class RunSetup:
     r: int
     first_m: int
     half: int
-    grid: int
+    anchors: np.ndarray
     stop_m: int | None
     ck: KpmCheckpoint | None
     start_block: np.ndarray | None
@@ -110,19 +112,17 @@ class RunSetup:
         return 2 * self.half if self.first_m == 1 \
             else 2 * (self.half - self.first_m)
 
-    def splice(self, eta_acc: np.ndarray, stop: int, width: int) -> np.ndarray:
-        """The globally reduced eta ``[0, stop)`` in a zeroed (R, width)
-        array: a resumed run's checkpointed prefix ``[0, 2·first_m)``
-        copied verbatim (never re-reduced, so resumed == uninterrupted
-        bitwise), the rest ``eta_acc`` (slots, M, R) summed over its slot
-        axis in slot order."""
-        out = np.zeros((self.r, width), dtype=DTYPE)
-        col0 = 0
-        if self.ck is not None:
-            col0 = 2 * self.first_m
-            out[:, :col0] = self.ck.eta[:, :col0]
-        out[:, col0:stop] = eta_acc[:, col0:stop].sum(axis=0).T
-        return out
+    @property
+    def final_bytes(self) -> int:
+        """Bytes the final allreduce moves: the bins (2, 3R) of each
+        iteration whose moments this run computed."""
+        return self.final_cols // 2 * 48 * self.r
+
+    def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
+        """The globally reduced eta ``[0, stop)`` (:func:`~repro.core.
+        checkpoint.splice_eta`) of ``bins`` (ranks, M/2, 2, 3R), summed
+        over ranks — exact, so resumed == uninterrupted bitwise."""
+        return splice_eta(bins.sum(axis=0), stop, width, self.ck)
 
     def state(self, v: np.ndarray, w: np.ndarray, eta: np.ndarray,
               next_m: int) -> KpmCheckpoint:
@@ -130,19 +130,19 @@ class RunSetup:
         iteration ``next_m − 1`` — exactly what the serial engine saves."""
         return KpmCheckpoint(
             v=v, w=w, eta=eta, next_m=next_m, n_moments=self.n_moments,
-            a=self.a, b=self.b, precision=self.prec.name, eta_grid=self.grid,
-            run_id=self.run_id,
+            a=self.a, b=self.b, anchors=self.anchors,
+            precision=self.prec.name, run_id=self.run_id,
         )
 
 
 def prepare_run(
     cfg: ExecConfig, ctx: RunContext, A, partition, scale: SpectralScale,
-    n_moments: int, start_block, world, *, eta_grid: int = 0,
-    stop_m: int | None = None,
+    n_moments: int, start_block, world, *, stop_m: int | None = None,
 ) -> RunSetup:
     """The sim/mp prologue: validate every input, partition, load any
     checkpoint.  A bad argument is a :class:`ValueError`; an operator,
-    partition, checkpoint or world that do not fit together is a
+    partition, checkpoint or world that do not fit together — a rank
+    that does not start on a 64-row eta block among them — is a
     :class:`~repro.util.errors.SimulationError` — on either world."""
     check_moments(n_moments)
     half = n_moments // 2 if stop_m is None else int(stop_m)
@@ -150,17 +150,7 @@ def prepare_run(
         raise ValueError(
             f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
         )
-    grid = int(eta_grid or 0)
     prec = get_precision(cfg.precision)
-    if grid < 0:
-        raise ValueError(f"eta_grid must be non-negative, got {eta_grid}")
-    if grid and cfg.reduction != "end":
-        raise ValueError("eta_grid requires reduction='end'")
-    if grid and prec.half_vectors:
-        raise ValueError(
-            "eta_grid requires full-width vector storage (fp64/fp32); "
-            f"got precision {prec.name!r}"
-        )
     if isinstance(A, DistributedMatrix):
         dist = A
     elif partition is None:
@@ -171,15 +161,15 @@ def prepare_run(
         raise SimulationError(
             f"world has {world.n_ranks} ranks, partition has {dist.n_ranks}"
         )
-    for blk in dist.blocks if grid else ():
-        if blk.row_start % grid:
-            raise SimulationError(
-                f"rank {blk.rank} starts at row {blk.row_start}, not "
-                f"aligned to the eta grid of {grid} rows — build the "
-                f"partition with align={grid}"
-            )
     n = dist.n_global
-    ck = ctx.resume(n_moments, scale, prec, start_block, grid)
+    for blk in dist.blocks:
+        if blk.row_start % ETA_BLOCK and blk.row_start != n:
+            raise SimulationError(
+                f"rank {blk.rank} starts at row {blk.row_start}, not on a "
+                f"{ETA_BLOCK}-row eta block — build the partition with "
+                f"align={ETA_BLOCK}"
+            )
+    ck = ctx.resume(n_moments, scale, prec, start_block)
     if ck is not None:
         if ck.v.shape[0] != n:
             raise SimulationError(
@@ -189,15 +179,16 @@ def prepare_run(
             raise SimulationError(
                 f"checkpoint resumes at m={ck.next_m}, beyond stop_m={half}"
             )
-        r, first_m = ck.v.shape[1], ck.next_m
+        r, first_m, anchors = ck.v.shape[1], ck.next_m, ck.anchors
     else:
         start_block = check_block_vector("start_block", start_block, n)
         r, first_m = start_block.shape[1], 1
+        anchors = eta_anchors(start_block)
     return RunSetup(
         dist=dist, cfg=cfg.for_ranks(world.n_ranks), ctx=ctx, prec=prec,
         a=scale.a, b=scale.b, n_moments=n_moments, r=r, first_m=first_m,
-        half=half, grid=grid, stop_m=stop_m, ck=ck, start_block=start_block,
-        run_id=ctx.run_id(ck, start_block, prec),
+        half=half, anchors=anchors, stop_m=stop_m, ck=ck,
+        start_block=start_block, run_id=ctx.run_id(ck, start_block, prec),
     )
 
 
@@ -218,7 +209,6 @@ def distributed_eta(
     attempt: int = 1,
     progress=None,
     progress_every: int = 0,
-    eta_grid: int = 0,
     stop_m: int | None = None,
     config: ExecConfig | None = None,
     **knobs,
@@ -231,53 +221,40 @@ def distributed_eta(
         Global matrix (partitioned on the fly) or a pre-partitioned
         :class:`DistributedMatrix`.
     partition:
-        Required when ``A`` is a global matrix; ignored otherwise.
+        Required when ``A`` is a global matrix; ignored otherwise.  Every
+        rank must start on a 64-row eta block (``align=64``).
     start_block:
         Global (N, R) start block; each rank gets its row slice.
     world:
         The communicator: a :class:`SimWorld` executes the rank loop
         sequentially in-process, a :class:`~repro.dist.mp.MpWorld` runs
-        it in real worker processes over shared memory (same results —
-        bitwise per schedule — and same message accounting).  Must match
-        the partition's rank count.
+        it in real worker processes over shared memory (bitwise the same
+        results and the same message accounting).  Must match the
+        partition's rank count.
     counters / metrics / checkpoint_every / checkpoint_path / resume_from /
     fault_plan / attempt / progress / progress_every:
         The run controls (:class:`~repro.core.checkpoint.RunContext`,
         DESIGN §17) over the global state.  Counter totals equal a serial
         run's (only ``calls`` is rank-multiplied); a resumed run
         (``start_block`` may then be None) is bitwise equal to an
-        uninterrupted one on the same world type and partition.
-    eta_grid:
-        ``B > 0`` switches the eta reduction to *grid mode*
-        (:mod:`repro.dist.elastic`): the per-iteration dot products are
-        recomputed per fixed global block of ``B`` rows (the kernels'
-        fused per-rank dots are discarded) and the final reduction sums
-        the ``ceil(N / B)`` block partials in block order.  The
-        reduction order then depends only on ``(N, B)`` — never on the
-        partition, rank count, schedule, or engine — which is what makes
-        a mid-run repartition bitwise invisible.  Requires a
-        ``B``-aligned partition, ``reduction='end'``, and a full-width
-        storage profile (fp64/fp32).
+        uninterrupted one, on any world and partition.
     stop_m:
         Optional exclusive upper bound on the inner-iteration range: the
         run executes ``[first_m, stop_m)`` instead of ``[first_m, M/2)``
         and returns eta with only the columns ``[0, 2·stop_m)``
         meaningful.  The elastic driver runs a sequence of such segments
         — chained through their boundary states — whose concatenation is
-        bitwise equal to one uninterrupted run under grid mode.
+        bitwise equal to one uninterrupted run.
     config / knobs:
         The :class:`~repro.util.knobs.ExecConfig` (``overlap`` off unless
-        given).  Here ``overlap`` runs each rank's interior rows while
-        the halo is in flight and the boundary rows after, combining the
-        eta partials in the fixed order interior + boundary; ``reduction``
-        picks one deferred allreduce or one per iteration.
+        given).  Here ``overlap`` runs each rank's interior eta blocks
+        while the halo is in flight and the boundary blocks after;
+        ``reduction`` picks one deferred allreduce or one per iteration.
 
     Returns
     -------
     eta:
-        (R, M) complex, matching the serial engines: bitwise at fp64 on
-        a one-rank world with overlap off, to reduction-order tolerance
-        otherwise.
+        (R, M) complex, bitwise the serial engines'.
     """
     return run_distributed(
         ExecConfig.of(config, knobs, overlap=False),
@@ -286,19 +263,18 @@ def distributed_eta(
                       checkpoint_path=checkpoint_path, resume_from=resume_from,
                       fault_plan=fault_plan, attempt=attempt,
                       progress=progress, progress_every=progress_every),
-        A, partition, scale, n_moments, start_block, world,
-        eta_grid=eta_grid, stop_m=stop_m,
+        A, partition, scale, n_moments, start_block, world, stop_m=stop_m,
     )
 
 
 def run_distributed(cfg: ExecConfig, ctx: RunContext, A, partition,
                     scale: SpectralScale, n_moments: int, start_block, world,
-                    *, eta_grid: int = 0, stop_m: int | None = None):
+                    *, stop_m: int | None = None):
     """:func:`distributed_eta` on a built config and context."""
     from repro.dist.mp import MpWorld, run_mp
 
     run = prepare_run(cfg, ctx, A, partition, scale, n_moments, start_block,
-                      world, eta_grid=eta_grid, stop_m=stop_m)
+                      world, stop_m=stop_m)
     return (run_mp if isinstance(world, MpWorld) else run_sim)(run, world)
 
 
@@ -313,27 +289,28 @@ def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
 
     # Per-rank persistent state, sized once: one Recurrence each (the
     # local (v, w) blocks, the rectangular x = [v | halo] kernel input,
-    # the workspace plans).  Grid mode accumulates one eta partial per
-    # global row block instead of one per rank — ceil(N / B) slots whose
-    # axis-0 sum is the fixed partition-independent reduction order.
-    slots, recs = [], []  # per rank: its eta_acc slot(s), its Recurrence
+    # the workspace plans), and its eta bins per iteration.
+    recs = []
     for blk in dist.blocks:
-        slot, dot_blocks = eta_slots(blk.rank, blk.row_start, blk.row_stop,
-                                     run.grid)
         rec = Recurrence(
             blk.matrix, run.a, run.b, r, config=run.cfg,
-            counters=ctx.counters, metrics=metrics, dot_blocks=dot_blocks,
+            counters=ctx.counters, metrics=metrics,
             split=task_split(blk) if run.cfg.overlap else None,
         )
         rows = slice(blk.row_start, blk.row_stop)
         if ck is not None:
-            rec.load(ck.v[rows], ck.w[rows])
+            rec.load(ck.v[rows], ck.w[rows], anchors=run.anchors, m=first_m)
         else:
-            rec.load(run.start_block[rows])
-        slots.append(slot)
+            rec.load(run.start_block[rows], anchors=run.anchors)
         recs.append(rec)
-    n_slots = -(-dist.n_global // run.grid) if run.grid else world.n_ranks
-    eta_acc = np.zeros((n_slots, run.n_moments, r), dtype=DTYPE)
+    bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * r))
+
+    def reduce_iteration(m: int) -> None:
+        # reduction="every": the even moment's bins, then the odd one's
+        with metrics.span("allreduce", phase="dist"):
+            for part in (slice(0, r), slice(r, 3 * r)):
+                world.allreduce_sum(list(bins[:, m, :, part]),
+                                    phase="allreduce_iter")
 
     every_iter = run.cfg.reduction == "every"
     if ck is None:
@@ -342,14 +319,10 @@ def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
             inj.at_iteration(0)
         with metrics.span("halo_exchange", phase="dist"):
             _halo_exchange(world, dist, recs, phase="halo_init")
-        for rec, slot in zip(recs, slots):
-            eta_acc[slot, 0], eta_acc[slot, 1] = rec.bootstrap()
+        for p, rec in enumerate(recs):
+            bins[p, 0] = rec.bootstrap()
         if every_iter:
-            with metrics.span("allreduce", phase="dist"):
-                for m_i in (0, 1):
-                    world.allreduce_sum(
-                        list(eta_acc[:, m_i]), phase="allreduce_iter"
-                    )
+            reduce_iteration(0)
 
     for m in range(first_m, run.half):
         for inj in injectors:
@@ -362,36 +335,27 @@ def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
         # the interior rows reference local columns only, so the values
         # are independent of when the halo tail of x landed — bitwise
         # what the mp engine's genuinely overlapped schedule computes.
-        for rec, slot in zip(recs, slots):
-            eta_acc[slot, 2 * m], eta_acc[slot, 2 * m + 1] = rec.update()
+        for p, rec in enumerate(recs):
+            bins[p, m] = rec.update()
         if every_iter:
-            with metrics.span("allreduce", phase="dist"):
-                world.allreduce_sum(
-                    list(eta_acc[:, 2 * m]), phase="allreduce_iter"
-                )
-                world.allreduce_sum(
-                    list(eta_acc[:, 2 * m + 1]), phase="allreduce_iter"
-                )
+            reduce_iteration(m)
         n_eta = 2 * (m + 1)
         if ctx.progress_due(m, first_m):
-            ctx.stream(n_eta, run.splice(eta_acc, n_eta, n_eta))
+            ctx.stream(n_eta, run.splice(bins, n_eta, n_eta))
         if ctx.checkpoint_due(m, first_m):
             world.last_checkpoint = state = run.state(
                 np.concatenate([rec.v for rec in recs], axis=0),
                 np.concatenate([rec.w for rec in recs], axis=0),
-                run.splice(eta_acc, n_eta, run.n_moments), m + 1,
+                run.splice(bins, n_eta, run.n_moments), m + 1,
             )
             ctx.save(state)
 
-    # The one deferred reduction of the columns this run computed, summed
-    # in slot order: rank order, or in grid mode block order — the
-    # canonical reduction whose order depends only on (N, B).
+    # The one deferred reduction of the bins this run computed
     with metrics.span("allreduce", phase="dist"):
         if run.final_cols:
-            log_allreduce(world.log, world.n_ranks,
-                          run.final_cols * r * np.dtype(DTYPE).itemsize,
+            log_allreduce(world.log, world.n_ranks, run.final_bytes,
                           "allreduce_final")
-        return run.splice(eta_acc, run.n_moments, run.n_moments)
+        return run.splice(bins, run.n_moments, run.n_moments)
 
 
 def distributed_dos(

@@ -37,17 +37,16 @@ Communication structure (paper Section VI-A, mapped onto one node):
   double-buffered (slot ``m % 2``) and signalled per directed edge with
   ready/free event pairs instead of the global barrier; each worker
   posts its outgoing halo, computes the **interior** rows (the
-  contiguous halo-free range of :func:`repro.dist.overlap.task_split`)
-  with the split kernels while the exchange is in flight, then waits
-  for its incoming windows and finishes the **boundary** rows.  The
-  per-phase eta partials are combined in the fixed order interior +
-  boundary, so the overlapped moments are bitwise equal to the
-  simulator running the same task-mode schedule;
-* per-rank eta contributions accumulate in a shared ``(P, M, R)`` array
-  and are reduced **once** after the workers report — the single
-  deferred global reduction of Section II.  ``reduction='every'``
-  instead synchronizes and sums after every iteration (the Table III
-  ``aug_spmmv()*`` ablation).
+  contiguous halo-free eta blocks of :func:`repro.dist.overlap.
+  task_split`) with the split kernels while the exchange is in flight,
+  then waits for its incoming windows and finishes the **boundary**
+  rows.  The phases' eta bins add exactly, so the overlapped moments
+  are bitwise every other schedule's;
+* per-rank eta bins (DESIGN §19) accumulate in a shared
+  ``(P, M/2, 2, 3R)`` array and are reduced **once** after the workers
+  report — the single deferred global reduction of Section II.
+  ``reduction='every'`` instead synchronizes and sums after every
+  iteration (the Table III ``aug_spmmv()*`` ablation).
 
 Accounting: the engine charges :class:`~repro.dist.comm.MessageLog`
 records equivalent to what :class:`SimWorld` logs for the same run
@@ -69,8 +68,8 @@ heartbeat advances within :attr:`MpTimeouts.stall`.  A worker whose
 parent died abandons its run at the next iteration.
 
 Checkpoints (the run controls of DESIGN §17): the workers
-double-buffer their state into shared *checkpoint slots*; rank 0
-publishes a slot with one atomic state word after a barrier, and the
+double-buffer their state into shared *checkpoint slots*; the last
+rank through a barrier publishes a slot with one atomic state word, and the
 **parent** — which survives worker crashes — captures it
 (``MpWorld.last_checkpoint``) for the run's context to save and stream,
 salvaging the latest one even when the run fails.
@@ -100,11 +99,9 @@ from repro.dist.comm import MessageLog, log_allreduce
 from repro.dist.halo import DistributedMatrix, RankBlock
 from repro.dist.kpm_parallel import RunSetup, distributed_eta
 from repro.dist.overlap import task_split
-from repro.dist.partition import eta_slots
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, backend_health
-from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
 from repro.util.knobs import ExecConfig
@@ -309,7 +306,7 @@ class _RunConfig:
     exec: ExecConfig
     #: the run controls a worker runs by (RunContext.for_workers)
     run: RunContext
-    eta_grid: int = 0  # B > 0: per-global-block eta partials (elastic)
+    anchors: np.ndarray  # the run's eta anchors (R,)
     stop_m: int = 0  # 0 = run to M/2; else exclusive segment bound
 
 
@@ -390,7 +387,7 @@ def _run_rank(
     """One rank's full KPM loop for one run; returns the parent's reply."""
     abort = att["abort"]
     try:
-        start, eta, acct = att["start"], att["eta"], att["acct"]
+        start, bins, acct = att["start"], att["bins"], att["acct"]
         hb = att["hb"]
         lo, hi = blk.row_start, blk.row_stop
         n_local = hi - lo
@@ -408,20 +405,16 @@ def _run_rank(
             w_counters = NULL_COUNTERS
             w_metrics = NULL_METRICS
 
-        # Grid mode: this rank's fixed global eta blocks (each block has
-        # exactly one writer, so the shared (K, M, R) array needs no
-        # locking either); otherwise the rank's own slot.
-        eslot, dot_blocks = eta_slots(rank, lo, hi, cfg.eta_grid)
         # The block's recurrences and kernel plans outlive the run: a
         # parked worker rebinds one to the next run's scale and sinks.
-        key = (backend_name, cfg.r, cfg.exec, cfg.eta_grid)
+        key = (backend_name, cfg.r, cfg.exec)
         rec = recs.pop(key, None)
         if rec is None:
             rec = Recurrence(
                 blk.matrix, cfg.a, cfg.b, cfg.r,
                 split=task_split(blk) if cfg.exec.overlap else None,
                 config=replace(cfg.exec, backend=backend_name),
-                dot_blocks=dot_blocks, counters=w_counters, metrics=w_metrics,
+                counters=w_counters, metrics=w_metrics,
             )
         else:
             rec.rebind(cfg.a, cfg.b, w_counters, w_metrics)
@@ -499,15 +492,14 @@ def _run_rank(
                     pos += cnt
 
         def reduce_now(m: int) -> None:
-            # The contributions already sit in the shared eta array; a
+            # The contributions already sit in the shared bins array; a
             # barrier makes every rank's slice visible, then each rank
             # forms the global sum locally (allreduce semantics).
             with w_metrics.span("allreduce", phase="dist"):
                 acct[rank, 2] += 2
-                acct[rank, 3] += 2 * eta[rank, 2 * m].nbytes
+                acct[rank, 3] += bins[rank, m].nbytes
                 barrier.wait(bt)
-                eta[:, 2 * m].sum(axis=0)
-                eta[:, 2 * m + 1].sum(axis=0)
+                bins[:, m].sum(axis=0)
 
         def publish_checkpoint(m: int, k: int) -> None:
             # Double-buffered: the k-th checkpoint of this run writes
@@ -517,8 +509,10 @@ def _run_rank(
             slot = k % 2
             ckv[slot, lo:hi] = rec.v
             ckw[slot, lo:hi] = rec.w
-            barrier.wait(bt)  # every rank's slice is in the slot
-            if rank == 0:
+            # every rank's slice is in the slot; the last rank to arrive
+            # publishes — it releases the others and never sleeps, so an
+            # abort (a peer that died right after) cannot cut in between
+            if barrier.wait(bt) == barrier.parties - 1:
                 # One aligned int64 store publishes (next_m, slot); the
                 # note wakes the parent's autosave.
                 ckst[0] = (m + 1) * 2 + slot
@@ -538,7 +532,7 @@ def _run_rank(
             hb[rank] += 1
 
         if cfg.first_m == 1:
-            rec.load(start[lo:hi])
+            rec.load(start[lo:hi], anchors=cfg.anchors)
             probe(0)
             if cfg.exec.overlap:
                 # Bootstrap has no prior compute to hide the exchange
@@ -549,13 +543,14 @@ def _run_rank(
                 exchange(0, rec.v)
             # nu_1 = a (H nu_0 - b nu_0) on the local rows
             with w_metrics.span("rank_busy"):
-                eta[eslot, 0], eta[eslot, 1] = rec.bootstrap()
+                bins[rank, 0] = rec.bootstrap()
             if cfg.exec.reduction == "every":
                 reduce_now(0)
         else:
             # Resume: the parent seeded the checkpointed (v, w) blocks
             # into the ``start`` / ``rw`` arrays; no bootstrap.
-            rec.load(start[lo:hi], att["rw"][lo:hi])
+            rec.load(start[lo:hi], att["rw"][lo:hi], anchors=cfg.anchors,
+                     m=cfg.first_m)
 
         for m in range(cfg.first_m, half):
             probe(m)
@@ -564,9 +559,7 @@ def _run_rank(
                 # Task mode: publish the outgoing halo, update the
                 # interior rows while the exchange is in flight (they
                 # reference local columns only), then finish the
-                # boundary rows once the halo has landed.  The fixed
-                # interior + boundary combine keeps the moments
-                # schedule-independent.
+                # boundary rows once the halo has landed.
                 post_exchange(m, v)
                 with w_metrics.span("rank_busy"):
                     rec.interior()
@@ -574,7 +567,7 @@ def _run_rank(
             else:
                 exchange(m, v)
             with w_metrics.span("rank_busy"):
-                eta[eslot, 2 * m], eta[eslot, 2 * m + 1] = rec.update()
+                bins[rank, m] = rec.update()
             if cfg.exec.reduction == "every":
                 reduce_now(m)
             k = cfg.run.checkpoint_due(m, cfg.first_m)
@@ -599,7 +592,9 @@ def _run_rank(
         except Exception:  # pragma: no cover
             pass
         kind = getattr(exc, "kind", None) or "exception"
-        return ("fail", kind, f"{type(exc).__name__}: {exc}")
+        # an escaped spectrum travels whole: the parent re-raises it
+        return ("fail", kind,
+                exc if kind == "scale" else f"{type(exc).__name__}: {exc}")
 
 
 # ---------------------------------------------------------------------
@@ -714,8 +709,8 @@ class _World:
     def collect(self, hb: np.ndarray, timeouts: MpTimeouts, autosave):
         """Wait for every rank's reply to the run just sent.
 
-        Sleeps on the control pipes and process sentinels; rank 0's
-        ``ckpt`` notes trigger ``autosave``.  Every wake-up — at the
+        Sleeps on the control pipes and process sentinels; a rank's
+        ``ckpt`` note triggers ``autosave``.  Every wake-up — at the
         latest four times per stall window — samples the heartbeats and
         the whole-run deadline.  The first failure, death, stall or
         timeout aborts the run; peers then get ``timeouts.join`` seconds
@@ -880,10 +875,10 @@ def _charge_log(log: MessageLog, run: RunSetup) -> None:
     partition/reduction (and, with ``first_m > 1``, the same *resumed*
     iteration range) — asserted by the differential tests, and the
     contract that keeps :mod:`repro.dist.network` pricing mp runs.  Halo
-    messages move the profile's vector storage; reductions always move
-    fp64 eta scalars, the final one :attr:`RunSetup.final_cols` columns.
+    messages move the profile's vector storage; reductions move fp64 eta
+    bins: per iteration 16R bytes (the even moment) and 32R (the odd),
+    the final one :attr:`RunSetup.final_bytes`.
     """
-    itemsize = np.dtype(DTYPE).itemsize
     dist, r, every = run.dist, run.r, run.cfg.reduction == "every"
 
     def halo(phase: str) -> None:
@@ -893,19 +888,19 @@ def _charge_log(log: MessageLog, run: RunSetup) -> None:
             ):
                 log.add(src, block.rank, cnt * r * run.prec.s_vector, phase)
 
+    def reduce_iteration() -> None:
+        if every:
+            for nbytes in (16 * r, 32 * r):
+                log_allreduce(log, dist.n_ranks, nbytes, "allreduce_iter")
+
     if run.first_m == 1:
         halo("halo_init")
-        if every:
-            for _ in range(2):
-                log_allreduce(log, dist.n_ranks, r * itemsize, "allreduce_iter")
+        reduce_iteration()
     for _m in range(run.first_m, run.half):
         halo("halo")
-        if every:
-            for _ in range(2):
-                log_allreduce(log, dist.n_ranks, r * itemsize, "allreduce_iter")
+        reduce_iteration()
     if run.final_cols:
-        log_allreduce(log, dist.n_ranks, run.final_cols * r * itemsize,
-                      "allreduce_final")
+        log_allreduce(log, dist.n_ranks, run.final_bytes, "allreduce_final")
 
 
 def _expected_halo_acct(run: RunSetup) -> tuple[np.ndarray, np.ndarray]:
@@ -929,11 +924,9 @@ def _expected_halo_acct(run: RunSetup) -> tuple[np.ndarray, np.ndarray]:
 def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
     """Multiprocess equivalent of :func:`repro.dist.kpm_parallel.distributed_eta`.
 
-    Same signature and same result with a :class:`MpWorld` in place of
-    the :class:`SimWorld` (bitwise per schedule; against the serial
-    engines bitwise at fp64 with one worker and overlap off, to
-    reduction-order tolerance otherwise); both worlds share one
-    prologue.  The run controls are DESIGN §17's; here faults are real
+    Same signature and bitwise the same result with a :class:`MpWorld`
+    in place of the :class:`SimWorld` (and the serial engines'); both
+    worlds share one prologue.  The run controls are DESIGN §17's; here faults are real
     (a ``crash`` kills the worker) and ``progress`` fires with every
     checkpoint the parent captures, so it needs ``checkpoint_every > 0``.
 
@@ -974,7 +967,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         want_obs=want_obs, first_m=run.first_m,
         exec=replace(run.cfg, backend="auto", rebalance=None,
                      membership=None), run=ctx.for_workers(),
-        eta_grid=run.grid, stop_m=int(run.stop_m or 0),
+        anchors=run.anchors, stop_m=int(run.stop_m or 0),
     )
 
     # The run's shared arrays, carved from the world's resident arena.
@@ -982,12 +975,11 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     # m % 2), signalled by the world's per-pair event slots.
     vec_dt = np.dtype(prec.vector_dtype).str
     vshape = prec.vec_shape(dist.n_global, r)
-    n_slots = -(-dist.n_global // run.grid) if run.grid else world.n_ranks
     arrays = {"start": (vshape, vec_dt)}
     if run.ck is not None:
         arrays["rw"] = (vshape, vec_dt)
     arrays.update(
-        eta=((n_slots, n_moments, r), DTYPE),
+        bins=((world.n_ranks, n_moments // 2, 2, 3 * r), "float64"),
         acct=((world.n_ranks, _ACCT_COLS), "int64"),
         hb=((world.n_ranks,), "int64"),
         abort=((1,), "int64"),
@@ -1013,7 +1005,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         if grown is not None:
             live.map_arena(grown, timeouts.stall)
         sh = carve(live.arena.buf, specs)
-        for key in ("eta", "acct", "hb", "abort", "ckst"):
+        for key in ("bins", "acct", "hb", "abort", "ckst"):
             if key in sh:
                 sh[key][...] = 0
         if want_obs:
@@ -1029,24 +1021,24 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             prec.encode(start_block, out=start)
         else:
             start[...] = start_block.astype(prec.vector_dtype)
-        eta_shared = sh["eta"]
+        bins = sh["bins"]
         captured = 0  # the last state word captured
 
         def autosave() -> None:
             # A stable read of the published checkpoint slot: the state
             # word is sampled before and after the copy, which is dropped
             # when a newer state landed meanwhile (its own note triggers
-            # the next capture).  The eta prefix [:, :2·next_m] is final
-            # once published, so summing it while the workers fill later
-            # columns is safe.  Repeats are skipped, so every save and
-            # stream carries a strictly longer prefix.
+            # the next capture).  The bins of iterations < next_m are
+            # final once published, so summing them while the workers
+            # fill later ones is safe.  Repeats are skipped, so every
+            # save and stream carries a strictly longer prefix.
             nonlocal captured
             state = int(sh["ckst"][0]) if ctx.checkpoint_every else 0
             if state <= captured:
                 return
             next_m, slot = divmod(state, 2)
             v, w = sh["ckv"][slot].copy(), sh["ckw"][slot].copy()
-            eta = run.splice(eta_shared, 2 * next_m, n_moments)
+            eta = run.splice(bins, 2 * next_m, n_moments)
             if int(sh["ckst"][0]) != state:
                 return
             captured = state
@@ -1066,6 +1058,9 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         kinds = [replies.get(p, ("dead",))[0] for p in range(world.n_ranks)]
         if stalled or timed_out or kinds != ["done"] * world.n_ranks:
             live.close(timeouts.join)  # reaped: exit codes are final
+            for p, k in enumerate(kinds):
+                if k == "fail" and replies[p][1] == "scale":
+                    raise replies[p][2]
             codes = {"done": 0, "fail": 1, "broken": 2}
             raise _worker_failure(
                 [(p, *replies[p][1:]) for p, k in enumerate(kinds)
@@ -1082,7 +1077,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
                 _unpack_obs_blob(sh["obs"][p]) for p in range(world.n_ranks)
             ]
         # the single deferred reduction (a resumed prefix spliced in)
-        eta = run.splice(eta_shared, n_moments, n_moments)
+        eta = run.splice(bins, n_moments, n_moments)
 
         exp_msgs, exp_bytes = _expected_halo_acct(run)
         if not (

@@ -5,9 +5,10 @@ paper's pipelining outlook): rows whose matrix entries reference only
 local columns — the *interior* — can be multiplied while the halo
 exchange is in flight; only the *boundary* rows must wait for remote
 data.  :func:`task_split` computes the split the task-mode engines run:
-the interior is the largest **contiguous** run of halo-free rows (so the
-split kernels index the original local matrix in place, no extraction),
-everything else is a gathered boundary row list.  Both kernel backends
+the interior is the largest **contiguous** run of halo-free 64-row eta
+blocks (so the split kernels index the original local matrix in place,
+no extraction, and each phase reduces whole blocks), everything else is
+a gathered boundary row list.  Both kernel backends
 consume it through their ``aug_spm(m)v_interior`` / ``..._boundary``
 split kernels, whose result is bitwise the plain fused step's.
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dist.halo import RankBlock
+from repro.sparse.fused import ETA_BLOCK
 from repro.util.knobs import OVERLAP_CHOICES, resolve_overlap  # noqa: F401  (re-exported)
 
 
@@ -30,14 +32,15 @@ from repro.util.knobs import OVERLAP_CHOICES, resolve_overlap  # noqa: F401  (re
 class TaskSplit:
     """Execution-level interior/boundary split of one rank's local matrix.
 
-    ``[row0, row1)`` is the largest *contiguous* run of halo-free rows —
-    the split kernels traverse it on the original local matrix with
-    absolute indexing — and ``boundary`` gathers every other local row
-    (sorted ascending).  Halo-free rows that fall outside the
-    contiguous run are deliberately classified as boundary: they could
-    run early, but a contiguous interior keeps the hot phase a single
-    streaming pass (and the loss is small on banded partitions, where
-    the halo-touching rows cluster at the block edges).
+    ``[row0, row1)`` is the largest *contiguous* run of whole halo-free
+    64-row eta blocks — the split kernels traverse it on the original
+    local matrix with absolute indexing — and ``boundary`` gathers every
+    other local row (sorted ascending).  Halo-free rows outside that run
+    are deliberately boundary: they could run early, but a contiguous
+    interior of whole blocks keeps the hot phase a single streaming pass
+    and each phase's eta bins whole (the loss is small on banded
+    partitions, where the halo-touching rows cluster at the block
+    edges).
 
     ``nnz_interior`` / ``nnz_boundary`` drive the overlap time model
     with the *same* split the kernels execute, so the model's hidden
@@ -79,11 +82,12 @@ class TaskSplit:
 def task_split(block: RankBlock) -> TaskSplit:
     """Compute the execution split the task-mode engines run.
 
-    Interior = the largest contiguous run of rows whose entries reference
-    only local columns (``< n_local``); boundary = every other row,
-    gathered sorted.  Degenerate blocks are handled: no halo at all
-    yields an all-interior split (empty boundary), an all-halo block an
-    empty interior (``row0 == row1``).
+    Interior = the largest contiguous run of 64-row eta blocks whose
+    entries reference only local columns (``< n_local``); boundary =
+    every other row, gathered sorted.  Degenerate blocks are handled: no
+    halo at all yields an all-interior split (empty boundary), a block
+    with a halo column in every eta block an empty interior
+    (``row0 == row1``).
     """
     mat = block.matrix
     n_local = block.n_local
@@ -92,16 +96,19 @@ def task_split(block: RankBlock) -> TaskSplit:
     np.logical_or.at(
         touches_halo, rows, mat.indices.astype(np.int64) >= n_local
     )
-    free = ~touches_halo
-    # longest run of True in ``free``: diff of the padded mask gives the
-    # run starts (+1) and stops (-1)
+    starts = np.arange(0, mat.n_rows, ETA_BLOCK)
+    free = ~np.logical_or.reduceat(touches_halo, starts) if starts.size \
+        else np.zeros(0, dtype=bool)
+    # longest run of True in ``free`` (blocks): diff of the padded mask
+    # gives the run starts (+1) and stops (-1)
     row0 = row1 = 0
     if free.any():
         edges = np.diff(np.concatenate(([False], free, [False])).astype(np.int8))
-        starts = np.nonzero(edges == 1)[0]
-        stops = np.nonzero(edges == -1)[0]
-        k = int(np.argmax(stops - starts))
-        row0, row1 = int(starts[k]), int(stops[k])
+        b0 = np.nonzero(edges == 1)[0]
+        b1 = np.nonzero(edges == -1)[0]
+        k = int(np.argmax(b1 - b0))
+        row0 = int(b0[k]) * ETA_BLOCK
+        row1 = min(int(b1[k]) * ETA_BLOCK, mat.n_rows)
     in_interior = np.zeros(mat.n_rows, dtype=bool)
     in_interior[row0:row1] = True
     boundary = np.nonzero(~in_interior)[0].astype(np.int64)

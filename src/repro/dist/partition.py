@@ -9,7 +9,9 @@ matrix/vector rows that get assigned to it." (paper Section VI-A)
 
 Rows are assigned as contiguous blocks (the data-parallel slab
 decomposition); block boundaries can be aligned (e.g. to the 4-orbital
-spinor blocks of the TI matrix, or to a SELL chunk height).
+spinor blocks of the TI matrix, or to a SELL chunk height).  The
+distributed engines need ``align=64``: every rank starts on a 64-row
+eta block (DESIGN §19).
 """
 
 from __future__ import annotations
@@ -117,48 +119,6 @@ class RowPartition:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(ideal > 0, counts / ideal, np.inf)
         return float(np.max(ratio))
-
-
-def grid_blocks(
-    row_start: int, row_stop: int, grid: int
-) -> list[tuple[int, slice]]:
-    """The eta-grid blocks inside rows ``[row_start, row_stop)``.
-
-    Returns ``(global_block_index, local_row_slice)`` pairs, where the
-    slice indexes into a rank-local array holding exactly those rows.
-    ``row_start`` must be a multiple of ``grid`` (grid-aligned
-    partitions guarantee it), so no block ever straddles two ranks and
-    each block's eta partial has exactly one writer.
-    """
-    check_positive("grid", grid)
-    if row_start % grid:
-        raise PartitionError(
-            f"row range start {row_start} is not aligned to the eta grid "
-            f"of {grid} rows"
-        )
-    out = []
-    for k in range(row_start // grid, -(-row_stop // grid)):
-        lo = k * grid - row_start
-        hi = min((k + 1) * grid - row_start, row_stop - row_start)
-        out.append((k, slice(lo, hi)))
-    return out
-
-
-def eta_slots(
-    rank: int, row_start: int, row_stop: int, grid: int
-) -> tuple[int | slice, list[slice] | None]:
-    """Where a rank's scalar products land on the eta slot axis.
-
-    Per-rank reduction (``grid == 0``): slot ``rank``, dots over all the
-    rank's rows (``None``).  Grid mode: the contiguous slice of global
-    block indices the rank owns — empty for a rank without rows — and
-    the local row slice of each of those blocks.
-    """
-    if not grid:
-        return rank, None
-    blocks = grid_blocks(row_start, row_stop, grid)
-    k0 = row_start // grid
-    return slice(k0, k0 + len(blocks)), [sl for _k, sl in blocks]
 
 
 def weights_from_performance(gflops: list[float]) -> list[float]:

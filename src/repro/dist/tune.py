@@ -386,13 +386,10 @@ def _prepare_probe(H, cfg):
         return _build_operator(H, cfg)
     from repro.dist.halo import partition_matrix
     from repro.dist.partition import RowPartition
+    from repro.sparse.fused import ETA_BLOCK
 
-    if cfg.weights is not None:
-        part = RowPartition.from_weights(
-            H.n_rows, list(cfg.weights), align=4
-        )
-    else:
-        part = RowPartition.equal(H.n_rows, cfg.workers, align=4)
+    part = RowPartition.from_weights(
+        H.n_rows, cfg.weights or [1.0] * cfg.workers, align=ETA_BLOCK)
     A = partition_matrix(H, part)
     if cfg.fmt == "sell" and cfg.overlap != "on":
         # Per-rank SELL: each rank's rectangular local block (local

@@ -38,12 +38,7 @@ from repro.perf.roofline import (
     gpu_kernel_performance,
     node_performance,
 )
-from repro.sparse.fused import (
-    charge_aug,
-    charge_col_dots,
-    charge_spmv,
-    matrix_stream,
-)
+from repro.sparse.fused import charge_aug, charge_spmv, matrix_stream
 from repro.util.constants import F_ADD, F_MUL
 from repro.util.counters import PerfCounters
 from repro.util.precision import FP64, PRECISIONS, Precision, get_precision
@@ -271,8 +266,7 @@ def expected_counters(
 
 def expected_segment_counters(
     A, n_moments: int, n_vectors: int, *, first_m: int = 1,
-    stop_m: int | None = None, eta_grid: int = 0,
-    precision: Precision | str | None = None,
+    stop_m: int | None = None, precision: Precision | str | None = None,
 ) -> PerfCounters:
     """Analytic counters of one elastic *segment* ``[first_m, stop_m)``.
 
@@ -280,15 +274,13 @@ def expected_segment_counters(
     in boundary-delimited segments, each on its own partition and worker
     count.  This models what every rank's counters of one such segment
     must sum to: the bootstrap Sp(M)MV when the segment starts the run
-    (``first_m == 1``), one fused ``aug_spmmv`` per iteration of the
-    segment, and — in grid-eta mode — one column-dot post-pass per
-    iteration (the per-block eta recomputation, linear in rows and
-    therefore partition-independent).  Per-rank Table-I charges are
-    exact sums over rows/nonzeros, so the merged measurement of any
-    partition must equal this *exactly*, whatever the worker count —
-    the elastic analogue of :func:`expected_counters`.  Summing the
-    segment charges over a segmentation of ``[1, M/2)`` reproduces the
-    grid-mode full-run charge for the same reason.
+    (``first_m == 1``) and one fused ``aug_spmmv`` per iteration of the
+    segment.  Per-rank Table-I charges are exact sums over rows/nonzeros,
+    so the merged measurement of any partition must equal this
+    *exactly*, whatever the worker count — the elastic analogue of
+    :func:`expected_counters`.  Summing the segment charges over a
+    segmentation of ``[1, M/2)`` reproduces the full-run charge for the
+    same reason.
     """
     if n_moments % 2 or n_moments < 2:
         raise ValueError(f"n_moments must be even >= 2, got {n_moments}")
@@ -309,8 +301,6 @@ def expected_segment_counters(
         charge_spmv(c, "spmmv", *stream, n_vectors, prec)  # bootstrap nu_1
     for _ in range(first_m, half):
         charge_aug(c, "aug_spmmv", *stream, n_vectors, prec)
-        if eta_grid:
-            charge_col_dots(A.n_rows, n_vectors, c, prec=prec)
     return c
 
 

@@ -45,6 +45,7 @@ from repro.util.errors import (
     FormatError,
     ReproError,
     RetryExhaustedError,
+    SpectralScaleError,
     WorkerFailure,
 )
 from repro.util.knobs import ExecConfig, run_engine
@@ -241,7 +242,9 @@ class Supervisor:
         re-streams from there).
 
         Raises :class:`~repro.util.errors.RetryExhaustedError` only after
-        every attempt on every remaining ladder rung has failed.
+        every attempt on every remaining ladder rung has failed — and a
+        :class:`~repro.util.errors.SpectralScaleError` at once: no
+        attempt or rung can succeed on the same scale.
         """
         cfg = ExecConfig.of(config, knobs, overlap=False)
         res = self.resilience
@@ -295,6 +298,8 @@ class Supervisor:
                                 cfg, replace(run, resume_from=resume),
                                 H, scale, n_moments, start_block,
                             )
+                    except SpectralScaleError:
+                        raise
                     except Exception as exc:  # noqa: BLE001 - classified below
                         last_exc = exc
                         cls_name = classify_error(exc)
@@ -361,8 +366,8 @@ class Supervisor:
     ) -> KpmCheckpoint | None:
         """The checkpoint at ``path`` attempt ``ctx.attempt`` resumes, if
         any (after any planned corruption drill).  A corrupt or foreign
-        file — another solve's (its nu_0 digest), or one for another M,
-        map, profile or grid — is counted, discarded, and the attempt
+        file — another solve's (its nu_0 digest), one for another M, map
+        or profile, or an older format — is counted, discarded, and the attempt
         starts fresh; never a crash of the supervisor itself.
         """
         if path is None:
@@ -375,7 +380,7 @@ class Supervisor:
             return None
         try:
             ck = replace(ctx, resume_from=on_disk).resume(
-                n_moments, scale, cfg.precision, start_block, cfg.eta_grid)
+                n_moments, scale, cfg.precision, start_block)
         except (CheckpointError, FormatError) as exc:
             self.report.checkpoint_discards += 1
             self.metrics.count("resil.checkpoint_discarded")

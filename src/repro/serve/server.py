@@ -249,7 +249,7 @@ class KPMServer:
             # Rebalance between batches: the weights (and the surviving
             # worker count) the elastic solve converged on become the
             # next batch's starting point.  Numerics are unaffected —
-            # grid-eta mode makes moments partition-independent.
+            # no partition moves a bit of the moments (DESIGN §19).
             self.config = replace(self.config,
                                   weights=erep.final_weights,
                                   workers=erep.final_n_workers)

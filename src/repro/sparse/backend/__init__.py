@@ -41,8 +41,8 @@ import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.fused import ETA_BLOCK, eta_anchors, eta_bins, eta_work, fold
 from repro.sparse.sell import SellMatrix
-from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError, ShapeError
 from repro.util.knobs import BACKEND_CHOICES, SIMD_CHOICES, resolve_simd
@@ -56,26 +56,24 @@ class KernelPlan:
     Sized once per matrix/block-width pair and reused across all M/2
     inner iterations; the buffers are scratch (contents undefined between
     calls).  ``u`` holds the SpM(M)V result, ``work`` is a second pass
-    buffer, and the small ``eta`` buffers receive the per-column dots
-    without per-call allocation.
+    buffer.  The eta reduction (DESIGN §19) keeps its state here:
+    ``anchors`` (R,) — set by :meth:`~repro.core.recurrence.Recurrence.
+    load`, else taken from the first ``V`` a step is given — the last
+    step's ``bins`` (2, 3R), and ``escape``, 0 or one plus the first
+    element whose block partial exceeded its anchor (sticky until
+    cleared).
 
     ``precision`` selects the profile the plan serves.  ``u``/``work``
     are *compute*-dtype scratch (complex128 for fp64, complex64 for the
     narrow profiles — they hold intermediate SpM(M)V results, which are
     formed in the compute dtype even when vectors are stored narrower);
-    the eta buffers stay fp64/complex128 in every profile, matching the
-    kernels' double-accumulated dots.  The fp16v profile adds complex64
+    the eta state is fp64 in every profile.  The fp16v profile adds complex64
     decode scratch (``vc``/``wc``) for the NumPy backend's half-storage
     paths.
 
-    ``threads`` selects the intra-rank threaded (``_mt``) kernels:
-    ``None`` (the default) runs the historical sequential kernels
-    untouched; any explicit count >= 1 routes the augmented steps
-    through the block-grid threaded variants, whose fp64 results are
-    bitwise identical at every thread count (the grid and the
-    block-order Kahan combine depend only on the problem).  The NumPy
-    backend accepts the knob and ignores it — its vectorized reduction
-    is trivially thread-count invariant.
+    ``threads`` (None ≡ 1) is the native aug kernels' OpenMP team over
+    eta blocks; no count changes a bit.  The NumPy backend accepts the
+    knob and ignores it.
 
     ``simd`` (``None``/``"auto"``/``"on"``/``"off"``) selects the
     explicitly vectorized AVX2/F16C kernel family in the native backend;
@@ -101,8 +99,10 @@ class KernelPlan:
         # need (n, r) even when r == 1 (where u/work are 1-D vectors).
         self.u_block = self.u.reshape(n, self.r)
         self.work_block = self.work.reshape(n, self.r)
-        self.eta_even = np.empty(self.r, dtype=np.float64)
-        self.eta_odd = np.empty(self.r, dtype=DTYPE)
+        self.anchors = None
+        self.bins = np.zeros((2, 3 * self.r))
+        self.escape = np.zeros(1, dtype=np.int64)
+        self.eta_work = None  # made by the first NumPy eta reduction
         if prec.half_vectors:
             # complex64 decode scratch for the NumPy half-storage paths:
             # vc spans the full column range (local + halo), wc the rows
@@ -130,8 +130,12 @@ class SplitKernelPlan:
 
     The plan holds the split's geometry — the interior range, the
     sorted int64 boundary row list the gathered kernels index, the
-    per-phase row and nonzero counts the charges use — and per-phase eta
-    partial buffers.  A backend adds whatever else its phase kernels
+    per-phase row and nonzero counts the charges use — and the eta state
+    of :class:`KernelPlan`, with ``bins`` (2, 2, 3R) per phase (interior,
+    boundary).  The split must be block-granular: the interior starts
+    and ends on a 64-row eta block (or the last row) and the boundary is
+    the rest, so each phase holds whole blocks and the phases' bins add
+    to the unsplit step's exactly.  A backend adds whatever else its phase kernels
     need in :meth:`KernelBackend.split_plan` (the NumPy backend: the
     phase sub-matrices and gather scratch).  Split kernels are CSR-only:
     the distributed engines partition CSR operators, so a SELL split has
@@ -155,32 +159,26 @@ class SplitKernelPlan:
         self.row0 = int(split.row0)
         self.row1 = int(split.row1)
         self.rows = np.ascontiguousarray(split.boundary, dtype=np.int64)
-        if self.rows.size and (
-            self.rows[0] < 0 or self.rows[-1] >= A.n_rows
-        ):
+        n = A.n_rows
+        if not (0 <= self.row0 <= self.row1 <= n) or self.row0 % ETA_BLOCK \
+                or (self.row1 % ETA_BLOCK and self.row1 != n):
             raise BackendError(
-                f"boundary rows outside [0, {A.n_rows}): "
-                f"[{self.rows.min()}, {self.rows.max()}]"
+                f"interior range [{self.row0}, {self.row1}) is not a run of "
+                f"whole {ETA_BLOCK}-row eta blocks of [0, {n})"
             )
-        if not (0 <= self.row0 <= self.row1 <= A.n_rows):
+        if not np.array_equal(self.rows, np.r_[0:self.row0, self.row1:n]):
             raise BackendError(
-                f"interior range [{self.row0}, {self.row1}) outside "
-                f"[0, {A.n_rows})"
+                "boundary rows must be every row outside the interior, "
+                "sorted"
             )
         self.n_interior = self.row1 - self.row0
         self.n_boundary = int(self.rows.size)
-        if self.n_interior + self.n_boundary != A.n_rows:
-            raise BackendError(
-                f"split covers {self.n_interior} + {self.n_boundary} rows, "
-                f"matrix has {A.n_rows}"
-            )
         self.nnz_interior = int(A.indptr[self.row1] - A.indptr[self.row0])
         self.nnz_boundary = int(A.nnz - self.nnz_interior)
-        # per-phase eta partials (native kernels write these in place)
-        self.ee_interior = np.empty(self.r, dtype=np.float64)
-        self.eo_interior = np.empty(self.r, dtype=DTYPE)
-        self.ee_boundary = np.empty(self.r, dtype=np.float64)
-        self.eo_boundary = np.empty(self.r, dtype=DTYPE)
+        self.anchors = None
+        self.bins = np.zeros((2, 2, 3 * self.r))
+        self.escape = np.zeros(1, dtype=np.int64)
+        self.eta_work = None
 
 
 class KernelBackend(ABC):
@@ -209,9 +207,8 @@ class KernelBackend(ABC):
              simd=None) -> KernelPlan:
         """Allocate the workspaces for repeated steps on ``(A, r)``.
 
-        ``threads`` (None = sequential kernels) selects the intra-rank
-        threaded kernel variants; ``simd`` the vectorized kernel family.
-        See :class:`KernelPlan` for both knobs.
+        ``threads`` is the native kernels' team size, ``simd`` the
+        vectorized kernel family; see :class:`KernelPlan`.
         """
         return KernelPlan(A, r, precision, threads, simd)
 
@@ -262,6 +259,31 @@ class KernelBackend(ABC):
             )
         return x, prec, out
 
+    @staticmethod
+    def _eta_state(plan, V, n_rows: int, r: int) -> tuple:
+        """``(anchors, bins, escape)`` of one aug step: the plan's — its
+        anchors taken from ``V``'s rows when it has none yet — or fresh
+        ones for a call without a fitting plan."""
+        if plan is None or plan.r != r:
+            return (eta_anchors(V[:n_rows]), np.empty((2, 3 * r)),
+                    np.zeros(1, dtype=np.int64))
+        if plan.anchors is None:
+            plan.anchors = eta_anchors(V[:n_rows])
+        if plan.anchors.shape != (r,):  # the kernels read r of them
+            raise ShapeError(f"eta anchors must have shape ({r},), got "
+                             f"{plan.anchors.shape}")
+        return plan.anchors, plan.bins, plan.escape
+
+    @staticmethod
+    def _eta_work(plan, n: int, r: int) -> np.ndarray | None:
+        """The plan's :func:`~repro.sparse.fused.eta_work` for ``n`` rows
+        (made on first use); None without a fitting plan."""
+        if plan is None or plan.r != r:
+            return None
+        if plan.eta_work is None:
+            plan.eta_work = eta_work(n, r)
+        return plan.eta_work
+
     def naive_step(
         self, A, v, w, a, b, plan: KernelPlan | None = None,
         counters: PerfCounters = NULL_COUNTERS,
@@ -276,9 +298,10 @@ class KernelBackend(ABC):
         stage 1.  Half storage (fp16v) streams the half layout through
         the SpMV (charged half-width), runs the BLAS-1 chain on fp32
         decodes (charged at their complex64 size) and rounds the new w
-        back to storage once.
+        back to storage once.  The nrm2 and dot values are the one eta
+        reduction's (DESIGN §19), charged as the two library calls.
         """
-        from repro.sparse.blas1 import axpy, dot, nrm2_sq, scal
+        from repro.sparse.blas1 import axpy, charge_dot, charge_nrm2, scal
 
         n = A.n_rows
         v = check_vector("v", v, n)
@@ -301,6 +324,7 @@ class KernelBackend(ABC):
             u, work = plan.u, plan.work
         else:
             u, work = np.empty(n, dtype=v.dtype), None
+        anchors, bins, escape = self._eta_state(plan, v, n, 1)
         with metrics.span("naive_step", counters=counters):
             if half:
                 self.spmv(A, v, out=uh, plan=plan, counters=counters)
@@ -313,11 +337,13 @@ class KernelBackend(ABC):
             axpy(u, -b, v, counters=counters, work=work)
             scal(-1.0, w, counters=counters)
             axpy(w, 2.0 * a, u, counters=counters, work=work)
-            eta_even = nrm2_sq(v, counters=counters)
-            eta_odd = dot(w, v, counters=counters)
+            charge_nrm2(v, counters)
+            charge_dot(w, counters)
+            ee, eo = fold(eta_bins(v, w, anchors, escape, out=bins,
+                                   work=self._eta_work(plan, n, 1)))
             if half:
                 FP16V.encode(w, out=w16)
-        return eta_even, eta_odd
+        return float(ee[0]), complex(eo[0])
 
     @abstractmethod
     def aug_spmv_step(
@@ -337,13 +363,12 @@ class KernelBackend(ABC):
 
     # -- split (task-mode) kernels -------------------------------------
     # Two-phase variants of the augmented kernels for overlapped
-    # execution: the *interior* phase updates a contiguous halo-free row
-    # range (runnable while the halo exchange is in flight), the
-    # *boundary* phase the remaining gathered rows.  Each phase returns
-    # its own eta partials; callers combine them in the fixed order
-    # interior + boundary, which makes the result independent of the
-    # execution schedule (sync == overlapped, bitwise).  The W update is
-    # row-local, hence bitwise identical to the plain kernel.
+    # execution: the *interior* phase updates a contiguous halo-free run
+    # of eta blocks (runnable while the halo exchange is in flight), the
+    # *boundary* phase the remaining gathered blocks.  Each phase leaves
+    # its own bins on the plan (and returns their fold); the phases' bins
+    # add exactly, so a split step is bitwise the plain one, whatever the
+    # schedule.  The W update is row-local, hence bitwise too.
 
     def split_plan(self, A, split, r: int = 1, precision=None,
                    threads=None, simd=None) -> SplitKernelPlan:
@@ -396,13 +421,9 @@ class KernelBackend(ABC):
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         """Both phases back to back; the synchronous task-mode step."""
-        ee_i, eo_i = self.aug_spmv_interior(
-            A, v, w, a, b, plan, counters=counters, metrics=metrics
-        )
-        ee_b, eo_b = self.aug_spmv_boundary(
-            A, v, w, a, b, plan, counters=counters, metrics=metrics
-        )
-        return ee_i + ee_b, eo_i + eo_b
+        ee, eo = self._split_step("aug_spmv", A, v, w, a, b, plan, counters,
+                                  metrics)
+        return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_split_step(
         self, A, V, W, a, b, plan: SplitKernelPlan,
@@ -410,13 +431,14 @@ class KernelBackend(ABC):
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         """Both phases back to back; the synchronous task-mode step."""
-        ee_i, eo_i = self.aug_spmmv_interior(
-            A, V, W, a, b, plan, counters=counters, metrics=metrics
-        )
-        ee_b, eo_b = self.aug_spmmv_boundary(
-            A, V, W, a, b, plan, counters=counters, metrics=metrics
-        )
-        return ee_i + ee_b, eo_i + eo_b
+        return self._split_step("aug_spmmv", A, V, W, a, b, plan, counters,
+                                metrics)
+
+    def _split_step(self, kind, A, V, W, a, b, plan, counters, metrics):
+        for phase in ("interior", "boundary"):
+            getattr(self, f"{kind}_{phase}")(A, V, W, a, b, plan,
+                                             counters=counters, metrics=metrics)
+        return fold(plan.bins[0] + plan.bins[1])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"

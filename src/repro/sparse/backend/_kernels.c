@@ -19,7 +19,7 @@
  * contiguous, the locality argument of paper Section IV-A.
  *
  * ONE TEMPLATE, ONE UNIT PER BUILD (the precision profiles of
- * repro.util.precision): the sixteen kernels below are written ONCE
+ * repro.util.precision): the twelve kernels below are written ONCE
  * against the REPRO_VT / XT / AT / IT types, and each build of this
  * file holds exactly one (profile, scalar | simd) unit, picked with
  * `-DREPRO_UNIT_PROFILE=<name> -DREPRO_UNIT_SIMD=<0|1>`.  The loader
@@ -35,22 +35,24 @@
  *
  * (REPRO_UNIT_SIMD=1 appends `_simd` to every exported name.)
  *
- * The unsuffixed fp64 unit is operation-for-operation the historical
- * baseline.  The narrow profiles compute in fp32 (half
- * storage is converted at load/store with round-to-nearest-even) while
- * BOTH eta scalar products are accumulated in fp64 with compensated
- * (Kahan) summation — each partial product is formed exactly in double
- * before the compensated add, so narrow storage never degrades the
- * moments' reduction accuracy.
+ * The narrow profiles compute in fp32 (half storage is converted at
+ * load/store with round-to-nearest-even).  In every profile the eta
+ * terms are formed in fp64 and reduced by the one eta reduction (the
+ * section of that name below): plain adds per 64-row block, then an
+ * exact two-bin deposit, so no schedule can change a bit of eta.
  *
  * Index types match the Python containers: CSR indptr / SELL chunk_ptr,
  * chunk_len, perm are int64; in-kernel column indices are int32 (the
  * paper's S_i = 4) or uint16 (compressed, S_i = 2) per the table above.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #ifdef _MSC_VER
 #define EXPORT __declspec(dllexport)
@@ -101,10 +103,7 @@ static inline void repro_pf_row(const void *restrict p, size_t nbytes)
  * differently from columns in the scalar epilogue, so a column's result
  * would depend on its position and on r.  Keep it scalar; it is O(r)
  * work per row against the O(nnz_row * r) gather loop above it, which
- * stays fully vectorized.  Only the fp64 baseline carries the bitwise
- * contract — the narrow profiles promise tolerance, so their (heavier,
- * Kahan-compensated) eta loops keep the vectorizer; see the
- * REPRO_KNOVEC variant gate below the unit selection.                */
+ * stays fully vectorized.  Every profile carries the contract.        */
 #if defined(__clang__)
 #define REPRO_NOVEC _Pragma("clang loop vectorize(disable)")
 #define REPRO_NOVEC_STMT ((void)0)
@@ -147,30 +146,9 @@ static inline void repro_pf_row(const void *restrict p, size_t nbytes)
 #endif
 
 /* How a finished tile leaves the registers: stored (spmmv), or
- * recombined into w with a plain / compensated eta update.            */
+ * recombined into w with its eta terms added to the block partial.    */
 #define REPRO_FIN_STORE 0
-#define REPRO_FIN_PLAIN 1
-#define REPRO_FIN_KAHAN 2
-
-/* Row-block granularity of the threaded (_mt) kernels.  The block grid
- * is a function of the PROBLEM (row count / chunk height), never of the
- * thread count: every eta partial is accumulated per block with Kahan
- * compensation and the partials are combined sequentially in block
- * order, so the fp64 results are bitwise identical for any n_threads —
- * including 1 — and for the serial fallback when the compiler has no
- * OpenMP.  256 rows is large enough to amortize scheduling and small
- * enough to load-balance the boundary-row tails of a split.           */
-#define REPRO_MT_BLOCK 256
-
-/* One compensated (Kahan) accumulation step: *s += x with carry *c.   */
-static inline void repro_kadd(double *restrict s, double *restrict c,
-                              double x)
-{
-    const double y = x - *c;
-    const double t = *s + y;
-    *c = (t - *s) - y;
-    *s = t;
-}
+#define REPRO_FIN_AUG 1
 
 /* IEEE 754 binary16 <-> binary32, bit manipulation only (portable, no
  * compiler fp16 support required); float->half rounds to nearest even,
@@ -253,14 +231,14 @@ static inline uint16_t repro_float_to_half(float f)
 #define REPRO_PROFILE REPRO_CAT(REPRO_PROFILE_, REPRO_UNIT_PROFILE)
 
 #if REPRO_PROFILE == 1
-/* fp64 baseline: complex128 values & vectors, int32 indices, plain
- * double eta accumulation — the paper's original kernels.             */
+/* fp64 baseline: complex128 values & vectors, int32 indices — the
+ * paper's original kernels.                                           */
 #define REPRO_SUF
 #define REPRO_VT double
 #define REPRO_XT double
 #define REPRO_AT double
 #define REPRO_IT int32_t
-#define REPRO_ETA_KAHAN 0
+#define REPRO_NARROW 0
 #define REPRO_HALF 0
 #elif REPRO_PROFILE == 2
 /* fp32: complex64 values & vectors, int32 indices.                    */
@@ -269,7 +247,7 @@ static inline uint16_t repro_float_to_half(float f)
 #define REPRO_XT float
 #define REPRO_AT float
 #define REPRO_IT int32_t
-#define REPRO_ETA_KAHAN 1
+#define REPRO_NARROW 1
 #define REPRO_HALF 0
 #elif REPRO_PROFILE == 3
 /* fp32 with compressed uint16 column indices.                         */
@@ -278,7 +256,7 @@ static inline uint16_t repro_float_to_half(float f)
 #define REPRO_XT float
 #define REPRO_AT float
 #define REPRO_IT uint16_t
-#define REPRO_ETA_KAHAN 1
+#define REPRO_NARROW 1
 #define REPRO_HALF 0
 #elif REPRO_PROFILE == 4
 /* fp16v: complex64 values, float16 (re, im) pair vectors promoted to
@@ -288,7 +266,7 @@ static inline uint16_t repro_float_to_half(float f)
 #define REPRO_XT uint16_t
 #define REPRO_AT float
 #define REPRO_IT int32_t
-#define REPRO_ETA_KAHAN 1
+#define REPRO_NARROW 1
 #define REPRO_HALF 1
 #elif REPRO_PROFILE == 5
 /* fp16v with compressed uint16 column indices.                        */
@@ -297,7 +275,7 @@ static inline uint16_t repro_float_to_half(float f)
 #define REPRO_XT uint16_t
 #define REPRO_AT float
 #define REPRO_IT uint16_t
-#define REPRO_ETA_KAHAN 1
+#define REPRO_NARROW 1
 #define REPRO_HALF 1
 #else
 #error "build with -DREPRO_UNIT_PROFILE=<fp64|f32|f32u16|f16v|f16vu16>"
@@ -330,7 +308,7 @@ static inline uint16_t repro_float_to_half(float f)
  * unit this file is, and the ABI (bump with _ABI in native.py whenever
  * a signature changes).  A truncated, foreign or renamed library fails
  * here and is rebuilt instead of being called.                        */
-#define REPRO_ABI 1
+#define REPRO_ABI 2
 EXPORT int32_t repro_unit(void)
 {
     return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
@@ -443,28 +421,6 @@ static inline void repro_vadd_pd4(double *restrict s, __m256d x)
     _mm256_storeu_pd(s, _mm256_add_pd(_mm256_loadu_pd(s), x));
 }
 
-/* Vector Kahan steps: elementwise, so each lane runs exactly the
- * scalar repro_kadd recurrence for its own accumulator.               */
-static inline void repro_kadd_pd2(double *restrict s, double *restrict c,
-                                  __m128d x)
-{
-    const __m128d sv = _mm_loadu_pd(s);
-    const __m128d y = _mm_sub_pd(x, _mm_loadu_pd(c));
-    const __m128d t = _mm_add_pd(sv, y);
-    _mm_storeu_pd(c, _mm_sub_pd(_mm_sub_pd(t, sv), y));
-    _mm_storeu_pd(s, t);
-}
-
-static inline void repro_kadd_pd4(double *restrict s, double *restrict c,
-                                  __m256d x)
-{
-    const __m256d sv = _mm256_loadu_pd(s);
-    const __m256d y = _mm256_sub_pd(x, _mm256_loadu_pd(c));
-    const __m256d t = _mm256_add_pd(sv, y);
-    _mm256_storeu_pd(c, _mm256_sub_pd(_mm256_sub_pd(t, sv), y));
-    _mm256_storeu_pd(s, t);
-}
-
 /* Column-pair eta terms from interleaved (re, im) fp64 lanes: v and w
  * hold 2 block columns.  ee = vr*vr + vi*vi per column, compacted to
  * an xmm pair; eo = [re_k, im_k, re_k+1, im_k+1] where
@@ -542,39 +498,6 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
 
 #endif /* REPRO_SIMD */
 
-/* Per-variant width-stability gate: only the fp64 baseline (the one
- * variant without compensated eta accumulation) must keep its per-row
- * eta loops scalar for the bitwise coalescing contract.               */
-#if REPRO_ETA_KAHAN
-#define REPRO_KNOVEC
-#define REPRO_KNOVEC_STMT ((void)0)
-#else
-#define REPRO_KNOVEC REPRO_NOVEC
-#define REPRO_KNOVEC_STMT REPRO_NOVEC_STMT
-#endif
-
-/* Scalar-kernel eta accumulators: plain double for the fp64 baseline
- * (bitwise-identical to the historical kernels), compensated for the
- * narrow profiles.  Partial products are always formed in double.     */
-#if REPRO_ETA_KAHAN
-#define REPRO_ESUM_DECL(name) double name = 0.0, name##_c = 0.0
-#define REPRO_ESUM_ADD(name, x) repro_kadd(&name, &name##_c, (x))
-/* Block-kernel eta arrays: compensation buffer [0,r) for eta_even,
- * [r, 3r) for the interleaved eta_odd.                                */
-#define REPRO_EARR_DECL(r, cleanup)                                        \
-    double *repro_ecomp = REPRO_ALLOC(double, 3 * (r), 1);                 \
-    if (!repro_ecomp) {                                                    \
-        cleanup;                                                           \
-        return;                                                            \
-    }
-#define REPRO_EARR_FREE() free(repro_ecomp)
-#else
-#define REPRO_ESUM_DECL(name) double name = 0.0
-#define REPRO_ESUM_ADD(name, x) name += (x)
-#define REPRO_EARR_DECL(r, cleanup)
-#define REPRO_EARR_FREE() ((void)0)
-#endif
-
 /* Software row prefetch: scalar blocked kernels only.  The register-
  * tile family issues none — prefetching the next row's gathers there
  * measured -3...+10 % by shape, nothing resolvable (DESIGN section 12).
@@ -583,7 +506,7 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
 
 /* Narrow-profile vector load/store of the XT storage: identity for
  * fp32, F16C conversion (bitwise the software converters) for fp16v.  */
-#if REPRO_SIMD && REPRO_ETA_KAHAN
+#if REPRO_SIMD && REPRO_NARROW
 #if REPRO_HALF
 #define REPRO_SIMD_LOAD8(p) repro_load8h(p)
 #define REPRO_SIMD_STORE8(p, v8) repro_store8h((p), (v8))
@@ -621,7 +544,7 @@ static inline void KN(repro_rowdot)(
 {
     REPRO_AT L[8] = {0, 0, 0, 0, 0, 0, 0, 0};
     int64_t p = p0;
-#if REPRO_SIMD && !REPRO_ETA_KAHAN
+#if REPRO_SIMD && !REPRO_NARROW
     {
         /* complex lanes 0..1 in acc0, 2..3 in acc1 */
         __m256d acc0 = _mm256_setzero_pd();
@@ -700,7 +623,7 @@ static inline void KN(repro_lanecmadd)(
     const REPRO_XT *restrict x)
 {
     int64_t lane = 0;
-#if REPRO_SIMD && !REPRO_ETA_KAHAN
+#if REPRO_SIMD && !REPRO_NARROW
     for (; lane + 2 <= c; lane += 2) {
         const __m256d d = _mm256_loadu_pd(data + 2 * (slot0 + lane));
         const __m256d xv = repro_gather2c_pd(
@@ -734,6 +657,7 @@ static inline void KN(repro_lanecmadd)(
     }
 }
 
+
 #if !REPRO_SIMD
 
 /* Store m accumulator values into XT storage.                         */
@@ -746,12 +670,10 @@ static inline void KN(repro_storerow)(
         REPRO_STOREX(y, q, acc[q]);
 }
 
-#if !REPRO_ETA_KAHAN
-/* Recombination + eta update over the r columns of one row, plain
- * (uncompensated) eta accumulation — the fp64 non-threaded kernels.
- * The historical loop, kept off the autovectorizer so a column's bits
+/* Recombination + eta terms over the r columns of one row, added to the
+ * block partial ee / eo.  Kept off the autovectorizer so a column's bits
  * never depend on r (the coalescing contract).                        */
-static inline void KN(repro_loopb_plain)(
+static inline void KN(repro_loopb)(
     const REPRO_XT *restrict vrow,
     REPRO_XT *restrict wrow,
     const REPRO_AT *restrict acc,
@@ -778,56 +700,6 @@ static inline void KN(repro_loopb_plain)(
         eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
     }
 }
-#endif /* !REPRO_ETA_KAHAN */
-
-/* Compensated flavor of the recombination + eta loop, shared by the
- * narrow profiles (non-threaded) and ALL _mt block bodies.  The carry
- * layout is the unified [ee r | eo 2r] slice used by both repro_ecomp
- * and the per-block bcc buffers.                                      */
-static inline void KN(repro_loopb_kahan)(
-    const REPRO_XT *restrict vrow,
-    REPRO_XT *restrict wrow,
-    const REPRO_AT *restrict acc,
-    int64_t r,
-    REPRO_AT ta,
-    REPRO_AT tab,
-    double *restrict ee,
-    double *restrict eo,
-    double *restrict cc)
-{
-    int64_t k = 0;
-    REPRO_KNOVEC
-    for (; k < r; ++k) {
-        REPRO_KNOVEC_STMT;
-        const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
-        const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
-        const REPRO_AT wr = ta * acc[2 * k] - tab * vr
-            - REPRO_LOADX(wrow, 2 * k);
-        const REPRO_AT wi = ta * acc[2 * k + 1] - tab * vi
-            - REPRO_LOADX(wrow, 2 * k + 1);
-        REPRO_STOREX(wrow, 2 * k, wr);
-        REPRO_STOREX(wrow, 2 * k + 1, wi);
-        repro_kadd(&ee[k], &cc[k],
-                   (double)vr * (double)vr + (double)vi * (double)vi);
-        repro_kadd(&eo[2 * k], &cc[r + 2 * k],
-                   (double)wr * (double)vr + (double)wi * (double)vi);
-        repro_kadd(&eo[2 * k + 1], &cc[r + 2 * k + 1],
-                   (double)wr * (double)vi - (double)wi * (double)vr);
-    }
-}
-
-/* Dispatch for the non-threaded blocked kernels: the narrow profiles
- * carry the repro_ecomp compensation array, the fp64 baseline the
- * plain accumulators.                                                 */
-#if REPRO_ETA_KAHAN
-#define REPRO_LOOPB(vrow, wrow, accp)                                      \
-    KN(repro_loopb_kahan)((vrow), (wrow), (accp), r, ta, tab, eta_even,    \
-                          eta_odd, repro_ecomp)
-#else
-#define REPRO_LOOPB(vrow, wrow, accp)                                      \
-    KN(repro_loopb_plain)((vrow), (wrow), (accp), r, ta, tab, eta_even,    \
-                          eta_odd)
-#endif
 
 #else /* REPRO_SIMD */
 
@@ -851,7 +723,7 @@ static inline void KN(repro_loopb_kahan)(
 /* so each output bit is the scalar family's at every r.               */
 /* ------------------------------------------------------------------ */
 
-#if REPRO_ETA_KAHAN /* narrow: float lanes, 4 block columns per ymm    */
+#if REPRO_NARROW /* float lanes, 4 block columns per ymm               */
 #define REPRO_YMM __m256
 #define REPRO_YCOLS 4
 #define REPRO_Y_ZERO() _mm256_setzero_ps()
@@ -860,7 +732,7 @@ static inline void KN(repro_loopb_kahan)(
 #define REPRO_Y_CMADD repro_cmadd_ps
 #define REPRO_Y_LOADX(p) REPRO_SIMD_LOAD8(p)
 #define REPRO_Y_STOREX(p, y) REPRO_SIMD_STORE8((p), (y))
-#else               /* fp64: double lanes, 2 block columns per ymm     */
+#else            /* fp64: double lanes, 2 block columns per ymm        */
 #define REPRO_YMM __m256d
 #define REPRO_YCOLS 2
 #define REPRO_Y_ZERO() _mm256_setzero_pd()
@@ -871,54 +743,43 @@ static inline void KN(repro_loopb_kahan)(
 #define REPRO_Y_STOREX(p, y) _mm256_storeu_pd((p), (y))
 #endif
 
-/* Recombination + eta update of the REPRO_YCOLS columns from block
+/* Recombination + eta terms of the REPRO_YCOLS columns from block
  * column k that one accumulator register holds: the arithmetic of
- * repro_loopb_plain / _kahan, one lane per column.                    */
+ * repro_loopb, one lane per column.                                   */
 static inline void KN(repro_ymm_aug)(
-    const int fin,
     REPRO_YMM av,
     int64_t k,
-    int64_t r,
     const REPRO_XT *restrict vrow,
     REPRO_XT *restrict wrow,
     REPRO_YMM tav,
     REPRO_YMM tabv,
     double *restrict ee,
-    double *restrict eo,
-    double *restrict cc)
+    double *restrict eo)
 {
-#if REPRO_ETA_KAHAN
+#if REPRO_NARROW
     const __m256 v8 = REPRO_Y_LOADX(vrow + 2 * k);
     const __m256 w8 = _mm256_sub_ps(
         _mm256_sub_ps(_mm256_mul_ps(tav, av), _mm256_mul_ps(tabv, v8)),
         REPRO_Y_LOADX(wrow + 2 * k));
     REPRO_Y_STOREX(wrow + 2 * k, w8);
-    (void)fin; /* narrow eta is always compensated */
     /* exact float->double promotion, then the fp64 eta DAG, one column
      * pair (xmm half) at a time                                       */
     __m256d vv = _mm256_cvtps_pd(_mm256_castps256_ps128(v8));
     __m256d wv = _mm256_cvtps_pd(_mm256_castps256_ps128(w8));
-    repro_kadd_pd2(ee + k, cc + k, repro_ee_pair_pd(vv));
-    repro_kadd_pd4(eo + 2 * k, cc + r + 2 * k, repro_eo_quad_pd(vv, wv));
+    repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
+    repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
     vv = _mm256_cvtps_pd(_mm256_extractf128_ps(v8, 1));
     wv = _mm256_cvtps_pd(_mm256_extractf128_ps(w8, 1));
-    repro_kadd_pd2(ee + k + 2, cc + k + 2, repro_ee_pair_pd(vv));
-    repro_kadd_pd4(eo + 2 * k + 4, cc + r + 2 * k + 4,
-                   repro_eo_quad_pd(vv, wv));
+    repro_vadd_pd2(ee + k + 2, repro_ee_pair_pd(vv));
+    repro_vadd_pd4(eo + 2 * k + 4, repro_eo_quad_pd(vv, wv));
 #else
     const __m256d vv = _mm256_loadu_pd(vrow + 2 * k);
     const __m256d wv = _mm256_sub_pd(
         _mm256_sub_pd(_mm256_mul_pd(tav, av), _mm256_mul_pd(tabv, vv)),
         _mm256_loadu_pd(wrow + 2 * k));
     _mm256_storeu_pd(wrow + 2 * k, wv);
-    if (fin == REPRO_FIN_KAHAN) {
-        repro_kadd_pd2(ee + k, cc + k, repro_ee_pair_pd(vv));
-        repro_kadd_pd4(eo + 2 * k, cc + r + 2 * k,
-                       repro_eo_quad_pd(vv, wv));
-    } else {
-        repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
-        repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
-    }
+    repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
+    repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
 #endif
 }
 
@@ -941,8 +802,7 @@ static inline __attribute__((always_inline)) void KN(repro_tile)(
     REPRO_AT ta,
     REPRO_AT tab,
     double *restrict ee,
-    double *restrict eo,
-    double *restrict cc)
+    double *restrict eo)
 {
     REPRO_YMM acc[16 / REPRO_YCOLS];
     REPRO_UNROLL
@@ -968,8 +828,8 @@ static inline __attribute__((always_inline)) void KN(repro_tile)(
     const REPRO_YMM tav = REPRO_Y_SET1(ta), tabv = REPRO_Y_SET1(tab);
     REPRO_UNROLL
     for (int u = 0; u < nv; ++u)
-        KN(repro_ymm_aug)(fin, acc[u], k + REPRO_YCOLS * u, r, vrow, orow,
-                          tav, tabv, ee, eo, cc);
+        KN(repro_ymm_aug)(acc[u], k + REPRO_YCOLS * u, vrow, orow, tav, tabv,
+                          ee, eo);
 }
 
 /* The same row body for one column in scalar registers (the columns
@@ -989,8 +849,7 @@ static inline void KN(repro_tile1)(
     REPRO_AT ta,
     REPRO_AT tab,
     double *restrict ee,
-    double *restrict eo,
-    double *restrict cc)
+    double *restrict eo)
 {
     REPRO_AT sr = 0, si = 0;
     REPRO_NOUNROLL
@@ -1014,26 +873,17 @@ static inline void KN(repro_tile1)(
     const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(orow, 2 * k + 1);
     REPRO_STOREX(orow, 2 * k, wr);
     REPRO_STOREX(orow, 2 * k + 1, wi);
-    const double de = (double)vr * (double)vr + (double)vi * (double)vi;
-    const double dor = (double)wr * (double)vr + (double)wi * (double)vi;
-    const double doi = (double)wr * (double)vi - (double)wi * (double)vr;
-    if (fin == REPRO_FIN_KAHAN) {
-        repro_kadd(&ee[k], &cc[k], de);
-        repro_kadd(&eo[2 * k], &cc[r + 2 * k], dor);
-        repro_kadd(&eo[2 * k + 1], &cc[r + 2 * k + 1], doi);
-    } else {
-        ee[k] += de;
-        eo[2 * k] += dor;
-        eo[2 * k + 1] += doi;
-    }
+    ee[k] += (double)vr * (double)vr + (double)vi * (double)vi;
+    eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
+    eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
 }
 
 /* One whole row: 16-column tiles while they fit, then at most one
  * each of 8, 4 and (fp64) 2 columns, then single columns.  Measured at
  * R = 32 fp64, 8 against 4 ymm as the widest tile: CSR 10.0 / 11.3 ms,
  * SELL 9.5 / 10.1; a 32-column narrow tile bought nothing.  Always
- * inlined into the out-of-line per-finisher instances below, which is
- * where fin becomes a literal.                                        */
+ * inlined into the two out-of-line per-finisher instances below, which
+ * is where fin becomes a literal.                                     */
 static inline __attribute__((always_inline)) void KN(repro_row)(
     const int fin,
     const REPRO_IT *restrict indices,
@@ -1047,12 +897,11 @@ static inline __attribute__((always_inline)) void KN(repro_row)(
     REPRO_XT *restrict orow,         /* this row of W (aug) / Y       */
     REPRO_AT ta,
     REPRO_AT tab,
-    double *restrict ee,
-    double *restrict eo,
-    double *restrict cc)             /* kahan: carries [ee r | eo 2r] */
+    double *restrict ee,             /* aug: the block partial        */
+    double *restrict eo)
 {
 #define REPRO_TILE_ARGS                                                    \
-    indices, data, p0, cnt, stride, X, r, vrow, orow, ta, tab, ee, eo, cc
+    indices, data, p0, cnt, stride, X, r, vrow, orow, ta, tab, ee, eo
     int64_t k = 0;
     for (; k + 16 <= r; k += 16)
         KN(repro_tile)(16 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
@@ -1091,37 +940,10 @@ static REPRO_OUTLINE void KN(repro_row_store)(
     int64_t row)
 {
     KN(repro_row)(REPRO_FIN_STORE, indices, data, p0, cnt, stride, X, r,
-                  NULL, Y + 2 * row * r, 0, 0, NULL, NULL, NULL);
+                  NULL, Y + 2 * row * r, 0, 0, NULL, NULL);
 }
 
-static REPRO_OUTLINE void KN(repro_row_kahan)(
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    int64_t p0,
-    int64_t cnt,
-    int64_t stride,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    int64_t r,
-    int64_t row,
-    REPRO_AT ta,
-    REPRO_AT tab,
-    double *restrict ee,
-    double *restrict eo,
-    double *restrict cc)
-{
-    KN(repro_row)(REPRO_FIN_KAHAN, indices, data, p0, cnt, stride, V, r,
-                  V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo, cc);
-}
-
-/* The non-threaded kernels' finisher: compensated (repro_ecomp) for
- * the narrow profiles, plain for the fp64 baseline.                   */
-#if REPRO_ETA_KAHAN
-#define REPRO_ROW_AUG(p0, cnt, stride, row)                                \
-    KN(repro_row_kahan)(indices, data, (p0), (cnt), (stride), V, W, r,     \
-                        (row), ta, tab, eta_even, eta_odd, repro_ecomp)
-#else
-static REPRO_OUTLINE void KN(repro_row_plain)(
+static REPRO_OUTLINE void KN(repro_row_fin)(
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     int64_t p0,
@@ -1136,15 +958,177 @@ static REPRO_OUTLINE void KN(repro_row_plain)(
     double *restrict ee,
     double *restrict eo)
 {
-    KN(repro_row)(REPRO_FIN_PLAIN, indices, data, p0, cnt, stride, V, r,
-                  V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo, NULL);
+    KN(repro_row)(REPRO_FIN_AUG, indices, data, p0, cnt, stride, V, r,
+                  V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo);
 }
-#define REPRO_ROW_AUG(p0, cnt, stride, row)                                \
-    KN(repro_row_plain)(indices, data, (p0), (cnt), (stride), V, W, r,     \
-                        (row), ta, tab, eta_even, eta_odd)
-#endif
 
 #endif /* REPRO_SIMD */
+
+/* One row of the blocked aug kernels — entries p0, p0 + stride, ...
+ * (a CSR row: stride 1; a SELL lane: the chunk height) — recombined
+ * into W with its eta terms added to the block partial [ee r | eo 2r].
+ * acc is the scalar family's 2r-value row accumulator.                */
+static inline void KN(repro_row_aug)(
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    int64_t p0,
+    int64_t cnt,
+    int64_t stride,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    int64_t r,
+    int64_t row,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict part,
+    REPRO_AT *restrict acc)
+{
+#if REPRO_SIMD
+    (void)acc;
+    KN(repro_row_fin)(indices, data, p0, cnt, stride, V, W, r, row, ta, tab,
+                      part, part + r);
+#else
+    memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
+    for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride) {
+        if (q + 1 < cnt)
+            REPRO_PFROW(V + 2 * (int64_t)indices[p + stride] * r,
+                        (size_t)(2 * r) * sizeof(REPRO_XT));
+        KN(repro_rowaxpy)(acc, V + 2 * (int64_t)indices[p] * r,
+                          (REPRO_AT)data[2 * p], (REPRO_AT)data[2 * p + 1], r);
+    }
+    KN(repro_loopb)(V + 2 * row * r, W + 2 * row * r, acc, r, ta, tab, part,
+                    part + r);
+#endif
+}
+
+/* The single-vector kernels' finisher for row i, from its product
+ * (sr, si): w_i <- 2a (sr - b v_i) - w_i, eta terms into [ee | re, im]. */
+static inline void KN(repro_fin1)(
+    const REPRO_XT *restrict v,
+    REPRO_XT *restrict w,
+    int64_t i,
+    REPRO_AT sr,
+    REPRO_AT si,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict part)
+{
+    const REPRO_AT vr = REPRO_LOADX(v, 2 * i);
+    const REPRO_AT vi = REPRO_LOADX(v, 2 * i + 1);
+    const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(w, 2 * i);
+    const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(w, 2 * i + 1);
+    REPRO_STOREX(w, 2 * i, wr);
+    REPRO_STOREX(w, 2 * i + 1, wi);
+    part[0] += (double)vr * (double)vr + (double)vi * (double)vi;
+    /* conj(w_new) * v */
+    part[1] += (double)wr * (double)vr + (double)wi * (double)vi;
+    part[2] += (double)wr * (double)vi - (double)wi * (double)vr;
+}
+
+/* ------------------------------------------------------------------ */
+/* The eta reduction (DESIGN section 19)                               */
+/*                                                                     */
+/* Every aug kernel reduces its eta terms the same way.  A block is 64 */
+/* consecutive units of the walk — rows of a CSR walk, storage         */
+/* positions of a SELL one — and its partial p_b is the plain fp64 sum */
+/* of its rows' terms in walk order.  A deposit splits p_b exactly at  */
+/* the column's power-of-two anchor A into two fixed-point bins, of    */
+/* quanta A 2^-50 and A 2^-82, so the bins of blocks, threads, split   */
+/* phases and ranks add EXACTLY, in any order; eta is bin1 + bin2.     */
+/* With a correctly scaled spectrum every |p_b| <= |nu_0|^2 <= A / 4;  */
+/* a partial above A flags the escape (first element + 1 in *flag).    */
+/* Threads take whole blocks (OpenMP, if more than one), each into its */
+/* own bins, so n_threads never changes a bit.                         */
+/* ------------------------------------------------------------------ */
+
+#define REPRO_ETA_BLOCK 64
+
+/* The block loops' OpenMP clause, over the kernel's local nt.        */
+#ifdef _OPENMP
+#define REPRO_TID() omp_get_thread_num()
+#define REPRO_OMP_BLOCKS                                                   \
+    _Pragma("omp parallel for schedule(static) num_threads(nt) if (nt > 1)")
+#else
+#define REPRO_TID() 0
+#define REPRO_OMP_BLOCKS
+#endif
+
+/* One call's reduction state: per thread a 64-byte aligned slot
+ * [scratch | part 3r | bins 6r | flag], then [A | E1 | E2], 3r each.  */
+typedef struct {
+    double *ws;
+    int64_t r3, off, slot;
+    int nt;
+} repro_eta_t;
+
+static int repro_eta_open(repro_eta_t *e, int64_t r, int64_t n_threads,
+                          size_t scratch_bytes, const double *restrict anchors)
+{
+    e->nt = (int)(n_threads > 1 ? n_threads : 1);
+    e->r3 = 3 * r;
+    e->off = (int64_t)((scratch_bytes + 63) / 64 * 8);
+    e->slot = (e->off + 3 * e->r3 + 1 + 7) / 8 * 8;
+    e->ws = REPRO_ALLOC(double, e->nt * e->slot + 3 * e->r3, 1);
+    if (!e->ws)
+        return 0;
+    double *restrict lim = e->ws + e->nt * e->slot;
+    for (int64_t j = 0; j < e->r3; ++j) {
+        const double anchor = anchors[j < r ? j : (j - r) / 2];
+        lim[j] = anchor;
+        lim[e->r3 + j] = 6.0 * anchor;             /* 1.5 2^52 A 2^-50 */
+        lim[2 * e->r3 + j] = 6.0 * anchor * 0x1p-32;
+    }
+    return 1;
+}
+
+/* The calling thread's slot: its scratch; part = slot + e->off.       */
+static inline double *repro_eta_slot(const repro_eta_t *e)
+{
+    return e->ws + REPRO_TID() * e->slot;
+}
+
+/* Deposit the block partial part[0, 3r) into the slot's bins; zero it. */
+static void repro_deposit(const repro_eta_t *e, double *restrict part)
+{
+    const int64_t r3 = e->r3;
+    const double *restrict lim = e->ws + e->nt * e->slot;
+    double *restrict bins = part + r3;
+    double *restrict flag = bins + 2 * r3;
+    for (int64_t j = 0; j < r3; ++j) {
+        const double x = part[j];
+        const double h1 = (x + lim[r3 + j]) - lim[r3 + j];
+        const double lo = x - h1;
+        bins[j] += h1;
+        bins[r3 + j] += (lo + lim[2 * r3 + j]) - lim[2 * r3 + j];
+        if (!(fabs(x) <= lim[j]) && (*flag == 0.0 || j + 1 < *flag))
+            *flag = (double)(j + 1);
+        part[j] = 0.0;
+    }
+}
+
+/* bins <- the sum of every thread's bins; *flag keeps the smallest
+ * flagged element (sticky: a set flag stays until the caller clears). */
+static void repro_eta_close(repro_eta_t *e, double *restrict bins,
+                            int64_t *restrict flag)
+{
+    const int64_t r3 = e->r3;
+    memset(bins, 0, (size_t)(2 * r3) * sizeof(double));
+    for (int t = 0; t < e->nt; ++t) {
+        const double *restrict tb = e->ws + t * e->slot + e->off + r3;
+        for (int64_t j = 0; j < 2 * r3; ++j)
+            bins[j] += tb[j];
+        const int64_t f = (int64_t)tb[2 * r3];
+        if (f && (*flag == 0 || f < *flag))
+            *flag = f;
+    }
+    free(e->ws);
+}
+
+#define REPRO_ETA_ARGS                                                     \
+    int64_t n_threads, double a, double b,                                 \
+        const double *restrict anchors, /* r doubles: the anchors A_k  */  \
+        double *restrict bins,          /* 6r: [bin1 3r | bin2 3r]     */  \
+        int64_t *restrict flag          /* escape: first element + 1   */
 
 /* ------------------------------------------------------------------ */
 /* CSR                                                                 */
@@ -1210,233 +1194,16 @@ EXPORT void KN(repro_csr_spmmv)(
 #endif
 }
 
-/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>.
- * eta_odd is one interleaved complex value.                           */
-EXPORT void KN(repro_csr_aug_spmv)(
-    int64_t n_rows,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict v,
-    REPRO_XT *restrict w,
-    double a,
-    double b,
-    double *restrict eta_even,     /* 1 double  */
-    double *restrict eta_odd)      /* 2 doubles */
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    REPRO_ESUM_DECL(ee);
-    REPRO_ESUM_DECL(eor);
-    REPRO_ESUM_DECL(eoi);
-    for (int64_t i = 0; i < n_rows; ++i) {
-        REPRO_AT sr, si;
-        KN(repro_rowdot)(indptr[i], indptr[i + 1], indices, data, v, &sr,
-                         &si);
-        const REPRO_AT vr = REPRO_LOADX(v, 2 * i);
-        const REPRO_AT vi = REPRO_LOADX(v, 2 * i + 1);
-        const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(w, 2 * i);
-        const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(w, 2 * i + 1);
-        REPRO_STOREX(w, 2 * i, wr);
-        REPRO_STOREX(w, 2 * i + 1, wi);
-        REPRO_ESUM_ADD(ee, (double)vr * (double)vr + (double)vi * (double)vi);
-        /* conj(w_new) * v */
-        REPRO_ESUM_ADD(eor, (double)wr * (double)vr + (double)wi * (double)vi);
-        REPRO_ESUM_ADD(eoi, (double)wr * (double)vi - (double)wi * (double)vr);
-    }
-    *eta_even = ee;
-    eta_odd[0] = eor;
-    eta_odd[1] = eoi;
-}
-
-/* Blocked variant: V, W are (N, R) row-major; eta_even is R doubles,
- * eta_odd R interleaved complex values.                               */
-EXPORT void KN(repro_csr_aug_spmmv)(
-    int64_t n_rows,
-    int64_t r,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,     /* r doubles   */
-    double *restrict eta_odd)      /* 2*r doubles */
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-#if REPRO_SIMD
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, (void)0)
-    for (int64_t i = 0; i < n_rows; ++i) {
-        REPRO_ROW_AUG(indptr[i], indptr[i + 1] - indptr[i], 1, i);
-    }
-    REPRO_EARR_FREE();
-#else
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
-    if (!acc)
-        return;
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, free(acc))
-    for (int64_t i = 0; i < n_rows; ++i) {
-        memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
-        const int64_t p0 = indptr[i], p1 = indptr[i + 1];
-        for (int64_t p = p0; p < p1; ++p) {
-            if (p + 1 < p1)
-                REPRO_PFROW(V + 2 * (int64_t)indices[p + 1] * r,
-                            (size_t)(2 * r) * sizeof(REPRO_XT));
-            const REPRO_AT ar = (REPRO_AT)data[2 * p];
-            const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-            const REPRO_XT *restrict xj = V + 2 * (int64_t)indices[p] * r;
-            KN(repro_rowaxpy)(acc, xj, ar, ai, r);
-        }
-        REPRO_LOOPB(V + 2 * i * r, W + 2 * i * r, acc);
-    }
-    REPRO_EARR_FREE();
-    free(acc);
-#endif
-}
-
-/* ------------------------------------------------------------------ */
-/* CSR split kernels (task-mode overlapped execution)                  */
-/*                                                                     */
-/* The distributed engines hide the halo exchange by running the KPM   */
-/* update in two phases: a contiguous *interior* row range [row0,row1) */
-/* whose entries reference only local columns (computable before the   */
-/* halo arrives), then the gathered *boundary* rows.  Both variants    */
-/* index the ORIGINAL local matrix absolutely — no row extraction —    */
-/* and the per-row arithmetic is byte-for-byte the plain kernel's, so  */
-/* the W update is bitwise identical to a single-phase call for any    */
-/* split.  Each phase zeroes and returns its OWN eta partials; the     */
-/* caller combines them in a fixed order (interior + boundary), which  */
-/* makes the combined dots independent of the execution schedule.      */
-/* ------------------------------------------------------------------ */
-
-EXPORT void KN(repro_csr_aug_spmv_range)(
-    int64_t row0,
-    int64_t row1,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict v,
-    REPRO_XT *restrict w,
-    double a,
-    double b,
-    double *restrict eta_even,     /* 1 double: this phase's partial  */
-    double *restrict eta_odd)      /* 2 doubles                       */
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    REPRO_ESUM_DECL(ee);
-    REPRO_ESUM_DECL(eor);
-    REPRO_ESUM_DECL(eoi);
-    for (int64_t i = row0; i < row1; ++i) {
-        REPRO_AT sr, si;
-        KN(repro_rowdot)(indptr[i], indptr[i + 1], indices, data, v, &sr,
-                         &si);
-        const REPRO_AT vr = REPRO_LOADX(v, 2 * i);
-        const REPRO_AT vi = REPRO_LOADX(v, 2 * i + 1);
-        const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(w, 2 * i);
-        const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(w, 2 * i + 1);
-        REPRO_STOREX(w, 2 * i, wr);
-        REPRO_STOREX(w, 2 * i + 1, wi);
-        REPRO_ESUM_ADD(ee, (double)vr * (double)vr + (double)vi * (double)vi);
-        REPRO_ESUM_ADD(eor, (double)wr * (double)vr + (double)wi * (double)vi);
-        REPRO_ESUM_ADD(eoi, (double)wr * (double)vi - (double)wi * (double)vr);
-    }
-    *eta_even = ee;
-    eta_odd[0] = eor;
-    eta_odd[1] = eoi;
-}
-
-EXPORT void KN(repro_csr_aug_spmv_rows)(
-    int64_t n_sub,
-    const int64_t *restrict rows,  /* gathered local row indices      */
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict v,
-    REPRO_XT *restrict w,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    REPRO_ESUM_DECL(ee);
-    REPRO_ESUM_DECL(eor);
-    REPRO_ESUM_DECL(eoi);
-    for (int64_t t = 0; t < n_sub; ++t) {
-        const int64_t i = rows[t];
-        REPRO_AT sr, si;
-        KN(repro_rowdot)(indptr[i], indptr[i + 1], indices, data, v, &sr,
-                         &si);
-        const REPRO_AT vr = REPRO_LOADX(v, 2 * i);
-        const REPRO_AT vi = REPRO_LOADX(v, 2 * i + 1);
-        const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(w, 2 * i);
-        const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(w, 2 * i + 1);
-        REPRO_STOREX(w, 2 * i, wr);
-        REPRO_STOREX(w, 2 * i + 1, wi);
-        REPRO_ESUM_ADD(ee, (double)vr * (double)vr + (double)vi * (double)vi);
-        REPRO_ESUM_ADD(eor, (double)wr * (double)vr + (double)wi * (double)vi);
-        REPRO_ESUM_ADD(eoi, (double)wr * (double)vi - (double)wi * (double)vr);
-    }
-    *eta_even = ee;
-    eta_odd[0] = eor;
-    eta_odd[1] = eoi;
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_range)(
-    int64_t row0,
-    int64_t row1,
-    int64_t r,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,     /* r doubles: this phase's partials */
-    double *restrict eta_odd)      /* 2*r doubles                      */
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-#if REPRO_SIMD
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, (void)0)
-    for (int64_t i = row0; i < row1; ++i) {
-        REPRO_ROW_AUG(indptr[i], indptr[i + 1] - indptr[i], 1, i);
-    }
-    REPRO_EARR_FREE();
-#else
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
-    if (!acc)
-        return;
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, free(acc))
-    for (int64_t i = row0; i < row1; ++i) {
-        memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
-        const int64_t p0 = indptr[i], p1 = indptr[i + 1];
-        for (int64_t p = p0; p < p1; ++p) {
-            if (p + 1 < p1)
-                REPRO_PFROW(V + 2 * (int64_t)indices[p + 1] * r,
-                            (size_t)(2 * r) * sizeof(REPRO_XT));
-            const REPRO_AT ar = (REPRO_AT)data[2 * p];
-            const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-            const REPRO_XT *restrict xj = V + 2 * (int64_t)indices[p] * r;
-            KN(repro_rowaxpy)(acc, xj, ar, ai, r);
-        }
-        REPRO_LOOPB(V + 2 * i * r, W + 2 * i * r, acc);
-    }
-    REPRO_EARR_FREE();
-    free(acc);
-#endif
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_rows)(
-    int64_t n_sub,
+/* The augmented CSR walk behind all six CSR aug kernels:
+ * w <- 2a(Hv - b v) - w over the rows i = rows ? rows[t] : t,
+ * t in [t0, t1), eta into bins.  single: the r = 1 vector kernel
+ * (lane-blocked row dot); else the blocked row body.  A block is 64
+ * walk positions from t0 — the global 64-row blocks, since a walk
+ * starts on a block and a gathered list holds whole blocks.           */
+static void KN(repro_csr_walk)(
+    const int single,
+    int64_t t0,
+    int64_t t1,
     const int64_t *restrict rows,
     int64_t r,
     const int64_t *restrict indptr,
@@ -1444,46 +1211,89 @@ EXPORT void KN(repro_csr_aug_spmmv_rows)(
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict V,
     REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
+    REPRO_ETA_ARGS)
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-#if REPRO_SIMD
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, (void)0)
-    for (int64_t t = 0; t < n_sub; ++t) {
-        const int64_t i = rows[t];
-        REPRO_ROW_AUG(indptr[i], indptr[i + 1] - indptr[i], 1, i);
-    }
-    REPRO_EARR_FREE();
-#else
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
-    if (!acc)
+    const int64_t nb = t1 > t0 ? (t1 - t0 + 63) / REPRO_ETA_BLOCK : 0;
+    repro_eta_t e;
+    if (!repro_eta_open(&e, r, n_threads,
+                        (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
         return;
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, free(acc))
-    for (int64_t t = 0; t < n_sub; ++t) {
-        const int64_t i = rows[t];
-        memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
-        const int64_t p0 = indptr[i], p1 = indptr[i + 1];
-        for (int64_t p = p0; p < p1; ++p) {
-            if (p + 1 < p1)
-                REPRO_PFROW(V + 2 * (int64_t)indices[p + 1] * r,
-                            (size_t)(2 * r) * sizeof(REPRO_XT));
-            const REPRO_AT ar = (REPRO_AT)data[2 * p];
-            const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-            const REPRO_XT *restrict xj = V + 2 * (int64_t)indices[p] * r;
-            KN(repro_rowaxpy)(acc, xj, ar, ai, r);
+    const int nt = e.nt;
+    REPRO_OMP_BLOCKS
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict s = repro_eta_slot(&e);
+        double *restrict part = s + e.off;
+        const int64_t tb0 = t0 + bi * REPRO_ETA_BLOCK;
+        const int64_t tb1 =
+            tb0 + REPRO_ETA_BLOCK < t1 ? tb0 + REPRO_ETA_BLOCK : t1;
+        for (int64_t t = tb0; t < tb1; ++t) {
+            const int64_t i = rows ? rows[t] : t;
+            if (single) {
+                REPRO_AT sr, si;
+                KN(repro_rowdot)(indptr[i], indptr[i + 1], indices, data, V,
+                                 &sr, &si);
+                KN(repro_fin1)(V, W, i, sr, si, ta, tab, part);
+            } else {
+                KN(repro_row_aug)(indices, data, indptr[i],
+                                  indptr[i + 1] - indptr[i], 1, V, W, r, i, ta,
+                                  tab, part, (REPRO_AT *)s);
+            }
         }
-        REPRO_LOOPB(V + 2 * i * r, W + 2 * i * r, acc);
+        repro_deposit(&e, part);
     }
-    REPRO_EARR_FREE();
-    free(acc);
-#endif
+    repro_eta_close(&e, bins, flag);
+}
+
+#define REPRO_CSR_TAIL                                                     \
+    indptr, indices, data, V, W, n_threads, a, b, anchors, bins, flag
+#define REPRO_CSR_PARAMS                                                   \
+    const int64_t *restrict indptr, const REPRO_IT *restrict indices,      \
+        const REPRO_VT *restrict data, const REPRO_XT *restrict V,         \
+        REPRO_XT *restrict W, REPRO_ETA_ARGS
+
+/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>:
+ * v, w are one vector (the r = 1 lane-blocked row dot).               */
+EXPORT void KN(repro_csr_aug_spmv)(int64_t n_rows, REPRO_CSR_PARAMS)
+{
+    KN(repro_csr_walk)(1, 0, n_rows, NULL, 1, REPRO_CSR_TAIL);
+}
+
+/* Blocked variant: V, W are (N, R) row-major.                         */
+EXPORT void KN(repro_csr_aug_spmmv)(int64_t n_rows, int64_t r,
+                                    REPRO_CSR_PARAMS)
+{
+    KN(repro_csr_walk)(0, 0, n_rows, NULL, r, REPRO_CSR_TAIL);
+}
+
+/* Split (task-mode) phases: the interior row range [row0, row1) and
+ * the gathered boundary rows, both indexing the ORIGINAL local matrix
+ * absolutely — no row extraction.  Each phase's bins are its own; the
+ * caller adds them (exactly), so split == unsplit, bitwise.           */
+EXPORT void KN(repro_csr_aug_spmv_range)(int64_t row0, int64_t row1,
+                                         REPRO_CSR_PARAMS)
+{
+    KN(repro_csr_walk)(1, row0, row1, NULL, 1, REPRO_CSR_TAIL);
+}
+
+EXPORT void KN(repro_csr_aug_spmv_rows)(int64_t n_sub,
+                                        const int64_t *restrict rows,
+                                        REPRO_CSR_PARAMS)
+{
+    KN(repro_csr_walk)(1, 0, n_sub, rows, 1, REPRO_CSR_TAIL);
+}
+
+EXPORT void KN(repro_csr_aug_spmmv_range)(int64_t row0, int64_t row1,
+                                          int64_t r, REPRO_CSR_PARAMS)
+{
+    KN(repro_csr_walk)(0, row0, row1, NULL, r, REPRO_CSR_TAIL);
+}
+
+EXPORT void KN(repro_csr_aug_spmmv_rows)(int64_t n_sub,
+                                         const int64_t *restrict rows,
+                                         int64_t r, REPRO_CSR_PARAMS)
+{
+    KN(repro_csr_walk)(0, 0, n_sub, rows, r, REPRO_CSR_TAIL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1494,7 +1304,8 @@ EXPORT void KN(repro_csr_aug_spmmv_rows)(
 /* within the chunk).  perm[sorted_pos] is the original row; sorted    */
 /* positions whose perm value is >= n_rows are padding rows.  Padded   */
 /* slots hold value 0 with a valid self-referencing column, so they    */
-/* are numerically inert but are streamed like real entries.           */
+/* are numerically inert but are streamed like real entries.  The eta */
+/* blocks are 64 sorted positions: rows in storage order.              */
 /* ------------------------------------------------------------------ */
 
 EXPORT void KN(repro_sell_spmv)(
@@ -1584,6 +1395,9 @@ EXPORT void KN(repro_sell_spmmv)(
 #endif
 }
 
+/* Single vector: a chunk's c lanes accumulate together (the lane-
+ * vectorized product), so threads take groups of whole chunks and
+ * whole blocks, lcm(c, 64) positions each.                            */
 EXPORT void KN(repro_sell_aug_spmv)(
     int64_t n_rows,
     int64_t n_chunks,
@@ -1595,49 +1409,49 @@ EXPORT void KN(repro_sell_aug_spmv)(
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict v,
     REPRO_XT *restrict w,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
+    REPRO_ETA_ARGS)
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    REPRO_ESUM_DECL(ee);
-    REPRO_ESUM_DECL(eor);
-    REPRO_ESUM_DECL(eoi);
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * c, 0);
-    if (!acc)
+    int64_t g = c, h = REPRO_ETA_BLOCK;
+    while (h) {
+        const int64_t t = g % h;
+        g = h;
+        h = t;
+    }
+    const int64_t cpg = REPRO_ETA_BLOCK / g; /* chunks per group */
+    const int64_t n_pos = n_chunks * c;
+    const int64_t ng = (n_chunks + cpg - 1) / cpg;
+    repro_eta_t e;
+    if (!repro_eta_open(&e, 1, n_threads, (size_t)(2 * c) * sizeof(REPRO_AT),
+                        anchors))
         return;
-    for (int64_t ci = 0; ci < n_chunks; ++ci) {
-        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-        memset(acc, 0, (size_t)(2 * c) * sizeof(REPRO_AT));
-        for (int64_t j = 0; j < len; ++j)
-            KN(repro_lanecmadd)(acc, data, indices, base + j * c, c, v);
-        for (int64_t lane = 0; lane < c; ++lane) {
-            const int64_t row = perm[ci * c + lane];
-            if (row >= n_rows)
-                continue;
-            const REPRO_AT vr = REPRO_LOADX(v, 2 * row);
-            const REPRO_AT vi = REPRO_LOADX(v, 2 * row + 1);
-            const REPRO_AT wr = ta * acc[2 * lane] - tab * vr
-                - REPRO_LOADX(w, 2 * row);
-            const REPRO_AT wi = ta * acc[2 * lane + 1] - tab * vi
-                - REPRO_LOADX(w, 2 * row + 1);
-            REPRO_STOREX(w, 2 * row, wr);
-            REPRO_STOREX(w, 2 * row + 1, wi);
-            REPRO_ESUM_ADD(ee,
-                           (double)vr * (double)vr + (double)vi * (double)vi);
-            REPRO_ESUM_ADD(eor,
-                           (double)wr * (double)vr + (double)wi * (double)vi);
-            REPRO_ESUM_ADD(eoi,
-                           (double)wr * (double)vi - (double)wi * (double)vr);
+    const int nt = e.nt;
+    REPRO_OMP_BLOCKS
+    for (int64_t gi = 0; gi < ng; ++gi) {
+        double *restrict s = repro_eta_slot(&e);
+        double *restrict part = s + e.off;
+        REPRO_AT *restrict acc = (REPRO_AT *)s;
+        const int64_t c1 = (gi + 1) * cpg < n_chunks ? (gi + 1) * cpg
+                                                     : n_chunks;
+        for (int64_t ci = gi * cpg; ci < c1; ++ci) {
+            const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
+            memset(acc, 0, (size_t)(2 * c) * sizeof(REPRO_AT));
+            for (int64_t j = 0; j < len; ++j)
+                KN(repro_lanecmadd)(acc, data, indices, base + j * c, c, v);
+            for (int64_t lane = 0; lane < c; ++lane) {
+                const int64_t pos = ci * c + lane, row = perm[pos];
+                if (row < n_rows)
+                    KN(repro_fin1)(v, w, row, acc[2 * lane],
+                                   acc[2 * lane + 1], ta, tab, part);
+                if ((pos + 1) % REPRO_ETA_BLOCK == 0 || pos + 1 == n_pos)
+                    repro_deposit(&e, part);
+            }
         }
     }
-    free(acc);
-    *eta_even = ee;
-    eta_odd[0] = eor;
-    eta_odd[1] = eoi;
+    repro_eta_close(&e, bins, flag);
 }
 
+/* Blocked: one row body per position, so threads take blocks.        */
 EXPORT void KN(repro_sell_aug_spmmv)(
     int64_t n_rows,
     int64_t n_chunks,
@@ -1650,348 +1464,32 @@ EXPORT void KN(repro_sell_aug_spmmv)(
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict V,
     REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
+    REPRO_ETA_ARGS)
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-#if REPRO_SIMD
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, (void)0)
-    for (int64_t ci = 0; ci < n_chunks; ++ci) {
-        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-        for (int64_t lane = 0; lane < c; ++lane) {
-            const int64_t row = perm[ci * c + lane];
-            if (row < n_rows)
-                REPRO_ROW_AUG(base + lane, len, c, row);
-        }
-    }
-    REPRO_EARR_FREE();
-#else
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * c * r, 0);
-    if (!acc)
+    const int64_t n_pos = n_chunks * c;
+    const int64_t nb = (n_pos + REPRO_ETA_BLOCK - 1) / REPRO_ETA_BLOCK;
+    repro_eta_t e;
+    if (!repro_eta_open(&e, r, n_threads,
+                        (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
         return;
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    REPRO_EARR_DECL(r, free(acc))
-    for (int64_t ci = 0; ci < n_chunks; ++ci) {
-        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-        memset(acc, 0, (size_t)(2 * c * r) * sizeof(REPRO_AT));
-        for (int64_t j = 0; j < len; ++j) {
-            const int64_t slot0 = base + j * c;
-            const int has_next = (j + 1 < len);
-            for (int64_t lane = 0; lane < c; ++lane) {
-                if (has_next)
-                    REPRO_PFROW(
-                        V + 2 * (int64_t)indices[slot0 + c + lane] * r,
-                        (size_t)(2 * r) * sizeof(REPRO_XT));
-                const REPRO_AT ar = (REPRO_AT)data[2 * (slot0 + lane)];
-                const REPRO_AT ai = (REPRO_AT)data[2 * (slot0 + lane) + 1];
-                const REPRO_XT *restrict xj =
-                    V + 2 * (int64_t)indices[slot0 + lane] * r;
-                KN(repro_rowaxpy)(acc + 2 * lane * r, xj, ar, ai, r);
-            }
-        }
-        for (int64_t lane = 0; lane < c; ++lane) {
-            const int64_t row = perm[ci * c + lane];
+    const int nt = e.nt;
+    REPRO_OMP_BLOCKS
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict s = repro_eta_slot(&e);
+        double *restrict part = s + e.off;
+        const int64_t p1 = (bi + 1) * REPRO_ETA_BLOCK < n_pos
+                               ? (bi + 1) * REPRO_ETA_BLOCK : n_pos;
+        for (int64_t pos = bi * REPRO_ETA_BLOCK; pos < p1; ++pos) {
+            const int64_t row = perm[pos];
             if (row >= n_rows)
                 continue;
-            REPRO_LOOPB(V + 2 * row * r, W + 2 * row * r,
-                        acc + 2 * lane * r);
+            const int64_t ci = pos / c;
+            KN(repro_row_aug)(indices, data, chunk_ptr[ci] + pos - ci * c,
+                              chunk_len[ci], c, V, W, r, row, ta, tab, part,
+                              (REPRO_AT *)s);
         }
+        repro_deposit(&e, part);
     }
-    REPRO_EARR_FREE();
-    free(acc);
-#endif
-}
-
-/* ------------------------------------------------------------------ */
-/* Threaded (_mt) kernels: OpenMP parallel-for over fixed row blocks   */
-/*                                                                     */
-/* The paper's hybrid execution is MPI + OpenMP — each rank drives all */
-/* of a socket's cores (Sections V-VI).  These variants parallelize    */
-/* the row loop of the augmented block kernels over REPRO_MT_BLOCK-row */
-/* blocks with a DETERMINISTIC reduction: the block grid depends only  */
-/* on the row range (never the thread count), each block accumulates   */
-/* its eta partials with Kahan compensation into its own slice of a    */
-/* preallocated array, and after the parallel region the partials are  */
-/* combined sequentially in block order.  Result: bitwise-identical    */
-/* eta for every n_threads >= 1, OpenMP or not — the checkpoint-       */
-/* resume / mp==sim / serve-coalescing invariants survive threading.   */
-/* The W update is row-local (disjoint rows per block; SELL perm is a  */
-/* permutation), so it is race-free and bitwise equal to the serial    */
-/* kernels' update.  No allocation happens inside the parallel region. */
-/* ------------------------------------------------------------------ */
-
-/* Shared CSR body: iterates t over [t0, t1); the row is rows[t] when a
- * gather list is given (the boundary phase), else t itself (the plain
- * and interior-range variants, which pass t0=row0, t1=row1).          */
-static void KN(repro_csr_aug_spmmv_mt_body)(
-    int64_t t0,
-    int64_t t1,
-    const int64_t *restrict rows,
-    int64_t r,
-    int64_t n_threads,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,     /* r doubles   */
-    double *restrict eta_odd)      /* 2*r doubles */
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    const int64_t span = t1 > t0 ? t1 - t0 : 0;
-    const int64_t nb = (span + REPRO_MT_BLOCK - 1) / REPRO_MT_BLOCK;
-    const int nt = (int)(n_threads > 0 ? n_threads : 1);
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    if (nb == 0)
-        return;
-    (void)nt;
-    /* per-block eta partials [ee r | eo 2r | kahan carries 3r], plus a
-     * trailing 3r carry slice for the block-order combine             */
-    double *epart = REPRO_ALLOC(double, nb * 6 * r + 3 * r, 1);
-#if REPRO_SIMD
-    if (!epart)
-        return;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nt)
-#endif
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        double *restrict bee = epart + (size_t)(bi * 6 * r);
-        const int64_t tb0 = t0 + bi * REPRO_MT_BLOCK;
-        const int64_t tb1 =
-            tb0 + REPRO_MT_BLOCK < t1 ? tb0 + REPRO_MT_BLOCK : t1;
-        for (int64_t t = tb0; t < tb1; ++t) {
-            const int64_t i = rows ? rows[t] : t;
-            KN(repro_row_kahan)(indices, data, indptr[i],
-                                indptr[i + 1] - indptr[i], 1, V, W, r, i,
-                                ta, tab, bee, bee + r, bee + 3 * r);
-        }
-    }
-#else
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nb * 2 * r, 0);
-    if (!accs || !epart) {
-        free(accs);
-        free(epart);
-        return;
-    }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nt)
-#endif
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        REPRO_AT *restrict acc = accs + (size_t)(bi * 2 * r);
-        double *restrict bee = epart + (size_t)(bi * 6 * r);
-        double *restrict beo = bee + r;
-        double *restrict bcc = bee + 3 * r;
-        const int64_t tb0 = t0 + bi * REPRO_MT_BLOCK;
-        const int64_t tb1 =
-            tb0 + REPRO_MT_BLOCK < t1 ? tb0 + REPRO_MT_BLOCK : t1;
-        for (int64_t t = tb0; t < tb1; ++t) {
-            const int64_t i = rows ? rows[t] : t;
-            memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
-            const int64_t p0 = indptr[i], p1 = indptr[i + 1];
-            for (int64_t p = p0; p < p1; ++p) {
-                if (p + 1 < p1)
-                    REPRO_PFROW(V + 2 * (int64_t)indices[p + 1] * r,
-                                (size_t)(2 * r) * sizeof(REPRO_XT));
-                const REPRO_AT ar = (REPRO_AT)data[2 * p];
-                const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-                const REPRO_XT *restrict xj =
-                    V + 2 * (int64_t)indices[p] * r;
-                KN(repro_rowaxpy)(acc, xj, ar, ai, r);
-            }
-            KN(repro_loopb_kahan)(V + 2 * i * r, W + 2 * i * r, acc, r, ta,
-                                  tab, bee, beo, bcc);
-        }
-    }
-    free(accs);
-#endif
-    /* sequential block-order combine: the only cross-block reduction  */
-    double *restrict ccomb = epart + (size_t)(nb * 6 * r);
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        const double *restrict bee = epart + (size_t)(bi * 6 * r);
-        const double *restrict beo = bee + r;
-        for (int64_t k = 0; k < r; ++k)
-            repro_kadd(&eta_even[k], &ccomb[k], bee[k]);
-        for (int64_t k = 0; k < 2 * r; ++k)
-            repro_kadd(&eta_odd[k], &ccomb[r + k], beo[k]);
-    }
-    free(epart);
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_mt)(
-    int64_t n_rows,
-    int64_t r,
-    int64_t n_threads,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
-{
-    KN(repro_csr_aug_spmmv_mt_body)(0, n_rows, NULL, r, n_threads, indptr,
-                                    indices, data, V, W, a, b, eta_even,
-                                    eta_odd);
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_range_mt)(
-    int64_t row0,
-    int64_t row1,
-    int64_t r,
-    int64_t n_threads,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
-{
-    KN(repro_csr_aug_spmmv_mt_body)(row0, row1, NULL, r, n_threads, indptr,
-                                    indices, data, V, W, a, b, eta_even,
-                                    eta_odd);
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_rows_mt)(
-    int64_t n_sub,
-    const int64_t *restrict rows,
-    int64_t r,
-    int64_t n_threads,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
-{
-    KN(repro_csr_aug_spmmv_mt_body)(0, n_sub, rows, r, n_threads, indptr,
-                                    indices, data, V, W, a, b, eta_even,
-                                    eta_odd);
-}
-
-/* SELL threaded variant: blocks are fixed runs of whole chunks — the
- * chunks-per-block count depends only on the chunk height c, so the
- * grid (hence the bits) is again independent of the thread count.     */
-EXPORT void KN(repro_sell_aug_spmmv_mt)(
-    int64_t n_rows,
-    int64_t n_chunks,
-    int64_t c,
-    int64_t r,
-    int64_t n_threads,
-    const int64_t *restrict chunk_ptr,
-    const int64_t *restrict chunk_len,
-    const int64_t *restrict perm,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    double a,
-    double b,
-    double *restrict eta_even,
-    double *restrict eta_odd)
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    const int64_t cpb = REPRO_MT_BLOCK / c > 0 ? REPRO_MT_BLOCK / c : 1;
-    const int64_t nb = (n_chunks + cpb - 1) / cpb;
-    const int nt = (int)(n_threads > 0 ? n_threads : 1);
-    memset(eta_even, 0, (size_t)r * sizeof(double));
-    memset(eta_odd, 0, (size_t)(2 * r) * sizeof(double));
-    if (nb == 0)
-        return;
-    (void)nt;
-    double *epart = REPRO_ALLOC(double, nb * 6 * r + 3 * r, 1);
-#if REPRO_SIMD
-    if (!epart)
-        return;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nt)
-#endif
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        double *restrict bee = epart + (size_t)(bi * 6 * r);
-        const int64_t cb1 =
-            (bi + 1) * cpb < n_chunks ? (bi + 1) * cpb : n_chunks;
-        for (int64_t ci = bi * cpb; ci < cb1; ++ci) {
-            const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-            for (int64_t lane = 0; lane < c; ++lane) {
-                const int64_t row = perm[ci * c + lane];
-                if (row < n_rows)
-                    KN(repro_row_kahan)(indices, data, base + lane, len, c,
-                                        V, W, r, row, ta, tab, bee,
-                                        bee + r, bee + 3 * r);
-            }
-        }
-    }
-#else
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nb * 2 * c * r, 0);
-    if (!accs || !epart) {
-        free(accs);
-        free(epart);
-        return;
-    }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) num_threads(nt)
-#endif
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        REPRO_AT *restrict acc = accs + (size_t)(bi * 2 * c * r);
-        double *restrict bee = epart + (size_t)(bi * 6 * r);
-        double *restrict beo = bee + r;
-        double *restrict bcc = bee + 3 * r;
-        const int64_t cb1 =
-            (bi + 1) * cpb < n_chunks ? (bi + 1) * cpb : n_chunks;
-        for (int64_t ci = bi * cpb; ci < cb1; ++ci) {
-            const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-            memset(acc, 0, (size_t)(2 * c * r) * sizeof(REPRO_AT));
-            for (int64_t j = 0; j < len; ++j) {
-                const int64_t slot0 = base + j * c;
-                const int has_next = (j + 1 < len);
-                for (int64_t lane = 0; lane < c; ++lane) {
-                    if (has_next)
-                        REPRO_PFROW(
-                            V + 2 * (int64_t)indices[slot0 + c + lane] * r,
-                            (size_t)(2 * r) * sizeof(REPRO_XT));
-                    const REPRO_AT ar = (REPRO_AT)data[2 * (slot0 + lane)];
-                    const REPRO_AT ai =
-                        (REPRO_AT)data[2 * (slot0 + lane) + 1];
-                    const REPRO_XT *restrict xj =
-                        V + 2 * (int64_t)indices[slot0 + lane] * r;
-                    KN(repro_rowaxpy)(acc + 2 * lane * r, xj, ar, ai, r);
-                }
-            }
-            for (int64_t lane = 0; lane < c; ++lane) {
-                const int64_t row = perm[ci * c + lane];
-                if (row >= n_rows)
-                    continue;
-                KN(repro_loopb_kahan)(V + 2 * row * r, W + 2 * row * r,
-                                      acc + 2 * lane * r, r, ta, tab, bee,
-                                      beo, bcc);
-            }
-        }
-    }
-    free(accs);
-#endif
-    double *restrict ccomb = epart + (size_t)(nb * 6 * r);
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        const double *restrict bee = epart + (size_t)(bi * 6 * r);
-        const double *restrict beo = bee + r;
-        for (int64_t k = 0; k < r; ++k)
-            repro_kadd(&eta_even[k], &ccomb[k], bee[k]);
-        for (int64_t k = 0; k < 2 * r; ++k)
-            repro_kadd(&eta_odd[k], &ccomb[r + k], beo[k]);
-    }
-    free(epart);
+    repro_eta_close(&e, bins, flag);
 }

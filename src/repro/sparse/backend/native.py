@@ -1,7 +1,7 @@
 """Compile-on-first-use loader for the native C kernels.
 
 ``_kernels.c`` is one template; each build of it holds one *unit* — one
-storage profile's sixteen kernels in the scalar or the ``_simd`` family,
+storage profile's twelve kernels in the scalar or the ``_simd`` family,
 picked with ``-DREPRO_UNIT_PROFILE=... -DREPRO_UNIT_SIMD=...`` — and a
 unit is built the first time one of its kernels is asked for
 (:func:`kernel`), never ahead of need: a run compiles what it calls.
@@ -60,8 +60,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 #: pragmas become redundant belt-and-suspenders.
 #:
 #: ``-fopenmp`` is appended by :func:`_cflags` when the compiler accepts
-#: it (probed once, cached); without it the ``_mt`` kernels run their
-#: block loop serially with bitwise-identical results.
+#: it (probed once, cached); without it the aug kernels run their block
+#: loop on one thread with bitwise-identical results.
 _CFLAGS = [
     "-O3",
     "-march=native",
@@ -288,7 +288,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 1
+_ABI = 2
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -321,30 +321,25 @@ KERNEL_SUFFIXES = {
 
 #: Argtype templates shared by every typed expansion of a kernel:
 #: ``n`` int64 scalar, ``s`` double scalar, ``L`` int64* (indptr /
-#: chunk arrays / row lists), ``I`` column indices*, ``V`` matrix
-#: values*, ``X`` vector storage*, ``E`` double* (eta outputs — always
-#: fp64, the kernels accumulate the dots in double in every profile).
+#: chunk arrays / row lists / the escape flag), ``I`` column indices*,
+#: ``V`` matrix values*, ``X`` vector storage*, ``E`` double* (the eta
+#: anchors in, the eta bins out — fp64 in every profile).  Every aug
+#: kernel ends in ``n_threads, a, b, anchors, bins, flag``.
 _SIGNATURES = {
     "repro_csr_spmv": "nLIVXX",
     "repro_csr_spmmv": "nnLIVXX",
-    "repro_csr_aug_spmv": "nLIVXXssEE",
-    "repro_csr_aug_spmmv": "nnLIVXXssEE",
+    "repro_csr_aug_spmv": "nLIVXXnssEEL",
+    "repro_csr_aug_spmmv": "nnLIVXXnssEEL",
     # split (task-mode) variants: a contiguous [row0, row1) range and a
     # gathered row list, both absolute on the original CSR arrays
-    "repro_csr_aug_spmv_range": "nnLIVXXssEE",
-    "repro_csr_aug_spmv_rows": "nLLIVXXssEE",
-    "repro_csr_aug_spmmv_range": "nnnLIVXXssEE",
-    "repro_csr_aug_spmmv_rows": "nLnLIVXXssEE",
+    "repro_csr_aug_spmv_range": "nnLIVXXnssEEL",
+    "repro_csr_aug_spmv_rows": "nLLIVXXnssEEL",
+    "repro_csr_aug_spmmv_range": "nnnLIVXXnssEEL",
+    "repro_csr_aug_spmmv_rows": "nLnLIVXXnssEEL",
     "repro_sell_spmv": "nnnLLLIVXX",
     "repro_sell_spmmv": "nnnnLLLIVXX",
-    "repro_sell_aug_spmv": "nnnLLLIVXXssEE",
-    "repro_sell_aug_spmmv": "nnnnLLLIVXXssEE",
-    # threaded (_mt) variants: an extra n_threads scalar after r; the
-    # block-grid reduction keeps fp64 bitwise across thread counts
-    "repro_csr_aug_spmmv_mt": "nnnLIVXXssEE",
-    "repro_csr_aug_spmmv_range_mt": "nnnnLIVXXssEE",
-    "repro_csr_aug_spmmv_rows_mt": "nLnnLIVXXssEE",
-    "repro_sell_aug_spmmv_mt": "nnnnnLLLIVXXssEE",
+    "repro_sell_aug_spmv": "nnnLLLIVXXnssEEL",
+    "repro_sell_aug_spmmv": "nnnnLLLIVXXnssEEL",
 }
 
 
@@ -497,7 +492,7 @@ def _elf_truncated(path: Path) -> bool:
 
 
 def _declare(lib: ctypes.CDLL, suffix: str, simd: bool) -> None:
-    """Check that ``lib`` is this unit, then bind its sixteen kernels."""
+    """Check that ``lib`` is this unit, then bind its twelve kernels."""
     lib.repro_unit.argtypes = []
     lib.repro_unit.restype = ctypes.c_int32
     profile = list(KERNEL_SUFFIXES).index(suffix) + 1
@@ -641,7 +636,8 @@ def native_error() -> str | None:
 # ---------------------------------------------------------------------
 
 def _pc(arr: np.ndarray):
-    """Complex128 C-contiguous array as a double* (interleaved re, im)."""
+    """Float64 / complex128 (interleaved re, im) C-contiguous array as a
+    double*."""
     return arr.ctypes.data_as(_P_F64)
 
 

@@ -43,9 +43,8 @@ from repro.sparse.backend.native import (
 )
 from repro.sparse.compress import kernel_pack
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import charge_aug, charge_spmv, matrix_stream
+from repro.sparse.fused import charge_aug, charge_spmv, fold, matrix_stream
 from repro.sparse.sell import SellMatrix
-from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError, ShapeError
 from repro.util.precision import Precision, precision_of
@@ -243,50 +242,7 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        v = _as_kernel_vector("v", v, A.n_cols)
-        w = _as_kernel_vector("w", w, A.n_rows)
-        _check_same_storage(v, w)
-        prec = precision_of(v)
-        if plan is not None:
-            ee, eo = plan.eta_even[:1], plan.eta_odd[:1]
-        else:
-            ee = np.empty(1, dtype=np.float64)
-            eo = np.empty(1, dtype=DTYPE)
-        threads = plan.threads if plan is not None else None
-        vs = _use_simd(plan.simd if plan is not None else None, prec)
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span("aug_spmv", counters=counters, **meta):
-            if isinstance(A, CSRMatrix):
-                suf, args = self._csr_args(A, prec)
-                if threads is not None:
-                    # an (n,) interleaved complex vector is memory-
-                    # identical to an (n, 1) row-major block, so the
-                    # threaded path reuses the blocked mt kernel at r=1
-                    kernel("repro_csr_aug_spmmv_mt", suf, vs)(
-                        A.n_rows, 1, threads, *args, _pvec(v), _pvec(w),
-                        a, b, _pc(ee), _pc(eo),
-                    )
-                else:
-                    kernel("repro_csr_aug_spmv", suf, vs)(
-                        A.n_rows, *args, _pvec(v), _pvec(w), a, b,
-                        _pc(ee), _pc(eo),
-                    )
-            elif isinstance(A, SellMatrix):
-                if threads is not None:
-                    suf, (nc, c, *rest) = self._sell_args(A, prec)
-                    kernel("repro_sell_aug_spmmv_mt", suf, vs)(
-                        A.n_rows, nc, c, 1, threads, *rest,
-                        _pvec(v), _pvec(w), a, b, _pc(ee), _pc(eo),
-                    )
-                else:
-                    suf, args = self._sell_args(A, prec)
-                    kernel("repro_sell_aug_spmv", suf, vs)(
-                        A.n_rows, *args, _pvec(v), _pvec(w), a, b,
-                        _pc(ee), _pc(eo),
-                    )
-            else:
-                raise TypeError(f"unsupported matrix type {type(A).__name__}")
-            charge_aug(counters, "aug_spmv", *matrix_stream(A, prec), 1, prec)
+        ee, eo = self._aug("aug_spmv", A, v, w, a, b, plan, counters, metrics)
         return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
@@ -294,59 +250,13 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        V = _as_kernel_block("V", V, A.n_cols)
-        W = _as_kernel_block("W", W, A.n_rows)
-        _check_same_storage(V, W)
-        prec = precision_of(V)
-        r = V.shape[1]
-        if W.shape[1] != r:
-            raise ShapeError(
-                f"V and W must share a block width, got {r} and {W.shape[1]}"
-            )
-        if plan is not None and plan.r == r:
-            ee, eo = plan.eta_even, plan.eta_odd
-        else:
-            ee = np.empty(r, dtype=np.float64)
-            eo = np.empty(r, dtype=DTYPE)
-        threads = plan.threads if plan is not None else None
-        vs = _use_simd(plan.simd if plan is not None else None, prec)
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span("aug_spmmv", counters=counters, **meta):
-            if isinstance(A, CSRMatrix):
-                suf, args = self._csr_args(A, prec)
-                if threads is not None:
-                    kernel("repro_csr_aug_spmmv_mt", suf, vs)(
-                        A.n_rows, r, threads, *args, _pvec(V), _pvec(W),
-                        a, b, _pc(ee), _pc(eo),
-                    )
-                else:
-                    kernel("repro_csr_aug_spmmv", suf, vs)(
-                        A.n_rows, r, *args, _pvec(V), _pvec(W), a, b,
-                        _pc(ee), _pc(eo),
-                    )
-            elif isinstance(A, SellMatrix):
-                suf, (nc, c, *rest) = self._sell_args(A, prec)
-                if threads is not None:
-                    kernel("repro_sell_aug_spmmv_mt", suf, vs)(
-                        A.n_rows, nc, c, r, threads, *rest,
-                        _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo),
-                    )
-                else:
-                    kernel("repro_sell_aug_spmmv", suf, vs)(
-                        A.n_rows, nc, c, r, *rest, _pvec(V), _pvec(W), a, b,
-                        _pc(ee), _pc(eo),
-                    )
-            else:
-                raise TypeError(f"unsupported matrix type {type(A).__name__}")
-            charge_aug(counters, "aug_spmmv", *matrix_stream(A, prec), r,
-                       prec)
-        return ee.copy(), eo.copy()
+        return self._aug("aug_spmmv", A, V, W, a, b, plan, counters, metrics)
 
     # -- split (task-mode) kernels -------------------------------------
     # The range/rows C kernels traverse the ORIGINAL local CSR arrays
     # with absolute row indexing (no extraction), write the phase's
     # rows of W with byte-for-byte the plain kernel's per-row
-    # arithmetic, and return the phase's own eta partials.  CSR only:
+    # arithmetic, and leave the phase's own bins.  CSR only:
     # SplitKernelPlan already rejects SELL at plan time.  The index-
     # width charge uses the WHOLE local operator's width so interior +
     # boundary partial charges still sum exactly to the unsplit charge.
@@ -354,71 +264,99 @@ class NativeBackend(KernelBackend):
     def aug_spmv_interior(self, A, v, w, a, b, plan: SplitKernelPlan,
                           counters: PerfCounters = NULL_COUNTERS,
                           metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmv_int", A, v, w, a, b, plan, counters,
+        ee, eo = self._aug("aug_spmv_int", A, v, w, a, b, plan, counters,
                            metrics)
+        return float(ee[0]), complex(eo[0])
 
     def aug_spmv_boundary(self, A, v, w, a, b, plan: SplitKernelPlan,
                           counters: PerfCounters = NULL_COUNTERS,
                           metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmv_bnd", A, v, w, a, b, plan, counters,
+        ee, eo = self._aug("aug_spmv_bnd", A, v, w, a, b, plan, counters,
                            metrics)
+        return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_interior(self, A, V, W, a, b, plan: SplitKernelPlan,
                            counters: PerfCounters = NULL_COUNTERS,
                            metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmmv_int", A, V, W, a, b, plan, counters,
-                           metrics)
+        return self._aug("aug_spmmv_int", A, V, W, a, b, plan, counters,
+                         metrics)
 
     def aug_spmmv_boundary(self, A, V, W, a, b, plan: SplitKernelPlan,
                            counters: PerfCounters = NULL_COUNTERS,
                            metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmmv_bnd", A, V, W, a, b, plan, counters,
-                           metrics)
+        return self._aug("aug_spmmv_bnd", A, V, W, a, b, plan, counters,
+                         metrics)
 
-    def _phase(self, name, A, V, W, a, b, plan, counters, metrics):
-        """One phase (``*_int``: the row range, ``*_bnd``: the gathered
-        rows) of a split augmented step; ``aug_spmv_*`` on 1-D vectors."""
-        if not isinstance(A, CSRMatrix):
+    @staticmethod
+    def _eta_ptrs(plan, phase, anchors, bins, escape) -> tuple:
+        """The kernels' (anchors, bins, escape) pointers.  A plan's arrays
+        live as long as the plan, so their pointers are made once per
+        anchors array (a pointer costs more than a small kernel call)."""
+        if plan is None or escape is not plan.escape:  # fresh arrays
+            return _pc(anchors), _pc(bins), _pi64(escape)
+        cache = plan.__dict__.setdefault("_eta_ptrs", {})
+        hit = cache.get(phase)
+        if hit is None or hit[0] is not anchors:
+            hit = cache[phase] = (anchors,
+                                  (_pc(anchors), _pc(bins), _pi64(escape)))
+        return hit[1]
+
+    def _aug(self, name, A, V, W, a, b, plan, counters, metrics):
+        """One augmented kernel call — a whole step (``aug_spm(m)v``) or a
+        split phase (``*_int``: the row range, ``*_bnd``: the gathered
+        rows) — on 1-D vectors for ``aug_spmv*``; returns the fold of its
+        bins (DESIGN §19)."""
+        kind = name[:-4] if name.endswith(("_int", "_bnd")) else name
+        phase = name[len(kind):]
+        single = kind == "aug_spmv"
+        if phase and not isinstance(A, CSRMatrix):
             raise BackendError(
                 "split (task-mode) kernels support CSR matrices only, got "
                 f"{type(A).__name__}"
             )
-        single = name.startswith("aug_spmv_")
+        if not isinstance(A, (CSRMatrix, SellMatrix)):
+            raise TypeError(f"unsupported matrix type {type(A).__name__}")
         if single:
             V = _as_kernel_vector("v", V, A.n_cols)
             W = _as_kernel_vector("w", W, A.n_rows)
         else:
             V = _as_kernel_block("V", V, A.n_cols)
             W = _as_kernel_block("W", W, A.n_rows)
+            if W.shape[1] != V.shape[1]:
+                raise ShapeError(
+                    f"V and W must share a block width, got {V.shape[1]} "
+                    f"and {W.shape[1]}"
+                )
         _check_same_storage(V, W)
         prec = precision_of(V)
         r = 1 if single else V.shape[1]
-        if name.endswith("_int"):
-            walk, rows = "range", (plan.row0, plan.row1)
-            n_phase, nnz = plan.n_interior, plan.nnz_interior
-            ee, eo = plan.ee_interior, plan.eo_interior
-        else:
-            walk, rows = "rows", (plan.n_boundary, _pi64(plan.rows))
-            n_phase, nnz = plan.n_boundary, plan.nnz_boundary
-            ee, eo = plan.ee_boundary, plan.eo_boundary
-        if single:
-            ee, eo = ee[:1], eo[:1]
-        threads = plan.threads
-        vs = _use_simd(plan.simd, prec)
+        anchors, bins, escape = self._eta_state(plan, V, A.n_rows, r)
+        if phase:
+            bins = bins[int(phase == "_bnd")]
+        threads = plan.threads if plan is not None else None
+        vs = _use_simd(plan.simd if plan is not None else None, prec)
+        width = () if single else (r,)
+        tail = (_pvec(V), _pvec(W), threads or 1, a, b,
+                *self._eta_ptrs(plan, phase, anchors, bins, escape))
         meta = {} if threads is None else {"threads": threads}
         with metrics.span(name, counters=counters, **meta):
-            suf, args = self._csr_args(A, prec)
-            tail = (*args, _pvec(V), _pvec(W), a, b, _pc(ee), _pc(eo))
-            if threads is not None:
-                kernel(f"repro_csr_aug_spmmv_{walk}_mt", suf, vs)(
-                    *rows, r, threads, *tail)
-            elif single:
-                kernel(f"repro_csr_aug_spmv_{walk}", suf, vs)(*rows, *tail)
+            if isinstance(A, SellMatrix):
+                suf, (nc, c, *rest) = self._sell_args(A, prec)
+                kernel(f"repro_sell_{kind}", suf, vs)(
+                    A.n_rows, nc, c, *width, *rest, *tail)
+                charge_aug(counters, name, *matrix_stream(A, prec), r, prec)
             else:
-                kernel(f"repro_csr_aug_spmmv_{walk}", suf, vs)(
-                    *rows, r, *tail)
-            charge_aug(counters, name, n_phase, nnz,
-                       prec.index_bytes(A.n_cols), r, prec)
-        if single:
-            return float(ee[0]), complex(eo[0])
-        return ee.copy(), eo.copy()
+                suf, args = self._csr_args(A, prec)
+                if not phase:
+                    walk, head, rows, nnz = "", (A.n_rows,), A.n_rows, A.nnz
+                elif phase == "_int":
+                    walk, head = "_range", (plan.row0, plan.row1)
+                    rows, nnz = plan.n_interior, plan.nnz_interior
+                else:
+                    walk, head = "_rows", (plan.n_boundary, _pi64(plan.rows))
+                    rows, nnz = plan.n_boundary, plan.nnz_boundary
+                kernel(f"repro_csr_{kind}{walk}", suf, vs)(
+                    *head, *width, *args, *tail)
+                charge_aug(counters, name, rows, nnz,
+                           prec.index_bytes(A.n_cols), r, prec)
+        return fold(bins)

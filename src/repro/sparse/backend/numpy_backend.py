@@ -33,10 +33,11 @@ from repro.sparse.fused import (
     _recombine,
     charge_aug,
     charge_spmv,
-    col_dots,
+    eta_bins,
+    fold,
     matrix_stream,
-    vec_dots,
 )
+from repro.sparse.sell import SellMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.precision import FP16V, precision_of
 from repro.util.validation import check_block_vector, check_vector
@@ -165,11 +166,11 @@ class NumpyBackend(KernelBackend):
         with metrics.span("aug_spmv", counters=counters):
             _product(A, vc, u)
             _recombine(wc, u, vc, a, b)
-            eta_even, eta_odd = vec_dots(vc, wc)
+            ee, eo = self._dots(A, vc[:n], wc, plan, 1)
             charge_aug(counters, "aug_spmv", *matrix_stream(A, prec), 1, prec)
         if prec.half_vectors:
             FP16V.encode(wc, out=w)
-        return eta_even, eta_odd
+        return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
         self, A, V, W, a, b, plan: KernelPlan | None = None,
@@ -195,11 +196,21 @@ class NumpyBackend(KernelBackend):
             _product(A, Vc, U)
             Vn = Vc[:n]
             _recombine(Wc, U, Vn, a, b)
-            eta_even, eta_odd = col_dots(Vn, Wc)
+            ee, eo = self._dots(A, Vn, Wc, plan, r)
             charge_aug(counters, "aug_spmmv", *matrix_stream(A, prec), r, prec)
         if prec.half_vectors:
             FP16V.encode(Wc, out=W)
-        return eta_even, eta_odd
+        return ee, eo
+
+    def _dots(self, A, V, W, plan, r):
+        """The one eta reduction of a whole step (DESIGN §19): rows in
+        order — a SELL operator's in its storage order."""
+        anchors, bins, escape = self._eta_state(plan, V, A.n_rows, r)
+        order = A.perm if isinstance(A, SellMatrix) else None
+        work = self._eta_work(plan, A.n_rows if order is None else order.size,
+                              r)
+        return fold(eta_bins(V, W, anchors, escape, out=bins, order=order,
+                             work=work))
 
     @staticmethod
     def _decode_pair(A, v, w, plan, r):
@@ -233,7 +244,8 @@ class NumpyBackend(KernelBackend):
     # runs on the extracted phase sub-matrix (per-row data order
     # preserved, so the per-row sums — and hence the W update — are
     # bitwise the single-phase values), the recombination and dots on
-    # contiguous views (interior) or gathered scratch (boundary).  Half
+    # contiguous views (interior) or gathered scratch (boundary), so each
+    # phase's bins are over its own whole eta blocks.  Half
     # storage is decoded into the plan's complex64 scratch per phase — V
     # is re-decoded each phase because the halo exchange may land between
     # the interior and boundary phases.
@@ -323,8 +335,12 @@ class NumpyBackend(KernelBackend):
                     np.take(W, rows, axis=0, out=wn, mode="clip")
                 _recombine(wn, u, vn, a, b)
                 W[rows] = FP16V.encode(wn) if half else wn
-            ee, eo = (vec_dots if single else col_dots)(vn, wn)
+            anchors, bins, escape = self._eta_state(plan, V, A.n_rows, plan.r)
+            ee, eo = fold(eta_bins(vn, wn, anchors, escape,
+                                   out=bins[int(name.endswith("_bnd"))],
+                                   work=self._eta_work(plan, A.n_rows,
+                                                       plan.r)))
             charge_aug(counters, name, n_phase, nnz,
                        prec.index_bytes(A.n_cols), 1 if single else plan.r,
                        prec)
-        return ee, eo
+        return (float(ee[0]), complex(eo[0])) if single else (ee, eo)

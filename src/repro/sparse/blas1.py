@@ -80,6 +80,20 @@ def scal(
     return x
 
 
+def charge_dot(x: np.ndarray, counters: PerfCounters) -> None:
+    """The Table-I charge of one :func:`dot` over ``x``'s length."""
+    n = x.shape[0]
+    counters.charge("dot", loads=2 * n * _sd(x), flops=n * (F_ADD + F_MUL))
+
+
+def charge_nrm2(x: np.ndarray, counters: PerfCounters) -> None:
+    """The Table-I charge of one :func:`nrm2_sq` of ``x``."""
+    n = x.shape[0]
+    counters.charge(
+        "nrm2", loads=n * _sd(x), flops=n * (F_ADD // 2 + F_MUL // 2)
+    )
+
+
 def dot(
     x: np.ndarray,
     y: np.ndarray,
@@ -91,8 +105,7 @@ def dot(
     ``np.vdot`` for complex128, fp64-dtype einsum reductions over the
     real/imag component views otherwise.
     """
-    n = x.shape[0]
-    counters.charge("dot", loads=2 * n * _sd(x), flops=n * (F_ADD + F_MUL))
+    charge_dot(x, counters)
     if x.dtype == np.complex128:
         return complex(np.vdot(x, y))
     if x.dtype.kind == "c":
@@ -114,10 +127,7 @@ def nrm2_sq(
 
     fp64 accumulation for every storage precision (see :func:`dot`).
     """
-    n = x.shape[0]
-    counters.charge(
-        "nrm2", loads=n * _sd(x), flops=n * (F_ADD // 2 + F_MUL // 2)
-    )
+    charge_nrm2(x, counters)
     if x.dtype == np.complex128:
         return float(np.vdot(x, x).real)
     if x.dtype.kind == "c":

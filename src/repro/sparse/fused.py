@@ -1,5 +1,5 @@
 """What every kernel backend and the recurrence share: the Table-I charges,
-the recombination pass and the fp64-accumulated scalar products.
+the recombination pass and the one eta reduction.
 
 The kernels themselves live in the backends (:mod:`repro.sparse.backend`):
 the naive chain of paper Fig. 3 once on the base class, the augmented
@@ -12,14 +12,21 @@ and return the two KPM scalar products of the iteration,
 
     eta_even = <v|v>,     eta_odd = <w_new|v>.
 
-Charges (paper Table I) come in three formulas, one function each —
-:func:`charge_spmv`, :func:`charge_aug` and :func:`charge_col_dots`.
-Every charge is linear in (rows, streamed slots), so the interior and
-boundary phases of a split kernel, charged with their own rows and
-slots, sum exactly to the whole-matrix charge; :func:`matrix_stream`
-gives the whole-matrix arguments.  Byte widths follow the storage
+Charges (paper Table I) come in two formulas, one function each —
+:func:`charge_spmv` and :func:`charge_aug`.  Every charge is linear in
+(rows, streamed slots), so the interior and boundary phases of a split
+kernel, charged with their own rows and slots, sum exactly to the
+whole-matrix charge; :func:`matrix_stream` gives the whole-matrix
+arguments.  Byte widths follow the storage
 profile (:mod:`repro.util.precision`); the fp16v profile charges its
 half-width vector stream even where a backend computes on fp32 decodes.
+
+The two scalar products are reduced one way everywhere (DESIGN §19):
+per 64-row block in row order, each block partial deposited exactly
+into two fp64 bins at the column's anchor (:func:`eta_anchors`), so
+bins of threads, split phases, ranks and segments add exactly and the
+bits of eta depend on no execution knob.  :func:`eta_bins` is the NumPy
+implementation the C kernels mirror; :func:`fold` turns bins into eta.
 """
 
 from __future__ import annotations
@@ -82,30 +89,6 @@ def charge_aug(
     )
 
 
-def charge_col_dots(
-    n_rows: int,
-    r: int,
-    counters: PerfCounters,
-    name: str = "grid_dots",
-    prec: Precision = FP64,
-) -> None:
-    """Charge of a column-dot post-pass over ``n_rows`` rows.
-
-    The grid-eta path (:mod:`repro.dist.elastic`) recomputes the two KPM
-    scalar products per fixed global row block instead of per rank, so
-    the reduction order never depends on the partition.  The charge is
-    linear in ``n_rows``, so the per-block charges of any partition of N
-    rows sum to exactly the whole-matrix pass, keeping measured ==
-    analytic accounting partition independent.
-    """
-    s_x = prec.s_vector
-    counters.charge(
-        name,
-        loads=3 * n_rows * r * s_x,
-        flops=r * n_rows * (F_ADD + F_MUL + F_ADD // 2 + F_MUL // 2),
-    )
-
-
 def _recombine(W, U, V, a: float, b: float) -> None:
     """In-place ``W <- 2a U - 2ab V - W`` with zero temporaries.
 
@@ -129,51 +112,161 @@ def _components(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[..., 0], X[..., 1]
 
 
-def col_dots(V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column-wise ``<V|V>`` (real) and ``<W|V>`` without (N, R) temporaries.
+#: Rows per eta block: the unit the one eta reduction sums in row order
+#: before its exact deposit (DESIGN §19).
+ETA_BLOCK = 64
 
-    Works on the real/imaginary views so no conjugated copy of the block
-    is ever materialized; only the (R,) outputs are allocated.  For
-    complex128 blocks this is the paper-baseline path, bit-for-bit
-    unchanged; narrower storage (complex64, f16 pairs) accumulates the
-    same reductions in fp64 (the "on-the-fly fp64 dot accumulation" of
-    the precision profiles), so eta — and hence the DOS — keeps fp64
-    reduction accuracy regardless of how vectors are stored.
+#: Rows of one pass of :func:`eta_bins` (whole blocks): bounds its
+#: scratch (:func:`eta_work`) to about ``4 × _CHUNK × R`` doubles.
+_CHUNK = 16 * ETA_BLOCK
+
+
+def _cols(X: np.ndarray) -> np.ndarray:
+    """A vector as its one-column block (complex or f16-pair storage)."""
+    return X[:, None] if X.ndim == (1 if X.dtype.kind == "c" else 2) else X
+
+
+def eta_anchors(block: np.ndarray, n_rows: int | None = None) -> np.ndarray:
+    """The eta anchors of a start block ``nu_0``: per column the power of
+    two ``A_k > 4 N max_i |nu_0,ik|^2`` (``N``: ``n_rows``, default the
+    block's rows; 1 for a zero column), clipped to ``[2^-900, 2^900]``.
+
+    A max, so any engine computes the same anchors from the global
+    block; on a correctly scaled spectrum every partial sum of eta
+    terms is at most ``|nu_0|^2 <= A / 4``.
     """
-    if V.dtype == np.complex128:
-        vr, vi = V.real, V.imag
-        wr, wi = W.real, W.imag
-        eta_even = (np.einsum("nr,nr->r", vr, vr)
-                    + np.einsum("nr,nr->r", vi, vi))
-        re = np.einsum("nr,nr->r", wr, vr) + np.einsum("nr,nr->r", wi, vi)
-        im = np.einsum("nr,nr->r", wr, vi) - np.einsum("nr,nr->r", wi, vr)
-        return eta_even, re + 1j * im
+    X = np.ascontiguousarray(_cols(np.asarray(block)))
+    if X.dtype.kind == "c":  # squared as one contiguous float array
+        X = X.view(X.real.dtype).reshape(*X.shape, 2)
+    x = np.square(X, dtype=np.float64)
+    m2 = np.max(x[..., 0] + x[..., 1], axis=0, initial=0.0)
+    n = X.shape[0] if n_rows is None else n_rows
+    return np.clip(np.ldexp(1.0, np.frexp(4.0 * n * m2)[1]),
+                   2.0 ** -900, 2.0 ** 900)
+
+
+def eta_work(n_rows: int, r: int) -> np.ndarray:
+    """Scratch for :func:`eta_bins` over up to ``n_rows`` rows of width
+    ``r`` — a kernel plan keeps one, so a step allocates nothing O(N)."""
+    rows = min(-(-n_rows // ETA_BLOCK) * ETA_BLOCK, _CHUNK)
+    return np.empty(4 * rows * r + 6 * (rows // ETA_BLOCK) * r)
+
+
+def _terms(V: np.ndarray, W: np.ndarray, out: np.ndarray,
+           tmp: np.ndarray) -> None:
+    """Per-row eta terms ``|v|^2``, ``re`` and ``im`` of ``conj(w) v``
+    into ``out`` (3, rows, R) in fp64: each product rounded, then the
+    sum — the kernels' DAG."""
     vr, vi = _components(V)
     wr, wi = _components(W)
-    f64 = np.float64
-    eta_even = (np.einsum("nr,nr->r", vr, vr, dtype=f64)
-                + np.einsum("nr,nr->r", vi, vi, dtype=f64))
-    re = (np.einsum("nr,nr->r", wr, vr, dtype=f64)
-          + np.einsum("nr,nr->r", wi, vi, dtype=f64))
-    im = (np.einsum("nr,nr->r", wr, vi, dtype=f64)
-          - np.einsum("nr,nr->r", wi, vr, dtype=f64))
-    return eta_even, re + 1j * im
+    for dst, (x1, y1), (x2, y2), op in (
+        (out[0], (vr, vr), (vi, vi), np.add),
+        (out[1], (wr, vr), (wi, vi), np.add),
+        (out[2], (wr, vi), (wi, vr), np.subtract),
+    ):
+        np.multiply(x1, y1, out=dst, dtype=np.float64)
+        np.multiply(x2, y2, out=tmp, dtype=np.float64)
+        op(dst, tmp, out=dst)
 
 
-def vec_dots(v: np.ndarray, w: np.ndarray) -> tuple[float, complex]:
-    """Single-vector ``(<v|v>, <w|v>)`` with fp64 accumulation.
+def _deposit(p: np.ndarray, h: np.ndarray, anchors: np.ndarray,
+             bins: np.ndarray, escape: np.ndarray | None) -> None:
+    """Deposit block partials ``p`` (3, nb, R) into ``bins`` (2, 3R): split
+    each exactly at quanta ``A 2^-50`` / ``A 2^-82`` and sum — exact in
+    any order.  A partial above its anchor sets ``escape`` to the first
+    such bins element + 1 (sticky, the smallest wins).  ``p`` and ``h``
+    are scratch."""
+    r = anchors.size
+    if escape is not None:
+        np.abs(p, out=h)
+        bad = ~(h <= anchors).all(axis=1)
+        if bad.any():
+            col = np.arange(r)
+            j = int(np.stack([col, r + 2 * col, r + 2 * col + 1])[bad].min())
+            if not escape[0] or j < escape[0]:
+                escape[0] = j + 1
+    e = 6.0 * anchors
+    np.add(p, e, out=h)
+    h -= e
+    s1 = h.sum(axis=1)
+    p -= h
+    e *= 2.0 ** -32
+    p += e
+    p -= e
+    for row, s in zip(bins, (s1, p.sum(axis=1))):
+        row[:r] += s[0]
+        row[r::2] += s[1]
+        row[r + 1::2] += s[2]
 
-    Bitwise-identical to the historical ``np.vdot`` pair for complex128.
+
+def eta_bins(V: np.ndarray, W: np.ndarray, anchors: np.ndarray | None = None,
+             escape: np.ndarray | None = None, out: np.ndarray | None = None,
+             order: np.ndarray | None = None,
+             work: np.ndarray | None = None) -> np.ndarray:
+    """The one eta reduction (DESIGN §19) of ``(<V|V>, <W|V>)`` per column.
+
+    Returns the two fp64 bins (2, 3R) — ``[ee (R) | re, im (2R)]`` — of
+    the rows' terms: summed in row order per 64-row block (``order``,
+    e.g. a SELL ``perm``, lists the rows by storage position instead;
+    entries ``>= N`` are padding) and each block deposited exactly at
+    ``anchors`` (default: :func:`eta_anchors` of ``V``).  Bins of any
+    split of the blocks add exactly; :func:`fold` gives eta.  ``work``
+    (:func:`eta_work`) is reused scratch.
     """
-    if v.dtype == np.complex128:
-        return float(np.vdot(v, v).real), complex(np.vdot(w, v))
-    vr, vi = _components(v)
-    wr, wi = _components(w)
-    f64 = np.float64
-    ee = (np.einsum("n,n->", vr, vr, dtype=f64)
-          + np.einsum("n,n->", vi, vi, dtype=f64))
-    re = (np.einsum("n,n->", wr, vr, dtype=f64)
-          + np.einsum("n,n->", wi, vi, dtype=f64))
-    im = (np.einsum("n,n->", wr, vi, dtype=f64)
-          - np.einsum("n,n->", wi, vr, dtype=f64))
-    return float(ee), complex(re + 1j * im)
+    V, W = _cols(V), _cols(W)
+    n, r = V.shape[:2]
+    if anchors is None:
+        anchors = eta_anchors(V)
+    bins = np.zeros((2, 3 * r)) if out is None else out
+    bins[...] = 0.0
+    n_pos = n if order is None else order.size
+    if not n_pos:
+        return bins
+    if work is None:
+        work = eta_work(n_pos, r)
+    rows = work.size * ETA_BLOCK // (r * (4 * ETA_BLOCK + 6))  # a pass
+    t = work[: 3 * rows * r].reshape(3, rows, r)
+    tmp = work[3 * rows * r: 4 * rows * r].reshape(rows, r)
+    p, h = work[4 * rows * r:].reshape(2, 3, rows // ETA_BLOCK, r)
+    for lo in range(0, n_pos, rows):
+        hi = min(lo + rows, n_pos)
+        nb = -(-(hi - lo) // ETA_BLOCK)
+        span = nb * ETA_BLOCK
+        if order is None:
+            t[:, hi - lo: span] = 0.0
+            _terms(V[lo:hi], W[lo:hi], t[:, : hi - lo], tmp[: hi - lo])
+        else:
+            at = np.flatnonzero(order[lo:hi] < n)
+            got = order[lo:hi][at]
+            buf = np.empty((3, at.size, r))
+            _terms(V[got], W[got], buf, np.empty((at.size, r)))
+            t[:, :span] = 0.0
+            t[:, at] = buf
+        # the block sums in row order: NumPy reduces an axis that is
+        # not the innermost in order, but the contiguous one of r = 1
+        # pairwise — there accumulate, sequential by definition
+        blocks = t[:, :span].reshape(3, nb, ETA_BLOCK, r)
+        if r > 1:
+            np.add.reduce(blocks, axis=2, out=p[:, :nb])
+        else:
+            for kind in range(3):
+                run = np.add.accumulate(blocks[kind, :, :, 0], axis=1,
+                                        out=tmp[:span].reshape(nb, -1))
+                p[kind, :nb, 0] = run[:, -1]
+        _deposit(p[:, :nb], h[:, :nb], anchors, bins, escape)
+    return bins
+
+
+def fold(bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(eta_even, eta_odd)`` of bins (..., 2, 3R): ``bin1 + bin2``, as
+    (..., R) float64 and (..., R) complex128."""
+    s = bins[..., 0, :] + bins[..., 1, :]
+    r = s.shape[-1] // 3
+    return s[..., :r], s[..., r:].view(np.complex128)
+
+
+def col_dots(V: np.ndarray, W: np.ndarray,
+             anchors: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Column-wise ``<V|V>`` (real) and ``<W|V>`` by the one eta
+    reduction, in fp64 whatever the storage profile."""
+    return fold(eta_bins(V, W, anchors))

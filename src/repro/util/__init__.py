@@ -9,7 +9,7 @@ from repro._lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
     "errors": ("ReproError", "ShapeError", "FormatError", "ConvergenceError",
-               "PartitionError", "SimulationError"),
+               "PartitionError", "SimulationError", "SpectralScaleError"),
     "constants": ("S_D", "S_I", "F_ADD", "F_MUL", "DTYPE", "IDTYPE",
                   "BYTES_PER_GB"),
     "counters": ("PerfCounters", "NULL_COUNTERS"),

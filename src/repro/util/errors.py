@@ -46,6 +46,24 @@ class CheckpointError(ReproError, RuntimeError):
     """
 
 
+class SpectralScaleError(ReproError, ValueError):
+    """The spectrum escapes the spectral map ``(a, b)``: a block partial
+    of eta exceeded its column's anchor (DESIGN §19), which a scale
+    enclosing the spectrum never allows.
+
+    Raised by every engine with the scale, the column and the moment;
+    the resilience supervisor neither retries nor degrades on it — no
+    attempt can succeed on the same scale.
+    """
+
+    kind = "scale"
+
+    def __init__(self, message: str, *, a=None, b=None, column=None,
+                 moment=None) -> None:
+        super().__init__(message)
+        self.a, self.b, self.column, self.moment = a, b, column, moment
+
+
 class FaultInjected(ReproError, RuntimeError):
     """An injected fault fired in an in-process engine (sim or serial).
 

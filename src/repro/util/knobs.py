@@ -85,8 +85,8 @@ class ExecConfig:
         Storage profile ``'fp64'``/``'fp32'``/``'fp16v'`` (or a
         ``Precision``); kept as its name.
     ``threads``
-        Native intra-rank kernel threads: None (the sequential kernels),
-        an int >= 1 (the block-grid ``_mt`` kernels), or ``'auto'`` —
+        Native intra-rank kernel threads: None or an int >= 1 (the
+        OpenMP team over eta blocks; None runs one), or ``'auto'`` —
         the host's cores split across the ranks (:meth:`kernel_threads`).
     ``simd``
         Native vectorized kernels: ``'auto'`` (None), ``'on'`` (scalar
@@ -104,16 +104,11 @@ class ExecConfig:
         (stored resolved); planned joins/leaves as a ``MembershipPlan``
         or its string form.
 
-    Which knobs may move fp64 bits.  ``simd`` never does, nor does
-    ``'sim'`` against ``'mp'`` on one schedule.  ``threads`` is bitwise
-    across every *integer* count (per-block Kahan partials combined in
-    block order), but None is the flat per-row reduction and differs from
-    them in the last bits; only an order-independent eta reduction would
-    remove that difference.  Under a rebalance policy (grid-eta mode)
-    neither ``workers``, ``weights`` nor membership events move them.
-    Otherwise the rank count, ``weights`` and ``overlap`` change the
-    reduction order, and ``backend`` and ``precision`` the arithmetic:
-    those agree to rounding tolerance only.
+    Which knobs may move bits: only ``backend`` and ``precision``, which
+    change the arithmetic (DESIGN §19).  The eta reduction is one exact
+    contract, so ``threads``, ``simd``, ``engine``, ``workers``,
+    ``weights``, ``overlap``, ``reduction``, ``rebalance`` and
+    ``membership`` return the same bits in every profile.
 
     Entry points keep their own keyword names and defaults and build the
     config in one statement (:meth:`of`); degradation is a
@@ -208,12 +203,6 @@ class ExecConfig:
             return max(1, (os.cpu_count() or 1) // n_ranks)
         return self.threads
 
-    @property
-    def eta_grid(self) -> int:
-        """Rows per eta-grid block of the rebalance policy (0: none, the
-        per-rank reduction)."""
-        return 0 if self.rebalance is None else self.rebalance.grid
-
     def for_ranks(self, n_ranks: int) -> ExecConfig:
         """This config with ``threads`` and ``overlap`` decided for a
         world of ``n_ranks`` ranks."""
@@ -223,7 +212,7 @@ class ExecConfig:
 
 def check_rebalance(config: ExecConfig, supervised: bool) -> None:
     """A rebalance policy needs a distributed engine — or a supervisor,
-    whose serial rung replays the grid-eta reduction on one rank."""
+    whose lower rungs run the solve without it (the same bits)."""
     if config.rebalance is not None and config.engine == "serial" \
             and not supervised:
         raise ValueError(
@@ -240,12 +229,10 @@ def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
     travels whole into whichever engine runs.  ``'serial'`` drives the
     recurrence in-process (``checkpointed_eta``; ``compute_eta`` for the
     stage-0/1 ``kernel``s).  ``'sim'`` and ``'mp'`` partition ``H`` by
-    ``config.weights`` — aligned to the rebalance grid, or 4 rows — and
-    run ``distributed_eta`` on a fresh world; ``H`` may also arrive
-    already partitioned.  ``'mp'`` under a rebalance policy runs the
-    elastic driver.  Any other config with a policy replays the same
-    grid-eta reduction on a fixed world (``'serial'``: one rank), so every
-    rung a supervisor degrades to returns the same fp64 bits.  ``world``
+    ``config.weights`` on 64-row eta blocks and run ``distributed_eta``
+    on a fresh world; ``H`` may also arrive already partitioned.
+    ``'mp'`` under a rebalance policy runs the elastic driver; the
+    other engines run without it, returning the same bits.  ``world``
     and ``elastic_report`` are None where the path has none.
     """
     if config.rebalance is not None and config.engine == "mp":
@@ -254,7 +241,7 @@ def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
         eta, report = run_elastic(config, ctx, H, scale, n_moments,
                                   start_block)
         return eta, None, report
-    if config.engine == "serial" and config.rebalance is None:
+    if config.engine == "serial":
         if kernel != "aug_spmmv":
             from repro.core.moments import compute_eta
 
@@ -271,21 +258,17 @@ def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
     from repro.dist.kpm_parallel import run_distributed
     from repro.dist.mp import MpWorld
     from repro.dist.partition import RowPartition
+    from repro.sparse.fused import ETA_BLOCK
 
-    grid = config.eta_grid
-    n_ranks = 1 if config.engine == "serial" else config.workers
+    n_ranks = config.workers
     part = None
     if not isinstance(H, DistributedMatrix):
-        part = (
-            RowPartition.from_weights(H.n_rows, config.weights,
-                                      align=grid or 4)
-            if config.weights is not None and n_ranks > 1
-            else RowPartition.equal(H.n_rows, n_ranks, align=grid or 4)
-        )
+        part = RowPartition.from_weights(
+            H.n_rows, config.weights or [1.0] * n_ranks, align=ETA_BLOCK)
     world = (MpWorld(n_ranks, timeouts=ctx.timeouts) if config.engine == "mp"
              else SimWorld(n_ranks))
     eta = run_distributed(config, ctx, H, part, scale, n_moments, start_block,
-                          world, eta_grid=grid)
+                          world)
     return eta, world, None
 
 

@@ -18,16 +18,15 @@ make:
     pre-precision code path everywhere.
 ``fp32``
     complex64 matrix values *and* vectors (8 bytes each) with narrow
-    (compressed) column indices.  All scalar products are still
-    accumulated in fp64 on the fly — compensated (Kahan) partials in
-    the native C kernels, fp64-dtype einsum reductions in the NumPy
-    reference — so the eta moments stay accurate and deterministic.
+    (compressed) column indices.  All scalar products still form their
+    terms in fp64 and reduce them by the one eta reduction (DESIGN §19),
+    so the eta moments stay accurate and deterministic.
 ``fp16v``
     The opt-in half-storage tier: matrix values stay complex64, but
     block *vectors* are stored as interleaved (re, im) float16 pairs
     (4 bytes per complex element) and promoted to fp32 inside the
-    kernels (fp16 storage / fp32 compute).  Dot accumulation remains
-    fp64/compensated as for ``fp32``.
+    kernels (fp16 storage / fp32 compute).  The dots reduce in fp64 as
+    for ``fp32``.
 
 Index compression rides along: after the distributed partition
 renumbers columns into [local | halo] order (and for any serial

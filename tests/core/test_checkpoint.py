@@ -133,7 +133,7 @@ class TestResumeMidRun:
             h, scale, 32, blk, resume_from=p, backend="native"
         )
         # prefix up to the interruption point is carried over verbatim;
-        # the remainder agrees to reduction-order tolerance
+        # the remainder agrees to the two backends' arithmetic
         ck = KpmCheckpoint.load(p)
         assert np.array_equal(resumed[:, : 2 * ck.next_m],
                               full[:, : 2 * ck.next_m])
@@ -149,10 +149,10 @@ class TestResumeMidRun:
 
         h, scale, blk, _ = system
         eta_ck = checkpointed_eta(h, scale, 32, blk)
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         world = MpWorld(2) if dist_engine == "mp" else SimWorld(2)
         eta_dist = distributed_eta(h, part, scale, 32, blk, world)
-        assert np.allclose(eta_dist, eta_ck, atol=1e-9)
+        assert np.array_equal(eta_dist, eta_ck)
 
 
 class TestValidation:
@@ -201,6 +201,32 @@ class TestValidation:
         with pytest.raises(FormatError, match="version"):
             KpmCheckpoint.load(p)
 
+    def test_format_1_file_refused(self, system, tmp_path):
+        """A format-1 file — its eta reduced in another order, without
+        anchors — is a CheckpointError, never spliced."""
+        h, scale, blk, _ = system
+        p = tmp_path / "s.npz"
+        checkpointed_eta(h, scale, 16, blk, checkpoint_every=2,
+                         checkpoint_path=p)
+        _as_format_1(p)
+        with pytest.raises(CheckpointError, match="format 1"):
+            KpmCheckpoint.load(p)
+        with pytest.raises(CheckpointError, match="format 1"):
+            checkpointed_eta(h, scale, 16, blk, resume_from=p)
+
+    def test_supervisor_discards_a_format_1_file(self, system, tmp_path):
+        from repro.resil import Supervisor
+
+        h, scale, blk, ref = system
+        p = tmp_path / "s.npz"
+        checkpointed_eta(h, scale, 32, blk, checkpoint_every=4,
+                         checkpoint_path=p)
+        _as_format_1(p)
+        sup = Supervisor(checkpoint_every=4, checkpoint_path=p)
+        assert np.array_equal(sup.run_eta(h, scale, 32, blk), ref)
+        assert sup.report.checkpoint_discards == 1
+        assert sup.report.resumes == 0  # restarted at m = 0
+
 
 class TestIntegrity:
     """Atomic writes and loud failures on damaged checkpoints."""
@@ -237,8 +263,9 @@ class TestIntegrity:
         ck = KpmCheckpoint.load(p)
         ck.v[0, 0] += 1.0  # silent data corruption
         np.savez_compressed(
-            p, version=1, v=ck.v, w=ck.w, eta=ck.eta, next_m=ck.next_m,
-            n_moments=ck.n_moments, a=ck.a, b=ck.b,
+            p, version=2, v=ck.v, w=ck.w, eta=ck.eta, anchors=ck.anchors,
+            next_m=ck.next_m, n_moments=ck.n_moments, a=ck.a, b=ck.b,
+            precision=ck.precision, run_id=ck.run_id,
             digest="0" * 64,  # stale digest from "before" the flip
         )
         with pytest.raises(CheckpointError, match="integrity"):
@@ -311,7 +338,7 @@ class TestIntegrity:
 
     @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
     def test_size_model(self, system, tmp_path, precision):
-        """payload = 2·N·R·S_vec + 16·R·M; the file adds < 4 KiB, always."""
+        """payload = 2·N·R·S_vec + 16·R·M + 8·R; the file adds < 4 KiB."""
         h, scale, blk, _ = system
         p = tmp_path / "s.npz"
         checkpointed_eta(h, scale, 16, blk, checkpoint_every=3,
@@ -320,8 +347,15 @@ class TestIntegrity:
         n, r = blk.shape
         s_vec = {"fp64": 16, "fp32": 8, "fp16v": 4}[precision]
         assert ck.v.nbytes == ck.w.nbytes == n * r * s_vec  # 2x / 4x, exactly
-        assert ck.payload_bytes == 2 * n * r * s_vec + 16 * r * 16
+        assert ck.payload_bytes == 2 * n * r * s_vec + 16 * r * 16 + 8 * r
         assert ck.payload_bytes <= p.stat().st_size <= ck.payload_bytes + 4096
+
+
+def _as_format_1(path):
+    """Rewrite a checkpoint as format 1 wrote it: no anchors, a grid tag."""
+    with np.load(path) as data:
+        old = {k: data[k] for k in data.files if k != "anchors"}
+    np.savez(path, **{**old, "version": np.array(1), "eta_grid": np.array(0)})
 
 
 def _deflated_copy(src, dst):
@@ -354,7 +388,7 @@ class TestDeflatedFilesStillLoad:
         from repro.dist.partition import RowPartition
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         p = tmp_path / "new.npz"
         full = distributed_eta(h, part, scale, 32, blk, MpWorld(2),
                                checkpoint_every=4, checkpoint_path=p)

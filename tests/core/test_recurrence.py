@@ -22,6 +22,7 @@ from repro.core.recurrence import Recurrence
 from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import ldos_moments, make_block_vector
 from repro.sparse.backend.native import native_available
+from repro.sparse.fused import fold
 from repro.util.precision import get_precision
 
 M = 16
@@ -56,9 +57,10 @@ def test_hand_driven_equals_compute_eta(system, kernel, precision, backend):
     for cols in ([slice(None)] if block else range(blk.shape[1])):
         rec.load(blk[:, cols])
         out = eta[cols].T  # (M, R) view for the block, (M,) for a column
-        out[0], out[1] = rec.bootstrap()
+        out[0], out[1] = (x.squeeze() for x in fold(rec.bootstrap()))
         for m in range(1, M // 2):
-            out[2 * m], out[2 * m + 1] = rec.step()
+            out[2 * m], out[2 * m + 1] = (x.squeeze() for x in
+                                          fold(rec.step()))
     assert np.array_equal(eta, ref)
 
 

@@ -102,7 +102,8 @@ def test_save_without_a_path_writes_nothing(tmp_path):
 
     block = np.zeros((4, 1), complex)
     state = KpmCheckpoint(v=block, w=block, eta=np.zeros((1, 4), complex),
-                          next_m=2, n_moments=4, a=1.0, b=0.0)
+                          next_m=2, n_moments=4, a=1.0, b=0.0,
+                          anchors=np.ones(1))
     metrics = MetricsRegistry()
     RunContext(checkpoint_every=1, metrics=metrics).save(state)
     assert "checkpoint_save" not in metrics.snapshot()["timers"]

@@ -21,16 +21,16 @@ def ti():
 class TestDistributedDos:
     def test_matches_serial_solver(self, ti):
         serial = KPMSolver(ti, n_moments=64, n_vectors=4, seed=5)
-        part = RowPartition.equal(ti.n_rows, 3, align=4)
+        part = RowPartition.equal(ti.n_rows, 3, align=64)
         res = distributed_dos(
             ti, part, 64, 4, SimWorld(3), scale=serial.scale, seed=5
         )
         ref = serial.dos()
-        assert np.allclose(res.moments, ref.moments, atol=1e-9)
-        assert np.allclose(res.rho, ref.rho, atol=1e-8)
+        assert np.array_equal(res.moments, ref.moments)
+        assert np.array_equal(res.rho, ref.rho)
 
     def test_auto_scale(self, ti):
-        part = RowPartition.equal(ti.n_rows, 2, align=4)
+        part = RowPartition.equal(ti.n_rows, 2, align=64)
         res = distributed_dos(ti, part, 32, 2, SimWorld(2), seed=0)
         from repro.core.reconstruct import integrate_density
 
@@ -39,7 +39,7 @@ class TestDistributedDos:
         )
 
     def test_prepartitioned_requires_scale(self, ti):
-        part = RowPartition.equal(ti.n_rows, 2, align=4)
+        part = RowPartition.equal(ti.n_rows, 2, align=64)
         dist = partition_matrix(ti, part)
         with pytest.raises(ValueError, match="scale"):
             distributed_dos(dist, None, 16, 1, SimWorld(2), seed=0)
@@ -48,7 +48,7 @@ class TestDistributedDos:
         from repro.core.scaling import lanczos_scale
 
         scale = lanczos_scale(ti, seed=1)
-        part = RowPartition.equal(ti.n_rows, 2, align=4)
+        part = RowPartition.equal(ti.n_rows, 2, align=64)
         dist = partition_matrix(ti, part)
         res = distributed_dos(
             dist, None, 32, 2, SimWorld(2), scale=scale, seed=1
@@ -59,7 +59,7 @@ class TestDistributedDos:
         from repro.core.scaling import lanczos_scale
 
         scale = lanczos_scale(ti, seed=2)
-        part = RowPartition.equal(ti.n_rows, 4, align=4)
+        part = RowPartition.equal(ti.n_rows, 4, align=64)
         a = distributed_dos(
             ti, part, 32, 2, SimWorld(4), scale=scale, seed=2,
             reduction="end",
@@ -68,7 +68,7 @@ class TestDistributedDos:
             ti, part, 32, 2, SimWorld(4), scale=scale, seed=2,
             reduction="every",
         )
-        assert np.allclose(a.moments, b.moments, atol=1e-10)
+        assert np.array_equal(a.moments, b.moments)
 
 
 class TestCommOverlapModel:

@@ -1,19 +1,19 @@
-"""Elastic execution: grid-eta invariance, cross-worker resume, policy.
+"""Elastic execution: partition invariance, cross-worker resume, policy.
 
-The elastic contract (DESIGN §11): under ``eta_grid=B`` the eta
-reduction order depends only on ``(N, B)``, so *any* sequence of
-repartitions, worker-count changes, and checkpoint splices returns fp64
-moments bitwise identical to an uninterrupted run on any fixed
-grid-aligned partition.  These tests pin that contract — plus the
-accounting one: every segment's measured Table-I counters equal
-:func:`repro.perf.report.expected_segment_counters` exactly, on both
-halves of a cross-worker-count resume.
+The elastic contract (DESIGN §11): the one eta reduction (DESIGN §19)
+makes eta independent of the partition, so *any* sequence of
+repartitions, worker-count changes, and checkpoint splices returns
+moments bitwise identical to an uninterrupted serial run.  These tests
+pin that contract — plus the accounting one: every segment's measured
+Table-I counters equal :func:`repro.perf.report.expected_segment_counters`
+exactly, on both halves of a cross-worker-count resume.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.checkpoint import KpmCheckpoint
+from repro.core.moments import compute_eta
 from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
@@ -33,7 +33,7 @@ from repro.util.counters import PerfCounters
 from repro.util.errors import CheckpointError, SimulationError
 
 M = 24  # half = 12 inner iterations
-G = 32  # eta grid (rows per block)
+G = 64  # partition alignment: the eta block
 R = 4
 STOP = 7  # interrupt boundary for the resume tests
 
@@ -42,16 +42,15 @@ STOP = 7  # interrupt boundary for the resume tests
 def system():
     from repro.physics import build_topological_insulator
 
-    h, _ = build_topological_insulator(8, 6, 4)  # 768 rows = 24 grid blocks
+    h, _ = build_topological_insulator(8, 6, 4)  # 768 rows = 12 eta blocks
     scale = lanczos_scale(h, seed=1)
     blk = make_block_vector(h.n_rows, R, seed=2)
-    part1 = RowPartition.equal(h.n_rows, 1, align=G)
-    ref = distributed_eta(h, part1, scale, M, blk, SimWorld(1), eta_grid=G)
+    ref = compute_eta(h, scale, M, blk)
     return h, scale, blk, ref
 
 
 class TestGridInvariance:
-    """eta is a pure function of (problem, N, B) — not of the partition."""
+    """eta is a pure function of the problem — not of the partition."""
 
     @pytest.mark.parametrize("weights", [
         None,  # equal split over 2 ranks
@@ -65,7 +64,7 @@ class TestGridInvariance:
         else:
             part = RowPartition.from_weights(h.n_rows, weights, align=G)
         eta = distributed_eta(
-            h, part, scale, M, blk, SimWorld(part.n_ranks), eta_grid=G
+            h, part, scale, M, blk, SimWorld(part.n_ranks)
         )
         assert np.array_equal(eta, ref)
 
@@ -73,17 +72,15 @@ class TestGridInvariance:
         h, scale, blk, ref = system
         part = RowPartition.equal(h.n_rows, 3, align=G)
         mw = MpWorld(3)
-        eta = distributed_eta(h, part, scale, M, blk, mw, eta_grid=G)
+        eta = distributed_eta(h, part, scale, M, blk, mw)
         assert np.array_equal(eta, ref)
 
     def test_grid_requires_aligned_partition(self, system):
         h, scale, blk, _ = system
         part = RowPartition.from_weights(h.n_rows, [0.55, 0.45], align=4)
         assert any(o % G for o in part.offsets[1:-1])  # genuinely unaligned
-        with pytest.raises(SimulationError, match="aligned"):
-            distributed_eta(
-                h, part, scale, M, blk, SimWorld(2), eta_grid=G
-            )
+        with pytest.raises(SimulationError, match="eta block"):
+            distributed_eta(h, part, scale, M, blk, SimWorld(2))
 
 
 def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
@@ -97,11 +94,11 @@ def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
     c1 = PerfCounters()
     w1 = world_cls(4)
     distributed_eta(
-        h, part4, scale, M, blk, w1, counters=c1, eta_grid=G,
+        h, part4, scale, M, blk, w1, counters=c1,
         stop_m=STOP, checkpoint_every=STOP - 1, checkpoint_path=path,
     )
     ck = KpmCheckpoint.load(path)
-    assert ck.next_m == STOP and ck.eta_grid == G
+    assert ck.next_m == STOP
 
     if weights is None:
         part = RowPartition.equal(h.n_rows, resume_workers, align=G)
@@ -110,7 +107,7 @@ def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
     c2 = PerfCounters()
     w2 = world_cls(resume_workers)
     eta = distributed_eta(
-        h, part, scale, M, blk, w2, counters=c2, eta_grid=G,
+        h, part, scale, M, blk, w2, counters=c2,
         resume_from=ck, stop_m=M // 2,
     )
     return eta, c1, c2, (w1, w2)
@@ -133,10 +130,8 @@ class TestCrossWorkerResume:
         assert np.array_equal(eta, ref)
         # both halves' measured counters equal the Eq. 5-7 analytic
         # charge of their segment, exactly
-        e1 = expected_segment_counters(h, M, R, first_m=1, stop_m=STOP,
-                                       eta_grid=G)
-        e2 = expected_segment_counters(h, M, R, first_m=STOP, stop_m=M // 2,
-                                       eta_grid=G)
+        e1 = expected_segment_counters(h, M, R, first_m=1, stop_m=STOP)
+        e2 = expected_segment_counters(h, M, R, first_m=STOP, stop_m=M // 2)
         assert (c1.bytes_loaded, c1.bytes_stored, c1.flops) == \
             (e1.bytes_loaded, e1.bytes_stored, e1.flops)
         assert (c2.bytes_loaded, c2.bytes_stored, c2.flops) == \
@@ -167,21 +162,27 @@ class TestCrossWorkerResume:
         assert np.array_equal(eta, ref)
         full = SimWorld(4)
         part4 = RowPartition.equal(h.n_rows, 4, align=G)
-        distributed_eta(h, part4, scale, M, blk, full, eta_grid=G)
+        distributed_eta(h, part4, scale, M, blk, full)
         assert (w1.log.total_bytes + w2.log.total_bytes
                 == full.log.total_bytes)
 
     def test_cross_grid_resume_refused(self, system, tmp_path):
+        """A format-1 boundary file — its eta reduced per rank or per
+        grid block — is refused, never spliced into this reduction."""
         h, scale, blk, _ = system
         path = tmp_path / "boundary.npz"
         part = RowPartition.equal(h.n_rows, 2, align=G)
         distributed_eta(
-            h, part, scale, M, blk, SimWorld(2), eta_grid=G,
+            h, part, scale, M, blk, SimWorld(2),
             stop_m=STOP, checkpoint_every=STOP - 1, checkpoint_path=path,
         )
-        with pytest.raises(CheckpointError, match="eta_grid"):
+        with np.load(path) as data:
+            old = {k: data[k] for k in data.files if k != "anchors"}
+        np.savez(path, **{**old, "version": np.array(1),
+                          "eta_grid": np.array(32)})
+        with pytest.raises(CheckpointError, match="format 1"):
             distributed_eta(
-                h, part, scale, M, blk, SimWorld(2), eta_grid=16,
+                h, part, scale, M, blk, SimWorld(2),
                 resume_from=path, stop_m=M // 2,
             )
 
@@ -189,7 +190,7 @@ class TestCrossWorkerResume:
 class TestElasticDriver:
     def test_plain_sim_run_bitwise(self, system):
         h, scale, blk, ref = system
-        pol = RebalancePolicy(grid=G, interval=5)
+        pol = RebalancePolicy(interval=5)
         eta, rep = elastic_eta(
             h, scale, M, blk, n_workers=3, policy=pol, engine="sim"
         )
@@ -200,7 +201,7 @@ class TestElasticDriver:
 
     def test_join_and_leave_plan(self, system):
         h, scale, blk, ref = system
-        pol = RebalancePolicy(grid=G, interval=4)
+        pol = RebalancePolicy(interval=4)
         eta, rep = elastic_eta(
             h, scale, M, blk, n_workers=2, policy=pol, engine="sim",
             membership="join:m=5,ranks=2;leave:m=9,rank=0",
@@ -213,7 +214,7 @@ class TestElasticDriver:
 
     def test_timer_driven_rebalance(self, system):
         h, scale, blk, ref = system
-        pol = RebalancePolicy(grid=G, interval=4, windows=2)
+        pol = RebalancePolicy(interval=4, windows=2)
         slow = lambda p, nn: nn * (4.0 if p == 0 else 1.0)  # noqa: E731
         eta, rep = elastic_eta(
             h, scale, M, blk, n_workers=3, policy=pol, engine="sim",
@@ -229,7 +230,7 @@ class TestElasticDriver:
 
     def test_counters_match_segment_model(self, system):
         h, scale, blk, _ = system
-        pol = RebalancePolicy(grid=G, interval=5)
+        pol = RebalancePolicy(interval=5)
         c = PerfCounters()
         _eta, rep = elastic_eta(
             h, scale, M, blk, n_workers=2, policy=pol, engine="sim",
@@ -238,7 +239,7 @@ class TestElasticDriver:
         exp = PerfCounters()
         for seg in rep.segments:
             exp.merge(expected_segment_counters(
-                h, M, R, first_m=seg.first_m, stop_m=seg.stop_m, eta_grid=G,
+                h, M, R, first_m=seg.first_m, stop_m=seg.stop_m,
             ))
         assert (c.bytes_loaded, c.bytes_stored, c.flops) == \
             (exp.bytes_loaded, exp.bytes_stored, exp.flops)
@@ -246,11 +247,11 @@ class TestElasticDriver:
     def test_resume_from_boundary_checkpoint(self, system, tmp_path):
         """An elastic run interrupted at a boundary resumes bitwise."""
         h, scale, blk, ref = system
-        pol = RebalancePolicy(grid=G, interval=5)
+        pol = RebalancePolicy(interval=5)
         path = tmp_path / "boundary.npz"
         part = RowPartition.equal(h.n_rows, 2, align=G)
         distributed_eta(
-            h, part, scale, M, blk, SimWorld(2), eta_grid=G,
+            h, part, scale, M, blk, SimWorld(2),
             stop_m=6, checkpoint_every=5, checkpoint_path=path,
         )
         eta, rep = elastic_eta(
@@ -270,12 +271,11 @@ class TestElasticDriver:
         path = tmp_path / "boundary.npz"
         distributed_eta(
             h, RowPartition.equal(h.n_rows, 2, align=G), scale, M, other,
-            SimWorld(2), eta_grid=G, stop_m=6, checkpoint_every=5,
-            checkpoint_path=path,
+            SimWorld(2), stop_m=6, checkpoint_every=5, checkpoint_path=path,
         )
         with pytest.raises(CheckpointError, match="different run"):
             elastic_eta(h, scale, M, blk, n_workers=2, engine=engine,
-                        policy=RebalancePolicy(grid=G, interval=5),
+                        policy=RebalancePolicy(interval=5),
                         resume_from=path)
 
     def test_bad_inputs(self, system):
@@ -290,9 +290,23 @@ class TestElasticDriver:
         with pytest.raises(SimulationError, match="retires"):
             elastic_eta(
                 h, scale, M, blk, n_workers=1, engine="sim",
-                policy=RebalancePolicy(grid=G, interval=4),
+                policy=RebalancePolicy(interval=4),
                 membership="leave:m=5,rank=0",
             )
+
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_fp16v_elastic_matches_plain(self, system, engine):
+        """Half storage runs elastic too: fp16v elastic is bitwise the
+        plain fp16v solve."""
+        h, scale, blk, _ = system
+        ref = compute_eta(h, scale, M, blk, precision="fp16v")
+        eta, rep = elastic_eta(
+            h, scale, M, blk, n_workers=2, engine=engine,
+            policy=RebalancePolicy(interval=4, threshold=1e9),
+            membership="join:m=5", precision="fp16v",
+        )
+        assert np.array_equal(eta, ref)
+        assert rep.joins == 1
 
 
 class TestPolicyAndPlan:
@@ -305,7 +319,7 @@ class TestPolicyAndPlan:
         assert resolve_rebalance("auto") == RebalancePolicy()
         assert resolve_rebalance(0.4).threshold == 0.4
         assert resolve_rebalance("0.4").threshold == 0.4
-        pol = RebalancePolicy(grid=16)
+        pol = RebalancePolicy(interval=3)
         assert resolve_rebalance(pol) is pol
         with pytest.raises(ValueError):
             resolve_rebalance("sideways")
@@ -313,8 +327,6 @@ class TestPolicyAndPlan:
             resolve_rebalance([1, 2])
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            RebalancePolicy(grid=0)
         with pytest.raises(ValueError):
             RebalancePolicy(threshold=-1)
         with pytest.raises(ValueError):
@@ -340,7 +352,7 @@ class TestPolicyAndPlan:
             MembershipPlan.parse("resize:m=8")
 
     def test_monitor_debounce_and_retune(self):
-        pol = RebalancePolicy(grid=16, threshold=0.5, windows=2)
+        pol = RebalancePolicy(threshold=0.5, windows=2)
         mon = RebalanceMonitor(pol)
         counts = [64, 64]
         assert mon.observe(counts, [1.0, 4.0]) == pytest.approx(1.2)

@@ -2,8 +2,8 @@
 
 The three executions of the same KPM problem — serial ``compute_eta``,
 the sequential :class:`SimWorld` simulator, and real worker processes
-over shared memory (:class:`MpWorld`) — must agree on the moments to
-reduction-order tolerance, and the mp engine must charge its
+over shared memory (:class:`MpWorld`) — must agree on the moments
+bitwise, and the mp engine must charge its
 :class:`MessageLog` record-for-record like the simulator, so the network
 cost model prices both identically.  Failure handling is differential
 too: a crashing worker must surface as a clean ``SimulationError`` with
@@ -67,27 +67,22 @@ class TestParity:
         h, scale, blk, ref = system
         if backend != "auto":
             ref = compute_eta(h, scale, M, blk, "aug_spmmv", backend=backend)
-        part = RowPartition.equal(h.n_rows, n_workers, align=4)
+        part = RowPartition.equal(h.n_rows, n_workers, align=64)
         eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part,
                                            backend=backend)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
-        if n_workers == 1:
-            # one worker, empty halo, overlap off: the serial engine's own
-            # Recurrence in another process — bitwise, not to tolerance
-            assert np.array_equal(eta_mp, ref)
-            assert np.array_equal(eta_sim, ref)
-        # mp and sim run the identical per-rank arithmetic and the same
-        # reduction order, so they agree far tighter than either vs serial
-        assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
-        # ... and charge the message log record-for-record identically
+        # any worker count: the serial engine's Recurrence per rank and
+        # the one eta reduction — bitwise, not to tolerance
+        assert np.array_equal(eta_mp, ref)
+        assert np.array_equal(eta_sim, ref)
+        # ... and mp and sim charge the message log record-for-record
         assert mw.log.records == sw.log.records
 
     def test_skewed_weights(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.from_weights(h.n_rows, [0.6, 0.1, 0.3], align=4)
+        part = RowPartition.from_weights(h.n_rows, [0.6, 0.1, 0.3], align=64)
         eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
-        assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
+        assert np.array_equal(eta_mp, ref)
+        assert np.array_equal(eta_sim, ref)
         assert mw.log.records == sw.log.records
 
     @pytest.mark.parametrize("r", [1, 8, 32])
@@ -96,49 +91,49 @@ class TestParity:
         m = 8  # keep the R=32 case cheap
         blk = make_block_vector(h.n_rows, r, seed=7)
         ref = compute_eta(h, scale, m, blk, "aug_spmmv")
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part, m=m)
         assert eta_mp.shape == (r, m)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
-        assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
+        assert np.array_equal(eta_mp, ref)
+        assert np.array_equal(eta_sim, ref)
         assert mw.log.records == sw.log.records
 
     def test_numpy_backend(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, _, _ = run_pair(
             h, scale, blk, part, backend="numpy"
         )
-        assert np.allclose(eta_mp, ref, atol=1e-9)
-        assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
+        assert np.allclose(eta_mp, ref, atol=1e-9)  # another backend
+        assert np.array_equal(eta_mp, eta_sim)
 
     @needs_native
     def test_native_backend(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, _, _ = run_pair(
             h, scale, blk, part, backend="native"
         )
-        assert np.allclose(eta_mp, ref, atol=1e-9)
-        assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
+        assert np.array_equal(eta_mp, ref)
+        assert np.array_equal(eta_sim, ref)
 
     @needs_native
     def test_per_rank_backend_mix(self, system):
         """Heterogeneous worlds: one rank native, one numpy."""
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2, backend=["native", "numpy"])
         eta = distributed_eta(h, part, scale, M, blk, mw)
         assert np.allclose(eta, ref, atol=1e-9)
 
     def test_reduction_every(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, mw, sw = run_pair(
             h, scale, blk, part, reduction="every"
         )
-        assert np.allclose(eta_mp, ref, atol=1e-9)
-        assert np.allclose(eta_mp, eta_sim, atol=1e-12, rtol=0)
+        assert np.array_equal(eta_mp, ref)
+        assert np.array_equal(eta_sim, ref)
         assert mw.log.records == sw.log.records
         # every rank performed the per-iteration reduction events
         assert (mw.last_acct[:, 2] == 2 * (M // 2)).all()
@@ -149,18 +144,18 @@ class TestParity:
             pytest.skip("platform has no spawn start method")
         h, scale, _, _ = system
         blk = make_block_vector(h.n_rows, 2, seed=3)
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2, start_method="spawn",
                      timeouts=MpTimeouts(barrier=300.0, stall=300.0, run=300.0))
         eta = distributed_eta(h, part, scale, 8, blk, mw)
         ref = compute_eta(h, scale, 8, blk, "aug_spmmv")
-        assert np.allclose(eta, ref, atol=1e-9)
+        assert np.array_equal(eta, ref)
 
 
 class TestAccounting:
     def test_halo_acct_matches_pattern(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         dist = partition_matrix(h, part)
         mw = MpWorld(3)
         distributed_eta(dist, None, scale, M, blk, mw)
@@ -181,7 +176,7 @@ class TestAccounting:
 
     def test_segments_unlinked_after_success(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         distributed_eta(h, part, scale, M, blk, mw)
         assert mw.last_segment_names  # the run did use shared memory
@@ -199,7 +194,7 @@ class TestObservability:
         serial = PerfCounters()
         compute_eta(h, scale, M, blk, "aug_spmmv", serial)
 
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         merged = PerfCounters()
         metrics = MetricsRegistry()
         mw = MpWorld(3)
@@ -227,7 +222,7 @@ class TestObservability:
         from repro.util.counters import PerfCounters
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         c_mp, c_sim = PerfCounters(), PerfCounters()
         distributed_eta(h, part, scale, M, blk, MpWorld(2),
                         counters=c_mp, metrics=MetricsRegistry())
@@ -239,7 +234,7 @@ class TestObservability:
 
     def test_null_sentinels_skip_obs_shipping(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         distributed_eta(h, part, scale, M, blk, mw)
         assert mw.last_obs is None
@@ -299,7 +294,7 @@ class TestObservability:
 class TestFailure:
     def test_worker_exception_raises_cleanly(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         mw = MpWorld(3)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
@@ -311,7 +306,7 @@ class TestFailure:
 
     def test_worker_hard_death_raises_cleanly(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="exit code"):
@@ -340,7 +335,7 @@ class TestTimeouts:
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2, timeouts=MpTimeouts(stall=1.0))
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure) as ei:
@@ -361,7 +356,7 @@ class TestCheckpointing:
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         with pytest.raises(WorkerFailure) as ei:
             mp_eta(h, part, scale, M, blk, mw,
@@ -383,7 +378,7 @@ class TestCheckpointing:
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, M, blk, MpWorld(2))
         p = tmp_path / "ck.npz"
         with pytest.raises(WorkerFailure):
@@ -399,7 +394,7 @@ class TestCheckpointing:
     def test_completed_run_checkpoints_match_full(self, system, tmp_path):
         """Checkpointing a healthy run neither perturbs nor loses moments."""
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, M, blk, MpWorld(2))
         mw = MpWorld(2)
         eta = distributed_eta(h, part, scale, M, blk, mw,
@@ -414,7 +409,7 @@ class TestCheckpointing:
         from repro.resil import FaultSpec
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
             mp_eta(h, part, scale, M, blk, mw,
@@ -424,7 +419,7 @@ class TestCheckpointing:
 class TestValidation:
     def test_world_size_mismatch(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         with pytest.raises(SimulationError):
             distributed_eta(h, part, scale, M, blk, MpWorld(3))
 
@@ -442,7 +437,7 @@ class TestValidation:
 
     def test_backend_list_wrong_length(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         with pytest.raises(SimulationError):
             distributed_eta(
                 h, part, scale, M, blk, MpWorld(2, backend=["numpy"])
@@ -465,8 +460,8 @@ class TestSolverFacade:
         s_mp = KPMSolver(h, dist_engine="mp", workers=2, **kw)
         mu_sim = s_sim.moments()
         mu_mp = s_mp.moments()
-        assert np.allclose(mu_sim, mu_serial, atol=1e-9)
-        assert np.allclose(mu_mp, mu_sim, atol=1e-12, rtol=0)
+        assert np.array_equal(mu_sim, mu_serial)
+        assert np.array_equal(mu_mp, mu_serial)
         # the facade exposes the communicator of the last solve
         assert s_mp.world is not None and s_mp.world.log.n_messages > 0
         assert s_mp.world.log.records == s_sim.world.log.records

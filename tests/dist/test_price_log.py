@@ -67,7 +67,7 @@ class TestPriceLog:
         scale = lanczos_scale(h, seed=0)
         blk = make_block_vector(h.n_rows, 2, seed=0)
         world = SimWorld(3, devices=["cpu", "gpu", "gpu"])
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         distributed_eta(h, part, scale, 16, blk, world)
         out = NetworkModel().price_log(world.log, devices=world.devices)
         assert out["messages"] == world.log.n_messages

@@ -1,11 +1,11 @@
 """Task-mode (overlapped) execution: split properties and engine parity.
 
 The overlapped schedule computes the interior block while the halo
-exchange is in flight, then the boundary block.  Because the eta
-reduction order is fixed (interior partial + boundary partial) the
-result is schedule-independent: the mp engine under overlap must equal
-the sequential simulator bitwise, and both must match the synchronous
-path to reduction-order tolerance.  The split itself is property-tested
+exchange is in flight, then the boundary block.  Each phase reduces
+whole 64-row eta blocks whose bins add exactly, so the result is
+schedule-independent: the mp engine under overlap must equal the
+sequential simulator, the synchronous path and the serial engine
+bitwise.  The split itself is property-tested
 over random partitions, and the resilience layer (checkpoints, fault
 injection) must behave identically with overlap enabled.
 """
@@ -116,8 +116,9 @@ def test_two_phase_matches_plain(lattice, weights, r):
         plan = bk.split_plan(blk.matrix, task_split(blk), r)
         ee_s, eo_s = bk.aug_spmmv_split_step(blk.matrix, xbuf, ws, a, b, plan)
         assert np.array_equal(wp, ws)  # row-local update: bitwise
-        assert np.allclose(ee_s, ee_p, rtol=1e-12, atol=1e-10)
-        assert np.allclose(eo_s, eo_p, rtol=1e-12, atol=1e-10)
+        # whole eta blocks per phase: the phases' bins add exactly
+        assert np.array_equal(ee_s, ee_p)
+        assert np.array_equal(eo_s, eo_p)
 
 
 # ---------------------------------------------------------------------
@@ -160,27 +161,27 @@ class TestOverlapParity:
     @pytest.mark.parametrize("n_workers", [2, 3])
     def test_mp_equals_sim_bitwise(self, system, n_workers):
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, n_workers, align=4)
+        part = RowPartition.equal(h.n_rows, n_workers, align=64)
         eta_mp, eta_sim, mw, sw = run_overlap_pair(h, scale, blk, part)
-        # the fixed interior+boundary reduction order makes the moments
-        # schedule-independent: real async execution == sequential sim
+        # the one eta reduction makes the moments schedule-independent:
+        # real async execution == sequential sim == serial
         assert np.array_equal(eta_mp, eta_sim)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
+        assert np.array_equal(eta_mp, ref)
         # the message accounting is unchanged by the schedule
         assert mw.log.records == sw.log.records
 
     def test_on_matches_off(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         sw = SimWorld(3)
         eta_on = distributed_eta(h, part, scale, M, blk, sw, overlap=True)
         eta_off = distributed_eta(h, part, scale, M, blk, SimWorld(3),
                                   overlap=False)
-        assert np.allclose(eta_on, eta_off, atol=1e-12, rtol=0)
+        assert np.array_equal(eta_on, eta_off)
 
     def test_overlap_string_knob(self, system):
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_on = distributed_eta(h, part, scale, M, blk, SimWorld(2),
                                  overlap="on")
         eta_auto = distributed_eta(h, part, scale, M, blk, SimWorld(2),
@@ -191,21 +192,21 @@ class TestOverlapParity:
     @needs_native
     def test_native_backend_bitwise(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, _, _ = run_overlap_pair(
             h, scale, blk, part, backend="native"
         )
         assert np.array_equal(eta_mp, eta_sim)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
+        assert np.array_equal(eta_mp, ref)
 
     def test_reduction_every(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, mw, sw = run_overlap_pair(
             h, scale, blk, part, reduction="every"
         )
         assert np.array_equal(eta_mp, eta_sim)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
+        assert np.array_equal(eta_mp, ref)
         assert mw.log.records == sw.log.records
 
     @pytest.mark.parametrize("r", [1, 8])
@@ -214,18 +215,18 @@ class TestOverlapParity:
         m = 8
         blk = make_block_vector(h.n_rows, r, seed=7)
         ref = compute_eta(h, scale, m, blk, "aug_spmmv")
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         eta_mp, eta_sim, _, _ = run_overlap_pair(h, scale, blk, part, m=m)
         assert eta_mp.shape == (r, m)
         assert np.array_equal(eta_mp, eta_sim)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
+        assert np.array_equal(eta_mp, ref)
 
     def test_skewed_weights(self, system):
         h, scale, blk, ref = system
-        part = RowPartition.from_weights(h.n_rows, [0.6, 0.1, 0.3], align=4)
+        part = RowPartition.from_weights(h.n_rows, [0.6, 0.1, 0.3], align=64)
         eta_mp, eta_sim, mw, sw = run_overlap_pair(h, scale, blk, part)
         assert np.array_equal(eta_mp, eta_sim)
-        assert np.allclose(eta_mp, ref, atol=1e-9)
+        assert np.array_equal(eta_mp, ref)
         assert mw.log.records == sw.log.records
 
 
@@ -236,7 +237,7 @@ class TestOverlapObservability:
         from repro.obs import MetricsRegistry
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         metrics = MetricsRegistry()
         mw = MpWorld(2)
         distributed_eta(h, part, scale, M, blk, mw, overlap=True,
@@ -256,7 +257,7 @@ class TestOverlapObservability:
         serial = PerfCounters()
         compute_eta(h, scale, M, blk, "aug_spmmv", serial)
         c = PerfCounters()
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         distributed_eta(h, part, scale, M, blk, SimWorld(3),
                         overlap=True, counters=c)
         assert c.bytes_loaded == serial.bytes_loaded
@@ -275,7 +276,7 @@ class TestOverlapResilience:
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 3, align=4)
+        part = RowPartition.equal(h.n_rows, 3, align=64)
         mw = MpWorld(3)
         with pytest.raises(WorkerFailure):
             mp_eta(h, part, scale, M, blk, mw, overlap=True,
@@ -288,7 +289,7 @@ class TestOverlapResilience:
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, M, blk, MpWorld(2),
                               overlap=True)
         p = tmp_path / "ck.npz"
@@ -309,7 +310,7 @@ class TestOverlapResilience:
         from repro.util.errors import WorkerFailure
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, M, blk, SimWorld(2),
                               overlap=False)
         p = tmp_path / "ck.npz"
@@ -320,7 +321,7 @@ class TestOverlapResilience:
         ck = KpmCheckpoint.load(p)
         resumed = distributed_eta(h, part, scale, M, blk, SimWorld(2),
                                   overlap=False, resume_from=ck)
-        assert np.allclose(resumed, ref, atol=1e-12, rtol=0)
+        assert np.array_equal(resumed, ref)
 
 
 # ---------------------------------------------------------------------
@@ -336,7 +337,7 @@ class TestSolverOverlap:
                   dist_engine="mp", workers=2)
         mu_on = KPMSolver(h, overlap="on", **kw).moments()
         mu_off = KPMSolver(h, overlap="off", **kw).moments()
-        assert np.allclose(mu_on, mu_off, atol=1e-12, rtol=0)
+        assert np.array_equal(mu_on, mu_off)
 
     def test_solver_validates_overlap_eagerly(self, system):
         from repro.core.solver import KPMSolver

@@ -141,7 +141,7 @@ def test_checkpoint_and_resume_on_leased_world(system, tmp_path):
 
 def test_elastic_segments_on_one_lease(system):
     h, scale, blk, _part = system
-    pol = RebalancePolicy(grid=32, interval=4)
+    pol = RebalancePolicy(interval=4)
     got = {}
     for engine in ("sim", "mp", "mp"):
         counters = PerfCounters()
@@ -150,12 +150,11 @@ def test_elastic_segments_on_one_lease(system):
         got.setdefault(engine, []).append((eta, counters, rep.log.records))
         assert not any(segment_exists(nm) for nm in rep.segment_names)
     ref = got["sim"][0]
-    # one uninterrupted grid run on the same world size: the same bits
-    # and, the worker count never changing, the same traffic
+    # one uninterrupted run on the same world size: the same bits and,
+    # the worker count never changing, the same traffic
     whole = SimWorld(2)
     assert np.array_equal(ref[0], distributed_eta(
-        h, RowPartition.equal(h.n_rows, 2, align=32), scale, M, blk, whole,
-        eta_grid=32))
+        h, RowPartition.equal(h.n_rows, 2, align=64), scale, M, blk, whole))
     assert sum(r.nbytes for r in ref[2]) == whole.log.total_bytes
     for eta, counters, records in got["mp"]:
         assert np.array_equal(eta, ref[0])

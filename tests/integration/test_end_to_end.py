@@ -52,7 +52,7 @@ class TestFullPipelineConsistency:
         # 3. distributed, heterogeneous weights from the perf model
         perf = node_performance(PIZ_DAINT_NODE, "aug_spmmv", r=32)
         weights = weights_from_performance([perf["cpu"], perf["gpu"]])
-        part = RowPartition.from_weights(n, weights, align=4)
+        part = RowPartition.from_weights(n, weights, align=64)
         world = SimWorld(2, devices=["cpu", "gpu"])
         assert np.allclose(
             distributed_eta(h, part, scale, m, blk, world), ref, atol=1e-9

@@ -12,20 +12,16 @@ unchanged, as do the run controls (progress, mp timeouts).
 import numpy as np
 import pytest
 
-from repro.core.moments import eta_to_moments
+from repro.core.moments import compute_eta, eta_to_moments
 from repro.core.scaling import lanczos_scale
 from repro.core.solver import KPMSolver
 from repro.core.stochastic import make_block_vector
-from repro.dist.comm import SimWorld
 from repro.dist.elastic import RebalancePolicy
-from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
 from repro.resil import FaultPlan, FaultSpec, Resilience, RetryPolicy, Supervisor
 from repro.serve import HamiltonianSpec, KPMServer, Request
 
 M = 24
-G = 32
 SPEC = HamiltonianSpec("topological_insulator", {"nx": 6, "ny": 6, "nz": 4})
 
 
@@ -33,15 +29,14 @@ SPEC = HamiltonianSpec("topological_insulator", {"nx": 6, "ny": 6, "nz": 4})
 def system():
     from repro.physics import build_topological_insulator
 
-    h, _ = build_topological_insulator(6, 6, 4)  # 576 rows = 18 grid blocks
+    h, _ = build_topological_insulator(6, 6, 4)  # 576 rows = 9 eta blocks
     scale = lanczos_scale(h, seed=1)
     blk = make_block_vector(h.n_rows, 2, seed=2)
-    part1 = RowPartition.equal(h.n_rows, 1, align=G)
-    ref = distributed_eta(h, part1, scale, M, blk, SimWorld(1), eta_grid=G)
+    ref = compute_eta(h, scale, M, blk)
     return h, scale, blk, ref
 
 
-POL = RebalancePolicy(grid=G, interval=5)
+POL = RebalancePolicy(interval=5)
 
 
 class TestSupervisedMembership:
@@ -77,8 +72,8 @@ class TestSupervisedMembership:
     @pytest.mark.parametrize("engine,workers", [("sim", 3), ("serial", 1)])
     def test_lower_rungs_replay_same_reduction(self, system, engine,
                                                workers):
-        """A degradation mid-ladder lands on sim/serial rungs that run
-        the identical grid-eta reduction — still bitwise."""
+        """A degradation mid-ladder lands on sim/serial rungs, which run
+        the one eta reduction too — still bitwise."""
         h, scale, blk, ref = system
         sup = Supervisor(RetryPolicy(max_attempts=1))
         eta = sup.run_eta(h, scale, M, blk, engine=engine, workers=workers,
@@ -189,8 +184,7 @@ class TestServerKnob:
 
 
 def test_moments_are_physical(system):
-    """Sanity: the grid-mode eta carries the exact unnormalized trace —
-    mu_0 = N, the same identity the row-sliced reductions preserve."""
+    """Sanity: eta carries the exact unnormalized trace — mu_0 = N."""
     h, _scale, _blk, ref = system
     mu = eta_to_moments(ref).mean(axis=0).real
     assert mu[0] == pytest.approx(h.n_rows)

@@ -5,7 +5,7 @@ crashes mid-recurrence, reloads the latest checkpoint, and finishes must
 produce moments *bitwise identical* to an unfaulted run on the same
 engine/partition/backend: the checkpoint snapshots the exact recurrence
 state, the inherited eta prefix is spliced verbatim (never re-reduced),
-and the suffix is recomputed by the identical reduction order.
+and the suffix is recomputed by the one eta reduction.
 """
 
 import numpy as np
@@ -64,7 +64,7 @@ class TestMpCrashRecovery:
                                         backend, r):
         h, scale = ham
         blk = make_block_vector(h.n_rows, r, seed=3)
-        part = RowPartition.equal(h.n_rows, workers, align=4)
+        part = RowPartition.equal(h.n_rows, workers, align=64)
         ref = distributed_eta(h, part, scale, M, blk, MpWorld(workers),
                               backend=backend)
         eta, report = supervised(
@@ -82,7 +82,7 @@ class TestMpCrashRecovery:
     def test_worker_exception_recovery(self, ham, tmp_path):
         h, scale = ham
         blk = make_block_vector(h.n_rows, 2, seed=4)
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, M, blk, MpWorld(2),
                               backend="numpy")
         eta, report = supervised(
@@ -96,7 +96,7 @@ class TestMpCrashRecovery:
     def test_persistent_crash_degrades_to_sim(self, ham, tmp_path):
         h, scale = ham
         blk = make_block_vector(h.n_rows, 2, seed=5)
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, M, blk, SimWorld(2),
                               backend="numpy")
         # the crash chases the job across both mp attempts; the sim rung
@@ -137,7 +137,7 @@ class TestSimRecoveryMatrix:
     def test_bitwise_equal_to_unfaulted(self, ham, tmp_path, workers):
         h, scale = ham
         blk = make_block_vector(h.n_rows, 2, seed=7)
-        part = RowPartition.equal(h.n_rows, workers, align=4)
+        part = RowPartition.equal(h.n_rows, workers, align=64)
         ref = distributed_eta(h, part, scale, M, blk, SimWorld(workers),
                               backend="numpy")
         eta, report = supervised(

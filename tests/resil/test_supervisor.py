@@ -232,7 +232,7 @@ class TestCheckpointDrill:
         from repro.dist.partition import RowPartition
 
         h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=4)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
         ref = distributed_eta(h, part, scale, 16, blk, SimWorld(2),
                               backend="numpy")
         sup = make_supervisor(

@@ -73,8 +73,8 @@ class TestStageEquivalence:
         assert ee == pytest.approx(ref_even)
 
     def test_nodot_plus_separate_dots(self, setup, rng):
-        """Dots retaken in a separate pass over the updated block (the
-        grid-eta path) are bitwise the ones the fused step returned."""
+        """Dots retaken in a separate pass over the updated block are
+        bitwise the ones the fused step returned: one eta reduction."""
         m, _, _, _, a, b, *_ = setup
         V = np.ascontiguousarray(
             rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))

@@ -76,8 +76,10 @@ class TestRegistry:
         assert p1.u.shape == (m.n_rows,) and p1.work.shape == (m.n_rows,)
         p4 = KernelPlan(m, 4)
         assert p4.u.shape == (m.n_rows, 4)
-        assert p4.eta_even.shape == (4,) and p4.eta_odd.shape == (4,)
-        assert p4.eta_even.dtype == np.float64 and p4.eta_odd.dtype == DTYPE
+        # the eta reduction's state: (2, 3R) bins, the escape flag, and
+        # anchors set by the first step (or Recurrence.load)
+        assert p4.bins.shape == (2, 12) and p4.bins.dtype == np.float64
+        assert p4.escape.shape == (1,) and p4.anchors is None
 
 
 @needs_native

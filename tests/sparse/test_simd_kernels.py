@@ -167,7 +167,7 @@ def _blocked_outputs(bk, A, V, W, prec, simd):
         w = W.copy()
         out["aug", threads] = (w, *bk.aug_spmmv_step(A, V, w, a, b, plan=plan))
         if isinstance(A, CSRMatrix) and n == A.n_cols:
-            split = TaskSplit(9, 50, np.r_[0:9, 50:n], n, 0, 0)
+            split = TaskSplit(0, 64, np.r_[64:n], n, 0, 0)  # eta blocks
             sp = bk.split_plan(A, split, r, precision=prec, threads=threads,
                                simd=simd)
             w = W.copy()
@@ -295,7 +295,7 @@ def test_distributed_bitwise_on_off(ti, world_kind):
     from repro.dist.partition import RowPartition
 
     h, scale, blocks = ti
-    part = RowPartition.equal(h.n_rows, 2, align=4)
+    part = RowPartition.equal(h.n_rows, 2, align=64)
 
     def run(simd):
         world = MpWorld(2) if world_kind == "mp" else SimWorld(2)
@@ -307,19 +307,17 @@ def test_distributed_bitwise_on_off(ti, world_kind):
 
 @needs_native
 def test_elastic_grid_bitwise_on_off(ti):
-    """Grid-eta mode and the SIMD knob compose: both bitwise-invisible."""
+    """The partition and the SIMD knob compose: both bitwise-invisible."""
     from repro.dist.comm import SimWorld
     from repro.dist.kpm_parallel import distributed_eta
     from repro.dist.partition import RowPartition
 
     h, scale, blocks = ti
-    grid = 16
 
     def run(simd, ranks):
-        part = RowPartition.equal(h.n_rows, ranks, align=grid)
+        part = RowPartition.equal(h.n_rows, ranks, align=64)
         return distributed_eta(h, part, scale, M, blocks[8],
-                               SimWorld(ranks), backend="native",
-                               simd=simd, eta_grid=grid)
+                               SimWorld(ranks), backend="native", simd=simd)
 
     base = run("off", 2)
     np.testing.assert_array_equal(run("on", 2), base)

@@ -3,8 +3,8 @@
 The two-phase interior/boundary kernels must be drop-in replacements
 for the plain fused step *within a backend*: the W update is row-local,
 so running the phases in any order produces bitwise the plain result,
-and the eta partials sum to the plain dots to reduction-order
-tolerance.  Their Table-I charges must sum exactly to the plain charge
+and each phase reduces whole 64-row eta blocks, so the phases' bins add
+to the plain step's eta exactly.  Their Table-I charges must sum exactly to the plain charge
 (only the per-phase attribution differs), backends without split
 kernels must fail with a clear :class:`BackendError`, and the
 steady-state iteration must not allocate.
@@ -86,10 +86,9 @@ class TestBlockParity:
             # the phase update touches each row exactly once with the
             # plain per-row arithmetic, so W is bitwise the plain result
             assert np.array_equal(wp, ws)
-            # the dots are split into two partial sums — reduction-order
-            # tolerance, not bitwise
-            assert np.allclose(ee_s, ee_p, rtol=1e-12, atol=1e-10)
-            assert np.allclose(eo_s, eo_p, rtol=1e-12, atol=1e-10)
+            # ... and the eta bins of whole blocks add exactly
+            assert np.array_equal(ee_s, ee_p)
+            assert np.array_equal(eo_s, eo_p)
 
     def test_degenerate_empty_interior(self, dist, backend):
         """The middle rank of a thin slab has every row on the halo."""
@@ -157,8 +156,8 @@ class TestVectorParity:
 
         h, _ = build_topological_insulator(6, 5, 4)
         scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
-        n = h.n_rows
-        row0, row1 = n // 4, 3 * n // 4
+        n = h.n_rows  # 480: the interior is eta blocks 2-5
+        row0, row1 = 128, 384
         boundary = np.concatenate(
             [np.arange(row0), np.arange(row1, n)]
         ).astype(np.int64)
@@ -172,8 +171,7 @@ class TestVectorParity:
         plan = bk.split_plan(h, split, 1)
         ee_s, eo_s = bk.aug_spmv_split_step(h, v, ws, scale.a, scale.b, plan)
         assert np.array_equal(wp, ws)
-        assert np.isclose(ee_s, ee_p, rtol=1e-12, atol=1e-10)
-        assert np.isclose(eo_s, eo_p, rtol=1e-12, atol=1e-10)
+        assert ee_s == ee_p and eo_s == eo_p
 
 
 class TestAccounting:
@@ -222,6 +220,15 @@ class TestAccounting:
 
 
 class TestFallback:
+    def test_split_off_the_eta_blocks_rejected(self):
+        from repro.physics import build_topological_insulator
+
+        h, _ = build_topological_insulator(4, 4, 2)  # 128 rows
+        split = SimpleNamespace(row0=32, row1=h.n_rows,
+                                boundary=np.arange(32, dtype=np.int64))
+        with pytest.raises(BackendError, match="eta blocks"):
+            SplitKernelPlan(h, split, 1)
+
     def test_sell_rejected(self):
         from repro.physics import build_topological_insulator
 

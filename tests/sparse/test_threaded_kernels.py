@@ -1,12 +1,11 @@
-"""Thread-count invariance of the threaded (_mt) native kernels.
+"""Thread-count invariance of the native aug kernels.
 
-The threaded kernels partition rows into a *fixed* block grid that does
-not depend on the thread count, accumulate one Kahan eta partial per
-block, and combine the partials sequentially in block order — so fp64
-moments are bitwise identical at every thread count.  These tests pin
-that contract alone and composed with the subsystems that rely on it:
-checkpoint resume (a resumed run may restart with a different thread
-count) and serve coalescing (a threaded batch must stay invisible).
+Threads take whole 64-row eta blocks, each into its own bins, and bins
+add exactly (DESIGN §19) — so moments are bitwise identical at every
+thread count, None included.  These tests pin that contract alone and
+composed with the subsystems that rely on it: checkpoint resume (a
+resumed run may restart with a different thread count) and serve
+coalescing (a threaded batch must stay invisible).
 """
 
 from __future__ import annotations
@@ -65,15 +64,12 @@ def test_fp64_moments_bitwise_across_thread_counts(ti, fmt, engine):
 @needs_native
 @pytest.mark.parametrize("fmt", ["csr", "sell"])
 def test_threaded_recurrence_matches_sequential_kernels(ti, fmt):
-    """The W update is row-local, so the recurrence *trajectory* of the
-    threaded path is bitwise the sequential kernels' — only the eta
-    reduction differs in scheme (block Kahan), never across counts."""
+    """threads=None is a team of one: the same blocks, the same bins."""
     h, scale, block = ti
     A = _operator(h, fmt)
     seq = compute_eta(A, scale, M, block, backend="native", threads=None)
     par = compute_eta(A, scale, M, block, backend="native", threads=2)
-    # same trajectory => identical to fp64 reduction reordering only
-    np.testing.assert_allclose(par, seq, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(par, seq)
 
 
 @needs_native
@@ -126,27 +122,22 @@ def test_serve_coalescing_invisible_at_any_thread_count():
 
 @needs_native
 def test_distributed_threads_match_serial(ti):
-    """sim-world ranks with per-rank threads: moments are bitwise
-    invariant across per-rank thread counts, plain and overlapped."""
+    """sim-world ranks with per-rank threads: moments are bitwise the
+    serial run's at every per-rank thread count, plain and overlapped."""
     from repro.dist.comm import SimWorld
     from repro.dist.kpm_parallel import distributed_eta
     from repro.dist.partition import RowPartition
 
     h, scale, block = ti
-    part = RowPartition.equal(h.n_rows, 2, align=4)
-    # thread-count invariance holds *within* each schedule; the overlap
-    # split regroups the eta reduction (interior + boundary) by design
+    part = RowPartition.equal(h.n_rows, 2, align=64)
+    ref = compute_eta(h, scale, M, block, backend="native")
     for ov in (False, True):
-        etas = [
-            distributed_eta(
-                h, part, scale, M, block, SimWorld(2), backend="native",
-                overlap=ov, threads=t,
-            )
-            for t in THREAD_COUNTS
-        ]
-        for eta in etas[1:]:
+        for t in THREAD_COUNTS:
             np.testing.assert_array_equal(
-                etas[0], eta, err_msg=f"overlap={ov}"
+                ref, distributed_eta(
+                    h, part, scale, M, block, SimWorld(2), backend="native",
+                    overlap=ov, threads=t,
+                ), err_msg=f"overlap={ov}, threads={t}"
             )
 
 

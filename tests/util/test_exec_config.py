@@ -229,8 +229,8 @@ def test_zero_threads_rejected_on_both_worlds(system, world):
 @pytest.mark.parametrize("world", [SimWorld, MpWorld])
 def test_one_prologue_one_exception_per_bad_input(system, world):
     """Both worlds share the prologue: a bad argument is the same
-    ValueError, a partition that does not fit the world or the eta grid
-    the same SimulationError."""
+    ValueError, a partition that does not fit the world or the eta
+    blocks the same SimulationError."""
     h, scale, blk = system
     part = RowPartition.equal(h.n_rows, 2, align=4)
     run = lambda **kw: distributed_eta(h, part, scale, M, blk, world(2),  # noqa: E731
@@ -238,13 +238,10 @@ def test_one_prologue_one_exception_per_bad_input(system, world):
     with pytest.raises(ValueError, match=re.escape(
             f"stop_m must be in [1, {M // 2}], got 0")):
         run(stop_m=0)
-    with pytest.raises(ValueError,
-                       match="eta_grid must be non-negative, got -3"):
-        run(eta_grid=-3)
-    with pytest.raises(ValueError, match="eta_grid requires reduction"):
-        run(eta_grid=32, reduction="every")
-    with pytest.raises(SimulationError, match="not aligned to the eta grid"):
-        run(eta_grid=5000)
+    with pytest.raises(SimulationError, match="not on a 64-row eta block"):
+        distributed_eta(h, RowPartition.from_weights(h.n_rows, [0.3, 0.7],
+                                                     align=4),
+                        scale, M, blk, world(2))
     with pytest.raises(SimulationError, match="world has 3 ranks"):
         distributed_eta(h, part, scale, M, blk, world(3))
 
@@ -252,7 +249,7 @@ def test_one_prologue_one_exception_per_bad_input(system, world):
 def test_server_rebalance_needs_a_distributed_engine_or_resilience():
     """One rule on every path: a serial server no longer drops
     ``rebalance`` silently (it used to, while the same server under
-    resilience ran the grid reduction — different fp64 bits)."""
+    resilience honoured it)."""
     with pytest.raises(ValueError, match="rebalance"):
         KPMServer(rebalance="auto")
     KPMServer(rebalance="auto", resilience=Resilience())

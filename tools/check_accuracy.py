@@ -12,8 +12,8 @@ backend differences).  The relative L-infinity error
 must stay within the documented budget:
 
 * ``fp32``  — 1e-4.  Values and vectors are stored in complex64 but
-  every dot product accumulates in fp64 (Kahan in the native kernels,
-  fp64 einsum in NumPy), so the error is dominated by fp32 rounding of
+  every dot product's terms are formed and reduced in fp64 (the one eta
+  reduction, DESIGN §19), so the error is dominated by fp32 rounding of
   the recurrence vectors, growing roughly with sqrt(M): observed
   ~1.5e-5 at M=64; the budget leaves a ~6x margin.
 * ``fp16v`` — 1e-1.  Vectors round-trip through float16 (re,im) pairs

@@ -20,15 +20,15 @@ lattice with live :class:`~repro.util.counters.PerfCounters` and a
    still matches ``expected_counters(..., splits=...)`` exactly —
    byte/flop totals equal the serial minima and the per-kernel call
    attribution reflects the two phases;
-5. (native backend only) the threaded kernels change neither story:
-   measured traffic equals the same Eq. 5-7 analytic charge at every
-   thread count, and the fp64 moments are bitwise identical across
-   thread counts, for both formats;
-6. (native backend only) the vectorized (``_simd``) kernels change
-   neither story either: traffic stays exactly equal to the analytic
-   charge under ``simd='on'``/``'off'`` for every engine, format and
-   precision, and the fp64 moments are bitwise identical across the
-   two kernel families.
+5. the mp world charges its :class:`~repro.dist.comm.MessageLog`
+   record for record as the simulator does, and the reduction bytes its
+   workers actually moved (the eta bins, 48 R bytes an iteration) are
+   the modelled ``allreduce_iter`` bytes exactly;
+6. (native backend only) threads and the vectorized (``_simd``)
+   kernels change neither story: traffic stays exactly equal to the
+   analytic charge at every thread count and under ``simd='on'``/
+   ``'off'``, for every engine, format and precision.  (That they move
+   no bit of eta is ``tests/core/test_eta_reduction.py``'s.)
 
 Exit status 0 means the measurement layer and the models tell the same
 story; 1 pinpoints the first divergence.  Intended for CI (fast: a few
@@ -63,6 +63,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nz", type=int, default=4)
     parser.add_argument("--moments", type=int, default=16)
     args = parser.parse_args(argv)
+
+    import numpy as np
 
     from repro.core.moments import compute_eta
     from repro.core.scaling import lanczos_scale
@@ -158,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.dist.partition import RowPartition
 
     n_ranks = 3
-    part = RowPartition.equal(H.n_rows, n_ranks)
+    part = RowPartition.equal(H.n_rows, n_ranks, align=64)
     dist = partition_matrix(H, part)
     splits = [task_split(blk) for blk in dist.blocks]
     print()
@@ -201,78 +203,60 @@ def main(argv: list[str] | None = None) -> int:
                   f"{counters.bytes_total:>12,} B exact, "
                   f"calls {dict(sorted(counters.calls.items()))}")
 
-    # -- 5. threaded kernels: same exact traffic, bitwise moments ------
-    import numpy as np
+    # -- 5. mp: the simulator's log, the modelled reduction bytes -----
+    from repro.dist.mp import MpWorld
 
+    block = make_block_vector(H.n_rows, 8, seed=2)
+    worlds = (SimWorld(n_ranks), MpWorld(n_ranks))
+    for world in worlds:
+        distributed_eta(dist, None, scale, m, block, world, backend=backend,
+                        reduction="every")
+    sim, mp = worlds
+    # recursive doubling: one message per stage in which a rank has a
+    # partner (repro.dist.comm.log_allreduce)
+    partners = [sum(p ^ (1 << k) < n_ranks
+                    for k in range(int(np.ceil(np.log2(n_ranks)))))
+                for p in range(n_ranks)]
+    moved = mp.last_acct[:, 3] * partners
+    logged = np.zeros(n_ranks, dtype=np.int64)
+    for rec in mp.log.records:
+        if rec.phase == "allreduce_iter":
+            logged[rec.src] += rec.nbytes
+    MpWorld(1).close()
+    if mp.log.records != sim.log.records or not np.array_equal(moved, logged):
+        return _fail(f"mp reduction bytes {moved.tolist()} != modelled "
+                     f"{logged.tolist()}, or the mp log != the sim log")
+    print(f"\n  ok: mp log == sim log, reduction bytes {moved.tolist()} "
+          "== model")
+
+    # -- 6. threads and simd: the same exact traffic -------------------
     if backend.name == "native":
         print()
-        r = 4
-        block = make_block_vector(H.n_rows, r, seed=2)
-        for fmt, A in matrices:
-            etas = []
-            for t in (1, 2, 4):
-                counters = PerfCounters()
-                etas.append(compute_eta(A, scale, m, block, "aug_spmmv",
-                                        counters, backend=backend,
-                                        threads=t))
-                exp = expected_counters(A, m, r, "aug_spmmv")
-                label = f"threads={t} {fmt} R={r}"
-                if (counters.bytes_loaded, counters.bytes_stored,
-                        counters.flops) != (exp.bytes_loaded,
-                                            exp.bytes_stored, exp.flops):
-                    return _fail(
-                        f"{label}: measured {counters.summary()} != "
-                        f"analytic {exp.summary()}"
-                    )
-                print(f"  ok: {label:30s} "
-                      f"{counters.bytes_total:>12,} B exact")
-            for t, eta in zip((2, 4), etas[1:]):
-                if not np.array_equal(etas[0], eta):
-                    return _fail(
-                        f"{fmt}: fp64 moments differ between threads=1 "
-                        f"and threads={t} (bitwise contract broken)"
-                    )
-            print(f"  ok: {fmt} fp64 moments bitwise across "
-                  "threads (1, 2, 4)")
-    else:
-        print("\n(threaded-kernel checks skipped: "
-              f"backend {backend.name!r} has no threaded path)")
-
-    # -- 6. simd kernels: same exact traffic, bitwise fp64 moments -----
-    if backend.name == "native":
-        print()
-        r = 8
-        block = make_block_vector(H.n_rows, r, seed=2)
+        knobs = [{"threads": t} for t in (1, 2, 4)] + \
+            [{"simd": s} for s in ("off", "on")]
         for fmt, A in matrices:
             for engine in ("naive", "aug_spmv", "aug_spmmv"):
                 for prec in ("fp64", "fp32", "fp16v"):
-                    etas = []
-                    for simd in ("off", "on"):
+                    for knob in knobs:
                         counters = PerfCounters()
-                        etas.append(compute_eta(A, scale, m, block, engine,
-                                                counters, backend=backend,
-                                                precision=prec, simd=simd))
-                        exp = expected_counters(A, m, r, engine,
+                        compute_eta(A, scale, m, block, engine, counters,
+                                    backend=backend, precision=prec, **knob)
+                        exp = expected_counters(A, m, 8, engine,
                                                 precision=prec)
-                        label = f"simd={simd} {fmt} {engine} {prec}"
                         if (counters.bytes_loaded, counters.bytes_stored,
                                 counters.flops) != (exp.bytes_loaded,
                                                     exp.bytes_stored,
                                                     exp.flops):
                             return _fail(
-                                f"{label}: measured {counters.summary()} "
-                                f"!= analytic {exp.summary()}"
+                                f"{knob} {fmt} {engine} {prec}: measured "
+                                f"{counters.summary()} != analytic "
+                                f"{exp.summary()}"
                             )
-                    if prec == "fp64" and not np.array_equal(*etas):
-                        return _fail(
-                            f"{fmt} {engine}: fp64 moments differ between "
-                            "simd=off and simd=on (bitwise contract broken)"
-                        )
-                print(f"  ok: {fmt:5s} {engine:10s} traffic exact under "
-                      "simd on/off x fp64/fp32/fp16v, fp64 bitwise")
+                print(f"  ok: {fmt:5s} {engine:10s} traffic exact at "
+                      "threads 1/2/4, simd on/off x fp64/fp32/fp16v")
     else:
-        print("\n(simd-kernel checks skipped: "
-              f"backend {backend.name!r} has no vectorized path)")
+        print("\n(thread/simd traffic checks skipped: "
+              f"backend {backend.name!r} has neither)")
 
     print("\nall metric/model cross-checks passed")
     return 0

@@ -281,7 +281,7 @@ def _gate_checkpoint(max_ratio: float = 4.0, reps: int = 5) -> list[str]:
     eta = np.zeros((r, m), dtype=v.dtype)
     eta[:, : m // 2] = v[: m // 2].T
     ck = KpmCheckpoint(v=v, w=w, eta=eta, next_m=m // 4, n_moments=m,
-                       a=1.0, b=0.0)
+                       a=1.0, b=0.0, anchors=np.ones(r))
 
     def timed(fn) -> float:
         t0 = time.perf_counter()
