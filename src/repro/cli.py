@@ -38,6 +38,12 @@ def _load_matrix(args):
     return h
 
 
+def _threads(args) -> dict:
+    """``--threads`` as a config keyword — none when not given, so the
+    config's own default (``'auto'``) applies."""
+    return {} if args.threads is None else {"threads": args.threads}
+
+
 def _apply_profile(args, h, cfg):
     """``--engine auto``: the tuned profile's execution knobs replace
     ``cfg``'s, except the ``--threads``/``--simd``/``--weights`` the user
@@ -104,9 +110,9 @@ def cmd_dos(args) -> int:
         cfg = ExecConfig(
             engine=args.engine if args.engine in ("sim", "mp") else None,
             workers=args.workers, weights=weights, backend=args.backend,
-            precision=args.precision, threads=args.threads, simd=args.simd,
+            precision=args.precision, simd=args.simd,
             overlap=args.overlap, rebalance=args.rebalance,
-            membership=args.elastic,
+            membership=args.elastic, **_threads(args),
         )
         if cfg.membership is not None and cfg.rebalance is None:
             # a membership plan needs the elastic driver even with
@@ -183,7 +189,7 @@ def cmd_dos(args) -> int:
         if cfg.membership is not None:
             bits.append(f"plan '{cfg.membership}'")
         print("elastic: rebalancing on (" + ", ".join(bits) + ")")
-    if cfg.threads is not None:
+    if args.threads or cfg.threads not in (None, ExecConfig.threads):
         print(f"kernel threads: {cfg.threads}"
               + (" per rank" if distributed else ""))
     if simd is not None:
@@ -298,9 +304,9 @@ def cmd_serve(args) -> int:
     try:
         srv = KPMServer(
             max_width=args.max_width, engine=args.engine,
-            backend=args.backend, workers=args.workers, threads=args.threads,
-            simd=args.simd, resilience=resilience, linger=0.05,
-            stream_every=0,
+            backend=args.backend, workers=args.workers, simd=args.simd,
+            resilience=resilience, linger=0.05, stream_every=0,
+            **_threads(args),
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -522,9 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2,
                    help="rank count for --engine sim|mp")
     p.add_argument("--threads", type=str, default=None, metavar="N",
-                   help="intra-rank kernel threads for the native backend "
-                        "(an integer, or 'auto' = cores/workers per rank); "
-                        "results are bitwise identical at every count")
+                   help="intra-rank kernel threads for the native backend: "
+                        "an integer, or 'auto' (the default) = usable "
+                        "cores/workers per rank; --threads 1 runs on one "
+                        "core; results are bitwise identical at every count")
     p.add_argument("--simd", default=None, choices=["auto", "on", "off"],
                    help="native AVX2 vectorized kernels: 'auto' (use "
                         "when compiled in), 'on' (request; scalar fallback "
@@ -606,9 +613,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2,
                    help="rank count for --engine sim|mp")
     p.add_argument("--threads", type=str, default=None, metavar="N",
-                   help="intra-rank kernel threads per batch (integer or "
-                        "'auto'); results are bitwise identical at every "
-                        "count")
+                   help="intra-rank kernel threads per batch: an integer, or "
+                        "'auto' (the default) = usable cores/workers per "
+                        "rank; --threads 1 runs on one core; results are "
+                        "bitwise identical at every count")
     p.add_argument("--simd", default=None, choices=["auto", "on", "off"],
                    help="native vectorized kernels per batch "
                         "(bitwise-invariant under fp64)")

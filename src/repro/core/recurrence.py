@@ -108,7 +108,8 @@ class Recurrence:
         self.prec = prec = get_precision(cfg.precision)
         self._bk = bk = get_backend(cfg.backend)
         self._obs = {"counters": counters, "metrics": metrics}
-        kw = dict(precision=prec, threads=cfg.kernel_threads(), simd=cfg.simd)
+        kw = dict(precision=prec, threads=cfg.kernel_threads(work=A.nnz * r),
+                  simd=cfg.simd)
         self._plan = plan = bk.plan(A, r, **kw)
         self._split = None if split is None else bk.split_plan(A, split, r,
                                                                **kw)

@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.backend import KernelBackend, get_backend
+from repro.sparse.blas1 import dot, nrm2_sq
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.errors import ConvergenceError
+from repro.util.knobs import ExecConfig
 from repro.util.rng import make_rng
 from repro.util.validation import check_in_range, check_positive
 
@@ -89,6 +91,7 @@ def lanczos_bounds(
     *,
     margin: float = 0.05,
     backend: KernelBackend | str = "auto",
+    config: ExecConfig | None = None,
 ) -> tuple[float, float]:
     """Extremal-eigenvalue estimates from a plain Lanczos sweep.
 
@@ -97,30 +100,36 @@ def lanczos_bounds(
     spectral width (Ritz values approach the true extremes from inside, so
     an outward safety factor is required before use in KPM).
 
-    ``backend`` supplies the sweep's ``spmv`` (``KPMSolver`` passes its
-    own, so the scale and the solve share one).  The choice never
-    changes the bounds: every backend's fp64 ``spmv`` sums a row's
-    products in storage order, bitwise alike (tested).
+    The sweep's ``spmv`` runs on ``backend`` with the default
+    :class:`~repro.util.knobs.ExecConfig`'s kernel threads — or, given a
+    ``config``, on its backend and threads (``KPMSolver`` passes its
+    own, so the scale and the solve share one).  Neither changes the
+    bounds: every backend's fp64 ``spmv`` sums a row's products in
+    storage order, bitwise alike at any thread count, and the dot
+    products and norms are :mod:`~repro.sparse.blas1`'s fixed-order
+    NumPy sums, not threaded BLAS (both tested).
     """
     check_positive("n_iter", n_iter)
-    spmv = get_backend(backend).spmv
+    cfg = config if config is not None else ExecConfig(backend=backend)
+    bk = get_backend(cfg.backend)
+    plan = bk.plan(H, threads=cfg.kernel_threads(work=H.nnz), simd=cfg.simd)
     n = H.n_rows
     rng = make_rng(seed)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     v = v.astype(DTYPE)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(nrm2_sq(v))
     v_prev = np.zeros(n, dtype=DTYPE)
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
     m = min(n_iter, n)
     for _ in range(m):
-        w = spmv(H, v)
-        alpha = float(np.vdot(v, w).real)
+        w = bk.spmv(H, v, plan=plan)
+        alpha = dot(v, w).real
         w -= alpha * v + beta * v_prev
         # one re-orthogonalization pass keeps the extreme Ritz values sane
-        w -= np.vdot(v, w) * v
-        beta = float(np.linalg.norm(w))
+        w -= dot(v, w) * v
+        beta = float(np.sqrt(nrm2_sq(w)))
         alphas.append(alpha)
         if beta < 1e-14:
             break
@@ -146,7 +155,10 @@ def lanczos_scale(
     seed: int | None | np.random.Generator = None,
     *,
     backend: KernelBackend | str = "auto",
+    config: ExecConfig | None = None,
 ) -> SpectralScale:
-    """Spectral map from Lanczos bounds (tighter window than Gershgorin)."""
-    emin, emax = lanczos_bounds(H, n_iter=n_iter, seed=seed, backend=backend)
+    """Spectral map from Lanczos bounds (tighter window than Gershgorin);
+    ``backend`` and ``config`` as for :func:`lanczos_bounds`."""
+    emin, emax = lanczos_bounds(H, n_iter=n_iter, seed=seed, backend=backend,
+                                config=config)
     return SpectralScale.from_bounds(emin, emax, epsilon)

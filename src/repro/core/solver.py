@@ -228,7 +228,7 @@ class KPMSolver:
                 raise ValueError("gershgorin bounds require a CSRMatrix")
             self.scale = gershgorin_scale(H)
         elif bounds == "lanczos":
-            self.scale = lanczos_scale(H, seed=seed, backend=cfg.backend)
+            self.scale = lanczos_scale(H, seed=seed, config=cfg)
         else:
             raise ValueError(
                 f"bounds must be 'lanczos' or 'gershgorin', got {bounds!r}"

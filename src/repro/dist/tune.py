@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.util.knobs import ExecConfig, run_engine
+from repro.util.knobs import ExecConfig, run_engine, usable_cores
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -63,7 +63,7 @@ PROFILE_VERSION = 1
 
 # ----------------------------------------------------------------------
 #: The execution half of the untuned baseline: serial (one worker; 'mp'
-#: names the engine a multi-worker point uses), sequential kernels.
+#: names the engine a multi-worker point uses), the default threads.
 _EXEC_DEFAULTS = dict(engine="mp", workers=1, overlap="off", simd="auto",
                       precision="fp64")
 _EXEC_FIELDS = frozenset(f.name for f in fields(ExecConfig))
@@ -130,7 +130,7 @@ class TuneConfig:
         return cls(**d)
 
 
-#: The untuned baseline: serial CSR fp64, sequential kernels.  Always a
+#: The untuned baseline: serial CSR fp64, default threads.  Always a
 #: member of the candidate pool, so ``tune()`` can never return a
 #: configuration that measured slower than it.
 DEFAULT_CONFIG = TuneConfig()
@@ -332,7 +332,7 @@ def model_cost(H, cfg: TuneConfig, n_moments: int = 32) -> float:
     expect = expected_counters(
         H, n_moments, cfg.r, "aug_spmmv", precision=cfg.precision
     )
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
     par = min(cores, cfg.workers * (cfg.exec.kernel_threads(cfg.workers) or 1))
     # mp ranks pay a spawn/halo overhead a core count doesn't capture;
     # charge a small constant per extra rank so the model prefers

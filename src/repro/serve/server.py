@@ -161,7 +161,8 @@ class KPMServer:
             return entry
         with self.metrics.span("serve.build_operator", phase="serve"):
             H, model = spec.build()
-            scale = lanczos_scale(H, seed=self.scale_seed)
+            scale = lanczos_scale(H, seed=self.scale_seed,
+                                  config=self.config)
         with self._lock:
             entry = self._operators.setdefault(digest, (H, model, scale))
         return entry

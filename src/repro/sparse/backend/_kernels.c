@@ -308,7 +308,7 @@ static inline uint16_t repro_float_to_half(float f)
  * unit this file is, and the ABI (bump with _ABI in native.py whenever
  * a signature changes).  A truncated, foreign or renamed library fails
  * here and is rebuilt instead of being called.                        */
-#define REPRO_ABI 2
+#define REPRO_ABI 3
 EXPORT int32_t repro_unit(void)
 {
     return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
@@ -1043,15 +1043,22 @@ static inline void KN(repro_fin1)(
 
 #define REPRO_ETA_BLOCK 64
 
-/* The block loops' OpenMP clause, over the kernel's local nt.        */
+/* The OpenMP clause of a kernel's outer loop (eta blocks; the plain
+ * products' rows or chunks), over the kernel's local nt.              */
 #ifdef _OPENMP
 #define REPRO_TID() omp_get_thread_num()
-#define REPRO_OMP_BLOCKS                                                   \
+#define REPRO_OMP_FOR                                                      \
     _Pragma("omp parallel for schedule(static) num_threads(nt) if (nt > 1)")
 #else
 #define REPRO_TID() 0
-#define REPRO_OMP_BLOCKS
+#define REPRO_OMP_FOR
 #endif
+
+/* The team size of a call: n_threads, at least one.                  */
+static inline int repro_nt(int64_t n_threads)
+{
+    return (int)(n_threads > 1 ? n_threads : 1);
+}
 
 /* One call's reduction state: per thread a 64-byte aligned slot
  * [scratch | part 3r | bins 6r | flag], then [A | E1 | E2], 3r each.  */
@@ -1064,7 +1071,7 @@ typedef struct {
 static int repro_eta_open(repro_eta_t *e, int64_t r, int64_t n_threads,
                           size_t scratch_bytes, const double *restrict anchors)
 {
-    e->nt = (int)(n_threads > 1 ? n_threads : 1);
+    e->nt = repro_nt(n_threads);
     e->r3 = 3 * r;
     e->off = (int64_t)((scratch_bytes + 63) / 64 * 8);
     e->slot = (e->off + 3 * e->r3 + 1 + 7) / 8 * 8;
@@ -1132,7 +1139,15 @@ static void repro_eta_close(repro_eta_t *e, double *restrict bins,
 
 /* ------------------------------------------------------------------ */
 /* CSR                                                                 */
+/*                                                                     */
+/* The plain products take n_threads too: threads take whole rows (or */
+/* SELL chunks), each row summed as on one thread, so no team size    */
+/* moves a bit.  Per-thread accumulators are 64-byte-aligned slots.    */
 /* ------------------------------------------------------------------ */
+
+/* Accumulators per thread slot holding n of them, 64-byte aligned.    */
+#define REPRO_SLOT(n) (((int64_t)(n) * (int64_t)sizeof(REPRO_AT) + 63) / 64 \
+                       * 64 / (int64_t)sizeof(REPRO_AT))
 
 EXPORT void KN(repro_csr_spmv)(
     int64_t n_rows,
@@ -1140,8 +1155,11 @@ EXPORT void KN(repro_csr_spmv)(
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,   /* 2*nnz    */
     const REPRO_XT *restrict x,      /* 2*n_cols */
-    REPRO_XT *restrict y)            /* 2*n_rows */
+    REPRO_XT *restrict y,            /* 2*n_rows */
+    int64_t n_threads)
 {
+    const int nt = repro_nt(n_threads);
+    REPRO_OMP_FOR
     for (int64_t i = 0; i < n_rows; ++i) {
         REPRO_AT sr = 0, si = 0;
         const int64_t p0 = indptr[i], p1 = indptr[i + 1];
@@ -1166,17 +1184,23 @@ EXPORT void KN(repro_csr_spmmv)(
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict X,      /* 2*n_cols*r, row-major */
-    REPRO_XT *restrict Y)            /* 2*n_rows*r, row-major */
+    REPRO_XT *restrict Y,            /* 2*n_rows*r, row-major */
+    int64_t n_threads)
 {
+    const int nt = repro_nt(n_threads);
 #if REPRO_SIMD
+    REPRO_OMP_FOR
     for (int64_t i = 0; i < n_rows; ++i)
         KN(repro_row_store)(indices, data, indptr[i],
                             indptr[i + 1] - indptr[i], 1, X, Y, r, i);
 #else
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * r, 0);
-    if (!acc)
+    const int64_t slot = REPRO_SLOT(2 * r);
+    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nt * slot, 0);
+    if (!accs)
         return;
+    REPRO_OMP_FOR
     for (int64_t i = 0; i < n_rows; ++i) {
+        REPRO_AT *restrict acc = accs + REPRO_TID() * slot;
         memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
         const int64_t p0 = indptr[i], p1 = indptr[i + 1];
         for (int64_t p = p0; p < p1; ++p) {
@@ -1190,7 +1214,7 @@ EXPORT void KN(repro_csr_spmmv)(
         }
         KN(repro_storerow)(Y + 2 * i * r, acc, 2 * r);
     }
-    free(acc);
+    free(accs);
 #endif
 }
 
@@ -1220,7 +1244,7 @@ static void KN(repro_csr_walk)(
                         (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
         return;
     const int nt = e.nt;
-    REPRO_OMP_BLOCKS
+    REPRO_OMP_FOR
     for (int64_t bi = 0; bi < nb; ++bi) {
         double *restrict s = repro_eta_slot(&e);
         double *restrict part = s + e.off;
@@ -1318,12 +1342,17 @@ EXPORT void KN(repro_sell_spmv)(
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict x,
-    REPRO_XT *restrict y)
+    REPRO_XT *restrict y,
+    int64_t n_threads)
 {
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * c, 0);
-    if (!acc)
+    const int nt = repro_nt(n_threads);
+    const int64_t slot = REPRO_SLOT(2 * c);
+    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nt * slot, 0);
+    if (!accs)
         return;
+    REPRO_OMP_FOR
     for (int64_t ci = 0; ci < n_chunks; ++ci) {
+        REPRO_AT *restrict acc = accs + REPRO_TID() * slot;
         const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
         memset(acc, 0, (size_t)(2 * c) * sizeof(REPRO_AT));
         for (int64_t j = 0; j < len; ++j)
@@ -1336,7 +1365,7 @@ EXPORT void KN(repro_sell_spmv)(
             }
         }
     }
-    free(acc);
+    free(accs);
 }
 
 EXPORT void KN(repro_sell_spmmv)(
@@ -1350,9 +1379,12 @@ EXPORT void KN(repro_sell_spmmv)(
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict X,
-    REPRO_XT *restrict Y)
+    REPRO_XT *restrict Y,
+    int64_t n_threads)
 {
+    const int nt = repro_nt(n_threads);
 #if REPRO_SIMD
+    REPRO_OMP_FOR
     for (int64_t ci = 0; ci < n_chunks; ++ci) {
         const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
         for (int64_t lane = 0; lane < c; ++lane) {
@@ -1363,10 +1395,13 @@ EXPORT void KN(repro_sell_spmmv)(
         }
     }
 #else
-    REPRO_AT *acc = REPRO_ALLOC(REPRO_AT, 2 * c * r, 0);
-    if (!acc)
+    const int64_t slot = REPRO_SLOT(2 * c * r);
+    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nt * slot, 0);
+    if (!accs)
         return;
+    REPRO_OMP_FOR
     for (int64_t ci = 0; ci < n_chunks; ++ci) {
+        REPRO_AT *restrict acc = accs + REPRO_TID() * slot;
         const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
         memset(acc, 0, (size_t)(2 * c * r) * sizeof(REPRO_AT));
         for (int64_t j = 0; j < len; ++j) {
@@ -1391,7 +1426,7 @@ EXPORT void KN(repro_sell_spmmv)(
                                    2 * r);
         }
     }
-    free(acc);
+    free(accs);
 #endif
 }
 
@@ -1426,7 +1461,7 @@ EXPORT void KN(repro_sell_aug_spmv)(
                         anchors))
         return;
     const int nt = e.nt;
-    REPRO_OMP_BLOCKS
+    REPRO_OMP_FOR
     for (int64_t gi = 0; gi < ng; ++gi) {
         double *restrict s = repro_eta_slot(&e);
         double *restrict part = s + e.off;
@@ -1474,7 +1509,7 @@ EXPORT void KN(repro_sell_aug_spmmv)(
                         (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
         return;
     const int nt = e.nt;
-    REPRO_OMP_BLOCKS
+    REPRO_OMP_FOR
     for (int64_t bi = 0; bi < nb; ++bi) {
         double *restrict s = repro_eta_slot(&e);
         double *restrict part = s + e.off;

@@ -288,7 +288,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 2
+_ABI = 3
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -324,10 +324,11 @@ KERNEL_SUFFIXES = {
 #: chunk arrays / row lists / the escape flag), ``I`` column indices*,
 #: ``V`` matrix values*, ``X`` vector storage*, ``E`` double* (the eta
 #: anchors in, the eta bins out — fp64 in every profile).  Every aug
-#: kernel ends in ``n_threads, a, b, anchors, bins, flag``.
+#: kernel ends in ``n_threads, a, b, anchors, bins, flag``, every plain
+#: product in ``n_threads``.
 _SIGNATURES = {
-    "repro_csr_spmv": "nLIVXX",
-    "repro_csr_spmmv": "nnLIVXX",
+    "repro_csr_spmv": "nLIVXXn",
+    "repro_csr_spmmv": "nnLIVXXn",
     "repro_csr_aug_spmv": "nLIVXXnssEEL",
     "repro_csr_aug_spmmv": "nnLIVXXnssEEL",
     # split (task-mode) variants: a contiguous [row0, row1) range and a
@@ -336,8 +337,8 @@ _SIGNATURES = {
     "repro_csr_aug_spmv_rows": "nLLIVXXnssEEL",
     "repro_csr_aug_spmmv_range": "nnnLIVXXnssEEL",
     "repro_csr_aug_spmmv_rows": "nLnLIVXXnssEEL",
-    "repro_sell_spmv": "nnnLLLIVXX",
-    "repro_sell_spmmv": "nnnnLLLIVXX",
+    "repro_sell_spmv": "nnnLLLIVXXn",
+    "repro_sell_spmmv": "nnnnLLLIVXXn",
     "repro_sell_aug_spmv": "nnnLLLIVXXnssEEL",
     "repro_sell_aug_spmmv": "nnnnLLLIVXXnssEEL",
 }

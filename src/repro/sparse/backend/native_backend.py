@@ -26,6 +26,9 @@ Table-I-derived model are backend-independent.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
@@ -88,6 +91,36 @@ def _use_simd(simd: str | None, prec: Precision) -> bool:
 
         GLOBAL_METRICS.count("backend.native.simd_fallbacks")
     return False
+
+
+#: Idents of the threads that have started an OpenMP team, and whether
+#: this process is a fork of one of them (:func:`_team`).
+_TEAM_THREADS: set[int] = set()
+_teamless = False
+
+
+def _team(plan) -> int:
+    """The C kernels' ``n_threads`` for ``plan`` (None or ``threads=None``:
+    one).  libgomp keeps a thread's team alive across calls, and a child
+    forked from that thread inherits the team's bookkeeping but not its
+    threads: its first parallel region never returns.  So a fork from a
+    thread that ran a team leaves a child that runs every kernel on one
+    thread — the same bits (DESIGN §19); a fork from any other thread
+    (the mp engine forks from a fresh one) keeps its teams."""
+    threads = plan.threads if plan is not None else None
+    if not threads or threads == 1 or _teamless:
+        return 1
+    _TEAM_THREADS.add(threading.get_ident())
+    return threads
+
+
+def _after_fork_in_child() -> None:
+    global _teamless
+    _teamless = _teamless or threading.get_ident() in _TEAM_THREADS
+    _TEAM_THREADS.clear()  # the child's other threads are gone
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _as_kernel_block(name: str, X: np.ndarray, n: int) -> np.ndarray:
@@ -202,16 +235,17 @@ class NativeBackend(KernelBackend):
         x, prec, out = self._product_args(A, x, out)
         x = _as_kernel_vector("x", x, A.n_cols)
         vs = _use_simd(plan.simd if plan is not None else None, prec)
+        nt = _team(plan)
         with metrics.span("spmv", counters=counters):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
                 kernel("repro_csr_spmv", suf, vs)(
-                    A.n_rows, *args, _pvec(x), _pvec(out)
+                    A.n_rows, *args, _pvec(x), _pvec(out), nt
                 )
             else:
                 suf, args = self._sell_args(A, prec)
                 kernel("repro_sell_spmv", suf, vs)(
-                    A.n_rows, *args, _pvec(x), _pvec(out)
+                    A.n_rows, *args, _pvec(x), _pvec(out), nt
                 )
             charge_spmv(counters, "spmv", *matrix_stream(A, prec), 1, prec)
         return out
@@ -223,16 +257,17 @@ class NativeBackend(KernelBackend):
         X = _as_kernel_block("X", X, A.n_cols)
         r = X.shape[1]
         vs = _use_simd(plan.simd if plan is not None else None, prec)
+        nt = _team(plan)
         with metrics.span("spmmv", counters=counters):
             if isinstance(A, CSRMatrix):
                 suf, args = self._csr_args(A, prec)
                 kernel("repro_csr_spmmv", suf, vs)(
-                    A.n_rows, r, *args, _pvec(X), _pvec(out)
+                    A.n_rows, r, *args, _pvec(X), _pvec(out), nt
                 )
             else:
                 suf, (nc, c, *rest) = self._sell_args(A, prec)
                 kernel("repro_sell_spmmv", suf, vs)(
-                    A.n_rows, nc, c, r, *rest, _pvec(X), _pvec(out)
+                    A.n_rows, nc, c, r, *rest, _pvec(X), _pvec(out), nt
                 )
             charge_spmv(counters, "spmmv", *matrix_stream(A, prec), r, prec)
         return out
@@ -336,7 +371,7 @@ class NativeBackend(KernelBackend):
         threads = plan.threads if plan is not None else None
         vs = _use_simd(plan.simd if plan is not None else None, prec)
         width = () if single else (r,)
-        tail = (_pvec(V), _pvec(W), threads or 1, a, b,
+        tail = (_pvec(V), _pvec(W), _team(plan), a, b,
                 *self._eta_ptrs(plan, phase, anchors, bins, escape))
         meta = {} if threads is None else {"threads": threads}
         with metrics.span(name, counters=counters, **meta):

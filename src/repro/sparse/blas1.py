@@ -21,7 +21,10 @@ Mixed precision: ``S_d`` above is the *vector element* size, taken from
 the operand's dtype (16 for complex128, 8 for complex64), so the charges
 follow the active :mod:`~repro.util.precision` profile automatically.
 Reductions (``dot``, ``nrm2_sq``) always accumulate in fp64 regardless
-of storage precision — narrow storage never degrades the eta moments.
+of storage precision — narrow storage never degrades the eta moments —
+and never call BLAS: a threaded BLAS sums in an order that follows its
+thread count, and its idle workers spin on the cores a kernel team is
+about to take (DESIGN §10).
 """
 
 from __future__ import annotations
@@ -101,13 +104,10 @@ def dot(
 ) -> complex:
     """Conjugated inner product ``<x|y> = sum(conj(x) * y)``.
 
-    Accumulates in fp64 for every storage precision: bitwise-identical
-    ``np.vdot`` for complex128, fp64-dtype einsum reductions over the
-    real/imag component views otherwise.
+    fp64-dtype einsum reductions over the real/imag component views, for
+    every storage precision: one summation order, fixed by the length.
     """
     charge_dot(x, counters)
-    if x.dtype == np.complex128:
-        return complex(np.vdot(x, y))
     if x.dtype.kind == "c":
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
     else:  # float16 (re, im) pairs
@@ -128,8 +128,6 @@ def nrm2_sq(
     fp64 accumulation for every storage precision (see :func:`dot`).
     """
     charge_nrm2(x, counters)
-    if x.dtype == np.complex128:
-        return float(np.vdot(x, x).real)
     if x.dtype.kind == "c":
         xr, xi = x.real, x.imag
     else:

@@ -67,6 +67,24 @@ def resolve_simd(simd: str | None) -> str:
     )
 
 
+#: ``threads='auto'`` runs a kernel call with less work than this —
+#: stored entries times block columns — on one thread.  Below it a team
+#: gains little and, under libgomp's default wait policy, can lose a lot
+#: when Python paces the calls (2-vCPU host, DESIGN §10): the Lanczos
+#: sweep of a 1,024-row operator (12k entries) took 333 ms on two threads
+#: against 8 ms on one, and 64 moments at R = 4 and 8 took 1.14× the
+#: one-thread time; from 2,048 rows at R = 4 (102k) two threads won.
+AUTO_MIN_WORK = 1 << 17
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    host has one (``taskset -c 0`` leaves one of two), else the count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ExecConfig:
     """Every execution knob of one solve, validated once at construction.
@@ -85,9 +103,11 @@ class ExecConfig:
         Storage profile ``'fp64'``/``'fp32'``/``'fp16v'`` (or a
         ``Precision``); kept as its name.
     ``threads``
-        Native intra-rank kernel threads: None or an int >= 1 (the
-        OpenMP team over eta blocks; None runs one), or ``'auto'`` —
-        the host's cores split across the ranks (:meth:`kernel_threads`).
+        Native intra-rank kernel threads: ``'auto'`` (the default) — the
+        cores this process may run on, split across the ranks, one for a
+        small kernel call (:meth:`kernel_threads`) — or None or an
+        int >= 1 (the OpenMP team over eta blocks and rows; None runs
+        one).
     ``simd``
         Native vectorized kernels: ``'auto'`` (None), ``'on'`` (scalar
         fallback when not compiled in) or ``'off'``.
@@ -120,7 +140,7 @@ class ExecConfig:
     weights: tuple | None = None
     backend: object = "auto"
     precision: object = "fp64"
-    threads: int | str | None = None
+    threads: int | str | None = "auto"
     simd: str | None = "auto"
     overlap: bool | str | None = "auto"
     reduction: str = "end"
@@ -195,12 +215,17 @@ class ExecConfig:
             return cls(**{**defaults, **(knobs or {})})
         return replace(config, **knobs) if knobs else config
 
-    def kernel_threads(self, n_ranks: int = 1) -> int | None:
+    def kernel_threads(self, n_ranks: int = 1,
+                       work: int | None = None) -> int | None:
         """Per-rank kernel threads: ``'auto'`` gives each of ``n_ranks``
-        ranks its share of the host's cores (the paper's hybrid MPI +
-        OpenMP shape: one process per socket, threads inside)."""
+        ranks its share of :func:`usable_cores` (the paper's hybrid MPI +
+        OpenMP shape: one process per socket, threads inside) — and one
+        thread to a kernel whose ``work`` per call (stored entries times
+        block columns) is below :data:`AUTO_MIN_WORK`."""
         if self.threads == "auto":
-            return max(1, (os.cpu_count() or 1) // n_ranks)
+            if work is not None and work < AUTO_MIN_WORK:
+                return 1
+            return max(1, usable_cores() // n_ranks)
         return self.threads
 
     def for_ranks(self, n_ranks: int) -> ExecConfig:

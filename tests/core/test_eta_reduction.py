@@ -145,6 +145,9 @@ def _reference(ti, precision, backend):
 
 @st.composite
 def exec_configs(draw):
+    """ExecConfig keywords; ``{}`` is the default config."""
+    if draw(st.integers(0, 5)) == 0:
+        return {}
     workers = draw(st.integers(1, 3))
     weights = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=workers,
                                         max_size=workers))
@@ -176,7 +179,7 @@ def test_one_bit_pattern_across_the_lattice(ti, tmp_path_factory, first,
     block = np.ascontiguousarray(block[:, :width])
     path = tmp_path_factory.mktemp("lattice") / "ck.npz"
     knobs = dict(precision=precision, backend=backend)
-    if elastic and first["engine"] != "serial":
+    if elastic and first.get("engine", "serial") != "serial":
         eta, _rep = elastic_eta(
             h, scale, M, block, n_workers=first["workers"],
             weights=first["weights"], engine=first["engine"],

@@ -1,5 +1,10 @@
 """Spectral bounds and the [-1, 1] rescaling map."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +154,28 @@ class TestLanczosBackend:
         assert lanczos_scale(h, seed=2) == ref and len(calls) == 50
         with pytest.raises(BackendError, match="unavailable"):
             lanczos_scale(h, seed=2, backend="native")
+
+
+_SCALE_BITS = (
+    "from repro.core.scaling import lanczos_scale\n"
+    "from repro.physics import build_topological_insulator\n"
+    "h, _ = build_topological_insulator(32, 32, 8)\n"
+    "s = lanczos_scale(h, seed=0)\n"
+    "print(s.a.hex(), s.b.hex())\n"
+)
+
+
+def test_scale_does_not_depend_on_the_blas_thread_count():
+    """The sweep's dot products and norms are fixed-order NumPy sums, not
+    BLAS ``zdotc``/``dznrm2``: on N = 32,768 vectors a threaded BLAS
+    sums in another order, and ``a``/``b`` used to follow it."""
+    src = str(Path(__file__).parents[2] / "src")
+    bits = set()
+    for n in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        bits.add(subprocess.run(
+            [sys.executable, "-c", _SCALE_BITS], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout)
+    assert len(bits) == 1, bits

@@ -33,7 +33,7 @@ class TestTuneConfig:
     def test_default_is_untuned_serial(self):
         assert DEFAULT_CONFIG.workers == 1
         assert DEFAULT_CONFIG.fmt == "csr"
-        assert DEFAULT_CONFIG.threads is None
+        assert DEFAULT_CONFIG.threads == "auto"  # the ExecConfig default
         assert DEFAULT_CONFIG.precision == "fp64"
 
     def test_validation(self):

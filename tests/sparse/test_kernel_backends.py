@@ -264,6 +264,8 @@ class TestFallback:
         """A broken compiler degrades to numpy with one warning, no crash."""
         from repro.obs import GLOBAL_METRICS
 
+        # the disable switch would answer before the broken CC is tried
+        monkeypatch.delenv("REPRO_NATIVE_DISABLE", raising=False)
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))  # no .so cache
         monkeypatch.setenv("CC", "/bin/false")
         before = GLOBAL_METRICS.counters.get(

@@ -131,7 +131,9 @@ def test_tags_key_on_unit_source_and_flags(monkeypatch, tmp_path):
 
     edited = tmp_path / "_kernels.c"
     text = native._SOURCE.read_bytes()
-    edited.write_bytes(text.replace(b"REPRO_ABI 2", b"REPRO_ABI 3", 1))
+    abi = f"REPRO_ABI {native._ABI}".encode()
+    edited.write_bytes(text.replace(abi, f"REPRO_ABI {native._ABI + 1}"
+                                    .encode(), 1))
     assert len(edited.read_bytes()) == len(text)
     with monkeypatch.context() as mp:
         mp.setattr(native, "_SOURCE", edited)

@@ -1,14 +1,17 @@
-"""Thread-count invariance of the native aug kernels.
+"""Thread-count invariance of the native kernels.
 
 Threads take whole 64-row eta blocks, each into its own bins, and bins
 add exactly (DESIGN §19) — so moments are bitwise identical at every
-thread count, None included.  These tests pin that contract alone and
-composed with the subsystems that rely on it: checkpoint resume (a
-resumed run may restart with a different thread count) and serve
-coalescing (a threaded batch must stay invisible).
+thread count, None included; the plain products take whole rows.  These
+tests pin that contract alone and composed with the subsystems that rely
+on it: checkpoint resume (a resumed run may restart with a different
+thread count), serve coalescing (a threaded batch must stay invisible)
+and a fork after a threaded solve.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -18,8 +21,10 @@ from repro.core.moments import compute_eta, eta_to_moments
 from repro.core.scaling import SpectralScale
 from repro.core.stochastic import make_block_vector
 from repro.physics import build_topological_insulator
+from repro.sparse.backend import get_backend
 from repro.sparse.backend.native import native_available
 from repro.sparse.sell import SellMatrix
+from repro.util.precision import get_precision
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernels"
@@ -59,6 +64,29 @@ def test_fp64_moments_bitwise_across_thread_counts(ti, fmt, engine):
         np.testing.assert_array_equal(
             etas[0], eta, err_msg=f"{fmt}/{engine}: threads=1 vs {t}"
         )
+
+
+@needs_native
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+@pytest.mark.parametrize("fmt", ["csr", "sell"])
+@pytest.mark.parametrize("simd", ["on", "off"])
+def test_plain_products_bitwise_across_thread_counts(ti, fmt, precision,
+                                                     simd):
+    """spmv (the Lanczos sweep) and spmmv (the bootstrap) take rows per
+    thread: no reduction, so no thread count moves a bit."""
+    h, _scale, block = ti
+    A = _operator(h, fmt)
+    bk = get_backend("native")
+    prec = get_precision(precision)
+    X, x = prec.encode(block), prec.encode(np.ascontiguousarray(block[:, 0]))
+    outs = [
+        (bk.spmv(A, x, plan=plan), bk.spmmv(A, X, plan=plan))
+        for plan in (None, *(bk.plan(A, R, precision, threads=t, simd=simd)
+                             for t in THREAD_COUNTS))
+    ]
+    for (y, Y), t in zip(outs[1:], THREAD_COUNTS):
+        np.testing.assert_array_equal(outs[0][0], y, err_msg=f"spmv {t}")
+        np.testing.assert_array_equal(outs[0][1], Y, err_msg=f"spmmv {t}")
 
 
 @needs_native
@@ -179,3 +207,40 @@ def test_moments_survive_engine_mix(ti):
     ]
     for mu in mus[1:]:
         np.testing.assert_array_equal(mus[0], mu)
+
+
+def _threaded_moments(h, scale) -> np.ndarray:
+    from repro.core.solver import KPMSolver
+
+    return KPMSolver(h, n_moments=M, n_vectors=2, scale=scale, seed=5,
+                     backend="native", threads=2).moments()
+
+
+def _child_solve(conn, h, scale) -> None:
+    conn.send_bytes(_threaded_moments(h, scale).tobytes())
+
+
+@needs_native
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_fork_after_a_threaded_solve(ti):
+    """A child forked from a thread that ran a team finishes its own
+    threaded solve (on one thread: libgomp's team does not survive the
+    fork) with the parent's bits."""
+    h, scale, _ = ti
+    ref = _threaded_moments(h, scale)
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_solve, args=(theirs, h, scale))
+    child.start()
+    theirs.close()
+    try:
+        got = ours.recv_bytes() if ours.poll(30.0) else None
+    finally:
+        child.join(5.0)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        ours.close()
+    assert got is not None, "the forked child hung in its threaded solve"
+    assert got == ref.tobytes()

@@ -33,7 +33,7 @@ from repro.serve import KPMServer
 from repro.serve.coalescer import Batch, execute_batch
 from repro.sparse.backend import KernelBackend, backend_health
 from repro.util.errors import BackendError, SimulationError
-from repro.util.knobs import ExecConfig
+from repro.util.knobs import AUTO_MIN_WORK, ExecConfig
 from repro.util.precision import FP32
 
 DATA = Path(__file__).parents[1] / "data"
@@ -189,13 +189,28 @@ class TestExecConfig:
         assert ExecConfig.of(base, {"threads": 2}).threads == 2
 
     def test_auto_threads_split_the_host_across_ranks(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
         cfg = ExecConfig(threads="auto", overlap="auto")
         assert cfg.kernel_threads() == 8 and cfg.kernel_threads(3) == 2
         ranked = cfg.for_ranks(4)
         assert (ranked.threads, ranked.overlap) == (2, True)
         assert cfg.for_ranks(1).overlap is False
-        assert ExecConfig().kernel_threads(4) is None
+        assert ExecConfig() == cfg  # "auto" is the default
+        assert ExecConfig(threads=None).kernel_threads(4) is None
+        # a small kernel call stays on one thread; an explicit count holds
+        assert cfg.kernel_threads(work=AUTO_MIN_WORK - 1) == 1
+        assert cfg.kernel_threads(work=AUTO_MIN_WORK) == 8
+        assert ExecConfig(threads=2).kernel_threads(work=1) == 2
+
+    def test_auto_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        """Under ``taskset -c 0`` on a 2-CPU host: one thread, not two."""
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert ExecConfig().kernel_threads() == 1
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        assert ExecConfig().kernel_threads() == 2  # no affinity API
 
 
 def test_supervisor_typo_fails_before_any_attempt(system):
