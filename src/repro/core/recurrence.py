@@ -110,11 +110,7 @@ class Recurrence:
         self._obs = {"counters": counters, "metrics": metrics}
         kw = dict(precision=prec, threads=cfg.kernel_threads(work=A.nnz * r),
                   simd=cfg.simd)
-        self._plan = plan = bk.plan(A, r, **kw)
-        self._split = None if split is None else bk.split_plan(A, split, r,
-                                                               **kw)
-        if self._split is not None:  # one escape flag for both plans
-            self._split.escape = plan.escape
+        self._plan = plan = bk.plan(A, r, split=split, **kw)
         single = kernel != "aug_spmmv"
         dims = (A.n_cols,) if single else (A.n_cols, r)
         self._apply = bk.spmv if single else bk.spmmv
@@ -172,7 +168,7 @@ class Recurrence:
         Both are copied into private storage-dtype arrays, so the caller's
         blocks are never written and a resumed run streams exactly the
         bytes the interrupted one held.  ``anchors`` are the run's eta
-        anchors, put on the kernel plans; the default, :func:`~repro.
+        anchors, put on the kernel plan; the default, :func:`~repro.
         sparse.fused.eta_anchors` of ``v``, is right only for a whole
         ``nu_0`` (a rank slice or a resumed pair needs the run's).
         """
@@ -180,8 +176,6 @@ class Recurrence:
         self.w = None if w is None else to_storage(w, self.prec)
         self._plan.anchors = eta_anchors(v) if anchors is None else \
             np.ascontiguousarray(anchors, dtype=np.float64)
-        if self._split is not None:
-            self._split.anchors = self._plan.anchors
         self._plan.escape[0] = 0
         self.m = m
         self._stage()
@@ -253,7 +247,7 @@ class Recurrence:
         halo tail is still in flight; :meth:`update` finishes the step.
         """
         self._bk.aug_spmmv_interior(self.A, self.x, self.w, self.a, self.b,
-                                    plan=self._split, **self._obs)
+                                    plan=self._plan, **self._obs)
         self._partial = True
 
     def update(self):
@@ -265,16 +259,17 @@ class Recurrence:
         phase unless :meth:`interior` already ran), and the bins are the
         two phases' sum.
         """
-        if self._split is None:
-            self._kernel(self.A, self.x, self.w, self.a, self.b,
-                         plan=self._plan, **self._obs)
-            return self._checked(self._plan.bins)
+        plan = self._plan
+        if plan.phases is None:
+            self._kernel(self.A, self.x, self.w, self.a, self.b, plan=plan,
+                         **self._obs)
+            return self._checked(plan.bins)
         if not self._partial:
             self.interior()
         self._partial = False
         self._bk.aug_spmmv_boundary(self.A, self.x, self.w, self.a, self.b,
-                                    plan=self._split, **self._obs)
-        return self._checked(np.add(*self._split.bins, out=self._bins))
+                                    plan=plan, **self._obs)
+        return self._checked(np.add(*plan.phase_bins, out=self._bins))
 
     def step(self):
         """One whole fused iteration: :meth:`swap`, then :meth:`update`."""

@@ -97,7 +97,7 @@ from repro.core.checkpoint import KpmCheckpoint, RunContext
 from repro.core.recurrence import Recurrence
 from repro.dist.comm import MessageLog, log_allreduce
 from repro.dist.halo import DistributedMatrix, RankBlock
-from repro.dist.kpm_parallel import RunSetup, distributed_eta
+from repro.dist.kpm_parallel import RunSetup
 from repro.dist.overlap import task_split
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
@@ -921,33 +921,19 @@ def _expected_halo_acct(run: RunSetup) -> tuple[np.ndarray, np.ndarray]:
     return msgs * n_exchanges, nbytes * n_exchanges
 
 
-def mp_eta(A, partition, scale, n_moments, start_block, world, **kwargs):
-    """Multiprocess equivalent of :func:`repro.dist.kpm_parallel.distributed_eta`.
-
-    Same signature and bitwise the same result with a :class:`MpWorld`
-    in place of the :class:`SimWorld` (and the serial engines'); both
-    worlds share one prologue.  The run controls are DESIGN §17's; here faults are real
-    (a ``crash`` kills the worker) and ``progress`` fires with every
-    checkpoint the parent captures, so it needs ``checkpoint_every > 0``.
-
-    With a live ``counters`` or ``metrics``, every worker accumulates its
-    own :class:`PerfCounters` / :class:`MetricsRegistry` and ships a JSON
-    snapshot back through the ``obs`` shared array; the parent merges
-    worker counters into ``counters`` (numeric totals then equal a serial
-    run of the same problem) and worker metrics into ``metrics`` under a
-    ``rank<p>.`` prefix — including one ``kernels.<family>`` count per
-    run naming the kernels the rank ran.  The raw per-rank snapshots
-    stay available as ``world.last_obs``.
-    """
-    if not isinstance(world, MpWorld):
-        raise SimulationError(f"mp_eta needs an MpWorld, got {world!r}")
-    return distributed_eta(A, partition, scale, n_moments, start_block, world,
-                           **kwargs)
-
-
 def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     """Execute a prepared run (:func:`~repro.dist.kpm_parallel.prepare_run`)
-    on the parked workers of ``world``; returns eta (R, M)."""
+    on the parked workers of ``world``; returns eta (R, M).
+
+    What :func:`~repro.dist.kpm_parallel.distributed_eta` on an
+    :class:`MpWorld` runs.  Faults are real here (a ``crash`` kills the
+    worker), and ``progress`` fires with every checkpoint the parent
+    captures, so it needs ``checkpoint_every > 0``.  With a live
+    ``counters`` or ``metrics`` each worker ships a JSON snapshot of its
+    own back through the ``obs`` shared array; the parent merges the
+    counters (totals then equal a serial run's) and the metrics under a
+    ``rank<p>.`` prefix, one ``kernels.<family>`` count per run
+    included.  The raw snapshots stay on ``world.last_obs``."""
     dist, prec, r, n_moments, ctx = (run.dist, run.prec, run.r,
                                      run.n_moments, run.ctx)
     counters, metrics = ctx.counters, ctx.metrics

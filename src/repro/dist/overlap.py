@@ -6,11 +6,11 @@ local columns — the *interior* — can be multiplied while the halo
 exchange is in flight; only the *boundary* rows must wait for remote
 data.  :func:`task_split` computes the split the task-mode engines run:
 the interior is the largest **contiguous** run of halo-free 64-row eta
-blocks (so the split kernels index the original local matrix in place,
-no extraction, and each phase reduces whole blocks), everything else is
-a gathered boundary row list.  Both kernel backends
-consume it through their ``aug_spm(m)v_interior`` / ``..._boundary``
-split kernels, whose result is bitwise the plain fused step's.
+blocks, the boundary the rows before and after it — every phase a row
+range, so each reduces whole blocks.  Both kernel backends run it
+through ``aug_spmmv_interior`` / ``aug_spmmv_boundary``: their one
+augmented walk over each range, whose result is bitwise the plain fused
+step's.
 
 The benefit appears in the time model: per iteration, the exposed
 communication shrinks from ``t_halo`` to ``max(0, t_halo - t_interior)``
@@ -33,13 +33,12 @@ class TaskSplit:
     """Execution-level interior/boundary split of one rank's local matrix.
 
     ``[row0, row1)`` is the largest *contiguous* run of whole halo-free
-    64-row eta blocks — the split kernels traverse it on the original
-    local matrix with absolute indexing — and ``boundary`` gathers every
-    other local row (sorted ascending).  Halo-free rows outside that run
-    are deliberately boundary: they could run early, but a contiguous
-    interior of whole blocks keeps the hot phase a single streaming pass
-    and each phase's eta bins whole (the loss is small on banded
-    partitions, where the halo-touching rows cluster at the block
+    64-row eta blocks; the boundary is every other local row, the ranges
+    ``[0, row0)`` and ``[row1, n_rows)``.  Halo-free rows outside that
+    run are deliberately boundary: they could run early, but a
+    contiguous interior of whole blocks keeps the hot phase a single
+    streaming pass and each phase's eta bins whole (the loss is small on
+    banded partitions, where the halo-touching rows cluster at the block
     edges).
 
     ``nnz_interior`` / ``nnz_boundary`` drive the overlap time model
@@ -53,7 +52,6 @@ class TaskSplit:
 
     row0: int
     row1: int
-    boundary: np.ndarray
     n_rows: int
     nnz_interior: int
     nnz_boundary: int
@@ -65,7 +63,7 @@ class TaskSplit:
 
     @property
     def n_boundary(self) -> int:
-        return int(self.boundary.size)
+        return self.n_rows - self.n_interior
 
     @property
     def interior_fraction(self) -> float:
@@ -84,7 +82,7 @@ def task_split(block: RankBlock) -> TaskSplit:
 
     Interior = the largest contiguous run of 64-row eta blocks whose
     entries reference only local columns (``< n_local``); boundary =
-    every other row, gathered sorted.  Degenerate blocks are handled: no
+    the rows before and after it.  Degenerate blocks are handled: no
     halo at all yields an all-interior split (empty boundary), a block
     with a halo column in every eta block an empty interior
     (``row0 == row1``).
@@ -109,13 +107,9 @@ def task_split(block: RankBlock) -> TaskSplit:
         k = int(np.argmax(b1 - b0))
         row0 = int(b0[k]) * ETA_BLOCK
         row1 = min(int(b1[k]) * ETA_BLOCK, mat.n_rows)
-    in_interior = np.zeros(mat.n_rows, dtype=bool)
-    in_interior[row0:row1] = True
-    boundary = np.nonzero(~in_interior)[0].astype(np.int64)
-    per_row = mat.nnz_per_row
-    nnz_interior = int(per_row[row0:row1].sum())
+    nnz_interior = int(mat.indptr[row1] - mat.indptr[row0])
     return TaskSplit(
-        row0=row0, row1=row1, boundary=boundary, n_rows=mat.n_rows,
+        row0=row0, row1=row1, n_rows=mat.n_rows,
         nnz_interior=nnz_interior,
         nnz_boundary=int(mat.nnz - nnz_interior),
         n_cols=mat.n_cols,

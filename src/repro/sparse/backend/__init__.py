@@ -41,7 +41,14 @@ import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import ETA_BLOCK, eta_anchors, eta_bins, eta_work, fold
+from repro.sparse.fused import (
+    ETA_BLOCK,
+    charge_aug,
+    eta_anchors,
+    eta_bins,
+    eta_work,
+    fold,
+)
 from repro.sparse.sell import SellMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError, ShapeError
@@ -81,10 +88,21 @@ class KernelPlan:
     results bitwise.  ``"on"`` falls back to scalar cleanly (with an obs
     counter) when the host lacks the vectorized build; the NumPy backend
     accepts the knob and ignores it.
+
+    ``split`` (an execution split in the shape of
+    :class:`repro.dist.overlap.TaskSplit`, duck typed — ``row0``/``row1``
+    — so this layer stays free of the distributed package) makes it a
+    task-mode plan too.  The interior ``[row0, row1)`` must be a run of
+    whole 64-row eta blocks; the boundary is the rows before and after
+    it.  ``phases`` holds each phase's non-empty row ranges (interior,
+    boundary), ``phase_rows``/``phase_nnz`` the counts its charge uses
+    and ``phase_bins`` the bins (2, 3R) it leaves, which add to the
+    whole step's exactly.  Split plans are CSR-only: the distributed
+    engines partition CSR operators, so a SELL split has no consumer.
     """
 
     def __init__(self, A, r: int = 1, precision=None, threads=None,
-                 simd=None) -> None:
+                 simd=None, split=None) -> None:
         self.matrix = A
         self.precision = prec = get_precision(precision)
         self.r = int(r)
@@ -116,69 +134,34 @@ class KernelPlan:
                 else prec.vec_empty(n, self.r)
             )
             self.uh_block = self.uh.reshape(n, self.r, 2)
+        self.phases = None
+        if split is not None:
+            self._split(A, int(split.row0), int(split.row1))
 
-
-class SplitKernelPlan:
-    """Workspaces for the two-phase (task-mode) split kernels.
-
-    Built once per ``(A, split, R)`` by :meth:`KernelBackend.split_plan`
-    and reused across all inner iterations.  ``split`` is an execution
-    split in the shape of :class:`repro.dist.overlap.TaskSplit` (duck
-    typed — ``row0``/``row1``/``boundary`` — so this layer stays free of
-    a dependency on the distributed package): a contiguous interior row
-    range plus a sorted gathered boundary row list.
-
-    The plan holds the split's geometry — the interior range, the
-    sorted int64 boundary row list the gathered kernels index, the
-    per-phase row and nonzero counts the charges use — and the eta state
-    of :class:`KernelPlan`, with ``bins`` (2, 2, 3R) per phase (interior,
-    boundary).  The split must be block-granular: the interior starts
-    and ends on a 64-row eta block (or the last row) and the boundary is
-    the rest, so each phase holds whole blocks and the phases' bins add
-    to the unsplit step's exactly.  A backend adds whatever else its phase kernels
-    need in :meth:`KernelBackend.split_plan` (the NumPy backend: the
-    phase sub-matrices and gather scratch).  Split kernels are CSR-only:
-    the distributed engines partition CSR operators, so a SELL split has
-    no consumer.
-    """
-
-    def __init__(self, A, split, r: int = 1, precision=None,
-                 threads=None, simd=None) -> None:
+    def _split(self, A, row0: int, row1: int) -> None:
         if not isinstance(A, CSRMatrix):
             raise BackendError(
                 "split (task-mode) kernels support CSR matrices only — the "
                 "distributed engines partition CSR operators; got "
                 f"{type(A).__name__}"
             )
-        self.matrix = A
-        self.split = split
-        self.precision = get_precision(precision)
-        self.r = int(r)
-        self.threads = None if threads is None else max(1, int(threads))
-        self.simd = resolve_simd(simd)
-        self.row0 = int(split.row0)
-        self.row1 = int(split.row1)
-        self.rows = np.ascontiguousarray(split.boundary, dtype=np.int64)
         n = A.n_rows
-        if not (0 <= self.row0 <= self.row1 <= n) or self.row0 % ETA_BLOCK \
-                or (self.row1 % ETA_BLOCK and self.row1 != n):
+        if not (0 <= row0 <= row1 <= n) or row0 % ETA_BLOCK \
+                or (row1 % ETA_BLOCK and row1 != n):
             raise BackendError(
-                f"interior range [{self.row0}, {self.row1}) is not a run of "
-                f"whole {ETA_BLOCK}-row eta blocks of [0, {n})"
+                f"interior range [{row0}, {row1}) is not a run of whole "
+                f"{ETA_BLOCK}-row eta blocks of [0, {n})"
             )
-        if not np.array_equal(self.rows, np.r_[0:self.row0, self.row1:n]):
-            raise BackendError(
-                "boundary rows must be every row outside the interior, "
-                "sorted"
-            )
-        self.n_interior = self.row1 - self.row0
-        self.n_boundary = int(self.rows.size)
-        self.nnz_interior = int(A.indptr[self.row1] - A.indptr[self.row0])
-        self.nnz_boundary = int(A.nnz - self.nnz_interior)
-        self.anchors = None
-        self.bins = np.zeros((2, 2, 3 * self.r))
-        self.escape = np.zeros(1, dtype=np.int64)
-        self.eta_work = None
+        self.phases = tuple(
+            tuple((lo, hi) for lo, hi in ranges if hi > lo)
+            for ranges in (((row0, row1),), ((0, row0), (row1, n)))
+        )
+        nnz = int(A.indptr[row1] - A.indptr[row0])
+        self.phase_rows = (row1 - row0, n - row1 + row0)
+        self.phase_nnz = (nnz, A.nnz - nnz)
+        self.phase_bins = (np.zeros((2, 3 * self.r)),
+                           np.zeros((2, 3 * self.r)))
+        self.range_bins = np.zeros((2, 3 * self.r))  # a second range's
 
 
 class KernelBackend(ABC):
@@ -204,13 +187,14 @@ class KernelBackend(ABC):
         """Whether this backend can run on the current host."""
 
     def plan(self, A, r: int = 1, precision=None, threads=None,
-             simd=None) -> KernelPlan:
+             simd=None, split=None) -> KernelPlan:
         """Allocate the workspaces for repeated steps on ``(A, r)``.
 
         ``threads`` is the native kernels' team size, ``simd`` the
-        vectorized kernel family; see :class:`KernelPlan`.
+        vectorized kernel family, ``split`` the task-mode phases; see
+        :class:`KernelPlan`.
         """
-        return KernelPlan(A, r, precision, threads, simd)
+        return KernelPlan(A, r, precision, threads, simd, split)
 
     def kernel_family(self, plan: KernelPlan) -> str:
         """Which kernel family ``plan``'s steps dispatch to right now."""
@@ -361,84 +345,72 @@ class KernelBackend(ABC):
     ):
         """Paper Fig. 5 (stage 2): fused block update + column dots."""
 
-    # -- split (task-mode) kernels -------------------------------------
-    # Two-phase variants of the augmented kernels for overlapped
-    # execution: the *interior* phase updates a contiguous halo-free run
-    # of eta blocks (runnable while the halo exchange is in flight), the
-    # *boundary* phase the remaining gathered blocks.  Each phase leaves
-    # its own bins on the plan (and returns their fold); the phases' bins
-    # add exactly, so a split step is bitwise the plain one, whatever the
-    # schedule.  The W update is row-local, hence bitwise too.
+    # -- task mode ------------------------------------------------------
+    # The two phases of a split plan: the *interior* range, runnable
+    # while the halo exchange is in flight, then the *boundary* ranges
+    # around it.  A phase is the backend's augmented block walk over each
+    # of its non-empty ranges — the whole step's walk, on fewer rows —
+    # so the W update is bitwise the plain one, and each range reduces
+    # whole eta blocks, so the phases' bins add to the plain step's
+    # exactly, whatever the schedule.
+
+    #: The backend's walk ``(A, V, W, a, b, plan, row0, row1, bins)``:
+    #: the augmented block step over rows ``[row0, row1)`` of ``A``, its
+    #: bins into ``bins``.  None: the backend has no task mode.
+    _aug_range = None
 
     def split_plan(self, A, split, r: int = 1, precision=None,
-                   threads=None, simd=None) -> SplitKernelPlan:
-        """Allocate the split-kernel workspaces for ``(A, split, r)``."""
-        return SplitKernelPlan(A, split, r, precision, threads, simd)
-
-    def aug_spmv_interior(
-        self, A, v, w, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Interior phase of the split augmented SpMV."""
-        raise BackendError(
-            f"backend {self.name!r} does not implement split kernels"
-        )
-
-    def aug_spmv_boundary(
-        self, A, v, w, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Boundary phase of the split augmented SpMV."""
-        raise BackendError(
-            f"backend {self.name!r} does not implement split kernels"
-        )
+                   threads=None, simd=None) -> KernelPlan:
+        """:meth:`plan` for ``(A, r)`` with ``split``'s phases."""
+        return self.plan(A, r, precision, threads, simd, split=split)
 
     def aug_spmmv_interior(
-        self, A, V, W, a, b, plan: SplitKernelPlan,
+        self, A, V, W, a, b, plan: KernelPlan,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         """Interior phase of the split augmented SpMMV."""
-        raise BackendError(
-            f"backend {self.name!r} does not implement split kernels"
-        )
+        return self._phase(0, A, V, W, a, b, plan, counters, metrics)
 
     def aug_spmmv_boundary(
-        self, A, V, W, a, b, plan: SplitKernelPlan,
+        self, A, V, W, a, b, plan: KernelPlan,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         """Boundary phase of the split augmented SpMMV."""
-        raise BackendError(
-            f"backend {self.name!r} does not implement split kernels"
-        )
-
-    def aug_spmv_split_step(
-        self, A, v, w, a, b, plan: SplitKernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Both phases back to back; the synchronous task-mode step."""
-        ee, eo = self._split_step("aug_spmv", A, v, w, a, b, plan, counters,
-                                  metrics)
-        return float(ee[0]), complex(eo[0])
+        return self._phase(1, A, V, W, a, b, plan, counters, metrics)
 
     def aug_spmmv_split_step(
-        self, A, V, W, a, b, plan: SplitKernelPlan,
+        self, A, V, W, a, b, plan: KernelPlan,
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         """Both phases back to back; the synchronous task-mode step."""
-        return self._split_step("aug_spmmv", A, V, W, a, b, plan, counters,
-                                metrics)
+        for phase in (0, 1):
+            self._phase(phase, A, V, W, a, b, plan, counters, metrics)
+        return fold(np.add(*plan.phase_bins))
 
-    def _split_step(self, kind, A, V, W, a, b, plan, counters, metrics):
-        for phase in ("interior", "boundary"):
-            getattr(self, f"{kind}_{phase}")(A, V, W, a, b, plan,
-                                             counters=counters, metrics=metrics)
-        return fold(plan.bins[0] + plan.bins[1])
+    def _phase(self, phase, A, V, W, a, b, plan, counters, metrics):
+        """One phase (0 interior, 1 boundary): one span and one charge
+        under ``aug_spmmv_int|bnd``, even when it has no rows."""
+        if self._aug_range is None:
+            raise BackendError(
+                f"backend {self.name!r} does not implement split kernels"
+            )
+        name = ("aug_spmmv_int", "aug_spmmv_bnd")[phase]
+        bins = plan.phase_bins[phase]
+        prec = precision_of(V)
+        with metrics.span(name, counters=counters):
+            bins.fill(0.0)
+            for k, (lo, hi) in enumerate(plan.phases[phase]):
+                self._aug_range(A, V, W, a, b, plan, lo, hi,
+                                plan.range_bins if k else bins)
+                if k:
+                    bins += plan.range_bins
+            charge_aug(counters, name, plan.phase_rows[phase],
+                       plan.phase_nnz[phase], prec.index_bytes(A.n_cols),
+                       plan.r, prec)
+        return fold(bins)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} name={self.name!r}>"
@@ -564,7 +536,6 @@ __all__ = [
     "resolve_simd",
     "KernelBackend",
     "KernelPlan",
-    "SplitKernelPlan",
     "NativeBackend",
     "NumpyBackend",
     "available_backends",

@@ -19,7 +19,7 @@
  * contiguous, the locality argument of paper Section IV-A.
  *
  * ONE TEMPLATE, ONE UNIT PER BUILD (the precision profiles of
- * repro.util.precision): the twelve kernels below are written ONCE
+ * repro.util.precision): the eight kernels below are written ONCE
  * against the REPRO_VT / XT / AT / IT types, and each build of this
  * file holds exactly one (profile, scalar | simd) unit, picked with
  * `-DREPRO_UNIT_PROFILE=<name> -DREPRO_UNIT_SIMD=<0|1>`.  The loader
@@ -308,7 +308,7 @@ static inline uint16_t repro_float_to_half(float f)
  * unit this file is, and the ABI (bump with _ABI in native.py whenever
  * a signature changes).  A truncated, foreign or renamed library fails
  * here and is rebuilt instead of being called.                        */
-#define REPRO_ABI 3
+#define REPRO_ABI 4
 EXPORT int32_t repro_unit(void)
 {
     return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
@@ -1218,17 +1218,15 @@ EXPORT void KN(repro_csr_spmmv)(
 #endif
 }
 
-/* The augmented CSR walk behind all six CSR aug kernels:
- * w <- 2a(Hv - b v) - w over the rows i = rows ? rows[t] : t,
- * t in [t0, t1), eta into bins.  single: the r = 1 vector kernel
- * (lane-blocked row dot); else the blocked row body.  A block is 64
- * walk positions from t0 — the global 64-row blocks, since a walk
- * starts on a block and a gathered list holds whole blocks.           */
+/* The augmented CSR walk behind both CSR aug kernels:
+ * w <- 2a(Hv - b v) - w over the rows [row0, row1), eta into bins.
+ * single: the r = 1 vector kernel (lane-blocked row dot); else the
+ * blocked row body.  A block is 64 rows from row0 — the global 64-row
+ * blocks, since every range a caller walks starts on one.            */
 static void KN(repro_csr_walk)(
     const int single,
-    int64_t t0,
-    int64_t t1,
-    const int64_t *restrict rows,
+    int64_t row0,
+    int64_t row1,
     int64_t r,
     const int64_t *restrict indptr,
     const REPRO_IT *restrict indices,
@@ -1238,7 +1236,7 @@ static void KN(repro_csr_walk)(
     REPRO_ETA_ARGS)
 {
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    const int64_t nb = t1 > t0 ? (t1 - t0 + 63) / REPRO_ETA_BLOCK : 0;
+    const int64_t nb = row1 > row0 ? (row1 - row0 + 63) / REPRO_ETA_BLOCK : 0;
     repro_eta_t e;
     if (!repro_eta_open(&e, r, n_threads,
                         (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
@@ -1248,11 +1246,10 @@ static void KN(repro_csr_walk)(
     for (int64_t bi = 0; bi < nb; ++bi) {
         double *restrict s = repro_eta_slot(&e);
         double *restrict part = s + e.off;
-        const int64_t tb0 = t0 + bi * REPRO_ETA_BLOCK;
-        const int64_t tb1 =
-            tb0 + REPRO_ETA_BLOCK < t1 ? tb0 + REPRO_ETA_BLOCK : t1;
-        for (int64_t t = tb0; t < tb1; ++t) {
-            const int64_t i = rows ? rows[t] : t;
+        const int64_t i0 = row0 + bi * REPRO_ETA_BLOCK;
+        const int64_t i1 =
+            i0 + REPRO_ETA_BLOCK < row1 ? i0 + REPRO_ETA_BLOCK : row1;
+        for (int64_t i = i0; i < i1; ++i) {
             if (single) {
                 REPRO_AT sr, si;
                 KN(repro_rowdot)(indptr[i], indptr[i + 1], indices, data, V,
@@ -1276,48 +1273,22 @@ static void KN(repro_csr_walk)(
         const REPRO_VT *restrict data, const REPRO_XT *restrict V,         \
         REPRO_XT *restrict W, REPRO_ETA_ARGS
 
-/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>:
- * v, w are one vector (the r = 1 lane-blocked row dot).               */
-EXPORT void KN(repro_csr_aug_spmv)(int64_t n_rows, REPRO_CSR_PARAMS)
+/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>,
+ * over the rows [row0, row1) of the ORIGINAL matrix, indexed in place:
+ * [0, n_rows) is a whole step, a task-mode phase one or two ranges of
+ * whole 64-row blocks whose bins the caller adds (exactly).  v, w are
+ * one vector (the r = 1 lane-blocked row dot).                        */
+EXPORT void KN(repro_csr_aug_spmv)(int64_t row0, int64_t row1,
+                                   REPRO_CSR_PARAMS)
 {
-    KN(repro_csr_walk)(1, 0, n_rows, NULL, 1, REPRO_CSR_TAIL);
+    KN(repro_csr_walk)(1, row0, row1, 1, REPRO_CSR_TAIL);
 }
 
 /* Blocked variant: V, W are (N, R) row-major.                         */
-EXPORT void KN(repro_csr_aug_spmmv)(int64_t n_rows, int64_t r,
+EXPORT void KN(repro_csr_aug_spmmv)(int64_t row0, int64_t row1, int64_t r,
                                     REPRO_CSR_PARAMS)
 {
-    KN(repro_csr_walk)(0, 0, n_rows, NULL, r, REPRO_CSR_TAIL);
-}
-
-/* Split (task-mode) phases: the interior row range [row0, row1) and
- * the gathered boundary rows, both indexing the ORIGINAL local matrix
- * absolutely — no row extraction.  Each phase's bins are its own; the
- * caller adds them (exactly), so split == unsplit, bitwise.           */
-EXPORT void KN(repro_csr_aug_spmv_range)(int64_t row0, int64_t row1,
-                                         REPRO_CSR_PARAMS)
-{
-    KN(repro_csr_walk)(1, row0, row1, NULL, 1, REPRO_CSR_TAIL);
-}
-
-EXPORT void KN(repro_csr_aug_spmv_rows)(int64_t n_sub,
-                                        const int64_t *restrict rows,
-                                        REPRO_CSR_PARAMS)
-{
-    KN(repro_csr_walk)(1, 0, n_sub, rows, 1, REPRO_CSR_TAIL);
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_range)(int64_t row0, int64_t row1,
-                                          int64_t r, REPRO_CSR_PARAMS)
-{
-    KN(repro_csr_walk)(0, row0, row1, NULL, r, REPRO_CSR_TAIL);
-}
-
-EXPORT void KN(repro_csr_aug_spmmv_rows)(int64_t n_sub,
-                                         const int64_t *restrict rows,
-                                         int64_t r, REPRO_CSR_PARAMS)
-{
-    KN(repro_csr_walk)(0, 0, n_sub, rows, r, REPRO_CSR_TAIL);
+    KN(repro_csr_walk)(0, row0, row1, r, REPRO_CSR_TAIL);
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,7 +1,7 @@
 """Compile-on-first-use loader for the native C kernels.
 
 ``_kernels.c`` is one template; each build of it holds one *unit* — one
-storage profile's twelve kernels in the scalar or the ``_simd`` family,
+storage profile's eight kernels in the scalar or the ``_simd`` family,
 picked with ``-DREPRO_UNIT_PROFILE=... -DREPRO_UNIT_SIMD=...`` — and a
 unit is built the first time one of its kernels is asked for
 (:func:`kernel`), never ahead of need: a run compiles what it calls.
@@ -288,7 +288,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 3
+_ABI = 4
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -321,7 +321,7 @@ KERNEL_SUFFIXES = {
 
 #: Argtype templates shared by every typed expansion of a kernel:
 #: ``n`` int64 scalar, ``s`` double scalar, ``L`` int64* (indptr /
-#: chunk arrays / row lists / the escape flag), ``I`` column indices*,
+#: chunk arrays / the escape flag), ``I`` column indices*,
 #: ``V`` matrix values*, ``X`` vector storage*, ``E`` double* (the eta
 #: anchors in, the eta bins out — fp64 in every profile).  Every aug
 #: kernel ends in ``n_threads, a, b, anchors, bins, flag``, every plain
@@ -329,14 +329,9 @@ KERNEL_SUFFIXES = {
 _SIGNATURES = {
     "repro_csr_spmv": "nLIVXXn",
     "repro_csr_spmmv": "nnLIVXXn",
-    "repro_csr_aug_spmv": "nLIVXXnssEEL",
-    "repro_csr_aug_spmmv": "nnLIVXXnssEEL",
-    # split (task-mode) variants: a contiguous [row0, row1) range and a
-    # gathered row list, both absolute on the original CSR arrays
-    "repro_csr_aug_spmv_range": "nnLIVXXnssEEL",
-    "repro_csr_aug_spmv_rows": "nLLIVXXnssEEL",
-    "repro_csr_aug_spmmv_range": "nnnLIVXXnssEEL",
-    "repro_csr_aug_spmmv_rows": "nLnLIVXXnssEEL",
+    # the CSR aug kernels walk rows [row0, row1) of the whole matrix
+    "repro_csr_aug_spmv": "nnLIVXXnssEEL",
+    "repro_csr_aug_spmmv": "nnnLIVXXnssEEL",
     "repro_sell_spmv": "nnnLLLIVXXn",
     "repro_sell_spmmv": "nnnnLLLIVXXn",
     "repro_sell_aug_spmv": "nnnLLLIVXXnssEEL",
@@ -493,7 +488,7 @@ def _elf_truncated(path: Path) -> bool:
 
 
 def _declare(lib: ctypes.CDLL, suffix: str, simd: bool) -> None:
-    """Check that ``lib`` is this unit, then bind its twelve kernels."""
+    """Check that ``lib`` is this unit, then bind its eight kernels."""
     lib.repro_unit.argtypes = []
     lib.repro_unit.restype = ctypes.c_int32
     profile = list(KERNEL_SUFFIXES).index(suffix) + 1
@@ -640,16 +635,6 @@ def _pc(arr: np.ndarray):
     """Float64 / complex128 (interleaved re, im) C-contiguous array as a
     double*."""
     return arr.ctypes.data_as(_P_F64)
-
-
-def _pf32(arr: np.ndarray):
-    """Complex64 C-contiguous array as a float* (interleaved re, im)."""
-    return arr.ctypes.data_as(_P_F32)
-
-
-def _pu16(arr: np.ndarray):
-    """uint16 indices — or float16 pair storage as raw uint16 bits."""
-    return arr.ctypes.data_as(_P_U16)
 
 
 def _pvec(arr: np.ndarray):

@@ -32,7 +32,7 @@ import threading
 import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend, KernelPlan, SplitKernelPlan
+from repro.sparse.backend import KernelBackend, KernelPlan
 from repro.sparse.backend.native import (
     _pc,
     _pi32,
@@ -49,7 +49,7 @@ from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import charge_aug, charge_spmv, fold, matrix_stream
 from repro.sparse.sell import SellMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.errors import BackendError, ShapeError
+from repro.util.errors import ShapeError
 from repro.util.precision import Precision, precision_of
 from repro.util.validation import check_block_vector, check_vector
 
@@ -144,12 +144,26 @@ def _as_kernel_vector(name: str, x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _check_same_storage(av: np.ndarray, aw: np.ndarray) -> None:
-    if av.dtype != aw.dtype:
+def _aug_operands(A, V, W, single: bool) -> tuple:
+    """``(V, W, profile, R)`` of one aug kernel call, checked for the C
+    kernels: contiguous storage of one profile and one block width."""
+    if single:
+        V = _as_kernel_vector("v", V, A.n_cols)
+        W = _as_kernel_vector("w", W, A.n_rows)
+    else:
+        V = _as_kernel_block("V", V, A.n_cols)
+        W = _as_kernel_block("W", W, A.n_rows)
+        if W.shape[1] != V.shape[1]:
+            raise ShapeError(
+                f"V and W must share a block width, got {V.shape[1]} "
+                f"and {W.shape[1]}"
+            )
+    if V.dtype != W.dtype:
         raise ShapeError(
             "v and w must share one precision profile's storage dtype, got "
-            f"{av.dtype} and {aw.dtype}"
+            f"{V.dtype} and {W.dtype}"
         )
+    return V, W, precision_of(V), 1 if single else V.shape[1]
 
 
 class NativeBackend(KernelBackend):
@@ -277,7 +291,8 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        ee, eo = self._aug("aug_spmv", A, v, w, a, b, plan, counters, metrics)
+        ee, eo = self._step("aug_spmv", A, v, w, a, b, plan, counters,
+                            metrics)
         return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
@@ -285,113 +300,56 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        return self._aug("aug_spmmv", A, V, W, a, b, plan, counters, metrics)
+        return self._step("aug_spmmv", A, V, W, a, b, plan, counters,
+                          metrics)
 
-    # -- split (task-mode) kernels -------------------------------------
-    # The range/rows C kernels traverse the ORIGINAL local CSR arrays
-    # with absolute row indexing (no extraction), write the phase's
-    # rows of W with byte-for-byte the plain kernel's per-row
-    # arithmetic, and leave the phase's own bins.  CSR only:
-    # SplitKernelPlan already rejects SELL at plan time.  The index-
-    # width charge uses the WHOLE local operator's width so interior +
-    # boundary partial charges still sum exactly to the unsplit charge.
+    def _step(self, kind, A, V, W, a, b, plan, counters, metrics):
+        """One whole augmented step (``aug_spm(m)v``, on 1-D vectors for
+        ``aug_spmv``); returns the fold of its bins (DESIGN §19)."""
+        if not isinstance(A, (CSRMatrix, SellMatrix)):
+            raise TypeError(f"unsupported matrix type {type(A).__name__}")
+        threads = plan.threads if plan is not None else None
+        meta = {} if threads is None else {"threads": threads}
+        with metrics.span(kind, counters=counters, **meta):
+            bins, prec, r = self._aug(kind, A, V, W, a, b, plan, 0, A.n_rows)
+            charge_aug(counters, kind, *matrix_stream(A, prec), r, prec)
+        return fold(bins)
 
-    def aug_spmv_interior(self, A, v, w, a, b, plan: SplitKernelPlan,
-                          counters: PerfCounters = NULL_COUNTERS,
-                          metrics: MetricsRegistry = NULL_METRICS):
-        ee, eo = self._aug("aug_spmv_int", A, v, w, a, b, plan, counters,
-                           metrics)
-        return float(ee[0]), complex(eo[0])
-
-    def aug_spmv_boundary(self, A, v, w, a, b, plan: SplitKernelPlan,
-                          counters: PerfCounters = NULL_COUNTERS,
-                          metrics: MetricsRegistry = NULL_METRICS):
-        ee, eo = self._aug("aug_spmv_bnd", A, v, w, a, b, plan, counters,
-                           metrics)
-        return float(ee[0]), complex(eo[0])
-
-    def aug_spmmv_interior(self, A, V, W, a, b, plan: SplitKernelPlan,
-                           counters: PerfCounters = NULL_COUNTERS,
-                           metrics: MetricsRegistry = NULL_METRICS):
-        return self._aug("aug_spmmv_int", A, V, W, a, b, plan, counters,
-                         metrics)
-
-    def aug_spmmv_boundary(self, A, V, W, a, b, plan: SplitKernelPlan,
-                           counters: PerfCounters = NULL_COUNTERS,
-                           metrics: MetricsRegistry = NULL_METRICS):
-        return self._aug("aug_spmmv_bnd", A, V, W, a, b, plan, counters,
-                         metrics)
+    def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
+        self._aug("aug_spmmv", A, V, W, a, b, plan, row0, row1, bins)
 
     @staticmethod
-    def _eta_ptrs(plan, phase, anchors, bins, escape) -> tuple:
+    def _eta_ptrs(plan, anchors, bins, escape) -> tuple:
         """The kernels' (anchors, bins, escape) pointers.  A plan's arrays
         live as long as the plan, so their pointers are made once per
-        anchors array (a pointer costs more than a small kernel call)."""
+        (bins, anchors) pair (a pointer costs more than a small kernel
+        call)."""
         if plan is None or escape is not plan.escape:  # fresh arrays
             return _pc(anchors), _pc(bins), _pi64(escape)
         cache = plan.__dict__.setdefault("_eta_ptrs", {})
-        hit = cache.get(phase)
+        hit = cache.get(id(bins))  # the value holds bins: the id stays
         if hit is None or hit[0] is not anchors:
-            hit = cache[phase] = (anchors,
-                                  (_pc(anchors), _pc(bins), _pi64(escape)))
-        return hit[1]
+            hit = cache[id(bins)] = (anchors, bins, (
+                _pc(anchors), _pc(bins), _pi64(escape)))
+        return hit[2]
 
-    def _aug(self, name, A, V, W, a, b, plan, counters, metrics):
-        """One augmented kernel call — a whole step (``aug_spm(m)v``) or a
-        split phase (``*_int``: the row range, ``*_bnd``: the gathered
-        rows) — on 1-D vectors for ``aug_spmv*``; returns the fold of its
-        bins (DESIGN §19)."""
-        kind = name[:-4] if name.endswith(("_int", "_bnd")) else name
-        phase = name[len(kind):]
-        single = kind == "aug_spmv"
-        if phase and not isinstance(A, CSRMatrix):
-            raise BackendError(
-                "split (task-mode) kernels support CSR matrices only, got "
-                f"{type(A).__name__}"
-            )
-        if not isinstance(A, (CSRMatrix, SellMatrix)):
-            raise TypeError(f"unsupported matrix type {type(A).__name__}")
-        if single:
-            V = _as_kernel_vector("v", V, A.n_cols)
-            W = _as_kernel_vector("w", W, A.n_rows)
-        else:
-            V = _as_kernel_block("V", V, A.n_cols)
-            W = _as_kernel_block("W", W, A.n_rows)
-            if W.shape[1] != V.shape[1]:
-                raise ShapeError(
-                    f"V and W must share a block width, got {V.shape[1]} "
-                    f"and {W.shape[1]}"
-                )
-        _check_same_storage(V, W)
-        prec = precision_of(V)
-        r = 1 if single else V.shape[1]
-        anchors, bins, escape = self._eta_state(plan, V, A.n_rows, r)
-        if phase:
-            bins = bins[int(phase == "_bnd")]
-        threads = plan.threads if plan is not None else None
+    def _aug(self, kind, A, V, W, a, b, plan, row0, row1, bins=None):
+        """One C aug kernel: CSR over rows ``[row0, row1)`` of the
+        ORIGINAL arrays, indexed in place; SELL whole.  Returns ``(bins,
+        profile, R)`` — ``bins``, else the plan's (or fresh ones)."""
+        V, W, prec, r = _aug_operands(A, V, W, kind == "aug_spmv")
+        anchors, own, escape = self._eta_state(plan, V, A.n_rows, r)
+        bins = own if bins is None else bins
         vs = _use_simd(plan.simd if plan is not None else None, prec)
-        width = () if single else (r,)
+        width = () if kind == "aug_spmv" else (r,)
         tail = (_pvec(V), _pvec(W), _team(plan), a, b,
-                *self._eta_ptrs(plan, phase, anchors, bins, escape))
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span(name, counters=counters, **meta):
-            if isinstance(A, SellMatrix):
-                suf, (nc, c, *rest) = self._sell_args(A, prec)
-                kernel(f"repro_sell_{kind}", suf, vs)(
-                    A.n_rows, nc, c, *width, *rest, *tail)
-                charge_aug(counters, name, *matrix_stream(A, prec), r, prec)
-            else:
-                suf, args = self._csr_args(A, prec)
-                if not phase:
-                    walk, head, rows, nnz = "", (A.n_rows,), A.n_rows, A.nnz
-                elif phase == "_int":
-                    walk, head = "_range", (plan.row0, plan.row1)
-                    rows, nnz = plan.n_interior, plan.nnz_interior
-                else:
-                    walk, head = "_rows", (plan.n_boundary, _pi64(plan.rows))
-                    rows, nnz = plan.n_boundary, plan.nnz_boundary
-                kernel(f"repro_csr_{kind}{walk}", suf, vs)(
-                    *head, *width, *args, *tail)
-                charge_aug(counters, name, rows, nnz,
-                           prec.index_bytes(A.n_cols), r, prec)
-        return fold(bins)
+                *self._eta_ptrs(plan, anchors, bins, escape))
+        if isinstance(A, SellMatrix):
+            suf, (nc, c, *rest) = self._sell_args(A, prec)
+            kernel(f"repro_sell_{kind}", suf, vs)(
+                A.n_rows, nc, c, *width, *rest, *tail)
+        else:
+            suf, args = self._csr_args(A, prec)
+            kernel(f"repro_csr_{kind}", suf, vs)(
+                row0, row1, *width, *args, *tail)
+        return bins, prec, r

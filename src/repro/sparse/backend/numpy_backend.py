@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs import NULL_METRICS, MetricsRegistry
-from repro.sparse.backend import KernelBackend, KernelPlan, SplitKernelPlan
+from repro.sparse.backend import KernelBackend, KernelPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import (
     _recombine,
@@ -88,9 +88,10 @@ def _product(A, X: np.ndarray, out: np.ndarray) -> None:
     if X.flags.c_contiguous and out.flags.c_contiguous:
         out.fill(0.0)
         m, k = handle.shape
-        if X.ndim == 1:
+        if X.ndim == 1 or X.shape[1] == 1:  # one column: csr_matvec
             _sparsetools.csr_matvec(
-                m, k, handle.indptr, handle.indices, handle.data, X, out
+                m, k, handle.indptr, handle.indices, handle.data, X.ravel(),
+                out.ravel(),
             )
         else:
             _sparsetools.csr_matvecs(
@@ -103,7 +104,7 @@ def _product(A, X: np.ndarray, out: np.ndarray) -> None:
 
 def _scratch(plan, attr: str, shape: tuple, dtype) -> np.ndarray:
     """The plan's ``attr`` buffer when it fits, else a fresh one."""
-    buf = None if plan is None else getattr(plan, attr)
+    buf = getattr(plan, attr, None)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         return np.empty(shape, dtype=dtype)
     return buf
@@ -147,6 +148,19 @@ class NumpyBackend(KernelBackend):
         _product(A, FP16V.decode(X), tgt)
         FP16V.encode(tgt, out=out)
 
+    def plan(self, A, r: int = 1, precision=None, threads=None,
+             simd=None, split=None) -> KernelPlan:
+        plan = super().plan(A, r, precision, threads, simd, split)
+        if split is not None:
+            # each phase range's rows, over the full [local | halo]
+            # column range (per-row data order kept: the W update is
+            # bitwise the whole step's)
+            plan.range_matrices = {
+                (lo, hi): A if hi - lo == A.n_rows else A.extract_rows(lo, hi)
+                for ranges in plan.phases for lo, hi in ranges
+            }
+        return plan
+
     # -- augmented steps (paper Figs. 4 and 5) ---------------------------
     def aug_spmv_step(
         self, A, v, w, a, b, plan: KernelPlan | None = None,
@@ -155,21 +169,12 @@ class NumpyBackend(KernelBackend):
     ):
         """Stage 1: shift, scale, recombination and both dot products,
         charged as one kernel touching each of v and w once —
-        ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call."""
-        n = A.n_rows
-        v = check_vector("v", v, n)
-        w = check_vector("w", w, n)
-        prec = precision_of(v)
-        vc, wc = self._decode_pair(A, v, w, plan, None) \
-            if prec.half_vectors else (v, w)
-        u = _scratch(plan, "u", (n,), vc.dtype)
-        with metrics.span("aug_spmv", counters=counters):
-            _product(A, vc, u)
-            _recombine(wc, u, vc, a, b)
-            ee, eo = self._dots(A, vc[:n], wc, plan, 1)
-            charge_aug(counters, "aug_spmv", *matrix_stream(A, prec), 1, prec)
-        if prec.half_vectors:
-            FP16V.encode(wc, out=w)
+        ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call.  The one-column
+        view of the stage-2 walk."""
+        v = check_vector("v", v, A.n_cols)
+        w = check_vector("w", w, A.n_rows)
+        ee, eo = self._step("aug_spmv", A, v[:, None], w[:, None], a, b,
+                            plan, counters, metrics)
         return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
@@ -184,163 +189,54 @@ class NumpyBackend(KernelBackend):
         traffic: ``N_nz (S_d+S_i) + 3 R N S_d`` bytes per call — Eq. (4)'s
         final line divided by the M/2 iterations.
         """
-        n = A.n_rows
         V = check_block_vector("V", V, A.n_cols)
-        r = V.shape[1]
-        W = check_block_vector("W", W, n, r)
+        W = check_block_vector("W", W, A.n_rows, V.shape[1])
+        return self._step("aug_spmmv", A, V, W, a, b, plan, counters,
+                          metrics)
+
+    def _step(self, name, A, V, W, a, b, plan, counters, metrics):
         prec = precision_of(V)
-        Vc, Wc = self._decode_pair(A, V, W, plan, r) \
-            if prec.half_vectors else (V, W)
-        U = _scratch(plan, "u_block", (n, r), Vc.dtype)
-        with metrics.span("aug_spmmv", counters=counters):
-            _product(A, Vc, U)
-            Vn = Vc[:n]
-            _recombine(Wc, U, Vn, a, b)
-            ee, eo = self._dots(A, Vn, Wc, plan, r)
-            charge_aug(counters, "aug_spmmv", *matrix_stream(A, prec), r, prec)
-        if prec.half_vectors:
-            FP16V.encode(Wc, out=W)
-        return ee, eo
-
-    def _dots(self, A, V, W, plan, r):
-        """The one eta reduction of a whole step (DESIGN §19): rows in
-        order — a SELL operator's in its storage order."""
-        anchors, bins, escape = self._eta_state(plan, V, A.n_rows, r)
-        order = A.perm if isinstance(A, SellMatrix) else None
-        work = self._eta_work(plan, A.n_rows if order is None else order.size,
-                              r)
-        return fold(eta_bins(V, W, anchors, escape, out=bins, order=order,
-                             work=work))
-
-    @staticmethod
-    def _decode_pair(A, v, w, plan, r):
-        """Decode f16 pair storage into complex64 working copies.
-
-        Uses the plan's ``vc``/``wc`` scratch when it fits (zero
-        steady-state allocation); ``r=None`` selects the single-vector
-        shape.  ``v`` spans the full column range (local + halo), ``w``
-        the rows.
-        """
-        width = 1 if r is None else r
-        if (
-            plan is not None
-            and getattr(plan, "vc", None) is not None
-            and plan.r == width
-        ):
-            vc, wc = plan.vc, plan.wc
-            if r is None:
-                vc, wc = vc[:, 0], wc[:, 0]
-        else:
-            shape_v = (A.n_cols,) if r is None else (A.n_cols, r)
-            shape_w = (A.n_rows,) if r is None else (A.n_rows, r)
-            vc = np.empty(shape_v, dtype=np.complex64)
-            wc = np.empty(shape_w, dtype=np.complex64)
-        FP16V.decode(v, out=vc)
-        FP16V.decode(w, out=wc)
-        return vc, wc
-
-    # -- split (task-mode) kernels -------------------------------------
-    # A phase is the plain kernel restricted to a row subset: the product
-    # runs on the extracted phase sub-matrix (per-row data order
-    # preserved, so the per-row sums — and hence the W update — are
-    # bitwise the single-phase values), the recombination and dots on
-    # contiguous views (interior) or gathered scratch (boundary), so each
-    # phase's bins are over its own whole eta blocks.  Half
-    # storage is decoded into the plan's complex64 scratch per phase — V
-    # is re-decoded each phase because the halo exchange may land between
-    # the interior and boundary phases.
-
-    def split_plan(self, A, split, r: int = 1, precision=None,
-                   threads=None, simd=None) -> SplitKernelPlan:
-        plan = super().split_plan(A, split, r, precision, threads, simd)
-        # phase sub-matrices over the full [local | halo] column range
-        plan.interior_matrix = A.extract_rows(plan.row0, plan.row1)
-        plan.boundary_matrix = A.take_rows(plan.rows)
-        # compute-dtype phase outputs and boundary gather/scatter buffers
-        cdt = plan.precision.compute_dtype
-        for name, rows in (("u_interior", plan.n_interior),
-                           ("u_boundary", plan.n_boundary),
-                           ("v_boundary", plan.n_boundary),
-                           ("w_boundary", plan.n_boundary)):
-            setattr(plan, name, np.empty((rows, plan.r), dtype=cdt))
-        if plan.precision.half_vectors:
-            plan.vc = np.empty((A.n_cols, plan.r), dtype=cdt)
-            plan.wc = np.empty((A.n_rows, plan.r), dtype=cdt)
-        return plan
-
-    def aug_spmv_interior(self, A, v, w, a, b, plan: SplitKernelPlan,
-                          counters: PerfCounters = NULL_COUNTERS,
-                          metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmv_int", A, v, w, a, b, plan, counters,
-                           metrics)
-
-    def aug_spmv_boundary(self, A, v, w, a, b, plan: SplitKernelPlan,
-                          counters: PerfCounters = NULL_COUNTERS,
-                          metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmv_bnd", A, v, w, a, b, plan, counters,
-                           metrics)
-
-    def aug_spmmv_interior(self, A, V, W, a, b, plan: SplitKernelPlan,
-                           counters: PerfCounters = NULL_COUNTERS,
-                           metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmmv_int", A, V, W, a, b, plan, counters,
-                           metrics)
-
-    def aug_spmmv_boundary(self, A, V, W, a, b, plan: SplitKernelPlan,
-                           counters: PerfCounters = NULL_COUNTERS,
-                           metrics: MetricsRegistry = NULL_METRICS):
-        return self._phase("aug_spmmv_bnd", A, V, W, a, b, plan, counters,
-                           metrics)
-
-    def _phase(self, name, A, V, W, a, b, plan, counters, metrics):
-        """One phase (``*_int`` or ``*_bnd``) of a split augmented step.
-
-        ``aug_spmv_*`` phases take 1-D vectors and see the plan's (rows,
-        1) scratch as vectors; ``aug_spmmv_*`` phases take (rows, R)
-        blocks.
-        """
-        prec = precision_of(V)
-        single = name.startswith("aug_spmv_")
-        pick = (lambda buf: buf[:, 0]) if single else (lambda buf: buf)
-        half = prec.half_vectors
         with metrics.span(name, counters=counters):
-            vc = FP16V.decode(V, out=pick(plan.vc)) if half else V
-            if name.endswith("_int"):
-                lo, hi = plan.row0, plan.row1
-                n_phase, nnz = plan.n_interior, plan.nnz_interior
-                u = pick(plan.u_interior)
-                _product(plan.interior_matrix, vc, u)
-                vn = vc[lo:hi]
-                if half:
-                    wn = pick(plan.wc)[lo:hi]
-                    FP16V.decode(W[lo:hi], out=wn)
-                else:
-                    wn = W[lo:hi]
-                _recombine(wn, u, vn, a, b)
-                if half:
-                    FP16V.encode(wn, out=W[lo:hi])
-            else:
-                rows = plan.rows
-                n_phase, nnz = plan.n_boundary, plan.nnz_boundary
-                u = pick(plan.u_boundary)
-                vn, wn = pick(plan.v_boundary), pick(plan.w_boundary)
-                _product(plan.boundary_matrix, vc, u)
-                # mode='clip' keeps the gather buffer-free (the default
-                # 'raise' materializes a temporary); rows are validated
-                # in range when the split plan is built
-                np.take(vc, rows, axis=0, out=vn, mode="clip")
-                if half:
-                    FP16V.decode(W[rows], out=wn)
-                else:
-                    np.take(W, rows, axis=0, out=wn, mode="clip")
-                _recombine(wn, u, vn, a, b)
-                W[rows] = FP16V.encode(wn) if half else wn
-            anchors, bins, escape = self._eta_state(plan, V, A.n_rows, plan.r)
-            ee, eo = fold(eta_bins(vn, wn, anchors, escape,
-                                   out=bins[int(name.endswith("_bnd"))],
-                                   work=self._eta_work(plan, A.n_rows,
-                                                       plan.r)))
-            charge_aug(counters, name, n_phase, nnz,
-                       prec.index_bytes(A.n_cols), 1 if single else plan.r,
+            bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows)
+            charge_aug(counters, name, *matrix_stream(A, prec), W.shape[1],
                        prec)
-        return (float(ee[0]), complex(eo[0])) if single else (ee, eo)
+        return fold(bins)
+
+    def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
+        self._walk(plan.range_matrices[row0, row1], V, W, a, b, plan, row0,
+                   row1, bins)
+
+    def _walk(self, A, V, W, a, b, plan, row0, row1, bins=None):
+        """The one augmented walk: ``W <- 2a(H - b)V - W`` and the eta
+        bins over rows ``[row0, row1)`` of the (N, R) blocks, ``A`` being
+        those rows of the operator (the whole matrix for ``[0, N)``).
+
+        The product runs on ``A``, the recombination and the one eta
+        reduction (DESIGN §19) on row views — a SELL operator's whole, in
+        its storage order.  Half storage is decoded into the plan's
+        complex64 scratch (all of ``V``: its halo may have landed since
+        the last phase), computed in fp32 and encoded back.  Returns the
+        bins: ``bins``, else the plan's (or fresh ones).
+        """
+        n, r = W.shape[:2]
+        half = precision_of(V).half_vectors
+        if half:
+            vc = FP16V.decode(V, out=_scratch(plan, "vc", (V.shape[0], r),
+                                               np.complex64))
+            wc = _scratch(plan, "wc", (n, r), np.complex64)[row0:row1]
+            FP16V.decode(W[row0:row1], out=wc)
+        else:
+            vc, wc = V, W[row0:row1]
+        u = _scratch(plan, "u_block", (n, r), vc.dtype)[row0:row1]
+        _product(A, vc, u)
+        vn = vc[row0:row1]
+        _recombine(wc, u, vn, a, b)
+        anchors, own, escape = self._eta_state(plan, vc, n, r)
+        order = A.perm if isinstance(A, SellMatrix) else None
+        bins = eta_bins(vn, wc, anchors, escape,
+                        out=own if bins is None else bins, order=order,
+                        work=self._eta_work(plan, n if order is None
+                                            else order.size, r))
+        if half:
+            FP16V.encode(wc, out=W[row0:row1])
+        return bins

@@ -256,22 +256,6 @@ class CSRMatrix:
             (row_stop - row_start, self.n_cols),
         )
 
-    def take_rows(self, rows: np.ndarray) -> "CSRMatrix":
-        """Gather the listed rows, in order, into a new matrix.
-
-        Each row keeps its entry order and the full column range.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = self.nnz_per_row[rows]
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # source slot of every gathered entry: its row's start plus its
-        # offset inside the row
-        src = (np.repeat(self.indptr[rows] - indptr[:-1], counts)
-               + np.arange(indptr[-1]))
-        return CSRMatrix(indptr, self.indices[src], self.data[src],
-                         (rows.size, self.n_cols))
-
     def remap_columns(self, mapping: np.ndarray, n_cols: int) -> "CSRMatrix":
         """Return a copy with ``indices[i] -> mapping[indices[i]]``.
 

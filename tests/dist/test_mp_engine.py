@@ -21,7 +21,7 @@ from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
 from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.mp import MpTimeouts, MpWorld, mp_eta
+from repro.dist.mp import MpTimeouts, MpWorld
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
 from repro.resil import FaultPlan
@@ -246,8 +246,8 @@ class TestObservability:
         ``.pyc`` — once per worker per solve.  In a fresh interpreter
         (this one has imported everything already) each worker ships
         what it imported since its fork in the obs blob: nothing.  If
-        this fails, import the rank loop's needs in ``mp_eta`` before
-        the fork, not in ``_worker``."""
+        this fails, import the rank loop's needs at the top of
+        ``repro.dist.mp``, before the fork, not in ``_worker``."""
         import os
         import subprocess
         import sys
@@ -298,8 +298,8 @@ class TestFailure:
         mw = MpWorld(3)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
-            mp_eta(h, part, scale, M, blk, mw,
-                   fault_plan=FaultPlan.parse("raise:rank=1,m=3"))
+            distributed_eta(h, part, scale, M, blk, mw,
+                            fault_plan=FaultPlan.parse("raise:rank=1,m=3"))
         # the aborted barrier unblocks peers immediately — no timeout wait
         assert time.monotonic() - t0 < mw.timeouts.barrier / 2
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
@@ -310,8 +310,8 @@ class TestFailure:
         mw = MpWorld(2)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="exit code"):
-            mp_eta(h, part, scale, M, blk, mw,
-                   fault_plan=FaultPlan.parse("crash:rank=0,m=2"))
+            distributed_eta(h, part, scale, M, blk, mw,
+                            fault_plan=FaultPlan.parse("crash:rank=0,m=2"))
         assert time.monotonic() - t0 < mw.timeouts.barrier / 2
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
 
@@ -339,8 +339,8 @@ class TestTimeouts:
         mw = MpWorld(2, timeouts=MpTimeouts(stall=1.0))
         t0 = time.monotonic()
         with pytest.raises(WorkerFailure) as ei:
-            mp_eta(h, part, scale, M, blk, mw,
-                   fault_plan=FaultPlan.parse("stall:rank=1,m=3"))
+            distributed_eta(h, part, scale, M, blk, mw,
+                            fault_plan=FaultPlan.parse("stall:rank=1,m=3"))
         # the heartbeat monitor fires on the stall budget, not the (much
         # longer) barrier timeout
         assert time.monotonic() - t0 < 30.0
@@ -359,9 +359,10 @@ class TestCheckpointing:
         part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         with pytest.raises(WorkerFailure) as ei:
-            mp_eta(h, part, scale, M, blk, mw,
-                   fault_plan=FaultPlan.parse("crash:rank=1,m=7"),
-                   checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")
+            distributed_eta(h, part, scale, M, blk, mw,
+                            fault_plan=FaultPlan.parse("crash:rank=1,m=7"),
+                            checkpoint_every=3,
+                            checkpoint_path=tmp_path / "ck.npz")
         exc = ei.value
         # machine-readable payload: who died, how, and where to resume
         assert exc.kinds == {"death"}
@@ -382,9 +383,9 @@ class TestCheckpointing:
         ref = distributed_eta(h, part, scale, M, blk, MpWorld(2))
         p = tmp_path / "ck.npz"
         with pytest.raises(WorkerFailure):
-            mp_eta(h, part, scale, M, blk, MpWorld(2),
-                   fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
-                   checkpoint_every=3, checkpoint_path=p)
+            distributed_eta(h, part, scale, M, blk, MpWorld(2),
+                            fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
+                            checkpoint_every=3, checkpoint_path=p)
         ck = KpmCheckpoint.load(p)
         assert 1 < ck.next_m < M // 2
         resumed = distributed_eta(h, part, scale, M, blk, MpWorld(2),
@@ -412,8 +413,8 @@ class TestCheckpointing:
         part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
-            mp_eta(h, part, scale, M, blk, mw,
-                   fault_plan=FaultPlan((FaultSpec("raise", rank=1, m=3),)))
+            distributed_eta(h, part, scale, M, blk, mw, fault_plan=FaultPlan(
+                (FaultSpec("raise", rank=1, m=3),)))
 
 
 class TestValidation:

@@ -21,7 +21,7 @@ from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
 from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.mp import MpWorld, mp_eta
+from repro.dist.mp import MpWorld
 from repro.dist.overlap import OVERLAP_CHOICES, resolve_overlap, task_split
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
@@ -69,11 +69,11 @@ def test_task_split_invariants(lattice, weights, align):
     for blk in d.blocks:
         s = task_split(blk)
         mat = blk.matrix
-        # interior ∪ boundary = all local rows, no duplicates
-        interior = np.arange(s.row0, s.row1)
-        combined = np.sort(np.concatenate([interior, s.boundary]))
-        assert np.array_equal(combined, np.arange(blk.n_local))
-        assert np.array_equal(s.boundary, np.sort(np.unique(s.boundary)))
+        # interior ∪ boundary = all local rows: [0, row0) ∪ [row0, row1)
+        # ∪ [row1, n), the interior on whole 64-row eta blocks
+        assert 0 <= s.row0 <= s.row1 <= s.n_rows == blk.n_local
+        assert s.row0 % 64 == 0 and (s.row1 % 64 == 0 or s.row1 == s.n_rows)
+        assert s.n_interior + s.n_boundary == blk.n_local
         # interior rows reference only local columns — the whole point:
         # they can run before the halo arrives
         lo, hi = int(mat.indptr[s.row0]), int(mat.indptr[s.row1])
@@ -279,8 +279,8 @@ class TestOverlapResilience:
         part = RowPartition.equal(h.n_rows, 3, align=64)
         mw = MpWorld(3)
         with pytest.raises(WorkerFailure):
-            mp_eta(h, part, scale, M, blk, mw, overlap=True,
-                   fault_plan=FaultPlan.parse("crash:rank=1,m=8"))
+            distributed_eta(h, part, scale, M, blk, mw, overlap=True,
+                            fault_plan=FaultPlan.parse("crash:rank=1,m=8"))
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
 
     def test_resume_is_bitwise(self, system, tmp_path):
@@ -294,9 +294,9 @@ class TestOverlapResilience:
                               overlap=True)
         p = tmp_path / "ck.npz"
         with pytest.raises(WorkerFailure):
-            mp_eta(h, part, scale, M, blk, MpWorld(2), overlap=True,
-                   fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
-                   checkpoint_every=3, checkpoint_path=p)
+            distributed_eta(h, part, scale, M, blk, MpWorld(2), overlap=True,
+                            fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
+                            checkpoint_every=3, checkpoint_path=p)
         ck = KpmCheckpoint.load(p)
         resumed = distributed_eta(h, part, scale, M, blk, MpWorld(2),
                                   overlap=True, resume_from=ck)
@@ -315,9 +315,9 @@ class TestOverlapResilience:
                               overlap=False)
         p = tmp_path / "ck.npz"
         with pytest.raises(WorkerFailure):
-            mp_eta(h, part, scale, M, blk, MpWorld(2), overlap=True,
-                   fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
-                   checkpoint_every=3, checkpoint_path=p)
+            distributed_eta(h, part, scale, M, blk, MpWorld(2), overlap=True,
+                            fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
+                            checkpoint_every=3, checkpoint_path=p)
         ck = KpmCheckpoint.load(p)
         resumed = distributed_eta(h, part, scale, M, blk, SimWorld(2),
                                   overlap=False, resume_from=ck)

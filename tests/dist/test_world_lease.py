@@ -30,7 +30,7 @@ from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.elastic import RebalancePolicy, elastic_eta
 from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.mp import MpWorld, mp_eta
+from repro.dist.mp import MpWorld
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
 from repro.obs import MetricsRegistry
@@ -122,9 +122,10 @@ def test_checkpoint_and_resume_on_leased_world(system, tmp_path):
     h, scale, blk, part = system
     ref = distributed_eta(h, part, scale, M, blk, SimWorld(2))
     with pytest.raises(WorkerFailure):
-        mp_eta(h, part, scale, M, blk, MpWorld(2),
-               fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
-               checkpoint_every=3, checkpoint_path=tmp_path / "ck.npz")
+        distributed_eta(h, part, scale, M, blk, MpWorld(2),
+                        fault_plan=FaultPlan.parse("crash:rank=0,m=8"),
+                        checkpoint_every=3,
+                        checkpoint_path=tmp_path / "ck.npz")
     ck = KpmCheckpoint.load(tmp_path / "ck.npz")
     assert ck.next_m == 7
     worlds = [MpWorld(2), MpWorld(2)]  # fresh after the crash, then leased
@@ -184,8 +185,8 @@ def test_crash_fails_as_before_and_next_lease_is_healthy(system):
     ref = solve(system, MpWorld(2))[0]
     mw = MpWorld(2)
     with pytest.raises(WorkerFailure, match="exit code") as ei:
-        mp_eta(h, part, scale, M, blk, mw,
-               fault_plan=FaultPlan.parse("crash:rank=1,m=5"))
+        distributed_eta(h, part, scale, M, blk, mw,
+                        fault_plan=FaultPlan.parse("crash:rank=1,m=5"))
     assert ei.value.kinds == {"death"}
     assert [(f.rank, f.exit_code) for f in ei.value.failures] == [(1, 3)]
     crashed = mw.last_pids

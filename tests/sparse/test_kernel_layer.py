@@ -3,7 +3,8 @@
 The NumPy backend (``sparse/backend/numpy_backend.py``) owns every NumPy
 kernel and the package's only SciPy product; ``sparse/fused.py`` holds
 what the backends share and no step kernel; a SELL matrix is stored in
-one layout.
+one layout; a native unit has eight kernels, and a task-mode phase is a
+row range, so none of them takes a row list.
 """
 
 import ast
@@ -67,3 +68,36 @@ def test_a_sell_matrix_has_one_layout(small_hermitian):
     m, _ = small_hermitian
     s = SellMatrix(m, chunk_height=8, sigma=16)
     assert not [k for k in vars(s) if k.startswith("_ell")]
+
+
+
+def test_eight_kernels_and_no_row_lists():
+    """A task-mode phase is a row range: a unit binds CSR and SELL
+    spmv/spmmv/aug_spmv/aug_spmmv, and no kernel takes a row list — the
+    int64 pointers are indptr (CSR), chunk_ptr/chunk_len/perm (SELL) and
+    an aug kernel's escape flag."""
+    from repro.sparse.backend import native
+
+    kinds = ("spmv", "spmmv", "aug_spmv", "aug_spmmv")
+    assert set(native._SIGNATURES) == {
+        f"repro_{fmt}_{kind}" for fmt in ("csr", "sell") for kind in kinds
+    }
+    for base, sig in native._SIGNATURES.items():
+        operands = sig[:-5] if "_aug_" in base else sig  # ...nssEEL
+        want = 1 if base.startswith("repro_csr") else 3
+        assert operands.count("L") == want, base
+
+
+def test_removed_split_api_stays_removed():
+    names = ["SplitKernelPlan", "take_rows", "mp_eta", "aug_spmv_interior",
+             "aug_spmv_boundary", "aug_spmv_split_step",
+             *(f"repro_csr_{kind}_{walk}" for kind in ("aug_spmv", "aug_spmmv")
+               for walk in ("range", "rows"))]
+    sources = [*_sources(), SRC / "sparse" / "backend" / "_kernels.c"]
+    offenders = [
+        (path.relative_to(SRC).as_posix(), name)
+        for path in sources
+        for name in names
+        if name in path.read_text()
+    ]
+    assert not offenders

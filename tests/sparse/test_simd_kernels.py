@@ -155,7 +155,7 @@ def _ragged_operator(n_rows, n_cols, seed=3):
 def _blocked_outputs(bk, A, V, W, prec, simd):
     """Every blocked kernel's outputs on (A, V, W), as (n, r, ...) /
     (r,) arrays keyed by kernel variant: plain, threads=2, spmmv and —
-    CSR only — the range + rows split pair at threads None and 2."""
+    CSR only — the interior + boundary split pair at threads None and 2."""
     from repro.dist.overlap import TaskSplit
 
     a, b = 0.3, 0.1
@@ -167,7 +167,8 @@ def _blocked_outputs(bk, A, V, W, prec, simd):
         w = W.copy()
         out["aug", threads] = (w, *bk.aug_spmmv_step(A, V, w, a, b, plan=plan))
         if isinstance(A, CSRMatrix) and n == A.n_cols:
-            split = TaskSplit(0, 64, np.r_[64:n], n, 0, 0)  # eta blocks
+            split = TaskSplit(row0=0, row1=64, n_rows=n, nnz_interior=0,
+                              nnz_boundary=0)  # eta blocks
             sp = bk.split_plan(A, split, r, precision=prec, threads=threads,
                                simd=simd)
             w = W.copy()

@@ -1,15 +1,17 @@
 """Split (task-mode) kernels: parity, accounting, fallback, allocation.
 
 The two-phase interior/boundary kernels must be drop-in replacements
-for the plain fused step *within a backend*: the W update is row-local,
-so running the phases in any order produces bitwise the plain result,
-and each phase reduces whole 64-row eta blocks, so the phases' bins add
-to the plain step's eta exactly.  Their Table-I charges must sum exactly to the plain charge
-(only the per-phase attribution differs), backends without split
-kernels must fail with a clear :class:`BackendError`, and the
-steady-state iteration must not allocate.
+for the plain fused step *within a backend*: each phase is the whole
+step's walk over one or two row ranges, the W update is row-local, so
+running the phases in any order produces bitwise the plain result, and
+each range reduces whole 64-row eta blocks, so the phases' bins add to
+the plain step's eta exactly.  Their Table-I charges must sum exactly
+to the plain charge (only the per-phase attribution differs), backends
+without split kernels must fail with a clear :class:`BackendError`,
+and the steady-state iteration must not allocate.
 """
 
+import functools
 import tracemalloc
 from types import SimpleNamespace
 
@@ -22,7 +24,7 @@ from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition
 from repro.sparse.backend import (
     KernelBackend,
-    SplitKernelPlan,
+    KernelPlan,
     available_backends,
     get_backend,
 )
@@ -39,6 +41,13 @@ def backend(request):
     if not available_backends()[request.param]:
         pytest.skip(f"{request.param} backend unavailable on this host")
     return request.param
+
+
+@functools.lru_cache(maxsize=None)
+def _ti_32():
+    from repro.physics import build_topological_insulator
+
+    return build_topological_insulator(32, 32, 8)
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +134,27 @@ class TestBlockParity:
         bk.aug_spmmv_split_step(blk.matrix, xbuf, ws, 0.37, 0.05, plan)
         assert np.array_equal(wp, ws)
 
+    @pytest.mark.parametrize("r", [1, 8])
+    def test_interior_strictly_inside(self, backend, r):
+        """Rank 1 of TI 32x32x8 in three 64-row aligned ranks has its
+        interior strictly inside the block: the boundary phase walks two
+        ranges, whose bins add to the plain step's."""
+        h, _ = _ti_32()
+        d = partition_matrix(h, RowPartition.equal(h.n_rows, 3, align=64))
+        blk = d.blocks[1]
+        s = task_split(blk)
+        assert 0 < s.row0 and s.row1 < s.n_rows  # the premise
+        bk = get_backend(backend)
+        xbuf, w0 = _rank_inputs(h, blk, r, np.random.default_rng(29))
+        wp, ws = w0.copy(), w0.copy()
+        ee_p, eo_p = bk.aug_spmmv_step(blk.matrix, xbuf, wp, 0.37, 0.05)
+        plan = bk.split_plan(blk.matrix, s, r)
+        assert plan.phases[1] == ((0, s.row0), (s.row1, s.n_rows))
+        ee_s, eo_s = bk.aug_spmmv_split_step(blk.matrix, xbuf, ws, 0.37,
+                                             0.05, plan)
+        assert np.array_equal(wp, ws)
+        assert np.array_equal(ee_s, ee_p) and np.array_equal(eo_s, eo_p)
+
     @pytest.mark.skipif(not native_available(), reason="no C compiler")
     def test_native_matches_numpy(self, dist):
         """Cross-backend parity (tolerance: FMA contraction differs)."""
@@ -149,7 +179,8 @@ class TestBlockParity:
 
 
 class TestVectorParity:
-    """The r=1 split step on a square operator with a synthetic split."""
+    """The one-column split step on a square operator with a synthetic
+    split whose boundary is two ranges."""
 
     def test_matches_plain_bitwise(self, backend):
         from repro.physics import build_topological_insulator
@@ -157,21 +188,18 @@ class TestVectorParity:
         h, _ = build_topological_insulator(6, 5, 4)
         scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
         n = h.n_rows  # 480: the interior is eta blocks 2-5
-        row0, row1 = 128, 384
-        boundary = np.concatenate(
-            [np.arange(row0), np.arange(row1, n)]
-        ).astype(np.int64)
-        split = SimpleNamespace(row0=row0, row1=row1, boundary=boundary)
+        split = SimpleNamespace(row0=128, row1=384)
         bk = get_backend(backend)
         rng = np.random.default_rng(11)
-        v = _block(rng, n, 1)[:, 0].copy()
-        w0 = _block(rng, n, 1)[:, 0].copy()
+        v = _block(rng, n, 1)
+        w0 = _block(rng, n, 1)
         wp, ws = w0.copy(), w0.copy()
-        ee_p, eo_p = bk.aug_spmv_step(h, v, wp, scale.a, scale.b)
+        ee_p, eo_p = bk.aug_spmmv_step(h, v, wp, scale.a, scale.b)
         plan = bk.split_plan(h, split, 1)
-        ee_s, eo_s = bk.aug_spmv_split_step(h, v, ws, scale.a, scale.b, plan)
+        ee_s, eo_s = bk.aug_spmmv_split_step(h, v, ws, scale.a, scale.b,
+                                             plan)
         assert np.array_equal(wp, ws)
-        assert ee_s == ee_p and eo_s == eo_p
+        assert np.array_equal(ee_s, ee_p) and np.array_equal(eo_s, eo_p)
 
 
 class TestAccounting:
@@ -192,14 +220,6 @@ class TestAccounting:
                 assert split.bytes_loaded == plain.bytes_loaded
                 assert split.bytes_stored == plain.bytes_stored
                 assert split.flops == plain.flops
-            plain, split = PerfCounters(), PerfCounters()
-            charge_aug(plain, "aug_spmv", *stream)
-            charge_aug(split, "aug_spmv_int", s.n_interior, s.nnz_interior,
-                       s_i)
-            charge_aug(split, "aug_spmv_bnd", s.n_boundary, s.nnz_boundary,
-                       s_i)
-            assert split.bytes_total == plain.bytes_total
-            assert split.flops == plain.flops
 
     def test_measured_exact_sum(self, dist, backend):
         h, d = dist
@@ -224,20 +244,18 @@ class TestFallback:
         from repro.physics import build_topological_insulator
 
         h, _ = build_topological_insulator(4, 4, 2)  # 128 rows
-        split = SimpleNamespace(row0=32, row1=h.n_rows,
-                                boundary=np.arange(32, dtype=np.int64))
+        split = SimpleNamespace(row0=32, row1=h.n_rows)
         with pytest.raises(BackendError, match="eta blocks"):
-            SplitKernelPlan(h, split, 1)
+            KernelPlan(h, 1, split=split)
 
     def test_sell_rejected(self):
         from repro.physics import build_topological_insulator
 
         h, _ = build_topological_insulator(4, 4, 2)
         s = SellMatrix(h, chunk_height=8, sigma=16)
-        split = SimpleNamespace(
-            row0=0, row1=h.n_rows, boundary=np.empty(0, dtype=np.int64))
+        split = SimpleNamespace(row0=0, row1=h.n_rows)
         with pytest.raises(BackendError, match="CSR"):
-            SplitKernelPlan(s, split, 1)
+            KernelPlan(s, 1, split=split)
 
     def test_backend_without_split_kernels(self, dist):
         """The base class fails loudly, naming the backend."""
@@ -257,7 +275,7 @@ class TestFallback:
         with pytest.raises(BackendError, match="split kernels"):
             Bare().aug_spmmv_interior(None, None, None, 0.0, 0.0, None)
         with pytest.raises(BackendError, match="split kernels"):
-            Bare().aug_spmv_boundary(None, None, None, 0.0, 0.0, None)
+            Bare().aug_spmmv_boundary(None, None, None, 0.0, 0.0, None)
 
 
 class TestNoAllocation:
@@ -290,7 +308,7 @@ class TestNoAllocation:
         # the two phases cost a constant few KB of ctypes/view wrappers;
         # materializing even the smallest phase buffer (one boundary
         # block) would at least double that, which is what we forbid
-        boundary_block = plan.n_boundary * r * np.dtype(DTYPE).itemsize
+        boundary_block = plan.phase_rows[1] * r * np.dtype(DTYPE).itemsize
         assert grew < boundary_block, \
             f"{grew} bytes allocated in the loop"
 

@@ -24,7 +24,7 @@ from repro.core.stochastic import ldos_moments, make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.elastic import MembershipPlan, RebalancePolicy, elastic_eta
 from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.mp import MpWorld, _Pool, mp_eta
+from repro.dist.mp import MpWorld, _Pool
 from repro.dist.partition import RowPartition
 from repro.dist.tune import TuneConfig, load_profiles, machine_signature
 from repro.physics import build_topological_insulator
@@ -59,8 +59,9 @@ def entry_points(system):
                                                   np.arange(2), **kw),
         "distributed_eta": lambda **kw: distributed_eta(
             h, part, scale, M, blk, SimWorld(2), **kw),
-        "mp_eta": lambda **kw: mp_eta(h, part, scale, M, blk, MpWorld(2),
-                                      **kw),
+        # the mp engine's entry: distributed_eta on an MpWorld
+        "mp_eta": lambda **kw: distributed_eta(h, part, scale, M, blk,
+                                               MpWorld(2), **kw),
         "elastic_eta": lambda **kw: elastic_eta(h, scale, M, blk,
                                                 n_workers=2, **kw),
         "Supervisor.run_eta": lambda **kw: Supervisor().run_eta(
@@ -136,7 +137,7 @@ RUN_CONTROLS = {"checkpoint_every", "checkpoint_path", "resume_from",
 #: which attempt a fault fires on or ran, rather than carrying one.
 RUN_CONTROL_SCOPES = {
     "RunContext", "Resilience", "Supervisor", "FaultInjector",
-    "checkpointed_eta", "distributed_eta", "mp_eta", "elastic_eta",
+    "checkpointed_eta", "distributed_eta", "elastic_eta",
     "FaultSpec", "FaultPlan", "AttemptRecord", "SegmentRecord",
 }
 
