@@ -4,7 +4,7 @@ Every ``repro`` package ``__init__`` declares its public names with
 :func:`lazy_exports` instead of importing the submodules that define
 them, so the import graph of a run follows its call graph: ``from
 repro.core import KPMSolver`` loads ``repro.core.solver`` and what that
-needs, not the other eleven ``repro.core`` modules (DESIGN, "import
+needs, not the other eight ``repro.core`` modules (DESIGN, "import
 graph").  PEP 562 semantics — a miss in the module dict resolves the
 name and caches it there — carried on the module's class rather than a
 module-level ``__getattr__``, because three exports share their

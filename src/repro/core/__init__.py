@@ -10,8 +10,8 @@ Layers (bottom-up):
   coefficients g_m.
 * :mod:`repro.core.reconstruct` — Chebyshev series -> rho(E), local DOS,
   spectral function A(k, E).
-* :mod:`repro.core.stochastic` — random block vectors and trace
-  estimation statistics.
+* :mod:`repro.core.stochastic` — random block vectors and the
+  stochastic LDOS estimator.
 * :mod:`repro.core.solver` — the user-facing :class:`KPMSolver`.
 """
 
@@ -22,17 +22,12 @@ __all__ = lazy_exports(__name__, {
                 "lanczos_scale"),
     "damping": ("jackson_kernel", "lorentz_kernel", "dirichlet_kernel",
                 "get_kernel"),
-    "moments": ("MomentEngine", "compute_eta", "eta_to_moments",
-                "compute_dos_moments"),
-    "stochastic": ("make_block_vector", "trace_from_moments"),
+    "moments": ("MomentEngine", "compute_eta", "eta_to_moments"),
+    "stochastic": ("make_block_vector",),
     "reconstruct": ("reconstruct_chebyshev", "reconstruct_dos",
                     "chebyshev_grid"),
     "solver": ("KPMSolver", "DOSResult", "LDOSResult",
                "SpectralFunctionResult"),
-    "adaptive": ("adaptive_trace_moments", "moments_for_resolution",
-                 "resolution_for_moments"),
-    "greens": ("greens_function", "greens_function_energy", "dos_from_greens"),
     "evolution": ("evolve", "autocorrelation", "chebyshev_expansion_order"),
-    "filters": ("apply_filter", "filtered_subspace", "window_coefficients"),
     "checkpoint": ("KpmCheckpoint", "checkpointed_eta"),
 })

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.recurrence import chebyshev_series
+from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
@@ -84,7 +84,11 @@ def evolve(
     weights = 2.0 * jv(m, tau) * np.array([1.0, -1j * sgn, -1.0, 1j * sgn])[m % 4]
     weights[0] /= 2.0
 
-    out = chebyshev_series(H, scale.a, scale.b, psi, weights, counters)
+    rec = Recurrence(H, scale.a, scale.b, psi.shape[1], counters=counters)
+    rec.load(psi)
+    out = np.zeros_like(rec.v)
+    for weight, nu in zip(weights, rec.iterates(order)):
+        out += weight * nu
     out *= np.exp(-1j * scale.b * t)
     return out[:, 0] if single else out
 

@@ -144,27 +144,3 @@ def eta_to_moments(eta: np.ndarray) -> np.ndarray:
     mu[..., 2::2] -= eta[..., 0:1]
     mu[..., 3::2] -= eta[..., 1:2]
     return mu
-
-
-def compute_dos_moments(
-    H: CSRMatrix | SellMatrix,
-    scale: SpectralScale,
-    n_moments: int,
-    start_block: np.ndarray,
-    engine: MomentEngine | str = MomentEngine.AUG_SPMMV,
-    counters: PerfCounters = NULL_COUNTERS,
-    *,
-    metrics: MetricsRegistry = NULL_METRICS,
-    config: ExecConfig | None = None,
-    **knobs,
-) -> np.ndarray:
-    """Stochastic-trace DOS moments mu_m ~= tr[T_m(H~)].
-
-    Averages the per-vector moments over the R start vectors:
-    tr[A] ~= (1/R) sum_r <v_r|A|v_r> for iid random vectors with
-    E[v v^H] = Identity (paper Section II). Returns a real (M,) array.
-    """
-    eta = compute_eta(H, scale, n_moments, start_block, engine, counters,
-                      metrics=metrics, config=ExecConfig.of(config, knobs))
-    mu = eta_to_moments(eta)
-    return mu.mean(axis=0).real

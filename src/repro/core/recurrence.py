@@ -279,9 +279,9 @@ class Recurrence:
     def advance(self) -> np.ndarray:
         """One *unfused* iteration (SpM(M)V + recombination, no dots).
 
-        For the consumers that need every ``nu_m`` itself — LDOS, the
-        Chebyshev propagator, spectral filters.  They are serial, so the
-        swap happens here and nothing refreshes a halo in between.
+        For the consumers that need every ``nu_m`` itself — LDOS and the
+        Chebyshev propagator.  They are serial, so the swap happens here
+        and nothing refreshes a halo in between.
         Returns the new iterate (``w``), valid until the next call.
         """
         self.swap()
@@ -311,20 +311,3 @@ class Recurrence:
             yield self.w
         for _ in range(2, n):
             yield self.advance()
-
-
-def chebyshev_series(
-    H, a: float, b: float, block: np.ndarray, weights: np.ndarray,
-    counters: PerfCounters = NULL_COUNTERS,
-) -> np.ndarray:
-    """``sum_m weights[m] T_m(a (H - b)) block`` on the default backend.
-
-    The expansion shared by the Chebyshev propagator and the spectral
-    filters (Weisse et al., Rev. Mod. Phys. 78): only the weights differ.
-    """
-    rec = Recurrence(H, a, b, block.shape[1], counters=counters)
-    rec.load(block)
-    out = np.zeros_like(rec.v)
-    for weight, nu in zip(weights, rec.iterates(len(weights))):
-        out += weight * nu
-    return out

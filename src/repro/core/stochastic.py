@@ -1,9 +1,8 @@
-"""Stochastic estimators: random block vectors, trace statistics, LDOS.
+"""Stochastic estimators: random block vectors, LDOS.
 
 KPM approximates traces by averaging over R random vectors,
 ``tr[A] ~= (1/R) sum_r <v_r|A|v_r>`` (paper Section II). This module
-provides the vector ensembles, error estimates for the trace, and the
-stochastic *diagonal* estimator used for site-resolved LDOS maps
+provides the vector ensembles and the stochastic *diagonal* estimator used for site-resolved LDOS maps
 (paper Fig. 2, left panel).
 """
 
@@ -76,31 +75,6 @@ def unit_block_vector(n: int, sites: np.ndarray) -> np.ndarray:
     block = np.zeros((n, sites.size), dtype=DTYPE)
     block[sites, np.arange(sites.size)] = 1.0
     return block
-
-
-def trace_from_moments(mu_per_vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the stochastic trace over R vectors.
-
-    Parameters
-    ----------
-    mu_per_vector:
-        (R, M) per-vector moment estimates.
-
-    Returns
-    -------
-    (mean, stderr):
-        Both (M,); ``stderr`` is the standard error of the mean
-        (zero when R == 1, where no error estimate is possible).
-    """
-    mu = np.asarray(mu_per_vector)
-    if mu.ndim != 2:
-        raise ShapeError(f"expected (R, M) moments, got shape {mu.shape}")
-    r = mu.shape[0]
-    mean = mu.mean(axis=0)
-    if r < 2:
-        return mean, np.zeros_like(mean, dtype=float)
-    stderr = mu.std(axis=0, ddof=1) / np.sqrt(r)
-    return mean, stderr
 
 
 def ldos_moments(

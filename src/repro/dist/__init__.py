@@ -21,7 +21,7 @@ __all__ = lazy_exports(__name__, {
     "comm": ("SimWorld", "MessageLog", "MessageRecord"),
     "partition": ("RowPartition", "weights_from_performance"),
     "halo": ("CommPattern", "DistributedMatrix", "partition_matrix"),
-    "kpm_parallel": ("distributed_eta", "distributed_dos_moments"),
+    "kpm_parallel": ("distributed_eta",),
     "network": ("NetworkModel", "CRAY_ARIES"),
     "elastic": ("RebalancePolicy", "RebalanceMonitor", "MembershipPlan",
                 "MembershipEvent", "ElasticReport", "elastic_eta",

@@ -414,26 +414,3 @@ def distributed_dos(
         mu, scale, n_points=pts, kernel=kernel
     )
     return DOSResult(energies, rho, mu, scale, n_vectors, kernel)
-
-
-def distributed_dos_moments(
-    A: CSRMatrix | DistributedMatrix,
-    partition: RowPartition | None,
-    scale: SpectralScale,
-    n_moments: int,
-    start_block: np.ndarray,
-    world,
-    *,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
-    config: ExecConfig | None = None,
-    **knobs,
-) -> np.ndarray:
-    """Distributed stochastic-trace moments (mean over the R vectors)."""
-    from repro.core.moments import eta_to_moments
-
-    eta = distributed_eta(
-        A, partition, scale, n_moments, start_block, world, counters=counters,
-        metrics=metrics, config=config, **knobs,
-    )
-    return eta_to_moments(eta).mean(axis=0).real

@@ -13,8 +13,7 @@ from repro._lazy import lazy_exports
 __all__ = lazy_exports(__name__, {
     "dirac": ("GAMMA", "gamma_matrices", "check_clifford"),
     "lattice": ("Lattice3D",),
-    "potentials": ("zero_potential", "dot_superlattice_potential",
-                   "disorder_potential", "single_dot_potential"),
+    "potentials": ("dot_superlattice_potential",),
     "hamiltonian": ("TopologicalInsulatorModel",
                     "build_topological_insulator"),
     "graphene": ("GrapheneModel", "build_graphene_dot_lattice"),

@@ -3,7 +3,7 @@
 The paper's application decorates the topological insulator with "an
 external electric potential V_n that is used to create a superlattice
 structure of quantum dots" (Fig. 2: dot strength V_dot = 0.153, dot
-spacing D = 100). All generators return one real value per lattice site in
+spacing D = 100). The generator returns one real value per lattice site in
 linear-index order; the Hamiltonian assembler multiplies by Gamma_0.
 """
 
@@ -12,51 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.physics.lattice import Lattice3D
-from repro.util.rng import make_rng
 from repro.util.validation import check_positive
-
-
-def zero_potential(lattice: Lattice3D) -> np.ndarray:
-    """The clean system: V_n = 0 everywhere."""
-    return np.zeros(lattice.n_sites)
-
-
-def single_dot_potential(
-    lattice: Lattice3D,
-    v_dot: float,
-    radius: float,
-    center: tuple[float, float] | None = None,
-    *,
-    surface_only: bool = True,
-    smooth: bool = False,
-) -> np.ndarray:
-    """One cylindrical quantum dot of strength ``v_dot``.
-
-    The dot is a disk of the given ``radius`` in the x-y plane around
-    ``center`` (domain center by default). ``surface_only`` restricts the
-    potential to the z = 0 surface layer, the physically relevant case for
-    gating a topological-insulator film; ``smooth`` applies a Gaussian
-    profile instead of a hard wall (softer dots host better-defined
-    dot-bound states, cf. Ref. [21]).
-    """
-    check_positive("radius", radius)
-    x, y, z = lattice.all_coords()
-    cx, cy = center if center is not None else ((lattice.nx - 1) / 2.0, (lattice.ny - 1) / 2.0)
-    # minimum-image distance on the periodic x/y torus
-    dx = np.abs(x - cx)
-    dy = np.abs(y - cy)
-    if lattice.pbc[0]:
-        dx = np.minimum(dx, lattice.nx - dx)
-    if lattice.pbc[1]:
-        dy = np.minimum(dy, lattice.ny - dy)
-    d2 = dx**2 + dy**2
-    if smooth:
-        v = v_dot * np.exp(-0.5 * d2 / radius**2)
-    else:
-        v = np.where(d2 <= radius**2, v_dot, 0.0)
-    if surface_only:
-        v = np.where(z == 0, v, 0.0)
-    return v
 
 
 def dot_superlattice_potential(
@@ -92,19 +48,3 @@ def dot_superlattice_potential(
     if surface_only:
         v = np.where(z == 0, v, 0.0)
     return v
-
-
-def disorder_potential(
-    lattice: Lattice3D,
-    strength: float,
-    seed: int | None | np.random.Generator = None,
-) -> np.ndarray:
-    """Uncorrelated (Anderson) disorder, uniform in [-strength/2, strength/2].
-
-    Used by tests and the ablation benches to break translational symmetry
-    completely (the paper notes the dot superlattice already removes it).
-    """
-    if strength < 0:
-        raise ValueError(f"disorder strength must be >= 0, got {strength}")
-    rng = make_rng(seed)
-    return rng.uniform(-0.5 * strength, 0.5 * strength, size=lattice.n_sites)

@@ -28,7 +28,7 @@ __all__ = lazy_exports(__name__, {
     "csr": ("CSRMatrix",),
     "sell": ("SellMatrix",),
     "blas1": ("axpy", "scal", "dot", "nrm2_sq"),
-    "io": ("read_matrix_market", "write_matrix_market"),
+    "io": ("read_matrix_market",),
     "stats": ("analyze", "stencil_reuse_rows", "row_length_histogram"),
     "backend": ("BACKEND_CHOICES", "KernelBackend", "KernelPlan",
                 "available_backends", "get_backend"),

@@ -1,9 +1,10 @@
-"""Matrix import/export: MatrixMarket coordinate format.
+"""Matrix import: MatrixMarket coordinate format.
 
 Downstream users of the original GHOST library feed matrices from disk;
 this module provides the same capability with the standard MatrixMarket
-(.mtx) exchange format — enough to round-trip every matrix this package
-produces (complex/real general/hermitian/symmetric, coordinate layout).
+(.mtx) exchange format — every coordinate field (real, complex, integer,
+pattern) and symmetry (general, symmetric, hermitian, skew-symmetric),
+read into a :class:`~repro.sparse.csr.CSRMatrix` (``repro dos --mtx``).
 """
 
 from __future__ import annotations
@@ -17,46 +18,6 @@ from repro.util.errors import FormatError
 
 _FIELDS = {"real", "complex", "integer", "pattern"}
 _SYMMETRIES = {"general", "symmetric", "hermitian", "skew-symmetric"}
-
-
-def write_matrix_market(
-    A: CSRMatrix,
-    path: str | Path,
-    *,
-    symmetry: str = "general",
-    comment: str = "",
-) -> None:
-    """Write ``A`` in MatrixMarket coordinate format.
-
-    ``symmetry='hermitian'`` stores only the lower triangle (including
-    the diagonal) and is only valid for Hermitian matrices — the usual
-    compact form for the TI Hamiltonian.
-    """
-    if symmetry not in ("general", "hermitian", "symmetric"):
-        raise ValueError(f"unsupported symmetry {symmetry!r}")
-    rows = np.repeat(np.arange(A.n_rows), A.nnz_per_row)
-    cols = A.indices.astype(np.int64)
-    vals = A.data
-    if symmetry in ("hermitian", "symmetric"):
-        if A.n_rows != A.n_cols:
-            raise FormatError(f"{symmetry} output requires a square matrix")
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    is_complex = bool(np.abs(vals.imag).max()) if vals.size else False
-    field = "complex" if is_complex else "real"
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate {field} {symmetry}\n")
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{A.n_rows} {A.n_cols} {rows.size}\n")
-        if is_complex:
-            for r, c, v in zip(rows.tolist(), cols.tolist(), vals):
-                fh.write(f"{r + 1} {c + 1} {v.real:.17g} {v.imag:.17g}\n")
-        else:
-            for r, c, v in zip(rows.tolist(), cols.tolist(), vals.real):
-                fh.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
 def read_matrix_market(path: str | Path) -> CSRMatrix:

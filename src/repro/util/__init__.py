@@ -14,8 +14,8 @@ __all__ = lazy_exports(__name__, {
                   "BYTES_PER_GB"),
     "counters": ("PerfCounters", "NULL_COUNTERS"),
     "knobs": ("ExecConfig",),
-    "rng": ("make_rng", "spawn_rngs"),
+    "rng": ("make_rng",),
     "timing": ("Timer",),
-    "validation": ("check_positive", "check_nonnegative", "check_in_range",
+    "validation": ("check_positive", "check_in_range",
                    "check_vector", "check_block_vector"),
 })

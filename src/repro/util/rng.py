@@ -1,10 +1,8 @@
 """Deterministic random-number-generator helpers.
 
 KPM's stochastic trace estimation needs R independent random initial
-vectors (paper Section II).  In the distributed driver each simulated rank
-additionally needs an independent stream that is *reproducible* regardless
-of the number of ranks.  Both needs are served by NumPy's ``SeedSequence``
-spawning, wrapped here so that every call site creates generators the same
+vectors (paper Section II).  The ensembles are drawn from NumPy
+generators, created here so that every call site makes them the same
 way.
 """
 
@@ -23,19 +21,6 @@ def make_rng(seed: int | None | np.random.Generator = None) -> np.random.Generat
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(seed: int | None, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent child generators from ``seed``.
-
-    The children are derived via ``SeedSequence.spawn`` so that
-    ``spawn_rngs(seed, n)[i]`` is stable across runs and across different
-    values of ``n`` for ``i < n``.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of rngs: {n}")
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
 def random_phase_vector(

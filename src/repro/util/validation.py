@@ -13,12 +13,6 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def check_nonnegative(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
-
-
 def check_in_range(name: str, value, lo, hi) -> None:
     """Raise ``ValueError`` unless ``lo <= value <= hi``."""
     if not (lo <= value <= hi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.damping import jackson_kernel
-from repro.core.moments import compute_dos_moments
+from repro.core.moments import compute_eta, eta_to_moments
 from repro.core.reconstruct import (
     _dct3_twiddle,
     chebyshev_grid,
@@ -119,7 +119,7 @@ class TestDosReconstruction:
         h, _ = ti_small
         scale = lanczos_scale(h, seed=0)
         blk = make_block_vector(h.n_rows, 32, seed=1)
-        mu = compute_dos_moments(h, scale, 128, blk)
+        mu = eta_to_moments(compute_eta(h, scale, 128, blk)).mean(axis=0).real
         e, rho = reconstruct_dos(mu, scale, n_points=512)
         total = integrate_density(e, rho)
         assert total == pytest.approx(h.n_rows, rel=0.03)

@@ -7,7 +7,6 @@ from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import (
     ldos_moments,
     make_block_vector,
-    trace_from_moments,
     unit_block_vector,
 )
 from repro.util.errors import ShapeError
@@ -51,20 +50,6 @@ class TestBlockVectors:
 
 
 class TestTraceStats:
-    def test_mean_and_stderr(self):
-        mu = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        mean, err = trace_from_moments(mu)
-        assert np.allclose(mean, [3.0, 4.0])
-        assert np.allclose(err, np.std(mu, axis=0, ddof=1) / np.sqrt(3))
-
-    def test_single_vector_no_error(self):
-        mean, err = trace_from_moments(np.array([[1.0, 2.0]]))
-        assert np.all(err == 0)
-
-    def test_shape_checked(self):
-        with pytest.raises(ShapeError):
-            trace_from_moments(np.ones(5))
-
     def test_stderr_shrinks_with_r(self, ti_small):
         from repro.core.moments import compute_eta, eta_to_moments
 
@@ -74,8 +59,7 @@ class TestTraceStats:
         for r in (8, 64):
             blk = make_block_vector(h.n_rows, r, seed=1)
             mu = eta_to_moments(compute_eta(h, scale, 8, blk)).real
-            _, err = trace_from_moments(mu)
-            errs.append(err[2])
+            errs.append(mu[:, 2].std(ddof=1) / np.sqrt(r))
         assert errs[1] < errs[0]
 
 

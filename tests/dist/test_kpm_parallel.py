@@ -8,7 +8,7 @@ from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
-from repro.dist.kpm_parallel import distributed_dos_moments, distributed_eta
+from repro.dist.kpm_parallel import distributed_eta
 from repro.dist.partition import RowPartition
 from repro.sparse.backend.native import native_available
 from repro.util.errors import SimulationError
@@ -73,7 +73,8 @@ class TestEquivalence:
     def test_dos_moments_match(self, system):
         h, scale, blk, ref = system
         part = RowPartition.equal(h.n_rows, 3, align=64)
-        mu = distributed_dos_moments(h, part, scale, 24, blk, SimWorld(3))
+        eta = distributed_eta(h, part, scale, 24, blk, SimWorld(3))
+        mu = eta_to_moments(eta).mean(axis=0).real
         assert np.array_equal(mu, eta_to_moments(ref).mean(axis=0).real)
 
 

@@ -24,7 +24,6 @@ CASES = [
                          "--vectors", "4"]),
     ("time_evolution.py", ["--nx", "6", "--nz", "2", "--tmax", "2",
                            "--steps", "3"]),
-    ("spectral_filter.py", ["--nx", "4", "--nz", "2", "--order", "512"]),
 ]
 
 

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.moments import compute_dos_moments, compute_eta, eta_to_moments
+from repro.core.moments import compute_eta, eta_to_moments
 from repro.core.reconstruct import integrate_density, reconstruct_dos
 from repro.core.scaling import SpectralScale, lanczos_scale
 from repro.core.stochastic import make_block_vector
 from repro.physics import build_topological_insulator
 from repro.physics.graphene import build_graphene_dot_lattice
 from repro.sparse.csr import CSRMatrix
+
+
+def _trace_moments(h, scale, n_moments, blk):
+    """Stochastic-trace moments: the per-vector moments averaged over R."""
+    return eta_to_moments(compute_eta(h, scale, n_moments, blk)).mean(axis=0).real
 
 
 class TestParticleHoleSymmetry:
@@ -30,7 +35,7 @@ class TestParticleHoleSymmetry:
         from repro.core.stochastic import unit_block_vector
 
         blk = unit_block_vector(n, np.arange(n))
-        mu = compute_dos_moments(h, scale, 16, blk) * n
+        mu = _trace_moments(h, scale, 16, blk) * n
         assert np.allclose(mu[1::2], 0.0, atol=1e-8 * n)
         assert mu[0] == pytest.approx(n)
 
@@ -38,7 +43,7 @@ class TestParticleHoleSymmetry:
         h, model = build_graphene_dot_lattice(12, 12)
         scale = SpectralScale.from_bounds(-3.3, 3.3)
         blk = make_block_vector(h.n_rows, 64, seed=0)
-        mu = compute_dos_moments(h, scale, 128, blk)
+        mu = _trace_moments(h, scale, 128, blk)
         e = np.linspace(-2.8, 2.8, 81)
         _, rho = reconstruct_dos(mu, scale, energies=e)
         # stochastic noise bound: the symmetric part dominates
@@ -55,7 +60,7 @@ class TestSumRules:
             h = builder()
             scale = lanczos_scale(h, seed=0)
             blk = make_block_vector(h.n_rows, 24, seed=1)
-            mu = compute_dos_moments(h, scale, 96, blk)
+            mu = _trace_moments(h, scale, 96, blk)
             e, rho = reconstruct_dos(mu, scale, n_points=512)
             assert integrate_density(e, rho) == pytest.approx(
                 h.n_rows, rel=0.04
@@ -71,7 +76,7 @@ class TestSumRules:
         from repro.core.stochastic import unit_block_vector
 
         n = h.n_rows
-        mu = compute_dos_moments(
+        mu = _trace_moments(
             h, scale, 4, unit_block_vector(n, np.arange(n))
         ) * n
         assert abs(mu[1]) < 1e-8 * n
@@ -90,8 +95,8 @@ class TestInvariances:
             a=scale_a.a, b=scale_a.b + shift,
             emin=scale_a.emin + shift, emax=scale_a.emax + shift,
         )
-        mu_a = compute_dos_moments(h, scale_a, 32, blk)
-        mu_b = compute_dos_moments(h_shifted, scale_b, 32, blk)
+        mu_a = _trace_moments(h, scale_a, 32, blk)
+        mu_b = _trace_moments(h_shifted, scale_b, 32, blk)
         assert np.allclose(mu_a, mu_b, atol=1e-9 * h.n_rows)
 
     def test_moments_bounded_by_mu0(self):
@@ -101,7 +106,7 @@ class TestInvariances:
         from repro.core.stochastic import unit_block_vector
 
         n = h.n_rows
-        mu = compute_dos_moments(
+        mu = _trace_moments(
             h, scale, 64, unit_block_vector(n, np.arange(n))
         )
         assert np.all(np.abs(mu[1:]) <= mu[0] + 1e-9)

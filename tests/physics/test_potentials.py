@@ -1,69 +1,10 @@
-"""Quantum-dot and disorder potentials."""
+"""The quantum-dot superlattice potential."""
 
 import numpy as np
 import pytest
 
 from repro.physics.lattice import Lattice3D
-from repro.physics.potentials import (
-    disorder_potential,
-    dot_superlattice_potential,
-    single_dot_potential,
-    zero_potential,
-)
-
-
-@pytest.fixture
-def lat():
-    return Lattice3D(20, 20, 4)
-
-
-class TestZero:
-    def test_all_zero(self, lat):
-        v = zero_potential(lat)
-        assert v.shape == (lat.n_sites,)
-        assert np.all(v == 0)
-
-
-class TestSingleDot:
-    def test_surface_only(self, lat):
-        v = single_dot_potential(lat, 1.0, radius=4.0)
-        _, _, z = lat.all_coords()
-        assert np.all(v[z > 0] == 0)
-        assert np.any(v[z == 0] != 0)
-
-    def test_bulk_dot(self, lat):
-        v = single_dot_potential(lat, 1.0, radius=4.0, surface_only=False)
-        _, _, z = lat.all_coords()
-        assert np.any(v[z == 3] != 0)
-
-    def test_value_inside(self, lat):
-        v = single_dot_potential(lat, 0.7, radius=3.0, center=(10, 10))
-        idx = lat.site_index(10, 10, 0)
-        assert v[idx] == pytest.approx(0.7)
-
-    def test_outside_zero(self, lat):
-        v = single_dot_potential(lat, 0.7, radius=2.0, center=(10, 10))
-        idx = lat.site_index(0, 0, 0)  # far away (minimum-image dist 10√2)
-        assert v[idx] == 0.0
-
-    def test_periodic_minimum_image(self):
-        lat = Lattice3D(20, 20, 1, pbc=(True, True, False))
-        v = single_dot_potential(lat, 1.0, radius=3.0, center=(0, 0))
-        # site at (19, 0) is distance 1 through the periodic wrap
-        assert v[lat.site_index(19, 0, 0)] == 1.0
-
-    def test_smooth_profile_decays(self, lat):
-        v = single_dot_potential(
-            lat, 1.0, radius=3.0, center=(10, 10), smooth=True
-        )
-        c = v[lat.site_index(10, 10, 0)]
-        mid = v[lat.site_index(13, 10, 0)]
-        far = v[lat.site_index(19, 10, 0)]
-        assert c > mid > far >= 0
-
-    def test_radius_validated(self, lat):
-        with pytest.raises(ValueError):
-            single_dot_potential(lat, 1.0, radius=0.0)
+from repro.physics.potentials import dot_superlattice_potential
 
 
 class TestSuperlattice:
@@ -96,23 +37,29 @@ class TestSuperlattice:
         assert np.all(v[z != 0] == 0)
 
 
-class TestDisorder:
-    def test_range(self):
-        lat = Lattice3D(10, 10, 2)
-        v = disorder_potential(lat, strength=2.0, seed=0)
-        assert np.all(np.abs(v) <= 1.0)
+    def test_bulk_dot(self):
+        lat = Lattice3D(20, 20, 3)
+        v = dot_superlattice_potential(lat, v_dot=1.0, spacing=10,
+                                       surface_only=False)
+        _, _, z = lat.all_coords()
+        assert np.any(v[z == 2] != 0)
+        assert np.array_equal(v[z == 2], v[z == 0])
 
-    def test_reproducible(self):
-        lat = Lattice3D(10, 10, 2)
-        assert np.allclose(
-            disorder_potential(lat, 1.0, seed=5),
-            disorder_potential(lat, 1.0, seed=5),
-        )
+    def test_smooth_profile_decays(self):
+        lat = Lattice3D(20, 20, 1)
+        hard = dot_superlattice_potential(lat, 1.0, spacing=10, radius=2.0)
+        soft = dot_superlattice_potential(lat, 1.0, spacing=10, radius=2.0,
+                                          smooth=True)
+        assert soft.max() == pytest.approx(1.0)
+        # a Gaussian of width radius: >= exp(-1/2) inside the hard-wall
+        # disk, below it outside, never zero
+        assert np.all(soft[hard != 0] >= np.exp(-0.5))
+        assert np.all(soft[hard == 0] < np.exp(-0.5))
+        assert np.all(soft > 0)
 
-    def test_zero_strength(self):
-        lat = Lattice3D(4, 4, 1)
-        assert np.all(disorder_potential(lat, 0.0, seed=1) == 0)
-
-    def test_negative_strength_rejected(self):
+    def test_radius_validated(self):
+        lat = Lattice3D(10, 10, 1)
         with pytest.raises(ValueError):
-            disorder_potential(Lattice3D(2, 2, 1), -1.0)
+            dot_superlattice_potential(lat, radius=0.0)
+        with pytest.raises(ValueError):
+            dot_superlattice_potential(lat, spacing=0)

@@ -18,7 +18,6 @@ from repro.util.timing import Timer, gflops
 from repro.util.validation import (
     check_block_vector,
     check_in_range,
-    check_nonnegative,
     check_positive,
     check_vector,
 )
@@ -72,11 +71,6 @@ class TestValidation:
         check_positive("x", 1)
         with pytest.raises(ValueError, match="x must be positive"):
             check_positive("x", 0)
-
-    def test_check_nonnegative(self):
-        check_nonnegative("x", 0)
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -1)
 
     def test_check_in_range(self):
         check_in_range("x", 0.5, 0, 1)

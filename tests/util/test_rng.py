@@ -1,4 +1,4 @@
-"""Random-vector ensembles and generator spawning."""
+"""Random-vector ensembles and generator creation."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.util.rng import (
     make_rng,
     rademacher_vector,
     random_phase_vector,
-    spawn_rngs,
 )
 
 
@@ -22,22 +21,6 @@ class TestMakeRng:
     def test_passthrough_generator(self):
         g = np.random.default_rng(0)
         assert make_rng(g) is g
-
-
-class TestSpawn:
-    def test_stable_across_n(self):
-        a = spawn_rngs(42, 3)
-        b = spawn_rngs(42, 5)
-        for x, y in zip(a, b):
-            assert x.integers(1 << 30) == y.integers(1 << 30)
-
-    def test_children_differ(self):
-        a, b = spawn_rngs(1, 2)
-        assert a.integers(1 << 30) != b.integers(1 << 30)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
 
 
 class TestEnsembles:
