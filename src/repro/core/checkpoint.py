@@ -364,9 +364,9 @@ def checkpointed_eta(
     *is* this function with checkpoints off; ``config``/knobs are the
     kernel knobs of :class:`~repro.util.knobs.ExecConfig`, the other
     keywords the run controls of :class:`RunContext` (DESIGN §17).  A
-    resume is bit-exact under any one ``backend``; checkpoints are plain
-    recurrence state, so a run interrupted on one backend can resume on
-    another, matching to that backend's arithmetic.
+    resume is bit-exact; checkpoints are plain recurrence state and the
+    backends round alike, so a run interrupted on one backend resumes on
+    another with the same bits.
     """
     return run_serial(
         ExecConfig.of(config, knobs),

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.core.checkpoint import RunContext, run_serial
+from repro.core.checkpoint import checkpointed_eta
 from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
@@ -110,8 +110,9 @@ def compute_eta(
         )
     if engine is MomentEngine.AUG_SPMMV:
         # stage 2 is the checkpointable serial driver with checkpoints off
-        return run_serial(cfg, RunContext(counters=counters, metrics=metrics),
-                          H, scale, n_moments, start_block)
+        return checkpointed_eta(H, scale, n_moments, start_block,
+                                counters=counters, metrics=metrics,
+                                config=cfg)
     # stages 0/1: one single-vector recurrence, re-loaded per column
     rec = Recurrence(H, scale.a, scale.b, 1, kernel=engine.value, config=cfg,
                      counters=counters, metrics=metrics)

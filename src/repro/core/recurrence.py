@@ -295,12 +295,13 @@ class Recurrence:
             prec.decode(self._uh, out=self._u)
             prec.decode(self.v, out=vc)
             prec.decode(self.w, out=wc)
-            _recombine(wc, self._u, vc, self.a, self.b)
+            _recombine(wc, self._u, vc, self.a, self.b, self._work)
             prec.encode(wc, out=self.w)
         else:
             self._apply(self.A, self.x, out=self._u, plan=self._plan,
                         **self._obs)
-            _recombine(self.w, self._u, self.v, self.a, self.b)
+            _recombine(self.w, self._u, self.v, self.a, self.b,
+                       self._work)
         return self.w
 
     def iterates(self, n: int):

@@ -25,8 +25,7 @@ __all__ = lazy_exports(__name__, {
     "network": ("NetworkModel", "CRAY_ARIES"),
     "elastic": ("RebalancePolicy", "RebalanceMonitor", "MembershipPlan",
                 "MembershipEvent", "ElasticReport", "elastic_eta",
-                "resolve_rebalance", "autotune_weights", "throughput_timer",
-                "AutotuneResult"),
+                "resolve_rebalance", "autotune_weights", "AutotuneResult"),
     "tune": ("TuneConfig", "TuneSpace", "TuneResult", "tune", "lookup",
              "save_profile"),
     "overlap": ("TaskSplit", "task_split", "exposed_communication_time"),

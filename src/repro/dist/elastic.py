@@ -89,7 +89,6 @@ __all__ = [
     "elastic_eta",
     "AutotuneResult",
     "autotune_weights",
-    "throughput_timer",
 ]
 
 
@@ -319,18 +318,6 @@ class AutotuneResult:
         a converged result reports ``imbalance(times) <= tolerance`` for
         its final round."""
         return _spread(times)
-
-
-def throughput_timer(gflops_per_rank: list[float], flops_per_row: float) -> TimerFn:
-    """Timing callback backed by per-rank Gflop/s (model or measured)."""
-    rates = np.asarray(gflops_per_rank, dtype=float)
-    if np.any(rates <= 0):
-        raise PartitionError("rank performance must be positive")
-
-    def timer(rank: int, n_rows: int) -> float:
-        return n_rows * flops_per_row / (rates[rank] * 1e9)
-
-    return timer
 
 
 def autotune_weights(

@@ -357,60 +357,3 @@ def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
                           "allreduce_final")
         return run.splice(bins, run.n_moments, run.n_moments)
 
-
-def distributed_dos(
-    A: CSRMatrix | DistributedMatrix,
-    partition: RowPartition | None,
-    n_moments: int,
-    n_vectors: int,
-    world,
-    *,
-    scale: SpectralScale | None = None,
-    seed: int | None = None,
-    kernel: str = "jackson",
-    n_points: int | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
-    config: ExecConfig | None = None,
-    **knobs,
-):
-    """Full distributed KPM-DOS application: the paper's production code.
-
-    Estimates the spectral map (Lanczos on the global operator), draws
-    the stochastic block, runs the distributed blocked solver on the
-    simulated ranks, and reconstructs rho(E). Returns a
-    :class:`repro.core.solver.DOSResult` identical (bit-for-bit moments)
-    to the serial :class:`~repro.core.solver.KPMSolver` with the same
-    seed and scale.  ``config``/knobs as for :func:`distributed_eta`.
-    """
-    from repro.core.moments import eta_to_moments
-    from repro.core.reconstruct import reconstruct_dos
-    from repro.core.scaling import lanczos_scale
-    from repro.core.solver import DOSResult
-    from repro.core.stochastic import make_block_vector
-
-    if isinstance(A, DistributedMatrix):
-        dist = A
-        global_for_scale = None
-    else:
-        dist = None
-        global_for_scale = A
-    if scale is None:
-        if global_for_scale is None:
-            raise ValueError(
-                "pass an explicit scale when starting from a "
-                "DistributedMatrix (the global operator is unavailable)"
-            )
-        scale = lanczos_scale(global_for_scale, seed=seed)
-    n = (dist.n_global if dist is not None else A.n_rows)
-    block = make_block_vector(n, n_vectors, seed=seed)
-    eta = distributed_eta(
-        A, partition, scale, n_moments, block, world, counters=counters,
-        metrics=metrics, config=config, **knobs,
-    )
-    mu = eta_to_moments(eta).mean(axis=0).real
-    pts = n_points if n_points is not None else max(2 * n_moments, 256)
-    energies, rho = reconstruct_dos(
-        mu, scale, n_points=pts, kernel=kernel
-    )
-    return DOSResult(energies, rho, mu, scale, n_vectors, kernel)

@@ -194,7 +194,7 @@ class MpWorld:
     Drop-in peer of :class:`~repro.dist.comm.SimWorld` for the
     distributed drivers: :func:`repro.dist.kpm_parallel.distributed_eta`
     (and everything built on it) dispatches on the world type, so
-    ``distributed_dos(..., world=MpWorld(4))`` runs the rank loop in
+    ``distributed_eta(..., world=MpWorld(4))`` runs the rank loop in
     parallel while ``SimWorld(4)`` simulates it sequentially.
 
     The object is a handle: each run leases parked workers from the

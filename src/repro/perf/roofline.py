@@ -83,16 +83,11 @@ def custom_roofline(
     (both bounds rise — the kernel moves fewer bytes per flop).
     """
     s_d, s_v, s_i = precision_widths(precision)
-    balance = omega * bmin(r, nnzr, s_d=s_d, s_i=s_i, s_v=s_v)
-    p_mem = memory_bound_performance(arch.bandwidth_gbs, balance)
-    p_llc = arch.llc_bandwidth_gbs / llc_code_balance(
-        r, nnzr, s_d=s_d, s_i=s_i, s_v=s_v
-    )
-    return {
-        "p_mem": min(p_mem, arch.peak_gflops),
-        "p_llc": min(p_llc, arch.peak_gflops),
-        "p_star": min(p_mem, p_llc, arch.peak_gflops),
-    }
+    p_mem = roofline(arch.peak_gflops, arch.bandwidth_gbs,
+                     omega * bmin(r, nnzr, s_d=s_d, s_i=s_i, s_v=s_v))
+    p_llc = roofline(arch.peak_gflops, arch.llc_bandwidth_gbs,
+                     llc_code_balance(r, nnzr, s_d=s_d, s_i=s_i, s_v=s_v))
+    return {"p_mem": p_mem, "p_llc": p_llc, "p_star": min(p_mem, p_llc)}
 
 
 def cpu_kernel_performance(

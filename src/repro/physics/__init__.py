@@ -11,7 +11,7 @@ quantum-dot model (the paper's Refs. [20], [21]) as a second workload.
 from repro._lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
-    "dirac": ("GAMMA", "gamma_matrices", "check_clifford"),
+    "dirac": ("GAMMA", "gamma_matrices"),
     "lattice": ("Lattice3D",),
     "potentials": ("dot_superlattice_potential",),
     "hamiltonian": ("TopologicalInsulatorModel",

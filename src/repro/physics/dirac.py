@@ -42,7 +42,7 @@ def gamma_matrices() -> list[np.ndarray]:
     """Return ``[Gamma_0, Gamma_1, Gamma_2, Gamma_3, Gamma_4]``.
 
     Gamma_0 is the 4x4 identity; Gamma_1..Gamma_4 obey the Clifford
-    algebra (verified by :func:`check_clifford` and the test suite).
+    algebra (verified by the test suite).
     """
     g0 = np.eye(4, dtype=DTYPE)
     g1 = np.kron(SIGMA_Z, SIGMA_0)
@@ -77,19 +77,3 @@ def onsite_block(v: float, mass: float = 1.0) -> np.ndarray:
     """
     return v * GAMMA[0] + (2.0 * mass) * GAMMA[1]
 
-
-def check_clifford(gammas: list[np.ndarray] | None = None, tol: float = 1e-14) -> bool:
-    """Verify Hermiticity and ``{Gamma_a, Gamma_b} = 2 delta_ab`` for a=1..4."""
-    g = GAMMA if gammas is None else gammas
-    eye = np.eye(4)
-    if not np.allclose(g[0], eye, atol=tol):
-        return False
-    for a in range(1, 5):
-        if not np.allclose(g[a], g[a].conj().T, atol=tol):
-            return False
-        for b in range(1, 5):
-            anti = g[a] @ g[b] + g[b] @ g[a]
-            expect = 2.0 * eye if a == b else np.zeros((4, 4))
-            if not np.allclose(anti, expect, atol=tol):
-                return False
-    return True

@@ -20,31 +20,22 @@ def dot_superlattice_potential(
     v_dot: float = 0.153,
     spacing: int = 100,
     radius: float | None = None,
-    *,
-    surface_only: bool = True,
-    smooth: bool = False,
 ) -> np.ndarray:
     """Square superlattice of quantum dots with period ``spacing`` (paper D).
 
     Defaults mirror the paper's Fig. 2 parameters (V_dot = 0.153, D = 100).
-    Dots are centered on the grid ``(i*D + D/2, j*D + D/2)``; ``radius``
-    defaults to ``D/4``. For faithful tiling, ``spacing`` should divide the
-    periodic extents; other values are allowed (edge dots get clipped).
+    Dots are hard-walled disks of strength ``v_dot`` in the surface layer
+    z = 0, centred on the grid ``(i*D, j*D)``; ``radius`` defaults to
+    ``D/4``. For faithful tiling, ``spacing`` should divide the periodic
+    extents; other values are allowed (edge dots get clipped).
     """
     check_positive("spacing", spacing)
     if radius is None:
         radius = spacing / 4.0
     check_positive("radius", radius)
     x, y, z = lattice.all_coords()
-    # distance to the nearest dot center in each direction: centers sit at
-    # (k + 1/2) * spacing, so fold coordinates into one superlattice cell.
+    # distance to the nearest dot center in each direction: centers sit on
+    # multiples of the spacing, so fold coordinates into [-D/2, D/2).
     dx = (x + 0.5 * spacing) % spacing - 0.5 * spacing
     dy = (y + 0.5 * spacing) % spacing - 0.5 * spacing
-    d2 = dx**2 + dy**2
-    if smooth:
-        v = v_dot * np.exp(-0.5 * d2 / radius**2)
-    else:
-        v = np.where(d2 <= radius**2, v_dot, 0.0)
-    if surface_only:
-        v = np.where(z == 0, v, 0.0)
-    return v
+    return np.where((dx**2 + dy**2 <= radius**2) & (z == 0), v_dot, 0.0)

@@ -1,4 +1,4 @@
-"""The NumPy kernel backend: the vectorized reference implementation.
+"""The NumPy kernel backend: the C kernels' arithmetic, vectorized.
 
 Every NumPy kernel of the package lives here.  The matrix product is
 SciPy's compiled CSR kernel (``scipy.sparse._sparsetools``), whose inner
@@ -10,16 +10,24 @@ products as in-place NumPy passes over the plan's preallocated
 workspaces, so a steady-state KPM iteration allocates nothing.  The
 naive chain (Fig. 3) is the base class's.
 
+Bits: every rounding follows the native kernels' (``_kernels.c``), so
+the two backends return the same bits in every storage profile (DESIGN
+§19) and this backend checks the C kernels byte for byte.  A row's
+products are summed in storage order, as the C row bodies sum them;
+stage 1 on CSR sums them in the four lanes of the C single-vector row
+dot (:func:`_lane_product`); the recombination is the C finishers'
+``(2a u - 2ab v) - w`` (:func:`~repro.sparse.fused._recombine`).
+
 Precision: complex128 and complex64 operands flow straight through (the
 profile is inferred from the dtype).  fp16v half storage is decoded into
 the plan's complex64 scratch, computed in fp32, and encoded back — the
 charges still follow the half-width layout.  Note the NumPy backend
 *physically* streams whatever SciPy streams (e.g. int32 indices); the
 charges model the profile's Table-I minimum layout, which is what the
-native kernels actually realize — the NumPy backend is the reference
-implementation, charged identically so every model stays
-backend-independent.  The layout-faithful pure-NumPy SELL traversal the
-backends are tested against is :mod:`repro.sparse.sell_kernels`.
+native kernels actually realize — both backends are charged identically
+so every model stays backend-independent.  The layout-faithful
+pure-NumPy SELL traversal the backends are tested against is
+:mod:`repro.sparse.sell_kernels`.
 """
 
 from __future__ import annotations
@@ -43,47 +51,56 @@ from repro.util.precision import FP16V, precision_of
 from repro.util.validation import check_block_vector, check_vector
 
 
-def _scipy_handle(A, dtype):
+def _scipy_handle(A, dtype, lanes: bool = False):
     """Cached SciPy CSR view of the matrix's numerical content.
 
     One handle per value dtype: the complex128 handle, and a complex64
     one (shared by the fp32 and fp16v profiles) built by downcasting the
-    complex128 handle's value array once.
+    complex128 handle's value array once.  ``lanes`` (CSR only) asks for
+    the (4N, K) stack of the four lanes of the C kernels' single-vector
+    row dot: a row's entry ``p`` belongs to lane ``(p - p0) & 3`` (``p0``
+    the row's first entry), lane ``k`` is rows ``[kN, (k+1)N)``, and
+    every lane keeps its entries in storage order.
     """
     # SciPy is this backend's alone: imported where it is called, so a
     # run on the native kernels never loads it
     import scipy.sparse as _sp
 
-    handle = getattr(A, "_scipy_cache", None)
-    if handle is None:
-        csr = A if isinstance(A, CSRMatrix) else A.to_csr()
-        handle = _sp.csr_matrix(
-            (csr.data, csr.indices, csr.indptr), shape=csr.shape
-        )
-        A._scipy_cache = handle
-    if np.dtype(dtype) == np.complex128:
+    cache = A.__dict__.setdefault("_scipy_cache", {})
+    key = (np.dtype(dtype), lanes)
+    handle = cache.get(key)
+    if handle is not None:
         return handle
-    narrow = getattr(A, "_scipy_cache32", None)
-    if narrow is None:
-        narrow = _sp.csr_matrix(
-            (handle.data.astype(np.complex64), handle.indices,
-             handle.indptr),
-            shape=handle.shape,
-        )
-        A._scipy_cache32 = narrow
-    return narrow
+    if key[0] != np.complex128:
+        wide = _scipy_handle(A, np.complex128, lanes)
+        parts = (wide.data.astype(dtype), wide.indices, wide.indptr)
+    elif lanes:
+        n, counts = A.n_rows, np.diff(A.indptr)
+        lane = (np.arange(A.nnz) - np.repeat(A.indptr[:-1], counts)) & 3
+        at = np.argsort(lane, kind="stable")
+        per_row = np.stack([(counts - k + 3) // 4 for k in range(4)])
+        indptr = np.zeros(4 * n + 1, dtype=np.int64)
+        np.cumsum(per_row, out=indptr[1:])
+        parts = (A.data[at], A.indices[at], indptr)
+    else:
+        csr = A if isinstance(A, CSRMatrix) else A.to_csr()
+        parts = (csr.data, csr.indices, csr.indptr)
+    shape = ((4 if lanes else 1) * A.n_rows, A.n_cols)
+    cache[key] = handle = _sp.csr_matrix(parts, shape=shape)
+    return handle
 
 
-def _product(A, X: np.ndarray, out: np.ndarray) -> None:
+def _product(A, X: np.ndarray, out: np.ndarray, lanes: bool = False) -> None:
     """``out = A @ X`` in ``out``'s complex dtype; allocates nothing.
 
     The accumulate-into-``out`` entry points of ``_sparsetools`` write
     caller storage directly (the workspace plans rely on this); a
-    non-contiguous operand falls back to the public operator.
+    non-contiguous operand falls back to the public operator.  With
+    ``lanes`` the operator is ``A``'s lane stack (:func:`_scipy_handle`).
     """
     from scipy.sparse import _sparsetools
 
-    handle = _scipy_handle(A, out.dtype)
+    handle = _scipy_handle(A, out.dtype, lanes)
     X = X.astype(out.dtype, copy=False)
     if X.flags.c_contiguous and out.flags.c_contiguous:
         out.fill(0.0)
@@ -100,6 +117,21 @@ def _product(A, X: np.ndarray, out: np.ndarray) -> None:
             )
     else:
         out[:] = handle @ X
+
+
+def _lane_product(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``A @ x`` for one column ``x`` of a CSR ``A``, summed as the C
+    kernels' single-vector row dot sums it: each lane's entries in
+    order, then the lanes as ``(0 + 1) + (2 + 3)``.
+
+    ``out`` is (4, N) scratch of the compute dtype; returns its row 0,
+    which holds the product (row 1 is free scratch afterwards).
+    """
+    _product(A, x, out.reshape(-1), lanes=True)
+    np.add(out[0], out[1], out=out[0])
+    np.add(out[2], out[3], out=out[2])
+    out[0] += out[2]
+    return out[0]
 
 
 def _scratch(plan, attr: str, shape: tuple, dtype) -> np.ndarray:
@@ -151,6 +183,8 @@ class NumpyBackend(KernelBackend):
     def plan(self, A, r: int = 1, precision=None, threads=None,
              simd=None, split=None) -> KernelPlan:
         plan = super().plan(A, r, precision, threads, simd, split)
+        if plan.r == 1 and isinstance(A, CSRMatrix):  # stage 1's lanes
+            plan.lane_out = np.empty((4, A.n_rows), dtype=plan.u.dtype)
         if split is not None:
             # each phase range's rows, over the full [local | halo]
             # column range (per-row data order kept: the W update is
@@ -170,7 +204,8 @@ class NumpyBackend(KernelBackend):
         """Stage 1: shift, scale, recombination and both dot products,
         charged as one kernel touching each of v and w once —
         ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call.  The one-column
-        view of the stage-2 walk."""
+        view of the stage-2 walk; on CSR its product sums in the C
+        kernel's four lanes (:func:`_lane_product`)."""
         v = check_vector("v", v, A.n_cols)
         w = check_vector("w", w, A.n_rows)
         ee, eo = self._step("aug_spmv", A, v[:, None], w[:, None], a, b,
@@ -197,7 +232,9 @@ class NumpyBackend(KernelBackend):
     def _step(self, name, A, V, W, a, b, plan, counters, metrics):
         prec = precision_of(V)
         with metrics.span(name, counters=counters):
-            bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows)
+            bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows,
+                              lanes=name == "aug_spmv"
+                              and isinstance(A, CSRMatrix))
             charge_aug(counters, name, *matrix_stream(A, prec), W.shape[1],
                        prec)
         return fold(bins)
@@ -206,17 +243,21 @@ class NumpyBackend(KernelBackend):
         self._walk(plan.range_matrices[row0, row1], V, W, a, b, plan, row0,
                    row1, bins)
 
-    def _walk(self, A, V, W, a, b, plan, row0, row1, bins=None):
+    def _walk(self, A, V, W, a, b, plan, row0, row1, bins=None,
+              lanes=False):
         """The one augmented walk: ``W <- 2a(H - b)V - W`` and the eta
         bins over rows ``[row0, row1)`` of the (N, R) blocks, ``A`` being
         those rows of the operator (the whole matrix for ``[0, N)``).
 
         The product runs on ``A``, the recombination and the one eta
         reduction (DESIGN §19) on row views — a SELL operator's whole, in
-        its storage order.  Half storage is decoded into the plan's
-        complex64 scratch (all of ``V``: its halo may have landed since
-        the last phase), computed in fp32 and encoded back.  Returns the
-        bins: ``bins``, else the plan's (or fresh ones).
+        its storage order.  Every rounding follows the C kernels', so
+        both backends write the same bits; ``lanes`` (a whole CSR step
+        on one column) sums the product in stage 1's four lanes.  Half
+        storage is decoded into the plan's complex64 scratch (all of
+        ``V``: its halo may have landed since the last phase), computed
+        in fp32 and encoded back.  Returns the bins: ``bins``, else the
+        plan's (or fresh ones).
         """
         n, r = W.shape[:2]
         half = precision_of(V).half_vectors
@@ -227,10 +268,15 @@ class NumpyBackend(KernelBackend):
             FP16V.decode(W[row0:row1], out=wc)
         else:
             vc, wc = V, W[row0:row1]
-        u = _scratch(plan, "u_block", (n, r), vc.dtype)[row0:row1]
-        _product(A, vc, u)
+        if lanes:
+            out = _scratch(plan, "lane_out", (4, n), vc.dtype)
+            u, tmp = _lane_product(A, vc, out)[:, None], out[1][:, None]
+        else:
+            u, tmp = (_scratch(plan, name, (n, r), vc.dtype)[row0:row1]
+                      for name in ("u_block", "work_block"))
+            _product(A, vc, u)
         vn = vc[row0:row1]
-        _recombine(wc, u, vn, a, b)
+        _recombine(wc, u, vn, a, b, tmp)
         anchors, own, escape = self._eta_state(plan, vc, n, r)
         order = A.perm if isinstance(A, SellMatrix) else None
         bins = eta_bins(vn, wc, anchors, escape,

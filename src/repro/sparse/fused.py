@@ -89,20 +89,20 @@ def charge_aug(
     )
 
 
-def _recombine(W, U, V, a: float, b: float) -> None:
-    """In-place ``W <- 2a U - 2ab V - W`` with zero temporaries.
+def _recombine(W, U, V, a: float, b: float, tmp) -> None:
+    """In-place ``W <- (2a U - 2ab V) - W``, rounded in the C kernels'
+    order (their row finishers), so every backend writes the same bits.
 
-    ``U`` is consumed as workspace (it holds the SpMV result on entry and
-    garbage on exit) — five in-place passes, no allocation.  All five are
-    real-scalar elementwise operations, so the same code serves
-    complex128, complex64, and float16 (re, im) pair storage.
+    ``U`` (the SpMV result on entry) and ``tmp`` (``U``'s shape and
+    dtype) are consumed as workspace — four in-place passes, no
+    allocation.  All four are real-scalar elementwise operations, so
+    the same code serves complex128 and complex64.
     """
     two_a = 2.0 * a
-    W *= -1.0
     U *= two_a
-    W += U
-    np.multiply(V, two_a * b, out=U)
-    W -= U
+    np.multiply(V, two_a * b, out=tmp)
+    U -= tmp
+    np.subtract(U, W, out=W)
 
 
 def _components(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -124,11 +124,12 @@ class ExecConfig:
         (stored resolved); planned joins/leaves as a ``MembershipPlan``
         or its string form.
 
-    Which knobs may move bits: only ``backend`` and ``precision``, which
-    change the arithmetic (DESIGN §19).  The eta reduction is one exact
-    contract, so ``threads``, ``simd``, ``engine``, ``workers``,
-    ``weights``, ``overlap``, ``reduction``, ``rebalance`` and
-    ``membership`` return the same bits in every profile.
+    Which knobs may move bits: only ``precision``, which changes the
+    arithmetic (DESIGN §19).  The eta reduction is one exact contract
+    and the backends round alike, so ``backend`` (per rank too),
+    ``threads``, ``simd``, ``engine``, ``workers``, ``weights``,
+    ``overlap``, ``reduction``, ``rebalance`` and ``membership`` return
+    the same bits in every profile.
 
     Entry points keep their own keyword names and defaults and build the
     config in one statement (:meth:`of`); degradation is a
@@ -252,7 +253,7 @@ def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
 
     ``ctx``, the solve's :class:`~repro.core.checkpoint.RunContext`,
     travels whole into whichever engine runs.  ``'serial'`` drives the
-    recurrence in-process (``checkpointed_eta``; ``compute_eta`` for the
+    recurrence in-process (``run_serial``; ``compute_eta`` for the
     stage-0/1 ``kernel``s).  ``'sim'`` and ``'mp'`` partition ``H`` by
     ``config.weights`` on 64-row eta blocks and run ``distributed_eta``
     on a fresh world; ``H`` may also arrive already partitioned.

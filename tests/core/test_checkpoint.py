@@ -132,12 +132,8 @@ class TestResumeMidRun:
         resumed = checkpointed_eta(
             h, scale, 32, blk, resume_from=p, backend="native"
         )
-        # prefix up to the interruption point is carried over verbatim;
-        # the remainder agrees to the two backends' arithmetic
-        ck = KpmCheckpoint.load(p)
-        assert np.array_equal(resumed[:, : 2 * ck.next_m],
-                              full[:, : 2 * ck.next_m])
-        assert np.allclose(resumed, full, atol=1e-9)
+        # the two backends round alike: the resumed run is the full one
+        assert np.array_equal(resumed, full)
 
     @pytest.mark.parametrize("dist_engine", ["sim", "mp"])
     def test_matches_distributed_engines(self, system, dist_engine):

@@ -9,8 +9,9 @@ exactly.  So:
 * against an oracle written here in Python floats, each backend's eta
   is bitwise the fold of its own per-row terms, and within 2^-40 of their
   exact sum (``math.fsum``);
-* one (precision, backend) has one bit pattern across every execution
-  knob, resume point, elastic plan and coalescing width;
+* one precision has one bit pattern across every execution knob, the
+  backend (per rank too) included, resume point, elastic plan and
+  coalescing width;
 * a spectrum escaping its scale raises :class:`SpectralScaleError`, on
   every engine, and the supervisor does not retry it.
 """
@@ -135,25 +136,35 @@ def test_anchors():
 _REF: dict = {}
 
 
-def _reference(ti, precision, backend):
-    if (precision, backend) not in _REF:
+def _reference(ti, precision):
+    if precision not in _REF:
         h, scale, block = ti
-        _REF[precision, backend] = compute_eta(
-            h, scale, M, block, backend=backend, precision=precision)
-    return _REF[precision, backend]
+        _REF[precision] = compute_eta(h, scale, M, block,
+                                      precision=precision)
+    return _REF[precision]
+
+
+def _backend(name: str) -> str:
+    return name if native_available() else "numpy"
 
 
 @st.composite
 def exec_configs(draw):
-    """ExecConfig keywords; ``{}`` is the default config."""
+    """ExecConfig keywords; ``{}`` is the default config.  ``backend`` is
+    drawn too — per rank, sometimes, on the mp engine."""
+    backends = st.sampled_from(["numpy", "native"]).map(_backend)
     if draw(st.integers(0, 5)) == 0:
         return {}
     workers = draw(st.integers(1, 3))
     weights = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=workers,
                                         max_size=workers))
+    engine = draw(st.sampled_from(["serial", "sim", "mp"]))
+    backend = draw(backends)
+    if engine == "mp" and draw(st.booleans()):
+        backend = draw(st.lists(backends, min_size=workers,
+                                max_size=workers))
     return dict(
-        engine=draw(st.sampled_from(["serial", "sim", "mp"])),
-        workers=workers, weights=weights,
+        engine=engine, workers=workers, weights=weights, backend=backend,
         threads=draw(st.sampled_from([None, 1, 2])),
         simd=draw(st.sampled_from(["on", "off"])),
         overlap=draw(st.sampled_from(["on", "off"])),
@@ -164,36 +175,35 @@ def exec_configs(draw):
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(first=exec_configs(), second=exec_configs(),
        precision=st.sampled_from(PRECISIONS),
-       backend=st.sampled_from(["numpy", "native"]),
        every=st.integers(1, M // 2 - 2), elastic=st.booleans(),
        width=st.integers(1, R))
 def test_one_bit_pattern_across_the_lattice(ti, tmp_path_factory, first,
-                                            second, precision, backend, every,
+                                            second, precision, every,
                                             elastic, width):
-    """Two configs, a resume point, an elastic plan and a coalescing
-    width: one eta digest per (precision, backend)."""
-    if backend == "native" and not native_available():
-        backend = "numpy"
+    """Two configs — each with its own backend, per rank on mp — a resume
+    point, an elastic plan and a coalescing width: one eta digest per
+    precision."""
     h, scale, block = ti
-    ref = _reference(ti, precision, backend)[:width]
+    ref = _reference(ti, precision)[:width]
     block = np.ascontiguousarray(block[:, :width])
     path = tmp_path_factory.mktemp("lattice") / "ck.npz"
-    knobs = dict(precision=precision, backend=backend)
     if elastic and first.get("engine", "serial") != "serial":
+        backend = first["backend"]  # the membership plan changes the ranks
         eta, _rep = elastic_eta(
             h, scale, M, block, n_workers=first["workers"],
             weights=first["weights"], engine=first["engine"],
             policy=RebalancePolicy(interval=every, threshold=1e9),
             membership=f"join:m={every + 1}", checkpoint_path=path,
             threads=first["threads"], simd=first["simd"],
-            overlap=first["overlap"], **knobs)
+            overlap=first["overlap"], precision=precision,
+            backend=backend if isinstance(backend, str) else backend[0])
     else:
-        eta = run_engine(ExecConfig(**first, **knobs),
+        eta = run_engine(ExecConfig(**first, precision=precision),
                          RunContext.of(checkpoint_every=every,
                                        checkpoint_path=path),
                          h, scale, M, block)[0]
     assert np.array_equal(eta, ref)
-    resumed = run_engine(ExecConfig(**second, **knobs),
+    resumed = run_engine(ExecConfig(**second, precision=precision),
                          RunContext.of(resume_from=path), h, scale, M,
                          block)[0]
     assert np.array_equal(resumed, ref)

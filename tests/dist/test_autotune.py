@@ -3,27 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.dist.elastic import AutotuneResult, autotune_weights, throughput_timer
+from repro.dist.elastic import AutotuneResult, autotune_weights
 from repro.dist.partition import RowPartition
 from repro.util.errors import PartitionError
 
 
-class TestThroughputTimer:
-    def test_linear_in_rows(self):
-        t = throughput_timer([10.0, 20.0], flops_per_row=100.0)
-        assert t(0, 1000) == pytest.approx(2 * t(0, 500))
-        assert t(1, 1000) == pytest.approx(0.5 * t(0, 1000))
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(PartitionError):
-            throughput_timer([1.0, 0.0], 1.0)
+def model_timer(gflops_per_rank, flops_per_row):
+    """Rank times of a device model: ``n_rows`` rows at a fixed Gflop/s."""
+    return lambda rank, n_rows: \
+        n_rows * flops_per_row / (gflops_per_rank[rank] * 1e9)
 
 
 class TestAutotune:
     def test_converges_to_performance_ratio(self):
         """Two ranks at 57.5 / 84.1 Gflop/s (the Fig. 11 devices) must end
         up with weights at the throughput ratio."""
-        timer = throughput_timer([57.5, 84.1], flops_per_row=4000.0)
+        timer = model_timer([57.5, 84.1], flops_per_row=4000.0)
         res = autotune_weights(1_000_000, 2, timer, align=4)
         assert res.converged
         assert res.weights[1] / res.weights[0] == pytest.approx(
@@ -31,7 +26,7 @@ class TestAutotune:
         )
 
     def test_single_round_if_initialized_right(self):
-        timer = throughput_timer([1.0, 3.0], 1.0)
+        timer = model_timer([1.0, 3.0], 1.0)
         res = autotune_weights(
             10_000, 2, timer, initial_weights=[0.25, 0.75]
         )
@@ -40,27 +35,27 @@ class TestAutotune:
 
     def test_balances_many_ranks(self):
         rates = [1.0, 2.0, 4.0, 8.0]
-        timer = throughput_timer(rates, 1.0)
+        timer = model_timer(rates, 1.0)
         res = autotune_weights(200_000, 4, timer, align=4)
         assert res.converged
         expected = np.array(rates) / sum(rates)
         assert np.allclose(res.weights, expected, atol=0.02)
 
     def test_partition_matches_weights(self):
-        timer = throughput_timer([1.0, 1.0, 2.0], 1.0)
+        timer = model_timer([1.0, 1.0, 2.0], 1.0)
         res = autotune_weights(40_000, 3, timer, align=8)
         counts = res.partition.counts()
         assert counts.sum() == 40_000
         assert counts[2] == pytest.approx(20_000, abs=100)
 
     def test_damping_slows_convergence(self):
-        timer = throughput_timer([1.0, 5.0], 1.0)
+        timer = model_timer([1.0, 5.0], 1.0)
         fast = autotune_weights(100_000, 2, timer, damping=1.0)
         slow = autotune_weights(100_000, 2, timer, damping=0.3)
         assert slow.rounds >= fast.rounds
 
     def test_history_recorded(self):
-        timer = throughput_timer([1.0, 2.0], 1.0)
+        timer = model_timer([1.0, 2.0], 1.0)
         res = autotune_weights(10_000, 2, timer)
         assert len(res.history) == res.rounds
         assert res.history[0] == [0.5, 0.5]
@@ -84,7 +79,7 @@ class TestAutotune:
         assert res.rounds == 3
 
     def test_validation(self):
-        timer = throughput_timer([1.0], 1.0)
+        timer = model_timer([1.0], 1.0)
         with pytest.raises(PartitionError):
             autotune_weights(100, 1, timer, initial_weights=[-1.0])
         with pytest.raises(ValueError):
@@ -102,7 +97,7 @@ class TestAutotune:
     def test_imbalance_matches_convergence_tolerance(self):
         """A converged run's final-round times satisfy the same bound the
         loop tested — the two statistics are now one definition."""
-        timer = throughput_timer([1.0, 3.0], 1.0)
+        timer = model_timer([1.0, 3.0], 1.0)
         res = autotune_weights(10_000, 2, timer, tolerance=0.02)
         assert res.converged
         counts = res.partition.counts()
@@ -122,7 +117,7 @@ class TestConvergenceRate:
         [1.0, 2.0, 4.0, 8.0],
     ])
     def test_two_to_three_rounds_from_uniform(self, rates):
-        timer = throughput_timer(rates, flops_per_row=2000.0)
+        timer = model_timer(rates, flops_per_row=2000.0)
         res = autotune_weights(400_000, len(rates), timer, align=4)
         assert res.converged
         assert 2 <= res.rounds <= 3, res.rounds
@@ -130,7 +125,7 @@ class TestConvergenceRate:
         assert np.allclose(res.weights, expected, atol=0.02)
 
     def test_damped_update_still_converges(self):
-        timer = throughput_timer([1.0, 4.0], 1.0)
+        timer = model_timer([1.0, 4.0], 1.0)
         res = autotune_weights(100_000, 2, timer, damping=0.5, max_rounds=16)
         assert res.converged
         assert res.weights[1] / res.weights[0] == pytest.approx(4.0, rel=0.05)
@@ -138,7 +133,7 @@ class TestConvergenceRate:
 
 class TestWeightNormalization:
     def test_result_and_history_sum_to_one(self):
-        timer = throughput_timer([1.0, 3.0, 6.0], 1.0)
+        timer = model_timer([1.0, 3.0, 6.0], 1.0)
         res = autotune_weights(
             120_000, 3, timer, initial_weights=[2.0, 2.0, 6.0]
         )
@@ -149,7 +144,7 @@ class TestWeightNormalization:
         assert res.history[0] == pytest.approx([0.2, 0.2, 0.6])
 
     def test_unnormalized_initial_weights_accepted(self):
-        timer = throughput_timer([1.0, 3.0], 1.0)
+        timer = model_timer([1.0, 3.0], 1.0)
         res = autotune_weights(
             10_000, 2, timer, initial_weights=[25.0, 75.0]
         )
@@ -159,7 +154,7 @@ class TestWeightNormalization:
     def test_zero_weight_rank_reenters(self):
         """A rank starting at zero weight is probed with one alignment
         block and pulled back into the distribution."""
-        timer = throughput_timer([1.0, 1.0], 1.0)
+        timer = model_timer([1.0, 1.0], 1.0)
         res = autotune_weights(
             10_000, 2, timer, initial_weights=[1.0, 0.0]
         )
@@ -169,20 +164,16 @@ class TestWeightNormalization:
 
 class TestErrorPaths:
     def test_wrong_shape_initial_weights(self):
-        timer = throughput_timer([1.0, 1.0], 1.0)
+        timer = model_timer([1.0, 1.0], 1.0)
         with pytest.raises(PartitionError):
             autotune_weights(1000, 2, timer, initial_weights=[1.0])
 
     def test_zero_sum_initial_weights(self):
-        timer = throughput_timer([1.0, 1.0], 1.0)
+        timer = model_timer([1.0, 1.0], 1.0)
         with pytest.raises(PartitionError):
             autotune_weights(1000, 2, timer, initial_weights=[0.0, 0.0])
 
     def test_negative_initial_weights(self):
-        timer = throughput_timer([1.0, 1.0], 1.0)
+        timer = model_timer([1.0, 1.0], 1.0)
         with pytest.raises(PartitionError):
             autotune_weights(1000, 2, timer, initial_weights=[1.5, -0.5])
-
-    def test_negative_rank_rate(self):
-        with pytest.raises(PartitionError):
-            throughput_timer([1.0, -2.0], 1.0)

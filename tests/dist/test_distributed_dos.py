@@ -1,13 +1,14 @@
-"""High-level distributed DOS application driver."""
+"""The distributed DOS application: ``KPMSolver`` on the sim engine, and
+a pre-partitioned operator through ``run_engine``."""
 
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import RunContext
 from repro.core.solver import KPMSolver
-from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
-from repro.dist.kpm_parallel import distributed_dos
 from repro.dist.partition import RowPartition
+from repro.util.knobs import ExecConfig, run_engine
 
 
 @pytest.fixture(scope="module")
@@ -21,53 +22,44 @@ def ti():
 class TestDistributedDos:
     def test_matches_serial_solver(self, ti):
         serial = KPMSolver(ti, n_moments=64, n_vectors=4, seed=5)
-        part = RowPartition.equal(ti.n_rows, 3, align=64)
-        res = distributed_dos(
-            ti, part, 64, 4, SimWorld(3), scale=serial.scale, seed=5
-        )
+        res = KPMSolver(ti, n_moments=64, n_vectors=4, seed=5,
+                        scale=serial.scale, dist_engine="sim",
+                        workers=3).dos()
         ref = serial.dos()
         assert np.array_equal(res.moments, ref.moments)
         assert np.array_equal(res.rho, ref.rho)
 
     def test_auto_scale(self, ti):
-        part = RowPartition.equal(ti.n_rows, 2, align=64)
-        res = distributed_dos(ti, part, 32, 2, SimWorld(2), seed=0)
+        res = KPMSolver(ti, n_moments=32, n_vectors=2, seed=0,
+                        dist_engine="sim", workers=2).dos()
         from repro.core.reconstruct import integrate_density
 
         assert integrate_density(res.energies, res.rho) == pytest.approx(
             ti.n_rows, rel=0.05
         )
 
-    def test_prepartitioned_requires_scale(self, ti):
-        part = RowPartition.equal(ti.n_rows, 2, align=64)
-        dist = partition_matrix(ti, part)
-        with pytest.raises(ValueError, match="scale"):
-            distributed_dos(dist, None, 16, 1, SimWorld(2), seed=0)
-
     def test_prepartitioned_with_scale(self, ti):
+        from repro.core.moments import eta_to_moments
         from repro.core.scaling import lanczos_scale
+        from repro.core.stochastic import make_block_vector
 
         scale = lanczos_scale(ti, seed=1)
         part = RowPartition.equal(ti.n_rows, 2, align=64)
         dist = partition_matrix(ti, part)
-        res = distributed_dos(
-            dist, None, 32, 2, SimWorld(2), scale=scale, seed=1
-        )
-        assert res.moments[0] == pytest.approx(ti.n_rows, rel=1e-9)
+        block = make_block_vector(ti.n_rows, 2, seed=1)
+        eta = run_engine(ExecConfig(engine="sim", workers=2), RunContext(),
+                         dist, scale, 32, block)[0]
+        mu = eta_to_moments(eta).mean(axis=0).real
+        assert mu[0] == pytest.approx(ti.n_rows, rel=1e-9)
 
     def test_reduction_variant(self, ti):
         from repro.core.scaling import lanczos_scale
 
         scale = lanczos_scale(ti, seed=2)
-        part = RowPartition.equal(ti.n_rows, 4, align=64)
-        a = distributed_dos(
-            ti, part, 32, 2, SimWorld(4), scale=scale, seed=2,
-            reduction="end",
-        )
-        b = distributed_dos(
-            ti, part, 32, 2, SimWorld(4), scale=scale, seed=2,
-            reduction="every",
-        )
+        a, b = (KPMSolver(ti, n_moments=32, n_vectors=2, seed=2, scale=scale,
+                          dist_engine="sim", workers=4,
+                          reduction=reduction).dos()
+                for reduction in ("end", "every"))
         assert np.array_equal(a.moments, b.moments)
 
 

@@ -104,7 +104,7 @@ class TestParity:
         eta_mp, eta_sim, _, _ = run_pair(
             h, scale, blk, part, backend="numpy"
         )
-        assert np.allclose(eta_mp, ref, atol=1e-9)  # another backend
+        assert np.array_equal(eta_mp, ref)  # numpy writes the native bits
         assert np.array_equal(eta_mp, eta_sim)
 
     @needs_native
@@ -119,12 +119,16 @@ class TestParity:
 
     @needs_native
     def test_per_rank_backend_mix(self, system):
-        """Heterogeneous worlds: one rank native, one numpy."""
-        h, scale, blk, ref = system
+        """Heterogeneous worlds: one rank native, one numpy — the bits of
+        the all-native run, in every storage profile."""
+        h, scale, blk, _ = system
         part = RowPartition.equal(h.n_rows, 2, align=64)
-        mw = MpWorld(2, backend=["native", "numpy"])
-        eta = distributed_eta(h, part, scale, M, blk, mw)
-        assert np.allclose(eta, ref, atol=1e-9)
+        for precision in ("fp64", "fp32", "fp16v"):
+            etas = [distributed_eta(h, part, scale, M, blk,
+                                    MpWorld(2, backend=backend),
+                                    precision=precision)
+                    for backend in ("native", ["native", "numpy"])]
+            assert np.array_equal(*etas), precision
 
     def test_reduction_every(self, system):
         h, scale, blk, ref = system

@@ -5,8 +5,6 @@ import pytest
 
 from repro.physics.dirac import (
     GAMMA,
-    check_clifford,
-    gamma_matrices,
     hopping_block,
     onsite_block,
 )
@@ -32,20 +30,6 @@ class TestCliffordAlgebra:
     @pytest.mark.parametrize("a", [1, 2, 3, 4])
     def test_traceless(self, a):
         assert abs(np.trace(GAMMA[a])) < 1e-14
-
-    def test_check_clifford_passes(self):
-        assert check_clifford()
-        assert check_clifford(gamma_matrices())
-
-    def test_check_clifford_detects_violation(self):
-        bad = [g.copy() for g in gamma_matrices()]
-        bad[2] = bad[1]  # Gamma_2 == Gamma_1 no longer anticommutes
-        assert not check_clifford(bad)
-
-    def test_check_clifford_detects_nonhermitian(self):
-        bad = [g.copy() for g in gamma_matrices()]
-        bad[3] = bad[3] * 1j
-        assert not check_clifford(bad)
 
 
 class TestBlocks:

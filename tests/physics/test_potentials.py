@@ -36,26 +36,12 @@ class TestSuperlattice:
         _, _, z = lat.all_coords()
         assert np.all(v[z != 0] == 0)
 
-
-    def test_bulk_dot(self):
-        lat = Lattice3D(20, 20, 3)
-        v = dot_superlattice_potential(lat, v_dot=1.0, spacing=10,
-                                       surface_only=False)
-        _, _, z = lat.all_coords()
-        assert np.any(v[z == 2] != 0)
-        assert np.array_equal(v[z == 2], v[z == 0])
-
-    def test_smooth_profile_decays(self):
+    def test_dots_centred_on_multiples_of_the_spacing(self):
+        """A dot sits at (0, 0, 0), none at (D/2, D/2, 0)."""
         lat = Lattice3D(20, 20, 1)
-        hard = dot_superlattice_potential(lat, 1.0, spacing=10, radius=2.0)
-        soft = dot_superlattice_potential(lat, 1.0, spacing=10, radius=2.0,
-                                          smooth=True)
-        assert soft.max() == pytest.approx(1.0)
-        # a Gaussian of width radius: >= exp(-1/2) inside the hard-wall
-        # disk, below it outside, never zero
-        assert np.all(soft[hard != 0] >= np.exp(-0.5))
-        assert np.all(soft[hard == 0] < np.exp(-0.5))
-        assert np.all(soft > 0)
+        v = dot_superlattice_potential(lat, v_dot=1.0, spacing=10, radius=2.0)
+        assert v[lat.site_index(0, 0, 0)] == 1.0
+        assert v[lat.site_index(5, 5, 0)] == 0.0
 
     def test_radius_validated(self):
         lat = Lattice3D(10, 10, 1)

@@ -106,7 +106,7 @@ class TestMpCrashRecovery:
             plan="crash:rank=1,m=5,attempt=1;crash:rank=1,m=5,attempt=2",
             tmp_path=tmp_path,
         )
-        assert np.allclose(eta, ref, atol=1e-12, rtol=0)
+        assert np.array_equal(eta, ref)
         assert report.faults == 2
         assert report.engine_degradations == 1
         assert report.final_engine == "sim"

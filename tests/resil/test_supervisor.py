@@ -15,6 +15,7 @@ from repro.resil import (
     Supervisor,
     classify_error,
 )
+from repro.sparse.backend.native import native_available
 from repro.util.errors import (
     BackendError,
     CheckpointError,
@@ -171,7 +172,7 @@ class TestDegradation:
                          metrics=metrics)
         eta = sup.run_eta(h, scale, 16, blk, engine="sim", workers=2,
                           backend="numpy")
-        assert np.allclose(eta, ref, atol=1e-9)
+        assert np.array_equal(eta, ref)
         assert sup.report.engine_degradations == 1
         assert sup.report.final_engine == "serial"
         assert metrics.counters["resil.engine_degraded"] == 1
@@ -186,6 +187,36 @@ class TestDegradation:
         with pytest.raises(RetryExhaustedError, match="sim"):
             sup.run_eta(h, scale, 16, blk, engine="sim", workers=2,
                         backend="numpy")
+
+    @pytest.mark.skipif(not native_available(), reason="no C compiler")
+    def test_backend_degradation_keeps_the_bits(self, system, tmp_path):
+        """A native kernel that fails once, mid-run: the retry resumes the
+        native checkpoint on numpy and returns the undegraded run's bits."""
+        from repro.sparse.backend import NativeBackend, reset_backend_health
+
+        h, scale, blk, _ = system
+
+        class FailsOnce(NativeBackend):
+            calls = 0
+
+            def aug_spmmv_step(self, *args, **kwargs):
+                FailsOnce.calls += 1
+                if FailsOnce.calls == 6:
+                    raise BackendError("injected kernel fault")
+                return super().aug_spmmv_step(*args, **kwargs)
+
+        ref = compute_eta(h, scale, 16, blk, "aug_spmmv", backend="native")
+        sup = make_supervisor(checkpoint_every=2,
+                              checkpoint_path=tmp_path / "ck.npz")
+        try:
+            eta = sup.run_eta(h, scale, 16, blk, engine="serial",
+                              backend=FailsOnce())
+        finally:
+            reset_backend_health()
+        assert np.array_equal(eta, ref)
+        assert sup.report.backend_degradations == 1
+        assert sup.report.final_backend == "numpy"
+        assert sup.report.resume_m == 5
 
 
 class TestCheckpointDrill:
@@ -265,7 +296,7 @@ class TestForeignCheckpoint:
         eta, sup, metrics = solve(blk)
         clean = Supervisor().run_eta(h, scale, 16, blk, **kw)
         assert np.array_equal(eta, clean)  # not the other solve's prefix
-        assert np.allclose(eta, ref, atol=1e-9)
+        assert np.array_equal(eta, ref)
         assert sup.report.checkpoint_discards == 1
         assert sup.report.resumes == 0
         assert metrics.counters["resil.checkpoint_discarded"] == 1

@@ -2,13 +2,10 @@
 
 The serving layer's correctness contract is that coalescing is
 *invisible*: a request solved inside a width-k batch returns exactly
-what it would have returned solved alone.  Under fp64 that means
-bitwise-identical moments — the block kernels compute every column
-independently and the ``REPRO_NOVEC`` pragmas keep the per-row dot
-loops rounding identically at every width.  Under the narrow storage
-profiles (fp32, fp16v) the dot *accumulation* is width-stable but the
-fp64-promoting einsum path rounds shape-dependently, so the contract
-weakens to tight tolerance.
+what it would have returned solved alone, bit for bit, in every storage
+profile — the block kernels compute every column independently and the
+one eta reduction (DESIGN §19) sums each column alone.  The backends
+round alike, so the numpy and native answers are the same bits too.
 
 Checked across every engine (serial / sim / mp) x backend
 (numpy / native) x overlap schedule the serving layer can run.
@@ -97,12 +94,13 @@ def test_mp_fp64_bitwise(overlap):
 
 
 def test_cross_engine_batches_agree_to_tolerance():
-    """Different engines reduce in different orders — tolerance, not
-    bitwise — but the coalesced answers must agree across engines."""
+    """The coalesced answers agree across engines and backends, bit for
+    bit: every engine reduces eta one way."""
     serial = batch_moments([0, 1])
-    sim = batch_moments([0, 1], engine="sim", workers=2)
-    for a, b in zip(serial, sim):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    for other in (batch_moments([0, 1], engine="sim", workers=2),
+                  *(batch_moments([0, 1], backend=b) for b in BACKENDS)):
+        for a, b in zip(serial, other):
+            assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------
@@ -116,10 +114,10 @@ def test_serial_narrow_profiles_tolerance(backend, precision, rtol):
     batch = batch_moments(seeds, backend=backend, precision=precision)
     for s, mu in zip(seeds, batch):
         solo = solo_moments(s, backend=backend, precision=precision)
-        # identical storage rounding, near-identical accumulation: the
-        # widths only differ through fp64-promoted dot ordering
-        np.testing.assert_allclose(mu, solo, rtol=1e-10, atol=1e-10)
-        # and both sit within profile accuracy of the fp64 answer
+        assert np.array_equal(mu, solo)
+        # one bit pattern per precision, whichever backend solved it
+        assert np.array_equal(mu, solo_moments(s, precision=precision))
+        # and within profile accuracy of the fp64 answer
         ref = solo_moments(s, backend=backend)
         np.testing.assert_allclose(mu / mu[0], ref / ref[0],
                                    rtol=rtol, atol=rtol)
@@ -132,7 +130,7 @@ def test_sim_narrow_profile_tolerance(precision):
                           precision=precision)
     for s, mu in zip(seeds, batch):
         solo = solo_moments(s, engine="sim", workers=2, precision=precision)
-        np.testing.assert_allclose(mu, solo, rtol=1e-10, atol=1e-10)
+        assert np.array_equal(mu, solo)
 
 
 # ---------------------------------------------------------------------

@@ -75,7 +75,7 @@ class TestBackendParity:
             for name in AVAILABLE
         ]
         for rho in rhos[1:]:
-            assert np.allclose(rho, rhos[0], atol=1e-9)
+            assert np.array_equal(rho, rhos[0])
 
 
 @pytest.mark.parametrize("backend", AVAILABLE)

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.scaling import SpectralScale
+from repro.core.scaling import SpectralScale, lanczos_scale
 from repro.sparse.backend import (
     BACKEND_CHOICES,
     KernelBackend,
@@ -48,7 +48,9 @@ def operator(request, small_hermitian, ti_small):
     else:
         m, _ = ti_small
         sell = SellMatrix(m, chunk_height=16, sigma=64)
-    scale = SpectralScale.from_bounds(*m.gershgorin_bounds())
+    # off-centre (b != 0), so the 2ab v term of the recombination rounds
+    lo, hi = m.gershgorin_bounds()
+    scale = SpectralScale.from_bounds(lo, hi + 1.0)
     return m, sell, scale
 
 
@@ -82,18 +84,26 @@ class TestRegistry:
         assert p4.escape.shape == (1,) and p4.anchors is None
 
 
+def _storage(prec, X):
+    """``X`` (complex128) in ``prec``'s vector storage."""
+    return prec.encode(X) if prec.half_vectors else X.astype(prec.vector_dtype)
+
+
+def _equal(a, b) -> bool:
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @needs_native
 class TestNativeParity:
-    """Compiled C kernels agree with the NumPy reference."""
+    """The NumPy backend rounds as the C kernels do: every kernel writes
+    the native bits (DESIGN §19)."""
 
     def test_spmv(self, operator, rng):
         m, sell, _ = operator
         npb, nat = get_backend("numpy"), get_backend("native")
         x = _block(rng, m.n_cols, 1)[:, 0].copy()
         for A in (m, sell):
-            assert np.allclose(
-                nat.spmv(A, x), npb.spmv(A, x), atol=1e-12
-            )
+            assert _equal(nat.spmv(A, x), npb.spmv(A, x))
 
     @pytest.mark.parametrize("r", [1, 4, 32])
     def test_spmmv(self, operator, rng, r):
@@ -101,9 +111,7 @@ class TestNativeParity:
         npb, nat = get_backend("numpy"), get_backend("native")
         X = _block(rng, m.n_cols, r)
         for A in (m, sell):
-            assert np.allclose(
-                nat.spmmv(A, X), npb.spmmv(A, X), atol=1e-12
-            )
+            assert _equal(nat.spmmv(A, X), npb.spmmv(A, X))
 
     def test_aug_spmv_step(self, operator, rng):
         m, sell, scale = operator
@@ -112,11 +120,10 @@ class TestNativeParity:
         w0 = _block(rng, m.n_rows, 1)[:, 0].copy()
         for A in (m, sell):
             wa, wb = w0.copy(), w0.copy()
-            ee_n, eo_n = npb.aug_spmv_step(A, v, wa, scale.a, scale.b)
-            ee_c, eo_c = nat.aug_spmv_step(A, v, wb, scale.a, scale.b)
-            assert np.allclose(wa, wb, atol=1e-10)
-            assert ee_n == pytest.approx(ee_c, rel=1e-10)
-            assert eo_n == pytest.approx(eo_c, rel=1e-10)
+            eta_n = npb.aug_spmv_step(A, v, wa, scale.a, scale.b)
+            eta_c = nat.aug_spmv_step(A, v, wb, scale.a, scale.b)
+            assert _equal(wa, wb)
+            assert eta_n == eta_c
 
     @pytest.mark.parametrize("r", [1, 4, 32])
     def test_aug_spmmv_step(self, operator, rng, r):
@@ -133,9 +140,8 @@ class TestNativeParity:
             ee_c, eo_c = nat.aug_spmmv_step(
                 A, V, wb, scale.a, scale.b, plan=pb
             )
-            assert np.allclose(wa, wb, atol=1e-10)
-            assert np.allclose(ee_n, ee_c, rtol=1e-10)
-            assert np.allclose(eo_n, eo_c, rtol=1e-10, atol=1e-12)
+            assert _equal(wa, wb)
+            assert _equal(ee_n, ee_c) and _equal(eo_n, eo_c)
 
     def test_naive_step(self, operator, rng):
         m, _, scale = operator
@@ -143,16 +149,16 @@ class TestNativeParity:
         v = _block(rng, m.n_cols, 1)[:, 0].copy()
         w0 = _block(rng, m.n_rows, 1)[:, 0].copy()
         wa, wb = w0.copy(), w0.copy()
-        ee_n, eo_n = npb.naive_step(m, v, wa, scale.a, scale.b)
-        ee_c, eo_c = nat.naive_step(m, v, wb, scale.a, scale.b)
-        assert np.allclose(wa, wb, atol=1e-10)
-        assert ee_n == pytest.approx(ee_c, rel=1e-10)
-        assert eo_n == pytest.approx(eo_c, rel=1e-10)
+        eta_n = npb.naive_step(m, v, wa, scale.a, scale.b)
+        eta_c = nat.naive_step(m, v, wb, scale.a, scale.b)
+        assert _equal(wa, wb)
+        assert eta_n == eta_c
 
     def test_rectangular_block(self, ti_small, rng):
         """V with halo rows: dots and update run over the first n rows."""
         m, _ = ti_small
-        scale = SpectralScale.from_bounds(*m.gershgorin_bounds())
+        lo, hi = m.gershgorin_bounds()
+        scale = SpectralScale.from_bounds(lo, hi + 1.0)
         npb, nat = get_backend("numpy"), get_backend("native")
         # widen the column space to fake a local+halo layout
         wide = CSRMatrix(
@@ -163,16 +169,19 @@ class TestNativeParity:
         wa, wb = W0.copy(), W0.copy()
         ee_n, eo_n = npb.aug_spmmv_step(wide, V, wa, scale.a, scale.b)
         ee_c, eo_c = nat.aug_spmmv_step(wide, V, wb, scale.a, scale.b)
-        assert np.allclose(wa, wb, atol=1e-10)
-        assert np.allclose(ee_n, ee_c, rtol=1e-10)
-        assert np.allclose(eo_n, eo_c, rtol=1e-10, atol=1e-12)
+        assert _equal(wa, wb)
+        assert _equal(ee_n, ee_c) and _equal(eo_n, eo_c)
+        v, wa, wb = V[:, 0].copy(), W0[:, 0].copy(), W0[:, 0].copy()
+        eta_n = npb.aug_spmv_step(wide, v, wa, scale.a, scale.b)
+        eta_c = nat.aug_spmv_step(wide, v, wb, scale.a, scale.b)
+        assert _equal(wa, wb) and eta_n == eta_c
 
     def test_moments_parity(self, ti_small):
         from repro.core.moments import compute_eta
         from repro.core.stochastic import make_block_vector
 
         m, _ = ti_small
-        scale = SpectralScale.from_bounds(*m.gershgorin_bounds())
+        scale = lanczos_scale(m, seed=0)
         block = make_block_vector(m.n_rows, 4, seed=7)
         for engine in ("naive", "aug_spmv", "aug_spmmv"):
             eta_np = compute_eta(
@@ -181,7 +190,44 @@ class TestNativeParity:
             eta_c = compute_eta(
                 m, scale, 16, block, engine=engine, backend="native"
             )
-            assert np.allclose(eta_np, eta_c, atol=1e-9), engine
+            assert _equal(eta_np, eta_c), engine
+
+    @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+    @pytest.mark.parametrize("kernel,r", [
+        ("naive", 1), ("aug_spmv", 1), ("aug_spmmv", 1), ("aug_spmmv", 3),
+        ("aug_spmmv", 8), ("aug_spmmv", 32)])
+    def test_one_bit_pattern_per_precision(self, operator, precision,
+                                           kernel, r):
+        """Three steps of each kernel on CSR and SELL: the NumPy backend's
+        W and eta equal the native kernels' under every simd x threads
+        setting, in every storage profile."""
+        from repro.util.precision import get_precision
+
+        m, sell, scale = operator
+        prec = get_precision(precision)
+        shape = (m.n_rows,) if kernel != "aug_spmmv" else (m.n_rows, r)
+        V0, W0 = (_block(np.random.default_rng(seed), m.n_rows, r)
+                  .reshape(shape) / np.sqrt(m.n_rows) for seed in (1, 2))
+
+        def run(name, A, **knobs):
+            bk = get_backend(name)
+            plan = bk.plan(A, r, precision=prec, **knobs)
+            step = getattr(bk, f"{kernel}_step")
+            V, W = _storage(prec, V0), _storage(prec, W0)
+            etas = []
+            for _ in range(3):
+                etas.append(np.hstack(step(A, V, W, scale.a, scale.b,
+                                           plan=plan)))
+                V, W = W, V
+            return V, np.stack(etas)
+
+        for A in (m, sell):
+            ref_w, ref_eta = run("numpy", A)
+            for simd in ("on", "off"):
+                for threads in (1, 2):
+                    w, eta = run("native", A, simd=simd, threads=threads)
+                    assert _equal(w, ref_w), (simd, threads)
+                    assert _equal(eta, ref_eta), (simd, threads)
 
     def test_counters_identical(self, operator, rng):
         """Table-I accounting is backend-independent."""

@@ -31,14 +31,20 @@ first breach.  Intended for CI next to ``check_metrics.py``: that tool
 proves the *byte accounting* of the reduced profiles, this one proves
 their *numerics*.
 
+Every run prints an ``eta digest`` over all its eta arrays.  The
+backends round alike (DESIGN §19), so ``--expect-digest`` checks a
+second backend against the first one's digest instead of the budgets.
+
 Usage::
 
     PYTHONPATH=src python tools/check_accuracy.py [--backend numpy]
+        [--expect-digest HEX]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 
 #: Relative L-infinity DOS error budget per precision profile.
@@ -60,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nz", type=int, default=4)
     parser.add_argument("--moments", type=int, default=64)
     parser.add_argument("--vectors", type=int, default=4)
+    parser.add_argument("--expect-digest", metavar="HEX",
+                        help="require this eta digest (another backend's "
+                        "run) instead of the error budgets")
     args = parser.parse_args(argv)
 
     import numpy as np
@@ -82,9 +91,12 @@ def main(argv: list[str] | None = None) -> int:
     m = args.moments
     block = make_block_vector(H.n_rows, args.vectors, seed=3)
 
+    digest = hashlib.sha256()
+
     def dos(engine: str, precision: str) -> np.ndarray:
         eta = compute_eta(H, scale, m, block, engine, backend=backend,
                           precision=precision)
+        digest.update(eta.tobytes())
         mu = eta_to_moments(eta).mean(axis=0)
         _, rho = reconstruct_dos(mu.real / H.n_rows, scale, n_points=512)
         return rho
@@ -95,13 +107,21 @@ def main(argv: list[str] | None = None) -> int:
         ref_peak = float(np.max(np.abs(ref)))
         for prec, budget in BUDGETS.items():
             err = float(np.max(np.abs(dos(engine, prec) - ref))) / ref_peak
+            if args.expect_digest:
+                continue  # judged by the digest alone
             ok = err <= budget
             status = "ok" if ok else "FAIL"
             print(f"  {status}: {engine:10s} {prec:6s} "
                   f"L_inf rel err {err:.3e} (budget {budget:.0e})")
             if not ok:
                 failures += 1
+    print(f"eta digest: {digest.hexdigest()}")
 
+    if args.expect_digest:
+        if digest.hexdigest() != args.expect_digest:
+            return _fail(f"eta digest differs from {args.expect_digest}")
+        print("\nthe same eta bits as the expected digest")
+        return 0
     if failures:
         return _fail(f"{failures} precision/engine combination(s) over "
                      "the DOS error budget")

@@ -114,8 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         for engine in ("naive", "aug_spmv", "aug_spmmv"):
             ref = compute_eta(m, scale, 32, block, engine, backend=numpy_bk)
             got = compute_eta(m, scale, 32, block, engine, backend=native_bk)
-            if not np.allclose(ref, got, atol=1e-9):
-                return _fail(f"parity: {engine}/{name} moments diverge "
+            if not np.array_equal(ref, got):
+                return _fail(f"parity: {engine}/{name} moments differ "
                              f"(max |d| = {np.abs(ref - got).max():.2e})")
             print(f"parity:  {engine:>9}/{name} ok "
                   f"(N = {h.n_rows:,}, R = 8, M = 32)")
