@@ -26,11 +26,15 @@ def _add_matrix_args(p: argparse.ArgumentParser) -> None:
                    help="read the matrix from a MatrixMarket file instead")
 
 
-def _load_matrix(args):
+def _load_matrix(args, operator: bool = True):
+    """The command's matrix: ``--mtx`` or a generated TI sample.  With
+    ``operator`` a ``--mtx`` matrix must be one KPM can expand, else a
+    :class:`~repro.util.errors.FormatError` (``check_operator``)."""
     if args.mtx:
-        from repro.sparse.io import read_matrix_market
+        from repro.sparse.io import check_operator, read_matrix_market
 
-        return read_matrix_market(args.mtx)
+        h = read_matrix_market(args.mtx)
+        return check_operator(h) if operator else h
     from repro.physics import build_topological_insulator
 
     ny = args.ny or args.nx
@@ -252,7 +256,7 @@ def cmd_dos(args) -> int:
 def cmd_info(args) -> int:
     from repro.sparse.stats import analyze, row_length_histogram, stencil_reuse_rows
 
-    h = _load_matrix(args)
+    h = _load_matrix(args, operator=False)
     stats = analyze(h)
     print(f"shape:         {stats.n_rows} x {stats.n_cols}")
     print(f"nnz:           {stats.nnz:,} "
@@ -690,8 +694,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.util.errors import FormatError
+
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except FormatError as exc:  # a bad input file: one line, not a trace
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,6 +20,23 @@ _FIELDS = {"real", "complex", "integer", "pattern"}
 _SYMMETRIES = {"general", "symmetric", "hermitian", "skew-symmetric"}
 
 
+def check_operator(A: CSRMatrix) -> CSRMatrix:
+    """``A`` if KPM can expand it — square, non-empty, finite entries,
+    Hermitian (to 1e-12) — else a :class:`FormatError` naming the fault.
+    ``info`` describes any matrix; ``dos`` and ``tune`` check."""
+    if A.n_rows != A.n_cols:
+        raise FormatError(f"operator must be square, got {A.n_rows} x "
+                          f"{A.n_cols}")
+    if A.n_rows == 0 or A.nnz == 0:
+        raise FormatError("operator is empty (no rows or no entries)")
+    if not np.isfinite(A.data).all():
+        raise FormatError("operator has a non-finite (nan/inf) entry")
+    if not A.is_hermitian():
+        raise FormatError("operator is not Hermitian: KPM needs a real "
+                          "spectrum (store it 'hermitian' or 'symmetric')")
+    return A
+
+
 def read_matrix_market(path: str | Path) -> CSRMatrix:
     """Read a MatrixMarket coordinate file into a :class:`CSRMatrix`.
 

@@ -14,14 +14,8 @@ from repro.core.checkpoint import KpmCheckpoint, checkpointed_eta
 from repro.core.moments import compute_eta
 from repro.core.scaling import SpectralScale, lanczos_scale
 from repro.core.stochastic import make_block_vector
-from repro.sparse.backend.native import native_available
 from repro.util.errors import CheckpointError, FormatError
-
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="no C compiler for the native kernels"
-)
-
-BACKENDS = ["numpy", pytest.param("native", marks=needs_native)]
+from tests.lattice import case_test
 
 
 @pytest.fixture(scope="module")
@@ -36,26 +30,10 @@ def system():
 
 
 class TestEquivalence:
-    def test_no_checkpointing_matches_engine(self, system):
-        h, scale, blk, ref = system
-        eta = checkpointed_eta(h, scale, 32, blk)
-        assert np.allclose(eta, ref, atol=0)
-
-    def test_resume_is_bit_exact(self, system, tmp_path):
-        h, scale, blk, ref = system
-        ck_path = tmp_path / "state.npz"
-        # run to completion with periodic checkpoints; the last checkpoint
-        # freezes the state a few iterations before the end
-        full = checkpointed_eta(
-            h, scale, 32, blk, checkpoint_every=5, checkpoint_path=ck_path
-        )
-        assert np.allclose(full, ref, atol=0)
-        # resume from the saved state and finish again
-        resumed = checkpointed_eta(
-            h, scale, 32, blk, resume_from=ck_path
-        )
-        assert np.array_equal(resumed[:, -2:], full[:, -2:])
-        assert np.allclose(resumed, ref, atol=0)
+    @case_test
+    def test_no_checkpointing_matches_engine(self): ...
+    @case_test
+    def test_resume_is_bit_exact(self): ...
 
     def test_ckpt_suffix_round_trip(self, system, tmp_path):
         """Regression: save('state.ckpt') must be loadable by the same name.
@@ -94,61 +72,14 @@ class TestEquivalence:
 
 class TestResumeMidRun:
     """Interrupt in the middle of the loop; resume must be bit-exact."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_resume_bitwise_per_backend(self, system, tmp_path, backend):
-        h, scale, blk, _ = system
-        p = tmp_path / "mid.npz"
-        # checkpoint_every=4 over 15 iterations: the last saved state sits
-        # at next_m=13, three iterations short of completion
-        full = checkpointed_eta(
-            h, scale, 32, blk, checkpoint_every=4, checkpoint_path=p,
-            backend=backend,
-        )
-        ck = KpmCheckpoint.load(p)
-        assert 1 < ck.next_m < 16  # genuinely mid-run
-        resumed = checkpointed_eta(
-            h, scale, 32, blk, resume_from=ck, backend=backend
-        )
-        # same backend, same state, deterministic recurrence: bitwise
-        assert np.array_equal(resumed, full)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_engine_per_backend(self, system, backend):
-        h, scale, blk, _ = system
-        eta = checkpointed_eta(h, scale, 32, blk, backend=backend)
-        ref = compute_eta(h, scale, 32, blk, "aug_spmmv", backend=backend)
-        assert np.array_equal(eta, ref)
-
-    @needs_native
-    def test_cross_backend_resume(self, system, tmp_path):
-        """A checkpoint is backend-agnostic: save numpy, resume native."""
-        h, scale, blk, _ = system
-        p = tmp_path / "mid.npz"
-        full = checkpointed_eta(
-            h, scale, 32, blk, checkpoint_every=4, checkpoint_path=p,
-            backend="numpy",
-        )
-        resumed = checkpointed_eta(
-            h, scale, 32, blk, resume_from=p, backend="native"
-        )
-        # the two backends round alike: the resumed run is the full one
-        assert np.array_equal(resumed, full)
-
-    @pytest.mark.parametrize("dist_engine", ["sim", "mp"])
-    def test_matches_distributed_engines(self, system, dist_engine):
-        """Resumed serial moments equal the sim/mp distributed runs."""
-        from repro.dist.comm import SimWorld
-        from repro.dist.kpm_parallel import distributed_eta
-        from repro.dist.mp import MpWorld
-        from repro.dist.partition import RowPartition
-
-        h, scale, blk, _ = system
-        eta_ck = checkpointed_eta(h, scale, 32, blk)
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        world = MpWorld(2) if dist_engine == "mp" else SimWorld(2)
-        eta_dist = distributed_eta(h, part, scale, 32, blk, world)
-        assert np.array_equal(eta_dist, eta_ck)
+    @case_test
+    def test_resume_bitwise_per_backend(self): ...
+    @case_test
+    def test_matches_engine_per_backend(self): ...
+    @case_test
+    def test_cross_backend_resume(self): ...
+    @case_test
+    def test_matches_distributed_engines(self): ...
 
 
 class TestValidation:

@@ -10,8 +10,9 @@ exactly.  So:
   is bitwise the fold of its own per-row terms, and within 2^-40 of their
   exact sum (``math.fsum``);
 * one precision has one bit pattern across every execution knob, the
-  backend (per rank too) included, resume point, elastic plan and
-  coalescing width;
+  backend (per rank too) included, resume point, elastic plan, fault
+  and coalescing width: the rows of the lattice (``tests/lattice.py``),
+  whose covering holds every pair of knob values;
 * a spectrum escaping its scale raises :class:`SpectralScaleError`, on
   every engine, and the supervisor does not retry it.
 """
@@ -20,14 +21,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.checkpoint import RunContext
 from repro.core.moments import compute_eta
 from repro.core.scaling import SpectralScale, lanczos_scale
 from repro.core.stochastic import make_block_vector
-from repro.dist.elastic import RebalancePolicy, elastic_eta
 from repro.dist.mp import MpWorld
 from repro.physics import build_topological_insulator
 from repro.sparse.backend import get_backend
@@ -37,6 +35,7 @@ from repro.sparse.sell import SellMatrix
 from repro.util.errors import SpectralScaleError
 from repro.util.knobs import ExecConfig, run_engine
 from repro.util.precision import get_precision
+from tests import lattice
 
 BACKENDS = ["numpy", pytest.param("native", marks=pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernels"))]
@@ -133,80 +132,18 @@ def test_anchors():
 
 # -- the lattice -------------------------------------------------------
 
-_REF: dict = {}
+@pytest.mark.parametrize("row", lattice.COVERING, ids=str)
+def test_one_bit_pattern_across_the_lattice(row):
+    """A row of the strength-2 covering: its relations (tests/lattice.py)."""
+    lattice.check(row)
 
 
-def _reference(ti, precision):
-    if precision not in _REF:
-        h, scale, block = ti
-        _REF[precision] = compute_eta(h, scale, M, block,
-                                      precision=precision)
-    return _REF[precision]
-
-
-def _backend(name: str) -> str:
-    return name if native_available() else "numpy"
-
-
-@st.composite
-def exec_configs(draw):
-    """ExecConfig keywords; ``{}`` is the default config.  ``backend`` is
-    drawn too — per rank, sometimes, on the mp engine."""
-    backends = st.sampled_from(["numpy", "native"]).map(_backend)
-    if draw(st.integers(0, 5)) == 0:
-        return {}
-    workers = draw(st.integers(1, 3))
-    weights = draw(st.none() | st.lists(st.floats(0.2, 1.0), min_size=workers,
-                                        max_size=workers))
-    engine = draw(st.sampled_from(["serial", "sim", "mp"]))
-    backend = draw(backends)
-    if engine == "mp" and draw(st.booleans()):
-        backend = draw(st.lists(backends, min_size=workers,
-                                max_size=workers))
-    return dict(
-        engine=engine, workers=workers, weights=weights, backend=backend,
-        threads=draw(st.sampled_from([None, 1, 2])),
-        simd=draw(st.sampled_from(["on", "off"])),
-        overlap=draw(st.sampled_from(["on", "off"])),
-        reduction=draw(st.sampled_from(["end", "every"])),
-    )
-
-
-@settings(max_examples=24, deadline=None, derandomize=True, database=None)
-@given(first=exec_configs(), second=exec_configs(),
-       precision=st.sampled_from(PRECISIONS),
-       every=st.integers(1, M // 2 - 2), elastic=st.booleans(),
-       width=st.integers(1, R))
-def test_one_bit_pattern_across_the_lattice(ti, tmp_path_factory, first,
-                                            second, precision, every,
-                                            elastic, width):
-    """Two configs — each with its own backend, per rank on mp — a resume
-    point, an elastic plan and a coalescing width: one eta digest per
-    precision."""
-    h, scale, block = ti
-    ref = _reference(ti, precision)[:width]
-    block = np.ascontiguousarray(block[:, :width])
-    path = tmp_path_factory.mktemp("lattice") / "ck.npz"
-    if elastic and first.get("engine", "serial") != "serial":
-        backend = first["backend"]  # the membership plan changes the ranks
-        eta, _rep = elastic_eta(
-            h, scale, M, block, n_workers=first["workers"],
-            weights=first["weights"], engine=first["engine"],
-            policy=RebalancePolicy(interval=every, threshold=1e9),
-            membership=f"join:m={every + 1}", checkpoint_path=path,
-            threads=first["threads"], simd=first["simd"],
-            overlap=first["overlap"], precision=precision,
-            backend=backend if isinstance(backend, str) else backend[0])
-    else:
-        eta = run_engine(ExecConfig(**first, precision=precision),
-                         RunContext.of(checkpoint_every=every,
-                                       checkpoint_path=path),
-                         h, scale, M, block)[0]
-    assert np.array_equal(eta, ref)
-    resumed = run_engine(ExecConfig(**second, precision=precision),
-                         RunContext.of(resume_from=path), h, scale, M,
-                         block)[0]
-    assert np.array_equal(resumed, ref)
+def test_the_covering_has_every_allowed_pair():
+    """Strength 2: the rows hold every pair of field values that no rule
+    forbids, and no other pair."""
+    seen = {pair for row in lattice.COVERING for pair in lattice.pairs(
+        {f: getattr(row, f) for f in lattice.DOMAINS})}
+    assert seen == lattice.allowed_pairs()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

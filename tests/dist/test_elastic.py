@@ -26,11 +26,11 @@ from repro.dist.elastic import (
     resolve_rebalance,
 )
 from repro.dist.kpm_parallel import distributed_eta
-from repro.dist.mp import MpWorld
 from repro.dist.partition import RowPartition
 from repro.perf.report import expected_segment_counters
 from repro.util.counters import PerfCounters
 from repro.util.errors import CheckpointError, SimulationError
+from tests.lattice import case_test
 
 M = 24  # half = 12 inner iterations
 G = 64  # partition alignment: the eta block
@@ -51,29 +51,10 @@ def system():
 
 class TestGridInvariance:
     """eta is a pure function of the problem — not of the partition."""
-
-    @pytest.mark.parametrize("weights", [
-        None,  # equal split over 2 ranks
-        [0.5, 0.5, 0.0001, 0.4999],  # extreme skew over 4
-        [0.6, 0.1, 0.3],
-    ])
-    def test_sim_partition_independent(self, system, weights):
-        h, scale, blk, ref = system
-        if weights is None:
-            part = RowPartition.equal(h.n_rows, 2, align=G)
-        else:
-            part = RowPartition.from_weights(h.n_rows, weights, align=G)
-        eta = distributed_eta(
-            h, part, scale, M, blk, SimWorld(part.n_ranks)
-        )
-        assert np.array_equal(eta, ref)
-
-    def test_mp_matches_sim_bitwise(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 3, align=G)
-        mw = MpWorld(3)
-        eta = distributed_eta(h, part, scale, M, blk, mw)
-        assert np.array_equal(eta, ref)
+    @case_test
+    def test_sim_partition_independent(self): ...
+    @case_test
+    def test_mp_matches_sim_bitwise(self): ...
 
     def test_grid_requires_aligned_partition(self, system):
         h, scale, blk, _ = system
@@ -115,42 +96,10 @@ def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
 
 class TestCrossWorkerResume:
     """Interrupt at 4 workers, resume at 2 or 3 — bitwise, exact traffic."""
-
-    @pytest.mark.parametrize("resume_workers,weights", [
-        (2, None),
-        (3, None),
-        (2, [0.7, 0.3]),
-        (3, [0.5, 0.125, 0.375]),
-    ])
-    def test_sim_resume(self, system, tmp_path, resume_workers, weights):
-        h, scale, blk, ref = system
-        eta, c1, c2, _ = run_segmented(
-            h, scale, blk, ref, tmp_path, SimWorld, resume_workers, weights
-        )
-        assert np.array_equal(eta, ref)
-        # both halves' measured counters equal the Eq. 5-7 analytic
-        # charge of their segment, exactly
-        e1 = expected_segment_counters(h, M, R, first_m=1, stop_m=STOP)
-        e2 = expected_segment_counters(h, M, R, first_m=STOP, stop_m=M // 2)
-        assert (c1.bytes_loaded, c1.bytes_stored, c1.flops) == \
-            (e1.bytes_loaded, e1.bytes_stored, e1.flops)
-        assert (c2.bytes_loaded, c2.bytes_stored, c2.flops) == \
-            (e2.bytes_loaded, e2.bytes_stored, e2.flops)
-
-    def test_mp_resume_matches_sim(self, system, tmp_path):
-        h, scale, blk, ref = system
-        eta_mp, m1, m2, (w1, w2) = run_segmented(
-            h, scale, blk, ref, tmp_path, MpWorld, 2, None
-        )
-        assert np.array_equal(eta_mp, ref)
-        eta_sim, s1, s2, (v1, v2) = run_segmented(
-            h, scale, blk, ref, tmp_path, SimWorld, 2, None
-        )
-        # per-half counters and message logs agree engine-for-engine
-        assert (m1.bytes_total, m1.flops) == (s1.bytes_total, s1.flops)
-        assert (m2.bytes_total, m2.flops) == (s2.bytes_total, s2.flops)
-        assert w1.log.records == v1.log.records
-        assert w2.log.records == v2.log.records
+    @case_test
+    def test_sim_resume(self): ...
+    @case_test
+    def test_mp_resume_matches_sim(self): ...
 
     def test_constant_worker_segments_sum_to_full_run(self, system,
                                                       tmp_path):

@@ -3,19 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.moments import compute_eta, eta_to_moments
+from repro.core.moments import compute_eta
 from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.halo import partition_matrix
 from repro.dist.kpm_parallel import distributed_eta
 from repro.dist.partition import RowPartition
-from repro.sparse.backend.native import native_available
 from repro.util.errors import SimulationError
-
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="no C compiler for the native kernels"
-)
+from tests.lattice import case_test
 
 
 @pytest.fixture(scope="module")
@@ -30,38 +26,12 @@ def system():
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("n_ranks, backend", [
-        pytest.param(1, "auto", id="1"),
-        pytest.param(2, "auto", id="2"),
-        pytest.param(3, "auto", id="3"),
-        pytest.param(5, "auto", id="5"),
-        pytest.param(1, "numpy", id="1-numpy"),
-        pytest.param(1, "native", id="1-native", marks=needs_native),
-    ])
-    def test_matches_serial_equal_partition(self, system, n_ranks, backend):
-        h, scale, blk, ref = system
-        if backend != "auto":
-            ref = compute_eta(h, scale, 24, blk, "aug_spmmv", backend=backend)
-        part = RowPartition.equal(h.n_rows, n_ranks, align=64)
-        world = SimWorld(n_ranks)
-        eta = distributed_eta(h, part, scale, 24, blk, world, backend=backend)
-        # each rank drives the serial engine's Recurrence and the eta bins
-        # add exactly: bit for bit at any rank count, not to tolerance
-        assert np.array_equal(eta, ref)
-
-    def test_matches_serial_weighted(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.from_weights(h.n_rows, [0.55, 0.25, 0.2], align=64)
-        eta = distributed_eta(h, part, scale, 24, blk, SimWorld(3))
-        assert np.array_equal(eta, ref)
-
-    def test_reduction_every_same_result(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 4, align=64)
-        eta = distributed_eta(
-            h, part, scale, 24, blk, SimWorld(4), reduction="every"
-        )
-        assert np.array_equal(eta, ref)
+    @case_test
+    def test_matches_serial_equal_partition(self): ...
+    @case_test
+    def test_matches_serial_weighted(self): ...
+    @case_test
+    def test_reduction_every_same_result(self): ...
 
     def test_prepartitioned_matrix_accepted(self, system):
         h, scale, blk, ref = system
@@ -70,12 +40,8 @@ class TestEquivalence:
         eta = distributed_eta(dist, None, scale, 24, blk, SimWorld(2))
         assert np.array_equal(eta, ref)
 
-    def test_dos_moments_match(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 3, align=64)
-        eta = distributed_eta(h, part, scale, 24, blk, SimWorld(3))
-        mu = eta_to_moments(eta).mean(axis=0).real
-        assert np.array_equal(mu, eta_to_moments(ref).mean(axis=0).real)
+    @case_test
+    def test_dos_moments_match(self): ...
 
 
 class TestCommunication:

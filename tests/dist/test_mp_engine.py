@@ -25,12 +25,8 @@ from repro.dist.mp import MpTimeouts, MpWorld
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
 from repro.resil import FaultPlan
-from repro.sparse.backend.native import native_available
 from repro.util.errors import SimulationError
-
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="no C compiler for the native kernels"
-)
+from tests.lattice import case_test
 
 M = 24  # moments for the standard parity runs
 
@@ -56,79 +52,18 @@ def run_pair(h, scale, blk, part, m=M, **kw):
 
 
 class TestParity:
-    @pytest.mark.parametrize("n_workers, backend", [
-        pytest.param(1, "auto", id="1"),
-        pytest.param(2, "auto", id="2"),
-        pytest.param(4, "auto", id="4"),
-        pytest.param(1, "numpy", id="1-numpy"),
-        pytest.param(1, "native", id="1-native", marks=needs_native),
-    ])
-    def test_matches_serial_and_sim(self, system, n_workers, backend):
-        h, scale, blk, ref = system
-        if backend != "auto":
-            ref = compute_eta(h, scale, M, blk, "aug_spmmv", backend=backend)
-        part = RowPartition.equal(h.n_rows, n_workers, align=64)
-        eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part,
-                                           backend=backend)
-        # any worker count: the serial engine's Recurrence per rank and
-        # the one eta reduction — bitwise, not to tolerance
-        assert np.array_equal(eta_mp, ref)
-        assert np.array_equal(eta_sim, ref)
-        # ... and mp and sim charge the message log record-for-record
-        assert mw.log.records == sw.log.records
-
-    def test_skewed_weights(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.from_weights(h.n_rows, [0.6, 0.1, 0.3], align=64)
-        eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part)
-        assert np.array_equal(eta_mp, ref)
-        assert np.array_equal(eta_sim, ref)
-        assert mw.log.records == sw.log.records
-
-    @pytest.mark.parametrize("r", [1, 8, 32])
-    def test_block_widths(self, system, r):
-        h, scale, _, _ = system
-        m = 8  # keep the R=32 case cheap
-        blk = make_block_vector(h.n_rows, r, seed=7)
-        ref = compute_eta(h, scale, m, blk, "aug_spmmv")
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part, m=m)
-        assert eta_mp.shape == (r, m)
-        assert np.array_equal(eta_mp, ref)
-        assert np.array_equal(eta_sim, ref)
-        assert mw.log.records == sw.log.records
-
-    def test_numpy_backend(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_mp, eta_sim, _, _ = run_pair(
-            h, scale, blk, part, backend="numpy"
-        )
-        assert np.array_equal(eta_mp, ref)  # numpy writes the native bits
-        assert np.array_equal(eta_mp, eta_sim)
-
-    @needs_native
-    def test_native_backend(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_mp, eta_sim, _, _ = run_pair(
-            h, scale, blk, part, backend="native"
-        )
-        assert np.array_equal(eta_mp, ref)
-        assert np.array_equal(eta_sim, ref)
-
-    @needs_native
-    def test_per_rank_backend_mix(self, system):
-        """Heterogeneous worlds: one rank native, one numpy — the bits of
-        the all-native run, in every storage profile."""
-        h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        for precision in ("fp64", "fp32", "fp16v"):
-            etas = [distributed_eta(h, part, scale, M, blk,
-                                    MpWorld(2, backend=backend),
-                                    precision=precision)
-                    for backend in ("native", ["native", "numpy"])]
-            assert np.array_equal(*etas), precision
+    @case_test
+    def test_matches_serial_and_sim(self): ...
+    @case_test
+    def test_skewed_weights(self): ...
+    @case_test
+    def test_block_widths(self): ...
+    @case_test
+    def test_numpy_backend(self): ...
+    @case_test
+    def test_native_backend(self): ...
+    @case_test
+    def test_per_rank_backend_mix(self): ...
 
     def test_reduction_every(self, system):
         h, scale, blk, ref = system

@@ -25,11 +25,7 @@ from repro.dist.mp import MpWorld
 from repro.dist.overlap import OVERLAP_CHOICES, resolve_overlap, task_split
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
-from repro.sparse.backend.native import native_available
-
-needs_native = pytest.mark.skipif(
-    not native_available(), reason="no C compiler for the native kernels"
-)
+from tests.lattice import case_test
 
 M = 24
 
@@ -148,86 +144,21 @@ class TestResolveOverlap:
 # engine parity under overlap
 # ---------------------------------------------------------------------
 
-def run_overlap_pair(h, scale, blk, part, m=M, **kw):
-    """The same overlapped problem through MpWorld and SimWorld."""
-    mw = MpWorld(part.n_ranks)
-    eta_mp = distributed_eta(h, part, scale, m, blk, mw, overlap=True, **kw)
-    sw = SimWorld(part.n_ranks)
-    eta_sim = distributed_eta(h, part, scale, m, blk, sw, overlap=True, **kw)
-    return eta_mp, eta_sim, mw, sw
-
-
 class TestOverlapParity:
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_mp_equals_sim_bitwise(self, system, n_workers):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, n_workers, align=64)
-        eta_mp, eta_sim, mw, sw = run_overlap_pair(h, scale, blk, part)
-        # the one eta reduction makes the moments schedule-independent:
-        # real async execution == sequential sim == serial
-        assert np.array_equal(eta_mp, eta_sim)
-        assert np.array_equal(eta_mp, ref)
-        # the message accounting is unchanged by the schedule
-        assert mw.log.records == sw.log.records
-
-    def test_on_matches_off(self, system):
-        h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 3, align=64)
-        sw = SimWorld(3)
-        eta_on = distributed_eta(h, part, scale, M, blk, sw, overlap=True)
-        eta_off = distributed_eta(h, part, scale, M, blk, SimWorld(3),
-                                  overlap=False)
-        assert np.array_equal(eta_on, eta_off)
-
-    def test_overlap_string_knob(self, system):
-        h, scale, blk, _ = system
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_on = distributed_eta(h, part, scale, M, blk, SimWorld(2),
-                                 overlap="on")
-        eta_auto = distributed_eta(h, part, scale, M, blk, SimWorld(2),
-                                   overlap="auto")
-        # auto resolves to on for a multi-rank world: identical schedule
-        assert np.array_equal(eta_on, eta_auto)
-
-    @needs_native
-    def test_native_backend_bitwise(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_mp, eta_sim, _, _ = run_overlap_pair(
-            h, scale, blk, part, backend="native"
-        )
-        assert np.array_equal(eta_mp, eta_sim)
-        assert np.array_equal(eta_mp, ref)
-
-    def test_reduction_every(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_mp, eta_sim, mw, sw = run_overlap_pair(
-            h, scale, blk, part, reduction="every"
-        )
-        assert np.array_equal(eta_mp, eta_sim)
-        assert np.array_equal(eta_mp, ref)
-        assert mw.log.records == sw.log.records
-
-    @pytest.mark.parametrize("r", [1, 8])
-    def test_block_widths(self, system, r):
-        h, scale, _, _ = system
-        m = 8
-        blk = make_block_vector(h.n_rows, r, seed=7)
-        ref = compute_eta(h, scale, m, blk, "aug_spmmv")
-        part = RowPartition.equal(h.n_rows, 2, align=64)
-        eta_mp, eta_sim, _, _ = run_overlap_pair(h, scale, blk, part, m=m)
-        assert eta_mp.shape == (r, m)
-        assert np.array_equal(eta_mp, eta_sim)
-        assert np.array_equal(eta_mp, ref)
-
-    def test_skewed_weights(self, system):
-        h, scale, blk, ref = system
-        part = RowPartition.from_weights(h.n_rows, [0.6, 0.1, 0.3], align=64)
-        eta_mp, eta_sim, mw, sw = run_overlap_pair(h, scale, blk, part)
-        assert np.array_equal(eta_mp, eta_sim)
-        assert np.array_equal(eta_mp, ref)
-        assert mw.log.records == sw.log.records
+    @case_test
+    def test_mp_equals_sim_bitwise(self): ...
+    @case_test
+    def test_on_matches_off(self): ...
+    @case_test
+    def test_overlap_string_knob(self): ...
+    @case_test
+    def test_native_backend_bitwise(self): ...
+    @case_test
+    def test_reduction_every(self): ...
+    @case_test
+    def test_block_widths(self): ...
+    @case_test
+    def test_skewed_weights(self): ...
 
 
 class TestOverlapObservability:
@@ -329,15 +260,8 @@ class TestOverlapResilience:
 # ---------------------------------------------------------------------
 
 class TestSolverOverlap:
-    def test_solver_overlap_matches_sync(self, system):
-        from repro.core.solver import KPMSolver
-
-        h, scale, _, _ = system
-        kw = dict(n_moments=16, n_vectors=2, seed=9, scale=scale,
-                  dist_engine="mp", workers=2)
-        mu_on = KPMSolver(h, overlap="on", **kw).moments()
-        mu_off = KPMSolver(h, overlap="off", **kw).moments()
-        assert np.array_equal(mu_on, mu_off)
+    @case_test
+    def test_solver_overlap_matches_sync(self): ...
 
     def test_solver_validates_overlap_eagerly(self, system):
         from repro.core.solver import KPMSolver

@@ -149,6 +149,36 @@ class TestDos:
         assert "30 rows" in capsys.readouterr().out
 
 
+#: 4x4 MatrixMarket files KPM cannot expand, and the fault each names
+BAD_MTX = {
+    "general\n4 4 3\n1 1 1.0\n1 2 2.0\n2 1 0.5": "not Hermitian",
+    "symmetric\n4 4 2\n1 1 nan\n2 1 1.0": "non-finite",
+    "general\n4 4 1\n1 1 inf": "non-finite",
+    "general\n3 4 1\n1 1 1.0": "square",
+    "general\n0 0 0": "empty",
+}
+
+
+class TestBadMtx:
+    """``--mtx`` is checked at the boundary: ``dos`` and ``tune`` refuse
+    an operator KPM cannot expand with one ``error:`` line; ``info``
+    still describes the matrix."""
+
+    @pytest.mark.parametrize("body", BAD_MTX, ids=list(BAD_MTX.values()))
+    @pytest.mark.parametrize("cmd", ["dos", "tune", "info"])
+    def test_rejected(self, tmp_path, capsys, cmd, body):
+        path = tmp_path / "bad.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real {body}\n")
+        rc = main([cmd, "--mtx", str(path)])
+        out, err = capsys.readouterr()
+        if cmd == "info":
+            assert rc == 0 and "shape:" in out
+        else:
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert BAD_MTX[body] in err
+
+
 class TestInfo:
     def test_ti_structure(self, capsys):
         rc = main(["info", "--nx", "6", "--nz", "4"])

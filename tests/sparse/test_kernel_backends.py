@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.scaling import SpectralScale, lanczos_scale
+from repro.core.scaling import SpectralScale
 from repro.sparse.backend import (
     BACKEND_CHOICES,
     KernelBackend,
@@ -27,6 +27,7 @@ from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import PerfCounters
 from repro.util.errors import BackendError
+from tests.lattice import case_test
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernels"
@@ -176,21 +177,8 @@ class TestNativeParity:
         eta_c = nat.aug_spmv_step(wide, v, wb, scale.a, scale.b)
         assert _equal(wa, wb) and eta_n == eta_c
 
-    def test_moments_parity(self, ti_small):
-        from repro.core.moments import compute_eta
-        from repro.core.stochastic import make_block_vector
-
-        m, _ = ti_small
-        scale = lanczos_scale(m, seed=0)
-        block = make_block_vector(m.n_rows, 4, seed=7)
-        for engine in ("naive", "aug_spmv", "aug_spmmv"):
-            eta_np = compute_eta(
-                m, scale, 16, block, engine=engine, backend="numpy"
-            )
-            eta_c = compute_eta(
-                m, scale, 16, block, engine=engine, backend="native"
-            )
-            assert _equal(eta_np, eta_c), engine
+    @case_test
+    def test_moments_parity(self): ...
 
     @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
     @pytest.mark.parametrize("kernel,r", [

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import checkpointed_eta
 from repro.core.moments import compute_eta
 from repro.core.scaling import SpectralScale
 from repro.core.stochastic import ldos_moments, make_block_vector
@@ -35,6 +34,7 @@ from repro.sparse.backend.native import (
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.precision import FP16V
+from tests.lattice import case_test
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernels"
@@ -51,54 +51,16 @@ def ti():
     return h, scale, blocks
 
 
-def _operator(h, fmt: str):
-    if fmt == "sell":
-        return SellMatrix(h, chunk_height=8, sigma=32)
-    return h
-
-
 # ---------------------------------------------------------------------
 # the tentpole invariant: bitwise on/off, all knobs
 # ---------------------------------------------------------------------
 
-@needs_native
-@pytest.mark.parametrize("fmt", ["csr", "sell"])
-@pytest.mark.parametrize("r", [1, 8, 32])
-@pytest.mark.parametrize("threads", [None, 1, 2, 4])
-def test_fp64_bitwise_on_off(ti, fmt, r, threads):
-    """eta(simd='on') and eta(simd='off') are one bit pattern."""
-    h, scale, blocks = ti
-    A = _operator(h, fmt)
-    on = compute_eta(A, scale, M, blocks[r], "aug_spmmv", backend="native",
-                     threads=threads, simd="on")
-    off = compute_eta(A, scale, M, blocks[r], "aug_spmmv", backend="native",
-                      threads=threads, simd="off")
-    np.testing.assert_array_equal(on, off)
-
-
-@needs_native
-@pytest.mark.parametrize("fmt", ["csr", "sell"])
-@pytest.mark.parametrize("engine", ["naive", "aug_spmv"])
-def test_fp64_bitwise_on_off_single_vector_engines(ti, fmt, engine):
-    h, scale, blocks = ti
-    A = _operator(h, fmt)
-    blk = np.ascontiguousarray(blocks[8][:, :3])
-    on = compute_eta(A, scale, M, blk, engine, backend="native", simd="on")
-    off = compute_eta(A, scale, M, blk, engine, backend="native", simd="off")
-    np.testing.assert_array_equal(on, off)
-
-
-@needs_native
-@pytest.mark.parametrize("precision", ["fp32", "fp16v"])
-def test_narrow_profiles_bitwise_on_off(ti, precision):
-    """Narrow storage rounds identically too: same DAG, same lanes."""
-    h, scale, blocks = ti
-    for A in (h, _operator(h, "sell")):
-        on = compute_eta(A, scale, M, blocks[8], "aug_spmmv",
-                         backend="native", precision=precision, simd="on")
-        off = compute_eta(A, scale, M, blocks[8], "aug_spmmv",
-                          backend="native", precision=precision, simd="off")
-        np.testing.assert_array_equal(on, off)
+@case_test
+def test_fp64_bitwise_on_off(): ...
+@case_test
+def test_fp64_bitwise_on_off_single_vector_engines(): ...
+@case_test
+def test_narrow_profiles_bitwise_on_off(): ...
 
 
 @needs_native
@@ -112,18 +74,8 @@ def test_ldos_bitwise_on_off(ti):
     np.testing.assert_array_equal(on, off)
 
 
-@needs_native
-def test_auto_equals_both(ti):
-    """'auto' (and the None default) picks one of the two bit patterns."""
-    h, scale, blocks = ti
-    auto = compute_eta(h, scale, M, blocks[8], "aug_spmmv",
-                       backend="native", simd="auto")
-    default = compute_eta(h, scale, M, blocks[8], "aug_spmmv",
-                          backend="native")
-    off = compute_eta(h, scale, M, blocks[8], "aug_spmmv",
-                      backend="native", simd="off")
-    np.testing.assert_array_equal(auto, off)
-    np.testing.assert_array_equal(default, off)
+@case_test
+def test_auto_equals_both(): ...
 
 
 @needs_native
@@ -273,82 +225,14 @@ def test_on_fallback_counts(ti, monkeypatch):
 # composition with the determinism-dependent subsystems
 # ---------------------------------------------------------------------
 
-@needs_native
-def test_checkpoint_resume_across_simd_settings(ti, tmp_path):
-    """A run checkpointed under simd='on' resumes bit-exactly under 'off'."""
-    h, scale, blocks = ti
-    ck = tmp_path / "state.npz"
-    full = checkpointed_eta(h, scale, M, blocks[8], simd="off",
-                            backend="native")
-    checkpointed_eta(h, scale, M, blocks[8], checkpoint_every=3,
-                     checkpoint_path=ck, simd="on", backend="native")
-    resumed = checkpointed_eta(h, scale, M, blocks[8], resume_from=ck,
-                               simd="off", backend="native")
-    np.testing.assert_array_equal(resumed, full)
-
-
-@needs_native
-@pytest.mark.parametrize("world_kind", ["sim", "mp"])
-def test_distributed_bitwise_on_off(ti, world_kind):
-    from repro.dist.comm import SimWorld
-    from repro.dist.kpm_parallel import distributed_eta
-    from repro.dist.mp import MpWorld
-    from repro.dist.partition import RowPartition
-
-    h, scale, blocks = ti
-    part = RowPartition.equal(h.n_rows, 2, align=64)
-
-    def run(simd):
-        world = MpWorld(2) if world_kind == "mp" else SimWorld(2)
-        return distributed_eta(h, part, scale, M, blocks[8], world,
-                               backend="native", simd=simd)
-
-    np.testing.assert_array_equal(run("on"), run("off"))
-
-
-@needs_native
-def test_elastic_grid_bitwise_on_off(ti):
-    """The partition and the SIMD knob compose: both bitwise-invisible."""
-    from repro.dist.comm import SimWorld
-    from repro.dist.kpm_parallel import distributed_eta
-    from repro.dist.partition import RowPartition
-
-    h, scale, blocks = ti
-
-    def run(simd, ranks):
-        part = RowPartition.equal(h.n_rows, ranks, align=64)
-        return distributed_eta(h, part, scale, M, blocks[8],
-                               SimWorld(ranks), backend="native", simd=simd)
-
-    base = run("off", 2)
-    np.testing.assert_array_equal(run("on", 2), base)
-    # the full elastic promise: the knob AND the partition are invisible
-    np.testing.assert_array_equal(run("on", 3), base)
-
-
-@needs_native
-def test_serve_coalescing_invisible_under_simd():
-    """A width-k batch on SIMD kernels returns solo-scalar bit patterns."""
-    from repro.serve import HamiltonianSpec, KPMServer, Request
-
-    spec = HamiltonianSpec("topological_insulator",
-                           {"nx": 6, "ny": 6, "nz": 4})
-
-    def moments(seeds, width, simd):
-        srv = KPMServer(max_width=width, backend="native", simd=simd)
-        tickets = [
-            srv.submit(Request(spec, n_moments=M, n_vectors=1, seed=s))
-            for s in seeds
-        ]
-        srv.step()
-        while srv.step():
-            pass
-        return [t.result().moments for t in tickets]
-
-    batch = moments([0, 1, 2, 3], 4, "on")
-    for mu, s in zip(batch, [0, 1, 2, 3]):
-        (solo,) = moments([s], 1, "off")
-        np.testing.assert_array_equal(mu, solo)
+@case_test
+def test_checkpoint_resume_across_simd_settings(): ...
+@case_test
+def test_distributed_bitwise_on_off(): ...
+@case_test
+def test_elastic_grid_bitwise_on_off(): ...
+@case_test
+def test_serve_coalescing_invisible_under_simd(): ...
 
 
 # ---------------------------------------------------------------------

@@ -16,8 +16,6 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import checkpointed_eta
-from repro.core.moments import compute_eta, eta_to_moments
 from repro.core.scaling import SpectralScale
 from repro.core.stochastic import make_block_vector
 from repro.physics import build_topological_insulator
@@ -25,6 +23,7 @@ from repro.sparse.backend import get_backend
 from repro.sparse.backend.native import native_available
 from repro.sparse.sell import SellMatrix
 from repro.util.precision import get_precision
+from tests.lattice import case_test
 
 needs_native = pytest.mark.skipif(
     not native_available(), reason="no C compiler for the native kernels"
@@ -49,21 +48,8 @@ def _operator(h, fmt: str):
     return h
 
 
-@needs_native
-@pytest.mark.parametrize("fmt", ["csr", "sell"])
-@pytest.mark.parametrize("engine", ["aug_spmv", "aug_spmmv"])
-def test_fp64_moments_bitwise_across_thread_counts(ti, fmt, engine):
-    """The tentpole invariant: eta(threads=t) is one bit pattern for all t."""
-    h, scale, block = ti
-    A = _operator(h, fmt)
-    etas = [
-        compute_eta(A, scale, M, block, engine, backend="native", threads=t)
-        for t in THREAD_COUNTS
-    ]
-    for t, eta in zip(THREAD_COUNTS[1:], etas[1:]):
-        np.testing.assert_array_equal(
-            etas[0], eta, err_msg=f"{fmt}/{engine}: threads=1 vs {t}"
-        )
+@case_test
+def test_fp64_moments_bitwise_across_thread_counts(): ...
 
 
 @needs_native
@@ -89,124 +75,20 @@ def test_plain_products_bitwise_across_thread_counts(ti, fmt, precision,
         np.testing.assert_array_equal(outs[0][1], Y, err_msg=f"spmmv {t}")
 
 
-@needs_native
-@pytest.mark.parametrize("fmt", ["csr", "sell"])
-def test_threaded_recurrence_matches_sequential_kernels(ti, fmt):
-    """threads=None is a team of one: the same blocks, the same bins."""
-    h, scale, block = ti
-    A = _operator(h, fmt)
-    seq = compute_eta(A, scale, M, block, backend="native", threads=None)
-    par = compute_eta(A, scale, M, block, backend="native", threads=2)
-    np.testing.assert_array_equal(par, seq)
-
-
-@needs_native
-def test_checkpoint_resume_across_thread_counts(ti, tmp_path):
-    """Interrupt at threads=2, resume at threads=4: bitwise equal to an
-    uninterrupted threads=1 run (composition with checkpointing)."""
-    from repro.resil.faults import FaultPlan, FaultSpec
-    from repro.util.errors import FaultInjected
-
-    h, scale, block = ti
-    ref = checkpointed_eta(h, scale, M, block, backend="native", threads=1)
-
-    path = tmp_path / "ck.npz"
-    plan = FaultPlan(specs=(FaultSpec("raise", rank=0, m=9),))
-    with pytest.raises(FaultInjected):
-        checkpointed_eta(
-            h, scale, M, block, backend="native", threads=2,
-            checkpoint_every=4, checkpoint_path=path, fault_plan=plan,
-        )
-    resumed = checkpointed_eta(
-        h, scale, M, block, backend="native", threads=4,
-        checkpoint_every=4, checkpoint_path=path, resume_from=path,
-    )
-    np.testing.assert_array_equal(ref, resumed)
-
-
-@needs_native
-def test_serve_coalescing_invisible_at_any_thread_count():
-    """A threaded coalesced batch returns the exact bytes a solo solve
-    at a *different* thread count returns (composition with serving)."""
-    from repro.serve import HamiltonianSpec, KPMServer, Request
-
-    spec = HamiltonianSpec(
-        "topological_insulator", {"nx": 6, "ny": 6, "nz": 4}
-    )
-    wide = KPMServer(max_width=8, backend="native", threads=2)
-    tickets = [
-        wide.submit(Request(spec, n_moments=M, n_vectors=1, seed=s))
-        for s in range(4)
-    ]
-    assert wide.step() == 1  # one coalesced batch of width 4
-    for s, t in enumerate(tickets):
-        solo = KPMServer(max_width=1, backend="native", threads=4)
-        t_ref = solo.submit(Request(spec, n_moments=M, n_vectors=1, seed=s))
-        solo.step()
-        np.testing.assert_array_equal(
-            t.result().moments, t_ref.result().moments
-        )
-
-
-@needs_native
-def test_distributed_threads_match_serial(ti):
-    """sim-world ranks with per-rank threads: moments are bitwise the
-    serial run's at every per-rank thread count, plain and overlapped."""
-    from repro.dist.comm import SimWorld
-    from repro.dist.kpm_parallel import distributed_eta
-    from repro.dist.partition import RowPartition
-
-    h, scale, block = ti
-    part = RowPartition.equal(h.n_rows, 2, align=64)
-    ref = compute_eta(h, scale, M, block, backend="native")
-    for ov in (False, True):
-        for t in THREAD_COUNTS:
-            np.testing.assert_array_equal(
-                ref, distributed_eta(
-                    h, part, scale, M, block, SimWorld(2), backend="native",
-                    overlap=ov, threads=t,
-                ), err_msg=f"overlap={ov}, threads={t}"
-            )
-
-
-@needs_native
-def test_numpy_backend_ignores_threads(ti):
-    """The knob is accept-and-ignore on the NumPy backend."""
-    h, scale, block = ti
-    a = compute_eta(h, scale, M, block, backend="numpy", threads=None)
-    b = compute_eta(h, scale, M, block, backend="numpy", threads=4)
-    np.testing.assert_array_equal(a, b)
-
-
-@needs_native
-def test_solver_threads_knob(ti):
-    """KPMSolver(threads=...) reaches the kernels and keeps moments
-    bitwise across counts (including 'auto')."""
-    from repro.core.solver import KPMSolver
-
-    h, scale, _ = ti
-    mus = [
-        KPMSolver(h, n_moments=M, n_vectors=2, scale=scale, seed=5,
-                  backend="native", threads=t).moments()
-        for t in (1, 4, "auto")
-    ]
-    np.testing.assert_array_equal(mus[0], mus[1])
-    np.testing.assert_array_equal(mus[0], mus[2])
-
-
-@needs_native
-def test_moments_survive_engine_mix(ti):
-    """eta_to_moments of threaded runs equals the threads=1 conversion —
-    a guard that nothing downstream depends on the thread count."""
-    h, scale, block = ti
-    mus = [
-        eta_to_moments(
-            compute_eta(h, scale, M, block, backend="native", threads=t)
-        )
-        for t in THREAD_COUNTS
-    ]
-    for mu in mus[1:]:
-        np.testing.assert_array_equal(mus[0], mu)
+@case_test
+def test_threaded_recurrence_matches_sequential_kernels(): ...
+@case_test
+def test_checkpoint_resume_across_thread_counts(): ...
+@case_test
+def test_serve_coalescing_invisible_at_any_thread_count(): ...
+@case_test
+def test_distributed_threads_match_serial(): ...
+@case_test
+def test_numpy_backend_ignores_threads(): ...
+@case_test
+def test_solver_threads_knob(): ...
+@case_test
+def test_moments_survive_engine_mix(): ...
 
 
 def _threaded_moments(h, scale) -> np.ndarray:
