@@ -6,13 +6,15 @@ weights, halo exchanges for the SpMMV input vectors, and a single global
 reduction of the dot products at the very end (Section VI-A).
 
 Without an MPI runtime we *simulate* the SPMD program: all ranks live in
-one process (:class:`~repro.dist.comm.SimWorld`), communication is an
-explicit buffer copy that is logged message-by-message, and the KPM
-driver (:mod:`repro.dist.kpm_parallel`) runs the ranks' local kernels in
-sequence. Results are bit-compatible with the serial solver; the message
-log feeds the interconnect cost model (:mod:`repro.dist.network`) and the
-cluster scaling model (:mod:`repro.dist.scaling_model`) that regenerate
-paper Fig. 12 and Table III.
+one process (:class:`~repro.dist.comm.SimWorld`), and the KPM driver
+(:mod:`repro.dist.kpm_parallel`) steps one rank program
+(:mod:`repro.dist.rank`) per rank in lock-step; :mod:`repro.dist.mp`
+runs the same program in worker processes over shared memory.  Each
+rank records every message it sends.  Results are bit-compatible with
+the serial solver; the message log feeds the interconnect cost model
+(:mod:`repro.dist.network`) and the cluster scaling model
+(:mod:`repro.dist.scaling_model`) that regenerate paper Fig. 12 and
+Table III.
 """
 
 from repro._lazy import lazy_exports

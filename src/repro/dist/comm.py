@@ -1,11 +1,11 @@
-"""In-process SPMD communication simulator with message logging.
+"""In-process SPMD world and the message log.
 
 :class:`SimWorld` plays the role of ``MPI_COMM_WORLD``: it owns per-rank
-device labels and a :class:`MessageLog`. Point-to-point transfers and
-collectives are executed as immediate array copies (the simulator is
-sequential, so no deadlock semantics are needed), while every transfer is
-recorded with source, destination, byte count, and phase tag so the
-network cost model can price an execution after the fact.
+device labels and a :class:`MessageLog`.  Its ranks run the one rank
+program (:mod:`repro.dist.rank`) in lock-step in this process; every
+rank records each transfer it makes — source, destination, byte count,
+phase tag — so the network cost model can price an execution after the
+fact, on this world or on the multiprocess one.
 """
 
 from __future__ import annotations
@@ -78,24 +78,6 @@ class MessageLog:
         self._by_phase = {}
 
 
-def log_allreduce(log: MessageLog, n_ranks: int, nbytes: int, phase: str) -> None:
-    """Charge one allreduce to ``log`` as recursive-doubling stages.
-
-    Shared by :class:`SimWorld` and the multiprocess engine's accounting
-    shim (:mod:`repro.dist.mp`), so a real shared-memory reduction is
-    priced identically to the simulated one: 2 log2(P) stages, one
-    buffer-sized message per participating rank per stage.
-    """
-    if n_ranks <= 1:
-        return
-    stages = max(int(np.ceil(np.log2(n_ranks))), 1)
-    for stage in range(stages):
-        for rank in range(n_ranks):
-            partner = rank ^ (1 << stage)
-            if partner < n_ranks and partner != rank:
-                log.add(rank, partner, nbytes, phase)
-
-
 class SimWorld:
     """A simulated communicator of ``n_ranks`` processes.
 
@@ -123,46 +105,6 @@ class SimWorld:
         #: the state of the most recent run's latest checkpoint (a
         #: ``KpmCheckpoint``; None when it did not checkpoint)
         self.last_checkpoint = None
-
-    # ------------------------------------------------------------------
-    def send(self, src: int, dst: int, data: np.ndarray, phase: str) -> np.ndarray:
-        """Point-to-point transfer; returns the received array (a copy)."""
-        self._check_rank(src)
-        self._check_rank(dst)
-        if src == dst:
-            raise SimulationError(f"rank {src} attempted to send to itself")
-        data = np.asarray(data)
-        self.log.add(src, dst, data.nbytes, phase)
-        return data.copy()
-
-    def allreduce_sum(
-        self, contributions: list[np.ndarray], phase: str = "allreduce"
-    ) -> np.ndarray:
-        """Global sum over per-rank arrays; every rank receives the result.
-
-        Logged as the 2 log2(P) message stages of a recursive-doubling
-        allreduce (the cost model prices latency separately; here we log
-        the volume each rank moves: one buffer per stage).
-        """
-        if len(contributions) != self.n_ranks:
-            raise SimulationError(
-                f"allreduce needs one contribution per rank "
-                f"({self.n_ranks}), got {len(contributions)}"
-            )
-        arrays = [np.asarray(c) for c in contributions]
-        shape = arrays[0].shape
-        for a in arrays[1:]:
-            if a.shape != shape:
-                raise SimulationError("allreduce contributions differ in shape")
-        total = np.sum(arrays, axis=0)
-        log_allreduce(self.log, self.n_ranks, arrays[0].nbytes, phase)
-        return total
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.n_ranks:
-            raise SimulationError(
-                f"rank {rank} outside communicator of size {self.n_ranks}"
-            )
 
     def __repr__(self) -> str:
         return f"SimWorld(n_ranks={self.n_ranks}, devices={self.devices})"

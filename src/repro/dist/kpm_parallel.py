@@ -14,12 +14,14 @@ matrix exactly as the paper's heterogeneous production code does:
    implementation reduces the amount of global reductions in the dot
    products to a single one at the end of the inner loop" (Section II).
 
-Each rank is one :class:`repro.core.recurrence.Recurrence` — the same
-loop body the serial engines drive — and hands back the bins of the one
-eta reduction (DESIGN §19), which add exactly across ranks: the moments
-equal the serial solver's **bitwise**, for any rank count, weighting,
-overlap schedule or reduction frequency, on any 64-row aligned
-partition.
+Each rank runs the one rank program (:mod:`repro.dist.rank`) on one
+:class:`repro.core.recurrence.Recurrence` — the same loop body the
+serial engines drive — and hands back the bins of the one eta reduction
+(DESIGN §19), which add exactly across ranks: the moments equal the
+serial solver's **bitwise**, for any rank count, weighting, overlap
+schedule or reduction frequency, on any 64-row aligned partition.  Here
+the programs run over the in-process transport, stepped in lock-step;
+:mod:`repro.dist.mp` runs them over shared memory.
 
 :func:`prepare_run` is the prologue this simulated world and the
 multiprocess one (:mod:`repro.dist.mp`) share: one validation, one
@@ -28,6 +30,8 @@ exception per bad input, whichever world runs.
 
 from __future__ import annotations
 
+import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +40,12 @@ import numpy as np
 from repro.core.checkpoint import KpmCheckpoint, RunContext, splice_eta
 from repro.core.recurrence import Recurrence, check_moments
 from repro.core.scaling import SpectralScale
-from repro.dist.comm import SimWorld, log_allreduce
+from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.halo import DistributedMatrix, partition_matrix
 from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition
+from repro.dist.rank import (RankState, Schedule, rank_program, rank_windows,
+                             send_edges, window_layout)
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import ETA_BLOCK, eta_anchors
@@ -48,30 +54,6 @@ from repro.util.errors import SimulationError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
 from repro.util.validation import check_block_vector
-
-
-def _halo_exchange(
-    world: SimWorld,
-    dist: DistributedMatrix,
-    recs: list[Recurrence],
-    phase: str,
-) -> None:
-    """Fill the halo tail of every rank's kernel input ``x = [v | halo]``.
-
-    Each rank's own block is already staged by its :class:`Recurrence`;
-    the tail receives the halo rows from its neighbours' current ``v``,
-    logging every message — no per-iteration buffer allocation.
-    """
-    for block in dist.blocks:
-        x = recs[block.rank].x
-        pos = block.n_local
-        for src, cnt in zip(block.halo_sources.tolist(), block.halo_counts.tolist()):
-            send_rows = dist.pattern.send_rows[(src, block.rank)]
-            if send_rows.size != cnt:
-                raise SimulationError("inconsistent halo pattern")
-            buf = recs[src].v[send_rows, :]  # buffer assembly at the source
-            x[pos : pos + cnt] = world.send(src, block.rank, buf, phase)
-            pos += cnt
 
 
 @dataclass
@@ -103,20 +85,51 @@ class RunSetup:
     run_id: str
 
     @property
-    def final_cols(self) -> int:
-        """Eta columns the final allreduce moves: all M, or those this
-        segment computed (``2·stop_m`` fresh, ``2·(stop_m − first_m)``
-        resumed), so the charges of a segmented run sum to one run's."""
-        if self.stop_m is None:
-            return self.n_moments
-        return 2 * self.half if self.first_m == 1 \
-            else 2 * (self.half - self.first_m)
-
-    @property
     def final_bytes(self) -> int:
-        """Bytes the final allreduce moves: the bins (2, 3R) of each
-        iteration whose moments this run computed."""
-        return self.final_cols // 2 * 48 * self.r
+        """Bytes the final allreduce moves: the bins (2, 3R), 48R bytes,
+        of each iteration whose moments this run computed — all M/2, or
+        a segment's ``stop_m`` fresh, ``stop_m − first_m`` resumed — so
+        the charges of a segmented run sum to one run's."""
+        if self.stop_m is None:
+            iters = self.n_moments // 2
+        else:
+            iters = self.half - (0 if self.first_m == 1 else self.first_m)
+        return 48 * self.r * iters
+
+    def schedule(self, ctx: RunContext) -> Schedule:
+        """The :class:`~repro.dist.rank.Schedule` every rank runs, by the
+        run controls ``ctx``."""
+        return Schedule(first_m=self.first_m, half=self.half,
+                        overlap=self.cfg.overlap,
+                        every=self.cfg.reduction == "every",
+                        final_bytes=self.final_bytes, ctx=ctx)
+
+    def record(self, world, logs: list[MessageLog]) -> None:
+        """Check the ranks' recorded halo messages against the
+        communication pattern — a fresh run exchanges M/2 times (the
+        bootstrap and M/2 − 1 iterations), a resumed one skips the
+        bootstrap and the iterations before ``first_m``, a segment stops
+        at ``stop_m`` — then append the logs to ``world.log``, rank by
+        rank.  A rank that skipped a window is a :class:`~repro.util.
+        errors.SimulationError`."""
+        want = np.zeros((2, self.dist.n_ranks), dtype=np.int64)
+        for (p, _q), rows in self.dist.pattern.send_rows.items():
+            if rows.size:
+                want[:, p] += (1, rows.size * self.r * self.prec.s_vector)
+        want *= self.half - self.first_m + (self.first_m == 1)
+        got = np.zeros_like(want)
+        for p, log in enumerate(logs):
+            for rec in log.records:
+                if rec.phase in ("halo_init", "halo"):
+                    got[:, p] += (1, rec.nbytes)
+        if not np.array_equal(got, want):
+            raise SimulationError(
+                f"halo accounting mismatch: ranks moved {got[1].tolist()} "
+                f"bytes, pattern predicts {want[1].tolist()}"
+            )
+        for log in logs:
+            for rec in log.records:
+                world.log.add(rec.src, rec.dst, rec.nbytes, rec.phase)
 
     def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
         """The globally reduced eta ``[0, stop)`` (:func:`~repro.core.
@@ -226,10 +239,10 @@ def distributed_eta(
     start_block:
         Global (N, R) start block; each rank gets its row slice.
     world:
-        The communicator: a :class:`SimWorld` executes the rank loop
-        sequentially in-process, a :class:`~repro.dist.mp.MpWorld` runs
-        it in real worker processes over shared memory (bitwise the same
-        results and the same message accounting).  Must match the
+        The communicator: a :class:`SimWorld` steps the ranks' programs
+        in lock-step in-process, a :class:`~repro.dist.mp.MpWorld` runs
+        them in real worker processes over shared memory (bitwise the
+        same results, and the same recorded messages).  Must match the
         partition's rank count.
     counters / metrics / checkpoint_every / checkpoint_path / resume_from /
     fault_plan / attempt / progress / progress_every:
@@ -237,7 +250,13 @@ def distributed_eta(
         DESIGN §17) over the global state.  Counter totals equal a serial
         run's (only ``calls`` is rank-multiplied); a resumed run
         (``start_block`` may then be None) is bitwise equal to an
-        uninterrupted one, on any world and partition.
+        uninterrupted one, on any world and partition.  ``progress``
+        fires per world: a :class:`SimWorld` calls it every
+        ``progress_every`` iterations, an ``MpWorld`` with each
+        checkpoint its parent captures, so never without
+        ``checkpoint_every`` (at M = 16 with ``checkpoint_every=3`` and
+        ``progress_every=1``: mp at ``n_eta`` 8 and 14, sim at 4, 6,
+        ..., 16).
     stop_m:
         Optional exclusive upper bound on the inner-iteration range: the
         run executes ``[first_m, stop_m)`` instead of ``[first_m, M/2)``
@@ -278,82 +297,75 @@ def run_distributed(cfg: ExecConfig, ctx: RunContext, A, partition,
     return (run_mp if isinstance(world, MpWorld) else run_sim)(run, world)
 
 
-def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
-    """Execute a prepared run on the simulated world; returns eta (R, M).
-    The last checkpoint state it reached stays on
-    ``world.last_checkpoint``."""
-    dist, ctx, ck, first_m, r = run.dist, run.ctx, run.ck, run.first_m, run.r
-    metrics = ctx.metrics
-    world.last_checkpoint = None
-    injectors = [inj for inj in map(ctx.injector, range(world.n_ranks)) if inj]
+class _InProcess:
+    """One rank's in-process transport.  The engine steps the rank
+    programs in lock-step in one address space, so the halo and
+    reduction ops have nothing to wait for; the last rank of each step
+    — every peer's bins and state slots are in place by then — does the
+    parent's part of ``publish``."""
 
-    # Per-rank persistent state, sized once: one Recurrence each (the
-    # local (v, w) blocks, the rectangular x = [v | halo] kernel input,
-    # the workspace plans), and its eta bins per iteration.
-    recs = []
-    for blk in dist.blocks:
+    def __init__(self, publish=None) -> None:
+        self.publish = publish or (lambda m, k: None)
+
+    def exchange(self) -> None:
+        pass
+
+    reduce = probe = exchange
+
+    def post(self, _q: int, _slot: int):
+        return nullcontext()
+
+    complete = post
+
+
+def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
+    """Execute a prepared run on the simulated world: the ranks' programs
+    (:func:`~repro.dist.rank.rank_program`) step in lock-step in this
+    process; returns eta (R, M).  ``progress`` fires every
+    ``progress_every`` iterations; the last checkpoint state the run
+    reached stays on ``world.last_checkpoint``."""
+    dist, ctx, ck, r = run.dist, run.ctx, run.ck, run.r
+    world.last_checkpoint = None
+    bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * r))
+    vshape = run.prec.vec_shape(2, dist.n_global, r)
+    slots = tuple(np.empty(vshape, run.prec.vector_dtype) for _ in "vw") \
+        if ctx.checkpoint_every > 0 else None
+    wins = {key: np.empty(shape, dtype) for key, (shape, dtype) in
+            window_layout(dist, r, run.prec, run.cfg.overlap).items()}
+
+    def publish(m: int, k: int) -> None:
+        n_eta = 2 * (m + 1)
+        if ctx.progress_due(m, run.first_m):
+            ctx.stream(n_eta, run.splice(bins, n_eta, n_eta))
+        if k:
+            v, w = (a[k % 2].copy() for a in slots)
+            world.last_checkpoint = state = run.state(
+                v, w, run.splice(bins, n_eta, run.n_moments), m + 1)
+            ctx.save(state)
+
+    states, programs = [], []
+    sched = run.schedule(ctx)
+    for blk, edges in zip(dist.blocks, send_edges(dist)):
         rec = Recurrence(
             blk.matrix, run.a, run.b, r, config=run.cfg,
-            counters=ctx.counters, metrics=metrics,
+            counters=ctx.counters, metrics=ctx.metrics,
             split=task_split(blk) if run.cfg.overlap else None,
         )
         rows = slice(blk.row_start, blk.row_stop)
         if ck is not None:
-            rec.load(ck.v[rows], ck.w[rows], anchors=run.anchors, m=first_m)
+            rec.load(ck.v[rows], ck.w[rows], anchors=run.anchors,
+                     m=run.first_m)
         else:
             rec.load(run.start_block[rows], anchors=run.anchors)
-        recs.append(rec)
-    bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * r))
-
-    def reduce_iteration(m: int) -> None:
-        # reduction="every": the even moment's bins, then the odd one's
-        with metrics.span("allreduce", phase="dist"):
-            for part in (slice(0, r), slice(r, 3 * r)):
-                world.allreduce_sum(list(bins[:, m, :, part]),
-                                    phase="allreduce_iter")
-
-    every_iter = run.cfg.reduction == "every"
-    if ck is None:
-        # nu_1 = a (H nu_0 - b nu_0), distributed
-        for inj in injectors:
-            inj.at_iteration(0)
-        with metrics.span("halo_exchange", phase="dist"):
-            _halo_exchange(world, dist, recs, phase="halo_init")
-        for p, rec in enumerate(recs):
-            bins[p, 0] = rec.bootstrap()
-        if every_iter:
-            reduce_iteration(0)
-
-    for m in range(first_m, run.half):
-        for inj in injectors:
-            inj.at_iteration(m)
-        for rec in recs:
-            rec.swap()
-        with metrics.span("halo_exchange", phase="dist"):
-            _halo_exchange(world, dist, recs, phase="halo")
-        # Task mode runs each update as interior + boundary split phases:
-        # the interior rows reference local columns only, so the values
-        # are independent of when the halo tail of x landed — bitwise
-        # what the mp engine's genuinely overlapped schedule computes.
-        for p, rec in enumerate(recs):
-            bins[p, m] = rec.update()
-        if every_iter:
-            reduce_iteration(m)
-        n_eta = 2 * (m + 1)
-        if ctx.progress_due(m, first_m):
-            ctx.stream(n_eta, run.splice(bins, n_eta, n_eta))
-        if ctx.checkpoint_due(m, first_m):
-            world.last_checkpoint = state = run.state(
-                np.concatenate([rec.v for rec in recs], axis=0),
-                np.concatenate([rec.w for rec in recs], axis=0),
-                run.splice(bins, n_eta, run.n_moments), m + 1,
-            )
-            ctx.save(state)
-
-    # The one deferred reduction of the bins this run computed
-    with metrics.span("allreduce", phase="dist"):
-        if run.final_cols:
-            log_allreduce(world.log, world.n_ranks, run.final_bytes,
-                          "allreduce_final")
-        return run.splice(bins, run.n_moments, run.n_moments)
-
+        s = RankState(blk.rank, rec, rows, bins,
+                      *rank_windows(blk, edges, wins), slots,
+                      ctx.injector(blk.rank) or None, ctx.metrics)
+        last = blk.rank == world.n_ranks - 1
+        states.append(s)
+        programs.append(rank_program(s, sched, _InProcess(publish if last
+                                                          else None)))
+    # one round steps every program to its next yield, rank by rank
+    for _ in itertools.zip_longest(*programs):
+        pass
+    run.record(world, [s.log for s in states])
+    return run.splice(bins, run.n_moments, run.n_moments)

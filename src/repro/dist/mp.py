@@ -1,18 +1,19 @@
 """True multiprocess shared-memory KPM execution engine.
 
 Where :class:`repro.dist.comm.SimWorld` *simulates* the paper's
-data-parallel scheme sequentially in one process, this module runs the
-identical rank loop of :mod:`repro.dist.kpm_parallel` in real OS
-processes: every rank is a worker (``multiprocessing.Process``) that
-owns a contiguous weighted row block (:mod:`repro.dist.partition`),
-drives one :class:`repro.core.recurrence.Recurrence` on it with its own
-kernel backend, and meets its neighbours at per-iteration barriers.
+data-parallel scheme in one process, this module runs the same rank
+program (:mod:`repro.dist.rank`) in real OS processes, over the
+shared-memory transport: every rank is a worker
+(``multiprocessing.Process``) that owns a contiguous weighted row block
+(:mod:`repro.dist.partition`), drives one :class:`repro.core.recurrence.
+Recurrence` on it with its own kernel backend, and meets its neighbours
+at per-iteration barriers.
 
 One persistent world (paper Section VI-A: the ranks live for the whole
 run).  :class:`MpWorld` is a cheap handle; its runs lease a *parked*
 world from a process-wide pool keyed by (worker count, start method,
 ``REPRO_*`` environment, native-backend quarantine set) and return it
-after a clean run.  A worker loops: receive a run, run the rank loop,
+after a clean run.  A worker loops: receive a run, run the rank program,
 reply.  Between runs it keeps its rank block (shipped once per operator
 partition, see :func:`~repro.dist.halo.partition_matrix`'s memo) and its
 recurrence with the kernel plans.  The barrier and the task-mode event
@@ -48,13 +49,13 @@ Communication structure (paper Section VI-A, mapped onto one node):
   ``reduction='every'`` instead synchronizes and sums after every
   iteration (the Table III ``aug_spmmv()*`` ablation).
 
-Accounting: the engine charges :class:`~repro.dist.comm.MessageLog`
-records equivalent to what :class:`SimWorld` logs for the same run
-(halo volumes from the communication pattern, reductions priced as
-recursive doubling via :func:`~repro.dist.comm.log_allreduce`), and
-cross-checks the halo volume against byte counters the workers maintain
-while actually copying the windows — so the network cost model keeps
-working on real runs, and a worker that skipped communication is caught.
+Accounting: each worker records its own
+:class:`~repro.dist.comm.MessageLog` as its program packs windows and
+takes its share of each reduction, and ships it with its reply; the
+parent checks the halo volume against the communication pattern and
+merges the logs in rank order, as the simulator does — so the network
+cost model prices real runs, and a worker that skipped a window is
+caught.
 
 Failure model: any worker exception (or hard death) aborts the shared
 barrier, which unblocks every peer; the parent tears the whole world
@@ -79,13 +80,12 @@ from __future__ import annotations
 
 import atexit
 import itertools
-import json
 import multiprocessing
 import os
 import signal
-import struct
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import wait
@@ -93,12 +93,14 @@ from threading import BrokenBarrierError
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, RunContext
+from repro.core.checkpoint import KpmCheckpoint
 from repro.core.recurrence import Recurrence
-from repro.dist.comm import MessageLog, log_allreduce
+from repro.dist.comm import MessageLog
 from repro.dist.halo import DistributedMatrix, RankBlock
 from repro.dist.kpm_parallel import RunSetup
 from repro.dist.overlap import task_split
+from repro.dist.rank import (RankState, Schedule, rank_program, rank_windows,
+                             send_edges, window_layout)
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, backend_health
@@ -106,16 +108,6 @@ from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
 from repro.util.knobs import ExecConfig
 from repro.util.validation import check_positive
-
-#: acct columns maintained by each worker (its row; no locking needed):
-#: actual halo messages/bytes it packed, actual reduction events/bytes.
-_ACCT_COLS = 4
-
-#: Per-rank capacity of the observability return channel: one row of the
-#: ``obs`` shared array holds an 8-byte length prefix plus a JSON blob
-#: of the worker's PerfCounters dump and MetricsRegistry snapshot (a few
-#: KB in practice — the metric namespace is the fixed kernel vocabulary).
-_OBS_BLOB_SIZE = 1 << 16
 
 #: Parked worker processes per interpreter; beyond it the least recently
 #: used worlds are closed.
@@ -168,33 +160,13 @@ def _default_start_method() -> str:
     return "fork" if "fork" in methods else "spawn"
 
 
-def _pack_obs_blob(row: np.ndarray, payload: dict) -> None:
-    """Serialize ``payload`` into one length-prefixed ``obs`` row."""
-    blob = json.dumps(payload, separators=(",", ":")).encode()
-    if len(blob) > row.size - 8:
-        raise RuntimeError(
-            f"observability blob ({len(blob)} B) exceeds the shared "
-            f"channel capacity ({row.size - 8} B)"
-        )
-    row[:8] = np.frombuffer(struct.pack("<q", len(blob)), dtype=np.uint8)
-    row[8 : 8 + len(blob)] = np.frombuffer(blob, dtype=np.uint8)
-
-
-def _unpack_obs_blob(row: np.ndarray) -> dict | None:
-    """Parse one worker's length-prefixed JSON blob (None when empty)."""
-    (length,) = struct.unpack("<q", row[:8].tobytes())
-    if length <= 0:
-        return None
-    return json.loads(row[8 : 8 + length].tobytes().decode())
-
-
 class MpWorld:
     """A communicator of ``n_workers`` real OS processes.
 
     Drop-in peer of :class:`~repro.dist.comm.SimWorld` for the
     distributed drivers: :func:`repro.dist.kpm_parallel.distributed_eta`
     (and everything built on it) dispatches on the world type, so
-    ``distributed_eta(..., world=MpWorld(4))`` runs the rank loop in
+    ``distributed_eta(..., world=MpWorld(4))`` runs the rank programs in
     parallel while ``SimWorld(4)`` simulates it sequentially.
 
     The object is a handle: each run leases parked workers from the
@@ -251,9 +223,6 @@ class MpWorld:
         self.last_segment_names: list[str] = []
         #: pids of the workers that ran the most recent run.
         self.last_pids: list[int] = []
-        #: per-rank (halo_msgs, halo_bytes, reduce_events, reduce_bytes)
-        #: actually performed by the workers in the most recent run.
-        self.last_acct: np.ndarray | None = None
         #: per-rank observability snapshots of the most recent run
         #: (``{"counters": ..., "metrics": ...}`` dicts); None until a
         #: run with live counters/metrics completes.
@@ -296,44 +265,27 @@ class _RunConfig:
 
     a: float
     b: float
-    n_moments: int
     r: int
     timeouts: MpTimeouts
     want_obs: bool
-    first_m: int  # 1 for a fresh run, checkpoint.next_m when resuming
     #: threads/overlap resolved for the world; the backend is per rank
     #: and the elastic knobs are the parent's business
     exec: ExecConfig
-    #: the run controls a worker runs by (RunContext.for_workers)
-    run: RunContext
     anchors: np.ndarray  # the run's eta anchors (R,)
-    stop_m: int = 0  # 0 = run to M/2; else exclusive segment bound
+    #: the rank program's schedule, by the run controls a worker runs by
+    #: (RunContext.for_workers)
+    sched: Schedule
 
 
 # ---------------------------------------------------------------------
 # worker
 # ---------------------------------------------------------------------
 
-def _pack_halo(vec: np.ndarray, rows: np.ndarray, win: np.ndarray) -> int:
-    """Assemble one edge's send window, allocation-free.
-
-    The gather writes straight into the (shared-memory) window — no
-    temporary is materialized, so the steady-state iteration loop does
-    not allocate per exchange (tested with tracemalloc).  ``mode='clip'``
-    is what makes ``np.take`` buffer-free; it is safe because the row
-    lists come from the communication pattern, validated in range at
-    construction.  Returns the window byte count for the traffic
-    accounting.
-    """
-    np.take(vec, rows, axis=0, out=win, mode="clip")
-    return win.nbytes
-
-
 def _worker(rank: int, conn, barrier, events) -> None:
     """One parked rank (module-level: spawn-picklable).
 
     Serves the parent until its control pipe reaches EOF: ``map``
-    attaches the world's (grown) arena, ``run`` runs the rank loop once
+    attaches the world's (grown) arena, ``run`` runs the rank program once
     and replies.  Rank blocks arrive once per operator partition and
     stay, with their recurrences, until the parent says to drop them.
     SIGINT is the parent's to handle: a worker lives as long as its pipe.
@@ -371,12 +323,73 @@ def _worker(rank: int, conn, barrier, events) -> None:
         seg.close()
 
 
+class _Shm:
+    """One worker's shared-memory transport: the world's barrier and
+    per-edge ready/free event slots, the heartbeat and abort words and
+    the checkpoint state word.  Per iteration it waits as the rank
+    program asks: twice at the barrier in vector mode, once per edge on
+    a free and once on a ready event in task mode."""
+
+    def __init__(self, rank: int, conn, ppid: int, barrier, events,
+                 att: dict, timeout: float) -> None:
+        self.rank, self.conn, self.ppid = rank, conn, ppid
+        self.barrier, self.events, self.timeout = barrier, events, timeout
+        self.abort, self.hb, self.ckst = att["abort"], att["hb"], \
+            att.get("ckst")
+
+    def _wait(self, ev) -> None:
+        # Poll so a dead peer (the parent sets the shared abort flag and
+        # breaks the barrier) unblocks this wait too — events have no
+        # abort() of their own.
+        deadline = time.monotonic() + self.timeout
+        while not ev.wait(0.05):
+            if self.abort[0] or time.monotonic() > deadline:
+                raise BrokenBarrierError
+
+    def exchange(self) -> None:
+        self.barrier.wait(self.timeout)
+
+    reduce = exchange
+
+    @contextmanager
+    def post(self, q: int, slot: int):
+        # the slot is free once the receiver drained its previous use
+        ready, free = self.events[(self.rank, q)][slot]
+        self._wait(free)
+        free.clear()
+        yield
+        ready.set()
+
+    @contextmanager
+    def complete(self, src: int, slot: int):
+        ready, free = self.events[(src, self.rank)][slot]
+        self._wait(ready)
+        yield
+        ready.clear()
+        free.set()
+
+    def publish(self, m: int, k: int) -> None:
+        # every rank's slice is in the slot; the last rank to arrive
+        # publishes — it releases the others and never sleeps, so an
+        # abort (a peer that died right after) cannot cut in between.
+        # One aligned int64 store publishes (next_m, slot); the note
+        # wakes the parent's autosave.
+        if k and self.barrier.wait(self.timeout) == self.barrier.parties - 1:
+            self.ckst[0] = (m + 1) * 2 + k % 2
+            self.conn.send(("ckpt",))
+
+    def probe(self) -> None:
+        if os.getppid() != self.ppid:
+            raise SimulationError("the parent process is gone")
+        self.hb[self.rank] += 1
+
+
 def _run_rank(
     rank: int,
     conn,
     ppid: int,
     blk: RankBlock,
-    send_edges: list[tuple[int, np.ndarray]],
+    edges: list[tuple[int, np.ndarray]],
     recs: dict[tuple, Recurrence],
     att: dict[str, np.ndarray],
     barrier,
@@ -384,20 +397,12 @@ def _run_rank(
     backend_name: str,
     cfg: _RunConfig,
 ) -> tuple:
-    """One rank's full KPM loop for one run; returns the parent's reply."""
-    abort = att["abort"]
+    """One rank's program for one run; returns the parent's reply — with
+    the rank's message log when it finished."""
     try:
-        start, bins, acct = att["start"], att["bins"], att["acct"]
-        hb = att["hb"]
-        lo, hi = blk.row_start, blk.row_stop
-        n_local = hi - lo
-        bt = cfg.timeouts.barrier
-        inj = cfg.run.injector(rank, in_process=False)
-
         # Local observability state: the parent cannot share its own
         # counters/metrics across the process boundary, so each worker
-        # accumulates privately and ships a snapshot back through the
-        # ``obs`` shared array after its loop completes.
+        # accumulates privately and ships a snapshot back with its reply.
         if cfg.want_obs:
             w_counters: PerfCounters = PerfCounters()
             w_metrics: MetricsRegistry = MetricsRegistry()
@@ -422,171 +427,30 @@ def _run_rank(
         while len(recs) > _MAX_RECS:
             recs.pop(next(iter(recs)))
         w_metrics.count(f"kernels.{rec.kernel_family}")
-        half = cfg.stop_m if cfg.stop_m else cfg.n_moments // 2
-        wins_out = [(q, rows, att[f"w{rank}_{q}"]) for q, rows in send_edges]
-        wins_in = [
-            (src, int(cnt), att[f"w{src}_{rank}"])
-            for src, cnt in zip(
-                blk.halo_sources.tolist(), blk.halo_counts.tolist()
-            )
-        ]
-        ckv, ckw, ckst = att.get("ckv"), att.get("ckw"), att.get("ckst")
-
-        def ev_wait(ev) -> None:
-            # Poll so a dead peer (parent sets the shared abort flag and
-            # breaks the barrier) unblocks this wait too — events have no
-            # abort() of their own.
-            deadline = time.monotonic() + bt
-            while not ev.wait(0.05):
-                if abort[0]:
-                    raise BrokenBarrierError
-                if time.monotonic() > deadline:
-                    raise BrokenBarrierError
-
-        def exchange(m: int, vec: np.ndarray) -> None:
-            with w_metrics.span("halo_exchange", phase="dist"):
-                for _q, rows, win in wins_out:
-                    # buffer assembly at the source, allocation-free
-                    nbytes = _pack_halo(vec, rows, win)
-                    if inj is not None:
-                        inj.corrupt_window(m, win)
-                    acct[rank, 0] += 1
-                    acct[rank, 1] += nbytes
-                barrier.wait(bt)  # all windows packed
-                xbuf, pos = rec.x, n_local
-                for _src, cnt, win in wins_in:
-                    xbuf[pos : pos + cnt] = win
-                    pos += cnt
-                barrier.wait(bt)  # all windows consumed, reusable
-
-        def post_exchange(m: int, vec: np.ndarray) -> None:
-            # Task mode, send side: claim this iteration's window slot
-            # (free once the receiver has drained its previous use),
-            # pack, and signal readiness — no global synchronization.
-            slot = m % 2
-            with w_metrics.span("halo_pack", phase="dist"):
-                for q, rows, win in wins_out:
-                    ready, free = events[(rank, q)][slot]
-                    ev_wait(free)
-                    free.clear()
-                    nbytes = _pack_halo(vec, rows, win[slot])
-                    if inj is not None:
-                        inj.corrupt_window(m, win[slot])
-                    acct[rank, 0] += 1
-                    acct[rank, 1] += nbytes
-                    ready.set()
-
-        def complete_exchange(m: int) -> None:
-            # Task mode, receive side: runs *after* the interior phase;
-            # any time still spent blocking here is exposed (un-hidden)
-            # communication — the ``halo_wait`` span measures exactly it.
-            slot = m % 2
-            with w_metrics.span("halo_wait", phase="dist"):
-                xbuf, pos = rec.x, n_local
-                for src, cnt, win in wins_in:
-                    ready, free = events[(src, rank)][slot]
-                    ev_wait(ready)
-                    xbuf[pos : pos + cnt] = win[slot]
-                    ready.clear()
-                    free.set()
-                    pos += cnt
-
-        def reduce_now(m: int) -> None:
-            # The contributions already sit in the shared bins array; a
-            # barrier makes every rank's slice visible, then each rank
-            # forms the global sum locally (allreduce semantics).
-            with w_metrics.span("allreduce", phase="dist"):
-                acct[rank, 2] += 2
-                acct[rank, 3] += bins[rank, m].nbytes
-                barrier.wait(bt)
-                bins[:, m].sum(axis=0)
-
-        def publish_checkpoint(m: int, k: int) -> None:
-            # Double-buffered: the k-th checkpoint of this run writes
-            # slot k % 2, so the previously *published* slot stays
-            # intact while this one is being filled — a crash mid-write
-            # can never damage a state the parent might be saving.
-            slot = k % 2
-            ckv[slot, lo:hi] = rec.v
-            ckw[slot, lo:hi] = rec.w
-            # every rank's slice is in the slot; the last rank to arrive
-            # publishes — it releases the others and never sleeps, so an
-            # abort (a peer that died right after) cannot cut in between
-            if barrier.wait(bt) == barrier.parties - 1:
-                # One aligned int64 store publishes (next_m, slot); the
-                # note wakes the parent's autosave.
-                ckst[0] = (m + 1) * 2 + slot
-                conn.send(("ckpt",))
-
-        # ``rank_busy`` spans time this rank's own work — the fault probe
-        # (so an injected straggler's sleeps are measured) and the kernel
-        # compute, but *not* the exchange barriers where fast ranks absorb
-        # a slow peer's skew.  Their per-rank totals are the elastic
-        # rebalancer's skew signal.
-        def probe(m: int) -> None:
-            if os.getppid() != ppid:
-                raise SimulationError("the parent process is gone")
-            with w_metrics.span("rank_busy"):
-                if inj is not None:
-                    inj.at_iteration(m)
-            hb[rank] += 1
-
-        if cfg.first_m == 1:
-            rec.load(start[lo:hi], anchors=cfg.anchors)
-            probe(0)
-            if cfg.exec.overlap:
-                # Bootstrap has no prior compute to hide the exchange
-                # behind: post and complete back to back.
-                post_exchange(0, rec.v)
-                complete_exchange(0)
-            else:
-                exchange(0, rec.v)
-            # nu_1 = a (H nu_0 - b nu_0) on the local rows
-            with w_metrics.span("rank_busy"):
-                bins[rank, 0] = rec.bootstrap()
-            if cfg.exec.reduction == "every":
-                reduce_now(0)
+        rows, sched = slice(blk.row_start, blk.row_stop), cfg.sched
+        if sched.first_m == 1:
+            rec.load(att["start"][rows], anchors=cfg.anchors)
         else:
             # Resume: the parent seeded the checkpointed (v, w) blocks
             # into the ``start`` / ``rw`` arrays; no bootstrap.
-            rec.load(start[lo:hi], att["rw"][lo:hi], anchors=cfg.anchors,
-                     m=cfg.first_m)
+            rec.load(att["start"][rows], att["rw"][rows],
+                     anchors=cfg.anchors, m=sched.first_m)
+        s = RankState(
+            rank, rec, rows, att["bins"], *rank_windows(blk, edges, att),
+            (att["ckv"], att["ckw"]) if "ckv" in att else None,
+            sched.ctx.injector(rank, in_process=False) or None, w_metrics,
+        )
+        t = _Shm(rank, conn, ppid, barrier, events, att, cfg.timeouts.barrier)
+        for _ in rank_program(s, sched, t):
+            pass
 
-        for m in range(cfg.first_m, half):
-            probe(m)
-            v = rec.swap()
-            if cfg.exec.overlap:
-                # Task mode: publish the outgoing halo, update the
-                # interior rows while the exchange is in flight (they
-                # reference local columns only), then finish the
-                # boundary rows once the halo has landed.
-                post_exchange(m, v)
-                with w_metrics.span("rank_busy"):
-                    rec.interior()
-                complete_exchange(m)
-            else:
-                exchange(m, v)
-            with w_metrics.span("rank_busy"):
-                bins[rank, m] = rec.update()
-            if cfg.exec.reduction == "every":
-                reduce_now(m)
-            k = cfg.run.checkpoint_due(m, cfg.first_m)
-            if k:
-                publish_checkpoint(m, k)
-
-        if cfg.want_obs:
-            _pack_obs_blob(
-                att["obs"][rank],
-                {
-                    "counters": w_counters.to_dict(),
-                    "metrics": w_metrics.snapshot(),
-                },
-            )
-        return ("done",)
+        obs = {"counters": w_counters.to_dict(),
+               "metrics": w_metrics.snapshot()} if cfg.want_obs else None
+        return ("done", s.log.records, obs)
     except BrokenBarrierError:
         return ("broken",)  # a peer failed; the parent reports the cause
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        abort[0] = 1  # unblock peers parked on halo events
+        att["abort"][0] = 1  # unblock peers parked on halo events
         try:
             barrier.abort()  # unblock every waiting peer immediately
         except Exception:  # pragma: no cover
@@ -687,7 +551,7 @@ class _World:
         self.arena.unlink()
 
     def send_run(self, cfg: _RunConfig, specs: dict, names: list[str],
-                 dist: DistributedMatrix, send_edges: list) -> None:
+                 dist: DistributedMatrix, edges: list) -> None:
         """Start one run; ship each rank's block unless it holds it."""
         for rank, conn in enumerate(self.conns):
             blk = dist.blocks[rank]
@@ -699,7 +563,7 @@ class _World:
             if token in held:
                 del held[token]
             else:
-                shipped = (blk, send_edges[rank])
+                shipped = (blk, edges[rank])
             held[token] = None  # most recently used last
             while len(held) > _MAX_BLOCKS:
                 drop.append(next(iter(held)))
@@ -868,59 +732,6 @@ os.register_at_fork(after_in_child=_after_fork_in_child)
 # parent driver
 # ---------------------------------------------------------------------
 
-def _charge_log(log: MessageLog, run: RunSetup) -> None:
-    """Charge the run to ``log`` exactly as :class:`SimWorld` would.
-
-    Record-for-record equivalent to the simulator executing the same
-    partition/reduction (and, with ``first_m > 1``, the same *resumed*
-    iteration range) — asserted by the differential tests, and the
-    contract that keeps :mod:`repro.dist.network` pricing mp runs.  Halo
-    messages move the profile's vector storage; reductions move fp64 eta
-    bins: per iteration 16R bytes (the even moment) and 32R (the odd),
-    the final one :attr:`RunSetup.final_bytes`.
-    """
-    dist, r, every = run.dist, run.r, run.cfg.reduction == "every"
-
-    def halo(phase: str) -> None:
-        for block in dist.blocks:
-            for src, cnt in zip(
-                block.halo_sources.tolist(), block.halo_counts.tolist()
-            ):
-                log.add(src, block.rank, cnt * r * run.prec.s_vector, phase)
-
-    def reduce_iteration() -> None:
-        if every:
-            for nbytes in (16 * r, 32 * r):
-                log_allreduce(log, dist.n_ranks, nbytes, "allreduce_iter")
-
-    if run.first_m == 1:
-        halo("halo_init")
-        reduce_iteration()
-    for _m in range(run.first_m, run.half):
-        halo("halo")
-        reduce_iteration()
-    if run.final_cols:
-        log_allreduce(log, dist.n_ranks, run.final_bytes, "allreduce_final")
-
-
-def _expected_halo_acct(run: RunSetup) -> tuple[np.ndarray, np.ndarray]:
-    """(messages, bytes) per source rank over the run's halo exchanges.
-
-    A fresh run exchanges M/2 times (one bootstrap + M/2 − 1 loop
-    iterations); a run resumed at ``first_m`` skips the bootstrap and
-    the first ``first_m − 1`` loop exchanges; a segment bounded by
-    ``stop_m`` stops its loop exchanges there.
-    """
-    msgs = np.zeros(run.dist.n_ranks, dtype=np.int64)
-    nbytes = np.zeros(run.dist.n_ranks, dtype=np.int64)
-    for (p, _q), rows in run.dist.pattern.send_rows.items():
-        if rows.size:
-            msgs[p] += 1
-            nbytes[p] += rows.size * run.r * run.prec.s_vector
-    n_exchanges = run.half - run.first_m + (1 if run.first_m == 1 else 0)
-    return msgs * n_exchanges, nbytes * n_exchanges
-
-
 def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     """Execute a prepared run (:func:`~repro.dist.kpm_parallel.prepare_run`)
     on the parked workers of ``world``; returns eta (R, M).
@@ -928,32 +739,25 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     What :func:`~repro.dist.kpm_parallel.distributed_eta` on an
     :class:`MpWorld` runs.  Faults are real here (a ``crash`` kills the
     worker), and ``progress`` fires with every checkpoint the parent
-    captures, so it needs ``checkpoint_every > 0``.  With a live
-    ``counters`` or ``metrics`` each worker ships a JSON snapshot of its
-    own back through the ``obs`` shared array; the parent merges the
-    counters (totals then equal a serial run's) and the metrics under a
-    ``rank<p>.`` prefix, one ``kernels.<family>`` count per run
-    included.  The raw snapshots stay on ``world.last_obs``."""
+    captures, so it needs ``checkpoint_every > 0``.  Each worker ships
+    its message log with its reply and, with a live ``counters`` or
+    ``metrics``, a snapshot of its own; the parent merges the logs in
+    rank order, the counters (totals then equal a serial run's) and the
+    metrics under a ``rank<p>.`` prefix, one ``kernels.<family>`` count
+    per run included.  The raw snapshots stay on ``world.last_obs``."""
     dist, prec, r, n_moments, ctx = (run.dist, run.prec, run.r,
                                      run.n_moments, run.ctx)
     counters, metrics = ctx.counters, ctx.metrics
     timeouts = world.timeouts
     names = _backend_names(world, run.cfg.backend)
 
-    send_edges: list[list[tuple[int, np.ndarray]]] = [
-        [] for _ in range(dist.n_ranks)
-    ]
-    for (p, q), rows in sorted(dist.pattern.send_rows.items()):
-        if rows.size:
-            send_edges[p].append((q, rows))
-
+    edges = send_edges(dist)
     want_obs = bool(counters.enabled or metrics.enabled)
     cfg = _RunConfig(
-        a=run.a, b=run.b, n_moments=n_moments, r=r, timeouts=timeouts,
-        want_obs=want_obs, first_m=run.first_m,
+        a=run.a, b=run.b, r=r, timeouts=timeouts, want_obs=want_obs,
         exec=replace(run.cfg, backend="auto", rebalance=None,
-                     membership=None), run=ctx.for_workers(),
-        anchors=run.anchors, stop_m=int(run.stop_m or 0),
+                     membership=None),
+        anchors=run.anchors, sched=run.schedule(ctx.for_workers()),
     )
 
     # The run's shared arrays, carved from the world's resident arena.
@@ -966,20 +770,13 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         arrays["rw"] = (vshape, vec_dt)
     arrays.update(
         bins=((world.n_ranks, n_moments // 2, 2, 3 * r), "float64"),
-        acct=((world.n_ranks, _ACCT_COLS), "int64"),
         hb=((world.n_ranks,), "int64"),
         abort=((1,), "int64"),
     )
-    if want_obs:
-        arrays["obs"] = ((world.n_ranks, _OBS_BLOB_SIZE), "uint8")
     if ctx.checkpoint_every > 0:
         arrays.update(ckv=((2, *vshape), vec_dt), ckw=((2, *vshape), vec_dt),
                       ckst=((1,), "int64"))
-    for p, edges in enumerate(send_edges):
-        for q, rows in edges:
-            wshape = prec.vec_shape(rows.size, r)
-            arrays[f"w{p}_{q}"] = ((2, *wshape) if run.cfg.overlap else wshape,
-                                   vec_dt)
+    arrays.update(window_layout(dist, r, prec, run.cfg.overlap))
     specs, nbytes = layout(arrays)
 
     live = _POOL.lease(world.n_ranks, world.start_method)
@@ -991,11 +788,9 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         if grown is not None:
             live.map_arena(grown, timeouts.stall)
         sh = carve(live.arena.buf, specs)
-        for key in ("bins", "acct", "hb", "abort", "ckst"):
+        for key in ("bins", "hb", "abort", "ckst"):
             if key in sh:
                 sh[key][...] = 0
-        if want_obs:
-            sh["obs"][:, :8] = 0  # no blob shipped yet
         live.abort_flag = sh["abort"]
         start, start_block = sh["start"], run.start_block
         if run.ck is not None:
@@ -1032,7 +827,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             ctx.save(saved)
             ctx.stream(2 * next_m, eta)
 
-        live.send_run(cfg, specs, names, dist, send_edges)
+        live.send_run(cfg, specs, names, dist, edges)
         replies, hb_last, stalled, timed_out = live.collect(
             sh["hb"], timeouts, autosave
         )
@@ -1056,25 +851,10 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
                 stalled, timed_out, hb_last, timeouts, world.last_checkpoint,
             )
 
-        world.last_acct = sh["acct"].copy()
-        obs_snaps: list[dict | None] = []
-        if want_obs:
-            obs_snaps = [
-                _unpack_obs_blob(sh["obs"][p]) for p in range(world.n_ranks)
-            ]
         # the single deferred reduction (a resumed prefix spliced in)
         eta = run.splice(bins, n_moments, n_moments)
-
-        exp_msgs, exp_bytes = _expected_halo_acct(run)
-        if not (
-            np.array_equal(world.last_acct[:, 0], exp_msgs)
-            and np.array_equal(world.last_acct[:, 1], exp_bytes)
-        ):
-            raise SimulationError(
-                "halo accounting mismatch: workers moved "
-                f"{world.last_acct[:, 1].tolist()} bytes, pattern predicts "
-                f"{exp_bytes.tolist()}"
-            )
+        run.record(world, [MessageLog(replies[p][1])
+                           for p in range(world.n_ranks)])
     except BaseException:
         live.close(timeouts.join)
         raise
@@ -1083,17 +863,11 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     _POOL.release(live)
 
     if want_obs:
-        world.last_obs = obs_snaps
-        for p, snap in enumerate(obs_snaps):
-            if snap is None:
-                raise SimulationError(
-                    f"rank {p} finished without shipping its observability "
-                    "snapshot"
-                )
+        world.last_obs = [replies[p][2] for p in range(world.n_ranks)]
+        for p, snap in enumerate(world.last_obs):
             counters.merge(PerfCounters.from_dict(snap["counters"]))
             metrics.merge_snapshot(snap["metrics"], prefix=f"rank{p}.")
 
-    _charge_log(world.log, run)
     return eta
 
 

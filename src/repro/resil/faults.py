@@ -14,8 +14,9 @@ fault drills are a first-class workload, not a test fixture:
   the parent's heartbeat stall detector.
 * ``slow``         — the rank sleeps ``delay`` seconds per iteration
   (a straggler, not a failure: the run still completes).
-* ``corrupt-halo`` — the rank scribbles seeded noise over one of its
-  packed halo send windows (silent data corruption drill; mp only).
+* ``corrupt-halo`` — the rank scribbles seeded noise over its packed
+  halo send windows of one iteration (silent data corruption drill; the
+  sim and mp engines, which run one rank program).
 * ``corrupt-ckpt`` — the supervisor truncates the checkpoint file before
   the given attempt, exercising the ``CheckpointError`` recovery path.
 

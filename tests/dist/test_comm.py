@@ -1,65 +1,10 @@
-"""Simulated communicator: transfers, collectives, logging."""
+"""Simulated communicator: device labels, the message log."""
 
 import numpy as np
 import pytest
 
 from repro.dist.comm import MessageLog, SimWorld
 from repro.util.errors import SimulationError
-
-
-class TestSend:
-    def test_delivers_copy(self):
-        w = SimWorld(2)
-        data = np.arange(4.0)
-        recv = w.send(0, 1, data, "halo")
-        assert np.allclose(recv, data)
-        recv[0] = 99
-        assert data[0] == 0.0
-
-    def test_logged(self):
-        w = SimWorld(3)
-        w.send(0, 2, np.zeros(10), "halo")
-        rec = w.log.records[0]
-        assert (rec.src, rec.dst, rec.nbytes, rec.phase) == (0, 2, 80, "halo")
-
-    def test_self_send_rejected(self):
-        w = SimWorld(2)
-        with pytest.raises(SimulationError):
-            w.send(1, 1, np.zeros(1), "x")
-
-    def test_rank_bounds(self):
-        w = SimWorld(2)
-        with pytest.raises(SimulationError):
-            w.send(0, 2, np.zeros(1), "x")
-
-
-class TestAllreduce:
-    def test_sum(self):
-        w = SimWorld(3)
-        parts = [np.full(4, float(r)) for r in range(3)]
-        total = w.allreduce_sum(parts)
-        assert np.allclose(total, 3.0)
-
-    def test_single_rank_no_messages(self):
-        w = SimWorld(1)
-        w.allreduce_sum([np.ones(5)])
-        assert w.log.n_messages == 0
-
-    def test_message_stages_logged(self):
-        w = SimWorld(4)
-        w.allreduce_sum([np.ones(2)] * 4)
-        # recursive doubling on 4 ranks: 2 stages x 4 ranks
-        assert w.log.n_messages == 8
-
-    def test_contribution_count_checked(self):
-        w = SimWorld(2)
-        with pytest.raises(SimulationError):
-            w.allreduce_sum([np.ones(2)])
-
-    def test_shape_mismatch_rejected(self):
-        w = SimWorld(2)
-        with pytest.raises(SimulationError):
-            w.allreduce_sum([np.ones(2), np.ones(3)])
 
 
 class TestLog:

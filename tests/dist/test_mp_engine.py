@@ -74,8 +74,13 @@ class TestParity:
         assert np.array_equal(eta_mp, ref)
         assert np.array_equal(eta_sim, ref)
         assert mw.log.records == sw.log.records
-        # every rank performed the per-iteration reduction events
-        assert (mw.last_acct[:, 2] == 2 * (M // 2)).all()
+        # every rank recorded its recursive-doubling share of each
+        # iteration's reduction: the eta bins, 48 R bytes, once per
+        # partner — on two ranks, one
+        for p in range(2):
+            moved = sum(rec.nbytes for rec in mw.log.records
+                        if rec.src == p and rec.phase == "allreduce_iter")
+            assert moved == 48 * blk.shape[1] * (M // 2)
 
     def test_spawn_start_method(self, system):
         """Spawned workers (fresh interpreters) produce the fork result."""
@@ -91,6 +96,42 @@ class TestParity:
         assert np.array_equal(eta, ref)
 
 
+class TestRankProgram:
+    """Both transports run the one rank program (:mod:`repro.dist.rank`)."""
+
+    def test_corrupt_halo_on_both_transports(self, system):
+        h, scale, blk, ref = system
+        part = RowPartition.equal(h.n_rows, 2, align=64)
+        eta_mp, eta_sim, _, _ = run_pair(
+            h, scale, blk, part, backend="numpy",
+            fault_plan=FaultPlan.parse("corrupt-halo:rank=0,m=2"))
+        assert np.array_equal(eta_mp, eta_sim)
+        assert not np.array_equal(eta_sim, ref)
+
+    @pytest.mark.parametrize("world", [SimWorld, MpWorld])
+    def test_skipped_window_pack_is_caught(self, system, monkeypatch, world):
+        from repro.dist import rank
+
+        if MpWorld(2).start_method != "fork":
+            pytest.skip("spawned workers would not see the patch")
+        h, scale, blk, _ = system
+        part = RowPartition.equal(h.n_rows, 2, align=64)
+        pack = rank._pack
+
+        def skip_one(s, m, *args):
+            if (s.rank, m) != (0, 2):
+                pack(s, m, *args)
+
+        MpWorld(2).close()  # the next world forks with the patch
+        monkeypatch.setattr(rank, "_pack", skip_one)
+        try:
+            with pytest.raises(SimulationError,
+                               match="halo accounting mismatch"):
+                distributed_eta(h, part, scale, M, blk, world(2))
+        finally:
+            MpWorld(2).close()
+
+
 class TestAccounting:
     def test_halo_acct_matches_pattern(self, system):
         h, scale, blk, _ = system
@@ -99,19 +140,19 @@ class TestAccounting:
         mw = MpWorld(3)
         distributed_eta(dist, None, scale, M, blk, mw)
         itemsize = np.dtype(np.complex128).itemsize
-        # workers count the bytes they actually copy into send windows;
-        # over the run that is M/2 exchanges of the pattern volume
-        total = mw.last_acct[:, 1].sum()
+        # workers record each window as they pack it; over the run that
+        # is M/2 exchanges of the pattern volume
+        phases = mw.log.bytes_by_phase()
+        total = phases["halo_init"] + phases["halo"]
         assert total == (M // 2) * dist.pattern.bytes_per_exchange(r=4)
-        assert mw.last_acct[:, 1].sum() % itemsize == 0
+        assert total % itemsize == 0
 
     def test_single_rank_no_messages(self, system):
         h, scale, blk, _ = system
         part = RowPartition.equal(h.n_rows, 1)
         mw = MpWorld(1)
         distributed_eta(h, part, scale, M, blk, mw)
-        assert mw.log.n_messages == 0
-        assert mw.last_acct[:, :2].sum() == 0
+        assert mw.log.n_messages == 0  # no window packed, no reduction
 
     def test_segments_unlinked_after_success(self, system):
         h, scale, blk, _ = system
@@ -184,7 +225,7 @@ class TestObservability:
         *inside* a rank loop would be imported — compiled, without a
         ``.pyc`` — once per worker per solve.  In a fresh interpreter
         (this one has imported everything already) each worker ships
-        what it imported since its fork in the obs blob: nothing.  If
+        what it imported since its fork with its reply: nothing.  If
         this fails, import the rank loop's needs at the top of
         ``repro.dist.mp``, before the fork, not in ``_worker``."""
         import os
@@ -203,14 +244,15 @@ class TestObservability:
             "from repro.obs import MetricsRegistry\n"
             "from repro.resil import Resilience\n"
             "at_fork = set()\n"
-            "real_worker, real_pack = mp._worker, mp._pack_obs_blob\n"
+            "real_worker, real_run = mp._worker, mp._run_rank\n"
             "def worker(*args):  # the child's first statement\n"
             "    at_fork.update(sys.modules)\n"
             "    real_worker(*args)\n"
-            "def pack(row, payload):\n"
+            "def run_rank(*args):\n"
+            "    done, records, obs = real_run(*args)\n"
             "    new = sorted(set(sys.modules) - at_fork)\n"
-            "    real_pack(row, {**payload, 'imported': new})\n"
-            "mp._worker, mp._pack_obs_blob = worker, pack\n"
+            "    return done, records, {**obs, 'imported': new}\n"
+            "mp._worker, mp._run_rank = worker, run_rank\n"
             "H, _ = build_topological_insulator(8, 6, 4)\n"
             "solver = KPMSolver(\n"
             "    H, 24, 4, seed=0, dist_engine='mp', workers=2,\n"

@@ -10,7 +10,9 @@ for bit (DESIGN §19, "The lattice"):
 2. without a fault, the counters' bytes and flops equal the Table-I
    charge (``expected_counters``; a resumed half:
    ``expected_segment_counters``);
-3. on mp, the message log equals the sim twin's (:meth:`Row.twin`).
+3. on mp, the message log equals the sim twin's (:meth:`Row.twin`):
+   two recordings, each rank's messages as the one rank program moved
+   them, merged in rank order.
 
 The table is :data:`COVERING`, a strength-2 covering of :data:`DOMAINS`
 under :func:`_forbidden`, and :data:`CASES`, named parity cases — mp ≡

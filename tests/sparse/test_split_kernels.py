@@ -313,8 +313,8 @@ class TestNoAllocation:
             f"{grew} bytes allocated in the loop"
 
     def test_halo_pack(self, dist):
-        """The mp engine's send-window assembly is allocation-free."""
-        from repro.dist.mp import _pack_halo
+        """The rank program's send-window assembly is allocation-free."""
+        from repro.dist.rank import _pack_halo
 
         h, d = dist
         rng = np.random.default_rng(19)

@@ -20,11 +20,7 @@ lattice with live :class:`~repro.util.counters.PerfCounters` and a
    still matches ``expected_counters(..., splits=...)`` exactly —
    byte/flop totals equal the serial minima and the per-kernel call
    attribution reflects the two phases;
-5. the mp world charges its :class:`~repro.dist.comm.MessageLog`
-   record for record as the simulator does, and the reduction bytes its
-   workers actually moved (the eta bins, 48 R bytes an iteration) are
-   the modelled ``allreduce_iter`` bytes exactly;
-6. (native backend only) threads and the vectorized (``_simd``)
+5. (native backend only) threads and the vectorized (``_simd``)
    kernels change neither story: traffic stays exactly equal to the
    analytic charge at every thread count and under ``simd='on'``/
    ``'off'``, for every engine, format and precision.  (That they move
@@ -63,8 +59,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--nz", type=int, default=4)
     parser.add_argument("--moments", type=int, default=16)
     args = parser.parse_args(argv)
-
-    import numpy as np
 
     from repro.core.moments import compute_eta
     from repro.core.scaling import lanczos_scale
@@ -203,33 +197,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"{counters.bytes_total:>12,} B exact, "
                   f"calls {dict(sorted(counters.calls.items()))}")
 
-    # -- 5. mp: the simulator's log, the modelled reduction bytes -----
-    from repro.dist.mp import MpWorld
-
-    block = make_block_vector(H.n_rows, 8, seed=2)
-    worlds = (SimWorld(n_ranks), MpWorld(n_ranks))
-    for world in worlds:
-        distributed_eta(dist, None, scale, m, block, world, backend=backend,
-                        reduction="every")
-    sim, mp = worlds
-    # recursive doubling: one message per stage in which a rank has a
-    # partner (repro.dist.comm.log_allreduce)
-    partners = [sum(p ^ (1 << k) < n_ranks
-                    for k in range(int(np.ceil(np.log2(n_ranks)))))
-                for p in range(n_ranks)]
-    moved = mp.last_acct[:, 3] * partners
-    logged = np.zeros(n_ranks, dtype=np.int64)
-    for rec in mp.log.records:
-        if rec.phase == "allreduce_iter":
-            logged[rec.src] += rec.nbytes
-    MpWorld(1).close()
-    if mp.log.records != sim.log.records or not np.array_equal(moved, logged):
-        return _fail(f"mp reduction bytes {moved.tolist()} != modelled "
-                     f"{logged.tolist()}, or the mp log != the sim log")
-    print(f"\n  ok: mp log == sim log, reduction bytes {moved.tolist()} "
-          "== model")
-
-    # -- 6. threads and simd: the same exact traffic -------------------
+    # -- 5. threads and simd: the same exact traffic -------------------
     if backend.name == "native":
         print()
         knobs = [{"threads": t} for t in (1, 2, 4)] + \
