@@ -125,7 +125,9 @@ def lanczos_bounds(
     m = min(n_iter, n)
     for _ in range(m):
         w = bk.spmv(H, v, plan=plan)
-        alpha = dot(v, w).real
+        # Re <v|w>: the real half of blas1.dot, bit for bit
+        alpha = float(np.einsum("n,n->", v.real, w.real, dtype=np.float64)
+                      + np.einsum("n,n->", v.imag, w.imag, dtype=np.float64))
         w -= alpha * v + beta * v_prev
         # one re-orthogonalization pass keeps the extreme Ritz values sane
         w -= dot(v, w) * v

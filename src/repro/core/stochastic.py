@@ -54,11 +54,7 @@ def make_block_vector(
         raise ValueError(
             f"unknown ensemble {kind!r}; choose from {sorted(_ENSEMBLES)}"
         ) from None
-    rng = make_rng(seed)
-    block = np.empty((n, r), dtype=DTYPE)
-    for i in range(r):
-        block[:, i] = draw(rng, n)
-    return block
+    return draw(make_rng(seed), n, r)
 
 
 def unit_block_vector(n: int, sites: np.ndarray) -> np.ndarray:

@@ -92,27 +92,19 @@ class GrapheneModel:
         cells = np.arange(self.ncx * self.ncy)
         cx = cells % self.ncx
         cy = cells // self.ncx
-        a_sites = 2 * cells
-        rows, cols, vals = [], [], []
-        # three B neighbors of each A site
-        for (dx, dy) in ((0, 0), (-1, 0), (0, -1)):
-            b_sites = 2 * self.cell_index(cx + dx, cy + dy) + 1
-            rows.append(a_sites)
-            cols.append(b_sites)
-            vals.append(np.full(cells.size, -self.t, dtype=DTYPE))
-            rows.append(b_sites)
-            cols.append(a_sites)
-            vals.append(np.full(cells.size, -self.t, dtype=DTYPE))
+        # three B neighbors of each A site, (neighbor, orientation, cell)
+        # in C order: the A -> B hop, then its conjugate
+        a_sites = np.broadcast_to(2 * cells, (3, cells.size))
+        b_sites = 2 * self.cell_index(cx + np.array([[0], [-1], [0]]),
+                                      cy + np.array([[0], [0], [-1]])) + 1
         # store diagonal entries only where the potential acts (keeps the
         # clean lattice at exactly 3 nonzeros per row)
         sites = np.nonzero(potential != 0.0)[0]
-        rows.append(sites)
-        cols.append(sites)
-        vals.append(potential[sites].astype(DTYPE))
         return CSRMatrix.from_coo(
-            np.concatenate(rows),
-            np.concatenate(cols),
-            np.concatenate(vals),
+            np.concatenate([np.stack([a_sites, b_sites], axis=1).ravel(), sites]),
+            np.concatenate([np.stack([b_sites, a_sites], axis=1).ravel(), sites]),
+            np.concatenate([np.full(6 * cells.size, -self.t, dtype=DTYPE),
+                            potential[sites]]),
             (n, n),
             drop_zeros=False,
         )

@@ -32,12 +32,6 @@ from repro.util.constants import DTYPE
 N_ORBITALS = 4
 
 
-def _block_entries(block: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero (orbital-row, orbital-col, value) triplets of a 4x4 block."""
-    rows, cols = np.nonzero(np.abs(block) > tol)
-    return rows, cols, block[rows, cols]
-
-
 @dataclass(frozen=True)
 class TopologicalInsulatorModel:
     """Parameter bundle for the TI Hamiltonian.
@@ -82,42 +76,40 @@ class TopologicalInsulatorModel:
                 f"got shape {potential.shape}"
             )
 
-        rows_list: list[np.ndarray] = []
-        cols_list: list[np.ndarray] = []
-        vals_list: list[np.ndarray] = []
+        # COO triplets, written in place: the on-site term in (orbital,
+        # site) order, then each direction's hops in C-order (block entry,
+        # orientation, pair) -- the order duplicates sum in.
+        pairs = [lat.neighbor_pairs(axis) for axis in range(3)]
+        blocks = [hopping_block(j, self.t) for j in (1, 2, 3)]
+        end = N_ORBITALS * n_sites
+        nnz = end + sum(2 * np.count_nonzero(block) * src.size
+                        for block, (src, _) in zip(blocks, pairs))
+        rows, cols = np.empty((2, nnz), dtype=np.int64)
+        vals = np.empty(nnz, dtype=DTYPE)
 
         # --- on-site term: diagonal in our Gamma representation ----------
         onsite_diag = np.real(np.diag(onsite_block(0.0, self.mass)))
-        sites = np.arange(n_sites, dtype=np.int64)
-        for orb in range(N_ORBITALS):
-            idx = N_ORBITALS * sites + orb
-            rows_list.append(idx)
-            cols_list.append(idx)
-            vals_list.append((potential + onsite_diag[orb]).astype(DTYPE))
+        np.add(N_ORBITALS * np.arange(n_sites), np.arange(N_ORBITALS)[:, None],
+               out=rows[:end].reshape(N_ORBITALS, n_sites))
+        cols[:end] = rows[:end]
+        vals[:end].reshape(N_ORBITALS, n_sites)[...] = potential + onsite_diag[:, None]
 
         # --- hopping terms, one block per direction and orientation ------
-        for j in (1, 2, 3):
-            src, dst = lat.neighbor_pairs(j - 1)
-            if src.size == 0:
-                continue
-            block = hopping_block(j, self.t)
-            orows, ocols, ovals = _block_entries(block)
-            for orow, ocol, oval in zip(orows, ocols, ovals):
-                # forward: row block at dst, column block at src
-                rows_list.append(N_ORBITALS * dst + orow)
-                cols_list.append(N_ORBITALS * src + ocol)
-                vals_list.append(np.full(src.size, oval, dtype=DTYPE))
-                # Hermitian conjugate: row at src, column at dst
-                rows_list.append(N_ORBITALS * src + ocol)
-                cols_list.append(N_ORBITALS * dst + orow)
-                vals_list.append(np.full(src.size, np.conj(oval), dtype=DTYPE))
+        for block, (src, dst) in zip(blocks, pairs):
+            orows, ocols = np.nonzero(block)
+            lo, end = end, end + 2 * orows.size * src.size
+            r = rows[lo:end].reshape(orows.size, 2, src.size)
+            # forward: row block at dst, column block at src;
+            # Hermitian conjugate: row at src, column at dst
+            np.add(N_ORBITALS * dst, orows[:, None], out=r[:, 0])
+            np.add(N_ORBITALS * src, ocols[:, None], out=r[:, 1])
+            cols[lo:end].reshape(r.shape)[...] = r[:, ::-1]
+            ovals = block[orows, ocols]
+            vals[lo:end].reshape(r.shape)[...] = np.stack(
+                [ovals, np.conj(ovals)], axis=1)[..., None]
 
-        return CSRMatrix.from_coo(
-            np.concatenate(rows_list),
-            np.concatenate(cols_list),
-            np.concatenate(vals_list),
-            (self.dimension, self.dimension),
-        )
+        return CSRMatrix.from_coo(rows, cols, vals,
+                                  (self.dimension, self.dimension))
 
     def expected_nnz(self) -> int:
         """Exact stored-entry count for the clean system.

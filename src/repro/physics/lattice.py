@@ -95,8 +95,7 @@ class Lattice3D:
         """
         if axis not in (0, 1, 2):
             raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-        x, y, z = self.all_coords()
-        coords = [x.copy(), y.copy(), z.copy()]
+        coords = list(self.all_coords())
         extent = self.extent(axis)
         if extent == 1:
             empty = np.empty(0, dtype=np.int64)

@@ -39,6 +39,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro._lazy import lazy_exports
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import (
@@ -475,7 +476,8 @@ def reset_backend_health(name: str | None = None) -> None:
 
 
 def register_backend(name: str, cls: type[KernelBackend]) -> None:
-    """Register a backend class under ``name`` (replaces any previous)."""
+    """Register a backend class (or a zero-argument function that returns
+    an instance) under ``name`` (replaces any previous)."""
     _REGISTRY[name] = cls
     _INSTANCES.pop(name, None)
 
@@ -522,22 +524,27 @@ def available_backends() -> dict[str, bool]:
     return {name: _instance(name).available() for name in sorted(_REGISTRY)}
 
 
+def _numpy_backend() -> KernelBackend:
+    from repro.sparse.backend.numpy_backend import NumpyBackend
+
+    return NumpyBackend()
+
+
 # Register the built-in implementations (import order matters: these
-# modules import the base class from this package).
-from repro.sparse.backend.numpy_backend import NumpyBackend  # noqa: E402
+# modules import the base class from this package).  The NumPy backend
+# loads on first use, so a run on the native kernels never imports it.
 from repro.sparse.backend.native_backend import NativeBackend  # noqa: E402
 
-register_backend(NumpyBackend.name, NumpyBackend)
+register_backend("numpy", _numpy_backend)
 register_backend(NativeBackend.name, NativeBackend)
 
-__all__ = [
+__all__ = lazy_exports(__name__, {"numpy_backend": ("NumpyBackend",)}) + [
     "BACKEND_CHOICES",
     "SIMD_CHOICES",
     "resolve_simd",
     "KernelBackend",
     "KernelPlan",
     "NativeBackend",
-    "NumpyBackend",
     "available_backends",
     "backend_health",
     "backend_quarantined",

@@ -106,9 +106,12 @@ class CSRMatrix:
     ) -> "CSRMatrix":
         """Assemble from coordinate triplets.
 
-        Duplicate ``(row, col)`` entries are summed (the natural semantics
-        for Hamiltonian assembly where several terms hit the same matrix
-        element). Entries are sorted by (row, col).
+        Entries are sorted by (row, col), one stable sort on the key
+        ``row * n_cols + col``. Duplicate ``(row, col)`` entries (several
+        Hamiltonian terms hitting one element) are summed left to right,
+        in input order, into a zero, which turns every ``-0.0`` component
+        into ``+0.0``, duplicated or not. With ``sum_duplicates=False``
+        duplicates stay separate entries and every value keeps its bits.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -124,23 +127,27 @@ class CSRMatrix:
                 raise FormatError("COO row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise FormatError("COO column index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if sum_duplicates and rows.size:
-            key_new = np.empty(rows.shape, dtype=bool)
-            key_new[0] = True
-            key_new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(key_new) - 1
-            uvals = np.zeros(int(group[-1]) + 1, dtype=DTYPE)
-            np.add.at(uvals, group, vals)
-            rows, cols, vals = rows[key_new], cols[key_new], uvals
+        key = rows * n_cols
+        key += cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        if sum_duplicates and key.size:
+            key_new = np.concatenate(([True], key[1:] != key[:-1]))
+            if key_new.all():
+                vals += 0.0  # what summing into a zero does to -0.0
+            else:
+                group = np.cumsum(key_new) - 1
+                uvals = np.zeros(int(group[-1]) + 1, dtype=DTYPE)
+                np.add.at(uvals, group, vals)
+                key, vals = key[key_new], uvals
         if drop_zeros and vals.size:
             keep = vals != 0
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+            key, vals = key[keep], vals[keep]
+        rows = key // max(n_cols, 1)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, cols.astype(IDTYPE), vals, (n_rows, n_cols))
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        key -= rows * n_cols  # now the column of each entry
+        return cls(indptr, key, vals, (n_rows, n_cols))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, *, tol: float = 0.0) -> "CSRMatrix":

@@ -41,7 +41,8 @@ def read_matrix_market(path: str | Path) -> CSRMatrix:
     """Read a MatrixMarket coordinate file into a :class:`CSRMatrix`.
 
     Symmetric/Hermitian/skew-symmetric storage is expanded to the full
-    matrix; ``pattern`` entries become 1.0.
+    matrix; ``pattern`` entries become 1.0.  Entries that repeat a
+    coordinate are summed, as SciPy's reader does.
     """
     path = Path(path)
     with path.open() as fh:
@@ -95,5 +96,4 @@ def read_matrix_market(path: str | Path) -> CSRMatrix:
         rows = np.concatenate([rows, mr])
         cols = np.concatenate([cols, mc])
         vals = np.concatenate([vals, mv])
-    return CSRMatrix.from_coo(rows, cols, vals, (n_rows, n_cols),
-                              sum_duplicates=False)
+    return CSRMatrix.from_coo(rows, cols, vals, (n_rows, n_cols))

@@ -75,13 +75,9 @@ class SellMatrix:
         lengths = np.zeros(n_padded, dtype=np.int64)
         lengths[:n] = csr.nnz_per_row
 
-        # sigma-scope sorting: descending row length inside each scope.
-        perm = np.arange(n_padded)
-        if self.sigma > 1:
-            for lo in range(0, n_padded, self.sigma):
-                hi = min(lo + self.sigma, n_padded)
-                local = np.argsort(-lengths[lo:hi], kind="stable")
-                perm[lo:hi] = lo + local
+        # sigma-scope sorting: descending row length inside each scope
+        # (stable, so equal lengths keep their row order).
+        perm = np.lexsort((-lengths, np.arange(n_padded) // self.sigma))
         self.perm = perm  # perm[sorted_pos] -> original row (or padding row >= n)
         sorted_lengths = lengths[perm]
 
@@ -91,42 +87,28 @@ class SellMatrix:
         np.cumsum(slots_per_chunk, out=self.chunk_ptr[1:])
         total_slots = int(self.chunk_ptr[-1])
 
-        data = np.zeros(total_slots, dtype=DTYPE)
-        # Self-referencing padding: column = the row's own (original) index,
-        # clipped into the *column* range (rectangular matrices may have
-        # fewer columns than rows; any valid column works since the value
-        # is zero).
-        pad_col_per_sorted = np.minimum(perm, csr.n_cols - 1).astype(IDTYPE)
-        indices = np.empty(total_slots, dtype=IDTYPE)
-
-        # Fill chunk by chunk (vectorized within each chunk).
-        for ci in range(n_chunks):
-            L = int(self.chunk_len[ci])
-            if L == 0:
-                continue
-            base = int(self.chunk_ptr[ci])
-            block_vals = np.zeros((c, L), dtype=DTYPE)
-            block_idx = np.repeat(
-                pad_col_per_sorted[ci * c : (ci + 1) * c, None], L, axis=1
-            )
-            for rlocal in range(c):
-                row = perm[ci * c + rlocal]
-                if row >= n:
-                    continue
-                lo, hi = csr.indptr[row], csr.indptr[row + 1]
-                k = hi - lo
-                block_vals[rlocal, :k] = csr.data[lo:hi]
-                block_idx[rlocal, :k] = csr.indices[lo:hi]
-            # column-major within the chunk: slot (j, rlocal) at base + j*c + rlocal
-            data[base : base + L * c] = block_vals.T.reshape(-1)
-            indices[base : base + L * c] = block_idx.T.reshape(-1)
-
-        self.data = data
-        self.indices = indices
-
         # inverse permutation restricted to real rows
         self.inv_perm = np.empty(n_padded, dtype=np.int64)
         self.inv_perm[perm] = np.arange(n_padded)
+
+        # Self-referencing padding: column = the row's own (original) index,
+        # clipped into the *column* range (rectangular matrices may have
+        # fewer columns than rows; any valid column works since the value
+        # is zero).  Column-major within a chunk: slot (j, lane) of chunk
+        # k is chunk_ptr[k] + j*C + lane, so chunk k's lanes repeat L_k times.
+        pad_col = np.minimum(perm, csr.n_cols - 1).astype(IDTYPE)
+        self.indices = np.repeat(pad_col.reshape(n_chunks, c), self.chunk_len,
+                                 axis=0).ravel()
+        self.data = np.zeros(total_slots, dtype=DTYPE)
+
+        # One scatter of every stored entry: entry j of row r goes to
+        # slot j of sorted position s = inv_perm[r].
+        row_of = np.repeat(np.arange(n), csr.nnz_per_row)
+        j = np.arange(csr.nnz) - csr.indptr[row_of]
+        s_of = self.inv_perm[row_of]
+        slot = self.chunk_ptr[s_of // c] + j * c + s_of % c
+        self.data[slot] = csr.data
+        self.indices[slot] = csr.indices
 
     # ------------------------------------------------------------------
     @property
@@ -164,10 +146,8 @@ class SellMatrix:
         Reads the flat arrays only: slot ``chunk_ptr[k] + j*C + lane``
         holds an entry of sorted row ``k*C + lane``.
         """
-        c = self.chunk_height
-        chunk = np.repeat(np.arange(self.n_chunks), self.chunk_len * c)
-        lane = (np.arange(self.stored_slots) - self.chunk_ptr[chunk]) % c
-        orig_rows = self.perm[chunk * c + lane]
+        orig_rows = np.repeat(self.perm.reshape(self.n_chunks, self.chunk_height),
+                              self.chunk_len, axis=0).ravel()
         keep = (self.data != 0) & (orig_rows < self.n_rows)
         return CSRMatrix.from_coo(
             orig_rows[keep], self.indices[keep].astype(np.int64),

@@ -3,7 +3,11 @@
 KPM's stochastic trace estimation needs R independent random initial
 vectors (paper Section II).  The ensembles are drawn from NumPy
 generators, created here so that every call site makes them the same
-way.
+way.  Each ensemble draw returns one vector of length ``n`` or, given
+``r``, a C-contiguous (n, r) block whose column ``i`` is, bit for bit,
+the vector the ``i``-th of ``r`` successive one-vector draws on the same
+generator would return: a generator call of shape (k, n) yields k such
+vectors, so a block takes one call (the phases take one per 1 MiB).
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ def make_rng(seed: int | None | np.random.Generator = None) -> np.random.Generat
 
 
 def random_phase_vector(
-    rng: np.random.Generator, n: int, dtype=np.complex128
+    rng: np.random.Generator, n: int, r: int | None = None,
+    dtype=np.complex128,
 ) -> np.ndarray:
     """Draw one random-phase vector ``exp(i*phi)`` with iid phases.
 
@@ -33,22 +38,35 @@ def random_phase_vector(
     has unit modulus, giving ``E[v v^H] = Identity`` and minimal estimator
     variance among rotation-invariant unit-modulus ensembles.
     """
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return np.exp(1j * phases).astype(dtype)
+    v = np.empty(n if r is None else (n, r), dtype=np.complex128)
+    block = v.reshape(n, -1)
+    # 1 MiB of phases per call: an (r, n) draw would be the peak of a solve
+    step = max(1, (1 << 17) // n)
+    for lo in range(0, block.shape[1], step):
+        cols = block[:, lo:lo + step]
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=cols.shape[::-1])
+        np.multiply(phases.T, 1j, out=cols)
+    return np.exp(v, out=v).astype(dtype, copy=False)
 
 
 def rademacher_vector(
-    rng: np.random.Generator, n: int, dtype=np.complex128
+    rng: np.random.Generator, n: int, r: int | None = None,
+    dtype=np.complex128,
 ) -> np.ndarray:
     """Draw one Rademacher (+/-1) vector, cast to ``dtype``."""
-    return (2.0 * rng.integers(0, 2, size=n) - 1.0).astype(dtype)
+    signs = 2.0 * rng.integers(0, 2, size=n if r is None else (r, n)) - 1.0
+    return np.ascontiguousarray(signs.T, dtype=dtype)
 
 
 def gaussian_vector(
-    rng: np.random.Generator, n: int, dtype=np.complex128
+    rng: np.random.Generator, n: int, r: int | None = None,
+    dtype=np.complex128,
 ) -> np.ndarray:
     """Draw one complex standard-normal vector (unit component variance)."""
     if np.issubdtype(np.dtype(dtype), np.complexfloating):
-        v = rng.normal(size=n) + 1j * rng.normal(size=n)
-        return (v / np.sqrt(2.0)).astype(dtype)
-    return rng.normal(size=n).astype(dtype)
+        # a vector's n real parts, then its n imaginary parts
+        g = rng.normal(size=(2, n) if r is None else (r, 2, n))
+        v = (g[..., 0, :] + 1j * g[..., 1, :]) / np.sqrt(2.0)
+    else:
+        v = rng.normal(size=n if r is None else (r, n))
+    return np.ascontiguousarray(v.T, dtype=dtype)

@@ -156,6 +156,48 @@ class TestLanczosBackend:
             lanczos_scale(h, seed=2, backend="native")
 
 
+def lanczos_reference(h, seed, n_iter=50, margin=0.05):
+    """The sweep with α taken from the whole 4-einsum ``blas1.dot``: the
+    bits ``lanczos_bounds`` keeps with α from the real half alone."""
+    from repro.sparse.blas1 import dot, nrm2_sq
+
+    bk = get_backend("auto")
+    plan = bk.plan(h, threads=2)
+    rng = np.random.default_rng(seed)
+    v = (rng.normal(size=h.n_rows) + 1j * rng.normal(size=h.n_rows))
+    v = v.astype(np.complex128)
+    v /= np.sqrt(nrm2_sq(v))
+    v_prev = np.zeros_like(v)
+    alphas, betas, beta = [], [], 0.0
+    for _ in range(min(n_iter, h.n_rows)):
+        w = bk.spmv(h, v, plan=plan)
+        alpha = dot(v, w).real
+        w -= alpha * v + beta * v_prev
+        w -= dot(v, w) * v
+        beta = float(np.sqrt(nrm2_sq(w)))
+        alphas.append(alpha)
+        if beta < 1e-14:
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    off = np.array(betas[:len(alphas) - 1])
+    ritz = np.linalg.eigvalsh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    lo, hi = float(ritz[0]), float(ritz[-1])
+    return lo - margin * (hi - lo), hi + margin * (hi - lo)
+
+
+@pytest.mark.parametrize("model", ["ti", "graphene"])
+def test_bounds_equal_the_four_einsum_reference(model):
+    from repro.physics import build_topological_insulator
+    from repro.physics.graphene import build_graphene_dot_lattice
+
+    h, _ = {"ti": lambda: build_topological_insulator(16, 16, 4),
+            "graphene": lambda: build_graphene_dot_lattice(
+                24, 16, v_dot=0.4, spacing=6.0)}[model]()
+    for seed in (0, 1, 2):
+        assert lanczos_bounds(h, seed=seed) == lanczos_reference(h, seed)
+
+
 _SCALE_BITS = (
     "from repro.core.scaling import lanczos_scale\n"
     "from repro.physics import build_topological_insulator\n"

@@ -1,5 +1,10 @@
 """Command-line interface end to end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io
@@ -147,6 +152,32 @@ class TestDos:
                    "--vectors", "2"])
         assert rc == 0
         assert "30 rows" in capsys.readouterr().out
+
+    def test_from_mtx_with_a_split_entry(self, capsys):
+        path = Path(__file__).parents[1] / "data" / "split_entry.mtx"
+        rc = main(["dos", "--mtx", str(path), "--moments", "16",
+                   "--vectors", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert "2 rows, 4 nnz" in out
+
+    def test_module_entry_point_exits_with_the_status(self, tmp_path):
+        """``python -m repro`` freezes the collector before it exits; the
+        status, stdout and stderr still come through."""
+        good = Path(__file__).parents[1] / "data" / "split_entry.mtx"
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "2 2 1\n1 2 1.0\n")
+        src = str(Path(__file__).parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = [subprocess.run([sys.executable, "-m", "repro", "dos", "--mtx",
+                                str(path), "--moments", "16", "--vectors", "2"],
+                               env=env, capture_output=True, text=True,
+                               timeout=120) for path in (good, bad)]
+        assert runs[0].returncode == 0 and "DOS integral: 2.0" in runs[0].stdout
+        assert runs[1].returncode == 1
+        assert runs[1].stderr.startswith("error: operator is not Hermitian")
 
 
 #: 4x4 MatrixMarket files KPM cannot expand, and the fault each names

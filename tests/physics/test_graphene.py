@@ -1,5 +1,7 @@
 """Graphene honeycomb model (second KPM workload)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,21 @@ class TestGeometry:
         v = graphene_dot_potential(m, 0.3, spacing=5.0, radius=1.0)
         assert set(np.unique(v)) <= {0.0, 0.3}
         assert (v != 0).sum() > 0
+
+
+class TestAssemblyBytes:
+    """The assembled arrays, pinned; a 1-cell-wide lattice reaches one B
+    site through two bonds, so it takes ``from_coo``'s summing path."""
+
+    @pytest.mark.parametrize("ncx, ncy, spacing, digest", [
+        (24, 16, 6.0, "6ec349e8558a9f4bbc2b2e133d86e2b2"
+                      "3d90b66516fb1789855562b1b3b7783e"),
+        (1, 6, 3.0, "14cae4ab22a4af9b373e3ba9d99207048"
+                    "a6382a7dfca64f8d6e84d0412dec8ca"),
+    ])
+    def test_pinned(self, ncx, ncy, spacing, digest):
+        g, _ = build_graphene_dot_lattice(ncx, ncy, v_dot=0.4, spacing=spacing)
+        h = hashlib.sha256()
+        for a in (g.indptr, g.indices, g.data):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest

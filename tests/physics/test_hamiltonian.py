@@ -1,5 +1,7 @@
 """The TI Hamiltonian: structure, Hermiticity, spectrum, plane waves."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,32 @@ from repro.physics.hamiltonian import (
 )
 from repro.physics.lattice import Lattice3D
 from repro.physics.potentials import dot_superlattice_potential
+
+
+def csr_digest(m):
+    """sha256 of a CSR matrix's (indptr, indices, data) bytes."""
+    h = hashlib.sha256()
+    for a in (m.indptr, m.indices, m.data):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestAssemblyBytes:
+    """The assembled arrays, pinned: every η bit downstream rests on them.
+    A 2-wide periodic axis hops to the same neighbor both ways, so its
+    operator takes ``from_coo``'s duplicate-summing path."""
+
+    @pytest.mark.parametrize("dims, digest", [
+        ((32, 32, 8), "5a047033280ceea4598617f9d41dd2e0"
+                      "92997ab1ab66facda5d807bd212766b5"),
+        ((6, 5, 4), "9426ac618a6b1eb01c1a89aa60494cdf"
+                    "8e2df1a6e0d84a55db99a1dd8b26717e"),
+        ((2, 6, 3), "17531198d09bb99e9aefd178d47a8cb6"
+                    "4f4e86352bd4aaa74c503d3416f253c0"),
+    ])
+    def test_pinned(self, dims, digest):
+        h, _ = build_topological_insulator(*dims)
+        assert csr_digest(h) == digest
 
 
 class TestStructure:

@@ -91,6 +91,80 @@ class TestFromCoo:
         assert np.allclose(m.to_dense(), 0)
 
 
+def coo_oracle(rows, cols, vals, shape, sum_duplicates=True, drop_zeros=False):
+    """(indptr, indices, data) as a (row, col) ``lexsort`` and an
+    ``add.at`` into zeros build them: the bytes ``from_coo`` must keep."""
+    rows, cols = np.asarray(rows, np.int64), np.asarray(cols, np.int64)
+    vals = np.asarray(vals, np.complex128)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    if sum_duplicates and rows.size:
+        new = np.empty(rows.shape, dtype=bool)
+        new[0] = True
+        new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        group = np.cumsum(new) - 1
+        uvals = np.zeros(int(group[-1]) + 1, dtype=np.complex128)
+        np.add.at(uvals, group, vals)
+        rows, cols, vals = rows[new], cols[new], uvals
+    if drop_zeros and vals.size:
+        keep = vals != 0
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, cols.astype(np.int32), vals
+
+
+def random_coo(seed, shape, nnz, *, distinct=False):
+    """COO triplets with repeated coordinates (unless ``distinct``),
+    ``+0.0``/``-0.0`` components and rows ``>= shape[0] // 2`` empty."""
+    rng = np.random.default_rng(seed)
+    half = max(shape[0] // 2, 1)
+    if distinct:
+        flat = rng.choice(half * shape[1], size=nnz, replace=False)
+        rows, cols = flat // shape[1], flat % shape[1]
+    else:
+        rows = rng.integers(0, half, nnz)
+        cols = rng.integers(0, shape[1], nnz)
+    vals = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+    signed = rng.choice(np.array([0.0, -0.0, 1.5, -2.0]), size=(nnz, 2))
+    pick = rng.random(nnz) < 0.3
+    vals[pick] = [complex(a, b) for a, b in signed[pick]]
+    return rows, cols, vals
+
+
+class TestFromCooOracle:
+    """``from_coo`` against its previous body, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(24, 24), (31, 9), (7, 40)])
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("sum_duplicates", [True, False])
+    @pytest.mark.parametrize("drop_zeros", [False, True])
+    def test_bytes_equal(self, shape, distinct, sum_duplicates, drop_zeros):
+        for seed in range(4):
+            coo = random_coo(seed, shape, 60, distinct=distinct)
+            m = CSRMatrix.from_coo(*coo, shape, sum_duplicates=sum_duplicates,
+                                   drop_zeros=drop_zeros)
+            ref = coo_oracle(*coo, shape, sum_duplicates, drop_zeros)
+            for got, want in zip((m.indptr, m.indices, m.data), ref):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_becomes_positive_when_summing(self):
+        m = CSRMatrix.from_coo([0, 1], [1, 0], [complex(-0.0, -0.0), 1.0],
+                               (2, 2))
+        assert not np.signbit(m.data.view(np.float64)).any()
+        kept = CSRMatrix.from_coo([0], [1], [complex(-0.0, -0.0)], (2, 2),
+                                  sum_duplicates=False)
+        assert np.signbit(kept.data.view(np.float64)).all()
+
+    def test_duplicates_sum_in_input_order(self):
+        # (1e16 + 1.0) - 1e16 is 0.0; an order adding the 1.0 last gives 1.0
+        m = CSRMatrix.from_coo([0, 0, 0], [0, 0, 0], [1e16, 1.0, -1e16],
+                               (1, 1))
+        assert m.data[0] == 0.0
+
+
 class TestValidation:
     def test_bad_indptr_start(self):
         with pytest.raises(FormatError, match="indptr"):

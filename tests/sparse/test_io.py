@@ -1,12 +1,18 @@
 """MatrixMarket reading, against files from SciPy's independent writer."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
 
-from repro.sparse.io import read_matrix_market
+from repro.sparse.io import check_operator, read_matrix_market
 from repro.util.errors import FormatError
+
+#: a Hermitian 2x2 ``general`` file that stores its (1, 2) entry as two
+#: halves: the file means the sum, as SciPy's COO -> CSR reads it
+SPLIT_ENTRY = Path(__file__).parents[1] / "data" / "split_entry.mtx"
 
 
 def mmwrite(path, dense, symmetry="general"):
@@ -77,6 +83,14 @@ class TestReadFormats:
         )
         m = read_matrix_market(p)
         assert m.to_dense()[0, 1] == 5.0
+
+
+    def test_split_entry_is_summed(self):
+        m = read_matrix_market(SPLIT_ENTRY)
+        assert m.nnz == 4
+        assert np.array_equal(m.to_dense(),
+                              scipy.io.mmread(SPLIT_ENTRY).toarray())
+        assert check_operator(m) is m
 
 
 class TestErrors:

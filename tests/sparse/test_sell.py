@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.physics import build_topological_insulator
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.errors import FormatError
@@ -19,6 +20,60 @@ def ragged_matrix():
             cols.append((i + j * 3) % n)
             vals.append(float(i + 1) + 1j * j)
     return CSRMatrix.from_coo(rows, cols, vals, (n, n))
+
+
+def sell_reference(csr, c, sigma):
+    """(perm, data, indices) of SELL-c-sigma filled chunk by chunk and
+    row by row, padding at the row's own clipped column."""
+    n = csr.n_rows
+    n_chunks = -(-n // c)
+    lengths = np.zeros(n_chunks * c, dtype=np.int64)
+    lengths[:n] = np.diff(csr.indptr)
+    perm = np.arange(n_chunks * c)
+    if sigma > 1:
+        for lo in range(0, perm.size, sigma):
+            scope = lengths[lo:lo + sigma]
+            perm[lo:lo + scope.size] = lo + np.argsort(-scope, kind="stable")
+    data, indices = [], []
+    for k in range(n_chunks):
+        rows = perm[k * c:(k + 1) * c]
+        width = lengths[rows].max()
+        vals = np.zeros((c, width), dtype=np.complex128)
+        cols = np.repeat(np.minimum(rows, csr.n_cols - 1)[:, None], width, 1)
+        for lane, row in enumerate(rows):
+            if row < n:
+                lo, hi = csr.indptr[row], csr.indptr[row + 1]
+                vals[lane, :hi - lo] = csr.data[lo:hi]
+                cols[lane, :hi - lo] = csr.indices[lo:hi]
+        data.append(vals.T.ravel())
+        indices.append(cols.T.ravel())
+    return perm, np.concatenate(data), np.concatenate(indices).astype(np.int32)
+
+
+class TestFillReference:
+    """The one-scatter fill against the chunk-by-chunk, row-by-row one."""
+
+    @pytest.mark.parametrize("c, sigma", [(32, 1), (8, 1), (32, 128), (4, 8)])
+    def test_ti(self, c, sigma):
+        h, _ = build_topological_insulator(8, 8, 4)
+        self.check(SellMatrix(h, c, sigma), sell_reference(h, c, sigma))
+
+    @pytest.mark.parametrize("c, sigma", [(4, 8), (8, 1)])
+    def test_rectangular(self, c, sigma):
+        # fewer columns than rows (padding clips), empty rows, a ragged tail
+        rng = np.random.default_rng(5)
+        rows = np.repeat(np.arange(37), rng.integers(0, 9, 37))
+        m = CSRMatrix.from_coo(rows, rng.integers(0, 11, rows.size),
+                               rng.normal(size=rows.size) + 1j, (37, 11))
+        self.check(SellMatrix(m, c, sigma), sell_reference(m, c, sigma))
+
+    @staticmethod
+    def check(s, ref):
+        perm, data, indices = ref
+        assert np.array_equal(s.perm, perm)
+        assert s.data.tobytes() == data.tobytes()
+        assert s.indices.tobytes() == indices.tobytes()
+        assert np.array_equal(s.inv_perm[s.perm], np.arange(perm.size))
 
 
 class TestConstruction:

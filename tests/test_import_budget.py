@@ -82,7 +82,7 @@ def test_native_dos_imports_what_it_runs(tmp_path):
     assert not _under(modules, "scipy", "repro.dist", "repro.resil",
                       "repro.serve", "repro.perf", "repro.hw")
     ours = _under(modules, "repro")
-    assert len(ours) <= 37, ours
+    assert len(ours) <= 35, ours
 
 
 def test_import_repro_is_free(tmp_path):
