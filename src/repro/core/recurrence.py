@@ -9,8 +9,9 @@ whose body Figs. 3-5 swap from naive to ``aug_spmv`` to ``aug_spmmv``.
 two live vectors ``(v, w)``, the kernel workspace plan, and every
 storage-profile branch (the fp16v decode pass included).  The operator
 is the rank's rectangular ``[local | halo]`` block, so a serial run is
-simply the one-rank, empty-halo case — its kernel input *is* ``v`` and
-no extra (N, R) buffer exists.
+simply the one-rank, empty-halo case.  Either way the kernel input *is*
+``v``: a rank keeps its iterates in two full-height buffers, so a step
+never copies a vector.
 
 What an engine adds around it stays in the engine: communication (it
 fills the halo tail of :attr:`Recurrence.x`), reductions, fault probes,
@@ -49,15 +50,19 @@ def check_moments(n_moments: int) -> None:
         )
 
 
-def to_storage(block: np.ndarray, prec: Precision) -> np.ndarray:
-    """Private C-contiguous copy of ``block`` in the profile's storage.
+def to_storage(block: np.ndarray, prec: Precision,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """C-contiguous copy of ``block`` in the profile's storage (``out``).
 
     Complex input is narrowed (for fp64 just copied, once); float16
     input already is (re, im) pair storage and is copied as is.
     """
     if prec.half_vectors and block.dtype != np.float16:
-        return prec.encode(block)
-    return np.array(block, dtype=prec.vector_dtype, order="C")
+        return prec.encode(block, out=out)
+    if out is None:
+        return np.array(block, dtype=prec.vector_dtype, order="C")
+    np.copyto(out, block, casting="unsafe")
+    return out
 
 
 class Recurrence:
@@ -112,7 +117,6 @@ class Recurrence:
                   simd=cfg.simd)
         self._plan = plan = bk.plan(A, r, split=split, **kw)
         single = kernel != "aug_spmmv"
-        dims = (A.n_cols,) if single else (A.n_cols, r)
         self._apply = bk.spmv if single else bk.spmmv
         self._kernel = {
             "naive": bk.naive_step,
@@ -130,8 +134,7 @@ class Recurrence:
             )
         self._bins = np.empty((2, 3 * r))
         self.m = 0  # the inner iteration whose moments come next
-        # [local | halo] kernel input; without a halo the input is v itself
-        self._xbuf = None if A.n_cols == A.n_rows else prec.vec_empty(*dims)
+        self._xs = None  # the full-height buffers of (v, w), if any
         self._partial = False  # the interior phase ran, boundary pending
         self.v = self.w = None
 
@@ -158,39 +161,50 @@ class Recurrence:
     @property
     def x(self) -> np.ndarray:
         """The kernel input ``[v | halo]``; engines fill ``x[n_rows:]``."""
-        return self.v if self._xbuf is None else self._xbuf
+        return self.v if self._xs is None else self._xs[0]
 
-    def load(self, v: np.ndarray, w: np.ndarray | None = None, *,
-             anchors: np.ndarray | None = None, m: int = 0) -> None:
+    def load(self, v: np.ndarray | None, w: np.ndarray | None = None, *,
+             anchors: np.ndarray | None = None, m: int = 0,
+             bufs=None) -> None:
         """Install ``nu_0`` — or a checkpointed ``(nu_m, nu_{m+1})`` pair
         whose next inner iteration is ``m``.
 
-        Both are copied into private storage-dtype arrays, so the caller's
-        blocks are never written and a resumed run streams exactly the
-        bytes the interrupted one held.  ``anchors`` are the run's eta
-        anchors, put on the kernel plan; the default, :func:`~repro.
-        sparse.fused.eta_anchors` of ``v``, is right only for a whole
-        ``nu_0`` (a rank slice or a resumed pair needs the run's).
+        Both are copied into storage-dtype arrays, so the caller's blocks
+        are never written and a resumed run streams exactly the bytes the
+        interrupted one held: private ones, or a distributed rank's
+        ``bufs`` — its two full-height ``[local | halo]`` kernel inputs,
+        ``nu_j`` in ``bufs[j % 2]`` (``v = None``: the engine seeded
+        them).  ``anchors`` are the run's eta anchors, put on the kernel
+        plan; the default, :func:`~repro.sparse.fused.eta_anchors` of
+        ``v``, is right only for a whole ``nu_0`` (a rank slice or a
+        resumed pair needs the run's).
         """
-        self.v = to_storage(v, self.prec)
-        self.w = None if w is None else to_storage(w, self.prec)
+        prec, n = self.prec, self.A.n_rows
+        if bufs is None:
+            self._xs = None
+            self.v = to_storage(v, prec)
+            self.w = None if w is None else to_storage(w, prec)
+        else:
+            j = max(m - 1, 0)  # v = nu_j
+            self._xs = (bufs[j % 2], bufs[1 - j % 2])
+            self.v, self.w = (x[:n] for x in self._xs)
+            for src, dst in ((v, self.v), (w, self.w)):
+                if src is not None:
+                    to_storage(src, prec, out=dst)
         self._plan.anchors = eta_anchors(v) if anchors is None else \
             np.ascontiguousarray(anchors, dtype=np.float64)
         self._plan.escape[0] = 0
         self.m = m
-        self._stage()
-
-    def _stage(self) -> None:
-        if self._xbuf is not None:
-            self._xbuf[: self.A.n_rows] = self.v
 
     def swap(self) -> np.ndarray:
-        """Rotate the newest iterate into kernel-input position.
+        """Rotate the newest iterate into kernel-input position (a
+        pointer swap).
 
         Returns it (now ``v``): the vector the neighbours' halos need.
         """
         self.v, self.w = self.w, self.v
-        self._stage()
+        if self._xs is not None:
+            self._xs = self._xs[::-1]
         return self.v
 
     # -- scalar products -----------------------------------------------
@@ -221,7 +235,8 @@ class Recurrence:
         exactly as the per-step kernels accumulate theirs in registers.
         """
         a, b, prec = self.a, self.b, self.prec
-        w = self._apply(self.A, self.x, plan=self._plan, **self._obs)
+        w = self._apply(self.A, self.x, out=self.w, plan=self._plan,
+                        **self._obs)
         if prec.half_vectors:
             vc, wc = self._vc[: self.A.n_rows], self._wc
             prec.decode(self.v, out=vc)

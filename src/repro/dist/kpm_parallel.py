@@ -3,9 +3,9 @@
 Executes the blocked (stage-2) KPM iteration over a row-partitioned
 matrix exactly as the paper's heterogeneous production code does:
 
-1. each rank assembles its send buffers ("the assembly of communication
-   buffers ... only the elements which need to be transferred are
-   copied", Section VI-A) and halo-exchanges the current block vector;
+1. each rank packs its send lists straight into its neighbours' halo
+   tails ("the assembly of communication buffers ... only the elements
+   which need to be transferred are copied", Section VI-A);
 2. each rank runs the augmented SpMMV on its local rows (local + halo
    column layout), computing its partial dot products on the fly;
 3. the per-iteration eta contributions are either reduced globally every
@@ -44,8 +44,8 @@ from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.halo import DistributedMatrix, partition_matrix
 from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition
-from repro.dist.rank import (RankState, Schedule, rank_program, rank_windows,
-                             send_edges, window_layout)
+from repro.dist.rank import (RankState, Schedule, buffer_layout, rank_links,
+                             rank_program, send_edges)
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import ETA_BLOCK, eta_anchors
@@ -110,7 +110,7 @@ class RunSetup:
         bootstrap and M/2 − 1 iterations), a resumed one skips the
         bootstrap and the iterations before ``first_m``, a segment stops
         at ``stop_m`` — then append the logs to ``world.log``, rank by
-        rank.  A rank that skipped a window is a :class:`~repro.util.
+        rank.  A rank that skipped a halo pack is a :class:`~repro.util.
         errors.SimulationError`."""
         want = np.zeros((2, self.dist.n_ranks), dtype=np.int64)
         for (p, _q), rows in self.dist.pattern.send_rows.items():
@@ -307,15 +307,13 @@ class _InProcess:
     def __init__(self, publish=None) -> None:
         self.publish = publish or (lambda m, k: None)
 
-    def exchange(self) -> None:
+    def exchange(self, *_) -> None:
         pass
 
-    reduce = probe = exchange
+    reduce = probe = complete = release = exchange
 
-    def post(self, _q: int, _slot: int):
+    def post(self, _q: int, _m: int):
         return nullcontext()
-
-    complete = post
 
 
 def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
@@ -330,8 +328,8 @@ def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
     vshape = run.prec.vec_shape(2, dist.n_global, r)
     slots = tuple(np.empty(vshape, run.prec.vector_dtype) for _ in "vw") \
         if ctx.checkpoint_every > 0 else None
-    wins = {key: np.empty(shape, dtype) for key, (shape, dtype) in
-            window_layout(dist, r, run.prec, run.cfg.overlap).items()}
+    bufs = {key: np.empty(shape, dtype) for key, (shape, dtype) in
+            buffer_layout(dist, r, run.prec).items()}
 
     def publish(m: int, k: int) -> None:
         n_eta = 2 * (m + 1)
@@ -351,14 +349,14 @@ def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
             counters=ctx.counters, metrics=ctx.metrics,
             split=task_split(blk) if run.cfg.overlap else None,
         )
-        rows = slice(blk.row_start, blk.row_stop)
+        rows, x = slice(blk.row_start, blk.row_stop), bufs[f"x{blk.rank}"]
         if ck is not None:
             rec.load(ck.v[rows], ck.w[rows], anchors=run.anchors,
-                     m=run.first_m)
+                     m=run.first_m, bufs=x)
         else:
-            rec.load(run.start_block[rows], anchors=run.anchors)
+            rec.load(run.start_block[rows], anchors=run.anchors, bufs=x)
         s = RankState(blk.rank, rec, rows, bins,
-                      *rank_windows(blk, edges, wins), slots,
+                      *rank_links(blk, edges, bufs), slots,
                       ctx.injector(blk.rank) or None, ctx.metrics)
         last = blk.rank == world.n_ranks - 1
         states.append(s)

@@ -7,7 +7,7 @@ shared-memory transport: every rank is a worker
 (``multiprocessing.Process``) that owns a contiguous weighted row block
 (:mod:`repro.dist.partition`), drives one :class:`repro.core.recurrence.
 Recurrence` on it with its own kernel backend, and meets its neighbours
-at per-iteration barriers.
+through sequence words in shared memory.
 
 One persistent world (paper Section VI-A: the ranks live for the whole
 run).  :class:`MpWorld` is a cheap handle; its runs lease a *parked*
@@ -16,50 +16,48 @@ world from a process-wide pool keyed by (worker count, start method,
 after a clean run.  A worker loops: receive a run, run the rank program,
 reply.  Between runs it keeps its rank block (shipped once per operator
 partition, see :func:`~repro.dist.halo.partition_matrix`'s memo) and its
-recurrence with the kernel plans.  The barrier and the task-mode event
-slots are created once per world, at fork — the only way such objects
-reach a live process.  Workers exit when their control pipe reaches EOF:
+recurrence with the kernel plans.  Nothing but the control pipe is
+created at fork.  Workers exit when their control pipe reaches EOF:
 :meth:`MpWorld.close`, interpreter exit, or the parent's death.
 
 Communication structure (paper Section VI-A, mapped onto one node):
 
 * each world owns one shared-memory arena (:mod:`repro.dist.shm`),
   mapped by every rank and ``shm_unlink``\\ ed as soon as they all have
-  it; the start block is published there once per run — workers slice
-  their rows zero-copy instead of receiving pickles;
-* each directed halo edge (p → q) owns a shared *window* sized to its
-  transfer list; one halo exchange is: every rank packs its send
-  windows, a barrier, every rank gathers its ``[local | halo]`` kernel
-  input from the windows it receives from, a barrier ("the assembly of
-  communication buffers ... only the elements which need to be
+  it; each run carves from it every rank's two full-height
+  ``[local | halo]`` kernel inputs (``nu_m`` in buffer ``m % 2``), into
+  which the parent seeds the start block and the peers pack their
+  halos — the exchange's one copy ("only the elements which need to be
   transferred are copied");
-* with ``overlap=True`` the exchange is *asynchronous* (task mode,
-  paper Section VII's pipelining outlook): the windows are
-  double-buffered (slot ``m % 2``) and signalled per directed edge with
-  ready/free event pairs instead of the global barrier; each worker
-  posts its outgoing halo, computes the **interior** rows (the
-  contiguous halo-free eta blocks of :func:`repro.dist.overlap.
-  task_split`) with the split kernels while the exchange is in flight,
-  then waits for its incoming windows and finishes the **boundary**
-  rows.  The phases' eta bins add exactly, so the overlapped moments
-  are bitwise every other schedule's;
+* synchronisation is monotonic int64 *sequence words* in the arena:
+  vector mode passes one word barrier per iteration (a pack targets the
+  parity every peer finished reading one iteration earlier); task mode
+  (``overlap=True``, Section VII's pipelining outlook) has a ``ready``
+  and a ``done`` word per directed edge — a rank packs iteration ``m``
+  once the peer consumed ``m − 2``, computes its **interior** rows
+  (the halo-free eta blocks of :func:`repro.dist.overlap.task_split`)
+  while the exchange is in flight, then waits for its incoming tails
+  and finishes the **boundary** rows; the phases' bins add exactly;
+* every wait is one poll loop (core yields, then naps up to 1 ms) that
+  reads the abort word and :attr:`MpTimeouts.barrier` only while its
+  condition does not hold; a full fence orders halo bytes and words;
 * per-rank eta bins (DESIGN §19) accumulate in a shared
   ``(P, M/2, 2, 3R)`` array and are reduced **once** after the workers
-  report — the single deferred global reduction of Section II.
-  ``reduction='every'`` instead synchronizes and sums after every
-  iteration (the Table III ``aug_spmmv()*`` ablation).
+  report — the single deferred global reduction of Section II;
+  ``reduction='every'`` passes the barrier and sums every iteration
+  (the Table III ``aug_spmmv()*`` ablation).
 
 Accounting: each worker records its own
-:class:`~repro.dist.comm.MessageLog` as its program packs windows and
+:class:`~repro.dist.comm.MessageLog` as its program packs halos and
 takes its share of each reduction, and ships it with its reply; the
 parent checks the halo volume against the communication pattern and
 merges the logs in rank order, as the simulator does — so the network
-cost model prices real runs, and a worker that skipped a window is
+cost model prices real runs, and a worker that skipped a pack is
 caught.
 
-Failure model: any worker exception (or hard death) aborts the shared
-barrier, which unblocks every peer; the parent tears the whole world
-down (the next lease forks a fresh one) and raises a structured
+Failure model: any worker exception (or hard death) sets the shared
+abort word, which ends every peer's wait; the parent tears the whole
+world down (the next lease forks a fresh one) and raises a structured
 :class:`~repro.util.errors.WorkerFailure` (a ``SimulationError``) — no
 hang, no leaked ``/dev/shm`` entry (asserted by the test suite).
 Liveness is supervised by a shared *heartbeat* array each worker bumps
@@ -69,9 +67,9 @@ heartbeat advances within :attr:`MpTimeouts.stall`.  A worker whose
 parent died abandons its run at the next iteration.
 
 Checkpoints (the run controls of DESIGN §17): the workers
-double-buffer their state into shared *checkpoint slots*; the last
-rank through a barrier publishes a slot with one atomic state word, and the
-**parent** — which survives worker crashes — captures it
+double-buffer their state into shared *checkpoint slots*; past the
+word barrier rank 0 publishes a slot with one atomic state word, and
+the **parent** — which survives worker crashes — captures it
 (``MpWorld.last_checkpoint``) for the run's context to save and stream,
 salvaging the latest one even when the run fails.
 """
@@ -89,18 +87,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import wait
-from threading import BrokenBarrierError
 
 import numpy as np
 
 from repro.core.checkpoint import KpmCheckpoint
-from repro.core.recurrence import Recurrence
+from repro.core.recurrence import Recurrence, to_storage
 from repro.dist.comm import MessageLog
 from repro.dist.halo import DistributedMatrix, RankBlock
 from repro.dist.kpm_parallel import RunSetup
 from repro.dist.overlap import task_split
-from repro.dist.rank import (RankState, Schedule, rank_program, rank_windows,
-                             send_edges, window_layout)
+from repro.dist.rank import (RankState, Schedule, buffer_layout, rank_links,
+                             rank_program, send_edges)
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, backend_health
@@ -126,8 +123,8 @@ class MpTimeouts:
     Parameters
     ----------
     barrier:
-        Seconds any worker may wait at a barrier before declaring its
-        peers gone (``BrokenBarrierError``).
+        Seconds any worker may wait on a peer — a halo tail, a drained
+        slot, a barrier — before declaring its peers gone.
     join:
         Seconds the parent gives the workers to report (and then to
         exit) after an abort before escalating to ``terminate()``.
@@ -281,7 +278,7 @@ class _RunConfig:
 # worker
 # ---------------------------------------------------------------------
 
-def _worker(rank: int, conn, barrier, events) -> None:
+def _worker(rank: int, conn) -> None:
     """One parked rank (module-level: spawn-picklable).
 
     Serves the parent until its control pipe reaches EOF: ``map``
@@ -313,7 +310,7 @@ def _worker(rank: int, conn, barrier, events) -> None:
             blocks[token] = (*shipped, {})
         reply = _run_rank(
             rank, conn, ppid, *blocks[token], carve(seg.buf, specs),
-            barrier, events, backend_name, cfg,
+            backend_name, cfg,
         )
         try:
             conn.send(reply)
@@ -323,60 +320,95 @@ def _worker(rank: int, conn, barrier, events) -> None:
         seg.close()
 
 
+#: A waiting rank yields its core this many times before it naps (20 µs,
+#: doubling to 1 ms): a peer on another core arrives within microseconds,
+#: an oversubscribed one needs this core.
+_SPINS = 64
+
+
+class _PeerGone(Exception):
+    """A wait ended by the abort word or the wait timeout."""
+
+
 class _Shm:
-    """One worker's shared-memory transport: the world's barrier and
-    per-edge ready/free event slots, the heartbeat and abort words and
-    the checkpoint state word.  Per iteration it waits as the rank
-    program asks: twice at the barrier in vector mode, once per edge on
-    a free and once on a ready event in task mode."""
+    """One worker's shared-memory transport: monotonic int64 sequence
+    words in the arena — a barrier word per rank, a ``ready`` (last
+    iteration packed, plus one) and a ``done`` (last consumed, plus one)
+    word per directed edge — the heartbeat and abort words and the
+    checkpoint state word.  Per iteration a vector-mode rank passes one
+    word barrier; a task-mode rank waits on its edges' words only."""
 
-    def __init__(self, rank: int, conn, ppid: int, barrier, events,
-                 att: dict, timeout: float) -> None:
-        self.rank, self.conn, self.ppid = rank, conn, ppid
-        self.barrier, self.events, self.timeout = barrier, events, timeout
-        self.abort, self.hb, self.ckst = att["abort"], att["hb"], \
-            att.get("ckst")
+    def __init__(self, rank: int, conn, ppid: int, att: dict,
+                 timeout: float) -> None:
+        self.rank, self.conn, self.ppid, self.timeout = \
+            rank, conn, ppid, timeout
+        self.abort, self.hb, self.ckst, self.bar = \
+            att["abort"], att["hb"], att.get("ckst"), att["bar"]
+        self.ready, self.done = att["seq"]
+        self.passed = 0  # barriers this rank passed in this run
+        self._lock = threading.Lock()
 
-    def _wait(self, ev) -> None:
-        # Poll so a dead peer (the parent sets the shared abort flag and
-        # breaks the barrier) unblocks this wait too — events have no
-        # abort() of their own.
-        deadline = time.monotonic() + self.timeout
-        while not ev.wait(0.05):
-            if self.abort[0] or time.monotonic() > deadline:
-                raise BrokenBarrierError
+    def _fence(self) -> None:
+        # An uncontended lock acquire/release is a full fence: halo bytes
+        # are ordered against the words that announce them on any memory
+        # model, not only under x86 TSO.
+        with self._lock:
+            pass
+
+    def _signal(self, words: np.ndarray, at, value: int) -> None:
+        self._fence()
+        words[at] = value
+
+    def _wait(self, ok) -> None:
+        """Return once ``ok()`` holds.  A wait whose condition holds
+        never looks at the abort word, so a peer failing right after it
+        arrived cannot void work both already did."""
+        if not ok():
+            deadline, polls, nap = time.monotonic() + self.timeout, 0, 2e-5
+            while not ok():
+                if self.abort[0] or time.monotonic() > deadline:
+                    if ok():
+                        break
+                    raise _PeerGone
+                polls += 1
+                if polls <= _SPINS:
+                    os.sched_yield()
+                else:
+                    time.sleep(nap)
+                    nap = min(2 * nap, 1e-3)
+        self._fence()
 
     def exchange(self) -> None:
-        self.barrier.wait(self.timeout)
+        self.passed += 1
+        n = self.passed
+        self._signal(self.bar, self.rank, n)
+        self._wait(lambda: self.bar.min() >= n)
 
     reduce = exchange
 
     @contextmanager
-    def post(self, q: int, slot: int):
-        # the slot is free once the receiver drained its previous use
-        ready, free = self.events[(self.rank, q)][slot]
-        self._wait(free)
-        free.clear()
+    def post(self, q: int, m: int):
+        # parity m % 2 of q is free once q consumed iteration m - 2
+        self._wait(lambda: self.done[self.rank, q] >= m - 1)
         yield
-        ready.set()
+        self._signal(self.ready, (self.rank, q), m + 1)
 
-    @contextmanager
-    def complete(self, src: int, slot: int):
-        ready, free = self.events[(src, self.rank)][slot]
-        self._wait(ready)
-        yield
-        ready.clear()
-        free.set()
+    def complete(self, src: int, m: int) -> None:
+        self._wait(lambda: self.ready[src, self.rank] > m)
+
+    def release(self, src: int, m: int) -> None:
+        self._signal(self.done, (src, self.rank), m + 1)
 
     def publish(self, m: int, k: int) -> None:
-        # every rank's slice is in the slot; the last rank to arrive
-        # publishes — it releases the others and never sleeps, so an
-        # abort (a peer that died right after) cannot cut in between.
-        # One aligned int64 store publishes (next_m, slot); the note
+        # Every rank's slice is in the slot once all passed the barrier;
+        # rank 0 then publishes (next_m, slot) with one aligned int64
+        # store — whatever a peer does after its arrival — and the note
         # wakes the parent's autosave.
-        if k and self.barrier.wait(self.timeout) == self.barrier.parties - 1:
-            self.ckst[0] = (m + 1) * 2 + k % 2
-            self.conn.send(("ckpt",))
+        if k:
+            self.exchange()
+            if self.rank == 0:
+                self.ckst[0] = (m + 1) * 2 + k % 2
+                self.conn.send(("ckpt",))
 
     def probe(self) -> None:
         if os.getppid() != self.ppid:
@@ -389,11 +421,9 @@ def _run_rank(
     conn,
     ppid: int,
     blk: RankBlock,
-    edges: list[tuple[int, np.ndarray]],
+    edges: list[tuple],
     recs: dict[tuple, Recurrence],
     att: dict[str, np.ndarray],
-    barrier,
-    events,
     backend_name: str,
     cfg: _RunConfig,
 ) -> tuple:
@@ -403,12 +433,8 @@ def _run_rank(
         # Local observability state: the parent cannot share its own
         # counters/metrics across the process boundary, so each worker
         # accumulates privately and ships a snapshot back with its reply.
-        if cfg.want_obs:
-            w_counters: PerfCounters = PerfCounters()
-            w_metrics: MetricsRegistry = MetricsRegistry()
-        else:
-            w_counters = NULL_COUNTERS
-            w_metrics = NULL_METRICS
+        w_counters, w_metrics = (PerfCounters(), MetricsRegistry()) \
+            if cfg.want_obs else (NULL_COUNTERS, NULL_METRICS)
 
         # The block's recurrences and kernel plans outlive the run: a
         # parked worker rebinds one to the next run's scale and sinks.
@@ -428,33 +454,25 @@ def _run_rank(
             recs.pop(next(iter(recs)))
         w_metrics.count(f"kernels.{rec.kernel_family}")
         rows, sched = slice(blk.row_start, blk.row_stop), cfg.sched
-        if sched.first_m == 1:
-            rec.load(att["start"][rows], anchors=cfg.anchors)
-        else:
-            # Resume: the parent seeded the checkpointed (v, w) blocks
-            # into the ``start`` / ``rw`` arrays; no bootstrap.
-            rec.load(att["start"][rows], att["rw"][rows],
-                     anchors=cfg.anchors, m=sched.first_m)
+        # the parent seeded nu_0 (or the resumed pair) into the buffers
+        rec.load(None, anchors=cfg.anchors, bufs=att[f"x{rank}"],
+                 m=0 if sched.first_m == 1 else sched.first_m)
         s = RankState(
-            rank, rec, rows, att["bins"], *rank_windows(blk, edges, att),
+            rank, rec, rows, att["bins"], *rank_links(blk, edges, att),
             (att["ckv"], att["ckw"]) if "ckv" in att else None,
             sched.ctx.injector(rank, in_process=False) or None, w_metrics,
         )
-        t = _Shm(rank, conn, ppid, barrier, events, att, cfg.timeouts.barrier)
+        t = _Shm(rank, conn, ppid, att, cfg.timeouts.barrier)
         for _ in rank_program(s, sched, t):
             pass
 
         obs = {"counters": w_counters.to_dict(),
                "metrics": w_metrics.snapshot()} if cfg.want_obs else None
         return ("done", s.log.records, obs)
-    except BrokenBarrierError:
+    except _PeerGone:
         return ("broken",)  # a peer failed; the parent reports the cause
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-        att["abort"][0] = 1  # unblock peers parked on halo events
-        try:
-            barrier.abort()  # unblock every waiting peer immediately
-        except Exception:  # pragma: no cover
-            pass
+        att["abort"][0] = 1  # unblock every waiting peer
         kind = getattr(exc, "kind", None) or "exception"
         # an escaped spectrum travels whole: the parent re-raises it
         return ("fail", kind,
@@ -474,22 +492,12 @@ _TOKENS = itertools.count(1)
 
 
 class _World:
-    """``n`` parked workers, the synchronisation objects they inherited
-    at fork, the arena they mapped, and the rank blocks they hold."""
+    """``n`` parked workers, the arena they mapped, and the rank blocks
+    they hold."""
 
     def __init__(self, key: tuple, n: int, start_method: str) -> None:
         ctx = multiprocessing.get_context(start_method)
         self.key, self.n = key, n
-        self.barrier = ctx.Barrier(n)
-        # Task-mode halo signalling: a ready/free event pair per ordered
-        # rank pair and window slot; free starts set (both slots drained)
-        # and a clean run leaves every pair that way again.
-        self.events: dict[tuple[int, int], list] = {}
-        for p, q in itertools.permutations(range(n), 2):
-            slots = [(ctx.Event(), ctx.Event()) for _slot in range(2)]
-            for _ready, free in slots:
-                free.set()
-            self.events[(p, q)] = slots
         self.arena = ShmArena()
         self.abort_flag: np.ndarray | None = None  # of the run in flight
         self.shipped: list[dict[int, None]] = [{} for _ in range(n)]
@@ -506,7 +514,7 @@ class _World:
                         self.conns.append(ours)
                         proc = ctx.Process(
                             target=_worker,
-                            args=(rank, theirs, self.barrier, self.events),
+                            args=(rank, theirs),
                             daemon=True,
                         )
                         proc.start()
@@ -635,11 +643,9 @@ class _World:
         return replies, hb_last, stalled, timed_out
 
     def abort(self) -> None:
-        # Both wake-up channels: the shared flag unblocks event waits
-        # (task mode), barrier.abort() unblocks barrier waits.
+        # every waiting worker polls the shared abort word
         if self.abort_flag is not None:
             self.abort_flag[0] = 1
-        self.barrier.abort()
 
     def close(self, join: float = 5.0) -> None:
         """Tear down: abort any run in flight, close the control pipes
@@ -760,24 +766,26 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         anchors=run.anchors, sched=run.schedule(ctx.for_workers()),
     )
 
-    # The run's shared arrays, carved from the world's resident arena.
-    # Halo windows: task mode double-buffers each directed edge (slot
-    # m % 2), signalled by the world's per-pair event slots.
-    vec_dt = np.dtype(prec.vector_dtype).str
-    vshape = prec.vec_shape(dist.n_global, r)
-    arrays = {"start": (vshape, vec_dt)}
-    if run.ck is not None:
-        arrays["rw"] = (vshape, vec_dt)
+    # The run's shared arrays, carved from the world's resident arena:
+    # each rank's two [local | halo] buffers, which its peers pack their
+    # halos into, and the sequence words that order those packs.
+    p_n = world.n_ranks
+    arrays = buffer_layout(dist, r, prec)
     arrays.update(
-        bins=((world.n_ranks, n_moments // 2, 2, 3 * r), "float64"),
-        hb=((world.n_ranks,), "int64"),
-        abort=((1,), "int64"),
+        bins=((p_n, n_moments // 2, 2, 3 * r), "float64"),
+        hb=((p_n,), "int64"), abort=((1,), "int64"),
+        bar=((p_n,), "int64"), seq=((2, p_n, p_n), "int64"),
     )
     if ctx.checkpoint_every > 0:
-        arrays.update(ckv=((2, *vshape), vec_dt), ckw=((2, *vshape), vec_dt),
-                      ckst=((1,), "int64"))
-    arrays.update(window_layout(dist, r, prec, run.cfg.overlap))
+        vshape = prec.vec_shape(2, dist.n_global, r)
+        arrays.update(ckv=(vshape, prec.vector_dtype),
+                      ckw=(vshape, prec.vector_dtype), ckst=((1,), "int64"))
     specs, nbytes = layout(arrays)
+    # nu_0 goes into buffer 0, a resumed (nu_{m0-1}, nu_m0) into buffers
+    # (m0 - 1) % 2 and m0 % 2
+    m0 = 0 if run.ck is None else run.first_m
+    seeds = [(run.start_block, 0)] if run.ck is None else \
+        [(run.ck.v, (m0 - 1) % 2), (run.ck.w, m0 % 2)]
 
     live = _POOL.lease(world.n_ranks, world.start_method)
     world.last_pids = [proc.pid for proc in live.procs]
@@ -788,20 +796,16 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         if grown is not None:
             live.map_arena(grown, timeouts.stall)
         sh = carve(live.arena.buf, specs)
-        for key in ("bins", "hb", "abort", "ckst"):
+        for key in ("bins", "hb", "abort", "bar", "ckst"):
             if key in sh:
                 sh[key][...] = 0
+        sh["seq"][...] = m0  # as if every earlier iteration was consumed
         live.abort_flag = sh["abort"]
-        start, start_block = sh["start"], run.start_block
-        if run.ck is not None:
-            start[...] = run.ck.v
-            sh["rw"][...] = run.ck.w
-        elif start_block.dtype == np.float16 or prec.is_fp64:
-            start[...] = start_block
-        elif prec.half_vectors:
-            prec.encode(start_block, out=start)
-        else:
-            start[...] = start_block.astype(prec.vector_dtype)
+        for blk in dist.blocks:
+            rows = slice(blk.row_start, blk.row_stop)
+            for block, j in seeds:
+                to_storage(block[rows], prec,
+                           out=sh[f"x{blk.rank}"][j, :blk.n_local])
         bins = sh["bins"]
         captured = 0  # the last state word captured
 
@@ -896,20 +900,14 @@ def _worker_failure(
             detail=msg,
         ))
         details.append(f"rank {rank}: {msg}")
-    dead = [
-        i for i, c in enumerate(exit_codes)
-        if c not in (0, 2) and i not in errored
-    ]
+    dead = [i for i, c in enumerate(exit_codes)
+            if c not in (0, 2) and i not in errored]
+    faults += [WorkerFault(rank=i, kind="death", exit_code=exit_codes[i],
+                           detail=f"died with exit code {exit_codes[i]}")
+               for i in dead]
     if dead:
-        for i in dead:
-            faults.append(WorkerFault(
-                rank=i, kind="death", exit_code=exit_codes[i],
-                detail=f"died with exit code {exit_codes[i]}",
-            ))
-        details.append(
-            f"worker(s) {dead} died with exit codes "
-            + str([exit_codes[i] for i in dead])
-        )
+        details.append(f"worker(s) {dead} died with exit codes "
+                       f"{[exit_codes[i] for i in dead]}")
     if stalled:
         suspect = int(np.argmin(heartbeats))
         faults.append(WorkerFault(

@@ -3,18 +3,23 @@
 Paper Section VI-A's MPI+X rank — bootstrap, halo exchange (vector or
 task mode), the local augmented SpMMV, one deferred reduction — written
 once: :func:`rank_program` runs it on a :class:`RankState` over a
-*transport*.  The program packs and gathers the halo windows, fires the
-``corrupt_window`` fault hook, times the spans, fills the rank's eta
-bins and records its messages into its own :class:`~repro.dist.comm.
-MessageLog` — a halo window when it is packed, a reduction as the
-rank's share of a recursive-doubling allreduce.  Its only communication
-is six transport ops:
+*transport*.  Every rank keeps its iterates in two full-height
+``[local | halo]`` buffers, ``nu_m`` in buffer ``m % 2``, which *are*
+its recurrence's kernel inputs; a halo exchange packs each send list
+straight into the receiver's halo tail of the buffer with parity
+``m % 2`` ("only the elements which need to be transferred are
+copied") — no window, no gather.  The program fires the
+``corrupt_window`` fault hook on each packed tail, times the spans,
+fills the rank's eta bins and records its messages into its own
+:class:`~repro.dist.comm.MessageLog` — a halo message when it is
+packed, a reduction as the rank's share of a recursive-doubling
+allreduce.  Its only communication is seven transport ops:
 
-* ``exchange()`` — vector mode: every rank has packed its windows (the
-  second time: consumed them);
-* ``post(q, slot)`` / ``complete(src, slot)`` — task mode: context
-  managers around the pack of one outgoing and the gather of one
-  incoming window slot;
+* ``exchange()`` — vector mode: every rank has packed this iteration;
+* ``post(q, m)`` — task mode: a context manager around the pack of
+  iteration ``m`` into ``q``, entered once ``q`` consumed ``m − 2``;
+* ``complete(src, m)`` / ``release(src, m)`` — task mode: ``src``'s
+  tail of iteration ``m`` has landed / been consumed by the kernel;
 * ``reduce()`` — every rank's bins of this iteration are in place;
 * ``publish(m, k)`` — after iteration ``m``, the ``k``-th checkpoint
   (0: none is due) is in the state slots;
@@ -25,13 +30,11 @@ transport (:mod:`repro.dist.mp`) may wait for a peer — the same points
 on every rank.  That transport runs one program per worker to the end,
 blocking in its ops; the in-process one (:mod:`repro.dist.
 kpm_parallel`) steps the P programs in lock-step, rank by rank, so no
-rank gathers a window before every rank has packed it.  (A task-mode
-post needs no yield: the slot it packs was drained a round earlier.)
+rank reads a halo tail before every rank has packed it.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,88 +65,73 @@ class Schedule:
 class RankState:
     """What one rank owns for one run.
 
-    ``rec`` holds the loaded local block; ``bins`` is the run's
-    ``(P, M/2, 2, 3R)`` array, of which the rank writes row ``rank``;
-    ``wins_out`` lists ``(q, send rows, window)`` per outgoing edge and
-    ``wins_in`` ``(src, count, window)`` per incoming one, in halo order
-    (task-mode windows have two slots); ``slots`` are the checkpoint's
-    double-buffered global ``(v, w)`` arrays, None without checkpoints.
+    ``rec`` holds the loaded local block in its two buffers; ``bins`` is
+    the run's ``(P, M/2, 2, 3R)`` array, of which the rank writes row
+    ``rank``; ``sends`` lists ``(q, send rows, tails)`` per outgoing
+    edge, ``tails`` being the ``(2, rows, R)`` view of the rows of q's
+    two buffers it fills, and ``sources`` the ranks it receives from;
+    ``slots`` are the checkpoint's double-buffered global ``(v, w)``
+    arrays, None without checkpoints.
     """
 
     rank: int
     rec: Recurrence
     rows: slice
     bins: np.ndarray
-    wins_out: list
-    wins_in: list
+    sends: list
+    sources: list
     slots: tuple | None
     inj: object
     metrics: MetricsRegistry
     log: MessageLog = field(default_factory=MessageLog)
 
 
-_IDLE = nullcontext()
-
-
-def send_edges(dist: DistributedMatrix) -> list[list[tuple[int, np.ndarray]]]:
-    """Each rank's non-empty outgoing halo edges ``(q, rows)``, by ``q``."""
+def send_edges(dist: DistributedMatrix) -> list[list[tuple]]:
+    """Each rank's outgoing halo edges ``(q, rows, tail)``, by ``q``;
+    ``tail`` is the slice of q's buffer rows the edge fills."""
     edges: list[list] = [[] for _ in range(dist.n_ranks)]
-    for (p, q), rows in sorted(dist.pattern.send_rows.items()):
-        if rows.size:
-            edges[p].append((q, rows))
+    for q, blk in enumerate(dist.blocks):
+        pos = blk.n_local
+        for p, cnt in zip(blk.halo_sources.tolist(), blk.halo_counts.tolist()):
+            edges[p].append((q, dist.pattern.send_rows[p, q],
+                             slice(pos, pos + cnt)))
+            pos += cnt
     return edges
 
 
-def window_layout(dist: DistributedMatrix, r: int, prec,
-                  task_mode: bool) -> dict:
-    """``{"w<p>_<q>": (shape, dtype)}``: one window per directed edge,
-    two slots (``m % 2``) in task mode."""
-    out = {}
-    for p, edges in enumerate(send_edges(dist)):
-        for q, rows in edges:
-            shape = prec.vec_shape(rows.size, r)
-            out[f"w{p}_{q}"] = ((2, *shape) if task_mode else shape,
-                                prec.vector_dtype)
-    return out
+def buffer_layout(dist: DistributedMatrix, r: int, prec) -> dict:
+    """``{"x<p>": (shape, dtype)}``: rank p's two full-height
+    ``[local | halo]`` buffers, stacked."""
+    return {f"x{blk.rank}": (prec.vec_shape(2, blk.matrix.n_cols, r),
+                             prec.vector_dtype) for blk in dist.blocks}
 
 
-def rank_windows(blk, edges: list, wins: dict) -> tuple[list, list]:
-    """Rank ``blk.rank``'s ``(wins_out, wins_in)`` out of the run's windows."""
-    p = blk.rank
-    out = [(q, rows, wins[f"w{p}_{q}"]) for q, rows in edges]
-    into = [(src, cnt, wins[f"w{src}_{p}"]) for src, cnt in
-            zip(blk.halo_sources.tolist(), blk.halo_counts.tolist())]
-    return out, into
+def rank_links(blk, edges: list, bufs: dict) -> tuple[list, list]:
+    """Rank ``blk.rank``'s ``(sends, sources)`` over the run's buffers."""
+    sends = [(q, rows, bufs[f"x{q}"][:, tail]) for q, rows, tail in edges]
+    return sends, blk.halo_sources.tolist()
 
 
 def _pack_halo(vec: np.ndarray, rows: np.ndarray, win: np.ndarray) -> None:
-    """Assemble one edge's send window, allocation-free.
+    """Pack one edge's send rows into ``win``, allocation-free.
 
-    The gather writes straight into the window — no temporary is
-    materialized, so the steady-state iteration loop does not allocate
-    per exchange (tested with tracemalloc).  ``mode='clip'`` is what
-    makes ``np.take`` buffer-free; it is safe because the row lists come
-    from the communication pattern, validated in range at construction.
+    The gather writes straight into the receiver's halo tail — no
+    temporary is materialized, so the steady-state iteration loop does
+    not allocate per exchange (tested with tracemalloc).  ``mode='clip'``
+    is what makes ``np.take`` buffer-free; it is safe because the row
+    lists come from the communication pattern, validated in range at
+    construction.
     """
     np.take(vec, rows, axis=0, out=win, mode="clip")
 
 
 def _pack(s: RankState, m: int, q: int, rows, win, vec, phase: str) -> None:
-    """Pack one send window ("only the elements which need to be
+    """Pack one edge's halo ("only the elements which need to be
     transferred are copied", Section VI-A) and record the message."""
     _pack_halo(vec, rows, win)
     if s.inj is not None:
         s.inj.corrupt_window(m, win)
     s.log.add(s.rank, q, win.nbytes, phase)
-
-
-def _gather(s: RankState, slot: int | None = None, complete=None) -> None:
-    """Fill the halo tail of the kernel input ``x = [v | halo]``."""
-    x, pos = s.rec.x, s.rows.stop - s.rows.start
-    for src, cnt, win in s.wins_in:
-        with complete(src, slot) if complete else _IDLE:
-            x[pos : pos + cnt] = win if slot is None else win[slot]
-        pos += cnt
 
 
 def _allreduce(s: RankState, nbytes: int, phase: str) -> None:
@@ -171,33 +159,40 @@ def rank_program(s: RankState, sched: Schedule, t):
                 s.inj.at_iteration(m)
         t.probe()
 
-    def halo(m: int, vec: np.ndarray, phase: str):
+    def step(m: int, vec: np.ndarray, phase: str, kernel):
+        # Exchange vec's halo of iteration m, then run ``kernel`` on the
+        # complete input: its bins are the rank's share of iteration m.
+        slot = m % 2
         if not sched.overlap:
             with span("halo_exchange", phase="dist"):
-                for q, rows, win in s.wins_out:
-                    _pack(s, m, q, rows, win, vec, phase)
-                t.exchange()  # every window packed
+                for q, rows, tails in s.sends:
+                    _pack(s, m, q, rows, tails[slot], vec, phase)
+                t.exchange()  # every tail of this parity is filled
                 yield
-                _gather(s)
-                t.exchange()  # every window consumed, reusable
+        else:
+            # Task mode: pack into each peer once it drained the slot —
+            # no global synchronisation; then update the interior rows
+            # while the exchange is in flight (they reference local
+            # columns only).  Time still spent waiting for the incoming
+            # tails is exposed communication: the ``halo_wait`` span.
+            with span("halo_pack", phase="dist"):
+                for q, rows, tails in s.sends:
+                    with t.post(q, m):
+                        _pack(s, m, q, rows, tails[slot], vec, phase)
+            if phase == "halo":  # the bootstrap has no compute to hide
+                with span("rank_busy"):
+                    rec.interior()
+            with span("halo_wait", phase="dist"):
                 yield
-            return
-        # Task mode: claim this iteration's window slot, pack, signal —
-        # no global synchronisation; then update the interior rows while
-        # the exchange is in flight (they reference local columns only)
-        # and gather the halo.  Time still spent waiting there is
-        # exposed communication: the ``halo_wait`` span.
-        slot = m % 2
-        with span("halo_pack", phase="dist"):
-            for q, rows, win in s.wins_out:
-                with t.post(q, slot):
-                    _pack(s, m, q, rows, win[slot], vec, phase)
-        if phase == "halo":  # the bootstrap has no compute to hide behind
-            with span("rank_busy"):
-                rec.interior()
-        with span("halo_wait", phase="dist"):
-            yield
-            _gather(s, slot, t.complete)
+                for src in s.sources:
+                    t.complete(src, m)
+        with span("rank_busy"):
+            s.bins[s.rank, m] = kernel()
+        if sched.overlap:
+            for src in s.sources:
+                t.release(src, m)  # the peer may refill this parity
+        if sched.every:
+            yield from reduce(m)
 
     def reduce(m: int):
         # reduction="every": the even moment's bins, then the odd one's
@@ -211,19 +206,11 @@ def rank_program(s: RankState, sched: Schedule, t):
     if sched.first_m == 1:
         # nu_1 = a (H nu_0 - b nu_0) on the local rows
         probe(0)
-        yield from halo(0, rec.v, "halo_init")
-        with span("rank_busy"):
-            s.bins[s.rank, 0] = rec.bootstrap()
-        if sched.every:
-            yield from reduce(0)
+        yield from step(0, rec.v, "halo_init", rec.bootstrap)
 
     for m in range(sched.first_m, sched.half):
         probe(m)
-        yield from halo(m, rec.swap(), "halo")
-        with span("rank_busy"):
-            s.bins[s.rank, m] = rec.update()
-        if sched.every:
-            yield from reduce(m)
+        yield from step(m, rec.swap(), "halo", rec.update)
         k = sched.ctx.checkpoint_due(m, sched.first_m)
         if k:
             # Double-buffered: the k-th checkpoint writes slot k % 2, so
@@ -237,4 +224,3 @@ def rank_program(s: RankState, sched: Schedule, t):
     # the one deferred reduction of the bins this run computed
     if sched.final_bytes:
         _allreduce(s, sched.final_bytes, "allreduce_final")
-

@@ -6,8 +6,10 @@ processes through a ``multiprocessing.shared_memory`` segment instead of
 pickled pipe messages.  Each world owns one segment (an
 :class:`ShmArena`) for its whole life; every run carves its named arrays
 out of it at fixed offsets (:func:`layout` on the parent, :func:`carve`
-on both sides), so a halo "transfer" is a plain array copy into a window
-every rank has mapped, with no serialization and no per-run allocation.
+on both sides) — the ranks' kernel-input buffers, their eta bins and
+the int64 sequence words that synchronise them — so a halo "transfer"
+is one array copy straight into the receiving rank's kernel input, with
+no serialization, no semaphore and no per-run allocation.
 
 The segment's *name* is the only thing that can leak: the parent
 ``shm_unlink``\\ s it as soon as every worker has mapped it, so

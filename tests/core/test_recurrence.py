@@ -119,6 +119,43 @@ def test_serial_kernel_input_is_v(system):
     assert rec.x is rec.v
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+def test_halo_swap_moves_no_bytes(system, backend, precision):
+    """A halo'd rank keeps its iterates in two full-height buffers: the
+    kernel input ``x`` *is* ``v`` plus the halo tail, and a swap only
+    rotates the buffers — no staging copy of ``v`` into ``x``."""
+    from repro.dist.halo import partition_matrix
+    from repro.dist.partition import RowPartition
+    from repro.sparse.fused import eta_anchors
+
+    h, scale, blk = system
+    dist = partition_matrix(h, RowPartition.equal(h.n_rows, 2, align=64))
+    b0 = dist.blocks[0]
+    n = b0.n_local
+    assert b0.n_halo > 0
+    rec = Recurrence(b0.matrix, scale.a, scale.b, blk.shape[1],
+                     backend=backend, precision=precision)
+    bufs = get_precision(precision).vec_empty(2, b0.matrix.n_cols,
+                                              blk.shape[1])
+    rec.load(blk[:n], anchors=eta_anchors(blk), bufs=bufs)
+    rec.x[n:] = 0  # the engine's halo
+    rec.bootstrap()
+    for _ in range(3):
+        old_x, old_w = rec.x, rec.w
+        snap = old_x.copy(), old_w.copy()
+        assert rec.swap() is old_w
+        assert np.shares_memory(rec.x, rec.v)
+        assert rec.x.shape[0] == b0.matrix.n_cols
+        assert rec.x[:n].__array_interface__ == rec.v.__array_interface__
+        assert not np.shares_memory(rec.x, old_x)
+        # nothing was written: the old input and the new v are untouched
+        assert np.array_equal(old_x, snap[0])
+        assert np.array_equal(rec.v, snap[1])
+        rec.x[n:] = 0
+        rec.update()
+
+
 def test_no_second_copy_of_the_loop_body():
     """The step kernels, ``_recombine`` and the plans' scratch are used by
     ``core/recurrence.py`` and the kernel layer only; under ``dist/`` only

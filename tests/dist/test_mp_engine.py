@@ -96,6 +96,28 @@ class TestParity:
         assert np.array_equal(eta, ref)
 
 
+class TestOversubscribed:
+    def test_four_task_mode_ranks_on_fewer_cores(self, system, monkeypatch):
+        """More task-mode workers than cores: waits back off from core
+        yields to naps (here from the first poll), and the bits hold."""
+        from repro.dist import mp
+
+        if MpWorld(4).start_method != "fork":
+            pytest.skip("spawned workers would not see the patch")
+        h, scale, blk, ref = system
+        part = RowPartition.equal(h.n_rows, 4, align=64)
+        MpWorld(4).close()  # the next world forks with the patch
+        monkeypatch.setattr(mp, "_SPINS", 0)
+        try:
+            eta_mp, eta_sim, mw, sw = run_pair(h, scale, blk, part,
+                                               overlap="on")
+        finally:
+            MpWorld(4).close()
+        assert np.array_equal(eta_mp, eta_sim)
+        assert np.array_equal(eta_mp, ref)
+        assert mw.log.records == sw.log.records
+
+
 class TestRankProgram:
     """Both transports run the one rank program (:mod:`repro.dist.rank`)."""
 
@@ -272,26 +294,30 @@ class TestObservability:
         assert out.stdout.strip() == "[[], []]"
 
 
+@pytest.mark.parametrize("overlap", ["off", "on"])
 class TestFailure:
-    def test_worker_exception_raises_cleanly(self, system):
+    """A failing rank aborts its peers' waits — the vector-mode barrier
+    word and the task-mode edge words alike."""
+
+    def test_worker_exception_raises_cleanly(self, system, overlap):
         h, scale, blk, _ = system
         part = RowPartition.equal(h.n_rows, 3, align=64)
         mw = MpWorld(3)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
-            distributed_eta(h, part, scale, M, blk, mw,
+            distributed_eta(h, part, scale, M, blk, mw, overlap=overlap,
                             fault_plan=FaultPlan.parse("raise:rank=1,m=3"))
-        # the aborted barrier unblocks peers immediately — no timeout wait
+        # the abort word unblocks peers immediately — no timeout wait
         assert time.monotonic() - t0 < mw.timeouts.barrier / 2
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
 
-    def test_worker_hard_death_raises_cleanly(self, system):
+    def test_worker_hard_death_raises_cleanly(self, system, overlap):
         h, scale, blk, _ = system
         part = RowPartition.equal(h.n_rows, 2, align=64)
         mw = MpWorld(2)
         t0 = time.monotonic()
         with pytest.raises(SimulationError, match="exit code"):
-            distributed_eta(h, part, scale, M, blk, mw,
+            distributed_eta(h, part, scale, M, blk, mw, overlap=overlap,
                             fault_plan=FaultPlan.parse("crash:rank=0,m=2"))
         assert time.monotonic() - t0 < mw.timeouts.barrier / 2
         assert not any(segment_exists(nm) for nm in mw.last_segment_names)
