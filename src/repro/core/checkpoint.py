@@ -18,19 +18,27 @@ fp64 / fp32 / fp16v) and zlib manages ~25 MB/s on them, 30x or more the
 cost of writing the bytes.  Format 2 carries the eta anchors (DESIGN
 §19); a format-1 file, whose eta was reduced in another order, is
 refused rather than spliced.
+
+The run controls (:class:`RunContext`) and the run every engine executes
+(:class:`Run`: the one prologue, splice and checkpoint state) live here
+too, with :func:`run_ranks`, which steps the rank program in this
+process — on one rank for a serial solve.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import zipfile
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.recurrence import Recurrence, check_moments, to_storage
+from repro.core.recurrence import (RankState, Recurrence, Schedule,
+                                   check_moments, rank_program, to_storage)
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
@@ -40,7 +48,8 @@ from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import CheckpointError, FormatError
 from repro.util.knobs import ExecConfig
-from repro.util.precision import get_precision
+from repro.util.precision import Precision, get_precision
+from repro.util.validation import check_block_vector
 
 _FORMAT_VERSION = 2
 
@@ -240,6 +249,19 @@ class RunContext:
             fields["fault_plan"] = as_fault_plan(fields["fault_plan"], seed)
         return cls(**fields)
 
+    def check_stage(self, kernel: str) -> None:
+        """Refuse the controls that hold stage-2 block state on a
+        stage-0/1 ``kernel``, which runs one column at a time."""
+        held = [name for name, on in (
+            ("checkpoint_every", self.checkpoint_every > 0),
+            ("resume_from", self.resume_from is not None),
+            ("progress", self.progress is not None)) if on]
+        if kernel != "aug_spmmv" and held:
+            raise ValueError(
+                f"the {kernel} stage runs one column at a time and holds no "
+                f"block state: {', '.join(held)} needs the aug_spmmv stage"
+            )
+
     def for_workers(self) -> RunContext:
         """The picklable slice mp workers run by: plan, attempt, cadence."""
         return RunContext(checkpoint_every=self.checkpoint_every,
@@ -359,7 +381,7 @@ def checkpointed_eta(
 ) -> np.ndarray:
     """Stage-2 eta computation with optional checkpoint/restart.
 
-    The serial driver of :class:`~repro.core.recurrence.Recurrence`:
+    The rank program on one rank (:func:`run_ranks`):
     :func:`repro.core.moments.compute_eta` with the ``aug_spmmv`` engine
     *is* this function with checkpoints off; ``config``/knobs are the
     kernel knobs of :class:`~repro.util.knobs.ExecConfig`, the other
@@ -368,7 +390,7 @@ def checkpointed_eta(
     backends round alike, so a run interrupted on one backend resumes on
     another with the same bits.
     """
-    return run_serial(
+    return run_ranks(
         ExecConfig.of(config, knobs),
         RunContext.of(counters=counters, metrics=metrics,
                       checkpoint_every=checkpoint_every,
@@ -379,56 +401,193 @@ def checkpointed_eta(
     )
 
 
-def splice_eta(bins: np.ndarray, stop: int, width: int,
-               resumed: KpmCheckpoint | None = None) -> np.ndarray:
-    """Eta ``[0, stop)`` in a zeroed (R, width) array — a checkpoint
-    writes the whole array, so the file is a function of the state: a
-    resumed run's prefix ``[0, 2·next_m)`` copied verbatim, the rest the
-    fold of ``bins`` (M/2, 2, 3R), one iteration's eta bins per row."""
-    out = np.zeros((bins.shape[-1] // 3, width), dtype=DTYPE)
-    col0 = 0
-    if resumed is not None:
-        col0 = 2 * resumed.next_m
-        out[:, :col0] = resumed.eta[:, :col0]
-    ee, eo = fold(bins[col0 // 2:stop // 2])
-    out[:, col0:stop:2], out[:, col0 + 1:stop:2] = ee.T, eo.T
-    return out
+@dataclass
+class Run:
+    """One validated solve, as every engine executes it (:meth:`of`).
+
+    ``cfg`` has ``threads`` and ``overlap`` decided for the rank count;
+    the inner iterations run are ``[first_m, half)`` (``first_m`` 1
+    fresh, else the resumed ``ck``'s ``next_m``; ``half`` ``stop_m`` or
+    M/2); ``anchors`` are the start block's or the checkpoint's.  A
+    world's partition extends it (:class:`repro.dist.kpm_parallel.
+    RunSetup`)."""
+
+    cfg: ExecConfig
+    ctx: RunContext
+    prec: Precision
+    a: float
+    b: float
+    n_moments: int
+    r: int
+    first_m: int
+    half: int
+    anchors: np.ndarray
+    stop_m: int | None
+    ck: KpmCheckpoint | None
+    start_block: np.ndarray | None
+    run_id: str
+    kernel: str
+
+    @classmethod
+    def of(cls, cfg: ExecConfig, ctx: RunContext, scale: SpectralScale,
+           n_moments: int, start_block, n_rows: int, *, n_ranks: int = 1,
+           stop_m: int | None = None, kernel: str = "aug_spmmv", **more):
+        """The prologue every engine runs: validate the moments, the
+        segment bound and the start block, load and check any
+        checkpoint, decide the config for ``n_ranks`` ranks and tag the
+        run.  ``more`` are a subclass's fields."""
+        check_moments(n_moments)
+        half = n_moments // 2 if stop_m is None else int(stop_m)
+        if not 1 <= half <= n_moments // 2:
+            raise ValueError(
+                f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
+            )
+        prec = get_precision(cfg.precision)
+        ck = ctx.resume(n_moments, scale, prec, start_block)
+        if ck is not None:
+            r, first_m, anchors = ck.v.shape[1], ck.next_m, ck.anchors
+        else:
+            start_block = check_block_vector("start_block", start_block,
+                                             n_rows)
+            if start_block.dtype == np.float16 and not prec.half_vectors:
+                raise TypeError(
+                    "start_block uses float16 pair storage but precision "
+                    f"is {prec.name!r}; pass precision='fp16v'"
+                )
+            r, first_m = start_block.shape[1], 1
+            anchors = eta_anchors(start_block)
+        return cls(
+            cfg=cfg.for_ranks(n_ranks), ctx=ctx, prec=prec, a=scale.a,
+            b=scale.b, n_moments=n_moments, r=r, first_m=first_m, half=half,
+            anchors=anchors, stop_m=stop_m, ck=ck, start_block=start_block,
+            run_id=ctx.run_id(ck, start_block, prec), kernel=kernel, **more,
+        )
+
+    def schedule(self, ctx: RunContext) -> Schedule:
+        """The :class:`~repro.core.recurrence.Schedule` every rank runs,
+        by the run controls ``ctx``.  The final allreduce moves the bins,
+        48R bytes, of each iteration this run computed (a segment's
+        ``stop_m`` fresh, ``stop_m − first_m`` resumed): the charges of a
+        segmented run sum to one run's."""
+        iters = self.n_moments // 2 if self.stop_m is None else \
+            self.half - (0 if self.first_m == 1 else self.first_m)
+        return Schedule(first_m=self.first_m, half=self.half,
+                        overlap=self.cfg.overlap,
+                        every=self.cfg.reduction == "every",
+                        final_bytes=48 * self.r * iters, ctx=ctx)
+
+    def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
+        """The reduced eta ``[0, stop)`` of ``bins`` (ranks, M/2, 2, 3R) in
+        a zeroed (R, width) array, so a checkpoint file is a function of
+        the state: a resumed prefix ``[0, 2·next_m)`` copied verbatim,
+        the rest the fold of the (exact) sum over ranks."""
+        out = np.zeros((self.r, width), dtype=DTYPE)
+        col0 = 0
+        if self.ck is not None:
+            col0 = 2 * self.ck.next_m
+            out[:, :col0] = self.ck.eta[:, :col0]
+        ee, eo = fold(bins[:, col0 // 2:stop // 2].sum(axis=0))
+        out[:, col0:stop:2], out[:, col0 + 1:stop:2] = ee.T, eo.T
+        return out
+
+    def state(self, v: np.ndarray, w: np.ndarray, eta: np.ndarray,
+              next_m: int) -> KpmCheckpoint:
+        """The checkpoint of global ``(v, w)`` and reduced ``eta`` after
+        iteration ``next_m − 1`` — what every engine saves."""
+        return KpmCheckpoint(
+            v=v, w=w, eta=eta, next_m=next_m, n_moments=self.n_moments,
+            a=self.a, b=self.b, anchors=self.anchors,
+            precision=self.prec.name, run_id=self.run_id,
+        )
+
+    def recurrence(self, A, split=None) -> Recurrence:
+        """A rank's recurrence over its operator block ``A``."""
+        return Recurrence(A, self.a, self.b, self.r, kernel=self.kernel,
+                          split=split, config=self.cfg,
+                          counters=self.ctx.counters,
+                          metrics=self.ctx.metrics)
+
+    def rank(self, p: int, rec: Recurrence, rows: slice, bins: np.ndarray,
+             bufs=None, links=((), ()), cls=RankState) -> RankState:
+        """Rank ``p``'s state, ``rec`` loaded with the ``rows`` of the
+        start block — or of the resumed pair — (into ``bufs``, a rank's
+        two full-height buffers, given them); ``links`` are its
+        ``(sends, sources)``."""
+        if self.ck is not None:
+            rec.load(self.ck.v[rows], self.ck.w[rows], anchors=self.anchors,
+                     m=self.first_m, bufs=bufs)
+        else:
+            rec.load(self.start_block[rows], anchors=self.anchors, bufs=bufs)
+        return cls(p, rec, rows, bins, *links, None,
+                   self.ctx.injector(p) or None, self.ctx.metrics)
+
+    def lockstep(self, states: list[RankState], world=None) -> np.ndarray:
+        """Run the ranks' programs to the end in this process; returns eta
+        (R, M).  One round steps every program to its next yield, rank by
+        rank, so no rank reads a halo tail before every rank packed it;
+        after each iteration the last one — every peer's bins and, at a
+        checkpoint, ``(nu_m, nu_{m+1})`` are in place by then — fires
+        ``progress`` and saves each due checkpoint (kept on
+        ``world.last_checkpoint``, given a world)."""
+        ctx, bins = self.ctx, states[0].bins
+
+        def publish(m: int, k: int) -> None:
+            n_eta = 2 * (m + 1)
+            if ctx.progress_due(m, self.first_m):
+                ctx.stream(n_eta, self.splice(bins, n_eta, n_eta))
+            if k:
+                v, w = (np.concatenate([getattr(s.rec, x) for s in states])
+                        for x in "vw")
+                state = self.state(v, w, self.splice(bins, n_eta,
+                                                     self.n_moments), m + 1)
+                if world is not None:
+                    world.last_checkpoint = state
+                ctx.save(state)
+
+        sched = self.schedule(ctx)
+        programs = [rank_program(s, sched, _InProcess(None))
+                    for s in states[:-1]]
+        programs.append(rank_program(states[-1], sched, _InProcess(publish)))
+        for _ in itertools.zip_longest(*programs):
+            pass
+        return self.splice(bins, self.n_moments, self.n_moments)
 
 
-def run_serial(cfg: ExecConfig, ctx: RunContext, H, scale: SpectralScale,
-               n_moments: int, start_block: np.ndarray) -> np.ndarray:
-    """:func:`checkpointed_eta` on a built config and context."""
-    check_moments(n_moments)
-    prec = get_precision(cfg.precision)
-    ck = ctx.resume(n_moments, scale, prec, start_block)
-    first = start_block if ck is None else ck.v
-    rec = Recurrence(H, scale.a, scale.b, first.shape[1], config=cfg,
-                     counters=ctx.counters, metrics=ctx.metrics)
-    bins = np.zeros((n_moments // 2, 2, 3 * first.shape[1]))
-    if ck is not None:
-        anchors, first_m = ck.anchors, ck.next_m
-        rec.load(ck.v, ck.w, anchors=anchors, m=first_m)
-    else:
-        anchors, first_m = eta_anchors(start_block), 1
-        rec.load(start_block, anchors=anchors)
-        bins[0] = rec.bootstrap()
-    run_id = ctx.run_id(ck, start_block, prec)
-    fault = ctx.injector(0)
+class _InProcess:
+    """The in-process transport: in one address space the halo and
+    reduction ops have nothing to wait for."""
 
-    for m in range(first_m, n_moments // 2):
-        if fault:
-            fault.at_iteration(m)
-        bins[m] = rec.step()
-        if ctx.progress_due(m, first_m):
-            ctx.stream(2 * (m + 1), splice_eta(bins, 2 * (m + 1),
-                                               2 * (m + 1), ck))
-        if ctx.checkpoint_due(m, first_m):
-            # (v, w) = (nu_m, nu_{m+1}): exactly what the resumed run's
-            # first swap expects
-            ctx.save(KpmCheckpoint(
-                v=rec.v, w=rec.w, eta=splice_eta(bins, 2 * (m + 1),
-                                                 n_moments, ck),
-                next_m=m + 1, n_moments=n_moments, a=scale.a, b=scale.b,
-                anchors=anchors, precision=prec.name, run_id=run_id,
-            ))
-    return splice_eta(bins, n_moments, n_moments, ck)
+    def __init__(self, publish) -> None:
+        self.publish = publish or (lambda m, k: None)
+
+    def exchange(self, *_) -> None:
+        pass
+
+    reduce = probe = complete = release = exchange
+
+    def post(self, _q: int, _m: int):
+        return nullcontext()
+
+
+def run_ranks(cfg: ExecConfig, ctx: RunContext, A, scale: SpectralScale,
+              n_moments: int, start_block, world=None, *,
+              kernel: str = "aug_spmmv") -> np.ndarray:
+    """Eta (R, M) of one solve: the rank program on ``world``'s ranks over
+    ``A``, partitioned (:mod:`repro.dist`) — or, without a world, on one
+    rank over the whole operator in this process, no partition copy, no
+    halo.  There stages 0/1 (``kernel``) run the one rank once per
+    column, on one single-vector recurrence."""
+    if world is not None:
+        from repro.dist.kpm_parallel import run_distributed
+
+        return run_distributed(cfg, ctx, A, None, scale, n_moments,
+                               start_block, world)
+    run = Run.of(cfg, ctx, scale, n_moments, start_block, A.n_rows,
+                 kernel=kernel)
+    runs = [run] if kernel == "aug_spmmv" else [
+        replace(run, r=1, start_block=col, anchors=eta_anchors(col))
+        for col in (run.start_block[:, i] for i in range(run.r))]
+    rec, rows = runs[0].recurrence(A), slice(0, A.n_rows)
+    etas = [one.lockstep([one.rank(0, rec, rows, np.zeros(
+        (1, n_moments // 2, 2, 3 * one.r)))]) for one in runs]
+    return etas[0] if len(etas) == 1 else np.concatenate(etas)

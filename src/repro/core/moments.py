@@ -21,7 +21,9 @@ The engines differ only in *implementation* — exactly the paper's point:
 Orthogonally, ``backend`` selects *who executes* the kernels — the
 NumPy reference or the compiled native kernels — through
 :mod:`repro.sparse.backend`.  The loop itself is written once, in
-:class:`repro.core.recurrence.Recurrence`: its workspaces are hoisted
+:mod:`repro.core.recurrence`: every engine runs its rank program, and a
+serial solve is that program on one rank (stages 0/1: once per column).
+The :class:`~repro.core.recurrence.Recurrence` workspaces are hoisted
 into a per-(matrix, R) plan, so the M/2 iterations run allocation-free —
 the nu_m / nu_{m+1} buffers swap by reference and every kernel writes
 into preallocated storage.
@@ -33,18 +35,13 @@ from enum import Enum
 
 import numpy as np
 
-from repro.core.checkpoint import checkpointed_eta
-from repro.core.recurrence import Recurrence, check_moments
+from repro.core.checkpoint import RunContext, checkpointed_eta, run_ranks
 from repro.core.scaling import SpectralScale
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import fold
 from repro.sparse.sell import SellMatrix
-from repro.util.constants import DTYPE
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.knobs import ExecConfig
-from repro.util.precision import get_precision
-from repro.util.validation import check_block_vector
 
 
 class MomentEngine(str, Enum):
@@ -98,35 +95,15 @@ def compute_eta(
     eta:
         Complex array (R, M); ``eta[r, 2m]`` is real (stored complex).
     """
-    check_moments(n_moments)
     engine = MomentEngine(engine)
-    cfg = ExecConfig.of(config, knobs)
-    prec = get_precision(cfg.precision)
-    start_block = check_block_vector("start_block", start_block, H.n_rows)
-    if start_block.dtype == np.float16 and not prec.half_vectors:
-        raise TypeError(
-            "start_block uses float16 pair storage but precision is "
-            f"{prec.name!r}; pass precision='fp16v'"
-        )
     if engine is MomentEngine.AUG_SPMMV:
-        # stage 2 is the checkpointable serial driver with checkpoints off
+        # stage 2 is the checkpointable entry with checkpoints off
         return checkpointed_eta(H, scale, n_moments, start_block,
                                 counters=counters, metrics=metrics,
-                                config=cfg)
-    # stages 0/1: one single-vector recurrence, re-loaded per column
-    rec = Recurrence(H, scale.a, scale.b, 1, kernel=engine.value, config=cfg,
-                     counters=counters, metrics=metrics)
-    # (n, r) complex or (n, r, 2) f16 pair storage: r is axis 1 either way
-    eta = np.empty((start_block.shape[1], n_moments), dtype=DTYPE)
-    bins = np.empty((n_moments // 2, 2, 3))
-    for i, row in enumerate(eta):
-        rec.load(start_block[:, i])
-        bins[0] = rec.bootstrap()
-        for m in range(1, n_moments // 2):
-            bins[m] = rec.step()
-        ee, eo = fold(bins)
-        row[0::2], row[1::2] = ee[:, 0], eo[:, 0]
-    return eta
+                                config=config, **knobs)
+    return run_ranks(ExecConfig.of(config, knobs),
+                     RunContext(counters=counters, metrics=metrics),
+                     H, scale, n_moments, start_block, kernel=engine.value)
 
 
 def eta_to_moments(eta: np.ndarray) -> np.ndarray:

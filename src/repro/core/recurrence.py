@@ -1,4 +1,4 @@
-"""The rank-local Chebyshev recurrence — the one copy every engine drives.
+"""The rank-local Chebyshev recurrence and the one program that drives it.
 
 The whole paper is one loop, Eq. (3),
 
@@ -13,13 +13,14 @@ simply the one-rank, empty-halo case.  Either way the kernel input *is*
 ``v``: a rank keeps its iterates in two full-height buffers, so a step
 never copies a vector.
 
-What an engine adds around it stays in the engine: communication (it
-fills the halo tail of :attr:`Recurrence.x`), reductions, fault probes,
-heartbeats, checkpoints, progress streaming.  The scalar products come
-out as the one eta reduction's bins (DESIGN §19), which the engine sums
-over its ranks (exactly) and folds; a spectrum escaping the scale
-raises :class:`~repro.util.errors.SpectralScaleError` here, in every
-engine.
+:func:`rank_program` is the loop, written once: paper Section VI-A's
+MPI+X rank over a *transport*.  Every engine runs it — a serial solve
+(the stage-0/1 ablation: once per column) as one rank with no peers, the
+sim world as P ranks in lock-step in this process, the mp world one per
+worker process.  The scalar products come out as the one eta
+reduction's bins (DESIGN §19), which the engine sums over its ranks
+(exactly) and folds; a spectrum escaping the scale raises
+:class:`~repro.util.errors.SpectralScaleError` here, in every engine.
 
 State convention between calls: ``v = nu_m`` and ``w = nu_{m+1}`` (the
 newest iterate), exactly the pair a :class:`~repro.core.checkpoint.
@@ -27,6 +28,8 @@ KpmCheckpoint` stores.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,11 +289,6 @@ class Recurrence:
                                     plan=plan, **self._obs)
         return self._checked(np.add(*plan.phase_bins, out=self._bins))
 
-    def step(self):
-        """One whole fused iteration: :meth:`swap`, then :meth:`update`."""
-        self.swap()
-        return self.update()
-
     def advance(self) -> np.ndarray:
         """One *unfused* iteration (SpM(M)V + recombination, no dots).
 
@@ -327,3 +325,130 @@ class Recurrence:
             yield self.w
         for _ in range(2, n):
             yield self.advance()
+
+
+# -- the program -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Schedule:
+    """What every rank of one run shares: the inner iterations
+    ``[first_m, half)`` (a fresh run bootstraps first), the halo mode,
+    the reduction frequency, the bytes of the final reduction (0: none)
+    and the run controls the ranks act on (the checkpoint cadence)."""
+
+    first_m: int
+    half: int
+    overlap: bool
+    every: bool
+    final_bytes: int
+    ctx: object  # a repro.core.checkpoint.RunContext
+
+
+@dataclass
+class RankState:
+    """What one rank owns for one run.
+
+    ``rec`` holds the loaded local block; ``bins`` is the run's
+    ``(P, M/2, 2, 3R)`` array, of which the rank writes row ``rank``;
+    ``sends`` lists ``(q, send rows, tails)`` per outgoing edge,
+    ``tails`` being the ``(2, rows, R)`` view of the rows of q's two
+    buffers it fills, and ``sources`` the ranks it receives from;
+    ``slots`` are the checkpoint's double-buffered global ``(v, w)``
+    arrays, None where the transport reads the recurrences themselves.
+    A world with peers packs and records through its subclass,
+    :class:`repro.dist.kpm_parallel.RankState`.
+    """
+
+    rank: int
+    rec: Recurrence
+    rows: slice
+    bins: np.ndarray
+    sends: list
+    sources: list
+    slots: tuple | None
+    inj: object
+    metrics: MetricsRegistry
+
+
+def rank_program(s: RankState, sched: Schedule, t):
+    """Run one rank's schedule over transport ``t``; a generator that
+    yields where the shared-memory transport may wait for a peer.
+
+    Seven transport ops are its only communication: ``exchange()`` (all
+    packed), ``post(q, m)`` (a context around a task-mode pack, entered
+    once ``q`` consumed ``m − 2``), ``complete(src, m)`` / ``release(src,
+    m)`` (a tail landed / was consumed), ``reduce()`` (all bins of the
+    iteration in place), ``publish(m, k)`` (the k-th checkpoint — 0:
+    none — after iteration ``m``) and ``probe()`` (the heartbeat).  A
+    one-rank world has no peers: it packs, exchanges and waits for
+    nothing.
+    """
+    rec, r = s.rec, s.bins.shape[-1] // 3
+    peers = s.bins.shape[0] > 1
+    # one rank has no skew to time: its spans are the kernels' own
+    span = (s.metrics if peers else NULL_METRICS).span
+
+    # m = 0 is a fresh run's bootstrap, nu_1 = a (H nu_0 - b nu_0)
+    for m in range(0 if sched.first_m == 1 else sched.first_m, sched.half):
+        # ``rank_busy`` times this rank's own work — the fault probe (an
+        # injected straggler's sleeps) and the kernels, not the waits
+        # where fast ranks absorb a slow peer's skew: the elastic
+        # rebalancer's skew signal.
+        if s.inj is not None:
+            with span("rank_busy"):
+                s.inj.at_iteration(m)
+        t.probe()
+        vec, phase, kernel = (rec.swap(), "halo", rec.update) if m else \
+            (rec.v, "halo_init", rec.bootstrap)
+        # Exchange vec's halo of iteration m, then run ``kernel`` on the
+        # complete input: its bins are the rank's share of iteration m.
+        slot = m % 2
+        if peers and not sched.overlap:
+            with span("halo_exchange", phase="dist"):
+                for q, rows, tails in s.sends:
+                    s.pack(m, q, rows, tails[slot], vec, phase)
+                t.exchange()  # every tail of this parity is filled
+                yield
+        elif peers:
+            # Task mode: pack into each peer once it drained the slot —
+            # no global synchronisation; then update the interior rows
+            # while the exchange is in flight (they reference local
+            # columns only).  Time still spent waiting for the incoming
+            # tails is exposed communication: the ``halo_wait`` span.
+            with span("halo_pack", phase="dist"):
+                for q, rows, tails in s.sends:
+                    with t.post(q, m):
+                        s.pack(m, q, rows, tails[slot], vec, phase)
+            if m:  # the bootstrap has no compute to hide
+                with span("rank_busy"):
+                    rec.interior()
+            with span("halo_wait", phase="dist"):
+                yield
+                for src in s.sources:
+                    t.complete(src, m)
+        with span("rank_busy"):
+            s.bins[s.rank, m] = kernel()
+        if peers and sched.overlap:
+            for src in s.sources:
+                t.release(src, m)  # the peer may refill this parity
+        if peers and sched.every:
+            # the even moment's bins, then the odd one's
+            with span("allreduce", phase="dist"):
+                for width in (r, 2 * r):
+                    s.allreduce(16 * width, "allreduce_iter")
+                t.reduce()
+                yield
+                s.bins[:, m].sum(axis=0)  # every rank forms the global sum
+        k = sched.ctx.checkpoint_due(m, sched.first_m)  # 0 at m = 0
+        if k and s.slots is not None:
+            # Double-buffered: the k-th checkpoint writes slot k % 2, so
+            # the previously published slot stays intact meanwhile.
+            v, w = s.slots
+            v[k % 2, s.rows], w[k % 2, s.rows] = rec.v, rec.w
+        t.publish(m, k)
+        if k:
+            yield
+
+    # the one deferred reduction of the bins this run computed
+    if peers and sched.final_bytes:
+        s.allreduce(sched.final_bytes, "allreduce_final")

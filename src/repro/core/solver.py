@@ -284,14 +284,15 @@ class KPMSolver:
         Executed as ``config`` says (:func:`~repro.util.knobs.run_engine`)
         — under the fault-tolerance supervisor (retries, checkpoint
         recovery, engine degradation) when ``resilience`` is set.
-        Identical values on every engine up to floating-point reduction
-        order.
+        Bitwise the same values on every engine, worker count, schedule,
+        backend and thread count (DESIGN §19); only ``precision``, the
+        stage (``engine``) and the operator's format move bits.
         """
         eta, self.world, report, self.resilience_report = run_supervised(
             self.config,
             RunContext(counters=self.counters, metrics=self.metrics),
             self.resilience, self.seed, self.H, self.scale, self.n_moments,
-            self._start_block(), kernel=self.engine,
+            self._start_block(), kernel=self.engine.value,
         )
         if report is not None:
             self.elastic_report = report

@@ -8,7 +8,7 @@ reduction of the dot products at the very end (Section VI-A).
 Without an MPI runtime we *simulate* the SPMD program: all ranks live in
 one process (:class:`~repro.dist.comm.SimWorld`), and the KPM driver
 (:mod:`repro.dist.kpm_parallel`) steps one rank program
-(:mod:`repro.dist.rank`) per rank in lock-step; :mod:`repro.dist.mp`
+(:mod:`repro.core.recurrence`) per rank in lock-step; :mod:`repro.dist.mp`
 runs the same program in worker processes over shared memory.  Each
 rank records every message it sends.  Results are bit-compatible with
 the serial solver; the message log feeds the interconnect cost model

@@ -2,7 +2,7 @@
 
 :class:`SimWorld` plays the role of ``MPI_COMM_WORLD``: it owns per-rank
 device labels and a :class:`MessageLog`.  Its ranks run the one rank
-program (:mod:`repro.dist.rank`) in lock-step in this process; every
+program (:mod:`repro.core.recurrence`) in lock-step in this process; every
 rank records each transfer it makes — source, destination, byte count,
 phase tag — so the network cost model can price an execution after the
 fact, on this world or on the multiprocess one.

@@ -14,95 +14,122 @@ matrix exactly as the paper's heterogeneous production code does:
    implementation reduces the amount of global reductions in the dot
    products to a single one at the end of the inner loop" (Section II).
 
-Each rank runs the one rank program (:mod:`repro.dist.rank`) on one
-:class:`repro.core.recurrence.Recurrence` — the same loop body the
-serial engines drive — and hands back the bins of the one eta reduction
-(DESIGN §19), which add exactly across ranks: the moments equal the
-serial solver's **bitwise**, for any rank count, weighting, overlap
-schedule or reduction frequency, on any 64-row aligned partition.  Here
-the programs run over the in-process transport, stepped in lock-step;
-:mod:`repro.dist.mp` runs them over shared memory.
+Each rank runs the one rank program (:func:`repro.core.recurrence.
+rank_program`) — the program a serial solve runs on one rank — with the
+halo wiring of a world with peers (:class:`RankState`): its iterates
+live in two full-height ``[local | halo]`` buffers, ``nu_m`` in buffer
+``m % 2``, which *are* its recurrence's kernel inputs, and its peers
+pack straight into their halo tails.  The ranks hand back the bins of
+the one eta reduction (DESIGN §19), which add exactly across ranks: the
+moments equal the serial solver's **bitwise**, for any rank count,
+weighting, overlap schedule or reduction frequency, on any 64-row
+aligned partition.  Here the programs run over the in-process
+transport, stepped in lock-step; :mod:`repro.dist.mp` runs them over
+shared memory.
 
 :func:`prepare_run` is the prologue this simulated world and the
-multiprocess one (:mod:`repro.dist.mp`) share: one validation, one
-exception per bad input, whichever world runs.
+multiprocess one (:mod:`repro.dist.mp`) share — every engine's
+(:meth:`repro.core.checkpoint.Run.of`) plus the partition's checks: one
+validation, one exception per bad input, whichever world runs.
 """
 
 from __future__ import annotations
 
-import itertools
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.checkpoint import KpmCheckpoint, RunContext, splice_eta
-from repro.core.recurrence import Recurrence, check_moments
+from repro.core import recurrence
+from repro.core.checkpoint import KpmCheckpoint, Run, RunContext
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.halo import DistributedMatrix, partition_matrix
 from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition
-from repro.dist.rank import (RankState, Schedule, buffer_layout, rank_links,
-                             rank_program, send_edges)
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import ETA_BLOCK, eta_anchors
+from repro.sparse.fused import ETA_BLOCK
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError
 from repro.util.knobs import ExecConfig
-from repro.util.precision import Precision, get_precision
-from repro.util.validation import check_block_vector
 
 
 @dataclass
-class RunSetup:
-    """One validated distributed run, as either world executes it.
+class RankState(recurrence.RankState):
+    """One rank of a world with peers: its packs and its shares of each
+    reduction, recorded into its own ``log``."""
 
-    ``cfg`` has ``threads`` and ``overlap`` decided for the world's rank
-    count and ``ctx`` holds the run controls; ``half`` is the exclusive
-    bound of the inner iterations run (``stop_m``, or M/2) and ``first_m``
-    the first one (1 fresh, the resumed checkpoint ``ck``'s ``next_m``).
-    ``anchors`` are the run's eta anchors: the global start block's, or
-    the checkpoint's.
+    log: MessageLog = field(default_factory=MessageLog)
+
+    def pack(self, m: int, q: int, rows, win, vec, phase: str) -> None:
+        """Pack one edge's halo into ``win``, q's tail of parity m % 2."""
+        _pack(self, m, q, rows, win, vec, phase)
+
+    def allreduce(self, nbytes: int, phase: str) -> None:
+        """Record this rank's share of one recursive-doubling allreduce of
+        ``nbytes``: one message to its partner in every stage it has one."""
+        n = self.bins.shape[0]
+        for stage in range((n - 1).bit_length()):
+            partner = self.rank ^ (1 << stage)
+            if partner < n:
+                self.log.add(self.rank, partner, nbytes, phase)
+
+
+def send_edges(dist: DistributedMatrix) -> list[list[tuple]]:
+    """Each rank's outgoing halo edges ``(q, rows, tail)``, by ``q``;
+    ``tail`` is the slice of q's buffer rows the edge fills."""
+    edges: list[list] = [[] for _ in range(dist.n_ranks)]
+    for q, blk in enumerate(dist.blocks):
+        pos = blk.n_local
+        for p, cnt in zip(blk.halo_sources.tolist(), blk.halo_counts.tolist()):
+            edges[p].append((q, dist.pattern.send_rows[p, q],
+                             slice(pos, pos + cnt)))
+            pos += cnt
+    return edges
+
+
+def buffer_layout(dist: DistributedMatrix, r: int, prec) -> dict:
+    """``{"x<p>": (shape, dtype)}``: rank p's two full-height
+    ``[local | halo]`` buffers, stacked."""
+    return {f"x{blk.rank}": (prec.vec_shape(2, blk.matrix.n_cols, r),
+                             prec.vector_dtype) for blk in dist.blocks}
+
+
+def rank_links(blk, edges: list, bufs: dict) -> tuple[list, list]:
+    """Rank ``blk.rank``'s ``(sends, sources)`` over the run's buffers."""
+    sends = [(q, rows, bufs[f"x{q}"][:, tail]) for q, rows, tail in edges]
+    return sends, blk.halo_sources.tolist()
+
+
+def _pack_halo(vec: np.ndarray, rows: np.ndarray, win: np.ndarray) -> None:
+    """Pack one edge's send rows into ``win``, allocation-free.
+
+    The gather writes straight into the receiver's halo tail — no
+    temporary is materialized, so the steady-state iteration loop does
+    not allocate per exchange (tested with tracemalloc).  ``mode='clip'``
+    is what makes ``np.take`` buffer-free; it is safe because the row
+    lists come from the communication pattern, validated in range at
+    construction.
     """
+    np.take(vec, rows, axis=0, out=win, mode="clip")
+
+
+def _pack(s: RankState, m: int, q: int, rows, win, vec, phase: str) -> None:
+    """Pack one edge's halo ("only the elements which need to be
+    transferred are copied", Section VI-A) and record the message."""
+    _pack_halo(vec, rows, win)
+    if s.inj is not None:
+        s.inj.corrupt_window(m, win)
+    s.log.add(s.rank, q, win.nbytes, phase)
+
+
+@dataclass
+class RunSetup(Run):
+    """One validated distributed run, as either world executes it: the
+    :class:`~repro.core.checkpoint.Run` over the partition ``dist``."""
 
     dist: DistributedMatrix
-    cfg: ExecConfig
-    ctx: RunContext
-    prec: Precision
-    a: float
-    b: float
-    n_moments: int
-    r: int
-    first_m: int
-    half: int
-    anchors: np.ndarray
-    stop_m: int | None
-    ck: KpmCheckpoint | None
-    start_block: np.ndarray | None
-    run_id: str
-
-    @property
-    def final_bytes(self) -> int:
-        """Bytes the final allreduce moves: the bins (2, 3R), 48R bytes,
-        of each iteration whose moments this run computed — all M/2, or
-        a segment's ``stop_m`` fresh, ``stop_m − first_m`` resumed — so
-        the charges of a segmented run sum to one run's."""
-        if self.stop_m is None:
-            iters = self.n_moments // 2
-        else:
-            iters = self.half - (0 if self.first_m == 1 else self.first_m)
-        return 48 * self.r * iters
-
-    def schedule(self, ctx: RunContext) -> Schedule:
-        """The :class:`~repro.dist.rank.Schedule` every rank runs, by the
-        run controls ``ctx``."""
-        return Schedule(first_m=self.first_m, half=self.half,
-                        overlap=self.cfg.overlap,
-                        every=self.cfg.reduction == "every",
-                        final_bytes=self.final_bytes, ctx=ctx)
 
     def record(self, world, logs: list[MessageLog]) -> None:
         """Check the ranks' recorded halo messages against the
@@ -131,39 +158,17 @@ class RunSetup:
             for rec in log.records:
                 world.log.add(rec.src, rec.dst, rec.nbytes, rec.phase)
 
-    def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
-        """The globally reduced eta ``[0, stop)`` (:func:`~repro.core.
-        checkpoint.splice_eta`) of ``bins`` (ranks, M/2, 2, 3R), summed
-        over ranks — exact, so resumed == uninterrupted bitwise."""
-        return splice_eta(bins.sum(axis=0), stop, width, self.ck)
-
-    def state(self, v: np.ndarray, w: np.ndarray, eta: np.ndarray,
-              next_m: int) -> KpmCheckpoint:
-        """The checkpoint of global ``(v, w)`` and reduced ``eta`` after
-        iteration ``next_m − 1`` — exactly what the serial engine saves."""
-        return KpmCheckpoint(
-            v=v, w=w, eta=eta, next_m=next_m, n_moments=self.n_moments,
-            a=self.a, b=self.b, anchors=self.anchors,
-            precision=self.prec.name, run_id=self.run_id,
-        )
-
 
 def prepare_run(
     cfg: ExecConfig, ctx: RunContext, A, partition, scale: SpectralScale,
     n_moments: int, start_block, world, *, stop_m: int | None = None,
 ) -> RunSetup:
-    """The sim/mp prologue: validate every input, partition, load any
-    checkpoint.  A bad argument is a :class:`ValueError`; an operator,
-    partition, checkpoint or world that do not fit together — a rank
-    that does not start on a 64-row eta block among them — is a
-    :class:`~repro.util.errors.SimulationError` — on either world."""
-    check_moments(n_moments)
-    half = n_moments // 2 if stop_m is None else int(stop_m)
-    if not 1 <= half <= n_moments // 2:
-        raise ValueError(
-            f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
-        )
-    prec = get_precision(cfg.precision)
+    """The sim/mp prologue: every engine's (:meth:`~repro.core.checkpoint.
+    Run.of`), over a partition that fits the world.  A bad argument is a
+    :class:`ValueError`; an operator, partition, checkpoint or world that
+    do not fit together — a rank that does not start on a 64-row eta
+    block among them — is a :class:`~repro.util.errors.SimulationError`
+    — on either world."""
     if isinstance(A, DistributedMatrix):
         dist = A
     elif partition is None:
@@ -182,27 +187,19 @@ def prepare_run(
                 f"{ETA_BLOCK}-row eta block — build the partition with "
                 f"align={ETA_BLOCK}"
             )
-    ck = ctx.resume(n_moments, scale, prec, start_block)
-    if ck is not None:
-        if ck.v.shape[0] != n:
+    run = RunSetup.of(cfg, ctx, scale, n_moments, start_block, n,
+                      n_ranks=world.n_ranks, stop_m=stop_m, dist=dist)
+    if run.ck is not None:
+        if run.ck.v.shape[0] != n:
             raise SimulationError(
-                f"checkpoint holds {ck.v.shape[0]} rows, matrix has {n}"
+                f"checkpoint holds {run.ck.v.shape[0]} rows, matrix has {n}"
             )
-        if ck.next_m > half:
+        if run.first_m > run.half:
             raise SimulationError(
-                f"checkpoint resumes at m={ck.next_m}, beyond stop_m={half}"
+                f"checkpoint resumes at m={run.first_m}, beyond "
+                f"stop_m={run.half}"
             )
-        r, first_m, anchors = ck.v.shape[1], ck.next_m, ck.anchors
-    else:
-        start_block = check_block_vector("start_block", start_block, n)
-        r, first_m = start_block.shape[1], 1
-        anchors = eta_anchors(start_block)
-    return RunSetup(
-        dist=dist, cfg=cfg.for_ranks(world.n_ranks), ctx=ctx, prec=prec,
-        a=scale.a, b=scale.b, n_moments=n_moments, r=r, first_m=first_m,
-        half=half, anchors=anchors, stop_m=stop_m, ck=ck,
-        start_block=start_block, run_id=ctx.run_id(ck, start_block, prec),
-    )
+    return run
 
 
 def distributed_eta(
@@ -297,73 +294,23 @@ def run_distributed(cfg: ExecConfig, ctx: RunContext, A, partition,
     return (run_mp if isinstance(world, MpWorld) else run_sim)(run, world)
 
 
-class _InProcess:
-    """One rank's in-process transport.  The engine steps the rank
-    programs in lock-step in one address space, so the halo and
-    reduction ops have nothing to wait for; the last rank of each step
-    — every peer's bins and state slots are in place by then — does the
-    parent's part of ``publish``."""
-
-    def __init__(self, publish=None) -> None:
-        self.publish = publish or (lambda m, k: None)
-
-    def exchange(self, *_) -> None:
-        pass
-
-    reduce = probe = complete = release = exchange
-
-    def post(self, _q: int, _m: int):
-        return nullcontext()
-
-
 def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
     """Execute a prepared run on the simulated world: the ranks' programs
-    (:func:`~repro.dist.rank.rank_program`) step in lock-step in this
-    process; returns eta (R, M).  ``progress`` fires every
+    step in lock-step in this process (:meth:`~repro.core.checkpoint.
+    Run.lockstep`); returns eta (R, M).  ``progress`` fires every
     ``progress_every`` iterations; the last checkpoint state the run
     reached stays on ``world.last_checkpoint``."""
-    dist, ctx, ck, r = run.dist, run.ctx, run.ck, run.r
     world.last_checkpoint = None
-    bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * r))
-    vshape = run.prec.vec_shape(2, dist.n_global, r)
-    slots = tuple(np.empty(vshape, run.prec.vector_dtype) for _ in "vw") \
-        if ctx.checkpoint_every > 0 else None
+    bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * run.r))
     bufs = {key: np.empty(shape, dtype) for key, (shape, dtype) in
-            buffer_layout(dist, r, run.prec).items()}
-
-    def publish(m: int, k: int) -> None:
-        n_eta = 2 * (m + 1)
-        if ctx.progress_due(m, run.first_m):
-            ctx.stream(n_eta, run.splice(bins, n_eta, n_eta))
-        if k:
-            v, w = (a[k % 2].copy() for a in slots)
-            world.last_checkpoint = state = run.state(
-                v, w, run.splice(bins, n_eta, run.n_moments), m + 1)
-            ctx.save(state)
-
-    states, programs = [], []
-    sched = run.schedule(ctx)
-    for blk, edges in zip(dist.blocks, send_edges(dist)):
-        rec = Recurrence(
-            blk.matrix, run.a, run.b, r, config=run.cfg,
-            counters=ctx.counters, metrics=ctx.metrics,
-            split=task_split(blk) if run.cfg.overlap else None,
-        )
-        rows, x = slice(blk.row_start, blk.row_stop), bufs[f"x{blk.rank}"]
-        if ck is not None:
-            rec.load(ck.v[rows], ck.w[rows], anchors=run.anchors,
-                     m=run.first_m, bufs=x)
-        else:
-            rec.load(run.start_block[rows], anchors=run.anchors, bufs=x)
-        s = RankState(blk.rank, rec, rows, bins,
-                      *rank_links(blk, edges, bufs), slots,
-                      ctx.injector(blk.rank) or None, ctx.metrics)
-        last = blk.rank == world.n_ranks - 1
-        states.append(s)
-        programs.append(rank_program(s, sched, _InProcess(publish if last
-                                                          else None)))
-    # one round steps every program to its next yield, rank by rank
-    for _ in itertools.zip_longest(*programs):
-        pass
+            buffer_layout(run.dist, run.r, run.prec).items()}
+    states = [
+        run.rank(blk.rank, run.recurrence(
+            blk.matrix, split=task_split(blk) if run.cfg.overlap else None),
+            slice(blk.row_start, blk.row_stop), bins,
+            bufs=bufs[f"x{blk.rank}"], links=rank_links(blk, edges, bufs),
+            cls=RankState)
+        for blk, edges in zip(run.dist.blocks, send_edges(run.dist))]
+    eta = run.lockstep(states, world)
     run.record(world, [s.log for s in states])
-    return run.splice(bins, run.n_moments, run.n_moments)
+    return eta

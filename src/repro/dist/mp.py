@@ -2,7 +2,7 @@
 
 Where :class:`repro.dist.comm.SimWorld` *simulates* the paper's
 data-parallel scheme in one process, this module runs the same rank
-program (:mod:`repro.dist.rank`) in real OS processes, over the
+program (:mod:`repro.core.recurrence`) in real OS processes, over the
 shared-memory transport: every rank is a worker
 (``multiprocessing.Process``) that owns a contiguous weighted row block
 (:mod:`repro.dist.partition`), drives one :class:`repro.core.recurrence.
@@ -91,13 +91,13 @@ from multiprocessing.connection import wait
 import numpy as np
 
 from repro.core.checkpoint import KpmCheckpoint
-from repro.core.recurrence import Recurrence, to_storage
+from repro.core.recurrence import (Recurrence, Schedule, rank_program,
+                                   to_storage)
 from repro.dist.comm import MessageLog
 from repro.dist.halo import DistributedMatrix, RankBlock
-from repro.dist.kpm_parallel import RunSetup
+from repro.dist.kpm_parallel import (RankState, RunSetup, buffer_layout,
+                                    rank_links, send_edges)
 from repro.dist.overlap import task_split
-from repro.dist.rank import (RankState, Schedule, buffer_layout, rank_links,
-                             rank_program, send_edges)
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, backend_health

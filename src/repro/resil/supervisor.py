@@ -220,6 +220,7 @@ class Supervisor:
         n_moments: int,
         start_block: np.ndarray,
         *,
+        kernel: str = "aug_spmmv",
         progress=None,
         progress_every: int = 0,
         config: ExecConfig | None = None,
@@ -239,7 +240,8 @@ class Supervisor:
         The run controls (DESIGN §17) are the :class:`Resilience` plus
         ``progress``/``progress_every``; each attempt runs the context
         with its number and the checkpoint it resumes from (a retry
-        re-streams from there).
+        re-streams from there).  Every attempt runs the stage ``kernel``
+        (stages 0/1 refuse a cadence or a stream before any attempt).
 
         Raises :class:`~repro.util.errors.RetryExhaustedError` only after
         every attempt on every remaining ladder rung has failed — and a
@@ -248,6 +250,8 @@ class Supervisor:
         """
         cfg = ExecConfig.of(config, knobs, overlap=False)
         res = self.resilience
+        RunContext(checkpoint_every=res.checkpoint_every,
+                   progress=progress).check_stage(kernel)
         ladder = ENGINE_LADDERS[cfg.engine] if res.degrade else (cfg.engine,)
         timeouts = res.mp_timeouts
         if timeouts is None and res.policy.attempt_deadline is not None:
@@ -297,6 +301,7 @@ class Supervisor:
                             eta, world, erep = run_engine(
                                 cfg, replace(run, resume_from=resume),
                                 H, scale, n_moments, start_block,
+                                kernel=kernel,
                             )
                     except SpectralScaleError:
                         raise

@@ -77,6 +77,11 @@ def resolve_simd(simd: str | None) -> str:
 AUTO_MIN_WORK = 1 << 17
 
 
+class _Share(int):
+    """``threads='auto'`` decided for a rank (:meth:`ExecConfig.for_ranks`):
+    its share of the cores, still one thread for a small kernel call."""
+
+
 def usable_cores() -> int:
     """The CPUs this process may run on: its affinity mask where the
     host has one (``taskset -c 0`` leaves one of two), else the count."""
@@ -193,7 +198,8 @@ class ExecConfig:
                     f"threads must be a positive integer, 'auto' or None, "
                     f"got {self.threads!r}"
                 )
-            put("threads", int(self.threads))
+            if not isinstance(self.threads, _Share):
+                put("threads", int(self.threads))
         put("simd", resolve_simd(self.simd))
         resolve_overlap(self.overlap, 1)
         if self.reduction not in ("end", "every"):
@@ -222,17 +228,21 @@ class ExecConfig:
         ranks its share of :func:`usable_cores` (the paper's hybrid MPI +
         OpenMP shape: one process per socket, threads inside) — and one
         thread to a kernel whose ``work`` per call (stored entries times
-        block columns) is below :data:`AUTO_MIN_WORK`."""
+        block columns) is below :data:`AUTO_MIN_WORK`; a share
+        :meth:`for_ranks` decided keeps that rule."""
+        small = work is not None and work < AUTO_MIN_WORK
         if self.threads == "auto":
-            if work is not None and work < AUTO_MIN_WORK:
-                return 1
-            return max(1, usable_cores() // n_ranks)
-        return self.threads
+            return 1 if small else max(1, usable_cores() // n_ranks)
+        return 1 if small and isinstance(self.threads, _Share) \
+            else self.threads
 
     def for_ranks(self, n_ranks: int) -> ExecConfig:
         """This config with ``threads`` and ``overlap`` decided for a
-        world of ``n_ranks`` ranks."""
-        return replace(self, threads=self.kernel_threads(n_ranks),
+        world of ``n_ranks`` ranks (``'auto'`` threads: each rank's share,
+        still one thread for a small kernel call)."""
+        threads = _Share(self.kernel_threads(n_ranks)) \
+            if self.threads == "auto" else self.threads
+        return replace(self, threads=threads,
                        overlap=resolve_overlap(self.overlap, n_ranks))
 
 
@@ -252,49 +262,40 @@ def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
     """Run one eta solve as ``config`` says: ``(eta, world, elastic_report)``.
 
     ``ctx``, the solve's :class:`~repro.core.checkpoint.RunContext`,
-    travels whole into whichever engine runs.  ``'serial'`` drives the
-    recurrence in-process (``run_serial``; ``compute_eta`` for the
-    stage-0/1 ``kernel``s).  ``'sim'`` and ``'mp'`` partition ``H`` by
-    ``config.weights`` on 64-row eta blocks and run ``distributed_eta``
-    on a fresh world; ``H`` may also arrive already partitioned.
-    ``'mp'`` under a rebalance policy runs the elastic driver; the
-    other engines run without it, returning the same bits.  ``world``
-    and ``elastic_report`` are None where the path has none.
+    travels whole into the rank program (``run_ranks``) on the world
+    ``config`` names: ``'sim'`` and ``'mp'`` partition ``H`` by
+    ``config.weights`` on 64-row eta blocks (or take it partitioned) and
+    run stage 2 on a fresh world; ``'serial'`` has none — one rank over
+    ``H`` in this process runs ``kernel``.  ``'mp'`` under a rebalance
+    policy runs the elastic driver; the other engines run without it,
+    returning the same bits.  ``world`` and ``elastic_report`` are None
+    where the path has none.
     """
+    ctx.check_stage(kernel)
     if config.rebalance is not None and config.engine == "mp":
         from repro.dist.elastic import run_elastic
 
         eta, report = run_elastic(config, ctx, H, scale, n_moments,
                                   start_block)
         return eta, None, report
-    if config.engine == "serial":
-        if kernel != "aug_spmmv":
-            from repro.core.moments import compute_eta
+    from repro.core.checkpoint import run_ranks
 
-            return compute_eta(H, scale, n_moments, start_block, kernel,
-                               ctx.counters, metrics=ctx.metrics,
-                               config=config), None, None
-        from repro.core.checkpoint import run_serial
+    world = None
+    if config.engine != "serial":
+        from repro.dist.comm import SimWorld
+        from repro.dist.halo import DistributedMatrix, partition_matrix
+        from repro.dist.mp import MpWorld
+        from repro.dist.partition import RowPartition
+        from repro.sparse.fused import ETA_BLOCK
 
-        return run_serial(config, ctx, H, scale, n_moments,
-                          start_block), None, None
-
-    from repro.dist.comm import SimWorld
-    from repro.dist.halo import DistributedMatrix
-    from repro.dist.kpm_parallel import run_distributed
-    from repro.dist.mp import MpWorld
-    from repro.dist.partition import RowPartition
-    from repro.sparse.fused import ETA_BLOCK
-
-    n_ranks = config.workers
-    part = None
-    if not isinstance(H, DistributedMatrix):
-        part = RowPartition.from_weights(
-            H.n_rows, config.weights or [1.0] * n_ranks, align=ETA_BLOCK)
-    world = (MpWorld(n_ranks, timeouts=ctx.timeouts) if config.engine == "mp"
-             else SimWorld(n_ranks))
-    eta = run_distributed(config, ctx, H, part, scale, n_moments, start_block,
-                          world)
+        n_ranks = config.workers
+        if not isinstance(H, DistributedMatrix):
+            H = partition_matrix(H, RowPartition.from_weights(
+                H.n_rows, config.weights or [1.0] * n_ranks, align=ETA_BLOCK))
+        world = (MpWorld(n_ranks, timeouts=ctx.timeouts)
+                 if config.engine == "mp" else SimWorld(n_ranks))
+    eta = run_ranks(config, ctx, H, scale, n_moments, start_block, world,
+                    kernel=kernel)
     return eta, world, None
 
 
@@ -311,5 +312,6 @@ def run_supervised(config: ExecConfig, ctx, resilience, seed, H, scale,
     sup = Supervisor(resilience, metrics=ctx.metrics, counters=ctx.counters,
                      seed=seed)
     eta = sup.run_eta(H, scale, n_moments, start_block, config=config,
-                      progress=ctx.progress, progress_every=ctx.progress_every)
+                      kernel=kernel, progress=ctx.progress,
+                      progress_every=ctx.progress_every)
     return eta, sup.last_world, sup.last_elastic_report, sup.report

@@ -4,9 +4,10 @@
 tests pin what that buys: a hand-driven instance reproduces
 ``compute_eta`` bit for bit on every engine, profile and backend; its
 unfused ``advance`` sequence is what ``ldos_moments`` accumulates; the
-steady-state step allocates nothing; and no module outside
-``core/recurrence.py`` and ``sparse/`` touches the step kernels, so a
-tenth hand-written loop fails here.
+steady-state step allocates nothing; no module outside
+``core/recurrence.py`` and ``sparse/`` touches the step kernels, and no
+module outside ``core/recurrence.py`` steps a recurrence, so a second
+hand-written loop fails here.
 """
 
 import re
@@ -59,8 +60,9 @@ def test_hand_driven_equals_compute_eta(system, kernel, precision, backend):
         out = eta[cols].T  # (M, R) view for the block, (M,) for a column
         out[0], out[1] = (x.squeeze() for x in fold(rec.bootstrap()))
         for m in range(1, M // 2):
+            rec.swap()
             out[2 * m], out[2 * m + 1] = (x.squeeze() for x in
-                                          fold(rec.step()))
+                                          fold(rec.update()))
     assert np.array_equal(eta, ref)
 
 
@@ -96,13 +98,16 @@ def test_steady_state_step_allocates_nothing(system, backend):
     rec = Recurrence(h, scale.a, scale.b, 16, backend=backend)
     rec.load(blk)
     rec.bootstrap()
-    rec.step()
-    rec.step()  # warm-ups: lazy imports, caches, plan first touch
+    for _ in range(2):  # warm-ups: lazy imports, caches, plan first touch
+        rec.swap()
+        rec.update()
     tracemalloc.start()
-    rec.step()
+    rec.swap()
+    rec.update()
     current, _ = tracemalloc.get_traced_memory()
     tracemalloc.reset_peak()
-    rec.step()
+    rec.swap()
+    rec.update()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak - current < h.n_rows * 16
@@ -115,7 +120,8 @@ def test_serial_kernel_input_is_v(system):
     rec.load(blk)
     assert rec.x is rec.v
     rec.bootstrap()
-    rec.step()
+    rec.swap()
+    rec.update()
     assert rec.x is rec.v
 
 
@@ -158,8 +164,9 @@ def test_halo_swap_moves_no_bytes(system, backend, precision):
 
 def test_no_second_copy_of_the_loop_body():
     """The step kernels, ``_recombine`` and the plans' scratch are used by
-    ``core/recurrence.py`` and the kernel layer only; under ``dist/`` only
-    the rank program drives a :class:`Recurrence` through its steps."""
+    ``core/recurrence.py`` and the kernel layer only, and only the rank
+    program there drives a :class:`Recurrence` through its steps: every
+    engine — serial, the stage-0/1 columns, sim, mp — runs it."""
     src = Path(repro.__file__).parent
     body = re.compile(
         r"\.(naive|aug_spmm?v)_step\b"
@@ -167,15 +174,14 @@ def test_no_second_copy_of_the_loop_body():
         r"|\b_recombine\b"
         r"|plan\.(vc|wc|work_block|u_block|uh_block)\b"
     )
-    rank_loop = re.compile(r"\.(bootstrap|swap|interior|update)\(\)")
+    loop = re.compile(r"\.(bootstrap|swap|interior)\(|\.update\(\)")
     offenders = [
         f"{path.relative_to(src)}:{no}"
         for path in sorted(src.rglob("*.py"))
-        if path.relative_to(src).parts[0] != "sparse"
-        and path.relative_to(src).as_posix() != "core/recurrence.py"
+        if path.relative_to(src).as_posix() != "core/recurrence.py"
         for no, line in enumerate(path.read_text().splitlines(), 1)
-        if body.search(line)
-        or path.relative_to(src).parts[0] == "dist"
-        and path.name != "rank.py" and rank_loop.search(line)
+        if loop.search(line)
+        or path.relative_to(src).parts[0] != "sparse" and body.search(line)
     ]
     assert not offenders, offenders
+    assert not hasattr(Recurrence, "step")  # swap() + update(), in one place

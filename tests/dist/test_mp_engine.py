@@ -119,7 +119,7 @@ class TestOversubscribed:
 
 
 class TestRankProgram:
-    """Both transports run the one rank program (:mod:`repro.dist.rank`)."""
+    """Both transports run the one rank program (:mod:`repro.core.recurrence`)."""
 
     def test_corrupt_halo_on_both_transports(self, system):
         h, scale, blk, ref = system
@@ -132,7 +132,7 @@ class TestRankProgram:
 
     @pytest.mark.parametrize("world", [SimWorld, MpWorld])
     def test_skipped_window_pack_is_caught(self, system, monkeypatch, world):
-        from repro.dist import rank
+        from repro.dist import kpm_parallel as rank
 
         if MpWorld(2).start_method != "fork":
             pytest.skip("spawned workers would not see the patch")

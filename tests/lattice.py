@@ -31,13 +31,15 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import KpmCheckpoint, RunContext
-from repro.core.moments import compute_eta, eta_to_moments
+from repro.core.moments import eta_to_moments
+from repro.core.recurrence import Recurrence
 from repro.core.stochastic import make_block_vector
 from repro.dist.elastic import RebalancePolicy, run_elastic
 from repro.perf.report import expected_counters, expected_segment_counters
 from repro.resil import Resilience, RetryPolicy, Supervisor
 from repro.serve import HamiltonianSpec, KPMServer, Request
 from repro.sparse.backend.native import native_available
+from repro.sparse.fused import fold
 from repro.sparse.sell import SellMatrix
 from repro.util.counters import PerfCounters
 from repro.util.knobs import ExecConfig, run_engine
@@ -186,12 +188,29 @@ def operator():
 
 def reference(row: Row) -> np.ndarray:
     """η of the row's columns, per (precision, format, stage): the three
-    things that move bits (DESIGN §19)."""
+    things that move bits (DESIGN §19).
+
+    Driven by hand — bootstrap, then swap and update — rather than by
+    the rank program every engine runs, so the engines are checked
+    against an independent driver of the one loop body."""
     key = (row.precision, row.fmt, row.stage)
     if key not in _STATE:
         H, scale, block = operator()
-        _STATE[key] = compute_eta(_STATE.get(row.fmt, H), scale, M, block,
-                                  row.stage, precision=row.precision)
+        blocked = row.stage == "aug_spmmv"
+        rec = Recurrence(_STATE.get(row.fmt, H), scale.a, scale.b,
+                         R_MAX if blocked else 1, kernel=row.stage,
+                         precision=row.precision)
+        eta = np.empty((R_MAX, M), dtype=complex)
+        # the block kernel takes all columns at once, the others one by one
+        for cols in [slice(None)] if blocked else range(R_MAX):
+            rec.load(block[:, cols])
+            bins = [rec.bootstrap().copy()]
+            for _ in range(1, M // 2):
+                rec.swap()
+                bins.append(rec.update().copy())
+            ee, eo = fold(np.array(bins))
+            eta[cols, 0::2], eta[cols, 1::2] = ee.T.squeeze(), eo.T.squeeze()
+        _STATE[key] = eta
     return _STATE[key][:row.r]
 
 

@@ -314,7 +314,7 @@ class TestNoAllocation:
 
     def test_halo_pack(self, dist):
         """The rank program's send-window assembly is allocation-free."""
-        from repro.dist.rank import _pack_halo
+        from repro.dist.kpm_parallel import _pack_halo
 
         h, d = dist
         rng = np.random.default_rng(19)

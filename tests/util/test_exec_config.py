@@ -213,6 +213,38 @@ class TestExecConfig:
         monkeypatch.delattr("os.sched_getaffinity", raising=False)
         assert ExecConfig().kernel_threads() == 2  # no affinity API
 
+    def test_a_ranks_auto_share_keeps_the_small_work_rule(self, monkeypatch):
+        """``for_ranks`` decides each rank's share and still runs a small
+        kernel call on one thread — at any rank count."""
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        for n in (1, 2, 3):
+            ranked = ExecConfig(engine="sim", workers=n).for_ranks(n)
+            assert ranked.threads == 8 // n
+            assert ranked.kernel_threads(work=1000) == 1
+            assert ranked.kernel_threads(work=AUTO_MIN_WORK) == 8 // n
+            assert ranked.for_ranks(n) == ranked
+        explicit = ExecConfig(threads=2).for_ranks(3)
+        assert explicit.kernel_threads(work=1) == 2
+
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_one_worker_picks_the_serial_thread_count(self, monkeypatch,
+                                                      engine):
+        """On the 1,024-row operator a one-worker rank's recurrence and
+        the serial one run the same team."""
+        from repro.core.recurrence import Recurrence
+
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        h, _ = build_topological_insulator(8, 8, 4)
+        assert h.n_rows == 1024
+        for r in (4, 32):
+            serial, rank = (
+                Recurrence(h, 0.2, 0.0, r, config=cfg)._plan.threads
+                for cfg in (ExecConfig(), ExecConfig(
+                    engine=engine, workers=1).for_ranks(1)))
+            assert rank == serial == (1 if h.nnz * r < AUTO_MIN_WORK else 8)
+
 
 def test_supervisor_typo_fails_before_any_attempt(system):
     """A typo'd knob neither burns attempts nor quarantines native."""
