@@ -5,20 +5,17 @@ Two halves, matching the two things elasticity changes:
 1. **Modeled win** — a deterministic per-row timer makes rank 0 run 4x
    slower (the shared-tenant scenario from ROADMAP item 5).  The sim
    engine feeds that timer to the rebalance monitor exactly as the mp
-   engine feeds measured busy spans, so the recorded per-segment busy
-   times let us integrate the *modeled* wall clock — max over ranks per
-   segment — for a static partition vs. an elastic run that shifts rows
-   off the slow rank.  This is the honest way to show the win on a CI
-   box: a real ``slow`` fault injects a row-count-independent sleep, so
-   moving rows would not move the measured clock at all.
+   engine feeds measured busy seconds, so the busy times the report
+   records at each boundary let us integrate the *modeled* wall clock —
+   max over ranks per window — for a static partition vs. an elastic
+   run that shifts rows off the slow rank.  This is the honest way to
+   show the win on a CI box: a real ``slow`` fault injects a
+   row-count-independent sleep, so moving rows would not move the
+   measured clock at all.
 2. **Measured cost** — on a *balanced* run, elasticity is pure
-   overhead: segmentation, boundary checkpoints, busy-span collection,
-   monitor bookkeeping.  We clock a plain uninterrupted run against
-   the same run under ``elastic_eta`` and record the ratio.
-   The segments replay the identical kernels, so the gap is pure
-   harness cost — boundary checkpoint copies of the (N, R) state plus
-   busy-span collection — and shrinks as the per-iteration compute
-   grows; at this deliberately small bench size it is visible.
+   overhead: a decision at every boundary (busy seconds, monitor
+   bookkeeping) inside the one run.  We clock a plain run against the
+   same run under ``elastic_eta`` and record the ratio.
 
 Both halves assert the invariant that makes any of this deployable:
 every eta is bitwise identical to the uninterrupted serial reference.  Writes ``results/BENCH_elastic.json``.
@@ -42,7 +39,7 @@ from repro.physics import build_topological_insulator
 
 NX, NZ = 24, 8        # N = 18,432 rows
 R_BLOCK = 4
-M = 64                # 32 inner iterations: room for several segments
+M = 64                # 32 inner iterations: room for several boundaries
 ALIGN = 64            # ranks start on eta blocks
 WORKERS = 3
 SKEW = 4.0            # rank 0 runs this many times slower per row
@@ -62,10 +59,14 @@ def skewed_timer(rank: int, n_rows: int) -> float:
     return n_rows * (SKEW if rank == 0 else 1.0)
 
 
-def modeled_seconds(segments) -> float:
-    """Integrate the timer model: each segment takes as long as its
-    slowest rank (``busy`` already totals the segment's iterations)."""
-    return sum(max(seg.busy) for seg in segments if seg.busy)
+def modeled_seconds(rep, n_rows: int) -> float:
+    """Integrate the timer model: each window takes as long as its
+    slowest rank — the report's ``busy`` up to each boundary (it already
+    totals the window), then the last window's on the final weights."""
+    last = RowPartition.from_weights(n_rows, rep.final_weights,
+                                     align=ALIGN).counts()
+    return sum(max(b.busy) for b in rep.boundaries if b.busy) + \
+        max(skewed_timer(p, int(c)) for p, c in enumerate(last))
 
 
 def test_elastic_bench_json(benchmark, system):
@@ -87,13 +88,13 @@ def test_elastic_bench_json(benchmark, system):
     assert np.array_equal(eta_static, ref)
     assert np.array_equal(eta_reb, ref)
     assert rep_reb.rebalances >= 1 and rep_static.rebalances == 0
-    t_static = modeled_seconds(rep_static.segments)
-    t_reb = modeled_seconds(rep_reb.segments)
+    t_static = modeled_seconds(rep_static, h.n_rows)
+    t_reb = modeled_seconds(rep_reb, h.n_rows)
     assert t_reb < t_static, (
         f"rebalancing did not reduce modeled time "
         f"({t_static:.0f} -> {t_reb:.0f} row-units)"
     )
-    rows0 = [s.offsets[1] - s.offsets[0] for s in rep_reb.segments]
+    rows0 = [b.offsets[1] - b.offsets[0] for b in rep_reb.boundaries]
 
     # -- half 2: measured overhead on a balanced run (mp engine) -------
     partw = RowPartition.equal(h.n_rows, WORKERS, align=ALIGN)
@@ -125,20 +126,20 @@ def test_elastic_bench_json(benchmark, system):
         "cpu_count": cores,
         "single_core_caveat": cores == 1,
         "modeled": {
-            "unit": "row-units of the slowest rank, summed over segments",
+            "unit": "row-units of the slowest rank, summed over windows",
             "static_partition": t_static,
             "with_rebalancing": t_reb,
             "speedup": t_static / t_reb,
             "rebalances": rep_reb.rebalances,
-            "slow_rank_rows_per_segment": rows0,
-            "imbalance_first": rep_reb.segments[0].imbalance,
-            "imbalance_last": rep_reb.segments[-1].imbalance,
+            "slow_rank_rows_per_window": rows0,
+            "imbalance_first": rep_reb.boundaries[0].imbalance,
+            "imbalance_last": rep_reb.boundaries[-1].imbalance,
         },
         "measured_balanced_overhead": {
             "plain_seconds": plain_best,
             "elastic_seconds": elastic_best,
             "ratio": overhead,
-            "segments": len(rep.segments),
+            "boundaries": len(rep.boundaries),
         },
         "eta_bitwise_everywhere": True,  # asserted above
     }
@@ -149,9 +150,9 @@ def test_elastic_bench_json(benchmark, system):
 
     rows = [
         ["static", f"{t_static:.0f}", 1.0,
-         f"{rep_static.segments[0].imbalance:.2f}", "yes"],
+         f"{rep_static.boundaries[0].imbalance:.2f}", "yes"],
         ["rebalanced", f"{t_reb:.0f}", t_static / t_reb,
-         f"{rep_reb.segments[-1].imbalance:.2f}", "yes"],
+         f"{rep_reb.boundaries[-1].imbalance:.2f}", "yes"],
     ]
     emit(
         "elastic",

@@ -105,8 +105,8 @@ def cmd_dos(args) -> int:
             return 1
     # sim/mp select a *distributed* engine, whose rank-local kernels are
     # always the stage-2 blocked ones (the paper's production scheme);
-    # --rebalance / --elastic turn on elastic execution: live skew
-    # rebalancing and planned membership changes at boundaries (the
+    # --rebalance / --elastic each turn on elastic execution: live skew
+    # rebalancing, planned membership changes at boundaries (the
     # moments never depend on the partition).
     kernel = "aug_spmmv" if args.engine == "auto" else args.engine
     simd = args.simd
@@ -118,10 +118,6 @@ def cmd_dos(args) -> int:
             overlap=args.overlap, rebalance=args.rebalance,
             membership=args.elastic, **_threads(args),
         )
-        if cfg.membership is not None and cfg.rebalance is None:
-            # a membership plan needs the elastic driver even with
-            # rebalancing itself switched off
-            cfg = replace(cfg, rebalance="auto")
         if args.engine == "auto":
             h, cfg, simd = _apply_profile(args, h, cfg)
         backend = get_backend(cfg.backend)
@@ -187,12 +183,14 @@ def cmd_dos(args) -> int:
         mode = "on" if resolve_overlap(cfg.overlap, cfg.workers) else "off"
         print(f"distributed engine: {cfg.engine} ({cfg.workers} workers, "
               f"overlap {mode})")
-    if cfg.rebalance is not None:
+    if cfg.rebalance is not None or cfg.membership is not None:
         pol = cfg.rebalance
-        bits = [f"threshold={pol.threshold:g}", f"interval={pol.interval}"]
+        bits = ["rebalancing off"] if pol is None else [
+            f"rebalancing on, threshold={pol.threshold:g}",
+            f"interval={pol.interval}"]
         if cfg.membership is not None:
             bits.append(f"plan '{cfg.membership}'")
-        print("elastic: rebalancing on (" + ", ".join(bits) + ")")
+        print("elastic: " + ", ".join(bits))
     if args.threads or cfg.threads not in (None, ExecConfig.threads):
         print(f"kernel threads: {cfg.threads}"
               + (" per rank" if distributed else ""))
@@ -555,12 +553,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="live skew rebalancing for --engine sim|mp: 'off', "
                         "'auto', or an imbalance threshold such as 0.4 "
                         "(the (max-min)/mean busy-time spread that "
-                        "triggers a repartition); repartitioning never "
-                        "changes the moments")
+                        "re-slices the ranks inside the run); the moments "
+                        "never change")
     p.add_argument("--elastic", type=str, default=None, metavar="PLAN",
-                   help="planned worker membership changes at iteration "
+                   help="planned worker membership changes for --engine "
+                        "sim|mp, applied inside the run at iteration "
                         "boundaries, e.g. 'join:m=8;leave:m=16,rank=0' "
-                        "(implies --rebalance auto when not given)")
+                        "(joins take parked workers; with or without "
+                        "--rebalance)")
     p.add_argument("--backend", default="auto", choices=list(BACKEND_CHOICES),
                    help="kernel backend (auto: native C kernels when a "
                         "compiler is available, else numpy)")

@@ -27,6 +27,7 @@ process — on one rank for a serial solve.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -220,8 +221,8 @@ class RunContext:
     faults, progress, mp timeouts (DESIGN §17 lists every field) — and
     holds the one copy of each mechanic the engines share, so an engine
     only says *when* its state is ready.  Entry points build it in one
-    statement (:meth:`of`); a supervisor attempt or an elastic segment
-    is a :func:`dataclasses.replace`.
+    statement (:meth:`of`); a supervisor or elastic attempt is a
+    :func:`dataclasses.replace`.
     """
 
     counters: PerfCounters = field(default_factory=lambda: NULL_COUNTERS)
@@ -238,8 +239,8 @@ class RunContext:
     @classmethod
     def of(cls, seed: int = 0, **fields) -> RunContext:
         """The context of an entry point's keywords.  A cadence without a
-        file is refused (only the elastic driver runs one, in memory) and
-        a fault-plan string is parsed under ``seed``."""
+        file is refused and a fault-plan string is parsed under
+        ``seed``."""
         if fields.get("checkpoint_every") and \
                 fields.get("checkpoint_path") is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
@@ -249,13 +250,15 @@ class RunContext:
             fields["fault_plan"] = as_fault_plan(fields["fault_plan"], seed)
         return cls(**fields)
 
-    def check_stage(self, kernel: str) -> None:
-        """Refuse the controls that hold stage-2 block state on a
-        stage-0/1 ``kernel``, which runs one column at a time."""
+    def check_stage(self, kernel: str, engine: str = "serial") -> None:
+        """Refuse on a stage-0/1 ``kernel``, which runs one column at a
+        time, the controls that hold stage-2 block state and a
+        distributed ``engine``, whose ranks run stage 2 only."""
         held = [name for name, on in (
             ("checkpoint_every", self.checkpoint_every > 0),
             ("resume_from", self.resume_from is not None),
-            ("progress", self.progress is not None)) if on]
+            ("progress", self.progress is not None),
+            (f"engine={engine!r}", engine != "serial")) if on]
         if kernel != "aug_spmmv" and held:
             raise ValueError(
                 f"the {kernel} stage runs one column at a time and holds no "
@@ -407,10 +410,9 @@ class Run:
 
     ``cfg`` has ``threads`` and ``overlap`` decided for the rank count;
     the inner iterations run are ``[first_m, half)`` (``first_m`` 1
-    fresh, else the resumed ``ck``'s ``next_m``; ``half`` ``stop_m`` or
-    M/2); ``anchors`` are the start block's or the checkpoint's.  A
-    world's partition extends it (:class:`repro.dist.kpm_parallel.
-    RunSetup`)."""
+    fresh, else the resumed ``ck``'s ``next_m``; ``half`` M/2);
+    ``anchors`` are the start block's or the checkpoint's.  A world's
+    partition extends it (:class:`repro.dist.kpm_parallel.RunSetup`)."""
 
     cfg: ExecConfig
     ctx: RunContext
@@ -422,7 +424,6 @@ class Run:
     first_m: int
     half: int
     anchors: np.ndarray
-    stop_m: int | None
     ck: KpmCheckpoint | None
     start_block: np.ndarray | None
     run_id: str
@@ -431,17 +432,12 @@ class Run:
     @classmethod
     def of(cls, cfg: ExecConfig, ctx: RunContext, scale: SpectralScale,
            n_moments: int, start_block, n_rows: int, *, n_ranks: int = 1,
-           stop_m: int | None = None, kernel: str = "aug_spmmv", **more):
-        """The prologue every engine runs: validate the moments, the
-        segment bound and the start block, load and check any
-        checkpoint, decide the config for ``n_ranks`` ranks and tag the
-        run.  ``more`` are a subclass's fields."""
+           kernel: str = "aug_spmmv", **more):
+        """The prologue every engine runs: validate the moments and the
+        start block, load and check any checkpoint, decide the config
+        for ``n_ranks`` ranks and tag the run.  ``more`` are a
+        subclass's fields."""
         check_moments(n_moments)
-        half = n_moments // 2 if stop_m is None else int(stop_m)
-        if not 1 <= half <= n_moments // 2:
-            raise ValueError(
-                f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
-            )
         prec = get_precision(cfg.precision)
         ck = ctx.resume(n_moments, scale, prec, start_block)
         if ck is not None:
@@ -458,23 +454,21 @@ class Run:
             anchors = eta_anchors(start_block)
         return cls(
             cfg=cfg.for_ranks(n_ranks), ctx=ctx, prec=prec, a=scale.a,
-            b=scale.b, n_moments=n_moments, r=r, first_m=first_m, half=half,
-            anchors=anchors, stop_m=stop_m, ck=ck, start_block=start_block,
+            b=scale.b, n_moments=n_moments, r=r, first_m=first_m,
+            half=n_moments // 2, anchors=anchors, ck=ck,
+            start_block=start_block,
             run_id=ctx.run_id(ck, start_block, prec), kernel=kernel, **more,
         )
 
     def schedule(self, ctx: RunContext) -> Schedule:
         """The :class:`~repro.core.recurrence.Schedule` every rank runs,
         by the run controls ``ctx``.  The final allreduce moves the bins,
-        48R bytes, of each iteration this run computed (a segment's
-        ``stop_m`` fresh, ``stop_m − first_m`` resumed): the charges of a
-        segmented run sum to one run's."""
-        iters = self.n_moments // 2 if self.stop_m is None else \
-            self.half - (0 if self.first_m == 1 else self.first_m)
+        48R bytes, of each of the M/2 iterations."""
         return Schedule(first_m=self.first_m, half=self.half,
                         overlap=self.cfg.overlap,
                         every=self.cfg.reduction == "every",
-                        final_bytes=48 * self.r * iters, ctx=ctx)
+                        final_bytes=24 * self.r * self.n_moments,
+                        anchors=self.anchors, ctx=ctx)
 
     def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
         """The reduced eta ``[0, stop)`` of ``bins`` (ranks, M/2, 2, 3R) in
@@ -508,27 +502,29 @@ class Run:
                           metrics=self.ctx.metrics)
 
     def rank(self, p: int, rec: Recurrence, rows: slice, bins: np.ndarray,
-             bufs=None, links=((), ()), cls=RankState) -> RankState:
+             bufs=None, links=((), ()), slots=None,
+             cls=RankState) -> RankState:
         """Rank ``p``'s state, ``rec`` loaded with the ``rows`` of the
         start block — or of the resumed pair — (into ``bufs``, a rank's
         two full-height buffers, given them); ``links`` are its
-        ``(sends, sources)``."""
+        ``(sends, sources)``, ``slots`` its checkpoint slots."""
         if self.ck is not None:
             rec.load(self.ck.v[rows], self.ck.w[rows], anchors=self.anchors,
                      m=self.first_m, bufs=bufs)
         else:
             rec.load(self.start_block[rows], anchors=self.anchors, bufs=bufs)
-        return cls(p, rec, rows, bins, *links, None,
+        return cls(p, rec, rows, bins, *links, slots,
                    self.ctx.injector(p) or None, self.ctx.metrics)
 
-    def lockstep(self, states: list[RankState], world=None) -> np.ndarray:
+    def lockstep(self, states: list[RankState], reslice=None) -> np.ndarray:
         """Run the ranks' programs to the end in this process; returns eta
         (R, M).  One round steps every program to its next yield, rank by
         rank, so no rank reads a halo tail before every rank packed it;
         after each iteration the last one — every peer's bins and, at a
         checkpoint, ``(nu_m, nu_{m+1})`` are in place by then — fires
-        ``progress`` and saves each due checkpoint (kept on
-        ``world.last_checkpoint``, given a world)."""
+        ``progress`` and saves each due checkpoint.  At an elastic
+        boundary ``m`` the ranks take ``reslice(m)``'s pieces, one per
+        rank (None: the weights hold), decided once."""
         ctx, bins = self.ctx, states[0].bins
 
         def publish(m: int, k: int) -> None:
@@ -538,16 +534,15 @@ class Run:
             if k:
                 v, w = (np.concatenate([getattr(s.rec, x) for s in states])
                         for x in "vw")
-                state = self.state(v, w, self.splice(bins, n_eta,
-                                                     self.n_moments), m + 1)
-                if world is not None:
-                    world.last_checkpoint = state
-                ctx.save(state)
+                ctx.save(self.state(v, w, self.splice(bins, n_eta,
+                                                      self.n_moments), m + 1))
 
         sched = self.schedule(ctx)
-        programs = [rank_program(s, sched, _InProcess(None))
-                    for s in states[:-1]]
-        programs.append(rank_program(states[-1], sched, _InProcess(publish)))
+        pieces = functools.cache(reslice) if reslice else None
+        programs = [
+            rank_program(s, sched, _InProcess(
+                publish if s is states[-1] else None, pieces, s.rank))
+            for s in states]
         for _ in itertools.zip_longest(*programs):
             pass
         return self.splice(bins, self.n_moments, self.n_moments)
@@ -557,13 +552,18 @@ class _InProcess:
     """The in-process transport: in one address space the halo and
     reduction ops have nothing to wait for."""
 
-    def __init__(self, publish) -> None:
+    def __init__(self, publish, pieces=None, rank: int = 0) -> None:
         self.publish = publish or (lambda m, k: None)
+        self.pieces, self.rank = pieces, rank
 
     def exchange(self, *_) -> None:
         pass
 
-    reduce = probe = complete = release = exchange
+    def answer(self, m: int):
+        new = self.pieces(m)
+        return None if new is None else (lambda: new[self.rank])
+
+    reduce = probe = complete = release = ask = exchange
 
     def post(self, _q: int, _m: int):
         return nullcontext()

@@ -24,12 +24,13 @@ reduction's bins (DESIGN §19), which the engine sums over its ranks
 
 State convention between calls: ``v = nu_m`` and ``w = nu_{m+1}`` (the
 newest iterate), exactly the pair a :class:`~repro.core.checkpoint.
-KpmCheckpoint` stores.
+KpmCheckpoint` stores — and all an elastic rank hands over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -333,15 +334,20 @@ class Recurrence:
 class Schedule:
     """What every rank of one run shares: the inner iterations
     ``[first_m, half)`` (a fresh run bootstraps first), the halo mode,
-    the reduction frequency, the bytes of the final reduction (0: none)
-    and the run controls the ranks act on (the checkpoint cadence)."""
+    the reduction frequency, the bytes of the final reduction (0: none),
+    the eta anchors, the run controls the ranks act on (the checkpoint
+    cadence) and an elastic run's ``bounds`` (checkpoints too when
+    ``publish_bounds``: a progress stream wants them)."""
 
     first_m: int
     half: int
     overlap: bool
     every: bool
     final_bytes: int
+    anchors: np.ndarray
     ctx: object  # a repro.core.checkpoint.RunContext
+    bounds: tuple = ()
+    publish_bounds: bool = False
 
 
 @dataclass
@@ -355,8 +361,8 @@ class RankState:
     buffers it fills, and ``sources`` the ranks it receives from;
     ``slots`` are the checkpoint's double-buffered global ``(v, w)``
     arrays, None where the transport reads the recurrences themselves.
-    A world with peers packs and records through its subclass,
-    :class:`repro.dist.kpm_parallel.RankState`.
+    A world with peers packs, records and hands rows over through its
+    subclass, :class:`repro.dist.kpm_parallel.RankState`.
     """
 
     rank: int
@@ -374,12 +380,16 @@ def rank_program(s: RankState, sched: Schedule, t):
     """Run one rank's schedule over transport ``t``; a generator that
     yields where the shared-memory transport may wait for a peer.
 
-    Seven transport ops are its only communication: ``exchange()`` (all
+    Nine transport ops are its only communication: ``exchange()`` (all
     packed), ``post(q, m)`` (a context around a task-mode pack, entered
     once ``q`` consumed ``m − 2``), ``complete(src, m)`` / ``release(src,
     m)`` (a tail landed / was consumed), ``reduce()`` (all bins of the
     iteration in place), ``publish(m, k)`` (the k-th checkpoint — 0:
-    none — after iteration ``m``) and ``probe()`` (the heartbeat).  A
+    none — after iteration ``m``), ``probe()`` (the heartbeat), and
+    an iteration before an elastic boundary ``m`` ``ask(m, busy)`` (the
+    busy seconds since the last) and after it ``answer(m)`` (None, or a
+    call that returns the rank's next ``(rows, recurrence, links,
+    buffers, offsets)`` once every rank staged its rows).  A
     one-rank world has no peers: it packs, exchanges and waits for
     nothing.
     """
@@ -387,16 +397,27 @@ def rank_program(s: RankState, sched: Schedule, t):
     peers = s.bins.shape[0] > 1
     # one rank has no skew to time: its spans are the kernels' own
     span = (s.metrics if peers else NULL_METRICS).span
+    busy, k = 0.0, 0  # busy seconds since the last boundary; checkpoints
+
+    def timed(work):
+        # ``rank_busy``, the rebalancer's skew signal, times the rank's own
+        # work — the fault probe (a straggler's sleeps) and the kernels —
+        # not the waits where fast ranks absorb a slow peer's skew
+        nonlocal busy
+        t0 = perf_counter()
+        with span("rank_busy"):
+            out = work()
+        busy += perf_counter() - t0
+        return out
 
     # m = 0 is a fresh run's bootstrap, nu_1 = a (H nu_0 - b nu_0)
     for m in range(0 if sched.first_m == 1 else sched.first_m, sched.half):
-        # ``rank_busy`` times this rank's own work — the fault probe (an
-        # injected straggler's sleeps) and the kernels, not the waits
-        # where fast ranks absorb a slow peer's skew: the elastic
-        # rebalancer's skew signal.
+        bound = m + 1 in sched.bounds
+        if bound:
+            t.ask(m + 1, busy)
+            busy = 0.0
         if s.inj is not None:
-            with span("rank_busy"):
-                s.inj.at_iteration(m)
+            timed(lambda: s.inj.at_iteration(m))
         t.probe()
         vec, phase, kernel = (rec.swap(), "halo", rec.update) if m else \
             (rec.v, "halo_init", rec.bootstrap)
@@ -420,14 +441,12 @@ def rank_program(s: RankState, sched: Schedule, t):
                     with t.post(q, m):
                         s.pack(m, q, rows, tails[slot], vec, phase)
             if m:  # the bootstrap has no compute to hide
-                with span("rank_busy"):
-                    rec.interior()
+                timed(rec.interior)
             with span("halo_wait", phase="dist"):
                 yield
                 for src in s.sources:
                     t.complete(src, m)
-        with span("rank_busy"):
-            s.bins[s.rank, m] = kernel()
+        s.bins[s.rank, m] = timed(kernel)
         if peers and sched.overlap:
             for src in s.sources:
                 t.release(src, m)  # the peer may refill this parity
@@ -439,14 +458,35 @@ def rank_program(s: RankState, sched: Schedule, t):
                 t.reduce()
                 yield
                 s.bins[:, m].sum(axis=0)  # every rank forms the global sum
-        k = sched.ctx.checkpoint_due(m, sched.first_m)  # 0 at m = 0
-        if k and s.slots is not None:
+        due = sched.ctx.checkpoint_due(m, sched.first_m) or \
+            bound and sched.publish_bounds  # never at m = 0
+        if due:
             # Double-buffered: the k-th checkpoint writes slot k % 2, so
             # the previously published slot stays intact meanwhile.
-            v, w = s.slots
-            v[k % 2, s.rows], w[k % 2, s.rows] = rec.v, rec.w
-        t.publish(m, k)
-        if k:
+            k += 1
+            if s.slots is not None:
+                v, w = s.slots
+                v[k % 2, s.rows], w[k % 2, s.rows] = rec.v, rec.w
+        t.publish(m, k if due else 0)
+        if due:
+            yield
+        if not bound:
+            continue
+        new = t.answer(m + 1)
+        if new is not None:
+            # New weights: the (v, w) rows pass through the checkpoint
+            # slot the next checkpoint would write, then the rank goes on
+            # at m + 1 on its new block, with nothing but its rows moved.
+            v, w, x = *s.slots, (k + 1) % 2
+            v[x, s.rows], w[x, s.rows] = rec.v, rec.w
+            t.exchange()  # every rank staged its rows
+            yield
+            rows, rec, (s.sends, s.sources), bufs, offsets = new()
+            s.handover(offsets)
+            s.rows, s.rec = rows, rec
+            rec.load(v[x, rows], w[x, rows], anchors=sched.anchors, m=m + 1,
+                     bufs=bufs)
+            t.exchange()  # every rank read its rows: the slot is free
             yield
 
     # the one deferred reduction of the bins this run computed

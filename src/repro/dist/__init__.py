@@ -21,13 +21,14 @@ from repro._lazy import lazy_exports
 
 __all__ = lazy_exports(__name__, {
     "comm": ("SimWorld", "MessageLog", "MessageRecord"),
-    "partition": ("RowPartition", "weights_from_performance"),
+    "partition": ("RowPartition", "weights_from_performance",
+                  "autotune_weights", "AutotuneResult"),
     "halo": ("CommPattern", "DistributedMatrix", "partition_matrix"),
     "kpm_parallel": ("distributed_eta",),
     "network": ("NetworkModel", "CRAY_ARIES"),
     "elastic": ("RebalancePolicy", "RebalanceMonitor", "MembershipPlan",
                 "MembershipEvent", "ElasticReport", "elastic_eta",
-                "resolve_rebalance", "autotune_weights", "AutotuneResult"),
+                "resolve_rebalance"),
     "tune": ("TuneConfig", "TuneSpace", "TuneResult", "tune", "lookup",
              "save_profile"),
     "overlap": ("TaskSplit", "task_split", "exposed_communication_time"),

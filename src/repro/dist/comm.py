@@ -102,9 +102,6 @@ class SimWorld:
                 raise SimulationError(f"unknown device label {d!r}")
         self.devices = list(devices)
         self.log = MessageLog()
-        #: the state of the most recent run's latest checkpoint (a
-        #: ``KpmCheckpoint``; None when it did not checkpoint)
-        self.last_checkpoint = None
 
     def __repr__(self) -> str:
         return f"SimWorld(n_ranks={self.n_ranks}, devices={self.devices})"

@@ -2,65 +2,42 @@
 that never change the numbers.
 
 The paper tunes its CPU/GPU row weights *before* the run (Section VI-B)
-and keeps the communicator fixed for its lifetime.  At scale neither
-assumption survives: ranks slow down mid-run (contention, clock
-throttling, a sick node) and ranks come and go (preemption, node
-failure, capacity arriving late).  This module makes both first-class
-while keeping the one property that makes elasticity trustworthy — the
-fp64 moments of an elastically executed run are **bitwise identical** to
-an uninterrupted run on any fixed partition.
+and names automatic weights as the next step (Section VII); at scale,
+ranks also slow down and come and go mid-run.  The one eta reduction
+(DESIGN §19) makes every 64-row block's bins add exactly in any order,
+so a block may change owner between two iterations without moving a
+bit of eta: only its ``(v, w)`` rows move.
 
-Two properties compose into that guarantee:
+So join, leave and rebalance are one operation — new weights at a
+boundary — applied inside one run (:func:`~repro.dist.kpm_parallel.
+run_distributed`) on one world, sized once to the initial workers plus
+the plan's joins.  A planned join gives weight to a parked rank (weight
+zero: no rows), a planned leave sets a rank's weight to zero, and a
+rebalance is the :class:`RebalanceMonitor`'s: after ``windows``
+consecutive windows whose busy-time spread ``(max − min) / mean``
+exceeds ``threshold`` (busy seconds exclude the waits where fast ranks
+absorb a slow peer's skew; the sim engine takes a ``timer``'s
+prediction) it solves the throughput fixed point
+(:func:`~repro.dist.partition.autotune_weights`) on the measured
+rows/second.  When the weights change, the ranks stage their rows
+through the checkpoint slot, take their new blocks and go on at the
+next iteration.
 
-* **The one eta reduction** (DESIGN §19): per 64-row block, deposited
-  exactly into bins that add in any order, so no partition, rank count,
-  engine or schedule moves a bit of eta — *repartitioning never changes
-  the numbers*.  Partitions are 64-row aligned, so every block has
-  exactly one owner.
-
-* **Segmented execution** (``stop_m`` on the engines): the driver runs
-  the recurrence in segments ``[first_m, stop_m)``, pausing at an
-  iteration boundary whose global recurrence state the engine captures
-  in memory (``world.last_checkpoint``), then resuming the next segment
-  under a *new* partition / world size via the existing ``resume_from``
-  splice, which is bitwise on any partition.
-
-On top of the invariant sit the two elastic behaviours:
-
-* :class:`RebalanceMonitor` consumes the per-rank ``rank_busy`` span
-  totals that the mp workers ship through the observability segment
-  (compute + injected-fault time, *excluding* barrier waits, where fast
-  ranks absorb their peers' skew) and computes the
-  ``(max − min) / mean`` spread — the same statistic as
-  :meth:`AutotuneResult.imbalance`.  After ``windows`` consecutive
-  segments above ``threshold`` the driver re-runs the throughput fixed
-  point (:func:`autotune_weights`) on the measured rows/second and
-  repartitions at the next boundary.  That fixed point is the paper's
-  outlook realized — "a future step could be to determine the process
-  weights for heterogeneous execution automatically" (Section VII): from
-  any weights, short measurement rounds give each rank's time per row,
-  and the update ``w_p <- (rows_p / t_p) / sum_q (rows_q / t_q)``
-  converges to throughput-proportional weights in typically 2-3 rounds.
-
-* **Elastic membership**: a worker death inside a segment surfaces as a
-  :class:`~repro.util.errors.WorkerFailure`; the driver drops the dead
-  ranks, renormalizes the surviving weights, bumps the fault-injection
-  attempt (so a planned one-shot fault does not chase the retry), and
-  re-runs the segment from its entry state on the survivors — no engine
-  degradation needed.  Planned ``join``/``leave`` events
-  (:class:`MembershipPlan`) grow or shrink the world at segment
-  boundaries.
-
-Every membership event and rebalance is counted in the caller's
-:class:`~repro.obs.metrics.MetricsRegistry` (``elastic.*``) and recorded
-on the returned :class:`ElasticReport`.
+Only an unplanned death ends the run (a
+:class:`~repro.util.errors.WorkerFailure`): the driver drops the dead
+ranks, renormalizes the surviving weights, bumps the fault-injection
+attempt (a one-shot fault does not chase the retry) and re-runs the
+survivors from the run's own last checkpoint, or from the start.  Every
+event is counted in the caller's :class:`~repro.obs.metrics.
+MetricsRegistry` (``elastic.*``) and recorded on the
+:class:`ElasticReport`, with every boundary's partition and busy
+seconds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -68,14 +45,14 @@ from repro.core.checkpoint import KpmCheckpoint, RunContext
 from repro.core.scaling import SpectralScale
 from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.kpm_parallel import run_distributed
-from repro.dist.partition import RowPartition
+from repro.dist.partition import (AutotuneResult, RowPartition, TimerFn,
+                                  _spread, autotune_weights)
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import ETA_BLOCK
 from repro.util.counters import NULL_COUNTERS, PerfCounters
-from repro.util.errors import PartitionError, SimulationError, WorkerFailure
+from repro.util.errors import SimulationError, WorkerFailure
 from repro.util.knobs import ExecConfig
-from repro.util.validation import check_positive
 
 __all__ = [
     "RebalancePolicy",
@@ -84,11 +61,8 @@ __all__ = [
     "MembershipPlan",
     "MembershipEvent",
     "RebalanceMonitor",
-    "SegmentRecord",
     "ElasticReport",
     "elastic_eta",
-    "AutotuneResult",
-    "autotune_weights",
 ]
 
 
@@ -96,44 +70,29 @@ __all__ = [
 # policy
 # ----------------------------------------------------------------------
 
+#: Underrelaxation of :func:`autotune_weights` on measured rates.
+DAMPING = 1.0
+#: No repartition when fewer inner iterations than this remain (it would
+#: cost more than it saves).
+MIN_ITERS_LEFT = 2
+#: Weight recomputations per run, at most.
+MAX_REBALANCES = 4
+#: Ranks lost to deaths before the driver gives up (guards against a
+#: fault that kills every retry).
+MAX_LEAVES = 8
+
+
 @dataclass(frozen=True)
 class RebalancePolicy:
-    """Knobs of the elastic driver.
-
-    threshold:
-        Relative busy-time spread ``(max − min) / mean`` above which a
-        segment counts as skewed.
-    windows:
-        Consecutive skewed segments required before a rebalance fires
-        (debounce: a one-segment hiccup is not a reason to repartition).
-    interval:
-        Segment length in inner iterations — the rebalance/membership
-        decision cadence.  Boundaries land at
-        ``first_m + interval`` (clipped by planned membership events).
-    damping:
-        Underrelaxation for :func:`autotune_weights` on measured rates.
-    min_iters_left:
-        Do not repartition when fewer inner iterations than this remain
-        (the repartition would cost more than it saves).
-    max_rebalances:
-        Hard cap on weight recomputations per run.
-    membership:
-        Allow worker-death recovery by re-partitioning to survivors
-        (off → a death propagates as :class:`WorkerFailure`, and the
-        resilience supervisor's engine ladder takes over).
-    max_leaves:
-        Hard cap on ranks lost to deaths before giving up (guards
-        against a fault that kills every retry).
-    """
+    """Knobs of the elastic driver: boundaries land every ``interval``
+    inner iterations (and at every planned membership change); a window
+    between two counts as skewed when its busy-time spread ``(max − min)
+    / mean`` exceeds ``threshold``, and ``windows`` skewed ones in a row
+    rebalance (a one-window hiccup is not a reason to repartition)."""
 
     threshold: float = 0.25
     windows: int = 2
     interval: int = 8
-    damping: float = 1.0
-    min_iters_left: int = 2
-    max_rebalances: int = 4
-    membership: bool = True
-    max_leaves: int = 8
 
     def __post_init__(self) -> None:
         if self.threshold < 0:
@@ -143,29 +102,23 @@ class RebalancePolicy:
                 f"windows/interval must be >= 1, got "
                 f"{self.windows}/{self.interval}"
             )
-        if not 0 < self.damping <= 1:
-            raise ValueError(f"damping must be in (0, 1], got {self.damping}")
 
 
 def resolve_rebalance(rebalance) -> RebalancePolicy | None:
     """Coerce the user-facing ``rebalance=`` knob into a policy.
 
-    ``None``/``False``/``'off'`` → None (elastic execution disabled);
+    ``None``/``False``/``'off'`` → None (no rebalancing);
     ``True``/``'auto'`` → the default policy; a number (or numeric
     string, e.g. from the CLI) → default policy with that threshold; a
     :class:`RebalancePolicy` passes through.
     """
-    if rebalance is None or rebalance is False:
-        return None
     if isinstance(rebalance, RebalancePolicy):
         return rebalance
-    if rebalance is True:
-        return RebalancePolicy()
-    if isinstance(rebalance, str):
-        text = rebalance.strip().lower()
-        if text in ("", "off", "none", "no"):
+    if rebalance is None or isinstance(rebalance, (bool, int, float, str)):
+        text = str(rebalance).strip().lower()
+        if text in ("", "off", "none", "no", "false"):
             return None
-        if text in ("auto", "on", "yes"):
+        if text in ("auto", "on", "yes", "true"):
             return RebalancePolicy()
         try:
             return RebalancePolicy(threshold=float(text))
@@ -174,8 +127,6 @@ def resolve_rebalance(rebalance) -> RebalancePolicy | None:
                 f"rebalance must be 'off', 'auto', or a threshold, "
                 f"got {rebalance!r}"
             ) from None
-    if isinstance(rebalance, (int, float)):
-        return RebalancePolicy(threshold=float(rebalance))
     raise TypeError(
         f"cannot build a RebalancePolicy from {type(rebalance).__name__}"
     )
@@ -187,12 +138,9 @@ def resolve_rebalance(rebalance) -> RebalancePolicy | None:
 
 @dataclass(frozen=True)
 class MembershipSpec:
-    """One planned membership change, applied at the boundary ``m``.
-
-    ``join`` adds ``ranks`` workers (each entering with the mean of the
-    current weights); ``leave`` retires rank index ``rank`` gracefully
-    (its state is in the boundary checkpoint, so nothing is lost).
-    """
+    """One planned membership change at the boundary ``m``: ``join``
+    gives ``ranks`` parked workers the mean weight, ``leave`` zeroes
+    world rank ``rank``'s (its rows pass to the others)."""
 
     kind: str
     m: int
@@ -208,6 +156,10 @@ class MembershipSpec:
             raise ValueError(f"invalid membership spec {self}")
 
 
+#: The fields each kind of membership entry reads.
+_FIELDS = {"join": ("m", "ranks"), "leave": ("m", "rank")}
+
+
 @dataclass(frozen=True)
 class MembershipPlan:
     """Planned joins/leaves: ``'join:m=8;leave:m=16,rank=0'``."""
@@ -219,30 +171,32 @@ class MembershipPlan:
         specs = []
         for entry in filter(None, (e.strip() for e in text.split(";"))):
             kind, _, args = entry.partition(":")
+            kind = kind.strip()
             kw: dict = {}
             for pair in filter(None, (p.strip() for p in args.split(","))):
                 key, sep, val = pair.partition("=")
-                if not sep or key.strip() not in ("m", "rank", "ranks"):
+                key = key.strip()
+                if not sep or key not in ("m", "rank", "ranks"):
                     raise ValueError(
                         f"malformed membership entry {entry!r}: expected "
                         f"m=/rank=/ranks= pairs, got {pair!r}"
                     )
-                kw[key.strip()] = int(val)
+                if key not in _FIELDS.get(kind, (key,)):
+                    raise ValueError(
+                        f"membership entry {entry!r}: a {kind} takes no "
+                        f"{key}="
+                    )
+                kw[key] = int(val)
             if "m" not in kw:
                 raise ValueError(f"membership entry {entry!r} needs m=")
-            specs.append(MembershipSpec(kind.strip(), **kw))
+            specs.append(MembershipSpec(kind, **kw))
         return cls(tuple(sorted(specs, key=lambda s: s.m)))
 
     def __str__(self) -> str:
-        parts = []
-        for s in self.specs:
-            bits = [f"m={s.m}"]
-            if s.kind == "leave":
-                bits.append(f"rank={s.rank}")
-            elif s.ranks != 1:
-                bits.append(f"ranks={s.ranks}")
-            parts.append(f"{s.kind}:{','.join(bits)}")
-        return ";".join(parts)
+        return ";".join(
+            f"{s.kind}:m={s.m}" + (f",rank={s.rank}" if s.kind == "leave"
+                                   else f",ranks={s.ranks}" * (s.ranks != 1))
+            for s in self.specs)
 
     def __bool__(self) -> bool:
         return bool(self.specs)
@@ -256,13 +210,12 @@ class MembershipPlan:
 
 
 def as_membership_plan(plan) -> MembershipPlan | None:
-    """Coerce None / string / plan into a :class:`MembershipPlan`."""
-    if plan is None:
-        return None
-    if isinstance(plan, MembershipPlan):
-        return plan
+    """Coerce None / string / plan into a :class:`MembershipPlan` (an
+    empty one: None)."""
     if isinstance(plan, str):
-        return MembershipPlan.parse(plan) or None
+        plan = MembershipPlan.parse(plan)
+    if plan is None or isinstance(plan, MembershipPlan):
+        return plan or None
     raise TypeError(
         f"cannot build a MembershipPlan from {type(plan).__name__}"
     )
@@ -273,8 +226,8 @@ class MembershipEvent:
     """One membership change or rebalance as it actually happened."""
 
     kind: str  # 'join' | 'leave' | 'rebalance'
-    m: int  # the boundary (joins, rebalances) or entry iteration (deaths)
-    ranks: tuple[int, ...] = ()  # affected rank indices (pre-change)
+    m: int  # the boundary, or the iteration a death's retry starts at
+    ranks: tuple[int, ...] = ()  # affected world ranks
     planned: bool = True  # False for deaths detected at runtime
     detail: str = ""
 
@@ -286,127 +239,30 @@ class MembershipEvent:
 
 
 # ----------------------------------------------------------------------
-# weight tuning: the throughput fixed point
-# ----------------------------------------------------------------------
-
-#: Timing callback signature: (rank, n_local_rows) -> seconds.
-TimerFn = Callable[[int, int], float]
-
-
-def _spread(times) -> float:
-    """Relative spread ``(max − min) / mean`` of per-rank times.
-
-    0.0 is perfectly balanced; guarded against a zero mean (all ranks
-    measured 0 s are balanced by definition).
-    """
-    t = np.asarray(times, dtype=float)
-    return float((t.max() - t.min()) / max(t.mean(), 1e-300))
-
-
-@dataclass
-class AutotuneResult:
-    """Outcome of the weight auto-tuner."""
-
-    weights: list[float]
-    partition: RowPartition
-    rounds: int
-    converged: bool
-    history: list[list[float]] = field(default_factory=list)
-
-    def imbalance(self, times: list[float]) -> float:
-        """The tuning loop's own convergence statistic, :func:`_spread`:
-        a converged result reports ``imbalance(times) <= tolerance`` for
-        its final round."""
-        return _spread(times)
-
-
-def autotune_weights(
-    n_rows: int,
-    n_ranks: int,
-    timer: TimerFn,
-    *,
-    align: int = 4,
-    initial_weights: list[float] | None = None,
-    max_rounds: int = 8,
-    tolerance: float = 0.02,
-    damping: float = 1.0,
-) -> AutotuneResult:
-    """Iteratively balance rank weights until times agree within
-    ``tolerance`` (relative spread of per-rank round times).
-
-    The rank times come from ``timer``: the device performance model in
-    the simulated environment, measured rows/second in a live run.
-    ``damping`` < 1 underrelaxes the update, useful when the timing
-    callback is noisy (real measurements).
-    """
-    check_positive("n_rows", n_rows)
-    check_positive("n_ranks", n_ranks)
-    check_positive("max_rounds", max_rounds)
-    if not 0 < damping <= 1:
-        raise ValueError(f"damping must be in (0, 1], got {damping}")
-    weights = (
-        np.full(n_ranks, 1.0 / n_ranks)
-        if initial_weights is None
-        else np.asarray(initial_weights, dtype=float)
-    )
-    if weights.shape != (n_ranks,) or np.any(weights < 0) or weights.sum() <= 0:
-        raise PartitionError(f"invalid initial weights {initial_weights!r}")
-    weights = weights / weights.sum()
-
-    history: list[list[float]] = []
-    part = RowPartition.from_weights(n_rows, weights.tolist(), align=align)
-    for rounds in range(1, max_rounds + 1):
-        counts = part.counts().astype(float)
-        times = [timer(p, int(counts[p])) for p in range(n_ranks)]
-        history.append(weights.tolist())
-        if _spread(times) <= tolerance:
-            return AutotuneResult(
-                weights.tolist(), part, rounds, True, history
-            )
-        # observed throughput of each rank (rows per second); ranks that
-        # got zero rows are probed with one alignment block so they can
-        # re-enter the distribution
-        probe = np.maximum(counts, align)
-        probe_times = np.array(
-            [max(timer(p, int(probe[p])), 1e-300) for p in range(n_ranks)]
-        )
-        thru = probe / probe_times
-        target = thru / thru.sum()
-        weights = (1.0 - damping) * weights + damping * target
-        weights /= weights.sum()
-        part = RowPartition.from_weights(n_rows, weights.tolist(), align=align)
-    return AutotuneResult(weights.tolist(), part, max_rounds, False, history)
-
-
-# ----------------------------------------------------------------------
 # skew monitor
 # ----------------------------------------------------------------------
 
 
 class RebalanceMonitor:
-    """Debounced skew detector over per-segment rank busy times.
+    """Debounced skew detector over per-window rank busy times.
 
-    Each segment, :meth:`observe` ingests the per-rank busy seconds (the
-    mp workers' ``rank_busy`` span totals) and the rows each rank owned;
+    :meth:`observe` ingests a window's rows and busy seconds per rank;
     ``windows`` consecutive observations above ``threshold`` arm
-    :attr:`should_rebalance`, and :meth:`retune` then solves the
-    throughput fixed point on the measured rows/second to produce new
-    weights.  One observation below threshold resets the streak — a
-    transient hiccup never repartitions.
+    :attr:`should_rebalance`, and :meth:`retune` solves the throughput
+    fixed point on the measured rows/second.  One observation below
+    threshold resets the streak: a hiccup never repartitions.
     """
 
     def __init__(self, policy: RebalancePolicy) -> None:
         self.policy = policy
-        self.history: list[float] = []
         self._streak = 0
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def observe(self, counts, busy) -> float:
-        """Ingest one segment's (rows per rank, busy seconds per rank)."""
+        """Ingest one window's (rows per rank, busy seconds per rank)."""
         counts = np.asarray(counts, dtype=float)
         busy = np.asarray(busy, dtype=float)
         imb = _spread(busy)
-        self.history.append(imb)
         if imb > self.policy.threshold and busy.min() > 0:
             self._streak += 1
             self._last = (counts, busy)
@@ -440,8 +296,7 @@ class RebalanceMonitor:
             timer = lambda p, nn: nn / rates[p]  # noqa: E731
         result = autotune_weights(
             n_rows, len(weights), timer,
-            align=ETA_BLOCK, initial_weights=weights,
-            damping=self.policy.damping,
+            align=ETA_BLOCK, initial_weights=weights, damping=DAMPING,
         )
         self.reset()
         return result
@@ -451,27 +306,24 @@ class RebalanceMonitor:
 # report
 # ----------------------------------------------------------------------
 
-@dataclass
-class SegmentRecord:
-    """One executed segment of an elastic run."""
+@dataclass(frozen=True)
+class Boundary:
+    """One boundary of an elastic run: the window ``[.., m)`` that ended
+    there — its partition ``offsets`` and per-rank ``busy`` seconds (None
+    unmeasured) — before the report's events at ``m`` took effect."""
 
-    first_m: int
-    stop_m: int
-    n_workers: int
+    m: int
     offsets: tuple[int, ...]
-    attempt: int
     busy: tuple[float, ...] | None = None
     imbalance: float | None = None
-    events: tuple[str, ...] = ()
 
 
 @dataclass
 class ElasticReport:
-    """What an elastic run did: segments, membership, rebalances."""
+    """What an elastic run did: boundaries, membership, rebalances."""
 
-    n_moments: int
     engine: str
-    segments: list[SegmentRecord] = field(default_factory=list)
+    boundaries: list[Boundary] = field(default_factory=list)
     events: list[MembershipEvent] = field(default_factory=list)
     rebalances: int = 0
     joins: int = 0
@@ -479,60 +331,123 @@ class ElasticReport:
     final_weights: list[float] = field(default_factory=list)
     final_n_workers: int = 0
     log: MessageLog | None = None
-    #: OS names of the arena segment(s) the final segment's mp world
+    #: OS names of the arena segment(s) the final attempt's mp world
     #: mapped — all must be dead once the run returns (leak-check hook)
     segment_names: list[str] = field(default_factory=list)
 
     def summary(self) -> str:
         lines = [
-            f"elastic run: {len(self.segments)} segment(s), "
+            f"elastic run: {len(self.boundaries)} "
+            f"boundar{'y' if len(self.boundaries) == 1 else 'ies'}, "
             f"engine={self.engine}, finished on {self.final_n_workers} "
             f"worker(s)",
             f"  rebalances={self.rebalances} joins={self.joins} "
             f"leaves={self.leaves}",
         ]
-        for seg in self.segments:
-            imb = (
-                "-" if seg.imbalance is None else f"{seg.imbalance:.3f}"
-            )
-            line = (
-                f"  m=[{seg.first_m},{seg.stop_m}) workers={seg.n_workers} "
-                f"imbalance={imb}"
-            )
-            if seg.events:
-                line += " [" + "; ".join(seg.events) + "]"
+        for b in self.boundaries:
+            imb = "-" if b.imbalance is None else f"{b.imbalance:.3f}"
+            line = f"  m={b.m} imbalance={imb}"
+            events = [e.describe() for e in self.events
+                      if e.m == b.m and e.planned]
+            if events:
+                line += " [" + "; ".join(events) + "]"
             lines.append(line)
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_moments": self.n_moments,
-            "engine": self.engine,
-            "rebalances": self.rebalances,
-            "joins": self.joins,
-            "leaves": self.leaves,
-            "final_weights": list(self.final_weights),
-            "final_n_workers": self.final_n_workers,
-            "events": [e.describe() for e in self.events],
-            "segments": [
-                {
-                    "first_m": s.first_m,
-                    "stop_m": s.stop_m,
-                    "n_workers": s.n_workers,
-                    "offsets": list(s.offsets),
-                    "attempt": s.attempt,
-                    "busy": None if s.busy is None else list(s.busy),
-                    "imbalance": s.imbalance,
-                    "events": list(s.events),
-                }
-                for s in self.segments
-            ],
-        }
 
 
 # ----------------------------------------------------------------------
 # the driver
 # ----------------------------------------------------------------------
+
+def _apply(weights: list[float], parked: list[int], spec: MembershipSpec):
+    """``(weights, parked, ranks)`` after one planned change: a join
+    gives the first parked ranks the mean weight, a leave zeroes one."""
+    weights, active = list(weights), [p for p, x in enumerate(weights) if x]
+    if spec.kind == "join":
+        mean = sum(weights) / len(active)
+        ranks, parked = tuple(parked[:spec.ranks]), parked[spec.ranks:]
+        for p in ranks:
+            weights[p] = mean
+    else:
+        if spec.rank not in active or len(active) == 1:
+            raise SimulationError(
+                f"membership plan retires rank {spec.rank} of a "
+                f"{len(active)}-worker world at m={spec.m}"
+            )
+        weights[spec.rank], ranks = 0.0, (spec.rank,)
+    total = sum(weights)
+    return [x / total for x in weights], parked, ranks
+
+
+class _Decisions:
+    """One elastic attempt's boundaries and what happens at each: the
+    busy seconds (or the ``timer``'s prediction) and the plan become
+    weights, and new weights a partition of ``A`` (called by the run's
+    transport, see :class:`~repro.dist.kpm_parallel.RunSetup`)."""
+
+    def __init__(self, A, weights, parked, policy, plan, timer, report,
+                 metrics) -> None:
+        self.A, self.weights, self.parked = A, weights, parked
+        self.policy, self.plan, self.timer = policy, plan, timer
+        self.report, self.metrics = report, metrics
+        self.monitor = RebalanceMonitor(policy or RebalancePolicy())
+        self.part = RowPartition.from_weights(A.n_rows, weights,
+                                              align=ETA_BLOCK)
+        self.half = 0
+        self.epochs: list[tuple[int, RowPartition]] = []  # the changes
+
+    def bounds(self, first_m: int, half: int) -> tuple[int, ...]:
+        """Every ``interval`` iterations from ``first_m`` and every
+        planned change, in ``(first_m, half)``."""
+        self.half, step = half, self.policy and self.policy.interval
+        grid = range(first_m + step, half, step) if step else ()
+        return tuple(sorted({*grid, *(
+            m for m in self.plan.boundaries() if first_m < m < half)}))
+
+    def __call__(self, m: int, busy) -> RowPartition | None:
+        """The partition the ranks take before iteration ``m``, or None."""
+        rep, counts = self.report, self.part.counts()
+        active = [p for p, x in enumerate(self.weights) if x]
+        if busy is None and self.timer is not None:
+            busy = [float(self.timer(p, int(counts[p])))
+                    for p in range(len(counts))]
+        imb = None
+        if busy is not None and len(active) > 1:
+            imb = self.monitor.observe(counts[active],
+                                       [busy[p] for p in active])
+            self.metrics.gauge("elastic.imbalance", imb)
+        weights, events = self.weights, []
+        if (self.policy is not None and self.monitor.should_rebalance
+                and len(active) > 1 and rep.rebalances < MAX_REBALANCES
+                and self.half - m >= MIN_ITERS_LEFT):
+            timer = self.timer and (lambda i, nn: self.timer(active[i], nn))
+            tuned = dict(zip(active, self.monitor.retune(
+                self.A.n_rows, [weights[p] for p in active], timer).weights))
+            weights = [tuned.get(p, 0.0) for p in range(len(weights))]
+            rep.rebalances += 1
+            self.metrics.count("elastic.rebalances")
+            events.append(MembershipEvent(
+                "rebalance", m=m, ranks=tuple(active),
+                detail=f"weights -> {[round(tuned[p], 3) for p in active]}"))
+        for spec in self.plan.at(m):
+            weights, self.parked, ranks = _apply(weights, self.parked, spec)
+            kind = "joins" if spec.kind == "join" else "leaves"
+            setattr(rep, kind, getattr(rep, kind) + len(ranks))
+            self.metrics.count(f"elastic.{kind}", len(ranks))
+            self.monitor.reset()  # rank identities changed
+            events.append(MembershipEvent(spec.kind, m=m, ranks=ranks))
+        rep.events += events
+        rep.boundaries.append(Boundary(
+            m, tuple(self.part.offsets), imbalance=imb,
+            busy=None if busy is None else tuple(busy)))
+        if weights == self.weights:
+            return None
+        self.weights = weights
+        self.part = RowPartition.from_weights(self.A.n_rows, weights,
+                                              align=ETA_BLOCK)
+        self.epochs.append((m, self.part))
+        return self.part
+
 
 def elastic_eta(
     A: CSRMatrix,
@@ -555,43 +470,24 @@ def elastic_eta(
     config: ExecConfig | None = None,
     **knobs,
 ) -> tuple[np.ndarray, ElasticReport]:
-    """Run the KPM eta recurrence elastically, bitwise-stable throughout.
+    """``(eta, report)``: eta (R, M), bitwise an uninterrupted run's, from
+    a run whose weights change at its boundaries — each
+    ``policy.interval`` iterations (the default policy when None) and
+    each :class:`MembershipPlan` change — and its :class:`ElasticReport`.
 
-    The recurrence is executed in segments of ``policy.interval`` inner
-    iterations.  At every boundary the driver reads
-    the segment's per-rank ``rank_busy`` totals, feeds them to a
-    :class:`RebalanceMonitor`, applies any planned
-    :class:`MembershipPlan` joins/leaves, and — when the monitor has
-    seen ``policy.windows`` consecutive skewed segments — recomputes the
-    row weights from the measured throughput and repartitions.  A worker
-    death inside a segment shrinks the world to the survivors and
-    retries the segment from its entry state.  None of this changes the
-    moments: the one eta reduction makes the returned eta bitwise
-    identical to an uninterrupted run of the same problem on any engine
-    and partition.
-
-    ``n_workers``/``weights``/``policy``/``membership``/``engine`` are
-    this entry's names for the :class:`~repro.util.knobs.ExecConfig`
-    fields ``workers``/``weights``/``rebalance``/``membership``/
-    ``engine``; ``config``/knobs carry the rest (``overlap`` off unless
-    given).  ``engine`` is ``'mp'`` (the default: real worker processes;
-    busy times are measured) or ``'sim'`` (in-process simulator; no real
-    time exists, so skew detection and rebalancing only engage through
-    the explicit ``timer`` prediction callback — the deterministic test
-    path).  The run controls are DESIGN §17's: segments chain in memory,
-    writing each boundary to ``checkpoint_path`` only when one is given,
-    and ``counters``/``metrics``/the shared :class:`MessageLog` sum to
-    one uninterrupted run's totals (failed attempts charge nothing).
-
-    Returns ``(eta, report)`` with eta shaped (R, M) like the other
-    engines and a :class:`ElasticReport` describing every segment and
-    event.
+    ``n_workers``/``weights``/``policy``/``membership``/``engine`` name
+    the :class:`~repro.util.knobs.ExecConfig` fields ``workers``/
+    ``weights``/``rebalance``/``membership``/``engine`` (``'mp'``, the
+    default, measures busy times; ``'sim'`` has only the ``timer``'s);
+    ``config``/knobs carry the rest (``overlap`` off unless given), the
+    other keywords the run controls (DESIGN §17).  Counters equal an
+    uninterrupted run's; the log adds each re-slice's handed-over rows.
     """
     named = {"workers": n_workers, "weights": weights, "rebalance": policy,
              "membership": membership, "engine": engine}
     cfg = ExecConfig.of(
         config, {**{k: v for k, v in named.items() if v is not None}, **knobs},
-        engine="mp", overlap=False,
+        engine="mp", overlap=False, rebalance=RebalancePolicy(),
     )
     ctx = RunContext.of(counters=counters, metrics=metrics,
                         fault_plan=fault_plan, attempt=attempt,
@@ -604,172 +500,64 @@ def elastic_eta(
 def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
                 scale: SpectralScale, n_moments: int, start_block,
                 *, timer: TimerFn | None = None):
-    """:func:`elastic_eta` on a built config and context, which every
-    segment runs with its own cadence, entry state and attempt."""
-    policy = cfg.rebalance or RebalancePolicy()
-    plan = cfg.membership
+    """:func:`elastic_eta` on a built config and context: one
+    :func:`~repro.dist.kpm_parallel.run_distributed` per attempt."""
     if cfg.engine not in ("mp", "sim"):
         raise ValueError(f"engine must be 'mp' or 'sim', got {cfg.engine!r}")
     from repro.dist.mp import MpWorld  # local import: mp pulls this module
 
-    n, n_workers, engine = A.n_rows, cfg.workers, cfg.engine
-    half = n_moments // 2
-    if cfg.weights is None:
-        cur_weights = [1.0 / n_workers] * n_workers
-    else:
-        w = np.asarray(cfg.weights)
-        cur_weights = (w / w.sum()).tolist()
+    plan = cfg.membership or MembershipPlan()
+    joins = sum(s.ranks for s in plan.specs if s.kind == "join")
+    weights = list(cfg.weights or [1.0] * cfg.workers)
+    weights = [x / sum(weights) for x in weights] + [0.0] * joins
+    parked = list(range(cfg.workers, len(weights)))
+    check = (weights, parked)
+    for spec in plan.specs:  # refuse a plan that empties the world up front
+        check = _apply(*check, spec)[:2]
 
-    metrics = ctx.metrics
-    if engine == "mp" and not metrics.enabled:
-        # busy times ride the mp obs snapshots, which only ship when
-        # *some* sink is live
-        ctx = replace(ctx, metrics=MetricsRegistry())
-    shared_log = MessageLog()
-    monitor = RebalanceMonitor(policy)
-    report = ElasticReport(n_moments=n_moments, engine=engine, log=shared_log)
+    report = ElasticReport(engine=cfg.engine, log=MessageLog())
     deaths = 0
-
-    eta = None
-    ck = ctx.resume(n_moments, scale, cfg.precision, start_block)
-    first_m = 1 if ck is None else ck.next_m
     while True:
-        stop = min(half, first_m + policy.interval)
-        if plan is not None:
-            for b in plan.boundaries():
-                if first_m < b < stop:
-                    stop = b
-                    break
-        is_final = stop >= half
-
-        # -- run one segment (retrying on worker death) ----------------
-        while True:
-            part = RowPartition.from_weights(n, cur_weights, align=ETA_BLOCK)
-            # an mp handle leases the same parked workers every segment
-            # of a given world size
-            world = (MpWorld(n_workers, timeouts=ctx.timeouts)
-                     if engine == "mp" else SimWorld(n_workers))
-            world.log = shared_log
-            seg = replace(ctx, resume_from=ck,
-                          checkpoint_every=0 if is_final else stop - first_m)
-            try:
-                eta = run_distributed(
-                    cfg, seg, A, part, scale, n_moments,
-                    start_block if ck is None else None, world, stop_m=stop,
-                )
-                break
-            except WorkerFailure as wf:
-                dead = sorted({f.rank for f in wf.failures})
-                deaths += len(dead)
-                if not policy.membership or not dead or \
-                        len(dead) >= n_workers or deaths > policy.max_leaves:
-                    raise
-                survivors = [p for p in range(n_workers) if p not in dead]
-                total = sum(cur_weights[p] for p in survivors)
-                cur_weights = [cur_weights[p] / total for p in survivors]
-                n_workers = len(survivors)
-                # armed one-shot faults stay fired
-                ctx = replace(ctx, attempt=ctx.attempt + 1)
-                monitor.reset()  # old ranks' history is meaningless
-                event = MembershipEvent(
-                    "leave", m=first_m, ranks=tuple(dead), planned=False,
-                    detail="; ".join(f.describe() for f in wf.failures),
-                )
-                report.events.append(event)
-                report.leaves += len(dead)
-                metrics.count("elastic.leaves", len(dead))
-                metrics.count("elastic.retries")
-
-        metrics.count("elastic.segments")
-        seg_events: list[str] = []
-
-        # -- read the segment's skew signal ----------------------------
-        busy = None
-        if engine == "mp" and world.last_obs:
-            busy = tuple(float(snap["metrics"]["timers"].get(
-                "rank_busy", {}).get("total", 0.0)) for snap in world.last_obs)
-        elif timer is not None:
-            counts = part.counts()
-            busy = tuple(float(timer(p, int(counts[p])))
-                         for p in range(n_workers))
-        imb = None
-        if busy is not None and n_workers > 1:
-            imb = monitor.observe(part.counts(), busy)
-            metrics.gauge("elastic.imbalance", imb)
-
-        # -- boundary decisions (not after the final segment) ----------
-        if not is_final:
-            if (
-                monitor.should_rebalance
-                and n_workers > 1
-                and report.rebalances < policy.max_rebalances
-                and half - stop >= policy.min_iters_left
-            ):
-                result = monitor.retune(n, cur_weights, timer)
-                cur_weights = result.weights
-                report.rebalances += 1
-                metrics.count("elastic.rebalances")
-                event = MembershipEvent(
-                    "rebalance", m=stop, ranks=tuple(range(n_workers)),
-                    detail=f"weights -> "
-                    f"{[round(x, 3) for x in cur_weights]}",
-                )
-                report.events.append(event)
-                seg_events.append(event.describe())
-            for spec in plan.at(stop) if plan is not None else ():
-                if spec.kind == "join":
-                    mean = sum(cur_weights) / len(cur_weights)
-                    cur_weights = cur_weights + [mean] * spec.ranks
-                    total = sum(cur_weights)
-                    cur_weights = [x / total for x in cur_weights]
-                    new = tuple(range(n_workers, n_workers + spec.ranks))
-                    n_workers += spec.ranks
-                    report.joins += spec.ranks
-                    metrics.count("elastic.joins", spec.ranks)
-                    event = MembershipEvent("join", m=stop, ranks=new)
-                else:  # planned leave
-                    if not 0 <= spec.rank < n_workers or n_workers == 1:
-                        raise SimulationError(
-                            f"membership plan retires rank {spec.rank} "
-                            f"of a {n_workers}-worker world at m={stop}"
-                        )
-                    cur_weights = [
-                        x for p, x in enumerate(cur_weights)
-                        if p != spec.rank
-                    ]
-                    total = sum(cur_weights)
-                    cur_weights = [x / total for x in cur_weights]
-                    n_workers -= 1
-                    report.leaves += 1
-                    metrics.count("elastic.leaves")
-                    event = MembershipEvent("leave", m=stop,
-                                            ranks=(spec.rank,))
-                monitor.reset()  # rank identities changed
-                report.events.append(event)
-                seg_events.append(event.describe())
-
-        report.segments.append(
-            SegmentRecord(
-                first_m=first_m, stop_m=stop, n_workers=part.n_ranks,
-                offsets=tuple(part.offsets), attempt=ctx.attempt,
-                busy=busy, imbalance=imb, events=tuple(seg_events),
-            )
-        )
-
-        if is_final:
+        world = (MpWorld(len(weights), timeouts=ctx.timeouts)
+                 if cfg.engine == "mp" else SimWorld(len(weights)))
+        world.log = report.log
+        decide = _Decisions(A, weights, parked, cfg.rebalance, plan, timer,
+                            report, ctx.metrics)
+        try:
+            eta = run_distributed(cfg, ctx, A, decide.part, scale, n_moments,
+                                  start_block, world, elastic=decide)
             break
+        except WorkerFailure as wf:
+            dead = sorted({f.rank for f in wf.failures})
+            deaths += len(dead)
+            alive = [p for p in range(len(weights)) if p not in dead]
+            last = report.boundaries[-1].m if report.boundaries else 0
+            if not dead or deaths > MAX_LEAVES or \
+                    not any(decide.weights[p] for p in alive):
+                raise
+            # the survivors go on from the run's last checkpoint (or its
+            # start) under the weights reached, the rest of the plan
+            # renumbered; armed one-shot faults stay fired
+            total = sum(decide.weights[p] for p in alive)
+            weights = [decide.weights[p] / total for p in alive]
+            parked = [alive.index(p) for p in decide.parked if p in alive]
+            plan = MembershipPlan(tuple(
+                replace(s, rank=alive.index(s.rank) if s.kind == "leave"
+                        else s.rank)
+                for s in plan.specs if s.m > last
+                and (s.kind == "join" or s.rank in alive)))
+            ck = world.last_checkpoint
+            ctx = replace(ctx, attempt=ctx.attempt + 1,
+                          resume_from=ck or ctx.resume_from)
+            report.events.append(MembershipEvent(
+                "leave", m=ck.next_m if ck else 1, ranks=tuple(dead),
+                planned=False,
+                detail="; ".join(f.describe() for f in wf.failures)))
+            report.leaves += len(dead)
+            ctx.metrics.count("elastic.leaves", len(dead))
+            ctx.metrics.count("elastic.retries")
 
-        # -- chain the boundary state into the next segment ------------
-        ck = world.last_checkpoint
-        if ck is None or ck.next_m != stop:
-            got = None if ck is None else ck.next_m
-            raise SimulationError(
-                f"segment [{first_m},{stop}) finished without its "
-                f"boundary checkpoint (got next_m={got})"
-            )
-        first_m = stop
-
-    report.final_weights = list(cur_weights)
-    report.final_n_workers = n_workers
+    report.final_weights = [x for x in decide.weights if x]
+    report.final_n_workers = len(report.final_weights)
     report.segment_names = list(getattr(world, "last_segment_names", ()))
     return eta, report

@@ -137,10 +137,10 @@ def _split(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix:
     pattern = CommPattern()
     for rank in range(n_ranks):
         lo, hi = partition.bounds(rank)
-        local = A.extract_rows(lo, hi)
-        cols = local.indices.astype(np.int64)
-        is_halo = (cols < lo) | (cols >= hi)
-        halo_global = np.unique(cols[is_halo])
+        a, z = int(A.indptr[lo]), int(A.indptr[hi])
+        cols = A.indices[a:z]
+        halo_global = np.unique(cols[(cols < lo) | (cols >= hi)]).astype(
+            np.int64)
         owners = partition.owner_of(halo_global) if halo_global.size else np.empty(0, dtype=np.int64)
         # group halo slots by source rank (unique() already sorts globally,
         # and contiguous blocks mean sort-by-global == sort-by-(owner, global))
@@ -150,10 +150,13 @@ def _split(A: CSRMatrix, partition: RowPartition) -> DistributedMatrix:
             else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         )
         # column remap: local rows -> [0, n_local), halo -> n_local + pos
-        mapping = np.full(A.n_cols, -1, dtype=np.int64)
+        # (every column is one or the other); one copy of the values
+        mapping = np.empty(A.n_cols, dtype=A.indices.dtype)
         mapping[lo:hi] = np.arange(hi - lo)
         mapping[halo_global] = (hi - lo) + np.arange(halo_global.size)
-        remapped = local.remap_columns(mapping, (hi - lo) + halo_global.size)
+        remapped = CSRMatrix(A.indptr[lo:hi + 1] - a, mapping[cols],
+                             A.data[a:z].copy(),
+                             (hi - lo, (hi - lo) + halo_global.size))
         blocks.append(
             RankBlock(
                 rank=rank, row_start=lo, row_stop=hi, matrix=remapped,

@@ -23,11 +23,12 @@ pack straight into their halo tails.  The ranks hand back the bins of
 the one eta reduction (DESIGN §19), which add exactly across ranks: the
 moments equal the serial solver's **bitwise**, for any rank count,
 weighting, overlap schedule or reduction frequency, on any 64-row
-aligned partition.  Here the programs run over the in-process
+aligned partition, one that changes between two iterations included
+(:mod:`repro.dist.elastic`).  Here the programs run over the in-process
 transport, stepped in lock-step; :mod:`repro.dist.mp` runs them over
 shared memory.
 
-:func:`prepare_run` is the prologue this simulated world and the
+:func:`run_distributed` runs the prologue this simulated world and the
 multiprocess one (:mod:`repro.dist.mp`) share — every engine's
 (:meth:`repro.core.checkpoint.Run.of`) plus the partition's checks: one
 validation, one exception per bad input, whichever world runs.
@@ -35,7 +36,7 @@ validation, one exception per bad input, whichever world runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,16 @@ class RankState(recurrence.RankState):
             if partner < n:
                 self.log.add(self.rank, partner, nbytes, phase)
 
+    def handover(self, offsets) -> None:
+        """Record the ``(v, w)`` rows this rank hands to their owners
+        under the partition ``offsets``: one message per new owner."""
+        lo, hi = self.rows.start, self.rows.stop
+        row = 2 * self.rec.prec.s_vector * (self.bins.shape[-1] // 3)
+        for q in range(len(offsets) - 1):
+            n = min(hi, offsets[q + 1]) - max(lo, offsets[q])
+            if q != self.rank and n > 0:
+                self.log.add(self.rank, q, n * row, "reslice")
+
 
 def send_edges(dist: DistributedMatrix) -> list[list[tuple]]:
     """Each rank's outgoing halo edges ``(q, rows, tail)``, by ``q``;
@@ -89,17 +100,25 @@ def send_edges(dist: DistributedMatrix) -> list[list[tuple]]:
     return edges
 
 
-def buffer_layout(dist: DistributedMatrix, r: int, prec) -> dict:
+def buffer_layout(dist: DistributedMatrix, r: int, prec,
+                  elastic: bool = False) -> dict:
     """``{"x<p>": (shape, dtype)}``: rank p's two full-height
-    ``[local | halo]`` buffers, stacked."""
-    return {f"x{blk.rank}": (prec.vec_shape(2, blk.matrix.n_cols, r),
-                             prec.vector_dtype) for blk in dist.blocks}
+    ``[local | halo]`` buffers, stacked — of N rows each in an
+    ``elastic`` run, which fit any block the rank takes."""
+    return {f"x{blk.rank}": (prec.vec_shape(
+        2, dist.n_global if elastic else blk.matrix.n_cols, r),
+        prec.vector_dtype) for blk in dist.blocks}
 
 
-def rank_links(blk, edges: list, bufs: dict) -> tuple[list, list]:
-    """Rank ``blk.rank``'s ``(sends, sources)`` over the run's buffers."""
+def rank_piece(blk, edges: list, bufs: dict, rec) -> tuple:
+    """Rank ``blk.rank``'s ``(rows, recurrence, (sends, sources),
+    buffers)`` on the run's buffers: its block's recurrence ``rec``, its
+    sends into its peers' buffers and its own two buffers cut to the
+    block's columns."""
     sends = [(q, rows, bufs[f"x{q}"][:, tail]) for q, rows, tail in edges]
-    return sends, blk.halo_sources.tolist()
+    return (slice(blk.row_start, blk.row_stop), rec,
+            (sends, blk.halo_sources.tolist()),
+            bufs[f"x{blk.rank}"][:, :blk.matrix.n_cols])
 
 
 def _pack_halo(vec: np.ndarray, rows: np.ndarray, win: np.ndarray) -> None:
@@ -127,23 +146,44 @@ def _pack(s: RankState, m: int, q: int, rows, win, vec, phase: str) -> None:
 @dataclass
 class RunSetup(Run):
     """One validated distributed run, as either world executes it: the
-    :class:`~repro.core.checkpoint.Run` over the partition ``dist``."""
+    :class:`~repro.core.checkpoint.Run` over the partition ``dist``.
+
+    An ``elastic`` run (:mod:`repro.dist.elastic`) names its global
+    operator (``elastic.A``), its boundaries (``elastic.bounds``), at
+    each its next :class:`~repro.dist.partition.RowPartition`
+    (``elastic(m, busy)`` from the ranks' busy seconds, None to keep the
+    weights), and the ``(m, partition)`` ``epochs`` it took."""
 
     dist: DistributedMatrix
+    elastic: object = None
+
+    def schedule(self, ctx: RunContext):
+        sched = super().schedule(ctx)
+        if self.elastic is None:
+            return sched
+        return replace(sched, bounds=self.elastic.bounds(self.first_m,
+                                                         self.half),
+                       publish_bounds=self.ctx.progress is not None)
 
     def record(self, world, logs: list[MessageLog]) -> None:
         """Check the ranks' recorded halo messages against the
-        communication pattern — a fresh run exchanges M/2 times (the
-        bootstrap and M/2 − 1 iterations), a resumed one skips the
-        bootstrap and the iterations before ``first_m``, a segment stops
-        at ``stop_m`` — then append the logs to ``world.log``, rank by
+        communication pattern of each partition the run took — a fresh
+        run exchanges M/2 times (the bootstrap and M/2 − 1 iterations), a
+        resumed one skips the bootstrap and the iterations before
+        ``first_m`` — then append the logs to ``world.log``, rank by
         rank.  A rank that skipped a halo pack is a :class:`~repro.util.
         errors.SimulationError`."""
         want = np.zeros((2, self.dist.n_ranks), dtype=np.int64)
-        for (p, _q), rows in self.dist.pattern.send_rows.items():
-            if rows.size:
-                want[:, p] += (1, rows.size * self.r * self.prec.s_vector)
-        want *= self.half - self.first_m + (self.first_m == 1)
+        epochs = self.elastic.epochs if self.elastic else []
+        starts = [0 if self.first_m == 1 else self.first_m,
+                  *(m for m, _ in epochs)]
+        dists = [self.dist, *(partition_matrix(self.elastic.A, part)
+                              for _, part in epochs)]
+        for dist, lo, hi in zip(dists, starts, [*starts[1:], self.half]):
+            for (p, _q), rows in dist.pattern.send_rows.items():
+                if rows.size:
+                    want[:, p] += (hi - lo) * np.array(
+                        (1, rows.size * self.r * self.prec.s_vector))
         got = np.zeros_like(want)
         for p, log in enumerate(logs):
             for rec in log.records:
@@ -159,16 +199,20 @@ class RunSetup(Run):
                 world.log.add(rec.src, rec.dst, rec.nbytes, rec.phase)
 
 
-def prepare_run(
-    cfg: ExecConfig, ctx: RunContext, A, partition, scale: SpectralScale,
-    n_moments: int, start_block, world, *, stop_m: int | None = None,
-) -> RunSetup:
-    """The sim/mp prologue: every engine's (:meth:`~repro.core.checkpoint.
+def run_distributed(cfg: ExecConfig, ctx: RunContext, A, partition,
+                    scale: SpectralScale, n_moments: int, start_block, world,
+                    *, elastic=None):
+    """:func:`distributed_eta` on a built config and context — an
+    ``elastic`` one re-slicing at its boundaries (:class:`RunSetup`).
+
+    The sim/mp prologue is every engine's (:meth:`~repro.core.checkpoint.
     Run.of`), over a partition that fits the world.  A bad argument is a
     :class:`ValueError`; an operator, partition, checkpoint or world that
     do not fit together — a rank that does not start on a 64-row eta
     block among them — is a :class:`~repro.util.errors.SimulationError`
     — on either world."""
+    from repro.dist.mp import MpWorld, run_mp
+
     if isinstance(A, DistributedMatrix):
         dist = A
     elif partition is None:
@@ -188,18 +232,12 @@ def prepare_run(
                 f"align={ETA_BLOCK}"
             )
     run = RunSetup.of(cfg, ctx, scale, n_moments, start_block, n,
-                      n_ranks=world.n_ranks, stop_m=stop_m, dist=dist)
-    if run.ck is not None:
-        if run.ck.v.shape[0] != n:
-            raise SimulationError(
-                f"checkpoint holds {run.ck.v.shape[0]} rows, matrix has {n}"
-            )
-        if run.first_m > run.half:
-            raise SimulationError(
-                f"checkpoint resumes at m={run.first_m}, beyond "
-                f"stop_m={run.half}"
-            )
-    return run
+                      n_ranks=world.n_ranks, dist=dist, elastic=elastic)
+    if run.ck is not None and run.ck.v.shape[0] != n:
+        raise SimulationError(
+            f"checkpoint holds {run.ck.v.shape[0]} rows, matrix has {n}"
+        )
+    return (run_mp if isinstance(world, MpWorld) else run_sim)(run, world)
 
 
 def distributed_eta(
@@ -219,7 +257,6 @@ def distributed_eta(
     attempt: int = 1,
     progress=None,
     progress_every: int = 0,
-    stop_m: int | None = None,
     config: ExecConfig | None = None,
     **knobs,
 ) -> np.ndarray:
@@ -254,13 +291,6 @@ def distributed_eta(
         ``checkpoint_every`` (at M = 16 with ``checkpoint_every=3`` and
         ``progress_every=1``: mp at ``n_eta`` 8 and 14, sim at 4, 6,
         ..., 16).
-    stop_m:
-        Optional exclusive upper bound on the inner-iteration range: the
-        run executes ``[first_m, stop_m)`` instead of ``[first_m, M/2)``
-        and returns eta with only the columns ``[0, 2·stop_m)``
-        meaningful.  The elastic driver runs a sequence of such segments
-        — chained through their boundary states — whose concatenation is
-        bitwise equal to one uninterrupted run.
     config / knobs:
         The :class:`~repro.util.knobs.ExecConfig` (``overlap`` off unless
         given).  Here ``overlap`` runs each rank's interior eta blocks
@@ -279,38 +309,37 @@ def distributed_eta(
                       checkpoint_path=checkpoint_path, resume_from=resume_from,
                       fault_plan=fault_plan, attempt=attempt,
                       progress=progress, progress_every=progress_every),
-        A, partition, scale, n_moments, start_block, world, stop_m=stop_m,
+        A, partition, scale, n_moments, start_block, world,
     )
-
-
-def run_distributed(cfg: ExecConfig, ctx: RunContext, A, partition,
-                    scale: SpectralScale, n_moments: int, start_block, world,
-                    *, stop_m: int | None = None):
-    """:func:`distributed_eta` on a built config and context."""
-    from repro.dist.mp import MpWorld, run_mp
-
-    run = prepare_run(cfg, ctx, A, partition, scale, n_moments, start_block,
-                      world, stop_m=stop_m)
-    return (run_mp if isinstance(world, MpWorld) else run_sim)(run, world)
 
 
 def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
     """Execute a prepared run on the simulated world: the ranks' programs
     step in lock-step in this process (:meth:`~repro.core.checkpoint.
     Run.lockstep`); returns eta (R, M).  ``progress`` fires every
-    ``progress_every`` iterations; the last checkpoint state the run
-    reached stays on ``world.last_checkpoint``."""
-    world.last_checkpoint = None
+    ``progress_every`` iterations."""
+    elastic = run.elastic is not None
     bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * run.r))
     bufs = {key: np.empty(shape, dtype) for key, (shape, dtype) in
-            buffer_layout(run.dist, run.r, run.prec).items()}
-    states = [
-        run.rank(blk.rank, run.recurrence(
-            blk.matrix, split=task_split(blk) if run.cfg.overlap else None),
-            slice(blk.row_start, blk.row_stop), bins,
-            bufs=bufs[f"x{blk.rank}"], links=rank_links(blk, edges, bufs),
-            cls=RankState)
-        for blk, edges in zip(run.dist.blocks, send_edges(run.dist))]
-    eta = run.lockstep(states, world)
+            buffer_layout(run.dist, run.r, run.prec, elastic).items()}
+    slots = tuple(np.empty(run.prec.vec_shape(2, run.dist.n_global, run.r),
+                           run.prec.vector_dtype) for _ in "vw") \
+        if elastic else None
+
+    def pieces(dist):
+        return [rank_piece(blk, edges, bufs, run.recurrence(
+            blk.matrix, split=task_split(blk) if run.cfg.overlap else None))
+            for blk, edges in zip(dist.blocks, send_edges(dist))]
+
+    def reslice(m: int):
+        part = run.elastic(m, None)
+        return None if part is None else [
+            (*piece, part.offsets)
+            for piece in pieces(partition_matrix(run.elastic.A, part))]
+
+    states = [run.rank(p, rec, rows, bins, bufs=x, links=links, slots=slots,
+                       cls=RankState)
+              for p, (rows, rec, links, x) in enumerate(pieces(run.dist))]
+    eta = run.lockstep(states, reslice if elastic else None)
     run.record(world, [s.log for s in states])
     return eta

@@ -72,6 +72,14 @@ word barrier rank 0 publishes a slot with one atomic state word, and
 the **parent** — which survives worker crashes — captures it
 (``MpWorld.last_checkpoint``) for the run's context to save and stream,
 salvaging the latest one even when the run fails.
+
+Elastic boundaries (:mod:`repro.dist.elastic`): one iteration ahead,
+each rank sends its busy seconds on its control pipe; the parent
+answers each once all asked — ``keep``, or the new partition's
+offsets.  At a re-slice every rank hands
+its rows of the operator into the arena, cuts its new block from it
+(its buffers are N rows high: any block fits) and goes on in the same
+run.
 """
 
 from __future__ import annotations
@@ -94,13 +102,15 @@ from repro.core.checkpoint import KpmCheckpoint
 from repro.core.recurrence import (Recurrence, Schedule, rank_program,
                                    to_storage)
 from repro.dist.comm import MessageLog
-from repro.dist.halo import DistributedMatrix, RankBlock
+from repro.dist.halo import DistributedMatrix, RankBlock, partition_matrix
 from repro.dist.kpm_parallel import (RankState, RunSetup, buffer_layout,
-                                    rank_links, send_edges)
+                                    rank_piece, send_edges)
 from repro.dist.overlap import task_split
+from repro.dist.partition import RowPartition
 from repro.dist.shm import ShmArena, carve, layout
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, backend_health
+from repro.sparse.csr import CSRMatrix
 from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
 from repro.util.knobs import ExecConfig
@@ -268,7 +278,6 @@ class _RunConfig:
     #: threads/overlap resolved for the world; the backend is per rank
     #: and the elastic knobs are the parent's business
     exec: ExecConfig
-    anchors: np.ndarray  # the run's eta anchors (R,)
     #: the rank program's schedule, by the run controls a worker runs by
     #: (RunContext.for_workers)
     sched: Schedule
@@ -336,12 +345,14 @@ class _Shm:
     iteration packed, plus one) and a ``done`` (last consumed, plus one)
     word per directed edge — the heartbeat and abort words and the
     checkpoint state word.  Per iteration a vector-mode rank passes one
-    word barrier; a task-mode rank waits on its edges' words only."""
+    word barrier; a task-mode rank waits on its edges' words only.  At a
+    re-slice ``reslice(offsets)`` hands the rank's operator rows in and
+    returns the call that cuts its next block once every rank has."""
 
     def __init__(self, rank: int, conn, ppid: int, att: dict,
-                 timeout: float) -> None:
-        self.rank, self.conn, self.ppid, self.timeout = \
-            rank, conn, ppid, timeout
+                 timeout: float, reslice=None) -> None:
+        self.rank, self.conn, self.ppid, self.timeout, self.reslice = \
+            rank, conn, ppid, timeout, reslice
         self.abort, self.hb, self.ckst, self.bar = \
             att["abort"], att["hb"], att.get("ckst"), att["bar"]
         self.ready, self.done = att["seq"]
@@ -415,6 +426,21 @@ class _Shm:
             raise SimulationError("the parent process is gone")
         self.hb[self.rank] += 1
 
+    def ask(self, m: int, busy: float) -> None:
+        self.conn.send(("busy", m, self.rank, busy))
+
+    def answer(self, m: int):
+        # the parent answers once every rank asked: an iteration ago
+        self._wait(lambda: self.conn.poll(1e-3))  # wakes as it lands
+        msg = self.conn.recv()
+        if msg[0] == "keep":
+            return None
+        # new links: as if every earlier iteration was packed and consumed
+        # (no peer reads the words before the re-slice's last barrier)
+        self.ready[self.rank, :] = m
+        self.done[:, self.rank] = m
+        return self.reslice(msg[1])
+
 
 def _run_rank(
     rank: int,
@@ -436,33 +462,63 @@ def _run_rank(
         w_counters, w_metrics = (PerfCounters(), MetricsRegistry()) \
             if cfg.want_obs else (NULL_COUNTERS, NULL_METRICS)
 
-        # The block's recurrences and kernel plans outlive the run: a
-        # parked worker rebinds one to the next run's scale and sinks.
-        key = (backend_name, cfg.r, cfg.exec)
-        rec = recs.pop(key, None)
-        if rec is None:
-            rec = Recurrence(
+        def recurrence(blk: RankBlock) -> Recurrence:
+            return Recurrence(
                 blk.matrix, cfg.a, cfg.b, cfg.r,
                 split=task_split(blk) if cfg.exec.overlap else None,
                 config=replace(cfg.exec, backend=backend_name),
                 counters=w_counters, metrics=w_metrics,
             )
+
+        # The block's recurrences and kernel plans outlive the run: a
+        # parked worker rebinds one to the next run's scale and sinks.
+        key = (backend_name, cfg.r, cfg.exec)
+        rec = recs.pop(key, None)
+        if rec is None:
+            rec = recurrence(blk)
         else:
             rec.rebind(cfg.a, cfg.b, w_counters, w_metrics)
         recs[key] = rec  # most recently used last
         while len(recs) > _MAX_RECS:
             recs.pop(next(iter(recs)))
+        rows, rec, links, bufs = rank_piece(blk, edges, att, rec)
         w_metrics.count(f"kernels.{rec.kernel_family}")
-        rows, sched = slice(blk.row_start, blk.row_stop), cfg.sched
+        sched = cfg.sched
         # the parent seeded nu_0 (or the resumed pair) into the buffers
-        rec.load(None, anchors=cfg.anchors, bufs=att[f"x{rank}"],
+        rec.load(None, anchors=sched.anchors, bufs=bufs,
                  m=0 if sched.first_m == 1 else sched.first_m)
         s = RankState(
-            rank, rec, rows, att["bins"], *rank_links(blk, edges, att),
+            rank, rec, rows, att["bins"], *links,
             (att["ckv"], att["ckw"]) if "ckv" in att else None,
             sched.ctx.injector(rank, in_process=False) or None, w_metrics,
         )
-        t = _Shm(rank, conn, ppid, att, cfg.timeouts.barrier)
+
+        held = [blk]  # the block this rank holds
+
+        def reslice(offsets):
+            # An elastic re-slice: this rank hands its rows of the
+            # operator, in global columns, into the arena's copy of it;
+            # past the program's staging barrier every rank has, and
+            # ``take`` cuts the next block from a fresh view of the copy
+            # (the other ranks' blocks die with it).
+            b = held[0]
+            at, nnz = att["Ap"][b.row_start], b.matrix.nnz
+            cols = np.concatenate((np.arange(b.row_start, b.row_stop),
+                                   b.halo_global))
+            att["Aj"][at:at + nnz] = cols[b.matrix.indices]
+            att["Ax"][at:at + nnz] = b.matrix.data
+
+            def take() -> tuple:
+                n = att["Ap"].size - 1
+                dist = partition_matrix(CSRMatrix(
+                    att["Ap"], att["Aj"], att["Ax"], (n, n), validate=False),
+                    RowPartition(offsets))
+                held[0] = new = dist.blocks[rank]
+                return (*rank_piece(new, send_edges(dist)[rank], att,
+                                    recurrence(new)), offsets)
+            return take
+
+        t = _Shm(rank, conn, ppid, att, cfg.timeouts.barrier, reslice)
         for _ in rank_program(s, sched, t):
             pass
 
@@ -578,11 +634,12 @@ class _World:
                 del held[drop[-1]]
             conn.send(("run", cfg, specs, names[rank], token, shipped, drop))
 
-    def collect(self, hb: np.ndarray, timeouts: MpTimeouts, autosave):
+    def collect(self, hb: np.ndarray, timeouts: MpTimeouts, notes: dict):
         """Wait for every rank's reply to the run just sent.
 
-        Sleeps on the control pipes and process sentinels; a rank's
-        ``ckpt`` note triggers ``autosave``.  Every wake-up — at the
+        Sleeps on the control pipes and process sentinels; a rank's note
+        (``ckpt``, ``busy``) calls its handler in ``notes``.  Every
+        wake-up — at the
         latest four times per stall window — samples the heartbeats and
         the whole-run deadline.  The first failure, death, stall or
         timeout aborts the run; peers then get ``timeouts.join`` seconds
@@ -617,8 +674,8 @@ class _World:
                         msg = obj.recv()
                     except (EOFError, OSError):
                         pass
-                    if msg == ("ckpt",):
-                        autosave()
+                    if msg[0] in notes:
+                        notes[msg[0]](*msg[1:])
                         continue
                 replies[rank] = msg
                 del waiting[self.conns[rank]], waiting[self.procs[rank].sentinel]
@@ -739,8 +796,8 @@ os.register_at_fork(after_in_child=_after_fork_in_child)
 # ---------------------------------------------------------------------
 
 def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
-    """Execute a prepared run (:func:`~repro.dist.kpm_parallel.prepare_run`)
-    on the parked workers of ``world``; returns eta (R, M).
+    """Execute a run :func:`~repro.dist.kpm_parallel.run_distributed`
+    prepared on the parked workers of ``world``; returns eta (R, M).
 
     What :func:`~repro.dist.kpm_parallel.distributed_eta` on an
     :class:`MpWorld` runs.  Faults are real here (a ``crash`` kills the
@@ -757,29 +814,34 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     timeouts = world.timeouts
     names = _backend_names(world, run.cfg.backend)
 
-    edges = send_edges(dist)
+    elastic = run.elastic is not None
     want_obs = bool(counters.enabled or metrics.enabled)
     cfg = _RunConfig(
         a=run.a, b=run.b, r=r, timeouts=timeouts, want_obs=want_obs,
         exec=replace(run.cfg, backend="auto", rebalance=None,
                      membership=None),
-        anchors=run.anchors, sched=run.schedule(ctx.for_workers()),
+        sched=run.schedule(ctx.for_workers()),
     )
 
     # The run's shared arrays, carved from the world's resident arena:
     # each rank's two [local | halo] buffers, which its peers pack their
     # halos into, and the sequence words that order those packs.
     p_n = world.n_ranks
-    arrays = buffer_layout(dist, r, prec)
+    arrays = buffer_layout(dist, r, prec, elastic)
     arrays.update(
         bins=((p_n, n_moments // 2, 2, 3 * r), "float64"),
         hb=((p_n,), "int64"), abort=((1,), "int64"),
         bar=((p_n,), "int64"), seq=((2, p_n, p_n), "int64"),
     )
-    if ctx.checkpoint_every > 0:
+    if ctx.checkpoint_every > 0 or elastic:
         vshape = prec.vec_shape(2, dist.n_global, r)
         arrays.update(ckv=(vshape, prec.vector_dtype),
                       ckw=(vshape, prec.vector_dtype), ckst=((1,), "int64"))
+    if elastic:
+        op = run.elastic.A
+        arrays.update(Ap=(op.indptr.shape, "int64"),
+                      Aj=(op.indices.shape, op.indices.dtype.name),
+                      Ax=(op.data.shape, op.data.dtype.name))
     specs, nbytes = layout(arrays)
     # nu_0 goes into buffer 0, a resumed (nu_{m0-1}, nu_m0) into buffers
     # (m0 - 1) % 2 and m0 % 2
@@ -801,6 +863,8 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
                 sh[key][...] = 0
         sh["seq"][...] = m0  # as if every earlier iteration was consumed
         live.abort_flag = sh["abort"]
+        if elastic:  # the ranks hand their operator rows in at a re-slice
+            sh["Ap"][...] = op.indptr
         for blk in dist.blocks:
             rows = slice(blk.row_start, blk.row_stop)
             for block, j in seeds:
@@ -818,7 +882,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             # fill later ones is safe.  Repeats are skipped, so every
             # save and stream carries a strictly longer prefix.
             nonlocal captured
-            state = int(sh["ckst"][0]) if ctx.checkpoint_every else 0
+            state = int(sh["ckst"][0]) if "ckst" in sh else 0
             if state <= captured:
                 return
             next_m, slot = divmod(state, 2)
@@ -831,9 +895,25 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             ctx.save(saved)
             ctx.stream(2 * next_m, eta)
 
-        live.send_run(cfg, specs, names, dist, edges)
+        asked: dict[int, float] = {}  # rank -> busy seconds
+
+        def ask(m: int, rank: int, busy: float) -> None:
+            # once every rank asked about boundary m, answer them all (no
+            # rank asks about the next one before it has its answer)
+            asked[rank] = busy
+            if len(asked) < p_n:
+                return
+            new = run.elastic(m, [asked.pop(p) for p in range(p_n)])
+            msg = ("keep",) if new is None else ("reslice", new.offsets)
+            for conn in live.conns:
+                try:
+                    conn.send(msg)
+                except OSError:  # a dead rank: collect reports it
+                    pass
+
+        live.send_run(cfg, specs, names, dist, send_edges(dist))
         replies, hb_last, stalled, timed_out = live.collect(
-            sh["hb"], timeouts, autosave
+            sh["hb"], timeouts, {"ckpt": autosave, "busy": ask}
         )
         # One last capture salvages any checkpoint published after the
         # final note (or, on failure, the state the supervisor will

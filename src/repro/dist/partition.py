@@ -1,4 +1,5 @@
-"""Row partitioning, including the paper's weighted heterogeneous scheme.
+"""Row partitioning, including the paper's weighted heterogeneous scheme
+and the throughput fixed point that tunes its weights.
 
 "An intrinsic property of heterogeneous systems is that the components
 usually do not only differ in architecture but also in performance. For
@@ -16,7 +17,8 @@ eta block (DESIGN §19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -133,3 +135,92 @@ def weights_from_performance(gflops: list[float]) -> list[float]:
     if np.any(g <= 0):
         raise PartitionError("device performances must be positive")
     return (g / g.sum()).tolist()
+
+
+#: Timing callback signature: (rank, n_local_rows) -> seconds.
+TimerFn = Callable[[int, int], float]
+
+
+def _spread(times) -> float:
+    """Relative spread ``(max − min) / mean`` of per-rank times.
+
+    0.0 is perfectly balanced; guarded against a zero mean (all ranks
+    measured 0 s are balanced by definition).
+    """
+    t = np.asarray(times, dtype=float)
+    return float((t.max() - t.min()) / max(t.mean(), 1e-300))
+
+
+@dataclass
+class AutotuneResult:
+    """Outcome of the weight auto-tuner."""
+
+    weights: list[float]
+    partition: RowPartition
+    rounds: int
+    converged: bool
+    history: list[list[float]] = field(default_factory=list)
+
+    def imbalance(self, times: list[float]) -> float:
+        """The tuning loop's own convergence statistic, :func:`_spread`:
+        a converged result reports ``imbalance(times) <= tolerance`` for
+        its final round."""
+        return _spread(times)
+
+
+def autotune_weights(
+    n_rows: int,
+    n_ranks: int,
+    timer: TimerFn,
+    *,
+    align: int = 4,
+    initial_weights: list[float] | None = None,
+    max_rounds: int = 8,
+    tolerance: float = 0.02,
+    damping: float = 1.0,
+) -> AutotuneResult:
+    """Iteratively balance rank weights until times agree within
+    ``tolerance`` (relative spread of per-rank round times).
+
+    The rank times come from ``timer``: the device performance model in
+    the simulated environment, measured rows/second in a live run.
+    ``damping`` < 1 underrelaxes the update, useful when the timing
+    callback is noisy (real measurements).
+    """
+    check_positive("n_rows", n_rows)
+    check_positive("n_ranks", n_ranks)
+    check_positive("max_rounds", max_rounds)
+    if not 0 < damping <= 1:
+        raise ValueError(f"damping must be in (0, 1], got {damping}")
+    weights = (
+        np.full(n_ranks, 1.0 / n_ranks)
+        if initial_weights is None
+        else np.asarray(initial_weights, dtype=float)
+    )
+    if weights.shape != (n_ranks,) or np.any(weights < 0) or weights.sum() <= 0:
+        raise PartitionError(f"invalid initial weights {initial_weights!r}")
+    weights = weights / weights.sum()
+
+    history: list[list[float]] = []
+    part = RowPartition.from_weights(n_rows, weights.tolist(), align=align)
+    for rounds in range(1, max_rounds + 1):
+        counts = part.counts().astype(float)
+        times = [timer(p, int(counts[p])) for p in range(n_ranks)]
+        history.append(weights.tolist())
+        if _spread(times) <= tolerance:
+            return AutotuneResult(
+                weights.tolist(), part, rounds, True, history
+            )
+        # observed throughput of each rank (rows per second); ranks that
+        # got zero rows are probed with one alignment block so they can
+        # re-enter the distribution
+        probe = np.maximum(counts, align)
+        probe_times = np.array(
+            [max(timer(p, int(probe[p])), 1e-300) for p in range(n_ranks)]
+        )
+        thru = probe / probe_times
+        target = thru / thru.sum()
+        weights = (1.0 - damping) * weights + damping * target
+        weights /= weights.sum()
+        part = RowPartition.from_weights(n_rows, weights.tolist(), align=align)
+    return AutotuneResult(weights.tolist(), part, max_rounds, False, history)

@@ -186,7 +186,7 @@ def _charge_naive_iteration(
 
 def expected_counters(
     A, n_moments: int, n_vectors: int, engine: str = "aug_spmmv",
-    splits=None, precision: Precision | str | None = None,
+    splits=None, precision: Precision | str | None = None, first_m: int = 1,
 ) -> PerfCounters:
     """Analytic minimum-traffic counters of one serial moment computation.
 
@@ -214,27 +214,36 @@ def expected_counters(
     rank whose local+halo column count (``sp.n_cols``) fits uint16
     charges S_i = 2 under a narrow profile even when the global
     operator does not.
+
+    ``first_m`` > 1 charges a stage-2 run resumed there: no bootstrap,
+    the iterations ``[first_m, M/2)`` — what any partition, one that
+    changes mid-run included, must sum to, and with the iterations
+    before it the whole run's charge.
     """
     if n_moments % 2 or n_moments < 2:
         raise ValueError(f"n_moments must be even >= 2, got {n_moments}")
     check_positive("n_vectors", n_vectors)
-    if splits is not None and engine != "aug_spmmv":
+    half = n_moments // 2
+    if (splits is not None or first_m != 1) and engine != "aug_spmmv":
         raise ValueError(
-            f"splits= is only meaningful for engine='aug_spmmv', "
-            f"got {engine!r}"
+            f"splits= and first_m= are only meaningful for "
+            f"engine='aug_spmmv', got {engine!r}"
         )
+    if not 1 <= first_m <= half:
+        raise ValueError(f"first_m must be in [1, {half}], got {first_m}")
     prec = get_precision(precision)
     c = PerfCounters()
-    half = n_moments // 2
+    boot = first_m == 1  # a fresh run charges the bootstrap
     if splits is not None:
         # per-rank index width: locality decides uint16 eligibility
         widths = [prec.index_bytes(getattr(sp, "n_cols", 0) or A.n_cols)
                   for sp in splits]
         for sp, s_i in zip(splits, widths):  # bootstrap nu_1 block, local
-            charge_spmv(c, "spmmv", sp.n_interior + sp.n_boundary,
-                        sp.nnz_interior + sp.nnz_boundary, s_i, n_vectors,
-                        prec)
-        for _ in range(half - 1):
+            if boot:
+                charge_spmv(c, "spmmv", sp.n_interior + sp.n_boundary,
+                            sp.nnz_interior + sp.nnz_boundary, s_i,
+                            n_vectors, prec)
+        for _ in range(first_m, half):
             for sp, s_i in zip(splits, widths):
                 charge_aug(c, "aug_spmmv_int", sp.n_interior,
                            sp.nnz_interior, s_i, n_vectors, prec)
@@ -242,8 +251,9 @@ def expected_counters(
                            sp.nnz_boundary, s_i, n_vectors, prec)
     elif engine == "aug_spmmv":
         stream = matrix_stream(A, prec)
-        charge_spmv(c, "spmmv", *stream, n_vectors, prec)  # bootstrap nu_1
-        for _ in range(half - 1):
+        if boot:
+            charge_spmv(c, "spmmv", *stream, n_vectors, prec)
+        for _ in range(first_m, half):
             charge_aug(c, "aug_spmmv", *stream, n_vectors, prec)
     elif engine == "aug_spmv":
         stream = matrix_stream(A, prec)
@@ -261,46 +271,6 @@ def expected_counters(
             f"engine must be 'naive', 'aug_spmv' or 'aug_spmmv', "
             f"got {engine!r}"
         )
-    return c
-
-
-def expected_segment_counters(
-    A, n_moments: int, n_vectors: int, *, first_m: int = 1,
-    stop_m: int | None = None, precision: Precision | str | None = None,
-) -> PerfCounters:
-    """Analytic counters of one elastic *segment* ``[first_m, stop_m)``.
-
-    The elastic driver (:mod:`repro.dist.elastic`) runs the moment loop
-    in boundary-delimited segments, each on its own partition and worker
-    count.  This models what every rank's counters of one such segment
-    must sum to: the bootstrap Sp(M)MV when the segment starts the run
-    (``first_m == 1``) and one fused ``aug_spmmv`` per iteration of the
-    segment.  Per-rank Table-I charges are exact sums over rows/nonzeros,
-    so the merged measurement of any partition must equal this
-    *exactly*, whatever the worker count — the elastic analogue of
-    :func:`expected_counters`.  Summing the segment charges over a
-    segmentation of ``[1, M/2)`` reproduces the full-run charge for the
-    same reason.
-    """
-    if n_moments % 2 or n_moments < 2:
-        raise ValueError(f"n_moments must be even >= 2, got {n_moments}")
-    check_positive("n_vectors", n_vectors)
-    half = n_moments // 2 if stop_m is None else int(stop_m)
-    if not 1 <= half <= n_moments // 2:
-        raise ValueError(
-            f"stop_m must be in [1, {n_moments // 2}], got {stop_m}"
-        )
-    if not 1 <= first_m <= half:
-        raise ValueError(
-            f"first_m must be in [1, {half}], got {first_m}"
-        )
-    prec = get_precision(precision)
-    c = PerfCounters()
-    stream = matrix_stream(A, prec)
-    if first_m == 1:
-        charge_spmv(c, "spmmv", *stream, n_vectors, prec)  # bootstrap nu_1
-    for _ in range(first_m, half):
-        charge_aug(c, "aug_spmmv", *stream, n_vectors, prec)
     return c
 
 

@@ -115,8 +115,7 @@ class ResilienceReport:
     checkpoint_discards: int = 0
     final_engine: str | None = None
     final_backend: str | None = None
-    # elastic execution (populated when a RebalancePolicy is active)
-    elastic_segments: int = 0
+    # elastic execution (populated by an elastic attempt)
     rebalances: int = 0
     membership_joins: int = 0
     membership_leaves: int = 0
@@ -124,10 +123,9 @@ class ResilienceReport:
     def summary(self) -> str:
         """One human-readable line for CLI output."""
         elastic = ""
-        if self.elastic_segments:
+        if self.rebalances or self.membership_joins or self.membership_leaves:
             elastic = (
-                f"; elastic: {self.elastic_segments} segment(s), "
-                f"{self.rebalances} rebalance(s), "
+                f"; elastic: {self.rebalances} rebalance(s), "
                 f"{self.membership_joins} join(s), "
                 f"{self.membership_leaves} leave(s)"
             )
@@ -251,7 +249,7 @@ class Supervisor:
         cfg = ExecConfig.of(config, knobs, overlap=False)
         res = self.resilience
         RunContext(checkpoint_every=res.checkpoint_every,
-                   progress=progress).check_stage(kernel)
+                   progress=progress).check_stage(kernel, cfg.engine)
         ladder = ENGINE_LADDERS[cfg.engine] if res.degrade else (cfg.engine,)
         timeouts = res.mp_timeouts
         if timeouts is None and res.policy.attempt_deadline is not None:
@@ -329,7 +327,6 @@ class Supervisor:
                         self.last_world = world
                     if erep is not None:
                         self.last_elastic_report = erep
-                        self.report.elastic_segments += len(erep.segments)
                         self.report.rebalances += erep.rebalances
                         self.report.membership_joins += erep.joins
                         self.report.membership_leaves += erep.leaves

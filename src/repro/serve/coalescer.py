@@ -181,7 +181,7 @@ def execute_batch(
 
     ``on_partial(item, n_done, mu_prefix)`` fires for every member at
     every streamed prefix (requires ``stream_every > 0``; the mp engine
-    streams the states it checkpoints: an elastic batch at its segment
+    streams the states it checkpoints: an elastic batch at its
     boundaries, any other only under checkpointing ``resilience``).
     """
     cfg = ExecConfig.of(config, knobs)

@@ -69,7 +69,7 @@ class KPMServer:
     stream_every:
         Streaming cadence in inner iterations; 0 disables partial
         results.  (The mp engine streams the states it checkpoints: an
-        elastic batch its segment boundaries, any other batch only with
+        elastic batch its boundaries, any other batch only with
         checkpointing configured in ``resilience``.)
     linger:
         Worker-thread batching window in seconds: after the first

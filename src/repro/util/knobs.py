@@ -247,13 +247,14 @@ class ExecConfig:
 
 
 def check_rebalance(config: ExecConfig, supervised: bool) -> None:
-    """A rebalance policy needs a distributed engine — or a supervisor,
-    whose lower rungs run the solve without it (the same bits)."""
-    if config.rebalance is not None and config.engine == "serial" \
-            and not supervised:
+    """A rebalance policy or a membership plan needs a distributed
+    engine — or a supervisor, whose lower rungs run the solve without it
+    (the same bits)."""
+    if config.engine == "serial" and not supervised and (
+            config.rebalance is not None or config.membership is not None):
         raise ValueError(
-            "rebalance requires a distributed engine (engine 'sim'/'mp') "
-            "or a resilience config"
+            "rebalance and membership require a distributed engine "
+            "(engine 'sim'/'mp') or a resilience config"
         )
 
 
@@ -266,13 +267,14 @@ def run_engine(config: ExecConfig, ctx, H, scale, n_moments: int,
     ``config`` names: ``'sim'`` and ``'mp'`` partition ``H`` by
     ``config.weights`` on 64-row eta blocks (or take it partitioned) and
     run stage 2 on a fresh world; ``'serial'`` has none — one rank over
-    ``H`` in this process runs ``kernel``.  ``'mp'`` under a rebalance
-    policy runs the elastic driver; the other engines run without it,
-    returning the same bits.  ``world`` and ``elastic_report`` are None
-    where the path has none.
+    ``H`` in this process runs ``kernel``.  A rebalance policy or a
+    membership plan runs ``'sim'`` and ``'mp'`` through the elastic
+    driver; ``'serial'`` runs without them, returning the same bits.
+    ``world`` and ``elastic_report`` are None where the path has none.
     """
-    ctx.check_stage(kernel)
-    if config.rebalance is not None and config.engine == "mp":
+    ctx.check_stage(kernel, config.engine)
+    if config.engine != "serial" and (config.rebalance is not None
+                                      or config.membership is not None):
         from repro.dist.elastic import run_elastic
 
         eta, report = run_elastic(config, ctx, H, scale, n_moments,

@@ -104,6 +104,22 @@ class TestStageRunControls:
                         progress=kw.get("progress"), progress_every=1)
         assert sup.report.attempts == []  # refused before any attempt
 
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_distributed_engines_refuse_the_stage(self, system, stage,
+                                                  engine):
+        """The ranks run stage 2 only: a stage-0/1 solve on a world is
+        one ValueError before any attempt, never the stage-2 bits."""
+        h, scale, blk = system
+        refused = f"{stage} stage.*engine='{engine}' needs the aug_spmmv"
+        with pytest.raises(ValueError, match=refused):
+            KPMSolver(h, n_moments=M, n_vectors=2, seed=3, engine=stage,
+                      dist_engine=engine, workers=2).moments()
+        sup = Supervisor(RetryPolicy(max_attempts=2))
+        with pytest.raises(ValueError, match=refused):
+            sup.run_eta(h, scale, M, blk, kernel=stage, engine=engine,
+                        workers=2)
+        assert sup.report.attempts == []  # refused before any attempt
+
     def test_cli_refuses_with_one_error_line(self, stage, capsys):
         argv = ["dos", "--nx", "4", "--nz", "2", "--moments", "16",
                 "--vectors", "2", "--engine", stage, "--checkpoint-every", "2"]

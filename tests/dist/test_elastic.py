@@ -4,10 +4,13 @@ The elastic contract (DESIGN §11): the one eta reduction (DESIGN §19)
 makes eta independent of the partition, so *any* sequence of
 repartitions, worker-count changes, and checkpoint splices returns
 moments bitwise identical to an uninterrupted serial run.  These tests
-pin that contract — plus the accounting one: every segment's measured
-Table-I counters equal :func:`repro.perf.report.expected_segment_counters`
-exactly, on both halves of a cross-worker-count resume.
+pin that contract — plus the accounting one: a run's measured Table-I
+counters equal :func:`repro.perf.report.expected_counters` from
+the iteration it entered at, whatever the partitions it ran on, and the
+messages of a re-slice are the ``(v, w)`` rows that changed owner.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -18,16 +21,21 @@ from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import make_block_vector
 from repro.dist.comm import SimWorld
 from repro.dist.elastic import (
+    DAMPING,
+    MAX_LEAVES,
+    MAX_REBALANCES,
+    MIN_ITERS_LEFT,
     ElasticReport,
     MembershipPlan,
     RebalanceMonitor,
     RebalancePolicy,
+    autotune_weights,
     elastic_eta,
     resolve_rebalance,
 )
 from repro.dist.kpm_parallel import distributed_eta
 from repro.dist.partition import RowPartition
-from repro.perf.report import expected_segment_counters
+from repro.perf.report import expected_counters
 from repro.util.counters import PerfCounters
 from repro.util.errors import CheckpointError, SimulationError
 from tests.lattice import case_test
@@ -35,7 +43,7 @@ from tests.lattice import case_test
 M = 24  # half = 12 inner iterations
 G = 64  # partition alignment: the eta block
 R = 4
-STOP = 7  # interrupt boundary for the resume tests
+STOP = 7  # the checkpoint the resume tests resume from
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +74,9 @@ class TestGridInvariance:
 
 def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
                   resume_workers, weights):
-    """Interrupt a 4-worker run at STOP, resume on ``resume_workers``.
+    """Checkpoint a 4-worker run at STOP, resume on ``resume_workers``.
 
-    Returns (eta, first-half counters, second-half counters, worlds).
+    Returns (eta, first run's counters, resumed counters, worlds).
     """
     path = tmp_path / "boundary.npz"
     part4 = RowPartition.equal(h.n_rows, 4, align=G)
@@ -76,10 +84,10 @@ def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
     w1 = world_cls(4)
     distributed_eta(
         h, part4, scale, M, blk, w1, counters=c1,
-        stop_m=STOP, checkpoint_every=STOP - 1, checkpoint_path=path,
+        checkpoint_every=STOP - 1, checkpoint_path=path,
     )
     ck = KpmCheckpoint.load(path)
-    assert ck.next_m == STOP
+    assert ck.next_m == STOP  # the run's one checkpoint
 
     if weights is None:
         part = RowPartition.equal(h.n_rows, resume_workers, align=G)
@@ -88,8 +96,7 @@ def run_segmented(h, scale, blk, ref, tmp_path, world_cls,
     c2 = PerfCounters()
     w2 = world_cls(resume_workers)
     eta = distributed_eta(
-        h, part, scale, M, blk, w2, counters=c2,
-        resume_from=ck, stop_m=M // 2,
+        h, part, scale, M, blk, w2, counters=c2, resume_from=ck,
     )
     return eta, c1, c2, (w1, w2)
 
@@ -103,17 +110,20 @@ class TestCrossWorkerResume:
 
     def test_constant_worker_segments_sum_to_full_run(self, system,
                                                       tmp_path):
-        """With P fixed, the halves' logs sum to the uninterrupted log."""
+        """With P fixed, the iterations before the checkpoint and the
+        resumed ones sum to the uninterrupted run: counters and halo."""
         h, scale, blk, ref = system
         eta, c1, c2, (w1, w2) = run_segmented(
             h, scale, blk, ref, tmp_path, SimWorld, 4, None
         )
         assert np.array_equal(eta, ref)
-        full = SimWorld(4)
-        part4 = RowPartition.equal(h.n_rows, 4, align=G)
-        distributed_eta(h, part4, scale, M, blk, full)
-        assert (w1.log.total_bytes + w2.log.total_bytes
-                == full.log.total_bytes)
+        tail = expected_counters(h, M, R, first_m=STOP)
+        assert (c2.bytes_total, c2.flops) == (tail.bytes_total, tail.flops)
+        halo = [w.log.bytes_by_phase() for w in (w1, w2)]
+        per_iter = (halo[0]["halo_init"] + halo[0]["halo"]) // (M // 2)
+        assert halo[0]["halo_init"] == per_iter  # the bootstrap's exchange
+        assert STOP * per_iter + halo[1]["halo"] == \
+            halo[0]["halo_init"] + halo[0]["halo"]
 
     def test_cross_grid_resume_refused(self, system, tmp_path):
         """A format-1 boundary file — its eta reduced per rank or per
@@ -123,7 +133,7 @@ class TestCrossWorkerResume:
         part = RowPartition.equal(h.n_rows, 2, align=G)
         distributed_eta(
             h, part, scale, M, blk, SimWorld(2),
-            stop_m=STOP, checkpoint_every=STOP - 1, checkpoint_path=path,
+            checkpoint_every=STOP - 1, checkpoint_path=path,
         )
         with np.load(path) as data:
             old = {k: data[k] for k in data.files if k != "anchors"}
@@ -131,8 +141,7 @@ class TestCrossWorkerResume:
                           "eta_grid": np.array(32)})
         with pytest.raises(CheckpointError, match="format 1"):
             distributed_eta(
-                h, part, scale, M, blk, SimWorld(2),
-                resume_from=path, stop_m=M // 2,
+                h, part, scale, M, blk, SimWorld(2), resume_from=path,
             )
 
 
@@ -145,8 +154,9 @@ class TestElasticDriver:
         )
         assert np.array_equal(eta, ref)
         assert isinstance(rep, ElasticReport)
-        assert [s.first_m for s in rep.segments] == [1, 6, 11]
+        assert [b.m for b in rep.boundaries] == [6, 11]
         assert rep.final_n_workers == 3 and rep.rebalances == 0
+        assert "reslice" not in rep.log.bytes_by_phase()  # nothing moved
 
     def test_join_and_leave_plan(self, system):
         h, scale, blk, ref = system
@@ -158,12 +168,14 @@ class TestElasticDriver:
         assert np.array_equal(eta, ref)
         assert rep.joins == 2 and rep.leaves == 1
         assert rep.final_n_workers == 3
+        # each joiner took the mean weight; the leaver's went to the rest
+        assert rep.final_weights == pytest.approx([1 / 3] * 3)
         # boundaries land exactly on the planned iterations
-        assert {s.stop_m for s in rep.segments} >= {5, 9}
+        assert {b.m for b in rep.boundaries} >= {5, 9}
 
     def test_timer_driven_rebalance(self, system):
         h, scale, blk, ref = system
-        pol = RebalancePolicy(interval=4, windows=2)
+        pol = RebalancePolicy(interval=3, windows=2)
         slow = lambda p, nn: nn * (4.0 if p == 0 else 1.0)  # noqa: E731
         eta, rep = elastic_eta(
             h, scale, M, blk, n_workers=3, policy=pol, engine="sim",
@@ -171,44 +183,84 @@ class TestElasticDriver:
         )
         assert np.array_equal(eta, ref)
         assert rep.rebalances >= 1
-        first, last = rep.segments[0], rep.segments[-1]
+        # the windows ending at the first and the last boundary
+        first, last = rep.boundaries[0], rep.boundaries[-1]
         rows0_before = first.offsets[1] - first.offsets[0]
         rows0_after = last.offsets[1] - last.offsets[0]
         assert rows0_after < rows0_before
         assert last.imbalance < first.imbalance
 
-    def test_counters_match_segment_model(self, system):
+    def test_counters_match_segment_model(self, system, tmp_path):
+        """Re-sliced or not, fresh or resumed, a run charges the model of
+        the iterations it computed: the partitions leave no trace."""
         h, scale, blk, _ = system
-        pol = RebalancePolicy(interval=5)
-        c = PerfCounters()
-        _eta, rep = elastic_eta(
-            h, scale, M, blk, n_workers=2, policy=pol, engine="sim",
-            counters=c,
+        path = tmp_path / "boundary.npz"
+        distributed_eta(h, RowPartition.equal(h.n_rows, 2, align=G), scale,
+                        M, blk, SimWorld(2), checkpoint_every=STOP - 1,
+                        checkpoint_path=path)
+        slow = lambda p, nn: nn * (4.0 if p == 0 else 1.0)  # noqa: E731
+        pol = RebalancePolicy(interval=2, windows=1, threshold=0.0)
+        for engine, (first_m, resume) in itertools.product(
+                ("sim", "mp"), ((1, None), (STOP, path))):
+            c = PerfCounters()
+            _eta, rep = elastic_eta(
+                h, scale, M, blk, n_workers=2, policy=pol, engine=engine,
+                membership="join:m=8", timer=slow, counters=c,
+                resume_from=resume,
+            )
+            assert rep.rebalances and rep.joins == 1
+            exp = expected_counters(h, M, R, first_m=first_m)
+            assert (c.bytes_loaded, c.bytes_stored, c.flops) == \
+                (exp.bytes_loaded, exp.bytes_stored, exp.flops)
+
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_reslice_moves_exactly_the_rows_that_change_owner(self, system,
+                                                              engine):
+        """Every re-slice is recorded as messages from each old owner to
+        each new one, of the bytes of the ``(v, w)`` rows they hand over."""
+        h, scale, blk, ref = system
+        eta, rep = elastic_eta(
+            h, scale, M, blk, n_workers=2, engine=engine,
+            policy=RebalancePolicy(interval=3, threshold=1e9),
+            membership="join:m=4,ranks=2;leave:m=7,rank=1",
         )
-        exp = PerfCounters()
-        for seg in rep.segments:
-            exp.merge(expected_segment_counters(
-                h, M, R, first_m=seg.first_m, stop_m=seg.stop_m,
-            ))
-        assert (c.bytes_loaded, c.bytes_stored, c.flops) == \
-            (exp.bytes_loaded, exp.bytes_stored, exp.flops)
+        assert np.array_equal(eta, ref)
+        # boundaries 4, 7, 10: each records the partition of the window
+        # it ends, so consecutive ones show every change
+        windows = [b.offsets for b in rep.boundaries]
+        assert [b.m for b in rep.boundaries] == [4, 7, 10]
+        assert len(set(windows)) == 3
+        want: dict = {}
+        row = 2 * 16 * R  # v and w, complex128, R columns
+        for old, new in zip(windows, windows[1:]):
+            for p in range(len(old) - 1):
+                for q in range(len(new) - 1):
+                    n = min(old[p + 1], new[q + 1]) - max(old[p], new[q])
+                    if p != q and n > 0:
+                        want[(p, q)] = want.get((p, q), 0) + n * row
+        got: dict = {}
+        for rec in rep.log.records:
+            if rec.phase == "reslice":
+                got[(rec.src, rec.dst)] = got.get((rec.src, rec.dst), 0) \
+                    + rec.nbytes
+        assert got == want and got
 
     def test_resume_from_boundary_checkpoint(self, system, tmp_path):
         """An elastic run interrupted at a boundary resumes bitwise."""
         h, scale, blk, ref = system
-        pol = RebalancePolicy(interval=5)
+        pol = RebalancePolicy(interval=2)
         path = tmp_path / "boundary.npz"
         part = RowPartition.equal(h.n_rows, 2, align=G)
         distributed_eta(
             h, part, scale, M, blk, SimWorld(2),
-            stop_m=6, checkpoint_every=5, checkpoint_path=path,
+            checkpoint_every=STOP - 1, checkpoint_path=path,
         )
         eta, rep = elastic_eta(
             h, scale, M, blk, n_workers=3, policy=pol, engine="sim",
             resume_from=path,
         )
         assert np.array_equal(eta, ref)
-        assert rep.segments[0].first_m == 6
+        assert [b.m for b in rep.boundaries] == [STOP + 2, STOP + 4]
 
     @pytest.mark.parametrize("engine", ["sim", "mp"])
     def test_resume_of_another_runs_file_is_refused(self, system, tmp_path,
@@ -220,7 +272,7 @@ class TestElasticDriver:
         path = tmp_path / "boundary.npz"
         distributed_eta(
             h, RowPartition.equal(h.n_rows, 2, align=G), scale, M, other,
-            SimWorld(2), stop_m=6, checkpoint_every=5, checkpoint_path=path,
+            SimWorld(2), checkpoint_every=5, checkpoint_path=path,
         )
         with pytest.raises(CheckpointError, match="different run"):
             elastic_eta(h, scale, M, blk, n_workers=2, engine=engine,
@@ -280,8 +332,14 @@ class TestPolicyAndPlan:
             RebalancePolicy(threshold=-1)
         with pytest.raises(ValueError):
             RebalancePolicy(windows=0)
-        with pytest.raises(ValueError):
-            RebalancePolicy(damping=0)
+        # the driver's other limits are constants, each valid
+        with pytest.raises(TypeError):
+            RebalancePolicy(damping=0.5)
+        assert 0 < DAMPING <= 1
+        assert MIN_ITERS_LEFT >= 1 and MAX_REBALANCES >= 1
+        assert MAX_LEAVES >= 1
+        with pytest.raises(ValueError, match="damping"):
+            autotune_weights(128, 2, lambda p, nn: nn, damping=0)
 
     def test_plan_parse_roundtrip(self):
         plan = MembershipPlan.parse("leave:m=16,rank=0; join:m=8,ranks=2")
@@ -291,6 +349,19 @@ class TestPolicyAndPlan:
         assert str(plan) == "join:m=8,ranks=2;leave:m=16,rank=0"
         assert MembershipPlan.parse(str(plan)) == plan
         assert not MembershipPlan.parse("")
+
+    @pytest.mark.parametrize("text", [
+        "join:m=4", "join:m=8,ranks=2;leave:m=16,rank=1",
+        "leave:m=3,rank=0;join:m=3;join:m=5,ranks=3"])
+    def test_plan_str_parses_back(self, text):
+        plan = MembershipPlan.parse(text)
+        assert MembershipPlan.parse(str(plan)) == plan
+
+    @pytest.mark.parametrize("text,field", [
+        ("leave:m=8,rank=0,ranks=2", "ranks"), ("join:m=8,rank=3", "rank")])
+    def test_plan_refuses_a_field_its_kind_ignores(self, text, field):
+        with pytest.raises(ValueError, match=f"takes no {field}="):
+            MembershipPlan.parse(text)
 
     def test_plan_parse_errors(self):
         with pytest.raises(ValueError, match="m="):

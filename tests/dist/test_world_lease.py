@@ -140,23 +140,44 @@ def test_checkpoint_and_resume_on_leased_world(system, tmp_path):
     assert np.array_equal(a.v, b.v) and np.array_equal(a.eta, b.eta)
 
 
-def test_elastic_segments_on_one_lease(system):
+def test_elastic_solve_on_one_lease(system, monkeypatch):
+    """A planned leave, a planned join and forced rebalances (timer) run
+    inside one run on one lease: one world, the same workers and arena
+    from start to end, and the sim twin's bits, counters and log."""
+    from repro.dist import mp
+
     h, scale, blk, _part = system
-    pol = RebalancePolicy(interval=4)
+    worlds = []
+
+    class Recording(mp.MpWorld):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worlds.append(self)
+
+    monkeypatch.setattr(mp, "MpWorld", Recording)
+    pol = RebalancePolicy(interval=3, windows=1, threshold=0.0)
+    slow = lambda p, nn: nn * (3.0 if p == 0 else 1.0)  # noqa: E731
     got = {}
     for engine in ("sim", "mp", "mp"):
         counters = PerfCounters()
         eta, rep = elastic_eta(h, scale, M, blk, n_workers=2, policy=pol,
-                               engine=engine, counters=counters)
+                               engine=engine, counters=counters, timer=slow,
+                               membership="leave:m=4,rank=1;join:m=7")
+        assert rep.rebalances and rep.leaves == 1 and rep.joins == 1
         got.setdefault(engine, []).append((eta, counters, rep.log.records))
         assert not any(segment_exists(nm) for nm in rep.segment_names)
+    # one world per solve, each of the plan's three ranks, leased: the
+    # second solve runs on the first one's workers and arena
+    assert len(worlds) == 2 and all(w.n_ranks == 3 for w in worlds)
+    assert worlds[0].last_pids == worlds[1].last_pids
+    assert len(worlds[0].last_pids) == 3
+    assert worlds[0].last_segment_names == worlds[1].last_segment_names
+    assert len(worlds[0].last_segment_names) == 1
     ref = got["sim"][0]
-    # one uninterrupted run on the same world size: the same bits and,
-    # the worker count never changing, the same traffic
-    whole = SimWorld(2)
     assert np.array_equal(ref[0], distributed_eta(
-        h, RowPartition.equal(h.n_rows, 2, align=64), scale, M, blk, whole))
-    assert sum(r.nbytes for r in ref[2]) == whole.log.total_bytes
+        h, RowPartition.equal(h.n_rows, 2, align=64), scale, M, blk,
+        SimWorld(2)))
+    assert any(r.phase == "reslice" for r in ref[2])
     for eta, counters, records in got["mp"]:
         assert np.array_equal(eta, ref[0])
         assert (counters.bytes_total, counters.flops) == (

@@ -37,6 +37,18 @@ class TestDos:
         assert "communication:" in out
         assert "halo" in out and "allreduce_final" in out
 
+    def test_a_plan_runs_without_rebalancing(self, capsys):
+        """``--elastic`` alone is honoured as given: ``--rebalance off``
+        stays off, and the plan's join still happens."""
+        rc = main(["dos", "--nx", "4", "--nz", "2", "--moments", "32",
+                   "--vectors", "2", "--engine", "mp", "--workers", "2",
+                   "--rebalance", "off", "--elastic", "join:m=9"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "elastic: rebalancing off, plan 'join:m=9'" in out
+        assert "rebalances=0 joins=1 leaves=0" in out
+        assert "rebalancing on" not in out
+
     def test_distributed_matches_serial(self, capsys):
         argv = ["dos", "--nx", "4", "--nz", "2", "--moments", "32",
                 "--vectors", "2", "--seed", "5"]

@@ -8,8 +8,7 @@ for bit (DESIGN §19, "The lattice"):
 
 1. η equals the reference of its (precision, format, stage);
 2. without a fault, the counters' bytes and flops equal the Table-I
-   charge (``expected_counters``; a resumed half:
-   ``expected_segment_counters``);
+   charge (``expected_counters``; a resumed half: its ``first_m=``);
 3. on mp, the message log equals the sim twin's (:meth:`Row.twin`):
    two recordings, each rank's messages as the one rank program moved
    them, merged in rank order.
@@ -35,7 +34,7 @@ from repro.core.moments import eta_to_moments
 from repro.core.recurrence import Recurrence
 from repro.core.stochastic import make_block_vector
 from repro.dist.elastic import RebalancePolicy, run_elastic
-from repro.perf.report import expected_counters, expected_segment_counters
+from repro.perf.report import expected_counters
 from repro.resil import Resilience, RetryPolicy, Supervisor
 from repro.serve import HamiltonianSpec, KPMServer, Request
 from repro.sparse.backend.native import native_available
@@ -241,8 +240,8 @@ def run(row: Row, ck: Path):
         next_m = KpmCheckpoint.load(ck).next_m
         assert 1 < next_m < M // 2, "a checkpoint mid-run"
         counters = PerfCounters()
-        expected = expected_segment_counters(A, M, r, first_m=next_m,
-                                             precision=prec)
+        expected = expected_counters(A, M, r, first_m=next_m,
+                                     precision=prec)
         eta, second, _ = run_engine(row.second().config(), RunContext.of(
             resume_from=ck, counters=counters), A, scale, M, block)
         log = tuple(w.log.records for w in (world, second) if w)

@@ -12,6 +12,7 @@ unchanged, as do the run controls (progress, mp timeouts).
 import numpy as np
 import pytest
 
+from repro.core.checkpoint import RunContext
 from repro.core.moments import compute_eta, eta_to_moments
 from repro.core.scaling import lanczos_scale
 from repro.core.solver import KPMSolver
@@ -20,6 +21,7 @@ from repro.dist.elastic import RebalancePolicy
 from repro.dist.shm import segment_exists
 from repro.resil import FaultPlan, FaultSpec, Resilience, RetryPolicy, Supervisor
 from repro.serve import HamiltonianSpec, KPMServer, Request
+from repro.util.knobs import ExecConfig, run_engine
 from tests.lattice import case_test
 
 M = 24
@@ -124,6 +126,20 @@ class TestSolverKnob:
             KPMSolver(h, n_moments=M, rebalance="auto")
 
 
+@pytest.mark.parametrize("engine", ["sim", "mp"])
+def test_a_plan_alone_runs_elastic(system, engine):
+    """A membership plan without a rebalance policy still runs the
+    elastic path: the join lands at its boundary, nothing rebalances."""
+    h, scale, blk, ref = system
+    eta, world, rep = run_engine(
+        ExecConfig(engine=engine, workers=2, membership="join:m=4"),
+        RunContext(), h, scale, M, blk)
+    assert np.array_equal(eta, ref)
+    assert rep is not None and world is None
+    assert (rep.joins, rep.rebalances, rep.final_n_workers) == (1, 0, 3)
+    assert [b.m for b in rep.boundaries] == [4]
+
+
 class TestServerKnob:
     def test_elastic_mp_batch_matches_sim(self):
         req = Request(SPEC, n_moments=M, n_vectors=2, seed=7)
@@ -174,7 +190,7 @@ class TestServerKnob:
         assert not t.failed
         batch, _counters = srv.last_batches[0]
         rep = batch.elastic_report
-        assert rep is not None and rep.segments
+        assert rep is not None and rep.boundaries
         assert not any(segment_exists(nm) for nm in rep.segment_names)
         assert "serve.batch.rebalances" in srv.metrics.counters
 

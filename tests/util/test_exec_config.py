@@ -138,7 +138,7 @@ RUN_CONTROLS = {"checkpoint_every", "checkpoint_path", "resume_from",
 RUN_CONTROL_SCOPES = {
     "RunContext", "Resilience", "Supervisor", "FaultInjector",
     "checkpointed_eta", "distributed_eta", "elastic_eta",
-    "FaultSpec", "FaultPlan", "AttemptRecord", "SegmentRecord",
+    "FaultSpec", "FaultPlan", "AttemptRecord",
 }
 
 
@@ -281,11 +281,10 @@ def test_one_prologue_one_exception_per_bad_input(system, world):
     blocks the same SimulationError."""
     h, scale, blk = system
     part = RowPartition.equal(h.n_rows, 2, align=4)
-    run = lambda **kw: distributed_eta(h, part, scale, M, blk, world(2),  # noqa: E731
-                                       **kw)
     with pytest.raises(ValueError, match=re.escape(
-            f"stop_m must be in [1, {M // 2}], got 0")):
-        run(stop_m=0)
+            f"n_moments must be an even integer >= 2 (the recurrence yields "
+            f"two moments per iteration), got {M + 1}")):
+        distributed_eta(h, part, scale, M + 1, blk, world(2))
     with pytest.raises(SimulationError, match="not on a 64-row eta block"):
         distributed_eta(h, RowPartition.from_weights(h.n_rows, [0.3, 0.7],
                                                      align=4),
