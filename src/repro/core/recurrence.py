@@ -30,6 +30,7 @@ KpmCheckpoint` stores — and all an elastic rank hands over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -122,10 +123,11 @@ class Recurrence:
         self._plan = plan = bk.plan(A, r, split=split, **kw)
         single = kernel != "aug_spmmv"
         self._apply = bk.spmv if single else bk.spmmv
+        # the fused stages leave their bins on the plan, unfolded
         self._kernel = {
             "naive": bk.naive_step,
-            "aug_spmv": bk.aug_spmv_step,
-            "aug_spmmv": bk.aug_spmmv_step,
+            "aug_spmv": partial(bk._step, "aug_spmv"),
+            "aug_spmmv": partial(bk._step, "aug_spmmv"),
         }[kernel]
         # the plan's scratch in this mode's shape (1-D vector / 2-D block)
         self._u, self._work = (
@@ -158,7 +160,7 @@ class Recurrence:
     @property
     def kernel_family(self) -> str:
         """The kernels this recurrence runs (``numpy``, ``native_simd``,
-        ``native_scalar``): resolved now, from the process's state."""
+        ``native_scalar``): resolved when its plan was built."""
         return self._bk.kernel_family(self._plan)
 
     # -- state ---------------------------------------------------------

@@ -37,12 +37,15 @@ class Ticket:
     """Handle to one submitted request (a future plus a partial stream)."""
 
     def __init__(self, request: Request, request_key: str,
-                 moment_key: str, group_key: str, seq: int) -> None:
+                 moment_key: str, group_key: str, seq: int,
+                 spec_key: str | None = None) -> None:
         self.request = request
         self.request_key = request_key
         self.moment_key = moment_key
         self.group_key = group_key
         self.seq = seq
+        #: the request's ``spec.digest`` (None: not computed yet)
+        self.spec_key = spec_key
         #: absolute expiry on the monotonic clock (None = no deadline);
         #: stamped once at submission from the request's *relative*
         #: ``deadline`` seconds, so queue ordering and the server's miss

@@ -145,16 +145,18 @@ class KPMServer:
         return self.config.workers
 
     # -- operator cache ------------------------------------------------
-    def operator(self, spec) -> tuple:
+    def operator(self, spec, digest: str | None = None) -> tuple:
         """``(H, model, scale)`` for the spec, built & pinned on first use.
 
         The Lanczos spectral map is computed here with the server's
         ``scale_seed`` and *outside* any batch's PerfCounters — the
         scale is part of the operator's identity, not of any request's
         traffic — and reused verbatim by every batch and cache entry
-        that references this operator.
+        that references this operator.  ``digest`` is ``spec.digest``
+        when the caller has it already (a ticket's ``spec_key``).
         """
-        digest = spec.digest
+        if digest is None:
+            digest = spec.digest
         with self._lock:
             entry = self._operators.get(digest)
         if entry is not None:
@@ -170,13 +172,10 @@ class KPMServer:
     # -- submission ----------------------------------------------------
     def submit(self, request: Request) -> Ticket:
         """Canonicalize, then cache-hit / dedup / enqueue (see module doc)."""
-        ticket = Ticket(
-            request,
-            request.request_key(self.scale_seed),
-            request.moment_key(self.scale_seed),
-            request.group_key(self.scale_seed),
-            self.queue.next_seq(),
-        )
+        request_key, moment_key, group_key, spec_key = \
+            request.keys(self.scale_seed)
+        ticket = Ticket(request, request_key, moment_key, group_key,
+                        self.queue.next_seq(), spec_key)
         self.metrics.count("serve.requests")
         self.metrics.count(f"serve.tenant.{request.tenant}.requests")
 
@@ -218,8 +217,10 @@ class KPMServer:
         return len(batches)
 
     def _run_batch(self, batch) -> None:
-        req0 = batch.items[0].ticket.request
-        H, _model, scale = self.operator(req0.spec)
+        first = batch.items[0].ticket
+        req0 = first.request
+        spec_key = first.spec_key or req0.spec.digest
+        H, _model, scale = self.operator(req0.spec, spec_key)
 
         def on_partial(item, n_done: int, mu: np.ndarray) -> None:
             self.cache.put_partial(
@@ -266,7 +267,7 @@ class KPMServer:
             t0 = item.ticket
             self.cache.put(
                 t0.moment_key, mu, req0.n_moments, kind=t0.request.kind,
-                meta={"spec": req0.spec.digest, "width": batch.width},
+                meta={"spec": spec_key, "width": batch.width},
             )
             for t in self._tickets_for(t0):
                 t.via = t.via if t.via == "dedup" else batch.width
@@ -291,7 +292,7 @@ class KPMServer:
         and Chebyshev evaluation.
         """
         req = ticket.request
-        _H, _model, scale = self.operator(req.spec)
+        _H, _model, scale = self.operator(req.spec, ticket.spec_key)
         pts = max(2 * req.n_moments, 256)
         skey = SpectraCache.key(ticket.moment_key, req.kernel, pts)
         entry = self.spectra.get(skey)

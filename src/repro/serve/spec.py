@@ -295,17 +295,36 @@ class Request:
 
     def group_key(self, scale_seed: int) -> str:
         """Coalescing class: same operator, M, precision, spectral map."""
+        return self._group_key(self.spec.digest, scale_seed)
+
+    def moment_key(self, scale_seed: int) -> str:
+        """Identity of the raw moments (kernel-free — see module doc)."""
+        return self._moment_key(self.group_key(scale_seed))
+
+    def request_key(self, scale_seed: int) -> str:
+        """Full identity of the client-visible answer (kernel included)."""
+        return self._request_key(self.moment_key(scale_seed))
+
+    def keys(self, scale_seed: int) -> tuple[str, str, str, str]:
+        """``(request_key, moment_key, group_key, spec.digest)``: the
+        values of the three methods (and the property), each key derived
+        from the one below it and every digest computed once."""
+        spec = self.spec.digest
+        group = self._group_key(spec, scale_seed)
+        moments = self._moment_key(group)
+        return self._request_key(moments), moments, group, spec
+
+    def _group_key(self, spec_digest: str, scale_seed: int) -> str:
         return _digest({
-            "spec": self.spec.digest,
+            "spec": spec_digest,
             "n_moments": int(self.n_moments),
             "precision": self.precision,
             "scale_seed": int(scale_seed),
         })
 
-    def moment_key(self, scale_seed: int) -> str:
-        """Identity of the raw moments (kernel-free — see module doc)."""
+    def _moment_key(self, group_key: str) -> str:
         body = {
-            "group": self.group_key(scale_seed),
+            "group": group_key,
             "kind": self.kind,
         }
         if self.kind == "dos":
@@ -316,9 +335,8 @@ class Request:
             body["rows"] = list(self.rows)
         return _digest(body)
 
-    def request_key(self, scale_seed: int) -> str:
-        """Full identity of the client-visible answer (kernel included)."""
+    def _request_key(self, moment_key: str) -> str:
         return _digest({
-            "moments": self.moment_key(scale_seed),
+            "moments": moment_key,
             "kernel": self.kernel,
         })

@@ -88,7 +88,9 @@ class KernelPlan:
     like ``threads`` it is carried on the plan and never changes fp64
     results bitwise.  ``"on"`` falls back to scalar cleanly (with an obs
     counter) when the host lacks the vectorized build; the NumPy backend
-    accepts the knob and ignores it.
+    accepts the knob and ignores it.  The native backend resolves the
+    family once, when it builds the plan (``native_simd``), and keeps
+    the bound aug calls it made on it (``native_calls``, DESIGN §18).
 
     ``split`` (an execution split in the shape of
     :class:`repro.dist.overlap.TaskSplit`, duck typed — ``row0``/``row1``
@@ -122,6 +124,8 @@ class KernelPlan:
         self.bins = np.zeros((2, 3 * self.r))
         self.escape = np.zeros(1, dtype=np.int64)
         self.eta_work = None  # made by the first NumPy eta reduction
+        self.native_simd = None  # the native family, once resolved
+        self.native_calls = {}  # (kind, row0, row1) -> its bound calls
         if prec.half_vectors:
             # complex64 decode scratch for the NumPy half-storage paths:
             # vc spans the full column range (local + halo), wc the rows
@@ -345,6 +349,16 @@ class KernelBackend(ABC):
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         """Paper Fig. 5 (stage 2): fused block update + column dots."""
+
+    def _step(self, kind, A, V, W, a, b, plan, counters, metrics):
+        """The augmented step ``kind`` (``aug_spmv`` on 1-D vectors,
+        ``aug_spmmv``) as the recurrence runs it: its bins (2, 3R), not
+        their fold — the plan's, which it reads.  Both built-in
+        backends compute the bins here and fold them in the public
+        steps; this default runs the public step."""
+        getattr(self, f"{kind}_step")(A, V, W, a, b, plan=plan,
+                                       counters=counters, metrics=metrics)
+        return plan.bins
 
     # -- task mode ------------------------------------------------------
     # The two phases of a split plan: the *interior* range, runnable

@@ -716,11 +716,12 @@ static inline void KN(repro_loopb)(
 /* 12, "Register tiles").  R stays a runtime argument: a row is cut    */
 /* into tiles of 16, 8 and 4 block columns (fp64: 8 / 4 / 2 ymm, the   */
 /* narrow profiles: 4 / 2 / 1), fp64 adds the 2-column single ymm, and */
-/* the columns that do not fill a ymm run one by one in scalar         */
-/* registers.  Every column is still a dedicated lane visited in row   */
-/* order with the scalar kernels' mul, mul, add, add — the tiling      */
-/* changes where the partial sums wait, never what is added to what —  */
-/* so each output bit is the scalar family's at every r.               */
+/* the columns that do not fill a ymm ride in one partial ymm of a     */
+/* tile's pass, moved by loads and stores of their bytes only.  Every  */
+/* column is still a dedicated lane visited in row order with the      */
+/* scalar kernels' mul, mul, add, add — the tiling changes where the   */
+/* partial sums wait, never what is added to what — so each output bit */
+/* is the scalar family's at every r.                                  */
 /* ------------------------------------------------------------------ */
 
 #if REPRO_NARROW /* float lanes, 4 block columns per ymm               */
@@ -732,6 +733,26 @@ static inline void KN(repro_loopb)(
 #define REPRO_Y_CMADD repro_cmadd_ps
 #define REPRO_Y_LOADX(p) REPRO_SIMD_LOAD8(p)
 #define REPRO_Y_STOREX(p, y) REPRO_SIMD_STORE8((p), (y))
+/* The first t < 4 columns of a partial ymm (a column is one 32-bit
+ * (re, im) half pair / 2 float lanes), by masked loads and stores:
+ * off lanes load 0 and are never written.                             */
+#if REPRO_HALF
+#define REPRO_TMASK __m128i
+#define REPRO_Y_TMASK(t)                                                   \
+    _mm_cmpgt_epi32(_mm_set1_epi32((int)(t)), _mm_setr_epi32(0, 1, 2, 3))
+#define REPRO_Y_LOADT(p, m)                                                \
+    _mm256_cvtph_ps(_mm_maskload_epi32((const int *)(p), (m)))
+#define REPRO_Y_STORET(p, m, y)                                            \
+    _mm_maskstore_epi32((int *)(p), (m),                                   \
+                        _mm256_cvtps_ph((y), _MM_FROUND_TO_NEAREST_INT))
+#else
+#define REPRO_TMASK __m256i
+#define REPRO_Y_TMASK(t)                                                   \
+    _mm256_cmpgt_epi32(_mm256_set1_epi32((int)(2 * (t))),                  \
+                       _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+#define REPRO_Y_LOADT(p, m) _mm256_maskload_ps((p), (m))
+#define REPRO_Y_STORET(p, m, y) _mm256_maskstore_ps((p), (m), (y))
+#endif
 #else            /* fp64: double lanes, 2 block columns per ymm        */
 #define REPRO_YMM __m256d
 #define REPRO_YCOLS 2
@@ -741,12 +762,23 @@ static inline void KN(repro_loopb)(
 #define REPRO_Y_CMADD repro_cmadd_pd
 #define REPRO_Y_LOADX(p) _mm256_loadu_pd(p)
 #define REPRO_Y_STOREX(p, y) _mm256_storeu_pd((p), (y))
+/* a partial ymm holds t = 1 column: its two doubles, moved as an xmm
+ * (with a masked ymm load R = 1 and R = 3 calls took 4-6 % longer)    */
+#define REPRO_TMASK int
+#define REPRO_Y_TMASK(t) 0
+#define REPRO_Y_LOADT(p, m) _mm256_zextpd128_pd256(_mm_loadu_pd(p))
+#define REPRO_Y_STORET(p, m, y) _mm_storeu_pd((p), _mm256_castpd256_pd128(y))
 #endif
 
 /* Recombination + eta terms of the REPRO_YCOLS columns from block
  * column k that one accumulator register holds: the arithmetic of
- * repro_loopb, one lane per column.                                   */
-static inline void KN(repro_ymm_aug)(
+ * repro_loopb, one lane per column.  part: a partial ymm of t columns
+ * (mask tm) — V and W move by REPRO_Y_LOADT / STORET, and only its t
+ * columns' eta terms are added.                                       */
+static inline __attribute__((always_inline)) void KN(repro_ymm_aug)(
+    const int part,
+    int64_t t,
+    REPRO_TMASK tm,
     REPRO_YMM av,
     int64_t k,
     const REPRO_XT *restrict vrow,
@@ -756,40 +788,69 @@ static inline void KN(repro_ymm_aug)(
     double *restrict ee,
     double *restrict eo)
 {
+    const REPRO_XT *restrict vp = vrow + 2 * k;
+    REPRO_XT *restrict wp = wrow + 2 * k;
+    const REPRO_YMM vy = part ? REPRO_Y_LOADT(vp, tm) : REPRO_Y_LOADX(vp);
+    const REPRO_YMM wo = part ? REPRO_Y_LOADT(wp, tm) : REPRO_Y_LOADX(wp);
 #if REPRO_NARROW
-    const __m256 v8 = REPRO_Y_LOADX(vrow + 2 * k);
     const __m256 w8 = _mm256_sub_ps(
-        _mm256_sub_ps(_mm256_mul_ps(tav, av), _mm256_mul_ps(tabv, v8)),
-        REPRO_Y_LOADX(wrow + 2 * k));
-    REPRO_Y_STOREX(wrow + 2 * k, w8);
+        _mm256_sub_ps(_mm256_mul_ps(tav, av), _mm256_mul_ps(tabv, vy)), wo);
     /* exact float->double promotion, then the fp64 eta DAG, one column
      * pair (xmm half) at a time                                       */
-    __m256d vv = _mm256_cvtps_pd(_mm256_castps256_ps128(v8));
-    __m256d wv = _mm256_cvtps_pd(_mm256_castps256_ps128(w8));
-    repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
-    repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
-    vv = _mm256_cvtps_pd(_mm256_extractf128_ps(v8, 1));
-    wv = _mm256_cvtps_pd(_mm256_extractf128_ps(w8, 1));
-    repro_vadd_pd2(ee + k + 2, repro_ee_pair_pd(vv));
-    repro_vadd_pd4(eo + 2 * k + 4, repro_eo_quad_pd(vv, wv));
+    const __m256d vv[2] = {_mm256_cvtps_pd(_mm256_castps256_ps128(vy)),
+                           _mm256_cvtps_pd(_mm256_extractf128_ps(vy, 1))};
+    const __m256d wv[2] = {_mm256_cvtps_pd(_mm256_castps256_ps128(w8)),
+                           _mm256_cvtps_pd(_mm256_extractf128_ps(w8, 1))};
 #else
-    const __m256d vv = _mm256_loadu_pd(vrow + 2 * k);
-    const __m256d wv = _mm256_sub_pd(
-        _mm256_sub_pd(_mm256_mul_pd(tav, av), _mm256_mul_pd(tabv, vv)),
-        _mm256_loadu_pd(wrow + 2 * k));
-    _mm256_storeu_pd(wrow + 2 * k, wv);
-    repro_vadd_pd2(ee + k, repro_ee_pair_pd(vv));
-    repro_vadd_pd4(eo + 2 * k, repro_eo_quad_pd(vv, wv));
+    const __m256d w8 = _mm256_sub_pd(
+        _mm256_sub_pd(_mm256_mul_pd(tav, av), _mm256_mul_pd(tabv, vy)), wo);
+    const __m256d vv[1] = {vy}, wv[1] = {w8};
 #endif
+    if (part)
+        REPRO_Y_STORET(wp, tm, w8);
+    else
+        REPRO_Y_STOREX(wp, w8);
+    REPRO_UNROLL
+    for (int h = 0; h < REPRO_YCOLS / 2; ++h) {
+        const __m128d ep = repro_ee_pair_pd(vv[h]);
+        const __m256d oq = repro_eo_quad_pd(vv[h], wv[h]);
+        double *restrict e = ee + k + 2 * h, *restrict o = eo + 2 * k + 4 * h;
+        if (!part) {
+            repro_vadd_pd2(e, ep);
+            repro_vadd_pd4(o, oq);
+            continue;
+        }
+#if REPRO_NARROW /* columns 2h, 2h + 1 if they are among the t       */
+        if (2 * h < t) {
+            e[0] += _mm_cvtsd_f64(ep);
+            repro_vadd_pd2(o, _mm256_castpd256_pd128(oq));
+        }
+        if (2 * h + 1 < t) {
+            e[1] += _mm_cvtsd_f64(_mm_unpackhi_pd(ep, ep));
+            repro_vadd_pd2(o + 2, _mm256_extractf128_pd(oq, 1));
+        }
+#else            /* the one column */
+        (void)t;
+        (void)tm;
+        e[0] += _mm_cvtsd_f64(ep);
+        repro_vadd_pd2(o, _mm256_castpd256_pd128(oq));
+#endif
+    }
 }
 
-/* One row x one tile of nv ymm starting at block column k.  nv and fin
- * are literal at every call site, so after inlining the u loops unroll
- * and acc[] is nv registers.                                          */
+/* One row x one tile starting at block column k: nv full ymm, then with
+ * part the t < REPRO_YCOLS columns after them in one partial ymm.  The
+ * partial ymm runs the full ones' DAG on masked loads (the off lanes
+ * add zeros nobody reads) and is finished through masked stores, so
+ * the leftover columns cost no pass of their own.
+ * nv, part and fin are literal at every call site, so after inlining
+ * the u loops unroll and acc[] is nv + part registers.                */
 static inline __attribute__((always_inline)) void KN(repro_tile)(
     const int nv,
+    const int part,
     const int fin,
     int64_t k,
+    int64_t t,
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     int64_t p0,
@@ -806,8 +867,9 @@ static inline __attribute__((always_inline)) void KN(repro_tile)(
 {
     REPRO_YMM acc[16 / REPRO_YCOLS];
     REPRO_UNROLL
-    for (int u = 0; u < nv; ++u)
+    for (int u = 0; u < nv + part; ++u)
         acc[u] = REPRO_Y_ZERO();
+    const REPRO_TMASK tm = REPRO_Y_TMASK(t);
     const REPRO_XT *restrict xk = X + 2 * k;
     REPRO_NOUNROLL
     for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride) {
@@ -818,72 +880,35 @@ static inline __attribute__((always_inline)) void KN(repro_tile)(
         for (int u = 0; u < nv; ++u)
             acc[u] = REPRO_Y_CMADD(acc[u], arv, aiv,
                                    REPRO_Y_LOADX(xj + 2 * REPRO_YCOLS * u));
+        if (part)
+            acc[nv] = REPRO_Y_CMADD(
+                acc[nv], arv, aiv,
+                REPRO_Y_LOADT(xj + 2 * REPRO_YCOLS * nv, tm));
     }
     if (fin == REPRO_FIN_STORE) {
         REPRO_UNROLL
         for (int u = 0; u < nv; ++u)
             REPRO_Y_STOREX(orow + 2 * (k + REPRO_YCOLS * u), acc[u]);
+        if (part)
+            REPRO_Y_STORET(orow + 2 * (k + REPRO_YCOLS * nv), tm, acc[nv]);
         return;
     }
     const REPRO_YMM tav = REPRO_Y_SET1(ta), tabv = REPRO_Y_SET1(tab);
     REPRO_UNROLL
-    for (int u = 0; u < nv; ++u)
-        KN(repro_ymm_aug)(acc[u], k + REPRO_YCOLS * u, vrow, orow, tav, tabv,
-                          ee, eo);
-}
-
-/* The same row body for one column in scalar registers (the columns
- * that do not fill a ymm): literally the scalar family's DAG.         */
-static inline void KN(repro_tile1)(
-    const int fin,
-    int64_t k,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    int64_t p0,
-    int64_t cnt,
-    int64_t stride,
-    const REPRO_XT *restrict X,
-    int64_t r,
-    const REPRO_XT *restrict vrow,
-    REPRO_XT *restrict orow,
-    REPRO_AT ta,
-    REPRO_AT tab,
-    double *restrict ee,
-    double *restrict eo)
-{
-    REPRO_AT sr = 0, si = 0;
-    REPRO_NOUNROLL
-    for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride) {
-        const REPRO_AT ar = (REPRO_AT)data[2 * p];
-        const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-        const REPRO_XT *restrict xj = X + 2 * ((int64_t)indices[p] * r + k);
-        const REPRO_AT xr = REPRO_LOADX(xj, 0);
-        const REPRO_AT xi = REPRO_LOADX(xj, 1);
-        sr += ar * xr - ai * xi;
-        si += ar * xi + ai * xr;
-    }
-    if (fin == REPRO_FIN_STORE) {
-        REPRO_STOREX(orow, 2 * k, sr);
-        REPRO_STOREX(orow, 2 * k + 1, si);
-        return;
-    }
-    const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
-    const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
-    const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(orow, 2 * k);
-    const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(orow, 2 * k + 1);
-    REPRO_STOREX(orow, 2 * k, wr);
-    REPRO_STOREX(orow, 2 * k + 1, wi);
-    ee[k] += (double)vr * (double)vr + (double)vi * (double)vi;
-    eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
-    eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
+    for (int u = 0; u < nv + part; ++u)
+        KN(repro_ymm_aug)(part && u == nv, t, tm, acc[u],
+                          k + REPRO_YCOLS * u, vrow, orow, tav, tabv, ee, eo);
 }
 
 /* One whole row: 16-column tiles while they fit, then at most one
- * each of 8, 4 and (fp64) 2 columns, then single columns.  Measured at
- * R = 32 fp64, 8 against 4 ymm as the widest tile: CSR 10.0 / 11.3 ms,
- * SELL 9.5 / 10.1; a 32-column narrow tile bought nothing.  Always
- * inlined into the two out-of-line per-finisher instances below, which
- * is where fin becomes a literal.                                     */
+ * each of 8, 4 and (fp64) 2 columns, then the t < REPRO_YCOLS leftover
+ * columns in a partial ymm — fp64's odd last three columns as one
+ * 2 + 1 tile, so every width walks its row once per tile and an odd R
+ * costs no pass more than the next even one.  Measured at R = 32 fp64,
+ * 8 against 4 ymm as the widest tile: CSR 10.0 / 11.3 ms, SELL 9.5 /
+ * 10.1; a 32-column narrow tile bought nothing.  Always inlined into
+ * the two out-of-line per-finisher instances below, which is where fin
+ * becomes a literal.                                                  */
 static inline __attribute__((always_inline)) void KN(repro_row)(
     const int fin,
     const REPRO_IT *restrict indices,
@@ -904,23 +929,28 @@ static inline __attribute__((always_inline)) void KN(repro_row)(
     indices, data, p0, cnt, stride, X, r, vrow, orow, ta, tab, ee, eo
     int64_t k = 0;
     for (; k + 16 <= r; k += 16)
-        KN(repro_tile)(16 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
+        KN(repro_tile)(16 / REPRO_YCOLS, 0, fin, k, 0, REPRO_TILE_ARGS);
     if (k + 8 <= r) {
-        KN(repro_tile)(8 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
+        KN(repro_tile)(8 / REPRO_YCOLS, 0, fin, k, 0, REPRO_TILE_ARGS);
         k += 8;
     }
     if (k + 4 <= r) {
-        KN(repro_tile)(4 / REPRO_YCOLS, fin, k, REPRO_TILE_ARGS);
+        KN(repro_tile)(4 / REPRO_YCOLS, 0, fin, k, 0, REPRO_TILE_ARGS);
         k += 4;
     }
 #if REPRO_YCOLS == 2
+    if (k + 3 == r) {
+        KN(repro_tile)(1, 1, fin, k, 1, REPRO_TILE_ARGS);
+        return;
+    }
     if (k + 2 <= r) {
-        KN(repro_tile)(1, fin, k, REPRO_TILE_ARGS);
+        KN(repro_tile)(1, 0, fin, k, 0, REPRO_TILE_ARGS);
         k += 2;
     }
 #endif
-    for (; k < r; ++k)
-        KN(repro_tile1)(fin, k, REPRO_TILE_ARGS);
+    if (k < r) /* fp64: the one odd column */
+        KN(repro_tile)(0, 1, fin, k, REPRO_YCOLS == 2 ? 1 : r - k,
+                       REPRO_TILE_ARGS);
 #undef REPRO_TILE_ARGS
 }
 

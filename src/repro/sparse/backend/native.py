@@ -175,12 +175,12 @@ def _probe_simd_mask(cc: str) -> int:
     A preprocessor-only probe (``-dM -E``) — no binary, and it answers
     the exact question the ``#if`` gate of a ``_simd`` unit in
     ``_kernels.c`` asks, so a unit is only ever requested where it
-    builds.  Memoised twice: in the process (the kernels consult it on
-    every call) and as ``simd.probe`` in the cache directory, beside
-    ``omp.flag``, so that only the first process on a host spawns the
-    compiler for it.  The file is ``<key> <mask>``; a key that is not
-    :func:`_probe_key`'s, or anything unreadable, means probe again and
-    replace it.
+    builds.  Memoised twice: in the process (every kernel plan and every
+    plan-less call consults it) and as ``simd.probe`` in the cache
+    directory, beside ``omp.flag``, so that only the first process on a
+    host spawns the compiler for it.  The file is ``<key> <mask>``; a
+    key that is not :func:`_probe_key`'s, or anything unreadable, means
+    probe again and replace it.
     """
     march = [f for f in _CFLAGS if f.startswith("-march")]
     marker = _cache_dir() / "simd.probe"
@@ -237,8 +237,8 @@ def simd_compiled_mask() -> int:
 
     Bit 0: AVX2 kernels; bit 1: F16C half-precision kernels.  0 without
     a compiler or under ``REPRO_NATIVE_DISABLE``.  This is the memoised
-    preprocessor probe, not a question to a loaded library: the kernels
-    consult it on every call, and asking must not build anything.
+    preprocessor probe, not a question to a loaded library: every kernel
+    plan consults it, and asking must not build anything.
     """
     cc = None if os.environ.get("REPRO_NATIVE_DISABLE") else _find_compiler()
     return _probe_simd_mask(cc) if cc is not None else 0
@@ -247,8 +247,11 @@ def simd_compiled_mask() -> int:
 def simd_available() -> bool:
     """True when the ``_simd`` kernels exist and are not disabled.
 
-    ``REPRO_SIMD_DISABLE`` is consulted per call so the forced-scalar
-    drill can flip it without reloading anything.
+    ``REPRO_SIMD_DISABLE`` is consulted on every query, so the
+    forced-scalar drill can flip it without reloading anything; the
+    native backend asks once per kernel plan, when it builds the plan
+    (a plan-less kernel call asks per call), so a flip reaches the plans
+    built after it.
     """
     if os.environ.get("REPRO_SIMD_DISABLE"):
         return False
@@ -631,37 +634,24 @@ def native_error() -> str | None:
 # array marshalling
 # ---------------------------------------------------------------------
 
-def _pc(arr: np.ndarray):
-    """Float64 / complex128 (interleaved re, im) C-contiguous array as a
-    double*."""
-    return arr.ctypes.data_as(_P_F64)
+#: The C pointer type an array of each dtype is passed as: complex
+#: storage as its interleaved (re, im) floats, float16 vectors as their
+#: raw bit patterns, column indices int32 (wide) or uint16 (compressed).
+_POINTERS = {
+    np.dtype(np.float64): _P_F64,
+    np.dtype(np.complex128): _P_F64,
+    np.dtype(np.complex64): _P_F32,
+    np.dtype(np.float16): _P_U16,
+    np.dtype(np.uint16): _P_U16,
+    np.dtype(np.int32): _P_I32,
+    np.dtype(np.int64): _P_I64,
+}
 
 
-def _pvec(arr: np.ndarray):
-    """Value/vector storage pointer for any precision profile's dtype."""
-    dt = arr.dtype
-    if dt == np.complex128:
-        return arr.ctypes.data_as(_P_F64)
-    if dt == np.complex64:
-        return arr.ctypes.data_as(_P_F32)
-    if dt == np.float16:
-        return arr.ctypes.data_as(_P_U16)
-    raise TypeError(f"no native storage marshalling for dtype {dt}")
-
-
-def _pidx(arr: np.ndarray):
-    """Column-index pointer: int32 (wide) or uint16 (compressed)."""
-    dt = arr.dtype
-    if dt == np.int32:
-        return arr.ctypes.data_as(_P_I32)
-    if dt == np.uint16:
-        return arr.ctypes.data_as(_P_U16)
-    raise TypeError(f"no native index marshalling for dtype {dt}")
-
-
-def _pi64(arr: np.ndarray):
-    return arr.ctypes.data_as(_P_I64)
-
-
-def _pi32(arr: np.ndarray):
-    return arr.ctypes.data_as(_P_I32)
+def _ptr(arr: np.ndarray):
+    """``arr``'s (C-contiguous) data as the pointer its dtype travels as."""
+    try:
+        return arr.ctypes.data_as(_POINTERS[arr.dtype])
+    except KeyError:
+        raise TypeError(f"no native marshalling for dtype {arr.dtype}") \
+            from None

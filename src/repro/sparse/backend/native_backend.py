@@ -34,11 +34,7 @@ import numpy as np
 from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, KernelPlan
 from repro.sparse.backend.native import (
-    _pc,
-    _pi32,
-    _pi64,
-    _pidx,
-    _pvec,
+    _ptr,
     kernel,
     load_library,
     simd_available,
@@ -80,7 +76,9 @@ def _use_simd(simd: str | None, prec: Precision) -> bool:
     need the F16C converters.  An explicit ``"on"`` on a host that
     cannot build the vectorized units falls back to scalar *cleanly* — same
     numbers, plus a ``backend.native.simd_fallbacks`` health counter so
-    the degradation is observable instead of silent.
+    the degradation is observable instead of silent.  Asked once per
+    plan, when it is built (:func:`_plan_simd`), and once per plan-less
+    call: ``REPRO_SIMD_DISABLE`` set later reaches the plans built later.
     """
     if simd == "off":
         return False
@@ -91,6 +89,21 @@ def _use_simd(simd: str | None, prec: Precision) -> bool:
 
         GLOBAL_METRICS.count("backend.native.simd_fallbacks")
     return False
+
+
+def _plan_simd(plan, prec: Precision) -> bool:
+    """The kernel family ``plan``'s calls in profile ``prec`` run: the
+    plan's own, resolved when :meth:`NativeBackend.plan` built it (or on
+    a plan made elsewhere, at its first native call), or — no plan —
+    asked now."""
+    if plan is None:
+        return _use_simd(None, prec)
+    vs = plan.native_simd
+    if vs is None:
+        vs = plan.native_simd = _use_simd(plan.simd, plan.precision)
+    if prec.half_vectors != plan.precision.half_vectors:
+        return _use_simd(plan.simd, prec)  # vectors of another profile
+    return vs
 
 
 #: Idents of the threads that have started an OpenMP team, and whether
@@ -123,9 +136,11 @@ def _after_fork_in_child() -> None:
 os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def _as_kernel_block(name: str, X: np.ndarray, n: int) -> np.ndarray:
-    """Validate an (n, R) block for the C kernels: contiguous storage."""
-    X = check_block_vector(name, X, n)
+def _kernel_operand(name: str, X: np.ndarray, n: int,
+                    block: bool) -> np.ndarray:
+    """Validate a vector — ``block``: an (n, R) block — for the C
+    kernels: contiguous storage of one profile's dtype."""
+    X = (check_block_vector if block else check_vector)(name, X, n)
     if X.dtype not in _KERNEL_DTYPES or not X.flags.c_contiguous:
         raise ShapeError(
             f"{name} must be C-contiguous complex128/complex64 (or float16 "
@@ -134,36 +149,21 @@ def _as_kernel_block(name: str, X: np.ndarray, n: int) -> np.ndarray:
     return X
 
 
-def _as_kernel_vector(name: str, x: np.ndarray, n: int) -> np.ndarray:
-    x = check_vector(name, x, n)
-    if x.dtype not in _KERNEL_DTYPES or not x.flags.c_contiguous:
-        raise ShapeError(
-            f"{name} must be contiguous complex128/complex64 (or float16 "
-            "pair storage) for the native backend"
-        )
-    return x
+class _Call:
+    """One aug kernel call with everything but ``(a, b)`` and the team
+    resolved (DESIGN §18): ``fn(*head, n_threads, a, b, *eta)`` runs it,
+    ``cost`` is its Table-I ``(loads, stores, flops)`` and ``meta`` its
+    span's.  It holds the arrays its pointers point into — ``A``, ``V``,
+    ``W``, ``anchors``, ``bins`` — so it is reused for exactly those
+    objects (``is``), and a new ``anchors`` (:meth:`~repro.core.
+    recurrence.Recurrence.load`) makes a new call."""
 
+    __slots__ = ("A", "V", "W", "anchors", "bins", "fn", "head", "eta",
+                 "cost", "meta")
 
-def _aug_operands(A, V, W, single: bool) -> tuple:
-    """``(V, W, profile, R)`` of one aug kernel call, checked for the C
-    kernels: contiguous storage of one profile and one block width."""
-    if single:
-        V = _as_kernel_vector("v", V, A.n_cols)
-        W = _as_kernel_vector("w", W, A.n_rows)
-    else:
-        V = _as_kernel_block("V", V, A.n_cols)
-        W = _as_kernel_block("W", W, A.n_rows)
-        if W.shape[1] != V.shape[1]:
-            raise ShapeError(
-                f"V and W must share a block width, got {V.shape[1]} "
-                f"and {W.shape[1]}"
-            )
-    if V.dtype != W.dtype:
-        raise ShapeError(
-            "v and w must share one precision profile's storage dtype, got "
-            f"{V.dtype} and {W.dtype}"
-        )
-    return V, W, precision_of(V), 1 if single else V.shape[1]
+    def fits(self, A, V, W, anchors, bins) -> bool:
+        return (self.V is V and self.W is W and self.anchors is anchors
+                and self.bins is bins and self.A is A)
 
 
 class NativeBackend(KernelBackend):
@@ -174,116 +174,65 @@ class NativeBackend(KernelBackend):
     def available(self) -> bool:
         return load_library() is not None
 
+    def plan(self, A, r: int = 1, precision=None, threads=None,
+             simd=None, split=None) -> KernelPlan:
+        plan = super().plan(A, r, precision, threads, simd, split)
+        _plan_simd(plan, plan.precision)  # the family, fixed from here on
+        return plan
+
     def kernel_family(self, plan) -> str:
-        simd = _use_simd(plan.simd, plan.precision)
+        simd = _plan_simd(plan, plan.precision)
         return "native_simd" if simd else "native_scalar"
 
     # -- marshalling ---------------------------------------------------
-    # The matrix-side pointers are cached on the matrix object (the
-    # containers are immutable, same pattern as the ``_scipy_cache``
-    # handle): ``data_as`` builds fresh ctypes wrappers per call, which
-    # is measurable overhead when the distributed driver calls into the
-    # kernels once per rank per iteration on small row blocks.  Narrow
-    # profiles cache one pointer tuple per kernel suffix; the arrays
-    # they point into live in the matrix's kernel-pack cache.
     @staticmethod
-    def _csr_args(A: CSRMatrix, prec: Precision):
-        if prec.is_fp64:
-            args = getattr(A, "_native_arg_cache", None)
-            if args is None:
-                args = (_pi64(A.indptr), _pi32(A.indices), _pc(A.data))
-                A._native_arg_cache = args
-            return "", args
-        values, indices = kernel_pack(A, prec)
-        suffix = _kernel_suffix(prec, indices)
-        cache = getattr(A, "_native_typed_args", None)
-        if cache is None:
-            cache = {}
-            A._native_typed_args = cache
-        args = cache.get(suffix)
-        if args is None:
-            args = (_pi64(A.indptr), _pidx(indices), _pvec(values))
-            cache[suffix] = args
-        return suffix, args
+    def _entry(kind, A, prec, vs, lead, width) -> tuple:
+        """``(fn, head)``: the C entry point of ``kind`` for ``A`` in
+        profile ``prec`` and family ``vs``, and its leading arguments —
+        ``lead``, then the matrix's, with the block width ``width``
+        (``()`` or ``(r,)``) where the kernel takes it.
 
-    @staticmethod
-    def _sell_args(A: SellMatrix, prec: Precision):
-        if prec.is_fp64:
-            args = getattr(A, "_native_arg_cache", None)
-            if args is None:
-                args = (
-                    A.n_chunks,
-                    A.chunk_height,
-                    _pi64(A.chunk_ptr),
-                    _pi64(A.chunk_len),
-                    _pi64(A.perm),
-                    _pi32(A.indices),
-                    _pc(A.data),
-                )
-                A._native_arg_cache = args
-            return "", args
+        The matrix's pointers are cached on it, one tuple per kernel
+        suffix (the containers are immutable; ``data_as`` builds fresh
+        ctypes wrappers per call); the arrays they point into live in its
+        kernel-pack cache.
+        """
         values, indices = kernel_pack(A, prec)
         suffix = _kernel_suffix(prec, indices)
-        cache = getattr(A, "_native_typed_args", None)
-        if cache is None:
-            cache = {}
-            A._native_typed_args = cache
+        cache = A.__dict__.setdefault("_native_args", {})
         args = cache.get(suffix)
         if args is None:
-            args = (
-                A.n_chunks,
-                A.chunk_height,
-                _pi64(A.chunk_ptr),
-                _pi64(A.chunk_len),
-                _pi64(A.perm),
-                _pidx(indices),
-                _pvec(values),
-            )
-            cache[suffix] = args
-        return suffix, args
+            head = (_ptr(A.indptr),) if isinstance(A, CSRMatrix) else (
+                A.n_chunks, A.chunk_height, _ptr(A.chunk_ptr),
+                _ptr(A.chunk_len), _ptr(A.perm))
+            args = cache[suffix] = (*head, _ptr(indices), _ptr(values))
+        if isinstance(A, SellMatrix):
+            fmt, args = "sell", (*args[:2], *width, *args[2:])
+        else:
+            fmt, args = "csr", (*width, *args)
+        return kernel(f"repro_{fmt}_{kind}", suffix, vs), (*lead, *args)
 
     # -- kernels -------------------------------------------------------
     def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
              counters: PerfCounters = NULL_COUNTERS,
              metrics: MetricsRegistry = NULL_METRICS):
-        x, prec, out = self._product_args(A, x, out)
-        x = _as_kernel_vector("x", x, A.n_cols)
-        vs = _use_simd(plan.simd if plan is not None else None, prec)
-        nt = _team(plan)
-        with metrics.span("spmv", counters=counters):
-            if isinstance(A, CSRMatrix):
-                suf, args = self._csr_args(A, prec)
-                kernel("repro_csr_spmv", suf, vs)(
-                    A.n_rows, *args, _pvec(x), _pvec(out), nt
-                )
-            else:
-                suf, args = self._sell_args(A, prec)
-                kernel("repro_sell_spmv", suf, vs)(
-                    A.n_rows, *args, _pvec(x), _pvec(out), nt
-                )
-            charge_spmv(counters, "spmv", *matrix_stream(A, prec), 1, prec)
-        return out
+        return self._product("spmv", A, x, out, plan, counters, metrics)
 
     def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
               counters: PerfCounters = NULL_COUNTERS,
               metrics: MetricsRegistry = NULL_METRICS):
-        X, prec, out = self._product_args(A, X, out, block=True)
-        X = _as_kernel_block("X", X, A.n_cols)
-        r = X.shape[1]
-        vs = _use_simd(plan.simd if plan is not None else None, prec)
-        nt = _team(plan)
-        with metrics.span("spmmv", counters=counters):
-            if isinstance(A, CSRMatrix):
-                suf, args = self._csr_args(A, prec)
-                kernel("repro_csr_spmmv", suf, vs)(
-                    A.n_rows, r, *args, _pvec(X), _pvec(out), nt
-                )
-            else:
-                suf, (nc, c, *rest) = self._sell_args(A, prec)
-                kernel("repro_sell_spmmv", suf, vs)(
-                    A.n_rows, nc, c, r, *rest, _pvec(X), _pvec(out), nt
-                )
-            charge_spmv(counters, "spmmv", *matrix_stream(A, prec), r, prec)
+        return self._product("spmmv", A, X, out, plan, counters, metrics)
+
+    def _product(self, kind, A, X, out, plan, counters, metrics):
+        block = kind == "spmmv"
+        X, prec, out = self._product_args(A, X, out, block)
+        X = _kernel_operand("X" if block else "x", X, A.n_cols, block)
+        r = X.shape[1] if block else 1
+        fn, head = self._entry(kind, A, prec, _plan_simd(plan, prec),
+                               (A.n_rows,), (r,) if block else ())
+        with metrics.span(kind, counters=counters):
+            fn(*head, _ptr(X), _ptr(out), _team(plan))
+            charge_spmv(counters, kind, *matrix_stream(A, prec), r, prec)
         return out
 
     def aug_spmv_step(
@@ -291,8 +240,8 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        ee, eo = self._step("aug_spmv", A, v, w, a, b, plan, counters,
-                            metrics)
+        ee, eo = fold(self._step("aug_spmv", A, v, w, a, b, plan, counters,
+                                 metrics))
         return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
@@ -300,56 +249,74 @@ class NativeBackend(KernelBackend):
         counters: PerfCounters = NULL_COUNTERS,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
-        return self._step("aug_spmmv", A, V, W, a, b, plan, counters,
-                          metrics)
+        return fold(self._step("aug_spmmv", A, V, W, a, b, plan, counters,
+                               metrics))
 
     def _step(self, kind, A, V, W, a, b, plan, counters, metrics):
         """One whole augmented step (``aug_spm(m)v``, on 1-D vectors for
-        ``aug_spmv``); returns the fold of its bins (DESIGN §19)."""
-        if not isinstance(A, (CSRMatrix, SellMatrix)):
-            raise TypeError(f"unsupported matrix type {type(A).__name__}")
-        threads = plan.threads if plan is not None else None
-        meta = {} if threads is None else {"threads": threads}
-        with metrics.span(kind, counters=counters, **meta):
-            bins, prec, r = self._aug(kind, A, V, W, a, b, plan, 0, A.n_rows)
-            charge_aug(counters, kind, *matrix_stream(A, prec), r, prec)
-        return fold(bins)
+        ``aug_spmv``); returns its bins (DESIGN §19): the plan's, or fresh
+        ones without a fitting plan."""
+        call = self._bind(kind, A, V, W, plan, 0, A.n_rows, None)
+        with metrics.span(kind, counters=counters, **call.meta):
+            call.fn(*call.head, _team(plan), a, b, *call.eta)
+            loads, stores, flops = call.cost
+            counters.charge(kind, loads=loads, stores=stores, flops=flops)
+        return call.bins
 
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
-        self._aug("aug_spmmv", A, V, W, a, b, plan, row0, row1, bins)
+        call = self._bind("aug_spmmv", A, V, W, plan, row0, row1, bins)
+        call.fn(*call.head, _team(plan), a, b, *call.eta)
 
-    @staticmethod
-    def _eta_ptrs(plan, anchors, bins, escape) -> tuple:
-        """The kernels' (anchors, bins, escape) pointers.  A plan's arrays
-        live as long as the plan, so their pointers are made once per
-        (bins, anchors) pair (a pointer costs more than a small kernel
-        call)."""
-        if plan is None or escape is not plan.escape:  # fresh arrays
-            return _pc(anchors), _pc(bins), _pi64(escape)
-        cache = plan.__dict__.setdefault("_eta_ptrs", {})
-        hit = cache.get(id(bins))  # the value holds bins: the id stays
-        if hit is None or hit[0] is not anchors:
-            hit = cache[id(bins)] = (anchors, bins, (
-                _pc(anchors), _pc(bins), _pi64(escape)))
-        return hit[2]
+    def _bind(self, kind, A, V, W, plan, row0, row1, bins) -> _Call:
+        """The :class:`_Call` of one C aug kernel — CSR over rows ``[row0,
+        row1)`` of the ORIGINAL arrays, indexed in place; SELL whole —
+        into ``bins``, else the plan's (or fresh ones).
 
-    def _aug(self, kind, A, V, W, a, b, plan, row0, row1, bins=None):
-        """One C aug kernel: CSR over rows ``[row0, row1)`` of the
-        ORIGINAL arrays, indexed in place; SELL whole.  Returns ``(bins,
-        profile, R)`` — ``bins``, else the plan's (or fresh ones)."""
-        V, W, prec, r = _aug_operands(A, V, W, kind == "aug_spmv")
+        A plan keeps the calls it made, two per ``(kind, rows)`` (the
+        recurrence alternates two buffers): a later call on the same
+        objects is a lookup — no operand check, no pointer, no
+        environment read.  Anything else checks and marshals its
+        operands once, here.  The thread team is not bound: a fork
+        changes it (:func:`_team`)."""
+        calls = None
+        if plan is not None:
+            calls = plan.native_calls.setdefault((kind, row0, row1), [])
+            for call in calls:
+                if call.fits(A, V, W, plan.anchors,
+                             plan.bins if bins is None else bins):
+                    return call
+        if not isinstance(A, (CSRMatrix, SellMatrix)):
+            raise TypeError(f"unsupported matrix type {type(A).__name__}")
+        block = kind == "aug_spmmv"
+        V = _kernel_operand("V" if block else "v", V, A.n_cols, block)
+        W = _kernel_operand("W" if block else "w", W, A.n_rows, block)
+        r = V.shape[1] if block else 1
+        if block and W.shape[1] != r:
+            raise ShapeError(
+                f"V and W must share a block width, got {r} and {W.shape[1]}"
+            )
+        if V.dtype != W.dtype:
+            raise ShapeError(
+                "v and w must share one precision profile's storage dtype, "
+                f"got {V.dtype} and {W.dtype}"
+            )
+        prec = precision_of(V)
         anchors, own, escape = self._eta_state(plan, V, A.n_rows, r)
-        bins = own if bins is None else bins
-        vs = _use_simd(plan.simd if plan is not None else None, prec)
-        width = () if kind == "aug_spmv" else (r,)
-        tail = (_pvec(V), _pvec(W), _team(plan), a, b,
-                *self._eta_ptrs(plan, anchors, bins, escape))
-        if isinstance(A, SellMatrix):
-            suf, (nc, c, *rest) = self._sell_args(A, prec)
-            kernel(f"repro_sell_{kind}", suf, vs)(
-                A.n_rows, nc, c, *width, *rest, *tail)
-        else:
-            suf, args = self._csr_args(A, prec)
-            kernel(f"repro_csr_{kind}", suf, vs)(
-                row0, row1, *width, *args, *tail)
-        return bins, prec, r
+        call = _Call()
+        call.A, call.V, call.W = A, V, W
+        call.anchors, call.bins = anchors, own if bins is None else bins
+        fn, head = self._entry(
+            kind, A, prec, _plan_simd(plan, prec),
+            (A.n_rows,) if isinstance(A, SellMatrix) else (row0, row1),
+            (r,) if block else ())
+        call.fn, call.head = fn, (*head, _ptr(V), _ptr(W))
+        call.eta = (_ptr(anchors), _ptr(call.bins), _ptr(escape))
+        cost = PerfCounters()
+        charge_aug(cost, kind, *matrix_stream(A, prec), r, prec)
+        call.cost = (cost.bytes_loaded, cost.bytes_stored, cost.flops)
+        threads = None if plan is None else plan.threads
+        call.meta = {} if threads is None else {"threads": threads}
+        if calls is not None and anchors is plan.anchors:  # a fitting plan
+            calls.insert(0, call)
+            del calls[2:]  # one per buffer of the recurrence's pair
+        return call

@@ -206,10 +206,8 @@ class NumpyBackend(KernelBackend):
         ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call.  The one-column
         view of the stage-2 walk; on CSR its product sums in the C
         kernel's four lanes (:func:`_lane_product`)."""
-        v = check_vector("v", v, A.n_cols)
-        w = check_vector("w", w, A.n_rows)
-        ee, eo = self._step("aug_spmv", A, v[:, None], w[:, None], a, b,
-                            plan, counters, metrics)
+        ee, eo = fold(self._step("aug_spmv", A, v, w, a, b, plan, counters,
+                                 metrics))
         return float(ee[0]), complex(eo[0])
 
     def aug_spmmv_step(
@@ -224,12 +222,16 @@ class NumpyBackend(KernelBackend):
         traffic: ``N_nz (S_d+S_i) + 3 R N S_d`` bytes per call — Eq. (4)'s
         final line divided by the M/2 iterations.
         """
-        V = check_block_vector("V", V, A.n_cols)
-        W = check_block_vector("W", W, A.n_rows, V.shape[1])
-        return self._step("aug_spmmv", A, V, W, a, b, plan, counters,
-                          metrics)
+        return fold(self._step("aug_spmmv", A, V, W, a, b, plan, counters,
+                               metrics))
 
     def _step(self, name, A, V, W, a, b, plan, counters, metrics):
+        if name == "aug_spmv":  # the walk's one-column view
+            V = check_vector("v", V, A.n_cols)[:, None]
+            W = check_vector("w", W, A.n_rows)[:, None]
+        else:
+            V = check_block_vector("V", V, A.n_cols)
+            W = check_block_vector("W", W, A.n_rows, V.shape[1])
         prec = precision_of(V)
         with metrics.span(name, counters=counters):
             bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows,
@@ -237,7 +239,7 @@ class NumpyBackend(KernelBackend):
                               and isinstance(A, CSRMatrix))
             charge_aug(counters, name, *matrix_stream(A, prec), W.shape[1],
                        prec)
-        return fold(bins)
+        return bins
 
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
         self._walk(plan.range_matrices[row0, row1], V, W, a, b, plan, row0,

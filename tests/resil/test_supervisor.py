@@ -199,11 +199,11 @@ class TestDegradation:
         class FailsOnce(NativeBackend):
             calls = 0
 
-            def aug_spmmv_step(self, *args, **kwargs):
+            def _step(self, *args, **kwargs):  # every recurrence step's
                 FailsOnce.calls += 1
                 if FailsOnce.calls == 6:
                     raise BackendError("injected kernel fault")
-                return super().aug_spmmv_step(*args, **kwargs)
+                return super()._step(*args, **kwargs)
 
         ref = compute_eta(h, scale, 16, blk, "aug_spmmv", backend="native")
         sup = make_supervisor(checkpoint_every=2,

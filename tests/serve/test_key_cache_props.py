@@ -237,3 +237,51 @@ def test_partial_entries_never_downgrade_and_are_pinned(steps):
     cache.put("p", np.ones(m_total), m_total)
     assert cache.get("p") is not None
     assert cache.get("p").complete
+
+
+# -- one derivation per submit ------------------------------------------
+
+ldos_requests = st.builds(
+    lambda spec, m, rows, kernel: Request(
+        spec, kind="ldos", n_moments=2 * m, rows=rows, kernel=kernel),
+    spec=ti_specs, m=st.integers(1, 64),
+    rows=st.lists(st.integers(0, 500), min_size=1, max_size=4),
+    kernel=st.sampled_from(["jackson", "lorentz"]),
+)
+
+
+@given(req=st.one_of(requests, ldos_requests), seed=st.integers(0, 9))
+@settings(max_examples=40)
+def test_keys_are_the_three_keys_and_the_spec_digest(req, seed):
+    assert req.keys(seed) == (req.request_key(seed), req.moment_key(seed),
+                              req.group_key(seed), req.spec.digest)
+
+
+def test_a_submit_digests_each_key_once(monkeypatch):
+    """A submit derives spec -> group -> moment -> request once, a miss
+    or a hit, and a batch re-derives none of them."""
+    from repro.serve import KPMServer
+    from repro.serve import spec as spec_module
+
+    srv = KPMServer(backend="numpy")
+    spec = HamiltonianSpec("topological_insulator",
+                           {"nx": 4, "ny": 4, "nz": 2})
+    srv.operator(spec)  # built and pinned outside the count
+    digests = []
+    real = spec_module._digest
+    monkeypatch.setattr(spec_module, "_digest",
+                        lambda obj: digests.append(obj) or real(obj))
+
+    def count(action) -> int:
+        digests.clear()
+        action()
+        return len(digests)
+
+    req = Request(spec, n_moments=16, seed=3)
+    miss = []
+    assert count(lambda: miss.append(srv.submit(req))) == 4
+    assert count(srv.step) == 0
+    hit = []
+    assert count(lambda: hit.append(srv.submit(req))) == 4
+    assert hit[0].via == "cache" and miss[0].via == 1
+    assert np.array_equal(hit[0].result().moments, miss[0].result().moments)

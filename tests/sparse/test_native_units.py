@@ -145,7 +145,7 @@ def test_tags_key_on_unit_source_and_flags(monkeypatch, tmp_path):
 
 
 def test_simd_queries_build_nothing(monkeypatch):
-    """``simd_available`` is asked per kernel call: no load, no compile."""
+    """``simd_available`` is asked per kernel plan: no load, no compile."""
     def boom(*_a, **_k):
         raise AssertionError("a SIMD query opened a unit")
 

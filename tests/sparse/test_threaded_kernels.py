@@ -102,18 +102,48 @@ def _child_solve(conn, h, scale) -> None:
     conn.send_bytes(_threaded_moments(h, scale).tobytes())
 
 
+def _child_steps(conn, rec) -> bytes:
+    """The rest of ``rec``'s run: its bins, sent to ``conn`` if any."""
+    out = b"".join(_step(rec) for _ in range(M // 2 - 4))
+    if conn is not None:
+        conn.send_bytes(out)
+    return out
+
+
+def _step(rec) -> bytes:
+    rec.swap()
+    return rec.update().tobytes()
+
+
 @needs_native
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method")
 def test_fork_after_a_threaded_solve(ti):
     """A child forked from a thread that ran a team finishes its own
     threaded solve (on one thread: libgomp's team does not survive the
-    fork) with the parent's bits."""
-    h, scale, _ = ti
+    fork) with the parent's bits — a fresh one, and the parent's own
+    recurrence, whose plan bound its calls on that thread before the
+    fork: a bound call never replays the parent's thread count."""
+    from repro.core.recurrence import Recurrence
+
+    h, scale, block = ti
     ref = _threaded_moments(h, scale)
+    assert _in_forked_child(_child_solve, h, scale) == ref.tobytes()
+
+    rec = Recurrence(h, scale.a, scale.b, R, backend="native", threads=2)
+    rec.load(block)
+    rec.bootstrap()
+    for _ in range(3):  # both parities bound, the team started
+        rec.swap()
+        rec.update()
+    assert _in_forked_child(_child_steps, rec) == _child_steps(None, rec)
+
+
+def _in_forked_child(target, *args) -> bytes:
+    """What ``target(conn, *args)`` sends from a forked child."""
     ctx = multiprocessing.get_context("fork")
     ours, theirs = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_child_solve, args=(theirs, h, scale))
+    child = ctx.Process(target=target, args=(theirs, *args))
     child.start()
     theirs.close()
     try:
@@ -125,4 +155,4 @@ def test_fork_after_a_threaded_solve(ti):
             child.join()
         ours.close()
     assert got is not None, "the forked child hung in its threaded solve"
-    assert got == ref.tobytes()
+    return got

@@ -8,7 +8,7 @@ the width grows — and must equal the analytic minimum-traffic model
 (:func:`repro.perf.report.expected_counters`) to the byte, exactly as
 ``tools/check_metrics.py`` demands of the engines themselves.
 
-For widths 1, 2, 4, 8 this script submits that many width-1 DOS
+For widths 1, 2, 3, 4, 5, 8 this script submits that many width-1 DOS
 requests to a fresh synchronous :class:`~repro.serve.KPMServer`,
 asserts the requests coalesced into exactly one batch, and checks:
 
@@ -41,7 +41,7 @@ from repro.sparse.backend.native import native_available  # noqa: E402
 
 SPEC = HamiltonianSpec("topological_insulator", {"nx": 8, "ny": 8, "nz": 4})
 M = 128
-WIDTHS = (1, 2, 4, 8)
+WIDTHS = (1, 2, 3, 4, 5, 8)
 
 failures: list[str] = []
 
