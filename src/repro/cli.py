@@ -87,9 +87,8 @@ def cmd_dos(args) -> int:
 
     from repro.core.reconstruct import integrate_density
     from repro.core.solver import KPMSolver
-    from repro.obs import NULL_METRICS, MetricsRegistry
+    from repro.obs.metrics import NULL_METRICS, PerfCounters
     from repro.sparse.backend import get_backend
-    from repro.util.counters import NULL_COUNTERS, PerfCounters
     from repro.util.errors import BackendError
     from repro.util.knobs import ExecConfig, resolve_overlap
 
@@ -125,17 +124,16 @@ def cmd_dos(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"kernel backend: {backend.name}")
-    # --metrics / --trace turn on the observability layer: counters for
-    # the Table-I traffic accounting, a registry for per-kernel spans,
-    # and (with --trace) one JSONL record per span.
+    # --metrics / --trace turn on the observability layer: one sink of
+    # per-kernel spans that carry their Table-I traffic, read by family
+    # as PerfCounters, and (with --trace) one JSONL record per span.
     observe = args.metrics or args.trace
     trace = None
     if args.trace:
         from repro.obs import Trace
 
         trace = Trace(args.trace)
-    counters = PerfCounters() if observe else NULL_COUNTERS
-    metrics = MetricsRegistry(trace=trace) if observe else NULL_METRICS
+    sink = PerfCounters(trace=trace) if observe else NULL_METRICS
     # --retries / --fault-plan / --checkpoint-every turn on the
     # resilience supervisor: supervised retries, checkpoint recovery,
     # and graceful engine degradation.
@@ -167,8 +165,8 @@ def cmd_dos(args) -> int:
     try:
         solver = KPMSolver(
             h, n_moments=args.moments, n_vectors=args.vectors, seed=args.seed,
-            engine="aug_spmmv" if distributed else kernel, counters=counters,
-            metrics=metrics, resilience=resil,
+            engine="aug_spmmv" if distributed else kernel, metrics=sink,
+            resilience=resil,
             config=replace(cfg, backend=backend),
         )
     except ValueError as exc:
@@ -237,17 +235,22 @@ def cmd_dos(args) -> int:
         from repro.perf.report import measured_vs_model_section
 
         # Distributed runs use the stage-2 kernels and their merged
-        # counters equal the serial charge, so the same model applies.
+        # traffic folds to the serial charge, so the same model applies.
         eng = "aug_spmmv" if distributed else kernel
         print("\n== MEASURED vs MODEL ==")
         print(measured_vs_model_section(
-            h, counters, args.moments, args.vectors, eng, metrics=metrics,
+            h, sink, args.moments, args.vectors, eng,
             precision=args.precision,
         ), end="")
         print("\n== METRICS ==")
-        print(metrics.summary())
-    if trace is not None:
+        print(sink.summary())
+    if trace is not None:  # the file read back: its spans per name
+        from repro.obs import read_trace
+        from repro.perf.report import trace_section
+
+        trace.close()
         print(f"\ntrace: {trace.n_records} spans -> {trace.path}")
+        print(trace_section(read_trace(trace.path)), end="")
     return 0
 
 

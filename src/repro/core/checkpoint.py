@@ -41,12 +41,11 @@ import numpy as np
 from repro.core.recurrence import (RankState, Recurrence, Schedule,
                                    check_moments, rank_program, to_storage)
 from repro.core.scaling import SpectralScale
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry, one_sink
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import eta_anchors, fold
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import CheckpointError, FormatError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
@@ -217,7 +216,7 @@ class RunContext:
     """The run controls of one solve, carried whole from entry to loop.
 
     :class:`~repro.util.knobs.ExecConfig` says how a solve executes; the
-    context says what runs beside it — sinks, checkpoints, resume,
+    context says what runs beside it — the sink, checkpoints, resume,
     faults, progress, mp timeouts (DESIGN §17 lists every field) — and
     holds the one copy of each mechanic the engines share, so an engine
     only says *when* its state is ready.  Entry points build it in one
@@ -225,8 +224,7 @@ class RunContext:
     :func:`dataclasses.replace`.
     """
 
-    counters: PerfCounters = field(default_factory=lambda: NULL_COUNTERS)
-    metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
+    sink: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
     checkpoint_every: int = 0
     checkpoint_path: str | Path | None = None
     resume_from: KpmCheckpoint | str | Path | None = None
@@ -237,10 +235,12 @@ class RunContext:
     timeouts: object = None
 
     @classmethod
-    def of(cls, seed: int = 0, **fields) -> RunContext:
-        """The context of an entry point's keywords.  A cadence without a
-        file is refused and a fault-plan string is parsed under
-        ``seed``."""
+    def of(cls, seed: int = 0, counters=NULL_METRICS, metrics=NULL_METRICS,
+           **fields) -> RunContext:
+        """The context of an entry point's keywords.  ``counters`` and
+        ``metrics`` become the one sink (:func:`~repro.obs.metrics.
+        one_sink`), a cadence without a file is refused and a fault-plan
+        string is parsed under ``seed``."""
         if fields.get("checkpoint_every") and \
                 fields.get("checkpoint_path") is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
@@ -248,7 +248,7 @@ class RunContext:
             from repro.resil.faults import as_fault_plan
 
             fields["fault_plan"] = as_fault_plan(fields["fault_plan"], seed)
-        return cls(**fields)
+        return cls(sink=one_sink(counters, metrics), **fields)
 
     def check_stage(self, kernel: str, engine: str = "serial") -> None:
         """Refuse on a stage-0/1 ``kernel``, which runs one column at a
@@ -307,7 +307,7 @@ class RunContext:
         ``checkpoint_save`` span; without a path nothing is written."""
         if self.checkpoint_path is None:
             return
-        with self.metrics.span("checkpoint_save", phase="ckpt") as sp:
+        with self.sink.span("checkpoint_save", phase="ckpt") as sp:
             saved = state.save(self.checkpoint_path)
             sp.note(file_bytes=saved.stat().st_size,
                     payload_bytes=state.payload_bytes, next_m=state.next_m)
@@ -337,7 +337,7 @@ class RunContext:
         if ck is None:
             return None
         if not isinstance(ck, KpmCheckpoint):
-            with self.metrics.span("checkpoint_load", phase="ckpt"):
+            with self.sink.span("checkpoint_load", phase="ckpt"):
                 ck = KpmCheckpoint.load(ck)
         if ck.n_moments != n_moments:
             raise FormatError(
@@ -373,8 +373,8 @@ def checkpointed_eta(
     checkpoint_every: int = 0,
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
+    counters=NULL_METRICS,
+    metrics=NULL_METRICS,
     fault_plan=None,
     attempt: int = 1,
     progress=None,
@@ -497,9 +497,7 @@ class Run:
     def recurrence(self, A, split=None) -> Recurrence:
         """A rank's recurrence over its operator block ``A``."""
         return Recurrence(A, self.a, self.b, self.r, kernel=self.kernel,
-                          split=split, config=self.cfg,
-                          counters=self.ctx.counters,
-                          metrics=self.ctx.metrics)
+                          split=split, config=self.cfg, sink=self.ctx.sink)
 
     def rank(self, p: int, rec: Recurrence, rows: slice, bins: np.ndarray,
              bufs=None, links=((), ()), slots=None,
@@ -514,7 +512,7 @@ class Run:
         else:
             rec.load(self.start_block[rows], anchors=self.anchors, bufs=bufs)
         return cls(p, rec, rows, bins, *links, slots,
-                   self.ctx.injector(p) or None, self.ctx.metrics)
+                   self.ctx.injector(p) or None, self.ctx.sink)
 
     def lockstep(self, states: list[RankState], reslice=None) -> np.ndarray:
         """Run the ranks' programs to the end in this process; returns eta

@@ -20,10 +20,10 @@ import numpy as np
 
 from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
+from repro.obs.metrics import NULL_METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.validation import check_positive
 
 
@@ -52,7 +52,7 @@ def evolve(
     t: float,
     *,
     order: int | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> np.ndarray:
     """Propagate |psi(t)> = exp(-i H t) |psi0>.
 
@@ -84,7 +84,7 @@ def evolve(
     weights = 2.0 * jv(m, tau) * np.array([1.0, -1j * sgn, -1.0, 1j * sgn])[m % 4]
     weights[0] /= 2.0
 
-    rec = Recurrence(H, scale.a, scale.b, psi.shape[1], counters=counters)
+    rec = Recurrence(H, scale.a, scale.b, psi.shape[1], sink=counters)
     rec.load(psi)
     out = np.zeros_like(rec.v)
     for weight, nu in zip(weights, rec.iterates(order)):
@@ -99,7 +99,7 @@ def autocorrelation(
     psi0: np.ndarray,
     times: np.ndarray,
     *,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> np.ndarray:
     """Survival amplitude C(t) = <psi0| exp(-i H t) |psi0> over ``times``.
 

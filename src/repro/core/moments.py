@@ -37,10 +37,9 @@ import numpy as np
 
 from repro.core.checkpoint import RunContext, checkpointed_eta, run_ranks
 from repro.core.scaling import SpectralScale
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.knobs import ExecConfig
 
 
@@ -58,9 +57,9 @@ def compute_eta(
     n_moments: int,
     start_block: np.ndarray,
     engine: MomentEngine | str = MomentEngine.AUG_SPMMV,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
     *,
-    metrics: MetricsRegistry = NULL_METRICS,
+    metrics=NULL_METRICS,
     config: ExecConfig | None = None,
     **knobs,
 ) -> np.ndarray:
@@ -79,10 +78,12 @@ def compute_eta(
         (N, R) C-contiguous block of start vectors.
     engine:
         Which optimization stage to execute.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry`; when live, every
-        kernel invocation records a wall-time span with the counters'
-        traffic/flop delta attached (free with the null default).
+    counters / metrics:
+        The run's one sink, as either keyword: a
+        :class:`~repro.util.counters.PerfCounters` (or any
+        :class:`~repro.obs.MetricsRegistry`) records a wall-time span per
+        kernel call carrying its Table-I bytes and flops; two live sinks
+        are refused (free with the null default).
     config / knobs:
         The kernel knobs of :class:`~repro.util.knobs.ExecConfig`
         (``backend``, ``precision``, ``threads``, ``simd``).  The eta
@@ -102,7 +103,7 @@ def compute_eta(
                                 counters=counters, metrics=metrics,
                                 config=config, **knobs)
     return run_ranks(ExecConfig.of(config, knobs),
-                     RunContext(counters=counters, metrics=metrics),
+                     RunContext.of(counters=counters, metrics=metrics),
                      H, scale, n_moments, start_block, kernel=engine.value)
 
 

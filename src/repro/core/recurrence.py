@@ -35,10 +35,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import get_backend
 from repro.sparse.fused import _recombine, eta_anchors, eta_bins
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SpectralScaleError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
@@ -92,6 +91,9 @@ class Recurrence:
         as two phases — :meth:`interior` needs only the local part of
         :attr:`x`, so an engine can overlap it with its halo exchange —
         whose bins add exactly.
+    sink:
+        The run's one measurement sink (:class:`~repro.obs.
+        MetricsRegistry`): every kernel call's span and Table-I charge.
     config / knobs:
         The :class:`~repro.util.knobs.ExecConfig` whose ``backend``,
         ``precision``, ``threads`` and ``simd`` select the kernels; this
@@ -107,8 +109,7 @@ class Recurrence:
         *,
         kernel: str = "aug_spmmv",
         split=None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
+        sink: MetricsRegistry = NULL_METRICS,
         config: ExecConfig | None = None,
         **knobs,
     ) -> None:
@@ -117,15 +118,15 @@ class Recurrence:
         self.a, self.b = a, b
         self.prec = prec = get_precision(cfg.precision)
         self._bk = bk = get_backend(cfg.backend)
-        self._obs = {"counters": counters, "metrics": metrics}
+        self.sink = sink
         kw = dict(precision=prec, threads=cfg.kernel_threads(work=A.nnz * r),
                   simd=cfg.simd)
         self._plan = plan = bk.plan(A, r, split=split, **kw)
         single = kernel != "aug_spmmv"
         self._apply = bk.spmv if single else bk.spmmv
-        # the fused stages leave their bins on the plan, unfolded
+        # every stage leaves its bins on the plan, unfolded
         self._kernel = {
-            "naive": bk.naive_step,
+            "naive": bk._naive,
             "aug_spmv": partial(bk._step, "aug_spmv"),
             "aug_spmmv": partial(bk._step, "aug_spmmv"),
         }[kernel]
@@ -144,17 +145,15 @@ class Recurrence:
         self._partial = False  # the interior phase ran, boundary pending
         self.v = self.w = None
 
-    def rebind(
-        self, a: float, b: float, counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ) -> None:
-        """Reuse the plans for another run: a new spectral map and sinks.
+    def rebind(self, a: float, b: float,
+               sink: MetricsRegistry = NULL_METRICS) -> None:
+        """Reuse the plans for another run: a new spectral map and sink.
 
         A parked mp worker keeps its rank's recurrence between solves;
         :meth:`load` then installs the new run's vectors.
         """
         self.a, self.b = a, b
-        self._obs = {"counters": counters, "metrics": metrics}
+        self.sink = sink
         self._partial = False
 
     @property
@@ -242,7 +241,7 @@ class Recurrence:
         """
         a, b, prec = self.a, self.b, self.prec
         w = self._apply(self.A, self.x, out=self.w, plan=self._plan,
-                        **self._obs)
+                        metrics=self.sink)
         if prec.half_vectors:
             vc, wc = self._vc[: self.A.n_rows], self._wc
             prec.decode(self.v, out=vc)
@@ -267,8 +266,8 @@ class Recurrence:
         Reads only the local part of :attr:`x`, so it may run while the
         halo tail is still in flight; :meth:`update` finishes the step.
         """
-        self._bk.aug_spmmv_interior(self.A, self.x, self.w, self.a, self.b,
-                                    plan=self._plan, **self._obs)
+        self._bk._phase(0, self.A, self.x, self.w, self.a, self.b,
+                        self._plan, self.sink)
         self._partial = True
 
     def update(self):
@@ -282,14 +281,14 @@ class Recurrence:
         """
         plan = self._plan
         if plan.phases is None:
-            self._kernel(self.A, self.x, self.w, self.a, self.b, plan=plan,
-                         **self._obs)
+            self._kernel(self.A, self.x, self.w, self.a, self.b, plan,
+                         self.sink)
             return self._checked(plan.bins)
         if not self._partial:
             self.interior()
         self._partial = False
-        self._bk.aug_spmmv_boundary(self.A, self.x, self.w, self.a, self.b,
-                                    plan=plan, **self._obs)
+        self._bk._phase(1, self.A, self.x, self.w, self.a, self.b, plan,
+                        self.sink)
         return self._checked(np.add(*plan.phase_bins, out=self._bins))
 
     def advance(self) -> np.ndarray:
@@ -307,7 +306,7 @@ class Recurrence:
             # in fp32 on decodes and is rounded back into w's storage
             vc, wc = self._vc[: self.A.n_rows], self._wc
             self._apply(self.A, self.x, out=self._uh, plan=self._plan,
-                        **self._obs)
+                        metrics=self.sink)
             prec.decode(self._uh, out=self._u)
             prec.decode(self.v, out=vc)
             prec.decode(self.w, out=wc)
@@ -315,7 +314,7 @@ class Recurrence:
             prec.encode(wc, out=self.w)
         else:
             self._apply(self.A, self.x, out=self._u, plan=self._plan,
-                        **self._obs)
+                        metrics=self.sink)
             _recombine(self.w, self._u, self.v, self.a, self.b,
                        self._work)
         return self.w
@@ -375,7 +374,7 @@ class RankState:
     sources: list
     slots: tuple | None
     inj: object
-    metrics: MetricsRegistry
+    sink: MetricsRegistry
 
 
 def rank_program(s: RankState, sched: Schedule, t):
@@ -398,7 +397,7 @@ def rank_program(s: RankState, sched: Schedule, t):
     rec, r = s.rec, s.bins.shape[-1] // 3
     peers = s.bins.shape[0] > 1
     # one rank has no skew to time: its spans are the kernels' own
-    span = (s.metrics if peers else NULL_METRICS).span
+    span = (s.sink if peers else NULL_METRICS).span
     busy, k = 0.0, 0  # busy seconds since the last boundary; checkpoints
 
     def timed(work):

@@ -25,12 +25,11 @@ from repro.core.moments import MomentEngine, compute_eta, eta_to_moments
 from repro.core.reconstruct import integrate_density, reconstruct_dos
 from repro.core.scaling import SpectralScale, gershgorin_scale, lanczos_scale
 from repro.core.stochastic import ldos_moments, make_block_vector, unit_block_vector
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, one_sink
 from repro.physics.hamiltonian import plane_wave_vector
 from repro.physics.lattice import Lattice3D
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.knobs import ExecConfig, check_rebalance, run_supervised
 from repro.util.precision import get_precision
 from repro.util.validation import check_positive
@@ -138,13 +137,14 @@ class KPMSolver:
         Damping kernel for reconstruction ('jackson' by default).
     seed:
         RNG seed for the stochastic vectors.
-    counters:
-        Optional traffic/flop accounting sink.
-    metrics:
-        Optional :class:`~repro.obs.MetricsRegistry` recording per-kernel
-        wall-time spans (with the counters' traffic attributed span by
-        span) and, when built with a :class:`~repro.obs.Trace`, a JSONL
-        trace of every span.  Free with the null default.
+    counters / metrics:
+        The solve's one measurement sink, as either keyword (two live
+        sinks are refused): a :class:`~repro.obs.MetricsRegistry`
+        records per-kernel wall-time spans, each carrying its Table-I
+        bytes and flops, and, when built with a :class:`~repro.obs.
+        Trace`, a JSONL trace of every span; a
+        :class:`~repro.util.counters.PerfCounters` reads as their fold
+        by kernel family.  Free with the null default.
     dist_engine:
         ``None`` (serial, default), ``'sim'`` or ``'mp'``: the
         ``engine`` field of the execution config.  The distributed
@@ -183,8 +183,8 @@ class KPMSolver:
         kernel: str = "jackson",
         vector_kind: str = "phase",
         seed: int | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
+        counters=NULL_METRICS,
+        metrics=NULL_METRICS,
         dist_engine: str | None = None,
         resilience=None,
         config: ExecConfig | None = None,
@@ -209,8 +209,7 @@ class KPMSolver:
         self.kernel = kernel
         self.vector_kind = vector_kind
         self.seed = seed
-        self.counters = counters
-        self.metrics = metrics
+        self.sink = one_sink(counters, metrics)
         self.resilience = resilience
         #: the ElasticReport of the most recent elastic solve; None
         #: until one runs (or when rebalance is off).
@@ -290,7 +289,7 @@ class KPMSolver:
         """
         eta, self.world, report, self.resilience_report = run_supervised(
             self.config,
-            RunContext(counters=self.counters, metrics=self.metrics),
+            RunContext(sink=self.sink),
             self.resilience, self.seed, self.H, self.scale, self.n_moments,
             self._start_block(), kernel=self.engine.value,
         )
@@ -311,7 +310,7 @@ class KPMSolver:
         """
         mu = self.moments()
         pts = n_points if n_points is not None else max(2 * self.n_moments, 256)
-        with self.metrics.span("reconstruct", phase="solver"):
+        with self.sink.span("reconstruct", phase="solver"):
             e_grid, rho = reconstruct_dos(
                 mu, self.scale, energies=energies, n_points=pts,
                 kernel=self.kernel,
@@ -339,7 +338,7 @@ class KPMSolver:
         else:
             block = self._start_block()
         mu = ldos_moments(self.H, self.scale, self.n_moments, block, rows,
-                          self.counters, config=self.config)
+                          self.sink, config=self.config)
         pts = n_points if n_points is not None else max(2 * self.n_moments, 256)
         e_grid, rho = reconstruct_dos(
             mu, self.scale, energies=energies, n_points=pts, kernel=self.kernel
@@ -371,7 +370,7 @@ class KPMSolver:
                 )
             )
             eta = compute_eta(self.H, self.scale, self.n_moments, block,
-                              self.engine, self.counters, config=self.config)
+                              self.engine, self.sink, config=self.config)
             mu = eta_to_moments(eta).sum(axis=0).real  # sum over orbitals
             e_grid, rho = reconstruct_dos(
                 mu, self.scale, energies=energies, n_points=pts,

@@ -12,10 +12,10 @@ import numpy as np
 
 from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
+from repro.obs.metrics import NULL_METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import ShapeError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import get_precision
@@ -79,7 +79,7 @@ def ldos_moments(
     n_moments: int,
     start_block: np.ndarray,
     rows: np.ndarray,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
     *,
     config: ExecConfig | None = None,
     **knobs,
@@ -111,7 +111,7 @@ def ldos_moments(
     prec = get_precision(cfg.precision)
     rows = np.asarray(rows, dtype=np.int64)
     rec = Recurrence(H, scale.a, scale.b, start_block.shape[1], config=cfg,
-                     counters=counters)
+                     sink=counters)
     rec.load(start_block)
     exact = _is_unit_block(start_block, rows)
     diag = np.arange(rows.size)

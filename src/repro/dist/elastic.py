@@ -47,10 +47,9 @@ from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.kpm_parallel import run_distributed
 from repro.dist.partition import (AutotuneResult, RowPartition, TimerFn,
                                   _spread, autotune_weights)
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import ETA_BLOCK
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure
 from repro.util.knobs import ExecConfig
 
@@ -386,10 +385,10 @@ class _Decisions:
     transport, see :class:`~repro.dist.kpm_parallel.RunSetup`)."""
 
     def __init__(self, A, weights, parked, policy, plan, timer, report,
-                 metrics) -> None:
+                 sink) -> None:
         self.A, self.weights, self.parked = A, weights, parked
         self.policy, self.plan, self.timer = policy, plan, timer
-        self.report, self.metrics = report, metrics
+        self.report, self.sink = report, sink
         self.monitor = RebalanceMonitor(policy or RebalancePolicy())
         self.part = RowPartition.from_weights(A.n_rows, weights,
                                               align=ETA_BLOCK)
@@ -415,7 +414,7 @@ class _Decisions:
         if busy is not None and len(active) > 1:
             imb = self.monitor.observe(counts[active],
                                        [busy[p] for p in active])
-            self.metrics.gauge("elastic.imbalance", imb)
+            self.sink.gauge("elastic.imbalance", imb)
         weights, events = self.weights, []
         if (self.policy is not None and self.monitor.should_rebalance
                 and len(active) > 1 and rep.rebalances < MAX_REBALANCES
@@ -425,7 +424,7 @@ class _Decisions:
                 self.A.n_rows, [weights[p] for p in active], timer).weights))
             weights = [tuned.get(p, 0.0) for p in range(len(weights))]
             rep.rebalances += 1
-            self.metrics.count("elastic.rebalances")
+            self.sink.count("elastic.rebalances")
             events.append(MembershipEvent(
                 "rebalance", m=m, ranks=tuple(active),
                 detail=f"weights -> {[round(tuned[p], 3) for p in active]}"))
@@ -433,7 +432,7 @@ class _Decisions:
             weights, self.parked, ranks = _apply(weights, self.parked, spec)
             kind = "joins" if spec.kind == "join" else "leaves"
             setattr(rep, kind, getattr(rep, kind) + len(ranks))
-            self.metrics.count(f"elastic.{kind}", len(ranks))
+            self.sink.count(f"elastic.{kind}", len(ranks))
             self.monitor.reset()  # rank identities changed
             events.append(MembershipEvent(spec.kind, m=m, ranks=ranks))
         rep.events += events
@@ -460,8 +459,8 @@ def elastic_eta(
     policy: RebalancePolicy | None = None,
     membership: MembershipPlan | str | None = None,
     engine: str | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
+    counters=NULL_METRICS,
+    metrics=NULL_METRICS,
     fault_plan=None,
     attempt: int = 1,
     checkpoint_path: str | Path | None = None,
@@ -522,7 +521,7 @@ def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
                  if cfg.engine == "mp" else SimWorld(len(weights)))
         world.log = report.log
         decide = _Decisions(A, weights, parked, cfg.rebalance, plan, timer,
-                            report, ctx.metrics)
+                            report, ctx.sink)
         try:
             eta = run_distributed(cfg, ctx, A, decide.part, scale, n_moments,
                                   start_block, world, elastic=decide)
@@ -554,8 +553,8 @@ def run_elastic(cfg: ExecConfig, ctx: RunContext, A: CSRMatrix,
                 planned=False,
                 detail="; ".join(f.describe() for f in wf.failures)))
             report.leaves += len(dead)
-            ctx.metrics.count("elastic.leaves", len(dead))
-            ctx.metrics.count("elastic.retries")
+            ctx.sink.count("elastic.leaves", len(dead))
+            ctx.sink.count("elastic.retries")
 
     report.final_weights = [x for x in decide.weights if x]
     report.final_n_workers = len(report.final_weights)

@@ -48,10 +48,9 @@ from repro.dist.comm import MessageLog, SimWorld
 from repro.dist.halo import DistributedMatrix, partition_matrix
 from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import ETA_BLOCK
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError
 from repro.util.knobs import ExecConfig
 
@@ -248,8 +247,8 @@ def distributed_eta(
     start_block: np.ndarray,
     world,
     *,
-    counters: PerfCounters = NULL_COUNTERS,
-    metrics: MetricsRegistry = NULL_METRICS,
+    counters=NULL_METRICS,
+    metrics=NULL_METRICS,
     checkpoint_every: int = 0,
     checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
@@ -281,8 +280,9 @@ def distributed_eta(
     counters / metrics / checkpoint_every / checkpoint_path / resume_from /
     fault_plan / attempt / progress / progress_every:
         The run controls (:class:`~repro.core.checkpoint.RunContext`,
-        DESIGN §17) over the global state.  Counter totals equal a serial
-        run's (only ``calls`` is rank-multiplied); a resumed run
+        DESIGN §17) over the global state; ``counters``/``metrics`` are
+        the one sink.  Its traffic folds to a serial run's (only
+        ``calls`` is rank-multiplied); a resumed run
         (``start_block`` may then be None) is bitwise equal to an
         uninterrupted one, on any world and partition.  ``progress``
         fires per world: a :class:`SimWorld` calls it every

@@ -108,10 +108,10 @@ from repro.dist.kpm_parallel import (RankState, RunSetup, buffer_layout,
 from repro.dist.overlap import task_split
 from repro.dist.partition import RowPartition
 from repro.dist.shm import ShmArena, carve, layout
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.obs.trace import MemoryTrace
 from repro.sparse.backend import KernelBackend, backend_health
 from repro.sparse.csr import CSRMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import SimulationError, WorkerFailure, WorkerFault
 from repro.util.knobs import ExecConfig
 from repro.util.validation import check_positive
@@ -230,9 +230,9 @@ class MpWorld:
         self.last_segment_names: list[str] = []
         #: pids of the workers that ran the most recent run.
         self.last_pids: list[int] = []
-        #: per-rank observability snapshots of the most recent run
-        #: (``{"counters": ..., "metrics": ...}`` dicts); None until a
-        #: run with live counters/metrics completes.
+        #: per-rank sink snapshots of the most recent run
+        #: (:meth:`~repro.obs.MetricsRegistry.snapshot` dicts); None
+        #: until a run with a live sink completes.
         self.last_obs: list[dict | None] | None = None
         #: latest checkpoint state the parent captured from shared memory
         #: in the most recent run (autosaved or salvaged); None when the
@@ -275,6 +275,7 @@ class _RunConfig:
     r: int
     timeouts: MpTimeouts
     want_obs: bool
+    want_trace: bool
     #: threads/overlap resolved for the world; the backend is per rank
     #: and the elastic knobs are the parent's business
     exec: ExecConfig
@@ -456,18 +457,17 @@ def _run_rank(
     """One rank's program for one run; returns the parent's reply — with
     the rank's message log when it finished."""
     try:
-        # Local observability state: the parent cannot share its own
-        # counters/metrics across the process boundary, so each worker
-        # accumulates privately and ships a snapshot back with its reply.
-        w_counters, w_metrics = (PerfCounters(), MetricsRegistry()) \
-            if cfg.want_obs else (NULL_COUNTERS, NULL_METRICS)
+        # The worker's own sink: the parent's cannot cross the process
+        # boundary, so each worker records privately and ships one
+        # snapshot back with its reply.
+        sink = MetricsRegistry(MemoryTrace() if cfg.want_trace else None) \
+            if cfg.want_obs else NULL_METRICS
 
         def recurrence(blk: RankBlock) -> Recurrence:
             return Recurrence(
                 blk.matrix, cfg.a, cfg.b, cfg.r,
                 split=task_split(blk) if cfg.exec.overlap else None,
-                config=replace(cfg.exec, backend=backend_name),
-                counters=w_counters, metrics=w_metrics,
+                config=replace(cfg.exec, backend=backend_name), sink=sink,
             )
 
         # The block's recurrences and kernel plans outlive the run: a
@@ -477,12 +477,12 @@ def _run_rank(
         if rec is None:
             rec = recurrence(blk)
         else:
-            rec.rebind(cfg.a, cfg.b, w_counters, w_metrics)
+            rec.rebind(cfg.a, cfg.b, sink)
         recs[key] = rec  # most recently used last
         while len(recs) > _MAX_RECS:
             recs.pop(next(iter(recs)))
         rows, rec, links, bufs = rank_piece(blk, edges, att, rec)
-        w_metrics.count(f"kernels.{rec.kernel_family}")
+        sink.count(f"kernels.{rec.kernel_family}")
         sched = cfg.sched
         # the parent seeded nu_0 (or the resumed pair) into the buffers
         rec.load(None, anchors=sched.anchors, bufs=bufs,
@@ -490,7 +490,7 @@ def _run_rank(
         s = RankState(
             rank, rec, rows, att["bins"], *links,
             (att["ckv"], att["ckw"]) if "ckv" in att else None,
-            sched.ctx.injector(rank, in_process=False) or None, w_metrics,
+            sched.ctx.injector(rank, in_process=False) or None, sink,
         )
 
         held = [blk]  # the block this rank holds
@@ -522,9 +522,8 @@ def _run_rank(
         for _ in rank_program(s, sched, t):
             pass
 
-        obs = {"counters": w_counters.to_dict(),
-               "metrics": w_metrics.snapshot()} if cfg.want_obs else None
-        return ("done", s.log.records, obs)
+        return ("done", s.log.records,
+                sink.snapshot() if cfg.want_obs else None)
     except _PeerGone:
         return ("broken",)  # a peer failed; the parent reports the cause
     except Exception as exc:  # noqa: BLE001 - forwarded to the parent
@@ -803,21 +802,22 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     :class:`MpWorld` runs.  Faults are real here (a ``crash`` kills the
     worker), and ``progress`` fires with every checkpoint the parent
     captures, so it needs ``checkpoint_every > 0``.  Each worker ships
-    its message log with its reply and, with a live ``counters`` or
-    ``metrics``, a snapshot of its own; the parent merges the logs in
-    rank order, the counters (totals then equal a serial run's) and the
-    metrics under a ``rank<p>.`` prefix, one ``kernels.<family>`` count
-    per run included.  The raw snapshots stay on ``world.last_obs``."""
+    its message log with its reply and, with a live sink, one snapshot
+    of its own; the parent merges the logs in rank order and the
+    snapshots under a ``rank<p>.`` prefix (timers, traffic — whose fold
+    then equals a serial run's — one ``kernels.<family>`` count per run
+    and, when the sink has a trace, the worker's span records).  The raw
+    snapshots stay on ``world.last_obs``."""
     dist, prec, r, n_moments, ctx = (run.dist, run.prec, run.r,
                                      run.n_moments, run.ctx)
-    counters, metrics = ctx.counters, ctx.metrics
     timeouts = world.timeouts
     names = _backend_names(world, run.cfg.backend)
 
     elastic = run.elastic is not None
-    want_obs = bool(counters.enabled or metrics.enabled)
+    want_obs = ctx.sink.enabled
     cfg = _RunConfig(
         a=run.a, b=run.b, r=r, timeouts=timeouts, want_obs=want_obs,
+        want_trace=ctx.sink.trace is not None,
         exec=replace(run.cfg, backend="auto", rebalance=None,
                      membership=None),
         sched=run.schedule(ctx.for_workers()),
@@ -949,8 +949,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     if want_obs:
         world.last_obs = [replies[p][2] for p in range(world.n_ranks)]
         for p, snap in enumerate(world.last_obs):
-            counters.merge(PerfCounters.from_dict(snap["counters"]))
-            metrics.merge_snapshot(snap["metrics"], prefix=f"rank{p}.")
+            ctx.sink.merge_snapshot(snap, prefix=f"rank{p}.")
 
     return eta
 

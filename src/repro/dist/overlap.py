@@ -8,9 +8,9 @@ data.  :func:`task_split` computes the split the task-mode engines run:
 the interior is the largest **contiguous** run of halo-free 64-row eta
 blocks, the boundary the rows before and after it — every phase a row
 range, so each reduces whole blocks.  Both kernel backends run it
-through ``aug_spmmv_interior`` / ``aug_spmmv_boundary``: their one
-augmented walk over each range, whose result is bitwise the plain fused
-step's.
+as the two phases of ``KernelBackend._phase`` (``aug_spmmv_split_step``
+runs both): their one augmented walk over each range, whose result is
+bitwise the plain fused step's.
 
 The benefit appears in the time model: per iteration, the exposed
 communication shrinks from ``t_halo`` to ``max(0, t_halo - t_interior)``

@@ -1,12 +1,13 @@
 """Runtime observability: structured metrics and span tracing.
 
 The measurement side of the paper's methodology at runtime — wall-clock
-spans, byte/flop attribution per kernel, JSONL traces — with a free
-no-op default so the hot paths stay uninstrumented unless asked.
+spans that carry their kernels' Table-I bytes and flops, JSONL traces —
+in one sink with a free no-op default, so the hot paths stay
+uninstrumented unless asked.
 
 See :mod:`repro.obs.metrics` and :mod:`repro.obs.trace`; the validation
-side (measured vs. analytic model) lives in :mod:`repro.perf.report`
-and ``tools/check_metrics.py``.
+side (measured vs. analytic model) lives in :mod:`repro.perf.report`,
+and the tests hold measured == model on every engine.
 """
 
 from repro._lazy import lazy_exports

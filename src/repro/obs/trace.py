@@ -55,10 +55,6 @@ class Trace:
         self._fh.flush()
         self.n_records += 1
 
-    def event(self, name: str, **meta) -> None:
-        """Emit a zero-duration point event."""
-        self.emit({"name": name, "dt": 0.0, **meta})
-
     def close(self) -> None:
         if not self._fh.closed:
             self._fh.close()
@@ -68,6 +64,14 @@ class Trace:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class MemoryTrace(list):
+    """A trace kept as its list of records: what an mp worker's sink
+    writes, and ships to the parent inside its snapshot."""
+
+    def emit(self, record: dict) -> None:
+        self.append({**record, "ts": record.get("ts", time.time())})
 
 
 def read_trace(path: str | Path) -> list[dict]:

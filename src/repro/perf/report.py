@@ -8,13 +8,13 @@ and handy in notebooks.
 
 The *validation* half of the module closes the loop on measurement:
 :func:`expected_counters` re-charges a serial moment computation purely
-analytically (the same Table-I ``charge_*`` helpers the kernels call at
-runtime), :func:`measured_vs_model_section` diffs a run's measured
-:class:`~repro.util.counters.PerfCounters` against that minimum and the
-Eq. (4)-(7) aggregate models, and :func:`trace_section` folds a span
-trace (see :mod:`repro.obs`) into per-kernel wall time and achieved
-bytes/flop — the paper's "validate the model against the measurement"
-methodology as executable code.
+analytically (the same Table-I costs the kernel spans charge at
+runtime), :func:`measured_vs_model_section` diffs a run's sink — its
+:class:`~repro.util.counters.PerfCounters` fold and its kernel timers —
+against that minimum and the Eq. (4)-(7) aggregate models, and
+:func:`trace_section` folds a span trace (see :mod:`repro.obs`) into
+per-kernel wall time and achieved bytes/flop — the paper's "validate the
+model against the measurement" methodology as executable code.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from repro.perf.roofline import (
     gpu_kernel_performance,
     node_performance,
 )
-from repro.sparse.fused import charge_aug, charge_spmv, matrix_stream
+from repro.obs.metrics import PerfCounters
+from repro.sparse.fused import aug_cost, matrix_stream, spmv_cost
 from repro.util.constants import F_ADD, F_MUL
-from repro.util.counters import PerfCounters
 from repro.util.precision import FP64, PRECISIONS, Precision, get_precision
 from repro.util.validation import check_positive
 
@@ -175,7 +175,7 @@ def _charge_naive_iteration(
         np.dtype(prec.compute_dtype).itemsize
         if prec.half_vectors else prec.s_vector
     )
-    charge_spmv(c, "spmv", *matrix_stream(A, prec), 1, prec)
+    c.charge("spmv", *spmv_cost(*matrix_stream(A, prec), 1, prec))
     for _ in range(2):  # two axpy calls
         c.charge("axpy", loads=2 * n * s_x, stores=n * s_x,
                  flops=n * (F_ADD + F_MUL))
@@ -204,7 +204,7 @@ def expected_counters(
     ``nnz_boundary``).  Each rank then charges its bootstrap ``spmmv``
     on its local block and every inner iteration as an
     ``aug_spmmv_int`` + ``aug_spmmv_bnd`` pair.  By the exact-sum
-    property of :func:`repro.sparse.fused.charge_aug` the
+    property of :func:`repro.sparse.fused.aug_cost` the
     byte/flop totals are identical to the serial charge — only the
     per-kernel call attribution differs — so measured == analytic
     stays exact under overlap.  Only valid with ``engine='aug_spmmv'``.
@@ -240,30 +240,30 @@ def expected_counters(
                   for sp in splits]
         for sp, s_i in zip(splits, widths):  # bootstrap nu_1 block, local
             if boot:
-                charge_spmv(c, "spmmv", sp.n_interior + sp.n_boundary,
-                            sp.nnz_interior + sp.nnz_boundary, s_i,
-                            n_vectors, prec)
+                c.charge("spmmv", *spmv_cost(
+                    sp.n_interior + sp.n_boundary,
+                    sp.nnz_interior + sp.nnz_boundary, s_i, n_vectors, prec))
         for _ in range(first_m, half):
             for sp, s_i in zip(splits, widths):
-                charge_aug(c, "aug_spmmv_int", sp.n_interior,
-                           sp.nnz_interior, s_i, n_vectors, prec)
-                charge_aug(c, "aug_spmmv_bnd", sp.n_boundary,
-                           sp.nnz_boundary, s_i, n_vectors, prec)
+                c.charge("aug_spmmv_int", *aug_cost(
+                    sp.n_interior, sp.nnz_interior, s_i, n_vectors, prec))
+                c.charge("aug_spmmv_bnd", *aug_cost(
+                    sp.n_boundary, sp.nnz_boundary, s_i, n_vectors, prec))
     elif engine == "aug_spmmv":
         stream = matrix_stream(A, prec)
         if boot:
-            charge_spmv(c, "spmmv", *stream, n_vectors, prec)
+            c.charge("spmmv", *spmv_cost(*stream, n_vectors, prec))
         for _ in range(first_m, half):
-            charge_aug(c, "aug_spmmv", *stream, n_vectors, prec)
+            c.charge("aug_spmmv", *aug_cost(*stream, n_vectors, prec))
     elif engine == "aug_spmv":
         stream = matrix_stream(A, prec)
         for _ in range(n_vectors):
-            charge_spmv(c, "spmv", *stream, 1, prec)  # bootstrap nu_1
+            c.charge("spmv", *spmv_cost(*stream, 1, prec))  # bootstrap nu_1
             for _ in range(half - 1):
-                charge_aug(c, "aug_spmv", *stream, 1, prec)
+                c.charge("aug_spmv", *aug_cost(*stream, 1, prec))
     elif engine == "naive":
         for _ in range(n_vectors):
-            charge_spmv(c, "spmv", *matrix_stream(A, prec), 1, prec)
+            c.charge("spmv", *spmv_cost(*matrix_stream(A, prec), 1, prec))
             for _ in range(half - 1):
                 _charge_naive_iteration(A, c, prec)
     else:
@@ -278,17 +278,12 @@ def _kernel_model_balance(
     A, name: str, r: int, prec: Precision = FP64
 ) -> float | None:
     """Model bytes/flop of one kernel invocation (None when unmodeled)."""
-    c = PerfCounters()
-    stream = matrix_stream(A, prec)
-    if name in ("aug_spmv", "aug_spmmv"):
-        charge_aug(c, name, *stream, 1 if name == "aug_spmv" else r, prec)
-    elif name in ("spmv", "spmmv"):
-        charge_spmv(c, name, *stream, 1 if name == "spmv" else r, prec)
-    elif name == "naive_step":
-        _charge_naive_iteration(A, c, prec)
-    else:
+    if name not in ("aug_spmv", "aug_spmmv", "spmv", "spmmv"):
         return None
-    return c.code_balance
+    cost = aug_cost if name.startswith("aug") else spmv_cost
+    loads, stores, flops = cost(*matrix_stream(A, prec),
+                                r if name.endswith("mmv") else 1, prec)
+    return (loads + stores) / flops
 
 
 def measured_vs_model_section(
@@ -297,17 +292,15 @@ def measured_vs_model_section(
     n_moments: int,
     n_vectors: int,
     engine: str = "aug_spmmv",
-    metrics=None,
     precision: Precision | str | None = None,
 ) -> str:
-    """Measured counters vs. the analytic minimum and the Eq. (4) model.
+    """A run's sink vs. the analytic minimum and the Eq. (4) model.
 
-    ``counters`` is the live :class:`PerfCounters` a serial
-    ``compute_eta`` run charged; ``metrics`` optionally the
-    :class:`~repro.obs.MetricsRegistry` of the same run, adding a
-    per-kernel achieved-vs-model code-balance table (with wall-clock
-    Gflop/s where the spans carried time).  ``precision`` must match
-    the run's profile for the exact-match line to hold.
+    ``counters`` is the live :class:`PerfCounters` a ``compute_eta``
+    run filled: its fold against :func:`expected_counters`, and — where
+    its spans timed kernels — a per-kernel achieved-vs-model
+    code-balance table with wall-clock Gflop/s.  ``precision`` must
+    match the run's profile for the exact-match line to hold.
     """
     prec = get_precision(precision)
     exp = expected_counters(A, n_moments, n_vectors, engine, precision=prec)
@@ -364,19 +357,20 @@ def measured_vs_model_section(
         f"{bmin(n_vectors, nnzr, s_d=s_d, s_i=s_i, s_v=s_x):.3f}, "
         f"limit {bmin_limit(nnzr, s_d=s_x):.3f} B/F\n"
     )
-    if metrics is not None and metrics.timers:
+    kernels = [(name, t, counters.traffic[name])
+               for name, t in counters.timers.items()
+               if counters.traffic.get(name, (0, 0, 0))[2]]
+    if kernels:
         out.write(
             f"  {'kernel':>12} {'calls':>7} {'wall ms':>10} "
             f"{'B/F meas':>9} {'B/F model':>10} {'Gflop/s':>8}\n"
         )
-        for name, t in sorted(
-            metrics.timers.items(), key=lambda kv: kv[1].total, reverse=True
+        for name, t, (loads, stores, nflops, _) in sorted(
+            kernels, key=lambda k: k[1].total, reverse=True
         ):
-            nbytes, nflops = metrics.span_traffic(name)
-            if not nflops:
-                continue
-            # rank-tagged entries (merged mp metrics) model against the
-            # kernel's leaf name; per-call balance depends on nnz/row,
+            nbytes = loads + stores
+            # rank-tagged entries (merged mp snapshots) model against the
+            # kernel's family; per-call balance depends on nnz/row,
             # which the row partition preserves.
             model_bf = _kernel_model_balance(
                 A, name.rpartition(".")[2], n_vectors, prec

@@ -34,10 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.checkpoint import KpmCheckpoint, RunContext, _npz_path
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, one_sink
 from repro.resil.faults import FaultPlan, corrupt_checkpoint_file
 from repro.resil.policy import RetryPolicy
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import (
     BackendError,
     CheckpointError,
@@ -177,16 +176,17 @@ class Supervisor:
     ``policy`` is a :class:`~repro.resil.policy.RetryPolicy` and the
     other :class:`Resilience` fields keywords — or a whole
     :class:`Resilience`, the keywords replacing its fields.  Every fault,
-    retry, resume and degradation lands in ``metrics``/``counters``;
-    ``seed`` keys the backoff jitter and a fault-plan string.
+    retry, resume and degradation lands in the one sink of ``metrics``/
+    ``counters`` (:func:`~repro.obs.metrics.one_sink`); ``seed`` keys
+    the backoff jitter and a fault-plan string.
     """
 
     def __init__(
         self,
         policy: RetryPolicy | Resilience | None = None,
         *,
-        metrics: MetricsRegistry = NULL_METRICS,
-        counters: PerfCounters = NULL_COUNTERS,
+        metrics=NULL_METRICS,
+        counters=NULL_METRICS,
         seed: int | None = None,
         sleep=time.sleep,
         **resilience,
@@ -197,8 +197,7 @@ class Supervisor:
         )
         #: ElasticReport of the most recent elastic mp attempt (or None)
         self.last_elastic_report = None
-        self.metrics = metrics
-        self.counters = counters
+        self.sink = one_sink(counters, metrics)
         self.seed = 0 if seed is None else int(seed)
         self._sleep = sleep
         self.report = ResilienceReport()
@@ -257,7 +256,7 @@ class Supervisor:
 
             timeouts = MpTimeouts(run=res.policy.attempt_deadline)
         ctx = RunContext.of(
-            seed=self.seed, counters=self.counters, metrics=self.metrics,
+            seed=self.seed, metrics=self.sink,
             fault_plan=res.fault_plan, progress=progress,
             progress_every=progress_every, timeouts=timeouts,
         )
@@ -277,12 +276,12 @@ class Supervisor:
                 cfg = replace(cfg, engine=eng)
                 if rung > 0:
                     self.report.engine_degradations += 1
-                    self.metrics.count("resil.engine_degraded")
+                    self.sink.count("resil.engine_degraded")
                 for _ in range(res.policy.max_attempts):
                     attempt += 1
                     if attempt > 1:
                         self.report.retries += 1
-                        self.metrics.count("resil.retries")
+                        self.sink.count("resil.retries")
                         delay = res.policy.backoff(attempt - 1, seed=self.seed)
                         if delay > 0:
                             self._sleep(delay)
@@ -291,7 +290,7 @@ class Supervisor:
                                                   n_moments, scale,
                                                   start_block)
                     try:
-                        with self.metrics.span(
+                        with self.sink.span(
                             "resil.attempt", phase="resil", engine=eng,
                             attempt=attempt,
                             resumed_from=(resume.next_m if resume else None),
@@ -314,9 +313,9 @@ class Supervisor:
                             resume.next_m if resume else None,
                         ))
                         history.append((eng, attempt, cls_name, detail[:300]))
-                        self.metrics.count("resil.faults")
-                        self.metrics.count(f"resil.faults.{cls_name}")
-                        with self.metrics.span(
+                        self.sink.count("resil.faults")
+                        self.sink.count(f"resil.faults.{cls_name}")
+                        with self.sink.span(
                             "resil.fault", phase="resil", engine=eng,
                             attempt=attempt, error_class=cls_name,
                         ):
@@ -359,7 +358,7 @@ class Supervisor:
 
         report_backend_failure("native", detail)
         self.report.backend_degradations += 1
-        self.metrics.count("resil.backend_degraded")
+        self.sink.count("resil.backend_degraded")
         return replace(cfg, backend="numpy")
 
     def _prepare_resume(
@@ -385,8 +384,8 @@ class Supervisor:
                 n_moments, scale, cfg.precision, start_block)
         except (CheckpointError, FormatError) as exc:
             self.report.checkpoint_discards += 1
-            self.metrics.count("resil.checkpoint_discarded")
-            with self.metrics.span(
+            self.sink.count("resil.checkpoint_discarded")
+            with self.sink.span(
                 "resil.fault", phase="resil", attempt=ctx.attempt,
                 error_class="checkpoint", detail=str(exc)[:200],
             ):
@@ -395,6 +394,6 @@ class Supervisor:
             return None
         self.report.resumes += 1
         self.report.resume_m = ck.next_m
-        self.metrics.count("resil.resumes")
-        self.metrics.gauge("resil.resume_m", ck.next_m)
+        self.sink.count("resil.resumes")
+        self.sink.gauge("resil.resume_m", ck.next_m)
         return ck

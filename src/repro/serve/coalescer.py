@@ -22,9 +22,9 @@ accumulation tolerance.
 Batches are planned over the compatibility ``group_key`` (operator +
 M + precision + spectral map) up to ``max_width`` columns, executed as
 the server's :class:`~repro.util.knobs.ExecConfig` says (optionally
-under a fresh batch-scoped :class:`~repro.resil.Supervisor`), accounted with a
-per-batch :class:`~repro.util.counters.PerfCounters` (whose totals
-match :func:`~repro.perf.report.expected_counters` exactly), and
+under a fresh batch-scoped :class:`~repro.resil.Supervisor`), measured by
+a per-batch sink, a :class:`~repro.util.counters.PerfCounters` (whose
+fold matches :func:`~repro.perf.report.expected_counters` exactly), and
 streamed: each progress firing publishes every member request's moment
 prefix to its ticket and the moment cache.
 """
@@ -38,9 +38,8 @@ import numpy as np
 from repro.core.checkpoint import RunContext
 from repro.core.moments import eta_to_moments
 from repro.core.stochastic import make_block_vector, unit_block_vector
-from repro.obs import NULL_METRICS
+from repro.obs.metrics import NULL_METRICS, PerfCounters
 from repro.serve.queue import Ticket
-from repro.util.counters import PerfCounters
 from repro.util.knobs import ExecConfig, run_supervised
 
 __all__ = ["Batch", "BatchItem", "execute_batch", "plan_batches"]
@@ -160,14 +159,15 @@ def execute_batch(
 ) -> tuple[np.ndarray, PerfCounters]:
     """Run one coalesced batch; return ``(eta, batch_counters)``.
 
-    The batch's traffic is accounted in a fresh per-batch
-    :class:`PerfCounters` so the amortization is measurable request by
-    request: for a serial width-w batch the totals equal
-    ``expected_counters(H, M, w)`` *exactly*, and
-    ``bytes_total / n_requests`` is the per-request traffic that
-    Eq. 5-7 predict falls with the width.  Recorded distributions:
-    ``serve.batch.width`` (columns), ``serve.batch.requests``,
-    ``serve.bytes_per_request`` and ``serve.bytes_per_column``.
+    The batch runs on its own sink, a fresh :class:`PerfCounters` that
+    shares ``metrics``' trace and is merged into ``metrics`` afterwards,
+    so the amortization is measurable request by request: for a serial
+    width-w batch its fold equals ``expected_counters(H, M, w)``
+    *exactly*, and ``bytes_total / n_requests`` is the per-request
+    traffic that Eq. 5-7 predict falls with the width.  Recorded
+    distributions: ``serve.batch.width`` (columns),
+    ``serve.batch.requests``, ``serve.bytes_per_request`` and
+    ``serve.bytes_per_column``.
 
     ``config``/knobs are the batch's
     :class:`~repro.util.knobs.ExecConfig`, run through the engine
@@ -187,7 +187,7 @@ def execute_batch(
     cfg = ExecConfig.of(config, knobs)
     n_moments = batch.items[0].ticket.request.n_moments
     block = stack_start_block(batch, H.n_rows)
-    counters = PerfCounters()
+    sink = PerfCounters(trace=metrics.trace)
 
     progress = None
     if on_partial is not None and stream_every > 0:
@@ -195,25 +195,25 @@ def execute_batch(
             for item, mu in slice_moments(batch, eta_prefix):
                 on_partial(item, n_eta, mu)
 
-    with metrics.span("serve.batch", phase="serve", counters=counters,
-                      width=batch.width, requests=batch.n_requests):
-        eta, batch.world, batch.elastic_report, report = run_supervised(
-            cfg, RunContext(counters=counters, metrics=metrics,
-                            progress=progress, progress_every=stream_every),
-            resilience, seed, H, scale, n_moments, block,
-        )
+    try:
+        with metrics.span("serve.batch", phase="serve", width=batch.width,
+                          requests=batch.n_requests):
+            eta, batch.world, batch.elastic_report, report = run_supervised(
+                cfg, RunContext(sink=sink, progress=progress,
+                                progress_every=stream_every),
+                resilience, seed, H, scale, n_moments, block,
+            )
+    finally:
+        metrics.merge(sink)
     metrics.observe("serve.batch.width", batch.width)
     metrics.observe("serve.batch.requests", batch.n_requests)
-    if counters.enabled and counters.bytes_total:
-        metrics.observe(
-            "serve.bytes_per_request", counters.bytes_total / batch.n_requests
-        )
-        metrics.observe(
-            "serve.bytes_per_column", counters.bytes_total / batch.width
-        )
+    nbytes = sink.bytes_total
+    if nbytes:
+        metrics.observe("serve.bytes_per_request", nbytes / batch.n_requests)
+        metrics.observe("serve.bytes_per_column", nbytes / batch.width)
     if report is not None:
         metrics.count("serve.batch.retries", report.retries)
         metrics.count("serve.batch.degradations", report.engine_degradations)
     if batch.elastic_report is not None:
         metrics.count("serve.batch.rebalances", batch.elastic_report.rebalances)
-    return eta, counters
+    return eta, sink

@@ -41,12 +41,11 @@ import numpy as np
 from repro.core.reconstruct import reconstruct_dos
 from repro.core.scaling import lanczos_scale
 from repro.core.solver import DOSResult, LDOSResult, dos_result_from_moments
-from repro.obs import MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry, one_sink
 from repro.serve.cache import MomentCache, SpectraCache
 from repro.serve.coalescer import execute_batch, plan_batches, slice_moments
 from repro.serve.queue import RequestQueue, Ticket
 from repro.serve.spec import Request
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.knobs import ExecConfig, check_rebalance
 
 __all__ = ["KPMServer"]
@@ -81,9 +80,10 @@ class KPMServer:
         default-sized one when omitted): a kernel-identical repeat of a
         cached request skips the DOS reconstruction entirely.
     metrics / counters:
-        Server-wide observability sinks.  Every batch additionally gets
-        a fresh per-batch :class:`PerfCounters` (merged into
-        ``counters`` afterwards) so per-request traffic is measurable.
+        The server-wide sink, as either keyword (a fresh
+        :class:`~repro.obs.MetricsRegistry` when neither is given).  Every
+        batch runs on a fresh per-batch sink, merged into it afterwards,
+        so per-request traffic is measurable.
     config / knobs:
         Every batch's :class:`~repro.util.knobs.ExecConfig` (``engine``,
         ``workers``, ``backend``, ``threads``, ...; the precision is
@@ -107,7 +107,7 @@ class KPMServer:
         cache: MomentCache | None = None,
         spectra_cache: SpectraCache | None = None,
         metrics: MetricsRegistry | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
+        counters=NULL_METRICS,
         config: ExecConfig | None = None,
         **knobs,
     ) -> None:
@@ -123,8 +123,9 @@ class KPMServer:
         self.cache = cache if cache is not None else MomentCache()
         self.spectra = spectra_cache if spectra_cache is not None \
             else SpectraCache()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.counters = counters
+        sink = one_sink(counters, metrics or NULL_METRICS)
+        self.metrics = MetricsRegistry() if metrics is None \
+            and not sink.enabled else sink
         self.queue = RequestQueue()
         #: results of the most recent batches: list of (Batch, PerfCounters)
         self.last_batches: list = []
@@ -259,8 +260,6 @@ class KPMServer:
             self.metrics.count(
                 "serve.requests_coalesced", batch.n_requests
             )
-        if self.counters.enabled:
-            self.counters.merge(counters)
         self.last_batches.append((batch, counters))
 
         for item, mu in slice_moments(batch, eta):

@@ -20,9 +20,11 @@ here.  Two implementations are registered:
 The naive chain of paper Fig. 3 is written once, on
 :class:`KernelBackend` over the backend's own ``spmv``.  Both backends
 charge identical Table-I traffic/flop accounting
-(:mod:`repro.sparse.fused`) to :class:`~repro.util.counters.PerfCounters`,
-so every performance model in :mod:`repro.perf` works unchanged whichever
-backend computed the numbers.
+(:mod:`repro.sparse.fused`) through their kernel spans to the run's one
+sink (a :class:`~repro.obs.MetricsRegistry`, read by family as
+:class:`~repro.util.counters.PerfCounters`), so every performance model
+in :mod:`repro.perf` works unchanged whichever backend computed the
+numbers.
 
 Usage::
 
@@ -40,18 +42,17 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro._lazy import lazy_exports
-from repro.obs import NULL_METRICS, MetricsRegistry
+from repro.obs.metrics import NULL_METRICS, one_sink
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import (
     ETA_BLOCK,
-    charge_aug,
+    aug_cost,
     eta_anchors,
     eta_bins,
     eta_work,
     fold,
 )
 from repro.sparse.sell import SellMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import BackendError, ShapeError
 from repro.util.knobs import BACKEND_CHOICES, SIMD_CHOICES, resolve_simd
 from repro.util.precision import FP16V, get_precision, precision_of
@@ -178,11 +179,13 @@ class KernelBackend(ABC):
     place with ``w_new = 2a(H - b)v - w`` and return
     ``(eta_even, eta_odd)`` — see :mod:`repro.sparse.fused`.
 
-    Every kernel accepts, besides the Table-I ``counters`` sink, a
-    :class:`~repro.obs.MetricsRegistry`; implementations must record one
-    span named after the kernel per invocation (with the counters
-    attached, so measured wall time and charged traffic line up span by
-    span).  Both are free when the null defaults are used.
+    Every kernel takes the run's sink as ``counters=`` or ``metrics=``
+    (one of them live, :func:`~repro.obs.metrics.one_sink`);
+    implementations record one span named after the kernel per
+    invocation, which charges the call's Table-I cost, so measured wall
+    time and charged traffic line up span by span.  The internal
+    ``_step``/``_naive``/``_phase`` take the resolved sink.  All is free
+    on the null default.
     """
 
     name: str = "?"
@@ -205,24 +208,28 @@ class KernelBackend(ABC):
         """Which kernel family ``plan``'s steps dispatch to right now."""
         return self.name
 
-    @abstractmethod
     def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
-             counters: PerfCounters = NULL_COUNTERS,
-             metrics: MetricsRegistry = NULL_METRICS):
+             counters=NULL_METRICS, metrics=NULL_METRICS):
         """``out = A @ x`` for a single vector.
 
         Of ``plan`` only the ``simd`` knob is read (the kernel family to
         run); the result goes to ``out``, never to plan scratch.
         """
+        return self._product("spmv", A, x, out, plan,
+                             one_sink(counters, metrics))
 
-    @abstractmethod
     def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
-              counters: PerfCounters = NULL_COUNTERS,
-              metrics: MetricsRegistry = NULL_METRICS):
+              counters=NULL_METRICS, metrics=NULL_METRICS):
         """``out = A @ X`` for a row-major (N, R) block vector.
 
         ``plan`` as for :meth:`spmv`.
         """
+        return self._product("spmmv", A, X, out, plan,
+                             one_sink(counters, metrics))
+
+    @abstractmethod
+    def _product(self, kind, A, X, out, plan, sink):
+        """``spmv`` or ``spmmv`` (``kind``) in one span of ``sink``."""
 
     @staticmethod
     def _product_args(A, x, out, block: bool = False) -> tuple:
@@ -275,8 +282,7 @@ class KernelBackend(ABC):
 
     def naive_step(
         self, A, v, w, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
+        counters=NULL_METRICS, metrics=NULL_METRICS,
     ):
         """Paper Fig. 3: this backend's SpMV plus separate BLAS-1 calls.
 
@@ -290,6 +296,14 @@ class KernelBackend(ABC):
         back to storage once.  The nrm2 and dot values are the one eta
         reduction's (DESIGN §19), charged as the two library calls.
         """
+        ee, eo = fold(self._naive(A, v, w, a, b, plan,
+                                  one_sink(counters, metrics)))
+        return float(ee[0]), complex(eo[0])
+
+    def _naive(self, A, v, w, a, b, plan, sink):
+        """:meth:`naive_step` as the recurrence runs it: each call of
+        the chain is its own kernel span; returns the bins (the
+        plan's)."""
         from repro.sparse.blas1 import axpy, charge_dot, charge_nrm2, scal
 
         n = A.n_rows
@@ -314,51 +328,58 @@ class KernelBackend(ABC):
         else:
             u, work = np.empty(n, dtype=v.dtype), None
         anchors, bins, escape = self._eta_state(plan, v, n, 1)
-        with metrics.span("naive_step", counters=counters):
-            if half:
-                self.spmv(A, v, out=uh, plan=plan, counters=counters)
-                FP16V.decode(uh, out=u)
-                # the BLAS-1 chain runs on the fp32 decodes of v and w
-                v, w16 = FP16V.decode(v, out=vc), w
-                w = FP16V.decode(w16, out=wc)
-            else:
-                self.spmv(A, v, out=u, plan=plan, counters=counters)
-            axpy(u, -b, v, counters=counters, work=work)
-            scal(-1.0, w, counters=counters)
-            axpy(w, 2.0 * a, u, counters=counters, work=work)
-            charge_nrm2(v, counters)
-            charge_dot(w, counters)
-            ee, eo = fold(eta_bins(v, w, anchors, escape, out=bins,
-                                   work=self._eta_work(plan, n, 1)))
-            if half:
-                FP16V.encode(w, out=w16)
-        return float(ee[0]), complex(eo[0])
+        self.spmv(A, v, out=uh if half else u, plan=plan, metrics=sink)
+        if half:
+            # the BLAS-1 chain runs on the fp32 decodes of v and w
+            FP16V.decode(uh, out=u)
+            v, w16 = FP16V.decode(v, out=vc), w
+            w = FP16V.decode(w16, out=wc)
+        axpy(u, -b, v, counters=sink, work=work)
+        scal(-1.0, w, counters=sink)
+        axpy(w, 2.0 * a, u, counters=sink, work=work)
+        # one eta pass computes <v|v> and <w|v>: the dot span times it
+        with sink.span("nrm2") as sp:
+            charge_nrm2(v, sp)
+        with sink.span("dot") as sp:
+            eta_bins(v, w, anchors, escape, out=bins,
+                     work=self._eta_work(plan, n, 1))
+            charge_dot(w, sp)
+        if half:
+            FP16V.encode(w, out=w16)
+        return bins
 
-    @abstractmethod
     def aug_spmv_step(
         self, A, v, w, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
+        counters=NULL_METRICS, metrics=NULL_METRICS,
     ):
-        """Paper Fig. 4 (stage 1): fused single-vector update + dots."""
+        """Paper Fig. 4 (stage 1): shift, scale, recombination and both
+        dot products, charged as one kernel touching each of v and w
+        once — ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call."""
+        ee, eo = fold(self._step("aug_spmv", A, v, w, a, b, plan,
+                                 one_sink(counters, metrics)))
+        return float(ee[0]), complex(eo[0])
 
-    @abstractmethod
     def aug_spmmv_step(
         self, A, V, W, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
+        counters=NULL_METRICS, metrics=NULL_METRICS,
     ):
-        """Paper Fig. 5 (stage 2): fused block update + column dots."""
+        """Paper Fig. 5 (stage 2): the augmented SpMMV over row-major
+        (N, R) blocks.
 
-    def _step(self, kind, A, V, W, a, b, plan, counters, metrics):
+        ``V`` may span the rank's ``[local | halo]`` columns; the update
+        and the per-column dots run over its first ``N`` rows.  Charged
+        traffic: ``N_nz (S_d+S_i) + 3 R N S_d`` bytes per call — Eq. (4)'s
+        final line divided by the M/2 iterations.
+        """
+        return fold(self._step("aug_spmmv", A, V, W, a, b, plan,
+                               one_sink(counters, metrics)))
+
+    @abstractmethod
+    def _step(self, kind, A, V, W, a, b, plan, sink):
         """The augmented step ``kind`` (``aug_spmv`` on 1-D vectors,
-        ``aug_spmmv``) as the recurrence runs it: its bins (2, 3R), not
-        their fold — the plan's, which it reads.  Both built-in
-        backends compute the bins here and fold them in the public
-        steps; this default runs the public step."""
-        getattr(self, f"{kind}_step")(A, V, W, a, b, plan=plan,
-                                       counters=counters, metrics=metrics)
-        return plan.bins
+        ``aug_spmmv``) as the recurrence runs it, in one span of
+        ``sink``: its bins (2, 3R), not their fold — the plan's, or
+        fresh ones without a fitting plan."""
 
     # -- task mode ------------------------------------------------------
     # The two phases of a split plan: the *interior* range, runnable
@@ -379,35 +400,19 @@ class KernelBackend(ABC):
         """:meth:`plan` for ``(A, r)`` with ``split``'s phases."""
         return self.plan(A, r, precision, threads, simd, split=split)
 
-    def aug_spmmv_interior(
-        self, A, V, W, a, b, plan: KernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Interior phase of the split augmented SpMMV."""
-        return self._phase(0, A, V, W, a, b, plan, counters, metrics)
-
-    def aug_spmmv_boundary(
-        self, A, V, W, a, b, plan: KernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Boundary phase of the split augmented SpMMV."""
-        return self._phase(1, A, V, W, a, b, plan, counters, metrics)
-
     def aug_spmmv_split_step(
         self, A, V, W, a, b, plan: KernelPlan,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
+        counters=NULL_METRICS, metrics=NULL_METRICS,
     ):
         """Both phases back to back; the synchronous task-mode step."""
+        sink = one_sink(counters, metrics)
         for phase in (0, 1):
-            self._phase(phase, A, V, W, a, b, plan, counters, metrics)
+            self._phase(phase, A, V, W, a, b, plan, sink)
         return fold(np.add(*plan.phase_bins))
 
-    def _phase(self, phase, A, V, W, a, b, plan, counters, metrics):
-        """One phase (0 interior, 1 boundary): one span and one charge
-        under ``aug_spmmv_int|bnd``, even when it has no rows."""
+    def _phase(self, phase, A, V, W, a, b, plan, sink):
+        """One phase (0 interior, 1 boundary): one span that charges
+        ``aug_spmmv_int|bnd``, even when the phase has no rows."""
         if self._aug_range is None:
             raise BackendError(
                 f"backend {self.name!r} does not implement split kernels"
@@ -415,16 +420,16 @@ class KernelBackend(ABC):
         name = ("aug_spmmv_int", "aug_spmmv_bnd")[phase]
         bins = plan.phase_bins[phase]
         prec = precision_of(V)
-        with metrics.span(name, counters=counters):
+        with sink.span(name) as sp:
             bins.fill(0.0)
             for k, (lo, hi) in enumerate(plan.phases[phase]):
                 self._aug_range(A, V, W, a, b, plan, lo, hi,
                                 plan.range_bins if k else bins)
                 if k:
                     bins += plan.range_bins
-            charge_aug(counters, name, plan.phase_rows[phase],
-                       plan.phase_nnz[phase], prec.index_bytes(A.n_cols),
-                       plan.r, prec)
+            sp.charge(name, *aug_cost(
+                plan.phase_rows[phase], plan.phase_nnz[phase],
+                prec.index_bytes(A.n_cols), plan.r, prec))
         return fold(bins)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

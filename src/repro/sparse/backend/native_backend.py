@@ -20,8 +20,8 @@ is narrow enough, int32 fallback otherwise.
 Accounting is charged through the exact same Table-I functions
 (:mod:`repro.sparse.fused`) as the NumPy backend, and the naive chain
 of paper Fig. 3 is the base class's over this backend's ``spmv``, so
-:class:`~repro.util.counters.PerfCounters` totals and every
-Table-I-derived model are backend-independent.
+the sink's traffic fold and every Table-I-derived model are
+backend-independent.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import threading
 
 import numpy as np
 
-from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, KernelPlan
 from repro.sparse.backend.native import (
     _ptr,
@@ -42,9 +41,8 @@ from repro.sparse.backend.native import (
 )
 from repro.sparse.compress import kernel_pack
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import charge_aug, charge_spmv, fold, matrix_stream
+from repro.sparse.fused import aug_cost, fold, matrix_stream, spmv_cost
 from repro.sparse.sell import SellMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import ShapeError
 from repro.util.precision import Precision, precision_of
 from repro.util.validation import check_block_vector, check_vector
@@ -213,54 +211,26 @@ class NativeBackend(KernelBackend):
         return kernel(f"repro_{fmt}_{kind}", suffix, vs), (*lead, *args)
 
     # -- kernels -------------------------------------------------------
-    def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
-             counters: PerfCounters = NULL_COUNTERS,
-             metrics: MetricsRegistry = NULL_METRICS):
-        return self._product("spmv", A, x, out, plan, counters, metrics)
-
-    def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
-              counters: PerfCounters = NULL_COUNTERS,
-              metrics: MetricsRegistry = NULL_METRICS):
-        return self._product("spmmv", A, X, out, plan, counters, metrics)
-
-    def _product(self, kind, A, X, out, plan, counters, metrics):
+    def _product(self, kind, A, X, out, plan, sink):
         block = kind == "spmmv"
         X, prec, out = self._product_args(A, X, out, block)
         X = _kernel_operand("X" if block else "x", X, A.n_cols, block)
         r = X.shape[1] if block else 1
         fn, head = self._entry(kind, A, prec, _plan_simd(plan, prec),
                                (A.n_rows,), (r,) if block else ())
-        with metrics.span(kind, counters=counters):
+        with sink.span(kind) as sp:
             fn(*head, _ptr(X), _ptr(out), _team(plan))
-            charge_spmv(counters, kind, *matrix_stream(A, prec), r, prec)
+            sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
         return out
 
-    def aug_spmv_step(
-        self, A, v, w, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        ee, eo = fold(self._step("aug_spmv", A, v, w, a, b, plan, counters,
-                                 metrics))
-        return float(ee[0]), complex(eo[0])
-
-    def aug_spmmv_step(
-        self, A, V, W, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        return fold(self._step("aug_spmmv", A, V, W, a, b, plan, counters,
-                               metrics))
-
-    def _step(self, kind, A, V, W, a, b, plan, counters, metrics):
+    def _step(self, kind, A, V, W, a, b, plan, sink):
         """One whole augmented step (``aug_spm(m)v``, on 1-D vectors for
         ``aug_spmv``); returns its bins (DESIGN §19): the plan's, or fresh
         ones without a fitting plan."""
         call = self._bind(kind, A, V, W, plan, 0, A.n_rows, None)
-        with metrics.span(kind, counters=counters, **call.meta):
+        with sink.span(kind, **call.meta) as sp:
             call.fn(*call.head, _team(plan), a, b, *call.eta)
-            loads, stores, flops = call.cost
-            counters.charge(kind, loads=loads, stores=stores, flops=flops)
+            sp.charge(kind, *call.cost)
         return call.bins
 
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
@@ -311,9 +281,7 @@ class NativeBackend(KernelBackend):
             (r,) if block else ())
         call.fn, call.head = fn, (*head, _ptr(V), _ptr(W))
         call.eta = (_ptr(anchors), _ptr(call.bins), _ptr(escape))
-        cost = PerfCounters()
-        charge_aug(cost, kind, *matrix_stream(A, prec), r, prec)
-        call.cost = (cost.bytes_loaded, cost.bytes_stored, cost.flops)
+        call.cost = aug_cost(*matrix_stream(A, prec), r, prec)
         threads = None if plan is None else plan.threads
         call.meta = {} if threads is None else {"threads": threads}
         if calls is not None and anchors is plan.anchors:  # a fitting plan

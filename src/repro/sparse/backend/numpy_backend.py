@@ -34,19 +34,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import KernelBackend, KernelPlan
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import (
     _recombine,
-    charge_aug,
-    charge_spmv,
+    aug_cost,
     eta_bins,
-    fold,
     matrix_stream,
+    spmv_cost,
 )
 from repro.sparse.sell import SellMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.precision import FP16V, precision_of
 from repro.util.validation import check_block_vector, check_vector
 
@@ -151,23 +148,13 @@ class NumpyBackend(KernelBackend):
         return True
 
     # -- products --------------------------------------------------------
-    def spmv(self, A, x, out=None, plan: KernelPlan | None = None,
-             counters: PerfCounters = NULL_COUNTERS,
-             metrics: MetricsRegistry = NULL_METRICS):
-        x, prec, out = self._product_args(A, x, out)
-        with metrics.span("spmv", counters=counters):
-            self._apply(A, x, out)
-            charge_spmv(counters, "spmv", *matrix_stream(A, prec), 1, prec)
-        return out
-
-    def spmmv(self, A, X, out=None, plan: KernelPlan | None = None,
-              counters: PerfCounters = NULL_COUNTERS,
-              metrics: MetricsRegistry = NULL_METRICS):
-        X, prec, out = self._product_args(A, X, out, block=True)
-        r = X.shape[1]
-        with metrics.span("spmmv", counters=counters):
+    def _product(self, kind, A, X, out, plan, sink):
+        block = kind == "spmmv"
+        X, prec, out = self._product_args(A, X, out, block)
+        r = X.shape[1] if block else 1
+        with sink.span(kind) as sp:
             self._apply(A, X, out)
-            charge_spmv(counters, "spmmv", *matrix_stream(A, prec), r, prec)
+            sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
         return out
 
     @staticmethod
@@ -196,36 +183,7 @@ class NumpyBackend(KernelBackend):
         return plan
 
     # -- augmented steps (paper Figs. 4 and 5) ---------------------------
-    def aug_spmv_step(
-        self, A, v, w, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Stage 1: shift, scale, recombination and both dot products,
-        charged as one kernel touching each of v and w once —
-        ``N_nz (S_d+S_i) + 3 N S_d`` bytes per call.  The one-column
-        view of the stage-2 walk; on CSR its product sums in the C
-        kernel's four lanes (:func:`_lane_product`)."""
-        ee, eo = fold(self._step("aug_spmv", A, v, w, a, b, plan, counters,
-                                 metrics))
-        return float(ee[0]), complex(eo[0])
-
-    def aug_spmmv_step(
-        self, A, V, W, a, b, plan: KernelPlan | None = None,
-        counters: PerfCounters = NULL_COUNTERS,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
-        """Stage 2: the augmented SpMMV over row-major (N, R) blocks.
-
-        ``V`` may span the rank's ``[local | halo]`` columns; the update
-        and the per-column dots run over its first ``N`` rows.  Charged
-        traffic: ``N_nz (S_d+S_i) + 3 R N S_d`` bytes per call — Eq. (4)'s
-        final line divided by the M/2 iterations.
-        """
-        return fold(self._step("aug_spmmv", A, V, W, a, b, plan, counters,
-                               metrics))
-
-    def _step(self, name, A, V, W, a, b, plan, counters, metrics):
+    def _step(self, name, A, V, W, a, b, plan, sink):
         if name == "aug_spmv":  # the walk's one-column view
             V = check_vector("v", V, A.n_cols)[:, None]
             W = check_vector("w", W, A.n_rows)[:, None]
@@ -233,12 +191,12 @@ class NumpyBackend(KernelBackend):
             V = check_block_vector("V", V, A.n_cols)
             W = check_block_vector("W", W, A.n_rows, V.shape[1])
         prec = precision_of(V)
-        with metrics.span(name, counters=counters):
+        with sink.span(name) as sp:
             bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows,
                               lanes=name == "aug_spmv"
                               and isinstance(A, CSRMatrix))
-            charge_aug(counters, name, *matrix_stream(A, prec), W.shape[1],
-                       prec)
+            sp.charge(name, *aug_cost(*matrix_stream(A, prec), W.shape[1],
+                                      prec))
         return bins
 
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):

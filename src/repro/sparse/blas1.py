@@ -1,7 +1,8 @@
 """BLAS level-1 kernels of the naive KPM algorithm (paper Fig. 3).
 
-Each function charges the *minimum* data traffic and flop count of paper
-Table I to an optional :class:`~repro.util.counters.PerfCounters`:
+Each function runs as one span of an optional sink (a
+:class:`~repro.obs.MetricsRegistry`) named after it, which charges the
+*minimum* data traffic and flop count of paper Table I:
 
 =========  =====================  ==========================
 function   min. bytes per call     flops per call
@@ -32,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.constants import F_ADD, F_MUL
-from repro.util.counters import NULL_COUNTERS, PerfCounters
+from repro.obs.metrics import NULL_METRICS
 
 
 def _sd(x: np.ndarray) -> int:
@@ -47,7 +48,7 @@ def axpy(
     y: np.ndarray,
     alpha: complex,
     x: np.ndarray,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
     """In-place ``y += alpha * x``; returns ``y``.
@@ -59,78 +60,81 @@ def axpy(
     """
     n = y.shape[0]
     s_d = _sd(y)
-    if work is not None:
-        np.multiply(x, alpha, out=work)
-        y += work
-    else:
-        y += alpha * x
-    counters.charge(
-        "axpy", loads=2 * n * s_d, stores=n * s_d, flops=n * (F_ADD + F_MUL)
-    )
+    with counters.span("axpy") as sp:
+        if work is not None:
+            np.multiply(x, alpha, out=work)
+            y += work
+        else:
+            y += alpha * x
+        sp.charge("axpy", loads=2 * n * s_d, stores=n * s_d,
+                  flops=n * (F_ADD + F_MUL))
     return y
 
 
 def scal(
     alpha: complex,
     x: np.ndarray,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> np.ndarray:
     """In-place ``x *= alpha``; returns ``x``."""
     n = x.shape[0]
     s_d = _sd(x)
-    x *= alpha
-    counters.charge("scal", loads=n * s_d, stores=n * s_d, flops=n * F_MUL)
+    with counters.span("scal") as sp:
+        x *= alpha
+        sp.charge("scal", loads=n * s_d, stores=n * s_d, flops=n * F_MUL)
     return x
 
 
-def charge_dot(x: np.ndarray, counters: PerfCounters) -> None:
-    """The Table-I charge of one :func:`dot` over ``x``'s length."""
+def charge_dot(x: np.ndarray, span) -> None:
+    """Charge ``span`` the Table-I cost of one :func:`dot` over ``x``'s
+    length."""
     n = x.shape[0]
-    counters.charge("dot", loads=2 * n * _sd(x), flops=n * (F_ADD + F_MUL))
+    span.charge("dot", loads=2 * n * _sd(x), flops=n * (F_ADD + F_MUL))
 
 
-def charge_nrm2(x: np.ndarray, counters: PerfCounters) -> None:
-    """The Table-I charge of one :func:`nrm2_sq` of ``x``."""
+def charge_nrm2(x: np.ndarray, span) -> None:
+    """Charge ``span`` the Table-I cost of one :func:`nrm2_sq` of ``x``."""
     n = x.shape[0]
-    counters.charge(
-        "nrm2", loads=n * _sd(x), flops=n * (F_ADD // 2 + F_MUL // 2)
-    )
+    span.charge("nrm2", loads=n * _sd(x), flops=n * (F_ADD // 2 + F_MUL // 2))
 
 
 def dot(
     x: np.ndarray,
     y: np.ndarray,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> complex:
     """Conjugated inner product ``<x|y> = sum(conj(x) * y)``.
 
     fp64-dtype einsum reductions over the real/imag component views, for
     every storage precision: one summation order, fixed by the length.
     """
-    charge_dot(x, counters)
     if x.dtype.kind == "c":
         xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
     else:  # float16 (re, im) pairs
         xr, xi, yr, yi = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    re = (np.einsum("n,n->", xr, yr, dtype=np.float64)
-          + np.einsum("n,n->", xi, yi, dtype=np.float64))
-    im = (np.einsum("n,n->", xr, yi, dtype=np.float64)
-          - np.einsum("n,n->", xi, yr, dtype=np.float64))
+    with counters.span("dot") as sp:
+        re = (np.einsum("n,n->", xr, yr, dtype=np.float64)
+              + np.einsum("n,n->", xi, yi, dtype=np.float64))
+        im = (np.einsum("n,n->", xr, yi, dtype=np.float64)
+              - np.einsum("n,n->", xi, yr, dtype=np.float64))
+        charge_dot(x, sp)
     return complex(re + 1j * im)
 
 
 def nrm2_sq(
     x: np.ndarray,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> float:
     """Squared 2-norm ``<x|x>`` (the paper's eta_2m = <v|v>).
 
     fp64 accumulation for every storage precision (see :func:`dot`).
     """
-    charge_nrm2(x, counters)
     if x.dtype.kind == "c":
         xr, xi = x.real, x.imag
     else:
         xr, xi = x[..., 0], x[..., 1]
-    return float(np.einsum("n,n->", xr, xr, dtype=np.float64)
-                 + np.einsum("n,n->", xi, xi, dtype=np.float64))
+    with counters.span("nrm2") as sp:
+        out = float(np.einsum("n,n->", xr, xr, dtype=np.float64)
+                    + np.einsum("n,n->", xi, xi, dtype=np.float64))
+        charge_nrm2(x, sp)
+    return out

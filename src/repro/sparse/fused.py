@@ -13,13 +13,14 @@ and return the two KPM scalar products of the iteration,
     eta_even = <v|v>,     eta_odd = <w_new|v>.
 
 Charges (paper Table I) come in two formulas, one function each —
-:func:`charge_spmv` and :func:`charge_aug`.  Every charge is linear in
-(rows, streamed slots), so the interior and boundary phases of a split
-kernel, charged with their own rows and slots, sum exactly to the
-whole-matrix charge; :func:`matrix_stream` gives the whole-matrix
-arguments.  Byte widths follow the storage
-profile (:mod:`repro.util.precision`); the fp16v profile charges its
-half-width vector stream even where a backend computes on fp32 decodes.
+:func:`spmv_cost` and :func:`aug_cost`, ``(loads, stores, flops)`` of
+one call, which a kernel span charges to the run's sink.  Every cost is
+linear in (rows, streamed slots), so the interior and boundary phases of
+a split kernel, charged with their own rows and slots, sum exactly to
+the whole-matrix charge; :func:`matrix_stream` gives the whole-matrix
+arguments.  Byte widths follow the storage profile
+(:mod:`repro.util.precision`); the fp16v profile charges its half-width
+vector stream even where a backend computes on fp32 decodes.
 
 The two scalar products are reduced one way everywhere (DESIGN §19):
 per 64-row block in row order, each block partial deposited exactly
@@ -35,7 +36,6 @@ import numpy as np
 
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import F_ADD, F_MUL
-from repro.util.counters import PerfCounters
 from repro.util.precision import FP64, Precision
 
 #: Per-row flops of one full KPM inner iteration beyond the SpMV part:
@@ -54,39 +54,30 @@ def matrix_stream(A, prec: Precision = FP64) -> tuple[int, int, int]:
     return A.n_rows, slots, prec.index_bytes(A.n_cols)
 
 
-def charge_spmv(
-    counters: PerfCounters, name: str, rows: int, slots: int, s_index: int,
-    r: int = 1, prec: Precision = FP64,
-) -> None:
-    """Table I, Sp(M)MV: ``slots (S_d + S_i) + 2 R N S_v`` bytes.
+def spmv_cost(rows: int, slots: int, s_index: int, r: int = 1,
+              prec: Precision = FP64) -> tuple[int, int, int]:
+    """Table I, Sp(M)MV: ``(loads, stores, flops)`` of one call —
+    ``slots (S_d + S_i) + 2 R N S_v`` bytes.
 
     The matrix is streamed once whatever the block width R.
     """
     s_x = prec.s_vector
-    counters.charge(
-        name,
-        loads=slots * (prec.s_value + s_index) + r * rows * s_x,
-        stores=r * rows * s_x,
-        flops=r * slots * (F_ADD + F_MUL),
-    )
+    return (slots * (prec.s_value + s_index) + r * rows * s_x,
+            r * rows * s_x, r * slots * (F_ADD + F_MUL))
 
 
-def charge_aug(
-    counters: PerfCounters, name: str, rows: int, slots: int, s_index: int,
-    r: int = 1, prec: Precision = FP64,
-) -> None:
-    """Table I, augmented Sp(M)MV: ``slots (S_d + S_i) + 3 R N S_v`` bytes.
+def aug_cost(rows: int, slots: int, s_index: int, r: int = 1,
+             prec: Precision = FP64) -> tuple[int, int, int]:
+    """Table I, augmented Sp(M)MV: ``(loads, stores, flops)`` of one call
+    — ``slots (S_d + S_i) + 3 R N S_v`` bytes.
 
     One call is one fused inner iteration (paper Figs. 4 and 5): v and w
     read once, w written once, the shift, scale and both dots in flight.
     """
     s_x = prec.s_vector
-    counters.charge(
-        name,
-        loads=slots * (prec.s_value + s_index) + 2 * r * rows * s_x,
-        stores=r * rows * s_x,
-        flops=r * (slots * (F_ADD + F_MUL) + rows * _ROW_FLOPS),
-    )
+    return (slots * (prec.s_value + s_index) + 2 * r * rows * s_x,
+            r * rows * s_x,
+            r * (slots * (F_ADD + F_MUL) + rows * _ROW_FLOPS))
 
 
 def _recombine(W, U, V, a: float, b: float, tmp) -> None:

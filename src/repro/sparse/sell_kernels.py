@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.fused import charge_spmv, matrix_stream
+from repro.obs.metrics import NULL_METRICS
+from repro.sparse.fused import matrix_stream, spmv_cost
 from repro.sparse.sell import SellMatrix
-from repro.util.counters import NULL_COUNTERS, PerfCounters
 from repro.util.errors import ShapeError
 from repro.util.precision import precision_of
 from repro.util.validation import check_block_vector, check_vector
@@ -38,7 +38,7 @@ def sell_spmv_chunked(
     A: SellMatrix,
     x: np.ndarray,
     out: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> np.ndarray:
     """SpMV traversing the flat SELL arrays chunk by chunk.
 
@@ -64,8 +64,8 @@ def sell_spmv_chunked(
             slot = slice(base + j * c, base + (j + 1) * c)
             acc += data[slot] * x[A.indices[slot].astype(np.int64)]
     out[:] = acc_sorted[A.inv_perm[: A.n_rows]]
-    charge_spmv(counters, "sell_spmv_chunked", *matrix_stream(A, prec), 1,
-                prec)
+    counters.charge("sell_spmv_chunked",
+                    *spmv_cost(*matrix_stream(A, prec), 1, prec))
     return out
 
 
@@ -73,7 +73,7 @@ def sell_spmmv_chunked(
     A: SellMatrix,
     X: np.ndarray,
     out: np.ndarray | None = None,
-    counters: PerfCounters = NULL_COUNTERS,
+    counters=NULL_METRICS,
 ) -> np.ndarray:
     """Block-vector SELL product over the flat chunk layout.
 
@@ -100,8 +100,8 @@ def sell_spmmv_chunked(
             slot = slice(base + j * c, base + (j + 1) * c)
             acc += data[slot, None] * X[A.indices[slot].astype(np.int64), :]
     out[:] = acc_sorted[A.inv_perm[: A.n_rows], :]
-    charge_spmv(counters, "sell_spmmv_chunked", *matrix_stream(A, prec), r,
-                prec)
+    counters.charge("sell_spmmv_chunked",
+                    *spmv_cost(*matrix_stream(A, prec), r, prec))
     return out
 
 

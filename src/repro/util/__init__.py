@@ -2,7 +2,8 @@
 
 These are the lowest-level building blocks of the reproduction; every other
 subpackage (``repro.sparse``, ``repro.core``, ``repro.perf``, ...) depends on
-them and nothing here depends on the rest of the package.
+them.  Nothing here depends on the rest of the package but ``counters``,
+which names the measurement sink of :mod:`repro.obs.metrics`.
 """
 
 from repro._lazy import lazy_exports

@@ -311,8 +311,7 @@ def run_supervised(config: ExecConfig, ctx, resilience, seed, H, scale,
                             kernel=kernel), None)
     from repro.resil import Supervisor
 
-    sup = Supervisor(resilience, metrics=ctx.metrics, counters=ctx.counters,
-                     seed=seed)
+    sup = Supervisor(resilience, metrics=ctx.sink, seed=seed)
     eta = sup.run_eta(H, scale, n_moments, start_block, config=config,
                       kernel=kernel, progress=ctx.progress,
                       progress_every=ctx.progress_every)

@@ -23,13 +23,13 @@ class TestOf:
         assert RunContext.of() == RunContext()
         ctx = RunContext.of(progress_every=3, attempt=2)
         assert (ctx.progress_every, ctx.attempt) == (3, 2)
-        assert ctx.counters is NULL_COUNTERS and ctx.metrics is NULL_METRICS
+        assert ctx.sink is NULL_METRICS and NULL_COUNTERS is NULL_METRICS
         assert ctx.checkpoint_every == 0 and ctx.fault_plan is None
         # an attempt or a segment is a replace: everything else carries
         metrics = MetricsRegistry()
         seg = replace(RunContext.of(metrics=metrics, progress_every=2),
                       attempt=3, checkpoint_every=4)
-        assert seg.metrics is metrics and seg.progress_every == 2
+        assert seg.sink is metrics and seg.progress_every == 2
         assert (seg.attempt, seg.checkpoint_every) == (3, 4)
 
     def test_a_cadence_needs_a_file_at_the_entry(self, tmp_path):
@@ -77,14 +77,16 @@ def test_no_injector_without_a_plan():
 def test_workers_get_a_picklable_slice():
     plan = FaultPlan.parse("crash:rank=1,m=3")
     ctx = RunContext(
-        counters=PerfCounters(), metrics=MetricsRegistry(),
-        checkpoint_every=4, checkpoint_path="ck.npz", fault_plan=plan,
+        sink=PerfCounters(), checkpoint_every=4, checkpoint_path="ck.npz", fault_plan=plan,
         attempt=3, progress=lambda n, e: None, progress_every=1,
     )
     got = pickle.loads(pickle.dumps(ctx.for_workers()))
     assert got == RunContext(checkpoint_every=4, fault_plan=plan, attempt=3)
-    # the null sinks arrive as the receiving process's own sentinels
-    assert got.counters is NULL_COUNTERS and got.metrics is NULL_METRICS
+    # the null sink arrives as the receiving process's own sentinel,
+    # under either of its names
+    assert got.sink is NULL_METRICS
+    for sink in (NULL_METRICS, NULL_COUNTERS):
+        assert pickle.loads(pickle.dumps(sink)) is NULL_METRICS
 
 
 def test_stream_hands_over_the_prefix_only():
@@ -105,8 +107,8 @@ def test_save_without_a_path_writes_nothing(tmp_path):
                           next_m=2, n_moments=4, a=1.0, b=0.0,
                           anchors=np.ones(1))
     metrics = MetricsRegistry()
-    RunContext(checkpoint_every=1, metrics=metrics).save(state)
+    RunContext(checkpoint_every=1, sink=metrics).save(state)
     assert "checkpoint_save" not in metrics.snapshot()["timers"]
-    RunContext(checkpoint_path=tmp_path / "s.npz", metrics=metrics).save(state)
+    RunContext(checkpoint_path=tmp_path / "s.npz", sink=metrics).save(state)
     assert KpmCheckpoint.load(tmp_path / "s.npz").next_m == 2
     assert metrics.snapshot()["timers"]["checkpoint_save"]["count"] == 1

@@ -68,7 +68,7 @@ class TestStageRunControls:
     def test_sinks_see_the_stage(self, system, stage):
         h, scale, blk = system
         counters = PerfCounters()
-        eta, world, _ = run_engine(ExecConfig(), RunContext(counters=counters),
+        eta, world, _ = run_engine(ExecConfig(), RunContext(sink=counters),
                                    h, scale, M, blk, kernel=stage)
         assert world is None
         assert np.array_equal(eta, compute_eta(h, scale, M, blk, stage))

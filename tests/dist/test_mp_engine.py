@@ -189,7 +189,6 @@ class TestObservability:
     """Per-worker counters/metrics shipped back and merged in the parent."""
 
     def test_mp_counters_equal_serial(self, system):
-        from repro.obs import MetricsRegistry
         from repro.util.counters import PerfCounters
 
         h, scale, blk, _ = system
@@ -197,11 +196,9 @@ class TestObservability:
         compute_eta(h, scale, M, blk, "aug_spmmv", serial)
 
         part = RowPartition.equal(h.n_rows, 3, align=64)
-        merged = PerfCounters()
-        metrics = MetricsRegistry()
+        merged = metrics = PerfCounters()  # one sink: its fold and timers
         mw = MpWorld(3)
-        distributed_eta(h, part, scale, M, blk, mw,
-                        counters=merged, metrics=metrics)
+        distributed_eta(h, part, scale, M, blk, mw, metrics=merged)
 
         # local nnz and rows partition the global ones exactly, so the
         # merged minimum-traffic charges equal the serial run to the byte
@@ -210,24 +207,42 @@ class TestObservability:
         assert merged.flops == serial.flops
         # only the call tallies scale with the rank count
         assert merged.calls["spmmv"] == 3 * serial.calls["spmmv"]
-        # per-worker metrics arrive rank-tagged with matching traffic
+        # per-worker timers arrive rank-tagged beside their traffic rows
         for p in range(3):
             t = metrics.timers[f"rank{p}.aug_spmmv"]
             assert t.count == M // 2 - 1
-            nbytes, nflops = metrics.span_traffic(f"rank{p}.aug_spmmv")
-            assert nbytes and nflops
+            loads, stores, flops, calls = metrics.traffic[f"rank{p}.aug_spmmv"]
+            assert loads and stores and flops and calls == t.count
         # the raw per-rank snapshots stay inspectable on the world
         assert mw.last_obs is not None and len(mw.last_obs) == 3
 
+    def test_one_snapshot_per_worker_keeps_rank_timers(self, system):
+        """Each worker ships one snapshot; merged into the parent's one
+        sink, its timers keep their ``rank<p>.`` names (``halo_wait``
+        included) and its traffic folds to the serial run's."""
+        from repro.util.counters import PerfCounters
+
+        h, scale, blk, _ = system
+        serial, sink, mw = PerfCounters(), PerfCounters(), MpWorld(2)
+        compute_eta(h, scale, M, blk, "aug_spmmv", serial)
+        distributed_eta(h, RowPartition.equal(h.n_rows, 2, align=64), scale,
+                        M, blk, mw, metrics=sink, overlap=True)
+        assert all({"timers", "traffic"} <= set(snap)
+                   for snap in mw.last_obs)
+        for p in range(2):
+            assert {f"rank{p}.{name}" for name in (
+                "spmmv", "aug_spmmv_int", "aug_spmmv_bnd", "halo_wait",
+                "rank_busy")} <= set(sink.timers)
+        assert (sink.bytes_loaded, sink.bytes_stored, sink.flops) == (
+            serial.bytes_loaded, serial.bytes_stored, serial.flops)
+
     def test_mp_counters_equal_sim_counters(self, system):
-        from repro.obs import MetricsRegistry
         from repro.util.counters import PerfCounters
 
         h, scale, blk, _ = system
         part = RowPartition.equal(h.n_rows, 2, align=64)
         c_mp, c_sim = PerfCounters(), PerfCounters()
-        distributed_eta(h, part, scale, M, blk, MpWorld(2),
-                        counters=c_mp, metrics=MetricsRegistry())
+        distributed_eta(h, part, scale, M, blk, MpWorld(2), metrics=c_mp)
         distributed_eta(h, part, scale, M, blk, SimWorld(2),
                         counters=c_sim)
         assert (c_mp.bytes_loaded, c_mp.bytes_stored, c_mp.flops) == (

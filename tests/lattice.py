@@ -254,7 +254,7 @@ def run(row: Row, ck: Path):
                 "leave": f"leave:m={row.k + 1},rank=0"}.get(row.event)
         eta, report = run_elastic(
             replace(cfg, rebalance=policy, membership=plan),
-            RunContext(counters=counters), A, scale, M, block,
+            RunContext(sink=counters), A, scale, M, block,
             timer=_slow_rank0)
         log = report.log.records
     elif row.event == "fault":
@@ -279,7 +279,7 @@ def run(row: Row, ck: Path):
         assert np.array_equal(got, want), f"served moments moved: {row}"
         eta, log = None, batch.world and batch.world.log.records
     else:
-        eta, world, _ = run_engine(cfg, RunContext(counters=counters), A,
+        eta, world, _ = run_engine(cfg, RunContext(sink=counters), A,
                                    scale, M, block, kernel=row.stage)
         log = world and world.log.records
     return eta, counters, expected, log

@@ -54,29 +54,33 @@ class TestSpans:
         assert m.timers["work"].total >= 0.0
 
     def test_span_attributes_counter_traffic(self):
-        m = MetricsRegistry()
-        c = PerfCounters()
-        with m.span("spmv", counters=c):
-            c.charge("spmv", loads=100, stores=20, flops=60)
-        assert m.counters["bytes.spmv"] == 120
-        assert m.counters["flops.spmv"] == 60
-        assert m.span_traffic("spmv") == (120, 60)
+        m = PerfCounters()
+        with m.span("spmv") as sp:
+            sp.charge("spmv", loads=100, stores=20, flops=60)
+        assert m.traffic["spmv"] == [100, 20, 60, 1]
+        assert (m.bytes_total, m.flops, dict(m.calls)) == (
+            120, 60, {"spmv": 1})
+        assert m.timers["spmv"].count == 1
 
-    def test_span_only_charges_inside_the_span(self):
-        m = MetricsRegistry()
-        c = PerfCounters()
-        c.charge("before", loads=1000, flops=1000)
-        with m.span("k", counters=c):
-            c.charge("k", loads=8, flops=2)
-        c.charge("after", loads=1000, flops=1000)
-        assert m.counters["bytes.k"] == 8
-        assert m.counters["flops.k"] == 2
+    def test_span_only_charges_inside_the_span(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with Trace(path) as tr:
+            m = PerfCounters(trace=tr)
+            m.charge("before", loads=1000, flops=1000)
+            with m.span("k") as sp:
+                sp.charge("k", loads=8, flops=2)
+            m.charge("after", loads=1000, flops=1000)
+        (rec,) = read_trace(path)
+        assert (rec["bytes"], rec["flops"]) == (8, 2)
+        assert m.bytes_total == 2008 and m.flops == 2002
 
-    def test_span_traffic_resolves_rank_prefix(self):
-        m = MetricsRegistry()
-        m.count("rank0.bytes.spmv", 40)
-        m.count("rank0.flops.spmv", 10)
-        assert m.span_traffic("rank0.spmv") == (40, 10)
+    def test_fold_drops_rank_prefix(self):
+        m = PerfCounters()
+        m.charge("rank0.spmv", loads=40, flops=10)
+        m.charge("rank1.spmv", loads=2, flops=1)
+        m.charge("ranked.spmv", loads=1)  # not a rank prefix
+        assert dict(m.calls) == {"spmv": 2, "ranked.spmv": 1}
+        assert (m.bytes_total, m.flops) == (43, 11)
 
     def test_disabled_registry_records_nothing(self):
         m = MetricsRegistry(enabled=False)
@@ -97,24 +101,23 @@ class TestSpans:
 
     def test_summary_mentions_balance(self):
         m = MetricsRegistry()
-        c = PerfCounters()
-        with m.span("k", counters=c):
-            c.charge("k", loads=10, flops=5)
+        with m.span("k") as sp:
+            sp.charge("k", loads=10, flops=5)
         s = m.summary()
-        assert "k" in s and "B/F" in s
+        assert "k" in s and "B/F" in s and "10 B" in s
 
 
 class TestMerge:
     def test_merge_snapshot_prefixed(self):
         w = MetricsRegistry()
-        c = PerfCounters()
-        with w.span("spmv", counters=c):
-            c.charge("spmv", loads=16, flops=4)
-        parent = MetricsRegistry()
+        with w.span("spmv") as sp:
+            sp.charge("spmv", loads=16, flops=4)
+        parent = PerfCounters()
         parent.merge_snapshot(w.snapshot(), prefix="rank2.")
         assert parent.timers["rank2.spmv"].count == 1
-        assert parent.counters["rank2.bytes.spmv"] == 16
-        assert parent.span_traffic("rank2.spmv") == (16, 4)
+        assert parent.traffic["rank2.spmv"] == [16, 0, 4, 1]
+        assert dict(parent.calls) == {"spmv": 1}
+        assert (parent.bytes_total, parent.flops) == (16, 4)
 
     def test_merge_accumulates(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -247,11 +250,10 @@ class TestTrace:
 
     def test_registry_emits_span_records(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        c = PerfCounters()
         with Trace(path) as tr:
             m = MetricsRegistry(trace=tr)
-            with m.span("spmv", phase="moments", counters=c) as sp:
-                c.charge("spmv", loads=80, stores=16, flops=24)
+            with m.span("spmv", phase="moments") as sp:
+                sp.charge("spmv", loads=80, stores=16, flops=24)
                 sp.note(rows=12)
         (rec,) = read_trace(path)
         assert rec["name"] == "spmv"

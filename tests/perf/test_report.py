@@ -87,17 +87,14 @@ class TestMeasuredVsModel:
     def test_exact_match_reported(self, small_system):
         from repro.core.moments import compute_eta
         from repro.core.stochastic import make_block_vector
-        from repro.obs import MetricsRegistry
         from repro.util.counters import PerfCounters
 
         h, scale = small_system
         blk = make_block_vector(h.n_rows, 4, seed=3)
         counters = PerfCounters()
-        metrics = MetricsRegistry()
         compute_eta(h, scale, 8, blk, "aug_spmmv", counters,
-                    backend="numpy", metrics=metrics)
-        text = measured_vs_model_section(
-            h, counters, 8, 4, "aug_spmmv", metrics=metrics)
+                    backend="numpy")
+        text = measured_vs_model_section(h, counters, 8, 4, "aug_spmmv")
         assert "exact match: yes" in text
         assert "V_KPM" in text
         assert "aug_spmmv" in text  # the per-kernel table

@@ -18,7 +18,6 @@ import pytest
 from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
 from repro.core.stochastic import make_block_vector
-from repro.obs import MetricsRegistry
 from repro.physics import build_topological_insulator
 from repro.sparse.backend import native_backend
 from repro.sparse.backend.native import native_available
@@ -70,10 +69,9 @@ def test_a_steady_step_does_no_per_call_work(ti, monkeypatch, fmt,
     operand and reads no environment — with the server's sinks on."""
     h, scale = ti
     A = SellMatrix(h, 8, 16) if fmt == "sell" else h
-    counters, metrics = PerfCounters(), MetricsRegistry()
+    counters = metrics = PerfCounters()  # one sink: its fold and timers
     rec = Recurrence(A, scale.a, scale.b, R, backend="native",
-                     precision=precision, counters=counters,
-                     metrics=metrics)
+                     precision=precision, sink=counters)
     rec.load(make_block_vector(h.n_rows, R, seed=3))
     _steps(rec, 0, 3)  # bootstrap, then one update of each parity
 

@@ -25,6 +25,7 @@ import pytest
 from repro.core.moments import compute_eta
 from repro.core.scaling import SpectralScale
 from repro.core.stochastic import ldos_moments, make_block_vector
+from repro.obs import NULL_METRICS
 from repro.physics import build_topological_insulator
 from repro.sparse.backend.native import (
     native_available,
@@ -124,8 +125,8 @@ def _blocked_outputs(bk, A, V, W, prec, simd):
             sp = bk.split_plan(A, split, r, precision=prec, threads=threads,
                                simd=simd)
             w = W.copy()
-            eta = (*bk.aug_spmmv_interior(A, V, w, a, b, plan=sp),
-                   *bk.aug_spmmv_boundary(A, V, w, a, b, plan=sp))
+            eta = (*bk._phase(0, A, V, w, a, b, sp, NULL_METRICS),
+                   *bk._phase(1, A, V, w, a, b, sp, NULL_METRICS))
             out["split", threads] = (w, *eta)
     return out
 

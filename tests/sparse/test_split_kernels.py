@@ -29,7 +29,7 @@ from repro.sparse.backend import (
     get_backend,
 )
 from repro.sparse.backend.native import native_available
-from repro.sparse.fused import charge_aug, matrix_stream
+from repro.sparse.fused import aug_cost, matrix_stream
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import PerfCounters
@@ -212,11 +212,11 @@ class TestAccounting:
             _, _, s_i = stream = matrix_stream(blk.matrix)
             for r in (1, 8):
                 plain, split = PerfCounters(), PerfCounters()
-                charge_aug(plain, "aug_spmmv", *stream, r)
-                charge_aug(split, "aug_spmmv_int", s.n_interior,
-                           s.nnz_interior, s_i, r)
-                charge_aug(split, "aug_spmmv_bnd", s.n_boundary,
-                           s.nnz_boundary, s_i, r)
+                plain.charge("aug_spmmv", *aug_cost(*stream, r))
+                split.charge("aug_spmmv_int", *aug_cost(
+                    s.n_interior, s.nnz_interior, s_i, r))
+                split.charge("aug_spmmv_bnd", *aug_cost(
+                    s.n_boundary, s.nnz_boundary, s_i, r))
                 assert split.bytes_loaded == plain.bytes_loaded
                 assert split.bytes_stored == plain.bytes_stored
                 assert split.flops == plain.flops
@@ -266,16 +266,14 @@ class TestFallback:
             def available(self):
                 return True
 
-            def spmv(self, *a, **k):
+            def _product(self, *a, **k):
                 raise NotImplementedError
 
-            spmmv = naive_step = aug_spmv_step = aug_spmmv_step = spmv
+            _step = _product
 
         h, d = dist
         with pytest.raises(BackendError, match="split kernels"):
-            Bare().aug_spmmv_interior(None, None, None, 0.0, 0.0, None)
-        with pytest.raises(BackendError, match="split kernels"):
-            Bare().aug_spmmv_boundary(None, None, None, 0.0, 0.0, None)
+            Bare().aug_spmmv_split_step(None, None, None, 0.0, 0.0, None)
 
 
 class TestNoAllocation:

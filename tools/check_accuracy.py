@@ -27,8 +27,8 @@ has no per-step decode pass, so fp16v is rejected by construction (the
 gate documents rather than tests that exclusion).
 
 Exit status 0 means every combination is within budget; 1 pinpoints the
-first breach.  Intended for CI next to ``check_metrics.py``: that tool
-proves the *byte accounting* of the reduced profiles, this one proves
+first breach.  Intended for CI next to the tier-1 suite: its lattice
+proves the *byte accounting* of the reduced profiles, this tool proves
 their *numerics*.
 
 Every run prints an ``eta digest`` over all its eta arrays.  The

@@ -6,7 +6,8 @@ coalescing k requests into one width-k ``aug_spmmv`` block pays the
 matrix stream once, so the *measured* bytes per request must fall as
 the width grows — and must equal the analytic minimum-traffic model
 (:func:`repro.perf.report.expected_counters`) to the byte, exactly as
-``tools/check_metrics.py`` demands of the engines themselves.
+the tier-1 lattice (``tests/lattice.py``) demands of the engines
+themselves.
 
 For widths 1, 2, 3, 4, 5, 8 this script submits that many width-1 DOS
 requests to a fresh synchronous :class:`~repro.serve.KPMServer`,
