@@ -266,8 +266,11 @@ class RunContext:
             )
 
     def for_workers(self) -> RunContext:
-        """The picklable slice mp workers run by: plan, attempt, cadence."""
+        """The picklable slice every engine's ranks run by: plan, attempt,
+        both cadences — progress's armed only by the callback it keeps."""
         return RunContext(checkpoint_every=self.checkpoint_every,
+                          progress_every=self.progress_every
+                          if self.progress is not None else 0,
                           fault_plan=self.fault_plan, attempt=self.attempt)
 
     def injector(self, rank: int, in_process: bool = True):
@@ -295,6 +298,12 @@ class RunContext:
     def progress_due(self, m: int, first_m: int) -> bool:
         return self.progress is not None and \
             self._cadence(m - first_m + 1, self.progress_every) > 0
+
+    def publishes(self, m: int, first_m: int) -> bool:
+        """Whether the ranks publish after iteration ``m``: a checkpoint
+        or a stream (armed on their slice, :meth:`for_workers`) is due."""
+        return self._cadence(m - first_m + 1, self.progress_every) > 0 or \
+            self.checkpoint_due(m, first_m) > 0
 
     def stream(self, n_eta: int, eta: np.ndarray) -> None:
         """Fire ``progress`` with the reduced eta prefix ``[:, :n_eta]``.
@@ -460,15 +469,15 @@ class Run:
             run_id=ctx.run_id(ck, start_block, prec), kernel=kernel, **more,
         )
 
-    def schedule(self, ctx: RunContext) -> Schedule:
+    def schedule(self) -> Schedule:
         """The :class:`~repro.core.recurrence.Schedule` every rank runs,
-        by the run controls ``ctx``.  The final allreduce moves the bins,
-        48R bytes, of each of the M/2 iterations."""
+        by the controls' :meth:`~RunContext.for_workers` slice.  The final
+        allreduce moves the bins, 48R bytes, of each of the M/2 iterations."""
         return Schedule(first_m=self.first_m, half=self.half,
                         overlap=self.cfg.overlap,
                         every=self.cfg.reduction == "every",
                         final_bytes=24 * self.r * self.n_moments,
-                        anchors=self.anchors, ctx=ctx)
+                        anchors=self.anchors, ctx=self.ctx.for_workers())
 
     def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
         """The reduced eta ``[0, stop)`` of ``bins`` (ranks, M/2, 2, 3R) in
@@ -494,6 +503,23 @@ class Run:
             precision=self.prec.name, run_id=self.run_id,
         )
 
+    def capture(self, m: int, k: int, bins: np.ndarray, vw,
+                world=None) -> None:
+        """Take the ranks' publish after iteration ``m``, as every
+        engine's parent takes each, in order: stream the eta prefix of
+        the (final) ``bins`` when progress is due and, at the ``k``-th
+        checkpoint (0: none), save the global ``(v, w) = vw()`` and keep
+        it as ``world.last_checkpoint``."""
+        ctx, n_eta = self.ctx, 2 * (m + 1)
+        eta = self.splice(bins, n_eta, self.n_moments if k else n_eta)
+        if ctx.progress_due(m, self.first_m):
+            ctx.stream(n_eta, eta)
+        if k:
+            ck = self.state(*vw(), eta, m + 1)
+            if world is not None:  # the one it replaces is freed first
+                world.last_checkpoint = ck
+            ctx.save(ck)
+
     def recurrence(self, A, split=None) -> Recurrence:
         """A rank's recurrence over its operator block ``A``."""
         return Recurrence(A, self.a, self.b, self.r, kernel=self.kernel,
@@ -518,24 +544,17 @@ class Run:
         """Run the ranks' programs to the end in this process; returns eta
         (R, M).  One round steps every program to its next yield, rank by
         rank, so no rank reads a halo tail before every rank packed it;
-        after each iteration the last one — every peer's bins and, at a
-        checkpoint, ``(nu_m, nu_{m+1})`` are in place by then — fires
-        ``progress`` and saves each due checkpoint.  At an elastic
-        boundary ``m`` the ranks take ``reslice(m)``'s pieces, one per
-        rank (None: the weights hold), decided once."""
-        ctx, bins = self.ctx, states[0].bins
+        the last one's publish — every peer's bins and ``(nu_m,
+        nu_{m+1})`` are in place by then — goes to :meth:`capture`.  At an
+        elastic boundary ``m`` the ranks take ``reslice(m)``'s pieces,
+        one per rank (None: the weights hold), decided once."""
+        bins = states[0].bins
 
         def publish(m: int, k: int) -> None:
-            n_eta = 2 * (m + 1)
-            if ctx.progress_due(m, self.first_m):
-                ctx.stream(n_eta, self.splice(bins, n_eta, n_eta))
-            if k:
-                v, w = (np.concatenate([getattr(s.rec, x) for s in states])
-                        for x in "vw")
-                ctx.save(self.state(v, w, self.splice(bins, n_eta,
-                                                      self.n_moments), m + 1))
+            self.capture(m, k, bins, lambda: (np.concatenate(
+                [getattr(s.rec, x) for s in states]) for x in "vw"))
 
-        sched = self.schedule(ctx)
+        sched = self.schedule()
         pieces = functools.cache(reslice) if reslice else None
         programs = [
             rank_program(s, sched, _InProcess(
@@ -561,7 +580,7 @@ class _InProcess:
         new = self.pieces(m)
         return None if new is None else (lambda: new[self.rank])
 
-    reduce = probe = complete = release = ask = exchange
+    reduce = probe = complete = release = ask = claim = exchange
 
     def post(self, _q: int, _m: int):
         return nullcontext()

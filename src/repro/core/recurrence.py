@@ -337,8 +337,7 @@ class Schedule:
     ``[first_m, half)`` (a fresh run bootstraps first), the halo mode,
     the reduction frequency, the bytes of the final reduction (0: none),
     the eta anchors, the run controls the ranks act on (the checkpoint
-    cadence) and an elastic run's ``bounds`` (checkpoints too when
-    ``publish_bounds``: a progress stream wants them)."""
+    and progress cadences) and an elastic run's ``bounds``."""
 
     first_m: int
     half: int
@@ -346,9 +345,8 @@ class Schedule:
     every: bool
     final_bytes: int
     anchors: np.ndarray
-    ctx: object  # a repro.core.checkpoint.RunContext
+    ctx: object  # a repro.core.checkpoint.RunContext, the ranks' slice
     bounds: tuple = ()
-    publish_bounds: bool = False
 
 
 @dataclass
@@ -381,24 +379,34 @@ def rank_program(s: RankState, sched: Schedule, t):
     """Run one rank's schedule over transport ``t``; a generator that
     yields where the shared-memory transport may wait for a peer.
 
-    Nine transport ops are its only communication: ``exchange()`` (all
+    Ten transport ops are its only communication: ``exchange()`` (all
     packed), ``post(q, m)`` (a context around a task-mode pack, entered
     once ``q`` consumed ``m − 2``), ``complete(src, m)`` / ``release(src,
     m)`` (a tail landed / was consumed), ``reduce()`` (all bins of the
-    iteration in place), ``publish(m, k)`` (the k-th checkpoint — 0:
-    none — after iteration ``m``), ``probe()`` (the heartbeat), and
-    an iteration before an elastic boundary ``m`` ``ask(m, busy)`` (the
-    busy seconds since the last) and after it ``answer(m)`` (None, or a
-    call that returns the rank's next ``(rows, recurrence, links,
-    buffers, offsets)`` once every rank staged its rows).  A
-    one-rank world has no peers: it packs, exchanges and waits for
-    nothing.
+    iteration in place), ``claim(j)`` (the parent took checkpoint
+    ``j − 2``: slot ``j % 2`` is free), ``publish(m, k)`` (a stream or
+    the k-th checkpoint — 0: none — is due after iteration ``m``),
+    ``probe()`` (the heartbeat), and an iteration before an elastic
+    boundary ``m`` ``ask(m, busy)`` (the busy seconds since the last)
+    and after it ``answer(m)`` (None, or a call that returns the rank's
+    next ``(rows, recurrence, links, buffers, offsets)`` once every rank
+    staged its rows).  A one-rank world has no peers: it packs,
+    exchanges and waits for nothing.
     """
     rec, r = s.rec, s.bins.shape[-1] // 3
     peers = s.bins.shape[0] > 1
     # one rank has no skew to time: its spans are the kernels' own
     span = (s.sink if peers else NULL_METRICS).span
-    busy, k = 0.0, 0  # busy seconds since the last boundary; checkpoints
+    ctx, first_m = sched.ctx, sched.first_m
+    busy, ck = 0.0, 0  # busy seconds since the last boundary; checkpoints
+
+    def stage(j: int) -> int:
+        # Double-buffered: the j-th slot write goes to slot j % 2 once the
+        # parent took checkpoint j − 2 from it; the last one stays intact.
+        t.claim(j)
+        for buf, x in zip(s.slots, (rec.v, rec.w)):
+            buf[j % 2, s.rows] = x
+        return j % 2
 
     def timed(work):
         # ``rank_busy``, the rebalancer's skew signal, times the rank's own
@@ -412,7 +420,7 @@ def rank_program(s: RankState, sched: Schedule, t):
         return out
 
     # m = 0 is a fresh run's bootstrap, nu_1 = a (H nu_0 - b nu_0)
-    for m in range(0 if sched.first_m == 1 else sched.first_m, sched.half):
+    for m in range(0 if first_m == 1 else first_m, sched.half):
         bound = m + 1 in sched.bounds
         if bound:
             t.ask(m + 1, busy)
@@ -459,17 +467,12 @@ def rank_program(s: RankState, sched: Schedule, t):
                 t.reduce()
                 yield
                 s.bins[:, m].sum(axis=0)  # every rank forms the global sum
-        due = sched.ctx.checkpoint_due(m, sched.first_m) or \
-            bound and sched.publish_bounds  # never at m = 0
-        if due:
-            # Double-buffered: the k-th checkpoint writes slot k % 2, so
-            # the previously published slot stays intact meanwhile.
-            k += 1
-            if s.slots is not None:
-                v, w = s.slots
-                v[k % 2, s.rows], w[k % 2, s.rows] = rec.v, rec.w
-        t.publish(m, k if due else 0)
-        if due:
+        if ctx.publishes(m, first_m):  # never at m = 0
+            k = ctx.checkpoint_due(m, first_m)
+            if k and s.slots is not None:
+                stage(k)
+            ck = k or ck
+            t.publish(m, k)
             yield
         if not bound:
             continue
@@ -478,15 +481,14 @@ def rank_program(s: RankState, sched: Schedule, t):
             # New weights: the (v, w) rows pass through the checkpoint
             # slot the next checkpoint would write, then the rank goes on
             # at m + 1 on its new block, with nothing but its rows moved.
-            v, w, x = *s.slots, (k + 1) % 2
-            v[x, s.rows], w[x, s.rows] = rec.v, rec.w
+            x = stage(ck + 1)
             t.exchange()  # every rank staged its rows
             yield
             rows, rec, (s.sends, s.sources), bufs, offsets = new()
             s.handover(offsets)
             s.rows, s.rec = rows, rec
-            rec.load(v[x, rows], w[x, rows], anchors=sched.anchors, m=m + 1,
-                     bufs=bufs)
+            rec.load(*(buf[x, rows] for buf in s.slots),
+                     anchors=sched.anchors, m=m + 1, bufs=bufs)
             t.exchange()  # every rank read its rows: the slot is free
             yield
 

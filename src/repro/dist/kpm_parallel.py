@@ -156,13 +156,12 @@ class RunSetup(Run):
     dist: DistributedMatrix
     elastic: object = None
 
-    def schedule(self, ctx: RunContext):
-        sched = super().schedule(ctx)
+    def schedule(self):
+        sched = super().schedule()
         if self.elastic is None:
             return sched
         return replace(sched, bounds=self.elastic.bounds(self.first_m,
-                                                         self.half),
-                       publish_bounds=self.ctx.progress is not None)
+                                                         self.half))
 
     def record(self, world, logs: list[MessageLog]) -> None:
         """Check the ranks' recorded halo messages against the
@@ -284,13 +283,7 @@ def distributed_eta(
         the one sink.  Its traffic folds to a serial run's (only
         ``calls`` is rank-multiplied); a resumed run
         (``start_block`` may then be None) is bitwise equal to an
-        uninterrupted one, on any world and partition.  ``progress``
-        fires per world: a :class:`SimWorld` calls it every
-        ``progress_every`` iterations, an ``MpWorld`` with each
-        checkpoint its parent captures, so never without
-        ``checkpoint_every`` (at M = 16 with ``checkpoint_every=3`` and
-        ``progress_every=1``: mp at ``n_eta`` 8 and 14, sim at 4, 6,
-        ..., 16).
+        uninterrupted one, on any world and partition.
     config / knobs:
         The :class:`~repro.util.knobs.ExecConfig` (``overlap`` off unless
         given).  Here ``overlap`` runs each rank's interior eta blocks
@@ -316,8 +309,7 @@ def distributed_eta(
 def run_sim(run: RunSetup, world: SimWorld) -> np.ndarray:
     """Execute a prepared run on the simulated world: the ranks' programs
     step in lock-step in this process (:meth:`~repro.core.checkpoint.
-    Run.lockstep`); returns eta (R, M).  ``progress`` fires every
-    ``progress_every`` iterations."""
+    Run.lockstep`); returns eta (R, M)."""
     elastic = run.elastic is not None
     bins = np.zeros((world.n_ranks, run.n_moments // 2, 2, 3 * run.r))
     bufs = {key: np.empty(shape, dtype) for key, (shape, dtype) in

@@ -66,12 +66,12 @@ sentinels, wakes to check it and declares the world wedged when no
 heartbeat advances within :attr:`MpTimeouts.stall`.  A worker whose
 parent died abandons its run at the next iteration.
 
-Checkpoints (the run controls of DESIGN §17): the workers
-double-buffer their state into shared *checkpoint slots*; past the
-word barrier rank 0 publishes a slot with one atomic state word, and
-the **parent** — which survives worker crashes — captures it
-(``MpWorld.last_checkpoint``) for the run's context to save and stream,
-salvaging the latest one even when the run fails.
+Captures (DESIGN §17): where a stream or a checkpoint is due, the ranks
+pass the word barrier and rank 0 sends one note, which the **parent** —
+surviving worker crashes — takes in order (:meth:`~repro.core.
+checkpoint.Run.capture`).  Checkpoint k's ``(v, w)`` goes to shared slot
+k % 2 once the parent's *capture word* says it took checkpoint k − 2, so
+a slot is intact when the parent copies it (``MpWorld.last_checkpoint``).
 
 Elastic boundaries (:mod:`repro.dist.elastic`): one iteration ahead,
 each rank sends its busy seconds on its control pipe; the parent
@@ -134,13 +134,15 @@ class MpTimeouts:
     ----------
     barrier:
         Seconds any worker may wait on a peer — a halo tail, a drained
-        slot, a barrier — before declaring its peers gone.
+        slot, a barrier — before declaring its peers gone (a wait on
+        the parent lasts as long as the parent lives).
     join:
         Seconds the parent gives the workers to report (and then to
         exit) after an abort before escalating to ``terminate()``.
     stall:
         Heartbeat window: the parent tears the world down when *no*
-        worker's per-iteration heartbeat advances for this long.  This
+        worker's per-iteration heartbeat advances for this long, the
+        parent's own time in its capture hooks not counted.  This
         replaces the old whole-run deadline — a long healthy run is
         fine, a wedged one is caught within one window.
     run:
@@ -234,9 +236,8 @@ class MpWorld:
         #: (:meth:`~repro.obs.MetricsRegistry.snapshot` dicts); None
         #: until a run with a live sink completes.
         self.last_obs: list[dict | None] | None = None
-        #: latest checkpoint state the parent captured from shared memory
-        #: in the most recent run (autosaved or salvaged); None when the
-        #: run did not checkpoint.
+        #: the last checkpoint the parent took from shared memory in the
+        #: most recent run; None when the run did not checkpoint.
         self.last_checkpoint: KpmCheckpoint | None = None
 
     def __repr__(self) -> str:
@@ -279,8 +280,8 @@ class _RunConfig:
     #: threads/overlap resolved for the world; the backend is per rank
     #: and the elastic knobs are the parent's business
     exec: ExecConfig
-    #: the rank program's schedule, by the run controls a worker runs by
-    #: (RunContext.for_workers)
+    #: the rank program's schedule, by the run controls' slice the ranks
+    #: run by (RunContext.for_workers)
     sched: Schedule
 
 
@@ -345,7 +346,7 @@ class _Shm:
     words in the arena — a barrier word per rank, a ``ready`` (last
     iteration packed, plus one) and a ``done`` (last consumed, plus one)
     word per directed edge — the heartbeat and abort words and the
-    checkpoint state word.  Per iteration a vector-mode rank passes one
+    parent's capture word.  Per iteration a vector-mode rank passes one
     word barrier; a task-mode rank waits on its edges' words only.  At a
     re-slice ``reslice(offsets)`` hands the rank's operator rows in and
     returns the call that cuts its next block once every rank has."""
@@ -354,8 +355,8 @@ class _Shm:
                  timeout: float, reslice=None) -> None:
         self.rank, self.conn, self.ppid, self.timeout, self.reslice = \
             rank, conn, ppid, timeout, reslice
-        self.abort, self.hb, self.ckst, self.bar = \
-            att["abort"], att["hb"], att.get("ckst"), att["bar"]
+        self.abort, self.hb, self.cap, self.bar = \
+            att["abort"], att["hb"], att.get("cap"), att["bar"]
         self.ready, self.done = att["seq"]
         self.passed = 0  # barriers this rank passed in this run
         self._lock = threading.Lock()
@@ -371,14 +372,18 @@ class _Shm:
         self._fence()
         words[at] = value
 
-    def _wait(self, ok) -> None:
+    def _wait(self, ok, parent: bool = False) -> None:
         """Return once ``ok()`` holds.  A wait whose condition holds
         never looks at the abort word, so a peer failing right after it
-        arrived cannot void work both already did."""
+        arrived cannot void work both already did.  A wait on the
+        ``parent`` lasts as long as the parent lives, however long its
+        hooks take; a wait on a peer, :attr:`MpTimeouts.barrier`."""
         if not ok():
             deadline, polls, nap = time.monotonic() + self.timeout, 0, 2e-5
             while not ok():
-                if self.abort[0] or time.monotonic() > deadline:
+                gone = os.getppid() != self.ppid if parent else \
+                    time.monotonic() > deadline
+                if self.abort[0] or gone:
                     if ok():
                         break
                     raise _PeerGone
@@ -411,16 +416,14 @@ class _Shm:
     def release(self, src: int, m: int) -> None:
         self._signal(self.done, (src, self.rank), m + 1)
 
+    def claim(self, j: int) -> None:
+        self._wait(lambda: self.cap[0] >= j - 2, parent=True)
+
     def publish(self, m: int, k: int) -> None:
-        # Every rank's slice is in the slot once all passed the barrier;
-        # rank 0 then publishes (next_m, slot) with one aligned int64
-        # store — whatever a peer does after its arrival — and the note
-        # wakes the parent's autosave.
-        if k:
-            self.exchange()
-            if self.rank == 0:
-                self.ckst[0] = (m + 1) * 2 + k % 2
-                self.conn.send(("ckpt",))
+        # past the barrier every rank's bins (and slot rows) are in place
+        self.exchange()
+        if self.rank == 0:
+            self.conn.send(("pub", m, k))
 
     def probe(self) -> None:
         if os.getppid() != self.ppid:
@@ -432,7 +435,7 @@ class _Shm:
 
     def answer(self, m: int):
         # the parent answers once every rank asked: an iteration ago
-        self._wait(lambda: self.conn.poll(1e-3))  # wakes as it lands
+        self._wait(lambda: self.conn.poll(1e-3), parent=True)
         msg = self.conn.recv()
         if msg[0] == "keep":
             return None
@@ -637,14 +640,15 @@ class _World:
         """Wait for every rank's reply to the run just sent.
 
         Sleeps on the control pipes and process sentinels; a rank's note
-        (``ckpt``, ``busy``) calls its handler in ``notes``.  Every
-        wake-up — at the
-        latest four times per stall window — samples the heartbeats and
-        the whole-run deadline.  The first failure, death, stall or
-        timeout aborts the run; peers then get ``timeouts.join`` seconds
-        to report before the silent ones are terminated.  Returns
-        ``(replies, heartbeats, stalled, timed_out)``; a rank without a
-        reply died or was terminated.
+        (``pub``, ``busy``) calls its handler in ``notes``, in the order
+        sent — a dead rank's pipe is read to its end first.  Every
+        wake-up — at the latest four times per stall window — samples
+        the heartbeats and the whole-run deadline; the parent's own time
+        in the handlers is not a stall.  The first failure, death, stall
+        or timeout aborts the run; peers then get ``timeouts.join``
+        seconds to report before the silent ones are terminated.
+        Returns ``(replies, heartbeats, stalled, timed_out)``; a rank
+        without a reply died or was terminated.
         """
         replies: dict[int, tuple] = {}
         waiting = {}
@@ -661,26 +665,29 @@ class _World:
             else:
                 until = min(hb_t + timeouts.stall, now + timeouts.stall / 4,
                             deadline if deadline is not None else np.inf)
-            ready = wait(list(waiting), max(0.0, until - time.monotonic()))
-            now = time.monotonic()
-            for obj in ready:
+            for obj in wait(list(waiting), max(0.0, until - time.monotonic())):
                 rank = waiting.get(obj)
                 if rank is None:
                     continue  # settled earlier in this wake-up
-                msg = ("dead",)
-                if obj is self.conns[rank]:
+                conn, msg = self.conns[rank], ("dead",)
+                if obj is conn:
                     try:
                         msg = obj.recv()
                     except (EOFError, OSError):
                         pass
                     if msg[0] in notes:
+                        t0 = time.monotonic()
                         notes[msg[0]](*msg[1:])
+                        hb_t += time.monotonic() - t0  # the parent's time
                         continue
+                elif conn.poll():
+                    continue  # a dead rank's last notes go first
                 replies[rank] = msg
                 del waiting[self.conns[rank]], waiting[self.procs[rank].sentinel]
                 if msg[0] != "done" and abort_at is None:
                     self.abort()
-                    abort_at = now
+                    abort_at = time.monotonic()
+            now = time.monotonic()
             if abort_at is not None:
                 if now >= abort_at + timeouts.join:
                     for rank in set(waiting.values()):
@@ -800,10 +807,9 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
 
     What :func:`~repro.dist.kpm_parallel.distributed_eta` on an
     :class:`MpWorld` runs.  Faults are real here (a ``crash`` kills the
-    worker), and ``progress`` fires with every checkpoint the parent
-    captures, so it needs ``checkpoint_every > 0``.  Each worker ships
-    its message log with its reply and, with a live sink, one snapshot
-    of its own; the parent merges the logs in rank order and the
+    worker).  Each worker ships its message log with its reply and,
+    with a live sink, one snapshot of its own; the parent merges the
+    logs in rank order and the
     snapshots under a ``rank<p>.`` prefix (timers, traffic — whose fold
     then equals a serial run's — one ``kernels.<family>`` count per run
     and, when the sink has a trace, the worker's span records).  The raw
@@ -820,7 +826,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         want_trace=ctx.sink.trace is not None,
         exec=replace(run.cfg, backend="auto", rebalance=None,
                      membership=None),
-        sched=run.schedule(ctx.for_workers()),
+        sched=run.schedule(),
     )
 
     # The run's shared arrays, carved from the world's resident arena:
@@ -836,7 +842,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
     if ctx.checkpoint_every > 0 or elastic:
         vshape = prec.vec_shape(2, dist.n_global, r)
         arrays.update(ckv=(vshape, prec.vector_dtype),
-                      ckw=(vshape, prec.vector_dtype), ckst=((1,), "int64"))
+                      ckw=(vshape, prec.vector_dtype), cap=((1,), "int64"))
     if elastic:
         op = run.elastic.A
         arrays.update(Ap=(op.indptr.shape, "int64"),
@@ -858,7 +864,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
         if grown is not None:
             live.map_arena(grown, timeouts.stall)
         sh = carve(live.arena.buf, specs)
-        for key in ("bins", "hb", "abort", "bar", "ckst"):
+        for key in ("bins", "hb", "abort", "bar", "cap"):
             if key in sh:
                 sh[key][...] = 0
         sh["seq"][...] = m0  # as if every earlier iteration was consumed
@@ -870,30 +876,16 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             for block, j in seeds:
                 to_storage(block[rows], prec,
                            out=sh[f"x{blk.rank}"][j, :blk.n_local])
-        bins = sh["bins"]
-        captured = 0  # the last state word captured
+        bins, fence = sh["bins"], threading.Lock()
 
-        def autosave() -> None:
-            # A stable read of the published checkpoint slot: the state
-            # word is sampled before and after the copy, which is dropped
-            # when a newer state landed meanwhile (its own note triggers
-            # the next capture).  The bins of iterations < next_m are
-            # final once published, so summing them while the workers
-            # fill later ones is safe.  Repeats are skipped, so every
-            # save and stream carries a strictly longer prefix.
-            nonlocal captured
-            state = int(sh["ckst"][0]) if "ckst" in sh else 0
-            if state <= captured:
-                return
-            next_m, slot = divmod(state, 2)
-            v, w = sh["ckv"][slot].copy(), sh["ckw"][slot].copy()
-            eta = run.splice(bins, 2 * next_m, n_moments)
-            if int(sh["ckst"][0]) != state:
-                return
-            captured = state
-            world.last_checkpoint = saved = run.state(v, w, eta, next_m)
-            ctx.save(saved)
-            ctx.stream(2 * next_m, eta)
+        def publish(m: int, k: int) -> None:
+            # slot k % 2 is the parent's until the capture word reads k
+            run.capture(m, k, bins, lambda: (sh["ckv"][k % 2].copy(),
+                                             sh["ckw"][k % 2].copy()), world)
+            if k:
+                with fence:  # the copies are read before the word is out
+                    pass
+                sh["cap"][0] = k
 
         asked: dict[int, float] = {}  # rank -> busy seconds
 
@@ -913,12 +905,8 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
 
         live.send_run(cfg, specs, names, dist, send_edges(dist))
         replies, hb_last, stalled, timed_out = live.collect(
-            sh["hb"], timeouts, {"ckpt": autosave, "busy": ask}
+            sh["hb"], timeouts, {"pub": publish, "busy": ask}
         )
-        # One last capture salvages any checkpoint published after the
-        # final note (or, on failure, the state the supervisor will
-        # resume from).
-        autosave()
 
         kinds = [replies.get(p, ("dead",))[0] for p in range(world.n_ranks)]
         if stalled or timed_out or kinds != ["done"] * world.n_ranks:

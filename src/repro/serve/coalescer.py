@@ -180,9 +180,7 @@ def execute_batch(
     into the next batch.
 
     ``on_partial(item, n_done, mu_prefix)`` fires for every member at
-    every streamed prefix (requires ``stream_every > 0``; the mp engine
-    streams the states it checkpoints: an elastic batch at its
-    boundaries, any other only under checkpointing ``resilience``).
+    every streamed prefix (requires ``stream_every > 0``).
     """
     cfg = ExecConfig.of(config, knobs)
     n_moments = batch.items[0].ticket.request.n_moments

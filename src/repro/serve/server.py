@@ -66,10 +66,8 @@ class KPMServer:
     scale_seed:
         Seed of the pinned per-operator Lanczos spectral map.
     stream_every:
-        Streaming cadence in inner iterations; 0 disables partial
-        results.  (The mp engine streams the states it checkpoints: an
-        elastic batch its boundaries, any other batch only with
-        checkpointing configured in ``resilience``.)
+        Streaming cadence in inner iterations, on every engine; 0
+        disables partial results.
     linger:
         Worker-thread batching window in seconds: after the first
         pending request, wait this long for more before solving.

@@ -81,7 +81,10 @@ def test_workers_get_a_picklable_slice():
         attempt=3, progress=lambda n, e: None, progress_every=1,
     )
     got = pickle.loads(pickle.dumps(ctx.for_workers()))
-    assert got == RunContext(checkpoint_every=4, fault_plan=plan, attempt=3)
+    assert got == RunContext(checkpoint_every=4, progress_every=1,
+                             fault_plan=plan, attempt=3)
+    # the cadence without its callback arms nothing
+    assert RunContext(progress_every=1).for_workers().progress_every == 0
     # the null sink arrives as the receiving process's own sentinel,
     # under either of its names
     assert got.sink is NULL_METRICS

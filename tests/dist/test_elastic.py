@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.checkpoint import KpmCheckpoint
+from repro.core.checkpoint import KpmCheckpoint, RunContext
 from repro.core.moments import compute_eta
 from repro.core.scaling import lanczos_scale
 from repro.core.stochastic import make_block_vector
@@ -32,12 +32,16 @@ from repro.dist.elastic import (
     autotune_weights,
     elastic_eta,
     resolve_rebalance,
+    run_elastic,
 )
 from repro.dist.kpm_parallel import distributed_eta
 from repro.dist.partition import RowPartition
+from repro.obs import MetricsRegistry
+from repro.obs.trace import MemoryTrace
 from repro.perf.report import expected_counters
 from repro.util.counters import PerfCounters
 from repro.util.errors import CheckpointError, SimulationError
+from repro.util.knobs import ExecConfig
 from tests.lattice import case_test
 
 M = 24  # half = 12 inner iterations
@@ -261,6 +265,30 @@ class TestElasticDriver:
         )
         assert np.array_equal(eta, ref)
         assert [b.m for b in rep.boundaries] == [STOP + 2, STOP + 4]
+
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_a_callback_leaves_the_saves_alone(self, system, tmp_path,
+                                               engine):
+        """A progress stream adds no checkpoint: with boundaries every 3
+        iterations and a save every 5, the run saves at m = 5 and 10,
+        callback or not, and streams every iteration."""
+        h, scale, blk, ref = system
+        cfg = ExecConfig(engine=engine, workers=2, overlap=False,
+                         rebalance=RebalancePolicy(interval=3,
+                                                   threshold=1e9))
+        saves, streams = [], []
+        for progress in (None, lambda n, _eta: streams.append(n)):
+            metrics, path = MetricsRegistry(MemoryTrace()), tmp_path / \
+                f"ck{len(saves)}.npz"
+            eta, rep = run_elastic(cfg, RunContext.of(
+                metrics=metrics, checkpoint_every=5, checkpoint_path=path,
+                progress=progress, progress_every=1), h, scale, M, blk)
+            assert np.array_equal(eta, ref) and rep.boundaries
+            saves.append(([r["next_m"] for r in metrics.trace
+                           if r["name"] == "checkpoint_save"],
+                          KpmCheckpoint.load(path).next_m))
+        assert saves == [([6, 11], 11)] * 2
+        assert streams == list(range(4, M + 1, 2))
 
     @pytest.mark.parametrize("engine", ["sim", "mp"])
     def test_resume_of_another_runs_file_is_refused(self, system, tmp_path,

@@ -24,6 +24,8 @@ from repro.dist.kpm_parallel import distributed_eta
 from repro.dist.mp import MpTimeouts, MpWorld
 from repro.dist.partition import RowPartition
 from repro.dist.shm import segment_exists
+from repro.obs import MetricsRegistry
+from repro.obs.trace import MemoryTrace
 from repro.resil import FaultPlan
 from repro.util.errors import SimulationError
 from tests.lattice import case_test
@@ -437,6 +439,81 @@ class TestCheckpointing:
         with pytest.raises(SimulationError, match="injected fault in rank 1"):
             distributed_eta(h, part, scale, M, blk, mw, fault_plan=FaultPlan(
                 (FaultSpec("raise", rank=1, m=3),)))
+
+
+class TestCapture:
+    """One capture rule: after iteration m every engine publishes when a
+    stream or a checkpoint is due, and the mp parent takes each publish
+    in order — the ranks wait on its capture word, never past it."""
+
+    @pytest.fixture(scope="class")
+    def ti(self):
+        from repro.physics import build_topological_insulator
+
+        h, _ = build_topological_insulator(8, 8, 4)
+        return (h, lanczos_scale(h, seed=1),
+                make_block_vector(h.n_rows, 3, seed=2))
+
+    def solve(self, ti, world, m, tmp_path=None, every=0, hook=None):
+        """``(eta, streamed (n_eta, prefix) pairs, saved next_m's)``."""
+        h, scale, blk = ti
+        part = RowPartition.equal(h.n_rows, world.n_ranks, align=64)
+        metrics, streamed = MetricsRegistry(MemoryTrace()), []
+
+        def progress(n_eta, prefix):
+            streamed.append((n_eta, prefix.copy()))
+            if hook is not None:
+                hook(n_eta)
+
+        eta = distributed_eta(
+            h, part, scale, m, blk, world, metrics=metrics,
+            progress=progress, progress_every=1, checkpoint_every=every,
+            checkpoint_path=every and tmp_path / f"ck{every}.npz")
+        return eta, streamed, [r["next_m"] for r in metrics.trace
+                               if r["name"] == "checkpoint_save"]
+
+    @pytest.mark.parametrize("every", [0, 3])
+    def test_mp_streams_and_saves_what_sim_does(self, ti, tmp_path, every):
+        sim = self.solve(ti, SimWorld(2), 32, tmp_path, every)
+        mp = self.solve(ti, MpWorld(2), 32, tmp_path, every)
+        assert [n for n, _ in mp[1]] == list(range(4, 33, 2))
+        assert [n for n, _ in mp[1]] == [n for n, _ in sim[1]]
+        for (_, a), (_, b) in zip(mp[1], sim[1]):
+            assert np.array_equal(a, b)
+        assert mp[2] == sim[2] == (list(range(4, 17, 3)) if every else [])
+        assert np.array_equal(mp[0], sim[0])
+        for n, prefix in mp[1]:
+            assert np.array_equal(prefix, mp[0][:, :n])
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_slow_parent_takes_every_capture(self, ti, tmp_path, workers):
+        """A 10 ms callback: every one of the 31 partials and saves, in
+        order — the ranks wait for the parent instead of overwriting a
+        slot it has not copied, also with more ranks than cores — and
+        eta bitwise unchanged."""
+        h, scale, blk = ti
+        ref = compute_eta(h, scale, 64, blk)
+        eta, streamed, saved = self.solve(
+            ti, MpWorld(workers), 64, tmp_path, every=1,
+            hook=lambda _n: time.sleep(0.01))
+        assert [n for n, _ in streamed] == list(range(4, 65, 2))
+        assert saved == list(range(2, 33))
+        assert np.array_equal(eta, ref)
+        for n, prefix in streamed:
+            assert np.array_equal(prefix, ref[:, :n])
+
+    def test_a_hook_longer_than_the_timeouts_is_no_failure(self, ti,
+                                                          tmp_path):
+        """The ranks wait on the parent's capture word as long as the
+        parent lives, and the parent's own time in a hook is no stall."""
+        h, scale, blk = ti
+        ref = compute_eta(h, scale, 32, blk)
+        mw = MpWorld(2, timeouts=MpTimeouts(barrier=1.0, stall=1.0))
+        eta, streamed, saved = self.solve(
+            ti, mw, 32, tmp_path, every=1,
+            hook=lambda n: n == 8 and time.sleep(2.5))
+        assert np.array_equal(eta, ref)
+        assert len(streamed) == len(saved) == 15
 
 
 class TestValidation:

@@ -329,12 +329,21 @@ def report(*_):
         print("READY", *pids, flush=True)
 report.done = False
 
+def hang(*_):
+    report()
+    time.sleep(600)
+
 solve(1, 8)  # parks a one-worker world
 if sys.argv[1] == "mid-solve":
     # long enough to outlive the kill by far: only the workers noticing
     # their parent's death ends it early
     solve(2, 400_000, checkpoint_every=500, checkpoint_path=sys.argv[2],
-          progress=report, progress_every=1)
+          progress=report, progress_every=500)
+elif sys.argv[1] == "mid-capture":
+    # the parent never returns from its first capture: the ranks wait on
+    # its capture word two checkpoints later
+    solve(2, 400_000, checkpoint_every=1, checkpoint_path=sys.argv[2],
+          progress=hang, progress_every=1)
 else:
     solve(2, 8)
     report()
@@ -344,9 +353,11 @@ else:
 
 @pytest.mark.parametrize("mode, sig", [
     ("mid-solve", signal.SIGKILL),
+    ("mid-capture", signal.SIGKILL),
     ("parked", signal.SIGTERM),
     ("parked", signal.SIGINT),
-], ids=["sigkill-mid-solve", "sigterm-parked", "sigint-parked"])
+], ids=["sigkill-mid-solve", "sigkill-mid-capture", "sigterm-parked",
+        "sigint-parked"])
 def test_killed_parent_leaves_nothing_behind(tmp_path, mode, sig):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

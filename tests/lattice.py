@@ -1,4 +1,4 @@
-"""The knob lattice: one table of rows, one runner, three relations.
+"""The knob lattice: one table of rows, one runner, four relations.
 
 A :class:`Row` is one solve of TI 6×5×4 (480 rows: a partial last η
 block) at :data:`M` moments on the first ``r`` of :data:`R_MAX` start
@@ -11,7 +11,14 @@ for bit (DESIGN §19, "The lattice"):
    charge (``expected_counters``; a resumed half: its ``first_m=``);
 3. on mp, the message log equals the sim twin's (:meth:`Row.twin`):
    two recordings, each rank's messages as the one rank program moved
-   them, merged in rank order.
+   them, merged in rank order;
+4. a stage-2 row's progress stream at cadence 1 — each leg's ``(n_eta,
+   prefix)`` pairs — fires after every iteration from the leg's
+   ``first_m`` (a resumed half: its own), each prefix the reference's
+   (a served row's: its moments'); on mp it equals the sim twin's.  A
+   fault row's leg spans both attempts: the retry resumes where the
+   fault struck, so the stream is an uninterrupted run's, each prefix
+   streamed once.  A served row streams through its tickets' partials.
 
 The table is :data:`COVERING`, a strength-2 covering of :data:`DOMAINS`
 under :func:`_forbidden`, and :data:`CASES`, named parity cases — mp ≡
@@ -222,19 +229,31 @@ def _traffic(c: PerfCounters) -> tuple:
 
 
 def run(row: Row, ck: Path):
-    """``(eta, counters, expected, log)`` of ``row``, checkpointing to
-    ``ck``: ``eta`` None for a served row (its moments are checked
+    """``(eta, counters, expected, log, legs)`` of ``row``, checkpointing
+    to ``ck``: ``eta`` None for a served row (its moments are checked
     here), ``expected`` None for a fault, ``log`` None off the
-    distributed engines."""
+    distributed engines, ``legs`` the ``(first_m, stream)`` of each run
+    (of a stage-2 row: stages 0/1 stream nothing)."""
     H, scale, block = operator()
     A, r, prec = _STATE.get(row.fmt, H), row.r, row.precision
     block = np.ascontiguousarray(block[:, :r])
     cfg, counters, log = row.config(), PerfCounters(), None
     expected = expected_counters(A, M, r, row.stage, precision=prec)
+    legs = [] if row.stage == "aug_spmmv" else None
+    streams = dict(progress_every=1) if legs is not None else {}
+
+    def leg(first_m: int = 1) -> dict:
+        """The progress keywords of a run that records a new leg."""
+        if legs is None:
+            return {}
+        legs.append((first_m, []))
+        return dict(streams, progress=lambda n, eta: legs[-1][1].append(
+            (n, eta.copy())))
+
     if row.event == "resume":
         eta, world, _ = run_engine(cfg, RunContext.of(
-            checkpoint_every=row.k, checkpoint_path=ck, counters=counters),
-            A, scale, M, block)
+            checkpoint_every=row.k, checkpoint_path=ck, counters=counters,
+            **leg()), A, scale, M, block)
         assert np.array_equal(eta, reference(row)), f"first half: {row}"
         assert _traffic(counters) == _traffic(expected), f"first half: {row}"
         next_m = KpmCheckpoint.load(ck).next_m
@@ -243,7 +262,8 @@ def run(row: Row, ck: Path):
         expected = expected_counters(A, M, r, first_m=next_m,
                                      precision=prec)
         eta, second, _ = run_engine(row.second().config(), RunContext.of(
-            resume_from=ck, counters=counters), A, scale, M, block)
+            resume_from=ck, counters=counters, **leg(next_m)), A, scale, M,
+            block)
         log = tuple(w.log.records for w in (world, second) if w)
     elif row.event in _ELASTIC:
         # any skew rebalances, to the timer's weights: mp measures its
@@ -254,7 +274,7 @@ def run(row: Row, ck: Path):
                 "leave": f"leave:m={row.k + 1},rank=0"}.get(row.event)
         eta, report = run_elastic(
             replace(cfg, rebalance=policy, membership=plan),
-            RunContext(sink=counters), A, scale, M, block,
+            RunContext(sink=counters, **leg()), A, scale, M, block,
             timer=_slow_rank0)
         log = report.log.records
     elif row.event == "fault":
@@ -263,13 +283,13 @@ def run(row: Row, ck: Path):
         sup = Supervisor(Resilience(
             policy=RetryPolicy(max_attempts=3), checkpoint_every=row.k,
             checkpoint_path=ck, fault_plan=f"{fault},m={row.k + 1}"))
-        eta = sup.run_eta(A, scale, M, block, config=cfg)
+        eta = sup.run_eta(A, scale, M, block, config=cfg, **leg())
         # one retry, resumed where the fault struck: the last checkpoint
         assert (sup.report.retries, sup.report.resumes) == (1, 1)
         assert sup.report.resume_m == row.k + 1
         expected, log = None, sup.last_world and sup.last_world.log.records
     elif row.event == "serve":
-        srv = KPMServer(max_width=r, config=cfg)
+        srv = KPMServer(max_width=r, config=cfg, stream_every=1)
         tickets = [srv.submit(Request(SPEC, n_moments=M, n_vectors=1, seed=k,
                                       precision=prec)) for k in range(r)]
         assert srv.step() == 1  # one coalesced batch
@@ -277,26 +297,48 @@ def run(row: Row, ck: Path):
         got = np.array([t.result().moments for t in tickets])
         want = eta_to_moments(reference(row)).real
         assert np.array_equal(got, want), f"served moments moved: {row}"
+        # the tickets' partials, stacked per n_eta, as moment prefixes
+        ns = {tuple(n for n, _mu in t.partials) for t in tickets}
+        assert len(ns) == 1, f"tickets streamed apart: {row}"
+        legs = [(1, [(n, np.array([t.partials[i][1] for t in tickets]))
+                     for i, n in enumerate(ns.pop())])]
         eta, log = None, batch.world and batch.world.log.records
     else:
-        eta, world, _ = run_engine(cfg, RunContext(sink=counters), A,
-                                   scale, M, block, kernel=row.stage)
+        eta, world, _ = run_engine(cfg, RunContext(sink=counters, **leg()),
+                                   A, scale, M, block, kernel=row.stage)
         log = world and world.log.records
-    return eta, counters, expected, log
+    return eta, counters, expected, log, legs
+
+
+def _streams_equal(a, b) -> bool:
+    """Two runs' legs: the same ``first_m``, ``n_eta`` and prefix bits."""
+    return [(m, [n for n, _ in s]) for m, s in a] == \
+        [(m, [n for n, _ in s]) for m, s in b] and all(
+        np.array_equal(x, y) for (_, s), (_, t) in zip(a, b)
+        for (_, x), (_, y) in zip(s, t))
 
 
 def check(row: Row) -> None:
     """Run ``row`` and assert its relations."""
     with tempfile.TemporaryDirectory() as tmp:
-        eta, counters, expected, log = run(row, Path(tmp, "row.npz"))
-        assert eta is None or np.array_equal(eta, reference(row)), \
-            f"eta moved: {row}"
+        eta, counters, expected, log, legs = run(row, Path(tmp, "row.npz"))
+        ref = reference(row)
+        assert eta is None or np.array_equal(eta, ref), f"eta moved: {row}"
         if expected is not None:
             assert _traffic(counters) == _traffic(expected), \
                 f"traffic moved: {row}"
+        if row.event == "serve":
+            ref = eta_to_moments(ref).real
+        for first_m, stream in legs or ():
+            assert [n for n, _ in stream] == list(
+                range(2 * first_m + 2, M + 1, 2)), f"stream moved: {row}"
+            assert all(np.array_equal(prefix, ref[:, :n])
+                       for n, prefix in stream), f"prefix moved: {row}"
         if any(leg.engine == "mp" for leg in row.runs):
             twin = run(row.twin(), Path(tmp, "twin.npz"))
             assert log == twin[3], f"mp log moved: {row}"
+            assert _streams_equal(legs or (), twin[4] or ()), \
+                f"mp stream moved: {row}"
 
 
 # -- the table ---------------------------------------------------------

@@ -170,17 +170,24 @@ class TestServerKnob:
         assert np.array_equal(t.result().moments, t_ref.result().moments)
         assert srv.workers == 2  # the dead rank stays retired
 
-    def test_elastic_mp_batch_streams_its_boundaries(self):
-        """Every segment boundary of an elastic batch streams a partial,
-        each a bitwise prefix of the final moments."""
-        srv = KPMServer(max_width=4, engine="mp", workers=2,
-                        rebalance=POL, stream_every=1)
-        t = srv.submit(Request(SPEC, n_moments=M, n_vectors=2, seed=7))
-        assert srv.step() == 1
-        final = t.result().moments
-        assert [n for n, _mu in t.partials] == [12, 22]
-        for n_done, mu in t.partials:
-            assert np.array_equal(mu, final[:n_done])
+    def test_elastic_mp_batch_streams_as_serial(self):
+        """An elastic mp batch streams what a serial server streams for
+        the same request — every iteration, its boundaries among them —
+        each partial bitwise the serial one and a prefix of the final
+        moments."""
+        streams = []
+        for knobs in ({}, dict(engine="mp", workers=2, rebalance=POL)):
+            srv = KPMServer(max_width=4, stream_every=1, **knobs)
+            t = srv.submit(Request(SPEC, n_moments=M, n_vectors=2, seed=7))
+            assert srv.step() == 1
+            final = t.result().moments
+            for n_done, mu in t.partials:
+                assert np.array_equal(mu, final[:n_done])
+            streams.append(t.partials)
+        serial, mp = streams
+        assert [n for n, _mu in mp] == list(range(4, M + 1, 2))
+        assert [n for n, _ in mp] == [n for n, _ in serial]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(mp, serial))
 
     def test_mp_batch_exposes_elastic_report(self):
         srv = KPMServer(max_width=4, engine="mp", workers=2,

@@ -165,19 +165,23 @@ def test_exhausted_batch_fails_only_its_own_tickets():
 
 def test_streaming_partials_under_concurrency():
     """Streaming clients observe strictly growing, prefix-consistent
-    partial moment sets that converge to the final answer."""
-    srv = KPMServer(max_width=8, backend="numpy", stream_every=8,
-                    linger=0.05)
-    with srv:
-        tickets = [
-            srv.submit(Request(SPEC, n_moments=M, n_vectors=1, seed=s))
-            for s in range(4)
-        ]
-        results = [t.result(timeout=300.0) for t in tickets]
-    for t, res in zip(tickets, results):
-        assert t.partials, "no partials streamed"
-        last = 0
-        for n_done, mu_p in t.partials:
-            assert n_done > last
-            last = n_done
-            assert np.array_equal(mu_p, res.moments[:n_done])
+    partial moment sets that converge to the final answer — every
+    ``stream_every`` iterations on each engine: a plain mp server (no
+    resilience, no checkpoint) streams the serial server's partials."""
+    streams = {}
+    for engine, knobs in (("serial", {}), ("mp", {"workers": 2})):
+        srv = KPMServer(max_width=8, backend="numpy", stream_every=2,
+                        linger=0.05, engine=engine, **knobs)
+        with srv:
+            tickets = [
+                srv.submit(Request(SPEC, n_moments=M, n_vectors=1, seed=s))
+                for s in range(4)
+            ]
+            results = [t.result(timeout=300.0) for t in tickets]
+        for t, res in zip(tickets, results):
+            assert [n for n, _mu in t.partials] == list(range(6, M, 4))
+            for n_done, mu_p in t.partials:
+                assert np.array_equal(mu_p, res.moments[:n_done])
+        streams[engine] = [t.partials for t in tickets]
+    for mp, serial in zip(streams["mp"], streams["serial"]):
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(mp, serial))
