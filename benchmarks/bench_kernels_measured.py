@@ -278,9 +278,9 @@ def test_backend_speedups_json(benchmark, system):
     if native_ok:
         # floor calibrated to the determinism-pinned build: the scalar
         # family compiles with -ffp-contract=off -fno-tree-vectorize so
-        # the explicit lane-blocked _simd kernels can replay its exact
-        # reduction DAG (bitwise-equal moments, see tests/sparse/
-        # test_simd_kernels.py).  That pinning trades a slice of the old
+        # the explicit _simd kernels (one vector lane per block column
+        # or per row) can replay its exact per-row DAG (bitwise-equal
+        # moments, see tests/sparse/test_simd_kernels.py).  That pinning trades a slice of the old
         # free-contraction autovec throughput (~3.4x vs numpy) for
         # reproducibility; the vectorized build lands at ~2.6x on the
         # reference host, so gate at 2x with noise margin.

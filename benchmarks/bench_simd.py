@@ -1,10 +1,10 @@
 """Speed and determinism of the vectorized (AVX2 + F16C) kernels.
 
 The ``_simd`` kernel family replays the scalar kernels' exact reduction
-DAG — one lane per block column, the row held in register tiles; fixed
-8-lane blocks for the single-vector dot — so the fp64 moments are
-*bitwise identical* across ``simd='on'`` and ``simd='off'`` — the
-vectorization is pure speed.
+DAG — one lane per block column, the row held in register tiles; one
+lane per row for the single-vector walks, each row summed in storage
+order — so the fp64 moments are *bitwise identical* across
+``simd='on'`` and ``simd='off'`` — the vectorization is pure speed.
 This bench records both halves of that contract on the 64,000-row TI
 operator:
 

@@ -92,6 +92,8 @@ def cmd_dos(args) -> int:
     from repro.util.errors import BackendError
     from repro.util.knobs import ExecConfig, resolve_overlap
 
+    if args.checkpoint_path and not args.checkpoint_every:
+        args.usage_error("--checkpoint-path requires --checkpoint-every")
     h = _load_matrix(args)
     print(f"matrix: {h.n_rows:,} rows, {h.nnz:,} nnz ({h.nnzr:.2f}/row)")
     weights = None
@@ -600,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=str, default=None, metavar="FILE",
                    help="write one JSONL record per instrumented span to "
                         "FILE (implies the --metrics instrumentation)")
-    p.set_defaults(fn=cmd_dos)
+    p.set_defaults(fn=cmd_dos, usage_error=p.error)
 
     p = sub.add_parser(
         "serve",

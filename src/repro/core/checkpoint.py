@@ -239,11 +239,15 @@ class RunContext:
            **fields) -> RunContext:
         """The context of an entry point's keywords.  ``counters`` and
         ``metrics`` become the one sink (:func:`~repro.obs.metrics.
-        one_sink`), a cadence without a file is refused and a fault-plan
-        string is parsed under ``seed``."""
+        one_sink`), a cadence without a file and a file without a
+        cadence are refused and a fault-plan string is parsed under
+        ``seed``."""
         if fields.get("checkpoint_every") and \
                 fields.get("checkpoint_path") is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
+        if fields.get("checkpoint_path") and \
+                not fields.get("checkpoint_every"):
+            raise ValueError("checkpoint_path requires checkpoint_every")
         if fields.get("fault_plan") is not None:
             from repro.resil.faults import as_fault_plan
 

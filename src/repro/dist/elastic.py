@@ -463,7 +463,6 @@ def elastic_eta(
     metrics=NULL_METRICS,
     fault_plan=None,
     attempt: int = 1,
-    checkpoint_path: str | Path | None = None,
     resume_from: KpmCheckpoint | str | Path | None = None,
     timer: TimerFn | None = None,
     config: ExecConfig | None = None,
@@ -490,7 +489,6 @@ def elastic_eta(
     )
     ctx = RunContext.of(counters=counters, metrics=metrics,
                         fault_plan=fault_plan, attempt=attempt,
-                        checkpoint_path=checkpoint_path,
                         resume_from=resume_from)
     return run_elastic(cfg, ctx, A, scale, n_moments, start_block,
                        timer=timer)

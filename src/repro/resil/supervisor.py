@@ -159,7 +159,9 @@ class Resilience:
 
     Handed to ``KPMSolver(resilience=...)`` (or built by the CLI from
     ``--retries/--fault-plan/--checkpoint-every/--degrade``); the solver
-    runs every solve under a :class:`Supervisor` of it.
+    runs every solve under a :class:`Supervisor` of it.  A
+    ``checkpoint_path`` needs a ``checkpoint_every``: without one it
+    would never be written.
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
@@ -168,6 +170,10 @@ class Resilience:
     degrade: bool = True
     fault_plan: FaultPlan | str | None = None
     mp_timeouts: object | None = None  # repro.dist.mp.MpTimeouts
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_path and not self.checkpoint_every:
+            raise ValueError("checkpoint_path requires checkpoint_every")
 
 
 class Supervisor:

@@ -19,7 +19,7 @@
  * contiguous, the locality argument of paper Section IV-A.
  *
  * ONE TEMPLATE, ONE UNIT PER BUILD (the precision profiles of
- * repro.util.precision): the eight kernels below are written ONCE
+ * repro.util.precision): the six kernels below are written ONCE
  * against the REPRO_VT / XT / AT / IT types, and each build of this
  * file holds exactly one (profile, scalar | simd) unit, picked with
  * `-DREPRO_UNIT_PROFILE=<name> -DREPRO_UNIT_SIMD=<0|1>`.  The loader
@@ -308,7 +308,7 @@ static inline uint16_t repro_float_to_half(float f)
  * unit this file is, and the ABI (bump with _ABI in native.py whenever
  * a signature changes).  A truncated, foreign or renamed library fails
  * here and is rebuilt instead of being called.                        */
-#define REPRO_ABI 4
+#define REPRO_ABI 5
 EXPORT int32_t repro_unit(void)
 {
     return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
@@ -328,11 +328,10 @@ EXPORT int32_t repro_unit(void)
 /*     column's rounding DAG is exactly the scalar kernel's at every   */
 /*     block width R.  Tail columns run the same DAG in scalar         */
 /*     registers.                                                      */
-/*   * The single-vector CSR row dot uses a fixed 8-lane (4 complex)   */
-/*     LANE-BLOCKED accumulator: entry p of a row lands in complex     */
-/*     lane (p - p0) mod 4, reduced in one hard-coded order.  The      */
-/*     scalar build runs the identical lane-blocked recurrence, so the */
-/*     bits agree between builds for every row length.                 */
+/*   * Single-vector walks vectorize ACROSS ROWS — one lane per row   */
+/*     (a SELL chunk's lanes, a group of consecutive CSR rows), each   */
+/*     row summed in storage order — so a row's DAG is the scalar      */
+/*     kernel's and the blocked kernels' at R = 1.                     */
 /*   * No FMA contraction anywhere in the fp64 DAG: the scalar build   */
 /*     is compiled at -std=c11 (fp-contract off), so the vector code   */
 /*     uses mul/add/sub only, exploiting the IEEE identities           */
@@ -527,69 +526,6 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
 /* off.                                                                */
 /* ------------------------------------------------------------------ */
 
-/* Single-vector row dot with the fixed 8-lane lane-blocked reduction:
- * entry p accumulates into complex lane (p - p0) & 3 and the four
- * lanes reduce in one hard-coded order, independent of row length.
- * BOTH builds run this recurrence — the scalar build emulates the
- * lane grid — which is what makes the vectorized dot bitwise equal
- * to the scalar kernel for every row.                                 */
-static inline void KN(repro_rowdot)(
-    int64_t p0,
-    int64_t p1,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict x,
-    REPRO_AT *restrict sr_out,
-    REPRO_AT *restrict si_out)
-{
-    REPRO_AT L[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    int64_t p = p0;
-#if REPRO_SIMD && !REPRO_NARROW
-    {
-        /* complex lanes 0..1 in acc0, 2..3 in acc1 */
-        __m256d acc0 = _mm256_setzero_pd();
-        __m256d acc1 = _mm256_setzero_pd();
-        for (; p + 4 <= p1; p += 4) {
-            const __m256d d01 = _mm256_loadu_pd(data + 2 * p);
-            const __m256d d23 = _mm256_loadu_pd(data + 2 * p + 4);
-            const __m256d x01 = repro_gather2c_pd(
-                x, (int64_t)indices[p], (int64_t)indices[p + 1]);
-            const __m256d x23 = repro_gather2c_pd(
-                x, (int64_t)indices[p + 2], (int64_t)indices[p + 3]);
-            acc0 = repro_cmadd_pairs_pd(acc0, d01, x01);
-            acc1 = repro_cmadd_pairs_pd(acc1, d23, x23);
-        }
-        _mm256_storeu_pd(L, acc0);
-        _mm256_storeu_pd(L + 4, acc1);
-    }
-#elif REPRO_SIMD
-    {
-        /* four float complex lanes in one ymm */
-        __m256 acc = _mm256_setzero_ps();
-        for (; p + 4 <= p1; p += 4) {
-            const __m256 d = _mm256_loadu_ps(data + 2 * p);
-            const __m256 xv = REPRO_SIMD_GATHER4C(
-                x, (int64_t)indices[p], (int64_t)indices[p + 1],
-                (int64_t)indices[p + 2], (int64_t)indices[p + 3]);
-            acc = repro_cmadd_pairs_ps(acc, d, xv);
-        }
-        _mm256_storeu_ps(L, acc);
-    }
-#endif
-    for (; p < p1; ++p) {
-        const REPRO_AT ar = (REPRO_AT)data[2 * p];
-        const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-        const int64_t j = (int64_t)indices[p];
-        const REPRO_AT xr = REPRO_LOADX(x, 2 * j);
-        const REPRO_AT xi = REPRO_LOADX(x, 2 * j + 1);
-        const int e = (int)((p - p0) & 3);
-        L[2 * e] += ar * xr - ai * xi;
-        L[2 * e + 1] += ar * xi + ai * xr;
-    }
-    *sr_out = (L[0] + L[2]) + (L[4] + L[6]);
-    *si_out = (L[1] + L[3]) + (L[5] + L[7]);
-}
-
 #if !REPRO_SIMD
 /* Blocked gather update acc += (ar + i ai) * xj over the r columns of
  * one gathered row — the scalar reference family's inner loop (the
@@ -611,6 +547,24 @@ static inline void KN(repro_rowaxpy)(
     }
 }
 #endif /* !REPRO_SIMD */
+
+/* s += a_p x_{j_p} on one (re, im) accumulator pair: one entry of a
+ * single-vector row, the DAG each vector lane below replays.          */
+static inline void KN(repro_entry1)(
+    REPRO_AT *restrict s,
+    int64_t p,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict x)
+{
+    const REPRO_AT ar = (REPRO_AT)data[2 * p];
+    const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
+    const int64_t j = (int64_t)indices[p];
+    const REPRO_AT xr = REPRO_LOADX(x, 2 * j);
+    const REPRO_AT xi = REPRO_LOADX(x, 2 * j + 1);
+    s[0] += ar * xr - ai * xi;
+    s[1] += ar * xi + ai * xr;
+}
 
 /* SELL gather update for one slot column j: lane <-> vector lane, so
  * the per-row (per-lane) accumulation order over j is untouched.      */
@@ -646,32 +600,14 @@ static inline void KN(repro_lanecmadd)(
         _mm256_storeu_ps(acc + 2 * lane, av);
     }
 #endif
-    for (; lane < c; ++lane) {
-        const REPRO_AT ar = (REPRO_AT)data[2 * (slot0 + lane)];
-        const REPRO_AT ai = (REPRO_AT)data[2 * (slot0 + lane) + 1];
-        const int64_t col = (int64_t)indices[slot0 + lane];
-        const REPRO_AT xr = REPRO_LOADX(x, 2 * col);
-        const REPRO_AT xi = REPRO_LOADX(x, 2 * col + 1);
-        acc[2 * lane] += ar * xr - ai * xi;
-        acc[2 * lane + 1] += ar * xi + ai * xr;
-    }
+    for (; lane < c; ++lane)
+        KN(repro_entry1)(acc + 2 * lane, slot0 + lane, indices, data, x);
 }
 
-
-#if !REPRO_SIMD
-
-/* Store m accumulator values into XT storage.                         */
-static inline void KN(repro_storerow)(
-    REPRO_XT *restrict y,
-    const REPRO_AT *restrict acc,
-    int64_t m)
-{
-    for (int64_t q = 0; q < m; ++q)
-        REPRO_STOREX(y, q, acc[q]);
-}
 
 /* Recombination + eta terms over the r columns of one row, added to the
- * block partial ee / eo.  Kept off the autovectorizer so a column's bits
+ * block partial ee / eo: the scalar family's finisher, and both
+ * families' at r = 1.  Kept off the autovectorizer so a column's bits
  * never depend on r (the coalescing contract).                        */
 static inline void KN(repro_loopb)(
     const REPRO_XT *restrict vrow,
@@ -699,6 +635,18 @@ static inline void KN(repro_loopb)(
         eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
         eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
     }
+}
+
+#if !REPRO_SIMD
+
+/* Store m accumulator values into XT storage.                         */
+static inline void KN(repro_storerow)(
+    REPRO_XT *restrict y,
+    const REPRO_AT *restrict acc,
+    int64_t m)
+{
+    for (int64_t q = 0; q < m; ++q)
+        REPRO_STOREX(y, q, acc[q]);
 }
 
 #else /* REPRO_SIMD */
@@ -733,6 +681,7 @@ static inline void KN(repro_loopb)(
 #define REPRO_Y_CMADD repro_cmadd_ps
 #define REPRO_Y_LOADX(p) REPRO_SIMD_LOAD8(p)
 #define REPRO_Y_STOREX(p, y) REPRO_SIMD_STORE8((p), (y))
+#define REPRO_Y_STOREA(p, y) _mm256_storeu_ps((p), (y))
 /* The first t < 4 columns of a partial ymm (a column is one 32-bit
  * (re, im) half pair / 2 float lanes), by masked loads and stores:
  * off lanes load 0 and are never written.                             */
@@ -762,6 +711,7 @@ static inline void KN(repro_loopb)(
 #define REPRO_Y_CMADD repro_cmadd_pd
 #define REPRO_Y_LOADX(p) _mm256_loadu_pd(p)
 #define REPRO_Y_STOREX(p, y) _mm256_storeu_pd((p), (y))
+#define REPRO_Y_STOREA(p, y) _mm256_storeu_pd((p), (y))
 /* a partial ymm holds t = 1 column: its two doubles, moved as an xmm
  * (with a masked ymm load R = 1 and R = 3 calls took 4-6 % longer)    */
 #define REPRO_TMASK int
@@ -992,6 +942,27 @@ static REPRO_OUTLINE void KN(repro_row_fin)(
                   V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo);
 }
 
+/* repro_entry1 for the entries p[0, REPRO_YCOLS) of as many rows, one
+ * complex lane per row: the single-vector CSR walk's row group.       */
+static inline REPRO_YMM KN(repro_rows_cmadd)(
+    REPRO_YMM acc,
+    const int64_t *restrict p,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict x)
+{
+#if REPRO_NARROW
+    return repro_cmadd_pairs_ps(
+        acc, repro_gather4c_ps(data, p[0], p[1], p[2], p[3]),
+        REPRO_SIMD_GATHER4C(x, (int64_t)indices[p[0]], (int64_t)indices[p[1]],
+                            (int64_t)indices[p[2]], (int64_t)indices[p[3]]));
+#else
+    return repro_cmadd_pairs_pd(
+        acc, repro_gather2c_pd(data, p[0], p[1]),
+        repro_gather2c_pd(x, (int64_t)indices[p[0]], (int64_t)indices[p[1]]));
+#endif
+}
+
 #endif /* REPRO_SIMD */
 
 /* One row of the blocked aug kernels — entries p0, p0 + stride, ...
@@ -1029,30 +1000,6 @@ static inline void KN(repro_row_aug)(
     KN(repro_loopb)(V + 2 * row * r, W + 2 * row * r, acc, r, ta, tab, part,
                     part + r);
 #endif
-}
-
-/* The single-vector kernels' finisher for row i, from its product
- * (sr, si): w_i <- 2a (sr - b v_i) - w_i, eta terms into [ee | re, im]. */
-static inline void KN(repro_fin1)(
-    const REPRO_XT *restrict v,
-    REPRO_XT *restrict w,
-    int64_t i,
-    REPRO_AT sr,
-    REPRO_AT si,
-    REPRO_AT ta,
-    REPRO_AT tab,
-    double *restrict part)
-{
-    const REPRO_AT vr = REPRO_LOADX(v, 2 * i);
-    const REPRO_AT vi = REPRO_LOADX(v, 2 * i + 1);
-    const REPRO_AT wr = ta * sr - tab * vr - REPRO_LOADX(w, 2 * i);
-    const REPRO_AT wi = ta * si - tab * vi - REPRO_LOADX(w, 2 * i + 1);
-    REPRO_STOREX(w, 2 * i, wr);
-    REPRO_STOREX(w, 2 * i + 1, wi);
-    part[0] += (double)vr * (double)vr + (double)vi * (double)vi;
-    /* conj(w_new) * v */
-    part[1] += (double)wr * (double)vr + (double)wi * (double)vi;
-    part[2] += (double)wr * (double)vi - (double)wi * (double)vr;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1191,19 +1138,11 @@ EXPORT void KN(repro_csr_spmv)(
     const int nt = repro_nt(n_threads);
     REPRO_OMP_FOR
     for (int64_t i = 0; i < n_rows; ++i) {
-        REPRO_AT sr = 0, si = 0;
-        const int64_t p0 = indptr[i], p1 = indptr[i + 1];
-        for (int64_t p = p0; p < p1; ++p) {
-            const REPRO_AT ar = (REPRO_AT)data[2 * p];
-            const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-            const int64_t j = (int64_t)indices[p];
-            const REPRO_AT xr = REPRO_LOADX(x, 2 * j);
-            const REPRO_AT xi = REPRO_LOADX(x, 2 * j + 1);
-            sr += ar * xr - ai * xi;
-            si += ar * xi + ai * xr;
-        }
-        REPRO_STOREX(y, 2 * i, sr);
-        REPRO_STOREX(y, 2 * i + 1, si);
+        REPRO_AT s[2] = {0, 0};
+        for (int64_t p = indptr[i]; p < indptr[i + 1]; ++p)
+            KN(repro_entry1)(s, p, indices, data, x);
+        REPRO_STOREX(y, 2 * i, s[0]);
+        REPRO_STOREX(y, 2 * i + 1, s[1]);
     }
 }
 
@@ -1248,13 +1187,82 @@ EXPORT void KN(repro_csr_spmmv)(
 #endif
 }
 
-/* The augmented CSR walk behind both CSR aug kernels:
- * w <- 2a(Hv - b v) - w over the rows [row0, row1), eta into bins.
- * single: the r = 1 vector kernel (lane-blocked row dot); else the
- * blocked row body.  A block is 64 rows from row0 — the global 64-row
- * blocks, since every range a caller walks starts on one.            */
-static void KN(repro_csr_walk)(
-    const int single,
+/* The single-vector CSR walk: REPRO_IL consecutive rows at a time,
+ * their entries interleaved for instruction-level parallelism (what a
+ * SELL-C-1 chunk gets from its C lanes, on CSR's unpadded rows) and
+ * each row summed in storage order, so its bits are the blocked walk's
+ * at r = 1.  A group walks the entries all its rows have together, one
+ * vector lane per row in the _simd family, then each row's rest; a
+ * short last group of a block walks its rows alone.  The finisher runs
+ * in row order.  Four rows measured as fast as eight (DESIGN section
+ * 12).                                                                */
+#define REPRO_IL 4
+
+static inline void KN(repro_csr_rows1)(
+    int64_t i0,
+    int64_t i1,
+    const int64_t *restrict indptr,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict v,
+    REPRO_XT *restrict w,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict part)
+{
+    for (int64_t i = i0; i < i1; i += REPRO_IL) {
+        const int n = i1 - i < REPRO_IL ? (int)(i1 - i) : REPRO_IL;
+        int64_t p[REPRO_IL] = {0}, c = n < REPRO_IL ? 0 : INT64_MAX;
+        for (int u = 0; u < n; ++u) {
+            p[u] = indptr[i + u];
+            if (indptr[i + u + 1] - p[u] < c)
+                c = indptr[i + u + 1] - p[u];
+        }
+        REPRO_AT s[2 * REPRO_IL] = {0};
+#if REPRO_SIMD
+        REPRO_YMM acc[REPRO_IL / REPRO_YCOLS];
+        REPRO_UNROLL
+        for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
+            acc[u] = REPRO_Y_ZERO();
+        REPRO_NOUNROLL
+        for (int64_t q = 0; q < c; ++q) {
+            REPRO_UNROLL
+            for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
+                acc[u] = KN(repro_rows_cmadd)(acc[u], p + REPRO_YCOLS * u,
+                                              indices, data, v);
+            REPRO_UNROLL
+            for (int u = 0; u < REPRO_IL; ++u)
+                ++p[u];
+        }
+        REPRO_UNROLL
+        for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
+            REPRO_Y_STOREA(s + 2 * REPRO_YCOLS * u, acc[u]);
+#else
+        REPRO_NOUNROLL
+        for (int64_t q = 0; q < c; ++q) {
+            REPRO_UNROLL
+            for (int u = 0; u < REPRO_IL; ++u)
+                KN(repro_entry1)(s + 2 * u, p[u]++, indices, data, v);
+        }
+#endif
+        for (int u = 0; u < n; ++u) {
+            REPRO_NOUNROLL
+            for (; p[u] < indptr[i + u + 1]; ++p[u])
+                KN(repro_entry1)(s + 2 * u, p[u], indices, data, v);
+            KN(repro_loopb)(v + 2 * (i + u), w + 2 * (i + u), s + 2 * u, 1,
+                            ta, tab, part, part + 1);
+        }
+    }
+}
+
+/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>,
+ * over the rows [row0, row1) of the ORIGINAL matrix, indexed in place:
+ * [0, n_rows) is a whole step, a task-mode phase one or two ranges of
+ * whole 64-row blocks whose bins the caller adds (exactly).  V, W are
+ * (N, R) row-major; at r = 1, one vector each, walked by row groups
+ * (stage 1 is this call at r = 1).  A block is 64 rows from row0 — the
+ * global 64-row blocks, since every range a caller walks starts on one. */
+EXPORT void KN(repro_csr_aug_spmmv)(
     int64_t row0,
     int64_t row1,
     int64_t r,
@@ -1279,46 +1287,17 @@ static void KN(repro_csr_walk)(
         const int64_t i0 = row0 + bi * REPRO_ETA_BLOCK;
         const int64_t i1 =
             i0 + REPRO_ETA_BLOCK < row1 ? i0 + REPRO_ETA_BLOCK : row1;
-        for (int64_t i = i0; i < i1; ++i) {
-            if (single) {
-                REPRO_AT sr, si;
-                KN(repro_rowdot)(indptr[i], indptr[i + 1], indices, data, V,
-                                 &sr, &si);
-                KN(repro_fin1)(V, W, i, sr, si, ta, tab, part);
-            } else {
+        if (r == 1)
+            KN(repro_csr_rows1)(i0, i1, indptr, indices, data, V, W, ta, tab,
+                                part);
+        else
+            for (int64_t i = i0; i < i1; ++i)
                 KN(repro_row_aug)(indices, data, indptr[i],
-                                  indptr[i + 1] - indptr[i], 1, V, W, r, i, ta,
-                                  tab, part, (REPRO_AT *)s);
-            }
-        }
+                                  indptr[i + 1] - indptr[i], 1, V, W, r, i,
+                                  ta, tab, part, (REPRO_AT *)s);
         repro_deposit(&e, part);
     }
     repro_eta_close(&e, bins, flag);
-}
-
-#define REPRO_CSR_TAIL                                                     \
-    indptr, indices, data, V, W, n_threads, a, b, anchors, bins, flag
-#define REPRO_CSR_PARAMS                                                   \
-    const int64_t *restrict indptr, const REPRO_IT *restrict indices,      \
-        const REPRO_VT *restrict data, const REPRO_XT *restrict V,         \
-        REPRO_XT *restrict W, REPRO_ETA_ARGS
-
-/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>,
- * over the rows [row0, row1) of the ORIGINAL matrix, indexed in place:
- * [0, n_rows) is a whole step, a task-mode phase one or two ranges of
- * whole 64-row blocks whose bins the caller adds (exactly).  v, w are
- * one vector (the r = 1 lane-blocked row dot).                        */
-EXPORT void KN(repro_csr_aug_spmv)(int64_t row0, int64_t row1,
-                                   REPRO_CSR_PARAMS)
-{
-    KN(repro_csr_walk)(1, row0, row1, 1, REPRO_CSR_TAIL);
-}
-
-/* Blocked variant: V, W are (N, R) row-major.                         */
-EXPORT void KN(repro_csr_aug_spmmv)(int64_t row0, int64_t row1, int64_t r,
-                                    REPRO_CSR_PARAMS)
-{
-    KN(repro_csr_walk)(0, row0, row1, r, REPRO_CSR_TAIL);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1431,10 +1410,10 @@ EXPORT void KN(repro_sell_spmmv)(
 #endif
 }
 
-/* Single vector: a chunk's c lanes accumulate together (the lane-
- * vectorized product), so threads take groups of whole chunks and
- * whole blocks, lcm(c, 64) positions each.                            */
-EXPORT void KN(repro_sell_aug_spmv)(
+/* The single-vector SELL walk: a chunk's c lanes accumulate together
+ * (the lane-vectorized product), so threads take groups of whole chunks
+ * and whole blocks, lcm(c, 64) positions each.                        */
+static void KN(repro_sell_chunks1)(
     int64_t n_rows,
     int64_t n_chunks,
     int64_t c,
@@ -1477,8 +1456,9 @@ EXPORT void KN(repro_sell_aug_spmv)(
             for (int64_t lane = 0; lane < c; ++lane) {
                 const int64_t pos = ci * c + lane, row = perm[pos];
                 if (row < n_rows)
-                    KN(repro_fin1)(v, w, row, acc[2 * lane],
-                                   acc[2 * lane + 1], ta, tab, part);
+                    KN(repro_loopb)(v + 2 * row, w + 2 * row,
+                                    acc + 2 * lane, 1, ta, tab, part,
+                                    part + 1);
                 if ((pos + 1) % REPRO_ETA_BLOCK == 0 || pos + 1 == n_pos)
                     repro_deposit(&e, part);
             }
@@ -1487,7 +1467,8 @@ EXPORT void KN(repro_sell_aug_spmv)(
     repro_eta_close(&e, bins, flag);
 }
 
-/* Blocked: one row body per position, so threads take blocks.        */
+/* Blocked: one row body per position, so threads take blocks; at
+ * r = 1 (stage 1 is this call at r = 1) the chunk walk above.         */
 EXPORT void KN(repro_sell_aug_spmmv)(
     int64_t n_rows,
     int64_t n_chunks,
@@ -1502,6 +1483,12 @@ EXPORT void KN(repro_sell_aug_spmmv)(
     REPRO_XT *restrict W,
     REPRO_ETA_ARGS)
 {
+    if (r == 1) {
+        KN(repro_sell_chunks1)(n_rows, n_chunks, c, chunk_ptr, chunk_len,
+                               perm, indices, data, V, W, n_threads, a, b,
+                               anchors, bins, flag);
+        return;
+    }
     const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
     const int64_t n_pos = n_chunks * c;
     const int64_t nb = (n_pos + REPRO_ETA_BLOCK - 1) / REPRO_ETA_BLOCK;

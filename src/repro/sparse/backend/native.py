@@ -1,7 +1,7 @@
 """Compile-on-first-use loader for the native C kernels.
 
 ``_kernels.c`` is one template; each build of it holds one *unit* — one
-storage profile's eight kernels in the scalar or the ``_simd`` family,
+storage profile's six kernels in the scalar or the ``_simd`` family,
 picked with ``-DREPRO_UNIT_PROFILE=... -DREPRO_UNIT_SIMD=...`` — and a
 unit is built the first time one of its kernels is asked for
 (:func:`kernel`), never ahead of need: a run compiles what it calls.
@@ -41,10 +41,10 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 #: AVX2/F16C, which the ``_simd`` units require.
 #: -funroll-loops is kept for the *scalar* reference family, whose loops
 #: over the block width have a run-time bound: without it scalar
-#: ``aug_spmmv`` R = 32 takes 24.5 instead of 20.7 ms (fp32 22.3 / 18.6)
-#: and scalar ``aug_spmv`` 1.03 instead of 0.88 ms.  The ``_simd`` family
-#: times the same either way: its register tiles unroll by pragma and
-#: keep the flag off their non-zero loop (``REPRO_NOUNROLL``).  The flag
+#: ``aug_spmmv`` R = 32 takes 24.5 instead of 20.7 ms (fp32 22.3 /
+#: 18.6).  The ``_simd`` family times the same either way: its register
+#: tiles unroll by pragma and keep the flag off their non-zero loop
+#: (``REPRO_NOUNROLL``), as the single-vector CSR walk does.  The flag
 #: costs 0.1-0.15 s of a unit's 0.6-0.9 s build (DESIGN section 12).
 #: No -ffast-math — fp semantics must match NumPy's.
 #:
@@ -291,7 +291,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 4
+_ABI = 5
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -332,12 +332,11 @@ KERNEL_SUFFIXES = {
 _SIGNATURES = {
     "repro_csr_spmv": "nLIVXXn",
     "repro_csr_spmmv": "nnLIVXXn",
-    # the CSR aug kernels walk rows [row0, row1) of the whole matrix
-    "repro_csr_aug_spmv": "nnLIVXXnssEEL",
+    # the CSR aug kernel walks rows [row0, row1) of the whole matrix;
+    # at r = 1 both aug kernels are stage 1's single-vector walk
     "repro_csr_aug_spmmv": "nnnLIVXXnssEEL",
     "repro_sell_spmv": "nnnLLLIVXXn",
     "repro_sell_spmmv": "nnnnLLLIVXXn",
-    "repro_sell_aug_spmv": "nnnLLLIVXXnssEEL",
     "repro_sell_aug_spmmv": "nnnnLLLIVXXnssEEL",
 }
 
@@ -491,7 +490,7 @@ def _elf_truncated(path: Path) -> bool:
 
 
 def _declare(lib: ctypes.CDLL, suffix: str, simd: bool) -> None:
-    """Check that ``lib`` is this unit, then bind its eight kernels."""
+    """Check that ``lib`` is this unit, then bind its six kernels."""
     lib.repro_unit.argtypes = []
     lib.repro_unit.restype = ctypes.c_int32
     profile = list(KERNEL_SUFFIXES).index(suffix) + 1

@@ -224,9 +224,9 @@ class NativeBackend(KernelBackend):
         return out
 
     def _step(self, kind, A, V, W, a, b, plan, sink):
-        """One whole augmented step (``aug_spm(m)v``, on 1-D vectors for
-        ``aug_spmv``); returns its bins (DESIGN §19): the plan's, or fresh
-        ones without a fitting plan."""
+        """One whole augmented step (``aug_spm(m)v``; ``aug_spmv`` is the
+        ``aug_spmmv`` kernel on 1-D vectors, r = 1); returns its bins
+        (DESIGN §19): the plan's, or fresh ones without a fitting plan."""
         call = self._bind(kind, A, V, W, plan, 0, A.n_rows, None)
         with sink.span(kind, **call.meta) as sp:
             call.fn(*call.head, _team(plan), a, b, *call.eta)
@@ -275,10 +275,9 @@ class NativeBackend(KernelBackend):
         call = _Call()
         call.A, call.V, call.W = A, V, W
         call.anchors, call.bins = anchors, own if bins is None else bins
-        fn, head = self._entry(
-            kind, A, prec, _plan_simd(plan, prec),
-            (A.n_rows,) if isinstance(A, SellMatrix) else (row0, row1),
-            (r,) if block else ())
+        fn, head = self._entry(  # stage 1 is the blocked call at r = 1
+            "aug_spmmv", A, prec, _plan_simd(plan, prec),
+            (A.n_rows,) if isinstance(A, SellMatrix) else (row0, row1), (r,))
         call.fn, call.head = fn, (*head, _ptr(V), _ptr(W))
         call.eta = (_ptr(anchors), _ptr(call.bins), _ptr(escape))
         call.cost = aug_cost(*matrix_stream(A, prec), r, prec)

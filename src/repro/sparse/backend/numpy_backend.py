@@ -13,10 +13,10 @@ naive chain (Fig. 3) is the base class's.
 Bits: every rounding follows the native kernels' (``_kernels.c``), so
 the two backends return the same bits in every storage profile (DESIGN
 §19) and this backend checks the C kernels byte for byte.  A row's
-products are summed in storage order, as the C row bodies sum them;
-stage 1 on CSR sums them in the four lanes of the C single-vector row
-dot (:func:`_lane_product`); the recombination is the C finishers'
-``(2a u - 2ab v) - w`` (:func:`~repro.sparse.fused._recombine`).
+products are summed in storage order, as every C walk sums them — stage
+1 is the stage-2 walk on one column; the recombination is the C
+finishers' ``(2a u - 2ab v) - w`` (:func:`~repro.sparse.fused.
+_recombine`).
 
 Precision: complex128 and complex64 operands flow straight through (the
 profile is inferred from the dtype).  fp16v half storage is decoded into
@@ -48,56 +48,42 @@ from repro.util.precision import FP16V, precision_of
 from repro.util.validation import check_block_vector, check_vector
 
 
-def _scipy_handle(A, dtype, lanes: bool = False):
+def _scipy_handle(A, dtype):
     """Cached SciPy CSR view of the matrix's numerical content.
 
     One handle per value dtype: the complex128 handle, and a complex64
     one (shared by the fp32 and fp16v profiles) built by downcasting the
-    complex128 handle's value array once.  ``lanes`` (CSR only) asks for
-    the (4N, K) stack of the four lanes of the C kernels' single-vector
-    row dot: a row's entry ``p`` belongs to lane ``(p - p0) & 3`` (``p0``
-    the row's first entry), lane ``k`` is rows ``[kN, (k+1)N)``, and
-    every lane keeps its entries in storage order.
+    complex128 handle's value array once.
     """
     # SciPy is this backend's alone: imported where it is called, so a
     # run on the native kernels never loads it
     import scipy.sparse as _sp
 
     cache = A.__dict__.setdefault("_scipy_cache", {})
-    key = (np.dtype(dtype), lanes)
+    key = np.dtype(dtype)
     handle = cache.get(key)
     if handle is not None:
         return handle
-    if key[0] != np.complex128:
-        wide = _scipy_handle(A, np.complex128, lanes)
+    if key != np.complex128:
+        wide = _scipy_handle(A, np.complex128)
         parts = (wide.data.astype(dtype), wide.indices, wide.indptr)
-    elif lanes:
-        n, counts = A.n_rows, np.diff(A.indptr)
-        lane = (np.arange(A.nnz) - np.repeat(A.indptr[:-1], counts)) & 3
-        at = np.argsort(lane, kind="stable")
-        per_row = np.stack([(counts - k + 3) // 4 for k in range(4)])
-        indptr = np.zeros(4 * n + 1, dtype=np.int64)
-        np.cumsum(per_row, out=indptr[1:])
-        parts = (A.data[at], A.indices[at], indptr)
     else:
         csr = A if isinstance(A, CSRMatrix) else A.to_csr()
         parts = (csr.data, csr.indices, csr.indptr)
-    shape = ((4 if lanes else 1) * A.n_rows, A.n_cols)
-    cache[key] = handle = _sp.csr_matrix(parts, shape=shape)
+    cache[key] = handle = _sp.csr_matrix(parts, shape=A.shape)
     return handle
 
 
-def _product(A, X: np.ndarray, out: np.ndarray, lanes: bool = False) -> None:
+def _product(A, X: np.ndarray, out: np.ndarray) -> None:
     """``out = A @ X`` in ``out``'s complex dtype; allocates nothing.
 
     The accumulate-into-``out`` entry points of ``_sparsetools`` write
     caller storage directly (the workspace plans rely on this); a
-    non-contiguous operand falls back to the public operator.  With
-    ``lanes`` the operator is ``A``'s lane stack (:func:`_scipy_handle`).
+    non-contiguous operand falls back to the public operator.
     """
     from scipy.sparse import _sparsetools
 
-    handle = _scipy_handle(A, out.dtype, lanes)
+    handle = _scipy_handle(A, out.dtype)
     X = X.astype(out.dtype, copy=False)
     if X.flags.c_contiguous and out.flags.c_contiguous:
         out.fill(0.0)
@@ -114,21 +100,6 @@ def _product(A, X: np.ndarray, out: np.ndarray, lanes: bool = False) -> None:
             )
     else:
         out[:] = handle @ X
-
-
-def _lane_product(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``A @ x`` for one column ``x`` of a CSR ``A``, summed as the C
-    kernels' single-vector row dot sums it: each lane's entries in
-    order, then the lanes as ``(0 + 1) + (2 + 3)``.
-
-    ``out`` is (4, N) scratch of the compute dtype; returns its row 0,
-    which holds the product (row 1 is free scratch afterwards).
-    """
-    _product(A, x, out.reshape(-1), lanes=True)
-    np.add(out[0], out[1], out=out[0])
-    np.add(out[2], out[3], out=out[2])
-    out[0] += out[2]
-    return out[0]
 
 
 def _scratch(plan, attr: str, shape: tuple, dtype) -> np.ndarray:
@@ -170,8 +141,6 @@ class NumpyBackend(KernelBackend):
     def plan(self, A, r: int = 1, precision=None, threads=None,
              simd=None, split=None) -> KernelPlan:
         plan = super().plan(A, r, precision, threads, simd, split)
-        if plan.r == 1 and isinstance(A, CSRMatrix):  # stage 1's lanes
-            plan.lane_out = np.empty((4, A.n_rows), dtype=plan.u.dtype)
         if split is not None:
             # each phase range's rows, over the full [local | halo]
             # column range (per-row data order kept: the W update is
@@ -192,9 +161,7 @@ class NumpyBackend(KernelBackend):
             W = check_block_vector("W", W, A.n_rows, V.shape[1])
         prec = precision_of(V)
         with sink.span(name) as sp:
-            bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows,
-                              lanes=name == "aug_spmv"
-                              and isinstance(A, CSRMatrix))
+            bins = self._walk(A, V, W, a, b, plan, 0, A.n_rows)
             sp.charge(name, *aug_cost(*matrix_stream(A, prec), W.shape[1],
                                       prec))
         return bins
@@ -203,8 +170,7 @@ class NumpyBackend(KernelBackend):
         self._walk(plan.range_matrices[row0, row1], V, W, a, b, plan, row0,
                    row1, bins)
 
-    def _walk(self, A, V, W, a, b, plan, row0, row1, bins=None,
-              lanes=False):
+    def _walk(self, A, V, W, a, b, plan, row0, row1, bins=None):
         """The one augmented walk: ``W <- 2a(H - b)V - W`` and the eta
         bins over rows ``[row0, row1)`` of the (N, R) blocks, ``A`` being
         those rows of the operator (the whole matrix for ``[0, N)``).
@@ -212,12 +178,10 @@ class NumpyBackend(KernelBackend):
         The product runs on ``A``, the recombination and the one eta
         reduction (DESIGN §19) on row views — a SELL operator's whole, in
         its storage order.  Every rounding follows the C kernels', so
-        both backends write the same bits; ``lanes`` (a whole CSR step
-        on one column) sums the product in stage 1's four lanes.  Half
-        storage is decoded into the plan's complex64 scratch (all of
-        ``V``: its halo may have landed since the last phase), computed
-        in fp32 and encoded back.  Returns the bins: ``bins``, else the
-        plan's (or fresh ones).
+        both backends write the same bits.  Half storage is decoded into
+        the plan's complex64 scratch (all of ``V``: its halo may have
+        landed since the last phase), computed in fp32 and encoded back.
+        Returns the bins: ``bins``, else the plan's (or fresh ones).
         """
         n, r = W.shape[:2]
         half = precision_of(V).half_vectors
@@ -228,13 +192,9 @@ class NumpyBackend(KernelBackend):
             FP16V.decode(W[row0:row1], out=wc)
         else:
             vc, wc = V, W[row0:row1]
-        if lanes:
-            out = _scratch(plan, "lane_out", (4, n), vc.dtype)
-            u, tmp = _lane_product(A, vc, out)[:, None], out[1][:, None]
-        else:
-            u, tmp = (_scratch(plan, name, (n, r), vc.dtype)[row0:row1]
-                      for name in ("u_block", "work_block"))
-            _product(A, vc, u)
+        u, tmp = (_scratch(plan, name, (n, r), vc.dtype)[row0:row1]
+                  for name in ("u_block", "work_block"))
+        _product(A, vc, u)
         vn = vc[row0:row1]
         _recombine(wc, u, vn, a, b, tmp)
         anchors, own, escape = self._eta_state(plan, vc, n, r)

@@ -39,6 +39,13 @@ class TestOf:
         # below the entries (the elastic driver) a cadence runs in memory
         assert RunContext(checkpoint_every=2).checkpoint_path is None
 
+    def test_a_file_needs_a_cadence_at_the_entry(self, tmp_path):
+        """A path alone would never be written: refused, not ignored."""
+        with pytest.raises(ValueError, match="requires checkpoint_every"):
+            RunContext.of(checkpoint_path=tmp_path / "c")
+        # a falsy path is no path (callers pass 0 at cadence 0)
+        assert RunContext.of(checkpoint_path=0).checkpoint_every == 0
+
     def test_a_plan_string_parses_once_under_the_seed(self):
         ctx = RunContext.of(fault_plan="crash:rank=1,m=3", seed=7)
         assert ctx.fault_plan == FaultPlan.parse("crash:rank=1,m=3", seed=7)

@@ -39,16 +39,18 @@ def system():
 def test_supervised_solve_keeps_its_stage(system, stage):
     h = system[0]
 
-    def moments(**kw):
-        return KPMSolver(h, n_moments=M, n_vectors=2, seed=3, engine=stage,
-                         backend="numpy", **kw).moments()
+    def run(**kw):
+        """The solve's moments and its kernel calls per family."""
+        counters = PerfCounters()
+        mu = KPMSolver(h, n_moments=M, n_vectors=2, seed=3, backend="numpy",
+                       counters=counters, **kw).moments()
+        return mu, dict(counters.calls)
 
-    plain = moments()
-    assert np.array_equal(moments(resilience=Resilience()), plain)
-    if stage != "aug_spmmv":
-        assert not np.array_equal(
-            plain, KPMSolver(h, n_moments=M, n_vectors=2, seed=3,
-                             backend="numpy").moments())
+    plain, kernels = run(engine=stage)
+    mu, supervised = run(engine=stage, resilience=Resilience())
+    assert np.array_equal(mu, plain) and supervised == kernels
+    # the kernels name the stage: stage 1 has stage 2's bits
+    assert (kernels == run()[1]) == (stage == "aug_spmmv")
 
 
 @pytest.mark.parametrize("stage", ["naive", "aug_spmv"])

@@ -177,6 +177,15 @@ class TestElasticDriver:
         # boundaries land exactly on the planned iterations
         assert {b.m for b in rep.boundaries} >= {5, 9}
 
+    def test_no_checkpoint_file_keyword(self, system, tmp_path):
+        """``elastic_eta`` has no checkpoint cadence, so no file to name:
+        a ``checkpoint_path`` is an unknown knob, not silently unwritten."""
+        h, scale, blk, _ = system
+        with pytest.raises(TypeError, match="checkpoint_path"):
+            elastic_eta(h, scale, M, blk, n_workers=2, engine="sim",
+                        checkpoint_path=tmp_path / "ck.npz")
+        assert not (tmp_path / "ck.npz").exists()
+
     def test_timer_driven_rebalance(self, system):
         h, scale, blk, ref = system
         pol = RebalancePolicy(interval=3, windows=2)

@@ -153,6 +153,16 @@ class TestDos:
         assert rc == 1
         assert "--weights" in capsys.readouterr().err
 
+    def test_a_checkpoint_file_needs_a_cadence(self, tmp_path, capsys):
+        """``--checkpoint-path`` alone would never be written: refused."""
+        path = tmp_path / "ck.npz"
+        with pytest.raises(SystemExit) as exc:
+            main(["dos", "--nx", "4", "--nz", "2", "--moments", "16",
+                  "--vectors", "1", "--checkpoint-path", str(path)])
+        assert exc.value.code == 2
+        assert "--checkpoint-every" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_from_mtx(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         d = rng.normal(size=(30, 30))

@@ -347,6 +347,14 @@ class TestConfig:
                           degrade=False,
                           fault_plan="crash:m=2").resilience == cfg
 
+    def test_a_file_needs_a_cadence(self, tmp_path):
+        """A path alone would never be written: refused, not ignored."""
+        with pytest.raises(ValueError, match="requires checkpoint_every"):
+            Resilience(checkpoint_path=tmp_path / "ck.npz")
+        with pytest.raises(ValueError, match="requires checkpoint_every"):
+            Supervisor(checkpoint_path=tmp_path / "ck.npz")
+        assert not (tmp_path / "ck.npz").exists()
+
     def test_backoff_sleeps_are_injected(self, system):
         h, scale, blk, _ = system
         slept = []

@@ -186,22 +186,28 @@ class TestNativeParity:
         ("aug_spmmv", 8), ("aug_spmmv", 32)])
     def test_one_bit_pattern_per_precision(self, operator, precision,
                                            kernel, r):
-        """Three steps of each kernel on CSR and SELL: the NumPy backend's
-        W and eta equal the native kernels' under every simd x threads
-        setting, in every storage profile."""
+        """Three steps of each kernel on CSR and SELL (the fixture's,
+        SELL-8-1 and SELL-8-32), at an off-centre scale: the NumPy
+        backend's W and eta equal the native kernels' under every simd x
+        threads setting, in every storage profile; and stage 1 on column
+        k is column k of the stage-2 R = 3 block, bit for bit (one walk,
+        DESIGN §19)."""
         from repro.util.precision import get_precision
 
         m, sell, scale = operator
         prec = get_precision(precision)
-        shape = (m.n_rows,) if kernel != "aug_spmmv" else (m.n_rows, r)
-        V0, W0 = (_block(np.random.default_rng(seed), m.n_rows, r)
-                  .reshape(shape) / np.sqrt(m.n_rows) for seed in (1, 2))
+        V0, W0 = (_block(np.random.default_rng(seed), m.n_rows, max(r, 3))
+                  / np.sqrt(m.n_rows) for seed in (1, 2))
 
-        def run(name, A, **knobs):
+        def run(name, A, kernel, width, col=0, **knobs):
+            """Three steps of ``kernel``: on the first ``width`` columns
+            (stage 2), else on column ``col``."""
             bk = get_backend(name)
-            plan = bk.plan(A, r, precision=prec, **knobs)
+            plan = bk.plan(A, width, precision=prec, **knobs)
             step = getattr(bk, f"{kernel}_step")
-            V, W = _storage(prec, V0), _storage(prec, W0)
+            cols = slice(0, width) if kernel == "aug_spmmv" else col
+            V, W = (_storage(prec, np.ascontiguousarray(X[:, cols]))
+                    for X in (V0, W0))
             etas = []
             for _ in range(3):
                 etas.append(np.hstack(step(A, V, W, scale.a, scale.b,
@@ -209,13 +215,23 @@ class TestNativeParity:
                 V, W = W, V
             return V, np.stack(etas)
 
-        for A in (m, sell):
-            ref_w, ref_eta = run("numpy", A)
+        sells = (sell, SellMatrix(m, chunk_height=8, sigma=1),
+                 SellMatrix(m, chunk_height=8, sigma=32))
+        for A in (m, *sells):
+            ref_w, ref_eta = run("numpy", A, kernel, r)
             for simd in ("on", "off"):
                 for threads in (1, 2):
-                    w, eta = run("native", A, simd=simd, threads=threads)
+                    w, eta = run("native", A, kernel, r, simd=simd,
+                                 threads=threads)
                     assert _equal(w, ref_w), (simd, threads)
                     assert _equal(eta, ref_eta), (simd, threads)
+            if kernel == "aug_spmv":
+                for name in ("numpy", "native"):
+                    w3, eta3 = run(name, A, "aug_spmmv", 3)
+                    for k in range(3):
+                        w, eta = run(name, A, kernel, 1, k)
+                        assert _equal(w, w3[:, k]), (name, k)
+                        assert _equal(eta, eta3[:, [k, 3 + k]]), (name, k)
 
     def test_counters_identical(self, operator, rng):
         """Table-I accounting is backend-independent."""

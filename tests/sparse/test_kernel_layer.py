@@ -71,14 +71,14 @@ def test_a_sell_matrix_has_one_layout(small_hermitian):
 
 
 
-def test_eight_kernels_and_no_row_lists():
+def test_six_kernels_and_no_row_lists():
     """A task-mode phase is a row range: a unit binds CSR and SELL
-    spmv/spmmv/aug_spmv/aug_spmmv, and no kernel takes a row list — the
-    int64 pointers are indptr (CSR), chunk_ptr/chunk_len/perm (SELL) and
-    an aug kernel's escape flag."""
+    spmv/spmmv/aug_spmmv (stage 1 is aug_spmmv at r = 1), and no kernel
+    takes a row list — the int64 pointers are indptr (CSR),
+    chunk_ptr/chunk_len/perm (SELL) and an aug kernel's escape flag."""
     from repro.sparse.backend import native
 
-    kinds = ("spmv", "spmmv", "aug_spmv", "aug_spmmv")
+    kinds = ("spmv", "spmmv", "aug_spmmv")
     assert set(native._SIGNATURES) == {
         f"repro_{fmt}_{kind}" for fmt in ("csr", "sell") for kind in kinds
     }
@@ -92,7 +92,10 @@ def test_removed_split_api_stays_removed():
     names = ["SplitKernelPlan", "take_rows", "mp_eta", "aug_spmv_interior",
              "aug_spmv_boundary", "aug_spmv_split_step",
              *(f"repro_csr_{kind}_{walk}" for kind in ("aug_spmv", "aug_spmmv")
-               for walk in ("range", "rows"))]
+               for walk in ("range", "rows")),
+             # stage 1's own row order and kernels: it is aug_spmmv at r = 1
+             "repro_rowdot", "_lane_product", "lane_out",
+             "KN(repro_csr_aug_spmv)", "KN(repro_sell_aug_spmv)"]
     sources = [*_sources(), SRC / "sparse" / "backend" / "_kernels.c"]
     offenders = [
         (path.relative_to(SRC).as_posix(), name)

@@ -1,9 +1,10 @@
 """Determinism of the vectorized (_simd) native kernels.
 
-The SIMD kernels vectorize the augmented/split kernels with a *fixed
-lane-blocked reduction*: every fp64 dot accumulates in the same 8-lane
-blocks whether the scalar or the AVX2 build executes it, so fp64
-moments are bitwise identical across ``simd='on'`` and ``simd='off'``
+The SIMD kernels vectorize across independent sums, never inside one:
+one vector lane per block column (the blocked kernels) or per row (the
+single-vector walks), each row summed in storage order whether the
+scalar or the AVX2 build executes it, so fp64 moments are bitwise
+identical across ``simd='on'`` and ``simd='off'``
 — at every block width R, every thread count, every format, and
 composed with every subsystem that relies on kernel determinism
 (checkpoint resume, the distributed engines, elastic grid mode, serve

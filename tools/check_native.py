@@ -2,10 +2,11 @@
 """Smoke-check the native kernel backend on this host.
 
 Builds the default kernel unit if needed (``--all``: every unit this
-host can build — an image pre-build, or a CI leg warming its cache
-before pytest), verifies numpy/native parity on a small
-topological-insulator matrix in both sparse formats, and times the
-blocked SELL kernel against the NumPy path.  Intended as the first
+host can build, each loaded and its six kernels bound — an image
+pre-build, or a CI leg warming its cache before pytest), verifies
+numpy/native parity on a small topological-insulator matrix in both
+sparse formats, and times the blocked SELL kernel against the NumPy
+path.  Intended as the first
 thing to run on a new machine (or in CI with a ``slow`` pytest marker)
 before trusting ``backend='auto'`` for production runs.
 
@@ -65,9 +66,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.sparse import SellMatrix
     from repro.sparse.backend import get_backend
     from repro.sparse.backend.native import (
+        _SIGNATURES,
         _unit_path,
         buildable_units,
-        compile_unit,
+        kernel,
         native_available,
         native_error,
         simd_available,
@@ -99,7 +101,8 @@ def main(argv: list[str] | None = None) -> int:
             so = _unit_path(*unit)
             cold = not so.exists()
             t0 = time.perf_counter()
-            compile_unit(*unit)
+            for base in _SIGNATURES:  # built, loaded, every kernel bound
+                kernel(base, *unit)
             _report(unit_name(*unit), so, time.perf_counter() - t0, cold)
 
     numpy_bk = get_backend("numpy")
