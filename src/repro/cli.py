@@ -70,11 +70,7 @@ def _apply_profile(args, h, cfg):
         simd=args.simd or t.simd,
         weights=cfg.weights if args.weights else t.weights,
     )
-    if tuned.fmt == "sell" and t.engine == "serial":
-        # the tuner probes distributed SELL configs by converting each
-        # rank's block after partitioning, but this solver path
-        # partitions the global operator itself — apply the format
-        # knob only to serial runs
+    if tuned.fmt == "sell":  # a SELL profile is serial (TuneConfig)
         from repro.sparse.sell import SellMatrix
 
         if not isinstance(h, SellMatrix):

@@ -108,6 +108,9 @@ class TuneConfig:
                 f"sigma must be 1 or a multiple of chunk, got "
                 f"C={chunk} sigma={sigma}"
             )
+        if fmt == "sell" and self.exec.workers > 1:
+            raise ValueError("fmt='sell' runs serial only (workers=1): "
+                             "the distributed engines partition CSR")
 
     def __getattr__(self, name: str):
         if name in _EXEC_FIELDS:
@@ -161,12 +164,16 @@ class TuneSpace:
             sigma = max(chunk, sigma - sigma % chunk)
         workers = int(rng.choice(self.workers))
         weights = self.weights[rng.integers(len(self.weights))]
+        threads = self.threads[rng.integers(len(self.threads))]
+        backend = str(rng.choice(self.backends))
+        fmt = str(rng.choice(self.fmts))
+        if fmt == "sell":
+            workers = 1  # SELL runs serial only
         if weights is not None and len(weights) != workers:
             weights = None
-        threads = self.threads[rng.integers(len(self.threads))]
         return TuneConfig(
-            backend=str(rng.choice(self.backends)),
-            fmt=str(rng.choice(self.fmts)),
+            backend=backend,
+            fmt=fmt,
             chunk=chunk,
             sigma=sigma,
             r=int(rng.choice(self.rs)),
@@ -360,9 +367,10 @@ def measure(
     """Wall-time of one probe run of ``cfg`` (best of ``repeats``).
 
     Runs the engine dispatch production uses
-    (:func:`~repro.util.knobs.run_engine`) on ``cfg.execution``.  SELL
-    conversion and (for distributed configs) partitioning happen outside
-    the timed region — one-time costs a long production run amortizes.
+    (:func:`~repro.util.knobs.run_engine`) on ``cfg.execution`` — the
+    run ``repro dos --engine auto`` makes of a tuned profile.  SELL
+    conversion happens outside the timed region, a one-time cost a long
+    production run amortizes.
     """
     from repro.core.checkpoint import RunContext
     from repro.core.scaling import lanczos_scale
@@ -370,41 +378,13 @@ def measure(
 
     scale = lanczos_scale(H, seed=seed)
     block = make_block_vector(H.n_rows, cfg.r, "phase", seed)
-    A = _prepare_probe(H, cfg)
+    A = _build_operator(H, cfg)
     best = float("inf")
     for _ in range(max(1, int(repeats))):
         t0 = time.perf_counter()
         run_engine(cfg.execution, RunContext(), A, scale, n_moments, block)
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _prepare_probe(H, cfg):
-    """The probe's operator: ``H`` converted to ``cfg.fmt`` — for a
-    distributed config partitioned first, each rank's block converted."""
-    if cfg.workers == 1:
-        return _build_operator(H, cfg)
-    from repro.dist.halo import partition_matrix
-    from repro.dist.partition import RowPartition
-    from repro.sparse.fused import ETA_BLOCK
-
-    part = RowPartition.from_weights(
-        H.n_rows, cfg.weights or [1.0] * cfg.workers, align=ETA_BLOCK)
-    A = partition_matrix(H, part)
-    if cfg.fmt == "sell" and cfg.overlap != "on":
-        # Per-rank SELL: each rank's rectangular local block (local
-        # rows x local+halo columns) is sorted and chunked
-        # independently, exactly how a heterogeneous machine would
-        # format each device's share.  The overlap path keeps CSR —
-        # its split-task plan slices the local block by row ranges
-        # that SELL's row permutation does not preserve.
-        from repro.sparse.sell import SellMatrix
-
-        for blk in A.blocks:
-            blk.matrix = SellMatrix(
-                blk.matrix, chunk_height=cfg.chunk, sigma=cfg.sigma
-            )
-    return A
 
 
 # -- the search driver -------------------------------------------------

@@ -65,12 +65,12 @@ class KernelPlan:
     Sized once per matrix/block-width pair and reused across all M/2
     inner iterations; the buffers are scratch (contents undefined between
     calls).  ``u`` holds the SpM(M)V result, ``work`` is a second pass
-    buffer.  The eta reduction (DESIGN §19) keeps its state here:
-    ``anchors`` (R,) — set by :meth:`~repro.core.recurrence.Recurrence.
-    load`, else taken from the first ``V`` a step is given — the last
-    step's ``bins`` (2, 3R), and ``escape``, 0 or one plus the first
-    element whose block partial exceeded its anchor (sticky until
-    cleared).
+    buffer.  The eta reduction (DESIGN §19) — 64-row blocks in row
+    order, whatever ``A``'s format — keeps its state here: ``anchors``
+    (R,) — set by :meth:`~repro.core.recurrence.Recurrence.load`, else
+    taken from the first ``V`` a step is given — the last step's
+    ``bins`` (2, 3R), and ``escape``, 0 or one plus the first element
+    whose block partial exceeded its anchor (sticky until cleared).
 
     ``precision`` selects the profile the plan serves.  ``u``/``work``
     are *compute*-dtype scratch (complex128 for fp64, complex64 for the

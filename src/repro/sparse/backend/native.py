@@ -291,7 +291,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 5
+_ABI = 6
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -332,8 +332,9 @@ KERNEL_SUFFIXES = {
 _SIGNATURES = {
     "repro_csr_spmv": "nLIVXXn",
     "repro_csr_spmmv": "nnLIVXXn",
-    # the CSR aug kernel walks rows [row0, row1) of the whole matrix;
-    # at r = 1 both aug kernels are stage 1's single-vector walk
+    # the aug kernels walk rows in 64-row eta blocks, CSR's [row0,
+    # row1) of the whole matrix, SELL's through (sigma, inv_perm); at
+    # r = 1 both are stage 1's single-vector walk
     "repro_csr_aug_spmmv": "nnnLIVXXnssEEL",
     "repro_sell_spmv": "nnnLLLIVXXn",
     "repro_sell_spmmv": "nnnnLLLIVXXn",

@@ -197,14 +197,17 @@ class NativeBackend(KernelBackend):
         """
         values, indices = kernel_pack(A, prec)
         suffix = _kernel_suffix(prec, indices)
+        sell = isinstance(A, SellMatrix)
+        aug = sell and kind == "aug_spmmv"  # locates rows by inv_perm
         cache = A.__dict__.setdefault("_native_args", {})
-        args = cache.get(suffix)
+        args = cache.get((suffix, aug))
         if args is None:
-            head = (_ptr(A.indptr),) if isinstance(A, CSRMatrix) else (
-                A.n_chunks, A.chunk_height, _ptr(A.chunk_ptr),
-                _ptr(A.chunk_len), _ptr(A.perm))
-            args = cache[suffix] = (*head, _ptr(indices), _ptr(values))
-        if isinstance(A, SellMatrix):
+            head = (_ptr(A.indptr),) if not sell else (
+                A.sigma if aug else A.n_chunks, A.chunk_height,
+                _ptr(A.chunk_ptr), _ptr(A.chunk_len),
+                _ptr(A.inv_perm if aug else A.perm))
+            args = cache[suffix, aug] = (*head, _ptr(indices), _ptr(values))
+        if sell:
             fmt, args = "sell", (*args[:2], *width, *args[2:])
         else:
             fmt, args = "csr", (*width, *args)

@@ -4,7 +4,8 @@ Every NumPy kernel of the package lives here.  The matrix product is
 SciPy's compiled CSR kernel (``scipy.sparse._sparsetools``), whose inner
 loop is the paper's row-major SpMMV access pattern — one fused
 gather-multiply-add pass per matrix entry over R contiguous block-vector
-elements; SELL operators run through their CSR image.  The augmented
+elements; a SELL operator runs through its CSR image, as the one walk
+of every format (its bits are the native SELL kernels').  The augmented
 steps (paper Figs. 4 and 5) add the recombination and the two scalar
 products as in-place NumPy passes over the plan's preallocated
 workspaces, so a steady-state KPM iteration allocates nothing.  The
@@ -13,10 +14,10 @@ naive chain (Fig. 3) is the base class's.
 Bits: every rounding follows the native kernels' (``_kernels.c``), so
 the two backends return the same bits in every storage profile (DESIGN
 §19) and this backend checks the C kernels byte for byte.  A row's
-products are summed in storage order, as every C walk sums them — stage
-1 is the stage-2 walk on one column; the recombination is the C
-finishers' ``(2a u - 2ab v) - w`` (:func:`~repro.sparse.fused.
-_recombine`).
+products are summed in storage order and the eta blocks in row order,
+as every C walk sums them — stage 1 is the stage-2 walk on one column;
+the recombination is the C finishers' ``(2a u - 2ab v) - w``
+(:func:`~repro.sparse.fused._recombine`).
 
 Precision: complex128 and complex64 operands flow straight through (the
 profile is inferred from the dtype).  fp16v half storage is decoded into
@@ -43,7 +44,6 @@ from repro.sparse.fused import (
     matrix_stream,
     spmv_cost,
 )
-from repro.sparse.sell import SellMatrix
 from repro.util.precision import FP16V, precision_of
 from repro.util.validation import check_block_vector, check_vector
 
@@ -175,12 +175,13 @@ class NumpyBackend(KernelBackend):
         bins over rows ``[row0, row1)`` of the (N, R) blocks, ``A`` being
         those rows of the operator (the whole matrix for ``[0, N)``).
 
-        The product runs on ``A``, the recombination and the one eta
-        reduction (DESIGN §19) on row views — a SELL operator's whole, in
-        its storage order.  Every rounding follows the C kernels', so
-        both backends write the same bits.  Half storage is decoded into
-        the plan's complex64 scratch (all of ``V``: its halo may have
-        landed since the last phase), computed in fp32 and encoded back.
+        The product runs on ``A`` (a SELL operator: its CSR image), the
+        recombination and the one eta reduction (DESIGN §19) on row
+        views — one walk for every format.  Every rounding follows the
+        C kernels', so both backends write the same bits.  Half storage
+        is decoded into the plan's complex64 scratch (all of ``V``: its
+        halo may have landed since the last phase), computed in fp32 and
+        encoded back.
         Returns the bins: ``bins``, else the plan's (or fresh ones).
         """
         n, r = W.shape[:2]
@@ -198,11 +199,9 @@ class NumpyBackend(KernelBackend):
         vn = vc[row0:row1]
         _recombine(wc, u, vn, a, b, tmp)
         anchors, own, escape = self._eta_state(plan, vc, n, r)
-        order = A.perm if isinstance(A, SellMatrix) else None
         bins = eta_bins(vn, wc, anchors, escape,
-                        out=own if bins is None else bins, order=order,
-                        work=self._eta_work(plan, n if order is None
-                                            else order.size, r))
+                        out=own if bins is None else bins,
+                        work=self._eta_work(plan, n, r))
         if half:
             FP16V.encode(wc, out=W[row0:row1])
         return bins

@@ -23,11 +23,12 @@ arguments.  Byte widths follow the storage profile
 vector stream even where a backend computes on fp32 decodes.
 
 The two scalar products are reduced one way everywhere (DESIGN §19):
-per 64-row block in row order, each block partial deposited exactly
-into two fp64 bins at the column's anchor (:func:`eta_anchors`), so
-bins of threads, split phases, ranks and segments add exactly and the
-bits of eta depend on no execution knob.  :func:`eta_bins` is the NumPy
-implementation the C kernels mirror; :func:`fold` turns bins into eta.
+per 64-row block in row order — whatever the operator's format — each
+block partial deposited exactly into two fp64 bins at the column's
+anchor (:func:`eta_anchors`), so bins of threads, split phases, ranks
+and segments add exactly and the bits of eta depend on no execution
+knob.  :func:`eta_bins` is the NumPy implementation the C kernels
+mirror; :func:`fold` turns bins into eta.
 """
 
 from __future__ import annotations
@@ -108,7 +109,9 @@ def _components(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 ETA_BLOCK = 64
 
 #: Rows of one pass of :func:`eta_bins` (whole blocks): bounds its
-#: scratch (:func:`eta_work`) to about ``4 × _CHUNK × R`` doubles.
+#: scratch (:func:`eta_work`) to about ``4 × _CHUNK × R`` doubles.  A
+#: pass is some 30 NumPy calls at any length, so one column takes 16 ×
+#: as many rows a pass.
 _CHUNK = 16 * ETA_BLOCK
 
 
@@ -139,7 +142,8 @@ def eta_anchors(block: np.ndarray, n_rows: int | None = None) -> np.ndarray:
 def eta_work(n_rows: int, r: int) -> np.ndarray:
     """Scratch for :func:`eta_bins` over up to ``n_rows`` rows of width
     ``r`` — a kernel plan keeps one, so a step allocates nothing O(N)."""
-    rows = min(-(-n_rows // ETA_BLOCK) * ETA_BLOCK, _CHUNK)
+    rows = min(-(-n_rows // ETA_BLOCK) * ETA_BLOCK,
+               _CHUNK if r > 1 else 16 * _CHUNK)
     return np.empty(4 * rows * r + 6 * (rows // ETA_BLOCK) * r)
 
 
@@ -192,17 +196,14 @@ def _deposit(p: np.ndarray, h: np.ndarray, anchors: np.ndarray,
 
 def eta_bins(V: np.ndarray, W: np.ndarray, anchors: np.ndarray | None = None,
              escape: np.ndarray | None = None, out: np.ndarray | None = None,
-             order: np.ndarray | None = None,
              work: np.ndarray | None = None) -> np.ndarray:
     """The one eta reduction (DESIGN §19) of ``(<V|V>, <W|V>)`` per column.
 
     Returns the two fp64 bins (2, 3R) — ``[ee (R) | re, im (2R)]`` — of
-    the rows' terms: summed in row order per 64-row block (``order``,
-    e.g. a SELL ``perm``, lists the rows by storage position instead;
-    entries ``>= N`` are padding) and each block deposited exactly at
-    ``anchors`` (default: :func:`eta_anchors` of ``V``).  Bins of any
-    split of the blocks add exactly; :func:`fold` gives eta.  ``work``
-    (:func:`eta_work`) is reused scratch.
+    the rows' terms: summed in row order per 64-row block and each block
+    deposited exactly at ``anchors`` (default: :func:`eta_anchors` of
+    ``V``).  Bins of any split of the blocks add exactly; :func:`fold`
+    gives eta.  ``work`` (:func:`eta_work`) is reused scratch.
     """
     V, W = _cols(V), _cols(W)
     n, r = V.shape[:2]
@@ -210,40 +211,32 @@ def eta_bins(V: np.ndarray, W: np.ndarray, anchors: np.ndarray | None = None,
         anchors = eta_anchors(V)
     bins = np.zeros((2, 3 * r)) if out is None else out
     bins[...] = 0.0
-    n_pos = n if order is None else order.size
-    if not n_pos:
+    if not n:
         return bins
     if work is None:
-        work = eta_work(n_pos, r)
+        work = eta_work(n, r)
     rows = work.size * ETA_BLOCK // (r * (4 * ETA_BLOCK + 6))  # a pass
     t = work[: 3 * rows * r].reshape(3, rows, r)
     tmp = work[3 * rows * r: 4 * rows * r].reshape(rows, r)
     p, h = work[4 * rows * r:].reshape(2, 3, rows // ETA_BLOCK, r)
-    for lo in range(0, n_pos, rows):
-        hi = min(lo + rows, n_pos)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         nb = -(-(hi - lo) // ETA_BLOCK)
         span = nb * ETA_BLOCK
-        if order is None:
-            t[:, hi - lo: span] = 0.0
-            _terms(V[lo:hi], W[lo:hi], t[:, : hi - lo], tmp[: hi - lo])
-        else:
-            at = np.flatnonzero(order[lo:hi] < n)
-            got = order[lo:hi][at]
-            buf = np.empty((3, at.size, r))
-            _terms(V[got], W[got], buf, np.empty((at.size, r)))
-            t[:, :span] = 0.0
-            t[:, at] = buf
-        # the block sums in row order: NumPy reduces an axis that is
-        # not the innermost in order, but the contiguous one of r = 1
-        # pairwise — there accumulate, sequential by definition
+        t[:, hi - lo: span] = 0.0
+        _terms(V[lo:hi], W[lo:hi], t[:, : hi - lo], tmp[: hi - lo])
+        # the block sums in row order: NumPy adds an axis that is not
+        # the innermost in order, the innermost one pairwise
         blocks = t[:, :span].reshape(3, nb, ETA_BLOCK, r)
         if r > 1:
             np.add.reduce(blocks, axis=2, out=p[:, :nb])
-        else:
+        elif nb > 1:  # each kind's blocks as (64, nb) columns
+            cols = tmp[:span].reshape(ETA_BLOCK, nb)
             for kind in range(3):
-                run = np.add.accumulate(blocks[kind, :, :, 0], axis=1,
-                                        out=tmp[:span].reshape(nb, -1))
-                p[kind, :nb, 0] = run[:, -1]
+                np.copyto(cols, blocks[kind, ..., 0].T)
+                np.add.reduce(cols, axis=0, out=p[kind, :nb, 0])
+        else:  # one block: summed by the sequential accumulate
+            p[:, 0, 0] = np.add.accumulate(blocks[:, 0, :, 0], axis=1)[:, -1]
         _deposit(p[:, :nb], h[:, :nb], anchors, bins, escape)
     return bins
 

@@ -49,13 +49,15 @@ class TestTuneConfig:
             TuneConfig(chunk=32, sigma=48)  # not a multiple of C
         with pytest.raises(ValueError):
             TuneConfig(workers=2, weights=(1.0,))  # wrong arity
+        with pytest.raises(ValueError, match="serial only"):
+            TuneConfig(fmt="sell", workers=2)  # no engine runs it
 
     def test_dict_roundtrip(self):
-        cfg = TuneConfig(fmt="sell", chunk=8, sigma=32, workers=2,
-                         weights=(0.3, 0.7), threads=4)
-        assert TuneConfig.from_dict(cfg.to_dict()) == cfg
-        # to_dict is JSON-clean
-        json.dumps(cfg.to_dict())
+        for cfg in (TuneConfig(fmt="sell", chunk=8, sigma=32, threads=4),
+                    TuneConfig(workers=2, weights=(0.3, 0.7), threads=4)):
+            assert TuneConfig.from_dict(cfg.to_dict()) == cfg
+            # to_dict is JSON-clean
+            json.dumps(cfg.to_dict())
 
 
 class TestTuneSpace:
@@ -65,6 +67,7 @@ class TestTuneSpace:
         for _ in range(100):
             cfg = space.sample(rng)  # __post_init__ validates
             assert cfg.fmt in ("csr", "sell")
+            assert cfg.fmt == "csr" or cfg.workers == 1
 
     def test_neighbors_mutate_one_knob(self):
         space = TuneSpace()
@@ -72,6 +75,10 @@ class TestTuneSpace:
             assert n != DEFAULT_CONFIG
         # the sequential default has a threaded neighbor
         assert any(n.threads == 2 for n in space.neighbors(DEFAULT_CONFIG))
+        # and no point has a distributed SELL neighbor
+        for cfg in (TuneConfig(workers=2), TuneConfig(fmt="sell")):
+            assert all(n.fmt == "csr" or n.workers == 1
+                       for n in space.neighbors(cfg))
 
     def test_sell_neighbors_keep_sigma_aligned(self):
         space = TuneSpace(chunks=(8, 32), sigmas=(1, 128))

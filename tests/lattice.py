@@ -6,7 +6,7 @@ columns, under every :class:`~repro.util.knobs.ExecConfig` field, a
 format, a stage kernel and one run event.  :func:`check` asserts, bit
 for bit (DESIGN §19, "The lattice"):
 
-1. η equals the reference of its (precision, format, naive | fused);
+1. η equals the reference of its (precision, naive | fused);
 2. without a fault, the counters' bytes and flops equal the Table-I
    charge (``expected_counters``; a resumed half: its ``first_m=``);
 3. on mp, the message log equals the sim twin's (:meth:`Row.twin`):
@@ -193,18 +193,19 @@ def operator():
 
 
 def reference(row: Row) -> np.ndarray:
-    """η of the row's columns, per (precision, format, naive | fused):
-    the three things that move bits (DESIGN §19).  Stage 1 is the fused
-    walk at R = 1, so its rows read the stage-2 block's columns.
+    """η of the row's columns, per (precision, naive | fused): the two
+    things that move bits (DESIGN §19).  Every format sums η in CSR's
+    row order, so a SELL row reads the CSR reference; stage 1 is the
+    fused walk at R = 1, so its rows read the stage-2 block's columns.
 
     Driven by hand — bootstrap, then swap and update — rather than by
     the rank program every engine runs, so the engines are checked
     against an independent driver of the one loop body."""
     naive = row.stage == "naive"
-    key = (row.precision, row.fmt, "naive" if naive else "fused")
+    key = (row.precision, "naive" if naive else "fused")
     if key not in _STATE:
         H, scale, block = operator()
-        rec = Recurrence(_STATE.get(row.fmt, H), scale.a, scale.b,
+        rec = Recurrence(H, scale.a, scale.b,
                          1 if naive else R_MAX,
                          kernel="naive" if naive else "aug_spmmv",
                          precision=row.precision)

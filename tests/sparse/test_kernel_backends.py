@@ -186,15 +186,15 @@ class TestNativeParity:
         ("aug_spmmv", 8), ("aug_spmmv", 32)])
     def test_one_bit_pattern_per_precision(self, operator, precision,
                                            kernel, r):
-        """Three steps of each kernel on CSR and SELL (the fixture's,
-        SELL-8-1 and SELL-8-32), at an off-centre scale: the NumPy
-        backend's W and eta equal the native kernels' under every simd x
-        threads setting, in every storage profile; and stage 1 on column
-        k is column k of the stage-2 R = 3 block, bit for bit (one walk,
-        DESIGN §19)."""
+        """Three steps of each kernel at an off-centre scale: on CSR and
+        on SELL-C-sigma for six (C, sigma) pairs, the NumPy backend and
+        the native kernels under every simd x threads setting write the
+        W and eta of the NumPy CSR walk, in every storage profile — the
+        format moves no bit; and stage 1 on column k is column k of the
+        stage-2 R = 3 block, bit for bit (one walk, DESIGN §19)."""
         from repro.util.precision import get_precision
 
-        m, sell, scale = operator
+        m, _, scale = operator
         prec = get_precision(precision)
         V0, W0 = (_block(np.random.default_rng(seed), m.n_rows, max(r, 3))
                   / np.sqrt(m.n_rows) for seed in (1, 2))
@@ -215,23 +215,24 @@ class TestNativeParity:
                 V, W = W, V
             return V, np.stack(etas)
 
-        sells = (sell, SellMatrix(m, chunk_height=8, sigma=1),
-                 SellMatrix(m, chunk_height=8, sigma=32))
+        ref_w, ref_eta = run("numpy", m, kernel, r)
+        sells = [SellMatrix(m, chunk_height=c, sigma=s) for c, s in
+                 ((8, 1), (8, 16), (8, 32), (16, 64), (32, 128), (4, 20))]
         for A in (m, *sells):
-            ref_w, ref_eta = run("numpy", A, kernel, r)
-            for simd in ("on", "off"):
-                for threads in (1, 2):
-                    w, eta = run("native", A, kernel, r, simd=simd,
-                                 threads=threads)
-                    assert _equal(w, ref_w), (simd, threads)
-                    assert _equal(eta, ref_eta), (simd, threads)
-            if kernel == "aug_spmv":
-                for name in ("numpy", "native"):
-                    w3, eta3 = run(name, A, "aug_spmmv", 3)
-                    for k in range(3):
-                        w, eta = run(name, A, kernel, 1, k)
-                        assert _equal(w, w3[:, k]), (name, k)
-                        assert _equal(eta, eta3[:, [k, 3 + k]]), (name, k)
+            runs = [("numpy", {})] + [
+                ("native", dict(simd=simd, threads=threads))
+                for simd in ("on", "off") for threads in (1, 2)]
+            for name, knobs in runs:
+                w, eta = run(name, A, kernel, r, **knobs)
+                assert _equal(w, ref_w), (A, name, knobs)
+                assert _equal(eta, ref_eta), (A, name, knobs)
+        if kernel == "aug_spmv":
+            for name in ("numpy", "native"):
+                w3, eta3 = run(name, m, "aug_spmmv", 3)
+                for k in range(3):
+                    w, eta = run(name, m, kernel, 1, k)
+                    assert _equal(w, w3[:, k]), (name, k)
+                    assert _equal(eta, eta3[:, [k, 3 + k]]), (name, k)
 
     def test_counters_identical(self, operator, rng):
         """Table-I accounting is backend-independent."""
@@ -259,6 +260,24 @@ class TestNativeParity:
             )
             assert c_np.bytes_total == c_nat.bytes_total
             assert c_np.flops == c_nat.flops
+
+
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+def test_eta_bins_column_is_its_block_column(precision):
+    """The NumPy eta reduction's one-column layout (r = 1) sums as the
+    block layout (r > 1) does: on N = 1,000 rows (a partial last block)
+    the bins of column k alone are column k's of the (N, 3) bins."""
+    from repro.sparse.fused import eta_anchors, eta_bins
+    from repro.util.precision import get_precision
+
+    prec = get_precision(precision)
+    rng = np.random.default_rng(4)
+    V, W = (_storage(prec, _block(rng, 1000, 3)) for _ in range(2))
+    anchors = eta_anchors(V)
+    bins3 = eta_bins(V, W, anchors)
+    for k in range(3):
+        one = eta_bins(V[:, k], W[:, k], anchors[k:k + 1])
+        assert _equal(one, bins3[:, [k, 3 + 2 * k, 4 + 2 * k]]), k
 
 
 class TestFallback:

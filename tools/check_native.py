@@ -3,10 +3,10 @@
 
 Builds the default kernel unit if needed (``--all``: every unit this
 host can build, each loaded and its six kernels bound — an image
-pre-build, or a CI leg warming its cache before pytest), verifies
-numpy/native parity on a small topological-insulator matrix in both
-sparse formats, and times the blocked SELL kernel against the NumPy
-path.  Intended as the first
+pre-build, or a CI leg warming its cache before pytest), verifies that
+CSR and SELL-32-128 on both backends give the moments of the NumPy CSR
+run bit for bit on a small topological-insulator matrix, and times the
+blocked SELL kernel against the NumPy path.  Intended as the first
 thing to run on a new machine (or in CI with a ``slow`` pytest marker)
 before trusting ``backend='auto'`` for production runs.
 
@@ -108,20 +108,25 @@ def main(argv: list[str] | None = None) -> int:
     numpy_bk = get_backend("numpy")
     native_bk = get_backend("native")
 
-    # 2. parity on a small matrix, both formats, scalar and blocked -----
-    h, _ = build_topological_insulator(8, 8, 6)
+    # 2. parity on a small matrix: per engine one CSR NumPy reference,
+    # which both formats on both backends must equal bit for bit (at
+    # 9 x 8 x 6, sigma = 128 sorts the rows of a scope) ----------------
+    h, _ = build_topological_insulator(9, 8, 6)
     s = SellMatrix(h, chunk_height=32, sigma=128)
     scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
     block = make_block_vector(h.n_rows, 8, seed=7)
-    for name, m in (("csr", h), ("sell", s)):
-        for engine in ("naive", "aug_spmv", "aug_spmmv"):
-            ref = compute_eta(m, scale, 32, block, engine, backend=numpy_bk)
-            got = compute_eta(m, scale, 32, block, engine, backend=native_bk)
-            if not np.array_equal(ref, got):
-                return _fail(f"parity: {engine}/{name} moments differ "
-                             f"(max |d| = {np.abs(ref - got).max():.2e})")
-            print(f"parity:  {engine:>9}/{name} ok "
-                  f"(N = {h.n_rows:,}, R = 8, M = 32)")
+    for engine in ("naive", "aug_spmv", "aug_spmmv"):
+        ref = compute_eta(h, scale, 32, block, engine, backend=numpy_bk)
+        for name, m in (("csr", h), ("sell", s)):
+            for bk in (numpy_bk, native_bk):
+                got = compute_eta(m, scale, 32, block, engine, backend=bk)
+                if not np.array_equal(ref, got):
+                    return _fail(
+                        f"parity: {engine}/{name}/{bk.name} moments differ "
+                        f"from numpy/csr (max |d| = "
+                        f"{np.abs(ref - got).max():.2e})")
+        print(f"parity:  {engine:>9} ok: csr, sell-32-128 x numpy, native "
+              f"(N = {h.n_rows:,}, R = 8, M = 32)")
 
     # 3. speedup on a larger blocked SELL iteration ---------------------
     h_big, _ = build_topological_insulator(args.nx, args.nx, args.nz)
