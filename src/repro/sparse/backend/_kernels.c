@@ -41,10 +41,9 @@
  * section of that name below): plain adds per 64-row block, then an
  * exact two-bin deposit, so no schedule can change a bit of eta.
  *
- * Index types match the Python containers: CSR indptr / SELL chunk_ptr,
- * chunk_len, perm, inv_perm are int64; in-kernel column indices are
- * int32 (the paper's S_i = 4) or uint16 (compressed, S_i = 2) per the
- * table above.
+ * Index types match the Python containers: CSR indptr, SELL chunk_ptr,
+ * chunk_len, perm and inv_perm are int64; column indices are int32 (the
+ * paper's S_i = 4) or uint16 (compressed, S_i = 2) per the table above.
  */
 
 #include <math.h>
@@ -1007,12 +1006,12 @@ static inline void KN(repro_row_aug)(
 /* The eta reduction (DESIGN section 19)                               */
 /*                                                                     */
 /* Every aug kernel reduces its eta terms the same way.  A block is 64 */
-/* consecutive units of the walk — rows of a CSR walk, storage         */
-/* positions of a SELL one — and its partial p_b is the plain fp64 sum */
-/* of its rows' terms in walk order.  A deposit splits p_b exactly at  */
-/* the column's power-of-two anchor A into two fixed-point bins, of    */
-/* quanta A 2^-50 and A 2^-82, so the bins of blocks, threads, split   */
-/* phases and ranks add EXACTLY, in any order; eta is bin1 + bin2.     */
+/* consecutive rows of the original matrix, in every format, and its   */
+/* partial p_b is the plain fp64 sum of its rows' terms in row order.  */
+/* A deposit splits p_b exactly at the column's power-of-two anchor A  */
+/* into two fixed-point bins, of quanta A 2^-50 and A 2^-82, so the    */
+/* bins of blocks, threads, split phases and ranks add EXACTLY, in any */
+/* order; eta is bin1 + bin2.                                          */
 /* With a correctly scaled spectrum every |p_b| <= |nu_0|^2 <= A / 4;  */
 /* a partial above A flags the escape (first element + 1 in *flag).    */
 /* Threads take whole blocks (OpenMP, if more than one), each into its */
@@ -1188,6 +1187,119 @@ EXPORT void KN(repro_csr_spmmv)(
 #endif
 }
 
+/* The single-vector CSR walk: REPRO_IL consecutive rows at a time,
+ * their entries interleaved for instruction-level parallelism (what a
+ * SELL-C-1 chunk gets from its C lanes, on CSR's unpadded rows) and
+ * each row summed in storage order, so its bits are the blocked walk's
+ * at r = 1.  A group walks the entries all its rows have together, one
+ * vector lane per row in the _simd family, then each row's rest; a
+ * short last group of a block walks its rows alone.  The finisher runs
+ * in row order.  Four rows measured as fast as eight (DESIGN section
+ * 12).                                                                */
+#define REPRO_IL 4
+
+static inline void KN(repro_csr_rows1)(
+    int64_t i0,
+    int64_t i1,
+    const int64_t *restrict indptr,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict v,
+    REPRO_XT *restrict w,
+    REPRO_AT ta,
+    REPRO_AT tab,
+    double *restrict part)
+{
+    for (int64_t i = i0; i < i1; i += REPRO_IL) {
+        const int n = i1 - i < REPRO_IL ? (int)(i1 - i) : REPRO_IL;
+        int64_t p[REPRO_IL] = {0}, c = n < REPRO_IL ? 0 : INT64_MAX;
+        for (int u = 0; u < n; ++u) {
+            p[u] = indptr[i + u];
+            if (indptr[i + u + 1] - p[u] < c)
+                c = indptr[i + u + 1] - p[u];
+        }
+        REPRO_AT s[2 * REPRO_IL] = {0};
+#if REPRO_SIMD
+        REPRO_YMM acc[REPRO_IL / REPRO_YCOLS];
+        REPRO_UNROLL
+        for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
+            acc[u] = REPRO_Y_ZERO();
+        REPRO_NOUNROLL
+        for (int64_t q = 0; q < c; ++q) {
+            REPRO_UNROLL
+            for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
+                acc[u] = KN(repro_rows_cmadd)(acc[u], p + REPRO_YCOLS * u,
+                                              indices, data, v);
+            REPRO_UNROLL
+            for (int u = 0; u < REPRO_IL; ++u)
+                ++p[u];
+        }
+        REPRO_UNROLL
+        for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
+            REPRO_Y_STOREA(s + 2 * REPRO_YCOLS * u, acc[u]);
+#else
+        REPRO_NOUNROLL
+        for (int64_t q = 0; q < c; ++q) {
+            REPRO_UNROLL
+            for (int u = 0; u < REPRO_IL; ++u)
+                KN(repro_entry1)(s + 2 * u, p[u]++, indices, data, v);
+        }
+#endif
+        for (int u = 0; u < n; ++u) {
+            REPRO_NOUNROLL
+            for (; p[u] < indptr[i + u + 1]; ++p[u])
+                KN(repro_entry1)(s + 2 * u, p[u], indices, data, v);
+            KN(repro_loopb)(v + 2 * (i + u), w + 2 * (i + u), s + 2 * u, 1,
+                            ta, tab, part, part + 1);
+        }
+    }
+}
+
+/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>,
+ * over the rows [row0, row1) of the ORIGINAL matrix, indexed in place:
+ * [0, n_rows) is a whole step, a task-mode phase one or two ranges of
+ * whole 64-row blocks whose bins the caller adds (exactly).  V, W are
+ * (N, R) row-major; at r = 1, one vector each, walked by row groups
+ * (stage 1 is this call at r = 1).  A block is 64 rows from row0 — the
+ * global 64-row blocks, since every range a caller walks starts on one. */
+EXPORT void KN(repro_csr_aug_spmmv)(
+    int64_t row0,
+    int64_t row1,
+    int64_t r,
+    const int64_t *restrict indptr,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    REPRO_ETA_ARGS)
+{
+    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
+    const int64_t nb = row1 > row0 ? (row1 - row0 + 63) / REPRO_ETA_BLOCK : 0;
+    repro_eta_t e;
+    if (!repro_eta_open(&e, r, n_threads,
+                        (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
+        return;
+    const int nt = e.nt;
+    REPRO_OMP_FOR
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict s = repro_eta_slot(&e);
+        double *restrict part = s + e.off;
+        const int64_t i0 = row0 + bi * REPRO_ETA_BLOCK;
+        const int64_t i1 =
+            i0 + REPRO_ETA_BLOCK < row1 ? i0 + REPRO_ETA_BLOCK : row1;
+        if (r == 1)
+            KN(repro_csr_rows1)(i0, i1, indptr, indices, data, V, W, ta, tab,
+                                part);
+        else
+            for (int64_t i = i0; i < i1; ++i)
+                KN(repro_row_aug)(indices, data, indptr[i],
+                                  indptr[i + 1] - indptr[i], 1, V, W, r, i,
+                                  ta, tab, part, (REPRO_AT *)s);
+        repro_deposit(&e, part);
+    }
+    repro_eta_close(&e, bins, flag);
+}
+
 /* ------------------------------------------------------------------ */
 /* SELL-C-sigma                                                        */
 /*                                                                     */
@@ -1197,7 +1309,7 @@ EXPORT void KN(repro_csr_spmmv)(
 /* positions whose perm value is >= n_rows are padding rows.  Padded   */
 /* slots hold value 0 with a valid self-referencing column, so they    */
 /* are numerically inert but are streamed like real entries.  The aug */
-/* walk (below) is CSR's: 64-row eta blocks, each in row order.        */
+/* step sums CSR's eta blocks: 64 original rows each, in row order.    */
 /* ------------------------------------------------------------------ */
 
 EXPORT void KN(repro_sell_spmv)(
@@ -1298,206 +1410,16 @@ EXPORT void KN(repro_sell_spmmv)(
 #endif
 }
 
-/* ------------------------------------------------------------------ */
-/* The aug walk of both formats                                        */
-/*                                                                     */
-/* One walk, one eta reduction: rows [row0, row1) of the ORIGINAL      */
-/* matrix in 64-row eta blocks, each block's rows finished in row      */
-/* order and deposited once, so a SELL operator's W and eta are its    */
-/* CSR image's bit for bit, for any C and sigma.  A row's entries are  */
-/* found by its format: CSR row i is indptr[i] .. indptr[i + 1] at     */
-/* stride 1; SELL row i is lane pos % C of chunk pos / C, pos =        */
-/* inv_perm[i] (i at sigma = 1), at stride C down the chunk (padding   */
-/* slots included).                                                    */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    const int64_t *indptr;    /* CSR; NULL for SELL                   */
-    int64_t c, n_chunks;      /* SELL: chunk height and count         */
-    int64_t group;            /* SELL r = 1: rows per chunk group     */
-    const int64_t *chunk_ptr, *chunk_len;
-    const int64_t *inv_perm;  /* SELL: row -> position, NULL: identity */
-    const REPRO_IT *indices;
-    const REPRO_VT *data;
-} repro_mat_t;
-
-/* The single-vector CSR walk: REPRO_IL consecutive rows at a time,
- * their entries interleaved for instruction-level parallelism (what a
- * SELL-C-1 chunk gets from its C lanes, on CSR's unpadded rows) and
- * each row summed in storage order, so its bits are the blocked walk's
- * at r = 1.  A group walks the entries all its rows have together, one
- * vector lane per row in the _simd family, then each row's rest; a
- * short last group of a block walks its rows alone.  The finisher runs
- * in row order.  Four rows measured as fast as eight (DESIGN section
- * 12).                                                                */
-#define REPRO_IL 4
-
-static inline void KN(repro_csr_rows1)(
-    const repro_mat_t *m,
-    int64_t i0,
-    int64_t i1,
-    const REPRO_XT *restrict v,
-    REPRO_XT *restrict w,
-    REPRO_AT ta,
-    REPRO_AT tab,
-    double *restrict part)
-{
-    const int64_t *restrict indptr = m->indptr;
-    const REPRO_IT *restrict indices = m->indices;
-    const REPRO_VT *restrict data = m->data;
-    for (int64_t i = i0; i < i1; i += REPRO_IL) {
-        const int n = i1 - i < REPRO_IL ? (int)(i1 - i) : REPRO_IL;
-        int64_t p[REPRO_IL] = {0}, c = n < REPRO_IL ? 0 : INT64_MAX;
-        for (int u = 0; u < n; ++u) {
-            p[u] = indptr[i + u];
-            if (indptr[i + u + 1] - p[u] < c)
-                c = indptr[i + u + 1] - p[u];
-        }
-        REPRO_AT s[2 * REPRO_IL] = {0};
-#if REPRO_SIMD
-        REPRO_YMM acc[REPRO_IL / REPRO_YCOLS];
-        REPRO_UNROLL
-        for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
-            acc[u] = REPRO_Y_ZERO();
-        REPRO_NOUNROLL
-        for (int64_t q = 0; q < c; ++q) {
-            REPRO_UNROLL
-            for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
-                acc[u] = KN(repro_rows_cmadd)(acc[u], p + REPRO_YCOLS * u,
-                                              indices, data, v);
-            REPRO_UNROLL
-            for (int u = 0; u < REPRO_IL; ++u)
-                ++p[u];
-        }
-        REPRO_UNROLL
-        for (int u = 0; u < REPRO_IL / REPRO_YCOLS; ++u)
-            REPRO_Y_STOREA(s + 2 * REPRO_YCOLS * u, acc[u]);
-#else
-        REPRO_NOUNROLL
-        for (int64_t q = 0; q < c; ++q) {
-            REPRO_UNROLL
-            for (int u = 0; u < REPRO_IL; ++u)
-                KN(repro_entry1)(s + 2 * u, p[u]++, indices, data, v);
-        }
-#endif
-        for (int u = 0; u < n; ++u) {
-            REPRO_NOUNROLL
-            for (; p[u] < indptr[i + u + 1]; ++p[u])
-                KN(repro_entry1)(s + 2 * u, p[u], indices, data, v);
-            KN(repro_loopb)(v + 2 * (i + u), w + 2 * (i + u), s + 2 * u, 1,
-                            ta, tab, part, part + 1);
-        }
-    }
-}
-
-/* The single-vector SELL walk's lanes: the chunks of the positions
- * [g0, g0 + group) accumulate lane by lane (the lane-vectorized
- * product) into acc, indexed by position.  A group is lcm(C, sigma, 64)
- * positions, whole chunks and whole sigma scopes, so its positions hold
- * exactly the rows [g0, g0 + group): the walk finishes them in row
- * order from acc[pos - g0], and padding positions are never finished. */
-static void KN(repro_sell_lanes)(
-    const repro_mat_t *m,
-    int64_t g0,
-    const REPRO_XT *restrict v,
-    REPRO_AT *restrict acc)
-{
-    const int64_t c = m->c, c0 = g0 / c;
-    const int64_t c1 = c0 + m->group / c < m->n_chunks ? c0 + m->group / c
-                                                       : m->n_chunks;
-    memset(acc, 0, (size_t)(2 * (c1 - c0) * c) * sizeof(REPRO_AT));
-    for (int64_t ci = c0; ci < c1; ++ci) {
-        const int64_t base = m->chunk_ptr[ci], len = m->chunk_len[ci];
-        for (int64_t j = 0; j < len; ++j)
-            KN(repro_lanecmadd)(acc + 2 * (ci * c - g0), m->data, m->indices,
-                                base + j * c, c, v);
-    }
-}
-
-/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>,
- * over rows [row0, row1).  Threads take g rows at a time: one eta
- * block, or a SELL chunk group at r = 1.  A block's rows are CSR's row
- * groups or SELL's finished lanes at r = 1, one row body each at r > 1.
- * A block is 64 rows from row0 — the global 64-row blocks, since every
- * range a caller walks starts on one.                                 */
-static void KN(repro_aug_walk)(
-    const repro_mat_t *m,
-    int64_t row0,
-    int64_t row1,
-    int64_t r,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
-{
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    const int64_t *restrict indptr = m->indptr, *restrict pos = m->inv_perm;
-    const int64_t c = m->c;
-    const int lanes = !indptr && r == 1;
-    const int64_t g = lanes ? m->group : REPRO_ETA_BLOCK;
-    const int64_t ng = row1 > row0 ? (row1 - row0 + g - 1) / g : 0;
-    repro_eta_t e;
-    if (!repro_eta_open(&e, r, n_threads,
-                        (size_t)(2 * (lanes ? g : r)) * sizeof(REPRO_AT),
-                        anchors))
-        return;
-    const int nt = e.nt;
-    REPRO_OMP_FOR
-    for (int64_t gi = 0; gi < ng; ++gi) {
-        double *restrict s = repro_eta_slot(&e);
-        double *restrict part = s + e.off;
-        REPRO_AT *restrict acc = (REPRO_AT *)s;
-        const int64_t g0 = row0 + gi * g, g1 = g0 + g < row1 ? g0 + g : row1;
-        if (lanes)
-            KN(repro_sell_lanes)(m, g0, V, acc);
-        for (int64_t i0 = g0; i0 < g1; i0 += REPRO_ETA_BLOCK) {
-            const int64_t i1 =
-                i0 + REPRO_ETA_BLOCK < g1 ? i0 + REPRO_ETA_BLOCK : g1;
-            if (r == 1 && indptr)
-                KN(repro_csr_rows1)(m, i0, i1, V, W, ta, tab, part);
-            else if (lanes)
-                for (int64_t i = i0; i < i1; ++i)
-                    KN(repro_loopb)(V + 2 * i, W + 2 * i,
-                                    acc + 2 * ((pos ? pos[i] : i) - g0), 1,
-                                    ta, tab, part, part + 1);
-            else
-                for (int64_t i = i0; i < i1; ++i) {
-                    const int64_t p = pos ? pos[i] : i;
-                    const int64_t ci = indptr ? 0 : p / c;
-                    KN(repro_row_aug)(
-                        m->indices, m->data,
-                        indptr ? indptr[i] : m->chunk_ptr[ci] + p - ci * c,
-                        indptr ? indptr[i + 1] - indptr[i] : m->chunk_len[ci],
-                        indptr ? 1 : c, V, W, r, i, ta, tab, part, acc);
-                }
-            repro_deposit(&e, part);
-        }
-    }
-    repro_eta_close(&e, bins, flag);
-}
-
-/* The CSR entry: rows [row0, row1) indexed in place — [0, n_rows) is a
- * whole step, a task-mode phase one or two ranges of whole 64-row
- * blocks whose bins the caller adds (exactly).  V, W are (N, R)
- * row-major; stage 1 is this call at r = 1.                           */
-EXPORT void KN(repro_csr_aug_spmmv)(
-    int64_t row0,
-    int64_t row1,
-    int64_t r,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
-{
-    const repro_mat_t m = {.indptr = indptr, .indices = indices,
-                           .data = data};
-    KN(repro_aug_walk)(&m, row0, row1, r, V, W, n_threads, a, b, anchors,
-                       bins, flag);
-}
-
-/* The SELL entry: the whole matrix, rows located through inv_perm;
- * sigma sizes the r = 1 chunk group, lcm(C, sigma, 64) rows.          */
+/* The aug step in CSR's eta blocks, so a SELL operator's W and eta are
+ * its CSR image's bit for bit, for any C and sigma: 64 rows of the
+ * ORIGINAL matrix each, finished in row order and deposited once.  Row
+ * i is lane pos % C of chunk pos / C, pos = inv_perm[i] (i at sigma =
+ * 1), walked at stride C.  At r > 1 threads take blocks, one row body
+ * per row.  At r = 1 (stage 1) they take groups of lcm(C, sigma, 64)
+ * positions — whole chunks and sigma scopes, so exactly the rows
+ * [g0, g0 + g) — whose chunks accumulate lane by lane (the lane-
+ * vectorized product) into acc, and the rows finish from acc[pos - g0];
+ * padding positions are never finished.                               */
 EXPORT void KN(repro_sell_aug_spmmv)(
     int64_t n_rows,
     int64_t sigma,
@@ -1512,14 +1434,53 @@ EXPORT void KN(repro_sell_aug_spmmv)(
     REPRO_XT *restrict W,
     REPRO_ETA_ARGS)
 {
-    int64_t group = REPRO_ETA_BLOCK; /* lcm(c, sigma, 64) */
-    while (group % c || group % sigma)
-        group += REPRO_ETA_BLOCK;
-    const repro_mat_t m = {
-        .c = c, .n_chunks = (n_rows + c - 1) / c, .group = group,
-        .chunk_ptr = chunk_ptr, .chunk_len = chunk_len,
-        .inv_perm = sigma > 1 ? inv_perm : NULL, /* sigma = 1: identity */
-        .indices = indices, .data = data};
-    KN(repro_aug_walk)(&m, 0, n_rows, r, V, W, n_threads, a, b, anchors,
-                       bins, flag);
+    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
+    const int64_t *restrict pos = sigma > 1 ? inv_perm : NULL;
+    int64_t g = REPRO_ETA_BLOCK;
+    while (r == 1 && (g % c || g % sigma))
+        g += REPRO_ETA_BLOCK;
+    const int64_t n_chunks = (n_rows + c - 1) / c, ng = (n_rows + g - 1) / g;
+    repro_eta_t e;
+    if (!repro_eta_open(&e, r, n_threads,
+                        (size_t)(2 * (r == 1 ? g : r)) * sizeof(REPRO_AT),
+                        anchors))
+        return;
+    const int nt = e.nt;
+    REPRO_OMP_FOR
+    for (int64_t gi = 0; gi < ng; ++gi) {
+        double *restrict s = repro_eta_slot(&e);
+        double *restrict part = s + e.off;
+        REPRO_AT *restrict acc = (REPRO_AT *)s;
+        const int64_t g0 = gi * g, g1 = g0 + g < n_rows ? g0 + g : n_rows;
+        if (r == 1) {
+            const int64_t c1 = (g0 + g) / c < n_chunks ? (g0 + g) / c
+                                                       : n_chunks;
+            memset(acc, 0, (size_t)(2 * g) * sizeof(REPRO_AT));
+            for (int64_t ci = g0 / c; ci < c1; ++ci) {
+                const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
+                for (int64_t j = 0; j < len; ++j)
+                    KN(repro_lanecmadd)(acc + 2 * (ci * c - g0), data,
+                                        indices, base + j * c, c, V);
+            }
+        }
+        for (int64_t i0 = g0; i0 < g1; i0 += REPRO_ETA_BLOCK) {
+            const int64_t i1 =
+                i0 + REPRO_ETA_BLOCK < g1 ? i0 + REPRO_ETA_BLOCK : g1;
+            if (r == 1)
+                for (int64_t i = i0; i < i1; ++i)
+                    KN(repro_loopb)(V + 2 * i, W + 2 * i,
+                                    acc + 2 * ((pos ? pos[i] : i) - g0), 1,
+                                    ta, tab, part, part + 1);
+            else
+                for (int64_t i = i0; i < i1; ++i) {
+                    const int64_t p = pos ? pos[i] : i, ci = p / c;
+                    KN(repro_row_aug)(indices, data,
+                                      chunk_ptr[ci] + p - ci * c,
+                                      chunk_len[ci], c, V, W, r, i, ta, tab,
+                                      part, acc);
+                }
+            repro_deposit(&e, part);
+        }
+    }
+    repro_eta_close(&e, bins, flag);
 }

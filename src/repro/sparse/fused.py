@@ -235,8 +235,10 @@ def eta_bins(V: np.ndarray, W: np.ndarray, anchors: np.ndarray | None = None,
             for kind in range(3):
                 np.copyto(cols, blocks[kind, ..., 0].T)
                 np.add.reduce(cols, axis=0, out=p[kind, :nb, 0])
-        else:  # one block: summed by the sequential accumulate
-            p[:, 0, 0] = np.add.accumulate(blocks[:, 0, :, 0], axis=1)[:, -1]
+        else:  # one block: each kind by the sequential accumulate
+            for kind in range(3):
+                p[kind, 0, 0] = np.add.accumulate(
+                    blocks[kind, 0, :, 0], out=tmp[:ETA_BLOCK, 0])[-1]
         _deposit(p[:, :nb], h[:, :nb], anchors, bins, escape)
     return bins
 

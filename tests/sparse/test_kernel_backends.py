@@ -187,11 +187,13 @@ class TestNativeParity:
     def test_one_bit_pattern_per_precision(self, operator, precision,
                                            kernel, r):
         """Three steps of each kernel at an off-centre scale: on CSR and
-        on SELL-C-sigma for six (C, sigma) pairs, the NumPy backend and
-        the native kernels under every simd x threads setting write the
-        W and eta of the NumPy CSR walk, in every storage profile — the
-        format moves no bit; and stage 1 on column k is column k of the
-        stage-2 R = 3 block, bit for bit (one walk, DESIGN §19)."""
+        on SELL-C-sigma for seven (C, sigma) pairs (sigma = 8,192: a
+        global sort, one r = 1 chunk group wider than the matrix), the
+        NumPy backend and the native kernels under every simd x threads
+        setting write the W and eta of the NumPy CSR walk, in every
+        storage profile — the format moves no bit; and stage 1 on column
+        k is column k of the stage-2 R = 3 block, bit for bit (one walk,
+        DESIGN §19)."""
         from repro.util.precision import get_precision
 
         m, _, scale = operator
@@ -217,7 +219,8 @@ class TestNativeParity:
 
         ref_w, ref_eta = run("numpy", m, kernel, r)
         sells = [SellMatrix(m, chunk_height=c, sigma=s) for c, s in
-                 ((8, 1), (8, 16), (8, 32), (16, 64), (32, 128), (4, 20))]
+                 ((8, 1), (8, 16), (8, 32), (16, 64), (32, 128), (4, 20),
+                  (8, 8192))]
         for A in (m, *sells):
             runs = [("numpy", {})] + [
                 ("native", dict(simd=simd, threads=threads))
@@ -262,17 +265,19 @@ class TestNativeParity:
             assert c_np.flops == c_nat.flops
 
 
+@pytest.mark.parametrize("n", [40, 1000, 16400])
 @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
-def test_eta_bins_column_is_its_block_column(precision):
+def test_eta_bins_column_is_its_block_column(precision, n):
     """The NumPy eta reduction's one-column layout (r = 1) sums as the
-    block layout (r > 1) does: on N = 1,000 rows (a partial last block)
-    the bins of column k alone are column k's of the (N, 3) bins."""
+    block layout (r > 1) does: the bins of column k alone are column k's
+    of the (N, 3) bins — on a partial last block (N = 1,000), on a pass
+    of one block (N = 40) and on a last pass of one block (N = 16,400)."""
     from repro.sparse.fused import eta_anchors, eta_bins
     from repro.util.precision import get_precision
 
     prec = get_precision(precision)
     rng = np.random.default_rng(4)
-    V, W = (_storage(prec, _block(rng, 1000, 3)) for _ in range(2))
+    V, W = (_storage(prec, _block(rng, n, 3)) for _ in range(2))
     anchors = eta_anchors(V)
     bins3 = eta_bins(V, W, anchors)
     for k in range(3):
