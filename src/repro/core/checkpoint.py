@@ -43,7 +43,8 @@ from repro.core.recurrence import (RankState, Recurrence, Schedule,
 from repro.core.scaling import SpectralScale
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, one_sink
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import eta_anchors, fold
+from repro.sparse.backend import get_backend
+from repro.sparse.fused import fold
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.errors import CheckpointError, FormatError
@@ -441,6 +442,8 @@ class Run:
     start_block: np.ndarray | None
     run_id: str
     kernel: str
+    _eta: np.ndarray | None = field(default=None, init=False, repr=False)
+    _folded: int = field(default=0, init=False, repr=False)
 
     @classmethod
     def of(cls, cfg: ExecConfig, ctx: RunContext, scale: SpectralScale,
@@ -464,7 +467,8 @@ class Run:
                     f"is {prec.name!r}; pass precision='fp16v'"
                 )
             r, first_m = start_block.shape[1], 1
-            anchors = eta_anchors(start_block)
+            anchors = get_backend(cfg.backend).eta_anchors(
+                start_block, cfg.kernel_threads(work=start_block.size))
         return cls(
             cfg=cfg.for_ranks(n_ranks), ctx=ctx, prec=prec, a=scale.a,
             b=scale.b, n_moments=n_moments, r=r, first_m=first_m,
@@ -483,18 +487,22 @@ class Run:
                         final_bytes=24 * self.r * self.n_moments,
                         anchors=self.anchors, ctx=self.ctx.for_workers())
 
-    def splice(self, bins: np.ndarray, stop: int, width: int) -> np.ndarray:
-        """The reduced eta ``[0, stop)`` of ``bins`` (ranks, M/2, 2, 3R) in
-        a zeroed (R, width) array, so a checkpoint file is a function of
-        the state: a resumed prefix ``[0, 2·next_m)`` copied verbatim,
-        the rest the fold of the (exact) sum over ranks."""
-        out = np.zeros((self.r, width), dtype=DTYPE)
-        col0 = 0
-        if self.ck is not None:
-            col0 = 2 * self.ck.next_m
-            out[:, :col0] = self.ck.eta[:, :col0]
-        ee, eo = fold(bins[:, col0 // 2:stop // 2].sum(axis=0))
-        out[:, col0:stop:2], out[:, col0 + 1:stop:2] = ee.T, eo.T
+    def splice(self, bins: np.ndarray, stop: int) -> np.ndarray:
+        """The run's (R, M) eta, reduced over ``[0, stop)`` of ``bins``
+        (ranks, M/2, 2, 3R) and zero past it: a resumed prefix copied in
+        once, then the fold of the (exact) rank sum of the moment pairs
+        since the last splice, so a capture costs O(cadence), not O(m).
+        A caller that keeps the buffer copies it."""
+        if self._eta is None:
+            self._eta = np.zeros((self.r, self.n_moments), dtype=DTYPE)
+            if self.ck is not None:
+                self._folded = 2 * self.ck.next_m
+                self._eta[:, :self._folded] = self.ck.eta[:, :self._folded]
+        lo, out = self._folded, self._eta
+        if stop > lo:
+            ee, eo = fold(bins[:, lo // 2:stop // 2].sum(axis=0))
+            out[:, lo:stop:2], out[:, lo + 1:stop:2] = ee.T, eo.T
+            self._folded = stop
         return out
 
     def state(self, v: np.ndarray, w: np.ndarray, eta: np.ndarray,
@@ -515,11 +523,11 @@ class Run:
         checkpoint (0: none), save the global ``(v, w) = vw()`` and keep
         it as ``world.last_checkpoint``."""
         ctx, n_eta = self.ctx, 2 * (m + 1)
-        eta = self.splice(bins, n_eta, self.n_moments if k else n_eta)
+        eta = self.splice(bins, n_eta)
         if ctx.progress_due(m, self.first_m):
             ctx.stream(n_eta, eta)
         if k:
-            ck = self.state(*vw(), eta, m + 1)
+            ck = self.state(*vw(), eta.copy(), m + 1)
             if world is not None:  # the one it replaces is freed first
                 world.last_checkpoint = ck
             ctx.save(ck)
@@ -566,7 +574,7 @@ class Run:
             for s in states]
         for _ in itertools.zip_longest(*programs):
             pass
-        return self.splice(bins, self.n_moments, self.n_moments)
+        return self.splice(bins, self.n_moments)
 
 
 class _InProcess:
@@ -606,8 +614,8 @@ def run_ranks(cfg: ExecConfig, ctx: RunContext, A, scale: SpectralScale,
     run = Run.of(cfg, ctx, scale, n_moments, start_block, A.n_rows,
                  kernel=kernel)
     runs = [run] if kernel == "aug_spmmv" else [
-        replace(run, r=1, start_block=col, anchors=eta_anchors(col))
-        for col in (run.start_block[:, i] for i in range(run.r))]
+        replace(run, r=1, start_block=run.start_block[:, i],
+                anchors=run.anchors[i:i + 1]) for i in range(run.r)]
     rec, rows = runs[0].recurrence(A), slice(0, A.n_rows)
     etas = [one.lockstep([one.rank(0, rec, rows, np.zeros(
         (1, n_moments // 2, 2, 3 * one.r)))]) for one in runs]

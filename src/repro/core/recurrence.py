@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sparse.backend import get_backend
-from repro.sparse.fused import _recombine, eta_anchors, eta_bins
+from repro.sparse.fused import _recombine
 from repro.util.errors import SpectralScaleError
 from repro.util.knobs import ExecConfig
 from repro.util.precision import Precision, get_precision
@@ -180,9 +180,9 @@ class Recurrence:
         ``bufs`` — its two full-height ``[local | halo]`` kernel inputs,
         ``nu_j`` in ``bufs[j % 2]`` (``v = None``: the engine seeded
         them).  ``anchors`` are the run's eta anchors, put on the kernel
-        plan; the default, :func:`~repro.sparse.fused.eta_anchors` of
-        ``v``, is right only for a whole ``nu_0`` (a rank slice or a
-        resumed pair needs the run's).
+        plan; the default, the backend's :func:`~repro.sparse.fused.
+        eta_anchors` of ``v``, is right only for a whole ``nu_0`` (a rank
+        slice or a resumed pair needs the run's).
         """
         prec, n = self.prec, self.A.n_rows
         if bufs is None:
@@ -196,8 +196,9 @@ class Recurrence:
             for src, dst in ((v, self.v), (w, self.w)):
                 if src is not None:
                     to_storage(src, prec, out=dst)
-        self._plan.anchors = eta_anchors(v) if anchors is None else \
-            np.ascontiguousarray(anchors, dtype=np.float64)
+        self._plan.anchors = \
+            self._bk.eta_anchors(v, self._plan.threads) if anchors is None \
+            else np.ascontiguousarray(anchors, dtype=np.float64)
         self._plan.escape[0] = 0
         self.m = m
 
@@ -235,30 +236,13 @@ class Recurrence:
         """``w <- nu_1 = a (H - b) nu_0``; returns the bins of
         ``(eta_0, eta_1)`` (valid until the next call).
 
-        Half storage recombines once in fp32 through the plan's decode
-        scratch and rounds back; the dots read the pre-rounding values,
+        One backend call (DESIGN §13).  Half storage recombines once in
+        fp32 and rounds back; the dots read the pre-rounding values,
         exactly as the per-step kernels accumulate theirs in registers.
         """
-        a, b, prec = self.a, self.b, self.prec
-        w = self._apply(self.A, self.x, out=self.w, plan=self._plan,
-                        metrics=self.sink)
-        if prec.half_vectors:
-            vc, wc = self._vc[: self.A.n_rows], self._wc
-            prec.decode(self.v, out=vc)
-            prec.decode(w, out=wc)
-        else:
-            vc, wc = self.v, w
-        np.multiply(vc, b, out=self._work)
-        wc -= self._work
-        wc *= a
-        if prec.half_vectors:
-            prec.encode(wc, out=w)
-        self.w = w
-        if not dots:
-            return None
-        plan = self._plan
-        return self._checked(eta_bins(vc, wc, plan.anchors, plan.escape,
-                                      out=self._bins))
+        self.w, bins = self._bk._boot(self.A, self.x, self.w, self.a,
+                                      self.b, self._plan, self.sink)
+        return self._checked(bins) if dots else None
 
     def interior(self) -> None:
         """Split mode, phase 1: update the halo-free rows.

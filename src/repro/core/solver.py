@@ -273,7 +273,8 @@ class KPMSolver:
 
     def _start_block(self) -> np.ndarray:
         return make_block_vector(
-            self.dimension, self.n_vectors, self.vector_kind, self.seed
+            self.dimension, self.n_vectors, self.vector_kind, self.seed,
+            config=self.config,
         )
 
     # ------------------------------------------------------------------

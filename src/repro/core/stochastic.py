@@ -13,6 +13,7 @@ import numpy as np
 from repro.core.recurrence import Recurrence
 from repro.core.scaling import SpectralScale
 from repro.obs.metrics import NULL_METRICS
+from repro.sparse.backend import get_backend
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
@@ -39,12 +40,15 @@ def make_block_vector(
     r: int,
     kind: str = "phase",
     seed: int | None | np.random.Generator = None,
+    *,
+    config: ExecConfig | None = None,
 ) -> np.ndarray:
     """Draw an (n, R) C-contiguous block of random start vectors.
 
     ``kind`` selects the ensemble: ``'phase'`` (random complex phases —
     the KPM standard, E[v v^H] = Identity with minimal variance),
-    ``'rademacher'`` (+/-1), or ``'gaussian'``.
+    ``'rademacher'`` (+/-1), or ``'gaussian'``.  A phase block's
+    ``exp(i phi)`` runs on ``config``'s backend and team, the same bits.
     """
     check_positive("n", n)
     check_positive("r", r)
@@ -54,7 +58,11 @@ def make_block_vector(
         raise ValueError(
             f"unknown ensemble {kind!r}; choose from {sorted(_ENSEMBLES)}"
         ) from None
-    return draw(make_rng(seed), n, r)
+    if kind != "phase":
+        return draw(make_rng(seed), n, r)
+    cfg = ExecConfig.of(config)
+    bk, team = get_backend(cfg.backend), cfg.kernel_threads(work=n * r)
+    return draw(make_rng(seed), n, r, fill=lambda p, out: bk.cis(p, out, team))
 
 
 def unit_block_vector(n: int, sites: np.ndarray) -> np.ndarray:

@@ -924,7 +924,7 @@ def run_mp(run: RunSetup, world: MpWorld) -> np.ndarray:
             )
 
         # the single deferred reduction (a resumed prefix spliced in)
-        eta = run.splice(bins, n_moments, n_moments)
+        eta = run.splice(bins, n_moments)
         run.record(world, [MessageLog(replies[p][1])
                            for p in range(world.n_ranks)])
     except BaseException:

@@ -46,6 +46,7 @@ from repro.obs.metrics import NULL_METRICS, one_sink
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.fused import (
     ETA_BLOCK,
+    _cols,
     aug_cost,
     eta_anchors,
     eta_bins,
@@ -56,6 +57,7 @@ from repro.sparse.sell import SellMatrix
 from repro.util.errors import BackendError, ShapeError
 from repro.util.knobs import BACKEND_CHOICES, SIMD_CHOICES, resolve_simd
 from repro.util.precision import FP16V, get_precision, precision_of
+from repro.util.rng import _cis
 from repro.util.validation import check_block_vector, check_vector
 
 
@@ -381,6 +383,37 @@ class KernelBackend(ABC):
         ``sink``: its bins (2, 3R), not their fold — the plan's, or
         fresh ones without a fitting plan."""
 
+    # -- set-up (DESIGN §13): the NumPy twins of what the native backend
+    # runs on its kernel team, with the same bits
+
+    def cis(self, phases, out, threads=None) -> None:
+        """``out <- exp(i phases.T)``: one chunk of a random-phase start
+        block (:func:`~repro.util.rng.random_phase_vector`'s ``fill``)."""
+        _cis(phases, out)
+
+    def eta_anchors(self, block, threads=None) -> np.ndarray:
+        """:func:`~repro.sparse.fused.eta_anchors` of a start block."""
+        return eta_anchors(block)
+
+    def _boot(self, A, V, W, a, b, plan, sink):
+        """``(W, bins)``: a fresh run's ``W <- nu_1 = a (H - b) V`` (``W``
+        None: a new array) and the plan's bins of ``(<V|V>, <W|V>)``, in
+        the Sp(M)MV's span and charge.  ``a (u - b v)`` is NumPy's complex
+        times real scalar; half storage runs it on fp32 decodes."""
+        block = V.ndim == (3 if V.dtype == np.float16 else 2)
+        W = self._product("spmmv" if block else "spmv", A, V, W, plan, sink)
+        n = A.n_rows
+        vc, wc = _cols(V[:n]), _cols(W)
+        if W.dtype == np.float16:
+            vc = FP16V.decode(vc, out=plan.vc[:n])
+            wc = FP16V.decode(wc, out=plan.wc)
+        wc -= np.multiply(vc, b, out=plan.work_block)
+        wc *= a
+        if W.dtype == np.float16:
+            FP16V.encode(wc, out=_cols(W))
+        return W, eta_bins(vc, wc, plan.anchors, plan.escape, out=plan.bins,
+                           work=self._eta_work(plan, n, plan.r))
+
     # -- task mode ------------------------------------------------------
     # The two phases of a split plan: the *interior* range, runnable
     # while the halo exchange is in flight, then the *boundary* ranges
@@ -519,8 +552,11 @@ def get_backend(name: str | KernelBackend | None = "auto") -> KernelBackend:
     this host and silently falls back to ``numpy`` otherwise.  Asking for
     ``'native'`` explicitly raises :class:`~repro.util.errors.BackendError`
     when it is unavailable, with the compiler diagnostic attached.
-    Passing an existing :class:`KernelBackend` returns it unchanged.
+    Passing an existing :class:`KernelBackend` returns it unchanged; a
+    per-rank list resolves rank 0's (a run's one-process set-up).
     """
+    if isinstance(name, (list, tuple)):
+        name = name[0]
     if isinstance(name, KernelBackend):
         return name
     name = (name or "auto").lower()

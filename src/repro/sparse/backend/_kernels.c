@@ -19,9 +19,10 @@
  * contiguous, the locality argument of paper Section IV-A.
  *
  * ONE TEMPLATE, ONE UNIT PER BUILD (the precision profiles of
- * repro.util.precision): the six kernels below are written ONCE
- * against the REPRO_VT / XT / AT / IT types, and each build of this
- * file holds exactly one (profile, scalar | simd) unit, picked with
+ * repro.util.precision): the six kernels below and the four set-up
+ * entries at its end are written ONCE against the REPRO_VT / XT / AT /
+ * IT types, and each build of this file holds exactly one (profile,
+ * scalar | simd) unit, picked with
  * `-DREPRO_UNIT_PROFILE=<name> -DREPRO_UNIT_SIMD=<0|1>`.  The loader
  * (native.py) builds a unit the first time a kernel of it is asked for,
  * so a run compiles what it calls and nothing else:
@@ -50,6 +51,10 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#if defined(__GLIBC__)
+/* glibc's, declared here: _GNU_SOURCE would parse 5 MB more headers  */
+void sincos(double x, double *sin_x, double *cos_x);
+#endif
 #ifdef _OPENMP
 #include <omp.h>
 #endif
@@ -308,7 +313,7 @@ static inline uint16_t repro_float_to_half(float f)
  * unit this file is, and the ABI (bump with _ABI in native.py whenever
  * a signature changes).  A truncated, foreign or renamed library fails
  * here and is rebuilt instead of being called.                        */
-#define REPRO_ABI 6
+#define REPRO_ABI 7
 EXPORT int32_t repro_unit(void)
 {
     return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
@@ -1483,4 +1488,220 @@ EXPORT void KN(repro_sell_aug_spmmv)(
         }
     }
     repro_eta_close(&e, bins, flag);
+}
+
+/* ------------------------------------------------------------------ */
+/* Set-up: the start block, its eta anchors and the bootstrap          */
+/*                                                                     */
+/* What a fresh solve runs once before its first aug step, on the     */
+/* kernel team, each bit for bit its NumPy twin (DESIGN section 13):   */
+/* threads take whole rows (or eta blocks), so no team size moves a    */
+/* bit.                                                                */
+/* ------------------------------------------------------------------ */
+
+/* exp(i phi) = cos phi + i sin phi of k columns of n phases, phases
+ * (k, n) row-major, into the complex128 block out (row stride ld
+ * complex values): glibc's cexp of a purely imaginary argument is
+ * exp(0) = 1 times sincos, so this is numpy's exp(1j * phi) bit for
+ * bit.  Profile-independent: every unit exports it.                   */
+EXPORT void KN(repro_phases)(
+    int64_t n,
+    int64_t k,
+    const double *restrict phases,
+    double *restrict out,
+    int64_t ld,
+    int64_t n_threads)
+{
+    const int nt = repro_nt(n_threads);
+    const int64_t nb = (n + REPRO_ETA_BLOCK - 1) / REPRO_ETA_BLOCK;
+    REPRO_OMP_FOR
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        const int64_t i0 = bi * REPRO_ETA_BLOCK;
+        const int64_t i1 = i0 + REPRO_ETA_BLOCK < n ? i0 + REPRO_ETA_BLOCK : n;
+        for (int64_t q = 0; q < k; ++q)
+            for (int64_t i = i0; i < i1; ++i) {
+                double *restrict o = out + 2 * (i * ld + q);
+#if defined(__GLIBC__)
+                sincos(phases[q * n + i], o + 1, o);
+#else
+                o[0] = cos(phases[q * n + i]);
+                o[1] = sin(phases[q * n + i]);
+#endif
+            }
+    }
+}
+
+/* m2[k] <- max_i (re_ik^2 + im_ik^2) over the n rows of the (n, r)
+ * block X in this unit's vector storage: each component widened to
+ * fp64, squared, the two squares added (numpy's square, add, max; a
+ * max is exact, so any split of the rows gives the same bits).  A NaN
+ * term wins, as in np.max; an empty block gives 0.                    */
+static inline double repro_max_nan(double m, double x)
+{
+    return (x > m || x != x) ? x : m;
+}
+
+EXPORT void KN(repro_anchors)(
+    int64_t n,
+    int64_t r,
+    const REPRO_XT *restrict X,
+    double *restrict m2,
+    int64_t n_threads)
+{
+    const int nt = repro_nt(n_threads);
+    const int64_t slot = (r + 7) / 8 * 8;
+    double *ms = REPRO_ALLOC(double, nt * slot, 1);
+    if (!ms)
+        return;
+    const int64_t nb = (n + REPRO_ETA_BLOCK - 1) / REPRO_ETA_BLOCK;
+    REPRO_OMP_FOR
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict m = ms + REPRO_TID() * slot;
+        const int64_t i0 = bi * REPRO_ETA_BLOCK;
+        const int64_t i1 = i0 + REPRO_ETA_BLOCK < n ? i0 + REPRO_ETA_BLOCK : n;
+        for (int64_t i = i0; i < i1; ++i)
+            for (int64_t q = 0; q < r; ++q) {
+                const double xr = (double)REPRO_LOADX(X, 2 * (i * r + q));
+                const double xi = (double)REPRO_LOADX(X, 2 * (i * r + q) + 1);
+                m[q] = repro_max_nan(m[q], xr * xr + xi * xi);
+            }
+    }
+    for (int64_t q = 0; q < r; ++q) {
+        double mq = 0.0;
+        for (int t = 0; t < nt; ++t)
+            mq = repro_max_nan(mq, ms[t * slot + q]);
+        m2[q] = mq;
+    }
+    free(ms);
+}
+
+/* The bootstrap's row finisher: w <- a (u - b v), u the product row as
+ * stored in w, in numpy's DAG of `np.multiply(v, b)`, `w -= .`,
+ * `w *= a` — a complex times a real scalar is the complex product with
+ * (b, 0), so the zero products stay and signed zeros (unit-vector
+ * starts) come out as numpy's — plus the eta terms of (v, w) before w
+ * is rounded to storage, as repro_loopb adds them.                    */
+static inline void KN(repro_loop_boot)(
+    const REPRO_XT *restrict vrow,
+    REPRO_XT *restrict wrow,
+    int64_t r,
+    REPRO_AT a,
+    REPRO_AT b,
+    double *restrict ee,
+    double *restrict eo)
+{
+    const REPRO_AT z = 0;
+    REPRO_NOVEC
+    for (int64_t k = 0; k < r; ++k) {
+        REPRO_NOVEC_STMT;
+        const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
+        const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
+        const REPRO_AT dr = REPRO_LOADX(wrow, 2 * k) - (vr * b - vi * z);
+        const REPRO_AT di = REPRO_LOADX(wrow, 2 * k + 1) - (vr * z + vi * b);
+        const REPRO_AT wr = dr * a - di * z;
+        const REPRO_AT wi = dr * z + di * a;
+        REPRO_STOREX(wrow, 2 * k, wr);
+        REPRO_STOREX(wrow, 2 * k + 1, wi);
+        ee[k] += (double)vr * (double)vr + (double)vi * (double)vi;
+        eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
+        eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
+    }
+}
+
+/* nu_1 = a (H - b) nu_0 of a fresh run and its bins: per eta block in
+ * row order, each row's product by the Sp(M)MV row body into W (in
+ * storage — fp16v rounds it to half there, as the spmmv the NumPy twin
+ * calls does), then the finisher.  len == NULL: CSR, ptr the indptr;
+ * else SELL, row i at position inv_perm[i] (i at sigma = 1).          */
+static void KN(repro_boot)(
+    int64_t n_rows,
+    int64_t sigma,
+    int64_t c,
+    int64_t r,
+    const int64_t *restrict ptr,
+    const int64_t *restrict len,
+    const int64_t *restrict inv_perm,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    REPRO_ETA_ARGS)
+{
+    const REPRO_AT ra = (REPRO_AT)a, rb = (REPRO_AT)b;
+    const int64_t nb = (n_rows + REPRO_ETA_BLOCK - 1) / REPRO_ETA_BLOCK;
+    repro_eta_t e;
+    if (!repro_eta_open(&e, r, n_threads,
+                        (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
+        return;
+    const int nt = e.nt;
+    REPRO_OMP_FOR
+    for (int64_t bi = 0; bi < nb; ++bi) {
+        double *restrict s = repro_eta_slot(&e);
+        double *restrict part = s + e.off;
+        const int64_t i0 = bi * REPRO_ETA_BLOCK;
+        const int64_t i1 = i0 + REPRO_ETA_BLOCK < n_rows
+                               ? i0 + REPRO_ETA_BLOCK : n_rows;
+        for (int64_t i = i0; i < i1; ++i) {
+            int64_t p0, cnt, stride = 1;
+            if (len) {
+                const int64_t p = sigma > 1 ? inv_perm[i] : i, ci = p / c;
+                p0 = ptr[ci] + p - ci * c;
+                cnt = len[ci];
+                stride = c;
+            } else {
+                p0 = ptr[i];
+                cnt = ptr[i + 1] - p0;
+            }
+#if REPRO_SIMD
+            KN(repro_row_store)(indices, data, p0, cnt, stride, V, W, r, i);
+#else
+            REPRO_AT *restrict acc = (REPRO_AT *)s;
+            memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
+            for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride)
+                KN(repro_rowaxpy)(acc, V + 2 * (int64_t)indices[p] * r,
+                                  (REPRO_AT)data[2 * p],
+                                  (REPRO_AT)data[2 * p + 1], r);
+            KN(repro_storerow)(W + 2 * i * r, acc, 2 * r);
+#endif
+            KN(repro_loop_boot)(V + 2 * i * r, W + 2 * i * r, r, ra, rb, part,
+                                part + r);
+        }
+        repro_deposit(&e, part);
+    }
+    repro_eta_close(&e, bins, flag);
+}
+
+/* The two formats' bootstrap entries, in their products' argument
+ * order plus the aug kernels' eta arguments.                          */
+EXPORT void KN(repro_csr_bootstrap)(
+    int64_t n_rows,
+    int64_t r,
+    const int64_t *restrict indptr,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    REPRO_ETA_ARGS)
+{
+    KN(repro_boot)(n_rows, 1, 1, r, indptr, NULL, NULL, indices, data, V, W,
+                   n_threads, a, b, anchors, bins, flag);
+}
+
+EXPORT void KN(repro_sell_bootstrap)(
+    int64_t n_rows,
+    int64_t sigma,
+    int64_t c,
+    int64_t r,
+    const int64_t *restrict chunk_ptr,
+    const int64_t *restrict chunk_len,
+    const int64_t *restrict inv_perm,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    REPRO_ETA_ARGS)
+{
+    KN(repro_boot)(n_rows, sigma, c, r, chunk_ptr, chunk_len, inv_perm,
+                   indices, data, V, W, n_threads, a, b, anchors, bins,
+                   flag);
 }

@@ -1,7 +1,7 @@
 """Compile-on-first-use loader for the native C kernels.
 
 ``_kernels.c`` is one template; each build of it holds one *unit* — one
-storage profile's six kernels in the scalar or the ``_simd`` family,
+storage profile's kernels in the scalar or the ``_simd`` family,
 picked with ``-DREPRO_UNIT_PROFILE=... -DREPRO_UNIT_SIMD=...`` — and a
 unit is built the first time one of its kernels is asked for
 (:func:`kernel`), never ahead of need: a run compiles what it calls.
@@ -291,7 +291,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 6
+_ABI = 7
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -339,6 +339,12 @@ _SIGNATURES = {
     "repro_sell_spmv": "nnnLLLIVXXn",
     "repro_sell_spmmv": "nnnnLLLIVXXn",
     "repro_sell_aug_spmmv": "nnnnLLLIVXXnssEEL",
+    # a fresh run's set-up (DESIGN §13): exp(i phi), the anchors' max
+    # |x|^2, and the bootstrap nu_1 with the aug kernels' eta arguments
+    "repro_phases": "nnEEnn",
+    "repro_anchors": "nnXEn",
+    "repro_csr_bootstrap": "nnLIVXXnssEEL",
+    "repro_sell_bootstrap": "nnnnLLLIVXXnssEEL",
 }
 
 
@@ -491,7 +497,7 @@ def _elf_truncated(path: Path) -> bool:
 
 
 def _declare(lib: ctypes.CDLL, suffix: str, simd: bool) -> None:
-    """Check that ``lib`` is this unit, then bind its six kernels."""
+    """Check that ``lib`` is this unit, then bind its entry points."""
     lib.repro_unit.argtypes = []
     lib.repro_unit.restype = ctypes.c_int32
     profile = list(KERNEL_SUFFIXES).index(suffix) + 1

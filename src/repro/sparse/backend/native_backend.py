@@ -41,10 +41,11 @@ from repro.sparse.backend.native import (
 )
 from repro.sparse.compress import kernel_pack
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import aug_cost, fold, matrix_stream, spmv_cost
+from repro.sparse.fused import (_cols, aug_cost, eta_anchors, fold,
+                                matrix_stream, spmv_cost)
 from repro.sparse.sell import SellMatrix
 from repro.util.errors import ShapeError
-from repro.util.precision import Precision, precision_of
+from repro.util.precision import FP64, Precision, precision_of
 from repro.util.validation import check_block_vector, check_vector
 
 _KERNEL_DTYPES = (
@@ -52,6 +53,9 @@ _KERNEL_DTYPES = (
     np.dtype(np.complex64),
     np.dtype(np.float16),
 )
+
+#: The unit whose ``repro_anchors`` reads a block of each storage dtype.
+_ANCHOR_UNITS = dict(zip(_KERNEL_DTYPES, ("", "_f32", "_f16v")))
 
 
 def _kernel_suffix(prec: Precision, indices: np.ndarray) -> str:
@@ -110,15 +114,14 @@ _TEAM_THREADS: set[int] = set()
 _teamless = False
 
 
-def _team(plan) -> int:
-    """The C kernels' ``n_threads`` for ``plan`` (None or ``threads=None``:
-    one).  libgomp keeps a thread's team alive across calls, and a child
+def _team(threads) -> int:
+    """The C kernels' ``n_threads`` for a plan's ``threads`` (None: one).
+    libgomp keeps a thread's team alive across calls, and a child
     forked from that thread inherits the team's bookkeeping but not its
     threads: its first parallel region never returns.  So a fork from a
     thread that ran a team leaves a child that runs every kernel on one
     thread — the same bits (DESIGN §19); a fork from any other thread
     (the mp engine forks from a fresh one) keeps its teams."""
-    threads = plan.threads if plan is not None else None
     if not threads or threads == 1 or _teamless:
         return 1
     _TEAM_THREADS.add(threading.get_ident())
@@ -198,7 +201,8 @@ class NativeBackend(KernelBackend):
         values, indices = kernel_pack(A, prec)
         suffix = _kernel_suffix(prec, indices)
         sell = isinstance(A, SellMatrix)
-        aug = sell and kind == "aug_spmmv"  # locates rows by inv_perm
+        # the row walks locate rows by inv_perm
+        aug = sell and kind in ("aug_spmmv", "bootstrap")
         cache = A.__dict__.setdefault("_native_args", {})
         args = cache.get((suffix, aug))
         if args is None:
@@ -222,7 +226,7 @@ class NativeBackend(KernelBackend):
         fn, head = self._entry(kind, A, prec, _plan_simd(plan, prec),
                                (A.n_rows,), (r,) if block else ())
         with sink.span(kind) as sp:
-            fn(*head, _ptr(X), _ptr(out), _team(plan))
+            fn(*head, _ptr(X), _ptr(out), _team(plan and plan.threads))
             sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
         return out
 
@@ -232,13 +236,47 @@ class NativeBackend(KernelBackend):
         (DESIGN §19): the plan's, or fresh ones without a fitting plan."""
         call = self._bind(kind, A, V, W, plan, 0, A.n_rows, None)
         with sink.span(kind, **call.meta) as sp:
-            call.fn(*call.head, _team(plan), a, b, *call.eta)
+            call.fn(*call.head, _team(plan and plan.threads), a, b, *call.eta)
             sp.charge(kind, *call.cost)
         return call.bins
 
+    # -- set-up (DESIGN §13): each NumPy twin's bits in one team call --
+    def cis(self, phases, out, threads=None) -> None:
+        if out.dtype != np.complex128 or out.strides[1] != 16:
+            return super().cis(phases, out, threads)
+        phases = np.ascontiguousarray(phases, dtype=np.float64)
+        kernel("repro_phases", "", _use_simd(None, FP64))(
+            *phases.shape[::-1], _ptr(phases), _ptr(out),
+            out.strides[0] // 16, _team(threads))
+
+    def eta_anchors(self, block, threads=None) -> np.ndarray:
+        X = _cols(np.asarray(block))
+        suffix = _ANCHOR_UNITS.get(X.dtype)
+        if suffix is None or not X.flags.c_contiguous:
+            return super().eta_anchors(block, threads)
+        m2 = np.empty(X.shape[1])
+        kernel("repro_anchors", suffix, _use_simd(None, precision_of(X)))(
+            X.shape[0], X.shape[1], _ptr(X), _ptr(m2), _team(threads))
+        return eta_anchors(X, m2=m2)
+
+    def _boot(self, A, V, W, a, b, plan, sink):
+        block = V.ndim == (3 if V.dtype == np.float16 else 2)
+        V, prec, W = self._product_args(A, V, W, block)
+        V = _kernel_operand("V", V, A.n_cols, block)
+        r = V.shape[1] if block else 1
+        anchors, bins, escape = self._eta_state(plan, V, A.n_rows, r)
+        fn, head = self._entry("bootstrap", A, prec, _plan_simd(plan, prec),
+                               (A.n_rows,), (r,))
+        kind = "spmmv" if block else "spmv"
+        with sink.span(kind) as sp:
+            fn(*head, _ptr(V), _ptr(W), _team(plan.threads), a, b,
+               _ptr(anchors), _ptr(bins), _ptr(escape))
+            sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
+        return W, bins
+
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
         call = self._bind("aug_spmmv", A, V, W, plan, row0, row1, bins)
-        call.fn(*call.head, _team(plan), a, b, *call.eta)
+        call.fn(*call.head, _team(plan and plan.threads), a, b, *call.eta)
 
     def _bind(self, kind, A, V, W, plan, row0, row1, bins) -> _Call:
         """The :class:`_Call` of one C aug kernel — CSR over rows ``[row0,

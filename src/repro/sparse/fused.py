@@ -120,21 +120,33 @@ def _cols(X: np.ndarray) -> np.ndarray:
     return X[:, None] if X.ndim == (1 if X.dtype.kind == "c" else 2) else X
 
 
-def eta_anchors(block: np.ndarray, n_rows: int | None = None) -> np.ndarray:
+#: Elements (rows x R) :func:`eta_anchors` squares a pass: bounds its
+#: scratch to about 24 such elements' bytes, not a second block.
+_ANCHOR_PASS = 1 << 12
+
+
+def eta_anchors(block: np.ndarray, m2: np.ndarray | None = None
+                ) -> np.ndarray:
     """The eta anchors of a start block ``nu_0``: per column the power of
-    two ``A_k > 4 N max_i |nu_0,ik|^2`` (``N``: ``n_rows``, default the
-    block's rows; 1 for a zero column), clipped to ``[2^-900, 2^900]``.
+    two ``A_k > 4 N max_i |nu_0,ik|^2`` (``N`` rows; 1 for a zero
+    column), clipped to ``[2^-900, 2^900]``.
 
     A max, so any engine computes the same anchors from the global
     block; on a correctly scaled spectrum every partial sum of eta
-    terms is at most ``|nu_0|^2 <= A / 4``.
+    terms is at most ``|nu_0|^2 <= A / 4``.  ``m2``: the maxima if the
+    native ``repro_anchors`` computed them, rounded as here.
     """
-    X = np.ascontiguousarray(_cols(np.asarray(block)))
-    if X.dtype.kind == "c":  # squared as one contiguous float array
-        X = X.view(X.real.dtype).reshape(*X.shape, 2)
-    x = np.square(X, dtype=np.float64)
-    m2 = np.max(x[..., 0] + x[..., 1], axis=0, initial=0.0)
-    n = X.shape[0] if n_rows is None else n_rows
+    X = _cols(np.asarray(block))
+    n = X.shape[0]
+    if m2 is None:
+        X = np.ascontiguousarray(X)
+        if X.dtype.kind == "c":  # squared as contiguous float arrays
+            X = X.view(X.real.dtype).reshape(*X.shape, 2)
+        m2 = np.zeros(X.shape[1])
+        step = max(1, _ANCHOR_PASS // X.shape[1])
+        for lo in range(0, X.shape[0], step):
+            x = np.square(X[lo:lo + step], dtype=np.float64)
+            np.maximum(m2, np.max(x[..., 0] + x[..., 1], axis=0), out=m2)
     return np.clip(np.ldexp(1.0, np.frexp(4.0 * n * m2)[1]),
                    2.0 ** -900, 2.0 ** 900)
 

@@ -8,6 +8,8 @@ way.  Each ensemble draw returns one vector of length ``n`` or, given
 the vector the ``i``-th of ``r`` successive one-vector draws on the same
 generator would return: a generator call of shape (k, n) yields k such
 vectors, so a block takes one call (the phases take one per 1 MiB).
+The draws are NumPy's everywhere; a phase block's ``exp(i phi)`` may be
+a kernel backend's team call (``fill``), with NumPy's bits.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def make_rng(seed: int | None | np.random.Generator = None) -> np.random.Generat
 
 def random_phase_vector(
     rng: np.random.Generator, n: int, r: int | None = None,
-    dtype=np.complex128,
+    dtype=np.complex128, fill=None,
 ) -> np.ndarray:
     """Draw one random-phase vector ``exp(i*phi)`` with iid phases.
 
@@ -37,6 +39,8 @@ def random_phase_vector(
     estimation (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)): each entry
     has unit modulus, giving ``E[v v^H] = Identity`` and minimal estimator
     variance among rotation-invariant unit-modulus ensembles.
+    ``fill(phases, cols)`` writes ``exp(i phases.T)`` into each chunk's
+    columns (default: NumPy's complex ``exp``).
     """
     v = np.empty(n if r is None else (n, r), dtype=np.complex128)
     block = v.reshape(n, -1)
@@ -44,9 +48,14 @@ def random_phase_vector(
     step = max(1, (1 << 17) // n)
     for lo in range(0, block.shape[1], step):
         cols = block[:, lo:lo + step]
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=cols.shape[::-1])
-        np.multiply(phases.T, 1j, out=cols)
-    return np.exp(v, out=v).astype(dtype, copy=False)
+        (fill or _cis)(rng.uniform(0.0, 2.0 * np.pi, size=cols.shape[::-1]),
+                       cols)
+    return v.astype(dtype, copy=False)
+
+
+def _cis(phases: np.ndarray, out: np.ndarray) -> None:
+    """NumPy's ``out <- exp(i phases.T)``."""
+    np.exp(np.multiply(phases.T, 1j, out=out), out=out)
 
 
 def rademacher_vector(

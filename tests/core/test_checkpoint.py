@@ -1,6 +1,7 @@
 """Checkpoint/restart of the stage-2 moment computation."""
 
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from repro.core.checkpoint import KpmCheckpoint, checkpointed_eta
 from repro.core.moments import compute_eta
 from repro.core.scaling import SpectralScale, lanczos_scale
 from repro.core.stochastic import make_block_vector
+from repro.sparse.fused import fold
 from repro.util.errors import CheckpointError, FormatError
 from tests.lattice import case_test
 
@@ -366,3 +368,114 @@ class TestFileIsAFunctionOfTheState:
         ck = KpmCheckpoint.load(tmp_path / "s.npz")
         assert 0 < 2 * ck.next_m < ck.n_moments
         assert not ck.eta[:, 2 * ck.next_m:].any()
+
+
+def _whole_refold(run, bins, stop):
+    """What a capture computed before the running prefix: the resumed
+    prefix, then the fold of every moment pair since it."""
+    out = np.zeros((run.r, stop), dtype=complex)
+    col0 = 0
+    if run.ck is not None:
+        col0 = 2 * run.ck.next_m
+        out[:, :col0] = run.ck.eta[:, :col0]
+    ee, eo = fold(bins[:, col0 // 2:stop // 2].sum(axis=0))
+    out[:, col0:stop:2], out[:, col0 + 1:stop:2] = ee.T, eo.T
+    return out
+
+
+class TestRunningPrefix:
+    """A capture folds only the moment pairs since the last one."""
+
+    @pytest.mark.parametrize("engine", ["sim", "mp"])
+    def test_every_capture_is_the_whole_refold(self, system, tmp_path,
+                                               monkeypatch, engine):
+        """A fresh leg and a resumed one, streaming every iteration: at
+        each capture the running prefix is the whole re-fold's bits and
+        its tail is zero."""
+        from repro.core.checkpoint import Run
+        from repro.dist.kpm_parallel import distributed_eta
+        from repro.dist.mp import MpWorld
+        from repro.dist.partition import RowPartition
+        from repro.dist.comm import SimWorld
+
+        h, scale, blk, ref = system
+        real, seen = Run.capture, []
+
+        def capture(run, m, k, bins, vw, world=None):
+            real(run, m, k, bins, vw, world)
+            n = 2 * (m + 1)
+            seen.append((run._eta[:, :n].copy(), _whole_refold(run, bins, n),
+                         run._eta[:, n:].any()))
+
+        def keep_m5(n_eta, _prefix):  # the file holds next_m = 6 then
+            if n_eta == 14:
+                shutil.copy(path, mid)
+
+        monkeypatch.setattr(Run, "capture", capture)
+        part = RowPartition.equal(h.n_rows, 2, align=64)
+        path, mid = tmp_path / "ck.npz", tmp_path / "mid.npz"
+        etas = []
+        for kw in (dict(checkpoint_every=5, checkpoint_path=path),
+                   dict(resume_from=mid)):
+            world = SimWorld(2) if engine == "sim" else MpWorld(2)
+            etas.append(distributed_eta(
+                h, part, scale, 32, blk, world, progress=keep_m5,
+                progress_every=1, **kw))
+        assert len(seen) == 15 + 10
+        for got, want, tail in seen:
+            assert np.array_equal(got, want)
+            assert not tail
+        for eta in etas:
+            assert np.array_equal(eta, ref)
+
+    def test_a_kept_checkpoint_does_not_move(self, system, tmp_path):
+        """``world.last_checkpoint`` holds its own eta: later captures
+        fold into the running buffer, not into a kept checkpoint."""
+        from repro.dist.kpm_parallel import distributed_eta
+        from repro.dist.mp import MpWorld
+        from repro.dist.partition import RowPartition
+
+        h, scale, blk, _ = system
+        world, kept = MpWorld(2), []
+
+        def progress(n_eta, prefix):
+            ck = world.last_checkpoint
+            if ck is not None and (not kept or kept[-1][0] is not ck):
+                kept.append((ck, ck.eta.copy()))
+
+        distributed_eta(h, RowPartition.equal(h.n_rows, 2, align=64), scale,
+                        32, blk, world, progress=progress, progress_every=1,
+                        checkpoint_every=3, checkpoint_path=tmp_path / "c.npz")
+        assert len(kept) == 4
+        for ck, eta in kept + [(world.last_checkpoint,
+                                world.last_checkpoint.eta.copy())]:
+            assert np.array_equal(ck.eta, eta)
+            assert not ck.eta[:, 2 * ck.next_m:].any()
+
+    def test_capture_cost_does_not_grow_with_m(self):
+        """The killed-parent drill's shape (2 ranks, R = 1, a stream every
+        iteration): a capture at m = 100,000 costs at most twice one at
+        m = 1,000 (best of 200 each)."""
+        from time import perf_counter
+
+        from repro.core.checkpoint import Run, RunContext
+        from repro.util.knobs import ExecConfig
+
+        n_moments = 2 * 100_100
+        ctx = RunContext.of(progress=lambda *_: None, progress_every=1)
+        run = Run.of(ExecConfig(backend="numpy"), ctx,
+                     SpectralScale.from_bounds(-1.0, 1.0), n_moments,
+                     np.ones((64, 1), dtype=complex), 64)
+        bins = np.ones((2, n_moments // 2, 2, 3))
+
+        def cost(m0):
+            run.capture(m0 - 1, 0, bins, None)  # folds up to m0
+            best = float("inf")
+            for m in range(m0, m0 + 200):
+                t0 = perf_counter()
+                run.capture(m, 0, bins, None)
+                best = min(best, perf_counter() - t0)
+            return best
+
+        early = cost(1_000)
+        assert cost(100_000) <= 2.0 * early

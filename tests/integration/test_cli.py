@@ -121,7 +121,8 @@ class TestDos:
             monkeypatch.setattr(cls, kernel, method)
 
         for cls in (NumpyBackend, NativeBackend):
-            for kernel in ("spmv", "spmmv", "_step"):  # _step: every step
+            # _boot: the bootstrap (its product included), _step: every step
+            for kernel in ("spmv", "_boot", "_step"):
                 spy(cls, kernel)
         expected = get_backend("auto").name
         if quarantined == "before the run":
@@ -144,7 +145,7 @@ class TestDos:
             reset_backend_health()
         assert f"kernel backend: {expected}" in capsys.readouterr().out
         other = "numpy" if expected == "native" else "native"
-        assert ran == {expected: {"spmv", "spmmv", "_step"},
+        assert ran == {expected: {"spmv", "_boot", "_step"},
                        other: set()}
 
     def test_bad_weights_rejected(self, capsys):

@@ -477,3 +477,97 @@ class TestNoPerIterationAllocation:
 
         grew = self._measure(steps)
         assert grew < m.n_rows * 16, f"{grew} bytes allocated in the loop"
+
+    def test_setup(self, backend):
+        """``Recurrence.load`` + ``bootstrap`` at R = 8: nothing O(N·R)
+        beyond the ν₀ copy — no second block of squares for the anchors,
+        no pass scratch of the bootstrap's own eta reduction."""
+        from repro.core.recurrence import Recurrence
+        from repro.core.stochastic import make_block_vector
+        from repro.physics import build_topological_insulator
+
+        m, _ = build_topological_insulator(16, 16, 8)
+        scale = SpectralScale.from_bounds(*m.gershgorin_bounds())
+        r = 8
+        block = make_block_vector(m.n_rows, r, seed=1)
+        rec = Recurrence(m, scale.a, scale.b, r, backend=backend)
+
+        def setup():
+            rec.load(block)
+            rec.bootstrap()
+
+        grew = self._measure(setup)
+        assert grew < block.nbytes + m.n_rows * 16, \
+            f"{grew - block.nbytes} bytes allocated beyond the ν₀ copy"
+
+
+# ---------------------------------------------------------------------
+# the set-up entries (DESIGN §13): native == the NumPy twins, bit for bit
+# ---------------------------------------------------------------------
+
+def _starts(n, r):
+    """A random-phase block and a unit-vector (exact LDOS) one."""
+    from repro.core.stochastic import make_block_vector, unit_block_vector
+
+    rows = np.arange(r) * (n // r) + 1
+    return {"phase": make_block_vector(n, r, seed=5),
+            "unit": unit_block_vector(n, rows)}
+
+
+@needs_native
+@pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
+@pytest.mark.parametrize("fmt", ["csr", "sell"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("simd", ["on", "off"])
+def test_bootstrap_is_the_numpy_twin(ti_small, precision, fmt, threads, simd):
+    """ν₁ and its bins from the native bootstrap — product, NumPy's
+    ``a (u - b v)`` and the eta reduction in one team call — equal the
+    NumPy twin's bits for random-phase and unit-vector starts, at b = 0
+    exactly (signed zeros of ``v·0``) and off centre; blocked and, at
+    R = 1, single-vector."""
+    from repro.core.recurrence import Recurrence
+
+    h, _ = ti_small
+    A = h if fmt == "csr" else SellMatrix(h, chunk_height=16, sigma=64)
+    lo, hi = h.gershgorin_bounds()
+    for scale in (SpectralScale(2.0 / (hi - lo) * 0.99, 0.0, lo, hi),
+                  SpectralScale.from_bounds(lo, hi + 1.0)):
+        for kind, block in _starts(h.n_rows, 3).items():
+            for r, kernel in ((3, "aug_spmmv"), (1, "aug_spmv")):
+                out = []
+                for bk in ("numpy", "native"):
+                    rec = Recurrence(A, scale.a, scale.b, r, kernel=kernel,
+                                     backend=bk, precision=precision,
+                                     threads=threads, simd=simd)
+                    rec.load(block[:, 0] if r == 1 else block[:, :r])
+                    bins = rec.bootstrap().copy()
+                    out.append((rec.w.tobytes(), bins.tobytes(),
+                                rec._plan.anchors.tobytes()))
+                assert out[0] == out[1], (scale.b, kind, r)
+
+
+@needs_native
+@pytest.mark.parametrize("threads", [1, 2])
+def test_anchors_are_the_numpy_twin(threads):
+    """The native per-column max of ``|x|^2`` gives the NumPy anchors'
+    bits for every ensemble, a unit-vector block, a zero column, complex64
+    and fp16v pairs."""
+    from repro.core.stochastic import make_block_vector, unit_block_vector
+    from repro.sparse.fused import eta_anchors
+    from repro.util.precision import FP16V
+
+    n = 1000
+    blocks = [make_block_vector(n, 5, kind, seed=2)
+              for kind in ("phase", "rademacher", "gaussian")]
+    blocks.append(unit_block_vector(n, np.array([0, 17, 999])))
+    zero = 3.0 * blocks[2]
+    zero[:, 1] = 0.0
+    blocks += [zero, zero.astype(np.complex64), FP16V.encode(zero),
+               FP16V.encode(blocks[0])[:, 0]]
+    native, numpy_bk = get_backend("native"), get_backend("numpy")
+    for block in blocks:
+        want = eta_anchors(block)
+        assert numpy_bk.eta_anchors(block).tobytes() == want.tobytes()
+        assert native.eta_anchors(block, threads).tobytes() == \
+            want.tobytes(), block.dtype
+    assert eta_anchors(zero)[1] == 1.0

@@ -73,18 +73,22 @@ def test_a_sell_matrix_has_one_layout(small_hermitian):
 
 def test_six_kernels_and_no_row_lists():
     """A task-mode phase is a row range: a unit binds CSR and SELL
-    spmv/spmmv/aug_spmmv (stage 1 is aug_spmmv at r = 1), and no kernel
-    takes a row list — the int64 pointers are indptr (CSR),
-    chunk_ptr/chunk_len/perm (SELL) and an aug kernel's escape flag."""
+    spmv/spmmv/aug_spmmv (stage 1 is aug_spmmv at r = 1) plus the set-up
+    entries (the start block's phases, its anchors, each format's
+    bootstrap), and no kernel takes a row list — the int64 pointers are
+    indptr (CSR), chunk_ptr/chunk_len/perm (SELL) and an eta kernel's
+    escape flag."""
     from repro.sparse.backend import native
 
-    kinds = ("spmv", "spmmv", "aug_spmmv")
+    kinds = ("spmv", "spmmv", "aug_spmmv", "bootstrap")
     assert set(native._SIGNATURES) == {
         f"repro_{fmt}_{kind}" for fmt in ("csr", "sell") for kind in kinds
-    }
+    } | {"repro_phases", "repro_anchors"}
     for base, sig in native._SIGNATURES.items():
-        operands = sig[:-5] if "_aug_" in base else sig  # ...nssEEL
+        operands = sig[:-5] if sig.endswith("nssEEL") else sig
         want = 1 if base.startswith("repro_csr") else 3
+        if base in ("repro_phases", "repro_anchors"):
+            want = 0
         assert operands.count("L") == want, base
 
 

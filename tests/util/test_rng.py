@@ -59,3 +59,61 @@ class TestEnsembles:
             acc += np.outer(v, np.conj(v))
         acc /= samples
         assert np.allclose(acc, np.eye(n), atol=0.1)
+
+
+# -- the phase block on the kernel team (DESIGN §13) --------------------
+
+def _numpy_phases(seed, n, r):
+    """The phase block as NumPy's complex exp makes it."""
+    return random_phase_vector(make_rng(seed), n, r)
+
+
+def _native():
+    from repro.sparse.backend import get_backend
+    from repro.sparse.backend.native import native_available
+
+    if not native_available():
+        pytest.skip("no C compiler for the native kernels")
+    return get_backend("native")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, r", [(1024, 1), (1024, 3), (32768, 8),
+                                  (32768, 6)])
+def test_native_phases_are_numpys(n, r, threads):
+    """``sincos`` on the team writes ``exp(1j·φ)``'s bits, chunk by chunk
+    (32,768 × 6: a last chunk of 2 columns where the step is 4)."""
+    from functools import partial
+
+    from repro.core.stochastic import make_block_vector
+    from repro.util.knobs import ExecConfig
+
+    fill = partial(_native().cis, threads=threads)
+    want = _numpy_phases(4, n, r)
+    assert random_phase_vector(make_rng(4), n, r, fill=fill).tobytes() == \
+        want.tobytes()
+    cfg = ExecConfig(backend="native", threads=threads)
+    assert make_block_vector(n, r, seed=4, config=cfg).tobytes() == \
+        want.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_native_phases_at_the_quadrants(threads):
+    """φ = 0, π/2, π, 3π/2 and the largest double below 2π."""
+    phases = np.array([[0.0, np.pi / 2, np.pi, 3 * np.pi / 2,
+                        np.nextafter(2 * np.pi, 0.0)]])
+    want = np.empty((5, 1), dtype=complex)
+    got = np.empty((5, 1), dtype=complex)
+    np.exp(np.multiply(phases.T, 1j, out=want), out=want)
+    _native().cis(phases, got, threads)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.slow
+def test_native_phases_ten_million_draws():
+    from functools import partial
+
+    fill = partial(_native().cis, threads=2)
+    n, r = 1 << 20, 10
+    assert random_phase_vector(make_rng(9), n, r, fill=fill).tobytes() == \
+        _numpy_phases(9, n, r).tobytes()

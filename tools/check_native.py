@@ -2,8 +2,9 @@
 """Smoke-check the native kernel backend on this host.
 
 Builds the default kernel unit if needed (``--all``: every unit this
-host can build, each loaded and its six kernels bound — an image
-pre-build, or a CI leg warming its cache before pytest), verifies that
+host can build, each loaded and its entry points bound — an image
+pre-build, or a CI leg warming its cache before pytest — and each
+unit's set-up entries checked against their NumPy twins), verifies that
 CSR and SELL-32-128 on both backends give the moments of the NumPy CSR
 run bit for bit on a small topological-insulator matrix, and times the
 blocked SELL kernel against the NumPy path.  Intended as the first
@@ -41,6 +42,66 @@ def _report(unit: str, so, seconds: float, cold: bool) -> None:
     print(f"unit {unit:>15}: {seconds:5.2f}s "
           f"{'cold build' if cold else 'cache hit '} "
           f"{so.stat().st_size / 1024:4.0f} KiB")
+
+
+#: The storage profile each unit's kernel-name suffix serves.
+_PROFILES = {"": "fp64", "_f32": "fp32", "_f32u16": "fp32",
+             "_f16v": "fp16v", "_f16vu16": "fp16v"}
+
+
+def _setup_parity(unit: tuple[str, bool], h, scale) -> str | None:
+    """One unit's set-up entries against their NumPy twins, bit for bit
+    (DESIGN section 13): ``repro_phases`` against NumPy's complex exp,
+    ``repro_anchors`` and ``repro_csr_bootstrap`` (nu_1 and its bins) on
+    a random-phase and a unit-vector start, on one and two threads.
+    Returns what differs, or None."""
+    from repro.core.recurrence import to_storage
+    from repro.core.stochastic import make_block_vector, unit_block_vector
+    from repro.obs.metrics import NULL_METRICS
+    from repro.sparse.backend import get_backend
+    from repro.sparse.backend.native import _ptr, kernel
+    from repro.sparse.fused import eta_anchors
+    from repro.util.precision import get_precision
+    from repro.util.rng import _cis
+
+    suffix, simd = unit
+    prec = get_precision(_PROFILES[suffix])
+    n, r = h.n_rows, 3
+    phases = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (r, n))
+    want, got = np.empty((n, r), complex), np.empty((n, r), complex)
+    _cis(phases, want)
+    values = h.data.astype(prec.compute_dtype)
+    indices = h.indices.astype(np.uint16 if "u16" in suffix else np.int32)
+    numpy_bk = get_backend("numpy")
+    starts = {"phase": make_block_vector(n, r, seed=3),
+              "unit": unit_block_vector(n, np.array([0, n // 2, n - 1]))}
+    for threads in (1, 2):
+        kernel("repro_phases", suffix, simd)(
+            n, r, _ptr(phases), _ptr(got), r, threads)
+        if got.tobytes() != want.tobytes():
+            return f"repro_phases, {threads} thread(s)"
+        for kind, start in starts.items():
+            V = to_storage(start, prec)
+            m2 = np.empty(r)
+            kernel("repro_anchors", suffix, simd)(
+                n, r, _ptr(V), _ptr(m2), threads)
+            anchors = eta_anchors(V)
+            if eta_anchors(V, m2=m2).tobytes() != anchors.tobytes():
+                return f"repro_anchors, {kind} start, {threads} thread(s)"
+            plan = numpy_bk.plan(h, r, precision=prec)
+            plan.anchors = anchors
+            W_ref, bins_ref = numpy_bk._boot(h, V, None, scale.a, scale.b,
+                                             plan, NULL_METRICS)
+            W, bins = np.empty_like(V), np.empty((2, 3 * r))
+            kernel("repro_csr_bootstrap", suffix, simd)(
+                n, r, _ptr(h.indptr), _ptr(indices), _ptr(values), _ptr(V),
+                _ptr(W), threads, scale.a, scale.b, _ptr(anchors),
+                _ptr(bins), _ptr(np.zeros(1, dtype=np.int64)))
+            if (W.tobytes(), bins.tobytes()) != \
+                    (W_ref.tobytes(), bins_ref.tobytes()):
+                return f"repro_csr_bootstrap, {kind} start, " \
+                       f"{threads} thread(s)"
+    return None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,6 +165,16 @@ def main(argv: list[str] | None = None) -> int:
             for base in _SIGNATURES:  # built, loaded, every kernel bound
                 kernel(base, *unit)
             _report(unit_name(*unit), so, time.perf_counter() - t0, cold)
+    if args.all:
+        h, _ = build_topological_insulator(6, 5, 4)
+        scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
+        for unit in buildable_units():
+            problem = _setup_parity(unit, h, scale)
+            if problem:
+                return _fail(f"set-up parity, unit {unit_name(*unit)}: "
+                             f"{problem} differs from the NumPy twin")
+        print("set-up:  phases, anchors, bootstrap ok: every unit "
+              "(random-phase and unit-vector starts, 1 and 2 threads)")
 
     numpy_bk = get_backend("numpy")
     native_bk = get_backend("native")
