@@ -377,7 +377,8 @@ def measure(
     from repro.core.stochastic import make_block_vector
 
     scale = lanczos_scale(H, seed=seed)
-    block = make_block_vector(H.n_rows, cfg.r, "phase", seed)
+    block = make_block_vector(H.n_rows, cfg.r, "phase", seed,
+                              config=cfg.execution)
     A = _build_operator(H, cfg)
     best = float("inf")
     for _ in range(max(1, int(repeats))):

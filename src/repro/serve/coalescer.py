@@ -112,19 +112,22 @@ def plan_batches(tickets: list[Ticket], max_width: int = 8) -> list[Batch]:
     return batches
 
 
-def _start_columns(request, n: int) -> np.ndarray:
+def _start_columns(request, n: int, config=None) -> np.ndarray:
     """The request's deterministic (n, width) start columns."""
     if request.kind == "ldos":
         return unit_block_vector(n, np.asarray(request.rows, dtype=np.int64))
     return make_block_vector(
-        n, request.n_vectors, request.vector_kind, request.seed
+        n, request.n_vectors, request.vector_kind, request.seed,
+        config=config,
     )
 
 
-def stack_start_block(batch: Batch, n: int) -> np.ndarray:
+def stack_start_block(batch: Batch, n: int, config=None) -> np.ndarray:
     """Concatenate every item's start columns into one C-contiguous
-    (n, batch.width) block, in item (column-slot) order."""
-    cols = [_start_columns(i.ticket.request, n) for i in batch.items]
+    (n, batch.width) block, in item (column-slot) order, on the batch's
+    ``config`` (its backend writes the phases)."""
+    cols = [_start_columns(i.ticket.request, n, config)
+            for i in batch.items]
     return np.ascontiguousarray(np.concatenate(cols, axis=1))
 
 
@@ -184,7 +187,7 @@ def execute_batch(
     """
     cfg = ExecConfig.of(config, knobs)
     n_moments = batch.items[0].ticket.request.n_moments
-    block = stack_start_block(batch, H.n_rows)
+    block = stack_start_block(batch, H.n_rows, cfg)
     sink = PerfCounters(trace=metrics.trace)
 
     progress = None
