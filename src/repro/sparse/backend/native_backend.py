@@ -242,7 +242,8 @@ class NativeBackend(KernelBackend):
 
     # -- set-up (DESIGN §13): each NumPy twin's bits in one team call --
     def cis(self, phases, out, threads=None) -> None:
-        if out.dtype != np.complex128 or out.strides[1] != 16:
+        if out.dtype != np.complex128 or out.strides[1] != 16 \
+                or out.shape != phases.shape[::-1]:
             return super().cis(phases, out, threads)
         phases = np.ascontiguousarray(phases, dtype=np.float64)
         kernel("repro_phases", "", _use_simd(None, FP64))(
