@@ -218,15 +218,19 @@ class NativeBackend(KernelBackend):
         return kernel(f"repro_{fmt}_{kind}", suffix, vs), (*lead, *args)
 
     # -- kernels -------------------------------------------------------
-    def _product(self, kind, A, X, out, plan, sink):
+    def _product(self, kind, A, X, out, plan, sink, boot=()):
+        """``kind`` (``spmv``/``spmmv``) in one span; with ``boot``, the
+        bootstrap's ``(a, b, anchors, bins, flag)``, the bootstrap entry
+        (which takes R also for a vector), charged as the product."""
         block = kind == "spmmv"
         X, prec, out = self._product_args(A, X, out, block)
         X = _kernel_operand("X" if block else "x", X, A.n_cols, block)
         r = X.shape[1] if block else 1
-        fn, head = self._entry(kind, A, prec, _plan_simd(plan, prec),
-                               (A.n_rows,), (r,) if block else ())
+        fn, head = self._entry("bootstrap" if boot else kind, A, prec,
+                               _plan_simd(plan, prec), (A.n_rows,),
+                               (r,) if block or boot else ())
         with sink.span(kind) as sp:
-            fn(*head, _ptr(X), _ptr(out), _team(plan and plan.threads))
+            fn(*head, _ptr(X), _ptr(out), _team(plan and plan.threads), *boot)
             sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
         return out
 
@@ -262,18 +266,10 @@ class NativeBackend(KernelBackend):
 
     def _boot(self, A, V, W, a, b, plan, sink):
         block = V.ndim == (3 if V.dtype == np.float16 else 2)
-        V, prec, W = self._product_args(A, V, W, block)
-        V = _kernel_operand("V", V, A.n_cols, block)
-        r = V.shape[1] if block else 1
-        anchors, bins, escape = self._eta_state(plan, V, A.n_rows, r)
-        fn, head = self._entry("bootstrap", A, prec, _plan_simd(plan, prec),
-                               (A.n_rows,), (r,))
-        kind = "spmmv" if block else "spmv"
-        with sink.span(kind) as sp:
-            fn(*head, _ptr(V), _ptr(W), _team(plan.threads), a, b,
-               _ptr(anchors), _ptr(bins), _ptr(escape))
-            sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
-        return W, bins
+        eta = self._eta_state(plan, V, A.n_rows, plan.r)  # anchors, bins, flag
+        W = self._product("spmmv" if block else "spmv", A, V, W, plan, sink,
+                          (a, b, *map(_ptr, eta)))
+        return W, eta[1]
 
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
         call = self._bind("aug_spmmv", A, V, W, plan, row0, row1, bins)
