@@ -1578,9 +1578,9 @@ EXPORT void KN(repro_anchors)(
 /* The bootstrap's row finisher: w <- a (u - b v), u the product row as
  * stored in w, in numpy's DAG of `np.multiply(v, b)`, `w -= .`,
  * `w *= a` — a complex times a real scalar is the complex product with
- * (b, 0), so the zero products stay and signed zeros (unit-vector
- * starts) come out as numpy's — plus the eta terms of (v, w) before w
- * is rounded to storage, as repro_loopb adds them.                    */
+ * (b, 0), whose zero products stay, so NaNs and zero signs come out as
+ * numpy's too — plus the eta terms of (v, w) before w is rounded to
+ * storage, as repro_loopb adds them.                                  */
 static inline void KN(repro_loop_boot)(
     const REPRO_XT *restrict vrow,
     REPRO_XT *restrict wrow,
