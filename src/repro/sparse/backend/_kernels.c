@@ -1,9 +1,10 @@
 /* Single-pass KPM kernels for CSR and SELL-C-sigma, typed by precision.
  *
  * This file backs repro.sparse.backend.native: it is compiled on first
- * use with `cc -O3 -shared` and loaded through ctypes.  Each kernel is a
- * genuinely fused single traversal of the matrix stream — the augmented
- * variants perform the shift/scale/recombination of paper Eq. (3)
+ * use with `cc -O3 -shared` and loaded through ctypes.  Each format has
+ * ONE walk, a genuinely fused single traversal of the matrix stream
+ * whose finisher stores the product, forms the bootstrap nu_1, or — the
+ * aug step — performs the shift/scale/recombination of paper Eq. (3)
  *
  *     w_new = 2 a (H - b 1) v - w
  *
@@ -19,7 +20,7 @@
  * contiguous, the locality argument of paper Section IV-A.
  *
  * ONE TEMPLATE, ONE UNIT PER BUILD (the precision profiles of
- * repro.util.precision): the six kernels below and the four set-up
+ * repro.util.precision): the two walks below and the two set-up
  * entries at its end are written ONCE against the REPRO_VT / XT / AT /
  * IT types, and each build of this file holds exactly one (profile,
  * scalar | simd) unit, picked with
@@ -92,7 +93,10 @@ static inline void *repro_alloc(size_t nbytes, int zero)
 /* Prefetch one gathered block-vector row (nbytes, touching every cache
  * line).  The column index of the *next* slot is known one iteration
  * ahead, which is enough distance to hide the gather latency the
- * hardware prefetcher cannot predict.                                 */
+ * hardware prefetcher cannot predict.  Scalar blocked rows only: the
+ * register tiles issue none — prefetching the next row's gathers there
+ * measured -3...+10 % by shape, nothing resolvable (DESIGN section 12).
+ * Architecturally inert either way — prefetch never changes bits.     */
 static inline void repro_pf_row(const void *restrict p, size_t nbytes)
 {
     const char *restrict cp = (const char *)p;
@@ -150,10 +154,11 @@ static inline void repro_pf_row(const void *restrict p, size_t nbytes)
 #define REPRO_OUTLINE
 #endif
 
-/* How a finished tile leaves the registers: stored (spmmv), or
- * recombined into w with its eta terms added to the block partial.    */
+/* What a walk does with a finished row, its finisher (repro_fin,
+ * DESIGN section 12): the plain product, the bootstrap, the aug step.  */
 #define REPRO_FIN_STORE 0
-#define REPRO_FIN_AUG 1
+#define REPRO_FIN_BOOT 1
+#define REPRO_FIN_AUG 2
 
 /* IEEE 754 binary16 <-> binary32, bit manipulation only (portable, no
  * compiler fp16 support required); float->half rounds to nearest even,
@@ -313,7 +318,7 @@ static inline uint16_t repro_float_to_half(float f)
  * unit this file is, and the ABI (bump with _ABI in native.py whenever
  * a signature changes).  A truncated, foreign or renamed library fails
  * here and is rebuilt instead of being called.                        */
-#define REPRO_ABI 7
+#define REPRO_ABI 8
 EXPORT int32_t repro_unit(void)
 {
     return (REPRO_ABI << 8) | (REPRO_PROFILE << 1) | REPRO_SIMD;
@@ -502,12 +507,6 @@ static inline __m256 repro_gather4c_ph(const uint16_t *restrict x,
 
 #endif /* REPRO_SIMD */
 
-/* Software row prefetch: scalar blocked kernels only.  The register-
- * tile family issues none — prefetching the next row's gathers there
- * measured -3...+10 % by shape, nothing resolvable (DESIGN section 12).
- * Architecturally inert either way — prefetch never changes bits.     */
-#define REPRO_PFROW(p, nb) repro_pf_row((p), (nb))
-
 /* Narrow-profile vector load/store of the XT storage: identity for
  * fp32, F16C conversion (bitwise the software converters) for fp16v.  */
 #if REPRO_SIMD && REPRO_NARROW
@@ -610,51 +609,60 @@ static inline void KN(repro_lanecmadd)(
 }
 
 
-/* Recombination + eta terms over the r columns of one row, added to the
- * block partial ee / eo: the scalar family's finisher, and both
- * families' at r = 1.  Kept off the autovectorizer so a column's bits
- * never depend on r (the coalescing contract).                        */
-static inline void KN(repro_loopb)(
+/* Finish one row from its 2r accumulator values acc: the scalar
+ * family's finisher, and both families' at r = 1.  ca, cb are (2a, 2ab)
+ * or, boot, (a, b); part is the block partial [ee r | eo 2r]; fin is a
+ * literal at every call site.  Store: w <- u, the product.  Aug: w <-
+ * ca u - cb v - w.  Boot: u stored first (the _simd tiles stored it:
+ * acc NULL), then w <- a (u - b v) from u as stored, in numpy's DAG of
+ * `np.multiply(v, b)`, `w -= .`, `w *= a` — a complex times a real
+ * scalar is the complex product with (b, 0), whose zero products stay,
+ * so NaNs and zero signs come out as numpy's too.  Boot and aug add the
+ * eta terms of (v, w) before w is rounded to storage.  Kept off the
+ * autovectorizer so a column's bits never depend on r (the coalescing
+ * contract).                                                          */
+static inline __attribute__((always_inline)) void KN(repro_fin)(
+    const int fin,
     const REPRO_XT *restrict vrow,
     REPRO_XT *restrict wrow,
     const REPRO_AT *restrict acc,
     int64_t r,
-    REPRO_AT ta,
-    REPRO_AT tab,
-    double *restrict ee,
-    double *restrict eo)
+    REPRO_AT ca,
+    REPRO_AT cb,
+    double *restrict part)
 {
-    int64_t k = 0;
+    const REPRO_AT z = 0;
+    if (fin != REPRO_FIN_AUG && acc)
+        for (int64_t q = 0; q < 2 * r; ++q)
+            REPRO_STOREX(wrow, q, acc[q]);
+    if (fin == REPRO_FIN_STORE)
+        return;
     REPRO_NOVEC
-    for (; k < r; ++k) {
+    for (int64_t k = 0; k < r; ++k) {
         REPRO_NOVEC_STMT;
         const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
         const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
-        const REPRO_AT wr = ta * acc[2 * k] - tab * vr
-            - REPRO_LOADX(wrow, 2 * k);
-        const REPRO_AT wi = ta * acc[2 * k + 1] - tab * vi
-            - REPRO_LOADX(wrow, 2 * k + 1);
+        REPRO_AT wr, wi;
+        if (fin == REPRO_FIN_AUG) {
+            wr = ca * acc[2 * k] - cb * vr - REPRO_LOADX(wrow, 2 * k);
+            wi = ca * acc[2 * k + 1] - cb * vi - REPRO_LOADX(wrow, 2 * k + 1);
+        } else {
+            const REPRO_AT dr = REPRO_LOADX(wrow, 2 * k) - (vr * cb - vi * z);
+            const REPRO_AT di =
+                REPRO_LOADX(wrow, 2 * k + 1) - (vr * z + vi * cb);
+            wr = dr * ca - di * z;
+            wi = dr * z + di * ca;
+        }
         REPRO_STOREX(wrow, 2 * k, wr);
         REPRO_STOREX(wrow, 2 * k + 1, wi);
-        ee[k] += (double)vr * (double)vr + (double)vi * (double)vi;
-        eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
-        eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
+        part[k] += (double)vr * (double)vr + (double)vi * (double)vi;
+        part[r + 2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
+        part[r + 2 * k + 1] +=
+            (double)wr * (double)vi - (double)wi * (double)vr;
     }
 }
 
-#if !REPRO_SIMD
-
-/* Store m accumulator values into XT storage.                         */
-static inline void KN(repro_storerow)(
-    REPRO_XT *restrict y,
-    const REPRO_AT *restrict acc,
-    int64_t m)
-{
-    for (int64_t q = 0; q < m; ++q)
-        REPRO_STOREX(y, q, acc[q]);
-}
-
-#else /* REPRO_SIMD */
+#if REPRO_SIMD
 
 /* ------------------------------------------------------------------ */
 /* Register tiles: the _simd family's blocked row body                 */
@@ -727,7 +735,7 @@ static inline void KN(repro_storerow)(
 
 /* Recombination + eta terms of the REPRO_YCOLS columns from block
  * column k that one accumulator register holds: the arithmetic of
- * repro_loopb, one lane per column.  part: a partial ymm of t columns
+ * repro_fin's aug finisher, one lane per column.  part: a partial ymm of t columns
  * (mask tm) — V and W move by REPRO_Y_LOADT / STORET, and only its t
  * columns' eta terms are added.                                       */
 static inline __attribute__((always_inline)) void KN(repro_ymm_aug)(
@@ -909,10 +917,10 @@ static inline __attribute__((always_inline)) void KN(repro_row)(
 #undef REPRO_TILE_ARGS
 }
 
-/* Out of line on purpose: one instance per (profile, finisher) that
- * every blocked kernel calls.  With the tile widths inlined into each
- * kernel instead the kernels time the same and the cold compile takes
- * 9.1-10.2 s, not 6.4-6.8 (it is most of cli_cold/setup_s).           */
+/* Out of line on purpose: one instance per (profile, tile finisher),
+ * the boot finisher storing by the first.  Inlined into each kernel
+ * they timed the same and the cold compile took 9.1-10.2 s, not
+ * 6.4-6.8 (it is most of cli_cold/setup_s).                           */
 static REPRO_OUTLINE void KN(repro_row_store)(
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
@@ -940,11 +948,10 @@ static REPRO_OUTLINE void KN(repro_row_fin)(
     int64_t row,
     REPRO_AT ta,
     REPRO_AT tab,
-    double *restrict ee,
-    double *restrict eo)
+    double *restrict part)
 {
     KN(repro_row)(REPRO_FIN_AUG, indices, data, p0, cnt, stride, V, r,
-                  V + 2 * row * r, W + 2 * row * r, ta, tab, ee, eo);
+                  V + 2 * row * r, W + 2 * row * r, ta, tab, part, part + r);
 }
 
 /* repro_entry1 for the entries p[0, REPRO_YCOLS) of as many rows, one
@@ -970,11 +977,13 @@ static inline REPRO_YMM KN(repro_rows_cmadd)(
 
 #endif /* REPRO_SIMD */
 
-/* One row of the blocked aug kernels — entries p0, p0 + stride, ...
- * (a CSR row: stride 1; a SELL lane: the chunk height) — recombined
- * into W with its eta terms added to the block partial [ee r | eo 2r].
- * acc is the scalar family's 2r-value row accumulator.                */
-static inline void KN(repro_row_aug)(
+/* One row of a blocked walk — entries p0, p0 + stride, ... (a CSR row:
+ * stride 1; a SELL lane: the chunk height) of the product with V —
+ * finished by fin into row `row` of W.  acc is the scalar family's
+ * 2r-value row accumulator; the _simd family's boot finisher reads the
+ * product back from W, as the NumPy twin reads its stored spmmv.      */
+static inline __attribute__((always_inline)) void KN(repro_row_walk)(
+    const int fin,
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     int64_t p0,
@@ -984,26 +993,31 @@ static inline void KN(repro_row_aug)(
     REPRO_XT *restrict W,
     int64_t r,
     int64_t row,
-    REPRO_AT ta,
-    REPRO_AT tab,
+    REPRO_AT ca,
+    REPRO_AT cb,
     double *restrict part,
     REPRO_AT *restrict acc)
 {
 #if REPRO_SIMD
     (void)acc;
-    KN(repro_row_fin)(indices, data, p0, cnt, stride, V, W, r, row, ta, tab,
-                      part, part + r);
+    if (fin == REPRO_FIN_AUG)
+        KN(repro_row_fin)(indices, data, p0, cnt, stride, V, W, r, row, ca,
+                          cb, part);
+    else
+        KN(repro_row_store)(indices, data, p0, cnt, stride, V, W, r, row);
+    if (fin == REPRO_FIN_BOOT)
+        KN(repro_fin)(fin, V + 2 * row * r, W + 2 * row * r, NULL, r, ca, cb,
+                      part);
 #else
     memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
     for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride) {
         if (q + 1 < cnt)
-            REPRO_PFROW(V + 2 * (int64_t)indices[p + stride] * r,
-                        (size_t)(2 * r) * sizeof(REPRO_XT));
+            repro_pf_row(V + 2 * (int64_t)indices[p + stride] * r,
+                         (size_t)(2 * r) * sizeof(REPRO_XT));
         KN(repro_rowaxpy)(acc, V + 2 * (int64_t)indices[p] * r,
                           (REPRO_AT)data[2 * p], (REPRO_AT)data[2 * p + 1], r);
     }
-    KN(repro_loopb)(V + 2 * row * r, W + 2 * row * r, acc, r, ta, tab, part,
-                    part + r);
+    KN(repro_fin)(fin, V + 2 * row * r, W + 2 * row * r, acc, r, ca, cb, part);
 #endif
 }
 
@@ -1025,8 +1039,8 @@ static inline void KN(repro_row_aug)(
 
 #define REPRO_ETA_BLOCK 64
 
-/* The OpenMP clause of a kernel's outer loop (eta blocks; the plain
- * products' rows or chunks), over the kernel's local nt.              */
+/* The OpenMP clause of an entry's outer loop (a walk's blocks or
+ * groups, the set-up's row blocks), over the entry's local nt.        */
 #ifdef _OPENMP
 #define REPRO_TID() omp_get_thread_num()
 #define REPRO_OMP_FOR                                                      \
@@ -1096,13 +1110,15 @@ static void repro_deposit(const repro_eta_t *e, double *restrict part)
 }
 
 /* bins <- the sum of every thread's bins; *flag keeps the smallest
- * flagged element (sticky: a set flag stays until the caller clears). */
+ * flagged element (sticky: a set flag stays until the caller clears).
+ * A store's state (r3 = 0) has neither.                               */
 static void repro_eta_close(repro_eta_t *e, double *restrict bins,
                             int64_t *restrict flag)
 {
     const int64_t r3 = e->r3;
-    memset(bins, 0, (size_t)(2 * r3) * sizeof(double));
-    for (int t = 0; t < e->nt; ++t) {
+    if (r3)
+        memset(bins, 0, (size_t)(2 * r3) * sizeof(double));
+    for (int t = 0; r3 && t < e->nt; ++t) {
         const double *restrict tb = e->ws + t * e->slot + e->off + r3;
         for (int64_t j = 0; j < 2 * r3; ++j)
             bins[j] += tb[j];
@@ -1113,84 +1129,51 @@ static void repro_eta_close(repro_eta_t *e, double *restrict bins,
     free(e->ws);
 }
 
-#define REPRO_ETA_ARGS                                                     \
+/* ------------------------------------------------------------------ */
+/* The walks: one row traversal per format                             */
+/*                                                                     */
+/* The plain product, the bootstrap and the aug step differ only in    */
+/* the finisher, which an entry picks once per call: one OpenMP loop   */
+/* per finisher over an always-inline block body in which fin is a     */
+/* literal (an OpenMP region inside an inline function is outlined    */
+/* before it is inlined, fin still a variable).  A store reduces       */
+/* nothing: its anchors, bins and flag may be NULL.                    */
+/* ------------------------------------------------------------------ */
+
+#define REPRO_BY_FIN(fin, LOOP)                                            \
+    switch (fin) {                                                         \
+    case REPRO_FIN_STORE:                                                  \
+        LOOP(REPRO_FIN_STORE);                                             \
+        break;                                                             \
+    case REPRO_FIN_BOOT:                                                   \
+        LOOP(REPRO_FIN_BOOT);                                              \
+        break;                                                             \
+    default:                                                               \
+        LOOP(REPRO_FIN_AUG);                                               \
+    }
+
+#define REPRO_WALK_ARGS                                                    \
     int64_t n_threads, double a, double b,                                 \
         const double *restrict anchors, /* r doubles: the anchors A_k  */  \
         double *restrict bins,          /* 6r: [bin1 3r | bin2 3r]     */  \
         int64_t *restrict flag          /* escape: first element + 1   */
 
+/* The finisher's coefficients (ca, cb) and its reduction state, with
+ * scratch_bytes of row scratch a thread; 0 if out of memory.          */
+static int repro_walk_open(repro_eta_t *e, int64_t fin, int64_t r,
+                           int64_t n_threads, size_t scratch_bytes,
+                           const double *restrict anchors, double a,
+                           double b, REPRO_AT *ca, REPRO_AT *cb)
+{
+    *ca = (REPRO_AT)(fin == REPRO_FIN_BOOT ? a : 2.0 * a);
+    *cb = (REPRO_AT)(fin == REPRO_FIN_BOOT ? b : 2.0 * a * b);
+    return repro_eta_open(e, fin == REPRO_FIN_STORE ? 0 : r, n_threads,
+                          scratch_bytes, anchors);
+}
+
 /* ------------------------------------------------------------------ */
 /* CSR                                                                 */
-/*                                                                     */
-/* The plain products take n_threads too: threads take whole rows (or */
-/* SELL chunks), each row summed as on one thread, so no team size    */
-/* moves a bit.  Per-thread accumulators are 64-byte-aligned slots.    */
 /* ------------------------------------------------------------------ */
-
-/* Accumulators per thread slot holding n of them, 64-byte aligned.    */
-#define REPRO_SLOT(n) (((int64_t)(n) * (int64_t)sizeof(REPRO_AT) + 63) / 64 \
-                       * 64 / (int64_t)sizeof(REPRO_AT))
-
-EXPORT void KN(repro_csr_spmv)(
-    int64_t n_rows,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,   /* 2*nnz    */
-    const REPRO_XT *restrict x,      /* 2*n_cols */
-    REPRO_XT *restrict y,            /* 2*n_rows */
-    int64_t n_threads)
-{
-    const int nt = repro_nt(n_threads);
-    REPRO_OMP_FOR
-    for (int64_t i = 0; i < n_rows; ++i) {
-        REPRO_AT s[2] = {0, 0};
-        for (int64_t p = indptr[i]; p < indptr[i + 1]; ++p)
-            KN(repro_entry1)(s, p, indices, data, x);
-        REPRO_STOREX(y, 2 * i, s[0]);
-        REPRO_STOREX(y, 2 * i + 1, s[1]);
-    }
-}
-
-EXPORT void KN(repro_csr_spmmv)(
-    int64_t n_rows,
-    int64_t r,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict X,      /* 2*n_cols*r, row-major */
-    REPRO_XT *restrict Y,            /* 2*n_rows*r, row-major */
-    int64_t n_threads)
-{
-    const int nt = repro_nt(n_threads);
-#if REPRO_SIMD
-    REPRO_OMP_FOR
-    for (int64_t i = 0; i < n_rows; ++i)
-        KN(repro_row_store)(indices, data, indptr[i],
-                            indptr[i + 1] - indptr[i], 1, X, Y, r, i);
-#else
-    const int64_t slot = REPRO_SLOT(2 * r);
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nt * slot, 0);
-    if (!accs)
-        return;
-    REPRO_OMP_FOR
-    for (int64_t i = 0; i < n_rows; ++i) {
-        REPRO_AT *restrict acc = accs + REPRO_TID() * slot;
-        memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
-        const int64_t p0 = indptr[i], p1 = indptr[i + 1];
-        for (int64_t p = p0; p < p1; ++p) {
-            if (p + 1 < p1)
-                REPRO_PFROW(X + 2 * (int64_t)indices[p + 1] * r,
-                            (size_t)(2 * r) * sizeof(REPRO_XT));
-            const REPRO_AT ar = (REPRO_AT)data[2 * p];
-            const REPRO_AT ai = (REPRO_AT)data[2 * p + 1];
-            const REPRO_XT *restrict xj = X + 2 * (int64_t)indices[p] * r;
-            KN(repro_rowaxpy)(acc, xj, ar, ai, r);
-        }
-        KN(repro_storerow)(Y + 2 * i * r, acc, 2 * r);
-    }
-    free(accs);
-#endif
-}
 
 /* The single-vector CSR walk: REPRO_IL consecutive rows at a time,
  * their entries interleaved for instruction-level parallelism (what a
@@ -1203,7 +1186,8 @@ EXPORT void KN(repro_csr_spmmv)(
  * 12).                                                                */
 #define REPRO_IL 4
 
-static inline void KN(repro_csr_rows1)(
+static inline __attribute__((always_inline)) void KN(repro_csr_rows1)(
+    const int fin,
     int64_t i0,
     int64_t i1,
     const int64_t *restrict indptr,
@@ -1211,8 +1195,8 @@ static inline void KN(repro_csr_rows1)(
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict v,
     REPRO_XT *restrict w,
-    REPRO_AT ta,
-    REPRO_AT tab,
+    REPRO_AT ca,
+    REPRO_AT cb,
     double *restrict part)
 {
     for (int64_t i = i0; i < i1; i += REPRO_IL) {
@@ -1254,20 +1238,52 @@ static inline void KN(repro_csr_rows1)(
             REPRO_NOUNROLL
             for (; p[u] < indptr[i + u + 1]; ++p[u])
                 KN(repro_entry1)(s + 2 * u, p[u], indices, data, v);
-            KN(repro_loopb)(v + 2 * (i + u), w + 2 * (i + u), s + 2 * u, 1,
-                            ta, tab, part, part + 1);
+            KN(repro_fin)(fin, v + 2 * (i + u), w + 2 * (i + u), s + 2 * u,
+                          1, ca, cb, part);
         }
     }
 }
 
-/* w <- 2a(Hv - b v) - w, plus eta_even = <v|v>, eta_odd = <w_new|v>,
- * over the rows [row0, row1) of the ORIGINAL matrix, indexed in place:
- * [0, n_rows) is a whole step, a task-mode phase one or two ranges of
- * whole 64-row blocks whose bins the caller adds (exactly).  V, W are
- * (N, R) row-major; at r = 1, one vector each, walked by row groups
- * (stage 1 is this call at r = 1).  A block is 64 rows from row0 — the
- * global 64-row blocks, since every range a caller walks starts on one. */
+/* One 64-row block [i0, i1) of the CSR walk, on the calling thread.   */
+static inline __attribute__((always_inline)) void KN(repro_csr_block)(
+    const int fin,
+    const repro_eta_t *e,
+    int64_t i0,
+    int64_t i1,
+    int64_t r,
+    const int64_t *restrict indptr,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    REPRO_AT ca,
+    REPRO_AT cb)
+{
+    double *restrict s = repro_eta_slot(e);
+    double *restrict part = s + e->off;
+    if (r == 1)
+        KN(repro_csr_rows1)(fin, i0, i1, indptr, indices, data, V, W, ca, cb,
+                            part);
+    else
+        for (int64_t i = i0; i < i1; ++i)
+            KN(repro_row_walk)(fin, indices, data, indptr[i],
+                               indptr[i + 1] - indptr[i], 1, V, W, r, i, ca,
+                               cb, part, (REPRO_AT *)s);
+    if (fin != REPRO_FIN_STORE)
+        repro_deposit(e, part);
+}
+
+/* The CSR walk over the rows [row0, row1) of the ORIGINAL matrix,
+ * indexed in place, finished by fin: store W <- H V, boot W <- nu_1 =
+ * a (H - b) V, aug W <- 2a (H - b) V - W; boot and aug add eta_even =
+ * <v|v> and eta_odd = <w_new|v> per column into bins.  [0, n_rows) is
+ * a whole call, a task-mode phase one or two ranges of whole 64-row
+ * blocks whose bins the caller adds (exactly).  V, W are (N, R)
+ * row-major; at r = 1, one vector each, walked by row groups (stage 1
+ * is this call at r = 1).  A block is 64 rows from row0 — the global
+ * 64-row blocks, since every range a caller walks starts on one.      */
 EXPORT void KN(repro_csr_aug_spmmv)(
+    int64_t fin,
     int64_t row0,
     int64_t row1,
     int64_t r,
@@ -1276,32 +1292,27 @@ EXPORT void KN(repro_csr_aug_spmmv)(
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict V,
     REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
+    REPRO_WALK_ARGS)
 {
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
     const int64_t nb = row1 > row0 ? (row1 - row0 + 63) / REPRO_ETA_BLOCK : 0;
+    REPRO_AT ca, cb;
     repro_eta_t e;
-    if (!repro_eta_open(&e, r, n_threads,
-                        (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
+    if (!repro_walk_open(&e, fin, r, n_threads,
+                         (size_t)(2 * r) * sizeof(REPRO_AT), anchors, a, b,
+                         &ca, &cb))
         return;
     const int nt = e.nt;
-    REPRO_OMP_FOR
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        double *restrict s = repro_eta_slot(&e);
-        double *restrict part = s + e.off;
-        const int64_t i0 = row0 + bi * REPRO_ETA_BLOCK;
-        const int64_t i1 =
-            i0 + REPRO_ETA_BLOCK < row1 ? i0 + REPRO_ETA_BLOCK : row1;
-        if (r == 1)
-            KN(repro_csr_rows1)(i0, i1, indptr, indices, data, V, W, ta, tab,
-                                part);
-        else
-            for (int64_t i = i0; i < i1; ++i)
-                KN(repro_row_aug)(indices, data, indptr[i],
-                                  indptr[i + 1] - indptr[i], 1, V, W, r, i,
-                                  ta, tab, part, (REPRO_AT *)s);
-        repro_deposit(&e, part);
+#define REPRO_CSR_BLOCKS(F)                                                \
+    REPRO_OMP_FOR                                                          \
+    for (int64_t bi = 0; bi < nb; ++bi) {                                  \
+        const int64_t i0 = row0 + bi * REPRO_ETA_BLOCK;                    \
+        KN(repro_csr_block)(F, &e, i0,                                     \
+                            i0 + REPRO_ETA_BLOCK < row1                    \
+                                ? i0 + REPRO_ETA_BLOCK : row1,             \
+                            r, indptr, indices, data, V, W, ca, cb);       \
     }
+    REPRO_BY_FIN(fin, REPRO_CSR_BLOCKS)
+#undef REPRO_CSR_BLOCKS
     repro_eta_close(&e, bins, flag);
 }
 
@@ -1310,193 +1321,164 @@ EXPORT void KN(repro_csr_aug_spmmv)(
 /*                                                                     */
 /* Flat layout: chunk ci of height C and length L = chunk_len[ci]      */
 /* stores slot (j, lane) at chunk_ptr[ci] + j*C + lane (column-major   */
-/* within the chunk).  perm[sorted_pos] is the original row; sorted    */
-/* positions whose perm value is >= n_rows are padding rows.  Padded   */
-/* slots hold value 0 with a valid self-referencing column, so they    */
-/* are numerically inert but are streamed like real entries.  The aug */
-/* step sums CSR's eta blocks: 64 original rows each, in row order.    */
+/* within the chunk).  perm[pos] is the original row of storage        */
+/* position pos (inv_perm the inverse); positions whose perm value is  */
+/* >= n_rows are padding rows.  Padded slots hold value 0 with a valid */
+/* self-referencing column, so they are numerically inert but are      */
+/* streamed like real entries.                                         */
 /* ------------------------------------------------------------------ */
 
-EXPORT void KN(repro_sell_spmv)(
-    int64_t n_rows,
-    int64_t n_chunks,
+/* acc <- the lane-vectorized product of the chunks [ci0, ci1), one
+ * (re, im) pair per storage position from ci0 * c: the r = 1 SELL
+ * walk's product.  Out of line, so its gather loop keeps its constants
+ * in registers (inlined into each finisher's group body it reloaded
+ * its sign mask per entry: 3 % slower).                               */
+static REPRO_OUTLINE void KN(repro_sell_chunks1)(
+    REPRO_AT *restrict acc,
+    int64_t ci0,
+    int64_t ci1,
     int64_t c,
     const int64_t *restrict chunk_ptr,
     const int64_t *restrict chunk_len,
-    const int64_t *restrict perm,
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
-    const REPRO_XT *restrict x,
-    REPRO_XT *restrict y,
-    int64_t n_threads)
+    const REPRO_XT *restrict V)
 {
-    const int nt = repro_nt(n_threads);
-    const int64_t slot = REPRO_SLOT(2 * c);
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nt * slot, 0);
-    if (!accs)
-        return;
-    REPRO_OMP_FOR
-    for (int64_t ci = 0; ci < n_chunks; ++ci) {
-        REPRO_AT *restrict acc = accs + REPRO_TID() * slot;
+    memset(acc, 0, (size_t)(2 * (ci1 - ci0) * c) * sizeof(REPRO_AT));
+    for (int64_t ci = ci0; ci < ci1; ++ci) {
         const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-        memset(acc, 0, (size_t)(2 * c) * sizeof(REPRO_AT));
         for (int64_t j = 0; j < len; ++j)
-            KN(repro_lanecmadd)(acc, data, indices, base + j * c, c, x);
-        for (int64_t lane = 0; lane < c; ++lane) {
-            const int64_t row = perm[ci * c + lane];
-            if (row < n_rows) {
-                REPRO_STOREX(y, 2 * row, acc[2 * lane]);
-                REPRO_STOREX(y, 2 * row + 1, acc[2 * lane + 1]);
-            }
-        }
+            KN(repro_lanecmadd)(acc + 2 * (ci - ci0) * c, data, indices,
+                                base + j * c, c, V);
     }
-    free(accs);
 }
 
-EXPORT void KN(repro_sell_spmmv)(
-    int64_t n_rows,
-    int64_t n_chunks,
-    int64_t c,
-    int64_t r,
-    const int64_t *restrict chunk_ptr,
-    const int64_t *restrict chunk_len,
-    const int64_t *restrict perm,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict X,
-    REPRO_XT *restrict Y,
-    int64_t n_threads)
-{
-    const int nt = repro_nt(n_threads);
-#if REPRO_SIMD
-    REPRO_OMP_FOR
-    for (int64_t ci = 0; ci < n_chunks; ++ci) {
-        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-        for (int64_t lane = 0; lane < c; ++lane) {
-            const int64_t row = perm[ci * c + lane];
-            if (row < n_rows)
-                KN(repro_row_store)(indices, data, base + lane, len, c, X,
-                                    Y, r, row);
-        }
-    }
-#else
-    const int64_t slot = REPRO_SLOT(2 * c * r);
-    REPRO_AT *accs = REPRO_ALLOC(REPRO_AT, nt * slot, 0);
-    if (!accs)
-        return;
-    REPRO_OMP_FOR
-    for (int64_t ci = 0; ci < n_chunks; ++ci) {
-        REPRO_AT *restrict acc = accs + REPRO_TID() * slot;
-        const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-        memset(acc, 0, (size_t)(2 * c * r) * sizeof(REPRO_AT));
-        for (int64_t j = 0; j < len; ++j) {
-            const int64_t slot0 = base + j * c;
-            const int has_next = (j + 1 < len);
-            for (int64_t lane = 0; lane < c; ++lane) {
-                if (has_next)
-                    REPRO_PFROW(
-                        X + 2 * (int64_t)indices[slot0 + c + lane] * r,
-                        (size_t)(2 * r) * sizeof(REPRO_XT));
-                const REPRO_AT ar = (REPRO_AT)data[2 * (slot0 + lane)];
-                const REPRO_AT ai = (REPRO_AT)data[2 * (slot0 + lane) + 1];
-                const REPRO_XT *restrict xj =
-                    X + 2 * (int64_t)indices[slot0 + lane] * r;
-                KN(repro_rowaxpy)(acc + 2 * lane * r, xj, ar, ai, r);
-            }
-        }
-        for (int64_t lane = 0; lane < c; ++lane) {
-            const int64_t row = perm[ci * c + lane];
-            if (row < n_rows)
-                KN(repro_storerow)(Y + 2 * row * r, acc + 2 * lane * r,
-                                   2 * r);
-        }
-    }
-    free(accs);
-#endif
-}
-
-/* The aug step in CSR's eta blocks, so a SELL operator's W and eta are
- * its CSR image's bit for bit, for any C and sigma: 64 rows of the
- * ORIGINAL matrix each, finished in row order and deposited once.  Row
- * i is lane pos % C of chunk pos / C, pos = inv_perm[i] (i at sigma =
- * 1), walked at stride C.  At r > 1 threads take blocks, one row body
- * per row.  At r = 1 (stage 1) they take groups of lcm(C, sigma, 64)
- * positions — whole chunks and sigma scopes, so exactly the rows
- * [g0, g0 + g) — whose chunks accumulate lane by lane (the lane-
- * vectorized product) into acc, and the rows finish from acc[pos - g0];
- * padding positions are never finished.                               */
-EXPORT void KN(repro_sell_aug_spmmv)(
+/* One group [g0, g0 + g) of the n rows or positions of the SELL walk,
+ * on the calling thread.  At r = 1 its chunks accumulate first and
+ * each row finishes from acc[pos - g0]; above, each row is its lane's
+ * body at stride C.  A store needs no row order: it takes positions,
+ * row perm[pos], skipping the padding.  Boot and aug take rows in row
+ * order, row i at position inv_perm[i] (i at sigma = 1), 64 a block.  */
+static inline __attribute__((always_inline)) void KN(repro_sell_group)(
+    const int fin,
+    const repro_eta_t *e,
+    int64_t g0,
+    int64_t g,
+    int64_t n,
     int64_t n_rows,
     int64_t sigma,
     int64_t c,
     int64_t r,
     const int64_t *restrict chunk_ptr,
     const int64_t *restrict chunk_len,
+    const int64_t *restrict perm,
     const int64_t *restrict inv_perm,
     const REPRO_IT *restrict indices,
     const REPRO_VT *restrict data,
     const REPRO_XT *restrict V,
     REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
+    REPRO_AT ca,
+    REPRO_AT cb)
 {
-    const REPRO_AT ta = (REPRO_AT)(2.0 * a), tab = (REPRO_AT)(2.0 * a * b);
-    const int64_t *restrict pos = sigma > 1 ? inv_perm : NULL;
-    int64_t g = REPRO_ETA_BLOCK;
-    while (r == 1 && (g % c || g % sigma))
-        g += REPRO_ETA_BLOCK;
-    const int64_t n_chunks = (n_rows + c - 1) / c, ng = (n_rows + g - 1) / g;
-    repro_eta_t e;
-    if (!repro_eta_open(&e, r, n_threads,
-                        (size_t)(2 * (r == 1 ? g : r)) * sizeof(REPRO_AT),
-                        anchors))
+    double *restrict s = repro_eta_slot(e);
+    double *restrict part = s + e->off;
+    REPRO_AT *restrict acc = (REPRO_AT *)s;
+    const int64_t g1 = g0 + g < n ? g0 + g : n;
+    if (r == 1) {
+        const int64_t n_chunks = (n_rows + c - 1) / c;
+        KN(repro_sell_chunks1)(acc, g0 / c,
+                               (g0 + g) / c < n_chunks ? (g0 + g) / c
+                                                       : n_chunks,
+                               c, chunk_ptr, chunk_len, indices, data, V);
+    }
+    if (fin == REPRO_FIN_STORE) {
+        for (int64_t ci = g0 / c; ci < g1 / c; ++ci)
+            for (int64_t lane = 0; lane < c; ++lane) {
+                const int64_t p = ci * c + lane, row = perm[p];
+                if (row >= n_rows)
+                    continue;
+                if (r == 1)
+                    KN(repro_fin)(fin, V, W + 2 * row, acc + 2 * (p - g0), 1,
+                                  ca, cb, part);
+                else
+                    KN(repro_row_walk)(fin, indices, data,
+                                       chunk_ptr[ci] + lane, chunk_len[ci], c,
+                                       V, W, r, row, ca, cb, part, acc);
+            }
         return;
-    const int nt = e.nt;
-    REPRO_OMP_FOR
-    for (int64_t gi = 0; gi < ng; ++gi) {
-        double *restrict s = repro_eta_slot(&e);
-        double *restrict part = s + e.off;
-        REPRO_AT *restrict acc = (REPRO_AT *)s;
-        const int64_t g0 = gi * g, g1 = g0 + g < n_rows ? g0 + g : n_rows;
-        if (r == 1) {
-            const int64_t c1 = (g0 + g) / c < n_chunks ? (g0 + g) / c
-                                                       : n_chunks;
-            memset(acc, 0, (size_t)(2 * g) * sizeof(REPRO_AT));
-            for (int64_t ci = g0 / c; ci < c1; ++ci) {
-                const int64_t base = chunk_ptr[ci], len = chunk_len[ci];
-                for (int64_t j = 0; j < len; ++j)
-                    KN(repro_lanecmadd)(acc + 2 * (ci * c - g0), data,
-                                        indices, base + j * c, c, V);
+    }
+    const int64_t *restrict pos = sigma > 1 ? inv_perm : NULL;
+    for (int64_t i0 = g0; i0 < g1; i0 += REPRO_ETA_BLOCK) {
+        const int64_t i1 = i0 + REPRO_ETA_BLOCK < g1 ? i0 + REPRO_ETA_BLOCK
+                                                     : g1;
+        for (int64_t i = i0; i < i1; ++i) {
+            const int64_t p = pos ? pos[i] : i;
+            if (r == 1) {
+                KN(repro_fin)(fin, V + 2 * i, W + 2 * i, acc + 2 * (p - g0),
+                              1, ca, cb, part);
+            } else {
+                const int64_t ci = p / c;
+                KN(repro_row_walk)(fin, indices, data,
+                                   chunk_ptr[ci] + p - ci * c, chunk_len[ci],
+                                   c, V, W, r, i, ca, cb, part, acc);
             }
         }
-        for (int64_t i0 = g0; i0 < g1; i0 += REPRO_ETA_BLOCK) {
-            const int64_t i1 =
-                i0 + REPRO_ETA_BLOCK < g1 ? i0 + REPRO_ETA_BLOCK : g1;
-            if (r == 1)
-                for (int64_t i = i0; i < i1; ++i)
-                    KN(repro_loopb)(V + 2 * i, W + 2 * i,
-                                    acc + 2 * ((pos ? pos[i] : i) - g0), 1,
-                                    ta, tab, part, part + 1);
-            else
-                for (int64_t i = i0; i < i1; ++i) {
-                    const int64_t p = pos ? pos[i] : i, ci = p / c;
-                    KN(repro_row_aug)(indices, data,
-                                      chunk_ptr[ci] + p - ci * c,
-                                      chunk_len[ci], c, V, W, r, i, ta, tab,
-                                      part, acc);
-                }
-            repro_deposit(&e, part);
-        }
+        repro_deposit(e, part);
     }
+}
+
+/* The SELL walk, finished by fin as the CSR walk is, so a SELL
+ * operator's W and eta are its CSR image's bit for bit, for any C and
+ * sigma.  Threads take groups: 64 rows (boot, aug at r > 1), lcm(C,
+ * sigma, 64) rows at r = 1 — whole chunks and sigma scopes, so exactly
+ * the rows [g0, g0 + g) — or, a store, lcm(C, 64) positions.          */
+EXPORT void KN(repro_sell_aug_spmmv)(
+    int64_t fin,
+    int64_t n_rows,
+    int64_t sigma,
+    int64_t c,
+    int64_t r,
+    const int64_t *restrict chunk_ptr,
+    const int64_t *restrict chunk_len,
+    const int64_t *restrict perm,
+    const int64_t *restrict inv_perm,
+    const REPRO_IT *restrict indices,
+    const REPRO_VT *restrict data,
+    const REPRO_XT *restrict V,
+    REPRO_XT *restrict W,
+    REPRO_WALK_ARGS)
+{
+    const int store = fin == REPRO_FIN_STORE;
+    int64_t g = REPRO_ETA_BLOCK;
+    while ((store || r == 1) && (g % c || (!store && g % sigma)))
+        g += REPRO_ETA_BLOCK;
+    const int64_t n = store ? (n_rows + c - 1) / c * c : n_rows;
+    const int64_t ng = (n + g - 1) / g;
+    REPRO_AT ca, cb;
+    repro_eta_t e;
+    if (!repro_walk_open(&e, fin, r, n_threads,
+                         (size_t)(2 * (r == 1 ? g : r)) * sizeof(REPRO_AT),
+                         anchors, a, b, &ca, &cb))
+        return;
+    const int nt = e.nt;
+#define REPRO_SELL_GROUPS(F)                                               \
+    REPRO_OMP_FOR                                                          \
+    for (int64_t gi = 0; gi < ng; ++gi)                                    \
+        KN(repro_sell_group)(F, &e, gi * g, g, n, n_rows, sigma, c, r,     \
+                             chunk_ptr, chunk_len, perm, inv_perm, indices, \
+                             data, V, W, ca, cb);
+    REPRO_BY_FIN(fin, REPRO_SELL_GROUPS)
+#undef REPRO_SELL_GROUPS
     repro_eta_close(&e, bins, flag);
 }
 
 /* ------------------------------------------------------------------ */
-/* Set-up: the start block, its eta anchors and the bootstrap          */
+/* Set-up: the start block and its eta anchors                         */
 /*                                                                     */
-/* What a fresh solve runs once before its first aug step, on the     */
-/* kernel team, each bit for bit its NumPy twin (DESIGN section 13):   */
-/* threads take whole rows (or eta blocks), so no team size moves a    */
-/* bit.                                                                */
+/* What a fresh solve runs once before its bootstrap (a walk's boot    */
+/* finisher), on the kernel team, each bit for bit its NumPy twin      */
+/* (DESIGN section 13): threads take whole 64-row blocks, so no team   */
+/* size moves a bit.                                                   */
 /* ------------------------------------------------------------------ */
 
 /* exp(i phi) = cos phi + i sin phi of k columns of n phases, phases
@@ -1573,135 +1555,4 @@ EXPORT void KN(repro_anchors)(
         m2[q] = mq;
     }
     free(ms);
-}
-
-/* The bootstrap's row finisher: w <- a (u - b v), u the product row as
- * stored in w, in numpy's DAG of `np.multiply(v, b)`, `w -= .`,
- * `w *= a` — a complex times a real scalar is the complex product with
- * (b, 0), whose zero products stay, so NaNs and zero signs come out as
- * numpy's too — plus the eta terms of (v, w) before w is rounded to
- * storage, as repro_loopb adds them.                                  */
-static inline void KN(repro_loop_boot)(
-    const REPRO_XT *restrict vrow,
-    REPRO_XT *restrict wrow,
-    int64_t r,
-    REPRO_AT a,
-    REPRO_AT b,
-    double *restrict ee,
-    double *restrict eo)
-{
-    const REPRO_AT z = 0;
-    REPRO_NOVEC
-    for (int64_t k = 0; k < r; ++k) {
-        REPRO_NOVEC_STMT;
-        const REPRO_AT vr = REPRO_LOADX(vrow, 2 * k);
-        const REPRO_AT vi = REPRO_LOADX(vrow, 2 * k + 1);
-        const REPRO_AT dr = REPRO_LOADX(wrow, 2 * k) - (vr * b - vi * z);
-        const REPRO_AT di = REPRO_LOADX(wrow, 2 * k + 1) - (vr * z + vi * b);
-        const REPRO_AT wr = dr * a - di * z;
-        const REPRO_AT wi = dr * z + di * a;
-        REPRO_STOREX(wrow, 2 * k, wr);
-        REPRO_STOREX(wrow, 2 * k + 1, wi);
-        ee[k] += (double)vr * (double)vr + (double)vi * (double)vi;
-        eo[2 * k] += (double)wr * (double)vr + (double)wi * (double)vi;
-        eo[2 * k + 1] += (double)wr * (double)vi - (double)wi * (double)vr;
-    }
-}
-
-/* nu_1 = a (H - b) nu_0 of a fresh run and its bins: per eta block in
- * row order, each row's product by the Sp(M)MV row body into W (in
- * storage — fp16v rounds it to half there, as the spmmv the NumPy twin
- * calls does), then the finisher.  len == NULL: CSR, ptr the indptr;
- * else SELL, row i at position inv_perm[i] (i at sigma = 1).          */
-static void KN(repro_boot)(
-    int64_t n_rows,
-    int64_t sigma,
-    int64_t c,
-    int64_t r,
-    const int64_t *restrict ptr,
-    const int64_t *restrict len,
-    const int64_t *restrict inv_perm,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
-{
-    const REPRO_AT ra = (REPRO_AT)a, rb = (REPRO_AT)b;
-    const int64_t nb = (n_rows + REPRO_ETA_BLOCK - 1) / REPRO_ETA_BLOCK;
-    repro_eta_t e;
-    if (!repro_eta_open(&e, r, n_threads,
-                        (size_t)(2 * r) * sizeof(REPRO_AT), anchors))
-        return;
-    const int nt = e.nt;
-    REPRO_OMP_FOR
-    for (int64_t bi = 0; bi < nb; ++bi) {
-        double *restrict s = repro_eta_slot(&e);
-        double *restrict part = s + e.off;
-        const int64_t i0 = bi * REPRO_ETA_BLOCK;
-        const int64_t i1 = i0 + REPRO_ETA_BLOCK < n_rows
-                               ? i0 + REPRO_ETA_BLOCK : n_rows;
-        for (int64_t i = i0; i < i1; ++i) {
-            int64_t p0, cnt, stride = 1;
-            if (len) {
-                const int64_t p = sigma > 1 ? inv_perm[i] : i, ci = p / c;
-                p0 = ptr[ci] + p - ci * c;
-                cnt = len[ci];
-                stride = c;
-            } else {
-                p0 = ptr[i];
-                cnt = ptr[i + 1] - p0;
-            }
-#if REPRO_SIMD
-            KN(repro_row_store)(indices, data, p0, cnt, stride, V, W, r, i);
-#else
-            REPRO_AT *restrict acc = (REPRO_AT *)s;
-            memset(acc, 0, (size_t)(2 * r) * sizeof(REPRO_AT));
-            for (int64_t q = 0, p = p0; q < cnt; ++q, p += stride)
-                KN(repro_rowaxpy)(acc, V + 2 * (int64_t)indices[p] * r,
-                                  (REPRO_AT)data[2 * p],
-                                  (REPRO_AT)data[2 * p + 1], r);
-            KN(repro_storerow)(W + 2 * i * r, acc, 2 * r);
-#endif
-            KN(repro_loop_boot)(V + 2 * i * r, W + 2 * i * r, r, ra, rb, part,
-                                part + r);
-        }
-        repro_deposit(&e, part);
-    }
-    repro_eta_close(&e, bins, flag);
-}
-
-/* The two formats' bootstrap entries, in their products' argument
- * order plus the aug kernels' eta arguments.                          */
-EXPORT void KN(repro_csr_bootstrap)(
-    int64_t n_rows,
-    int64_t r,
-    const int64_t *restrict indptr,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
-{
-    KN(repro_boot)(n_rows, 1, 1, r, indptr, NULL, NULL, indices, data, V, W,
-                   n_threads, a, b, anchors, bins, flag);
-}
-
-EXPORT void KN(repro_sell_bootstrap)(
-    int64_t n_rows,
-    int64_t sigma,
-    int64_t c,
-    int64_t r,
-    const int64_t *restrict chunk_ptr,
-    const int64_t *restrict chunk_len,
-    const int64_t *restrict inv_perm,
-    const REPRO_IT *restrict indices,
-    const REPRO_VT *restrict data,
-    const REPRO_XT *restrict V,
-    REPRO_XT *restrict W,
-    REPRO_ETA_ARGS)
-{
-    KN(repro_boot)(n_rows, sigma, c, r, chunk_ptr, chunk_len, inv_perm,
-                   indices, data, V, W, n_threads, a, b, anchors, bins,
-                   flag);
 }

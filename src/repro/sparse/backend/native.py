@@ -291,7 +291,7 @@ COMPILE_TIMEOUT = 120.0
 
 #: Mirrors ``REPRO_ABI`` in ``_kernels.c``: what :func:`_declare` expects
 #: a unit to answer before any of its kernels is bound.
-_ABI = 7
+_ABI = 8
 
 _lib: ctypes.CDLL | None = None
 _load_attempted = False
@@ -326,25 +326,17 @@ KERNEL_SUFFIXES = {
 #: ``n`` int64 scalar, ``s`` double scalar, ``L`` int64* (indptr /
 #: chunk arrays / the escape flag), ``I`` column indices*,
 #: ``V`` matrix values*, ``X`` vector storage*, ``E`` double* (the eta
-#: anchors in, the eta bins out — fp64 in every profile).  Every aug
-#: kernel ends in ``n_threads, a, b, anchors, bins, flag``, every plain
-#: product in ``n_threads``.
+#: anchors in, the eta bins out — fp64 in every profile).
 _SIGNATURES = {
-    "repro_csr_spmv": "nLIVXXn",
-    "repro_csr_spmmv": "nnLIVXXn",
-    # the aug kernels walk rows in 64-row eta blocks, CSR's [row0,
-    # row1) of the whole matrix, SELL's through (sigma, inv_perm); at
-    # r = 1 both are stage 1's single-vector walk
-    "repro_csr_aug_spmmv": "nnnLIVXXnssEEL",
-    "repro_sell_spmv": "nnnLLLIVXXn",
-    "repro_sell_spmmv": "nnnnLLLIVXXn",
-    "repro_sell_aug_spmmv": "nnnnLLLIVXXnssEEL",
-    # a fresh run's set-up (DESIGN §13): exp(i phi), the anchors' max
-    # |x|^2, and the bootstrap nu_1 with the aug kernels' eta arguments
+    # one walk per format (DESIGN §12): the finisher (store, boot, aug),
+    # CSR's [row0, row1) of the whole matrix or SELL's n_rows, sigma, C,
+    # the width r (1: stage 1's single-vector walk), the matrix, V, W,
+    # then n_threads, a, b, anchors, bins, flag (a store reads none)
+    "repro_csr_aug_spmmv": "nnnnLIVXXnssEEL",
+    "repro_sell_aug_spmmv": "nnnnnLLLLIVXXnssEEL",
+    # a fresh run's set-up (DESIGN §13): exp(i phi), the anchors' max |x|^2
     "repro_phases": "nnEEnn",
     "repro_anchors": "nnXEn",
-    "repro_csr_bootstrap": "nnLIVXXnssEEL",
-    "repro_sell_bootstrap": "nnnnLLLIVXXnssEEL",
 }
 
 

@@ -41,7 +41,7 @@ from repro.sparse.backend.native import (
 )
 from repro.sparse.compress import kernel_pack
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.fused import (_cols, aug_cost, eta_anchors, fold,
+from repro.sparse.fused import (_cols, aug_cost, eta_anchors,
                                 matrix_stream, spmv_cost)
 from repro.sparse.sell import SellMatrix
 from repro.util.errors import ShapeError
@@ -150,8 +150,12 @@ def _kernel_operand(name: str, X: np.ndarray, n: int,
     return X
 
 
+#: The walks' finishers, ``REPRO_FIN_*`` in ``_kernels.c``.
+_STORE, _BOOT, _AUG = 0, 1, 2
+
+
 class _Call:
-    """One aug kernel call with everything but ``(a, b)`` and the team
+    """One walk call with everything but ``(a, b)`` and the team
     resolved (DESIGN §18): ``fn(*head, n_threads, a, b, *eta)`` runs it,
     ``cost`` is its Table-I ``(loads, stores, flops)`` and ``meta`` its
     span's.  It holds the arrays its pointers point into — ``A``, ``V``,
@@ -187,11 +191,11 @@ class NativeBackend(KernelBackend):
 
     # -- marshalling ---------------------------------------------------
     @staticmethod
-    def _entry(kind, A, prec, vs, lead, width) -> tuple:
-        """``(fn, head)``: the C entry point of ``kind`` for ``A`` in
-        profile ``prec`` and family ``vs``, and its leading arguments —
-        ``lead``, then the matrix's, with the block width ``width``
-        (``()`` or ``(r,)``) where the kernel takes it.
+    def _entry(fin, A, prec, vs, r, row0, row1) -> tuple:
+        """``(fn, head)``: ``A``'s walk in profile ``prec`` and family
+        ``vs``, and its leading arguments — the finisher ``fin``, CSR's
+        rows ``[row0, row1)`` (SELL: all), then the matrix's with the
+        block width ``r``.
 
         The matrix's pointers are cached on it, one tuple per kernel
         suffix (the containers are immutable; ``data_as`` builds fresh
@@ -201,44 +205,43 @@ class NativeBackend(KernelBackend):
         values, indices = kernel_pack(A, prec)
         suffix = _kernel_suffix(prec, indices)
         sell = isinstance(A, SellMatrix)
-        # the row walks locate rows by inv_perm
-        aug = sell and kind in ("aug_spmmv", "bootstrap")
         cache = A.__dict__.setdefault("_native_args", {})
-        args = cache.get((suffix, aug))
+        args = cache.get(suffix)
         if args is None:
-            head = (_ptr(A.indptr),) if not sell else (
-                A.sigma if aug else A.n_chunks, A.chunk_height,
-                _ptr(A.chunk_ptr), _ptr(A.chunk_len),
-                _ptr(A.inv_perm if aug else A.perm))
-            args = cache[suffix, aug] = (*head, _ptr(indices), _ptr(values))
-        if sell:
-            fmt, args = "sell", (*args[:2], *width, *args[2:])
-        else:
-            fmt, args = "csr", (*width, *args)
-        return kernel(f"repro_{fmt}_{kind}", suffix, vs), (*lead, *args)
+            head = (A.sigma, A.chunk_height, *map(_ptr, (
+                A.chunk_ptr, A.chunk_len, A.perm, A.inv_perm))) if sell \
+                else (_ptr(A.indptr),)
+            args = cache[suffix] = (*head, _ptr(indices), _ptr(values))
+        head = (fin, A.n_rows, *args[:2], r, *args[2:]) if sell else (
+            fin, row0, row1, r, *args)
+        return kernel(f"repro_{'sell' if sell else 'csr'}_aug_spmmv", suffix,
+                      vs), head
 
     # -- kernels -------------------------------------------------------
-    def _product(self, kind, A, X, out, plan, sink, boot=()):
-        """``kind`` (``spmv``/``spmmv``) in one span; with ``boot``, the
-        bootstrap's ``(a, b, anchors, bins, flag)``, the bootstrap entry
-        (which takes R also for a vector), charged as the product."""
+    def _product(self, kind, A, X, out, plan, sink):
+        """``kind`` (``spmv``/``spmmv``): the walk's store finisher."""
         block = kind == "spmmv"
         X, prec, out = self._product_args(A, X, out, block)
         X = _kernel_operand("X" if block else "x", X, A.n_cols, block)
         r = X.shape[1] if block else 1
-        fn, head = self._entry("bootstrap" if boot else kind, A, prec,
-                               _plan_simd(plan, prec), (A.n_rows,),
-                               (r,) if block or boot else ())
+        fn, head = self._entry(_STORE, A, prec, _plan_simd(plan, prec), r,
+                               0, A.n_rows)
         with sink.span(kind) as sp:
-            fn(*head, _ptr(X), _ptr(out), _team(plan and plan.threads), *boot)
+            fn(*head, _ptr(X), _ptr(out), _team(plan and plan.threads),
+               0.0, 0.0, None, None, None)
             sp.charge(kind, *spmv_cost(*matrix_stream(A, prec), r, prec))
         return out
 
     def _step(self, kind, A, V, W, a, b, plan, sink):
         """One whole augmented step (``aug_spm(m)v``; ``aug_spmv`` is the
-        ``aug_spmmv`` kernel on 1-D vectors, r = 1); returns its bins
-        (DESIGN §19): the plan's, or fresh ones without a fitting plan."""
-        call = self._bind(kind, A, V, W, plan, 0, A.n_rows, None)
+        walk on 1-D vectors, r = 1); returns its bins (DESIGN §19): the
+        plan's, or fresh ones without a fitting plan."""
+        return self._run(kind, self._bind(kind, A, V, W, plan, 0, A.n_rows,
+                                          None), a, b, plan, sink)
+
+    @staticmethod
+    def _run(kind, call, a, b, plan, sink):
+        """``call`` in one span of ``sink``, charged as ``kind``."""
         with sink.span(kind, **call.meta) as sp:
             call.fn(*call.head, _team(plan and plan.threads), a, b, *call.eta)
             sp.charge(kind, *call.cost)
@@ -265,20 +268,23 @@ class NativeBackend(KernelBackend):
         return eta_anchors(X, m2=m2)
 
     def _boot(self, A, V, W, a, b, plan, sink):
-        block = V.ndim == (3 if V.dtype == np.float16 else 2)
-        eta = self._eta_state(plan, V, A.n_rows, plan.r)  # anchors, bins, flag
-        W = self._product("spmmv" if block else "spmv", A, V, W, plan, sink,
-                          (a, b, *map(_ptr, eta)))
-        return W, eta[1]
+        """The walk's boot finisher, in the Sp(M)MV's span and charge."""
+        kind = "spmmv" if V.ndim == (3 if V.dtype == np.float16 else 2) \
+            else "spmv"
+        W = self._product_args(A, V, W, kind == "spmmv")[2]
+        call = self._bind(kind, A, V, W, plan, 0, A.n_rows, None)
+        return W, self._run(kind, call, a, b, plan, sink)
 
     def _aug_range(self, A, V, W, a, b, plan, row0, row1, bins):
         call = self._bind("aug_spmmv", A, V, W, plan, row0, row1, bins)
         call.fn(*call.head, _team(plan and plan.threads), a, b, *call.eta)
 
     def _bind(self, kind, A, V, W, plan, row0, row1, bins) -> _Call:
-        """The :class:`_Call` of one C aug kernel — CSR over rows ``[row0,
-        row1)`` of the ORIGINAL arrays, indexed in place; SELL whole —
-        into ``bins``, else the plan's (or fresh ones).
+        """The :class:`_Call` of one walk that writes ``W`` and reduces
+        eta — ``kind`` an aug step, or ``spm(m)v``: the bootstrap — CSR
+        over rows ``[row0, row1)`` of the ORIGINAL arrays, indexed in
+        place; SELL whole — into ``bins``, else the plan's (or fresh
+        ones).
 
         A plan keeps the calls it made, two per ``(kind, rows)`` (the
         recurrence alternates two buffers): a later call on the same
@@ -286,8 +292,9 @@ class NativeBackend(KernelBackend):
         environment read.  Anything else checks and marshals its
         operands once, here.  The thread team is not bound: a fork
         changes it (:func:`_team`)."""
+        aug = kind.startswith("aug")  # else the bootstrap: once a run
         calls = None
-        if plan is not None:
+        if plan is not None and aug:
             calls = plan.native_calls.setdefault((kind, row0, row1), [])
             for call in calls:
                 if call.fits(A, V, W, plan.anchors,
@@ -295,7 +302,7 @@ class NativeBackend(KernelBackend):
                     return call
         if not isinstance(A, (CSRMatrix, SellMatrix)):
             raise TypeError(f"unsupported matrix type {type(A).__name__}")
-        block = kind == "aug_spmmv"
+        block = kind.endswith("spmmv")
         V = _kernel_operand("V" if block else "v", V, A.n_cols, block)
         W = _kernel_operand("W" if block else "w", W, A.n_rows, block)
         r = V.shape[1] if block else 1
@@ -313,13 +320,13 @@ class NativeBackend(KernelBackend):
         call = _Call()
         call.A, call.V, call.W = A, V, W
         call.anchors, call.bins = anchors, own if bins is None else bins
-        fn, head = self._entry(  # stage 1 is the blocked call at r = 1
-            "aug_spmmv", A, prec, _plan_simd(plan, prec),
-            (A.n_rows,) if isinstance(A, SellMatrix) else (row0, row1), (r,))
+        fn, head = self._entry(_AUG if aug else _BOOT, A, prec,
+                               _plan_simd(plan, prec), r, row0, row1)
         call.fn, call.head = fn, (*head, _ptr(V), _ptr(W))
         call.eta = (_ptr(anchors), _ptr(call.bins), _ptr(escape))
-        call.cost = aug_cost(*matrix_stream(A, prec), r, prec)
-        threads = None if plan is None else plan.threads
+        call.cost = (aug_cost if aug else spmv_cost)(*matrix_stream(A, prec),
+                                                     r, prec)
+        threads = None if plan is None or not aug else plan.threads
         call.meta = {} if threads is None else {"threads": threads}
         if calls is not None and anchors is plan.anchors:  # a fitting plan
             calls.insert(0, call)

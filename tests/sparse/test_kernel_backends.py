@@ -27,6 +27,7 @@ from repro.sparse.sell import SellMatrix
 from repro.util.constants import DTYPE
 from repro.util.counters import PerfCounters
 from repro.util.errors import BackendError
+from repro.util.precision import get_precision
 from tests.lattice import case_test
 
 needs_native = pytest.mark.skipif(
@@ -90,6 +91,13 @@ def _storage(prec, X):
     return prec.encode(X) if prec.half_vectors else X.astype(prec.vector_dtype)
 
 
+def _sells(m):
+    """SELL images of ``m``: C in {8, 32}, sigma in {1, 32, 8192} — the
+    last one scope wider than any operator here."""
+    return [SellMatrix(m, chunk_height=c, sigma=s)
+            for c in (8, 32) for s in (1, 32, 8192)]
+
+
 def _equal(a, b) -> bool:
     return a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -100,19 +108,30 @@ class TestNativeParity:
     the native bits (DESIGN §19)."""
 
     def test_spmv(self, operator, rng):
-        m, sell, _ = operator
+        """Every profile (the u16 units too), CSR and SELL with C in
+        {8, 32} and sigma in {1, 32, 8192}: the walk's store finisher at
+        r = 1 writes the NumPy bits, and spmv(x) is spmmv(x[:, None])."""
+        m, _, _ = operator
         npb, nat = get_backend("numpy"), get_backend("native")
         x = _block(rng, m.n_cols, 1)[:, 0].copy()
-        for A in (m, sell):
-            assert _equal(nat.spmv(A, x), npb.spmv(A, x))
+        for prec in map(get_precision, ("fp64", "fp32", "fp16v")):
+            xs = _storage(prec, x)
+            for A in (m, *_sells(m)):
+                y = nat.spmv(A, xs)
+                assert _equal(y, npb.spmv(A, xs)), (prec.name, A)
+                assert _equal(y, nat.spmmv(A, xs[:, None])[:, 0]), \
+                    (prec.name, A)
 
-    @pytest.mark.parametrize("r", [1, 4, 32])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 8, 32])
     def test_spmmv(self, operator, rng, r):
-        m, sell, _ = operator
+        m, _, _ = operator
         npb, nat = get_backend("numpy"), get_backend("native")
         X = _block(rng, m.n_cols, r)
-        for A in (m, sell):
-            assert _equal(nat.spmmv(A, X), npb.spmmv(A, X))
+        for prec in map(get_precision, ("fp64", "fp32", "fp16v")):
+            Xs = _storage(prec, X)
+            for A in (m, *_sells(m)):
+                assert _equal(nat.spmmv(A, Xs), npb.spmmv(A, Xs)), \
+                    (prec.name, A)
 
     def test_aug_spmv_step(self, operator, rng):
         m, sell, scale = operator
@@ -194,8 +213,6 @@ class TestNativeParity:
         storage profile — the format moves no bit; and stage 1 on column
         k is column k of the stage-2 R = 3 block, bit for bit (one walk,
         DESIGN §19)."""
-        from repro.util.precision import get_precision
-
         m, _, scale = operator
         prec = get_precision(precision)
         V0, W0 = (_block(np.random.default_rng(seed), m.n_rows, max(r, 3))
@@ -273,7 +290,6 @@ def test_eta_bins_column_is_its_block_column(precision, n):
     of the (N, 3) bins — on a partial last block (N = 1,000), on a pass
     of one block (N = 40) and on a last pass of one block (N = 16,400)."""
     from repro.sparse.fused import eta_anchors, eta_bins
-    from repro.util.precision import get_precision
 
     prec = get_precision(precision)
     rng = np.random.default_rng(4)
@@ -516,7 +532,7 @@ def _starts(n, r):
 
 @needs_native
 @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
-@pytest.mark.parametrize("fmt", ["csr", "sell"])
+@pytest.mark.parametrize("fmt", ["csr", "sell", "sell_wide"])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("simd", ["on", "off"])
 def test_bootstrap_is_the_numpy_twin(ti_small, precision, fmt, threads, simd):
@@ -524,11 +540,13 @@ def test_bootstrap_is_the_numpy_twin(ti_small, precision, fmt, threads, simd):
     ``a (u - b v)`` and the eta reduction in one team call — equal the
     NumPy twin's bits for random-phase and unit-vector starts, at b = 0
     exactly (signed zeros of ``v·0``) and off centre; blocked and, at
-    R = 1, single-vector."""
+    R = 1, single-vector; on SELL also with one sigma scope wider than
+    the matrix (its R = 1 walk is one group)."""
     from repro.core.recurrence import Recurrence
 
     h, _ = ti_small
-    A = h if fmt == "csr" else SellMatrix(h, chunk_height=16, sigma=64)
+    A = h if fmt == "csr" else SellMatrix(
+        h, chunk_height=16, sigma=64 if fmt == "sell" else 8192)
     lo, hi = h.gershgorin_bounds()
     for scale in (SpectralScale(2.0 / (hi - lo) * 0.99, 0.0, lo, hi),
                   SpectralScale.from_bounds(lo, hi + 1.0)):

@@ -3,8 +3,8 @@
 The NumPy backend (``sparse/backend/numpy_backend.py``) owns every NumPy
 kernel and the package's only SciPy product; ``sparse/fused.py`` holds
 what the backends share and no step kernel; a SELL matrix is stored in
-one layout; a native unit has eight kernels, and a task-mode phase is a
-row range, so none of them takes a row list.
+one layout; a native unit has one walk per format, and a task-mode
+phase is a row range, so no kernel takes a row list.
 """
 
 import ast
@@ -72,24 +72,20 @@ def test_a_sell_matrix_has_one_layout(small_hermitian):
 
 
 def test_six_kernels_and_no_row_lists():
-    """A task-mode phase is a row range: a unit binds CSR and SELL
-    spmv/spmmv/aug_spmmv (stage 1 is aug_spmmv at r = 1) plus the set-up
-    entries (the start block's phases, its anchors, each format's
-    bootstrap), and no kernel takes a row list — the int64 pointers are
-    indptr (CSR), chunk_ptr/chunk_len/perm (SELL) and an eta kernel's
-    escape flag."""
+    """A task-mode phase is a row range: a unit binds one walk per format
+    (the products, the bootstrap and the aug step — stage 1 at r = 1 —
+    are its finishers) plus the set-up entries (the start block's
+    phases, its anchors), and no kernel takes a row list — the int64
+    pointers are indptr (CSR), chunk_ptr/chunk_len/perm/inv_perm (SELL)
+    and a walk's escape flag."""
     from repro.sparse.backend import native
 
-    kinds = ("spmv", "spmmv", "aug_spmmv", "bootstrap")
-    assert set(native._SIGNATURES) == {
-        f"repro_{fmt}_{kind}" for fmt in ("csr", "sell") for kind in kinds
-    } | {"repro_phases", "repro_anchors"}
+    walks = {"repro_csr_aug_spmmv": 1, "repro_sell_aug_spmmv": 4}
+    assert set(native._SIGNATURES) == {*walks, "repro_phases",
+                                       "repro_anchors"}
     for base, sig in native._SIGNATURES.items():
         operands = sig[:-5] if sig.endswith("nssEEL") else sig
-        want = 1 if base.startswith("repro_csr") else 3
-        if base in ("repro_phases", "repro_anchors"):
-            want = 0
-        assert operands.count("L") == want, base
+        assert operands.count("L") == walks.get(base, 0), base
 
 
 def test_removed_split_api_stays_removed():
@@ -99,7 +95,12 @@ def test_removed_split_api_stays_removed():
                for walk in ("range", "rows")),
              # stage 1's own row order and kernels: it is aug_spmmv at r = 1
              "repro_rowdot", "_lane_product", "lane_out",
-             "KN(repro_csr_aug_spmv)", "KN(repro_sell_aug_spmv)"]
+             "KN(repro_csr_aug_spmv)", "KN(repro_sell_aug_spmv)",
+             # the products and the bootstrap: finishers of the walks
+             *(f"repro_{fmt}_{kind}" for fmt in ("csr", "sell")
+               for kind in ("spmv", "spmmv", "bootstrap")),
+             "KN(repro_boot)", "REPRO_SLOT", "repro_storerow",
+             "repro_row_aug"]
     sources = [*_sources(), SRC / "sparse" / "backend" / "_kernels.c"]
     offenders = [
         (path.relative_to(SRC).as_posix(), name)

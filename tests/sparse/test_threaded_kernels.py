@@ -2,8 +2,8 @@
 
 Threads take whole 64-row eta blocks, each into its own bins, and bins
 add exactly (DESIGN §19) — so moments are bitwise identical at every
-thread count, None included; the plain products take whole rows.  These
-tests pin that contract alone and composed with the subsystems that rely
+thread count, None included; the plain products take whole row
+groups.  These tests pin that contract alone and composed with the subsystems that rely
 on it: checkpoint resume (a resumed run may restart with a different
 thread count), serve coalescing (a threaded batch must stay invisible)
 and a fork after a threaded solve.
@@ -45,6 +45,8 @@ def ti():
 def _operator(h, fmt: str):
     if fmt == "sell":
         return SellMatrix(h, chunk_height=8, sigma=32)
+    if fmt == "sell_wide":  # one sigma scope wider than the matrix
+        return SellMatrix(h, chunk_height=8, sigma=8192)
     return h
 
 
@@ -54,12 +56,13 @@ def test_fp64_moments_bitwise_across_thread_counts(): ...
 
 @needs_native
 @pytest.mark.parametrize("precision", ["fp64", "fp32", "fp16v"])
-@pytest.mark.parametrize("fmt", ["csr", "sell"])
+@pytest.mark.parametrize("fmt", ["csr", "sell", "sell_wide"])
 @pytest.mark.parametrize("simd", ["on", "off"])
 def test_plain_products_bitwise_across_thread_counts(ti, fmt, precision,
                                                      simd):
-    """spmv (the Lanczos sweep) and spmmv (the bootstrap) take rows per
-    thread: no reduction, so no thread count moves a bit."""
+    """spmv (the Lanczos sweep) and spmmv (a plain product) are the
+    walk's store finisher, rows per thread: no reduction, so no thread
+    count moves a bit."""
     h, _scale, block = ti
     A = _operator(h, fmt)
     bk = get_backend("native")

@@ -4,7 +4,8 @@
 Builds the default kernel unit if needed (``--all``: every unit this
 host can build, each loaded and its entry points bound — an image
 pre-build, or a CI leg warming its cache before pytest — and each
-unit's set-up entries checked against their NumPy twins), verifies that
+unit's entries checked against their NumPy twins: the set-up entries
+and both walks under every finisher), verifies that
 CSR and SELL-32-128 on both backends give the moments of the NumPy CSR
 run bit for bit on a small topological-insulator matrix, and times the
 blocked SELL kernel against the NumPy path.  Intended as the first
@@ -49,15 +50,39 @@ _PROFILES = {"": "fp64", "_f32": "fp32", "_f32u16": "fp32",
              "_f16v": "fp16v", "_f16vu16": "fp16v"}
 
 
-def _setup_parity(unit: tuple[str, bool], h, scale) -> str | None:
-    """One unit's set-up entries against their NumPy twins, bit for bit
-    (DESIGN section 13): ``repro_phases`` against NumPy's complex exp,
-    ``repro_anchors`` and ``repro_csr_bootstrap`` (nu_1 and its bins) on
-    a random-phase and a unit-vector start, on one and two threads.
+def _walk(unit, A, prec, fin, V, W, threads, a=0.0, b=0.0, eta=None):
+    """One call of ``A``'s walk in ``unit`` with finisher ``fin`` (0
+    store, 1 boot, 2 aug), on the matrix packed by hand, so the int32
+    and uint16 index units both run on a small operator."""
+    from repro.sparse import SellMatrix
+    from repro.sparse.backend.native import _ptr, kernel
+
+    values = A.data.astype(prec.compute_dtype)
+    indices = A.indices.astype(np.uint16 if "u16" in unit[0] else np.int32)
+    r = V.shape[1] if V.ndim == (3 if prec.half_vectors else 2) else 1
+    if isinstance(A, SellMatrix):
+        fmt, head = "sell", (fin, A.n_rows, A.sigma, A.chunk_height, r, *map(
+            _ptr, (A.chunk_ptr, A.chunk_len, A.perm, A.inv_perm)))
+    else:
+        fmt, head = "csr", (fin, 0, A.n_rows, r, _ptr(A.indptr))
+    eta = (None,) * 3 if eta is None else tuple(map(_ptr, eta))
+    kernel(f"repro_{fmt}_aug_spmmv", *unit)(
+        *head, _ptr(indices), _ptr(values), _ptr(V), _ptr(W), threads, a, b,
+        *eta)
+
+
+def _unit_parity(unit: tuple[str, bool], h, scale) -> str | None:
+    """One unit's entries against their NumPy twins, bit for bit (DESIGN
+    sections 12 and 13): ``repro_phases`` against NumPy's complex exp,
+    ``repro_anchors``, and each format's walk under its three finishers
+    — store at r = 1 and r = 3 (spmv, spmmv), boot (nu_1 and its bins)
+    and aug (a step from nu_1: W and its bins) — on CSR and SELL-8-32,
+    a random-phase and a unit-vector start, one and two threads.
     Returns what differs, or None."""
     from repro.core.recurrence import to_storage
     from repro.core.stochastic import make_block_vector, unit_block_vector
     from repro.obs.metrics import NULL_METRICS
+    from repro.sparse import SellMatrix
     from repro.sparse.backend import get_backend
     from repro.sparse.backend.native import _ptr, kernel
     from repro.sparse.fused import eta_anchors
@@ -70,11 +95,10 @@ def _setup_parity(unit: tuple[str, bool], h, scale) -> str | None:
     phases = np.random.default_rng(5).uniform(0.0, 2 * np.pi, (r, n))
     want, got = np.empty((n, r), complex), np.empty((n, r), complex)
     _cis(phases, want)
-    values = h.data.astype(prec.compute_dtype)
-    indices = h.indices.astype(np.uint16 if "u16" in suffix else np.int32)
     numpy_bk = get_backend("numpy")
     starts = {"phase": make_block_vector(n, r, seed=3),
               "unit": unit_block_vector(n, np.array([0, n // 2, n - 1]))}
+    formats = {"csr": h, "sell": SellMatrix(h, chunk_height=8, sigma=32)}
     for threads in (1, 2):
         kernel("repro_phases", suffix, simd)(
             n, r, _ptr(phases), _ptr(got), r, threads)
@@ -88,19 +112,33 @@ def _setup_parity(unit: tuple[str, bool], h, scale) -> str | None:
             anchors = eta_anchors(V)
             if eta_anchors(V, m2=m2).tobytes() != anchors.tobytes():
                 return f"repro_anchors, {kind} start, {threads} thread(s)"
-            plan = numpy_bk.plan(h, r, precision=prec)
-            plan.anchors = anchors
-            W_ref, bins_ref = numpy_bk._boot(h, V, None, scale.a, scale.b,
-                                             plan, NULL_METRICS)
-            W, bins = np.empty_like(V), np.empty((2, 3 * r))
-            kernel("repro_csr_bootstrap", suffix, simd)(
-                n, r, _ptr(h.indptr), _ptr(indices), _ptr(values), _ptr(V),
-                _ptr(W), threads, scale.a, scale.b, _ptr(anchors),
-                _ptr(bins), _ptr(np.zeros(1, dtype=np.int64)))
-            if (W.tobytes(), bins.tobytes()) != \
-                    (W_ref.tobytes(), bins_ref.tobytes()):
-                return f"repro_csr_bootstrap, {kind} start, " \
-                       f"{threads} thread(s)"
+            v = np.ascontiguousarray(V[:, 0])
+            for fmt, A in formats.items():
+                where = f"{fmt} walk, {kind} start, {threads} thread(s)"
+                for x, ref in ((v, numpy_bk.spmv(A, v)),
+                               (V, numpy_bk.spmmv(A, V))):
+                    y = np.empty_like(ref)
+                    _walk(unit, A, prec, 0, x, y, threads)
+                    if y.tobytes() != ref.tobytes():
+                        return f"store at r = {x.size // v.size}, {where}"
+                plan = numpy_bk.plan(A, r, precision=prec)
+                plan.anchors = anchors
+                W_ref, bins_ref = numpy_bk._boot(A, V, None, scale.a,
+                                                 scale.b, plan, NULL_METRICS)
+                W, bins = np.empty_like(V), np.empty((2, 3 * r))
+                flag = np.zeros(1, dtype=np.int64)
+                _walk(unit, A, prec, 1, V, W, threads, scale.a, scale.b,
+                      (anchors, bins, flag))
+                if (W.tobytes(), bins.tobytes()) != \
+                        (W_ref.tobytes(), bins_ref.tobytes()):
+                    return f"boot, {where}"
+                bins_ref = numpy_bk._step("aug_spmmv", A, V, W_ref, scale.a,
+                                          scale.b, plan, NULL_METRICS)
+                _walk(unit, A, prec, 2, V, W, threads, scale.a, scale.b,
+                      (anchors, bins, flag))
+                if (W.tobytes(), bins.tobytes()) != \
+                        (W_ref.tobytes(), bins_ref.tobytes()):
+                    return f"aug, {where}"
     return None
 
 
@@ -169,12 +207,12 @@ def main(argv: list[str] | None = None) -> int:
         h, _ = build_topological_insulator(6, 5, 4)
         scale = SpectralScale.from_bounds(*h.gershgorin_bounds())
         for unit in buildable_units():
-            problem = _setup_parity(unit, h, scale)
+            problem = _unit_parity(unit, h, scale)
             if problem:
-                return _fail(f"set-up parity, unit {unit_name(*unit)}: "
+                return _fail(f"unit parity, unit {unit_name(*unit)}: "
                              f"{problem} differs from the NumPy twin")
-        print("set-up:  phases, anchors, bootstrap ok: every unit "
-              "(random-phase and unit-vector starts, 1 and 2 threads)")
+        print("units:   phases, anchors; csr and sell walks x store, boot, "
+              "aug ok: every unit (2 starts, 1 and 2 threads)")
 
     numpy_bk = get_backend("numpy")
     native_bk = get_backend("native")
