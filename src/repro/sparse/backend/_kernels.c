@@ -1353,18 +1353,21 @@ static REPRO_OUTLINE void KN(repro_sell_chunks1)(
     }
 }
 
-/* One group [g0, g0 + g) of the n rows or positions of the SELL walk,
- * on the calling thread.  At r = 1 its chunks accumulate first and
- * each row finishes from acc[pos - g0]; above, each row is its lane's
- * body at stride C.  A store needs no row order: it takes positions,
- * row perm[pos], skipping the padding.  Boot and aug take rows in row
- * order, row i at position inv_perm[i] (i at sigma = 1), 64 a block.  */
+/* One group of the SELL walk, on the calling thread: the rows or
+ * positions [g0, g1), which are the chunks [ci0, ci1) where a group is
+ * whole chunks.  A store needs no row order: a group is a chunk, its
+ * positions k finishing row perm[k], the padding skipped.  Boot and aug
+ * take rows k in row order, at position inv_perm[k] (k at sigma = 1),
+ * 64 a block.  Above r = 1 each row is its lane's body at stride C; at
+ * r = 1 the chunks accumulate first and each row finishes from
+ * acc[pos - g0].  r is tested once a group, outside the row loops.    */
 static inline __attribute__((always_inline)) void KN(repro_sell_group)(
     const int fin,
     const repro_eta_t *e,
     int64_t g0,
-    int64_t g,
-    int64_t n,
+    int64_t g1,
+    int64_t ci0,
+    int64_t ci1,
     int64_t n_rows,
     int64_t sigma,
     int64_t c,
@@ -1383,55 +1386,52 @@ static inline __attribute__((always_inline)) void KN(repro_sell_group)(
     double *restrict s = repro_eta_slot(e);
     double *restrict part = s + e->off;
     REPRO_AT *restrict acc = (REPRO_AT *)s;
-    const int64_t g1 = g0 + g < n ? g0 + g : n;
-    if (r == 1) {
-        const int64_t n_chunks = (n_rows + c - 1) / c;
-        KN(repro_sell_chunks1)(acc, g0 / c,
-                               (g0 + g) / c < n_chunks ? (g0 + g) / c
-                                                       : n_chunks,
-                               c, chunk_ptr, chunk_len, indices, data, V);
-    }
-    if (fin == REPRO_FIN_STORE) {
-        for (int64_t ci = g0 / c; ci < g1 / c; ++ci)
+    const int store = fin == REPRO_FIN_STORE;
+    const int64_t *restrict pos = sigma > 1 ? inv_perm : NULL;
+    if (r > 1 && store) {
+        for (int64_t ci = ci0; ci < ci1; ++ci)
             for (int64_t lane = 0; lane < c; ++lane) {
-                const int64_t p = ci * c + lane, row = perm[p];
-                if (row >= n_rows)
-                    continue;
-                if (r == 1)
-                    KN(repro_fin)(fin, V, W + 2 * row, acc + 2 * (p - g0), 1,
-                                  ca, cb, part);
-                else
+                const int64_t row = perm[ci * c + lane];
+                if (row < n_rows)
                     KN(repro_row_walk)(fin, indices, data,
                                        chunk_ptr[ci] + lane, chunk_len[ci], c,
                                        V, W, r, row, ca, cb, part, acc);
             }
         return;
     }
-    const int64_t *restrict pos = sigma > 1 ? inv_perm : NULL;
+    if (r > 1) {
+        for (int64_t i = g0; i < g1; ++i) {
+            const int64_t p = pos ? pos[i] : i, ci = p / c;
+            KN(repro_row_walk)(fin, indices, data, chunk_ptr[ci] + p - ci * c,
+                               chunk_len[ci], c, V, W, r, i, ca, cb, part,
+                               acc);
+        }
+        repro_deposit(e, part);
+        return;
+    }
+    KN(repro_sell_chunks1)(acc, ci0, ci1, c, chunk_ptr, chunk_len, indices,
+                           data, V);
     for (int64_t i0 = g0; i0 < g1; i0 += REPRO_ETA_BLOCK) {
         const int64_t i1 = i0 + REPRO_ETA_BLOCK < g1 ? i0 + REPRO_ETA_BLOCK
                                                      : g1;
-        for (int64_t i = i0; i < i1; ++i) {
-            const int64_t p = pos ? pos[i] : i;
-            if (r == 1) {
-                KN(repro_fin)(fin, V + 2 * i, W + 2 * i, acc + 2 * (p - g0),
-                              1, ca, cb, part);
-            } else {
-                const int64_t ci = p / c;
-                KN(repro_row_walk)(fin, indices, data,
-                                   chunk_ptr[ci] + p - ci * c, chunk_len[ci],
-                                   c, V, W, r, i, ca, cb, part, acc);
-            }
+        for (int64_t k = i0; k < i1; ++k) {
+            const int64_t p = store ? k : pos ? pos[k] : k;
+            const int64_t row = store ? perm[k] : k;
+            if (store && row >= n_rows)
+                continue;
+            KN(repro_fin)(fin, V + 2 * row, W + 2 * row, acc + 2 * (p - g0), 1,
+                          ca, cb, part);
         }
-        repro_deposit(e, part);
+        if (!store)
+            repro_deposit(e, part);
     }
 }
 
 /* The SELL walk, finished by fin as the CSR walk is, so a SELL
  * operator's W and eta are its CSR image's bit for bit, for any C and
- * sigma.  Threads take groups: 64 rows (boot, aug at r > 1), lcm(C,
- * sigma, 64) rows at r = 1 — whole chunks and sigma scopes, so exactly
- * the rows [g0, g0 + g) — or, a store, lcm(C, 64) positions.          */
+ * sigma.  Threads take groups: a chunk (a store), 64 rows (boot, aug at
+ * r > 1) or, at r = 1, lcm(C, sigma, 64) rows — whole chunks and sigma
+ * scopes, so exactly the rows [g0, g1).                               */
 EXPORT void KN(repro_sell_aug_spmmv)(
     int64_t fin,
     int64_t n_rows,
@@ -1449,10 +1449,11 @@ EXPORT void KN(repro_sell_aug_spmmv)(
     REPRO_WALK_ARGS)
 {
     const int store = fin == REPRO_FIN_STORE;
-    int64_t g = REPRO_ETA_BLOCK;
-    while ((store || r == 1) && (g % c || (!store && g % sigma)))
+    const int64_t n_chunks = (n_rows + c - 1) / c;
+    int64_t g = store ? c : REPRO_ETA_BLOCK;
+    while (!store && r == 1 && (g % c || g % sigma))
         g += REPRO_ETA_BLOCK;
-    const int64_t n = store ? (n_rows + c - 1) / c * c : n_rows;
+    const int64_t n = store ? n_chunks * c : n_rows, gc = g / c;
     const int64_t ng = (n + g - 1) / g;
     REPRO_AT ca, cb;
     repro_eta_t e;
@@ -1464,9 +1465,11 @@ EXPORT void KN(repro_sell_aug_spmmv)(
 #define REPRO_SELL_GROUPS(F)                                               \
     REPRO_OMP_FOR                                                          \
     for (int64_t gi = 0; gi < ng; ++gi)                                    \
-        KN(repro_sell_group)(F, &e, gi * g, g, n, n_rows, sigma, c, r,     \
-                             chunk_ptr, chunk_len, perm, inv_perm, indices, \
-                             data, V, W, ca, cb);
+        KN(repro_sell_group)(F, &e, gi * g, gi * g + g < n ? gi * g + g : n, \
+                             gi * gc, gi * gc + gc < n_chunks ? gi * gc + gc \
+                                                              : n_chunks,  \
+                             n_rows, sigma, c, r, chunk_ptr, chunk_len,    \
+                             perm, inv_perm, indices, data, V, W, ca, cb);
     REPRO_BY_FIN(fin, REPRO_SELL_GROUPS)
 #undef REPRO_SELL_GROUPS
     repro_eta_close(&e, bins, flag);

@@ -191,7 +191,7 @@ class NativeBackend(KernelBackend):
 
     # -- marshalling ---------------------------------------------------
     @staticmethod
-    def _entry(fin, A, prec, vs, r, row0, row1) -> tuple:
+    def _entry(fin, A, prec, vs, r, row0, row1, pack=None) -> tuple:
         """``(fn, head)``: ``A``'s walk in profile ``prec`` and family
         ``vs``, and its leading arguments — the finisher ``fin``, CSR's
         rows ``[row0, row1)`` (SELL: all), then the matrix's with the
@@ -200,12 +200,13 @@ class NativeBackend(KernelBackend):
         The matrix's pointers are cached on it, one tuple per kernel
         suffix (the containers are immutable; ``data_as`` builds fresh
         ctypes wrappers per call); the arrays they point into live in its
-        kernel-pack cache.
+        kernel-pack cache.  ``pack`` (``(values, indices)``, its index
+        dtype picking the unit) replaces that pack, uncached.
         """
-        values, indices = kernel_pack(A, prec)
+        values, indices = pack or kernel_pack(A, prec)
         suffix = _kernel_suffix(prec, indices)
         sell = isinstance(A, SellMatrix)
-        cache = A.__dict__.setdefault("_native_args", {})
+        cache = {} if pack else A.__dict__.setdefault("_native_args", {})
         args = cache.get(suffix)
         if args is None:
             head = (A.sigma, A.chunk_height, *map(_ptr, (
@@ -281,10 +282,9 @@ class NativeBackend(KernelBackend):
 
     def _bind(self, kind, A, V, W, plan, row0, row1, bins) -> _Call:
         """The :class:`_Call` of one walk that writes ``W`` and reduces
-        eta — ``kind`` an aug step, or ``spm(m)v``: the bootstrap — CSR
+        eta (``kind`` an aug step, or ``spm(m)v``: the bootstrap) — CSR
         over rows ``[row0, row1)`` of the ORIGINAL arrays, indexed in
-        place; SELL whole — into ``bins``, else the plan's (or fresh
-        ones).
+        place; SELL whole — into ``bins``, else the plan's (or fresh ones).
 
         A plan keeps the calls it made, two per ``(kind, rows)`` (the
         recurrence alternates two buffers): a later call on the same

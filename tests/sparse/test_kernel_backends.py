@@ -108,15 +108,16 @@ class TestNativeParity:
     the native bits (DESIGN §19)."""
 
     def test_spmv(self, operator, rng):
-        """Every profile (the u16 units too), CSR and SELL with C in
-        {8, 32} and sigma in {1, 32, 8192}: the walk's store finisher at
-        r = 1 writes the NumPy bits, and spmv(x) is spmmv(x[:, None])."""
-        m, _, _ = operator
+        """Every profile (the u16 units too), CSR, the fixture's SELL and
+        SELL with C in {8, 32} and sigma in {1, 32, 8192}: the walk's
+        store finisher at r = 1 writes the NumPy bits, and spmv(x) is
+        spmmv(x[:, None])."""
+        m, sell, _ = operator
         npb, nat = get_backend("numpy"), get_backend("native")
         x = _block(rng, m.n_cols, 1)[:, 0].copy()
         for prec in map(get_precision, ("fp64", "fp32", "fp16v")):
             xs = _storage(prec, x)
-            for A in (m, *_sells(m)):
+            for A in (m, sell, *_sells(m)):
                 y = nat.spmv(A, xs)
                 assert _equal(y, npb.spmv(A, xs)), (prec.name, A)
                 assert _equal(y, nat.spmmv(A, xs[:, None])[:, 0]), \
@@ -124,12 +125,12 @@ class TestNativeParity:
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 8, 32])
     def test_spmmv(self, operator, rng, r):
-        m, _, _ = operator
+        m, sell, _ = operator
         npb, nat = get_backend("numpy"), get_backend("native")
         X = _block(rng, m.n_cols, r)
         for prec in map(get_precision, ("fp64", "fp32", "fp16v")):
             Xs = _storage(prec, X)
-            for A in (m, *_sells(m)):
+            for A in (m, sell, *_sells(m)):
                 assert _equal(nat.spmmv(A, Xs), npb.spmmv(A, Xs)), \
                     (prec.name, A)
 

@@ -53,22 +53,18 @@ _PROFILES = {"": "fp64", "_f32": "fp32", "_f32u16": "fp32",
 def _walk(unit, A, prec, fin, V, W, threads, a=0.0, b=0.0, eta=None):
     """One call of ``A``'s walk in ``unit`` with finisher ``fin`` (0
     store, 1 boot, 2 aug), on the matrix packed by hand, so the int32
-    and uint16 index units both run on a small operator."""
-    from repro.sparse import SellMatrix
-    from repro.sparse.backend.native import _ptr, kernel
+    and uint16 index units both run on a small operator; the arguments
+    are the native backend's own (``NativeBackend._entry``)."""
+    from repro.sparse.backend.native import _ptr
+    from repro.sparse.backend.native_backend import NativeBackend
 
-    values = A.data.astype(prec.compute_dtype)
-    indices = A.indices.astype(np.uint16 if "u16" in unit[0] else np.int32)
+    pack = (A.data.astype(prec.compute_dtype),
+            A.indices.astype(np.uint16 if "u16" in unit[0] else np.int32))
     r = V.shape[1] if V.ndim == (3 if prec.half_vectors else 2) else 1
-    if isinstance(A, SellMatrix):
-        fmt, head = "sell", (fin, A.n_rows, A.sigma, A.chunk_height, r, *map(
-            _ptr, (A.chunk_ptr, A.chunk_len, A.perm, A.inv_perm)))
-    else:
-        fmt, head = "csr", (fin, 0, A.n_rows, r, _ptr(A.indptr))
+    fn, head = NativeBackend._entry(fin, A, prec, unit[1], r, 0, A.n_rows,
+                                    pack)
     eta = (None,) * 3 if eta is None else tuple(map(_ptr, eta))
-    kernel(f"repro_{fmt}_aug_spmmv", *unit)(
-        *head, _ptr(indices), _ptr(values), _ptr(V), _ptr(W), threads, a, b,
-        *eta)
+    fn(*head, _ptr(V), _ptr(W), threads, a, b, *eta)
 
 
 def _unit_parity(unit: tuple[str, bool], h, scale) -> str | None:
