@@ -1353,14 +1353,12 @@ static REPRO_OUTLINE void KN(repro_sell_chunks1)(
     }
 }
 
-/* One group of the SELL walk, on the calling thread: the rows or
- * positions [g0, g1), which are the chunks [ci0, ci1) where a group is
- * whole chunks.  A store needs no row order: a group is a chunk, its
- * positions k finishing row perm[k], the padding skipped.  Boot and aug
- * take rows k in row order, at position inv_perm[k] (k at sigma = 1),
- * 64 a block.  Above r = 1 each row is its lane's body at stride C; at
- * r = 1 the chunks accumulate first and each row finishes from
- * acc[pos - g0].  r is tested once a group, outside the row loops.    */
+/* One group of the SELL walk, on the calling thread: rows or positions
+ * [g0, g1), chunks [ci0, ci1).  A store (a group is a chunk) takes
+ * positions k, row perm[k], the padding skipped; boot and aug take rows
+ * k in row order at position inv_perm[k] (k at sigma = 1), 64 a block.
+ * r is tested once: above 1 each row is its lane's body at stride C; at
+ * 1 the chunks accumulate first and rows finish from acc[pos - g0].   */
 static inline __attribute__((always_inline)) void KN(repro_sell_group)(
     const int fin,
     const repro_eta_t *e,
